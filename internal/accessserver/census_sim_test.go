@@ -1,0 +1,196 @@
+package accessserver_test
+
+import (
+	"testing"
+	"time"
+
+	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/schedsim"
+)
+
+// observeCensus makes a script fail the test at the first event after
+// which the incrementally published census differs from a full rebuild,
+// or the queue's own bookkeeping no longer holds.
+func observeCensus(t *testing.T, script *schedsim.Script) *int {
+	t.Helper()
+	events := new(int)
+	script.AfterEvent = func(srv *accessserver.Server) {
+		*events++
+		if err := srv.CensusDrift(); err != nil {
+			t.Fatalf("after event %d: %v", *events, err)
+		}
+		if err := srv.QueueDrift(); err != nil {
+			t.Fatalf("after event %d: %v", *events, err)
+		}
+	}
+	return events
+}
+
+// TestCensusMatchesOracleRichScript replays the determinism workhorse —
+// kill, kill+revive, late registration, failover requeues with backoff,
+// pinned and fallback builds — and compares the census with the oracle
+// after every clock deadline.
+func TestCensusMatchesOracleRichScript(t *testing.T) {
+	script := schedsim.RichScript()
+	events := observeCensus(t, &script)
+	if _, err := schedsim.Run(script); err != nil {
+		t.Fatal(err)
+	}
+	if *events < 50 {
+		t.Fatalf("only %d events observed; the script should fire hundreds", *events)
+	}
+}
+
+// TestCensusMatchesOracleAdminScript covers the transitions the fleet
+// vocabulary cannot script: drain and undrain, removal under queued
+// pinned builds, aborts of queued and running builds, builds aging out
+// for a node that never registers, a node registered straight through
+// the registry, and a job edited (its preferred node moves) and deleted
+// under its queued builds.
+func TestCensusMatchesOracleAdminScript(t *testing.T) {
+	script := schedsim.Script{
+		Nodes: []schedsim.NodeSpec{
+			{Name: "a", Devices: []string{"pixel4-a"}},
+			{Name: "b", Devices: []string{"pixel4-b"}, KillAt: 25 * time.Second},
+			{Name: "c", Devices: []string{"motog5-c"}},
+			{Name: "d", Devices: []string{"motog5-d"}},
+		},
+		Config: accessserver.Config{PendingTimeout: 2 * time.Minute, Executors: 3},
+	}
+	pin := []struct{ node, dev string }{
+		{"a", "pixel4-a"}, {"b", "pixel4-b"}, {"c", "motog5-c"}, {"d", "motog5-d"},
+		{"ghost", "pixel4-x"}, // never registers: ages out
+	}
+	for i := 0; i < 30; i++ {
+		p := pin[i%len(pin)]
+		script.Builds = append(script.Builds, schedsim.BuildSpec{
+			Owner: "ana", Node: p.node, Device: p.dev,
+			Fallback: i%3 == 0 && p.node != "ghost",
+			Duration: time.Duration(6+i%5) * time.Second,
+			SubmitAt: time.Duration(i%4) * 2 * time.Second,
+		})
+	}
+
+	var admin *accessserver.User
+	var jobBuilds []*accessserver.Build
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	script.Actions = []schedsim.Action{
+		{Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			var err error
+			admin, err = srv.Users.Add("root", accessserver.RoleAdmin)
+			must(err)
+			// Job builds queue behind the spec builds on node c.
+			_, err = srv.CreateJob(admin, "nightly", accessserver.Constraints{Node: "c", Device: "motog5-c"},
+				func(ctx *accessserver.BuildContext, done func(error)) { done(nil) })
+			must(err)
+			for i := 0; i < 4; i++ {
+				b, err := srv.Submit(admin, "nightly")
+				must(err)
+				jobBuilds = append(jobBuilds, b)
+			}
+		}},
+		{At: 3 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			must(srv.DrainNode(admin, "a"))
+		}},
+		{At: 5 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			// The job's preferred node moves from c to d under its queued
+			// builds: the census must move them with it, at once.
+			must(srv.EditJob(admin, "nightly", accessserver.Constraints{Node: "d", Device: "motog5-d"},
+				func(ctx *accessserver.BuildContext, done func(error)) { done(nil) }))
+		}},
+		{At: 7 * time.Second, Do: func(srv *accessserver.Server, builds []*accessserver.Build) {
+			// One queued, one running (whichever the schedule made them;
+			// the running one has no cancel hook and runs to its end with
+			// the cancel flag armed).
+			for _, b := range builds {
+				if b != nil && b.State() == accessserver.StateQueued {
+					must(srv.Abort(admin, b.ID))
+					break
+				}
+			}
+			for _, b := range builds {
+				if b != nil && b.State() == accessserver.StateRunning {
+					must(srv.Abort(admin, b.ID))
+					break
+				}
+			}
+		}},
+		{At: 9 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			// A vantage point that bypasses RegisterNode: no lifecycle
+			// record, no heartbeat. It joins the census at the next
+			// publish, which the kick provides.
+			must(srv.Nodes.Register(plainNode("e")))
+			srv.Kick()
+		}},
+		{At: 10 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			// Its first lifecycle record appears with no registry change;
+			// so does a row for a node that beats without ever registering.
+			must(srv.DrainNode(admin, "e"))
+			srv.Heartbeat("stray")
+		}},
+		{At: 11 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			must(srv.UndrainNode(admin, "a"))
+		}},
+		{At: 13 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			for i := 0; i < 3; i++ {
+				b, err := srv.Submit(admin, "nightly")
+				must(err)
+				jobBuilds = append(jobBuilds, b)
+			}
+			must(srv.DeleteJob(admin, "nightly"))
+		}},
+		{At: 15 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			must(srv.RemoveNode(admin, "c"))
+		}},
+		{At: 40 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			// c comes back through the plain registry: the tombstone ends.
+			must(srv.Nodes.Register(plainNode("c")))
+			srv.Kick()
+		}},
+	}
+	events := observeCensus(t, &script)
+	res, err := schedsim.Run(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *events < 50 {
+		t.Fatalf("only %d events observed", *events)
+	}
+	// The script must actually have exercised what it claims to.
+	states := map[string]int{}
+	aged, failovers := 0, 0
+	for _, b := range res.Builds {
+		states[b.State]++
+		failovers += b.Failovers
+		if b.NodeLost && b.Attempts == 0 {
+			aged++
+		}
+	}
+	if states["aborted"] == 0 || states["success"] == 0 || aged == 0 || failovers == 0 {
+		t.Fatalf("script outcome %v, %d failed without ever dispatching, %d failovers: want aborts, successes, aged-out builds and failovers",
+			states, aged, failovers)
+	}
+	deleted := 0
+	for _, b := range jobBuilds {
+		if b.State() == accessserver.StateFailure {
+			deleted++
+		}
+	}
+	if deleted == 0 {
+		t.Fatal("no job build failed under DeleteJob: the delete path was not exercised")
+	}
+}
+
+// plainNode is a vantage point handle with no behaviour, for nodes that
+// enter through the bare registry.
+type plainNode string
+
+func (n plainNode) Name() string { return string(n) }
+func (n plainNode) Exec(cmd string, args ...string) (string, error) {
+	return "", nil
+}

@@ -216,7 +216,7 @@ func (s *Server) peerCensus(now time.Time) []api.PeerNode {
 		}
 		out = append(out, api.PeerNode{
 			Name:    e.Name,
-			Health:  s.censusHealth(e, e.registered, now).String(),
+			Health:  s.censusHealth(*e, e.registered, now).String(),
 			Devices: append([]string(nil), e.Devices...),
 			Running: e.Running,
 		})

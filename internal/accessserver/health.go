@@ -2,7 +2,6 @@ package accessserver
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"batterylab/internal/accessserver/store"
@@ -139,12 +138,15 @@ type nodeRec struct {
 }
 
 // recLocked resolves (creating on first sight) a node's lifecycle
-// record. Callers hold s.mu.
+// record. A new record is a new census row. Callers hold s.mu, and mark
+// the node with touchNodeLocked when they change a field its row serves.
 func (s *Server) recLocked(name string) *nodeRec {
 	rec, ok := s.nodeRecs[name]
 	if !ok {
 		rec = &nodeRec{name: name, lastBeat: s.clock.Now()}
 		s.nodeRecs[name] = rec
+		s.censusStale = true
+		s.touchNodeLocked(name)
 	}
 	return rec
 }
@@ -197,8 +199,9 @@ func (s *Server) MonitorNode(name string) error {
 	rec.removed = false
 	rec.devices = devices
 	rec.lastBeat = s.clock.Now()
+	s.touchNodeLocked(name)
 	if rec.monitored {
-		s.publishNodesLocked()
+		s.publishCensusLocked()
 		s.mu.Unlock()
 		return nil
 	}
@@ -213,7 +216,7 @@ func (s *Server) MonitorNode(name string) error {
 	s.logStore(store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
 		Name: name, Owner: rec.owner, Monitored: true, Devices: append([]string(nil), devices...),
 	}})
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -344,8 +347,9 @@ func (s *Server) Heartbeat(name string) {
 		}
 	}
 	rec.lastBeat = now
+	s.touchNodeLocked(name)
 	pending := len(s.queue)
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	if pending > 0 && !wasOnline {
 		s.dispatch()
@@ -364,8 +368,9 @@ func (s *Server) DrainNode(user *User, name string) error {
 	}
 	s.mu.Lock()
 	s.recLocked(name).draining = true
+	s.touchNodeLocked(name)
 	s.logStore(store.Record{T: store.TNodeDrain, Name: name, Draining: true})
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -381,8 +386,9 @@ func (s *Server) UndrainNode(user *User, name string) error {
 	}
 	s.mu.Lock()
 	s.recLocked(name).draining = false
+	s.touchNodeLocked(name)
 	s.logStore(store.Record{T: store.TNodeDrain, Name: name, Draining: false})
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch()
 	return nil
@@ -415,19 +421,15 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	// threshold still belongs to the owner.
 	s.flushHostingLocked(rec, rec.owner)
 	s.logStore(store.Record{T: store.TNodeRemoved, Name: name})
-	kept := s.queue[:0]
-	for _, b := range s.queue {
+	s.touchNodeLocked(name)
+	s.failQueuedLocked(func(b *Build) error {
 		cons, _, err := s.pipelineLocked(b)
 		if err == nil && cons.Node == name && !cons.Fallback {
-			// terminateLocked closes the feed through the hub (a leaf
-			// lock, safe under s.mu) — no post-unlock close list.
-			s.terminateLocked(b, fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, b.ID))
-			continue
+			return fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, b.ID)
 		}
-		kept = append(kept, b)
-	}
-	s.queue = kept
-	s.publishNodesLocked()
+		return nil
+	})
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch() // fallback builds re-place onto survivors
 	return nil
@@ -473,21 +475,14 @@ func (s *Server) HealthOf(name string) (health Health, devices []string, monitor
 }
 
 func (s *Server) nodeStatusLocked(name string) NodeStatus {
-	queued := 0
-	for _, b := range s.queue {
-		if cons, _, err := s.pipelineLocked(b); err == nil && cons.Node == name {
-			queued++
-		}
-	}
-	st, _ := s.nodeEntryLocked(name, queued)
+	st, _ := s.nodeEntryLocked(name, s.queuedOn[name])
 	return st
 }
 
 // nodeEntryLocked builds one node's lifecycle snapshot given its
-// precomputed queued-build count, and reports whether the node is
-// currently registered. Census publication calls it once per node after
-// a single queue scan; nodeStatusLocked wraps it for one-off lookups.
-// Callers hold s.mu.
+// queued-build count, and reports whether the node is currently
+// registered. Census publication calls it once per changed row;
+// nodeStatusLocked wraps it for one-off lookups. Callers hold s.mu.
 func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
 	now := s.clock.Now()
 	st := NodeStatus{Name: name}
@@ -528,22 +523,11 @@ func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
 // NodeStatuses snapshots every known node (registered or remembered),
 // sorted by name.
 func (s *Server) NodeStatuses() []NodeStatus {
-	names := map[string]bool{}
-	for _, n := range s.Nodes.List() {
-		names[n] = true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for n := range s.nodeRecs {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	out := make([]NodeStatus, 0, len(sorted))
-	for _, n := range sorted {
+	names := s.nodeNamesLocked()
+	out := make([]NodeStatus, 0, len(names))
+	for _, n := range names {
 		out = append(out, s.nodeStatusLocked(n))
 	}
 	return out

@@ -89,11 +89,12 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		// clock because silence ages a node without republishing.
 		now := s.clock.Now()
 		names := s.Nodes.List()
+		rows := s.reads.nodeList() // one load: every row is of one instant
 		infos := make([]api.NodeInfo, 0, len(names))
 		for _, name := range names {
-			e, ok := s.reads.node(name)
-			if !ok {
-				e = nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
+			e := nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
+			if i, ok := censusFind(rows, name); ok {
+				e = *rows[i]
 			}
 			devs := e.Devices
 			if !e.Monitored {

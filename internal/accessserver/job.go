@@ -168,10 +168,17 @@ type Build struct {
 	// deep queue). Every writer of pendingReason that holds s.mu must
 	// keep the two in sync.
 	schedReason string
-	heldLocks   []string
-	leaseTimer  simclock.Timer
-	retryTimer  simclock.Timer
-	agingTimer  simclock.Timer
+	// queuedOn is the node this build is counted against in the server's
+	// per-node queued counters while it sits in the dispatch queue (""
+	// otherwise). Guarded by s.mu.
+	queuedOn string
+	// queueSeq is the build's position in the order builds entered the
+	// dispatch queue (a requeue takes a new one). Guarded by s.mu.
+	queueSeq   uint64
+	heldLocks  []string
+	leaseTimer simclock.Timer
+	retryTimer simclock.Timer
+	agingTimer simclock.Timer
 }
 
 // State reports the build state.

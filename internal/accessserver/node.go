@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"batterylab/internal/controller"
 	"batterylab/internal/sshx"
@@ -75,6 +76,10 @@ type Nodes struct {
 	mu       sync.RWMutex
 	nodes    map[string]Node
 	approved map[string]bool
+	// gen counts membership changes. Nodes register and unregister
+	// without the scheduler lock, so the server compares generations to
+	// learn that its published name index went stale.
+	gen atomic.Uint64
 }
 
 // NewNodes returns an empty registry.
@@ -101,8 +106,12 @@ func (r *Nodes) Register(n Node) error {
 		return fmt.Errorf("%w: node %q already registered", ErrConflict, n.Name())
 	}
 	r.nodes[n.Name()] = n
+	r.gen.Add(1)
 	return nil
 }
+
+// generation reports how many times membership has changed.
+func (r *Nodes) generation() uint64 { return r.gen.Load() }
 
 // Get resolves a node.
 func (r *Nodes) Get(name string) (Node, error) {
@@ -123,6 +132,7 @@ func (r *Nodes) Remove(name string) error {
 		return fmt.Errorf("%w: no node %q", ErrNotFound, name)
 	}
 	delete(r.nodes, name)
+	r.gen.Add(1)
 	return nil
 }
 

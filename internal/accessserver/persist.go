@@ -387,10 +387,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	// them too).
 	var pending []store.Record
 
-	if v, ok := s.clock.(*simclock.Virtual); ok {
-		release := v.Hold()
-		defer release()
-	}
+	defer s.holdClock()()
 	now := s.clock.Now()
 
 	// Users and ledger first: independent of scheduler state.
@@ -463,6 +460,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	for _, name := range nodeNames {
 		nr := rs.nodes[name]
 		rec := s.recLocked(name)
+		s.touchNodeLocked(name)
 		rec.owner = nr.Owner
 		rec.owedHosting = time.Duration(nr.OwedHostingNS)
 		rec.draining = nr.Draining
@@ -661,7 +659,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// must survive a restart, or one owner could double their quota
 		// by crashing the server.
 		s.ownerActive[b.Owner]++
-		s.queue = append(s.queue, b)
+		s.queuePushLocked(b)
 		b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
 	}
 
@@ -680,7 +678,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	if s.nextCampaign > 1 {
 		s.reads.highCamp.Store(int64(s.nextCampaign - 1))
 	}
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 
 	// Go live: install the store and the observation hooks, flush the

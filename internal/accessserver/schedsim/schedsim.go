@@ -61,10 +61,26 @@ type BuildSpec struct {
 	SubmitAt time.Duration
 }
 
+// Action scripts one event the fleet and workload vocabulary above does
+// not cover — an admin draining or removing a node, an owner aborting a
+// build, a job being edited or deleted under its queued builds. Do runs
+// against the live server at At (0 = after the initial submissions,
+// before driving starts); builds is index-aligned with Script.Builds and
+// holds nil for a build not yet submitted or shed.
+type Action struct {
+	At time.Duration
+	Do func(srv *accessserver.Server, builds []*accessserver.Build)
+}
+
 // Script is one complete scenario.
 type Script struct {
-	Nodes  []NodeSpec
-	Builds []BuildSpec
+	Nodes   []NodeSpec
+	Builds  []BuildSpec
+	Actions []Action
+	// AfterEvent, when set, observes the server after the initial
+	// submissions, after every action and after every clock deadline the
+	// drive loop fires: the hook invariant checkers hang off.
+	AfterEvent func(srv *accessserver.Server)
 	// Config overrides the harness defaults (Executors = node count,
 	// 5s heartbeats, 5s retry backoff, 3 retries, 10m pending timeout).
 	// Zero fields keep the defaults.
@@ -269,6 +285,20 @@ func Run(script Script) (Result, error) {
 			submit(i)
 		}
 	}
+	observe := func() {
+		if script.AfterEvent != nil {
+			script.AfterEvent(srv)
+		}
+	}
+	observe()
+	for _, a := range script.Actions {
+		if a.At > 0 {
+			clk.AfterFunc(a.At, func() { a.Do(srv, builds) })
+			continue
+		}
+		a.Do(srv, builds)
+		observe()
+	}
 
 	terminal := func(b *accessserver.Build) bool {
 		switch b.State() {
@@ -304,6 +334,7 @@ func Run(script Script) (Result, error) {
 			return Result{}, fmt.Errorf("schedsim: exceeded the %s simulated-time safety net", maxSim)
 		}
 		clk.RunUntil(next)
+		observe()
 		if allDone() {
 			makespan = clk.Now().Sub(t0)
 		}
@@ -342,4 +373,37 @@ func joinLines(ss []string) string {
 		out += s
 	}
 	return out
+}
+
+// RichScript is the determinism workhorse: a heterogeneous fleet with a
+// mid-run kill, a kill+revive, and a late registration, loaded with a
+// mix of pinned and fallback builds from three owners on staggered
+// submit instants. Everything a dispatch pass can do, it does here.
+func RichScript() Script {
+	s := Script{
+		Nodes: []NodeSpec{
+			{Name: "pixel-1", Devices: []string{"pixel4-a", "pixel4-b"}},
+			{Name: "pixel-2", Devices: []string{"pixel4-c"}, KillAt: 30 * time.Second},
+			{Name: "moto-1", Devices: []string{"motog5-a"}, KillAt: 40 * time.Second, ReviveAt: 2 * time.Minute},
+			{Name: "moto-2", Devices: []string{"motog5-b"}},
+			{Name: "nexus-1", Devices: []string{"nexus5-a"}, RegisterAt: 20 * time.Second},
+		},
+	}
+	owners := []string{"ana", "bo", "cy"}
+	pin := []struct{ node, dev string }{
+		{"pixel-1", "pixel4-a"}, {"pixel-1", "pixel4-b"}, {"pixel-2", "pixel4-c"},
+		{"moto-1", "motog5-a"}, {"moto-2", "motog5-b"}, {"nexus-1", "nexus5-a"},
+	}
+	for i := 0; i < 36; i++ {
+		p := pin[i%len(pin)]
+		s.Builds = append(s.Builds, BuildSpec{
+			Owner:    owners[i%len(owners)],
+			Node:     p.node,
+			Device:   p.dev,
+			Fallback: i%2 == 0,
+			Duration: time.Duration(5+i%7) * time.Second,
+			SubmitAt: time.Duration(i%5) * 3 * time.Second,
+		})
+	}
+	return s
 }

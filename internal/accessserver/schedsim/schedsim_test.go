@@ -12,50 +12,17 @@ import (
 	"batterylab/internal/simclock"
 )
 
-// richScript is the determinism workhorse: a heterogeneous fleet with a
-// mid-run kill, a kill+revive, and a late registration, loaded with a
-// mix of pinned and fallback builds from three owners on staggered
-// submit instants. Everything a dispatch pass can do, it does here.
-func richScript() Script {
-	s := Script{
-		Nodes: []NodeSpec{
-			{Name: "pixel-1", Devices: []string{"pixel4-a", "pixel4-b"}},
-			{Name: "pixel-2", Devices: []string{"pixel4-c"}, KillAt: 30 * time.Second},
-			{Name: "moto-1", Devices: []string{"motog5-a"}, KillAt: 40 * time.Second, ReviveAt: 2 * time.Minute},
-			{Name: "moto-2", Devices: []string{"motog5-b"}},
-			{Name: "nexus-1", Devices: []string{"nexus5-a"}, RegisterAt: 20 * time.Second},
-		},
-	}
-	owners := []string{"ana", "bo", "cy"}
-	pin := []struct{ node, dev string }{
-		{"pixel-1", "pixel4-a"}, {"pixel-1", "pixel4-b"}, {"pixel-2", "pixel4-c"},
-		{"moto-1", "motog5-a"}, {"moto-2", "motog5-b"}, {"nexus-1", "nexus5-a"},
-	}
-	for i := 0; i < 36; i++ {
-		p := pin[i%len(pin)]
-		s.Builds = append(s.Builds, BuildSpec{
-			Owner:    owners[i%len(owners)],
-			Node:     p.node,
-			Device:   p.dev,
-			Fallback: i%2 == 0,
-			Duration: time.Duration(5+i%7) * time.Second,
-			SubmitAt: time.Duration(i%5) * 3 * time.Second,
-		})
-	}
-	return s
-}
-
 // TestDoubleRunDeterminism replays the same script twice and requires
 // bit-identical outcomes: node assignments, placement scores, attempt
 // counts, and wait/run durations (hence finish instants). This is the
 // tentpole property — placement scoring and batch dispatch may not
 // introduce any run-to-run variation on the virtual clock.
 func TestDoubleRunDeterminism(t *testing.T) {
-	r1, err := Run(richScript())
+	r1, err := Run(RichScript())
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	r2, err := Run(richScript())
+	r2, err := Run(RichScript())
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}

@@ -3,6 +3,7 @@ package accessserver
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -222,9 +223,10 @@ type Server struct {
 	// feeds without ever touching s.mu, and the scheduler may
 	// create/close/evict feeds while holding any of its locks.
 	hub *feedhub.Hub
-	// reads is the snapshot read plane: copy-on-write build/node/
-	// campaign views republished at every transition under s.mu, served
-	// by the hot GET routes lock-free (see snapshot.go).
+	// reads is the snapshot read plane: build/node/campaign views
+	// republished at every transition under s.mu, each publish costing
+	// what changed, served by the hot GET routes lock-free (see
+	// snapshot.go).
 	reads *readPlane
 
 	mu      schedMutex
@@ -238,6 +240,22 @@ type Server struct {
 	crons []*cronEntry
 	// nodeRecs is the per-node lifecycle state (see health.go).
 	nodeRecs map[string]*nodeRec
+	// queuedOn counts the builds in s.queue per preferred node — the
+	// census's Queued figure, kept current at every queue mutation
+	// instead of recounted from the queue (see countQueuedLocked).
+	queuedOn map[string]int
+	// Census publication state (see publishCensusLocked): the nodes whose
+	// row changed since the last publish, the registry generation the
+	// published name index was built from, and whether a lifecycle
+	// record has been created since.
+	censusDirty []string
+	censusGen   uint64
+	censusStale bool
+	// queueSeq numbers builds in the order they enter s.queue, which is
+	// also the order they sit in it. execLabelled is the drain pass's
+	// labelled-through watermark (see labelSaturatedLocked).
+	queueSeq     uint64
+	execLabelled uint64
 	// placer scores fallback placements (see placement.go); swapped at
 	// runtime with SetPlacer.
 	placer Placer
@@ -331,6 +349,7 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		nextID:       1,
 		locks:        make(map[string]int),
 		nodeRecs:     make(map[string]*nodeRec),
+		queuedOn:     make(map[string]int),
 		campaigns:    make(map[int]*campaignRec),
 		nextCampaign: 1,
 		ownerActive:  make(map[string]int),
@@ -434,6 +453,11 @@ func (s *Server) EditJob(user *User, name string, cons Constraints, run RunFunc)
 	j.approved = user.Role == RoleAdmin
 	j.mu.Unlock()
 	s.logJob(j)
+	// The edit may have moved the job's preferred node (or made it
+	// runnable again after a recovery): its queued builds now count
+	// against a different census row.
+	s.recountQueuedLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -474,16 +498,13 @@ func (s *Server) DeleteJob(user *User, name string) error {
 	s.mu.Lock()
 	delete(s.jobs, name)
 	s.logStore(store.Record{T: store.TJobDeleted, Name: name})
-	kept := s.queue[:0]
-	for _, b := range s.queue {
+	s.failQueuedLocked(func(b *Build) error {
 		if b.run == nil && b.Job == name {
-			s.terminateLocked(b, fmt.Errorf("%w: job %q deleted while build %d was queued", ErrJobDeleted, name, b.ID))
-			continue
+			return fmt.Errorf("%w: job %q deleted while build %d was queued", ErrJobDeleted, name, b.ID)
 		}
-		kept = append(kept, b)
-	}
-	s.queue = kept
-	s.publishNodesLocked()
+		return nil
+	})
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	return nil
 }
@@ -530,6 +551,7 @@ func (s *Server) Submit(user *User, jobName string) (*Build, error) {
 	if err := s.creditGate(user, 1); err != nil {
 		return nil, err
 	}
+	defer s.holdClock()()
 	s.mu.Lock()
 	if err := s.admitLocked(user, 1); err != nil {
 		s.mu.Unlock()
@@ -619,7 +641,7 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	}
 	s.nextID++
 	s.builds[b.ID] = b
-	s.queue = append(s.queue, b)
+	s.queuePushLocked(b)
 	s.m.submitted++
 	s.m.queued++
 	s.ownerActive[owner]++
@@ -635,6 +657,82 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	}
 	s.publishBuildLocked(b)
 	return b
+}
+
+// The helpers below are the only code that may change which builds are
+// in s.queue (drainLocked, which compacts the queue as it scans, calls
+// uncountQueuedLocked itself). Each moves the build's preferred node's
+// queued counter with it, which is what lets the census serve Queued
+// without ever rescanning the queue. Callers hold s.mu.
+
+// queuePushLocked appends b to the dispatch queue.
+func (s *Server) queuePushLocked(b *Build) {
+	s.queueSeq++
+	b.queueSeq = s.queueSeq
+	s.queue = append(s.queue, b)
+	s.countQueuedLocked(b)
+}
+
+// queueRemoveAtLocked takes s.queue[i] out of the dispatch queue.
+func (s *Server) queueRemoveAtLocked(i int) {
+	s.uncountQueuedLocked(s.queue[i])
+	s.queue = slices.Delete(s.queue, i, i+1)
+}
+
+// failQueuedLocked fails every queued build why returns an error for,
+// and keeps the rest in order.
+func (s *Server) failQueuedLocked(why func(*Build) error) {
+	kept := s.queue[:0]
+	for _, b := range s.queue {
+		if err := why(b); err != nil {
+			s.uncountQueuedLocked(b)
+			s.terminateLocked(b, err)
+			continue
+		}
+		kept = append(kept, b)
+	}
+	clear(s.queue[len(kept):]) // do not pin the failed builds
+	s.queue = kept
+}
+
+// countQueuedLocked counts b, which is entering s.queue, against its
+// preferred node. The node is remembered on the build so that leaving
+// the queue undoes exactly this count, whatever happened to the job
+// store in between. A job build whose pipeline cannot be resolved has
+// no preferred node and counts nowhere.
+func (s *Server) countQueuedLocked(b *Build) {
+	b.queuedOn = ""
+	if cons, _, err := s.pipelineLocked(b); err == nil && cons.Node != "" {
+		b.queuedOn = cons.Node
+		s.queuedOn[cons.Node]++
+		s.touchNodeLocked(cons.Node)
+	}
+}
+
+// uncountQueuedLocked undoes countQueuedLocked for a build leaving
+// s.queue.
+func (s *Server) uncountQueuedLocked(b *Build) {
+	node := b.queuedOn
+	if node == "" {
+		return
+	}
+	b.queuedOn = ""
+	if s.queuedOn[node]--; s.queuedOn[node] <= 0 {
+		delete(s.queuedOn, node)
+	}
+	s.touchNodeLocked(node)
+}
+
+// recountQueuedLocked recounts the whole queue: the one O(queue) path,
+// taken only when a job edit may have moved its builds' preferred node.
+func (s *Server) recountQueuedLocked() {
+	for node := range s.queuedOn {
+		s.touchNodeLocked(node)
+	}
+	clear(s.queuedOn)
+	for _, b := range s.queue {
+		s.countQueuedLocked(b)
+	}
 }
 
 // SubmitSpec compiles a declarative v1 experiment spec through the
@@ -665,6 +763,7 @@ func (s *Server) SubmitSpec(user *User, spec api.ExperimentSpec) (*Build, error)
 			return nil, err
 		}
 	}
+	defer s.holdClock()()
 	s.mu.Lock()
 	if err := s.admitLocked(user, 1); err != nil {
 		s.mu.Unlock()
@@ -718,6 +817,7 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 		}
 		pipelines[i] = compiled{cons, run, specJobName(spec)}
 	}
+	defer s.holdClock()()
 	s.mu.Lock()
 	if err := s.admitLocked(user, len(pipelines)); err != nil {
 		s.mu.Unlock()
@@ -742,7 +842,7 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	}})
 	s.logStoreBatch(walBatch)
 	s.reads.publishCampaign(id, rec.builds)
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch()
 	return id, builds, nil
@@ -800,7 +900,7 @@ func (s *Server) Abort(user *User, id int) error {
 		}
 	}
 	if queuedAt >= 0 {
-		s.queue = append(s.queue[:queuedAt], s.queue[queuedAt+1:]...)
+		s.queueRemoveAtLocked(queuedAt)
 		s.m.queued--
 		s.m.aborted++
 		s.ownerSettledLocked(b.Owner)
@@ -820,7 +920,7 @@ func (s *Server) Abort(user *User, id int) error {
 		// and keeps close-before-publish ordering trivially right.
 		s.hub.Close(b.ID)
 		s.publishBuildLocked(b)
-		s.publishNodesLocked()
+		s.publishCensusLocked()
 		s.mu.Unlock()
 		s.scheduleRetention(b)
 		return nil
@@ -932,10 +1032,7 @@ func (s *Server) pipelineLocked(b *Build) (Constraints, RunFunc, error) {
 // growing the stack linearly with queue depth for synchronous
 // pipelines — this loop is that recursion converted to iteration.
 func (s *Server) dispatch() {
-	if v, ok := s.clock.(*simclock.Virtual); ok {
-		release := v.Hold()
-		defer release()
-	}
+	defer s.holdClock()()
 	s.mu.Lock()
 	if s.dispatching {
 		s.redispatch = true
@@ -987,6 +1084,19 @@ func (s *Server) dispatch() {
 	}
 	s.dispatching = false
 	s.mu.Unlock()
+}
+
+// holdClock keeps a concurrent Step driver from advancing a virtual
+// clock until the returned release runs (a no-op on any other clock).
+// Holds nest. Submissions take one before they enqueue and keep it
+// across their dispatch: a build that can start at once must start at
+// the instant it was submitted, which a step landing between the
+// enqueue and the dispatch would break.
+func (s *Server) holdClock() (release func()) {
+	if v, ok := s.clock.(*simclock.Virtual); ok {
+		return v.Hold()
+	}
+	return func() {}
 }
 
 // cpuProbe is one pending RequireLowCPU probe request, carried out of
@@ -1062,18 +1172,6 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 	var picks []*pick
 	var probes []cpuProbe
 	now := s.clock.Now()
-	// skip records a build's pending reason through the s.mu-guarded
-	// shadow, taking b.mu only when the reason actually changed — the
-	// drain labels every skipped build every pass, and on a deep queue
-	// almost all of those labels are repeats. The changed reason is
-	// republished so snapshot-served status polls surface it.
-	skip := func(b *Build, reason string) {
-		if b.schedReason != reason {
-			b.schedReason = reason
-			b.setPendingReason(reason)
-			s.publishBuildLocked(b)
-		}
-	}
 	// The queue is compacted in place: w is the write index, engaged at
 	// the first removal (-1 until then). A pass that claims and fails
 	// nothing — every pass after saturation — leaves s.queue untouched
@@ -1084,11 +1182,9 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		if s.running >= s.cfg.Executors {
 			// Saturated: nothing below can dispatch, and saturation is
 			// the one condition that applies to every remaining build
-			// identically — label the whole tail without evaluating
+			// identically — label the tail without evaluating
 			// (expensive) placement and stop scanning.
-			for _, c := range s.queue[i:] {
-				skip(c, "waiting for a free executor")
-			}
+			s.labelSaturatedLocked(s.queue[i:])
 			if w >= 0 {
 				w += copy(s.queue[w:], s.queue[i:])
 			}
@@ -1098,6 +1194,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		if err != nil {
 			// Deleted job: fail the build immediately instead of
 			// skipping it forever.
+			s.uncountQueuedLocked(cand)
 			s.terminateLocked(cand, fmt.Errorf("build %d: %w (deleted while queued)", cand.ID, err))
 			if w < 0 {
 				w = i
@@ -1115,7 +1212,8 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			prio, reason = prioCampaignCap, "campaign concurrency cap reached"
 		}
 		if cap := s.cfg.OwnerRunCap; prio == prioNone && cap > 0 && s.ownerRunning[cand.Owner] >= cap {
-			prio, reason = prioOwnerCap, fmt.Sprintf("owner %s at the fair-share cap (%d running)", cand.Owner, cap)
+			prio, reason = prioOwnerCap, joinedReason(cand.schedReason,
+				"owner ", cand.Owner, " at the fair-share cap (", strconv.Itoa(cap), " running)")
 		}
 		var pl placement
 		if prio == prioNone {
@@ -1129,7 +1227,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		if prio == prioNone {
 			keys = lockKeysFor(pl.lockName(), pl.device)
 			if s.locksHeld(keys) {
-				prio, reason = prioLockWait, fmt.Sprintf("waiting for %s", keys[0])
+				prio, reason = prioLockWait, joinedReason(cand.schedReason, "waiting for ", keys[0])
 			}
 		}
 		// The CPU gate only applies to local placements: a routed build's
@@ -1155,7 +1253,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			}
 		}
 		if prio != prioNone {
-			skip(cand, reason)
+			s.skipLocked(cand, reason)
 			if w >= 0 {
 				s.queue[w] = cand
 				w++
@@ -1168,6 +1266,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		if w < 0 {
 			w = i
 		}
+		s.uncountQueuedLocked(cand)
 		for _, k := range keys {
 			s.locks[k] = cand.ID
 		}
@@ -1184,6 +1283,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			// describes nodes attached to this server, and a peer's node
 			// must never leak into the local census.
 			s.recLocked(pl.nodeName).running++
+			s.touchNodeLocked(pl.nodeName)
 		} else {
 			s.m.clusterRouted++
 			run = s.relayRun(cand, pl)
@@ -1238,8 +1338,67 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		}
 		s.queue = s.queue[:w]
 	}
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	return picks, probes
+}
+
+// skipLocked records a skipped build's pending reason through the
+// s.mu-guarded shadow, taking b.mu only when the reason actually changed
+// — the drain labels every skipped build every pass, and on a deep queue
+// almost all of those labels are repeats. The changed reason is
+// republished so snapshot-served status polls surface it. Callers hold
+// s.mu.
+func (s *Server) skipLocked(b *Build, reason string) {
+	if b.schedReason != reason {
+		b.schedReason = reason
+		b.setPendingReason(reason)
+		s.publishBuildLocked(b)
+	}
+}
+
+// joinedReason returns the concatenation of parts, and returns prev
+// itself when prev already reads exactly that: nearly every label the
+// drain computes repeats the previous pass's, so the common case formats
+// and allocates nothing.
+func joinedReason(prev string, parts ...string) string {
+	rest, same := prev, true
+	for _, p := range parts {
+		if same {
+			rest, same = strings.CutPrefix(rest, p)
+		}
+	}
+	if same && rest == "" {
+		return prev
+	}
+	return strings.Join(parts, "")
+}
+
+// execWait is the pending reason of every build behind the point where
+// a drain pass ran out of executors.
+const execWait = "waiting for a free executor"
+
+// labelSaturatedLocked labels tail — the queue from the point where the
+// pass ran out of executors — with execWait, without walking the part
+// that already carries it. Labels in the queue always read, in order:
+// builds some pass evaluated (any other reason), builds a saturated
+// pass labelled execWait, builds that joined since. Only a pass's
+// evaluated prefix is ever relabelled with another reason, so the middle
+// run is contiguous: the walk labels from the front until it meets it,
+// then resumes behind s.execLabelled, the queue sequence number that run
+// is known to reach. Callers hold s.mu.
+func (s *Server) labelSaturatedLocked(tail []*Build) {
+	i := 0
+	for i < len(tail) && tail[i].schedReason != execWait {
+		s.skipLocked(tail[i], execWait)
+		i++
+	}
+	// s.queue is ordered by queueSeq: everything from i up to the
+	// watermark is labelled already.
+	i += sort.Search(len(tail)-i, func(n int) bool { return tail[i+n].queueSeq > s.execLabelled })
+	for _, b := range tail[i:] {
+		s.skipLocked(b, execWait)
+	}
+	s.execLabelled = tail[len(tail)-1].queueSeq
 }
 
 // placeLocked resolves where a build may run right now: its preferred
@@ -1576,6 +1735,7 @@ func (s *Server) failoverLocked(b *Build, reason string) (cancel func()) {
 		// Reliability telemetry: the node lost a leased build. The
 		// placer penalizes it on every future fallback decision.
 		rec.failovers++
+		s.touchNodeLocked(b.nodeName)
 	}
 	if b.leaseTimer != nil {
 		b.leaseTimer.Stop()
@@ -1618,7 +1778,7 @@ func (s *Server) failoverLocked(b *Build, reason string) (cancel func()) {
 		b.mu.Unlock()
 		s.hub.Close(b.ID) // leaf lock: legal under s.mu
 		s.publishBuildLocked(b)
-		s.publishNodesLocked()
+		s.publishCensusLocked()
 		s.scheduleRetention(b)
 		return cancel
 	}
@@ -1637,7 +1797,7 @@ func (s *Server) failoverLocked(b *Build, reason string) (cancel func()) {
 		Retries: b.retries, Reason: reason, AtNS: now.UnixNano()})
 	b.mu.Unlock()
 	s.publishBuildLocked(b)
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	return cancel
 }
 
@@ -1673,9 +1833,9 @@ func (s *Server) requeue(b *Build, attempt int) {
 	// (with no fallback available) still bounds the wait.
 	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
 	b.mu.Unlock()
-	s.queue = append(s.queue, b)
+	s.queuePushLocked(b)
 	s.publishBuildLocked(b)
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch()
 }
@@ -1763,7 +1923,7 @@ func (s *Server) checkAging(b *Build) {
 			return
 		}
 	}
-	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
+	s.queueRemoveAtLocked(idx)
 	s.m.agedOut++
 	reason := b.PendingReason()
 	if reason == "" {
@@ -1771,7 +1931,7 @@ func (s *Server) checkAging(b *Build) {
 	}
 	s.terminateLocked(b, fmt.Errorf("%w: build %d waited %s: %s",
 		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason))
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 }
 
@@ -1846,6 +2006,7 @@ func (s *Server) finish(b *Build, attempt int, locks []string, err error) {
 	}
 	if rec := s.nodeRecs[nodeName]; rec != nil && rec.running > 0 {
 		rec.running--
+		s.touchNodeLocked(nodeName)
 	}
 	s.ownerRunDoneLocked(b.Owner)
 	s.ownerSettledLocked(b.Owner)
@@ -1855,7 +2016,7 @@ func (s *Server) finish(b *Build, attempt int, locks []string, err error) {
 	// transition order (monotonic reads for status pollers).
 	s.hub.Close(b.ID)
 	s.publishBuildLocked(b)
-	s.publishNodesLocked()
+	s.publishCensusLocked()
 	s.mu.Unlock()
 
 	s.chargeRun(b.Owner, deviceTime)

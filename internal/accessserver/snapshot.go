@@ -1,8 +1,8 @@
 package accessserver
 
 import (
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -10,106 +10,67 @@ import (
 )
 
 // nodeCensusEntry is one node's published lifecycle snapshot plus the
-// registry membership bit the /nodes listing filters on.
+// registry membership bit the /nodes listing filters on. A row is
+// immutable once published and is replaced only when something it
+// serves changes, so its Health is as of then: readers derive the
+// current health with censusHealth.
 type nodeCensusEntry struct {
 	NodeStatus
 	registered bool
 }
 
-// readPlane is the server's snapshot-served read side: immutable
-// copy-on-write views of build status, the node census and campaign
-// membership, republished by the scheduler at every state transition
-// while it already holds s.mu. The hot GET routes (build status, node
-// list, campaign status) load these views with atomic pointer reads and
-// never acquire the scheduler lock, so status-poll floods are lock-free
-// with respect to dispatch.
+// readPlane is the server's snapshot-served read side: published views
+// of build status, the node census and campaign membership, republished
+// by the scheduler at every state transition while it already holds
+// s.mu. The hot GET routes (build status, node list, campaign status)
+// load these views with atomic pointer reads and never acquire the
+// scheduler lock, so status-poll floods are lock-free with respect to
+// dispatch.
+//
+// Every publish costs what changed, not what exists: a build or campaign
+// is one cell of a chunked index (see chunkindex.go), and the census is
+// a sorted slice of pointers to immutable rows, of which a publish
+// rebuilds only the rows the scheduler marked (see publishCensusLocked).
 //
 // Consistency: publishers run inside the scheduler's critical sections,
 // so snapshots are installed in transition order — a client that
 // observed a build running can never later read it queued
-// (monotonic reads). The write lock below only serializes the
-// copy-on-write map swaps; readers never take it.
+// (monotonic reads).
 type readPlane struct {
-	// wmu serializes writers (map copy-and-swap). It is a leaf lock by
-	// the same rule as the feed hub: publishers may hold s.mu and b.mu,
-	// the plane never calls out or takes another lock.
-	wmu sync.Mutex
-
-	// builds maps build id -> cell; the map itself is copy-on-write
-	// (adds at enqueue, deletes at retention), each cell's status is an
-	// atomic pointer republished in place on every transition.
-	builds atomic.Pointer[map[int]*buildCell]
-	// nodes is the published node census, replaced wholesale.
-	nodes atomic.Pointer[[]nodeCensusEntry]
-	// camps maps campaign id -> member build ids (fixed at submission;
-	// the map is copy-on-write for add/evict).
-	camps atomic.Pointer[map[int][]int]
+	// builds maps build id -> served status, republished in place on
+	// every transition and evicted at retention.
+	builds chunkIndex[api.BuildStatus]
+	// nodes is the published node census, sorted by name. The slice and
+	// its rows are immutable once stored: one load is one consistent
+	// view of the whole fleet.
+	nodes atomic.Pointer[[]*nodeCensusEntry]
+	// camps maps campaign id -> member build ids (fixed at submission).
+	camps chunkIndex[[]int]
 	// highCamp is the highest campaign id ever issued, for the
 	// expired-vs-unknown distinction after eviction.
 	highCamp atomic.Int64
 }
 
-type buildCell struct {
-	st atomic.Pointer[api.BuildStatus]
-}
-
 func newReadPlane() *readPlane {
 	rp := &readPlane{}
-	b := make(map[int]*buildCell)
-	rp.builds.Store(&b)
-	c := make(map[int][]int)
-	rp.camps.Store(&c)
-	n := []nodeCensusEntry{}
-	rp.nodes.Store(&n)
+	rp.nodes.Store(new([]*nodeCensusEntry))
 	return rp
 }
 
-// publishBuild installs st as build st.ID's served status. Existing
-// cells are updated in place (one atomic store); new ids copy the map.
+// publishBuild installs st as build st.ID's served status.
 func (rp *readPlane) publishBuild(st api.BuildStatus) {
-	cur := *rp.builds.Load()
-	if cell, ok := cur[st.ID]; ok {
-		cell.st.Store(&st)
-		return
-	}
-	rp.wmu.Lock()
-	defer rp.wmu.Unlock()
-	cur = *rp.builds.Load()
-	if cell, ok := cur[st.ID]; ok {
-		cell.st.Store(&st)
-		return
-	}
-	next := make(map[int]*buildCell, len(cur)+1)
-	for id, c := range cur {
-		next[id] = c
-	}
-	cell := &buildCell{}
-	cell.st.Store(&st)
-	next[st.ID] = cell
-	rp.builds.Store(&next)
+	rp.builds.put(st.ID, &st)
 }
 
 // removeBuild evicts a build's served status (retention expiry).
 func (rp *readPlane) removeBuild(id int) {
-	rp.wmu.Lock()
-	defer rp.wmu.Unlock()
-	cur := *rp.builds.Load()
-	if _, ok := cur[id]; !ok {
-		return
-	}
-	next := make(map[int]*buildCell, len(cur)-1)
-	for bid, c := range cur {
-		if bid != id {
-			next[bid] = c
-		}
-	}
-	rp.builds.Store(&next)
+	rp.builds.remove(id)
 }
 
 // buildStatus returns the served status for id, if published.
 func (rp *readPlane) buildStatus(id int) (api.BuildStatus, bool) {
-	if cell, ok := (*rp.builds.Load())[id]; ok {
-		return *cell.st.Load(), true
+	if st := rp.builds.get(id); st != nil {
+		return *st, true
 	}
 	return api.BuildStatus{}, false
 }
@@ -117,15 +78,8 @@ func (rp *readPlane) buildStatus(id int) (api.BuildStatus, bool) {
 // publishCampaign records a campaign's member build ids (fixed at
 // submission) and raises the campaign high-water mark.
 func (rp *readPlane) publishCampaign(id int, builds []int) {
-	rp.wmu.Lock()
-	defer rp.wmu.Unlock()
-	cur := *rp.camps.Load()
-	next := make(map[int][]int, len(cur)+1)
-	for cid, b := range cur {
-		next[cid] = b
-	}
-	next[id] = append([]int(nil), builds...)
-	rp.camps.Store(&next)
+	members := append([]int(nil), builds...)
+	rp.camps.put(id, &members)
 	if int64(id) > rp.highCamp.Load() {
 		rp.highCamp.Store(int64(id))
 	}
@@ -133,25 +87,15 @@ func (rp *readPlane) publishCampaign(id int, builds []int) {
 
 // removeCampaign evicts a campaign (its last member expired).
 func (rp *readPlane) removeCampaign(id int) {
-	rp.wmu.Lock()
-	defer rp.wmu.Unlock()
-	cur := *rp.camps.Load()
-	if _, ok := cur[id]; !ok {
-		return
-	}
-	next := make(map[int][]int, len(cur)-1)
-	for cid, b := range cur {
-		if cid != id {
-			next[cid] = b
-		}
-	}
-	rp.camps.Store(&next)
+	rp.camps.remove(id)
 }
 
 // campaign returns a campaign's member ids, if published.
 func (rp *readPlane) campaign(id int) ([]int, bool) {
-	b, ok := (*rp.camps.Load())[id]
-	return b, ok
+	if members := rp.camps.get(id); members != nil {
+		return *members, true
+	}
+	return nil, false
 }
 
 // campaignExpired reports whether id was issued but has been evicted.
@@ -159,24 +103,26 @@ func (rp *readPlane) campaignExpired(id int) bool {
 	return id >= 1 && int64(id) <= rp.highCamp.Load()
 }
 
-// publishNodes replaces the served node census.
-func (rp *readPlane) publishNodes(list []nodeCensusEntry) {
-	rp.nodes.Store(&list)
-}
-
-// nodeList returns the served node census.
-func (rp *readPlane) nodeList() []nodeCensusEntry {
+// nodeList returns the served node census, sorted by name. Callers must
+// not modify the slice or its rows.
+func (rp *readPlane) nodeList() []*nodeCensusEntry {
 	return *rp.nodes.Load()
 }
 
 // node returns one census entry by name.
 func (rp *readPlane) node(name string) (nodeCensusEntry, bool) {
-	for _, e := range *rp.nodes.Load() {
-		if e.Name == name {
-			return e, true
-		}
+	rows := rp.nodeList()
+	if i, ok := censusFind(rows, name); ok {
+		return *rows[i], true
 	}
 	return nodeCensusEntry{}, false
+}
+
+// censusFind locates name in a census sorted by name.
+func censusFind(rows []*nodeCensusEntry, name string) (int, bool) {
+	return slices.BinarySearchFunc(rows, name, func(e *nodeCensusEntry, name string) int {
+		return strings.Compare(e.Name, name)
+	})
 }
 
 // censusHealth recomputes a census entry's health at now. Health is
@@ -216,35 +162,78 @@ func (s *Server) publishBuildLocked(b *Build) {
 	s.reads.publishBuild(buildStatus(b))
 }
 
-// publishNodesLocked rebuilds and republishes the node census after
-// anything that changes what GET /nodes would report: heartbeats,
-// monitor/drain/remove transitions, and queue movement (queued counts).
-// One queue scan covers every node, where the old per-request path
-// scanned the queue once per node per poll while holding s.mu.
-// Callers hold s.mu but never any b.mu.
-func (s *Server) publishNodesLocked() {
-	queued := make(map[string]int)
-	for _, b := range s.queue {
-		if cons, _, err := s.pipelineLocked(b); err == nil {
-			queued[cons.Node]++
+// touchNodeLocked marks a node's census row as changed: the next
+// publishCensusLocked rebuilds it. Everything that moves a field the
+// row serves (heartbeat, monitor/drain/remove, running and queued
+// counts) calls it. Callers hold s.mu.
+func (s *Server) touchNodeLocked(name string) {
+	if n := len(s.censusDirty); n > 0 && s.censusDirty[n-1] == name {
+		return
+	}
+	s.censusDirty = append(s.censusDirty, name)
+}
+
+// publishCensusLocked republishes the node census after a transition:
+// it rebuilds the rows marked since the last publish and swaps in one
+// copied pointer slice, so a reader still sees the whole fleet at one
+// instant. With nothing marked it does nothing. The sorted name index is
+// rebuilt only when membership changed — the registry's generation
+// moved (nodes register and unregister without the scheduler lock) or a
+// lifecycle record was created. Callers hold s.mu but never any b.mu.
+func (s *Server) publishCensusLocked() {
+	rows := s.reads.nodeList()
+	// The generation is read before the listing it vouches for: a
+	// registration landing in between costs one redundant reindex, never
+	// a missed one.
+	if gen := s.Nodes.generation(); gen != s.censusGen || s.censusStale {
+		rows = s.reindexCensusLocked(rows)
+		s.censusGen, s.censusStale = gen, false
+	} else if len(s.censusDirty) == 0 {
+		return
+	} else {
+		rows = slices.Clone(rows)
+	}
+	for _, name := range s.censusDirty {
+		// A marked name without a row is a node nobody registered yet
+		// (builds may queue for it); its row is built when it appears.
+		if i, ok := censusFind(rows, name); ok {
+			rows[i] = s.censusRowLocked(name)
 		}
 	}
-	names := map[string]bool{}
-	for _, n := range s.Nodes.List() {
-		names[n] = true
+	s.censusDirty = s.censusDirty[:0]
+	s.reads.nodes.Store(&rows)
+}
+
+// reindexCensusLocked rebuilds the census's name index after a
+// membership change, carrying over every row whose node neither joined
+// nor left the registry. Callers hold s.mu.
+func (s *Server) reindexCensusLocked(old []*nodeCensusEntry) []*nodeCensusEntry {
+	names := s.nodeNamesLocked()
+	rows := make([]*nodeCensusEntry, len(names))
+	for i, name := range names {
+		_, err := s.Nodes.Get(name)
+		if j, ok := censusFind(old, name); ok && old[j].registered == (err == nil) {
+			rows[i] = old[j]
+		} else {
+			rows[i] = s.censusRowLocked(name)
+		}
 	}
-	for n := range s.nodeRecs {
-		names[n] = true
+	return rows
+}
+
+// nodeNamesLocked lists every known node — registered, or remembered by
+// a lifecycle record — sorted by name. Callers hold s.mu.
+func (s *Server) nodeNamesLocked() []string {
+	names := s.Nodes.List()
+	for name := range s.nodeRecs {
+		names = append(names, name)
 	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	list := make([]nodeCensusEntry, 0, len(sorted))
-	for _, n := range sorted {
-		st, registered := s.nodeEntryLocked(n, queued[n])
-		list = append(list, nodeCensusEntry{NodeStatus: st, registered: registered})
-	}
-	s.reads.publishNodes(list)
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// censusRowLocked builds one node's census row. Callers hold s.mu.
+func (s *Server) censusRowLocked(name string) *nodeCensusEntry {
+	st, registered := s.nodeEntryLocked(name, s.queuedOn[name])
+	return &nodeCensusEntry{NodeStatus: st, registered: registered}
 }
