@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"strings"
 
 	"sync/atomic"
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/api"
+	"batterylab/internal/trace"
 )
 
 // This file bridges the experiment runner into the access server's job
@@ -73,15 +73,15 @@ func (p *Platform) MeasurementJob(spec ExperimentSpec) accessserver.RunFunc {
 				done(err)
 				return
 			}
-			saveSeries := func(name string, write func(*strings.Builder) error) error {
-				var b strings.Builder
-				if err := write(&b); err != nil {
+			saveCSV := func(name string, s *trace.Series) error {
+				var b bytes.Buffer
+				if err := s.WriteCSV(&b); err != nil {
 					return err
 				}
-				ctx.Build.Workspace().Save(name, []byte(b.String()))
+				ctx.Build.Workspace().Save(name, b.Bytes())
 				return nil
 			}
-			if err := saveSeries(ArtifactCurrentCSV, func(b *strings.Builder) error { return res.Current.WriteCSV(b) }); err != nil {
+			if err := saveCSV(ArtifactCurrentCSV, res.Current); err != nil {
 				done(err)
 				return
 			}
@@ -91,11 +91,11 @@ func (p *Platform) MeasurementJob(spec ExperimentSpec) accessserver.RunFunc {
 				return
 			}
 			ctx.Build.Workspace().Save(ArtifactCurrentTrace, bin.Bytes())
-			if err := saveSeries(ArtifactDeviceCPU, func(b *strings.Builder) error { return res.DeviceCPU.WriteCSV(b) }); err != nil {
+			if err := saveCSV(ArtifactDeviceCPU, res.DeviceCPU); err != nil {
 				done(err)
 				return
 			}
-			if err := saveSeries(ArtifactControllerCPU, func(b *strings.Builder) error { return res.ControllerCPU.WriteCSV(b) }); err != nil {
+			if err := saveCSV(ArtifactControllerCPU, res.ControllerCPU); err != nil {
 				done(err)
 				return
 			}

@@ -217,9 +217,15 @@ func (r *Radio) CurrentMA(now time.Time) float64 {
 }
 
 // ripple models supply/PMIC noise: a small zero-mean wobble, piecewise
-// constant per 50 ms, derived statelessly so all samplers agree.
+// constant per 50 ms, derived statelessly so all samplers agree. The last
+// epoch's value is remembered — a cache of a pure function of the epoch.
 type rippleComponent struct {
 	rnd *rng.RNG
+
+	mu    sync.Mutex
+	drawn bool
+	epoch int64
+	ma    float64
 }
 
 func newRipple(rnd *rng.RNG) *rippleComponent { return &rippleComponent{rnd: rnd} }
@@ -229,9 +235,14 @@ func (r *rippleComponent) Name() string { return "pmic-ripple" }
 func (r *rippleComponent) CurrentMA(now time.Time) float64 {
 	const epoch = 50 * time.Millisecond
 	e := now.UnixNano() / int64(epoch)
-	v := r.rnd.At("ripple", e).Normal(4, 2.5)
-	if v < 0 {
-		v = 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.drawn || r.epoch != e {
+		v := r.rnd.At("ripple", e).Normal(4, 2.5)
+		if v < 0 {
+			v = 0
+		}
+		r.drawn, r.epoch, r.ma = true, e, v
 	}
-	return v
+	return r.ma
 }

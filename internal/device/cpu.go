@@ -2,7 +2,7 @@ package device
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,7 +31,7 @@ type CPU struct {
 
 	mu      sync.Mutex
 	nextPID int
-	procs   map[int]*Process
+	procs   []*Process // ascending pid: UtilAt sums in a fixed order
 }
 
 func newCPU(clock simclock.Clock, rnd *rng.RNG, cores int) *CPU {
@@ -42,7 +42,6 @@ func newCPU(clock simclock.Clock, rnd *rng.RNG, cores int) *CPU {
 		idleMA:    8,
 		perUtilMA: 6.3,
 		nextPID:   1000,
-		procs:     make(map[int]*Process),
 	}
 }
 
@@ -82,7 +81,7 @@ func (c *CPU) StartProcess(name string) *Process {
 		name:  name,
 		noise: c.rnd.Fork(fmt.Sprintf("proc/%d/%s", pid, name)),
 	}
-	c.procs[pid] = p
+	c.procs = append(c.procs, p) // pids only grow, so the slice stays sorted
 	return p
 }
 
@@ -90,10 +89,11 @@ func (c *CPU) StartProcess(name string) *Process {
 func (c *CPU) Kill(pid int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.procs[pid]; !ok {
+	i := slices.IndexFunc(c.procs, func(p *Process) bool { return p.pid == pid })
+	if i < 0 {
 		return fmt.Errorf("cpu: no process %d", pid)
 	}
-	delete(c.procs, pid)
+	c.procs = slices.Delete(c.procs, i, i+1)
 	return nil
 }
 
@@ -102,26 +102,16 @@ func (c *CPU) Kill(pid int) error {
 func (c *CPU) KillByName(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for pid, p := range c.procs {
-		if p.name == name {
-			delete(c.procs, pid)
-			n++
-		}
-	}
-	return n
+	n := len(c.procs)
+	c.procs = slices.DeleteFunc(c.procs, func(p *Process) bool { return p.name == name })
+	return n - len(c.procs)
 }
 
 // Processes lists the process table sorted by pid.
 func (c *CPU) Processes() []*Process {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Process, 0, len(c.procs))
-	for _, p := range c.procs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pid < out[j].pid })
-	return out
+	return slices.Clone(c.procs)
 }
 
 // FindProcess returns the first process with the given name, or nil.
@@ -148,13 +138,15 @@ func (c *CPU) startSystemProcesses() {
 func (c *CPU) killAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.procs = make(map[int]*Process)
+	c.procs = nil
 }
 
 // Process is one entry in the device process table. Its utilization is a
 // truncated-normal noise process around a target, piecewise-constant per
 // utilEpoch, derived statelessly from the process's seed so that all
-// samplers agree.
+// samplers agree. The value is a pure function of (epoch, target, sigma);
+// the process remembers the last one it computed, so the 500 Monsoon
+// samples of an epoch cost one draw, not 500.
 type Process struct {
 	pid   int
 	name  string
@@ -164,6 +156,15 @@ type Process struct {
 	target float64 // percent
 	sigma  float64
 	memMB  float64
+	memo   utilMemo
+}
+
+// utilMemo caches utilAt's last result with the inputs it was drawn for.
+type utilMemo struct {
+	ok            bool
+	epoch         int64
+	target, sigma float64
+	util          float64
 }
 
 // PID reports the process id.
@@ -205,13 +206,18 @@ func (p *Process) MemMB() float64 {
 }
 
 func (p *Process) utilAt(now time.Time) float64 {
+	epoch := now.UnixNano() / int64(utilEpoch)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	target, sigma := p.target, p.sigma
-	p.mu.Unlock()
 	if target == 0 && sigma == 0 {
 		return 0
 	}
-	epoch := now.UnixNano() / int64(utilEpoch)
-	draw := p.noise.At("util", epoch)
-	return draw.TruncNormal(target, sigma, 0, 100)
+	// Keyed on the load as well as the epoch: a SetLoad mid-epoch takes
+	// effect at the very next sample.
+	if m := p.memo; !m.ok || m.epoch != epoch || m.target != target || m.sigma != sigma {
+		util := p.noise.At("util", epoch).TruncNormal(target, sigma, 0, 100)
+		p.memo = utilMemo{ok: true, epoch: epoch, target: target, sigma: sigma, util: util}
+	}
+	return p.memo.util
 }

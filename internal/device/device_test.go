@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/rng"
 	"batterylab/internal/simclock"
 )
 
@@ -375,5 +376,84 @@ func TestFactoryReset(t *testing.T) {
 	}
 	if !d.Booted() {
 		t.Fatal("device off after factory reset")
+	}
+}
+
+// The per-epoch utilization memo is a cache of a pure function: it must
+// never show through. UtilAt of a lone process is that process's draw.
+func TestCPUUtilMemo(t *testing.T) {
+	d, _ := newDev(t)
+	d.CPU().killAll()
+	p := d.CPU().StartProcess("x")
+	p.SetLoad(30, 5)
+	at := func(ms int) time.Time { return simclock.Epoch.Add(time.Duration(ms) * time.Millisecond) }
+	fresh := func(now time.Time, target, sigma float64) float64 {
+		return p.noise.At("util", now.UnixNano()/int64(utilEpoch)).TruncNormal(target, sigma, 0, 100)
+	}
+
+	// Two samplers at different instants of one epoch agree, and with an
+	// unmemoised draw.
+	a, b := d.CPU().UtilAt(at(1000)), d.CPU().UtilAt(at(1099))
+	if a != b || a != fresh(at(1000), 30, 5) {
+		t.Fatalf("within one epoch: %v, %v, fresh draw %v", a, b, fresh(at(1000), 30, 5))
+	}
+	// An epoch boundary redraws.
+	if c := d.CPU().UtilAt(at(1100)); c != fresh(at(1100), 30, 5) || c == a {
+		t.Fatalf("next epoch: %v, fresh draw %v, previous %v", c, fresh(at(1100), 30, 5), a)
+	}
+	// SetLoad mid-epoch changes the very next sample.
+	p.SetLoad(60, 5)
+	if c := d.CPU().UtilAt(at(1101)); c != fresh(at(1101), 60, 5) {
+		t.Fatalf("after SetLoad: %v, fresh draw %v", c, fresh(at(1101), 60, 5))
+	}
+	// A sampler that looks back at an earlier epoch gets that epoch's
+	// value, and the current one is unchanged afterwards.
+	p.SetLoad(30, 5)
+	if c := d.CPU().UtilAt(at(1000)); c != a {
+		t.Fatalf("looking back: %v, want %v", c, a)
+	}
+	if c := d.CPU().UtilAt(at(1150)); c != fresh(at(1150), 30, 5) {
+		t.Fatalf("after looking back: %v, fresh draw %v", c, fresh(at(1150), 30, 5))
+	}
+	p.SetLoad(0, 0)
+	if c := d.CPU().UtilAt(at(1150)); c != 0 {
+		t.Fatalf("idle process: %v, want 0", c)
+	}
+}
+
+func TestRippleMemo(t *testing.T) {
+	src := rng.New(5)
+	r := newRipple(src)
+	fresh := func(ms int) float64 {
+		return math.Max(0, src.At("ripple", simclock.Epoch.Add(time.Duration(ms)*time.Millisecond).UnixNano()/int64(50*time.Millisecond)).Normal(4, 2.5))
+	}
+	for _, ms := range []int{0, 49, 50, 51, 10, 120, 149, 150} {
+		if got := r.CurrentMA(simclock.Epoch.Add(time.Duration(ms) * time.Millisecond)); got != fresh(ms) {
+			t.Fatalf("ripple at %d ms = %v, fresh draw %v", ms, got, fresh(ms))
+		}
+	}
+}
+
+func TestProcessesStayInPIDOrder(t *testing.T) {
+	d, _ := newDev(t)
+	c := d.CPU()
+	for _, name := range []string{"a", "b", "a", "c"} {
+		c.StartProcess(name)
+	}
+	if n := c.KillByName("a"); n != 2 {
+		t.Fatalf("KillByName = %d, want 2", n)
+	}
+	if err := c.Kill(c.FindProcess("b").PID()); err != nil {
+		t.Fatal(err)
+	}
+	c.StartProcess("d")
+	procs := c.Processes()
+	for i := 1; i < len(procs); i++ {
+		if procs[i-1].PID() >= procs[i].PID() {
+			t.Fatalf("process table out of pid order at %d", i)
+		}
+	}
+	if last := procs[len(procs)-1]; last.Name() != "d" || c.FindProcess("a") != nil {
+		t.Fatalf("table after kills: last %q", last.Name())
 	}
 }

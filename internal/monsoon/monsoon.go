@@ -58,6 +58,10 @@ type samplingRun struct {
 	series *trace.Series
 	ticker *simclock.Ticker
 	rate   int
+	// adc is re-seeded for every sample's noise draw (rng.AtInto). Only
+	// the run's ticker callback touches it, and a ticker never runs two
+	// ticks at once.
+	adc *rng.RNG
 }
 
 // New returns a monitor with mains off and Vout disabled.
@@ -151,6 +155,7 @@ func (m *Monsoon) StartSampling(rate int) error {
 	run := &samplingRun{
 		series: trace.NewSeries("current", "mA"),
 		rate:   rate,
+		adc:    rng.New(0),
 	}
 	period := time.Duration(float64(time.Second) / float64(rate))
 	run.ticker = simclock.NewTicker(m.clock, period, func(now time.Time) {
@@ -173,7 +178,8 @@ func (m *Monsoon) sample(run *samplingRun, now time.Time) {
 
 	i := src.CurrentMA(now)
 	// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
-	i += m.noise.At("adc", now.UnixNano()).Normal(0, 1.2)
+	m.noise.AtInto(run.adc, "adc", now.UnixNano())
+	i += run.adc.Normal(0, 1.2)
 	if i < 0 {
 		i = 0
 	}

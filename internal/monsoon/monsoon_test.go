@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"batterylab/internal/power"
+	"batterylab/internal/samples"
 	"batterylab/internal/simclock"
 )
 
@@ -242,5 +243,44 @@ func TestSeriesTimestampsMonotonic(t *testing.T) {
 	}
 	if s.MeanDt() != 2*time.Millisecond {
 		t.Fatalf("meanDt = %v, want 2ms", s.MeanDt())
+	}
+}
+
+// One steady-state sample — clock step, ticker re-arm, source read, ADC
+// noise draw, trace append — allocates nothing. The sample store grows by
+// one chunk every samples.ChunkLen appends; the warm-up starts a chunk and
+// the measured steps stay inside it.
+func TestSampleStepDoesNotAllocate(t *testing.T) {
+	m, clk := newMon(t)
+	m.SetMains(true)
+	if err := m.SetVout(4.0); err != nil {
+		t.Fatal(err)
+	}
+	rail := power.NewRail()
+	for _, c := range []power.Component{power.NewConstant("soc", 120), power.NewConstant("screen", 80)} {
+		if err := rail.Attach(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.WireSource(rail)
+	if err := m.StartSampling(MaxSampleRate); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		clk.Step()
+	}
+	const steps = 1000
+	if 10+steps+1 >= samples.ChunkLen {
+		t.Fatal("measured steps would cross a chunk boundary")
+	}
+	if n := testing.AllocsPerRun(steps, func() { clk.Step() }); n != 0 {
+		t.Fatalf("%v allocations per sample", n)
+	}
+	s, err := m.StopSampling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 10+steps+1 { // AllocsPerRun runs the function once to warm up
+		t.Fatalf("captured %d samples, want %d", s.Len(), 10+steps+1)
 	}
 }

@@ -8,7 +8,8 @@ package power
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -35,13 +36,20 @@ type Component interface {
 
 // Rail aggregates components into a single measurable supply rail.
 type Rail struct {
-	mu         sync.RWMutex
-	components map[string]Component
+	mu sync.RWMutex
+	// components is sorted by name, so the float sum of CurrentMA is
+	// taken in one order on every run.
+	components []Component
 }
 
 // NewRail returns an empty rail.
-func NewRail() *Rail {
-	return &Rail{components: make(map[string]Component)}
+func NewRail() *Rail { return &Rail{} }
+
+// findLocked reports where name is, or would be inserted, in components.
+func (r *Rail) findLocked(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.components, name, func(c Component, name string) int {
+		return strings.Compare(c.Name(), name)
+	})
 }
 
 // Attach adds a component. Attaching a second component with the same
@@ -49,10 +57,11 @@ func NewRail() *Rail {
 func (r *Rail) Attach(c Component) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.components[c.Name()]; dup {
+	i, dup := r.findLocked(c.Name())
+	if dup {
 		return fmt.Errorf("power: component %q already attached", c.Name())
 	}
-	r.components[c.Name()] = c
+	r.components = slices.Insert(r.components, i, c)
 	return nil
 }
 
@@ -61,7 +70,9 @@ func (r *Rail) Attach(c Component) error {
 func (r *Rail) Detach(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.components, name)
+	if i, ok := r.findLocked(name); ok {
+		r.components = slices.Delete(r.components, i, i+1)
+	}
 }
 
 // CurrentMA implements Source by summing all attached components.
@@ -84,10 +95,9 @@ func (r *Rail) Breakdown(now time.Time) []Draw {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]Draw, 0, len(r.components))
-	for name, c := range r.components {
-		out = append(out, Draw{Name: name, MA: c.CurrentMA(now)})
+	for _, c := range r.components {
+		out = append(out, Draw{Name: c.Name(), MA: c.CurrentMA(now)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

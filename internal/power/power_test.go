@@ -101,3 +101,24 @@ func TestRailEmptyIsZero(t *testing.T) {
 		t.Fatalf("empty rail = %v", got)
 	}
 }
+
+// The rail adds its components by name, not in map or attach order: with
+// these three draws the float sum depends on the order (1e16+1+1 loses
+// both ones, 1+1+1e16 keeps them).
+func TestRailSumsInNameOrder(t *testing.T) {
+	big, one, uno := NewConstant("c-big", 1e16), NewConstant("a-one", 1), NewConstant("b-one", 1)
+	for _, order := range [][]Component{{big, one, uno}, {one, uno, big}, {uno, big, one}} {
+		r := NewRail()
+		extra := NewConstant("0-extra", 5)
+		for _, c := range append(order, extra) {
+			if err := r.Attach(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Detach("0-extra")
+		r.Detach("absent")
+		if got := r.CurrentMA(time.Time{}); got != 1e16+2 {
+			t.Fatalf("sum = %.0f, want %.0f", got, 1e16+2)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -166,5 +168,62 @@ func TestIntNRange(t *testing.T) {
 		if v := r.IntN(7); v < 0 || v >= 7 {
 			t.Fatalf("IntN(7) = %d", v)
 		}
+	}
+}
+
+// AtInto must hand out exactly At's stream, whatever the scratch stream
+// was used for before.
+func TestAtIntoMatchesAt(t *testing.T) {
+	parent := New(2019).Fork("monsoon/HV0001")
+	scratch := New(0)
+	f := func(label string, epoch int64, dirty uint8) bool {
+		for i := 0; i < int(dirty); i++ { // leave the scratch mid-stream
+			scratch.Normal(0, 1)
+		}
+		parent.AtInto(scratch, label, epoch)
+		want := parent.At(label, epoch)
+		if scratch.Seed() != want.Seed() {
+			return false
+		}
+		for i := 0; i < 4; i++ {
+			if scratch.Normal(0, 1.2) != want.Normal(0, 1.2) || scratch.Float64() != want.Float64() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The label hash is 64-bit FNV-1a: derived seeds must stay what hash/fnv
+// gave when Fork and At used it, or every recorded trace changes.
+func TestDerivedSeedsMatchFNV(t *testing.T) {
+	f := func(seed uint64, label string, epoch int64) bool {
+		h := fnv.New64a()
+		h.Write([]byte(label))
+		fork := splitmix(seed ^ h.Sum64())
+		var le [8]byte
+		binary.LittleEndian.PutUint64(le[:], uint64(epoch))
+		h.Write(le[:])
+		at := splitmix(seed ^ h.Sum64())
+		r := New(seed)
+		return r.Fork(label).Seed() == fork && r.At(label, epoch).Seed() == at
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAtIntoDoesNotAllocate(t *testing.T) {
+	parent, scratch := New(7), New(0)
+	epoch := int64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		epoch++
+		parent.AtInto(scratch, "adc", epoch)
+		scratch.Normal(0, 1.2)
+	}); n != 0 {
+		t.Fatalf("AtInto + draw allocates %v times", n)
 	}
 }

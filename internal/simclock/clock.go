@@ -27,4 +27,10 @@ type Timer interface {
 	// Stop cancels the timer if it has not fired yet. It reports whether
 	// the call prevented the function from running.
 	Stop() bool
+	// Reset re-arms the timer to run its function when d has elapsed
+	// from now, whether it is pending, has fired or was stopped, and
+	// reports whether it was pending. It orders the timer among others
+	// with the same deadline exactly as a fresh AfterFunc made at this
+	// moment would be ordered, and allocates nothing.
+	Reset(d time.Duration) bool
 }

@@ -15,4 +15,5 @@ func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 
 type realTimer struct{ t *time.Timer }
 
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
+func (rt realTimer) Stop() bool                 { return rt.t.Stop() }
+func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }

@@ -9,6 +9,12 @@ import (
 // building block for periodic sampling (Monsoon ADC, CPU monitors, frame
 // pacing). Unlike time.Ticker it never drops ticks on a Virtual clock:
 // each tick reschedules exactly one period after the previous deadline.
+//
+// A ticker owns one Timer and one callback for its whole life and re-arms
+// the timer in place after each tick (Timer.Reset), so a tick allocates
+// nothing. On a Virtual clock the re-armed timer takes a fresh sequence
+// number, which orders it among timers with an equal deadline exactly as
+// if the tick had called AfterFunc.
 type Ticker struct {
 	clock  Clock
 	period time.Duration
@@ -16,6 +22,7 @@ type Ticker struct {
 
 	mu      sync.Mutex
 	timer   Timer
+	next    time.Time // nominal deadline of the armed tick
 	stopped bool
 }
 
@@ -26,32 +33,31 @@ func NewTicker(clock Clock, period time.Duration, fn func(now time.Time)) *Ticke
 		panic("simclock: non-positive ticker period")
 	}
 	t := &Ticker{clock: clock, period: period, fn: fn}
-	t.schedule(clock.Now().Add(period))
+	// Held while arming: on the Real clock the first tick may run before
+	// AfterFunc returns, and it must find t.timer set.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.next = clock.Now().Add(period)
+	t.timer = clock.AfterFunc(period, t.fire)
 	return t
 }
 
-func (t *Ticker) schedule(deadline time.Time) {
+func (t *Ticker) fire() {
+	t.mu.Lock()
+	deadline, stopped := t.next, t.stopped
+	t.mu.Unlock()
+	if stopped {
+		return
+	}
+	t.fn(deadline)
+
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stopped {
+	if t.stopped { // from inside fn, or meanwhile
 		return
 	}
-	d := deadline.Sub(t.clock.Now())
-	t.timer = t.clock.AfterFunc(d, func() {
-		t.fire(deadline)
-	})
-}
-
-func (t *Ticker) fire(deadline time.Time) {
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return
-	}
-	fn := t.fn
-	t.mu.Unlock()
-	fn(deadline)
-	t.schedule(deadline.Add(t.period))
+	t.next = deadline.Add(t.period)
+	t.timer.Reset(t.next.Sub(t.clock.Now()))
 }
 
 // Stop cancels future ticks. It does not interrupt a tick in flight.
@@ -59,7 +65,5 @@ func (t *Ticker) Stop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stopped = true
-	if t.timer != nil {
-		t.timer.Stop()
-	}
+	t.timer.Stop()
 }

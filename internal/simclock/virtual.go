@@ -79,15 +79,27 @@ func (v *Virtual) RunUntil(t time.Time) {
 			v.mu.Unlock()
 			return
 		}
-		ev := heap.Pop(&v.heap).(*event)
-		if ev.when.After(v.now) {
-			v.now = ev.when
-		}
-		fn := ev.fn
-		ev.fired = true
+		fn := v.popLocked()
 		v.mu.Unlock()
-		fn()
+		if fn != nil {
+			fn()
+		}
 	}
+}
+
+// popLocked removes the earliest event, moves the clock to its deadline
+// and returns the callback to run — nil for a stopped timer, which is
+// discarded here.
+func (v *Virtual) popLocked() func() {
+	ev := heap.Pop(&v.heap).(*event)
+	if ev.when.After(v.now) {
+		v.now = ev.when
+	}
+	if ev.done {
+		return nil
+	}
+	ev.done = true
+	return ev.fn
 }
 
 // Hold suspends Step drivers until the returned release runs. It lets
@@ -122,14 +134,11 @@ func (v *Virtual) Step() bool {
 		v.mu.Unlock()
 		return false
 	}
-	ev := heap.Pop(&v.heap).(*event)
-	if ev.when.After(v.now) {
-		v.now = ev.when
-	}
-	fn := ev.fn
-	ev.fired = true
+	fn := v.popLocked()
 	v.mu.Unlock()
-	fn()
+	if fn != nil {
+		fn()
+	}
 	return true
 }
 
@@ -174,23 +183,45 @@ type event struct {
 	when  time.Time
 	seq   uint64
 	fn    func()
-	index int
-	fired bool
+	index int  // position in the heap, -1 once popped
+	done  bool // fired or stopped: fn will not run unless Reset re-arms it
 	owner *Virtual
 }
 
 // Stop implements Timer. It is safe to call after firing. A stopped event
-// stays in the heap with a no-op callback; it is discarded when its
-// deadline is reached.
+// stays in the heap as a no-op; it is discarded when its deadline is
+// reached.
 func (e *event) Stop() bool {
 	e.owner.mu.Lock()
 	defer e.owner.mu.Unlock()
-	if e.fired {
+	if e.done {
 		return false
 	}
-	e.fn = func() {}
-	e.fired = true
+	e.done = true
 	return true
+}
+
+// Reset implements Timer by re-queueing this same event. The seq is drawn
+// now, not kept from the first arming, so among equal deadlines the event
+// sorts where an AfterFunc called at this moment would: that is what
+// keeps a self-re-arming Ticker interleaved with other timers exactly as
+// when it scheduled a new event per tick.
+func (e *event) Reset(d time.Duration) bool {
+	v := e.owner
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if d < 0 {
+		d = 0
+	}
+	pending := !e.done
+	e.when, e.seq, e.done = v.now.Add(d), v.seq, false
+	v.seq++
+	if e.index >= 0 { // pending, or stopped and not yet discarded
+		heap.Fix(&v.heap, e.index)
+	} else {
+		heap.Push(&v.heap, e)
+	}
+	return pending
 }
 
 type timerHeap []*event

@@ -243,14 +243,13 @@ func readString(r *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
+// The varint writers encode into the bufio.Writer's own spare capacity:
+// a local array passed to Write escapes to the heap, once per call.
+
 func writeUvarint(w *bufio.Writer, x uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	w.Write(buf[:n])
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), x))
 }
 
 func writeVarint(w *bufio.Writer, x int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], x)
-	w.Write(buf[:n])
+	w.Write(binary.AppendVarint(w.AvailableBuffer(), x))
 }

@@ -14,10 +14,13 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -195,44 +198,77 @@ func (s *Series) Window(from, to time.Time) *Series {
 
 // WriteCSV emits "elapsed_seconds,value" rows with a header, the format
 // the access server stores in job workspaces (mirroring the Monsoon
-// Python library's CSV export).
+// Python library's CSV export). Every number is printed with six
+// decimals, byte for byte what strconv's 'f', 6 formatting gives — files
+// written since the first version of this package hash the same. The
+// header goes through encoding/csv because a series name may need
+// quoting; a number never does, so each row is built in one reused
+// buffer.
 func (s *Series) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
+	bw := bufio.NewWriter(w)
+	cw := csv.NewWriter(bw)
 	if err := cw.Write([]string{"elapsed_s", s.name + "_" + s.unit}); err != nil {
 		return err
 	}
-	var werr error
+	cw.Flush() // into bw, ahead of the rows
+	row := make([]byte, 0, 64)
 	s.data.Iter(func(off int64, v float64) bool {
-		rec := []string{
-			strconv.FormatFloat(time.Duration(off).Seconds(), 'f', 6, 64),
-			strconv.FormatFloat(v, 'f', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			werr = err
-			return false
-		}
-		return true
+		row = appendFixed6(row[:0], time.Duration(off).Seconds())
+		row = append(row, ',')
+		row = appendFixed6(row, v)
+		row = append(row, '\n')
+		_, err := bw.Write(row)
+		return err == nil
 	})
-	if werr != nil {
-		return werr
+	return bw.Flush() // reports the first failed write, the header's included
+}
+
+// appendFixed6 is strconv.AppendFloat(dst, v, 'f', 6, 64), byte for byte,
+// without the multiprecision arithmetic fixed-precision formatting always
+// does. The shortest decimal that round-trips to v (the fast path of
+// strconv) lies within half an ulp of v; below 2³¹ that is under 1.2e-7,
+// so when it has at most six decimals it is also the six-decimal number
+// nearest to v, and zero-padding it gives the correctly rounded digits.
+// Anything else — seven or more decimals, large magnitudes, NaN, ±Inf —
+// takes the exact call.
+func appendFixed6(dst []byte, v float64) []byte {
+	if math.Abs(v) < 1<<31 {
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v, 'f', -1, 64)
+		decimals := 0
+		if dot := bytes.IndexByte(dst[start:], '.'); dot >= 0 {
+			decimals = len(dst) - start - dot - 1
+		} else {
+			dst = append(dst, '.')
+		}
+		if decimals <= 6 {
+			return append(dst, "000000"[decimals:]...)
+		}
+		dst = dst[:start]
 	}
-	cw.Flush()
-	return cw.Error()
+	return strconv.AppendFloat(dst, v, 'f', 6, 64)
 }
 
 // ReadCSV parses a series previously written by WriteCSV. The base time
 // for reconstructed timestamps is t0.
 func ReadCSV(r io.Reader, name, unit string, t0 time.Time) (*Series, error) {
 	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
+	cr.ReuseRecord = true
+	if _, err := cr.Read(); err != nil { // header
+		if err == io.EOF {
+			return nil, errors.New("trace: empty CSV")
+		}
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, errors.New("trace: empty CSV")
-	}
 	s := NewSeries(name, unit)
-	for _, row := range rows[1:] {
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return s, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		if len(row) != 2 {
 			return nil, fmt.Errorf("trace: bad row %v", row)
 		}
@@ -248,5 +284,4 @@ func ReadCSV(r io.Reader, name, unit string, t0 time.Time) (*Series, error) {
 			return nil, err
 		}
 	}
-	return s, nil
 }
