@@ -14,7 +14,7 @@ package batterylab
 //	BenchmarkTable2VPN         — Table 2: speedtest through 5 VPN exits
 //	BenchmarkFig6VPNEnergy     — Fig. 6: energy per VPN location
 //	BenchmarkSysPerf           — §4.2 system performance numbers
-//	BenchmarkAblation*         — design-choice ablations (DESIGN.md)
+//	BenchmarkAblation*         — design-choice ablations
 
 import (
 	"testing"

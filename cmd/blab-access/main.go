@@ -1,7 +1,6 @@
 // Command blab-access runs the BatteryLab access server daemon: the
-// multi-user web console and v1 remote-execution API (HTTPS-terminated
-// upstream in deployment) plus secure channels to remote vantage
-// points.
+// multi-user v1 remote-execution API (HTTPS-terminated upstream in
+// deployment) plus secure channels to remote vantage points.
 //
 // On start it creates an admin and an experimenter user, prints their
 // API tokens and the server's client public key (which each controller
@@ -58,7 +57,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +72,6 @@ import (
 	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/feedgw"
 	"batterylab/internal/accessserver/store"
-	"batterylab/internal/api"
 	"batterylab/internal/remote"
 	"batterylab/internal/sshx"
 )
@@ -115,7 +112,7 @@ func parseFlaky(v string) (flakySpec, error) {
 
 func main() {
 	var (
-		httpAddr = flag.String("http", "127.0.0.1:9090", "web console listen address")
+		httpAddr = flag.String("http", "127.0.0.1:9090", "v1 API listen address")
 		sim      = flag.Int("sim", 1, "simulated vantage points to host in-process")
 		seed     = flag.Uint64("seed", 2019, "simulation seed for hosted vantage points")
 		dataDir  = flag.String("data", "", "state directory for WAL+snapshot crash recovery (empty = in-memory only)")
@@ -341,7 +338,6 @@ func main() {
 			log.Fatalf("http: %v", err)
 		}
 	}()
-	fmt.Printf("  web console        : http://%s/api/nodes\n", *httpAddr)
 	fmt.Printf("  remote API         : http://%s/api/v1/nodes\n", *httpAddr)
 	fmt.Printf("  metrics            : http://%s/api/v1/metrics (healthz/readyz unauthenticated)\n", *httpAddr)
 
@@ -350,9 +346,7 @@ func main() {
 	// start announcing. Started after the listener is up so the first
 	// announce advertises a reachable URL.
 	if *clToken != "" {
-		srv.SetPeerRelay(func(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink accessserver.PeerSink) (*api.BuildStatus, error) {
-			return remote.Relay(ctx, peerURL, token, spec, sink)
-		})
+		srv.SetPeerRelay(remote.Relay)
 		srv.StartCluster(peers...)
 		fmt.Printf("  federation         : %s announcing as %q to %d seed peer(s); cluster view at /api/v1/cluster\n",
 			srv.Cluster().URL(), srv.Cluster().Self(), len(peers))

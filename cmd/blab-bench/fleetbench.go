@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -632,11 +631,8 @@ func runFleetFederation(perServer, buildCount int) (fleetFederation, error) {
 	defer tsPeer.Close()
 	home.ConfigureCluster("fleet-home", tsHome.URL, fleetFederationToken)
 	peer.ConfigureCluster("fleet-peer", tsPeer.URL, fleetFederationToken)
-	relay := func(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink accessserver.PeerSink) (*api.BuildStatus, error) {
-		return remote.Relay(ctx, peerURL, token, spec, sink)
-	}
-	home.SetPeerRelay(relay)
-	peer.SetPeerRelay(relay)
+	home.SetPeerRelay(remote.Relay)
+	peer.SetPeerRelay(remote.Relay)
 	defer home.StopCluster()
 	defer peer.StopCluster()
 

@@ -1,6 +1,6 @@
 // Command blab-bench regenerates the paper's tables and figures from the
-// simulation and prints them as text tables — the data behind
-// EXPERIMENTS.md. Each experiment runs at the paper's scale by default
+// simulation and prints them as text tables (README "Reproducing the
+// paper"). Each experiment runs at the paper's scale by default
 // (5 repetitions, 10 pages, 5-minute accuracy test).
 //
 // Usage:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
+	"batterylab/internal/api"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
 	"batterylab/internal/simclock"
@@ -88,6 +89,17 @@ func TestFederationDeviceDiscovery(t *testing.T) {
 	}
 }
 
+// pipelineBackend is a spec backend whose every workload is one
+// hand-written pipeline body, dispatched under the spec's node and
+// device.
+type pipelineBackend accessserver.RunFunc
+
+func (run pipelineBackend) Compile(spec api.ExperimentSpec) (accessserver.Constraints, accessserver.RunFunc, error) {
+	return accessserver.Constraints{Node: spec.Node, Device: spec.Device}, accessserver.RunFunc(run), nil
+}
+
+func (pipelineBackend) WorkloadNames() []string { return []string{"measure"} }
+
 func TestFederationMeasurementJob(t *testing.T) {
 	f := newFederation(t)
 	serial := f.dev.Serial()
@@ -95,8 +107,7 @@ func TestFederationMeasurementJob(t *testing.T) {
 	// The experimenter's job, §3.1-style: arm the monitor over the
 	// remote channel, measure for a window, store the CSV artifact in
 	// the workspace.
-	_, err := f.srv.CreateJob(f.admin, "remote-measurement",
-		accessserver.Constraints{Node: "node1", Device: serial},
+	f.srv.SetSpecBackend(pipelineBackend(
 		func(ctx *accessserver.BuildContext, done func(error)) {
 			step := func(cmd string, args ...string) string {
 				out, err := ctx.Node.Exec(cmd, args...)
@@ -125,7 +136,10 @@ func TestFederationMeasurementJob(t *testing.T) {
 					}()
 				})
 			}()
-		})
+		}))
+	_, err := f.srv.CreateJob(f.admin, "remote-measurement", api.ExperimentSpec{
+		Node: "node1", Device: serial, Workload: api.WorkloadSpec{Name: "measure"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,7 @@ import (
 func (s *Server) censusOracleLocked() ([]nodeCensusEntry, map[string]int) {
 	queued := make(map[string]int)
 	for _, b := range s.queue {
-		if cons, _, err := s.pipelineLocked(b); err == nil {
-			queued[cons.Node]++
-		}
+		queued[b.cons.Node]++
 	}
 	names := map[string]bool{}
 	for _, n := range s.Nodes.List() {

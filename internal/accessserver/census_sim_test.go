@@ -6,6 +6,7 @@ import (
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/schedsim"
+	"batterylab/internal/api"
 )
 
 // observeCensus makes a script fail the test at the first event after
@@ -45,8 +46,9 @@ func TestCensusMatchesOracleRichScript(t *testing.T) {
 // vocabulary cannot script: drain and undrain, removal under queued
 // pinned builds, aborts of queued and running builds, builds aging out
 // for a node that never registers, a node registered straight through
-// the registry, and a job edited (its preferred node moves) and deleted
-// under its queued builds.
+// the registry, and a job edited (its queued builds stay on the node of
+// the revision they were submitted at; later submits follow the edit)
+// and deleted under its queued builds.
 func TestCensusMatchesOracleAdminScript(t *testing.T) {
 	script := schedsim.Script{
 		Nodes: []schedsim.NodeSpec{
@@ -73,6 +75,12 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 
 	var admin *accessserver.User
 	var jobBuilds []*accessserver.Build
+	// The script's backend compiles "sim" workloads; sync ones finish at
+	// once.
+	nightly := func(node, dev string) api.ExperimentSpec {
+		return api.ExperimentSpec{Node: node, Device: dev,
+			Workload: api.WorkloadSpec{Name: "sim", Params: api.Params{"sync": true}}}
+	}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -85,8 +93,7 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 			admin, err = srv.Users.Add("root", accessserver.RoleAdmin)
 			must(err)
 			// Job builds queue behind the spec builds on node c.
-			_, err = srv.CreateJob(admin, "nightly", accessserver.Constraints{Node: "c", Device: "motog5-c"},
-				func(ctx *accessserver.BuildContext, done func(error)) { done(nil) })
+			_, err = srv.CreateJob(admin, "nightly", nightly("c", "motog5-c"))
 			must(err)
 			for i := 0; i < 4; i++ {
 				b, err := srv.Submit(admin, "nightly")
@@ -98,10 +105,10 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 			must(srv.DrainNode(admin, "a"))
 		}},
 		{At: 5 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
-			// The job's preferred node moves from c to d under its queued
-			// builds: the census must move them with it, at once.
-			must(srv.EditJob(admin, "nightly", accessserver.Constraints{Node: "d", Device: "motog5-d"},
-				func(ctx *accessserver.BuildContext, done func(error)) { done(nil) }))
+			// The job's preferred node moves from c to d. Its queued builds
+			// keep the revision they were submitted at and stay counted on
+			// c; the submits at 13 s count on d.
+			must(srv.EditJob(admin, "nightly", nightly("d", "motog5-d")))
 		}},
 		{At: 7 * time.Second, Do: func(srv *accessserver.Server, builds []*accessserver.Build) {
 			// One queued, one running (whichever the schedule made them;

@@ -106,12 +106,14 @@ func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 	}
 }
 
-// TestEditJobRepublishesCensus: moving a job's preferred node moves its
-// queued builds between the served rows at once, not at whichever
-// unrelated transition publishes next.
+// TestEditJobRepublishesCensus: a build is counted against the node its
+// own revision prefers. Editing the job onto another node leaves the
+// builds already queued where they are — they run what was approved —
+// and the next submit counts against the new node.
 func TestEditJobRepublishesCensus(t *testing.T) {
 	clk := simclock.NewVirtual()
 	srv := New(clk, Config{Executors: 1})
+	tb := backedServer(srv)
 	for _, n := range []string{"node1", "node2"} {
 		if err := srv.RegisterNode(staticNode{name: n}); err != nil {
 			t.Fatal(err)
@@ -121,7 +123,7 @@ func TestEditJobRepublishesCensus(t *testing.T) {
 	run := func(ctx *BuildContext, done func(error)) {
 		clk.AfterFunc(time.Minute, func() { done(nil) })
 	}
-	if _, err := srv.CreateJob(admin, "nightly", Constraints{Node: "node1"}, run); err != nil {
+	if _, err := tb.createJob(srv, admin, "nightly", Constraints{Node: "node1"}, run); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -139,14 +141,20 @@ func TestEditJobRepublishesCensus(t *testing.T) {
 	if queued("node1") != 3 || queued("node2") != 0 {
 		t.Fatalf("before the edit: node1 %d, node2 %d queued; want 3 and 0", queued("node1"), queued("node2"))
 	}
-	if err := srv.EditJob(admin, "nightly", Constraints{Node: "node2"}, run); err != nil {
+	if err := srv.EditJob(admin, "nightly", jobSpec("nightly", Constraints{Node: "node2"})); err != nil {
 		t.Fatal(err)
 	}
-	if queued("node1") != 0 || queued("node2") != 3 {
-		t.Fatalf("after the edit: node1 %d, node2 %d queued; want 0 and 3", queued("node1"), queued("node2"))
+	if queued("node1") != 3 || queued("node2") != 0 {
+		t.Fatalf("after the edit: node1 %d, node2 %d queued; want the queued builds to stay, 3 and 0", queued("node1"), queued("node2"))
 	}
-	if got := srv.NodeHealth("node2").Queued; got != 3 {
-		t.Fatalf("NodeHealth(node2).Queued = %d, want 3", got)
+	if _, err := srv.Submit(admin, "nightly"); err != nil {
+		t.Fatal(err)
+	}
+	if queued("node1") != 3 || queued("node2") != 1 {
+		t.Fatalf("after the next submit: node1 %d, node2 %d queued; want 3 and 1", queued("node1"), queued("node2"))
+	}
+	if got := srv.NodeHealth("node2").Queued; got != 1 {
+		t.Fatalf("NodeHealth(node2).Queued = %d, want 1", got)
 	}
 	if err := srv.CensusDrift(); err != nil {
 		t.Fatal(err)
@@ -195,10 +203,8 @@ func TestSubmitStartsAtSubmissionInstant(t *testing.T) {
 	clk := simclock.NewVirtual()
 	const nodes = 8
 	srv := New(clk, Config{Executors: nodes, HeartbeatEvery: time.Second})
-	srv.SetSpecBackend(funcBackend(func(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
-		return Constraints{Node: spec.Node, Device: spec.Device},
-			func(ctx *BuildContext, done func(error)) { done(nil) }, nil
-	}))
+	tb := backedServer(srv)
+	tb.handle("idle", noopJob) // testSpec's workload
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = "node" + string(rune('a'+i))
@@ -207,8 +213,7 @@ func TestSubmitStartsAtSubmissionInstant(t *testing.T) {
 		}
 	}
 	admin, _ := srv.Users.Add("alice", RoleAdmin)
-	if _, err := srv.CreateJob(admin, "sync", Constraints{Node: names[0], Device: "dev2"},
-		func(ctx *BuildContext, done func(error)) { done(nil) }); err != nil {
+	if _, err := tb.createJob(srv, admin, "sync", Constraints{Node: names[0], Device: "dev2"}, noopJob); err != nil {
 		t.Fatal(err)
 	}
 

@@ -38,17 +38,6 @@ import (
 // package in the import graph, so the daemon (or a test) wires the two
 // together.
 
-// PeerSink receives the event and sample records a relayed build emits
-// on its executing server, rewritten into the home build's feed, plus
-// the terminal artifacts (traces, CPU CSVs) copied into the home
-// build's workspace once the remote run succeeds — artifact and
-// analytics reads work on the home server wherever the build ran.
-type PeerSink interface {
-	Event(e api.BuildEvent)
-	Sample(p api.SamplePoint)
-	Artifact(name string, data []byte)
-}
-
 // PeerRelay submits spec to the peer at peerURL (authenticating with
 // the cluster token), streams the remote build's events and samples
 // into sink until the build settles, and returns its terminal status.
@@ -57,7 +46,7 @@ type PeerSink interface {
 // experiment failure comes back as a terminal status with State
 // "failure". Implementations must honor ctx promptly: the scheduler
 // cancels it on abort and failover.
-type PeerRelay func(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink PeerSink) (*api.BuildStatus, error)
+type PeerRelay func(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink api.RelaySink) (*api.BuildStatus, error)
 
 // SetPeerRelay installs the cross-server submit path. Until a relay is
 // installed the scheduler never places builds on peer-advertised
@@ -388,7 +377,7 @@ func (rs *relaySink) live() bool {
 	return rs.b.attempt == rs.attempt && rs.b.state == StateRunning
 }
 
-// Event implements PeerSink.
+// Event implements api.RelaySink.
 func (rs *relaySink) Event(e api.BuildEvent) {
 	if !rs.live() {
 		return
@@ -401,7 +390,7 @@ func (rs *relaySink) Event(e api.BuildEvent) {
 	rs.b.Feed().PostEvent(e)
 }
 
-// Sample implements PeerSink.
+// Sample implements api.RelaySink.
 func (rs *relaySink) Sample(p api.SamplePoint) {
 	if !rs.live() {
 		return
@@ -409,7 +398,7 @@ func (rs *relaySink) Sample(p api.SamplePoint) {
 	rs.b.Feed().PostSample(p)
 }
 
-// Artifact implements PeerSink: a terminal artifact fetched from the
+// Artifact implements api.RelaySink: a terminal artifact fetched from the
 // executing peer lands in the home build's workspace, byte for byte.
 func (rs *relaySink) Artifact(name string, data []byte) {
 	if !rs.live() {

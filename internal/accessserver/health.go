@@ -423,8 +423,7 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	s.logStore(store.Record{T: store.TNodeRemoved, Name: name})
 	s.touchNodeLocked(name)
 	s.failQueuedLocked(func(b *Build) error {
-		cons, _, err := s.pipelineLocked(b)
-		if err == nil && cons.Node == name && !cons.Fallback {
+		if b.cons.Node == name && !b.cons.Fallback {
 			return fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, b.ID)
 		}
 		return nil

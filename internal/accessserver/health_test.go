@@ -280,6 +280,7 @@ func (funcBackend) WorkloadNames() []string { return nil }
 func TestHungNodeCannotStallDispatch(t *testing.T) {
 	clk := simclock.NewVirtual()
 	srv := New(clk, Config{})
+	tb := backedServer(srv)
 	admin, _ := srv.Users.Add("a", RoleAdmin)
 
 	block := make(chan struct{})
@@ -292,7 +293,7 @@ func TestHungNodeCannotStallDispatch(t *testing.T) {
 	}
 
 	// The CPU-gated build probes "slow", whose Exec never returns.
-	srv.CreateJob(admin, "gated", Constraints{Node: "slow", RequireLowCPU: true}, noopJob)
+	tb.createJob(srv, admin, "gated", Constraints{Node: "slow", RequireLowCPU: true}, noopJob)
 	stuck := make(chan *Build, 1)
 	go func() {
 		b, err := srv.Submit(admin, "gated")
@@ -313,7 +314,7 @@ func TestHungNodeCannotStallDispatch(t *testing.T) {
 
 	// Everyone else keeps working: another node dispatches instantly,
 	// and abort/status stay responsive.
-	srv.CreateJob(admin, "ok", Constraints{Node: "fast"}, noopJob)
+	tb.createJob(srv, admin, "ok", Constraints{Node: "fast"}, noopJob)
 	okDone := make(chan *Build, 1)
 	go func() {
 		b, err := srv.Submit(admin, "ok")
@@ -342,6 +343,7 @@ func TestHungNodeCannotStallDispatch(t *testing.T) {
 func TestProbeSurvivesBeingOutpaced(t *testing.T) {
 	clk := simclock.NewVirtual()
 	srv := New(clk, Config{Executors: 1})
+	tb := backedServer(srv)
 	admin, _ := srv.Users.Add("a", RoleAdmin)
 	ctl, err := controller.New(clk, controller.Config{Name: "cpu", Seed: 1})
 	if err != nil {
@@ -352,7 +354,7 @@ func TestProbeSurvivesBeingOutpaced(t *testing.T) {
 	srv.Nodes.Register(fakeVP{name: "fast2"})
 
 	// Occupy the single executor for 5 s of simulated time.
-	srv.CreateJob(admin, "runner", Constraints{Node: "fast1"},
+	tb.createJob(srv, admin, "runner", Constraints{Node: "fast1"},
 		func(ctx *BuildContext, done func(error)) {
 			clk.AfterFunc(5*time.Second, func() { done(nil) })
 		})
@@ -362,9 +364,9 @@ func TestProbeSurvivesBeingOutpaced(t *testing.T) {
 	}
 	// Queue the CPU-gated build first, then a plain build that the
 	// freeing scan will pick instead.
-	srv.CreateJob(admin, "gated", Constraints{Node: "cpu", RequireLowCPU: true}, noopJob)
+	tb.createJob(srv, admin, "gated", Constraints{Node: "cpu", RequireLowCPU: true}, noopJob)
 	gated, _ := srv.Submit(admin, "gated")
-	srv.CreateJob(admin, "plain", Constraints{Node: "fast2"}, noopJob)
+	tb.createJob(srv, admin, "plain", Constraints{Node: "fast2"}, noopJob)
 	plain, _ := srv.Submit(admin, "plain")
 
 	clk.Advance(6 * time.Second)
@@ -484,7 +486,7 @@ func TestAgingSparesFallbackBehindBusySurvivor(t *testing.T) {
 // builds with a typed error instead of leaking them in the queue.
 func TestDeleteJobFailsQueuedBuilds(t *testing.T) {
 	r := newRig(t)
-	r.srv.CreateJob(r.exp, "doomed", Constraints{Node: "nowhere"}, noopJob)
+	r.job(r.exp, "doomed", Constraints{Node: "nowhere"}, noopJob)
 	r.srv.ApproveJob(r.admin, "doomed")
 	b, err := r.srv.Submit(r.exp, "doomed")
 	if err != nil {
@@ -520,7 +522,7 @@ func TestBuildTombstoneAfterRetention(t *testing.T) {
 	srv := New(clk, Config{Retention: time.Hour})
 	admin, _ := srv.Users.Add("a", RoleAdmin)
 	srv.Nodes.Register(fakeVP{name: "vp1"})
-	srv.CreateJob(admin, "j", Constraints{Node: "vp1"}, noopJob)
+	backedServer(srv).createJob(srv, admin, "j", Constraints{Node: "vp1"}, noopJob)
 	b, err := srv.Submit(admin, "j")
 	if err != nil || b.State() != StateSuccess {
 		t.Fatalf("submit: %v, state %v", err, b.State())
@@ -584,7 +586,7 @@ func TestBuildTombstoneAfterRetention(t *testing.T) {
 // as an ordinary failure.
 func TestAbortRunningBuildFinishesCanceled(t *testing.T) {
 	r := newRig(t)
-	r.srv.CreateJob(r.admin, "long", Constraints{Node: "node1"},
+	r.job(r.admin, "long", Constraints{Node: "node1"},
 		func(ctx *BuildContext, done func(error)) {
 			ctx.OnCancel(func() {
 				// Teardown takes a second of simulated time.

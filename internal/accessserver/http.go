@@ -10,101 +10,14 @@ import (
 	"batterylab/internal/api"
 )
 
-// Handler returns the web console's REST API. Every request needs a
-// valid user token in the Authorization header ("Bearer <token>"); the
-// role matrix gates each route. In deployment this sits behind HTTPS
-// only (§3.1) — transport security is the listener's concern.
-//
-// Legacy console routes (all read routes are GET-only; the mux rejects
-// other methods with 405):
-//
-//	GET  /api/nodes                 list vantage points
-//	GET  /api/nodes/{name}/devices  list a node's devices
-//	GET  /api/jobs                  list jobs
-//	POST /api/jobs/{name}/build     queue a build
-//	POST /api/jobs/{name}/approve   approve current revision (admin)
-//	GET  /api/builds/{id}           build status
-//	GET  /api/builds/{id}/log       console log
-//	GET  /api/builds/{id}/artifacts artifact names
-//
-// The versioned remote-execution API (see internal/api for the wire
-// schema) is mounted under /api/v1/ by handlerV1 in httpv1.go.
+// Handler returns the server's HTTP API: the versioned remote-execution
+// routes (handlerV1 in httpv1.go; wire schema in internal/api) and the
+// operational ones (handlerOps). Every API request needs a valid user
+// token in the Authorization header ("Bearer <token>"); the role matrix
+// gates each route. In deployment this sits behind HTTPS only (§3.1) —
+// transport security is the listener's concern.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-
-	mux.HandleFunc("GET /api/nodes", func(w http.ResponseWriter, r *http.Request) {
-		if s.auth(w, r, PermViewConsole) == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, s.Nodes.List())
-	})
-	mux.HandleFunc("GET /api/nodes/{name}/devices", func(w http.ResponseWriter, r *http.Request) {
-		if s.auth(w, r, PermViewConsole) == nil {
-			return
-		}
-		devs, err := s.Nodes.Devices(r.PathValue("name"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, devs)
-	})
-	mux.HandleFunc("GET /api/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if s.auth(w, r, PermViewConsole) == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, s.Jobs())
-	})
-	mux.HandleFunc("POST /api/jobs/{name}/build", func(w http.ResponseWriter, r *http.Request) {
-		user := s.auth(w, r, PermRunJob)
-		if user == nil {
-			return
-		}
-		b, err := s.Submit(user, r.PathValue("name"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"build": b.ID, "state": b.State().String()})
-	})
-	mux.HandleFunc("POST /api/jobs/{name}/approve", func(w http.ResponseWriter, r *http.Request) {
-		user := s.auth(w, r, PermApprovePipeline)
-		if user == nil {
-			return
-		}
-		if err := s.ApproveJob(user, r.PathValue("name")); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"approved": true})
-	})
-	mux.HandleFunc("GET /api/builds/{id}", func(w http.ResponseWriter, r *http.Request) {
-		b := s.buildFromPath(w, r)
-		if b == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"id":    b.ID,
-			"job":   b.Job,
-			"state": b.State().String(),
-		})
-	})
-	mux.HandleFunc("GET /api/builds/{id}/log", func(w http.ResponseWriter, r *http.Request) {
-		b := s.buildFromPath(w, r)
-		if b == nil {
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(b.Log()))
-	})
-	mux.HandleFunc("GET /api/builds/{id}/artifacts", func(w http.ResponseWriter, r *http.Request) {
-		b := s.buildFromPath(w, r)
-		if b == nil {
-			return
-		}
-		writeJSON(w, http.StatusOK, b.Workspace().List())
-	})
-
 	s.handlerV1(mux)
 	s.handlerOps(mux)
 	return s.instrument(mux)

@@ -23,6 +23,13 @@ import (
 //	POST /api/v1/nodes/{name}/owner           set the hosting member who earns
 //	                                          contribution credits (admin)
 //	GET  /api/v1/workloads                    registry workload names
+//	GET  /api/v1/jobs                         stored jobs (§3.1)
+//	PUT  /api/v1/jobs/{name}                  create a job, or edit it: body is
+//	                                          its ExperimentSpec; the revision
+//	                                          awaits approval unless an admin's
+//	POST /api/v1/jobs/{name}/approve          approve the current revision (admin)
+//	POST /api/v1/jobs/{name}/builds           queue a build of the approved revision
+//	DELETE /api/v1/jobs/{name}                delete; its queued builds fail typed
 //	POST /api/v1/experiments                  submit an ExperimentSpec → build
 //	POST /api/v1/campaigns                    submit a CampaignSpec → builds
 //	GET  /api/v1/campaigns/{id}               campaign status
@@ -152,9 +159,11 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		writeJSON(w, http.StatusOK, detail)
 	})
-	nodeAdmin := func(action func(*User, string) error) http.HandlerFunc {
+	// named binds the Server methods of shape (user, name) → error: the
+	// node lifecycle verbs and the job approve/delete verbs.
+	named := func(perm Permission, action func(*User, string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			user := s.auth(w, r, PermManageNodes)
+			user := s.auth(w, r, perm)
 			if user == nil {
 				return
 			}
@@ -165,9 +174,9 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 		}
 	}
-	mux.HandleFunc("POST /api/v1/nodes/{name}/drain", nodeAdmin(s.DrainNode))
-	mux.HandleFunc("POST /api/v1/nodes/{name}/undrain", nodeAdmin(s.UndrainNode))
-	mux.HandleFunc("POST /api/v1/nodes/{name}/remove", nodeAdmin(s.RemoveNode))
+	mux.HandleFunc("POST /api/v1/nodes/{name}/drain", named(PermManageNodes, s.DrainNode))
+	mux.HandleFunc("POST /api/v1/nodes/{name}/undrain", named(PermManageNodes, s.UndrainNode))
+	mux.HandleFunc("POST /api/v1/nodes/{name}/remove", named(PermManageNodes, s.RemoveNode))
 	mux.HandleFunc("POST /api/v1/nodes/{name}/owner", func(w http.ResponseWriter, r *http.Request) {
 		if s.auth(w, r, PermManageNodes) == nil {
 			return
@@ -204,6 +213,57 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			names = []string{}
 		}
 		writeJSON(w, http.StatusOK, names)
+	})
+	mux.HandleFunc("GET /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		if s.auth(w, r, PermViewConsole) == nil {
+			return
+		}
+		jobs := s.Jobs()
+		infos := make([]api.JobInfo, len(jobs))
+		for i, j := range jobs {
+			infos[i] = jobInfo(j)
+		}
+		writeJSON(w, http.StatusOK, infos)
+	})
+	mux.HandleFunc("PUT /api/v1/jobs/{name}", func(w http.ResponseWriter, r *http.Request) {
+		user := s.auth(w, r, PermCreateJob)
+		if user == nil {
+			return
+		}
+		var spec api.ExperimentSpec
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBodyBytes)).Decode(&spec); err != nil {
+			writeAPIError(w, apiError(codeBadRequest, "decoding experiment spec: "+err.Error()))
+			return
+		}
+		name := r.PathValue("name")
+		_, err := s.CreateJob(user, name, spec)
+		if errors.Is(err, ErrConflict) {
+			err = s.EditJob(user, name, spec)
+		}
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		j, err := s.Job(name)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, jobInfo(j))
+	})
+	mux.HandleFunc("POST /api/v1/jobs/{name}/approve", named(PermApprovePipeline, s.ApproveJob))
+	mux.HandleFunc("DELETE /api/v1/jobs/{name}", named(PermEditJob, s.DeleteJob))
+	mux.HandleFunc("POST /api/v1/jobs/{name}/builds", func(w http.ResponseWriter, r *http.Request) {
+		user := s.auth(w, r, PermRunJob)
+		if user == nil {
+			return
+		}
+		b, err := s.Submit(user, r.PathValue("name"))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, api.SubmitResponse{Build: b.ID, State: b.State().String()})
 	})
 	mux.HandleFunc("POST /api/v1/experiments", func(w http.ResponseWriter, r *http.Request) {
 		user := s.auth(w, r, PermRunJob)
@@ -381,6 +441,11 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 	})
 }
 
+// jobInfo is a job's wire form.
+func jobInfo(j Job) api.JobInfo {
+	return api.JobInfo{Name: j.Name, Owner: j.Owner, Spec: j.Spec, Approved: j.Approved, Revision: j.Revision}
+}
+
 // buildStatus snapshots a build as its wire form.
 func buildStatus(b *Build) api.BuildStatus {
 	st := api.BuildStatus{
@@ -423,7 +488,7 @@ func buildStatus(b *Build) api.BuildStatus {
 // touch scheduler state. Writes the error response itself (400 for a
 // malformed id, 404 for unknown or expired builds). Authentication runs
 // first.
-func (s *Server) feedFromPath(w http.ResponseWriter, r *http.Request) *Feed {
+func (s *Server) feedFromPath(w http.ResponseWriter, r *http.Request) *feedhub.Feed {
 	if s.auth(w, r, PermViewConsole) == nil {
 		return nil
 	}
@@ -463,7 +528,7 @@ func streamCursor(w http.ResponseWriter, r *http.Request) (int, bool) {
 // streamEvents serves the NDJSON phase-event stream: replay from the
 // ?from= cursor (default 0), then follow until the build finishes or
 // the client goes away.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, f *Feed) {
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, f *feedhub.Feed) {
 	cursor, ok := streamCursor(w, r)
 	if !ok {
 		return
@@ -512,7 +577,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, f *Feed) {
 // n samples resumes with ?from=n. The feed it reads is bounded and
 // drop-under-backpressure, so however slowly this consumer drains, the
 // capture loop never blocks.
-func (s *Server) streamSamples(w http.ResponseWriter, r *http.Request, f *Feed) {
+func (s *Server) streamSamples(w http.ResponseWriter, r *http.Request, f *feedhub.Feed) {
 	format := r.URL.Query().Get("format")
 	switch format {
 	case "", "binary", "ndjson":

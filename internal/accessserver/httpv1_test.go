@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 	"batterylab/internal/trace"
 )
@@ -62,8 +63,9 @@ func stubTraceBytes() []byte {
 
 func (stubBackend) WorkloadNames() []string { return []string{"stub"} }
 
-// v1rig extends the package rig with the stub backend, an HTTP server
-// and one finished spec build + campaign.
+// v1rig extends the package rig with the stub backend, an HTTP server,
+// one finished spec build + campaign and one approved job ("seeded",
+// the admin's).
 type v1rig struct {
 	*rig
 	ts        *httptest.Server
@@ -93,6 +95,9 @@ func newV1Rig(t *testing.T) *v1rig {
 		t.Fatal(err)
 	}
 	v.campaign = id
+	if _, err := r.srv.CreateJob(r.admin, "seeded", v.spec("node1")); err != nil {
+		t.Fatal(err)
+	}
 	return v
 }
 
@@ -140,7 +145,8 @@ func (v *v1rig) request(t *testing.T, method, path, token string, body string) *
 // TestV1RBACMatrix drives every v1 route with every role (plus an
 // unauthenticated caller) and checks the expected status: 401 without
 // a token, 403 for roles lacking the permission, 2xx for allowed
-// roles. A fresh rig per role keeps the mutating routes independent.
+// roles (admin-only routes answer the experimenter 403 too). A fresh
+// rig per role keeps the mutating routes independent.
 func TestV1RBACMatrix(t *testing.T) {
 	specBody := `{"node":"node1","device":"dev1","workload":{"name":"stub"}}`
 	campaignBody := `{"experiments":[` + specBody + `]}`
@@ -150,20 +156,32 @@ func TestV1RBACMatrix(t *testing.T) {
 		path   func(v *v1rig, cancelTarget int) string
 		body   string
 		allow  int // status for roles holding the permission
+		// adminOnly routes need a permission experimenters lack.
+		adminOnly bool
+	}
+	at := func(path string) func(*v1rig, int) string {
+		return func(*v1rig, int) string { return path }
 	}
 	routes := []route{
-		{"GET", func(v *v1rig, _ int) string { return "/api/v1/nodes" }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return "/api/v1/workloads" }, "", 200},
-		{"POST", func(v *v1rig, _ int) string { return "/api/v1/experiments" }, specBody, 202},
-		{"POST", func(v *v1rig, _ int) string { return "/api/v1/campaigns" }, campaignBody, 202},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/campaigns/%d", v.campaign) }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d", v.doneBuild) }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/events", v.doneBuild) }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/samples", v.doneBuild) }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/analytics", v.doneBuild) }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/artifacts", v.doneBuild) }, "", 200},
-		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/artifacts/hello.txt", v.doneBuild) }, "", 200},
-		{"POST", func(v *v1rig, target int) string { return fmt.Sprintf("/api/v1/builds/%d/cancel", target) }, "", 202},
+		{"GET", func(v *v1rig, _ int) string { return "/api/v1/nodes" }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return "/api/v1/workloads" }, "", 200, false},
+		{"POST", func(v *v1rig, _ int) string { return "/api/v1/experiments" }, specBody, 202, false},
+		{"POST", func(v *v1rig, _ int) string { return "/api/v1/campaigns" }, campaignBody, 202, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/campaigns/%d", v.campaign) }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d", v.doneBuild) }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/events", v.doneBuild) }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/samples", v.doneBuild) }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/analytics", v.doneBuild) }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/artifacts", v.doneBuild) }, "", 200, false},
+		{"GET", func(v *v1rig, _ int) string { return fmt.Sprintf("/api/v1/builds/%d/artifacts/hello.txt", v.doneBuild) }, "", 200, false},
+		{"POST", func(v *v1rig, target int) string { return fmt.Sprintf("/api/v1/builds/%d/cancel", target) }, "", 202, false},
+		// The job routes, in workflow order: each role creates its own
+		// job, so its DELETE passes the owner check.
+		{"GET", at("/api/v1/jobs"), "", 200, false},
+		{"PUT", at("/api/v1/jobs/fresh"), specBody, 200, false},
+		{"POST", at("/api/v1/jobs/seeded/approve"), "", 200, true},
+		{"POST", at("/api/v1/jobs/seeded/builds"), "", 202, false},
+		{"DELETE", at("/api/v1/jobs/fresh"), "", 200, false},
 	}
 	roles := []struct {
 		name    string
@@ -191,6 +209,9 @@ func TestV1RBACMatrix(t *testing.T) {
 			}
 			resp := v.request(t, rt.method, rt.path(v, cancelTarget), token, rt.body)
 			want := role.status(rt.allow)
+			if rt.adminOnly && role.name == "experimenter" {
+				want = 403
+			}
 			if resp.StatusCode != want {
 				t.Errorf("%s %s %s: status %d, want %d",
 					role.name, rt.method, rt.path(v, cancelTarget), resp.StatusCode, want)
@@ -238,6 +259,18 @@ func TestV1ErrorCodes(t *testing.T) {
 		{"analytics too many buckets", "GET", fmt.Sprintf("/api/v1/builds/%d/analytics?window=1ns", v.doneBuild), "", 400},
 		{"analytics unfinished build", "GET", fmt.Sprintf("/api/v1/builds/%d/analytics", v.queueBuild(t, v.admin)), "", 409},
 		{"analytics missing artifact", "GET", fmt.Sprintf("/api/v1/builds/%d/analytics?artifact=nope", v.doneBuild), "", 404},
+		{"approve unknown job", "POST", "/api/v1/jobs/nope/approve", "", 404},
+		{"build unknown job", "POST", "/api/v1/jobs/nope/builds", "", 404},
+		{"delete unknown job", "DELETE", "/api/v1/jobs/nope", "", 404},
+		{"build unapproved job", "POST", "/api/v1/jobs/draft/builds", "", 409},
+		{"malformed job JSON", "PUT", "/api/v1/jobs/j", "{", 400},
+		{"invalid job spec", "PUT", "/api/v1/jobs/j", `{"node":"node1","device":"d","workload":{"name":"bad"}}`, 400},
+		{"job with unknown workload", "PUT", "/api/v1/jobs/j", `{"node":"node1","device":"d","workload":{"name":"missing"}}`, 404},
+		{"reserved job name", "PUT", "/api/v1/jobs/spec:j", `{"node":"node1","device":"d","workload":{"name":"stub"}}`, 400},
+	}
+	// The experimenter's job no admin has approved.
+	if _, err := v.srv.CreateJob(v.exp, "draft", v.spec("node1")); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range cases {
 		resp := v.request(t, c.method, c.path, v.admin.Token, c.body)
@@ -265,20 +298,17 @@ func TestV1CampaignAtomicity(t *testing.T) {
 	}
 }
 
-// TestLegacyMethodEnforcement: read routes reject writes and vice
-// versa (the old mux served POST /api/nodes as a GET).
-func TestLegacyMethodEnforcement(t *testing.T) {
+// TestV1MethodEnforcement: read routes reject writes and vice versa.
+func TestV1MethodEnforcement(t *testing.T) {
 	v := newV1Rig(t)
 	cases := []struct {
 		method string
 		path   string
 	}{
-		{"POST", "/api/nodes"},
-		{"POST", "/api/jobs"},
-		{"POST", fmt.Sprintf("/api/builds/%d", v.doneBuild)},
-		{"POST", fmt.Sprintf("/api/builds/%d/log", v.doneBuild)},
-		{"GET", "/api/jobs/x/build"},
-		{"GET", "/api/jobs/x/approve"},
+		{"POST", "/api/v1/jobs"},
+		{"GET", "/api/v1/jobs/seeded"},
+		{"GET", "/api/v1/jobs/seeded/builds"},
+		{"GET", "/api/v1/jobs/seeded/approve"},
 		{"POST", "/api/v1/nodes"},
 		{"GET", "/api/v1/experiments"},
 		{"DELETE", fmt.Sprintf("/api/v1/builds/%d", v.doneBuild)},
@@ -290,6 +320,66 @@ func TestLegacyMethodEnforcement(t *testing.T) {
 			t.Errorf("%s %s: status %d, want 405", c.method, c.path, resp.StatusCode)
 		}
 	}
+}
+
+// TestV1JobsWorkflow walks the paper's §3.1 workflow as a remote
+// experimenter sees it: store a job, wait for an admin's approval, run
+// it, edit it (which needs approval again), delete it.
+func TestV1JobsWorkflow(t *testing.T) {
+	v := newV1Rig(t)
+	specBody := `{"node":"node1","device":"dev1","workload":{"name":"stub"}}`
+	call := func(user *User, method, path, body string, want int, into any) {
+		t.Helper()
+		resp := v.request(t, method, path, user.Token, body)
+		defer resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s %s: status %d, want %d", user.Name, method, path, resp.StatusCode, want)
+		}
+		if into != nil {
+			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+				t.Fatalf("%s %s: %v", method, path, err)
+			}
+		}
+	}
+	carol, _ := v.srv.Users.Add("carol", RoleExperimenter)
+
+	var job api.JobInfo
+	call(v.exp, "PUT", "/api/v1/jobs/study", specBody, 200, &job)
+	if job.Name != "study" || job.Owner != "bob" || job.Approved || job.Revision != 1 || job.Spec.Workload.Name != "stub" {
+		t.Fatalf("created job = %+v", job)
+	}
+	call(v.exp, "POST", "/api/v1/jobs/study/builds", "", 409, nil) // not approved yet
+	call(v.exp, "POST", "/api/v1/jobs/study/approve", "", 403, nil)
+	call(v.admin, "POST", "/api/v1/jobs/study/approve", "", 200, nil)
+
+	var sub api.SubmitResponse
+	call(v.exp, "POST", "/api/v1/jobs/study/builds", "", 202, &sub)
+	var st api.BuildStatus
+	call(v.exp, "GET", fmt.Sprintf("/api/v1/builds/%d", sub.Build), "", 200, &st)
+	if st.Job != "study" || st.State != "success" {
+		t.Fatalf("job build status = %+v", st)
+	}
+
+	// Another experimenter may run the approved job but not change it.
+	call(carol, "POST", "/api/v1/jobs/study/builds", "", 202, nil)
+	call(carol, "PUT", "/api/v1/jobs/study", specBody, 403, nil)
+	call(carol, "DELETE", "/api/v1/jobs/study", "", 403, nil)
+
+	// The owner's edit is revision 2 and waits for approval again.
+	edited := `{"node":"node1","device":"dev2","workload":{"name":"stub"}}`
+	call(v.exp, "PUT", "/api/v1/jobs/study", edited, 200, &job)
+	if job.Approved || job.Revision != 2 || job.Spec.Device != "dev2" {
+		t.Fatalf("edited job = %+v", job)
+	}
+	call(v.exp, "POST", "/api/v1/jobs/study/builds", "", 409, nil)
+
+	var jobs []api.JobInfo
+	call(v.exp, "GET", "/api/v1/jobs", "", 200, &jobs)
+	if len(jobs) != 2 || jobs[0].Name != "seeded" || jobs[1].Name != "study" || jobs[1].Revision != 2 {
+		t.Fatalf("job list = %+v", jobs)
+	}
+	call(v.exp, "DELETE", "/api/v1/jobs/study", "", 200, nil)
+	call(v.exp, "POST", "/api/v1/jobs/study/builds", "", 404, nil)
 }
 
 // TestV1SampleStreamFormats checks both wire encodings of the sample
@@ -384,7 +474,7 @@ func (eventBurstBackend) WorkloadNames() []string { return []string{"burst"} }
 // overflow instead.
 func TestSlowSampleConsumerCannotStallCapture(t *testing.T) {
 	r := newRig(t)
-	const total = 3 * feedSampleCap
+	const total = 3 * feedhub.SampleCap
 	posted := make(chan struct{})
 	r.srv.SetSpecBackend(floodBackend{n: total, done: posted})
 	ts := httptest.NewServer(r.srv.Handler())
@@ -409,7 +499,7 @@ func TestSlowSampleConsumerCannotStallCapture(t *testing.T) {
 		t.Fatalf("state = %s", b.State())
 	}
 	_, droppedSamples := b.Feed().Dropped()
-	if want := int64(total - feedSampleCap); droppedSamples != want {
+	if want := int64(total - feedhub.SampleCap); droppedSamples != want {
 		t.Fatalf("dropped %d samples, want %d", droppedSamples, want)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
@@ -37,48 +38,20 @@ type Constraints struct {
 	Fallback bool
 }
 
-// Job is a stored pipeline. New jobs and every revision require
-// administrator approval before they can run.
+// Job is a stored pipeline (§3.1): a named, revisioned experiment spec.
+// New jobs and every revision require administrator approval before
+// they can run. The server's own records are guarded by s.mu; callers
+// get copies (Server.Job, Server.Jobs).
 type Job struct {
 	Name  string
 	Owner string
-
-	mu          sync.Mutex
-	constraints Constraints
-	run         RunFunc
-	approved    bool
-	revision    int
-}
-
-// Approved reports whether the current revision may run.
-func (j *Job) Approved() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.approved
-}
-
-// Runnable reports whether the job has a pipeline body. A job recovered
-// from the store keeps its metadata and approval but not its body — a
-// Go closure does not survive a restart — and needs EditJob to
-// reinstall it before builds can run.
-func (j *Job) Runnable() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.run != nil
-}
-
-// Revision reports the current revision number.
-func (j *Job) Revision() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.revision
-}
-
-// Constraints reports the job's dispatch constraints.
-func (j *Job) Constraints() Constraints {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.constraints
+	// Spec is the current revision's experiment. A build of the job is
+	// compiled from the Spec it was submitted at and keeps it: a later
+	// edit never changes what an already-queued build runs.
+	Spec api.ExperimentSpec
+	// Approved reports whether the current revision may run.
+	Approved bool
+	Revision int
 }
 
 // BuildState tracks a build through its life.
@@ -119,13 +92,11 @@ type Build struct {
 	// campaign groups builds submitted together via SubmitCampaign
 	// (0 = standalone).
 	campaign int
-	// cons/run are set for spec builds, which carry their own pipeline
-	// instead of referencing the job store.
-	cons Constraints
-	run  RunFunc
-	// wireSpec is the declarative spec a spec build was compiled from,
-	// retained so crash recovery can recompile the pipeline through the
-	// SpecBackend (closures do not survive a restart).
+	// cons/run are the build's own pipeline, compiled at submit time
+	// from wireSpec; wireSpec is retained so crash recovery can recompile
+	// it through the SpecBackend and a relay can resubmit it to a peer.
+	cons     Constraints
+	run      RunFunc
 	wireSpec *api.ExperimentSpec
 	// recovered marks a build reconstructed from the store after a
 	// restart (the wire status carries it to clients); feedEpoch counts
@@ -137,7 +108,7 @@ type Build struct {
 	// the server's feed hub (lifecycle — close, eviction — runs through
 	// the hub, never through this handle). Set once at construction,
 	// immutable after.
-	feed *Feed
+	feed *feedhub.Feed
 
 	mu         sync.Mutex
 	state      BuildState
@@ -280,7 +251,7 @@ func (b *Build) Log() string {
 func (b *Build) Workspace() *Workspace { return b.workspace }
 
 // Feed returns the build's event/sample stream.
-func (b *Build) Feed() *Feed { return b.feed }
+func (b *Build) Feed() *feedhub.Feed { return b.feed }
 
 // CampaignID reports the campaign the build belongs to (0 = none).
 func (b *Build) CampaignID() int { return b.campaign }

@@ -24,11 +24,9 @@ import (
 //
 //   - Users come back with their original tokens; ledger balances and
 //     histories replay exactly.
-//   - Jobs come back with metadata, constraints, revision and approval
-//     but WITHOUT their pipeline body (a Go closure does not survive a
-//     process): Submit answers ErrConflict until EditJob reinstalls
-//     one. Spec builds are unaffected — their declarative wire spec is
-//     in the log and recompiles through the SpecBackend.
+//   - Jobs come back whole — spec, revision, approval — and runnable.
+//     Every non-terminal build recompiles its own wire spec through the
+//     SpecBackend.
 //   - Node lifecycle state (drain flags, removal tombstones, owner,
 //     cached devices) survives; the live Node handles do not, so the
 //     hosting process re-registers its nodes at startup, before
@@ -106,21 +104,16 @@ func (s *Server) logStoreBatch(recs []store.Record) {
 	s.storeMu.Unlock()
 }
 
-// logJob records a job's current metadata (creation, edits and
-// approvals all upsert the same record).
+// jobRecord is a job's persisted form (creation, edits and approvals
+// all upsert the same record).
+func jobRecord(j *Job) store.JobRec {
+	spec := j.Spec
+	return store.JobRec{Name: j.Name, Owner: j.Owner, Spec: &spec, Approved: j.Approved, Revision: j.Revision}
+}
+
+// logJob records a job's current state. Callers hold s.mu.
 func (s *Server) logJob(j *Job) {
-	j.mu.Lock()
-	rec := store.JobRec{
-		Name:          j.Name,
-		Owner:         j.Owner,
-		Node:          j.constraints.Node,
-		Device:        j.constraints.Device,
-		RequireLowCPU: j.constraints.RequireLowCPU,
-		Fallback:      j.constraints.Fallback,
-		Approved:      j.approved,
-		Revision:      j.revision,
-	}
-	j.mu.Unlock()
+	rec := jobRecord(j)
 	s.logStore(store.Record{T: store.TJobPut, Job: &rec})
 }
 
@@ -425,24 +418,19 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	s.mu.Lock()
 	backend := s.specs
 
-	// Jobs: metadata only — the closure body is gone. A job the daemon
-	// already re-created this boot (with a body) wins over its record.
+	// Jobs. A job the daemon already re-created this boot wins over its
+	// record. A record from before jobs stored their spec has none: the
+	// job keeps its name, owner and approval, and its empty spec fails to
+	// compile until someone edits it.
 	for name, jr := range rs.jobs {
 		if _, exists := s.jobs[name]; exists {
 			continue
 		}
-		s.jobs[name] = &Job{
-			Name:  jr.Name,
-			Owner: jr.Owner,
-			constraints: Constraints{
-				Node:          jr.Node,
-				Device:        jr.Device,
-				RequireLowCPU: jr.RequireLowCPU,
-				Fallback:      jr.Fallback,
-			},
-			approved: jr.Approved,
-			revision: jr.Revision,
+		j := &Job{Name: jr.Name, Owner: jr.Owner, Approved: jr.Approved, Revision: jr.Revision}
+		if jr.Spec != nil {
+			j.Spec = *jr.Spec
 		}
+		s.jobs[name] = j
 		stats.Jobs++
 	}
 
@@ -588,19 +576,17 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 			continue
 		}
 
-		// Queued or running at the crash: the build must run again.
-		// Recompile spec builds through the backend; job builds resolve
-		// from the job store at dispatch (and fail fast there if the
-		// job's body did not survive).
+		// Queued or running at the crash: the build must run again, so
+		// recompile its spec through the backend. (A build of a closure
+		// job, logged before jobs stored their spec, has none to compile.)
 		var compileErr error
-		if b.wireSpec != nil {
-			if backend == nil {
-				compileErr = fmt.Errorf("%w: no spec backend installed at recovery", ErrInvalid)
-			} else if cons, run, err := backend.Compile(*b.wireSpec); err != nil {
-				compileErr = err
-			} else {
-				b.cons, b.run = cons, run
-			}
+		switch {
+		case b.wireSpec == nil:
+			compileErr = fmt.Errorf("%w: build %d was logged without a spec", ErrInvalid, b.ID)
+		case backend == nil:
+			compileErr = fmt.Errorf("%w: no spec backend installed at recovery", ErrInvalid)
+		default:
+			b.cons, b.run, compileErr = backend.Compile(*b.wireSpec)
 		}
 		if compileErr != nil {
 			b.state = StateFailure
@@ -921,19 +907,7 @@ func (s *Server) buildSnapshotLocked() *store.Snapshot {
 	}
 	sort.Strings(jobNames)
 	for _, n := range jobNames {
-		j := s.jobs[n]
-		j.mu.Lock()
-		snap.Jobs = append(snap.Jobs, store.JobRec{
-			Name:          j.Name,
-			Owner:         j.Owner,
-			Node:          j.constraints.Node,
-			Device:        j.constraints.Device,
-			RequireLowCPU: j.constraints.RequireLowCPU,
-			Fallback:      j.constraints.Fallback,
-			Approved:      j.approved,
-			Revision:      j.revision,
-		})
-		j.mu.Unlock()
+		snap.Jobs = append(snap.Jobs, jobRecord(s.jobs[n]))
 	}
 
 	nodeNames := make([]string, 0, len(s.nodeRecs))

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -63,9 +68,9 @@ func drainServer(t *testing.T, clk *simclock.Virtual, builds []*Build) {
 	}
 }
 
-// TestRecoverControlPlaneState: users (with tokens), jobs (metadata +
-// approval), node lifecycle flags and the ledger all survive a
-// restart from the WAL.
+// TestRecoverControlPlaneState: users (with tokens), jobs (spec,
+// revision and approval — a recovered job runs), node lifecycle flags
+// and the ledger all survive a restart from the WAL.
 func TestRecoverControlPlaneState(t *testing.T) {
 	dir := t.TempDir()
 	r := newRig(t)
@@ -84,10 +89,18 @@ func TestRecoverControlPlaneState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.srv.CreateJob(r.exp, "nightly", Constraints{Node: "node1"}, noopJob); err != nil {
+	nightly := jobSpec("nightly", Constraints{Node: "node1"})
+	nightly.Workload.Params = api.Params{"browser": "Brave"}
+	if _, err := r.job(r.exp, "nightly", Constraints{Node: "node1"}, noopJob); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.srv.EditJob(r.exp, "nightly", nightly); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.srv.ApproveJob(r.admin, "nightly"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.job(r.exp, "draft", Constraints{Node: "node1"}, noopJob); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.srv.MonitorNode("node1"); err != nil {
@@ -112,8 +125,8 @@ func TestRecoverControlPlaneState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Users != 4 || stats.Jobs != 1 {
-		t.Fatalf("stats = %+v, want 4 users and 1 job", stats)
+	if stats.Users != 4 || stats.Jobs != 2 {
+		t.Fatalf("stats = %+v, want 4 users and 2 jobs", stats)
 	}
 
 	// Tokens survive — including carol's, and the newRig-created bob is
@@ -121,27 +134,37 @@ func TestRecoverControlPlaneState(t *testing.T) {
 	if _, err := r2.srv.Users.Authenticate(carol.Token); err != nil {
 		t.Fatalf("carol's token did not survive: %v", err)
 	}
-	// The job is back with its approval but without its closure body.
+	// The job is back whole: the spec of its second revision, approved.
 	j, err := r2.srv.Job("nightly")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !j.Approved() || j.Runnable() {
-		t.Fatalf("recovered job approved=%v runnable=%v, want approved and not runnable", j.Approved(), j.Runnable())
+	if !j.Approved || j.Revision != 2 || j.Owner != "bob" || !reflect.DeepEqual(j.Spec, nightly) {
+		t.Fatalf("recovered job = %+v, want bob's approved revision 2 with spec %+v", j, nightly)
 	}
-	if _, err := r2.srv.Submit(r2.admin, "nightly"); !errors.Is(err, ErrConflict) {
-		t.Fatalf("submit of body-less job = %v, want ErrConflict", err)
+	// The unapproved one is back too, and still refuses to run.
+	if d, err := r2.srv.Job("draft"); err != nil || d.Approved || d.Revision != 1 {
+		t.Fatalf("recovered draft = %+v, %v; want unapproved revision 1", d, err)
 	}
-	// Re-editing reinstalls the body and makes it runnable again.
-	if err := r2.srv.EditJob(r2.admin, "nightly", Constraints{Node: "node1"}, noopJob); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.srv.Submit(r2.admin, "nightly"); err != nil {
-		t.Fatalf("submit after re-edit: %v", err)
+	if _, err := r2.srv.Submit(r2.exp, "draft"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("submit of the recovered unapproved job = %v, want ErrConflict", err)
 	}
 	// Drain flag and owner survived.
 	if !r2.srv.NodeHealth("node1").Draining {
 		t.Fatal("drain flag lost in restart")
+	}
+	// With the node back in service the recovered job submits and runs,
+	// no edit needed.
+	if err := r2.srv.UndrainNode(r2.admin, "node1"); err != nil {
+		t.Fatal(err)
+	}
+	r2.tb.handle("nightly", noopJob)
+	b, err := r2.srv.Submit(r2.exp, "nightly")
+	if err != nil {
+		t.Fatalf("submit of the recovered job: %v", err)
+	}
+	if b.State() != StateSuccess || !slices.Equal(r2.tb.started(), []string{"nightly"}) {
+		t.Fatalf("recovered job's build: %v (%v), pipelines started %v", b.State(), b.Err(), r2.tb.started())
 	}
 	// Ledger balance and history replay exactly.
 	if got, want := r2.srv.Ledger.Balance("carol"), 25.0; got != want {
@@ -149,6 +172,84 @@ func TestRecoverControlPlaneState(t *testing.T) {
 	}
 	if h := r2.srv.Ledger.History("carol"); len(h) != 2 || h[0].Reason != "starter grant" {
 		t.Fatalf("carol history = %+v", h)
+	}
+}
+
+// TestRecoverPreSpecJobRecords replays logs written when a job's body
+// was a Go closure and its record held no spec: the store's v1 JSON
+// golden WAL, and testdata/closurejobs, a binary WAL the last
+// closure-job server wrote before "crashing" with one build of job
+// "nightly" running and one queued. The jobs come back with their
+// owner, revision and approval; their empty spec fails to compile,
+// typed, until someone edits it. The two builds have nothing to
+// recompile and fail at recovery instead of pending.
+func TestRecoverPreSpecJobRecords(t *testing.T) {
+	for _, c := range []struct {
+		name, dir, job, owner string
+		revision, failed      int
+	}{
+		{"v1 JSON", "store/testdata/v1wal", "exp", "ana", 3, 0},
+		{"binary", "testdata/closurejobs", "nightly", "bob", 2, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Open mutates the log, so replay from a copy.
+			dir := t.TempDir()
+			for _, f := range []string{"wal.log", "snapshot.bin"} {
+				data, err := os.ReadFile(filepath.Join(c.dir, f))
+				if err != nil {
+					continue // the v1 fixture has no snapshot
+				}
+				if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			clk := simclock.NewVirtual()
+			srv := New(clk, Config{})
+			tb := backedServer(srv)
+			tb.handle("nightly", noopJob)
+			if err := srv.Nodes.Register(staticNode{name: "node1"}); err != nil {
+				t.Fatal(err)
+			}
+			stats, err := srv.AttachStore(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := srv.Job(c.job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Owner != c.owner || !j.Approved || j.Revision != c.revision || !reflect.DeepEqual(j.Spec, api.ExperimentSpec{}) {
+				t.Fatalf("recovered job = %+v, want %s's approved revision %d with an empty spec", j, c.owner, c.revision)
+			}
+			admin, err := srv.Users.Add("root", RoleAdmin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.Submit(admin, c.job); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("submit of a job recovered without a spec = %v, want ErrInvalid", err)
+			}
+			if stats.Failed != c.failed || srv.QueueLength() != 0 || srv.Running() != 0 {
+				t.Fatalf("stats %+v, %d queued, %d running; want %d spec-less builds failed and none pending",
+					stats, srv.QueueLength(), srv.Running(), c.failed)
+			}
+			for id := 1; id <= c.failed; id++ {
+				if b, err := srv.Build(id); err != nil || b.State() != StateFailure || !errors.Is(b.Err(), ErrInvalid) {
+					t.Fatalf("build %d: %v; %v (%v), want failed with ErrInvalid", id, err, b.State(), b.Err())
+				}
+			}
+			// An edit gives the job a spec and it is an ordinary job again.
+			if err := srv.EditJob(admin, c.job, jobSpec("nightly", Constraints{Node: "node1"})); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := srv.Submit(admin, c.job); err != nil || b.State() != StateSuccess {
+				t.Fatalf("submit after the edit: %v, build %v", err, b)
+			}
+		})
 	}
 }
 
@@ -684,7 +785,7 @@ func TestDroppedCountersOnStatus(t *testing.T) {
 	srv.SetSpecBackend(funcBackend(func(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
 		run := func(ctx *BuildContext, done func(error)) {
 			feed := ctx.Build.Feed()
-			for i := 0; i < feedEventCap+5; i++ {
+			for i := 0; i < feedhub.EventCap+5; i++ {
 				feed.PostEvent(api.BuildEvent{Build: ctx.Build.ID, Phase: "workload"})
 			}
 			for i := 0; i < 3; i++ {

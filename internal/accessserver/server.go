@@ -397,68 +397,74 @@ func (s *Server) SetSpecBackend(b SpecBackend) {
 // WorkloadNames lists the spec backend's registered workloads (empty
 // without a backend).
 func (s *Server) WorkloadNames() []string {
-	s.mu.Lock()
-	backend := s.specs
-	s.mu.Unlock()
-	if backend == nil {
+	backend, err := s.specBackend()
+	if err != nil {
 		return nil
 	}
 	return backend.WorkloadNames()
 }
 
-// CreateJob stores a new (unapproved) pipeline. The user needs
-// PermCreateJob.
-func (s *Server) CreateJob(user *User, name string, cons Constraints, run RunFunc) (*Job, error) {
+// specBackend returns the installed spec compiler; without one nothing
+// can be submitted.
+func (s *Server) specBackend() (SpecBackend, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.specs == nil {
+		return nil, fmt.Errorf("%w: this server has no spec backend", ErrInvalid)
+	}
+	return s.specs, nil
+}
+
+// CreateJob stores a new (unapproved) pipeline: spec is the experiment
+// every build of the job runs. The user needs PermCreateJob. The spec
+// must compile — a job that could never run is refused here, typed,
+// rather than at its first submit.
+func (s *Server) CreateJob(user *User, name string, spec api.ExperimentSpec) (Job, error) {
 	if !Allowed(user.Role, PermCreateJob) {
-		return nil, fmt.Errorf("%w: %s (%s) may not create jobs", ErrForbidden, user.Name, user.Role)
+		return Job{}, fmt.Errorf("%w: %s (%s) may not create jobs", ErrForbidden, user.Name, user.Role)
 	}
-	if name == "" || run == nil {
-		return nil, fmt.Errorf("%w: job needs a name and a pipeline body", ErrInvalid)
+	if name == "" || strings.HasPrefix(name, specJobPrefix) {
+		return Job{}, fmt.Errorf("%w: job name %q is empty or uses the reserved %q prefix", ErrInvalid, name, specJobPrefix)
 	}
-	if cons.Node == "" {
-		return nil, fmt.Errorf("%w: job %q needs a target node", ErrInvalid, name)
+	if _, _, err := s.compile(spec); err != nil {
+		return Job{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.jobs[name]; dup {
-		return nil, fmt.Errorf("%w: job %q exists", ErrConflict, name)
+		return Job{}, fmt.Errorf("%w: job %q exists", ErrConflict, name)
 	}
-	j := &Job{Name: name, Owner: user.Name, constraints: cons, run: run, revision: 1}
 	// Admins' own pipelines are implicitly approved.
-	j.approved = user.Role == RoleAdmin
+	j := &Job{Name: name, Owner: user.Name, Spec: spec, Revision: 1, Approved: user.Role == RoleAdmin}
 	s.jobs[name] = j
 	s.logJob(j)
-	return j, nil
+	return *j, nil
 }
 
-// EditJob replaces a job's pipeline; the revision needs fresh approval
+// EditJob replaces a job's spec; the revision needs fresh approval
 // (§3.1: "every pipeline change has to be approved by an
-// administrator").
-func (s *Server) EditJob(user *User, name string, cons Constraints, run RunFunc) error {
+// administrator"). Builds already queued keep the revision they were
+// submitted at. Owners and admins may edit (with PermEditJob).
+func (s *Server) EditJob(user *User, name string, spec api.ExperimentSpec) error {
 	if !Allowed(user.Role, PermEditJob) {
 		return fmt.Errorf("%w: %s (%s) may not edit jobs", ErrForbidden, user.Name, user.Role)
 	}
-	j, err := s.Job(name)
-	if err != nil {
+	if _, _, err := s.compile(spec); err != nil {
 		return err
 	}
 	// s.mu spans the mutation and its WAL append: job writers must use
 	// the same lock order as snapshot compaction, or the record could
 	// fall between a snapshot read and the log truncation.
 	s.mu.Lock()
-	j.mu.Lock()
-	j.constraints = cons
-	j.run = run
-	j.revision++
-	j.approved = user.Role == RoleAdmin
-	j.mu.Unlock()
+	defer s.mu.Unlock()
+	j, err := s.ownedJobLocked(user, name)
+	if err != nil {
+		return err
+	}
+	j.Spec = spec
+	j.Revision++
+	j.Approved = user.Role == RoleAdmin
 	s.logJob(j)
-	// The edit may have moved the job's preferred node (or made it
-	// runnable again after a recovery): its queued builds now count
-	// against a different census row.
-	s.recountQueuedLocked()
-	s.publishCensusLocked()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -467,16 +473,14 @@ func (s *Server) ApproveJob(user *User, name string) error {
 	if !Allowed(user.Role, PermApprovePipeline) {
 		return fmt.Errorf("%w: %s (%s) may not approve pipelines", ErrForbidden, user.Name, user.Role)
 	}
-	j, err := s.Job(name)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
-	j.mu.Lock()
-	j.approved = true
-	j.mu.Unlock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[name]
+	if !ok {
+		return fmt.Errorf("%w: no job %q", ErrNotFound, name)
+	}
+	j.Approved = true
 	s.logJob(j)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -488,52 +492,63 @@ func (s *Server) DeleteJob(user *User, name string) error {
 	if !Allowed(user.Role, PermEditJob) {
 		return fmt.Errorf("%w: %s (%s) may not delete jobs", ErrForbidden, user.Name, user.Role)
 	}
-	j, err := s.Job(name)
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.ownedJobLocked(user, name); err != nil {
 		return err
 	}
-	if user.Role != RoleAdmin && j.Owner != user.Name {
-		return fmt.Errorf("%w: job %q belongs to %s", ErrForbidden, name, j.Owner)
-	}
-	s.mu.Lock()
 	delete(s.jobs, name)
 	s.logStore(store.Record{T: store.TJobDeleted, Name: name})
 	s.failQueuedLocked(func(b *Build) error {
-		if b.run == nil && b.Job == name {
+		if b.Job == name {
 			return fmt.Errorf("%w: job %q deleted while build %d was queued", ErrJobDeleted, name, b.ID)
 		}
 		return nil
 	})
 	s.publishCensusLocked()
-	s.mu.Unlock()
 	return nil
 }
 
-// Job resolves a job by name.
-func (s *Server) Job(name string) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// ownedJobLocked resolves a job user may change: its owner, or any
+// admin. Callers hold s.mu.
+func (s *Server) ownedJobLocked(user *User, name string) (*Job, error) {
 	j, ok := s.jobs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: no job %q", ErrNotFound, name)
 	}
+	if user.Role != RoleAdmin && j.Owner != user.Name {
+		return nil, fmt.Errorf("%w: job %q belongs to %s", ErrForbidden, name, j.Owner)
+	}
 	return j, nil
 }
 
-// Jobs lists job names sorted.
-func (s *Server) Jobs() []string {
+// Job returns a copy of the named job.
+func (s *Server) Job(name string) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.jobs))
-	for n := range s.jobs {
-		out = append(out, n)
+	j, ok := s.jobs[name]
+	if !ok {
+		return Job{}, fmt.Errorf("%w: no job %q", ErrNotFound, name)
 	}
-	sort.Strings(out)
+	return *j, nil
+}
+
+// Jobs lists copies of the stored jobs, sorted by name.
+func (s *Server) Jobs() []Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, *j)
+	}
+	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
 	return out
 }
 
-// Submit queues a build of the job. The user needs PermRunJob and the
-// job's current revision must be approved.
+// Submit queues a build of the job's current revision, which must be
+// approved. The build is compiled here and carries its own pipeline,
+// like any spec build; only its label ties it to the job. The user
+// needs PermRunJob.
 func (s *Server) Submit(user *User, jobName string) (*Build, error) {
 	if !Allowed(user.Role, PermRunJob) {
 		return nil, fmt.Errorf("%w: %s (%s) may not run jobs", ErrForbidden, user.Name, user.Role)
@@ -542,25 +557,10 @@ func (s *Server) Submit(user *User, jobName string) (*Build, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !j.Approved() {
-		return nil, fmt.Errorf("%w: job %q revision %d awaits admin approval", ErrConflict, jobName, j.Revision())
+	if !j.Approved {
+		return nil, fmt.Errorf("%w: job %q revision %d awaits admin approval", ErrConflict, jobName, j.Revision)
 	}
-	if !j.Runnable() {
-		return nil, fmt.Errorf("%w: job %q was recovered without its pipeline body; edit it to reinstall one", ErrConflict, jobName)
-	}
-	if err := s.creditGate(user, 1); err != nil {
-		return nil, err
-	}
-	defer s.holdClock()()
-	s.mu.Lock()
-	if err := s.admitLocked(user, 1); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	b := s.enqueueLocked(user.Name, jobName, 0, Constraints{}, nil, nil, nil)
-	s.mu.Unlock()
-	s.dispatch()
-	return b, nil
+	return s.submit(user, jobName, j.Spec)
 }
 
 // admitLocked is the fairness half of admission control (the credit
@@ -614,13 +614,12 @@ func (s *Server) ownerRunDoneLocked(owner string) {
 	}
 }
 
-// enqueueLocked creates a build and appends it to the queue. run is nil
-// for job builds (the pipeline is looked up at dispatch time) and set
-// for spec builds, which carry their own constraints and body plus the
-// wire spec the store needs for crash recovery. Every build gets an
-// aging timer: if it is still queued after PendingTimeout and its node
-// never appeared (or has gone offline), it fails with a reason instead
-// of pending forever. Callers hold s.mu.
+// enqueueLocked creates a build and appends it to the queue. The build
+// carries its own constraints and body plus the wire spec they were
+// compiled from, which the store needs for crash recovery. Every build
+// gets an aging timer: if it is still queued after PendingTimeout and
+// its node never appeared (or has gone offline), it fails with a reason
+// instead of pending forever. Callers hold s.mu.
 //
 // walBatch controls durability batching: nil logs the TBuildQueued
 // record immediately; non-nil collects it for the caller to flush as
@@ -696,16 +695,12 @@ func (s *Server) failQueuedLocked(why func(*Build) error) {
 }
 
 // countQueuedLocked counts b, which is entering s.queue, against its
-// preferred node. The node is remembered on the build so that leaving
-// the queue undoes exactly this count, whatever happened to the job
-// store in between. A job build whose pipeline cannot be resolved has
-// no preferred node and counts nowhere.
+// preferred node (a build without one counts nowhere).
 func (s *Server) countQueuedLocked(b *Build) {
-	b.queuedOn = ""
-	if cons, _, err := s.pipelineLocked(b); err == nil && cons.Node != "" {
-		b.queuedOn = cons.Node
-		s.queuedOn[cons.Node]++
-		s.touchNodeLocked(cons.Node)
+	b.queuedOn = b.cons.Node
+	if b.queuedOn != "" {
+		s.queuedOn[b.queuedOn]++
+		s.touchNodeLocked(b.queuedOn)
 	}
 }
 
@@ -723,56 +718,68 @@ func (s *Server) uncountQueuedLocked(b *Build) {
 	s.touchNodeLocked(node)
 }
 
-// recountQueuedLocked recounts the whole queue: the one O(queue) path,
-// taken only when a job edit may have moved its builds' preferred node.
-func (s *Server) recountQueuedLocked() {
-	for node := range s.queuedOn {
-		s.touchNodeLocked(node)
-	}
-	clear(s.queuedOn)
-	for _, b := range s.queue {
-		s.countQueuedLocked(b)
-	}
-}
-
 // SubmitSpec compiles a declarative v1 experiment spec through the
 // installed backend and queues it as a build — no pre-created job, no
 // pipeline-approval round: the spec can only name vetted registry
-// workloads, so the §3.1 closure-approval gate does not apply. The user
-// needs PermRunJob.
+// workloads. The user needs PermRunJob.
 func (s *Server) SubmitSpec(user *User, spec api.ExperimentSpec) (*Build, error) {
 	if !Allowed(user.Role, PermRunJob) {
 		return nil, fmt.Errorf("%w: %s (%s) may not run experiments", ErrForbidden, user.Name, user.Role)
 	}
-	s.mu.Lock()
-	backend := s.specs
-	s.mu.Unlock()
-	if backend == nil {
-		return nil, fmt.Errorf("%w: this server has no spec backend; submit jobs instead", ErrInvalid)
-	}
+	return s.submit(user, "", spec)
+}
+
+// submit is the one way a single build enters the queue: credit gate,
+// compile, admission, enqueue, dispatch. job names the §3.1 job the
+// build belongs to, "" for a direct spec submission.
+func (s *Server) submit(user *User, job string, spec api.ExperimentSpec) (*Build, error) {
 	if err := s.creditGate(user, 1); err != nil {
 		return nil, err
 	}
-	cons, run, err := backend.Compile(spec)
+	cons, run, err := s.compile(spec)
 	if err != nil {
-		// The node may live on a federation peer: a spec this server
-		// cannot compile still queues when a peer advertises its vantage
-		// point (the peer compiles it on relay submit).
-		cons, run, err = s.compileForPeer(spec, err)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	defer s.holdClock()()
 	s.mu.Lock()
+	label := job
+	if job == "" {
+		label = specJobName(spec)
+	} else if _, ok := s.jobs[job]; !ok {
+		// DeleteJob won the race with the compile: its sweep of the queue
+		// is over, so this build must not slip in behind it.
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: job %q was deleted", ErrNotFound, job)
+	}
 	if err := s.admitLocked(user, 1); err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	b := s.enqueueLocked(user.Name, specJobName(spec), 0, cons, run, &spec, nil)
+	b := s.enqueueLocked(user.Name, label, 0, cons, run, &spec, nil)
 	s.mu.Unlock()
 	s.dispatch()
 	return b, nil
+}
+
+// compile turns a spec into a pipeline through the installed backend.
+func (s *Server) compile(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
+	backend, err := s.specBackend()
+	if err != nil {
+		return Constraints{}, nil, err
+	}
+	return s.compileVia(backend, spec)
+}
+
+// compileVia compiles spec through backend. The node may live on a
+// federation peer: a spec this server cannot compile still compiles
+// when a peer advertises its vantage point (the peer compiles it for
+// real on relay submit).
+func (s *Server) compileVia(backend SpecBackend, spec api.ExperimentSpec) (Constraints, RunFunc, error) {
+	cons, run, err := backend.Compile(spec)
+	if err != nil {
+		return s.compileForPeer(spec, err)
+	}
+	return cons, run, nil
 }
 
 // SubmitCampaign atomically queues one build per experiment in the
@@ -785,11 +792,9 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	if !Allowed(user.Role, PermRunJob) {
 		return 0, nil, fmt.Errorf("%w: %s (%s) may not run experiments", ErrForbidden, user.Name, user.Role)
 	}
-	s.mu.Lock()
-	backend := s.specs
-	s.mu.Unlock()
-	if backend == nil {
-		return 0, nil, fmt.Errorf("%w: this server has no spec backend; submit jobs instead", ErrInvalid)
+	backend, err := s.specBackend()
+	if err != nil {
+		return 0, nil, err
 	}
 	if err := cs.Validate(); err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -808,12 +813,9 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	}
 	pipelines := make([]compiled, len(cs.Experiments))
 	for i, spec := range cs.Experiments {
-		cons, run, err := backend.Compile(spec)
+		cons, run, err := s.compileVia(backend, spec)
 		if err != nil {
-			cons, run, err = s.compileForPeer(spec, err)
-			if err != nil {
-				return 0, nil, fmt.Errorf("experiments[%d]: %w", i, err)
-			}
+			return 0, nil, fmt.Errorf("experiments[%d]: %w", i, err)
 		}
 		pipelines[i] = compiled{cons, run, specJobName(spec)}
 	}
@@ -852,9 +854,13 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 // split into multiple campaigns.
 const MaxCampaignExperiments = 1024
 
-// specJobName labels a spec build for status displays.
+// specJobPrefix starts the label of every build that belongs to no job;
+// job names may not use it.
+const specJobPrefix = "spec:"
+
+// specJobName labels a direct spec build for status displays.
 func specJobName(spec api.ExperimentSpec) string {
-	return "spec:" + spec.Workload.Name + "@" + spec.Node
+	return specJobPrefix + spec.Workload.Name + "@" + spec.Node
 }
 
 // CampaignBuildIDs resolves a campaign's build ids in submission order
@@ -992,26 +998,6 @@ func (s *Server) Running() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.running
-}
-
-// pipelineLocked resolves a build's effective constraints and body:
-// spec builds carry their own, job builds reference the job store.
-// Callers hold s.mu.
-func (s *Server) pipelineLocked(b *Build) (Constraints, RunFunc, error) {
-	if b.run != nil {
-		return b.cons, b.run, nil
-	}
-	job, ok := s.jobs[b.Job]
-	if !ok {
-		return Constraints{}, nil, fmt.Errorf("%w: job %q", ErrJobDeleted, b.Job)
-	}
-	if !job.Runnable() {
-		// The job survived a restart but its closure body did not; the
-		// build cannot run until someone re-edits the pipeline, and a
-		// queued build failing fast beats one pending forever.
-		return Constraints{}, nil, fmt.Errorf("%w: job %q has no pipeline body after recovery", ErrJobDeleted, b.Job)
-	}
-	return job.Constraints(), job.run, nil
 }
 
 // dispatch drains the queue in batches: one s.mu acquisition claims
@@ -1161,9 +1147,8 @@ const (
 // claiming every build that can start now (locks, counters and leases
 // are taken immediately, so later candidates in the same pass see the
 // updated state) and recording a stable pending reason for every build
-// it skips. It also collects CPU probes to launch; builds of deleted
-// jobs fail (and close their feeds through the hub) in place. Node
-// probes (CPU gating) never run under s.mu: fresh cache values decide
+// it skips. It also collects CPU probes to launch. Node probes (CPU
+// gating) never run under s.mu: fresh cache values decide
 // immediately; stale ones trigger a probe — in place for in-process
 // nodes, on a goroutine for remote ones — and the candidate is skipped
 // for this pass, so one hung node cannot delay dispatch (or Submit,
@@ -1173,9 +1158,9 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 	var probes []cpuProbe
 	now := s.clock.Now()
 	// The queue is compacted in place: w is the write index, engaged at
-	// the first removal (-1 until then). A pass that claims and fails
-	// nothing — every pass after saturation — leaves s.queue untouched
-	// and allocates nothing.
+	// the first claim (-1 until then). A pass that claims nothing —
+	// every pass after saturation — leaves s.queue untouched and
+	// allocates nothing.
 	w := -1
 	for i := 0; i < len(s.queue); i++ {
 		cand := s.queue[i]
@@ -1190,17 +1175,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			}
 			break
 		}
-		cons, run, err := s.pipelineLocked(cand)
-		if err != nil {
-			// Deleted job: fail the build immediately instead of
-			// skipping it forever.
-			s.uncountQueuedLocked(cand)
-			s.terminateLocked(cand, fmt.Errorf("build %d: %w (deleted while queued)", cand.ID, err))
-			if w < 0 {
-				w = i
-			}
-			continue
-		}
+		cons, run := cand.cons, cand.run
 
 		// Evaluate the skip conditions in priority order; the first
 		// failing check is by construction the highest-priority reason,
@@ -1218,7 +1193,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		var pl placement
 		if prio == prioNone {
 			var preason string
-			pl, preason = s.placeLocked(cons, cand.wireSpec != nil, now)
+			pl, preason = s.placeLocked(cons, now)
 			if pl.nodeName == "" {
 				prio, reason = prioNodeUnavailable, preason
 			}
@@ -1403,14 +1378,13 @@ func (s *Server) labelSaturatedLocked(tail []*Build) {
 
 // placeLocked resolves where a build may run right now: its preferred
 // node when registered and online, a peer-advertised vantage point of
-// the same name when the build is routable (it carries a wire spec the
-// relay can resubmit — closures cannot cross the wire), or — for
-// fallback-enabled builds — the highest-scoring online candidate, local
-// nodes and remote census entries scored by the same placer (remote
-// ones carry the ScoreWeights.Remote penalty). An empty nodeName comes
-// with the human-readable reason the build keeps waiting. Callers hold
-// s.mu.
-func (s *Server) placeLocked(cons Constraints, routable bool, now time.Time) (placement, string) {
+// the same name (the relay resubmits the build's wire spec there), or —
+// for fallback-enabled builds — the highest-scoring online candidate,
+// local nodes and remote census entries scored by the same placer
+// (remote ones carry the ScoreWeights.Remote penalty). An empty
+// nodeName comes with the human-readable reason the build keeps
+// waiting. Callers hold s.mu.
+func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string) {
 	rec := s.nodeRecs[cons.Node]
 	n, err := s.Nodes.Get(cons.Node)
 	// A removed node that reappeared through the plain registry path is
@@ -1439,7 +1413,7 @@ func (s *Server) placeLocked(cons Constraints, routable bool, now time.Time) (pl
 		reason = fmt.Sprintf("waiting for node %q to register", cons.Node)
 	}
 	var remotes []cluster.Candidate
-	if routable && s.peerRelay != nil {
+	if s.peerRelay != nil {
 		remotes = s.cluster.Candidates(now)
 	}
 	// Remote pinned: an online peer advertises a node with exactly the
@@ -1861,67 +1835,65 @@ func (s *Server) checkAging(b *Build) {
 		b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
 		b.mu.Unlock()
 	}
-	cons, _, err := s.pipelineLocked(b)
-	if err == nil {
-		now := s.clock.Now()
-		pl, _ := s.placeLocked(cons, b.wireSpec != nil, now)
-		if pl.nodeName != "" {
-			// Placeable: the wait is lock/executor pressure, not node
-			// loss. Keep watching in case the node dies later.
-			rearm()
-			s.mu.Unlock()
-			return
+	cons := b.cons
+	now := s.clock.Now()
+	pl, _ := s.placeLocked(cons, now)
+	if pl.nodeName != "" {
+		// Placeable: the wait is lock/executor pressure, not node
+		// loss. Keep watching in case the node dies later.
+		rearm()
+		s.mu.Unlock()
+		return
+	}
+	// Aging only fires when no viable node is alive: the preferred
+	// node, or — for fallback builds — any online monitored
+	// substitute. A live-but-busy node means the queue is draining
+	// and the build will run; killing it would lose campaign tails
+	// whose backlog on the survivor exceeds PendingTimeout.
+	rec := s.nodeRecs[cons.Node]
+	alive := false
+	if _, regErr := s.Nodes.Get(cons.Node); regErr == nil &&
+		(rec == nil || !rec.removed) && s.healthLocked(rec, now) != HealthOffline {
+		alive = true
+	}
+	if !alive && cons.Fallback {
+		for name, sub := range s.nodeRecs {
+			if name == cons.Node || !sub.monitored || sub.removed {
+				continue
+			}
+			if s.healthLocked(sub, now) != HealthOnline {
+				continue
+			}
+			if _, regErr := s.Nodes.Get(name); regErr == nil {
+				alive = true
+				break
+			}
 		}
-		// Aging only fires when no viable node is alive: the preferred
-		// node, or — for fallback builds — any online monitored
-		// substitute. A live-but-busy node means the queue is draining
-		// and the build will run; killing it would lose campaign tails
-		// whose backlog on the survivor exceeds PendingTimeout.
-		rec := s.nodeRecs[cons.Node]
-		alive := false
-		if _, regErr := s.Nodes.Get(cons.Node); regErr == nil &&
-			(rec == nil || !rec.removed) && s.healthLocked(rec, now) != HealthOffline {
-			alive = true
-		}
-		if !alive && cons.Fallback {
-			for name, sub := range s.nodeRecs {
-				if name == cons.Node || !sub.monitored || sub.removed {
-					continue
-				}
-				if s.healthLocked(sub, now) != HealthOnline {
-					continue
-				}
-				if _, regErr := s.Nodes.Get(name); regErr == nil {
+	}
+	if !alive && s.peerRelay != nil {
+		// Federation keeps pinned builds waiting too: a peer that is
+		// not offline and advertises the requested node (or, for
+		// fallback builds, any online node) may take the build on its
+		// next heartbeat.
+		for _, p := range s.cluster.Peers() {
+			if st, _, ok := s.cluster.PeerState(p.Name, now); !ok || st == cluster.StateOffline {
+				continue
+			}
+			for _, n := range p.Nodes {
+				if n.Name == cons.Node || (cons.Fallback && n.Health == api.HealthOnline) {
 					alive = true
 					break
 				}
 			}
-		}
-		if !alive && b.wireSpec != nil && s.peerRelay != nil {
-			// Federation keeps pinned builds waiting too: a peer that is
-			// not offline and advertises the requested node (or, for
-			// fallback builds, any online node) may take the build on its
-			// next heartbeat.
-			for _, p := range s.cluster.Peers() {
-				if st, _, ok := s.cluster.PeerState(p.Name, now); !ok || st == cluster.StateOffline {
-					continue
-				}
-				for _, n := range p.Nodes {
-					if n.Name == cons.Node || (cons.Fallback && n.Health == api.HealthOnline) {
-						alive = true
-						break
-					}
-				}
-				if alive {
-					break
-				}
+			if alive {
+				break
 			}
 		}
-		if alive {
-			rearm()
-			s.mu.Unlock()
-			return
-		}
+	}
+	if alive {
+		rearm()
+		s.mu.Unlock()
+		return
 	}
 	s.queueRemoveAtLocked(idx)
 	s.m.agedOut++

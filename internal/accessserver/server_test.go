@@ -2,6 +2,7 @@ package accessserver
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 type rig struct {
 	clk   *simclock.Virtual
 	srv   *Server
+	tb    *testBackend
 	ctl   *controller.Controller
 	admin *User
 	exp   *User
@@ -41,7 +43,12 @@ func newRig(t *testing.T) *rig {
 	admin, _ := srv.Users.Add("alice", RoleAdmin)
 	exp, _ := srv.Users.Add("bob", RoleExperimenter)
 	tst, _ := srv.Users.Add("tina", RoleTester)
-	return &rig{clk: clk, srv: srv, ctl: ctl, admin: admin, exp: exp, tst: tst}
+	return &rig{clk: clk, srv: srv, tb: backedServer(srv), ctl: ctl, admin: admin, exp: exp, tst: tst}
+}
+
+// job creates a job that runs run under cons (see testBackend.createJob).
+func (r *rig) job(user *User, name string, cons Constraints, run RunFunc) (Job, error) {
+	return r.tb.createJob(r.srv, user, name, cons, run)
 }
 
 func noopJob(ctx *BuildContext, done func(error)) { done(nil) }
@@ -109,11 +116,11 @@ func TestNodeApprovalGate(t *testing.T) {
 func TestJobApprovalWorkflow(t *testing.T) {
 	r := newRig(t)
 	// Experimenter creates: needs approval.
-	j, err := r.srv.CreateJob(r.exp, "exp1", Constraints{Node: "node1"}, noopJob)
+	j, err := r.job(r.exp, "exp1", Constraints{Node: "node1"}, noopJob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Approved() {
+	if j.Approved {
 		t.Fatal("experimenter job auto-approved")
 	}
 	if _, err := r.srv.Submit(r.exp, "exp1"); err == nil {
@@ -134,23 +141,23 @@ func TestJobApprovalWorkflow(t *testing.T) {
 		t.Fatalf("state = %v", b.State())
 	}
 	// Editing resets approval.
-	if err := r.srv.EditJob(r.exp, "exp1", Constraints{Node: "node1"}, noopJob); err != nil {
+	if err := r.srv.EditJob(r.exp, "exp1", jobSpec("exp1", Constraints{Node: "node1"})); err != nil {
 		t.Fatal(err)
 	}
-	if j.Approved() {
-		t.Fatal("edit kept approval")
+	if j, _ = r.srv.Job("exp1"); j.Approved || j.Revision != 2 {
+		t.Fatalf("after the edit: approved=%v revision=%d, want unapproved revision 2", j.Approved, j.Revision)
 	}
-	if j.Revision() != 2 {
-		t.Fatalf("revision = %d", j.Revision())
+	if _, err := r.srv.Submit(r.exp, "exp1"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("submit of the unapproved revision = %v, want ErrConflict", err)
 	}
 }
 
 func TestTesterCannotCreateOrRun(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.srv.CreateJob(r.tst, "x", Constraints{Node: "node1"}, noopJob); err == nil {
+	if _, err := r.job(r.tst, "x", Constraints{Node: "node1"}, noopJob); err == nil {
 		t.Fatal("tester created a job")
 	}
-	r.srv.CreateJob(r.admin, "x", Constraints{Node: "node1"}, noopJob)
+	r.job(r.admin, "x", Constraints{Node: "node1"}, noopJob)
 	if _, err := r.srv.Submit(r.tst, "x"); err == nil {
 		t.Fatal("tester ran a job")
 	}
@@ -158,17 +165,20 @@ func TestTesterCannotCreateOrRun(t *testing.T) {
 
 func TestJobValidation(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.srv.CreateJob(r.admin, "", Constraints{Node: "node1"}, noopJob); err == nil {
+	if _, err := r.job(r.admin, "", Constraints{Node: "node1"}, noopJob); err == nil {
 		t.Fatal("nameless job accepted")
 	}
-	if _, err := r.srv.CreateJob(r.admin, "j", Constraints{}, noopJob); err == nil {
+	if _, err := r.job(r.admin, "j", Constraints{}, noopJob); err == nil {
 		t.Fatal("nodeless job accepted")
 	}
-	if _, err := r.srv.CreateJob(r.admin, "j", Constraints{Node: "node1"}, nil); err == nil {
-		t.Fatal("bodyless job accepted")
+	if _, err := r.srv.CreateJob(r.admin, "j", jobSpec("unregistered", Constraints{Node: "node1"})); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("job naming an unknown workload: %v, want ErrNotFound", err)
 	}
-	r.srv.CreateJob(r.admin, "j", Constraints{Node: "node1"}, noopJob)
-	if _, err := r.srv.CreateJob(r.admin, "j", Constraints{Node: "node1"}, noopJob); err == nil {
+	if _, err := r.job(r.admin, "spec:j", Constraints{Node: "node1"}, noopJob); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("job name with the reserved spec: prefix: %v, want ErrInvalid", err)
+	}
+	r.job(r.admin, "j", Constraints{Node: "node1"}, noopJob)
+	if _, err := r.job(r.admin, "j", Constraints{Node: "node1"}, noopJob); err == nil {
 		t.Fatal("duplicate job accepted")
 	}
 }
@@ -177,7 +187,7 @@ func TestBuildRunsAgainstNode(t *testing.T) {
 	r := newRig(t)
 	serial := r.ctl.ListDevices()[0]
 	var sawDevices string
-	r.srv.CreateJob(r.admin, "probe", Constraints{Node: "node1", Device: serial},
+	r.job(r.admin, "probe", Constraints{Node: "node1", Device: serial},
 		func(ctx *BuildContext, done func(error)) {
 			out, err := ctx.Node.Exec("list_devices")
 			sawDevices = out
@@ -204,7 +214,7 @@ func TestDeviceLockSerializesBuilds(t *testing.T) {
 	serial := r.ctl.ListDevices()[0]
 	var order []int
 	mkJob := func(name string, id int) {
-		r.srv.CreateJob(r.admin, name, Constraints{Node: "node1", Device: serial},
+		r.job(r.admin, name, Constraints{Node: "node1", Device: serial},
 			func(ctx *BuildContext, done func(error)) {
 				order = append(order, id)
 				// Hold the device for 10 s of simulated time.
@@ -243,11 +253,11 @@ func TestDeviceLockSerializesBuilds(t *testing.T) {
 func TestNodeLockConflictsWithDeviceLock(t *testing.T) {
 	r := newRig(t)
 	serial := r.ctl.ListDevices()[0]
-	r.srv.CreateJob(r.admin, "dev", Constraints{Node: "node1", Device: serial},
+	r.job(r.admin, "dev", Constraints{Node: "node1", Device: serial},
 		func(ctx *BuildContext, done func(error)) {
 			r.clk.AfterFunc(10*time.Second, func() { done(nil) })
 		})
-	r.srv.CreateJob(r.admin, "node", Constraints{Node: "node1"},
+	r.job(r.admin, "node", Constraints{Node: "node1"},
 		func(ctx *BuildContext, done func(error)) { done(nil) })
 	r.srv.Submit(r.admin, "dev")
 	bn, _ := r.srv.Submit(r.admin, "node")
@@ -263,13 +273,14 @@ func TestNodeLockConflictsWithDeviceLock(t *testing.T) {
 func TestExecutorLimit(t *testing.T) {
 	clk := simclock.NewVirtual()
 	srv := New(clk, Config{Executors: 1})
+	tb := backedServer(srv)
 	admin, _ := srv.Users.Add("a", RoleAdmin)
 	for _, name := range []string{"node1", "node2"} {
 		ctl, _ := controller.New(clk, controller.Config{Name: name, Seed: 1})
 		srv.Nodes.Register(NewLocalNode(ctl))
 	}
 	mk := func(job, node string) {
-		srv.CreateJob(admin, job, Constraints{Node: node},
+		tb.createJob(srv, admin, job, Constraints{Node: node},
 			func(ctx *BuildContext, done func(error)) {
 				clk.AfterFunc(5*time.Second, func() { done(nil) })
 			})
@@ -290,7 +301,7 @@ func TestExecutorLimit(t *testing.T) {
 
 func TestBuildFailureRecorded(t *testing.T) {
 	r := newRig(t)
-	r.srv.CreateJob(r.admin, "bad", Constraints{Node: "node1"},
+	r.job(r.admin, "bad", Constraints{Node: "node1"},
 		func(ctx *BuildContext, done func(error)) {
 			done(errors.New("monsoon unreachable"))
 		})
@@ -305,7 +316,7 @@ func TestBuildFailureRecorded(t *testing.T) {
 
 func TestBuildPanicBecomesFailure(t *testing.T) {
 	r := newRig(t)
-	r.srv.CreateJob(r.admin, "panics", Constraints{Node: "node1"},
+	r.job(r.admin, "panics", Constraints{Node: "node1"},
 		func(ctx *BuildContext, done func(error)) {
 			panic("relay caught fire")
 		})
@@ -324,7 +335,7 @@ func TestWorkspaceRetention(t *testing.T) {
 	admin, _ := srv.Users.Add("a", RoleAdmin)
 	ctl, _ := controller.New(clk, controller.Config{Name: "node1", Seed: 1})
 	srv.Nodes.Register(NewLocalNode(ctl))
-	srv.CreateJob(admin, "j", Constraints{Node: "node1"},
+	backedServer(srv).createJob(srv, admin, "j", Constraints{Node: "node1"},
 		func(ctx *BuildContext, done func(error)) {
 			ctx.Build.Workspace().Save("current.csv", []byte("data"))
 			done(nil)
@@ -355,7 +366,7 @@ func TestLowCPUGate(t *testing.T) {
 	dev.Framebuffer().SetActivity(35, 1)
 	r.clk.Advance(time.Second)
 
-	r.srv.CreateJob(r.admin, "gated", Constraints{Node: "node1", RequireLowCPU: true}, noopJob)
+	r.job(r.admin, "gated", Constraints{Node: "node1", RequireLowCPU: true}, noopJob)
 	b, _ := r.srv.Submit(r.admin, "gated")
 	if b.State() != StateQueued {
 		t.Fatalf("state = %v, want queued behind CPU gate", b.State())
@@ -391,5 +402,93 @@ func TestQueueStats(t *testing.T) {
 	r := newRig(t)
 	if r.srv.QueueLength() != 0 || r.srv.Running() != 0 {
 		t.Fatal("dirty initial queue")
+	}
+}
+
+// TestQueuedBuildRunsApprovedRevision: a build is bound, when it is
+// submitted, to the revision an admin approved. An edit made while the
+// build waits in the queue must not change what it runs — that revision
+// was never approved.
+func TestQueuedBuildRunsApprovedRevision(t *testing.T) {
+	r := newRig(t)
+	serial := r.ctl.ListDevices()[0]
+	dev := Constraints{Node: "node1", Device: serial}
+	hold := func(ctx *BuildContext, done func(error)) {
+		r.clk.AfterFunc(10*time.Second, func() { done(nil) })
+	}
+	r.tb.handle("approved-workload", noopJob)
+	r.tb.handle("unreviewed-workload", noopJob)
+	if _, err := r.job(r.admin, "holder", dev, hold); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.srv.CreateJob(r.exp, "study", jobSpec("approved-workload", dev)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.srv.ApproveJob(r.admin, "study"); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := r.srv.Submit(r.admin, "holder"); err != nil { // takes the device lock
+		t.Fatal(err)
+	}
+	b, err := r.srv.Submit(r.exp, "study")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.State() != StateQueued {
+		t.Fatalf("study build is %v, want queued behind the device lock", b.State())
+	}
+	if err := r.srv.EditJob(r.exp, "study", jobSpec("unreviewed-workload", dev)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.srv.Submit(r.exp, "study"); !errors.Is(err, ErrConflict) {
+		t.Fatalf("submit of the edited, unapproved revision = %v, want ErrConflict", err)
+	}
+
+	r.clk.Advance(11 * time.Second) // the lock frees
+	if b.State() != StateSuccess {
+		t.Fatalf("study build is %v (%v), want success", b.State(), b.Err())
+	}
+	if got, want := r.tb.started(), []string{"holder", "approved-workload"}; !slices.Equal(got, want) {
+		t.Fatalf("pipelines started: %v, want %v — the queued build ran a revision nobody approved", got, want)
+	}
+}
+
+// TestJobChangesNeedOwnerOrAdmin: editing a job un-approves it and
+// deleting it fails its queued builds, so both are the owner's (or an
+// admin's) to do, not any experimenter's.
+func TestJobChangesNeedOwnerOrAdmin(t *testing.T) {
+	methods := map[string]func(r *rig, user *User) error{
+		"EditJob": func(r *rig, user *User) error {
+			return r.srv.EditJob(user, "study", jobSpec("study", Constraints{Node: "node1"}))
+		},
+		"DeleteJob": func(r *rig, user *User) error { return r.srv.DeleteJob(user, "study") },
+	}
+	for method, call := range methods {
+		for _, c := range []struct {
+			who  string
+			want error
+		}{
+			{"bystander", ErrForbidden},
+			{"tester", ErrForbidden},
+			{"owner", nil},
+			{"admin", nil},
+		} {
+			r := newRig(t)
+			bystander, _ := r.srv.Users.Add("carol", RoleExperimenter)
+			users := map[string]*User{"bystander": bystander, "tester": r.tst, "owner": r.exp, "admin": r.admin}
+			if _, err := r.job(r.exp, "study", Constraints{Node: "node1"}, noopJob); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.srv.ApproveJob(r.admin, "study"); err != nil {
+				t.Fatal(err)
+			}
+			if err := call(r, users[c.who]); !errors.Is(err, c.want) {
+				t.Errorf("%s by the %s: %v, want %v", method, c.who, err, c.want)
+			}
+			if j, err := r.srv.Job("study"); c.want != nil && (err != nil || !j.Approved || j.Revision != 1) {
+				t.Errorf("refused %s by the %s still changed the job: %+v, %v", method, c.who, j, err)
+			}
+		}
 	}
 }

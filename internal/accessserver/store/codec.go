@@ -280,7 +280,11 @@ func encodeRecord(rec Record) (payload []byte, ok bool, err error) {
 	}
 	e.str(rfName, rec.Name)
 	if rec.Job != nil {
-		e.bytes(rfJob, encodeJob(rec.Job))
+		b, err := encodeJob(rec.Job)
+		if err != nil {
+			return nil, false, err
+		}
+		e.bytes(rfJob, b)
 	}
 	if rec.Node != nil {
 		e.bytes(rfNode, encodeNode(rec.Node))
@@ -469,7 +473,7 @@ func decodeUser(b []byte) (*UserRec, error) {
 
 // --- JobRec ---------------------------------------------------------
 
-func encodeJob(j *JobRec) []byte {
+func encodeJob(j *JobRec) ([]byte, error) {
 	e := &enc{}
 	e.str(1, j.Name)
 	e.str(2, j.Owner)
@@ -479,7 +483,14 @@ func encodeJob(j *JobRec) []byte {
 	e.boolean(6, j.Fallback)
 	e.boolean(7, j.Approved)
 	e.svarint(8, int64(j.Revision))
-	return e.b
+	if j.Spec != nil {
+		sb, err := encodeSpec(j.Spec)
+		if err != nil {
+			return nil, err
+		}
+		e.bytes(9, sb)
+	}
+	return e.b, nil
 }
 
 func decodeJob(b []byte) (*JobRec, error) {
@@ -507,6 +518,12 @@ func decodeJob(b []byte) (*JobRec, error) {
 			j.Approved = d.uvarint() != 0
 		case 8:
 			j.Revision = int(d.svarint())
+		case 9:
+			s, err := decodeSpec(d.bytes())
+			if err != nil {
+				return nil, err
+			}
+			j.Spec = s
 		default:
 			d.skip(wire)
 		}

@@ -40,7 +40,7 @@ func codecVocabulary() []Record {
 	return []Record{
 		{T: TUserAdded, User: &UserRec{Name: "ana", Role: 2, Token: "tok-1"}},
 		{T: TUserRemoved, Name: "bo"},
-		{T: TJobPut, Job: &JobRec{Name: "exp", Owner: "ana", Node: "node1", Device: "dev", RequireLowCPU: true, Fallback: true, Approved: true, Revision: 3}},
+		{T: TJobPut, Job: &JobRec{Name: "exp", Owner: "ana", Node: "node1", Device: "dev", RequireLowCPU: true, Fallback: true, Spec: spec, Approved: true, Revision: 3}},
 		{T: TJobDeleted, Name: "old"},
 		{T: TNodeMonitored, Node: &NodeRec{Name: "node1", Owner: "ana", Monitored: true, Draining: true, Removed: true, Devices: []string{"a", "b"}, OwedHostingNS: -5}},
 		{T: TNodeOwner, Name: "node1", Owner: "ana"},

@@ -128,19 +128,21 @@ type UserRec struct {
 	Token string `json:"token"`
 }
 
-// JobRec is a stored pipeline's metadata. The pipeline body is a Go
-// closure and cannot be serialized: a job recovered from a JobRec keeps
-// its name, constraints, approval and revision but needs EditJob to
-// reinstall the body before it can run again.
+// JobRec is a stored pipeline: its spec, approval and revision. Node,
+// Device, RequireLowCPU and Fallback are what servers wrote before jobs
+// stored their spec (the body was a Go closure then); they are kept so
+// old logs replay unchanged, and nothing reads them. A record without a
+// Spec recovers as a job that cannot compile until it is edited.
 type JobRec struct {
-	Name          string `json:"name"`
-	Owner         string `json:"owner"`
-	Node          string `json:"node"`
-	Device        string `json:"device,omitempty"`
-	RequireLowCPU bool   `json:"require_low_cpu,omitempty"`
-	Fallback      bool   `json:"fallback,omitempty"`
-	Approved      bool   `json:"approved,omitempty"`
-	Revision      int    `json:"revision"`
+	Name          string              `json:"name"`
+	Owner         string              `json:"owner"`
+	Node          string              `json:"node,omitempty"`
+	Device        string              `json:"device,omitempty"`
+	RequireLowCPU bool                `json:"require_low_cpu,omitempty"`
+	Fallback      bool                `json:"fallback,omitempty"`
+	Spec          *api.ExperimentSpec `json:"spec,omitempty"`
+	Approved      bool                `json:"approved,omitempty"`
+	Revision      int                 `json:"revision"`
 }
 
 // NodeRec is one vantage point's persisted lifecycle state. The live
@@ -162,9 +164,8 @@ type NodeRec struct {
 }
 
 // BuildRec is one build's persisted state. Spec carries the declarative
-// wire spec for spec builds, so recovery can recompile the pipeline
-// through the installed SpecBackend; job builds resolve their pipeline
-// from the job store as always.
+// wire spec the build was compiled from, so recovery can recompile the
+// pipeline through the installed SpecBackend.
 type BuildRec struct {
 	ID       int                 `json:"id"`
 	Job      string              `json:"job"`

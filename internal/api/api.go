@@ -8,10 +8,10 @@
 //
 // # Spec JSON schema (v1)
 //
-// An ExperimentSpec is the declarative replacement for the in-process
-// closure jobs of the original API: instead of shipping Go code, a
+// An ExperimentSpec is declarative: instead of shipping Go code, a
 // client names a workload from the server's registry and parameterizes
-// it. The canonical JSON shape:
+// it. The same spec is what a stored job (§3.1) holds. The canonical
+// JSON shape:
 //
 //	{
 //	  "node":     "node1",             // required: target vantage point
@@ -255,6 +255,29 @@ func (c *CampaignSpec) Validate() error {
 type SubmitResponse struct {
 	Build int    `json:"build"`
 	State string `json:"state"`
+}
+
+// JobInfo is one stored job (§3.1) on the wire: the experiment spec its
+// builds run, and whether an administrator has approved the current
+// revision. PUT /api/v1/jobs/{name} takes a bare ExperimentSpec and
+// answers with the JobInfo it produced.
+type JobInfo struct {
+	Name     string         `json:"name"`
+	Owner    string         `json:"owner"`
+	Spec     ExperimentSpec `json:"spec"`
+	Approved bool           `json:"approved"`
+	Revision int            `json:"revision"`
+}
+
+// RelaySink receives what a build relayed to a federation peer emits
+// on its executing server — events and samples as they stream, then
+// the terminal artifacts (traces, CPU CSVs) once the remote run
+// succeeds — so the home server can replay them into the home build's
+// feed and workspace.
+type RelaySink interface {
+	Event(e BuildEvent)
+	Sample(p SamplePoint)
+	Artifact(name string, data []byte)
 }
 
 // CampaignResponse acknowledges a campaign submission. Builds is

@@ -8,18 +8,19 @@ import (
 	"sync/atomic"
 
 	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 	"batterylab/internal/trace"
 )
 
-// This file bridges the experiment runner into the access server's job
-// queue — the paper's actual workflow (§3.1): experimenters create jobs,
-// an admin approves the pipeline, the queue dispatches when the target
-// device is free, and the power-meter logs land in the job's workspace.
-// Since the v1 remote API the same pipeline body also backs spec
-// builds: phase transitions and live samples flow into the build's
-// Feed, where the streaming endpoints pick them up, and the finished
-// run leaves a wire-level summary on the build.
+// This file bridges the experiment runner into the access server's
+// build queue — the paper's actual workflow (§3.1): experimenters create
+// jobs, an admin approves the pipeline, the queue dispatches when the
+// target device is free, and the power-meter logs land in the build's
+// workspace. Jobs and direct spec submissions share one pipeline body:
+// phase transitions and live samples flow into the build's Feed, where
+// the streaming endpoints pick them up, and the finished run leaves a
+// wire-level summary on the build.
 
 // Artifact names a measurement build saves into its workspace.
 const (
@@ -29,16 +30,17 @@ const (
 	ArtifactControllerCPU = "controller-cpu.csv"
 )
 
-// MeasurementJob wraps an ExperimentSpec as an access-server pipeline
-// body. The build succeeds when the measurement completes; the current
-// trace is stored as "current.csv" plus the compact binary
+// measurementJob wraps an ExperimentSpec as an access-server pipeline
+// body (what specBackend.Compile returns). The build succeeds when the
+// measurement completes; the current trace is stored as "current.csv"
+// plus the compact binary
 // "current.trace" (trace format v2 — at 5 kHz the CSV is ~3× larger),
 // and the CPU traces as "device-cpu.csv" / "controller-cpu.csv" in the
 // build workspace. The session's phase events and live samples are
 // forwarded to the build's feed, and Session.Cancel is registered as
 // the build's cancel hook, so remote clients can stream progress and
 // abort mid-run.
-func (p *Platform) MeasurementJob(spec ExperimentSpec) accessserver.RunFunc {
+func (p *Platform) measurementJob(spec ExperimentSpec) accessserver.RunFunc {
 	return func(ctx *accessserver.BuildContext, done func(error)) {
 		// Per-attempt copy: the captured spec is shared across dispatch
 		// attempts of this RunFunc, and an abandoned attempt may still
@@ -139,7 +141,7 @@ func (p *Platform) MeasurementJob(spec ExperimentSpec) accessserver.RunFunc {
 // HTTP consumer downstream cannot stall the capture loop.
 type feedObserver struct {
 	build int
-	feed  *accessserver.Feed
+	feed  *feedhub.Feed
 }
 
 // OnPhase implements Observer.
@@ -171,24 +173,17 @@ func (o feedObserver) OnSample(s Sample) {
 	})
 }
 
-// SubmitExperiment creates, and for admins immediately approves and
-// queues, a measurement job for spec. Experimenter-created jobs are left
-// awaiting the §3.1 admin approval; the returned build is nil in that
-// case. The spec is validated up front so a malformed submission fails
-// with a typed error before entering the queue.
-func (p *Platform) SubmitExperiment(user *accessserver.User, jobName string, spec ExperimentSpec) (*accessserver.Build, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cons := accessserver.Constraints{Node: spec.Node, Device: spec.Device}
-	if _, err := p.Access.CreateJob(user, jobName, cons, p.MeasurementJob(spec)); err != nil {
-		return nil, err
-	}
-	job, err := p.Access.Job(jobName)
+// SubmitExperiment creates a measurement job from spec and, when the
+// creator is an admin (whose own jobs are implicitly approved), queues a
+// build of it. Experimenter-created jobs are left awaiting the §3.1
+// admin approval; the returned build is nil in that case. A spec that
+// does not compile fails here, typed, before any job exists.
+func (p *Platform) SubmitExperiment(user *accessserver.User, jobName string, spec api.ExperimentSpec) (*accessserver.Build, error) {
+	job, err := p.Access.CreateJob(user, jobName, spec)
 	if err != nil {
 		return nil, err
 	}
-	if !job.Approved() {
+	if !job.Approved {
 		return nil, nil // awaiting admin approval
 	}
 	b, err := p.Access.Submit(user, jobName)

@@ -7,20 +7,18 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
-	"batterylab/internal/automation"
+	"batterylab/internal/api"
 	"batterylab/internal/browser"
 	"batterylab/internal/trace"
 )
 
-func browserSpec(r *rig, name string, pages int) ExperimentSpec {
-	prof, _ := browser.FindProfile(name)
-	return ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200,
-		Workload: func(drv automation.Driver) *automation.Script {
-			return browser.BuildWorkload(drv, prof.Package, browser.WorkloadOptions{
-				Pages:   browser.NewsSites()[:pages],
-				Scrolls: 2,
-			})
+func browserSpec(r *rig, name string, pages int) api.ExperimentSpec {
+	return api.ExperimentSpec{
+		Node: "node1", Device: r.serial,
+		Monitor: api.MonitorSpec{SampleRateHz: 200},
+		Workload: api.WorkloadSpec{
+			Name:   "browser",
+			Params: api.Params{"browser": name, "pages": pages, "scrolls": 2},
 		},
 	}
 }

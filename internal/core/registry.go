@@ -234,7 +234,7 @@ func (b specBackend) Compile(ws api.ExperimentSpec) (accessserver.Constraints, a
 		RequireLowCPU: ws.Constraints.RequireLowCPU,
 		Fallback:      ws.Constraints.AllowFallback,
 	}
-	return cons, b.p.MeasurementJob(spec), nil
+	return cons, b.p.measurementJob(spec), nil
 }
 
 // WorkloadNames implements accessserver.SpecBackend.

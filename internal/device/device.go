@@ -151,7 +151,7 @@ func New(clock simclock.Clock, cfg Config) (*Device, error) {
 	d.fb = newFramebuffer()
 
 	// Assemble the rail. Coefficients are calibrated so that the §4
-	// workloads land in the paper's reported ranges (see DESIGN.md).
+	// workloads land in the paper's reported ranges.
 	for _, c := range []power.Component{
 		power.NewConstant("soc-base", 22), // SoC, sensors, PMIC overhead
 		d.cpu,

@@ -7,13 +7,15 @@ import (
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/adb"
+	"batterylab/internal/api"
 	"batterylab/internal/mirror"
+	"batterylab/internal/simclock"
 	"batterylab/internal/stats"
 	"batterylab/internal/video"
 )
 
-// This file holds the ablation studies DESIGN.md calls out: each
-// isolates one design choice of the platform and quantifies its cost.
+// This file holds the ablation studies: each isolates one design choice
+// of the platform and quantifies its cost.
 
 // RelayOverheadReport quantifies the circuit switch's measurement cost
 // (the design choice behind Fig. 2's "negligible difference" claim).
@@ -287,6 +289,7 @@ func AblationScheduler(opts Options) ([]SchedulerRow, error) {
 			return SchedulerRow{}, err
 		}
 		srv := env.Plat.Access
+		srv.SetSpecBackend(holdBackend{clk: env.Clk, dur: jobDur})
 		admin, err := srv.Users.Add("sched-admin", accessserver.RoleAdmin)
 		if err != nil {
 			return SchedulerRow{}, err
@@ -295,16 +298,12 @@ func AblationScheduler(opts Options) ([]SchedulerRow, error) {
 		var builds []*accessserver.Build
 		start := env.Clk.Now()
 		for i := 0; i < jobsPerDevice*2; i++ {
-			cons := accessserver.Constraints{Node: "node1"}
+			spec := api.ExperimentSpec{Node: "node1", Workload: api.WorkloadSpec{Name: "hold"}}
 			if perDevice {
-				cons.Device = serials[i%2]
+				spec.Device = serials[i%2]
 			}
 			name := fmt.Sprintf("job-%v-%d", perDevice, i)
-			_, err := srv.CreateJob(admin, name, cons,
-				func(ctx *accessserver.BuildContext, done func(error)) {
-					env.Clk.AfterFunc(jobDur, func() { done(nil) })
-				})
-			if err != nil {
+			if _, err := srv.CreateJob(admin, name, spec); err != nil {
 				return SchedulerRow{}, err
 			}
 			b, err := srv.Submit(admin, name)
@@ -353,6 +352,23 @@ func AblationScheduler(opts Options) ([]SchedulerRow, error) {
 	}
 	return []SchedulerRow{perDev, wholeNode}, nil
 }
+
+// holdBackend is AblationScheduler's spec backend: every build holds
+// its lock for dur of simulated time. A spec that names no device
+// compiles to whole-node constraints — the policy under comparison.
+type holdBackend struct {
+	clk simclock.Clock
+	dur time.Duration
+}
+
+func (h holdBackend) Compile(spec api.ExperimentSpec) (accessserver.Constraints, accessserver.RunFunc, error) {
+	run := func(_ *accessserver.BuildContext, done func(error)) {
+		h.clk.AfterFunc(h.dur, func() { done(nil) })
+	}
+	return accessserver.Constraints{Node: spec.Node, Device: spec.Device}, run, nil
+}
+
+func (holdBackend) WorkloadNames() []string { return []string{"hold"} }
 
 // mirrorDefaultCap re-exports the default bitrate for reports.
 const mirrorDefaultCap = mirror.DefaultBitrateMbps

@@ -2,7 +2,7 @@
 // figure and table has a function that builds a fresh simulated
 // deployment, runs the corresponding workload, and returns the same rows
 // or series the paper reports. The bench harness (bench_test.go,
-// cmd/blab-bench) and EXPERIMENTS.md are generated from these.
+// cmd/blab-bench) prints these.
 package experiments
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // The Format helpers render experiment results as the text tables
-// cmd/blab-bench prints and EXPERIMENTS.md embeds.
+// cmd/blab-bench prints.
 
 func table(f func(w *tabwriter.Writer)) string {
 	var b strings.Builder

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"batterylab"
-	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/cluster"
 	"batterylab/internal/api"
 	"batterylab/internal/core"
@@ -83,11 +82,8 @@ func newFedLab(t *testing.T) *fedLab {
 	t.Cleanup(tsB.Close)
 	a.Access.ConfigureCluster("lab-a", tsA.URL, fedToken)
 	b.Access.ConfigureCluster("lab-b", tsB.URL, fedToken)
-	relay := func(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink accessserver.PeerSink) (*api.BuildStatus, error) {
-		return remote.Relay(ctx, peerURL, token, spec, sink)
-	}
-	a.Access.SetPeerRelay(relay)
-	b.Access.SetPeerRelay(relay)
+	a.Access.SetPeerRelay(remote.Relay)
+	b.Access.SetPeerRelay(remote.Relay)
 
 	fl := &fedLab{clock: clock, a: a, b: b, tsA: tsA, tsB: tsB, devices: []string{devA, devB}}
 	stop := make(chan struct{})

@@ -23,17 +23,6 @@ import (
 // is the same v1 surface any remote client speaks, authenticated with
 // the shared cluster token instead of a user token.
 
-// RelaySink receives the relayed build's wire records as they stream
-// from the executing peer, and its terminal artifacts once the remote
-// build succeeds. It is structurally identical to
-// accessserver.PeerSink, so an accessserver sink value passes straight
-// through without an adapter.
-type RelaySink interface {
-	Event(e api.BuildEvent)
-	Sample(p api.SamplePoint)
-	Artifact(name string, data []byte)
-}
-
 // Relay runs one experiment spec on the peer access server at peerURL
 // on behalf of a home server: submit, stream events and samples into
 // sink until the remote build settles, fetch and return its terminal
@@ -42,7 +31,7 @@ type RelaySink interface {
 // experiment failed; failure comes back as a status with State
 // "failure". Cancelling ctx cancels the remote build (best effort)
 // before returning.
-func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink RelaySink) (*api.BuildStatus, error) {
+func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, sink api.RelaySink) (*api.BuildStatus, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -59,7 +48,7 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 
 // followRelay attaches the relay streams to a submitted peer build and
 // resolves its terminal status.
-func (p *Platform) followRelay(ctx context.Context, build int, sink RelaySink) (*api.BuildStatus, error) {
+func (p *Platform) followRelay(ctx context.Context, build int, sink api.RelaySink) (*api.BuildStatus, error) {
 	sctx, scancel := context.WithCancel(ctx)
 	defer scancel()
 	var wg sync.WaitGroup
@@ -96,7 +85,7 @@ func (p *Platform) followRelay(ctx context.Context, build int, sink RelaySink) (
 
 // relayArtifacts copies the remote build's workspace (current trace,
 // CPU CSVs, logs) into the sink, byte for byte.
-func (p *Platform) relayArtifacts(ctx context.Context, build int, sink RelaySink) error {
+func (p *Platform) relayArtifacts(ctx context.Context, build int, sink api.RelaySink) error {
 	var names []string
 	if err := p.doJSONIdempotent(ctx, http.MethodGet, p.url("/api/v1/builds/%d/artifacts", build), nil, &names); err != nil {
 		return fmt.Errorf("remote: listing relayed build %d's artifacts: %w", build, err)
@@ -115,7 +104,7 @@ func (p *Platform) relayArtifacts(ctx context.Context, build int, sink RelaySink
 // resuming a dropped connection from the last seen Seq. An epoch reset
 // (the peer restarted and recovered the build) restarts the cursor:
 // the recovered build re-executes, so its feed is a fresh capture.
-func (p *Platform) relayEvents(ctx context.Context, build int, sink RelaySink) {
+func (p *Platform) relayEvents(ctx context.Context, build int, sink api.RelaySink) {
 	cursor := 0
 	p.runStream(ctx, build, "/api/v1/builds/%d/events",
 		func() int { return cursor },
@@ -137,7 +126,7 @@ func (p *Platform) relayEvents(ctx context.Context, build int, sink RelaySink) {
 
 // relaySamples streams the peer build's binary sample frames into the
 // sink, counting points for the resume cursor.
-func (p *Platform) relaySamples(ctx context.Context, build int, sink RelaySink) {
+func (p *Platform) relaySamples(ctx context.Context, build int, sink api.RelaySink) {
 	cursor := 0
 	p.runStream(ctx, build, "/api/v1/builds/%d/samples",
 		func() int { return cursor },
