@@ -111,3 +111,107 @@ func (s *Server) QueueDrift() error {
 	}
 	return nil
 }
+
+// LifecycleDrift recomputes from s.builds alone everything the four
+// lifecycle transitions maintain incrementally — the lock table, the
+// running counts, the queue's membership, the owner counts, the metrics
+// gauges — and checks each build's own bookkeeping against its state. It
+// describes the first difference (nil when there is none).
+func (s *Server) LifecycleDrift() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	inQueue := map[*Build]bool{}
+	for _, b := range s.queue {
+		if inQueue[b] {
+			return fmt.Errorf("build %d is in the queue twice", b.ID)
+		}
+		inQueue[b] = true
+	}
+	locks := map[string]int{}
+	campRunning, nodeRunning := map[int]int{}, map[string]int{}
+	ownerRunning, ownerActive := map[string]int{}, map[string]int{}
+	var running, queued, waiting int
+	for id, b := range s.builds {
+		b.mu.Lock()
+		state, node, peer := b.state, b.nodeName, b.routedVia
+		lease, retry, aging := b.leaseTimer != nil, b.retryTimer != nil, b.agingTimer != nil
+		b.mu.Unlock()
+		switch state {
+		case StateRunning:
+			running++
+			ownerRunning[b.Owner]++
+			ownerActive[b.Owner]++
+			if s.campaigns[b.campaign] != nil {
+				campRunning[b.campaign]++
+			}
+			if peer == "" {
+				nodeRunning[node]++
+			}
+			if len(b.heldLocks) == 0 {
+				return fmt.Errorf("running build %d holds no lock", id)
+			}
+			for _, k := range b.heldLocks {
+				if other, dup := locks[k]; dup {
+					return fmt.Errorf("builds %d and %d both hold %q", other, id, k)
+				}
+				locks[k] = id
+			}
+			if inQueue[b] || retry || aging {
+				return fmt.Errorf("running build %d: in queue %v, retry timer %v, aging timer %v", id, inQueue[b], retry, aging)
+			}
+		case StateQueued:
+			queued++
+			ownerActive[b.Owner]++
+			// In the queue, or sitting out a failover backoff — exactly one.
+			if inQueue[b] == retry {
+				return fmt.Errorf("queued build %d: in queue %v, retry timer %v", id, inQueue[b], retry)
+			}
+			if inQueue[b] {
+				waiting++
+			}
+			if b.heldLocks != nil || lease || aging != inQueue[b] {
+				return fmt.Errorf("queued build %d: holds %v, lease timer %v, aging timer %v (in queue %v)", id, b.heldLocks, lease, aging, inQueue[b])
+			}
+		default:
+			if !b.feed.Closed() || lease || retry || aging || b.heldLocks != nil || inQueue[b] {
+				return fmt.Errorf("%s build %d: feed closed %v, timers %v/%v/%v, holds %v, in queue %v",
+					state, id, b.feed.Closed(), lease, retry, aging, b.heldLocks, inQueue[b])
+			}
+		}
+		if st, ok := s.reads.buildStatus(id); !ok || st.State != state.String() {
+			return fmt.Errorf("build %d is %s, the read plane serves %q (published %v)", id, state, st.State, ok)
+		}
+	}
+	if waiting != len(s.queue) {
+		return fmt.Errorf("the queue holds %d builds, %d of them known queued builds", len(s.queue), waiting)
+	}
+	if !reflect.DeepEqual(s.locks, locks) {
+		return fmt.Errorf("lock table %v, running builds hold %v", s.locks, locks)
+	}
+	if s.running != running || s.m.running != int64(running) || s.m.queued != int64(queued) {
+		return fmt.Errorf("running %d (gauge %d), queued gauge %d; the builds count %d running, %d queued",
+			s.running, s.m.running, s.m.queued, running, queued)
+	}
+	if sum := s.m.queued + s.m.running + s.m.succeeded + s.m.failed + s.m.aborted; s.m.submitted != sum {
+		return fmt.Errorf("%d builds submitted, the live and finished counters sum to %d", s.m.submitted, sum)
+	}
+	if !reflect.DeepEqual(s.ownerRunning, ownerRunning) || !reflect.DeepEqual(s.ownerActive, ownerActive) {
+		return fmt.Errorf("owner counts running %v active %v, the builds count %v and %v",
+			s.ownerRunning, s.ownerActive, ownerRunning, ownerActive)
+	}
+	for id, rec := range s.campaigns {
+		if rec.running != campRunning[id] {
+			return fmt.Errorf("campaign %d counts %d running, its builds %d", id, rec.running, campRunning[id])
+		}
+	}
+	for name, rec := range s.nodeRecs {
+		if rec.running != nodeRunning[name] {
+			return fmt.Errorf("node %q counts %d running, the local builds on it %d", name, rec.running, nodeRunning[name])
+		}
+		delete(nodeRunning, name)
+	}
+	if len(nodeRunning) > 0 {
+		return fmt.Errorf("builds run on nodes without a lifecycle record: %v", nodeRunning)
+	}
+	return nil
+}

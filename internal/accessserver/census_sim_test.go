@@ -1,6 +1,7 @@
 package accessserver_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +12,8 @@ import (
 
 // observeCensus makes a script fail the test at the first event after
 // which the incrementally published census differs from a full rebuild,
-// or the queue's own bookkeeping no longer holds.
+// the queue's own bookkeeping no longer holds, or what the lifecycle
+// transitions maintain differs from a recount over the builds.
 func observeCensus(t *testing.T, script *schedsim.Script) *int {
 	t.Helper()
 	events := new(int)
@@ -21,6 +23,9 @@ func observeCensus(t *testing.T, script *schedsim.Script) *int {
 			t.Fatalf("after event %d: %v", *events, err)
 		}
 		if err := srv.QueueDrift(); err != nil {
+			t.Fatalf("after event %d: %v", *events, err)
+		}
+		if err := srv.LifecycleDrift(); err != nil {
 			t.Fatalf("after event %d: %v", *events, err)
 		}
 	}
@@ -190,6 +195,96 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 	}
 	if deleted == 0 {
 		t.Fatal("no job build failed under DeleteJob: the delete path was not exercised")
+	}
+}
+
+// TestLifecycleMatchesRecountChurnScript drives the transitions through
+// their other callers: nodes dying under running builds (one comes back),
+// an abort of a running build whose node then dies, an abort of a build
+// sitting out its failover backoff, and a node removed under the builds
+// queued for it.
+func TestLifecycleMatchesRecountChurnScript(t *testing.T) {
+	script := schedsim.Script{
+		Nodes: []schedsim.NodeSpec{
+			{Name: "a", Devices: []string{"pixel4-a"}, KillAt: 12 * time.Second, ReviveAt: 90 * time.Second},
+			{Name: "b", Devices: []string{"pixel4-b"}, KillAt: 21 * time.Second},
+			{Name: "c", Devices: []string{"motog5-c"}},
+		},
+	}
+	pin := []struct{ node, dev string }{{"a", "pixel4-a"}, {"b", "pixel4-b"}, {"c", "motog5-c"}}
+	for i := 0; i < 18; i++ {
+		p := pin[i%len(pin)]
+		script.Builds = append(script.Builds, schedsim.BuildSpec{
+			Owner: "ana", Node: p.node, Device: p.dev, Fallback: i%2 == 0,
+			Duration: time.Duration(15+i%4) * time.Second,
+			SubmitAt: time.Duration(i/3) * time.Second,
+		})
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var admin *accessserver.User
+	var canceledOnA, abortedInBackoff *accessserver.Build
+	script.Actions = []schedsim.Action{
+		{Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			var err error
+			admin, err = srv.Users.Add("root", accessserver.RoleAdmin)
+			must(err)
+		}},
+		{At: 10 * time.Second, Do: func(srv *accessserver.Server, builds []*accessserver.Build) {
+			// The script's pipelines register no cancel hook: the build keeps
+			// running with the flag armed, and a dies under it at 12 s.
+			for _, b := range builds {
+				if b != nil && b.State() == accessserver.StateRunning && b.NodeName() == "a" {
+					must(srv.Abort(admin, b.ID))
+					canceledOnA = b
+				}
+			}
+		}},
+		{At: 43 * time.Second, Do: func(srv *accessserver.Server, builds []*accessserver.Build) {
+			// b's lease broke at 41 s; its build waits out a 5 s backoff.
+			for _, b := range builds {
+				if b != nil && b.State() == accessserver.StateQueued && b.Retries() > 0 && b.NodeName() == "b" {
+					must(srv.Abort(admin, b.ID))
+					if b.State() != accessserver.StateAborted {
+						t.Errorf("build %d aborted in its backoff reads %s", b.ID, b.State())
+					}
+					abortedInBackoff = b
+					break
+				}
+			}
+		}},
+		{At: 60 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			must(srv.RemoveNode(admin, "b"))
+		}},
+	}
+	events := observeCensus(t, &script)
+	res, err := schedsim.Run(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *events < 50 {
+		t.Fatalf("only %d events observed", *events)
+	}
+	if canceledOnA == nil || canceledOnA.State() != accessserver.StateAborted || canceledOnA.Attempts() != 1 {
+		t.Fatalf("the build canceled on a before it died: %+v, want aborted on its only attempt", canceledOnA)
+	}
+	if abortedInBackoff == nil {
+		t.Fatal("no build was sitting out a backoff at 43 s: the abort-in-backoff path was not exercised")
+	}
+	states := map[string]int{}
+	removed := 0
+	for _, b := range res.Builds {
+		states[b.State]++
+		if b.NodeLost && strings.Contains(b.Err, "removed") {
+			removed++
+		}
+	}
+	if states["success"] == 0 || states["aborted"] < 2 || removed == 0 {
+		t.Fatalf("script outcome %v, %d failed by the removal: want successes, both aborts and removal failures", states, removed)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // TestCensusMatchesOracleAfterRecovery crashes a server mid-campaign —
 // builds running, queued behind a drained node and queued for a removed
 // one — and requires the census a recovered server serves to equal a
-// full rebuild straight after AttachStore, and again after every clock
-// deadline of the re-drain.
+// full rebuild, and its lifecycle bookkeeping a recount over its builds,
+// straight after AttachStore and again after every clock deadline of the
+// re-drain.
 func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
 	boot := func() (*simclock.Virtual, *Server, *store.Store) {
@@ -40,15 +41,9 @@ func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 		}
 		return clk, srv, st
 	}
-	check := func(srv *Server, when string) {
-		t.Helper()
-		if err := srv.CensusDrift(); err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-	}
 
 	clk, srv, st := boot()
-	check(srv, "first boot")
+	checkLifecycle(t, srv, "first boot")
 	admin, err := srv.Users.Add("alice", RoleAdmin)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +69,7 @@ func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(30 * time.Second)
-	check(srv, "before the crash")
+	checkLifecycle(t, srv, "before the crash")
 	if srv.Running() != 2 || srv.QueueLength() == 0 {
 		t.Fatalf("pre-crash: %d running, %d queued; want 2 running and a backlog", srv.Running(), srv.QueueLength())
 	}
@@ -82,7 +77,7 @@ func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 
 	clk2, srv2, st2 := boot()
 	defer st2.Close()
-	check(srv2, "after AttachStore")
+	checkLifecycle(t, srv2, "after AttachStore")
 	if e, ok := srv2.reads.node("node2"); !ok || !e.Draining || e.Queued != 3 {
 		t.Fatalf("recovered node2 row = %+v, want draining with 3 queued", e)
 	}
@@ -102,7 +97,7 @@ func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 			t.Fatal("stalled: no pending timers")
 		}
 		clk2.RunUntil(next)
-		check(srv2, "re-drain at "+clk2.Now().Sub(simclock.Epoch).String())
+		checkLifecycle(t, srv2, "re-drain at "+clk2.Now().Sub(simclock.Epoch).String())
 	}
 }
 

@@ -343,7 +343,7 @@ func (s *Server) relayRun(b *Build, pl placement) RunFunc {
 				if err == nil {
 					reason = fmt.Sprintf("peer %q relay returned no status", peer)
 				}
-				s.peerLost(b, attempt, peer, reason)
+				s.peerLost(b, attempt, reason)
 			}
 		}()
 	}
@@ -371,11 +371,7 @@ type relaySink struct {
 	node    string
 }
 
-func (rs *relaySink) live() bool {
-	rs.b.mu.Lock()
-	defer rs.b.mu.Unlock()
-	return rs.b.attempt == rs.attempt && rs.b.state == StateRunning
-}
+func (rs *relaySink) live() bool { return rs.b.live(rs.attempt) }
 
 // Event implements api.RelaySink.
 func (rs *relaySink) Event(e api.BuildEvent) {
@@ -407,91 +403,36 @@ func (rs *relaySink) Artifact(name string, data []byte) {
 	rs.b.Workspace().Save(name, data)
 }
 
-// peerLost fails over one routed build after its relay broke. The
-// (attempt, peer) pair gates staleness: a late relay error from a
-// reclaimed attempt is a no-op.
-func (s *Server) peerLost(b *Build, attempt int, peer, reason string) {
+// peerLost reclaims one routed build after its relay broke. A late
+// relay error from an attempt already reclaimed is a no-op.
+func (s *Server) peerLost(b *Build, attempt int, reason string) {
 	s.mu.Lock()
-	b.mu.Lock()
-	stale := b.state != StateRunning || b.attempt != attempt || b.routedVia != peer
-	b.mu.Unlock()
-	if stale {
+	if !b.live(attempt) {
 		s.mu.Unlock()
 		return
 	}
 	s.m.clusterPeerLost++
-	cancel := s.failoverLocked(b, reason)
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.dispatch()
+	s.reclaimUnlock(reason, b)
 }
 
-// checkPeerLease is the routed build's lease watchdog — checkLease with
-// the peer's heartbeat in place of the node's. While the peer keeps
-// announcing, the lease re-arms off its latest beat; once it has been
-// silent a full offline window, the build fails over.
-func (s *Server) checkPeerLease(b *Build, attempt int, peer string) {
-	s.mu.Lock()
-	b.mu.Lock()
-	if b.state != StateRunning || b.attempt != attempt || b.routedVia != peer {
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	b.mu.Unlock()
-	now := s.clock.Now()
-	if p, ok := s.cluster.Peer(peer); ok &&
-		!p.LastBeat.IsZero() && now.Sub(p.LastBeat) < s.cfg.OfflineAfter {
-		next := p.LastBeat.Add(s.cfg.OfflineAfter).Sub(now)
-		if next < s.cfg.PeerHeartbeatEvery {
-			next = s.cfg.PeerHeartbeatEvery
-		}
-		b.mu.Lock()
-		b.leaseTimer = s.clock.AfterFunc(next, func() { s.checkPeerLease(b, attempt, peer) })
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	s.m.clusterPeerLost++
-	cancel := s.failoverLocked(b, fmt.Sprintf("peer %q lost (no announce within %s)", peer, s.cfg.OfflineAfter))
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.dispatch()
-}
-
-// reclaimPeer fails over every running build routed via the named peer
+// reclaimPeer reclaims every running build routed via the named peer
 // (the sweep found it left the online state, or an admin evicted it).
 // Builds reclaim in id order so virtual-clock runs stay deterministic.
 func (s *Server) reclaimPeer(peer string) {
 	s.mu.Lock()
 	var lost []*Build
 	for _, b := range s.builds {
-		b.mu.Lock()
-		routed := b.state == StateRunning && b.routedVia == peer
-		b.mu.Unlock()
-		if routed {
+		if b.State() == StateRunning && b.RoutedVia() == peer {
 			lost = append(lost, b)
 		}
 	}
+	if len(lost) == 0 {
+		s.mu.Unlock()
+		return
+	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	var cancels []func()
-	for _, b := range lost {
-		s.m.clusterPeerLost++
-		if c := s.failoverLocked(b, fmt.Sprintf("peer %q left the cluster's online set", peer)); c != nil {
-			cancels = append(cancels, c)
-		}
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	if len(lost) > 0 {
-		s.dispatch()
-	}
+	s.m.clusterPeerLost += int64(len(lost))
+	s.reclaimUnlock(fmt.Sprintf("peer %q left the cluster's online set", peer), lost...)
 }
 
 // compileForPeer is the cross-server fallback behind SubmitSpec and

@@ -151,30 +151,33 @@ func (s *Server) recLocked(name string) *nodeRec {
 	return rec
 }
 
-// healthLocked computes a node's state at now. Offline outranks
-// draining: a node that dies mid-drain must still break its build
-// leases — draining only labels the alive states, where its meaning
-// (no new dispatch, running builds finish) applies. Callers hold s.mu.
-func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
-	if rec == nil {
-		return HealthOnline // unmonitored, never drained: pre-health behavior
-	}
-	if rec.removed {
+// healthAt is the one health rule: a node's state at now from its
+// registry membership, its lifecycle flags and its last heartbeat.
+// Offline outranks draining: a node that dies mid-drain must still break
+// its build leases — draining only labels the alive states, where its
+// meaning (no new dispatch, running builds finish) applies. Unmonitored
+// nodes have no heartbeat to miss and are online while registered.
+func (s *Server) healthAt(registered, removed, monitored, draining bool, lastBeat, now time.Time) Health {
+	silence := now.Sub(lastBeat)
+	switch {
+	case !registered, removed, monitored && silence >= s.cfg.OfflineAfter:
 		return HealthOffline
-	}
-	if rec.monitored && now.Sub(rec.lastBeat) >= s.cfg.OfflineAfter {
-		return HealthOffline
-	}
-	if rec.draining {
+	case draining:
 		return HealthDraining
-	}
-	if !rec.monitored {
-		return HealthOnline
-	}
-	if now.Sub(rec.lastBeat) < s.cfg.SuspectAfter {
+	case !monitored, silence < s.cfg.SuspectAfter:
 		return HealthOnline
 	}
 	return HealthSuspect
+}
+
+// healthLocked is healthAt for a registered node's lifecycle record (nil
+// for a node that never needed one: unmonitored, never drained). Callers
+// hold s.mu.
+func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
+	if rec == nil {
+		return HealthOnline
+	}
+	return s.healthAt(true, rec.removed, rec.monitored, rec.draining, rec.lastBeat, now)
 }
 
 // MonitorNode arms heartbeat-driven health tracking for a registered
@@ -442,35 +445,12 @@ func (s *Server) NodeHealth(name string) NodeStatus {
 	return s.nodeStatusLocked(name)
 }
 
-// HealthOf reports a node's lifecycle state plus, for monitored nodes,
-// the cached device list — O(1), no queue scan and no network round
-// trip. The fleet listing uses it; NodeHealth serves the full
-// snapshot. monitored=false means the caller must list devices live if
-// it wants them.
+// HealthOf is NodeHealth reduced to the lifecycle state, the cached
+// device list and the monitored bit. monitored=false means the caller
+// must list devices live if it wants them.
 func (s *Server) HealthOf(name string) (health Health, devices []string, monitored bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	registered := false
-	if _, err := s.Nodes.Get(name); err == nil {
-		registered = true
-	}
-	rec := s.nodeRecs[name]
-	if rec == nil {
-		if registered {
-			return HealthOnline, nil, false
-		}
-		return HealthOffline, nil, false
-	}
-	// A removed node that reappeared through the plain registry path is
-	// back: clear the tombstone so it is not reported (and skipped by
-	// placement) as removed forever.
-	if rec.removed && registered {
-		rec.removed = false
-	}
-	if !registered && !rec.removed {
-		return HealthOffline, nil, rec.monitored
-	}
-	return s.healthLocked(rec, s.clock.Now()), append([]string(nil), rec.devices...), rec.monitored
+	st := s.NodeHealth(name)
+	return st.Health, st.Devices, st.Monitored
 }
 
 func (s *Server) nodeStatusLocked(name string) NodeStatus {
@@ -491,11 +471,7 @@ func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
 		registered = true
 	}
 	if rec == nil {
-		if registered {
-			st.Health = HealthOnline
-		} else {
-			st.Health = HealthOffline
-		}
+		st.Health = s.healthAt(registered, false, false, false, time.Time{}, now)
 		return st, registered
 	}
 	if rec.removed && registered {
@@ -511,11 +487,7 @@ func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
 	st.Beats = rec.beats
 	st.Flaps = rec.flaps
 	st.Failovers = rec.failovers
-	if !registered && !rec.removed {
-		st.Health = HealthOffline
-	} else {
-		st.Health = s.healthLocked(rec, now)
-	}
+	st.Health = s.healthAt(registered, rec.removed, rec.monitored, rec.draining, rec.lastBeat, now)
 	return st, registered
 }
 

@@ -145,7 +145,10 @@ type Build struct {
 	queuedOn string
 	// queueSeq is the build's position in the order builds entered the
 	// dispatch queue (a requeue takes a new one). Guarded by s.mu.
-	queueSeq   uint64
+	queueSeq uint64
+	// heldLocks are the lock-table keys the running attempt holds, nil
+	// when the build holds nothing — the one record of what claimLocked
+	// took and releaseLocked must give back. Guarded by s.mu.
 	heldLocks  []string
 	leaseTimer simclock.Timer
 	retryTimer simclock.Timer
@@ -157,6 +160,14 @@ func (b *Build) State() BuildState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
+}
+
+// live reports whether attempt is the build's current dispatch and still
+// running — false once the scheduler reclaimed or settled it.
+func (b *Build) live(attempt int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == StateRunning && b.attempt == attempt
 }
 
 // Attempts reports how many times the build has been dispatched (0
@@ -376,11 +387,7 @@ func (ctx *BuildContext) OnCancel(fn func()) {
 // build failed over, finished, or was aborted out from under it). A
 // stale attempt's pipeline must not write artifacts or summaries: the
 // live attempt owns the workspace.
-func (ctx *BuildContext) Stale() bool {
-	ctx.Build.mu.Lock()
-	defer ctx.Build.mu.Unlock()
-	return ctx.Build.attempt != ctx.attempt || ctx.Build.state != StateRunning
-}
+func (ctx *BuildContext) Stale() bool { return !ctx.Build.live(ctx.attempt) }
 
 // Workspace is a build's artifact store: named byte files kept for the
 // retention window ("available for several days within the job's

@@ -1,0 +1,362 @@
+package accessserver
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"batterylab/internal/accessserver/store"
+	"batterylab/internal/api"
+)
+
+// The build lifecycle. A build is queued, then running, then settled
+// (success, failure or aborted); a running build whose vantage point is
+// lost goes back to queued while its retry budget lasts. Each step has
+// one body here, and everything else in the package that moves a build
+// calls it:
+//
+//	claimLocked    queued → running: the drain pass, for every build it places
+//	releaseLocked  gives back exactly what claimLocked took
+//	reclaimLocked  running → queued or settled: the lease watchdog, a broken
+//	               relay, a peer leaving the online set, crash recovery
+//	settleLocked   → terminal: finish, Abort, aging, RemoveNode, DeleteJob,
+//	               and reclaimLocked when a lost build cannot run again
+//
+// All four run under s.mu and take b.mu themselves. Their WAL appends
+// happen under s.mu too, which is what serializes them against snapshot
+// compaction (it cuts the log under s.mu). wal is the record sink
+// enqueueLocked also takes: nil appends at once, non-nil collects for a
+// caller that flushes later (recovery, before the store is live).
+
+// logTo appends rec to the store, or to wal when the caller collects.
+func (s *Server) logTo(wal *[]store.Record, rec store.Record) {
+	if wal != nil {
+		*wal = append(*wal, rec)
+		return
+	}
+	s.logStore(rec)
+}
+
+// claimLocked starts queued build b on placement pl, whose lock keys the
+// drain pass found free: it takes the locks, an executor slot and the
+// campaign, owner and node running counts, arms the lease and returns
+// the pipeline for dispatch to start outside the lock.
+func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Time) *pick {
+	s.uncountQueuedLocked(b)
+	for _, k := range keys {
+		s.locks[k] = b.ID
+	}
+	b.heldLocks = keys
+	s.running++
+	s.m.queued--
+	s.m.running++
+	s.m.dispatched++
+	s.m.dispatchLatency.Observe(now.Sub(b.queuedAt).Seconds())
+	if rec := s.campaigns[b.campaign]; rec != nil {
+		rec.running++
+	}
+	s.ownerRunning[b.Owner]++
+	b.schedReason = ""
+	// A routed build's lease is its peer's heartbeat (the relay reports
+	// most failures itself; the lease catches the peer falling silent
+	// mid-run); a local one's is its node's, if the node is monitored.
+	run, leased := b.run, true
+	if pl.peer == "" {
+		// Only local placements count on a node record: nodeRecs describes
+		// nodes attached to this server, and a peer's node must never leak
+		// into the local census.
+		rec := s.recLocked(pl.nodeName)
+		rec.running++
+		s.touchNodeLocked(pl.nodeName)
+		leased = rec.monitored
+	} else {
+		s.m.clusterRouted++
+		run = s.relayRun(b, pl)
+	}
+
+	b.mu.Lock()
+	b.state = StateRunning
+	b.startedAt = now
+	b.attempt++
+	b.nodeName = pl.nodeName
+	b.routedVia = pl.peer
+	b.pendingReason = ""
+	b.placementScore = pl.score
+	// The aging timer is done: left armed, it would outlive a failover and
+	// fail the requeued build against the original deadline.
+	if b.agingTimer != nil {
+		b.agingTimer.Stop()
+		b.agingTimer = nil
+	}
+	attempt := b.attempt
+	if leased {
+		b.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) })
+	}
+	b.mu.Unlock()
+	s.logStore(store.Record{T: store.TBuildStarted, BuildID: b.ID,
+		NodeName: pl.nodeName, Attempt: attempt, AtNS: now.UnixNano()})
+	s.publishBuildLocked(b)
+	return &pick{b: b, run: run, node: pl.node, nodeName: pl.nodeName, device: pl.device}
+}
+
+// releaseLocked gives back what claimLocked took for b, and reports
+// whether b held anything: a build recovered from the WAL as running
+// holds nothing in this process — the crash released it.
+func (s *Server) releaseLocked(b *Build) bool {
+	if b.heldLocks == nil {
+		return false
+	}
+	for _, k := range b.heldLocks {
+		delete(s.locks, k)
+	}
+	b.heldLocks = nil
+	s.running--
+	s.m.running--
+	if rec := s.campaigns[b.campaign]; rec != nil {
+		rec.running--
+	}
+	if s.ownerRunning[b.Owner]--; s.ownerRunning[b.Owner] <= 0 {
+		delete(s.ownerRunning, b.Owner)
+	}
+	b.mu.Lock()
+	node, local := b.nodeName, b.routedVia == ""
+	if b.leaseTimer != nil {
+		b.leaseTimer.Stop()
+		b.leaseTimer = nil
+	}
+	b.mu.Unlock()
+	if local {
+		s.nodeRecs[node].running--
+		s.touchNodeLocked(node)
+	}
+	return true
+}
+
+// reclaimLocked takes running build b back from a lost vantage point:
+// everything it held is released, and the build either settles — aborted
+// if its owner had asked to cancel, failed with ErrNodeLost if the retry
+// budget is spent — or is queued again, after an exponential backoff
+// unless backoff is false (crash recovery: the restart already cost more
+// than any backoff would). It returns the abandoned attempt's cancel
+// hook for the caller to invoke outside the lock, tearing down a session
+// that might still be alive on a merely partitioned node.
+func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]store.Record) (cancel func()) {
+	now := s.clock.Now()
+	held := s.releaseLocked(b)
+	b.mu.Lock()
+	if held {
+		b.state = StateQueued
+		s.m.queued++
+		s.m.leaseBreaks++
+		if rec := s.nodeRecs[b.nodeName]; rec != nil && b.routedVia == "" {
+			// Reliability telemetry: the node lost a leased build. The
+			// placer penalizes it on every future fallback decision.
+			rec.failovers++
+			s.touchNodeLocked(b.nodeName)
+		}
+	}
+	// Later done() calls from the abandoned pipeline are stale (finish
+	// checks the attempt); its cancel hook is detached, not armed the way
+	// Abort does, which would taint the retry with the canceled flag.
+	cancel, b.canceler = b.canceler, nil
+	if b.cancelWant {
+		fmt.Fprintf(&b.log, "attempt %d lost after a cancel request: %s\n", b.attempt, reason)
+		b.mu.Unlock()
+		s.settleLocked(b, nil, wal)
+		return cancel
+	}
+	b.feed.PostEvent(api.BuildEvent{
+		Build: b.ID,
+		Node:  b.nodeName,
+		Phase: api.EventFailover,
+		AtNS:  now.UnixNano(),
+		Error: reason,
+	})
+	if b.retries >= s.cfg.MaxRetries {
+		err := fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, b.retries)
+		if b.routedVia != "" {
+			// A routed build lost with its peer is both families at once:
+			// ErrPeerLost for callers that care about federation, and
+			// ErrNodeLost so the wire's node_lost flag (and every existing
+			// failover consumer) keeps working.
+			err = markedErr(err.Error(), ErrNodeLost, ErrPeerLost)
+		}
+		b.mu.Unlock()
+		s.settleLocked(b, err, wal)
+		return cancel
+	}
+	b.retries++
+	s.m.failoverRequeues++
+	wait := ""
+	if backoff {
+		delay := s.cfg.RetryBackoff << (b.retries - 1)
+		wait = " in " + delay.String()
+		attempt := b.attempt
+		b.retryTimer = s.clock.AfterFunc(delay, func() { s.requeue(b, attempt) })
+	}
+	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, b.retries, s.cfg.MaxRetries, wait)
+	b.schedReason = b.pendingReason
+	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, b.retries, s.cfg.MaxRetries, wait)
+	s.logTo(wal, store.Record{T: store.TBuildFailover, BuildID: b.ID,
+		Retries: b.retries, Reason: reason, AtNS: now.UnixNano()})
+	b.mu.Unlock()
+	if !backoff {
+		s.queuePushLocked(b)
+	}
+	s.publishBuildLocked(b)
+	s.publishCensusLocked()
+	return cancel
+}
+
+// requeue returns a failed-over build to the queue once its backoff has
+// elapsed. Abort settles a build in backoff at once and stops this
+// timer; the check covers a timer that had already fired.
+func (s *Server) requeue(b *Build, attempt int) {
+	s.mu.Lock()
+	b.mu.Lock()
+	waiting := b.state == StateQueued && b.attempt == attempt
+	if waiting {
+		b.retryTimer = nil
+	}
+	b.mu.Unlock()
+	if !waiting {
+		s.mu.Unlock()
+		return
+	}
+	s.queuePushLocked(b)
+	s.publishBuildLocked(b)
+	s.publishCensusLocked()
+	s.mu.Unlock()
+	s.dispatch()
+}
+
+// reclaimUnlock reclaims builds the caller found running on a lost
+// vantage point, drops s.mu (which the caller holds), tears down the
+// abandoned sessions and redispatches.
+func (s *Server) reclaimUnlock(reason string, lost ...*Build) {
+	var cancels []func()
+	for _, b := range lost {
+		if c := s.reclaimLocked(b, reason, true, nil); c != nil {
+			cancels = append(cancels, c)
+		}
+	}
+	s.mu.Unlock()
+	for _, c := range cancels {
+		c()
+	}
+	s.dispatch()
+}
+
+// checkLease is the per-attempt lease watchdog. The lease follows the
+// heartbeat of whatever runs the attempt — the peer for a routed build,
+// the node for a local one: while that keeps beating the lease re-arms
+// one offline window past the latest beat; once it has been silent a
+// full window the build is reclaimed. Removal is not a lease break
+// (admin-removed nodes let running builds finish, see RemoveNode) and
+// unmonitored nodes have no heartbeat to lose: for both the watchdog
+// stays armed but dormant, so protection resumes if the node is
+// monitored again later and then dies.
+func (s *Server) checkLease(b *Build, attempt int) {
+	s.mu.Lock()
+	if !b.live(attempt) {
+		s.mu.Unlock()
+		return
+	}
+	node, peer := b.NodeName(), b.RoutedVia()
+	now := s.clock.Now()
+	// beat is the latest heartbeat the lease hangs on and every its
+	// cadence; watched is false for a node with no heartbeat to lose.
+	var beat time.Time
+	every, watched := s.cfg.PeerHeartbeatEvery, true
+	if peer != "" {
+		p, _ := s.cluster.Peer(peer)
+		beat = p.LastBeat // zero for an evicted or never-announced peer: lost
+	} else if rec := s.nodeRecs[node]; rec != nil && rec.monitored && !rec.removed {
+		beat, every = rec.lastBeat, s.cfg.HeartbeatEvery
+	} else {
+		watched = false
+	}
+	if !watched || now.Sub(beat) < s.cfg.OfflineAfter {
+		next := s.cfg.OfflineAfter
+		if watched {
+			next = max(beat.Add(s.cfg.OfflineAfter).Sub(now), every)
+		}
+		b.mu.Lock()
+		b.leaseTimer = s.clock.AfterFunc(next, func() { s.checkLease(b, attempt) })
+		b.mu.Unlock()
+		s.mu.Unlock()
+		return
+	}
+	reason := fmt.Sprintf("node %q offline (last heartbeat %s ago)", node, now.Sub(beat))
+	if peer != "" {
+		s.m.clusterPeerLost++
+		reason = fmt.Sprintf("peer %q lost (no announce within %s)", peer, s.cfg.OfflineAfter)
+	}
+	s.reclaimUnlock(reason, b)
+}
+
+// settleLocked is the one terminal transition. A pipeline that reported
+// nil succeeded (only finish settles a running build); anything else
+// that ends a build its owner asked to cancel is an abort; the rest are
+// failures. It records the result, stops the build's timers, logs the
+// finished record, closes the feed and republishes — the hub and the
+// read plane are leaf locks, and doing both inside the scheduler's
+// critical section keeps snapshot order identical to transition order
+// (monotonic reads for status pollers) — and schedules retention.
+// Whatever the build held must have been released already.
+func (s *Server) settleLocked(b *Build, err error, wal *[]store.Record) {
+	b.mu.Lock()
+	if b.state == StateQueued {
+		s.m.queued--
+	}
+	switch {
+	case err == nil && b.state == StateRunning:
+		b.state = StateSuccess
+		s.m.succeeded++
+		fmt.Fprintf(&b.log, "build succeeded\n")
+	case b.cancelWant:
+		b.state = StateAborted
+		s.m.aborted++
+		fmt.Fprintf(&b.log, "build aborted\n")
+	default:
+		b.state = StateFailure
+		s.m.failed++
+		fmt.Fprintf(&b.log, "build failed: %v\n", err)
+	}
+	b.err = err
+	b.finishedAt = s.clock.Now()
+	b.stopTimersLocked()
+	s.logTo(wal, finishedRecord(b))
+	b.mu.Unlock()
+	if s.ownerActive[b.Owner]--; s.ownerActive[b.Owner] <= 0 {
+		delete(s.ownerActive, b.Owner)
+	}
+	s.hub.Close(b.ID)
+	s.publishBuildLocked(b)
+	s.publishCensusLocked()
+	s.scheduleRetention(b)
+}
+
+// finishedRecord builds a build's TBuildFinished record. Callers hold
+// b.mu.
+func finishedRecord(b *Build) store.Record {
+	rec := store.Record{
+		T:        store.TBuildFinished,
+		BuildID:  b.ID,
+		State:    b.state.String(),
+		Canceled: b.cancelWant,
+		NodeName: b.nodeName,
+		Attempt:  b.attempt,
+		Retries:  b.retries,
+		AtNS:     b.finishedAt.UnixNano(),
+	}
+	if b.err != nil {
+		rec.Err = b.err.Error()
+		rec.NodeLost = errors.Is(b.err, ErrNodeLost)
+	}
+	if b.summary != nil {
+		cp := *b.summary
+		rec.Summary = &cp
+	}
+	return rec
+}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/store"
-	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
 
@@ -32,11 +31,10 @@ import (
 //     hosting process re-registers its nodes at startup, before
 //     AttachStore.
 //   - Builds that were queued at the crash re-enqueue in ID order.
-//   - Builds that were running at the crash go through the same
-//     reclaim/requeue path a broken node lease takes: a failover event
-//     on the feed, a retry if the budget allows, a typed ErrNodeLost
-//     failure otherwise — so an interrupted campaign completes after
-//     restart.
+//   - Builds that were running at the crash go through reclaimLocked,
+//     the body a broken node lease runs: a failover event on the feed,
+//     a retry if the budget allows, a typed ErrNodeLost failure
+//     otherwise — so an interrupted campaign completes after restart.
 //   - Finished builds come back with byte-identical wire status
 //     (modulo the explicit `recovered` marker); their feed replay and
 //     workspace artifacts are gone, which is the same contract as a
@@ -59,49 +57,43 @@ type RecoveryStats struct {
 	Ledger   int // ledger entries replayed
 }
 
-// logStore appends one record to the attached store (no-op without
-// one). storeMu is a leaf mutex: callers may hold s.mu and/or b.mu.
+// walDo runs op against the attached store (a no-op without one).
+// storeMu is a leaf mutex: callers may hold s.mu and/or b.mu.
 //
-// A failed append (full disk, I/O error) latches storeFailed: further
-// appends are suppressed — a WAL with a silent gap replays later
-// records onto earlier state, which is worse than no WAL — and the
-// operator gets one loud log line. The next successful compaction
-// writes a complete snapshot and lifts the latch.
-func (s *Server) logStore(rec store.Record) {
+// A failed op (full disk, I/O error) latches storeFailed: further ops
+// are suppressed — a WAL with a silent gap replays later records onto
+// earlier state, which is worse than no WAL — and the operator gets one
+// loud log line. The next successful compaction writes a complete
+// snapshot and lifts the latch.
+func (s *Server) walDo(what string, op func(*store.Store) error) {
 	s.storeMu.Lock()
-	if s.store != nil && !s.storeFailed {
-		if err := s.store.Append(rec); err != nil {
-			s.storeFailed = true
-			s.m.appendErrors++
-			log.Printf("accessserver: WAL append failed, durability suspended until a snapshot succeeds: %v", err)
-			s.slogger().LogAttrs(context.Background(), slog.LevelError, "wal append failed, durability suspended",
-				slog.String("error", err.Error()))
-		}
+	defer s.storeMu.Unlock()
+	if s.store == nil || s.storeFailed {
+		return
 	}
-	s.storeMu.Unlock()
+	if err := op(s.store); err != nil {
+		s.storeFailed = true
+		s.m.appendErrors++
+		log.Printf("accessserver: WAL %s failed, durability suspended until a snapshot succeeds: %v", what, err)
+		s.slogger().LogAttrs(context.Background(), slog.LevelError, "wal "+what+" failed, durability suspended",
+			slog.String("error", err.Error()))
+	}
+}
+
+// logStore appends one record to the WAL.
+func (s *Server) logStore(rec store.Record) {
+	s.walDo("append", func(st *store.Store) error { return st.Append(rec) })
 }
 
 // logStoreBatch appends a group of records in one WAL write (one frame
-// assembly, one syscall), with the same latch semantics as logStore.
-// The batch is all-or-nothing in the common case — a partial write is
-// a torn tail the next replay truncates — so callers use it for record
-// groups that describe one logical mutation (a campaign and its
-// builds).
+// assembly, one syscall). The batch is all-or-nothing in the common
+// case — a partial write is a torn tail the next replay truncates — so
+// callers use it for record groups that describe one logical mutation
+// (a campaign and its builds).
 func (s *Server) logStoreBatch(recs []store.Record) {
-	if len(recs) == 0 {
-		return
+	if len(recs) > 0 {
+		s.walDo("batch append", func(st *store.Store) error { return st.AppendBatch(recs) })
 	}
-	s.storeMu.Lock()
-	if s.store != nil && !s.storeFailed {
-		if err := s.store.AppendBatch(recs); err != nil {
-			s.storeFailed = true
-			s.m.appendErrors++
-			log.Printf("accessserver: WAL batch append failed, durability suspended until a snapshot succeeds: %v", err)
-			s.slogger().LogAttrs(context.Background(), slog.LevelError, "wal batch append failed, durability suspended",
-				slog.String("error", err.Error()))
-		}
-	}
-	s.storeMu.Unlock()
 }
 
 // jobRecord is a job's persisted form (creation, edits and approvals
@@ -115,12 +107,6 @@ func jobRecord(j *Job) store.JobRec {
 func (s *Server) logJob(j *Job) {
 	rec := jobRecord(j)
 	s.logStore(store.Record{T: store.TJobPut, Job: &rec})
-}
-
-// logBuildFinishedLocked records a build's terminal transition.
-// Callers hold b.mu (and s.mu — the compaction ordering rule).
-func (s *Server) logBuildFinishedLocked(b *Build) {
-	s.logStore(finishedRecord(b))
 }
 
 // replayState folds snapshot+WAL into the latest value of every
@@ -494,7 +480,6 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	var finished []*Build // retention scheduling after the store attaches
 	for _, id := range ids {
 		br := rs.builds[id]
 		state, ok := parseState(br.State)
@@ -538,15 +523,16 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		stats.Builds++
 		s.m.submitted++
 
-		switch state {
-		case StateSuccess, StateFailure, StateAborted:
+		if state != StateQueued && state != StateRunning {
+			// Already terminal on disk: restored as it was, not settled
+			// again.
 			b.state = state
 			switch state {
 			case StateSuccess:
 				s.m.succeeded++
 			case StateFailure:
 				s.m.failed++
-			case StateAborted:
+			default:
 				s.m.aborted++
 			}
 			if br.Err != "" {
@@ -557,28 +543,28 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 				b.err = &recoveredErr{msg: br.Err, sentinels: sentinels}
 			}
 			s.hub.Close(b.ID)
-			finished = append(finished, b)
+			s.scheduleRetention(b)
 			continue
 		}
 
-		// A cancel was requested before the crash but the build never
-		// settled: recovery settles it as aborted — rerunning (and
-		// charging) a canceled experiment would be worse than the lost
-		// teardown.
+		// Live again, as a queued build holding nothing (the crash released
+		// whatever a running one held), and counted like one: admission
+		// fairness must survive a restart, or an owner could double their
+		// quota by crashing the server. The transitions recovery causes
+		// from here are the live ones, their records collected in pending.
+		b.state = StateQueued
+		s.m.queued++
+		s.ownerActive[b.Owner]++
 		if br.Canceled {
-			b.state = StateAborted
-			s.m.aborted++
-			b.finishedAt = now
-			fmt.Fprintf(&b.log, "build aborted: cancel requested before the server restart\n")
-			s.hub.Close(b.ID)
-			finished = append(finished, b)
-			pending = append(pending, finishedRecord(b))
+			// A cancel was requested before the crash but the build never
+			// settled: rerunning (and charging) a canceled experiment would
+			// be worse than the lost teardown.
+			s.settleLocked(b, nil, &pending)
 			continue
 		}
-
-		// Queued or running at the crash: the build must run again, so
-		// recompile its spec through the backend. (A build of a closure
-		// job, logged before jobs stored their spec, has none to compile.)
+		// The build must run again, so recompile its spec through the
+		// backend. (A build of a closure job, logged before jobs stored
+		// their spec, has none to compile.)
 		var compileErr error
 		switch {
 		case b.wireSpec == nil:
@@ -588,65 +574,22 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		default:
 			b.cons, b.run, compileErr = backend.Compile(*b.wireSpec)
 		}
-		if compileErr != nil {
-			b.state = StateFailure
-			s.m.failed++
-			b.err = fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, compileErr)
-			b.finishedAt = now
-			fmt.Fprintf(&b.log, "build failed: %v\n", b.err)
-			s.hub.Close(b.ID)
-			finished = append(finished, b)
+		switch {
+		case compileErr != nil:
+			s.settleLocked(b, fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, compileErr), &pending)
 			stats.Failed++
-			pending = append(pending, finishedRecord(b))
-			continue
-		}
-
-		if state == StateRunning {
-			// The crash broke the lease: route through the failover
-			// contract. The interrupted attempt's work is gone, so the
-			// requeue skips the usual backoff — the restart already cost
-			// more than any backoff would.
-			reason := fmt.Sprintf("access server restarted while attempt %d ran on %q", b.attempt, b.nodeName)
-			b.feed.PostEvent(api.BuildEvent{
-				Build: b.ID,
-				Node:  b.nodeName,
-				Phase: api.EventFailover,
-				AtNS:  now.UnixNano(),
-				Error: reason,
-			})
-			if b.retries >= s.cfg.MaxRetries {
-				b.state = StateFailure
-				s.m.failed++
-				b.err = fmt.Errorf("%w: %s; retry budget (%d) spent", ErrNodeLost, reason, s.cfg.MaxRetries)
-				b.finishedAt = now
-				fmt.Fprintf(&b.log, "build lost: %s; retry budget (%d) spent\n", reason, s.cfg.MaxRetries)
-				s.hub.Close(b.ID)
-				finished = append(finished, b)
+		case state == StateRunning:
+			// The crash broke the lease: the attempt's work is gone.
+			s.reclaimLocked(b, fmt.Sprintf("access server restarted while attempt %d ran on %q", b.attempt, b.nodeName), false, &pending)
+			if b.state == StateQueued {
+				stats.Resumed++
+			} else {
 				stats.Failed++
-				pending = append(pending, finishedRecord(b))
-				continue
 			}
-			b.retries++
-			s.m.failoverRequeues++
-			b.pendingReason = fmt.Sprintf("%s; retry %d/%d", reason, b.retries, s.cfg.MaxRetries)
-			b.schedReason = b.pendingReason // replay holds s.mu; keep the dispatch shadow in sync
-			fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d)\n", reason, b.retries, s.cfg.MaxRetries)
-			pending = append(pending, store.Record{
-				T: store.TBuildFailover, BuildID: b.ID,
-				Retries: b.retries, Reason: reason, AtNS: now.UnixNano(),
-			})
-			stats.Resumed++
-		} else {
+		default:
+			s.queuePushLocked(b)
 			stats.Requeued++
 		}
-		b.state = StateQueued
-		s.m.queued++
-		// Re-derive the per-owner in-flight census: admission fairness
-		// must survive a restart, or one owner could double their quota
-		// by crashing the server.
-		s.ownerActive[b.Owner]++
-		s.queuePushLocked(b)
-		b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
 	}
 
 	// Prime the read plane and the feed-plane high-water mark with the
@@ -706,9 +649,6 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		s.syncStore()
 	})
 
-	for _, b := range finished {
-		s.scheduleRetention(b)
-	}
 	// An immediate snapshot makes state that predates the attach —
 	// bootstrap users, jobs and node registrations a daemon sets up
 	// before calling AttachStore — durable right away instead of at the
@@ -720,48 +660,18 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// finishedRecord builds a build's TBuildFinished record. Callers
-// either hold b.mu or own the build exclusively (recovery, before it
-// is published).
-func finishedRecord(b *Build) store.Record {
-	rec := store.Record{
-		T:        store.TBuildFinished,
-		BuildID:  b.ID,
-		State:    b.state.String(),
-		Canceled: b.cancelWant,
-		NodeName: b.nodeName,
-		Attempt:  b.attempt,
-		Retries:  b.retries,
-		AtNS:     b.finishedAt.UnixNano(),
-	}
-	if b.err != nil {
-		rec.Err = b.err.Error()
-		rec.NodeLost = errors.Is(b.err, ErrNodeLost)
-	}
-	if b.summary != nil {
-		cp := *b.summary
-		rec.Summary = &cp
-	}
-	return rec
-}
-
 // syncStore flushes the WAL to stable storage (the group-commit
-// ticker); an already-synced file is left alone. A failing disk
-// latches storeFailed like a failed append.
+// ticker); an already-synced file is left alone.
 func (s *Server) syncStore() {
-	s.storeMu.Lock()
-	if s.store != nil && !s.storeFailed && s.store.Dirty() {
-		start := time.Now()
-		err := s.store.Sync()
-		s.m.fsyncLatency.Observe(time.Since(start).Seconds())
-		if err != nil {
-			s.storeFailed = true
-			log.Printf("accessserver: WAL fsync failed, durability suspended until a snapshot succeeds: %v", err)
-			s.slogger().LogAttrs(context.Background(), slog.LevelError, "wal fsync failed, durability suspended",
-				slog.String("error", err.Error()))
+	s.walDo("fsync", func(st *store.Store) error {
+		if !st.Dirty() {
+			return nil
 		}
-	}
-	s.storeMu.Unlock()
+		start := time.Now()
+		err := st.Sync()
+		s.m.fsyncLatency.Observe(time.Since(start).Seconds())
+		return err
+	})
 }
 
 // maybeCompact snapshots and truncates the WAL if it has grown since

@@ -219,6 +219,7 @@ func TestRecoverPreSpecJobRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkLifecycle(t, srv, "after AttachStore")
 			j, err := srv.Job(c.job)
 			if err != nil {
 				t.Fatal(err)
@@ -323,6 +324,7 @@ func TestRecoverBuilds(t *testing.T) {
 	if stats.Resumed != 2 || stats.Requeued != 1 {
 		t.Fatalf("stats = %+v, want 2 resumed + 1 requeued", stats)
 	}
+	checkLifecycle(t, srv2, "after AttachStore")
 
 	// The finished build's status is byte-identical apart from the
 	// recovery marker and the (empty) feed counters.
@@ -427,6 +429,7 @@ func TestRecoverRetryBudgetSpent(t *testing.T) {
 	if stats.Failed != 1 {
 		t.Fatalf("stats = %+v, want 1 failed", stats)
 	}
+	checkLifecycle(t, srv2, "after AttachStore")
 	rb, err := srv2.Build(b.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -483,6 +486,7 @@ func TestRecoverCanceledRunningBuild(t *testing.T) {
 	if !rb.CancelRequested() {
 		t.Fatal("recovered build lost its canceled marker")
 	}
+	checkLifecycle(t, srv2, "after AttachStore")
 }
 
 // TestRecoveredTombstonesStayExpired: builds evicted to tombstones

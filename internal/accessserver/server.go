@@ -1,6 +1,7 @@
 package accessserver
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -505,7 +506,6 @@ func (s *Server) DeleteJob(user *User, name string) error {
 		}
 		return nil
 	})
-	s.publishCensusLocked()
 	return nil
 }
 
@@ -598,28 +598,10 @@ func (s *Server) admitLocked(user *User, n int) error {
 	return nil
 }
 
-// ownerSettledLocked records one of owner's builds leaving the
-// non-terminal states. Callers hold s.mu.
-func (s *Server) ownerSettledLocked(owner string) {
-	if s.ownerActive[owner]--; s.ownerActive[owner] <= 0 {
-		delete(s.ownerActive, owner)
-	}
-}
-
-// ownerRunDoneLocked records one of owner's running builds leaving the
-// executor (finish or failover reclaim). Callers hold s.mu.
-func (s *Server) ownerRunDoneLocked(owner string) {
-	if s.ownerRunning[owner]--; s.ownerRunning[owner] <= 0 {
-		delete(s.ownerRunning, owner)
-	}
-}
-
 // enqueueLocked creates a build and appends it to the queue. The build
 // carries its own constraints and body plus the wire spec they were
-// compiled from, which the store needs for crash recovery. Every build
-// gets an aging timer: if it is still queued after PendingTimeout and
-// its node never appeared (or has gone offline), it fails with a reason
-// instead of pending forever. Callers hold s.mu.
+// compiled from, which the store needs for crash recovery. Callers hold
+// s.mu.
 //
 // walBatch controls durability batching: nil logs the TBuildQueued
 // record immediately; non-nil collects it for the caller to flush as
@@ -644,16 +626,10 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	s.m.submitted++
 	s.m.queued++
 	s.ownerActive[owner]++
-	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
-	rec := store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
+	s.logTo(walBatch, store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
 		ID: b.ID, Job: b.Job, Owner: b.Owner, Campaign: b.campaign,
 		Spec: b.wireSpec, State: StateQueued.String(), QueuedAtNS: b.queuedAt.UnixNano(),
-	}}
-	if walBatch != nil {
-		*walBatch = append(*walBatch, rec)
-	} else {
-		s.logStore(rec)
-	}
+	}})
 	s.publishBuildLocked(b)
 	return b
 }
@@ -664,12 +640,32 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 // queued counter with it, which is what lets the census serve Queued
 // without ever rescanning the queue. Callers hold s.mu.
 
-// queuePushLocked appends b to the dispatch queue.
+// queuePushLocked appends b to the dispatch queue and starts its aging
+// watchdog: a build still queued after PendingTimeout whose node never
+// appeared (or has gone offline) fails with a reason instead of pending
+// forever.
 func (s *Server) queuePushLocked(b *Build) {
 	s.queueSeq++
 	b.queueSeq = s.queueSeq
 	s.queue = append(s.queue, b)
 	s.countQueuedLocked(b)
+	s.armAgingLocked(b)
+}
+
+// armAgingLocked arms b's next aging check, one PendingTimeout from now.
+func (s *Server) armAgingLocked(b *Build) {
+	b.mu.Lock()
+	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
+	b.mu.Unlock()
+}
+
+// queueIndexLocked finds b in the dispatch queue, which is ordered by
+// queueSeq.
+func (s *Server) queueIndexLocked(b *Build) (int, bool) {
+	i, ok := slices.BinarySearchFunc(s.queue, b.queueSeq, func(q *Build, seq uint64) int {
+		return cmp.Compare(q.queueSeq, seq)
+	})
+	return i, ok && s.queue[i] == b
 }
 
 // queueRemoveAtLocked takes s.queue[i] out of the dispatch queue.
@@ -685,7 +681,7 @@ func (s *Server) failQueuedLocked(why func(*Build) error) {
 	for _, b := range s.queue {
 		if err := why(b); err != nil {
 			s.uncountQueuedLocked(b)
-			s.terminateLocked(b, err)
+			s.settleLocked(b, err, nil)
 			continue
 		}
 		kept = append(kept, b)
@@ -881,11 +877,12 @@ func (s *Server) CampaignBuildIDs(id int) ([]int, error) {
 	return append([]int(nil), rec.builds...), nil
 }
 
-// Abort cancels a build: a queued build is removed from the queue and
-// marked aborted; a running build has its pipeline's cancel hook
-// invoked (the measurement session tears down and the build finishes
-// canceled). Aborting a finished build is a conflict. The user needs
-// PermRunJob and must own the build (admins may cancel anyone's).
+// Abort cancels a build: a queued build (in the queue or waiting out a
+// failover backoff) settles aborted at once; a running build has its
+// pipeline's cancel hook invoked (the measurement session tears down and
+// the build finishes canceled). Aborting a finished build is a conflict.
+// The user needs PermRunJob and must own the build (admins may cancel
+// anyone's).
 func (s *Server) Abort(user *User, id int) error {
 	if !Allowed(user.Role, PermRunJob) {
 		return fmt.Errorf("%w: %s (%s) may not cancel builds", ErrForbidden, user.Name, user.Role)
@@ -897,72 +894,43 @@ func (s *Server) Abort(user *User, id int) error {
 	if user.Role != RoleAdmin && b.Owner != user.Name {
 		return fmt.Errorf("%w: build %d belongs to %s", ErrForbidden, id, b.Owner)
 	}
+	// Every transition takes s.mu, so none interleaves between reading
+	// the state and acting on it: a finished build reliably answers
+	// conflict instead of gaining a bogus persisted canceled marker.
 	s.mu.Lock()
-	queuedAt := -1
-	for i, cand := range s.queue {
-		if cand == b {
-			queuedAt = i
-			break
-		}
-	}
-	if queuedAt >= 0 {
-		s.queueRemoveAtLocked(queuedAt)
-		s.m.queued--
-		s.m.aborted++
-		s.ownerSettledLocked(b.Owner)
-		// Settle the aborted build while still holding s.mu: the WAL
-		// append below must be serialized against snapshot compaction
-		// (which cuts the log under s.mu), or the abort record could
-		// fall between a snapshot that read "queued" and the truncation.
-		b.mu.Lock()
-		b.state = StateAborted
-		b.cancelWant = true
-		b.finishedAt = s.clock.Now()
-		b.stopTimersLocked()
-		fmt.Fprintf(&b.log, "build aborted while queued\n")
-		s.logBuildFinishedLocked(b)
-		b.mu.Unlock()
-		// The hub's lock is a leaf: closing the feed under s.mu is legal
-		// and keeps close-before-publish ordering trivially right.
-		s.hub.Close(b.ID)
-		s.publishBuildLocked(b)
-		s.publishCensusLocked()
-		s.mu.Unlock()
-		s.scheduleRetention(b)
-		return nil
-	}
-	// Still under the s.mu from the queue scan: every state transition
-	// (finish, requeue, aging, failover) takes it, so none interleaves
-	// between the scan and this switch — a finished build reliably
-	// answers conflict instead of gaining a bogus persisted canceled
-	// marker.
 	b.mu.Lock()
-	switch b.state {
-	case StateRunning, StateQueued:
-		// Running — or dispatch is picking it up right now, or it sits
-		// in a failover backoff window: arm the pending-cancel flag so
-		// the pipeline's OnCancel (or the retry timer) settles it. The
-		// flag is WAL-logged under the compaction lock order, so a
-		// server that crashes before the build settles recovers it as
-		// aborted instead of rerunning a canceled experiment; the hook
-		// itself runs outside the locks (it tears down a session, which
-		// may re-enter the server through the build's done callback).
+	state := b.state
+	if state == StateQueued || state == StateRunning {
 		b.cancelWant = true
-		fn := b.canceler
+	}
+	fn := b.canceler
+	b.mu.Unlock()
+	switch state {
+	case StateQueued:
+		// In the queue, or sitting out a failover backoff: nothing is
+		// running, so the build settles here and now.
+		if i, ok := s.queueIndexLocked(b); ok {
+			s.queueRemoveAtLocked(i)
+		}
+		s.settleLocked(b, nil, nil)
+		s.mu.Unlock()
+		return nil
+	case StateRunning:
+		// The pipeline's OnCancel hook settles it. The flag is WAL-logged
+		// first, so a server that crashes before the build settles recovers
+		// it as aborted instead of rerunning a canceled experiment; the
+		// hook itself runs outside the locks (it tears down a session,
+		// which may re-enter the server through the build's done callback).
 		s.logStore(store.Record{T: store.TBuildCancelWant, BuildID: b.ID})
-		b.mu.Unlock()
 		s.publishBuildLocked(b) // the served status carries Canceled now
 		s.mu.Unlock()
 		if fn != nil {
 			fn()
 		}
 		return nil
-	default:
-		state := b.state
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return fmt.Errorf("%w: build %d already finished (%s)", ErrConflict, id, state)
 	}
+	s.mu.Unlock()
+	return fmt.Errorf("%w: build %d already finished (%s)", ErrConflict, id, state)
 }
 
 // Build resolves a build by id. Builds past their retention window are
@@ -1101,7 +1069,6 @@ type pick struct {
 	node     Node
 	nodeName string
 	device   string
-	locks    []string
 }
 
 // placement is placeLocked's resolution: where a build may run right
@@ -1175,7 +1142,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			}
 			break
 		}
-		cons, run := cand.cons, cand.run
+		cons := cand.cons
 
 		// Evaluate the skip conditions in priority order; the first
 		// failing check is by construction the highest-priority reason,
@@ -1236,74 +1203,12 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			continue
 		}
 
-		// Claim: take locks, bump counters, lease. The build leaves the
-		// queue by not advancing the write index past it.
+		// Claim. The build leaves the queue by not advancing the write
+		// index past it.
 		if w < 0 {
 			w = i
 		}
-		s.uncountQueuedLocked(cand)
-		for _, k := range keys {
-			s.locks[k] = cand.ID
-		}
-		s.running++
-		s.m.queued--
-		s.m.running++
-		s.m.dispatched++
-		s.m.dispatchLatency.Observe(now.Sub(cand.queuedAt).Seconds())
-		if rec := s.campaigns[cand.campaign]; rec != nil {
-			rec.running++
-		}
-		if pl.peer == "" {
-			// Remote placements skip the per-node bookkeeping: nodeRecs
-			// describes nodes attached to this server, and a peer's node
-			// must never leak into the local census.
-			s.recLocked(pl.nodeName).running++
-			s.touchNodeLocked(pl.nodeName)
-		} else {
-			s.m.clusterRouted++
-			run = s.relayRun(cand, pl)
-		}
-		s.ownerRunning[cand.Owner]++
-		cand.schedReason = ""
-
-		cand.mu.Lock()
-		cand.state = StateRunning
-		cand.startedAt = now
-		cand.attempt++
-		cand.nodeName = pl.nodeName
-		cand.routedVia = pl.peer
-		cand.pendingReason = ""
-		cand.heldLocks = keys
-		cand.placementScore = pl.score
-		// The enqueue-time aging timer is done: left armed, it would
-		// outlive a failover and fail the requeued build against the
-		// original deadline instead of the re-armed one.
-		if cand.agingTimer != nil {
-			cand.agingTimer.Stop()
-			cand.agingTimer = nil
-		}
-		attempt := cand.attempt
-		switch {
-		case pl.peer != "":
-			// A routed build's lease is the peer's heartbeat: the relay
-			// reports most failures itself, and the lease catches the
-			// peer falling silent mid-run.
-			peer := pl.peer
-			cand.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() {
-				s.checkPeerLease(cand, attempt, peer)
-			})
-		case s.nodeRecs[pl.nodeName] != nil && s.nodeRecs[pl.nodeName].monitored:
-			cand.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() {
-				s.checkLease(cand, attempt)
-			})
-		}
-		cand.mu.Unlock()
-		s.logStore(store.Record{T: store.TBuildStarted, BuildID: cand.ID,
-			NodeName: pl.nodeName, Attempt: attempt, AtNS: now.UnixNano()})
-		s.publishBuildLocked(cand)
-
-		picks = append(picks, &pick{b: cand, run: run, node: pl.node,
-			nodeName: pl.nodeName, device: pl.device, locks: keys})
+		picks = append(picks, s.claimLocked(cand, pl, keys, now))
 	}
 	if w >= 0 {
 		// Nil the vacated tail so the backing array does not pin
@@ -1555,7 +1460,7 @@ func (s *Server) startPicked(p *pick) {
 	var once sync.Once
 	done := func(err error) {
 		once.Do(func() {
-			s.finish(b, attempt, p.locks, err)
+			s.finish(b, attempt, err)
 		})
 	}
 	func() {
@@ -1632,208 +1537,15 @@ func (s *Server) recordCPU(name string, pct float64, ok bool) {
 	s.mu.Unlock()
 }
 
-// checkLease is the per-attempt lease watchdog for builds running on
-// monitored nodes. If the node has gone offline the build fails over;
-// while the node keeps beating, the lease re-arms off the latest beat.
-// Removal is not a lease break: admin-removed nodes let running builds
-// finish (see RemoveNode).
-func (s *Server) checkLease(b *Build, attempt int) {
-	s.mu.Lock()
-	b.mu.Lock()
-	if b.state != StateRunning || b.attempt != attempt {
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	nodeName := b.nodeName
-	b.mu.Unlock()
-	rec := s.nodeRecs[nodeName]
-	if rec == nil || !rec.monitored || rec.removed {
-		// Dormant, not dead: removal intentionally lets running builds
-		// finish and unmonitored nodes hold no lease — but keep the
-		// watchdog armed so protection resumes if the node is
-		// re-monitored later and then dies.
-		b.mu.Lock()
-		b.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) })
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	now := s.clock.Now()
-	if s.healthLocked(rec, now) != HealthOffline {
-		// Node still beating (or merely suspect): renew the lease to one
-		// offline window past its latest beat.
-		next := rec.lastBeat.Add(s.cfg.OfflineAfter).Sub(now)
-		if next < s.cfg.HeartbeatEvery {
-			next = s.cfg.HeartbeatEvery
-		}
-		b.mu.Lock()
-		b.leaseTimer = s.clock.AfterFunc(next, func() { s.checkLease(b, attempt) })
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	cancel := s.failoverLocked(b, fmt.Sprintf("node %q offline (last heartbeat %s ago)", nodeName, now.Sub(rec.lastBeat)))
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.dispatch()
-}
-
-// failoverLocked reclaims a running build from a lost node: locks are
-// released, the executor slot is freed, and the build is either
-// requeued with exponential backoff (retry budget permitting) or failed
-// with ErrNodeLost. It returns the abandoned attempt's cancel hook for
-// the caller to invoke outside the lock (tearing down a session that
-// might still be alive on a merely-partitioned node). Callers hold
-// s.mu.
-func (s *Server) failoverLocked(b *Build, reason string) (cancel func()) {
-	now := s.clock.Now()
-	for _, k := range b.heldLocks {
-		delete(s.locks, k)
-	}
-	b.heldLocks = nil
-	s.running--
-	s.m.leaseBreaks++
-	s.m.running--
-	if rec := s.campaigns[b.campaign]; rec != nil {
-		rec.running--
-	}
-	s.ownerRunDoneLocked(b.Owner)
-	b.mu.Lock()
-	if rec := s.nodeRecs[b.nodeName]; rec != nil {
-		if rec.running > 0 {
-			rec.running--
-		}
-		// Reliability telemetry: the node lost a leased build. The
-		// placer penalizes it on every future fallback decision.
-		rec.failovers++
-		s.touchNodeLocked(b.nodeName)
-	}
-	if b.leaseTimer != nil {
-		b.leaseTimer.Stop()
-		b.leaseTimer = nil
-	}
-	// Abandon the attempt: later done() calls from its pipeline are
-	// stale (attempt/state guarded in finish); its cancel hook is
-	// detached WITHOUT arming cancelWant (as Abort would), which would
-	// taint the retried build with the canceled flag.
-	cancel = b.canceler
-	b.canceler = nil
-
-	b.feed.PostEvent(api.BuildEvent{
-		Build: b.ID,
-		Node:  b.nodeName,
-		Phase: api.EventFailover,
-		AtNS:  now.UnixNano(),
-		Error: reason,
-	})
-
-	if b.retries >= s.cfg.MaxRetries {
-		fmt.Fprintf(&b.log, "build lost: %s; retry budget (%d) spent\n", reason, s.cfg.MaxRetries)
-		b.state = StateFailure
-		s.m.failed++
-		s.ownerSettledLocked(b.Owner)
-		if b.routedVia != "" {
-			// A routed build lost with its peer is both families at once:
-			// ErrPeerLost for callers that care about federation, and
-			// ErrNodeLost so the wire's node_lost flag (and every existing
-			// failover consumer) keeps working.
-			b.err = markedErr(
-				fmt.Sprintf("%s: %s after %d retries", ErrNodeLost.Error(), reason, b.retries),
-				ErrNodeLost, ErrPeerLost)
-		} else {
-			b.err = fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, b.retries)
-		}
-		b.finishedAt = now
-		b.stopTimersLocked()
-		s.logBuildFinishedLocked(b)
-		b.mu.Unlock()
-		s.hub.Close(b.ID) // leaf lock: legal under s.mu
-		s.publishBuildLocked(b)
-		s.publishCensusLocked()
-		s.scheduleRetention(b)
-		return cancel
-	}
-
-	b.retries++
-	s.m.failoverRequeues++
-	s.m.queued++
-	backoff := s.cfg.RetryBackoff << (b.retries - 1)
-	b.state = StateQueued
-	b.pendingReason = fmt.Sprintf("%s; retry %d/%d in %s", reason, b.retries, s.cfg.MaxRetries, backoff)
-	b.schedReason = b.pendingReason // s.mu held; keep the dispatch shadow in sync
-	attempt := b.attempt
-	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d in %s)\n", reason, b.retries, s.cfg.MaxRetries, backoff)
-	b.retryTimer = s.clock.AfterFunc(backoff, func() { s.requeue(b, attempt) })
-	s.logStore(store.Record{T: store.TBuildFailover, BuildID: b.ID,
-		Retries: b.retries, Reason: reason, AtNS: now.UnixNano()})
-	b.mu.Unlock()
-	s.publishBuildLocked(b)
-	s.publishCensusLocked()
-	return cancel
-}
-
-// requeue returns a failed-over build to the queue once its backoff
-// elapses. An abort that arrived during the backoff settles the build
-// as aborted instead.
-func (s *Server) requeue(b *Build, attempt int) {
-	s.mu.Lock()
-	b.mu.Lock()
-	if b.state != StateQueued || b.attempt != attempt {
-		b.mu.Unlock()
-		s.mu.Unlock()
-		return
-	}
-	b.retryTimer = nil
-	if b.cancelWant {
-		b.state = StateAborted
-		s.m.queued--
-		s.m.aborted++
-		s.ownerSettledLocked(b.Owner)
-		b.finishedAt = s.clock.Now()
-		b.stopTimersLocked()
-		fmt.Fprintf(&b.log, "build aborted during failover backoff\n")
-		s.logBuildFinishedLocked(b)
-		b.mu.Unlock()
-		s.hub.Close(b.ID)
-		s.publishBuildLocked(b)
-		s.mu.Unlock()
-		s.scheduleRetention(b)
-		return
-	}
-	// Back in the queue: re-arm aging so a node that never returns
-	// (with no fallback available) still bounds the wait.
-	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
-	b.mu.Unlock()
-	s.queuePushLocked(b)
-	s.publishBuildLocked(b)
-	s.publishCensusLocked()
-	s.mu.Unlock()
-	s.dispatch()
-}
-
 // checkAging fails a build that is still queued after PendingTimeout
 // with no node to run it: the target never registered, was removed, or
 // is offline. Builds waiting on a live-but-busy node are untouched.
 func (s *Server) checkAging(b *Build) {
 	s.mu.Lock()
-	idx := -1
-	for i, cand := range s.queue {
-		if cand == b {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || b.State() != StateQueued {
+	idx, queued := s.queueIndexLocked(b)
+	if !queued {
 		s.mu.Unlock()
 		return // dispatched, finished, or in a failover backoff window
-	}
-	rearm := func() {
-		b.mu.Lock()
-		b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
-		b.mu.Unlock()
 	}
 	cons := b.cons
 	now := s.clock.Now()
@@ -1841,7 +1553,7 @@ func (s *Server) checkAging(b *Build) {
 	if pl.nodeName != "" {
 		// Placeable: the wait is lock/executor pressure, not node
 		// loss. Keep watching in case the node dies later.
-		rearm()
+		s.armAgingLocked(b)
 		s.mu.Unlock()
 		return
 	}
@@ -1891,7 +1603,7 @@ func (s *Server) checkAging(b *Build) {
 		}
 	}
 	if alive {
-		rearm()
+		s.armAgingLocked(b)
 		s.mu.Unlock()
 		return
 	}
@@ -1901,98 +1613,30 @@ func (s *Server) checkAging(b *Build) {
 	if reason == "" {
 		reason = "its node never appeared"
 	}
-	s.terminateLocked(b, fmt.Errorf("%w: build %d waited %s: %s",
-		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason))
-	s.publishCensusLocked()
+	s.settleLocked(b, fmt.Errorf("%w: build %d waited %s: %s",
+		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason), nil)
 	s.mu.Unlock()
 }
 
-// terminateLocked marks a never-dispatched build failed, closes its
-// feed through the hub and republishes its served status. Callers hold
-// s.mu (but not b.mu). The old contract — "close the feed after
-// releasing s.mu" — is gone: the hub's lock is a leaf, so closing
-// under the scheduler lock is safe by construction, and callers no
-// longer carry lists of feeds to close on the way out.
-func (s *Server) terminateLocked(b *Build, err error) {
-	s.m.queued--
-	s.m.failed++
-	s.ownerSettledLocked(b.Owner)
-	b.mu.Lock()
-	b.state = StateFailure
-	b.err = err
-	b.finishedAt = s.clock.Now()
-	b.stopTimersLocked()
-	fmt.Fprintf(&b.log, "build failed: %v\n", err)
-	s.logBuildFinishedLocked(b)
-	b.mu.Unlock()
-	s.hub.Close(b.ID)
-	s.publishBuildLocked(b)
-	s.scheduleRetention(b)
-}
-
-// finish completes a build, releases its locks and re-runs dispatch.
-// Completions from a failed-over attempt (the done() of a pipeline the
-// scheduler already reclaimed) are stale and ignored. A build whose
-// pipeline errored after an explicit cancel request finishes as
-// aborted, not failed — the distinction the v1 Canceled flag carries to
-// remote clients.
-func (s *Server) finish(b *Build, attempt int, locks []string, err error) {
+// finish completes a running build: it gives back what the build held,
+// settles it and re-runs dispatch. Completions from a failed-over
+// attempt (the done() of a pipeline the scheduler already reclaimed) are
+// stale and ignored. A build whose pipeline errored after an explicit
+// cancel request settles as aborted, not failed — the distinction the v1
+// Canceled flag carries to remote clients.
+func (s *Server) finish(b *Build, attempt int, err error) {
 	s.mu.Lock()
-	b.mu.Lock()
-	if b.state != StateRunning || b.attempt != attempt {
+	if !b.live(attempt) {
+		s.mu.Unlock()
+		b.mu.Lock()
 		fmt.Fprintf(&b.log, "ignoring stale completion from attempt %d\n", attempt)
 		b.mu.Unlock()
-		s.mu.Unlock()
 		return
 	}
-	b.finishedAt = s.clock.Now()
-	switch {
-	case err != nil && b.cancelWant:
-		b.state = StateAborted
-		s.m.aborted++
-		b.err = err
-		fmt.Fprintf(&b.log, "build canceled: %v\n", err)
-	case err != nil:
-		b.state = StateFailure
-		s.m.failed++
-		b.err = err
-		fmt.Fprintf(&b.log, "build failed: %v\n", err)
-	default:
-		b.state = StateSuccess
-		s.m.succeeded++
-		fmt.Fprintf(&b.log, "build succeeded\n")
-	}
-	s.m.running--
-	b.stopTimersLocked()
-	s.logBuildFinishedLocked(b)
-	nodeName := b.nodeName
-	deviceTime := b.finishedAt.Sub(b.startedAt)
-	b.mu.Unlock()
-
-	for _, k := range locks {
-		delete(s.locks, k)
-	}
-	s.running--
-	if rec := s.campaigns[b.campaign]; rec != nil {
-		rec.running--
-	}
-	if rec := s.nodeRecs[nodeName]; rec != nil && rec.running > 0 {
-		rec.running--
-		s.touchNodeLocked(nodeName)
-	}
-	s.ownerRunDoneLocked(b.Owner)
-	s.ownerSettledLocked(b.Owner)
-	// Close the feed and republish served state while still inside the
-	// scheduler's critical section: the hub and read plane are leaf
-	// locks, and publishing here keeps snapshot order identical to
-	// transition order (monotonic reads for status pollers).
-	s.hub.Close(b.ID)
-	s.publishBuildLocked(b)
-	s.publishCensusLocked()
+	s.releaseLocked(b)
+	s.settleLocked(b, err, nil)
 	s.mu.Unlock()
-
-	s.chargeRun(b.Owner, deviceTime)
-	s.scheduleRetention(b)
+	s.chargeRun(b.Owner, b.Duration())
 	s.dispatch()
 }
 

@@ -129,30 +129,11 @@ func censusFind(rows []*nodeCensusEntry, name string) (int, bool) {
 // time-derived — a silent node ages into suspect and then offline
 // without any scheduler transition republishing the census — so the
 // read path derives it fresh from the published heartbeat instead of
-// trusting the value computed at publish time. Mirrors healthLocked
-// plus nodeEntryLocked's registration rule, using only snapshot fields
-// and the live registry membership the caller checked (on the
-// registry's own lock, never s.mu).
+// trusting the value computed at publish time, from snapshot fields and
+// the live registry membership the caller checked (on the registry's own
+// lock, never s.mu).
 func (s *Server) censusHealth(e nodeCensusEntry, registered bool, now time.Time) Health {
-	if e.Removed {
-		return HealthOffline
-	}
-	if !registered {
-		return HealthOffline
-	}
-	if e.Monitored && now.Sub(e.LastHeartbeat) >= s.cfg.OfflineAfter {
-		return HealthOffline
-	}
-	if e.Draining {
-		return HealthDraining
-	}
-	if !e.Monitored {
-		return HealthOnline
-	}
-	if now.Sub(e.LastHeartbeat) < s.cfg.SuspectAfter {
-		return HealthOnline
-	}
-	return HealthSuspect
+	return s.healthAt(registered, e.Removed, e.Monitored, e.Draining, e.LastHeartbeat, now)
 }
 
 // publishBuildLocked republishes b's served wire-form status after a
