@@ -368,29 +368,35 @@ func (g *Gateway) relayLines(w io.Writer, flusher http.Flusher, rc io.Reader, cu
 	return n, sc.Err()
 }
 
-// relayFrames copies the framed binary sample stream frame by frame —
-// each upstream frame is decoded (to advance the point cursor) and
-// re-framed identically, so downstream bytes match a direct connection.
+// relayFrames copies the framed binary sample stream frame by frame.
+// Each upstream frame is read whole and decoded — to vet it and to
+// count its points for the cursor — and then the bytes that arrived
+// are what goes downstream, so they match a direct connection by
+// construction and a frame cut short upstream is never forwarded in
+// part.
 func (g *Gateway) relayFrames(w io.Writer, flusher http.Flusher, rc io.Reader, cursor *int) (int, error) {
 	br := bufio.NewReader(rc)
+	var frame []byte
 	n := 0
 	for {
-		pts, err := api.ReadSampleFrame(br)
+		var pts int
+		var err error
+		frame, pts, err = api.ReadRawSampleFrame(br, frame)
 		if err == io.EOF {
 			return n, nil
 		}
 		if err != nil {
 			return n, err
 		}
-		if werr := api.WriteSampleFrame(w, pts); werr != nil {
+		if _, werr := w.Write(frame); werr != nil {
 			return n, nil // client gone
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		*cursor += len(pts)
-		n += len(pts)
-		g.samples.Add(int64(len(pts)))
+		*cursor += pts
+		n += pts
+		g.samples.Add(int64(pts))
 	}
 }
 

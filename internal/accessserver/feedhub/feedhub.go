@@ -143,29 +143,34 @@ func (f *Feed) Closed() bool {
 // feed has closed, and a channel that signals the next change. A
 // consumer loops: drain the snapshot, exit when closed and caught up,
 // otherwise wait on the channel (or its own context).
+//
+// The snapshot is a read-only view of the feed's own buffer, not a
+// copy: the buffer is append-only, so the records a view covers never
+// change, and the view's capacity is cut to its length, so an append by
+// the caller cannot reach the producer's next slot. Callers must not
+// write through it.
 func (f *Feed) EventsSince(n int) (evs []api.BuildEvent, closed bool, changed <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n < len(f.events) {
-		evs = append(evs, f.events[n:]...)
-	}
-	return evs, f.closed, f.changed
+	return since(f.events, n), f.closed, f.changed
 }
 
-// SamplesSince is EventsSince for the sample stream.
+// SamplesSince is EventsSince for the sample stream, under the same
+// read-only contract.
 func (f *Feed) SamplesSince(n int) (pts []api.SamplePoint, closed bool, changed <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n < 0 {
-		n = 0
+	return since(f.samples, n), f.closed, f.changed
+}
+
+// since is the capped view of an append-only buffer from cursor n on,
+// nil when there is nothing there.
+func since[T any](buf []T, n int) []T {
+	n = max(n, 0)
+	if n >= len(buf) {
+		return nil
 	}
-	if n < len(f.samples) {
-		pts = append(pts, f.samples[n:]...)
-	}
-	return pts, f.closed, f.changed
+	return buf[n:len(buf):len(buf)]
 }
 
 // Dropped reports how many events and samples the bounded buffers shed.

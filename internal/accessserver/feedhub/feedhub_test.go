@@ -193,3 +193,64 @@ func TestHubConcurrentChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedSampleViewsImmutableAndGapFree: SamplesSince hands out views of
+// the feed's own buffer while PostSample keeps appending to it (and
+// moving it, as it grows). Every reader holds on to every view it was
+// given and, once the writer is done, checks that each still reads as
+// the run of samples it covered — no gap or overlap at a cursor, no
+// record changed behind a reader's back — and that appending to a view
+// does not reach the feed. Run under -race this is also the proof that
+// a view shares no writable memory with the producer.
+func TestFeedSampleViewsImmutableAndGapFree(t *testing.T) {
+	const total, readers = SampleCap, 4
+	f := NewFeed(nil)
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			type held struct {
+				at   int
+				view []api.SamplePoint
+			}
+			var views []held
+			cursor := 0
+			for {
+				pts, closed, changed := f.SamplesSince(cursor)
+				if len(pts) > 0 {
+					if cap(pts) != len(pts) {
+						t.Errorf("view at %d: len %d, cap %d — an append would land in the feed", cursor, len(pts), cap(pts))
+					}
+					views = append(views, held{cursor, pts})
+					cursor += len(pts)
+					continue
+				}
+				if closed {
+					break
+				}
+				<-changed
+			}
+			if cursor != total {
+				t.Errorf("reader saw %d samples, want %d", cursor, total)
+			}
+			for _, h := range views {
+				for i, p := range h.view {
+					if want := int64(h.at + i); p.AtNS != want || p.CurrentMA != float64(want) {
+						t.Errorf("view at %d, sample %d: %+v, want AtNS %d", h.at, i, p, want)
+						return
+					}
+				}
+				_ = append(h.view, api.SamplePoint{AtNS: -1})
+			}
+		}()
+	}
+	for i := range total {
+		f.PostSample(api.SamplePoint{AtNS: int64(i), CurrentMA: float64(i)})
+	}
+	f.Close()
+	wg.Wait()
+	if pts, _, _ := f.SamplesSince(0); len(pts) != total || pts[total-1].AtNS != total-1 {
+		t.Fatalf("feed holds %d samples after the readers' appends, want %d intact", len(pts), total)
+	}
+}

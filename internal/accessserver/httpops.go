@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"batterylab/internal/metrics"
@@ -136,9 +137,31 @@ func sanitizeRequestID(id string) string {
 // which would explode label cardinality — and one structured
 // access-log line per request.
 func (s *Server) instrument(mux *http.ServeMux) http.Handler {
-	reqs := func(route, code string) { // lazily materialized per (route,code)
-		s.m.reg.Counter("blab_http_requests_total", "HTTP requests by route and status",
-			metrics.L("route", route, "code", code)...).Inc()
+	// The registry handles a request reports to, resolved once per
+	// (route, status) and then read lock-free: the registry's own lookup
+	// takes its mutex and rebuilds the label key every time.
+	type routeCode struct {
+		route string
+		code  int
+	}
+	type handles struct {
+		requests *metrics.Counter
+		latency  *metrics.Histogram
+	}
+	var cache sync.Map // routeCode → handles
+	resolve := func(route string, code int) handles {
+		key := routeCode{route, code}
+		if h, ok := cache.Load(key); ok {
+			return h.(handles)
+		}
+		h := handles{
+			requests: s.m.reg.Counter("blab_http_requests_total", "HTTP requests by route and status",
+				metrics.L("route", route, "code", strconv.Itoa(code))...),
+			latency: s.m.reg.Histogram("blab_http_request_seconds", "HTTP request latency by route",
+				metrics.L("route", route)...),
+		}
+		cache.Store(key, h)
+		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := sanitizeRequestID(r.Header.Get("X-Request-Id"))
@@ -152,13 +175,6 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		}
 		w.Header().Set("X-Request-Id", reqID)
 
-		// The matched pattern, resolved before the handler runs;
-		// r.Pattern is only populated inside the mux's own dispatch.
-		route := "unmatched"
-		if _, pattern := mux.Handler(r); pattern != "" {
-			route = pattern
-		}
-
 		s.m.httpInFlight.Inc()
 		start := time.Now()
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -166,9 +182,15 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		elapsed := time.Since(start)
 		s.m.httpInFlight.Dec()
 
-		reqs(route, strconv.Itoa(sr.status))
-		s.m.reg.Histogram("blab_http_request_seconds", "HTTP request latency by route",
-			metrics.L("route", route)...).Observe(elapsed.Seconds())
+		// The mux's dispatch left the matched pattern on the request; a
+		// 404 or 405 matched none.
+		route := r.Pattern
+		if route == "" {
+			route = "unmatched"
+		}
+		h := resolve(route, sr.status)
+		h.requests.Inc()
+		h.latency.Observe(elapsed.Seconds())
 
 		s.slogger().LogAttrs(context.Background(), slog.LevelInfo, "http",
 			slog.String("request_id", reqID),

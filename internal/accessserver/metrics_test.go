@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -382,4 +383,70 @@ func TestRequestIDAndInstrumentation(t *testing.T) {
 	if !ok || m.Value < 2 {
 		t.Errorf("http_requests_total{GET /api/v1/nodes,200} = %v %v, want >= 2", m.Value, ok)
 	}
+}
+
+// TestInstrumentExposition pins what the middleware's two families look
+// like on /metrics after a scripted sequence — a matched route twice, a
+// 404, a 405 and a 401: which instances exist, in what order, under
+// which labels, with which counts. The handles behind them are cached
+// per (route, code); the exposition must not be able to tell.
+func TestInstrumentExposition(t *testing.T) {
+	v := newV1Rig(t)
+	before := promLines(t, v)
+	for _, c := range []struct {
+		method, path, token string
+		want                int
+	}{
+		{"GET", "/api/v1/nodes", v.admin.Token, http.StatusOK},
+		{"GET", "/no/such/route", v.admin.Token, http.StatusNotFound},
+		{"DELETE", "/healthz", "", http.StatusMethodNotAllowed},
+		{"GET", "/api/v1/nodes", "", http.StatusUnauthorized},
+		{"GET", "/api/v1/nodes", v.admin.Token, http.StatusOK},
+	} {
+		resp := v.request(t, c.method, c.path, c.token, "")
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+	var got []string
+	for _, line := range promLines(t, v) {
+		if !slices.Contains(before, line) {
+			got = append(got, line)
+		}
+	}
+	// Instances keep first-use order (the first scrape put its own route
+	// ahead of the script's); a scrape in flight has not counted itself.
+	want := []string{
+		`blab_http_request_seconds_count{route="GET /api/v1/metrics"} 1`,
+		`blab_http_request_seconds_count{route="GET /api/v1/nodes"} 3`,
+		`blab_http_request_seconds_count{route="unmatched"} 2`,
+		`blab_http_requests_total{code="200",route="GET /api/v1/metrics"} 1`,
+		`blab_http_requests_total{code="200",route="GET /api/v1/nodes"} 2`,
+		`blab_http_requests_total{code="404",route="unmatched"} 1`,
+		`blab_http_requests_total{code="405",route="unmatched"} 1`,
+		`blab_http_requests_total{code="401",route="GET /api/v1/nodes"} 1`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exposition after the script:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// promLines scrapes /api/v1/metrics and returns the request-counter
+// lines and the latency family's _count lines, in exposition order.
+func promLines(t *testing.T, v *v1rig) []string {
+	t.Helper()
+	resp := v.request(t, "GET", "/api/v1/metrics", v.admin.Token, "")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("scrape: status %d, %v", resp.StatusCode, err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "blab_http_requests_total{") || strings.HasPrefix(line, "blab_http_request_seconds_count{") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
 }

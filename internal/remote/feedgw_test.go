@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func decodeFrames(t *testing.T, b []byte) []api.SamplePoint {
 // resumes from the cursor, and the client still ends up with the same
 // stream — byte-identical NDJSON (lines are self-delimiting) and
 // point-identical samples (frame boundaries may legally differ across
-// a resume).
+// a resume). A third gateway's upstream is cut in the middle of a frame.
 func TestGatewayRoundTrip(t *testing.T) {
 	l := newLab(t)
 	token, err := batterylab.NewAPIToken(l.plat, "gw-tester", "experimenter")
@@ -221,6 +222,80 @@ func TestGatewayRoundTrip(t *testing.T) {
 	if !bytes.Equal(cutEvents, directEvents2) {
 		t.Fatalf("event bytes across severed relay differ from direct (%d vs %d bytes)", len(cutEvents), len(directEvents2))
 	}
+
+	// Severed inside a frame: a third gateway's upstream answers the
+	// first sample request with one whole frame of k points and half of
+	// the next, then drops the connection. Nothing of the half frame may
+	// reach the client, the reconnect must ask for exactly ?from=k, and
+	// the body is the whole frame followed by what a direct ?from=k
+	// connection delivers.
+	all := decodeFrames(t, directSamples)
+	k := len(all) / 3
+	var whole, next bytes.Buffer
+	if err := api.WriteSampleFrame(&whole, all[:k]); err != nil {
+		t.Fatal(err)
+	}
+	if err := api.WriteSampleFrame(&next, all[k:]); err != nil {
+		t.Fatal(err)
+	}
+	cutter := &midFrameCut{inner: l.plat.Access.Handler(), path: samplesPath,
+		body: append(whole.Bytes(), next.Bytes()[:next.Len()/2]...)}
+	cts := httptest.NewServer(cutter)
+	t.Cleanup(cts.Close)
+	gw3 := feedgw.New(cts.URL)
+	gw3.SetRetryPolicy(remote.RetryPolicy{Attempts: 6, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
+	gwts3 := httptest.NewServer(gw3.Handler())
+	t.Cleanup(gwts3.Close)
+	st, midCut := get(t, gwts3.URL+samplesPath, token)
+	if st != 200 {
+		t.Fatalf("gateway samples across a mid-frame cut: status %d", st)
+	}
+	dst, directTail := get(t, fmt.Sprintf("%s%s?from=%d", upstream.URL, samplesPath, k), token)
+	if dst != 200 {
+		t.Fatalf("direct samples from %d: status %d", k, dst)
+	}
+	if want := append(whole.Bytes(), directTail...); !bytes.Equal(midCut, want) {
+		t.Fatalf("body across a mid-frame cut: %d bytes, want the %d-byte whole frame plus the %d-byte direct tail", len(midCut), whole.Len(), len(directTail))
+	}
+	if froms := cutter.froms(); !reflect.DeepEqual(froms, []string{"0", strconv.Itoa(k)}) {
+		t.Fatalf("upstream saw ?from= %q, want the first request then exactly %d", froms, k)
+	}
+}
+
+// midFrameCut fronts the real handler and answers the first request for
+// path itself: body, flushed, then an aborted connection.
+type midFrameCut struct {
+	inner http.Handler
+	path  string
+	body  []byte
+
+	mu   sync.Mutex
+	seen []string // ?from= of each request for path
+}
+
+func (c *midFrameCut) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != c.path {
+		c.inner.ServeHTTP(w, r)
+		return
+	}
+	c.mu.Lock()
+	first := len(c.seen) == 0
+	c.seen = append(c.seen, r.URL.Query().Get("from"))
+	c.mu.Unlock()
+	if !first {
+		c.inner.ServeHTTP(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(c.body)
+	w.(http.Flusher).Flush()
+	panic(http.ErrAbortHandler)
+}
+
+func (c *midFrameCut) froms() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.seen...)
 }
 
 // TestGatewayErrors: the gateway validates cursors locally (typed

@@ -133,6 +133,18 @@ func (s *Series) Iter(fn func(tNanos int64, v float64) bool) {
 	}
 }
 
+// Chunks walks the storage chunk by chunk, handing fn each chunk's
+// parallel timestamp and value columns (ChunkLen entries, fewer in the
+// last) until it returns false. The columns are the series' own memory:
+// read-only.
+func (s *Series) Chunks(fn func(t []int64, v []float64) bool) {
+	for _, c := range s.chunks {
+		if !fn(c.t, c.v) {
+			return
+		}
+	}
+}
+
 // Values copies the value column into a fresh flat slice.
 func (s *Series) Values() []float64 {
 	out := make([]float64, 0, s.n)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"math"
 	"math/rand"
@@ -193,4 +194,102 @@ func TestGoldenFixtures(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), rawV2) {
 		t.Fatal("v2 encoder output drifted from the golden fixture")
 	}
+}
+
+// TestAppendBinaryMatchesWriteBinary: the column entry point and the
+// Series one are the same encoder — same bytes for the same samples,
+// across chunk boundaries and for the empty trace.
+func TestAppendBinaryMatchesWriteBinary(t *testing.T) {
+	for _, s := range []*Series{goldenSeries(), mk(7), NewSeries("current", "mA")} {
+		var want bytes.Buffer
+		if err := s.WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		var offs []int64
+		var vals []float64
+		s.Samples().Iter(func(off int64, v float64) bool {
+			offs, vals = append(offs, off), append(vals, v)
+			return true
+		})
+		got := AppendBinary([]byte("kept"), s.Name(), s.Unit(), t0, offs, vals)
+		if !bytes.Equal(got[4:], want.Bytes()) || string(got[:4]) != "kept" {
+			t.Fatalf("%d samples: AppendBinary wrote %d bytes, WriteBinary %d, or they differ", s.Len(), len(got)-4, want.Len())
+		}
+	}
+}
+
+// TestBinaryRejectsHostileHeaders: every length the header states is
+// checked against the bytes that are there before anything is sized or
+// read from it, and timestamps that run backwards or off the end of an
+// int64 are refused by the decoder itself.
+func TestBinaryRejectsHostileHeaders(t *testing.T) {
+	head := func(version byte, tail ...byte) []byte {
+		return append([]byte{'B', 'L', 'T', 'R', 'C', version, 1, 'n', 1, 'u', 0, 0}, tail...)
+	}
+	maxOff := binary.AppendVarint(nil, math.MaxInt64)
+	for name, raw := range map[string][]byte{
+		"name longer than the input":       {'B', 'L', 'T', 'R', 'C', 2, 200, 'n'},
+		"name past the string bound":       append([]byte{'B', 'L', 'T', 'R', 'C', 2}, binary.AppendUvarint(nil, 1<<40)...),
+		"epoch nanoseconds ≥ 1 s":          append([]byte{'B', 'L', 'T', 'R', 'C', 2, 0, 0, 0}, binary.AppendUvarint(nil, 1e9)...),
+		"v2 count the payload cannot hold": head(2, 3, 3, 0, 0, 0, 0),
+		"v1 count the payload cannot hold": head(1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"count overflowing a varint":       head(2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		"chunk longer than the count":      head(2, 1, 2, 0, 0, 0, 0),
+		"empty chunk":                      head(2, 1, 0, 0, 0),
+		"v2 timestamps running back":       head(2, 2, 2, 4, 5, 0, 0),                                        // offsets 2, then 2+(2-3)
+		"v1 timestamps running back":       head(1, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0), // offsets 2, 1
+		"v2 offset sum wrapping":           head(2, append(append([]byte{3, 3}, maxOff...), append(maxOff, 0, 0, 0, 0)...)...),
+		"v1 span past an int64":            head(1, append(append([]byte{2, 3}, 0, 0, 0, 0, 0, 0, 0, 0), append(maxOff, 0, 0, 0, 0, 0, 0, 0, 0)...)...), // offsets -2, MaxInt64
+	} {
+		if s, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: decoded to %d samples", name, s.Len())
+		}
+	}
+	// The same header with an honest payload decodes.
+	if s, err := ReadBinary(bytes.NewReader(head(2, 2, 2, 4, 0, 0, 0))); err != nil || s.Len() != 2 {
+		t.Fatalf("control trace: %v", err)
+	}
+}
+
+// FuzzReadBinary feeds the decoder arbitrary bytes as either version.
+// It must not panic or size anything from a stated length; what it
+// accepts is an ordered series of exactly the stated count that both
+// encoders write back to something that decodes bit-identically.
+func FuzzReadBinary(f *testing.F) {
+	short := mk(1.5, -2.25, math.Inf(1), 1.5, 1.5)
+	for _, version := range []int{BinaryV1, BinaryV2} {
+		var buf bytes.Buffer
+		if err := EncodeBinary(&buf, short, version); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-3])
+	}
+	f.Add([]byte("BLTRC\x02\x00\x00\x00\x00\x02\x02\x01\x7f\x00\x00"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := ReadBinary(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		h, _, err := DecodeHeader(raw)
+		if err != nil || h.Count != s.Len() {
+			t.Fatalf("accepted %d samples; header: count %d, %v", s.Len(), h.Count, err)
+		}
+		for i := 1; i < s.Len(); i++ {
+			if s.Samples().T(i) < s.Samples().T(i-1) {
+				t.Fatalf("sample %d runs backwards", i)
+			}
+		}
+		for _, version := range []int{BinaryV1, BinaryV2} {
+			var buf bytes.Buffer
+			if err := EncodeBinary(&buf, s, version); err != nil {
+				t.Fatal(err)
+			}
+			again, err := ReadBinary(&buf)
+			if err != nil {
+				t.Fatalf("v%d re-encoding does not decode: %v", version, err)
+			}
+			assertBitIdentical(t, again, s)
+		}
+	})
 }

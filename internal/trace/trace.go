@@ -11,6 +11,13 @@
 // computed while capturing, not teardown re-scans of the full trace.
 // Series persist to disk as CSV (WriteCSV/ReadCSV, the v1 text format)
 // or the binary trace format of binary.go.
+//
+// The binary format has a single body, the column codec of binary.go:
+// an append-style encoder over plain offset/value columns and a decoder
+// over a byte slice that visits (offset, value) pairs. WriteBinary,
+// EncodeBinary and ReadBinary are its callers for a Series; AppendBinary,
+// DecodeHeader and Header.DecodeSamples expose it to code that streams
+// samples without building one (the live sample frames of internal/api).
 package trace
 
 import (
@@ -80,10 +87,16 @@ func (s *Series) Append(t time.Time, v float64) error {
 	if s.data.Len() > 0 && off < s.lastOff {
 		return fmt.Errorf("trace: out-of-order sample at %v (last %v)", t, s.epoch.Add(time.Duration(s.lastOff)))
 	}
+	s.appendOffset(off, v)
+	return nil
+}
+
+// appendOffset stores a sample already known to be in order, off
+// nanoseconds after the epoch.
+func (s *Series) appendOffset(off int64, v float64) {
 	s.data.Append(off, v)
 	s.agg.Add(off, v)
 	s.lastOff = off
-	return nil
 }
 
 // MustAppend is Append for recorders that already guarantee ordering.
