@@ -221,7 +221,7 @@ func (s *Server) peerCensus(now time.Time) []api.PeerNode {
 //	                                    token or node-admin user)
 func (s *Server) handlerCluster(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/cluster/peers", func(w http.ResponseWriter, r *http.Request) {
-		if !s.cluster.Authorize(bearerToken(r)) {
+		if !s.cluster.Authorize(api.BearerToken(r)) {
 			writeAPIError(w, apiError(codeUnauthorized, "missing or invalid cluster token"))
 			return
 		}
@@ -256,13 +256,13 @@ func (s *Server) handlerCluster(mux *http.ServeMux) {
 		// Cluster-token callers (peers) and console users may both read
 		// the view. Snapshot-served either way: the registry's COW view
 		// plus per-peer state derivation — never the scheduler mutex.
-		if !s.cluster.Authorize(bearerToken(r)) && s.auth(w, r, PermViewConsole) == nil {
+		if !s.cluster.Authorize(api.BearerToken(r)) && s.auth(w, r, PermViewConsole) == nil {
 			return
 		}
 		writeJSON(w, http.StatusOK, s.cluster.View(s.clock.Now()))
 	})
 	mux.HandleFunc("DELETE /api/v1/cluster/peers/{name}", func(w http.ResponseWriter, r *http.Request) {
-		if !s.cluster.Authorize(bearerToken(r)) && s.auth(w, r, PermManageNodes) == nil {
+		if !s.cluster.Authorize(api.BearerToken(r)) && s.auth(w, r, PermManageNodes) == nil {
 			return
 		}
 		name := r.PathValue("name")
@@ -276,15 +276,6 @@ func (s *Server) handlerCluster(mux *http.ServeMux) {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, map[string]any{"removed": true})
 	})
-}
-
-// bearerToken extracts the Authorization bearer token ("" if absent).
-func bearerToken(r *http.Request) string {
-	const prefix = "Bearer "
-	if tok := r.Header.Get("Authorization"); strings.HasPrefix(tok, prefix) {
-		return tok[len(prefix):]
-	}
-	return ""
 }
 
 // relayRun synthesizes the RunFunc for a build claimed onto a peer's

@@ -22,14 +22,12 @@ package feedgw
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"batterylab/internal/api"
 	"batterylab/internal/metrics"
@@ -193,16 +191,6 @@ func passErr(w http.ResponseWriter, err error) {
 	writeErr(w, &api.Error{Code: api.CodeInternal, Message: "upstream: " + err.Error()})
 }
 
-// bearer extracts the client's bearer token for pass-through auth.
-func bearer(r *http.Request) string {
-	tok := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if len(tok) > len(prefix) && tok[:len(prefix)] == prefix {
-		return tok[len(prefix):]
-	}
-	return tok
-}
-
 // relay serves one client stream by following the upstream stream,
 // reconnecting from the accumulated cursor across transient upstream
 // failures. samples selects the sample route (framed binary or NDJSON);
@@ -236,7 +224,7 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, samples bool) {
 		}
 	}
 
-	plat, err := remote.Dial(g.upstream, bearer(r))
+	plat, err := remote.Dial(g.upstream, api.BearerToken(r))
 	if err != nil {
 		writeErr(w, &api.Error{Code: api.CodeInternal, Message: err.Error()})
 		return
@@ -299,7 +287,7 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, samples bool) {
 				return
 			}
 			failures++
-			if failures >= g.retry.Attempts || !g.sleep(ctx, failures) {
+			if failures >= g.retry.Attempts || !g.retry.Sleep(ctx, failures) {
 				return
 			}
 			g.reconnects.Inc()
@@ -334,7 +322,7 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, samples bool) {
 		if st, serr := plat.BuildStatus(ctx, id); serr != nil || st.FeedEpoch != epoch {
 			return
 		}
-		if !g.sleep(ctx, failures) {
+		if !g.retry.Sleep(ctx, failures) {
 			return
 		}
 	}
@@ -397,32 +385,5 @@ func (g *Gateway) relayFrames(w io.Writer, flusher http.Flusher, rc io.Reader, c
 		*cursor += pts
 		n += pts
 		g.samples.Add(int64(pts))
-	}
-}
-
-// sleep waits out the exponential backoff before reconnect attempt n,
-// honoring ctx. Reports false when ctx ended first.
-func (g *Gateway) sleep(ctx context.Context, n int) bool {
-	d := g.retry.BaseDelay
-	if d <= 0 {
-		d = remote.DefaultRetryPolicy.BaseDelay
-	}
-	max := g.retry.MaxDelay
-	if max <= 0 {
-		max = time.Minute
-	}
-	for i := 1; i < n && d < max; i++ {
-		d <<= 1
-	}
-	if d > max {
-		d = max
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }

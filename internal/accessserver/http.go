@@ -26,11 +26,7 @@ func (s *Server) Handler() http.Handler {
 // auth authenticates the bearer token and checks the permission,
 // writing the error response itself on failure.
 func (s *Server) auth(w http.ResponseWriter, r *http.Request, perm Permission) *User {
-	tok := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if len(tok) > len(prefix) && tok[:len(prefix)] == prefix {
-		tok = tok[len(prefix):]
-	}
+	tok := api.BearerToken(r)
 	user, err := s.Users.Authenticate(tok)
 	if err != nil {
 		if tok != "" && s.cluster.Authorize(tok) {

@@ -543,6 +543,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 				b.err = &recoveredErr{msg: br.Err, sentinels: sentinels}
 			}
 			s.hub.Close(b.ID)
+			s.publishBuildLocked(b)
 			s.scheduleRetention(b)
 			continue
 		}
@@ -588,19 +589,19 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 			}
 		default:
 			s.queuePushLocked(b)
+			s.publishBuildLocked(b)
 			stats.Requeued++
 		}
 	}
 
-	// Prime the read plane and the feed-plane high-water mark with the
-	// recovered world before the lock drops: ids whose records expired
-	// before the restart must resolve as expired (not unknown), and the
-	// snapshot routes must serve the recovered state from the first
-	// request rather than waiting for the next transition to publish.
+	// Prime the feed-plane high-water mark and the rest of the read plane
+	// with the recovered world before the lock drops: ids whose records
+	// expired before the restart must resolve as expired (not unknown),
+	// and the snapshot routes must serve the recovered state from the
+	// first request rather than waiting for the next transition to
+	// publish. Every build was published once above, by the branch or the
+	// transition that decided its state.
 	s.hub.SetHighWater(s.nextID - 1)
-	for _, b := range s.builds {
-		s.publishBuildLocked(b)
-	}
 	for id, rec := range s.campaigns {
 		s.reads.publishCampaign(id, rec.builds)
 	}

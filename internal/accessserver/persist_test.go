@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -254,6 +257,53 @@ func TestRecoverPreSpecJobRecords(t *testing.T) {
 	}
 }
 
+// TestEveryBuildStateIsTabled: the store's record codec has no second
+// format for a build state outside its table, so every string a
+// BuildState can render must be appendable — and parse back. The
+// constants are counted from job.go's declaration, so a state added
+// there without a table entry in store/codec.go fails here, not as a
+// latched WAL at the first build that reaches it.
+func TestEveryBuildStateIsTabled(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "job.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := 0
+	for _, decl := range file.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.CONST {
+			continue
+		}
+		if id, ok := gen.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || id.Name != "BuildState" {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			states += len(spec.(*ast.ValueSpec).Names)
+		}
+	}
+	if states != int(StateAborted)+1 {
+		t.Fatalf("job.go declares %d build states, the last known one is %d", states, StateAborted)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for state := BuildState(-1); int(state) <= states; state++ { // out-of-range values render too
+		name := state.String()
+		if back, ok := parseState(name); !ok || back.String() != name {
+			t.Errorf("state %d renders as %q, which does not parse back", state, name)
+		}
+		err := st.AppendBatch([]store.Record{
+			{T: store.TBuildFinished, BuildID: 1, State: name},
+			{T: store.TBuildQueued, Build: &store.BuildRec{ID: 1, State: name}},
+		})
+		if err != nil {
+			t.Errorf("state %d (%q) cannot be logged: %v", state, name, err)
+		}
+	}
+}
+
 // TestRecoverBuilds: a campaign crashes with two builds running and
 // one queued. After restart the running builds go through the
 // failover contract (retry, failover feed event), the queued one
@@ -325,6 +375,13 @@ func TestRecoverBuilds(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 resumed + 1 requeued", stats)
 	}
 	checkLifecycle(t, srv2, "after AttachStore")
+	// Recovery publishes each build once — in the branch or the lifecycle
+	// transition that decided its state. The dispatch that closes
+	// AttachStore then makes three changes of its own: it starts two
+	// builds (the executor cap) and labels the third with why it waits.
+	if got, want := srv2.reads.buildPublishes, stats.Builds+3; stats.Builds != 4 || got != want {
+		t.Fatalf("AttachStore published %d build statuses for %d recovered builds, want %d", got, stats.Builds, want)
+	}
 
 	// The finished build's status is byte-identical apart from the
 	// recovery marker and the (empty) feed counters.

@@ -40,6 +40,10 @@ type readPlane struct {
 	// builds maps build id -> served status, republished in place on
 	// every transition and evicted at retention.
 	builds chunkIndex[api.BuildStatus]
+	// buildPublishes counts publishBuild calls. Publishers hold s.mu, so
+	// it is a plain int; tests read it to pin "one transition, one
+	// publish".
+	buildPublishes int
 	// nodes is the published node census, sorted by name. The slice and
 	// its rows are immutable once stored: one load is one consistent
 	// view of the whole fleet.
@@ -59,6 +63,7 @@ func newReadPlane() *readPlane {
 
 // publishBuild installs st as build st.ID's served status.
 func (rp *readPlane) publishBuild(st api.BuildStatus) {
+	rp.buildPublishes++
 	rp.builds.put(st.ID, &st)
 }
 

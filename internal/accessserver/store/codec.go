@@ -10,26 +10,40 @@ import (
 	"batterylab/internal/api"
 )
 
-// Binary record frames. The WAL's uvarint|CRC32|payload framing is
-// unchanged; what moved is the payload itself. A v1 payload is a JSON
-// object and therefore starts with '{'; a v2 payload starts with the
-// recBinaryMarker byte and holds a protobuf-style TLV body: each field
-// is keyed by uvarint(fieldNum<<3 | wireType) with wire types
+// The record codec. The store writes ONE record format — the binary TLV
+// payload below — and reads two: TLV, and the v1 JSON object servers
+// wrote before it (a JSON payload starts with '{', a TLV payload with
+// recBinaryMarker, so scanRecords dispatches per frame and old or mixed
+// logs replay with no conversion). The WAL's uvarint|CRC32|payload
+// framing around the payload is store.go's.
+//
+// A TLV body is protobuf-style: each field is keyed by
+// uvarint(fieldNum<<3 | wireType) with wire types
 //
 //	0  varint  (zigzag-encoded signed ints; bools and enums as-is)
 //	1  fixed64 (float64 bits, little-endian)
 //	2  bytes   (strings, nested messages, repeated scalars)
 //
-// Zero-valued fields are omitted, unknown fields are skipped on decode
-// (the additive-evolution property the JSON codec had), and every
-// decoder is bounds-checked so corrupt payloads fail the scan instead
-// of panicking replay. The marker byte makes each frame self-describing:
-// mixed v1/v2 logs — the upgrade case — replay with per-frame dispatch,
-// no file-level flag day.
+// # Where a message's layout lives
 //
-// Enum-coded strings (the record type and build states) carry a raw
-// string fallback field for values outside the table, so the binary
-// codec never silently narrows what the JSON codec could store.
+// Every persisted message has exactly one field listing — a
+// `…Fields(c, m)` function further down — and both directions are
+// derived from it: each line names a field number, a kind and the
+// struct member, and the codec walking the listing is either writing or
+// reading. Adding a field is one line there (plus the struct member).
+//
+// The listing's ORDER IS PART OF THE FORMAT: writing emits fields in
+// listing order, and equal records must keep encoding to equal bytes
+// (the bench drift gates and the v2wal golden fixture pin them). So
+// listings are APPEND ONLY — never renumber, reorder or reuse a number.
+// Reading does not depend on order: a reader claims the pending key
+// wherever the listing names it, so our own bytes decode in one pass
+// over the listing and any other order just takes more passes. Zero
+// values are omitted, a repeated scalar or nested message keeps the last
+// occurrence, and unknown fields (and known numbers under a foreign
+// wire type) are skipped — the additive-evolution property the JSON
+// codec had. Every read is bounds-checked, so a corrupt payload fails
+// the scan instead of panicking replay.
 
 // recBinaryMarker is the first payload byte of a binary record frame.
 // JSON payloads always start with '{' (0x7B); 0x02 can never begin a
@@ -45,6 +59,8 @@ const (
 
 // typeByIndex gives every record type a stable 1-based enum value.
 // APPEND ONLY — reordering would re-type every record already on disk.
+// Every Type constant is listed (TestEveryTypeIsTabled), so appending a
+// record of a declared type cannot fail on the table.
 var typeByIndex = []Type{
 	TUserAdded, TUserRemoved, TJobPut, TJobDeleted,
 	TNodeMonitored, TNodeOwner, TNodeDrain, TNodeRemoved, TNodeHostingFlush,
@@ -53,901 +69,549 @@ var typeByIndex = []Type{
 	TPeerJoined, TPeerLeft,
 }
 
-var indexByType = func() map[Type]uint64 {
-	m := make(map[Type]uint64, len(typeByIndex))
-	for i, t := range typeByIndex {
-		m[t] = uint64(i + 1)
-	}
-	return m
-}()
-
 // stateByIndex maps build-state strings to a 1-based enum. APPEND ONLY.
+// It covers every string BuildState.String can return (accessserver's
+// TestEveryBuildStateIsTabled).
 var stateByIndex = []string{
 	"queued", "running", "success", "failure", "aborted", "expired",
 }
 
-var indexByState = func() map[string]uint64 {
-	m := make(map[string]uint64, len(stateByIndex))
-	for i, s := range stateByIndex {
+var (
+	indexByType  = indexOf(typeByIndex)
+	indexByState = indexOf(stateByIndex)
+)
+
+func indexOf[S ~string](names []S) map[S]uint64 {
+	m := make(map[S]uint64, len(names))
+	for i, s := range names {
 		m[s] = uint64(i + 1)
 	}
 	return m
-}()
-
-// enc builds a TLV message. The zero value is ready to use.
-type enc struct {
-	b []byte
 }
 
-func (e *enc) key(field, wire int) {
-	e.b = binary.AppendUvarint(e.b, uint64(field)<<3|uint64(wire))
+// codec walks a message's field listing in one of two directions.
+// Writing, b is the output and every listing line appends its field if
+// the member is non-zero. Reading, b is the payload, [off, end) the
+// message being walked and (field, wire) its pending key, which the
+// listing line naming it claims: it stores the value and loads the next
+// key. A failure latches err and ends the walk.
+type codec struct {
+	reading     bool
+	b           []byte
+	off, end    int
+	field, wire int // field < 0: message exhausted, or err set
+	err         error
 }
 
-// uvarint emits a non-negative varint field, omitting zero.
-func (e *enc) uvarint(field int, v uint64) {
-	if v == 0 {
-		return
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
-	e.key(field, wVarint)
-	e.b = binary.AppendUvarint(e.b, v)
+	c.field = -1
 }
 
-// svarint emits a zigzag-encoded signed field, omitting zero.
-func (e *enc) svarint(field int, v int64) {
-	if v == 0 {
-		return
-	}
-	e.key(field, wVarint)
-	e.b = binary.AppendUvarint(e.b, uint64(v<<1)^uint64(v>>63))
+// --- writing --------------------------------------------------------
+
+func (c *codec) key(n, wire int) {
+	c.b = binary.AppendUvarint(c.b, uint64(n)<<3|uint64(wire))
 }
 
-// boolean emits a true flag, omitting false.
-func (e *enc) boolean(field int, v bool) {
-	if !v {
-		return
-	}
-	e.key(field, wVarint)
-	e.b = append(e.b, 1)
+func appendString[S string | []byte](b []byte, s S) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// float emits a fixed64 float field, omitting zero.
-func (e *enc) float(field int, v float64) {
-	if v == 0 {
-		return
-	}
-	e.key(field, wFixed64)
-	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// closeBody turns the bytes written since at into a length-delimited
+// value by sliding the length prefix in front of them: nested messages
+// are written in place, with no buffer of their own.
+func (c *codec) closeBody(at int) {
+	n := len(c.b) - at
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	c.b = append(c.b, pre[:k]...)
+	copy(c.b[at+k:], c.b[at:at+n])
+	copy(c.b[at:], pre[:k])
 }
 
-// str emits a string field, omitting empty.
-func (e *enc) str(field int, s string) {
-	if s == "" {
-		return
-	}
-	e.key(field, wBytes)
-	e.b = binary.AppendUvarint(e.b, uint64(len(s)))
-	e.b = append(e.b, s...)
-}
+// --- reading --------------------------------------------------------
 
-// bytes emits a length-delimited field even when empty (presence of a
-// nested message is meaningful: a nil pointer has no field at all).
-func (e *enc) bytes(field int, p []byte) {
-	e.key(field, wBytes)
-	e.b = binary.AppendUvarint(e.b, uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-
-// state emits a build state as its enum when tabled, as a raw string in
-// fallbackField otherwise.
-func (e *enc) state(enumField, fallbackField int, s string) {
-	if s == "" {
-		return
-	}
-	if idx, ok := indexByState[s]; ok {
-		e.uvarint(enumField, idx)
-		return
-	}
-	e.str(fallbackField, s)
-}
-
-// dec walks a TLV message. Malformed input sets err and stops the walk;
-// every read is bounds-checked.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-// next reads the next field key. ok is false at a clean end or on error.
-func (d *dec) next() (field int, wire int, ok bool) {
-	if d.err != nil || d.off >= len(d.b) {
-		return 0, 0, false
-	}
-	k := d.uvarint()
-	if d.err != nil {
-		return 0, 0, false
-	}
-	return int(k >> 3), int(k & 7), true
-}
-
-func (d *dec) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.off:])
+func (c *codec) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b[c.off:c.end])
 	if n <= 0 {
-		d.fail("store: truncated varint at offset %d", d.off)
+		c.fail("store: truncated varint at offset %d", c.off)
 		return 0
 	}
-	d.off += n
+	c.off += n
 	return v
 }
 
-func (d *dec) svarint() int64 {
-	u := d.uvarint()
+func (c *codec) svarint() int64 {
+	u := c.uvarint()
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (d *dec) fixed64() float64 {
-	if d.off+8 > len(d.b) {
-		d.fail("store: truncated fixed64 at offset %d", d.off)
+func (c *codec) fixed64() float64 {
+	if c.end-c.off < 8 {
+		c.fail("store: truncated fixed64 at offset %d", c.off)
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
+	v := math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
+	c.off += 8
 	return v
 }
 
-func (d *dec) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
+func (c *codec) bytes() []byte {
+	n := c.uvarint()
+	if c.err != nil {
 		return nil
 	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("store: bytes field length %d overruns payload", n)
+	if n > uint64(c.end-c.off) {
+		c.fail("store: bytes field length %d overruns payload", n)
 		return nil
 	}
-	p := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
+	p := c.b[c.off : c.off+int(n)]
+	c.off += int(n)
 	return p
 }
 
-func (d *dec) str() string { return string(d.bytes()) }
-
-// skip consumes an unknown field's value.
-func (d *dec) skip(wire int) {
-	switch wire {
-	case wVarint:
-		d.uvarint()
-	case wFixed64:
-		if d.off+8 > len(d.b) {
-			d.fail("store: truncated fixed64 at offset %d", d.off)
-			return
-		}
-		d.off += 8
-	case wBytes:
-		d.bytes()
-	default:
-		d.fail("store: unknown wire type %d", wire)
+// next loads the pending key; field is -1 at the end of the message.
+func (c *codec) next() {
+	c.field = -1
+	if c.err != nil || c.off >= c.end {
+		return
+	}
+	if k := c.uvarint(); c.err == nil {
+		c.field, c.wire = int(k>>3), int(k&7)
 	}
 }
 
-// --- Record ---------------------------------------------------------
+// pending reports whether the pending key is field n with the wire type
+// its kind is written under. Only then does a listing line claim it.
+func (c *codec) pending(n, wire int) bool { return c.field == n && c.wire == wire }
 
-// Record field numbers (APPEND ONLY).
-const (
-	rfType       = 1
-	rfUser       = 2
-	rfName       = 3
-	rfJob        = 4
-	rfNode       = 5
-	rfOwner      = 6
-	rfDraining   = 7
-	rfBuild      = 8
-	rfBuildID    = 9
-	rfNodeName   = 10
-	rfAttempt    = 11
-	rfRetries    = 12
-	rfReason     = 13
-	rfStateStr   = 14
-	rfErr        = 15
-	rfCanceled   = 16
-	rfNodeLost   = 17
-	rfSummary    = 18
-	rfAtNS       = 19
-	rfCampaign   = 20
-	rfCampaignID = 21
-	rfEntry      = 22
-	rfStateEnum  = 23
-	rfPeer       = 24
-)
+// skip consumes the pending key's value, which no listing line claimed.
+func (c *codec) skip() {
+	switch c.wire {
+	case wVarint:
+		c.uvarint()
+	case wFixed64:
+		c.fixed64()
+	case wBytes:
+		c.bytes()
+	default:
+		c.fail("store: unknown wire type %d", c.wire)
+	}
+}
 
-// encodeRecord renders rec as a binary frame payload (marker byte plus
-// TLV body). ok is false when rec's type is outside the enum table —
-// the caller falls back to the JSON codec, which any replayer accepts.
-func encodeRecord(rec Record) (payload []byte, ok bool, err error) {
-	typeIdx, tabled := indexByType[rec.T]
-	if !tabled {
-		return nil, false, nil
+// enterBody narrows the walk to the length-delimited value at the
+// cursor and returns the enclosing message's end for leaveBody.
+func (c *codec) enterBody() (outer int) {
+	outer = c.end
+	if n := c.uvarint(); n > uint64(c.end-c.off) {
+		c.fail("store: nested field length %d overruns payload", n)
+	} else if c.err == nil {
+		c.end = c.off + int(n)
 	}
-	e := &enc{b: []byte{recBinaryMarker}}
-	e.uvarint(rfType, typeIdx)
-	if rec.User != nil {
-		e.bytes(rfUser, encodeUser(rec.User))
+	return outer
+}
+
+func (c *codec) leaveBody(outer int) {
+	if c.err == nil {
+		c.off = c.end
 	}
-	e.str(rfName, rec.Name)
-	if rec.Job != nil {
-		b, err := encodeJob(rec.Job)
-		if err != nil {
-			return nil, false, err
+	c.end = outer
+	c.next()
+}
+
+// read decodes the message [off, end) into m: one pass over the listing
+// claims every field that arrives in listing order, a pass that claims
+// nothing skips the pending key as unknown. The listing always runs at
+// least once, so kinds with a non-zero "absent" value can set it.
+func read[T any](c *codec, m *T, fields func(*codec, *T)) {
+	c.next()
+	for {
+		at := c.off
+		fields(c, m)
+		if c.field < 0 {
+			return
 		}
-		e.bytes(rfJob, b)
-	}
-	if rec.Node != nil {
-		e.bytes(rfNode, encodeNode(rec.Node))
-	}
-	e.str(rfOwner, rec.Owner)
-	e.boolean(rfDraining, rec.Draining)
-	if rec.Build != nil {
-		b, err := encodeBuild(rec.Build)
-		if err != nil {
-			return nil, false, err
+		if c.off == at {
+			c.skip()
+			c.next()
 		}
-		e.bytes(rfBuild, b)
 	}
-	e.svarint(rfBuildID, int64(rec.BuildID))
-	e.str(rfNodeName, rec.NodeName)
-	e.svarint(rfAttempt, int64(rec.Attempt))
-	e.svarint(rfRetries, int64(rec.Retries))
-	e.str(rfReason, rec.Reason)
-	e.state(rfStateEnum, rfStateStr, rec.State)
-	e.str(rfErr, rec.Err)
-	e.boolean(rfCanceled, rec.Canceled)
-	e.boolean(rfNodeLost, rec.NodeLost)
-	if rec.Summary != nil {
-		e.bytes(rfSummary, encodeSummary(rec.Summary))
+}
+
+// --- field kinds (each line of a listing is one of these) ------------
+
+// str is a string, omitted when empty.
+func (c *codec) str(n int, p *string) {
+	if !c.reading {
+		if *p != "" {
+			c.key(n, wBytes)
+			c.b = appendString(c.b, *p)
+		}
+	} else if c.pending(n, wBytes) {
+		*p = string(c.bytes())
+		c.next()
 	}
-	e.svarint(rfAtNS, rec.AtNS)
-	if rec.Campaign != nil {
-		e.bytes(rfCampaign, encodeCampaign(rec.Campaign))
+}
+
+// legacyStr is a string field no writer emits any more (the raw-string
+// fallbacks of the state enums); old logs may carry it, so it stays
+// readable.
+func (c *codec) legacyStr(n int, p *string) {
+	if c.reading {
+		c.str(n, p)
 	}
-	e.svarint(rfCampaignID, int64(rec.CampaignID))
-	if rec.Entry != nil {
-		e.bytes(rfEntry, encodeLedger(rec.Entry))
+}
+
+// flag is a bool, omitted when false.
+func (c *codec) flag(n int, p *bool) {
+	if !c.reading {
+		if *p {
+			c.key(n, wVarint)
+			c.b = append(c.b, 1)
+		}
+	} else if c.pending(n, wVarint) {
+		*p = c.uvarint() != 0
+		c.next()
 	}
-	if rec.Peer != nil {
-		e.bytes(rfPeer, encodePeer(rec.Peer))
+}
+
+// int64 is a zigzag-encoded signed integer, omitted when zero.
+func (c *codec) int64(n int, p *int64) {
+	if !c.reading {
+		if *p != 0 {
+			c.key(n, wVarint)
+			c.b = binary.AppendUvarint(c.b, zigzag(*p))
+		}
+	} else if c.pending(n, wVarint) {
+		*p = c.svarint()
+		c.next()
 	}
-	return e.b, true, nil
+}
+
+func (c *codec) int(n int, p *int) {
+	v := int64(*p)
+	c.int64(n, &v)
+	*p = int(v)
+}
+
+// float is a fixed64 float64, omitted when zero.
+func (c *codec) float(n int, p *float64) {
+	if !c.reading {
+		if *p != 0 {
+			c.key(n, wFixed64)
+			c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*p))
+		}
+	} else if c.pending(n, wFixed64) {
+		*p = c.fixed64()
+		c.next()
+	}
+}
+
+// enum is a string drawn from an append-only table, stored as its
+// 1-based index and omitted when empty. A value outside the table is an
+// error in both directions: there is no second format to fall back to.
+func enum[S ~string](c *codec, n int, p *S, names []S, index map[S]uint64) {
+	if !c.reading {
+		if *p == "" {
+			return
+		}
+		idx, ok := index[*p]
+		if !ok {
+			c.fail("store: field %d: %q is not a tabled value", n, string(*p))
+			return
+		}
+		c.key(n, wVarint)
+		c.b = binary.AppendUvarint(c.b, idx)
+	} else if c.pending(n, wVarint) {
+		idx := c.uvarint()
+		if idx == 0 || idx > uint64(len(names)) {
+			c.fail("store: field %d: unknown enum value %d", n, idx)
+			return
+		}
+		*p = names[idx-1]
+		c.next()
+	}
+}
+
+// nested is an optional message behind a pointer: absent when nil,
+// present (even if empty) otherwise. A repeat replaces the earlier one.
+func nested[T any](c *codec, n int, p **T, fields func(*codec, *T)) {
+	switch {
+	case !c.reading && *p != nil:
+		c.key(n, wBytes)
+	case c.reading && c.pending(n, wBytes):
+		*p = new(T)
+	default:
+		return
+	}
+	body(c, *p, fields)
+}
+
+// embedded is a message held by value, omitted when it is all zero.
+func embedded[T comparable](c *codec, n int, p *T, fields func(*codec, *T)) {
+	var zero T
+	switch {
+	case !c.reading && *p != zero:
+		c.key(n, wBytes)
+	case c.reading && c.pending(n, wBytes):
+		*p = zero
+	default:
+		return
+	}
+	body(c, p, fields)
+}
+
+// body walks m as the length-delimited value of the key just written or
+// claimed.
+func body[T any](c *codec, m *T, fields func(*codec, *T)) {
+	if !c.reading {
+		at := len(c.b)
+		fields(c, m)
+		c.closeBody(at)
+		return
+	}
+	outer := c.enterBody()
+	read(c, m, fields)
+	c.leaveBody(outer)
+}
+
+// strs is a repeated string: one field per element, appended in arrival
+// order on read.
+func (c *codec) strs(n int, p *[]string) {
+	if !c.reading {
+		for _, s := range *p {
+			c.key(n, wBytes)
+			c.b = appendString(c.b, s)
+		}
+		return
+	}
+	for c.pending(n, wBytes) {
+		*p = append(*p, string(c.bytes()))
+		c.next()
+	}
+}
+
+// ids is a list of ints packed into one bytes field: count, then zigzag
+// varints. Always written, even when empty, and an absent field reads
+// as an empty list — CampaignRec.Builds marshals as [] in JSON, never
+// null.
+func (c *codec) ids(n int, p *[]int) {
+	if !c.reading {
+		c.key(n, wBytes)
+		at := len(c.b)
+		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
+		for _, id := range *p {
+			c.b = binary.AppendUvarint(c.b, zigzag(int64(id)))
+		}
+		c.closeBody(at)
+		return
+	}
+	if *p == nil {
+		*p = []int{}
+	}
+	if !c.pending(n, wBytes) {
+		return
+	}
+	outer := c.enterBody()
+	if count := c.uvarint(); count > uint64(c.end-c.off) { // each id is ≥1 byte
+		c.fail("store: id count %d overruns field", count)
+	} else {
+		*p = make([]int, 0, count)
+		for i := uint64(0); i < count && c.err == nil; i++ {
+			*p = append(*p, int(c.svarint()))
+		}
+	}
+	c.leaveBody(outer)
+}
+
+// params is a workload's parameter map (see encodeParams), omitted when
+// empty.
+func (c *codec) params(n int, p *api.Params) {
+	if !c.reading {
+		if len(*p) == 0 {
+			return
+		}
+		c.key(n, wBytes)
+		at := len(c.b)
+		var err error
+		if c.b, err = encodeParams(c.b, *p); err != nil {
+			c.fail("%w", err)
+		}
+		c.closeBody(at)
+	} else if c.pending(n, wBytes) {
+		var err error
+		if *p, err = decodeParams(c.bytes()); err != nil {
+			c.fail("%w", err)
+		}
+		c.next()
+	}
+}
+
+// --- the messages ---------------------------------------------------
+//
+// One listing per message; see the header for the rules. Field numbers
+// 3–6 of JobRec (the closure-job constraints) and the legacyStr fields
+// are retired: still in old logs, never written again, never reused.
+
+func recordFields(c *codec, r *Record) {
+	enum(c, 1, &r.T, typeByIndex, indexByType)
+	nested(c, 2, &r.User, userFields)
+	c.str(3, &r.Name)
+	nested(c, 4, &r.Job, jobFields)
+	nested(c, 5, &r.Node, nodeFields)
+	c.str(6, &r.Owner)
+	c.flag(7, &r.Draining)
+	nested(c, 8, &r.Build, buildFields)
+	c.int(9, &r.BuildID)
+	c.str(10, &r.NodeName)
+	c.int(11, &r.Attempt)
+	c.int(12, &r.Retries)
+	c.str(13, &r.Reason)
+	enum(c, 23, &r.State, stateByIndex, indexByState)
+	c.legacyStr(14, &r.State)
+	c.str(15, &r.Err)
+	c.flag(16, &r.Canceled)
+	c.flag(17, &r.NodeLost)
+	nested(c, 18, &r.Summary, summaryFields)
+	c.int64(19, &r.AtNS)
+	nested(c, 20, &r.Campaign, campaignFields)
+	c.int(21, &r.CampaignID)
+	nested(c, 22, &r.Entry, ledgerFields)
+	nested(c, 24, &r.Peer, peerFields)
+}
+
+func userFields(c *codec, u *UserRec) {
+	c.str(1, &u.Name)
+	c.int(2, &u.Role)
+	c.str(3, &u.Token)
+}
+
+func jobFields(c *codec, j *JobRec) {
+	c.str(1, &j.Name)
+	c.str(2, &j.Owner)
+	c.flag(7, &j.Approved)
+	c.int(8, &j.Revision)
+	nested(c, 9, &j.Spec, specFields)
+}
+
+func nodeFields(c *codec, n *NodeRec) {
+	c.str(1, &n.Name)
+	c.str(2, &n.Owner)
+	c.flag(3, &n.Monitored)
+	c.flag(4, &n.Draining)
+	c.flag(5, &n.Removed)
+	c.strs(6, &n.Devices)
+	c.int64(7, &n.OwedHostingNS)
+}
+
+func buildFields(c *codec, b *BuildRec) {
+	c.int(1, &b.ID)
+	c.str(2, &b.Job)
+	c.str(3, &b.Owner)
+	c.int(4, &b.Campaign)
+	nested(c, 5, &b.Spec, specFields)
+	enum(c, 6, &b.State, stateByIndex, indexByState)
+	c.legacyStr(18, &b.State)
+	c.str(7, &b.Err)
+	c.flag(8, &b.Canceled)
+	c.flag(9, &b.NodeLost)
+	c.str(10, &b.Node)
+	c.int(11, &b.Attempts)
+	c.int(12, &b.Retries)
+	c.int64(13, &b.QueuedAtNS)
+	c.int64(14, &b.StartedAtNS)
+	c.int64(15, &b.FinishedAtNS)
+	nested(c, 16, &b.Summary, summaryFields)
+	c.int(17, &b.FeedEpoch)
+}
+
+func campaignFields(c *codec, m *CampaignRec) {
+	c.int(1, &m.ID)
+	c.int(2, &m.MaxConcurrent)
+	c.ids(3, &m.Builds)
+}
+
+func ledgerFields(c *codec, l *LedgerRec) {
+	c.str(1, &l.User)
+	c.float(2, &l.Delta)
+	c.str(3, &l.Reason)
+}
+
+func peerFields(c *codec, p *PeerRec) {
+	c.str(1, &p.Name)
+	c.str(2, &p.URL)
+}
+
+func specFields(c *codec, s *api.ExperimentSpec) {
+	c.str(1, &s.Node)
+	c.str(2, &s.Device)
+	c.str(3, &s.Workload.Name)
+	c.params(4, &s.Workload.Params)
+	embedded(c, 5, &s.Monitor, monitorFields)
+	c.flag(6, &s.Mirroring)
+	c.str(7, &s.VPNLocation)
+	c.str(8, &s.Transport)
+	c.flag(9, &s.Constraints.RequireLowCPU)
+	c.flag(10, &s.Constraints.AllowFallback)
+	c.str(11, &s.HomeServer)
+}
+
+func monitorFields(c *codec, m *api.MonitorSpec) {
+	c.int(1, &m.SampleRateHz)
+	c.float(2, &m.VoltageV)
+	c.int64(3, &m.CPUSamplePeriodMS)
+	c.int64(4, &m.PaddingMS)
+}
+
+func summaryFields(c *codec, s *api.RunSummary) {
+	c.int64(1, &s.Samples)
+	c.float(2, &s.MeanMA)
+	c.float(3, &s.P50MA)
+	c.float(4, &s.P95MA)
+	c.float(5, &s.EnergyMAH)
+	c.int64(6, &s.DurationNS)
+	c.int64(7, &s.MirrorUploadBytes)
+	c.int64(8, &s.DroppedLiveSamples)
+}
+
+// encodeRecord renders rec as a binary frame payload: the marker byte
+// plus the TLV body. A type or state outside its table is an error.
+func encodeRecord(rec *Record) ([]byte, error) {
+	if rec.T == "" {
+		return nil, fmt.Errorf("store: record has no type")
+	}
+	c := &codec{b: append(make([]byte, 0, 128), recBinaryMarker)}
+	recordFields(c, rec)
+	return c.b, c.err
 }
 
 // decodeRecord parses a binary frame payload (including the leading
-// marker byte).
-func decodeRecord(payload []byte) (Record, error) {
-	var rec Record
+// marker byte) into rec, which must be zero. The codec is reset, so a
+// scan reuses one.
+func (c *codec) decodeRecord(payload []byte, rec *Record) error {
 	if len(payload) == 0 || payload[0] != recBinaryMarker {
-		return rec, fmt.Errorf("store: not a binary record payload")
+		return fmt.Errorf("store: not a binary record payload")
 	}
-	d := &dec{b: payload, off: 1}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case rfType:
-			idx := d.uvarint()
-			if idx == 0 || idx > uint64(len(typeByIndex)) {
-				return rec, fmt.Errorf("store: unknown record type enum %d", idx)
-			}
-			rec.T = typeByIndex[idx-1]
-		case rfUser:
-			u, err := decodeUser(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.User = u
-		case rfName:
-			rec.Name = d.str()
-		case rfJob:
-			j, err := decodeJob(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Job = j
-		case rfNode:
-			n, err := decodeNode(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Node = n
-		case rfOwner:
-			rec.Owner = d.str()
-		case rfDraining:
-			rec.Draining = d.uvarint() != 0
-		case rfBuild:
-			b, err := decodeBuild(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Build = b
-		case rfBuildID:
-			rec.BuildID = int(d.svarint())
-		case rfNodeName:
-			rec.NodeName = d.str()
-		case rfAttempt:
-			rec.Attempt = int(d.svarint())
-		case rfRetries:
-			rec.Retries = int(d.svarint())
-		case rfReason:
-			rec.Reason = d.str()
-		case rfStateStr:
-			rec.State = d.str()
-		case rfStateEnum:
-			idx := d.uvarint()
-			if idx == 0 || idx > uint64(len(stateByIndex)) {
-				return rec, fmt.Errorf("store: unknown state enum %d", idx)
-			}
-			rec.State = stateByIndex[idx-1]
-		case rfErr:
-			rec.Err = d.str()
-		case rfCanceled:
-			rec.Canceled = d.uvarint() != 0
-		case rfNodeLost:
-			rec.NodeLost = d.uvarint() != 0
-		case rfSummary:
-			s, err := decodeSummary(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Summary = s
-		case rfAtNS:
-			rec.AtNS = d.svarint()
-		case rfCampaign:
-			c, err := decodeCampaign(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Campaign = c
-		case rfCampaignID:
-			rec.CampaignID = int(d.svarint())
-		case rfEntry:
-			l, err := decodeLedger(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Entry = l
-		case rfPeer:
-			p, err := decodePeer(d.bytes())
-			if err != nil {
-				return rec, err
-			}
-			rec.Peer = p
-		default:
-			d.skip(wire)
-		}
-	}
-	if d.err != nil {
-		return rec, d.err
+	*c = codec{reading: true, b: payload, off: 1, end: len(payload)}
+	read(c, rec, recordFields)
+	if c.err != nil {
+		return c.err
 	}
 	if rec.T == "" {
-		return rec, fmt.Errorf("store: binary record missing type field")
+		return fmt.Errorf("store: binary record missing type field")
 	}
-	return rec, nil
-}
-
-// --- UserRec --------------------------------------------------------
-
-func encodeUser(u *UserRec) []byte {
-	e := &enc{}
-	e.str(1, u.Name)
-	e.svarint(2, int64(u.Role))
-	e.str(3, u.Token)
-	return e.b
-}
-
-func decodeUser(b []byte) (*UserRec, error) {
-	u := &UserRec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			u.Name = d.str()
-		case 2:
-			u.Role = int(d.svarint())
-		case 3:
-			u.Token = d.str()
-		default:
-			d.skip(wire)
-		}
-	}
-	return u, d.err
-}
-
-// --- JobRec ---------------------------------------------------------
-
-func encodeJob(j *JobRec) ([]byte, error) {
-	e := &enc{}
-	e.str(1, j.Name)
-	e.str(2, j.Owner)
-	e.str(3, j.Node)
-	e.str(4, j.Device)
-	e.boolean(5, j.RequireLowCPU)
-	e.boolean(6, j.Fallback)
-	e.boolean(7, j.Approved)
-	e.svarint(8, int64(j.Revision))
-	if j.Spec != nil {
-		sb, err := encodeSpec(j.Spec)
-		if err != nil {
-			return nil, err
-		}
-		e.bytes(9, sb)
-	}
-	return e.b, nil
-}
-
-func decodeJob(b []byte) (*JobRec, error) {
-	j := &JobRec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			j.Name = d.str()
-		case 2:
-			j.Owner = d.str()
-		case 3:
-			j.Node = d.str()
-		case 4:
-			j.Device = d.str()
-		case 5:
-			j.RequireLowCPU = d.uvarint() != 0
-		case 6:
-			j.Fallback = d.uvarint() != 0
-		case 7:
-			j.Approved = d.uvarint() != 0
-		case 8:
-			j.Revision = int(d.svarint())
-		case 9:
-			s, err := decodeSpec(d.bytes())
-			if err != nil {
-				return nil, err
-			}
-			j.Spec = s
-		default:
-			d.skip(wire)
-		}
-	}
-	return j, d.err
-}
-
-// --- NodeRec --------------------------------------------------------
-
-func encodeNode(n *NodeRec) []byte {
-	e := &enc{}
-	e.str(1, n.Name)
-	e.str(2, n.Owner)
-	e.boolean(3, n.Monitored)
-	e.boolean(4, n.Draining)
-	e.boolean(5, n.Removed)
-	for _, dev := range n.Devices {
-		e.bytes(6, []byte(dev)) // repeated: one field per device
-	}
-	e.svarint(7, n.OwedHostingNS)
-	return e.b
-}
-
-func decodeNode(b []byte) (*NodeRec, error) {
-	n := &NodeRec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			n.Name = d.str()
-		case 2:
-			n.Owner = d.str()
-		case 3:
-			n.Monitored = d.uvarint() != 0
-		case 4:
-			n.Draining = d.uvarint() != 0
-		case 5:
-			n.Removed = d.uvarint() != 0
-		case 6:
-			n.Devices = append(n.Devices, d.str())
-		case 7:
-			n.OwedHostingNS = d.svarint()
-		default:
-			d.skip(wire)
-		}
-	}
-	return n, d.err
-}
-
-// --- BuildRec -------------------------------------------------------
-
-func encodeBuild(b *BuildRec) ([]byte, error) {
-	e := &enc{}
-	e.svarint(1, int64(b.ID))
-	e.str(2, b.Job)
-	e.str(3, b.Owner)
-	e.svarint(4, int64(b.Campaign))
-	if b.Spec != nil {
-		sb, err := encodeSpec(b.Spec)
-		if err != nil {
-			return nil, err
-		}
-		e.bytes(5, sb)
-	}
-	e.state(6, 18, b.State)
-	e.str(7, b.Err)
-	e.boolean(8, b.Canceled)
-	e.boolean(9, b.NodeLost)
-	e.str(10, b.Node)
-	e.svarint(11, int64(b.Attempts))
-	e.svarint(12, int64(b.Retries))
-	e.svarint(13, b.QueuedAtNS)
-	e.svarint(14, b.StartedAtNS)
-	e.svarint(15, b.FinishedAtNS)
-	if b.Summary != nil {
-		e.bytes(16, encodeSummary(b.Summary))
-	}
-	e.svarint(17, int64(b.FeedEpoch))
-	return e.b, nil
-}
-
-func decodeBuild(data []byte) (*BuildRec, error) {
-	b := &BuildRec{}
-	d := &dec{b: data}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			b.ID = int(d.svarint())
-		case 2:
-			b.Job = d.str()
-		case 3:
-			b.Owner = d.str()
-		case 4:
-			b.Campaign = int(d.svarint())
-		case 5:
-			s, err := decodeSpec(d.bytes())
-			if err != nil {
-				return nil, err
-			}
-			b.Spec = s
-		case 6:
-			idx := d.uvarint()
-			if idx == 0 || idx > uint64(len(stateByIndex)) {
-				return nil, fmt.Errorf("store: unknown state enum %d", idx)
-			}
-			b.State = stateByIndex[idx-1]
-		case 7:
-			b.Err = d.str()
-		case 8:
-			b.Canceled = d.uvarint() != 0
-		case 9:
-			b.NodeLost = d.uvarint() != 0
-		case 10:
-			b.Node = d.str()
-		case 11:
-			b.Attempts = int(d.svarint())
-		case 12:
-			b.Retries = int(d.svarint())
-		case 13:
-			b.QueuedAtNS = d.svarint()
-		case 14:
-			b.StartedAtNS = d.svarint()
-		case 15:
-			b.FinishedAtNS = d.svarint()
-		case 16:
-			s, err := decodeSummary(d.bytes())
-			if err != nil {
-				return nil, err
-			}
-			b.Summary = s
-		case 17:
-			b.FeedEpoch = int(d.svarint())
-		case 18:
-			b.State = d.str()
-		default:
-			d.skip(wire)
-		}
-	}
-	return b, d.err
-}
-
-// --- CampaignRec ----------------------------------------------------
-
-func encodeCampaign(c *CampaignRec) []byte {
-	e := &enc{}
-	e.svarint(1, int64(c.ID))
-	e.svarint(2, int64(c.MaxConcurrent))
-	// Builds packed into one bytes field: count, then delta-from-zero
-	// zigzag varints. Present even when empty — CampaignRec.Builds
-	// marshals as [] in JSON, never null.
-	p := &enc{}
-	p.b = binary.AppendUvarint(p.b, uint64(len(c.Builds)))
-	for _, id := range c.Builds {
-		p.b = binary.AppendUvarint(p.b, uint64(int64(id)<<1)^uint64(int64(id)>>63))
-	}
-	e.bytes(3, p.b)
-	return e.b
-}
-
-func decodeCampaign(b []byte) (*CampaignRec, error) {
-	c := &CampaignRec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			c.ID = int(d.svarint())
-		case 2:
-			c.MaxConcurrent = int(d.svarint())
-		case 3:
-			p := &dec{b: d.bytes()}
-			n := p.uvarint()
-			if n > uint64(len(p.b)) { // each id is ≥1 byte
-				d.fail("store: campaign build count %d overruns field", n)
-				break
-			}
-			c.Builds = make([]int, 0, n)
-			for i := uint64(0); i < n && p.err == nil; i++ {
-				c.Builds = append(c.Builds, int(p.svarint()))
-			}
-			if p.err != nil {
-				d.fail("%v", p.err)
-			}
-		default:
-			d.skip(wire)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if c.Builds == nil {
-		c.Builds = []int{}
-	}
-	return c, nil
-}
-
-// --- LedgerRec ------------------------------------------------------
-
-func encodeLedger(l *LedgerRec) []byte {
-	e := &enc{}
-	e.str(1, l.User)
-	e.float(2, l.Delta)
-	e.str(3, l.Reason)
-	return e.b
-}
-
-func decodeLedger(b []byte) (*LedgerRec, error) {
-	l := &LedgerRec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			l.User = d.str()
-		case 2:
-			l.Delta = d.fixed64()
-		case 3:
-			l.Reason = d.str()
-		default:
-			d.skip(wire)
-		}
-	}
-	return l, d.err
-}
-
-// --- PeerRec --------------------------------------------------------
-
-func encodePeer(p *PeerRec) []byte {
-	e := &enc{}
-	e.str(1, p.Name)
-	e.str(2, p.URL)
-	return e.b
-}
-
-func decodePeer(b []byte) (*PeerRec, error) {
-	p := &PeerRec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			p.Name = d.str()
-		case 2:
-			p.URL = d.str()
-		default:
-			d.skip(wire)
-		}
-	}
-	return p, d.err
-}
-
-// --- api.ExperimentSpec / MonitorSpec / ConstraintsSpec -------------
-
-func encodeSpec(s *api.ExperimentSpec) ([]byte, error) {
-	e := &enc{}
-	e.str(1, s.Node)
-	e.str(2, s.Device)
-	e.str(3, s.Workload.Name)
-	if len(s.Workload.Params) > 0 {
-		pb, err := encodeParams(s.Workload.Params)
-		if err != nil {
-			return nil, err
-		}
-		e.bytes(4, pb)
-	}
-	if s.Monitor != (api.MonitorSpec{}) {
-		e.bytes(5, encodeMonitor(s.Monitor))
-	}
-	e.boolean(6, s.Mirroring)
-	e.str(7, s.VPNLocation)
-	e.str(8, s.Transport)
-	e.boolean(9, s.Constraints.RequireLowCPU)
-	e.boolean(10, s.Constraints.AllowFallback)
-	e.str(11, s.HomeServer)
-	return e.b, nil
-}
-
-func decodeSpec(b []byte) (*api.ExperimentSpec, error) {
-	s := &api.ExperimentSpec{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			s.Node = d.str()
-		case 2:
-			s.Device = d.str()
-		case 3:
-			s.Workload.Name = d.str()
-		case 4:
-			p, err := decodeParams(d.bytes())
-			if err != nil {
-				return nil, err
-			}
-			s.Workload.Params = p
-		case 5:
-			m, err := decodeMonitor(d.bytes())
-			if err != nil {
-				return nil, err
-			}
-			s.Monitor = m
-		case 6:
-			s.Mirroring = d.uvarint() != 0
-		case 7:
-			s.VPNLocation = d.str()
-		case 8:
-			s.Transport = d.str()
-		case 9:
-			s.Constraints.RequireLowCPU = d.uvarint() != 0
-		case 10:
-			s.Constraints.AllowFallback = d.uvarint() != 0
-		case 11:
-			s.HomeServer = d.str()
-		default:
-			d.skip(wire)
-		}
-	}
-	return s, d.err
-}
-
-func encodeMonitor(m api.MonitorSpec) []byte {
-	e := &enc{}
-	e.svarint(1, int64(m.SampleRateHz))
-	e.float(2, m.VoltageV)
-	e.svarint(3, m.CPUSamplePeriodMS)
-	e.svarint(4, m.PaddingMS)
-	return e.b
-}
-
-func decodeMonitor(b []byte) (api.MonitorSpec, error) {
-	var m api.MonitorSpec
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			m.SampleRateHz = int(d.svarint())
-		case 2:
-			m.VoltageV = d.fixed64()
-		case 3:
-			m.CPUSamplePeriodMS = d.svarint()
-		case 4:
-			m.PaddingMS = d.svarint()
-		default:
-			d.skip(wire)
-		}
-	}
-	return m, d.err
-}
-
-// --- api.RunSummary -------------------------------------------------
-
-func encodeSummary(s *api.RunSummary) []byte {
-	e := &enc{}
-	e.svarint(1, s.Samples)
-	e.float(2, s.MeanMA)
-	e.float(3, s.P50MA)
-	e.float(4, s.P95MA)
-	e.float(5, s.EnergyMAH)
-	e.svarint(6, s.DurationNS)
-	e.svarint(7, s.MirrorUploadBytes)
-	e.svarint(8, s.DroppedLiveSamples)
-	return e.b
-}
-
-func decodeSummary(b []byte) (*api.RunSummary, error) {
-	s := &api.RunSummary{}
-	d := &dec{b: b}
-	for {
-		field, wire, ok := d.next()
-		if !ok {
-			break
-		}
-		switch field {
-		case 1:
-			s.Samples = d.svarint()
-		case 2:
-			s.MeanMA = d.fixed64()
-		case 3:
-			s.P50MA = d.fixed64()
-		case 4:
-			s.P95MA = d.fixed64()
-		case 5:
-			s.EnergyMAH = d.fixed64()
-		case 6:
-			s.DurationNS = d.svarint()
-		case 7:
-			s.MirrorUploadBytes = d.svarint()
-		case 8:
-			s.DroppedLiveSamples = d.svarint()
-		default:
-			d.skip(wire)
-		}
-	}
-	return s, d.err
+	return nil
 }
 
 // --- api.Params -----------------------------------------------------
 
 // Params value kinds. Scalars get compact fast paths; anything nested
-// falls back to a JSON blob for that one value.
+// is a JSON blob for that one value.
 const (
 	pkNull   = 0
 	pkFalse  = 1
@@ -957,74 +621,66 @@ const (
 	pkJSON   = 5
 )
 
-// encodeParams renders a params map as count | (key, kind, value)…
+// encodeParams appends a params map to b as count | (key, kind, value)…
 // with keys sorted, so equal maps encode to equal bytes — the
 // determinism the bench drift gate and result-cache keys rely on.
 // Numbers are stored as float64 to match what a JSON round trip of
 // Params produces, keeping binary and JSON replays byte-identical.
-func encodeParams(p api.Params) ([]byte, error) {
+func encodeParams(b []byte, p api.Params) ([]byte, error) {
 	keys := make([]string, 0, len(p))
 	for k := range p {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	e := &enc{}
-	e.b = binary.AppendUvarint(e.b, uint64(len(keys)))
+	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		e.b = binary.AppendUvarint(e.b, uint64(len(k)))
-		e.b = append(e.b, k...)
+		b = appendString(b, k)
 		switch v := p[k].(type) {
 		case nil:
-			e.b = append(e.b, pkNull)
+			b = append(b, pkNull)
 		case bool:
 			if v {
-				e.b = append(e.b, pkTrue)
+				b = append(b, pkTrue)
 			} else {
-				e.b = append(e.b, pkFalse)
+				b = append(b, pkFalse)
 			}
 		case float64:
-			e.b = append(e.b, pkFloat)
-			e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(append(b, pkFloat), math.Float64bits(v))
 		case int:
-			e.b = append(e.b, pkFloat)
-			e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(float64(v)))
+			b = binary.LittleEndian.AppendUint64(append(b, pkFloat), math.Float64bits(float64(v)))
 		case string:
-			e.b = append(e.b, pkString)
-			e.b = binary.AppendUvarint(e.b, uint64(len(v)))
-			e.b = append(e.b, v...)
+			b = appendString(append(b, pkString), v)
 		default:
 			blob, err := json.Marshal(v)
 			if err != nil {
-				return nil, fmt.Errorf("store: encoding param %q: %w", k, err)
+				return b, fmt.Errorf("store: encoding param %q: %w", k, err)
 			}
-			e.b = append(e.b, pkJSON)
-			e.b = binary.AppendUvarint(e.b, uint64(len(blob)))
-			e.b = append(e.b, blob...)
+			b = appendString(append(b, pkJSON), blob)
 		}
 	}
-	return e.b, nil
+	return b, nil
 }
 
 func decodeParams(b []byte) (api.Params, error) {
-	d := &dec{b: b}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
+	c := codec{b: b, end: len(b)}
+	n := c.uvarint()
+	if c.err != nil {
+		return nil, c.err
 	}
 	if n > uint64(len(b)) { // each entry is ≥2 bytes
 		return nil, fmt.Errorf("store: params count %d overruns payload", n)
 	}
 	p := make(api.Params, n)
 	for i := uint64(0); i < n; i++ {
-		key := d.str()
-		if d.err != nil {
-			return nil, d.err
+		key := string(c.bytes())
+		if c.err != nil {
+			return nil, c.err
 		}
-		if d.off >= len(d.b) {
+		if c.off >= c.end {
 			return nil, fmt.Errorf("store: params entry %q missing kind", key)
 		}
-		kind := d.b[d.off]
-		d.off++
+		kind := c.b[c.off]
+		c.off++
 		switch kind {
 		case pkNull:
 			p[key] = nil
@@ -1033,23 +689,20 @@ func decodeParams(b []byte) (api.Params, error) {
 		case pkTrue:
 			p[key] = true
 		case pkFloat:
-			p[key] = d.fixed64()
+			p[key] = c.fixed64()
 		case pkString:
-			p[key] = d.str()
+			p[key] = string(c.bytes())
 		case pkJSON:
 			var v any
-			if err := json.Unmarshal(d.bytes(), &v); err != nil {
-				if d.err == nil {
-					d.err = fmt.Errorf("store: params entry %q: %w", key, err)
-				}
-			} else {
-				p[key] = v
+			if err := json.Unmarshal(c.bytes(), &v); err != nil {
+				c.fail("store: params entry %q: %w", key, err)
 			}
+			p[key] = v
 		default:
 			return nil, fmt.Errorf("store: params entry %q has unknown kind %d", key, kind)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if c.err != nil {
+			return nil, c.err
 		}
 	}
 	return p, nil

@@ -3,9 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"batterylab/internal/api"
@@ -40,7 +45,7 @@ func codecVocabulary() []Record {
 	return []Record{
 		{T: TUserAdded, User: &UserRec{Name: "ana", Role: 2, Token: "tok-1"}},
 		{T: TUserRemoved, Name: "bo"},
-		{T: TJobPut, Job: &JobRec{Name: "exp", Owner: "ana", Node: "node1", Device: "dev", RequireLowCPU: true, Fallback: true, Spec: spec, Approved: true, Revision: 3}},
+		{T: TJobPut, Job: &JobRec{Name: "exp", Owner: "ana", Spec: spec, Approved: true, Revision: 3}},
 		{T: TJobDeleted, Name: "old"},
 		{T: TNodeMonitored, Node: &NodeRec{Name: "node1", Owner: "ana", Monitored: true, Draining: true, Removed: true, Devices: []string{"a", "b"}, OwedHostingNS: -5}},
 		{T: TNodeOwner, Name: "node1", Owner: "ana"},
@@ -67,6 +72,37 @@ func codecVocabulary() []Record {
 	}
 }
 
+// fatRecord indexes the vocabulary's TBuildQueued record, the one with
+// every nested message populated.
+const fatRecord = 9
+
+// decode is decodeRecord through a throwaway codec.
+func decode(payload []byte) (Record, error) {
+	var c codec
+	var rec Record
+	err := c.decodeRecord(payload, &rec)
+	return rec, err
+}
+
+// walHeaderV1 frames a pre-binary-codec WAL prefix, for the tests that
+// pin the upgrade path (fixtures, fuzz seeds).
+func walHeaderV1(gen uint64) []byte {
+	hdr := walHeader(gen)
+	hdr[len(walMagic)] = Version
+	return hdr
+}
+
+// futureFields is three fields no listing names, one per wire type —
+// what a payload from a later version of the codec carries.
+func futureFields() []byte {
+	c := &codec{}
+	s, i, f := "future string", int64(12345), 2.75
+	c.str(60, &s)
+	c.int64(61, &i)
+	c.float(62, &f)
+	return c.b
+}
+
 // TestCodecCoversEveryType pins that the enum table and the vocabulary
 // above stay in lockstep with the declared record types.
 func TestCodecCoversEveryType(t *testing.T) {
@@ -90,14 +126,14 @@ func TestCodecCoversEveryType(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	var binTotal, jsonTotal int
 	for i, rec := range codecVocabulary() {
-		payload, ok, err := encodeRecord(rec)
-		if err != nil || !ok {
-			t.Fatalf("record %d (%s): encode ok=%v err=%v", i, rec.T, ok, err)
+		payload, err := encodeRecord(&rec)
+		if err != nil {
+			t.Fatalf("record %d (%s): encode: %v", i, rec.T, err)
 		}
 		if payload[0] != recBinaryMarker {
 			t.Fatalf("record %d: payload does not start with the binary marker", i)
 		}
-		got, err := decodeRecord(payload)
+		got, err := decode(payload)
 		if err != nil {
 			t.Fatalf("record %d (%s): decode: %v", i, rec.T, err)
 		}
@@ -342,28 +378,28 @@ func TestAppendBatch(t *testing.T) {
 // TestCodecCorruptBinaryFrames feeds systematically damaged binary
 // payloads through decodeRecord: every one must error, never panic.
 func TestCodecCorruptBinaryFrames(t *testing.T) {
-	payload, ok, err := encodeRecord(codecVocabulary()[9]) // the fat TBuildQueued
-	if !ok || err != nil {
-		t.Fatal(ok, err)
+	payload, err := encodeRecord(&codecVocabulary()[fatRecord])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeRecord(payload); err != nil {
+	if _, err := decode(payload); err != nil {
 		t.Fatalf("pristine payload: %v", err)
 	}
 	// Truncations at every boundary.
 	for n := 0; n < len(payload); n++ {
-		decodeRecord(payload[:n]) // must not panic; error or partial both fine
+		decode(payload[:n]) // must not panic; error or partial both fine
 	}
 	// Single-byte corruptions.
 	for i := range payload {
 		mut := append([]byte(nil), payload...)
 		mut[i] ^= 0xFF
-		decodeRecord(mut)
+		decode(mut)
 	}
 	// Empty and marker-only.
-	if _, err := decodeRecord(nil); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Fatal("empty payload decoded")
 	}
-	if _, err := decodeRecord([]byte{recBinaryMarker}); err == nil {
+	if _, err := decode([]byte{recBinaryMarker}); err == nil {
 		t.Fatal("marker-only payload decoded (no type field)")
 	}
 }
@@ -372,13 +408,11 @@ func TestCodecCorruptBinaryFrames(t *testing.T) {
 // carrying field numbers today's decoder does not know must decode the
 // fields it does know and ignore the rest.
 func TestCodecUnknownFieldsSkipped(t *testing.T) {
-	e := &enc{b: []byte{recBinaryMarker}}
-	e.uvarint(rfType, indexByType[TBuildExpired])
-	e.svarint(rfBuildID, 42)
-	e.str(60, "future string") // unknown bytes field
-	e.svarint(61, 12345)       // unknown varint field
-	e.float(62, 2.75)          // unknown fixed64 field
-	rec, err := decodeRecord(e.b)
+	payload, err := encodeRecord(&Record{T: TBuildExpired, BuildID: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decode(append(payload, futureFields()...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +427,11 @@ func TestCodecUnknownFieldsSkipped(t *testing.T) {
 func TestCodecParamsDeterministic(t *testing.T) {
 	a := api.Params{"z": "last", "a": float64(1), "m": true}
 	b := api.Params{"m": true, "a": float64(1), "z": "last"}
-	ab, err := encodeParams(a)
+	ab, err := encodeParams(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := encodeParams(b)
+	bb, err := encodeParams(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,5 +444,302 @@ func TestCodecParamsDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(map[string]any(got), map[string]any(a)) {
 		t.Fatalf("params round trip: %v != %v", got, a)
+	}
+}
+
+// TestGoldenV2WAL pins the bytes: testdata/v2wal holds the vocabulary as
+// the hand-written per-message encoders (before every message had one
+// field listing) appended it, and the JSON dump of what they replayed it
+// to. Today's encoder must reproduce the log byte for byte and today's
+// decoder the dump — the listing order IS the format.
+func TestGoldenV2WAL(t *testing.T) {
+	src := filepath.Join("testdata", "v2wal")
+	wantWAL, err := os.ReadFile(filepath.Join(src, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join(src, "records.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range codecVocabulary() {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	gotWAL, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotWAL, wantWAL) {
+		t.Fatalf("the vocabulary no longer encodes to the golden log:\n want %x\n got  %x", wantWAL, gotWAL)
+	}
+
+	recs, valid := scanRecords(wantWAL, walHeaderLen)
+	if valid != int64(len(wantWAL)) {
+		t.Fatalf("golden log replayed to offset %d of %d", valid, len(wantWAL))
+	}
+	got, err := json.MarshalIndent(recs, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, golden) {
+		t.Fatalf("golden log no longer replays to the golden state:\n--- want ---\n%s\n--- got ---\n%s", golden, got)
+	}
+}
+
+// TestAppendUntabledIsAnError: there is no second write format, so a
+// record type or build state without a table entry fails the append
+// (the server latches durability off loudly) and writes nothing.
+func TestAppendUntabledIsAnError(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, rec := range []Record{
+		{BuildID: 1},
+		{T: "mystery", BuildID: 1},
+		{T: TBuildFinished, BuildID: 1, State: "exploded"},
+		{T: TBuildQueued, Build: &BuildRec{ID: 1, State: "exploded"}},
+	} {
+		if err := st.Append(rec); err == nil {
+			t.Errorf("append of %+v succeeded", rec)
+		}
+		if err := st.AppendBatch([]Record{{T: TBuildExpired, BuildID: 2}, rec}); err == nil {
+			t.Errorf("batch append of %+v succeeded", rec)
+		}
+	}
+	if st.Appended() != 0 || st.Dirty() {
+		t.Fatalf("failed appends left %d records behind (dirty %v)", st.Appended(), st.Dirty())
+	}
+}
+
+// tlvField is one field of a TLV body: its number, wire type, and the
+// value bytes after the key (for a bytes field, after the length too).
+type tlvField struct {
+	n, wire int
+	value   []byte
+}
+
+func splitFields(t testing.TB, body []byte) []tlvField {
+	t.Helper()
+	var out []tlvField
+	c := codec{reading: true, b: body, end: len(body)}
+	for c.next(); c.field >= 0; c.next() {
+		f := tlvField{n: c.field, wire: c.wire}
+		if at := c.off; c.wire == wBytes {
+			f.value = c.bytes()
+		} else {
+			c.skip()
+			f.value = body[at:c.off]
+		}
+		out = append(out, f)
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	return out
+}
+
+func joinFields(fields []tlvField) []byte {
+	var c codec
+	for _, f := range fields {
+		c.key(f.n, f.wire)
+		if f.wire == wBytes {
+			c.b = appendString(c.b, f.value)
+		} else {
+			c.b = append(c.b, f.value...)
+		}
+	}
+	return c.b
+}
+
+// messageFields says which bytes fields of which message hold a nested
+// message, so reverseFields can recurse.
+var messageFields = map[string]map[int]string{
+	"record": {2: "user", 4: "job", 5: "node", 8: "build", 18: "summary", 20: "campaign", 22: "entry", 24: "peer"},
+	"job":    {9: "spec"},
+	"build":  {5: "spec", 16: "summary"},
+	"spec":   {5: "monitor"},
+}
+
+// reverseFields re-emits a message body with its fields — and those of
+// every nested message — in the opposite order.
+func reverseFields(t testing.TB, message string, body []byte) []byte {
+	fields := splitFields(t, body)
+	for i := range fields {
+		if nested, ok := messageFields[message][fields[i].n]; ok {
+			fields[i].value = reverseFields(t, nested, fields[i].value)
+		}
+	}
+	for i, j := 0, len(fields)-1; i < j; i, j = i+1, j-1 {
+		fields[i], fields[j] = fields[j], fields[i]
+	}
+	return joinFields(fields)
+}
+
+// withMarker prefixes a record body with the binary marker.
+func withMarker(body []byte) []byte { return append([]byte{recBinaryMarker}, body...) }
+
+// TestCodecOrderIndependent: the listing order is the WRITE order only.
+// A payload with every message's fields reversed, or with fields no
+// listing names wedged between the known ones, decodes to the same
+// record (repeated fields in their new arrival order).
+func TestCodecOrderIndependent(t *testing.T) {
+	for i, want := range codecVocabulary() {
+		payload, err := encodeRecord(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed, err := decode(withMarker(reverseFields(t, "record", payload[1:])))
+		if err != nil {
+			t.Fatalf("record %d (%s) reversed: %v", i, want.T, err)
+		}
+		if reversed.Node != nil {
+			slices.Reverse(reversed.Node.Devices) // a repeated field appends as it arrives
+		}
+		if !reflect.DeepEqual(reversed, want) {
+			t.Errorf("record %d (%s) reversed:\n want %+v\n got  %+v", i, want.T, want, reversed)
+		}
+
+		var wedged []tlvField
+		future := splitFields(t, futureFields())
+		for j, f := range splitFields(t, payload[1:]) {
+			wedged = append(wedged, future[j%len(future)], f)
+		}
+		got, err := decode(withMarker(joinFields(wedged)))
+		if err != nil {
+			t.Fatalf("record %d (%s) with unknown fields: %v", i, want.T, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("record %d (%s) with unknown fields:\n want %+v\n got  %+v", i, want.T, want, got)
+		}
+	}
+}
+
+// recordBody encodes rec's fields without the marker (and without
+// requiring a type), for assembling payloads our encoder never writes.
+func recordBody(rec Record) []byte {
+	var c codec
+	recordFields(&c, &rec)
+	return c.b
+}
+
+// TestCodecRepeatedAndAbsentFields pins what a reader does with a
+// payload that names a field twice or not at all: a scalar and a nested
+// message keep the last occurrence (whole — no merge), the repeated
+// devices field appends, retired numbers are skipped, and a campaign
+// without its ids field has an empty list, not a nil one.
+func TestCodecRepeatedAndAbsentFields(t *testing.T) {
+	first := Record{T: TNodeMonitored, BuildID: 1, Node: &NodeRec{Name: "a", Owner: "ana", Devices: []string{"x"}}}
+	second := Record{BuildID: 2, Node: &NodeRec{Name: "b", Devices: []string{"y", "z"}}}
+	got, err := decode(withMarker(append(recordBody(first), recordBody(second)...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := second
+	want.T = TNodeMonitored
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("repeated fields:\n want %+v\n got  %+v", want, got)
+	}
+
+	// A job record as a closure-job server wrote it: fields 3–6 present.
+	var job codec
+	name, node, low := "nightly", "node1", true
+	job.str(1, &name)
+	job.str(3, &node)
+	job.str(4, &node)
+	job.flag(5, &low)
+	job.flag(6, &low)
+	job.flag(7, &low)
+	got, err = decode(withMarker(append(recordBody(Record{T: TJobPut}), joinFields([]tlvField{{4, wBytes, job.b}})...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Record{T: TJobPut, Job: &JobRec{Name: "nightly", Approved: true}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("closure-job record:\n want %+v\n got  %+v", want, got)
+	}
+
+	var camp codec
+	id := 7
+	camp.int(1, &id)
+	for _, body := range [][]byte{camp.b, nil} {
+		got, err = decode(withMarker(append(recordBody(Record{T: TCampaign}), joinFields([]tlvField{{20, wBytes, body}})...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Campaign == nil || got.Campaign.Builds == nil || len(got.Campaign.Builds) != 0 {
+			t.Errorf("campaign body %x without field 3 decoded to %+v, want Builds: []", body, got.Campaign)
+		}
+	}
+}
+
+// TestEveryTypeIsTabled parses store.go and checks that every constant
+// declared with type Type is in typeByIndex — the fact that makes "a
+// record type without a table entry" a programming error the append
+// path may refuse, rather than something a second format must absorb.
+func TestEveryTypeIsTabled(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "store.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, decl := range file.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "Type" {
+				continue
+			}
+			for i, name := range vs.Names {
+				val, err := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				declared++
+				if _, ok := indexByType[Type(val)]; !ok {
+					t.Errorf("%s (%q) is not in typeByIndex: append it", name.Name, val)
+				}
+			}
+		}
+	}
+	if declared != len(typeByIndex) {
+		t.Errorf("store.go declares %d Type constants, typeByIndex lists %d", declared, len(typeByIndex))
+	}
+}
+
+// TestCodecAllocations bounds the codec's garbage by what the
+// hand-written per-message encoders and decoders cost (34 allocations
+// to append the fat record, 14 013 to scan 1 000 small ones): nested
+// messages are written in place and a scan decodes into the result's
+// slots through one codec, so the single listing costs no more.
+func TestCodecAllocations(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fat := codecVocabulary()[fatRecord]
+	if n := testing.AllocsPerRun(100, func() { st.Append(fat) }); n > 34 {
+		t.Errorf("Append of the fat build record allocates %v times, want ≤ 34", n)
+	}
+	recs := make([]Record, 1000)
+	for i := range recs {
+		recs[i] = rec(i + 1)
+	}
+	log := walBytesBinary(t, recs)
+	if n := testing.AllocsPerRun(10, func() { scanRecords(log, walHeaderLen) }); n > 14013 {
+		t.Errorf("scanning 1000 records allocates %v times, want ≤ 14013", n)
 	}
 }

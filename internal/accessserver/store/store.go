@@ -22,15 +22,20 @@
 //	record:       uvarint payload length | uint32 LE CRC32(payload) | payload
 //	snapshot.bin: "BLSNP" ver | one record frame holding the Snapshot
 //
-// Record payloads are self-describing by their first byte: '{' opens a
-// v1 JSON object, recBinaryMarker (0x02) opens the v2 compact TLV
-// encoding (see codec.go). Appends write binary; replay dispatches per
-// frame, so logs written before the codec change — and mixed logs from
-// a restart mid-history — keep replaying without conversion. The WAL
-// file header says v2 on fresh logs and compactions, and Open accepts
-// both header versions. Snapshots remain JSON (they are rewritten
-// whole at every compaction, so there is no old-snapshot legacy to
-// carry, and compaction cost is dominated by the fsync, not encoding).
+// There is one record format on the write side and two on the read
+// side. Every append writes the compact binary TLV payload (first byte
+// recBinaryMarker, 0x02); replay also accepts the v1 JSON object ('{')
+// servers wrote before it, dispatching per frame, so old logs — and
+// mixed logs from an upgrade mid-history — keep replaying without
+// conversion. A record whose type or state the codec has no table
+// entry for is an append error (which the server latches loudly), not a
+// second format. Each message's layout is its one field listing in
+// codec.go, which drives both encode and decode; the listing's order is
+// the emit order and so part of the format. The WAL file header says v2
+// on fresh logs and compactions, and Open accepts both header versions.
+// Snapshots remain JSON (they are rewritten whole at every compaction,
+// so there is no old-snapshot legacy to carry, and compaction cost is
+// dominated by the fsync, not encoding).
 // Loading tolerates a torn tail — a record whose length, CRC or
 // payload does not check out ends the replay and is truncated away,
 // exactly the half-written-final-record crash case a WAL must absorb.
@@ -128,21 +133,17 @@ type UserRec struct {
 	Token string `json:"token"`
 }
 
-// JobRec is a stored pipeline: its spec, approval and revision. Node,
-// Device, RequireLowCPU and Fallback are what servers wrote before jobs
-// stored their spec (the body was a Go closure then); they are kept so
-// old logs replay unchanged, and nothing reads them. A record without a
-// Spec recovers as a job that cannot compile until it is edited.
+// JobRec is a stored pipeline: its spec, approval and revision. Logs
+// from before jobs stored their spec (the body was a Go closure then)
+// carry placement constraints instead, which replay skips: such a
+// record has no Spec and recovers as a job that cannot compile until it
+// is edited.
 type JobRec struct {
-	Name          string              `json:"name"`
-	Owner         string              `json:"owner"`
-	Node          string              `json:"node,omitempty"`
-	Device        string              `json:"device,omitempty"`
-	RequireLowCPU bool                `json:"require_low_cpu,omitempty"`
-	Fallback      bool                `json:"fallback,omitempty"`
-	Spec          *api.ExperimentSpec `json:"spec,omitempty"`
-	Approved      bool                `json:"approved,omitempty"`
-	Revision      int                 `json:"revision"`
+	Name     string              `json:"name"`
+	Owner    string              `json:"owner"`
+	Spec     *api.ExperimentSpec `json:"spec,omitempty"`
+	Approved bool                `json:"approved,omitempty"`
+	Revision int                 `json:"revision"`
 }
 
 // NodeRec is one vantage point's persisted lifecycle state. The live
@@ -217,8 +218,8 @@ type LedgerRec struct {
 }
 
 // Record is one WAL entry: the type tag plus the fields that type
-// uses. A flat union keeps the codec one JSON round trip; unused
-// fields stay omitted on disk.
+// uses. A flat union keeps the codec one message; unused fields stay
+// omitted on disk.
 type Record struct {
 	T Type `json:"t"`
 
@@ -342,18 +343,9 @@ func (s *Store) Load() (*Snapshot, []Record) { return s.snap, s.recs }
 // Appended reports records written since open or the last compaction.
 func (s *Store) Appended() int { return s.appended }
 
-// encodePayload renders one record as a frame payload: compact binary
-// when the record's type is in the enum table, JSON otherwise (both
-// replay identically — frames are self-describing).
+// encodePayload renders one record as a binary frame payload.
 func encodePayload(rec Record) ([]byte, error) {
-	payload, ok, err := encodeRecord(rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding %s record: %w", rec.T, err)
-	}
-	if ok {
-		return payload, nil
-	}
-	payload, err = json.Marshal(rec)
+	payload, err := encodeRecord(&rec)
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding %s record: %w", rec.T, err)
 	}
@@ -619,12 +611,8 @@ func frame(payload []byte) []byte {
 
 // readFrame reads one framed payload, reporting io.EOF at a clean
 // boundary and a descriptive error for anything torn or corrupt.
-func readFrame(r io.Reader) ([]byte, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		return nil, fmt.Errorf("store: reader cannot read bytes")
-	}
-	size, err := binary.ReadUvarint(br)
+func readFrame(r *bytes.Reader) ([]byte, error) {
+	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -637,6 +625,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
 		return nil, fmt.Errorf("store: reading record checksum: %w", err)
+	}
+	if size > uint64(r.Len()) { // before allocating: a torn or hostile length costs nothing
+		return nil, fmt.Errorf("store: reading record payload: %w", io.ErrUnexpectedEOF)
 	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -681,15 +672,6 @@ var walHeaderLen = int64(len(walMagic) + 1 + 8)
 // walHeader frames a WAL file prefix for the given generation.
 func walHeader(gen uint64) []byte {
 	hdr := append(append([]byte{}, walMagic...), byte(walVersion))
-	var g [8]byte
-	binary.LittleEndian.PutUint64(g[:], gen)
-	return append(hdr, g[:]...)
-}
-
-// walHeaderV1 frames a pre-binary-codec WAL prefix. Kept for tests
-// that pin the upgrade path (fixtures, fuzz seeds).
-func walHeaderV1(gen uint64) []byte {
-	hdr := append(append([]byte{}, walMagic...), byte(Version))
 	var g [8]byte
 	binary.LittleEndian.PutUint64(g[:], gen)
 	return append(hdr, g[:]...)
@@ -781,9 +763,11 @@ func (s *Store) openWAL() error {
 // the torn tail a crash mid-append leaves behind. Each frame's payload
 // picks its own codec by first byte: recBinaryMarker opens the binary
 // TLV encoding, anything else is JSON — so logs mixing pre- and
-// post-upgrade records replay in one pass.
+// post-upgrade records replay in one pass. Records decode straight into
+// their slot of the result, through one codec.
 func scanRecords(data []byte, off int64) ([]Record, int64) {
 	var recs []Record
+	var c codec
 	r := bytes.NewReader(data[off:])
 	valid := off
 	for {
@@ -791,15 +775,16 @@ func scanRecords(data []byte, off int64) ([]Record, int64) {
 		if err != nil {
 			return recs, valid
 		}
-		var rec Record
+		recs = append(recs, Record{})
+		rec := &recs[len(recs)-1]
 		if len(payload) > 0 && payload[0] == recBinaryMarker {
-			if rec, err = decodeRecord(payload); err != nil {
-				return recs, valid
-			}
-		} else if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, valid
+			err = c.decodeRecord(payload, rec)
+		} else {
+			err = json.Unmarshal(payload, rec)
 		}
-		recs = append(recs, rec)
+		if err != nil {
+			return recs[:len(recs)-1], valid
+		}
 		valid = off + int64(len(data[off:])-r.Len())
 	}
 }

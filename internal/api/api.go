@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -473,8 +474,30 @@ type BuildStatus struct {
 	HomeServer string `json:"home_server,omitempty"`
 }
 
+// BearerToken extracts the access token from a request's Authorization
+// header: what follows "Bearer ", or the header verbatim when it has no
+// such prefix (a bare token authenticates too). Empty when absent.
+func BearerToken(r *http.Request) string {
+	tok := r.Header.Get("Authorization")
+	if rest, ok := strings.CutPrefix(tok, "Bearer "); ok && rest != "" {
+		return rest
+	}
+	return tok
+}
+
 // StateExpired is the BuildStatus.State of a tombstoned build.
 const StateExpired = "expired"
+
+// Terminal reports whether the build has left the queued/running
+// states for good: it settled (success, failure, aborted) or its record
+// expired. What an expired build means is the caller's call.
+func (s BuildStatus) Terminal() bool {
+	switch s.State {
+	case "success", "failure", "aborted", StateExpired:
+		return true
+	}
+	return false
+}
 
 // EventFailover is the BuildEvent.Phase of a scheduler failover
 // record: the build's node was lost and the build is being requeued

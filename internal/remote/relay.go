@@ -1,11 +1,8 @@
 package remote
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -53,8 +50,11 @@ func (p *Platform) followRelay(ctx context.Context, build int, sink api.RelaySin
 	defer scancel()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); p.relayEvents(sctx, build, sink) }()
-	go func() { defer wg.Done(); p.relaySamples(sctx, build, sink) }()
+	// An epoch reset (the peer restarted and recovered the build) needs
+	// no sample hook: the recovered build re-executes, its feed is a
+	// fresh capture, and the sink takes it as it comes.
+	go func() { defer wg.Done(); p.followEvents(sctx, build, sink.Event) }()
+	go func() { defer wg.Done(); p.followSamples(sctx, build, sink.Sample, nil) }()
 	wg.Wait()
 
 	if ctx.Err() != nil {
@@ -67,9 +67,14 @@ func (p *Platform) followRelay(ctx context.Context, build int, sink api.RelaySin
 		p.doJSONIdempotent(cctx, http.MethodPost, p.url("/api/v1/builds/%d/cancel", build), nil, nil)
 		return nil, ctx.Err()
 	}
-	st, err := p.relayTerminal(ctx, build)
+	// An expired or still-running build is a relay failure — the home
+	// scheduler's failover budget decides what happens.
+	st, err := p.awaitTerminal(ctx, build)
 	if err != nil {
 		return nil, err
+	}
+	if st.State == api.StateExpired {
+		return nil, fmt.Errorf("remote: relayed build %d expired on the peer before its status was read", build)
 	}
 	if st.State == "success" {
 		// The home server serves this build's artifact and analytics
@@ -80,7 +85,7 @@ func (p *Platform) followRelay(ctx context.Context, build int, sink api.RelaySin
 			return nil, err
 		}
 	}
-	return st, nil
+	return &st, nil
 }
 
 // relayArtifacts copies the remote build's workspace (current trace,
@@ -98,81 +103,4 @@ func (p *Platform) relayArtifacts(ctx context.Context, build int, sink api.Relay
 		sink.Artifact(name, data)
 	}
 	return nil
-}
-
-// relayEvents streams the peer build's NDJSON events into the sink,
-// resuming a dropped connection from the last seen Seq. An epoch reset
-// (the peer restarted and recovered the build) restarts the cursor:
-// the recovered build re-executes, so its feed is a fresh capture.
-func (p *Platform) relayEvents(ctx context.Context, build int, sink api.RelaySink) {
-	cursor := 0
-	p.runStream(ctx, build, "/api/v1/builds/%d/events",
-		func() int { return cursor },
-		func() { cursor = 0 },
-		func(r io.Reader) bool {
-			dec := json.NewDecoder(r)
-			progressed := false
-			for {
-				var ev api.BuildEvent
-				if err := dec.Decode(&ev); err != nil {
-					return progressed
-				}
-				progressed = true
-				cursor = ev.Seq + 1
-				sink.Event(ev)
-			}
-		})
-}
-
-// relaySamples streams the peer build's binary sample frames into the
-// sink, counting points for the resume cursor.
-func (p *Platform) relaySamples(ctx context.Context, build int, sink api.RelaySink) {
-	cursor := 0
-	p.runStream(ctx, build, "/api/v1/builds/%d/samples",
-		func() int { return cursor },
-		func() { cursor = 0 },
-		func(r io.Reader) bool {
-			br := bufio.NewReader(r)
-			progressed := false
-			for {
-				pts, err := api.ReadSampleFrame(br)
-				if err != nil {
-					return progressed
-				}
-				progressed = true
-				for _, pt := range pts {
-					cursor++
-					sink.Sample(pt)
-				}
-			}
-		})
-}
-
-// relayTerminal polls the peer build until it leaves the queued/running
-// states. The streams end exactly at finish in the common case, so the
-// first poll usually answers; the loop covers stream teardown racing
-// the state transition. An expired or still-running build is a relay
-// failure — the home scheduler's failover budget decides what happens.
-func (p *Platform) relayTerminal(ctx context.Context, build int) (*api.BuildStatus, error) {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := p.BuildStatus(ctx, build)
-		if err != nil {
-			return nil, err
-		}
-		switch st.State {
-		case "success", "failure", "aborted":
-			return &st, nil
-		case api.StateExpired:
-			return nil, fmt.Errorf("remote: relayed build %d expired on the peer before its status was read", build)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("remote: relayed build %d still %s after its streams closed", build, st.State)
-		}
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }

@@ -128,20 +128,21 @@ func (p *Platform) SetRetryPolicy(rp RetryPolicy) {
 	p.retry = rp
 }
 
-// backoff computes the jittered delay before retry attempt n (1-based):
-// BaseDelay doubling per attempt, capped at MaxDelay, scaled by a
-// random factor in [0.5, 1.5) so a fleet of reconnecting clients does
-// not thunder back in lockstep. Doubling by repeated shift-with-cap
-// rather than one big shift keeps a large Attempts from overflowing
-// into a negative (instant) delay.
-func (p *Platform) backoff(n int) time.Duration {
-	d := p.retry.BaseDelay
+// Delay computes the jittered backoff before retry attempt n (1-based)
+// — the one place it is computed, for the client and for the feed
+// gateway's upstream reconnects alike: BaseDelay doubling per attempt,
+// capped at MaxDelay, scaled by a random factor in [0.5, 1.5) so a
+// fleet of reconnecting streams does not thunder back in lockstep.
+// Doubling by repeated shift-with-cap rather than one big shift keeps a
+// large Attempts from overflowing into a negative (instant) delay.
+func (rp RetryPolicy) Delay(n int) time.Duration {
+	d := rp.BaseDelay
 	if d <= 0 {
 		// A partial policy (only Attempts set) must still back off, not
 		// hammer a struggling server with zero-delay retries.
 		d = DefaultRetryPolicy.BaseDelay
 	}
-	max := p.retry.MaxDelay
+	max := rp.MaxDelay
 	if max <= 0 {
 		max = time.Minute
 	}
@@ -154,10 +155,10 @@ func (p *Platform) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 
-// retrySleep waits out the backoff before attempt n, honoring ctx.
-// Reports false when ctx ended first.
-func (p *Platform) retrySleep(ctx context.Context, n int) bool {
-	t := time.NewTimer(p.backoff(n))
+// Sleep waits out Delay(n) before attempt n, honoring ctx. Reports
+// false when ctx ended first.
+func (rp RetryPolicy) Sleep(ctx context.Context, n int) bool {
+	t := time.NewTimer(rp.Delay(n))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -227,7 +228,7 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
-			if !p.retrySleep(ctx, attempt-1) {
+			if !p.retry.Sleep(ctx, attempt-1) {
 				break
 			}
 			p.requestRetries.Add(1)
@@ -379,7 +380,7 @@ func (p *Platform) getBytes(ctx context.Context, u string) ([]byte, error) {
 	var lastErr error
 	for attempt := 1; attempt <= p.retry.Attempts; attempt++ {
 		if attempt > 1 {
-			if !p.retrySleep(ctx, attempt-1) {
+			if !p.retry.Sleep(ctx, attempt-1) {
 				break
 			}
 			p.requestRetries.Add(1)
@@ -559,8 +560,8 @@ func (p *Platform) followBuild(ctx context.Context, build int, node, device stri
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s.eventLoop(sctx) }()
-	go func() { defer wg.Done(); s.sampleLoop(sctx) }()
+	go func() { defer wg.Done(); p.followEvents(sctx, build, s.handleEvent) }()
+	go func() { defer wg.Done(); p.followSamples(sctx, build, s.handleSample, s.resetLive) }()
 	go func() {
 		wg.Wait()
 		s.finalize(sctx)
@@ -674,8 +675,7 @@ func (p *Platform) streamCheck(ctx context.Context, build int, seenEpoch *int) (
 	if err != nil {
 		return true, false
 	}
-	switch st.State {
-	case "success", "failure", "aborted", api.StateExpired:
+	if st.Terminal() {
 		return true, false
 	}
 	if st.FeedEpoch > *seenEpoch {
@@ -695,14 +695,12 @@ func healthyConn(progressed bool, opened time.Time) bool {
 	return progressed || time.Since(opened) > 5*time.Second
 }
 
-// runStream is the shared replay-plus-follow driver behind eventLoop,
-// sampleLoop and the federation relay: open the stream at the
-// consumer's resume cursor, let consume drain it (reporting whether
-// anything arrived), and on disconnect decide between stopping (build
-// terminal), resetting the consumer (the server restarted — feed epoch
-// moved), and retrying within the consecutive-failure budget. The
-// consumers differ only in how they decode records and what a reset
-// clears.
+// runStream is the replay-plus-follow driver behind followEvents and
+// followSamples: open the stream at the consumer's resume cursor, let
+// consume drain it (reporting whether anything arrived), and on
+// disconnect decide between stopping (build terminal), resetting the
+// consumer (the server restarted — feed epoch moved), and retrying
+// within the consecutive-failure budget.
 func (p *Platform) runStream(ctx context.Context, build int, path string, cursor func() int, reset func(), consume func(io.Reader) bool) {
 	failures := 0
 	seenEpoch := 0
@@ -734,22 +732,22 @@ func (p *Platform) runStream(ctx context.Context, build int, path string, cursor
 			failures = 0
 		}
 		failures++
-		if failures >= p.retry.Attempts || !p.retrySleep(ctx, failures) {
+		if failures >= p.retry.Attempts || !p.retry.Sleep(ctx, failures) {
 			return
 		}
 	}
 }
 
-// eventLoop streams NDJSON phase events, forwarding them to observers
-// as core.PhaseChange. A dropped connection resumes from the last seen
-// Seq via the ?from= cursor, with the client's backoff policy between
-// reconnects; a stream that ends while the server reports the build
-// still running is a loss, not a finish. The terminal PhaseDone event
-// is withheld and delivered by finalize, after the sample stream has
-// drained.
-func (s *Session) eventLoop(ctx context.Context) {
+// followEvents streams a build's NDJSON events to each, in order —
+// the one event follower, behind a session and behind the federation
+// relay. A dropped connection resumes from the last seen Seq via the
+// ?from= cursor, with the client's backoff policy between reconnects; a
+// stream that ends while the server reports the build still running is
+// a loss, not a finish. When the server restarted and recovered the
+// build, its feed is a fresh capture and the cursor starts over.
+func (p *Platform) followEvents(ctx context.Context, build int, each func(api.BuildEvent)) {
 	cursor := 0
-	s.p.runStream(ctx, s.build, "/api/v1/builds/%d/events",
+	p.runStream(ctx, build, "/api/v1/builds/%d/events",
 		func() int { return cursor },
 		func() { cursor = 0 },
 		func(r io.Reader) bool {
@@ -762,12 +760,45 @@ func (s *Session) eventLoop(ctx context.Context) {
 				}
 				progressed = true
 				cursor = ev.Seq + 1
-				s.handleEvent(ev)
+				each(ev)
 			}
 		})
 }
 
-// handleEvent folds one wire event into the session and observers.
+// followSamples is followEvents for the binary sample stream: the
+// cursor counts points received, so a reconnect neither hands a point
+// to each twice nor skips the gap. When the cursor starts over, reset
+// (if any) clears what the caller derived from the abandoned feed.
+func (p *Platform) followSamples(ctx context.Context, build int, each func(api.SamplePoint), reset func()) {
+	cursor := 0
+	p.runStream(ctx, build, "/api/v1/builds/%d/samples",
+		func() int { return cursor },
+		func() {
+			cursor = 0
+			if reset != nil {
+				reset()
+			}
+		},
+		func(r io.Reader) bool {
+			br := bufio.NewReader(r)
+			progressed := false
+			for {
+				pts, err := api.ReadSampleFrame(br)
+				if err != nil {
+					return progressed // io.EOF at a frame boundary is the clean end
+				}
+				progressed = true
+				for _, pt := range pts {
+					cursor++
+					each(pt)
+				}
+			}
+		})
+}
+
+// handleEvent folds one wire event into the session and observers. The
+// terminal PhaseDone event is withheld and delivered by finalize, after
+// the sample stream has drained.
 func (s *Session) handleEvent(ev api.BuildEvent) {
 	if ev.Phase == api.EventFailover {
 		// Scheduler retry transition, not an experiment phase: the
@@ -807,61 +838,41 @@ func (s *Session) handleEvent(ev api.BuildEvent) {
 	}
 }
 
-// sampleLoop streams binary sample frames, re-aggregates the live
-// summary client-side and forwards each point to observers. Like
-// eventLoop it resumes a dropped connection via the sample stream's
-// ?from= cursor (counting samples received), so a reconnect neither
-// replays points into the aggregate twice nor skips the gap. If the
-// server restarted and recovered the build, the rerun's samples are a
-// fresh capture: the cursor AND the live aggregate reset, because the
-// pre-crash samples belonged to an attempt the scheduler abandoned.
-func (s *Session) sampleLoop(ctx context.Context) {
-	cursor := 0
-	s.p.runStream(ctx, s.build, "/api/v1/builds/%d/samples",
-		func() int { return cursor },
-		func() {
-			cursor = 0
-			s.agg = samples.NewStreamSummary()
-			s.mu.Lock()
-			s.live = samples.LiveSummary{}
-			s.mu.Unlock()
-		},
-		func(r io.Reader) bool {
-			br := bufio.NewReader(r)
-			progressed := false
-			for {
-				pts, err := api.ReadSampleFrame(br)
-				if err != nil {
-					return progressed // io.EOF at a frame boundary is the clean end
-				}
-				progressed = true
-				for _, pt := range pts {
-					cursor++
-					s.agg.Add(pt.AtNS, pt.CurrentMA)
-					live := s.agg.Snapshot()
-					s.mu.Lock()
-					s.live = live
-					s.mu.Unlock()
-					smp := core.Sample{
-						Node:      s.node,
-						Device:    s.device,
-						At:        time.Unix(0, pt.AtNS),
-						CurrentMA: pt.CurrentMA,
-						Live:      live,
-					}
-					for _, o := range s.obs {
-						o.OnSample(smp)
-					}
-				}
-			}
-		})
+// handleSample re-aggregates the live summary client-side and forwards
+// the point to observers.
+func (s *Session) handleSample(pt api.SamplePoint) {
+	s.agg.Add(pt.AtNS, pt.CurrentMA)
+	live := s.agg.Snapshot()
+	s.mu.Lock()
+	s.live = live
+	s.mu.Unlock()
+	smp := core.Sample{
+		Node:      s.node,
+		Device:    s.device,
+		At:        time.Unix(0, pt.AtNS),
+		CurrentMA: pt.CurrentMA,
+		Live:      live,
+	}
+	for _, o := range s.obs {
+		o.OnSample(smp)
+	}
+}
+
+// resetLive clears the live aggregate when the server restarted and
+// recovered the build: the rerun's samples are a fresh capture, and the
+// pre-crash ones belonged to an attempt the scheduler abandoned.
+func (s *Session) resetLive() {
+	s.agg = samples.NewStreamSummary()
+	s.mu.Lock()
+	s.live = samples.LiveSummary{}
+	s.mu.Unlock()
 }
 
 // finalize runs after both streams end: resolve the terminal build
 // state, reconstruct the Result from the workspace artifacts, and
 // deliver the withheld PhaseDone event.
 func (s *Session) finalize(ctx context.Context) {
-	st, err := s.waitTerminal(ctx)
+	st, err := s.p.awaitTerminal(ctx, s.build)
 	var res *core.Result
 	var runErr error
 	switch {
@@ -909,23 +920,19 @@ func (s *Session) finalize(ctx context.Context) {
 	}
 }
 
-// waitTerminal polls the build status until it leaves the
-// queued/running states. The streams normally end exactly at finish,
-// so the first poll usually suffices; the retry loop covers stream
-// teardown racing the state transition.
-func (s *Session) waitTerminal(ctx context.Context) (api.BuildStatus, error) {
+// awaitTerminal polls the build status until it is terminal — settled,
+// or expired, which the caller interprets. The streams normally end
+// exactly at finish, so the first poll usually suffices; the retry loop
+// covers stream teardown racing the state transition.
+func (p *Platform) awaitTerminal(ctx context.Context, build int) (api.BuildStatus, error) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st, err := s.p.BuildStatus(ctx, s.build)
-		if err != nil {
-			return api.BuildStatus{}, err
-		}
-		switch st.State {
-		case "success", "failure", "aborted", api.StateExpired:
-			return st, nil
+		st, err := p.BuildStatus(ctx, build)
+		if err != nil || st.Terminal() {
+			return st, err
 		}
 		if time.Now().After(deadline) {
-			return st, fmt.Errorf("remote: build %d still %s after streams closed", s.build, st.State)
+			return st, fmt.Errorf("remote: build %d still %s after its streams closed", build, st.State)
 		}
 		select {
 		case <-time.After(50 * time.Millisecond):
