@@ -10,8 +10,6 @@
 //	blab-bench -table 2    # Table 2
 //	blab-bench -sys        # §4.2 system performance
 //	blab-bench -ablations  # design-choice ablations
-//	blab-bench -samples-bench -samples-bench-out BENCH_samples.json
-//	                       # streaming sample-pipeline microbenchmarks
 //	blab-bench -sched-bench -sched-bench-out BENCH_sched.json
 //	                       # scheduler dispatch throughput + placement/fairness scenarios
 //	blab-bench -sched-bench-check BENCH_sched.json
@@ -50,10 +48,6 @@ func main() {
 		campaign  = flag.Bool("campaign", false, "concurrent campaign sweep across vantage points")
 		nodes     = flag.Int("nodes", 2, "vantage points for -campaign")
 		perNode   = flag.Int("per-node", 3, "runs per vantage point for -campaign")
-
-		samplesBench    = flag.Bool("samples-bench", false, "micro-benchmark the streaming sample pipeline")
-		samplesBenchOut = flag.String("samples-bench-out", "", "write the samples benchmark JSON here (default stdout)")
-		samplesBenchN   = flag.Int("samples-bench-n", 1_000_000, "series length for -samples-bench")
 
 		schedBench      = flag.Bool("sched-bench", false, "benchmark scheduler dispatch throughput, healthy vs 30% flaky fleet")
 		schedBenchOut   = flag.String("sched-bench-out", "", "write the scheduler benchmark JSON here (default stdout)")
@@ -228,17 +222,6 @@ func main() {
 			}
 			return experiments.FormatCampaign(rep), nil
 		})
-	}
-
-	if *samplesBench {
-		ran = true
-		if err := samplesBenchTo(*samplesBenchOut, *samplesBenchN, 5000); err != nil {
-			fmt.Fprintf(os.Stderr, "samples-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *samplesBenchOut != "" && *samplesBenchOut != "-" {
-			fmt.Printf("(samples benchmark written to %s)\n", *samplesBenchOut)
-		}
 	}
 
 	if *schedBench {

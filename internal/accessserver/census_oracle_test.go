@@ -1,9 +1,15 @@
 package accessserver
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
+
+	"batterylab/internal/accessserver/store"
 )
 
 // censusOracleLocked is the full census rebuild the server ran on every
@@ -133,7 +139,7 @@ func (s *Server) LifecycleDrift() error {
 	var running, queued, waiting int
 	for id, b := range s.builds {
 		b.mu.Lock()
-		state, node, peer := b.state, b.nodeName, b.routedVia
+		state, node, peer := BuildState(b.BuildRec.State), b.Node, b.routedVia
 		lease, retry, aging := b.leaseTimer != nil, b.retryTimer != nil, b.agingTimer != nil
 		b.mu.Unlock()
 		switch state {
@@ -141,8 +147,8 @@ func (s *Server) LifecycleDrift() error {
 			running++
 			ownerRunning[b.Owner]++
 			ownerActive[b.Owner]++
-			if s.campaigns[b.campaign] != nil {
-				campRunning[b.campaign]++
+			if s.campaigns[b.Campaign] != nil {
+				campRunning[b.Campaign]++
 			}
 			if peer == "" {
 				nodeRunning[node]++
@@ -214,4 +220,123 @@ func (s *Server) LifecycleDrift() error {
 		return fmt.Errorf("builds run on nodes without a lifecycle record: %v", nodeRunning)
 	}
 	return nil
+}
+
+// DurableDrift checks that what the attached store holds is what the
+// server holds: it reads the store's directory through a second Open — a
+// whole log, as a restart would find it — folds snapshot and WAL with the
+// functions recovery uses (and the live transitions run on the same
+// records), and compares the result with the snapshot a compaction would
+// write at this instant. It describes the first difference, nil when
+// there is none or no store is attached.
+//
+// Everything a snapshot stores is compared, as JSON, except:
+//
+//   - NodeRec.OwedHostingNS: a beat of an owned node accrues hosting time
+//     with no record (accrueHosting; a record per beat would swamp the
+//     WAL), so between snapshots and flushes the disk may hold less — never
+//     more — than the server.
+//   - a NodeRec that is all zero but its name: nodes get a lifecycle
+//     record the first time the scheduler counts something on them (a
+//     heartbeat, a build, a CPU probe), which is durable state only once
+//     a verb with a record touches it.
+//   - Snapshot.Ledger: the in-memory history is bounded, the replayed one
+//     is not; Balances, which is authoritative, is compared.
+//   - Snapshot.V, WALGen, WALCut: stamped by the store when it writes.
+func (s *Server) DurableDrift() error {
+	s.mu.Lock()
+	s.Users.mu.RLock()
+	s.Ledger.mu.Lock()
+	s.storeMu.Lock()
+	live := s.buildSnapshotLocked()
+	var disk *store.Store
+	var err error
+	if s.store != nil {
+		disk, err = store.Open(s.store.Dir())
+	}
+	s.storeMu.Unlock()
+	s.Ledger.mu.Unlock()
+	s.Users.mu.RUnlock()
+	s.mu.Unlock()
+	if disk == nil {
+		return err
+	}
+	defer disk.Close()
+	snap, recs := disk.Load()
+	rs := newReplayState(snap)
+	for i := range recs {
+		rs.apply(&recs[i])
+	}
+
+	replayed := &store.Snapshot{NextBuild: rs.nextBuild, NextCampaign: rs.nextCampaign, Balances: rs.balances}
+	for _, name := range slices.Sorted(maps.Keys(rs.users)) {
+		replayed.Users = append(replayed.Users, rs.users[name])
+	}
+	for _, name := range slices.Sorted(maps.Keys(rs.jobs)) {
+		replayed.Jobs = append(replayed.Jobs, rs.jobs[name])
+	}
+	for _, id := range slices.Sorted(maps.Keys(rs.builds)) {
+		replayed.Builds = append(replayed.Builds, *rs.builds[id])
+	}
+	for _, id := range slices.Sorted(maps.Keys(rs.campaigns)) {
+		replayed.Campaigns = append(replayed.Campaigns, rs.campaigns[id])
+	}
+	for _, name := range slices.Sorted(maps.Keys(rs.peers)) {
+		replayed.Peers = append(replayed.Peers, rs.peers[name])
+	}
+	for _, n := range live.Nodes {
+		d := rs.nodes[n.Name]
+		if d == nil {
+			d = &store.NodeRec{Name: n.Name}
+		}
+		if d.OwedHostingNS > n.OwedHostingNS {
+			return fmt.Errorf("node %q: the store owes %d ns of hosting, the server %d", n.Name, d.OwedHostingNS, n.OwedHostingNS)
+		}
+		cp := *d
+		cp.OwedHostingNS = n.OwedHostingNS
+		replayed.Nodes = append(replayed.Nodes, cp)
+		delete(rs.nodes, n.Name)
+	}
+	if len(rs.nodes) > 0 {
+		return fmt.Errorf("the store holds nodes %v the server does not", slices.Sorted(maps.Keys(rs.nodes)))
+	}
+	live.Ledger = nil
+
+	if err := cmp.Or(
+		diffRecs("users", live.Users, replayed.Users), diffRecs("jobs", live.Jobs, replayed.Jobs),
+		diffRecs("nodes", live.Nodes, replayed.Nodes), diffRecs("builds", live.Builds, replayed.Builds),
+		diffRecs("campaigns", live.Campaigns, replayed.Campaigns), diffRecs("peers", live.Peers, replayed.Peers),
+	); err != nil {
+		return err
+	}
+	// Whatever is left: the id counters and the balances.
+	if l, d := mustJSON(live), mustJSON(replayed); l != d {
+		return fmt.Errorf("the server would snapshot %s, its store replays to %s", l, d)
+	}
+	return nil
+}
+
+// diffRecs describes the first position at which two record lists differ.
+func diffRecs[T any](what string, live, disk []T) error {
+	for i := 0; i < max(len(live), len(disk)); i++ {
+		l, d := "nothing", "nothing"
+		if i < len(live) {
+			l = mustJSON(live[i])
+		}
+		if i < len(disk) {
+			d = mustJSON(disk[i])
+		}
+		if l != d {
+			return fmt.Errorf("%s[%d]: the server holds %s, its store replays to %s", what, i, l, d)
+		}
+	}
+	return nil
+}
+
+func mustJSON(v any) string {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
 }

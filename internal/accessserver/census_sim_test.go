@@ -7,18 +7,32 @@ import (
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/schedsim"
+	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 )
 
 // observeCensus makes a script fail the test at the first event after
 // which the incrementally published census differs from a full rebuild,
-// the queue's own bookkeeping no longer holds, or what the lifecycle
-// transitions maintain differs from a recount over the builds.
+// the queue's own bookkeeping no longer holds, what the lifecycle
+// transitions maintain differs from a recount over the builds, or the
+// store it attaches replays to something other than the server's state.
 func observeCensus(t *testing.T, script *schedsim.Script) *int {
 	t.Helper()
 	events := new(int)
 	script.AfterEvent = func(srv *accessserver.Server) {
 		*events++
+		if *events == 1 {
+			// From the first event on the script runs durably, so that
+			// DurableDrift has a log to hold the server against.
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			if _, err := srv.AttachStore(st); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := srv.CensusDrift(); err != nil {
 			t.Fatalf("after event %d: %v", *events, err)
 		}
@@ -26,6 +40,9 @@ func observeCensus(t *testing.T, script *schedsim.Script) *int {
 			t.Fatalf("after event %d: %v", *events, err)
 		}
 		if err := srv.LifecycleDrift(); err != nil {
+			t.Fatalf("after event %d: %v", *events, err)
+		}
+		if err := srv.DurableDrift(); err != nil {
 			t.Fatalf("after event %d: %v", *events, err)
 		}
 	}

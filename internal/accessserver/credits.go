@@ -177,7 +177,7 @@ func (l *Ledger) CanAfford(user string, deviceTime time.Duration) bool {
 }
 
 // creditGate enforces the §5 economy at submission time: the member
-// must be able to cover n experiments' worth of SubmitCharge device
+// must be able to cover n experiments' worth of submitCharge device
 // time. Admins operate the platform rather than buy access and are
 // exempt, as is everyone while enforcement is off.
 func (s *Server) creditGate(user *User, n int) error {
@@ -186,7 +186,7 @@ func (s *Server) creditGate(user *User, n int) error {
 		// home server; double-billing the federation would be a toll.
 		return nil
 	}
-	need := time.Duration(n) * s.cfg.SubmitCharge
+	need := time.Duration(n) * submitCharge
 	if !s.Ledger.CanAfford(user.Name, need) {
 		s.m.creditDenials.Inc()
 		return fmt.Errorf("%w: %s has %.1f credits; %d experiment(s) need at least %.1f — contribute vantage point time to earn more",

@@ -71,7 +71,7 @@ func (s *Server) ConfigureCluster(name, advertiseURL, token string) {
 }
 
 // StartCluster arms the federation announce loop: every
-// PeerHeartbeatEvery the server sweeps peer liveness, announces itself
+// HeartbeatEvery the server sweeps peer liveness, announces itself
 // (with its node census) to every seed and every known peer, and adopts
 // peers it learns from announce responses. seeds are upstream base URLs
 // from the -peer flag; a server with none still announces to peers that
@@ -84,7 +84,7 @@ func (s *Server) StartCluster(seeds ...string) {
 	s.mu.Lock()
 	s.peerSeeds = append(s.peerSeeds, seeds...)
 	if s.peerTicker == nil {
-		s.peerTicker = simclock.NewTicker(s.clock, s.cfg.PeerHeartbeatEvery,
+		s.peerTicker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery,
 			func(time.Time) { s.announceTick() })
 	}
 	s.mu.Unlock()
@@ -291,7 +291,7 @@ func (s *Server) relayRun(b *Build, pl placement) RunFunc {
 	token := s.cluster.Token()
 	return func(ctx *BuildContext, done func(error)) {
 		attempt := ctx.attempt
-		spec := *b.wireSpec
+		spec := *b.Spec
 		spec.Node = nodeName
 		spec.Device = device
 		// Pin the relayed run: failover decisions stay with the home
@@ -473,7 +473,7 @@ func (s *Server) compileForPeer(spec api.ExperimentSpec, compileErr error) (Cons
 		}
 	}
 	if known {
-		return Constraints{}, nil, peerUnavailablef(s.cfg.PeerHeartbeatEvery,
+		return Constraints{}, nil, peerUnavailablef(s.cfg.HeartbeatEvery,
 			"%s: node %q lives on a peer that is not online right now", ErrPeerUnavailable.Error(), spec.Node)
 	}
 	return Constraints{}, nil, compileErr

@@ -2,6 +2,7 @@ package accessserver
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"batterylab/internal/accessserver/store"
@@ -86,26 +87,29 @@ type NodeStatus struct {
 	Failovers int64
 }
 
-// nodeRec is the server's per-node lifecycle record: heartbeat clock,
-// drain/remove flags, the cached device list used for fallback
-// placement, and the CPU probe cache that replaced the
+// nodeRec is the server's per-node lifecycle record: the durable part,
+// the heartbeat clock, and the CPU probe cache that replaced the
 // probe-while-holding-s.mu dispatch path. Guarded by s.mu.
 type nodeRec struct {
-	name      string
-	monitored bool
-	draining  bool
-	removed   bool
-	lastBeat  time.Time
-	ticker    *simclock.Ticker
-	pinging   bool // async liveness probe in flight
-	running   int  // builds currently leased to this node
-	// owner is the member who hosts this vantage point; while set, the
+	// NodeRec is the node's durable state, kept as the record a snapshot
+	// stores: monitor, drain and removal flags, the owner, the cached
+	// device list and the hosting time owed. It changes only through
+	// applyNode (persist.go), with the record that logs the change.
+	//
+	// Owner is the member who hosts this vantage point; while set, the
 	// heartbeat stream accrues them §5 contribution credits for the
-	// node's online time. owedHosting accumulates attested online time
-	// between ledger flushes, so the ledger gets one coalesced entry
-	// per contributionFlushEvery of hosting instead of one per beat.
-	owner       string
-	owedHosting time.Duration
+	// node's online time. OwedHostingNS accumulates attested online time
+	// between ledger flushes, so the ledger gets one coalesced entry per
+	// contributionFlushEvery of hosting instead of one per beat. Devices
+	// is the fallback-placement cache, refreshed when the node is
+	// (re)monitored — device attach/detach between registrations is rare
+	// and a stale entry only costs one failed run.
+	store.NodeRec
+
+	lastBeat time.Time
+	ticker   *simclock.Ticker
+	pinging  bool // async liveness probe in flight
+	running  int  // builds currently leased to this node
 
 	// Reliability telemetry for score-based placement. beats counts
 	// recorded heartbeats; flaps counts beats that ended a
@@ -118,11 +122,6 @@ type nodeRec struct {
 	flaps     int64
 	failovers int64
 	lastFlap  time.Time
-
-	// devices is the fallback-placement cache, refreshed when the node
-	// is (re)monitored — device attach/detach between registrations is
-	// rare and a stale entry only costs one failed run.
-	devices []string
 
 	// CPU probe cache for RequireLowCPU dispatch: the scheduler never
 	// blocks on Exec("status") under s.mu; it reads this cache and
@@ -143,7 +142,7 @@ type nodeRec struct {
 func (s *Server) recLocked(name string) *nodeRec {
 	rec, ok := s.nodeRecs[name]
 	if !ok {
-		rec = &nodeRec{name: name, lastBeat: s.clock.Now()}
+		rec = &nodeRec{NodeRec: store.NodeRec{Name: name}, lastBeat: s.clock.Now()}
 		s.nodeRecs[name] = rec
 		s.censusStale = true
 		s.touchNodeLocked(name)
@@ -177,7 +176,7 @@ func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
 	if rec == nil {
 		return HealthOnline
 	}
-	return s.healthAt(true, rec.removed, rec.monitored, rec.draining, rec.lastBeat, now)
+	return s.healthAt(true, rec.Removed, rec.Monitored, rec.Draining, rec.lastBeat, now)
 }
 
 // MonitorNode arms heartbeat-driven health tracking for a registered
@@ -199,29 +198,49 @@ func (s *Server) MonitorNode(name string) error {
 
 	s.mu.Lock()
 	rec := s.recLocked(name)
-	rec.removed = false
-	rec.devices = devices
 	rec.lastBeat = s.clock.Now()
 	s.touchNodeLocked(name)
-	if rec.monitored {
-		s.publishCensusLocked()
-		s.mu.Unlock()
-		return nil
+	if !rec.Monitored || !slices.Equal(rec.Devices, devices) {
+		mon := store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+			Name: name, Owner: rec.Owner, Monitored: true, Devices: devices,
+		}}
+		if rec.Monitored {
+			// Armed already: only the device list is new, and a drain stays.
+			mon.Node.Draining = rec.Draining
+		} else {
+			// A fresh arm ends any previous drain or removal: re-registering
+			// a serviced node must put it back in rotation, not leave it
+			// silently undispatchable behind a stale flag.
+			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
+				s.probeNode(name)
+			})
+		}
+		s.applyNodeLocked(rec, mon)
 	}
-	// A fresh arm ends any previous drain lifecycle: re-registering a
-	// serviced node must put it back in rotation, not leave it
-	// silently undispatchable behind a stale drain flag.
-	rec.draining = false
-	rec.monitored = true
-	rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
-		s.probeNode(name)
-	})
-	s.logStore(store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
-		Name: name, Owner: rec.owner, Monitored: true, Devices: append([]string(nil), devices...),
-	}})
 	s.publishCensusLocked()
 	s.mu.Unlock()
 	return nil
+}
+
+// applyNodeLocked is a node transition: it runs applyNode with the
+// change's record on the node's durable state — the function replay
+// runs on the same record — and logs it. Callers hold s.mu (the lock
+// order snapshot compaction cuts under).
+func (s *Server) applyNodeLocked(rec *nodeRec, change store.Record) {
+	applyNode(&rec.NodeRec, &change)
+	s.touchNodeLocked(rec.Name)
+	s.logStore(change)
+}
+
+// reviveLocked ends the removal of a node that reappeared through the
+// plain registry path (rec is its lifecycle record, nil if it never
+// needed one): unmonitored, always online, placeable again.
+func (s *Server) reviveLocked(rec *nodeRec) {
+	if rec != nil && rec.Removed {
+		s.applyNodeLocked(rec, store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+			Name: rec.Name, Owner: rec.Owner, Devices: rec.Devices,
+		}})
+	}
 }
 
 // SetNodeOwner records which member hosts a vantage point; their ledger
@@ -233,11 +252,10 @@ func (s *Server) MonitorNode(name string) error {
 func (s *Server) SetNodeOwner(name, owner string) {
 	s.mu.Lock()
 	rec := s.recLocked(name)
-	if prev := rec.owner; prev != owner {
-		s.flushHostingLocked(rec, prev)
+	if rec.Owner != owner {
+		s.flushHostingLocked(rec)
 	}
-	rec.owner = owner
-	s.logStore(store.Record{T: store.TNodeOwner, Name: name, Owner: owner})
+	s.applyNodeLocked(rec, store.Record{T: store.TNodeOwner, Name: name, Owner: owner})
 	s.mu.Unlock()
 }
 
@@ -297,20 +315,18 @@ func (s *Server) probeNode(name string) {
 // rows per node-day for no audit value.
 const contributionFlushEvery = 15 * time.Minute
 
-// flushHostingLocked credits a node's accrued hosting time to owner
+// flushHostingLocked credits a node's accrued hosting time to its owner
 // and zeroes the accrual, writing the single combined WAL record —
 // zeroing and credit replay together or not at all, so a crash can
-// neither double-pay nor drop one half. Callers hold s.mu (the lock
-// order snapshot compaction cuts under).
-func (s *Server) flushHostingLocked(rec *nodeRec, owner string) {
-	dur := rec.owedHosting
-	if owner == "" || dur <= 0 {
-		rec.owedHosting = 0
+// neither double-pay nor drop one half. With no owner there is nothing
+// to pay: the transfer or removal record that follows drops the accrual.
+// Callers hold s.mu.
+func (s *Server) flushHostingLocked(rec *nodeRec) {
+	if rec.Owner == "" || rec.OwedHostingNS <= 0 {
 		return
 	}
-	rec.owedHosting = 0
-	s.Ledger.creditHostingQuiet(owner, rec.name, dur)
-	s.logStore(store.Record{T: store.TNodeHostingFlush, Name: rec.name, Owner: owner, AtNS: int64(dur)})
+	s.Ledger.creditHostingQuiet(rec.Owner, rec.Name, time.Duration(rec.OwedHostingNS))
+	s.applyNodeLocked(rec, store.Record{T: store.TNodeHostingFlush, Name: rec.Name, Owner: rec.Owner, AtNS: rec.OwedHostingNS})
 }
 
 // Heartbeat records a liveness beat for a node on the server clock.
@@ -334,19 +350,16 @@ func (s *Server) Heartbeat(name string) {
 	// admin states, not flaps) and came back. Placement holds that
 	// against it — sharply while recent, lightly forever via the
 	// lifetime count.
-	if rec.monitored && now.Sub(rec.lastBeat) >= s.cfg.SuspectAfter {
+	if rec.Monitored && now.Sub(rec.lastBeat) >= s.cfg.SuspectAfter {
 		rec.flaps++
 		rec.lastFlap = now
 	}
-	if rec.owner != "" && rec.monitored {
+	if rec.Owner != "" && rec.Monitored {
 		if d := now.Sub(rec.lastBeat); d > 0 {
-			if d > s.cfg.OfflineAfter {
-				d = s.cfg.OfflineAfter
-			}
-			rec.owedHosting += d
+			accrueHosting(&rec.NodeRec, min(d, s.cfg.OfflineAfter))
 		}
-		if rec.owedHosting >= contributionFlushEvery {
-			s.flushHostingLocked(rec, rec.owner)
+		if rec.OwedHostingNS >= int64(contributionFlushEvery) {
+			s.flushHostingLocked(rec)
 		}
 	}
 	rec.lastBeat = now
@@ -363,24 +376,16 @@ func (s *Server) Heartbeat(name string) {
 // builds finish — the maintenance workflow before unplugging a Pi. The
 // user needs PermManageNodes.
 func (s *Server) DrainNode(user *User, name string) error {
-	if !Allowed(user.Role, PermManageNodes) {
-		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
-	}
-	if _, err := s.Nodes.Get(name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.recLocked(name).draining = true
-	s.touchNodeLocked(name)
-	s.logStore(store.Record{T: store.TNodeDrain, Name: name, Draining: true})
-	s.publishCensusLocked()
-	s.mu.Unlock()
-	return nil
+	return s.setDraining(user, name, true)
 }
 
 // UndrainNode reopens a drained node for dispatch. The user needs
 // PermManageNodes.
 func (s *Server) UndrainNode(user *User, name string) error {
+	return s.setDraining(user, name, false)
+}
+
+func (s *Server) setDraining(user *User, name string, draining bool) error {
 	if !Allowed(user.Role, PermManageNodes) {
 		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
 	}
@@ -388,12 +393,12 @@ func (s *Server) UndrainNode(user *User, name string) error {
 		return err
 	}
 	s.mu.Lock()
-	s.recLocked(name).draining = false
-	s.touchNodeLocked(name)
-	s.logStore(store.Record{T: store.TNodeDrain, Name: name, Draining: false})
+	s.applyNodeLocked(s.recLocked(name), store.Record{T: store.TNodeDrain, Name: name, Draining: draining})
 	s.publishCensusLocked()
 	s.mu.Unlock()
-	s.dispatch()
+	if !draining {
+		s.dispatch()
+	}
 	return nil
 }
 
@@ -401,7 +406,9 @@ func (s *Server) UndrainNode(user *User, name string) error {
 // running builds finish (their lease is not broken — removal is an
 // admin decision, not a failure), and queued builds that were pinned to
 // it fail with ErrNodeLost unless fallback placement can move them.
-// The user needs PermManageNodes.
+// Removal ends the drain lifecycle too: a future registration of this
+// name starts fresh instead of inheriting an undispatchable state. The
+// user needs PermManageNodes.
 func (s *Server) RemoveNode(user *User, name string) error {
 	if !Allowed(user.Role, PermManageNodes) {
 		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
@@ -411,20 +418,14 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	}
 	s.mu.Lock()
 	rec := s.recLocked(name)
-	rec.removed = true
-	rec.monitored = false
-	// Removal ends the drain lifecycle: a future registration of this
-	// name starts fresh instead of inheriting an undispatchable state.
-	rec.draining = false
 	if rec.ticker != nil {
 		rec.ticker.Stop()
 		rec.ticker = nil
 	}
 	// Final contribution flush: hosting time accrued below the lump
 	// threshold still belongs to the owner.
-	s.flushHostingLocked(rec, rec.owner)
-	s.logStore(store.Record{T: store.TNodeRemoved, Name: name})
-	s.touchNodeLocked(name)
+	s.flushHostingLocked(rec)
+	s.applyNodeLocked(rec, store.Record{T: store.TNodeRemoved, Name: name})
 	s.failQueuedLocked(func(b *Build) error {
 		if b.cons.Node == name && !b.cons.Fallback {
 			return fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, b.ID)
@@ -474,20 +475,20 @@ func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
 		st.Health = s.healthAt(registered, false, false, false, time.Time{}, now)
 		return st, registered
 	}
-	if rec.removed && registered {
-		rec.removed = false // node re-registered after removal
+	if registered {
+		s.reviveLocked(rec)
 	}
-	st.Monitored = rec.monitored
-	st.Draining = rec.draining
-	st.Removed = rec.removed
+	st.Monitored = rec.Monitored
+	st.Draining = rec.Draining
+	st.Removed = rec.Removed
 	st.LastHeartbeat = rec.lastBeat
 	st.Running = rec.running
 	st.Queued = queued
-	st.Devices = append([]string(nil), rec.devices...)
+	st.Devices = append([]string(nil), rec.Devices...)
 	st.Beats = rec.beats
 	st.Flaps = rec.flaps
 	st.Failovers = rec.failovers
-	st.Health = s.healthAt(registered, rec.removed, rec.monitored, rec.draining, rec.lastBeat, now)
+	st.Health = s.healthAt(registered, rec.Removed, rec.Monitored, rec.Draining, rec.lastBeat, now)
 	return st, registered
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/controller"
 	"batterylab/internal/simclock"
@@ -816,4 +817,76 @@ func TestConcurrentSubmitDuringFailover(t *testing.T) {
 	if srv.Running() != 0 {
 		t.Fatalf("builds still running after the drain window: %d", srv.Running())
 	}
+}
+
+// listNode is a vantage point whose device list the test can change.
+type listNode struct {
+	name    string
+	devices *string
+}
+
+func (n listNode) Name() string { return n.name }
+func (n listNode) Ping() error  { return nil }
+func (n listNode) Exec(cmd string, args ...string) (string, error) {
+	if cmd == "list_devices" {
+		return *n.devices, nil
+	}
+	return "", nil
+}
+
+// TestNodeVerbsAreDurable walks one node through every verb that has a
+// record — and the three changes that had none before nodes kept their
+// durable state as their store record: hosting time accruing between
+// flushes (still none, by design), the device list refreshed by arming
+// an armed node, and a removal ended by the bare registry — holding the
+// store against the server after each.
+func TestNodeVerbsAreDurable(t *testing.T) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, faultCfg())
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := srv.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	admin, _ := srv.Users.Add("a", RoleAdmin)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	devices := "dev-a"
+	vp := listNode{name: "vp1", devices: &devices}
+
+	must(srv.RegisterNode(vp))
+	srv.SetNodeOwner("vp1", "bob")
+	must(srv.DrainNode(admin, "vp1"))
+	clk.Advance(10 * time.Second)
+	checkLifecycle(t, srv, "owned, drained, 10 s of hosting accrued")
+
+	devices = "dev-a\ndev-b"
+	must(srv.MonitorNode("vp1"))
+	if got := srv.NodeHealth("vp1"); !got.Draining || len(got.Devices) != 2 {
+		t.Fatalf("armed again with a second device: %+v, want both devices and the drain kept", got)
+	}
+	checkLifecycle(t, srv, "device list refreshed")
+
+	clk.Advance(contributionFlushEvery)
+	if srv.Ledger.Balance("bob") <= 0 {
+		t.Fatal("15 minutes of hosting were not credited")
+	}
+	checkLifecycle(t, srv, "hosting flushed")
+
+	must(srv.UndrainNode(admin, "vp1"))
+	must(srv.RemoveNode(admin, "vp1"))
+	checkLifecycle(t, srv, "removed")
+	must(srv.Nodes.Register(vp))
+	srv.Kick() // the registry has no hook: the next publish finds the node
+	if got := srv.NodeHealth("vp1"); got.Health != HealthOnline || got.Removed || got.Monitored {
+		t.Fatalf("back through the bare registry: %+v, want online, unmonitored, no tombstone", got)
+	}
+	checkLifecycle(t, srv, "removal ended by the registry")
 }

@@ -446,40 +446,42 @@ func jobInfo(j Job) api.JobInfo {
 	return api.JobInfo{Name: j.Name, Owner: j.Owner, Spec: j.Spec, Approved: j.Approved, Revision: j.Revision}
 }
 
-// buildStatus snapshots a build as its wire form.
+// buildStatus snapshots a build as its wire form: the durable record
+// plus the live placement, read once under the build's lock.
 func buildStatus(b *Build) api.BuildStatus {
+	b.mu.Lock()
+	r := b.BuildRec
 	st := api.BuildStatus{
-		ID:        b.ID,
-		Job:       b.Job,
-		Owner:     b.Owner,
-		State:     b.State().String(),
-		Campaign:  b.CampaignID(),
-		Canceled:  b.CancelRequested(),
-		Summary:   b.Summary(),
-		Node:      b.NodeName(),
-		Attempts:  b.Attempts(),
-		Recovered: b.Recovered(),
-		FeedEpoch: b.FeedEpoch(),
+		ID:        r.ID,
+		Job:       r.Job,
+		Owner:     r.Owner,
+		State:     r.State,
+		Campaign:  r.Campaign,
+		Canceled:  r.Canceled,
+		Summary:   r.Summary,
+		Node:      r.Node,
+		Attempts:  r.Attempts,
+		Error:     r.Err,
+		NodeLost:  r.NodeLost,
+		Recovered: b.recovered,
+		FeedEpoch: r.FeedEpoch,
+		// Federation provenance: routed_via names the peer executing the
+		// build for its home server; home_server (carried on the relayed
+		// spec) names the submitting server for the peer executing it.
+		RoutedVia:      b.routedVia,
+		PlacementScore: b.placementScore,
 	}
-	st.PlacementScore = b.PlacementScore()
-	// Federation provenance: routed_via names the peer executing the
-	// build for its home server; home_server (carried on the relayed
-	// spec) names the submitting server for the peer executing it.
-	st.RoutedVia = b.RoutedVia()
-	if b.wireSpec != nil {
-		st.HomeServer = b.wireSpec.HomeServer
+	if r.State == StateQueued.String() {
+		st.PendingReason = b.pendingReason
+	}
+	b.mu.Unlock()
+	if r.Spec != nil {
+		st.HomeServer = r.Spec.HomeServer
 	}
 	// Feed-loss counters: a streaming client that sees a non-zero value
 	// knows its replay is missing records instead of trusting a silently
 	// truncated stream.
-	st.DroppedEvents, st.DroppedSamples = b.Feed().Dropped()
-	if b.State() == StateQueued {
-		st.PendingReason = b.PendingReason()
-	}
-	if err := b.Err(); err != nil {
-		st.Error = err.Error()
-		st.NodeLost = errors.Is(err, ErrNodeLost)
-	}
+	st.DroppedEvents, st.DroppedSamples = b.feed.Dropped()
 	return st
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/feedhub"
+	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
@@ -36,6 +37,11 @@ type Constraints struct {
 	// unavailable — the failover policy behind campaign completion on
 	// surviving vantage points.
 	Fallback bool
+	// WholeNode makes the build hold its node's lock even though it
+	// names a device: the pipeline uses something the vantage point has
+	// one of — the power monitor, for every measurement — so builds on
+	// the node's other devices must wait for it.
+	WholeNode bool
 }
 
 // Job is a stored pipeline (§3.1): a named, revisioned experiment spec.
@@ -54,81 +60,65 @@ type Job struct {
 	Revision int
 }
 
-// BuildState tracks a build through its life.
-type BuildState int
+// BuildState tracks a build through its life. The values are the
+// strings the store's records and the wire status carry.
+type BuildState string
 
 // Build states.
 const (
-	StateQueued BuildState = iota
-	StateRunning
-	StateSuccess
-	StateFailure
-	StateAborted
+	StateQueued  BuildState = "queued"
+	StateRunning BuildState = "running"
+	StateSuccess BuildState = "success"
+	StateFailure BuildState = "failure"
+	StateAborted BuildState = "aborted"
 )
 
-func (s BuildState) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateSuccess:
-		return "success"
-	case StateFailure:
-		return "failure"
-	default:
-		return "aborted"
-	}
-}
+func (s BuildState) String() string { return string(s) }
 
 // Build is one execution of a job or of a directly submitted v1 spec.
 type Build struct {
-	ID  int
-	Job string
-	// Owner is the submitting user; cancellation is restricted to the
-	// owner and admins.
-	Owner string
+	// BuildRec is the build's durable state, kept as the record a
+	// snapshot stores: there is no second copy to keep in step. ID, Job,
+	// Owner (the submitting user; cancellation is restricted to the owner
+	// and admins), Campaign (builds submitted together via
+	// SubmitCampaign; 0 = standalone) and Spec (the wire spec cons/run
+	// were compiled from, which crash recovery recompiles and a relay
+	// resubmits to a peer) are fixed at submission. The rest is guarded by
+	// mu and changes only through applyBuild (persist.go), with the
+	// record that logs the change. Five fields share their name with an
+	// accessor and are reached as b.BuildRec.State, .Attempts, .Retries,
+	// .Summary and .FeedEpoch.
+	//
+	// Attempts is the dispatch token: each dispatch increments it, and
+	// completions carrying an older token (a pipeline the scheduler
+	// already reclaimed from a lost node) are stale. Retries counts
+	// failover requeues against the retry budget. FeedEpoch counts how
+	// many times the feed started over (once per recovery), so streaming
+	// clients can invalidate stale resume cursors.
+	store.BuildRec
 
-	// campaign groups builds submitted together via SubmitCampaign
-	// (0 = standalone).
-	campaign int
 	// cons/run are the build's own pipeline, compiled at submit time
-	// from wireSpec; wireSpec is retained so crash recovery can recompile
-	// it through the SpecBackend and a relay can resubmit it to a peer.
-	cons     Constraints
-	run      RunFunc
-	wireSpec *api.ExperimentSpec
+	// from Spec.
+	cons Constraints
+	run  RunFunc
 	// recovered marks a build reconstructed from the store after a
-	// restart (the wire status carries it to clients); feedEpoch counts
-	// how many times the feed started over (once per recovery), so
-	// streaming clients can invalidate stale resume cursors.
+	// restart (the wire status carries it to clients).
 	recovered bool
-	feedEpoch int
 	// feed is the build's event/sample stream, owned and registered by
 	// the server's feed hub (lifecycle — close, eviction — runs through
 	// the hub, never through this handle). Set once at construction,
 	// immutable after.
 	feed *feedhub.Feed
 
-	mu         sync.Mutex
-	state      BuildState
-	queuedAt   time.Time
-	startedAt  time.Time
-	finishedAt time.Time
-	log        strings.Builder
-	workspace  *Workspace
-	err        error
-	summary    *api.RunSummary
-	canceler   func()
-	cancelWant bool
+	mu        sync.Mutex
+	log       strings.Builder
+	workspace *Workspace
+	err       error
+	// reported is the digest the pipeline handed over with SetSummary;
+	// the finished record carries it into BuildRec.Summary.
+	reported *api.RunSummary
+	canceler func()
 
-	// Fault-tolerance state. attempt is the dispatch token: each
-	// dispatch increments it, and completions carrying an older token
-	// (a pipeline the scheduler already reclaimed from a lost node) are
-	// stale. retries counts failover requeues against the retry budget.
-	attempt        int
-	retries        int
-	nodeName       string  // node of the current/last attempt
 	routedVia      string  // peer executing the current/last attempt ("" = local)
 	pendingReason  string  // why a queued build is not running yet
 	placementScore float64 // placer score of the current/last placement
@@ -159,7 +149,7 @@ type Build struct {
 func (b *Build) State() BuildState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state
+	return BuildState(b.BuildRec.State)
 }
 
 // live reports whether attempt is the build's current dispatch and still
@@ -167,7 +157,7 @@ func (b *Build) State() BuildState {
 func (b *Build) live(attempt int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state == StateRunning && b.attempt == attempt
+	return b.BuildRec.State == StateRunning.String() && b.BuildRec.Attempts == attempt
 }
 
 // Attempts reports how many times the build has been dispatched (0
@@ -175,14 +165,14 @@ func (b *Build) live(attempt int) bool {
 func (b *Build) Attempts() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.attempt
+	return b.BuildRec.Attempts
 }
 
 // Retries reports how many failover requeues the build has consumed.
 func (b *Build) Retries() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.retries
+	return b.BuildRec.Retries
 }
 
 // Recovered reports whether this build's state was reconstructed from
@@ -191,14 +181,14 @@ func (b *Build) Recovered() bool { return b.recovered }
 
 // FeedEpoch reports how many times the build's feed started over (once
 // per server recovery).
-func (b *Build) FeedEpoch() int { return b.feedEpoch }
+func (b *Build) FeedEpoch() int { return b.BuildRec.FeedEpoch }
 
 // NodeName reports the vantage point of the current (or last) attempt —
 // after a fallback placement this differs from the spec's node.
 func (b *Build) NodeName() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.nodeName
+	return b.Node
 }
 
 // RoutedVia reports the federation peer executing the current (or
@@ -265,24 +255,25 @@ func (b *Build) Workspace() *Workspace { return b.workspace }
 func (b *Build) Feed() *feedhub.Feed { return b.feed }
 
 // CampaignID reports the campaign the build belongs to (0 = none).
-func (b *Build) CampaignID() int { return b.campaign }
+func (b *Build) CampaignID() int { return b.Campaign }
 
-// SetSummary records the run's wire-level digest; the v1 status
-// endpoint serves it once set.
+// SetSummary hands over the run's wire-level digest, for a pipeline to
+// call before it reports done; the v1 status endpoint serves it once the
+// build has finished.
 func (b *Build) SetSummary(s api.RunSummary) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.summary = &s
+	b.reported = &s
 }
 
 // Summary returns the recorded digest (nil until the run finishes).
 func (b *Build) Summary() *api.RunSummary {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.summary == nil {
+	if b.BuildRec.Summary == nil {
 		return nil
 	}
-	cp := *b.summary
+	cp := *b.BuildRec.Summary
 	return &cp
 }
 
@@ -294,7 +285,7 @@ func (b *Build) Summary() *api.RunSummary {
 func (b *Build) OnCancel(fn func()) {
 	b.mu.Lock()
 	b.canceler = fn
-	want := b.cancelWant
+	want := b.Canceled
 	b.mu.Unlock()
 	if want && fn != nil {
 		fn()
@@ -311,7 +302,7 @@ func (b *Build) OnCancel(fn func()) {
 // a device the retry may have re-locked.
 func (b *Build) onCancelForAttempt(attempt int, fn func()) {
 	b.mu.Lock()
-	if b.attempt != attempt || b.state != StateRunning {
+	if b.BuildRec.Attempts != attempt || b.BuildRec.State != StateRunning.String() {
 		b.mu.Unlock()
 		if fn != nil {
 			fn() // tear the orphaned attempt down
@@ -319,7 +310,7 @@ func (b *Build) onCancelForAttempt(attempt int, fn func()) {
 		return
 	}
 	b.canceler = fn
-	want := b.cancelWant
+	want := b.Canceled
 	b.mu.Unlock()
 	if want && fn != nil {
 		fn()
@@ -332,7 +323,7 @@ func (b *Build) onCancelForAttempt(attempt int, fn func()) {
 func (b *Build) CancelRequested() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.cancelWant
+	return b.Canceled
 }
 
 // QueueTime reports how long the build waited before dispatch (zero
@@ -340,20 +331,20 @@ func (b *Build) CancelRequested() bool {
 func (b *Build) QueueTime() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.startedAt.IsZero() {
+	if b.StartedAtNS == 0 {
 		return 0
 	}
-	return b.startedAt.Sub(b.queuedAt)
+	return time.Duration(b.StartedAtNS - b.QueuedAtNS)
 }
 
 // Duration reports the run time of a finished build.
 func (b *Build) Duration() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.finishedAt.IsZero() || b.startedAt.IsZero() {
+	if b.FinishedAtNS == 0 || b.StartedAtNS == 0 {
 		return 0
 	}
-	return b.finishedAt.Sub(b.startedAt)
+	return time.Duration(b.FinishedAtNS - b.StartedAtNS)
 }
 
 // BuildContext is what a RunFunc sees. It is per-attempt: after a

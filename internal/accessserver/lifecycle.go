@@ -22,6 +22,11 @@ import (
 //	settleLocked   → terminal: finish, Abort, aging, RemoveNode, DeleteJob,
 //	               and reclaimLocked when a lost build cannot run again
 //
+// A transition that changes what a restart must bring back builds the
+// WAL record of the change, runs applyBuild (persist.go) with it on the
+// build's BuildRec — the function replay runs on the same record — and
+// logs it; none assigns a durable field itself.
+//
 // All four run under s.mu and take b.mu themselves. Their WAL appends
 // happen under s.mu too, which is what serializes them against snapshot
 // compaction (it cuts the log under s.mu). wal is the record sink
@@ -51,8 +56,8 @@ func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Tim
 	s.m.queued--
 	s.m.running++
 	s.m.dispatched++
-	s.m.dispatchLatency.Observe(now.Sub(b.queuedAt).Seconds())
-	if rec := s.campaigns[b.campaign]; rec != nil {
+	s.m.dispatchLatency.Observe(time.Duration(now.UnixNano() - b.QueuedAtNS).Seconds())
+	if rec := s.campaigns[b.Campaign]; rec != nil {
 		rec.running++
 	}
 	s.ownerRunning[b.Owner]++
@@ -68,17 +73,17 @@ func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Tim
 		rec := s.recLocked(pl.nodeName)
 		rec.running++
 		s.touchNodeLocked(pl.nodeName)
-		leased = rec.monitored
+		leased = rec.Monitored
 	} else {
 		s.m.clusterRouted++
 		run = s.relayRun(b, pl)
 	}
 
 	b.mu.Lock()
-	b.state = StateRunning
-	b.startedAt = now
-	b.attempt++
-	b.nodeName = pl.nodeName
+	attempt := b.BuildRec.Attempts + 1
+	started := store.Record{T: store.TBuildStarted, BuildID: b.ID,
+		NodeName: pl.nodeName, Attempt: attempt, AtNS: now.UnixNano()}
+	applyBuild(&b.BuildRec, &started)
 	b.routedVia = pl.peer
 	b.pendingReason = ""
 	b.placementScore = pl.score
@@ -88,13 +93,11 @@ func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Tim
 		b.agingTimer.Stop()
 		b.agingTimer = nil
 	}
-	attempt := b.attempt
 	if leased {
 		b.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) })
 	}
 	b.mu.Unlock()
-	s.logStore(store.Record{T: store.TBuildStarted, BuildID: b.ID,
-		NodeName: pl.nodeName, Attempt: attempt, AtNS: now.UnixNano()})
+	s.logStore(started)
 	s.publishBuildLocked(b)
 	return &pick{b: b, run: run, node: pl.node, nodeName: pl.nodeName, device: pl.device}
 }
@@ -112,14 +115,14 @@ func (s *Server) releaseLocked(b *Build) bool {
 	b.heldLocks = nil
 	s.running--
 	s.m.running--
-	if rec := s.campaigns[b.campaign]; rec != nil {
+	if rec := s.campaigns[b.Campaign]; rec != nil {
 		rec.running--
 	}
 	if s.ownerRunning[b.Owner]--; s.ownerRunning[b.Owner] <= 0 {
 		delete(s.ownerRunning, b.Owner)
 	}
 	b.mu.Lock()
-	node, local := b.nodeName, b.routedVia == ""
+	node, local := b.Node, b.routedVia == ""
 	if b.leaseTimer != nil {
 		b.leaseTimer.Stop()
 		b.leaseTimer = nil
@@ -144,36 +147,42 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]sto
 	now := s.clock.Now()
 	held := s.releaseLocked(b)
 	b.mu.Lock()
+	r := &b.BuildRec
+	// The attempt is gone whatever comes next: the build is queued again,
+	// with the retries it had. Only a granted retry is logged, with one
+	// more — a build that settles instead logs its finished record.
+	lost := store.Record{T: store.TBuildFailover, BuildID: b.ID,
+		Retries: r.Retries, Reason: reason, AtNS: now.UnixNano()}
 	if held {
-		b.state = StateQueued
+		applyBuild(r, &lost)
 		s.m.queued++
 		s.m.leaseBreaks++
-		if rec := s.nodeRecs[b.nodeName]; rec != nil && b.routedVia == "" {
+		if rec := s.nodeRecs[r.Node]; rec != nil && b.routedVia == "" {
 			// Reliability telemetry: the node lost a leased build. The
 			// placer penalizes it on every future fallback decision.
 			rec.failovers++
-			s.touchNodeLocked(b.nodeName)
+			s.touchNodeLocked(r.Node)
 		}
 	}
 	// Later done() calls from the abandoned pipeline are stale (finish
 	// checks the attempt); its cancel hook is detached, not armed the way
 	// Abort does, which would taint the retry with the canceled flag.
 	cancel, b.canceler = b.canceler, nil
-	if b.cancelWant {
-		fmt.Fprintf(&b.log, "attempt %d lost after a cancel request: %s\n", b.attempt, reason)
+	if r.Canceled {
+		fmt.Fprintf(&b.log, "attempt %d lost after a cancel request: %s\n", r.Attempts, reason)
 		b.mu.Unlock()
 		s.settleLocked(b, nil, wal)
 		return cancel
 	}
 	b.feed.PostEvent(api.BuildEvent{
 		Build: b.ID,
-		Node:  b.nodeName,
+		Node:  r.Node,
 		Phase: api.EventFailover,
 		AtNS:  now.UnixNano(),
 		Error: reason,
 	})
-	if b.retries >= s.cfg.MaxRetries {
-		err := fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, b.retries)
+	if r.Retries >= s.cfg.MaxRetries {
+		err := fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, r.Retries)
 		if b.routedVia != "" {
 			// A routed build lost with its peer is both families at once:
 			// ErrPeerLost for callers that care about federation, and
@@ -185,20 +194,20 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]sto
 		s.settleLocked(b, err, wal)
 		return cancel
 	}
-	b.retries++
+	lost.Retries++
+	applyBuild(r, &lost)
 	s.m.failoverRequeues++
 	wait := ""
 	if backoff {
-		delay := s.cfg.RetryBackoff << (b.retries - 1)
+		delay := s.cfg.RetryBackoff << (r.Retries - 1)
 		wait = " in " + delay.String()
-		attempt := b.attempt
+		attempt := r.Attempts
 		b.retryTimer = s.clock.AfterFunc(delay, func() { s.requeue(b, attempt) })
 	}
-	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, b.retries, s.cfg.MaxRetries, wait)
+	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, r.Retries, s.cfg.MaxRetries, wait)
 	b.schedReason = b.pendingReason
-	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, b.retries, s.cfg.MaxRetries, wait)
-	s.logTo(wal, store.Record{T: store.TBuildFailover, BuildID: b.ID,
-		Retries: b.retries, Reason: reason, AtNS: now.UnixNano()})
+	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, r.Retries, s.cfg.MaxRetries, wait)
+	s.logTo(wal, lost)
 	b.mu.Unlock()
 	if !backoff {
 		s.queuePushLocked(b)
@@ -214,7 +223,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]sto
 func (s *Server) requeue(b *Build, attempt int) {
 	s.mu.Lock()
 	b.mu.Lock()
-	waiting := b.state == StateQueued && b.attempt == attempt
+	waiting := b.BuildRec.State == StateQueued.String() && b.BuildRec.Attempts == attempt
 	if waiting {
 		b.retryTimer = nil
 	}
@@ -264,22 +273,23 @@ func (s *Server) checkLease(b *Build, attempt int) {
 	}
 	node, peer := b.NodeName(), b.RoutedVia()
 	now := s.clock.Now()
-	// beat is the latest heartbeat the lease hangs on and every its
-	// cadence; watched is false for a node with no heartbeat to lose.
+	// beat is the latest heartbeat the lease hangs on (peers announce on
+	// the nodes' cadence); watched is false for a node with no heartbeat
+	// to lose.
 	var beat time.Time
-	every, watched := s.cfg.PeerHeartbeatEvery, true
+	watched := true
 	if peer != "" {
 		p, _ := s.cluster.Peer(peer)
 		beat = p.LastBeat // zero for an evicted or never-announced peer: lost
-	} else if rec := s.nodeRecs[node]; rec != nil && rec.monitored && !rec.removed {
-		beat, every = rec.lastBeat, s.cfg.HeartbeatEvery
+	} else if rec := s.nodeRecs[node]; rec != nil && rec.Monitored && !rec.Removed {
+		beat = rec.lastBeat
 	} else {
 		watched = false
 	}
 	if !watched || now.Sub(beat) < s.cfg.OfflineAfter {
 		next := s.cfg.OfflineAfter
 		if watched {
-			next = max(beat.Add(s.cfg.OfflineAfter).Sub(now), every)
+			next = max(beat.Add(s.cfg.OfflineAfter).Sub(now), s.cfg.HeartbeatEvery)
 		}
 		b.mu.Lock()
 		b.leaseTimer = s.clock.AfterFunc(next, func() { s.checkLease(b, attempt) })
@@ -306,27 +316,35 @@ func (s *Server) checkLease(b *Build, attempt int) {
 // Whatever the build held must have been released already.
 func (s *Server) settleLocked(b *Build, err error, wal *[]store.Record) {
 	b.mu.Lock()
-	if b.state == StateQueued {
+	r := &b.BuildRec
+	fin := store.Record{T: store.TBuildFinished, BuildID: b.ID,
+		Canceled: r.Canceled, NodeName: r.Node, Attempt: r.Attempts, Retries: r.Retries,
+		Summary: b.reported, AtNS: s.clock.Now().UnixNano()}
+	if err != nil {
+		fin.Err = err.Error()
+		fin.NodeLost = errors.Is(err, ErrNodeLost)
+	}
+	if r.State == StateQueued.String() {
 		s.m.queued--
 	}
 	switch {
-	case err == nil && b.state == StateRunning:
-		b.state = StateSuccess
+	case err == nil && r.State == StateRunning.String():
+		fin.State = StateSuccess.String()
 		s.m.succeeded++
 		fmt.Fprintf(&b.log, "build succeeded\n")
-	case b.cancelWant:
-		b.state = StateAborted
+	case r.Canceled:
+		fin.State = StateAborted.String()
 		s.m.aborted++
 		fmt.Fprintf(&b.log, "build aborted\n")
 	default:
-		b.state = StateFailure
+		fin.State = StateFailure.String()
 		s.m.failed++
 		fmt.Fprintf(&b.log, "build failed: %v\n", err)
 	}
+	applyBuild(r, &fin)
 	b.err = err
-	b.finishedAt = s.clock.Now()
 	b.stopTimersLocked()
-	s.logTo(wal, finishedRecord(b))
+	s.logTo(wal, fin)
 	b.mu.Unlock()
 	if s.ownerActive[b.Owner]--; s.ownerActive[b.Owner] <= 0 {
 		delete(s.ownerActive, b.Owner)
@@ -335,28 +353,4 @@ func (s *Server) settleLocked(b *Build, err error, wal *[]store.Record) {
 	s.publishBuildLocked(b)
 	s.publishCensusLocked()
 	s.scheduleRetention(b)
-}
-
-// finishedRecord builds a build's TBuildFinished record. Callers hold
-// b.mu.
-func finishedRecord(b *Build) store.Record {
-	rec := store.Record{
-		T:        store.TBuildFinished,
-		BuildID:  b.ID,
-		State:    b.state.String(),
-		Canceled: b.cancelWant,
-		NodeName: b.nodeName,
-		Attempt:  b.attempt,
-		Retries:  b.retries,
-		AtNS:     b.finishedAt.UnixNano(),
-	}
-	if b.err != nil {
-		rec.Err = b.err.Error()
-		rec.NodeLost = errors.Is(b.err, ErrNodeLost)
-	}
-	if b.summary != nil {
-		cp := *b.summary
-		rec.Summary = &cp
-	}
-	return rec
 }

@@ -239,7 +239,7 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 	monitored := 0
 	for _, rec := range s.nodeRecs {
 		health[s.healthLocked(rec, now)]++
-		if rec.monitored {
+		if rec.Monitored {
 			monitored++
 		}
 	}

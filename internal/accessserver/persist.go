@@ -2,11 +2,11 @@ package accessserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"log/slog"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"batterylab/internal/accessserver/store"
@@ -19,7 +19,31 @@ import (
 // restart. The policy decisions live here; the store package only
 // frames records durably.
 //
-// Recovery semantics, in one place:
+// A record is applied, live or replayed, by one function. Builds and
+// nodes — the entities with patch records — keep their durable fields as
+// their store record (Build.BuildRec, nodeRec.NodeRec), and what a record
+// does to that record is written once, in applyBuild and applyNode below:
+//
+//   - A live transition builds the record it logs, applies it to the
+//     entity with that function, and appends it (lifecycle.go for builds,
+//     health.go's applyNodeLocked for nodes).
+//   - Replay applies the same record, with the same function, to its
+//     entry for the entity (replayState.apply).
+//   - A snapshot copies the records out; AttachStore copies them back in.
+//     Nothing in between assigns a durable field, so a field added to a
+//     store struct is snapshotted, replayed and recovered once its apply
+//     case sets it.
+//   - Two changes are not a record's: a recovered build's FeedEpoch and
+//     backfilled QueuedAtNS (AttachStore's copy-in, made durable by the
+//     snapshot it ends with) and hosting time accruing between flushes
+//     (accrueHosting). The DurableDrift test oracle replays the store
+//     after every event of the scheduler scripts and holds the result
+//     against the server, with exactly those exceptions.
+//
+// Users, jobs, campaigns, the ledger and peers are whole-record upserts
+// and deletes with nothing to mirror.
+//
+// What recovery then makes of the replayed state:
 //
 //   - Users come back with their original tokens; ledger balances and
 //     histories replay exactly.
@@ -29,7 +53,8 @@ import (
 //   - Node lifecycle state (drain flags, removal tombstones, owner,
 //     cached devices) survives; the live Node handles do not, so the
 //     hosting process re-registers its nodes at startup, before
-//     AttachStore.
+//     AttachStore — and what that boot established (a fresh device list,
+//     monitoring, being registered at all) wins over the record.
 //   - Builds that were queued at the crash re-enqueue in ID order.
 //   - Builds that were running at the crash go through reclaimLocked,
 //     the body a broken node lease runs: a failover event on the feed,
@@ -114,8 +139,8 @@ func (s *Server) logJob(j *Job) {
 type replayState struct {
 	users        map[string]store.UserRec
 	jobs         map[string]store.JobRec
-	nodes        map[string]store.NodeRec
-	builds       map[int]store.BuildRec
+	nodes        map[string]*store.NodeRec
+	builds       map[int]*store.BuildRec
 	campaigns    map[int]store.CampaignRec
 	ledger       map[string][]store.LedgerRec
 	balances     map[string]float64
@@ -128,8 +153,8 @@ func newReplayState(snap *store.Snapshot) *replayState {
 	rs := &replayState{
 		users:        map[string]store.UserRec{},
 		jobs:         map[string]store.JobRec{},
-		nodes:        map[string]store.NodeRec{},
-		builds:       map[int]store.BuildRec{},
+		nodes:        map[string]*store.NodeRec{},
+		builds:       map[int]*store.BuildRec{},
 		campaigns:    map[int]store.CampaignRec{},
 		ledger:       map[string][]store.LedgerRec{},
 		balances:     map[string]float64{},
@@ -149,11 +174,11 @@ func newReplayState(snap *store.Snapshot) *replayState {
 	for _, j := range snap.Jobs {
 		rs.jobs[j.Name] = j
 	}
-	for _, n := range snap.Nodes {
-		rs.nodes[n.Name] = n
+	for i := range snap.Nodes {
+		rs.nodes[snap.Nodes[i].Name] = &snap.Nodes[i]
 	}
-	for _, b := range snap.Builds {
-		rs.builds[b.ID] = b
+	for i := range snap.Builds {
+		rs.builds[snap.Builds[i].ID] = &snap.Builds[i]
 	}
 	for _, c := range snap.Campaigns {
 		rs.campaigns[c.ID] = c
@@ -180,8 +205,21 @@ func newReplayState(snap *store.Snapshot) *replayState {
 	return rs
 }
 
-// apply folds one WAL record in.
-func (rs *replayState) apply(rec store.Record) {
+// node resolves (creating on first sight, like recLocked) the record a
+// node patch applies to.
+func (rs *replayState) node(name string) *store.NodeRec {
+	n := rs.nodes[name]
+	if n == nil {
+		n = &store.NodeRec{Name: name}
+		rs.nodes[name] = n
+	}
+	return n
+}
+
+// apply folds one WAL record in. Build and node records go through the
+// functions the live transitions run; the rest are plain upserts and
+// deletes.
+func (rs *replayState) apply(rec *store.Record) {
 	switch rec.T {
 	case store.TUserAdded:
 		if rec.User != nil {
@@ -197,50 +235,14 @@ func (rs *replayState) apply(rec store.Record) {
 		delete(rs.jobs, rec.Name)
 	case store.TNodeMonitored:
 		if rec.Node != nil {
-			n := rs.nodes[rec.Node.Name]
-			owner := rec.Node.Owner
-			if owner == "" {
-				owner = n.Owner // an owner set before (re-)monitoring sticks
-			}
-			nn := *rec.Node
-			nn.Owner = owner
-			// The monitor record carries no accrual state; keep what the
-			// snapshot (or a prior record) established.
-			nn.OwedHostingNS = n.OwedHostingNS
-			rs.nodes[nn.Name] = nn
+			applyNode(rs.node(rec.Node.Name), rec)
 		}
-	case store.TNodeOwner:
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		// Mirror the live path: only a genuine transfer resets accrual
-		// (its flush landed as the preceding TNodeHostingFlush record);
-		// a same-owner re-set — a daemon's -owner flag on every boot —
-		// keeps the sub-threshold remainder.
-		if n.Owner != rec.Owner {
-			n.OwedHostingNS = 0
-		}
-		n.Owner = rec.Owner
-		rs.nodes[rec.Name] = n
-	case store.TNodeDrain:
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		n.Draining = rec.Draining
-		rs.nodes[rec.Name] = n
-	case store.TNodeRemoved:
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		n.Removed = true
-		n.Monitored = false
-		n.Draining = false
-		n.OwedHostingNS = 0 // flushed at removal
-		rs.nodes[rec.Name] = n
+	case store.TNodeOwner, store.TNodeDrain, store.TNodeRemoved:
+		applyNode(rs.node(rec.Name), rec)
 	case store.TNodeHostingFlush:
 		// The combined record: zero the node's accrual AND apply the
 		// owner's contribution credit — together or not at all.
-		n := rs.nodes[rec.Name]
-		n.Name = rec.Name
-		n.OwedHostingNS = 0
-		rs.nodes[rec.Name] = n
+		applyNode(rs.node(rec.Name), rec)
 		e := hostingEntry(rec.Name, time.Duration(rec.AtNS))
 		rs.ledger[rec.Owner] = append(rs.ledger[rec.Owner], store.LedgerRec{
 			User: rec.Owner, Delta: e.Delta, Reason: e.Reason,
@@ -248,57 +250,17 @@ func (rs *replayState) apply(rec store.Record) {
 		rs.balances[rec.Owner] += e.Delta
 	case store.TBuildQueued:
 		if rec.Build != nil {
-			rs.builds[rec.Build.ID] = *rec.Build
-			if rec.Build.ID >= rs.nextBuild {
-				rs.nextBuild = rec.Build.ID + 1
+			b := new(store.BuildRec)
+			applyBuild(b, rec)
+			rs.builds[b.ID] = b
+			if b.ID >= rs.nextBuild {
+				rs.nextBuild = b.ID + 1
 			}
 		}
-	case store.TBuildStarted:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
+	case store.TBuildStarted, store.TBuildCancelWant, store.TBuildFailover, store.TBuildFinished:
+		if b := rs.builds[rec.BuildID]; b != nil {
+			applyBuild(b, rec)
 		}
-		b.State = StateRunning.String()
-		b.Node = rec.NodeName
-		b.Attempts = rec.Attempt
-		b.StartedAtNS = rec.AtNS
-		rs.builds[b.ID] = b
-	case store.TBuildCancelWant:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.Canceled = true
-		rs.builds[b.ID] = b
-	case store.TBuildFailover:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.State = StateQueued.String()
-		b.Retries = rec.Retries
-		rs.builds[b.ID] = b
-	case store.TBuildFinished:
-		b := rs.builds[rec.BuildID]
-		if b.ID == 0 {
-			return
-		}
-		b.State = rec.State
-		b.Err = rec.Err
-		b.Canceled = rec.Canceled
-		b.NodeLost = rec.NodeLost
-		if rec.NodeName != "" {
-			b.Node = rec.NodeName
-		}
-		if rec.Attempt > 0 {
-			b.Attempts = rec.Attempt
-		}
-		if rec.Retries > 0 {
-			b.Retries = rec.Retries
-		}
-		b.Summary = rec.Summary
-		b.FinishedAtNS = rec.AtNS
-		rs.builds[b.ID] = b
 	case store.TBuildExpired:
 		delete(rs.builds, rec.BuildID)
 	case store.TCampaign:
@@ -324,21 +286,87 @@ func (rs *replayState) apply(rec store.Record) {
 	}
 }
 
-// parseState inverts BuildState.String.
-func parseState(s string) (BuildState, bool) {
-	switch s {
-	case "queued":
-		return StateQueued, true
-	case "running":
-		return StateRunning, true
-	case "success":
-		return StateSuccess, true
-	case "failure":
-		return StateFailure, true
-	case "aborted":
-		return StateAborted, true
+// applyBuild is what a build record does to a build's durable state: the
+// live transition that logs rec and the replay that reads it back both
+// run this, on Build.BuildRec and on the replay's entry. TBuildQueued
+// carries the whole record; the others patch it.
+func applyBuild(b *store.BuildRec, rec *store.Record) {
+	switch rec.T {
+	case store.TBuildQueued:
+		*b = *rec.Build
+	case store.TBuildStarted:
+		b.State = StateRunning.String()
+		b.Node = rec.NodeName
+		b.Attempts = rec.Attempt
+		b.StartedAtNS = rec.AtNS
+	case store.TBuildCancelWant:
+		b.Canceled = true
+	case store.TBuildFailover:
+		b.State = StateQueued.String()
+		b.Retries = rec.Retries
+	case store.TBuildFinished:
+		b.State = rec.State
+		b.Err = rec.Err
+		b.Canceled = rec.Canceled
+		b.NodeLost = rec.NodeLost
+		// Zero means "not carried" in records older than these fields.
+		if rec.NodeName != "" {
+			b.Node = rec.NodeName
+		}
+		if rec.Attempt > 0 {
+			b.Attempts = rec.Attempt
+		}
+		if rec.Retries > 0 {
+			b.Retries = rec.Retries
+		}
+		b.Summary = rec.Summary
+		b.FinishedAtNS = rec.AtNS
 	}
-	return 0, false
+}
+
+// applyNode is applyBuild for a node's lifecycle record (nodeRec.NodeRec
+// live, the replay's entry otherwise). n.Name is set already.
+func applyNode(n *store.NodeRec, rec *store.Record) {
+	switch rec.T {
+	case store.TNodeMonitored:
+		// The record is the node's lifecycle state from here on — armed or
+		// not, out of any drain or removal — except what it does not
+		// carry: an owner set before (re-)monitoring sticks, and so does
+		// the hosting time accrued so far.
+		owner, owed := n.Owner, n.OwedHostingNS
+		*n = *rec.Node
+		if n.Owner == "" {
+			n.Owner = owner
+		}
+		n.OwedHostingNS = owed
+	case store.TNodeOwner:
+		// Only a genuine transfer resets accrual (its flush landed as the
+		// preceding TNodeHostingFlush record); a same-owner re-set — a
+		// daemon's -owner flag on every boot — keeps the sub-threshold
+		// remainder.
+		if n.Owner != rec.Owner {
+			n.OwedHostingNS = 0
+		}
+		n.Owner = rec.Owner
+	case store.TNodeDrain:
+		n.Draining = rec.Draining
+	case store.TNodeRemoved:
+		n.Removed = true
+		n.Monitored = false
+		n.Draining = false
+		n.OwedHostingNS = 0 // flushed at removal
+	case store.TNodeHostingFlush:
+		n.OwedHostingNS = 0
+	}
+}
+
+// accrueHosting is the one durable change no record carries: each beat of
+// an owned node adds attested online time, which reaches disk with the
+// next snapshot and is logged only when it is flushed to the ledger (a
+// record per beat would grow the WAL by thousands of rows per node-day).
+// A crash loses at most the accrual since the last snapshot.
+func accrueHosting(n *store.NodeRec, d time.Duration) {
+	n.OwedHostingNS += int64(d)
 }
 
 // AttachStore replays the store's snapshot+WAL into the server and
@@ -356,8 +384,8 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 
 	snap, recs := st.Load()
 	rs := newReplayState(snap)
-	for _, rec := range recs {
-		rs.apply(rec)
+	for i := range recs {
+		rs.apply(&recs[i])
 	}
 
 	var stats RecoveryStats
@@ -374,12 +402,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		s.Users.restore(u.Name, Role(u.Role), u.Token)
 		stats.Users++
 	}
-	ledgerUsers := make([]string, 0, len(rs.ledger))
-	for user := range rs.ledger {
-		ledgerUsers = append(ledgerUsers, user)
-	}
-	sort.Strings(ledgerUsers)
-	for _, user := range ledgerUsers {
+	for _, user := range slices.Sorted(maps.Keys(rs.ledger)) {
 		entries := make([]LedgerEntry, len(rs.ledger[user]))
 		for i, e := range rs.ledger[user] {
 			entries[i] = LedgerEntry{Delta: e.Delta, Reason: e.Reason}
@@ -392,12 +415,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	// start offline (zero last-beat) — the next announce exchange proves
 	// them alive again, and until then the scheduler will not route
 	// builds their way.
-	peerNames := make([]string, 0, len(rs.peers))
-	for name := range rs.peers {
-		peerNames = append(peerNames, name)
-	}
-	sort.Strings(peerNames)
-	for _, name := range peerNames {
+	for _, name := range slices.Sorted(maps.Keys(rs.peers)) {
 		s.cluster.Restore(name, rs.peers[name].URL)
 	}
 
@@ -426,32 +444,25 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	// Sorted order matters: the virtual clock breaks equal-deadline
 	// ties by registration sequence, so ticker arming must not follow
 	// map iteration order or recovery would stop being deterministic.
-	nodeNames := make([]string, 0, len(rs.nodes))
-	for name := range rs.nodes {
-		nodeNames = append(nodeNames, name)
-	}
-	sort.Strings(nodeNames)
-	for _, name := range nodeNames {
+	for _, name := range slices.Sorted(maps.Keys(rs.nodes)) {
 		nr := rs.nodes[name]
 		rec := s.recLocked(name)
 		s.touchNodeLocked(name)
-		rec.owner = nr.Owner
-		rec.owedHosting = time.Duration(nr.OwedHostingNS)
-		rec.draining = nr.Draining
+		// The record comes in whole. What this boot already established
+		// stands: a node registered and armed before the attach keeps its
+		// fresh device list and its monitoring, and being registered ends a
+		// removal like the live path does.
+		boot := rec.NodeRec
+		_, regErr := s.Nodes.Get(name)
+		tombstoned := nr.Removed && regErr != nil
+		rec.NodeRec = *nr
+		rec.Removed = boot.Removed || tombstoned
+		rec.Monitored = !tombstoned && (boot.Monitored || nr.Monitored && !nr.Removed)
+		if len(boot.Devices) > 0 {
+			rec.Devices = boot.Devices
+		}
 		rec.lastBeat = now
-		if len(rec.devices) == 0 {
-			rec.devices = append([]string(nil), nr.Devices...)
-		}
-		if nr.Removed {
-			// Tombstoned — unless the node already re-registered this
-			// boot, which ends the removal like the live path does.
-			if _, err := s.Nodes.Get(name); err != nil {
-				rec.removed = true
-				rec.monitored = false
-			}
-		}
-		if nr.Monitored && !nr.Removed && !rec.monitored {
-			rec.monitored = true
+		if rec.Monitored && !boot.Monitored {
 			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
 				s.probeNode(name)
 			})
@@ -475,58 +486,33 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	}
 
 	// Builds in ID order: submission order, deterministically.
-	ids := make([]int, 0, len(rs.builds))
-	for id := range rs.builds {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(rs.builds)) {
 		br := rs.builds[id]
-		state, ok := parseState(br.State)
-		if !ok {
-			continue
+		state, live := BuildState(br.State), false
+		switch state {
+		case StateQueued, StateRunning:
+			live = true
+		case StateSuccess, StateFailure, StateAborted:
+		default:
+			continue // a state this version does not know
 		}
-		b := &Build{
-			ID:        br.ID,
-			Job:       br.Job,
-			Owner:     br.Owner,
-			campaign:  br.Campaign,
-			wireSpec:  br.Spec,
-			recovered: true,
-			// Every recovery hands the build a fresh feed, so the epoch
-			// moves: clients' resume cursors (and feed-derived
-			// aggregates) from before the restart are void — including
-			// across a second restart, which bumps it again.
-			feedEpoch: br.FeedEpoch + 1,
-			workspace: NewWorkspace(),
-			feed:      s.hub.Create(br.ID, br.FeedEpoch+1),
-		}
-		b.queuedAt = now
-		if br.QueuedAtNS != 0 {
-			b.queuedAt = time.Unix(0, br.QueuedAtNS)
-		}
-		if br.StartedAtNS != 0 {
-			b.startedAt = time.Unix(0, br.StartedAtNS)
-		}
-		if br.FinishedAtNS != 0 {
-			b.finishedAt = time.Unix(0, br.FinishedAtNS)
-		}
-		b.nodeName = br.Node
-		b.attempt = br.Attempts
-		b.retries = br.Retries
-		b.cancelWant = br.Canceled
-		if br.Summary != nil {
-			cp := *br.Summary
-			b.summary = &cp
+		// The record comes in whole. Every recovery hands the build a fresh
+		// feed, so the epoch moves: clients' resume cursors (and
+		// feed-derived aggregates) from before the restart are void —
+		// including across a second restart, which bumps it again.
+		b := &Build{BuildRec: *br, recovered: true, reported: br.Summary, workspace: NewWorkspace()}
+		b.BuildRec.FeedEpoch++
+		b.feed = s.hub.Create(b.ID, b.BuildRec.FeedEpoch)
+		if b.QueuedAtNS == 0 {
+			b.QueuedAtNS = now.UnixNano() // logged before records carried it
 		}
 		s.builds[b.ID] = b
 		stats.Builds++
 		s.m.submitted++
 
-		if state != StateQueued && state != StateRunning {
+		if !live {
 			// Already terminal on disk: restored as it was, not settled
 			// again.
-			b.state = state
 			switch state {
 			case StateSuccess:
 				s.m.succeeded++
@@ -553,10 +539,10 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// fairness must survive a restart, or an owner could double their
 		// quota by crashing the server. The transitions recovery causes
 		// from here are the live ones, their records collected in pending.
-		b.state = StateQueued
+		b.BuildRec.State = StateQueued.String()
 		s.m.queued++
 		s.ownerActive[b.Owner]++
-		if br.Canceled {
+		if b.Canceled {
 			// A cancel was requested before the crash but the build never
 			// settled: rerunning (and charging) a canceled experiment would
 			// be worse than the lost teardown.
@@ -568,12 +554,12 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// their spec, has none to compile.)
 		var compileErr error
 		switch {
-		case b.wireSpec == nil:
+		case b.Spec == nil:
 			compileErr = fmt.Errorf("%w: build %d was logged without a spec", ErrInvalid, b.ID)
 		case backend == nil:
 			compileErr = fmt.Errorf("%w: no spec backend installed at recovery", ErrInvalid)
 		default:
-			b.cons, b.run, compileErr = backend.Compile(*b.wireSpec)
+			b.cons, b.run, compileErr = backend.Compile(*b.Spec)
 		}
 		switch {
 		case compileErr != nil:
@@ -581,8 +567,8 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 			stats.Failed++
 		case state == StateRunning:
 			// The crash broke the lease: the attempt's work is gone.
-			s.reclaimLocked(b, fmt.Sprintf("access server restarted while attempt %d ran on %q", b.attempt, b.nodeName), false, &pending)
-			if b.state == StateQueued {
+			s.reclaimLocked(b, fmt.Sprintf("access server restarted while attempt %d ran on %q", b.BuildRec.Attempts, b.Node), false, &pending)
+			if b.State() == StateQueued {
 				stats.Resumed++
 			} else {
 				stats.Failed++
@@ -782,23 +768,13 @@ func (s *Server) CompactStore() error {
 func (s *Server) buildSnapshotLocked() *store.Snapshot {
 	snap := &store.Snapshot{Ledger: map[string][]store.LedgerRec{}}
 
-	names := make([]string, 0, len(s.Users.byName))
-	for n := range s.Users.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.Users.byName)) {
 		u := s.Users.byName[n]
 		snap.Users = append(snap.Users, store.UserRec{Name: u.Name, Role: int(u.Role), Token: u.Token})
 	}
 
 	snap.Balances = map[string]float64{}
-	users := make([]string, 0, len(s.Ledger.history))
-	for u := range s.Ledger.history {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
+	for _, u := range slices.Sorted(maps.Keys(s.Ledger.history)) {
 		entries := make([]store.LedgerRec, len(s.Ledger.history[u]))
 		for i, e := range s.Ledger.history[u] {
 			entries[i] = store.LedgerRec{User: u, Delta: e.Delta, Reason: e.Reason}
@@ -812,81 +788,22 @@ func (s *Server) buildSnapshotLocked() *store.Snapshot {
 	snap.NextBuild = s.nextID
 	snap.NextCampaign = s.nextCampaign
 
-	jobNames := make([]string, 0, len(s.jobs))
-	for n := range s.jobs {
-		jobNames = append(jobNames, n)
-	}
-	sort.Strings(jobNames)
-	for _, n := range jobNames {
+	for _, n := range slices.Sorted(maps.Keys(s.jobs)) {
 		snap.Jobs = append(snap.Jobs, jobRecord(s.jobs[n]))
 	}
 
-	nodeNames := make([]string, 0, len(s.nodeRecs))
-	for n := range s.nodeRecs {
-		nodeNames = append(nodeNames, n)
-	}
-	sort.Strings(nodeNames)
-	for _, n := range nodeNames {
-		rec := s.nodeRecs[n]
-		snap.Nodes = append(snap.Nodes, store.NodeRec{
-			Name:          rec.name,
-			Owner:         rec.owner,
-			Monitored:     rec.monitored,
-			Draining:      rec.draining,
-			Removed:       rec.removed,
-			Devices:       append([]string(nil), rec.devices...),
-			OwedHostingNS: int64(rec.owedHosting),
-		})
+	for _, n := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+		snap.Nodes = append(snap.Nodes, s.nodeRecs[n].NodeRec)
 	}
 
-	ids := make([]int, 0, len(s.builds))
-	for id := range s.builds {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(s.builds)) {
 		b := s.builds[id]
 		b.mu.Lock()
-		br := store.BuildRec{
-			ID:       b.ID,
-			Job:      b.Job,
-			Owner:    b.Owner,
-			Campaign: b.campaign,
-			Spec:     b.wireSpec,
-			State:    b.state.String(),
-			Canceled: b.cancelWant,
-			Node:     b.nodeName,
-			Attempts: b.attempt,
-			Retries:  b.retries,
-		}
-		if !b.queuedAt.IsZero() {
-			br.QueuedAtNS = b.queuedAt.UnixNano()
-		}
-		if !b.startedAt.IsZero() {
-			br.StartedAtNS = b.startedAt.UnixNano()
-		}
-		if !b.finishedAt.IsZero() {
-			br.FinishedAtNS = b.finishedAt.UnixNano()
-		}
-		if b.err != nil {
-			br.Err = b.err.Error()
-			br.NodeLost = errors.Is(b.err, ErrNodeLost)
-		}
-		if b.summary != nil {
-			cp := *b.summary
-			br.Summary = &cp
-		}
-		br.FeedEpoch = b.feedEpoch
+		snap.Builds = append(snap.Builds, b.BuildRec)
 		b.mu.Unlock()
-		snap.Builds = append(snap.Builds, br)
 	}
 
-	cids := make([]int, 0, len(s.campaigns))
-	for id := range s.campaigns {
-		cids = append(cids, id)
-	}
-	sort.Ints(cids)
-	for _, id := range cids {
+	for _, id := range slices.Sorted(maps.Keys(s.campaigns)) {
 		rec := s.campaigns[id]
 		snap.Campaigns = append(snap.Campaigns, store.CampaignRec{
 			ID:            id,

@@ -152,7 +152,7 @@ func (s *Server) SetPlacer(p Placer) {
 // pair. Callers hold s.mu.
 func (s *Server) candidateLocked(rec *nodeRec, device, wantDevice string, now time.Time) PlacementCandidate {
 	c := PlacementCandidate{
-		Node:    rec.name,
+		Node:    rec.Name,
 		Device:  device,
 		Health:  s.healthLocked(rec, now),
 		Running: rec.running,

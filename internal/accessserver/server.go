@@ -45,15 +45,10 @@ type Config struct {
 	// is evicted to a tombstone: status reads answer "expired" instead
 	// of growing s.builds forever.
 	Retention time.Duration
-	// LowCPUThreshold gates RequireLowCPU dispatch.
-	LowCPUThreshold float64
-	// CPUProbeTTL is how long a node's probed CPU reading stays fresh
-	// for RequireLowCPU dispatch decisions (default 1s, the controller
-	// CPU-sampling cadence). Probes run outside s.mu — a hung node can
-	// no longer stall the scheduler.
-	CPUProbeTTL time.Duration
 
-	// HeartbeatEvery is the monitored-node probe cadence (default 15s).
+	// HeartbeatEvery is the monitored-node probe cadence (default 15s),
+	// and the cadence of federation announces: peer lifecycle uses the
+	// same SuspectAfter / OfflineAfter thresholds as nodes.
 	HeartbeatEvery time.Duration
 	// SuspectAfter is the silence after which a monitored node turns
 	// suspect — no new dispatch (default 2×HeartbeatEvery).
@@ -72,9 +67,6 @@ type Config struct {
 	// fail with a reason (default 30m).
 	PendingTimeout time.Duration
 
-	// Placer scores fallback placements (see placement.go). Nil selects
-	// the default WeightedPlacer with DefaultScoreWeights.
-	Placer Placer
 	// OwnerInFlightCap bounds one non-admin owner's builds in
 	// non-terminal states (queued + running); submissions past the cap
 	// are shed with ErrOverloaded (429, shed_reason=owner_cap).
@@ -95,16 +87,6 @@ type Config struct {
 	// it does not deny admission. 0 = unlimited.
 	OwnerRunCap int
 
-	// EnforceCredits turns on the §5 credit economy: submissions are
-	// gated on the submitter's ledger balance and finished runs are
-	// charged their actual device time. Admins are exempt (they operate
-	// the platform rather than buy access). Off by default; can also be
-	// toggled later with SetCreditEnforcement.
-	EnforceCredits bool
-	// SubmitCharge is the device time one experiment must be able to
-	// cover at submission time when credits are enforced (default 1m).
-	// The real charge on finish is the measured duration.
-	SubmitCharge time.Duration
 	// SnapshotEvery is the store compaction cadence when a store is
 	// attached: every tick with new WAL records, the server writes a
 	// snapshot and truncates the log (default 10m).
@@ -114,22 +96,25 @@ type Config struct {
 	// lose. A process crash alone loses nothing — appends reach the
 	// kernel immediately.
 	WALSyncEvery time.Duration
-	// AnalyticsCacheBytes bounds the analytics result cache (marshaled
-	// response bodies, LRU). Default 4 MiB; negative disables caching.
-	AnalyticsCacheBytes int64
-
-	// Federation (see federation.go). ClusterName is this server's
-	// cluster-unique name (default "batterylab"); AdvertiseURL is the
-	// base URL peers reach it at; ClusterToken is the shared secret peer
-	// announces must present — empty disables federation entirely.
-	ClusterName  string
-	ClusterToken string
-	AdvertiseURL string
-	// PeerHeartbeatEvery is the peer announce cadence (default
-	// HeartbeatEvery). Peer lifecycle uses the same SuspectAfter /
-	// OfflineAfter thresholds as nodes.
-	PeerHeartbeatEvery time.Duration
 }
+
+// Fixed policy no deployment has needed to tune.
+const (
+	// lowCPUThreshold gates RequireLowCPU dispatch (the 50 % of §4.2).
+	lowCPUThreshold = 50.0
+	// cpuProbeTTL is how long a node's probed CPU reading stays fresh for
+	// RequireLowCPU dispatch decisions: the controller's CPU-sampling
+	// cadence. Probes run outside s.mu — a hung node cannot stall the
+	// scheduler.
+	cpuProbeTTL = time.Second
+	// submitCharge is the device time one experiment must be able to
+	// cover at submission time when credits are enforced. The real charge
+	// on finish is the measured duration.
+	submitCharge = time.Minute
+	// analyticsCacheBytes bounds the analytics result cache (marshaled
+	// response bodies, LRU).
+	analyticsCacheBytes = 4 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Executors == 0 {
@@ -137,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention == 0 {
 		c.Retention = 5 * 24 * time.Hour
-	}
-	if c.LowCPUThreshold == 0 {
-		c.LowCPUThreshold = 50
-	}
-	if c.CPUProbeTTL == 0 {
-		c.CPUProbeTTL = time.Second
 	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 15 * time.Second
@@ -165,29 +144,11 @@ func (c Config) withDefaults() Config {
 	if c.PendingTimeout == 0 {
 		c.PendingTimeout = 30 * time.Minute
 	}
-	if c.Placer == nil {
-		c.Placer = WeightedPlacer{W: DefaultScoreWeights()}
-	}
-	if c.SubmitCharge == 0 {
-		c.SubmitCharge = time.Minute
-	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 10 * time.Minute
 	}
 	if c.WALSyncEvery == 0 {
 		c.WALSyncEvery = time.Second
-	}
-	if c.AnalyticsCacheBytes == 0 {
-		c.AnalyticsCacheBytes = 4 << 20
-	}
-	if c.AnalyticsCacheBytes < 0 {
-		c.AnalyticsCacheBytes = 0
-	}
-	if c.ClusterName == "" {
-		c.ClusterName = "batterylab"
-	}
-	if c.PeerHeartbeatEvery == 0 {
-		c.PeerHeartbeatEvery = c.HeartbeatEvery
 	}
 	return c
 }
@@ -216,7 +177,7 @@ type Server struct {
 	Nodes *Nodes
 	// Ledger is the §5 credit economy: contribution credits accrue from
 	// node-online time, experiments debit device time. Enforcement is
-	// gated by Config.EnforceCredits / SetCreditEnforcement.
+	// gated by SetCreditEnforcement.
 	Ledger *Ledger
 
 	// hub is the feed plane: per-build event/sample streams behind
@@ -297,7 +258,7 @@ type Server struct {
 	compactMu sync.Mutex
 
 	// analyticsCache memoizes marshaled analytics bodies (see
-	// analytics.go); self-locking, bounded by Config.AnalyticsCacheBytes.
+	// analytics.go); self-locking, bounded by analyticsCacheBytes.
 	analyticsCache *analytics.Cache
 
 	// cluster is the federation membership registry (its own leaf locks;
@@ -355,17 +316,14 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		nextCampaign: 1,
 		ownerActive:  make(map[string]int),
 		ownerRunning: make(map[string]int),
+		placer:       WeightedPlacer{W: DefaultScoreWeights()},
 	}
-	s.placer = s.cfg.Placer
-	s.creditsOn.Store(s.cfg.EnforceCredits)
-	s.analyticsCache = analytics.NewCache(s.cfg.AnalyticsCacheBytes)
+	s.analyticsCache = analytics.NewCache(analyticsCacheBytes)
 	s.m = newServerMetrics(s)
 	s.hub = feedhub.New(&s.m.feeds)
 	s.reads = newReadPlane()
 	s.cluster = cluster.New(cluster.Config{
-		Self:         s.cfg.ClusterName,
-		URL:          s.cfg.AdvertiseURL,
-		Token:        s.cfg.ClusterToken,
+		Self:         "batterylab", // until ConfigureCluster names it
 		SuspectAfter: s.cfg.SuspectAfter,
 		OfflineAfter: s.cfg.OfflineAfter,
 	})
@@ -382,9 +340,11 @@ func (s *Server) FeedHub() *feedhub.Hub { return s.hub }
 // diff it across a poll/stream flood to prove GETs never touch it.
 func (s *Server) SchedLockAcquisitions() int64 { return s.mu.acquisitions.Load() }
 
-// SetCreditEnforcement toggles the §5 credit economy at runtime (the
-// daemon's -credits flag; Config.EnforceCredits sets the initial
-// state).
+// SetCreditEnforcement toggles the §5 credit economy (the daemon's
+// -credits flag): submissions are gated on the submitter's ledger
+// balance and finished runs are charged their actual device time. Admins
+// are exempt (they operate the platform rather than buy access). Off
+// until turned on.
 func (s *Server) SetCreditEnforcement(on bool) { s.creditsOn.Store(on) }
 
 // SetSpecBackend installs the declarative spec compiler. Without one,
@@ -608,28 +568,19 @@ func (s *Server) admitLocked(user *User, n int) error {
 // one group commit (SubmitCampaign batches N builds + the campaign
 // record into a single WAL write).
 func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constraints, run RunFunc, spec *api.ExperimentSpec, walBatch *[]store.Record) *Build {
-	b := &Build{
-		ID:        s.nextID,
-		Job:       jobName,
-		Owner:     owner,
-		campaign:  campaign,
-		cons:      cons,
-		run:       run,
-		wireSpec:  spec,
-		queuedAt:  s.clock.Now(),
-		workspace: NewWorkspace(),
-		feed:      s.hub.Create(s.nextID, 0),
-	}
+	queued := store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
+		ID: s.nextID, Job: jobName, Owner: owner, Campaign: campaign,
+		Spec: spec, State: StateQueued.String(), QueuedAtNS: s.clock.Now().UnixNano(),
+	}}
+	b := &Build{cons: cons, run: run, workspace: NewWorkspace(), feed: s.hub.Create(s.nextID, 0)}
+	applyBuild(&b.BuildRec, &queued)
 	s.nextID++
 	s.builds[b.ID] = b
 	s.queuePushLocked(b)
 	s.m.submitted++
 	s.m.queued++
 	s.ownerActive[owner]++
-	s.logTo(walBatch, store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
-		ID: b.ID, Job: b.Job, Owner: b.Owner, Campaign: b.campaign,
-		Spec: b.wireSpec, State: StateQueued.String(), QueuedAtNS: b.queuedAt.UnixNano(),
-	}})
+	s.logTo(walBatch, queued)
 	s.publishBuildLocked(b)
 	return b
 }
@@ -898,17 +849,19 @@ func (s *Server) Abort(user *User, id int) error {
 	// the state and acting on it: a finished build reliably answers
 	// conflict instead of gaining a bogus persisted canceled marker.
 	s.mu.Lock()
+	want := store.Record{T: store.TBuildCancelWant, BuildID: b.ID}
 	b.mu.Lock()
-	state := b.state
+	state := BuildState(b.BuildRec.State)
 	if state == StateQueued || state == StateRunning {
-		b.cancelWant = true
+		applyBuild(&b.BuildRec, &want)
 	}
 	fn := b.canceler
 	b.mu.Unlock()
 	switch state {
 	case StateQueued:
 		// In the queue, or sitting out a failover backoff: nothing is
-		// running, so the build settles here and now.
+		// running, so the build settles here and now, and its finished
+		// record carries the cancel.
 		if i, ok := s.queueIndexLocked(b); ok {
 			s.queueRemoveAtLocked(i)
 		}
@@ -921,7 +874,7 @@ func (s *Server) Abort(user *User, id int) error {
 		// it as aborted instead of rerunning a canceled experiment; the
 		// hook itself runs outside the locks (it tears down a session,
 		// which may re-enter the server through the build's done callback).
-		s.logStore(store.Record{T: store.TBuildCancelWant, BuildID: b.ID})
+		s.logStore(want)
 		s.publishBuildLocked(b) // the served status carries Canceled now
 		s.mu.Unlock()
 		if fn != nil {
@@ -1149,7 +1102,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		// so the recorded pending reason cannot churn between checks
 		// evaluated later in the same pass.
 		prio, reason := prioNone, ""
-		if rec := s.campaigns[cand.campaign]; rec != nil &&
+		if rec := s.campaigns[cand.Campaign]; rec != nil &&
 			rec.maxConcurrent > 0 && rec.running >= rec.maxConcurrent {
 			prio, reason = prioCampaignCap, "campaign concurrency cap reached"
 		}
@@ -1167,7 +1120,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		}
 		var keys []string
 		if prio == prioNone {
-			keys = lockKeysFor(pl.lockName(), pl.device)
+			keys = cons.lockKeys(pl)
 			if s.locksHeld(keys) {
 				prio, reason = prioLockWait, joinedReason(cand.schedReason, "waiting for ", keys[0])
 			}
@@ -1177,7 +1130,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		// spec.
 		if prio == prioNone && cons.RequireLowCPU && pl.peer == "" {
 			rec := s.recLocked(pl.nodeName)
-			fresh := rec.cpuOK && rec.cpuAt.Add(s.cfg.CPUProbeTTL).After(now)
+			fresh := rec.cpuOK && rec.cpuAt.Add(cpuProbeTTL).After(now)
 			switch {
 			case !fresh:
 				// A probe counts as in flight only within the node-loss
@@ -1190,8 +1143,8 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 					probes = append(probes, cpuProbe{name: pl.nodeName, node: pl.node})
 				}
 				prio, reason = prioCPUProbe, "probing controller CPU"
-			case rec.cpuPct >= s.cfg.LowCPUThreshold:
-				prio, reason = prioCPUGate, fmt.Sprintf("controller CPU %.0f%% above the %.0f%% gate", rec.cpuPct, s.cfg.LowCPUThreshold)
+			case rec.cpuPct >= lowCPUThreshold:
+				prio, reason = prioCPUGate, fmt.Sprintf("controller CPU %.0f%% above the %.0f%% gate", rec.cpuPct, lowCPUThreshold)
 			}
 		}
 		if prio != prioNone {
@@ -1292,14 +1245,12 @@ func (s *Server) labelSaturatedLocked(tail []*Build) {
 func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string) {
 	rec := s.nodeRecs[cons.Node]
 	n, err := s.Nodes.Get(cons.Node)
-	// A removed node that reappeared through the plain registry path is
-	// back; clear the tombstone so it is placeable again.
-	if err == nil && rec != nil && rec.removed {
-		rec.removed = false
+	if err == nil {
+		s.reviveLocked(rec)
 	}
 	var reason string
 	switch {
-	case err == nil && (rec == nil || !rec.removed):
+	case err == nil:
 		h := s.healthLocked(rec, now)
 		if h == HealthOnline {
 			// Pinned placement: the preferred node is up, so it wins
@@ -1312,7 +1263,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			return placement{node: n, nodeName: cons.Node, device: cons.Device, score: score}, ""
 		}
 		reason = fmt.Sprintf("node %q is %s", cons.Node, h)
-	case rec != nil && rec.removed:
+	case rec != nil && rec.Removed:
 		reason = fmt.Sprintf("node %q was removed", cons.Node)
 	default:
 		reason = fmt.Sprintf("waiting for node %q to register", cons.Node)
@@ -1353,7 +1304,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 		found bool
 	)
 	consider := func(pl placement, score float64) {
-		if s.locksHeld(lockKeysFor(pl.lockName(), pl.device)) {
+		if s.locksHeld(cons.lockKeys(pl)) {
 			return
 		}
 		if !found || score > best.score {
@@ -1368,7 +1319,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 	sort.Strings(names)
 	for _, name := range names {
 		sub := s.nodeRecs[name]
-		if name == cons.Node || !sub.monitored || sub.removed {
+		if name == cons.Node || !sub.Monitored || sub.Removed {
 			continue
 		}
 		if s.healthLocked(sub, now) != HealthOnline {
@@ -1386,7 +1337,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			local("")
 			continue
 		}
-		for _, d := range sub.devices {
+		for _, d := range sub.Devices {
 			local(d)
 		}
 	}
@@ -1447,7 +1398,7 @@ func containsString(list []string, want string) bool {
 func (s *Server) startPicked(p *pick) {
 	b := p.b
 	b.mu.Lock()
-	attempt := b.attempt
+	attempt := b.BuildRec.Attempts
 	b.mu.Unlock()
 
 	ctx := &BuildContext{Build: b, Node: p.node, Device: p.device, attempt: attempt}
@@ -1473,13 +1424,14 @@ func (s *Server) startPicked(p *pick) {
 	}()
 }
 
-// lockKeysFor computes the mutual-exclusion keys for a placement.
-func lockKeysFor(node, device string) []string {
-	if device != "" {
-		return []string{node + "/" + device}
+// lockKeys computes the mutual-exclusion keys a build under c holds on
+// pl: the device's, or the node's when the build names no device (it
+// still serializes per node) or needs the whole node.
+func (c Constraints) lockKeys(pl placement) []string {
+	if pl.device != "" && !c.WholeNode {
+		return []string{pl.lockName() + "/" + pl.device}
 	}
-	// Jobs without a device still serialize per node.
-	return []string{node}
+	return []string{pl.lockName()}
 }
 
 func (s *Server) locksHeld(keys []string) bool {
@@ -1565,12 +1517,12 @@ func (s *Server) checkAging(b *Build) {
 	rec := s.nodeRecs[cons.Node]
 	alive := false
 	if _, regErr := s.Nodes.Get(cons.Node); regErr == nil &&
-		(rec == nil || !rec.removed) && s.healthLocked(rec, now) != HealthOffline {
+		(rec == nil || !rec.Removed) && s.healthLocked(rec, now) != HealthOffline {
 		alive = true
 	}
 	if !alive && cons.Fallback {
 		for name, sub := range s.nodeRecs {
-			if name == cons.Node || !sub.monitored || sub.removed {
+			if name == cons.Node || !sub.Monitored || sub.Removed {
 				continue
 			}
 			if s.healthLocked(sub, now) != HealthOnline {
@@ -1657,7 +1609,7 @@ func (s *Server) scheduleRetention(b *Build) {
 		s.hub.Remove(b.ID)
 		s.reads.removeBuild(b.ID)
 		s.logStore(store.Record{T: store.TBuildExpired, BuildID: b.ID})
-		if rec := s.campaigns[b.campaign]; rec != nil {
+		if rec := s.campaigns[b.Campaign]; rec != nil {
 			live := false
 			for _, bid := range rec.builds {
 				if _, ok := s.builds[bid]; ok {
@@ -1666,9 +1618,9 @@ func (s *Server) scheduleRetention(b *Build) {
 				}
 			}
 			if !live {
-				delete(s.campaigns, b.campaign)
-				s.reads.removeCampaign(b.campaign)
-				s.logStore(store.Record{T: store.TCampaignExpired, CampaignID: b.campaign})
+				delete(s.campaigns, b.Campaign)
+				s.reads.removeCampaign(b.Campaign)
+				s.logStore(store.Record{T: store.TCampaignExpired, CampaignID: b.Campaign})
 			}
 		}
 		s.mu.Unlock()

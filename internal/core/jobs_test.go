@@ -9,6 +9,7 @@ import (
 	"batterylab/internal/accessserver"
 	"batterylab/internal/api"
 	"batterylab/internal/browser"
+	"batterylab/internal/device"
 	"batterylab/internal/trace"
 )
 
@@ -179,5 +180,58 @@ func TestMeasurementJobFailurePropagates(t *testing.T) {
 	}
 	if r.ctl.Measuring() != "" {
 		t.Fatal("monitor leaked after failed build")
+	}
+}
+
+// TestTwoDevicesShareOneMonitor: a vantage point has one power monitor,
+// so two builds on different devices of the same controller must not run
+// at once — the second waits for the node, it does not fail with the
+// controller's "already measuring". A campaign over both serials of a
+// two-device node (the setup of experiments/seconddevice.go) runs them
+// back to back.
+func TestTwoDevicesShareOneMonitor(t *testing.T) {
+	r := newRig(t)
+	second, err := device.New(r.clk, device.Config{Seed: 82, Serial: "J7DUO000002"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctl.AttachDevice(second); err != nil {
+		t.Fatal(err)
+	}
+	admin, err := r.plat.Access.Users.Add("admin", accessserver.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func(serial string) api.ExperimentSpec {
+		return api.ExperimentSpec{
+			Node: "node1", Device: serial,
+			Monitor:  api.MonitorSpec{SampleRateHz: 200},
+			Workload: api.WorkloadSpec{Name: "idle", Params: api.Params{"duration_ms": 10000}},
+		}
+	}
+	_, builds, err := r.plat.Access.SubmitCampaign(admin, api.CampaignSpec{
+		Experiments: []api.ExperimentSpec{idle(r.serial), idle(second.Serial())},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, waiting := builds[0], builds[1]
+	if first.State() != accessserver.StateRunning || waiting.State() != accessserver.StateQueued ||
+		waiting.PendingReason() != "waiting for node1" {
+		t.Fatalf("at submit: build 1 %s, build 2 %s (%q; %v): want running, and queued waiting for node1",
+			first.State(), waiting.State(), waiting.PendingReason(), waiting.Err())
+	}
+	deadline := r.clk.Now().Add(10 * time.Minute)
+	for waiting.State() != accessserver.StateSuccess && waiting.State() != accessserver.StateFailure && r.clk.Now().Before(deadline) {
+		r.clk.Advance(time.Second)
+	}
+	for _, b := range builds {
+		if b.State() != accessserver.StateSuccess {
+			t.Fatalf("build %d: %s (%v)", b.ID, b.State(), b.Err())
+		}
+	}
+	if end := first.QueueTime() + first.Duration(); waiting.QueueTime() < end {
+		t.Fatalf("build 2 started %s after submit, build 1 only finished at %s: the runs overlap",
+			waiting.QueueTime(), end)
 	}
 }

@@ -233,6 +233,8 @@ func (b specBackend) Compile(ws api.ExperimentSpec) (accessserver.Constraints, a
 		Device:        spec.Device,
 		RequireLowCPU: ws.Constraints.RequireLowCPU,
 		Fallback:      ws.Constraints.AllowFallback,
+		// Every measurement arms the vantage point's one power monitor.
+		WholeNode: true,
 	}
 	return cons, b.p.measurementJob(spec), nil
 }
