@@ -7,38 +7,23 @@ import (
 	"maps"
 	"reflect"
 	"slices"
-	"sort"
 
 	"batterylab/internal/accessserver/store"
 )
 
 // censusOracleLocked is the full census rebuild the server ran on every
 // publish before publishes became incremental, kept as the test oracle:
-// one scan of the whole queue for the per-node queued counts, the union
-// of the registry and the lifecycle records for the names, every row
-// rebuilt. It also returns the queued counts it derived. Callers hold
-// s.mu.
+// one scan of the whole queue for the per-node queued counts, every
+// record of the node table in name order, every row rebuilt. It also
+// returns the queued counts it derived. Callers hold s.mu.
 func (s *Server) censusOracleLocked() ([]nodeCensusEntry, map[string]int) {
 	queued := make(map[string]int)
 	for _, b := range s.queue {
 		queued[b.cons.Node]++
 	}
-	names := map[string]bool{}
-	for _, n := range s.Nodes.List() {
-		names[n] = true
-	}
-	for n := range s.nodeRecs {
-		names[n] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	list := make([]nodeCensusEntry, 0, len(sorted))
-	for _, n := range sorted {
-		st, registered := s.nodeEntryLocked(n, queued[n])
-		list = append(list, nodeCensusEntry{NodeStatus: st, registered: registered})
+	list := make([]nodeCensusEntry, 0, len(s.nodeRecs))
+	for _, n := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+		list = append(list, *s.nodeEntryLocked(s.nodeRecs[n], queued[n]))
 	}
 	return list, queued
 }
@@ -66,7 +51,7 @@ func (s *Server) CensusDrift() error {
 	}
 	for i, w := range want {
 		g := *got[i]
-		if h := s.censusHealth(g, g.registered, now); h != w.Health {
+		if h := s.censusHealth(&g, now); h != w.Health {
 			return fmt.Errorf("census row %q reads as %s, the oracle says %s", g.Name, h, w.Health)
 		}
 		g.Health = w.Health

@@ -67,8 +67,8 @@ func TestCensusMatchesOracleRichScript(t *testing.T) {
 // TestCensusMatchesOracleAdminScript covers the transitions the fleet
 // vocabulary cannot script: drain and undrain, removal under queued
 // pinned builds, aborts of queued and running builds, builds aging out
-// for a node that never registers, a node registered straight through
-// the registry, and a job edited (its queued builds stay on the node of
+// for a node that never registers, nodes registered and dropped straight
+// through the registry, and a job edited (its queued builds stay on the node of
 // the revision they were submitted at; later submits follow the edit)
 // and deleted under its queued builds.
 func TestCensusMatchesOracleAdminScript(t *testing.T) {
@@ -97,6 +97,7 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 
 	var admin *accessserver.User
 	var jobBuilds []*accessserver.Build
+	dropped := false
 	// The script's backend compiles "sim" workloads; sync ones finish at
 	// once.
 	nightly := func(node, dev string) api.ExperimentSpec {
@@ -150,15 +151,16 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 			}
 		}},
 		{At: 9 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
-			// A vantage point that bypasses RegisterNode: no lifecycle
-			// record, no heartbeat. It joins the census at the next
-			// publish, which the kick provides.
+			// A vantage point that bypasses RegisterNode: no heartbeat. It
+			// is in the census when Register returns, before the kick or
+			// any other transition.
 			must(srv.Nodes.Register(plainNode("e")))
+			script.AfterEvent(srv)
 			srv.Kick()
 		}},
 		{At: 10 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
-			// Its first lifecycle record appears with no registry change;
-			// so does a row for a node that beats without ever registering.
+			// Its first durable change; and a row appears for a node that
+			// beats without ever registering.
 			must(srv.DrainNode(admin, "e"))
 			srv.Heartbeat("stray")
 		}},
@@ -177,9 +179,17 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 			must(srv.RemoveNode(admin, "c"))
 		}},
 		{At: 40 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
-			// c comes back through the plain registry: the tombstone ends.
+			// c comes back through the plain registry: the tombstone ends
+			// there and then, in the census and in the log.
 			must(srv.Nodes.Register(plainNode("c")))
+			script.AfterEvent(srv)
 			srv.Kick()
+		}},
+		{At: 42 * time.Second, Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			// A monitored node leaves through the plain registry: offline
+			// at once, its probe gone; what is still queued for it ages out.
+			must(srv.Nodes.Remove("d"))
+			dropped = true
 		}},
 	}
 	events := observeCensus(t, &script)
@@ -212,6 +222,9 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 	}
 	if deleted == 0 {
 		t.Fatal("no job build failed under DeleteJob: the delete path was not exercised")
+	}
+	if !dropped {
+		t.Fatal("the script ended before d left through the registry at 42 s")
 	}
 }
 

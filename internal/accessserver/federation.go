@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -200,12 +201,12 @@ func (s *Server) adoptPeer(name, url string) {
 func (s *Server) peerCensus(now time.Time) []api.PeerNode {
 	var out []api.PeerNode
 	for _, e := range s.reads.nodeList() {
-		if e.Removed {
+		if e.Removed || !e.known() {
 			continue
 		}
 		out = append(out, api.PeerNode{
 			Name:    e.Name,
-			Health:  s.censusHealth(*e, e.registered, now).String(),
+			Health:  s.censusHealth(e, now).String(),
 			Devices: append([]string(nil), e.Devices...),
 			Running: e.Running,
 		})
@@ -449,16 +450,7 @@ func (s *Server) compileForPeer(spec api.ExperimentSpec, compileErr error) (Cons
 	now := s.clock.Now()
 	known := false
 	for _, p := range s.cluster.Peers() {
-		advertises := false
-		for _, n := range p.Nodes {
-			// An empty census device list is "not enumerated", not "no
-			// devices" — the peer's scheduler arbitrates unknown serials.
-			if n.Name == spec.Node && (spec.Device == "" || len(n.Devices) == 0 || containsString(n.Devices, spec.Device)) {
-				advertises = true
-				break
-			}
-		}
-		if !advertises {
+		if !slices.ContainsFunc(p.Nodes, func(n api.PeerNode) bool { return advertises(n, spec.Node, spec.Device) }) {
 			continue
 		}
 		known = true
@@ -477,6 +469,15 @@ func (s *Server) compileForPeer(spec api.ExperimentSpec, compileErr error) (Cons
 			"%s: node %q lives on a peer that is not online right now", ErrPeerUnavailable.Error(), spec.Node)
 	}
 	return Constraints{}, nil, compileErr
+}
+
+// advertises reports whether census entry n of a peer offers node, and
+// on it device ("" = any). An empty census device list means "not
+// enumerated" (a peer only caches serials for monitored nodes), not "no
+// devices": the peer's own scheduler is the authority and rejects an
+// unknown serial with a typed 4xx the relay treats as permanent.
+func advertises(n api.PeerNode, node, device string) bool {
+	return n.Name == node && (device == "" || len(n.Devices) == 0 || slices.Contains(n.Devices, device))
 }
 
 // peerOnlyRun is the poison local pipeline of a peer-routed spec: it

@@ -13,9 +13,8 @@ import (
 type FlakyNode struct {
 	inner Node
 
-	mu    sync.Mutex
-	down  bool
-	kills int
+	mu   sync.Mutex
+	down bool
 }
 
 // NewFlakyNode wraps a node with failure injection, initially up.
@@ -53,7 +52,6 @@ func (f *FlakyNode) Kill() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.down = true
-	f.kills++
 }
 
 // Revive brings the vantage point back.
@@ -68,11 +66,4 @@ func (f *FlakyNode) Down() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.down
-}
-
-// Kills reports how many times the node has been killed.
-func (f *FlakyNode) Kills() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.kills
 }

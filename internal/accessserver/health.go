@@ -2,6 +2,7 @@ package accessserver
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -24,9 +25,16 @@ import (
 // RegisterNode shorthand): a monitored node gets a heartbeat probe
 // ticker on the server clock — deterministic under the virtual clock,
 // since probes of in-process nodes (Pinger) run synchronously on the
-// clock-dispatch goroutine. Nodes registered through the plain
-// Nodes.Register path stay unmonitored and are treated as always
-// online, the pre-health behavior every single-node test relies on.
+// clock-dispatch goroutine. A node that is registered, unmonitored
+// (plain Nodes.Register) has no ticker and no heartbeat to miss: it is
+// online while it is registered, the pre-health behavior every
+// single-node test relies on.
+//
+// There is one table of local vantage points, s.nodeRecs under s.mu: a
+// node is its lifecycle record, registered while the record holds its
+// handle. Registering and unregistering are transitions like every other
+// node verb (node.go); a nil record means only that nobody has ever
+// mentioned the name.
 
 // Health is a node's lifecycle state.
 type Health int
@@ -87,10 +95,15 @@ type NodeStatus struct {
 	Failovers int64
 }
 
-// nodeRec is the server's per-node lifecycle record: the durable part,
-// the heartbeat clock, and the CPU probe cache that replaced the
-// probe-while-holding-s.mu dispatch path. Guarded by s.mu.
+// nodeRec is the server's per-node lifecycle record: the handle, the
+// durable part, the heartbeat clock, and the CPU probe cache that
+// replaced the probe-while-holding-s.mu dispatch path. Guarded by s.mu.
 type nodeRec struct {
+	// node is the vantage point's handle while it is registered, nil
+	// otherwise (a tombstone, a name only counted on, or a record whose
+	// host has not re-registered since the restart).
+	node Node
+
 	// NodeRec is the node's durable state, kept as the record a snapshot
 	// stores: monitor, drain and removal flags, the owner, the cached
 	// device list and the hosting time owed. It changes only through
@@ -107,9 +120,11 @@ type nodeRec struct {
 	store.NodeRec
 
 	lastBeat time.Time
-	ticker   *simclock.Ticker
-	pinging  bool // async liveness probe in flight
-	running  int  // builds currently leased to this node
+	// ticker probes the node every HeartbeatEvery: armed exactly while the
+	// node is registered and monitored (armLocked, unregisterLocked).
+	ticker  *simclock.Ticker
+	pinging bool // async liveness probe in flight
+	running int  // builds currently leased to this node
 
 	// Reliability telemetry for score-based placement. beats counts
 	// recorded heartbeats; flaps counts beats that ended a
@@ -137,21 +152,20 @@ type nodeRec struct {
 }
 
 // recLocked resolves (creating on first sight) a node's lifecycle
-// record. A new record is a new census row. Callers hold s.mu, and mark
-// the node with touchNodeLocked when they change a field its row serves.
+// record. A new record is a new census row, built at the next publish.
+// Callers hold s.mu, and mark the node with touchNodeLocked when they
+// change a field its row serves.
 func (s *Server) recLocked(name string) *nodeRec {
 	rec, ok := s.nodeRecs[name]
 	if !ok {
 		rec = &nodeRec{NodeRec: store.NodeRec{Name: name}, lastBeat: s.clock.Now()}
 		s.nodeRecs[name] = rec
-		s.censusStale = true
-		s.touchNodeLocked(name)
 	}
 	return rec
 }
 
-// healthAt is the one health rule: a node's state at now from its
-// registry membership, its lifecycle flags and its last heartbeat.
+// healthAt is the one health rule: a node's state at now from whether
+// it is registered, its lifecycle flags and its last heartbeat.
 // Offline outranks draining: a node that dies mid-drain must still break
 // its build leases — draining only labels the alive states, where its
 // meaning (no new dispatch, running builds finish) applies. Unmonitored
@@ -169,14 +183,28 @@ func (s *Server) healthAt(registered, removed, monitored, draining bool, lastBea
 	return HealthSuspect
 }
 
-// healthLocked is healthAt for a registered node's lifecycle record (nil
-// for a node that never needed one: unmonitored, never drained). Callers
-// hold s.mu.
+// healthLocked is healthAt for a lifecycle record. Callers hold s.mu.
 func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
-	if rec == nil {
-		return HealthOnline
+	return s.healthAt(rec.node != nil, rec.Removed, rec.Monitored, rec.Draining, rec.lastBeat, now)
+}
+
+// substituteLocked reports whether rec may stand in for the node a
+// fallback build is pinned to: another node, monitored (its cached device
+// list is what substitution offers), and online right now — which a node
+// is only while registered and not removed. Callers hold s.mu.
+func (s *Server) substituteLocked(rec *nodeRec, pinned string, now time.Time) bool {
+	return rec.Name != pinned && rec.Monitored && s.healthLocked(rec, now) == HealthOnline
+}
+
+// armLocked starts the heartbeat probe ticker of a registered, monitored
+// node that has none. Callers hold s.mu.
+func (s *Server) armLocked(rec *nodeRec) {
+	if rec.ticker == nil && rec.node != nil && rec.Monitored {
+		name, n := rec.Name, rec.node
+		rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
+			s.probeNode(name, n)
+		})
 	}
-	return s.healthAt(true, rec.Removed, rec.Monitored, rec.Draining, rec.lastBeat, now)
 }
 
 // MonitorNode arms heartbeat-driven health tracking for a registered
@@ -184,41 +212,39 @@ func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
 // fallback placement, and a probe ticker starts on the server clock.
 // Idempotent.
 func (s *Server) MonitorNode(name string) error {
-	if _, err := s.Nodes.Get(name); err != nil {
+	n, err := s.reads.handle(name)
+	if err != nil {
 		return err
 	}
 	// Cache the device list outside s.mu: this is the one network round
 	// trip of monitoring, paid at arm time, never at dispatch time.
 	// Fallback placement depends on this cache, so a node that cannot
 	// enumerate its devices is not silently armed with an empty one.
-	devices, err := s.Nodes.Devices(name)
+	devices, err := listDevices(n)
 	if err != nil {
 		return fmt.Errorf("monitoring %q: listing devices: %w", name, err)
 	}
 
 	s.mu.Lock()
-	rec := s.recLocked(name)
+	defer s.mu.Unlock()
+	rec, err := s.registeredLocked(name)
+	if err != nil {
+		return err // unregistered during the round trip
+	}
 	rec.lastBeat = s.clock.Now()
 	s.touchNodeLocked(name)
 	if !rec.Monitored || !slices.Equal(rec.Devices, devices) {
-		mon := store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+		// Armed already: only the device list is new, and a drain stays. A
+		// fresh arm ends any previous drain: re-monitoring a serviced node
+		// must put it back in rotation, not leave it silently
+		// undispatchable behind a stale flag.
+		s.applyNodeLocked(rec, store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
 			Name: name, Owner: rec.Owner, Monitored: true, Devices: devices,
-		}}
-		if rec.Monitored {
-			// Armed already: only the device list is new, and a drain stays.
-			mon.Node.Draining = rec.Draining
-		} else {
-			// A fresh arm ends any previous drain or removal: re-registering
-			// a serviced node must put it back in rotation, not leave it
-			// silently undispatchable behind a stale flag.
-			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
-				s.probeNode(name)
-			})
-		}
-		s.applyNodeLocked(rec, mon)
+			Draining: rec.Monitored && rec.Draining,
+		}})
+		s.armLocked(rec)
 	}
 	s.publishCensusLocked()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -230,17 +256,6 @@ func (s *Server) applyNodeLocked(rec *nodeRec, change store.Record) {
 	applyNode(&rec.NodeRec, &change)
 	s.touchNodeLocked(rec.Name)
 	s.logStore(change)
-}
-
-// reviveLocked ends the removal of a node that reappeared through the
-// plain registry path (rec is its lifecycle record, nil if it never
-// needed one): unmonitored, always online, placeable again.
-func (s *Server) reviveLocked(rec *nodeRec) {
-	if rec != nil && rec.Removed {
-		s.applyNodeLocked(rec, store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
-			Name: rec.Name, Owner: rec.Owner, Devices: rec.Devices,
-		}})
-	}
 }
 
 // SetNodeOwner records which member hosts a vantage point; their ledger
@@ -259,30 +274,13 @@ func (s *Server) SetNodeOwner(name, owner string) {
 	s.mu.Unlock()
 }
 
-// RegisterNode registers a node and arms health monitoring — the
-// deployment path. (Nodes.Register alone keeps the legacy
-// always-online semantics.)
-func (s *Server) RegisterNode(n Node) error {
-	if err := s.Nodes.Register(n); err != nil {
-		return err
-	}
-	if err := s.MonitorNode(n.Name()); err != nil {
-		return err
-	}
-	s.dispatch()
-	return nil
-}
-
-// probeNode is one heartbeat probe. Pinger nodes answer synchronously
-// (deterministic under the virtual clock); others are probed on a
-// goroutine with at most one probe in flight, so a hung node can never
-// stall the ticker — its beats simply stop and it ages into suspect
-// and then offline.
-func (s *Server) probeNode(name string) {
-	n, err := s.Nodes.Get(name)
-	if err != nil {
-		return // unregistered: no beat
-	}
+// probeNode is one heartbeat probe of a node's handle (the ticker that
+// calls it lives exactly as long as the registration). Pinger nodes
+// answer synchronously (deterministic under the virtual clock); others
+// are probed on a goroutine with at most one probe in flight, so a hung
+// node can never stall the ticker — its beats simply stop and it ages
+// into suspect and then offline.
+func (s *Server) probeNode(name string, n Node) {
 	if p, ok := n.(Pinger); ok {
 		if p.Ping() == nil {
 			s.Heartbeat(name)
@@ -389,11 +387,13 @@ func (s *Server) setDraining(user *User, name string, draining bool) error {
 	if !Allowed(user.Role, PermManageNodes) {
 		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
 	}
-	if _, err := s.Nodes.Get(name); err != nil {
+	s.mu.Lock()
+	rec, err := s.registeredLocked(name)
+	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-	s.mu.Lock()
-	s.applyNodeLocked(s.recLocked(name), store.Record{T: store.TNodeDrain, Name: name, Draining: draining})
+	s.applyNodeLocked(rec, store.Record{T: store.TNodeDrain, Name: name, Draining: draining})
 	s.publishCensusLocked()
 	s.mu.Unlock()
 	if !draining {
@@ -413,14 +413,11 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	if !Allowed(user.Role, PermManageNodes) {
 		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
 	}
-	if err := s.Nodes.Remove(name); err != nil {
-		return err
-	}
 	s.mu.Lock()
-	rec := s.recLocked(name)
-	if rec.ticker != nil {
-		rec.ticker.Stop()
-		rec.ticker = nil
+	rec, err := s.unregisterLocked(name)
+	if err != nil {
+		s.mu.Unlock()
+		return err
 	}
 	// Final contribution flush: hosting time accrued below the lump
 	// threshold still belongs to the owner.
@@ -438,58 +435,36 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	return nil
 }
 
-// NodeHealth reports a node's lifecycle snapshot. Unregistered,
-// never-seen nodes report offline with a zero LastHeartbeat.
+// NodeHealth reports a node's lifecycle snapshot. Never-seen nodes report
+// offline with a zero LastHeartbeat.
 func (s *Server) NodeHealth(name string) NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nodeStatusLocked(name)
-}
-
-// HealthOf is NodeHealth reduced to the lifecycle state, the cached
-// device list and the monitored bit. monitored=false means the caller
-// must list devices live if it wants them.
-func (s *Server) HealthOf(name string) (health Health, devices []string, monitored bool) {
-	st := s.NodeHealth(name)
-	return st.Health, st.Devices, st.Monitored
-}
-
-func (s *Server) nodeStatusLocked(name string) NodeStatus {
-	st, _ := s.nodeEntryLocked(name, s.queuedOn[name])
-	return st
-}
-
-// nodeEntryLocked builds one node's lifecycle snapshot given its
-// queued-build count, and reports whether the node is currently
-// registered. Census publication calls it once per changed row;
-// nodeStatusLocked wraps it for one-off lookups. Callers hold s.mu.
-func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
-	now := s.clock.Now()
-	st := NodeStatus{Name: name}
 	rec := s.nodeRecs[name]
-	registered := false
-	if _, err := s.Nodes.Get(name); err == nil {
-		registered = true
-	}
 	if rec == nil {
-		st.Health = s.healthAt(registered, false, false, false, time.Time{}, now)
-		return st, registered
+		return NodeStatus{Name: name, Health: HealthOffline}
 	}
-	if registered {
-		s.reviveLocked(rec)
-	}
-	st.Monitored = rec.Monitored
-	st.Draining = rec.Draining
-	st.Removed = rec.Removed
-	st.LastHeartbeat = rec.lastBeat
-	st.Running = rec.running
-	st.Queued = queued
-	st.Devices = append([]string(nil), rec.Devices...)
-	st.Beats = rec.beats
-	st.Flaps = rec.flaps
-	st.Failovers = rec.failovers
-	st.Health = s.healthAt(registered, rec.Removed, rec.Monitored, rec.Draining, rec.lastBeat, now)
-	return st, registered
+	return s.nodeEntryLocked(rec, s.queuedOn[name]).NodeStatus
+}
+
+// nodeEntryLocked builds one node's census row — its lifecycle snapshot
+// and its handle — given its queued-build count. Census publication calls
+// it once per changed row. Callers hold s.mu.
+func (s *Server) nodeEntryLocked(rec *nodeRec, queued int) *nodeCensusEntry {
+	return &nodeCensusEntry{node: rec.node, NodeStatus: NodeStatus{
+		Name:          rec.Name,
+		Health:        s.healthLocked(rec, s.clock.Now()),
+		Monitored:     rec.Monitored,
+		Draining:      rec.Draining,
+		Removed:       rec.Removed,
+		LastHeartbeat: rec.lastBeat,
+		Running:       rec.running,
+		Queued:        queued,
+		Devices:       append([]string(nil), rec.Devices...),
+		Beats:         rec.beats,
+		Flaps:         rec.flaps,
+		Failovers:     rec.failovers,
+	}}
 }
 
 // NodeStatuses snapshots every known node (registered or remembered),
@@ -497,10 +472,9 @@ func (s *Server) nodeEntryLocked(name string, queued int) (NodeStatus, bool) {
 func (s *Server) NodeStatuses() []NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := s.nodeNamesLocked()
-	out := make([]NodeStatus, 0, len(names))
-	for _, n := range names {
-		out = append(out, s.nodeStatusLocked(n))
+	out := make([]NodeStatus, 0, len(s.nodeRecs))
+	for _, name := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+		out = append(out, s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name]).NodeStatus)
 	}
 	return out
 }

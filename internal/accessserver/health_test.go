@@ -694,7 +694,7 @@ func TestDrainAndRemoveNode(t *testing.T) {
 	if err := srv.Nodes.Register(fakeVP{name: "vp2"}); err != nil {
 		t.Fatal(err)
 	}
-	if h, _, _ := srv.HealthOf("vp2"); h != HealthOnline {
+	if h := srv.NodeHealth("vp2").Health; h != HealthOnline {
 		t.Fatalf("re-registered node health = %v, want online", h)
 	}
 	revived, _ := srv.SubmitSpec(admin, api.ExperimentSpec{
@@ -884,7 +884,6 @@ func TestNodeVerbsAreDurable(t *testing.T) {
 	must(srv.RemoveNode(admin, "vp1"))
 	checkLifecycle(t, srv, "removed")
 	must(srv.Nodes.Register(vp))
-	srv.Kick() // the registry has no hook: the next publish finds the node
 	if got := srv.NodeHealth("vp1"); got.Health != HealthOnline || got.Removed || got.Monitored {
 		t.Fatalf("back through the bare registry: %+v, want online, unmonitored, no tombstone", got)
 	}

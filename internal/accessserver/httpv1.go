@@ -89,31 +89,29 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		if s.auth(w, r, PermViewConsole) == nil {
 			return
 		}
-		// Snapshot-served: names come from the registry (its own lock,
-		// never the scheduler's), health and cached devices from the
-		// published census — a fleet-listing flood is lock-free with
-		// respect to dispatch. Health is recomputed against the current
-		// clock because silence ages a node without republishing.
+		// Snapshot-served: one load of the published census is one
+		// consistent view of the fleet, rows and membership — a
+		// fleet-listing flood is lock-free with respect to dispatch. Health
+		// is recomputed against the current clock because silence ages a
+		// node without republishing.
 		now := s.clock.Now()
-		names := s.Nodes.List()
-		rows := s.reads.nodeList() // one load: every row is of one instant
-		infos := make([]api.NodeInfo, 0, len(names))
-		for _, name := range names {
-			e := nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
-			if i, ok := censusFind(rows, name); ok {
-				e = *rows[i]
+		rows := s.reads.nodeList()
+		infos := make([]api.NodeInfo, 0, len(rows))
+		for _, e := range rows {
+			if e.node == nil {
+				continue
 			}
 			devs := e.Devices
 			if !e.Monitored {
 				// Monitored nodes serve the cached device list: one hung
 				// vantage point must not stall the whole fleet listing on
 				// a live list_devices round trip.
-				devs, _ = s.Nodes.Devices(name)
+				devs, _ = listDevices(e.node)
 			}
 			infos = append(infos, api.NodeInfo{
-				Name:    name,
+				Name:    e.Name,
 				Devices: devs,
-				Health:  s.censusHealth(e, true, now).String(),
+				Health:  s.censusHealth(e, now).String(),
 			})
 		}
 		writeJSON(w, http.StatusOK, infos)
@@ -123,32 +121,23 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		name := r.PathValue("name")
-		// Census-served (registry membership checked live, on the
-		// registry's own lock): the detail route never touches s.mu.
-		_, regErr := s.Nodes.Get(name)
+		// Census-served: the detail route never touches s.mu.
 		st, ok := s.reads.node(name)
-		if !ok {
-			if regErr != nil {
-				writeError(w, regErr)
-				return
-			}
-			st = nodeCensusEntry{NodeStatus: NodeStatus{Name: name}}
-		}
-		if regErr != nil && !st.Removed && !st.Monitored {
-			writeError(w, regErr)
+		if !ok || !st.known() {
+			writeError(w, errNoNode(name))
 			return
 		}
 		// Monitored nodes serve the cached device list: this endpoint
 		// diagnoses sick nodes, so it must never block on a live
 		// list_devices round trip to one.
 		devs := st.Devices
-		if !st.Monitored {
-			devs, _ = s.Nodes.Devices(name)
+		if !st.Monitored && st.node != nil {
+			devs, _ = listDevices(st.node)
 		}
 		detail := api.NodeDetail{
 			Name:          name,
 			Devices:       devs,
-			Health:        s.censusHealth(st, regErr == nil, s.clock.Now()).String(),
+			Health:        s.censusHealth(st, s.clock.Now()).String(),
 			Monitored:     st.Monitored,
 			Draining:      st.Draining,
 			RunningBuilds: st.Running,
@@ -189,7 +178,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		name := r.PathValue("name")
-		if _, err := s.Nodes.Get(name); err != nil {
+		if _, err := s.reads.handle(name); err != nil {
 			writeError(w, err)
 			return
 		}

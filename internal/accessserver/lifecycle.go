@@ -70,7 +70,7 @@ func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Tim
 		// Only local placements count on a node record: nodeRecs describes
 		// nodes attached to this server, and a peer's node must never leak
 		// into the local census.
-		rec := s.recLocked(pl.nodeName)
+		rec := s.nodeRecs[pl.nodeName]
 		rec.running++
 		s.touchNodeLocked(pl.nodeName)
 		leased = rec.Monitored

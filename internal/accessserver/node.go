@@ -2,11 +2,9 @@ package accessserver
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
+	"batterylab/internal/accessserver/store"
 	"batterylab/internal/controller"
 	"batterylab/internal/sshx"
 )
@@ -69,82 +67,128 @@ func (n *RemoteNode) Exec(cmd string, args ...string) (string, error) {
 	return n.cl.Exec(cmd, args...)
 }
 
-// Nodes is the vantage point registry. Registration is restricted: the
-// paper pre-approves vantage points via IP lockdown and security groups;
-// here an allowlist of names plays that role (empty = open, for tests).
+// Nodes is the vantage point registry as embedders see it: a view of the
+// server's one node table (Server.nodeRecs, see health.go), where a
+// registered node is a lifecycle record holding its handle. Register and
+// Remove are scheduler transitions under s.mu that publish the census;
+// Get, List and Devices read the published census and take no lock.
+// Registration is restricted: the paper pre-approves vantage points via
+// IP lockdown and security groups; here an allowlist of names plays that
+// role (empty = open, for tests).
 type Nodes struct {
-	mu       sync.RWMutex
-	nodes    map[string]Node
-	approved map[string]bool
-	// gen counts membership changes. Nodes register and unregister
-	// without the scheduler lock, so the server compares generations to
-	// learn that its published name index went stale.
-	gen atomic.Uint64
+	s        *Server
+	approved map[string]bool // guarded by s.mu
 }
 
-// NewNodes returns an empty registry.
-func NewNodes() *Nodes {
-	return &Nodes{nodes: make(map[string]Node), approved: make(map[string]bool)}
+// errNoNode is the typed error of every lookup that finds no registered
+// node under name.
+func errNoNode(name string) error {
+	return fmt.Errorf("%w: no node %q", ErrNotFound, name)
 }
 
 // Approve pre-approves a vantage point name for registration.
 func (r *Nodes) Approve(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
 	r.approved[name] = true
 }
 
-// Register adds a node. If any approvals are configured, the node must
-// be pre-approved.
+// Register adds a node: its lifecycle record takes the handle. If any
+// approvals are configured, the node must be pre-approved. Registering a
+// name RemoveNode tombstoned ends the removal — unmonitored, always
+// online, placeable again — and a record that says monitored gets its
+// heartbeat ticker back.
 func (r *Nodes) Register(n Node) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.approved) > 0 && !r.approved[n.Name()] {
-		return fmt.Errorf("%w: node %q not pre-approved", ErrForbidden, n.Name())
+	s, name := r.s, n.Name()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(r.approved) > 0 && !r.approved[name] {
+		return fmt.Errorf("%w: node %q not pre-approved", ErrForbidden, name)
 	}
-	if _, dup := r.nodes[n.Name()]; dup {
-		return fmt.Errorf("%w: node %q already registered", ErrConflict, n.Name())
+	rec := s.recLocked(name)
+	if rec.node != nil {
+		return fmt.Errorf("%w: node %q already registered", ErrConflict, name)
 	}
-	r.nodes[n.Name()] = n
-	r.gen.Add(1)
+	rec.node = n
+	if rec.Removed {
+		s.applyNodeLocked(rec, store.Record{T: store.TNodeMonitored, Node: &store.NodeRec{
+			Name: name, Owner: rec.Owner, Devices: rec.Devices,
+		}})
+	}
+	s.armLocked(rec)
+	s.touchNodeLocked(name)
+	s.publishCensusLocked()
 	return nil
 }
 
-// generation reports how many times membership has changed.
-func (r *Nodes) generation() uint64 { return r.gen.Load() }
+// RegisterNode registers a node and arms health monitoring — the
+// deployment path. (Nodes.Register alone leaves it unmonitored and
+// always online.)
+func (s *Server) RegisterNode(n Node) error {
+	if err := s.Nodes.Register(n); err != nil {
+		return err
+	}
+	if err := s.MonitorNode(n.Name()); err != nil {
+		return err
+	}
+	s.dispatch()
+	return nil
+}
 
-// Get resolves a node.
+// Get resolves a registered node's handle.
 func (r *Nodes) Get(name string) (Node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n, ok := r.nodes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: no node %q", ErrNotFound, name)
-	}
-	return n, nil
+	return r.s.reads.handle(name)
 }
 
-// Remove drops a node.
+// Remove drops a node's handle: it reads offline (or, unmonitored and
+// never removed, is forgotten) from here on. Its lifecycle record stays;
+// RemoveNode is the admin verb that also tombstones it.
 func (r *Nodes) Remove(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[name]; !ok {
-		return fmt.Errorf("%w: no node %q", ErrNotFound, name)
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.unregisterLocked(name); err != nil {
+		return err
 	}
-	delete(r.nodes, name)
-	r.gen.Add(1)
+	s.publishCensusLocked()
 	return nil
 }
 
-// List reports node names sorted.
-func (r *Nodes) List() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
+// registeredLocked resolves the lifecycle record of a registered node.
+// Callers hold s.mu.
+func (s *Server) registeredLocked(name string) (*nodeRec, error) {
+	if rec := s.nodeRecs[name]; rec != nil && rec.node != nil {
+		return rec, nil
 	}
-	sort.Strings(out)
+	return nil, errNoNode(name)
+}
+
+// unregisterLocked takes a registered node's handle away and stops its
+// heartbeat ticker: nothing is left to probe. Callers hold s.mu and
+// publish the census.
+func (s *Server) unregisterLocked(name string) (*nodeRec, error) {
+	rec, err := s.registeredLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	rec.node = nil
+	if rec.ticker != nil {
+		rec.ticker.Stop()
+		rec.ticker = nil
+	}
+	s.touchNodeLocked(name)
+	return rec, nil
+}
+
+// List reports the registered node names, sorted.
+func (r *Nodes) List() []string {
+	rows := r.s.reads.nodeList()
+	out := make([]string, 0, len(rows))
+	for _, e := range rows {
+		if e.node != nil {
+			out = append(out, e.Name)
+		}
+	}
 	return out
 }
 
@@ -154,6 +198,12 @@ func (r *Nodes) Devices(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return listDevices(n)
+}
+
+// listDevices runs list_devices on a node: one round trip, so callers
+// hold no lock.
+func listDevices(n Node) ([]string, error) {
 	out, err := n.Exec("list_devices")
 	if err != nil {
 		return nil, err

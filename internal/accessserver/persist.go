@@ -53,8 +53,11 @@ import (
 //   - Node lifecycle state (drain flags, removal tombstones, owner,
 //     cached devices) survives; the live Node handles do not, so the
 //     hosting process re-registers its nodes at startup, before
-//     AttachStore — and what that boot established (a fresh device list,
-//     monitoring, being registered at all) wins over the record.
+//     AttachStore. Registration is a transition on the node's record, so
+//     what that boot established (a fresh device list, monitoring, the
+//     handle itself) is on the record AttachStore merges the stored one
+//     into, and wins over it. A stored record whose host has not come
+//     back reads offline and is probed again once it registers.
 //   - Builds that were queued at the crash re-enqueue in ID order.
 //   - Builds that were running at the crash go through reclaimLocked,
 //     the body a broken node lease runs: a failover event on the feed,
@@ -448,13 +451,13 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		nr := rs.nodes[name]
 		rec := s.recLocked(name)
 		s.touchNodeLocked(name)
-		// The record comes in whole. What this boot already established
-		// stands: a node registered and armed before the attach keeps its
-		// fresh device list and its monitoring, and being registered ends a
-		// removal like the live path does.
+		// The record comes in whole. What this boot already established is
+		// on the record it merges into, and stands: a node registered and
+		// armed before the attach keeps its fresh device list and its
+		// monitoring, and being registered ends a removal like the live
+		// path does.
 		boot := rec.NodeRec
-		_, regErr := s.Nodes.Get(name)
-		tombstoned := nr.Removed && regErr != nil
+		tombstoned := nr.Removed && rec.node == nil
 		rec.NodeRec = *nr
 		rec.Removed = boot.Removed || tombstoned
 		rec.Monitored = !tombstoned && (boot.Monitored || nr.Monitored && !nr.Removed)
@@ -462,11 +465,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 			rec.Devices = boot.Devices
 		}
 		rec.lastBeat = now
-		if rec.Monitored && !boot.Monitored {
-			rec.ticker = simclock.NewTicker(s.clock, s.cfg.HeartbeatEvery, func(time.Time) {
-				s.probeNode(name)
-			})
-		}
+		s.armLocked(rec)
 		stats.Nodes++
 	}
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -200,19 +201,17 @@ type Server struct {
 	// locks: "node/device" and "node" keys held by running builds.
 	locks map[string]int // key -> build ID
 	crons []*cronEntry
-	// nodeRecs is the per-node lifecycle state (see health.go).
+	// nodeRecs is the one table of local vantage points: per node, its
+	// handle while registered and its lifecycle state (see health.go).
+	// Records are created on first mention and never deleted.
 	nodeRecs map[string]*nodeRec
 	// queuedOn counts the builds in s.queue per preferred node — the
 	// census's Queued figure, kept current at every queue mutation
 	// instead of recounted from the queue (see countQueuedLocked).
 	queuedOn map[string]int
-	// Census publication state (see publishCensusLocked): the nodes whose
-	// row changed since the last publish, the registry generation the
-	// published name index was built from, and whether a lifecycle
-	// record has been created since.
+	// censusDirty lists the nodes whose census row changed since the last
+	// publish (see publishCensusLocked).
 	censusDirty []string
-	censusGen   uint64
-	censusStale bool
 	// queueSeq numbers builds in the order they enter s.queue, which is
 	// also the order they sit in it. execLabelled is the drain pass's
 	// labelled-through watermark (see labelSaturatedLocked).
@@ -304,7 +303,6 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		cfg:          cfg.withDefaults(),
 		clock:        clock,
 		Users:        NewUsers(),
-		Nodes:        NewNodes(),
 		Ledger:       NewLedger(),
 		jobs:         make(map[string]*Job),
 		builds:       make(map[int]*Build),
@@ -318,6 +316,7 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		ownerRunning: make(map[string]int),
 		placer:       WeightedPlacer{W: DefaultScoreWeights()},
 	}
+	s.Nodes = &Nodes{s: s, approved: make(map[string]bool)}
 	s.analyticsCache = analytics.NewCache(analyticsCacheBytes)
 	s.m = newServerMetrics(s)
 	s.hub = feedhub.New(&s.m.feeds)
@@ -1129,7 +1128,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		// home peer enforces its own gate when it dispatches the relayed
 		// spec.
 		if prio == prioNone && cons.RequireLowCPU && pl.peer == "" {
-			rec := s.recLocked(pl.nodeName)
+			rec := s.nodeRecs[pl.nodeName]
 			fresh := rec.cpuOK && rec.cpuAt.Add(cpuProbeTTL).After(now)
 			switch {
 			case !fresh:
@@ -1244,23 +1243,20 @@ func (s *Server) labelSaturatedLocked(tail []*Build) {
 // waiting. Callers hold s.mu.
 func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string) {
 	rec := s.nodeRecs[cons.Node]
-	n, err := s.Nodes.Get(cons.Node)
-	if err == nil {
-		s.reviveLocked(rec)
-	}
 	var reason string
 	switch {
-	case err == nil:
+	case rec != nil && rec.node != nil:
 		h := s.healthLocked(rec, now)
 		if h == HealthOnline {
 			// Pinned placement: the preferred node is up, so it wins
 			// outright — scoring only arbitrates substitutes. The score
-			// is still computed for the status surface.
-			score := 0.0
-			if rec != nil {
-				score = s.placer.Score(s.candidateLocked(rec, cons.Device, cons.Device, now))
+			// is still computed for the status surface, where there is
+			// telemetry to score: an unmonitored node has none.
+			pl := placement{node: rec.node, nodeName: cons.Node, device: cons.Device}
+			if rec.Monitored {
+				pl.score = s.placer.Score(s.candidateLocked(rec, cons.Device, cons.Device, now))
 			}
-			return placement{node: n, nodeName: cons.Node, device: cons.Device, score: score}, ""
+			return pl, ""
 		}
 		reason = fmt.Sprintf("node %q is %s", cons.Node, h)
 	case rec != nil && rec.Removed:
@@ -1277,14 +1273,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 	// Like the local fast path this needs no Fallback flag: the build
 	// still runs on the node it asked for, just via its home server.
 	for _, c := range remotes {
-		if c.Node.Name != cons.Node {
-			continue
-		}
-		// An empty census device list means "not enumerated" (the peer
-		// only caches serials for monitored nodes), not "no devices":
-		// the peer's own scheduler is the authority and rejects an
-		// unknown serial with a typed 4xx the relay treats as permanent.
-		if cons.Device != "" && len(c.Node.Devices) > 0 && !containsString(c.Node.Devices, cons.Device) {
+		if !advertises(c.Node, cons.Node, cons.Device) {
 			continue
 		}
 		pc := remoteCandidate(c, cons.Device, cons.Device)
@@ -1312,25 +1301,13 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			best, found = pl, true
 		}
 	}
-	names := make([]string, 0, len(s.nodeRecs))
-	for name := range s.nodeRecs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(s.nodeRecs)) {
 		sub := s.nodeRecs[name]
-		if name == cons.Node || !sub.Monitored || sub.Removed {
-			continue
-		}
-		if s.healthLocked(sub, now) != HealthOnline {
-			continue
-		}
-		subNode, err := s.Nodes.Get(name)
-		if err != nil {
+		if !s.substituteLocked(sub, cons.Node, now) {
 			continue
 		}
 		local := func(device string) {
-			consider(placement{node: subNode, nodeName: name, device: device},
+			consider(placement{node: sub.node, nodeName: name, device: device},
 				s.placer.Score(s.candidateLocked(sub, device, cons.Device, now)))
 		}
 		if cons.Device == "" {
@@ -1345,17 +1322,14 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 		if c.Node.Name == cons.Node {
 			continue // the remote pinned path already rejected it
 		}
-		if len(c.Node.Devices) == 0 {
-			// Unenumerated census: usable only for device-free specs —
-			// substituting a pinned device needs a concrete serial to
-			// offer, which this peer never advertised.
-			if cons.Device == "" {
-				consider(placement{nodeName: c.Node.Name, peer: c.Peer, peerURL: c.PeerURL},
-					s.placer.Score(remoteCandidate(c, "", "")))
-			}
-			continue
+		devices := c.Node.Devices
+		if len(devices) == 0 && cons.Device == "" {
+			// Not enumerated (see advertises): the peer offers no serial,
+			// which suits exactly a device-free spec — substituting a
+			// pinned device needs a concrete one to offer.
+			devices = []string{""}
 		}
-		for _, d := range c.Node.Devices {
+		for _, d := range devices {
 			consider(placement{nodeName: c.Node.Name, device: d, peer: c.Peer, peerURL: c.PeerURL},
 				s.placer.Score(remoteCandidate(c, d, cons.Device)))
 		}
@@ -1383,15 +1357,6 @@ func remoteCandidate(c cluster.Candidate, device, wantDevice string) PlacementCa
 		pc.ModelMatch = DeviceModel(device) == DeviceModel(wantDevice)
 	}
 	return pc
-}
-
-func containsString(list []string, want string) bool {
-	for _, v := range list {
-		if v == want {
-			return true
-		}
-	}
-	return false
 }
 
 // startPicked runs a claimed build's pipeline.
@@ -1515,20 +1480,10 @@ func (s *Server) checkAging(b *Build) {
 	// and the build will run; killing it would lose campaign tails
 	// whose backlog on the survivor exceeds PendingTimeout.
 	rec := s.nodeRecs[cons.Node]
-	alive := false
-	if _, regErr := s.Nodes.Get(cons.Node); regErr == nil &&
-		(rec == nil || !rec.Removed) && s.healthLocked(rec, now) != HealthOffline {
-		alive = true
-	}
+	alive := rec != nil && s.healthLocked(rec, now) != HealthOffline
 	if !alive && cons.Fallback {
-		for name, sub := range s.nodeRecs {
-			if name == cons.Node || !sub.Monitored || sub.Removed {
-				continue
-			}
-			if s.healthLocked(sub, now) != HealthOnline {
-				continue
-			}
-			if _, regErr := s.Nodes.Get(name); regErr == nil {
+		for _, sub := range s.nodeRecs {
+			if s.substituteLocked(sub, cons.Node, now) {
 				alive = true
 				break
 			}

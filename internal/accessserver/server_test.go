@@ -102,7 +102,7 @@ func TestUsersStore(t *testing.T) {
 func TestNodeApprovalGate(t *testing.T) {
 	clk := simclock.NewVirtual()
 	ctl, _ := controller.New(clk, controller.Config{Name: "rogue", Seed: 1})
-	r := NewNodes()
+	r := New(clk, Config{}).Nodes
 	r.Approve("node7")
 	if err := r.Register(NewLocalNode(ctl)); err == nil {
 		t.Fatal("unapproved node registered")

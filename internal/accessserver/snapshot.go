@@ -1,6 +1,7 @@
 package accessserver
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -9,14 +10,24 @@ import (
 	"batterylab/internal/api"
 )
 
-// nodeCensusEntry is one node's published lifecycle snapshot plus the
-// registry membership bit the /nodes listing filters on. A row is
-// immutable once published and is replaced only when something it
-// serves changes, so its Health is as of then: readers derive the
-// current health with censusHealth.
+// nodeCensusEntry is one row of the published node table: a node's
+// lifecycle snapshot and the handle it is registered under (nil while it
+// is not). The row carries membership, so readers ask nothing else: the
+// /nodes listing filters on the handle and runs an unmonitored node's
+// live list_devices through it. A row is immutable once published and is
+// replaced only when something it serves changes, so its Health is as of
+// then: readers derive the current health with censusHealth.
 type nodeCensusEntry struct {
 	NodeStatus
-	registered bool
+	node Node
+}
+
+// known reports whether the row describes a vantage point rather than a
+// bare name the scheduler counted something on (a stray beat, a plain
+// registration since dropped): registered, or remembered as monitored or
+// removed.
+func (e *nodeCensusEntry) known() bool {
+	return e.node != nil || e.Monitored || e.Removed
 }
 
 // readPlane is the server's snapshot-served read side: published views
@@ -114,13 +125,21 @@ func (rp *readPlane) nodeList() []*nodeCensusEntry {
 	return *rp.nodes.Load()
 }
 
-// node returns one census entry by name.
-func (rp *readPlane) node(name string) (nodeCensusEntry, bool) {
+// node returns one census row by name. Callers must not modify it.
+func (rp *readPlane) node(name string) (*nodeCensusEntry, bool) {
 	rows := rp.nodeList()
 	if i, ok := censusFind(rows, name); ok {
-		return *rows[i], true
+		return rows[i], true
 	}
-	return nodeCensusEntry{}, false
+	return nil, false
+}
+
+// handle resolves a registered node's handle.
+func (rp *readPlane) handle(name string) (Node, error) {
+	if e, ok := rp.node(name); ok && e.node != nil {
+		return e.node, nil
+	}
+	return nil, errNoNode(name)
 }
 
 // censusFind locates name in a census sorted by name.
@@ -133,12 +152,10 @@ func censusFind(rows []*nodeCensusEntry, name string) (int, bool) {
 // censusHealth recomputes a census entry's health at now. Health is
 // time-derived — a silent node ages into suspect and then offline
 // without any scheduler transition republishing the census — so the
-// read path derives it fresh from the published heartbeat instead of
-// trusting the value computed at publish time, from snapshot fields and
-// the live registry membership the caller checked (on the registry's own
-// lock, never s.mu).
-func (s *Server) censusHealth(e nodeCensusEntry, registered bool, now time.Time) Health {
-	return s.healthAt(registered, e.Removed, e.Monitored, e.Draining, e.LastHeartbeat, now)
+// read path derives it fresh from the row's published heartbeat, flags
+// and membership instead of trusting the value computed at publish time.
+func (s *Server) censusHealth(e *nodeCensusEntry, now time.Time) Health {
+	return s.healthAt(e.node != nil, e.Removed, e.Monitored, e.Draining, e.LastHeartbeat, now)
 }
 
 // publishBuildLocked republishes b's served wire-form status after a
@@ -159,67 +176,38 @@ func (s *Server) touchNodeLocked(name string) {
 	s.censusDirty = append(s.censusDirty, name)
 }
 
-// publishCensusLocked republishes the node census after a transition:
-// it rebuilds the rows marked since the last publish and swaps in one
-// copied pointer slice, so a reader still sees the whole fleet at one
-// instant. With nothing marked it does nothing. The sorted name index is
-// rebuilt only when membership changed — the registry's generation
-// moved (nodes register and unregister without the scheduler lock) or a
-// lifecycle record was created. Callers hold s.mu but never any b.mu.
+// publishCensusLocked republishes the node census — the one node table,
+// s.nodeRecs, as its readers see it — after a transition: it rebuilds the
+// rows marked since the last publish and swaps in one copied pointer
+// slice, so a reader still sees the whole fleet at one instant. With
+// nothing marked and no new record it does nothing. Records are never
+// deleted, so the sorted name index is stale exactly when there are more
+// records than rows; the rebuild carries every old row over and builds
+// the new ones. Callers hold s.mu but never any b.mu.
 func (s *Server) publishCensusLocked() {
 	rows := s.reads.nodeList()
-	// The generation is read before the listing it vouches for: a
-	// registration landing in between costs one redundant reindex, never
-	// a missed one.
-	if gen := s.Nodes.generation(); gen != s.censusGen || s.censusStale {
-		rows = s.reindexCensusLocked(rows)
-		s.censusGen, s.censusStale = gen, false
+	if len(rows) != len(s.nodeRecs) {
+		old := rows
+		rows = make([]*nodeCensusEntry, 0, len(s.nodeRecs))
+		for _, name := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+			if i, ok := censusFind(old, name); ok {
+				rows = append(rows, old[i])
+			} else {
+				rows = append(rows, s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name]))
+			}
+		}
 	} else if len(s.censusDirty) == 0 {
 		return
 	} else {
 		rows = slices.Clone(rows)
 	}
 	for _, name := range s.censusDirty {
-		// A marked name without a row is a node nobody registered yet
-		// (builds may queue for it); its row is built when it appears.
+		// A marked name without a row is a node nobody has a record for
+		// yet (builds may queue for it); its row is built when it appears.
 		if i, ok := censusFind(rows, name); ok {
-			rows[i] = s.censusRowLocked(name)
+			rows[i] = s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name])
 		}
 	}
 	s.censusDirty = s.censusDirty[:0]
 	s.reads.nodes.Store(&rows)
-}
-
-// reindexCensusLocked rebuilds the census's name index after a
-// membership change, carrying over every row whose node neither joined
-// nor left the registry. Callers hold s.mu.
-func (s *Server) reindexCensusLocked(old []*nodeCensusEntry) []*nodeCensusEntry {
-	names := s.nodeNamesLocked()
-	rows := make([]*nodeCensusEntry, len(names))
-	for i, name := range names {
-		_, err := s.Nodes.Get(name)
-		if j, ok := censusFind(old, name); ok && old[j].registered == (err == nil) {
-			rows[i] = old[j]
-		} else {
-			rows[i] = s.censusRowLocked(name)
-		}
-	}
-	return rows
-}
-
-// nodeNamesLocked lists every known node — registered, or remembered by
-// a lifecycle record — sorted by name. Callers hold s.mu.
-func (s *Server) nodeNamesLocked() []string {
-	names := s.Nodes.List()
-	for name := range s.nodeRecs {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return slices.Compact(names)
-}
-
-// censusRowLocked builds one node's census row. Callers hold s.mu.
-func (s *Server) censusRowLocked(name string) *nodeCensusEntry {
-	st, registered := s.nodeEntryLocked(name, s.queuedOn[name])
-	return &nodeCensusEntry{NodeStatus: st, registered: registered}
 }
