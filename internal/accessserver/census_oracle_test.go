@@ -28,6 +28,71 @@ func (s *Server) censusOracleLocked() ([]nodeCensusEntry, map[string]int) {
 	return list, queued
 }
 
+// PlacementDrift checks the placement classes against what they cache.
+// Every queued build must be counted in the class of its constraints,
+// nothing else may be, and a class with no build queued must be gone. And
+// every verdict that claims to outlive the pass that computed it — a
+// pinned one whose stamp and horizon still hold at now — must be what an
+// uncached evaluation gives this instant: the same placement, lock, held
+// bit and horizon. (Any other verdict claims nothing between passes: the
+// next pass's first act is to void it.) It describes the first difference,
+// nil when there is none.
+func (s *Server) PlacementDrift() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.clock.Now()
+	queued := map[Constraints]int{}
+	inQueue := map[*Build]bool{}
+	for _, b := range s.queue {
+		queued[b.cons]++
+		inQueue[b] = true
+		if b.class == nil || b.class != s.classes[b.cons] {
+			return fmt.Errorf("queued build %d (%+v) is counted in class %p, the table holds %p", b.ID, b.cons, b.class, s.classes[b.cons])
+		}
+	}
+	for id, b := range s.builds {
+		if !inQueue[b] && b.class != nil {
+			return fmt.Errorf("build %d is not queued and still counted in class %+v", id, b.class.cons)
+		}
+	}
+	if len(s.classes) != len(queued) {
+		return fmt.Errorf("%d placement classes for %d distinct constraints in the queue", len(s.classes), len(queued))
+	}
+	for cons, c := range s.classes {
+		if c.cons != cons || c.queued != queued[cons] {
+			return fmt.Errorf("class %+v (filed under %+v) counts %d queued builds, the queue holds %d", c.cons, cons, c.queued, queued[cons])
+		}
+		if c.rec == nil || !s.verdictValidLocked(c, now) {
+			continue
+		}
+		pl, reason := s.placeLocked(cons, now)
+		if !reflect.DeepEqual(pl, c.pl) || reason != c.reason {
+			return fmt.Errorf("class %+v caches placement %+v (%q), placing it now gives %+v (%q)", cons, c.pl, c.reason, pl, reason)
+		}
+		if !pl.pinned || c.rec != s.nodeRecs[cons.Node] {
+			return fmt.Errorf("class %+v hangs its verdict on node %q, its placement %+v is not pinned there", cons, c.rec.Name, pl)
+		}
+		key := cons.lockKey(pl)
+		if held := s.lockHeldLocked(key); key != c.key || held != c.held || c.wait != "waiting for "+key.String() {
+			return fmt.Errorf("class %+v caches lock %q held=%v (%q), the lock table says %q held=%v", cons, c.key, c.held, c.wait, key, held)
+		}
+		if until := s.onlineUntilLocked(c.rec); !until.Equal(c.until) {
+			return fmt.Errorf("class %+v trusts node %q until %s, its record says %s", cons, c.rec.Name, c.until, until)
+		}
+	}
+	return nil
+}
+
+// PlacementCost reports how many placements the drain passes have computed
+// so far and what bounds that: the classes alive now, and the placement
+// epoch, which moves once per pass and once per claim. A class is placed
+// at most once per epoch.
+func (s *Server) PlacementCost() (evals int64, classes int, epoch uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m.placementEvals, len(s.classes), s.placeEpoch
+}
+
 // CensusDrift compares what the server serves about its nodes with the
 // oracle's full rebuild of the same instant and describes the first
 // difference (nil when there is none). It checks the published census
@@ -40,6 +105,9 @@ func (s *Server) CensusDrift() error {
 	defer s.mu.Unlock()
 	want, queued := s.censusOracleLocked()
 	now := s.clock.Now()
+	if names := slices.Sorted(maps.Keys(s.nodeRecs)); !slices.Equal(s.nodeNames, names) {
+		return fmt.Errorf("the sorted name index lists %v, the node table holds %v", s.nodeNames, names)
+	}
 
 	delete(queued, "") // a build with no preferred node counts nowhere
 	if !reflect.DeepEqual(s.queuedOn, queued) {
@@ -118,7 +186,7 @@ func (s *Server) LifecycleDrift() error {
 		}
 		inQueue[b] = true
 	}
-	locks := map[string]int{}
+	locks := map[string]map[string]int{}
 	campRunning, nodeRunning := map[int]int{}, map[string]int{}
 	ownerRunning, ownerActive := map[string]int{}, map[string]int{}
 	var running, queued, waiting int
@@ -138,15 +206,22 @@ func (s *Server) LifecycleDrift() error {
 			if peer == "" {
 				nodeRunning[node]++
 			}
-			if len(b.heldLocks) == 0 {
+			// The recount builds the table the way claimLocked does, and
+			// checks exclusivity against every key taken so far.
+			k := b.held
+			if k == (lockKey{}) {
 				return fmt.Errorf("running build %d holds no lock", id)
 			}
-			for _, k := range b.heldLocks {
-				if other, dup := locks[k]; dup {
-					return fmt.Errorf("builds %d and %d both hold %q", other, id, k)
-				}
-				locks[k] = id
+			under := locks[k.name]
+			_, whole := under[""]
+			_, same := under[k.device]
+			if whole || same || k.device == "" && len(under) > 0 {
+				return fmt.Errorf("build %d holds %q, which conflicts with what builds %v hold under %q", id, k, under, k.name)
 			}
+			if locks[k.name] == nil {
+				locks[k.name] = map[string]int{}
+			}
+			locks[k.name][k.device] = id
 			if inQueue[b] || retry || aging {
 				return fmt.Errorf("running build %d: in queue %v, retry timer %v, aging timer %v", id, inQueue[b], retry, aging)
 			}
@@ -160,17 +235,20 @@ func (s *Server) LifecycleDrift() error {
 			if inQueue[b] {
 				waiting++
 			}
-			if b.heldLocks != nil || lease || aging != inQueue[b] {
-				return fmt.Errorf("queued build %d: holds %v, lease timer %v, aging timer %v (in queue %v)", id, b.heldLocks, lease, aging, inQueue[b])
+			if b.held != (lockKey{}) || lease || aging != inQueue[b] {
+				return fmt.Errorf("queued build %d: holds %q, lease timer %v, aging timer %v (in queue %v)", id, b.held, lease, aging, inQueue[b])
 			}
 		default:
-			if !b.feed.Closed() || lease || retry || aging || b.heldLocks != nil || inQueue[b] {
-				return fmt.Errorf("%s build %d: feed closed %v, timers %v/%v/%v, holds %v, in queue %v",
-					state, id, b.feed.Closed(), lease, retry, aging, b.heldLocks, inQueue[b])
+			if !b.feed.Closed() || lease || retry || aging || b.held != (lockKey{}) || inQueue[b] {
+				return fmt.Errorf("%s build %d: feed closed %v, timers %v/%v/%v, holds %q, in queue %v",
+					state, id, b.feed.Closed(), lease, retry, aging, b.held, inQueue[b])
 			}
 		}
 		if st, ok := s.reads.buildStatus(id); !ok || st.State != state.String() {
 			return fmt.Errorf("build %d is %s, the read plane serves %q (published %v)", id, state, st.State, ok)
+		}
+		if b.camp != s.campaigns[b.Campaign] {
+			return fmt.Errorf("build %d points at campaign record %p, campaign %d is %p", id, b.camp, b.Campaign, s.campaigns[b.Campaign])
 		}
 	}
 	if waiting != len(s.queue) {

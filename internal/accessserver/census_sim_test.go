@@ -14,8 +14,10 @@ import (
 // observeCensus makes a script fail the test at the first event after
 // which the incrementally published census differs from a full rebuild,
 // the queue's own bookkeeping no longer holds, what the lifecycle
-// transitions maintain differs from a recount over the builds, or the
-// store it attaches replays to something other than the server's state.
+// transitions maintain differs from a recount over the builds, the
+// store it attaches replays to something other than the server's state,
+// or a placement class caches something an uncached placement would not
+// give.
 func observeCensus(t *testing.T, script *schedsim.Script) *int {
 	t.Helper()
 	events := new(int)
@@ -45,6 +47,9 @@ func observeCensus(t *testing.T, script *schedsim.Script) *int {
 		if err := srv.DurableDrift(); err != nil {
 			t.Fatalf("after event %d: %v", *events, err)
 		}
+		if err := srv.PlacementDrift(); err != nil {
+			t.Fatalf("after event %d: %v", *events, err)
+		}
 	}
 	return events
 }
@@ -72,7 +77,24 @@ func TestCensusMatchesOracleRichScript(t *testing.T) {
 // the revision they were submitted at; later submits follow the edit)
 // and deleted under its queued builds.
 func TestCensusMatchesOracleAdminScript(t *testing.T) {
-	script := schedsim.Script{
+	script, verify := adminScript(t)
+	events := observeCensus(t, script)
+	res, err := schedsim.Run(*script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *events < 50 {
+		t.Fatalf("only %d events observed", *events)
+	}
+	verify(res)
+}
+
+// adminScript builds the scenario of TestCensusMatchesOracleAdminScript.
+// Two of its actions call script.AfterEvent themselves, so the caller
+// sets the hook on the returned script before running it; verify fails
+// the test unless the run exercised what the scenario claims to.
+func adminScript(t *testing.T) (script *schedsim.Script, verify func(schedsim.Result)) {
+	script = &schedsim.Script{
 		Nodes: []schedsim.NodeSpec{
 			{Name: "a", Devices: []string{"pixel4-a"}},
 			{Name: "b", Devices: []string{"pixel4-b"}, KillAt: 25 * time.Second},
@@ -192,39 +214,33 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 			dropped = true
 		}},
 	}
-	events := observeCensus(t, &script)
-	res, err := schedsim.Run(script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *events < 50 {
-		t.Fatalf("only %d events observed", *events)
-	}
-	// The script must actually have exercised what it claims to.
-	states := map[string]int{}
-	aged, failovers := 0, 0
-	for _, b := range res.Builds {
-		states[b.State]++
-		failovers += b.Failovers
-		if b.NodeLost && b.Attempts == 0 {
-			aged++
+	return script, func(res schedsim.Result) {
+		t.Helper()
+		states := map[string]int{}
+		aged, failovers := 0, 0
+		for _, b := range res.Builds {
+			states[b.State]++
+			failovers += b.Failovers
+			if b.NodeLost && b.Attempts == 0 {
+				aged++
+			}
 		}
-	}
-	if states["aborted"] == 0 || states["success"] == 0 || aged == 0 || failovers == 0 {
-		t.Fatalf("script outcome %v, %d failed without ever dispatching, %d failovers: want aborts, successes, aged-out builds and failovers",
-			states, aged, failovers)
-	}
-	deleted := 0
-	for _, b := range jobBuilds {
-		if b.State() == accessserver.StateFailure {
-			deleted++
+		if states["aborted"] == 0 || states["success"] == 0 || aged == 0 || failovers == 0 {
+			t.Fatalf("script outcome %v, %d failed without ever dispatching, %d failovers: want aborts, successes, aged-out builds and failovers",
+				states, aged, failovers)
 		}
-	}
-	if deleted == 0 {
-		t.Fatal("no job build failed under DeleteJob: the delete path was not exercised")
-	}
-	if !dropped {
-		t.Fatal("the script ended before d left through the registry at 42 s")
+		deleted := 0
+		for _, b := range jobBuilds {
+			if b.State() == accessserver.StateFailure {
+				deleted++
+			}
+		}
+		if deleted == 0 {
+			t.Fatal("no job build failed under DeleteJob: the delete path was not exercised")
+		}
+		if !dropped {
+			t.Fatal("the script ended before d left through the registry at 42 s")
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package accessserver
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -120,6 +119,11 @@ type nodeRec struct {
 	store.NodeRec
 
 	lastBeat time.Time
+	// version counts the changes to anything a placement pinned to this
+	// node reads — the handle, the lifecycle flags, the last beat, the
+	// locks under its name: touchNodeLocked bumps it, and a pinned verdict
+	// stands only while it has not moved (see placeClass).
+	version uint64
 	// ticker probes the node every HeartbeatEvery: armed exactly while the
 	// node is registered and monitored (armLocked, unregisterLocked).
 	ticker  *simclock.Ticker
@@ -154,12 +158,14 @@ type nodeRec struct {
 // recLocked resolves (creating on first sight) a node's lifecycle
 // record. A new record is a new census row, built at the next publish.
 // Callers hold s.mu, and mark the node with touchNodeLocked when they
-// change a field its row serves.
+// change a field its row serves or a placement pinned to it reads.
 func (s *Server) recLocked(name string) *nodeRec {
 	rec, ok := s.nodeRecs[name]
 	if !ok {
 		rec = &nodeRec{NodeRec: store.NodeRec{Name: name}, lastBeat: s.clock.Now()}
 		s.nodeRecs[name] = rec
+		i, _ := slices.BinarySearch(s.nodeNames, name)
+		s.nodeNames = slices.Insert(s.nodeNames, i, name)
 	}
 	return rec
 }
@@ -186,6 +192,21 @@ func (s *Server) healthAt(registered, removed, monitored, draining bool, lastBea
 // healthLocked is healthAt for a lifecycle record. Callers hold s.mu.
 func (s *Server) healthLocked(rec *nodeRec, now time.Time) Health {
 	return s.healthAt(rec.node != nil, rec.Removed, rec.Monitored, rec.Draining, rec.lastBeat, now)
+}
+
+// forever is the horizon of a node whose health does not decay with time:
+// later than any clock reading.
+var forever = time.Unix(1<<62, 0)
+
+// onlineUntilLocked is the instant rec, online now, stops being online
+// with no event to announce it: once its silence reaches the suspect (or
+// offline) threshold of healthAt if it is monitored, never otherwise.
+// Callers hold s.mu.
+func (s *Server) onlineUntilLocked(rec *nodeRec) time.Time {
+	if !rec.Monitored {
+		return forever
+	}
+	return rec.lastBeat.Add(min(s.cfg.SuspectAfter, s.cfg.OfflineAfter))
 }
 
 // substituteLocked reports whether rec may stand in for the node a
@@ -473,7 +494,7 @@ func (s *Server) NodeStatuses() []NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]NodeStatus, 0, len(s.nodeRecs))
-	for _, name := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+	for _, name := range s.nodeNames {
 		out = append(out, s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name]).NodeStatus)
 	}
 	return out

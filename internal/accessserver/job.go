@@ -133,13 +133,21 @@ type Build struct {
 	// per-node queued counters while it sits in the dispatch queue (""
 	// otherwise). Guarded by s.mu.
 	queuedOn string
+	// class is the placement class the build is counted in while it sits
+	// in the dispatch queue, nil otherwise (see placeClass): the verdict
+	// the drain pass reads instead of placing the build. Guarded by s.mu.
+	class *placeClass
+	// camp is the build's campaign record, nil for a standalone build —
+	// s.campaigns[Campaign], resolved once instead of at every visit of
+	// the drain pass. Set at construction, immutable after.
+	camp *campaignRec
 	// queueSeq is the build's position in the order builds entered the
 	// dispatch queue (a requeue takes a new one). Guarded by s.mu.
 	queueSeq uint64
-	// heldLocks are the lock-table keys the running attempt holds, nil
-	// when the build holds nothing — the one record of what claimLocked
-	// took and releaseLocked must give back. Guarded by s.mu.
-	heldLocks  []string
+	// held is the lock the running attempt holds, zero when the build
+	// holds nothing — the one record of what claimLocked took and
+	// releaseLocked must give back. Guarded by s.mu.
+	held       lockKey
 	leaseTimer simclock.Timer
 	retryTimer simclock.Timer
 	agingTimer simclock.Timer

@@ -42,23 +42,30 @@ func (s *Server) logTo(wal *[]store.Record, rec store.Record) {
 	s.logStore(rec)
 }
 
-// claimLocked starts queued build b on placement pl, whose lock keys the
-// drain pass found free: it takes the locks, an executor slot and the
+// claimLocked starts queued build b on placement pl, whose lock key the
+// drain pass found free: it takes the lock, an executor slot and the
 // campaign, owner and node running counts, arms the lease and returns
 // the pipeline for dispatch to start outside the lock.
-func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Time) *pick {
+func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time) *pick {
 	s.uncountQueuedLocked(b)
-	for _, k := range keys {
-		s.locks[k] = b.ID
+	// A claim moves a lock and a running count, which every verdict not
+	// pinned to a node may have read; the node's own verdicts fall with
+	// the touch below.
+	s.placeEpoch++
+	under := s.locks[key.name]
+	if under == nil {
+		under = make(map[string]int, 1)
+		s.locks[key.name] = under
 	}
-	b.heldLocks = keys
+	under[key.device] = b.ID
+	b.held = key
 	s.running++
 	s.m.queued--
 	s.m.running++
 	s.m.dispatched++
 	s.m.dispatchLatency.Observe(time.Duration(now.UnixNano() - b.QueuedAtNS).Seconds())
-	if rec := s.campaigns[b.Campaign]; rec != nil {
-		rec.running++
+	if b.camp != nil {
+		b.camp.running++
 	}
 	s.ownerRunning[b.Owner]++
 	b.schedReason = ""
@@ -71,6 +78,14 @@ func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Tim
 		// nodes attached to this server, and a peer's node must never leak
 		// into the local census.
 		rec := s.nodeRecs[pl.nodeName]
+		if pl.pinned && rec.Monitored {
+			// The status surface's score of a pinned placement, where there
+			// is telemetry to score (an unmonitored node has none). It reads
+			// the running count this claim is about to move and how recently
+			// the node flapped, so it is computed here, once, for the build
+			// that starts — not at every visit of every build waiting.
+			pl.score = s.placer.Score(s.candidateLocked(rec, pl.device, pl.device, now))
+		}
 		rec.running++
 		s.touchNodeLocked(pl.nodeName)
 		leased = rec.Monitored
@@ -106,17 +121,19 @@ func (s *Server) claimLocked(b *Build, pl placement, keys []string, now time.Tim
 // whether b held anything: a build recovered from the WAL as running
 // holds nothing in this process — the crash released it.
 func (s *Server) releaseLocked(b *Build) bool {
-	if b.heldLocks == nil {
+	k := b.held
+	if k == (lockKey{}) {
 		return false
 	}
-	for _, k := range b.heldLocks {
-		delete(s.locks, k)
+	under := s.locks[k.name]
+	if delete(under, k.device); len(under) == 0 {
+		delete(s.locks, k.name)
 	}
-	b.heldLocks = nil
+	b.held = lockKey{}
 	s.running--
 	s.m.running--
-	if rec := s.campaigns[b.Campaign]; rec != nil {
-		rec.running--
+	if b.camp != nil {
+		b.camp.running--
 	}
 	if s.ownerRunning[b.Owner]--; s.ownerRunning[b.Owner] <= 0 {
 		delete(s.ownerRunning, b.Owner)

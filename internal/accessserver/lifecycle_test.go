@@ -39,6 +39,9 @@ func checkLifecycle(t *testing.T, srv *Server, when string) {
 	if err := srv.DurableDrift(); err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
+	if err := srv.PlacementDrift(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
 }
 
 // TestRoutedBuildLeavesLocalCensusAlone: a build routed to a peer's node

@@ -177,7 +177,7 @@ func TestRegistryChangesReachTheCensus(t *testing.T) {
 // plain and monitored registration, plain and admin removal, over a pool
 // of 16 names — while a campaign pinned to those names drains and four
 // readers poll the node routes. Under -race this pins that the one table
-// has one lock; at quiescence the four oracles must be clean, and with
+// has one lock; at quiescence the five oracles must be clean, and with
 // the writers gone the readers must not touch the scheduler lock, for
 // monitored and unmonitored nodes alike.
 func TestMembershipChurn(t *testing.T) {

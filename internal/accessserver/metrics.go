@@ -53,6 +53,11 @@ type serverMetrics struct {
 	// counts routed builds reclaimed from a lost peer.
 	clusterRouted   int64
 	clusterPeerLost int64
+	// What the drain pass spends, same discipline: drainVisits counts the
+	// queued builds it examined, placementEvals the placements it computed
+	// for them (judgeLocked) — every other visit reused a class's verdict.
+	drainVisits    int64
+	placementEvals int64
 
 	// dispatchLatency observes submit→running wait in seconds, on the
 	// server clock (virtual-clock deterministic).
@@ -269,6 +274,11 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 	// streaming reads staying off the dispatch lock" in production the
 	// same way the lock-isolation test asserts it in CI.
 	e.Counter("blab_sched_lock_acquisitions_total", "scheduler mutex acquisitions", float64(s.mu.acquisitions.Load()))
+	// Drain cost as counts: evals/visits is the share of visits a class
+	// verdict did not cover, visits/dispatched the depth of the blocked
+	// prefix a finish walks.
+	e.Counter("blab_sched_drain_visits_total", "queued builds examined by drain passes", float64(m.drainVisits))
+	e.Counter("blab_sched_placement_evals_total", "placements computed by drain passes (other visits reused their class's verdict)", float64(m.placementEvals))
 }
 
 // collectStore emits durability metrics under storeMu, consistent with

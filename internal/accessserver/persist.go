@@ -450,6 +450,8 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	for _, name := range slices.Sorted(maps.Keys(rs.nodes)) {
 		nr := rs.nodes[name]
 		rec := s.recLocked(name)
+		// Touched: the merge rewrites flags and the beat, which the node's
+		// census row serves and any verdict pinned to it has read.
 		s.touchNodeLocked(name)
 		// The record comes in whole. What this boot already established is
 		// on the record it merges into, and stands: a node registered and
@@ -499,7 +501,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// feed, so the epoch moves: clients' resume cursors (and
 		// feed-derived aggregates) from before the restart are void —
 		// including across a second restart, which bumps it again.
-		b := &Build{BuildRec: *br, recovered: true, reported: br.Summary, workspace: NewWorkspace()}
+		b := &Build{BuildRec: *br, recovered: true, reported: br.Summary, camp: s.campaigns[br.Campaign], workspace: NewWorkspace()}
 		b.BuildRec.FeedEpoch++
 		b.feed = s.hub.Create(b.ID, b.BuildRec.FeedEpoch)
 		if b.QueuedAtNS == 0 {
@@ -791,7 +793,7 @@ func (s *Server) buildSnapshotLocked() *store.Snapshot {
 		snap.Jobs = append(snap.Jobs, jobRecord(s.jobs[n]))
 	}
 
-	for _, n := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+	for _, n := range s.nodeNames {
 		snap.Nodes = append(snap.Nodes, s.nodeRecs[n].NodeRec)
 	}
 

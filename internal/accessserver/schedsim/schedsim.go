@@ -125,6 +125,13 @@ type Result struct {
 	MakespanNS int64
 	// Shed counts submissions rejected by admission control.
 	Shed int
+	// DrainVisits and PlacementEvals are what the drain passes spent: the
+	// server's blab_sched_drain_visits_total and
+	// blab_sched_placement_evals_total at the end of the run. Like
+	// everything else here they repeat exactly, which makes them a cost
+	// measure no machine can blur.
+	DrainVisits    int64
+	PlacementEvals int64
 }
 
 // simNode is the scripted in-process vantage point.
@@ -361,7 +368,13 @@ func Run(script Script) (Result, error) {
 		}
 		results[i] = r
 	}
-	return Result{Builds: results, MakespanNS: makespan.Nanoseconds(), Shed: shed}, nil
+	snap := srv.MetricsSnapshot()
+	visits, _ := snap.Get("blab_sched_drain_visits_total")
+	evals, _ := snap.Get("blab_sched_placement_evals_total")
+	return Result{
+		Builds: results, MakespanNS: makespan.Nanoseconds(), Shed: shed,
+		DrainVisits: int64(visits.Value), PlacementEvals: int64(evals.Value),
+	}, nil
 }
 
 func joinLines(ss []string) string {

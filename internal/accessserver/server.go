@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"log/slog"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -198,13 +197,22 @@ type Server struct {
 	queue   []*Build
 	running int
 	nextID  int
-	// locks: "node/device" and "node" keys held by running builds.
-	locks map[string]int // key -> build ID
+	// locks is the lock table: lock name -> device -> the running build
+	// holding it, the device "" standing for the whole name. A name with
+	// nothing held has no entry (see lockKey).
+	locks map[string]map[string]int
 	crons []*cronEntry
 	// nodeRecs is the one table of local vantage points: per node, its
 	// handle while registered and its lifecycle state (see health.go).
-	// Records are created on first mention and never deleted.
-	nodeRecs map[string]*nodeRec
+	// Records are created on first mention and never deleted, so
+	// nodeNames, their names in order, only ever grows (recLocked).
+	nodeRecs  map[string]*nodeRec
+	nodeNames []string
+	// classes holds one placement verdict per distinct Constraints value
+	// with builds in s.queue; placeEpoch is what a verdict that is not
+	// pinned to a node is valid for (see placeClass in placement.go).
+	classes    map[Constraints]*placeClass
+	placeEpoch uint64
 	// queuedOn counts the builds in s.queue per preferred node — the
 	// census's Queued figure, kept current at every queue mutation
 	// instead of recounted from the queue (see countQueuedLocked).
@@ -307,8 +315,9 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		jobs:         make(map[string]*Job),
 		builds:       make(map[int]*Build),
 		nextID:       1,
-		locks:        make(map[string]int),
+		locks:        make(map[string]map[string]int),
 		nodeRecs:     make(map[string]*nodeRec),
+		classes:      make(map[Constraints]*placeClass),
 		queuedOn:     make(map[string]int),
 		campaigns:    make(map[int]*campaignRec),
 		nextCampaign: 1,
@@ -571,7 +580,7 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 		ID: s.nextID, Job: jobName, Owner: owner, Campaign: campaign,
 		Spec: spec, State: StateQueued.String(), QueuedAtNS: s.clock.Now().UnixNano(),
 	}}
-	b := &Build{cons: cons, run: run, workspace: NewWorkspace(), feed: s.hub.Create(s.nextID, 0)}
+	b := &Build{cons: cons, run: run, camp: s.campaigns[campaign], workspace: NewWorkspace(), feed: s.hub.Create(s.nextID, 0)}
 	applyBuild(&b.BuildRec, &queued)
 	s.nextID++
 	s.builds[b.ID] = b
@@ -588,7 +597,9 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 // in s.queue (drainLocked, which compacts the queue as it scans, calls
 // uncountQueuedLocked itself). Each moves the build's preferred node's
 // queued counter with it, which is what lets the census serve Queued
-// without ever rescanning the queue. Callers hold s.mu.
+// without ever rescanning the queue, and the build's placement class's,
+// which is what keeps a class alive exactly while builds of it are
+// queued. Callers hold s.mu.
 
 // queuePushLocked appends b to the dispatch queue and starts its aging
 // watchdog: a build still queued after PendingTimeout whose node never
@@ -640,9 +651,16 @@ func (s *Server) failQueuedLocked(why func(*Build) error) {
 	s.queue = kept
 }
 
-// countQueuedLocked counts b, which is entering s.queue, against its
-// preferred node (a build without one counts nowhere).
+// countQueuedLocked counts b, which is entering s.queue, in its placement
+// class (created with its first build) and against its preferred node (a
+// build without one counts on no node).
 func (s *Server) countQueuedLocked(b *Build) {
+	b.class = s.classes[b.cons]
+	if b.class == nil {
+		b.class = &placeClass{cons: b.cons}
+		s.classes[b.cons] = b.class
+	}
+	b.class.queued++
 	b.queuedOn = b.cons.Node
 	if b.queuedOn != "" {
 		s.queuedOn[b.queuedOn]++
@@ -653,6 +671,10 @@ func (s *Server) countQueuedLocked(b *Build) {
 // uncountQueuedLocked undoes countQueuedLocked for a build leaving
 // s.queue.
 func (s *Server) uncountQueuedLocked(b *Build) {
+	if b.class.queued--; b.class.queued == 0 {
+		delete(s.classes, b.cons)
+	}
+	b.class = nil
 	node := b.queuedOn
 	if node == "" {
 		return
@@ -1026,11 +1048,14 @@ type pick struct {
 // placement is placeLocked's resolution: where a build may run right
 // now. node is nil for remote placements — the build routes to a
 // vantage point peer advertised in its census, reachable at peerURL.
+// pinned marks the preferred node itself, local and online; such a
+// placement carries no score, claimLocked computes it.
 type placement struct {
 	node     Node
 	nodeName string
 	device   string
 	score    float64
+	pinned   bool
 	peer     string // "" = local
 	peerURL  string
 }
@@ -1072,10 +1097,18 @@ const (
 // nodes, on a goroutine for remote ones — and the candidate is skipped
 // for this pass, so one hung node cannot delay dispatch (or Submit,
 // Abort, status) for everyone else. Callers hold s.mu.
+//
+// The pass places classes, not builds: a candidate reads where it may run
+// and whether its lock is free off its class's verdict, which is computed
+// (judgeLocked) only when the class has none that is still valid — see
+// placeClass for when that is. Everything specific to the build stays per
+// build: the campaign and owner caps before the verdict, the CPU gate —
+// which latches probes — after it.
 func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 	var picks []*pick
 	var probes []cpuProbe
 	now := s.clock.Now()
+	s.placeEpoch++ // a verdict that is not pinned dies with the pass that computed it
 	// The queue is compacted in place: w is the write index, engaged at
 	// the first claim (-1 until then). A pass that claims nothing —
 	// every pass after saturation — leaves s.queue untouched and
@@ -1094,14 +1127,15 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			}
 			break
 		}
-		cons := cand.cons
+		s.m.drainVisits++
+		class := cand.class
 
 		// Evaluate the skip conditions in priority order; the first
 		// failing check is by construction the highest-priority reason,
 		// so the recorded pending reason cannot churn between checks
 		// evaluated later in the same pass.
 		prio, reason := prioNone, ""
-		if rec := s.campaigns[cand.Campaign]; rec != nil &&
+		if rec := cand.camp; rec != nil &&
 			rec.maxConcurrent > 0 && rec.running >= rec.maxConcurrent {
 			prio, reason = prioCampaignCap, "campaign concurrency cap reached"
 		}
@@ -1109,25 +1143,21 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			prio, reason = prioOwnerCap, joinedReason(cand.schedReason,
 				"owner ", cand.Owner, " at the fair-share cap (", strconv.Itoa(cap), " running)")
 		}
-		var pl placement
 		if prio == prioNone {
-			var preason string
-			pl, preason = s.placeLocked(cons, now)
-			if pl.nodeName == "" {
-				prio, reason = prioNodeUnavailable, preason
+			if !s.verdictValidLocked(class, now) {
+				s.judgeLocked(class, now)
 			}
-		}
-		var keys []string
-		if prio == prioNone {
-			keys = cons.lockKeys(pl)
-			if s.locksHeld(keys) {
-				prio, reason = prioLockWait, joinedReason(cand.schedReason, "waiting for ", keys[0])
+			switch {
+			case class.pl.nodeName == "":
+				prio, reason = prioNodeUnavailable, class.reason
+			case class.held:
+				prio, reason = prioLockWait, class.wait
 			}
 		}
 		// The CPU gate only applies to local placements: a routed build's
 		// home peer enforces its own gate when it dispatches the relayed
 		// spec.
-		if prio == prioNone && cons.RequireLowCPU && pl.peer == "" {
+		if pl := &class.pl; prio == prioNone && cand.cons.RequireLowCPU && pl.peer == "" {
 			rec := s.nodeRecs[pl.nodeName]
 			fresh := rec.cpuOK && rec.cpuAt.Add(cpuProbeTTL).After(now)
 			switch {
@@ -1160,7 +1190,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		if w < 0 {
 			w = i
 		}
-		picks = append(picks, s.claimLocked(cand, pl, keys, now))
+		picks = append(picks, s.claimLocked(cand, class.pl, class.key, now))
 	}
 	if w >= 0 {
 		// Nil the vacated tail so the backing array does not pin
@@ -1241,6 +1271,14 @@ func (s *Server) labelSaturatedLocked(tail []*Build) {
 // (remote ones carry the ScoreWeights.Remote penalty). An empty
 // nodeName comes with the human-readable reason the build keeps
 // waiting. Callers hold s.mu.
+//
+// This is the one body that computes a placement; the drain pass reaches
+// it through judgeLocked and keeps the answer per class (see placeClass).
+// That rests on what each case reads. The first reads the preferred
+// node's handle, lifecycle flags and last beat and nothing else: whoever
+// changes one of those bumps the node's version (touchNodeLocked). Every
+// other case reads the fleet, the lock table, running counts, peer
+// censuses and the clock.
 func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string) {
 	rec := s.nodeRecs[cons.Node]
 	var reason string
@@ -1250,13 +1288,8 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 		if h == HealthOnline {
 			// Pinned placement: the preferred node is up, so it wins
 			// outright — scoring only arbitrates substitutes. The score
-			// is still computed for the status surface, where there is
-			// telemetry to score: an unmonitored node has none.
-			pl := placement{node: rec.node, nodeName: cons.Node, device: cons.Device}
-			if rec.Monitored {
-				pl.score = s.placer.Score(s.candidateLocked(rec, cons.Device, cons.Device, now))
-			}
-			return pl, ""
+			// the status surface shows for it is claimLocked's to compute.
+			return placement{node: rec.node, nodeName: cons.Node, device: cons.Device, pinned: true}, ""
 		}
 		reason = fmt.Sprintf("node %q is %s", cons.Node, h)
 	case rec != nil && rec.Removed:
@@ -1293,7 +1326,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 		found bool
 	)
 	consider := func(pl placement, score float64) {
-		if s.locksHeld(cons.lockKeys(pl)) {
+		if s.lockHeldLocked(cons.lockKey(pl)) {
 			return
 		}
 		if !found || score > best.score {
@@ -1301,7 +1334,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			best, found = pl, true
 		}
 	}
-	for _, name := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+	for _, name := range s.nodeNames {
 		sub := s.nodeRecs[name]
 		if !s.substituteLocked(sub, cons.Node, now) {
 			continue
@@ -1389,36 +1422,41 @@ func (s *Server) startPicked(p *pick) {
 	}()
 }
 
-// lockKeys computes the mutual-exclusion keys a build under c holds on
-// pl: the device's, or the node's when the build names no device (it
-// still serializes per node) or needs the whole node.
-func (c Constraints) lockKeys(pl placement) []string {
-	if pl.device != "" && !c.WholeNode {
-		return []string{pl.lockName() + "/" + pl.device}
+// lockKey names what a running build holds for mutual exclusion: one
+// device under a lock name, or — no device — the whole name. The name is
+// the placement's node, "peer!node" for a routed build.
+type lockKey struct{ name, device string }
+
+// String is the key as pending reasons spell it: "node/device" or "node".
+func (k lockKey) String() string {
+	if k.device == "" {
+		return k.name
 	}
-	return []string{pl.lockName()}
+	return k.name + "/" + k.device
 }
 
-func (s *Server) locksHeld(keys []string) bool {
-	for _, k := range keys {
-		if _, held := s.locks[k]; held {
-			return true
-		}
-		// A device lock also conflicts with a whole-node lock and vice
-		// versa.
-		if i := strings.IndexByte(k, '/'); i >= 0 {
-			if _, held := s.locks[k[:i]]; held {
-				return true
-			}
-		} else {
-			for held := range s.locks {
-				if strings.HasPrefix(held, k+"/") {
-					return true
-				}
-			}
-		}
+// lockKey computes the lock a build under c holds on pl: the device's, or
+// the node's when the build names no device (it still serializes per
+// node) or needs the whole node.
+func (c Constraints) lockKey(pl placement) lockKey {
+	if c.WholeNode {
+		return lockKey{name: pl.lockName()}
 	}
-	return false
+	return lockKey{name: pl.lockName(), device: pl.device}
+}
+
+// lockHeldLocked reports whether k conflicts with a held lock: a device
+// with itself and with the whole of its name, the whole name with
+// anything held under it. The name's entry decides, whatever is held
+// elsewhere. Callers hold s.mu.
+func (s *Server) lockHeldLocked(k lockKey) bool {
+	under := s.locks[k.name]
+	if len(under) == 0 {
+		return false
+	}
+	_, whole := under[""]
+	_, device := under[k.device]
+	return k.device == "" || whole || device
 }
 
 // parseCPU extracts the cpu=NN.N% field from a node's status output.

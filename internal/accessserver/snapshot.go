@@ -1,7 +1,6 @@
 package accessserver
 
 import (
-	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -165,11 +164,18 @@ func (s *Server) publishBuildLocked(b *Build) {
 	s.reads.publishBuild(buildStatus(b))
 }
 
-// touchNodeLocked marks a node's census row as changed: the next
-// publishCensusLocked rebuilds it. Everything that moves a field the
-// row serves (heartbeat, monitor/drain/remove, running and queued
-// counts) calls it. Callers hold s.mu.
+// touchNodeLocked marks a node as changed, for its two caches. The next
+// publishCensusLocked rebuilds its census row: everything that moves a
+// field the row serves (heartbeat, monitor/drain/remove, running and
+// queued counts) calls it. And every placement verdict pinned to the node
+// falls: whoever changes what the pinned path of placeLocked reads — the
+// handle, the lifecycle flags, the last beat, the locks under the node's
+// name — bumps the node's version by calling it (see placeClass). Callers
+// hold s.mu.
 func (s *Server) touchNodeLocked(name string) {
+	if rec := s.nodeRecs[name]; rec != nil {
+		rec.version++ // before the early-out: a repeated name is a second change
+	}
 	if n := len(s.censusDirty); n > 0 && s.censusDirty[n-1] == name {
 		return
 	}
@@ -189,7 +195,7 @@ func (s *Server) publishCensusLocked() {
 	if len(rows) != len(s.nodeRecs) {
 		old := rows
 		rows = make([]*nodeCensusEntry, 0, len(s.nodeRecs))
-		for _, name := range slices.Sorted(maps.Keys(s.nodeRecs)) {
+		for _, name := range s.nodeNames {
 			if i, ok := censusFind(old, name); ok {
 				rows = append(rows, old[i])
 			} else {
