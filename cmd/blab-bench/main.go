@@ -10,21 +10,7 @@
 //	blab-bench -table 2    # Table 2
 //	blab-bench -sys        # §4.2 system performance
 //	blab-bench -ablations  # design-choice ablations
-//	blab-bench -sched-bench -sched-bench-out BENCH_sched.json
-//	                       # scheduler dispatch throughput + placement/fairness scenarios
-//	blab-bench -sched-bench-check BENCH_sched.json
-//	                       # fail if deterministic scheduler outcomes drift from the baseline
-//	blab-bench -store-bench -store-bench-out BENCH_store.json
-//	                       # WAL append/replay/compaction microbenchmark
-//	blab-bench -store-bench-check BENCH_store.json
-//	                       # fail if the deterministic WAL-size fields drift from the baseline
-//	blab-bench -fleet-bench -fleet-bench-out BENCH_fleet.json
-//	                       # fleet-scale load: nodes × streaming clients × campaign churn,
-//	                       # a read-flood phase against the snapshot-served routes, and a
-//	                       # two-server federation phase routing builds over the peer relay
-//	blab-bench -fleet-bench-check BENCH_fleet.json
-//	                       # fail if deterministic fleet outcomes (incl. read flood and
-//	                       # federation) drift
+//	blab-bench -campaign   # concurrent campaign sweep (-nodes, -per-node)
 //
 // Scale knobs: -reps, -pages, -scrolls, -rate, -video-seconds, -seed.
 package main
@@ -48,24 +34,6 @@ func main() {
 		campaign  = flag.Bool("campaign", false, "concurrent campaign sweep across vantage points")
 		nodes     = flag.Int("nodes", 2, "vantage points for -campaign")
 		perNode   = flag.Int("per-node", 3, "runs per vantage point for -campaign")
-
-		schedBench      = flag.Bool("sched-bench", false, "benchmark scheduler dispatch throughput, healthy vs 30% flaky fleet")
-		schedBenchOut   = flag.String("sched-bench-out", "", "write the scheduler benchmark JSON here (default stdout)")
-		schedBenchN     = flag.Int("sched-bench-builds", 100, "queued builds for -sched-bench")
-		schedBenchNodes = flag.Int("sched-bench-nodes", 10, "vantage points for -sched-bench")
-		schedBenchCk    = flag.String("sched-bench-check", "", "rerun the scheduler scenarios and fail if deterministic outcomes drift from this baseline JSON")
-
-		storeBench    = flag.Bool("store-bench", false, "micro-benchmark the WAL append/replay/compaction path")
-		storeBenchOut = flag.String("store-bench-out", "", "write the store benchmark JSON here (default stdout)")
-		storeBenchN   = flag.Int("store-bench-builds", 10_000, "build lifecycles to log for -store-bench")
-		storeBenchCk  = flag.String("store-bench-check", "", "rerun the store benchmark and fail if deterministic WAL-size fields drift from this baseline JSON")
-
-		fleetBench        = flag.Bool("fleet-bench", false, "fleet-scale load harness: nodes × streaming clients × campaign churn on the virtual clock")
-		fleetBenchOut     = flag.String("fleet-bench-out", "", "write the fleet benchmark JSON here (default stdout)")
-		fleetBenchNodes   = flag.Int("fleet-bench-nodes", 16, "simulated vantage points for -fleet-bench")
-		fleetBenchClients = flag.Int("fleet-bench-clients", 8, "concurrent event-stream clients for -fleet-bench")
-		fleetBenchN       = flag.Int("fleet-bench-builds", 200, "builds (singles + campaigns) for -fleet-bench")
-		fleetBenchCk      = flag.String("fleet-bench-check", "", "rerun the fleet scenario and fail if deterministic outcomes (including the read-flood section) drift from this baseline JSON")
 
 		seed    = flag.Uint64("seed", 2019, "simulation seed")
 		reps    = flag.Int("reps", 5, "repetitions per configuration")
@@ -222,66 +190,6 @@ func main() {
 			}
 			return experiments.FormatCampaign(rep), nil
 		})
-	}
-
-	if *schedBench {
-		ran = true
-		if err := schedBenchTo(*schedBenchOut, *schedBenchN, *schedBenchNodes); err != nil {
-			fmt.Fprintf(os.Stderr, "sched-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *schedBenchOut != "" && *schedBenchOut != "-" {
-			fmt.Printf("(scheduler benchmark written to %s)\n", *schedBenchOut)
-		}
-	}
-
-	if *schedBenchCk != "" {
-		ran = true
-		if err := schedBenchCheck(*schedBenchCk); err != nil {
-			fmt.Fprintf(os.Stderr, "sched-bench-check: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(scheduler outcomes match %s)\n", *schedBenchCk)
-	}
-
-	if *storeBench {
-		ran = true
-		if err := storeBenchTo(*storeBenchOut, *storeBenchN); err != nil {
-			fmt.Fprintf(os.Stderr, "store-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *storeBenchOut != "" && *storeBenchOut != "-" {
-			fmt.Printf("(store benchmark written to %s)\n", *storeBenchOut)
-		}
-	}
-
-	if *storeBenchCk != "" {
-		ran = true
-		if err := storeBenchCheck(*storeBenchCk); err != nil {
-			fmt.Fprintf(os.Stderr, "store-bench-check: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(store WAL format matches %s)\n", *storeBenchCk)
-	}
-
-	if *fleetBench {
-		ran = true
-		if err := fleetBenchTo(*fleetBenchOut, *fleetBenchNodes, *fleetBenchClients, *fleetBenchN); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet-bench: %v\n", err)
-			os.Exit(1)
-		}
-		if *fleetBenchOut != "" && *fleetBenchOut != "-" {
-			fmt.Printf("(fleet benchmark written to %s)\n", *fleetBenchOut)
-		}
-	}
-
-	if *fleetBenchCk != "" {
-		ran = true
-		if err := fleetBenchCheck(*fleetBenchCk); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet-bench-check: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(fleet outcomes match %s)\n", *fleetBenchCk)
 	}
 
 	if !ran {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/metrics"
@@ -162,14 +163,19 @@ func TestPprofRBAC(t *testing.T) {
 }
 
 // churnBackend finishes builds on the virtual clock after an ID-derived
-// delay; every 7th build fails. Enough variety to populate every
-// scheduler counter.
+// delay; every 7th build fails, and build 1 outruns its event buffer by
+// five. Enough variety to populate every scheduler and feed counter.
 type churnBackend struct{ clk *simclock.Virtual }
 
 func (cb churnBackend) Compile(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
 	cons := Constraints{Node: spec.Node, Device: spec.Device, Fallback: true}
 	run := func(ctx *BuildContext, done func(error)) {
 		id := ctx.Build.ID
+		if id == 1 {
+			for i := 0; i < feedhub.EventCap+5; i++ {
+				ctx.Build.Feed().PostEvent(api.BuildEvent{Build: id, Phase: "chatter"})
+			}
+		}
 		cb.clk.AfterFunc(time.Duration(1+id%4)*time.Second, func() {
 			if id%7 == 0 {
 				done(fmt.Errorf("synthetic failure %d", id))
@@ -316,6 +322,8 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 	check("finished{aborted}", snapGauge(t, snap, "blab_builds_finished_total", metrics.Label{Name: "result", Value: "aborted"}), aborted)
 	check("queue_depth", snapGauge(t, snap, "blab_queue_depth"), 0)
 	check("builds_running", snapGauge(t, snap, "blab_builds_running"), 0)
+	check("feed_events_posted", snapGauge(t, snap, "blab_feed_events_posted_total"), feedhub.EventCap)
+	check("feed_events_dropped", snapGauge(t, snap, "blab_feed_events_dropped_total"), 5)
 
 	dispatched, _ := snap.Get("blab_builds_dispatched_total")
 	lat, ok := snap.Get("blab_dispatch_latency_seconds")

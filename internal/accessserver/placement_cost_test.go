@@ -1,36 +1,11 @@
 package accessserver_test
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/schedsim"
 )
-
-// fleetScript is the shape of blab-bench's healthy and flaky-30pct
-// scenarios: builds spread round-robin over nodes, each pinned to its
-// node's one device with fallback allowed, ten simulated seconds long;
-// the first killed nodes die 30 s in and their builds fail over to the
-// survivors. It has one placement class per node.
-func fleetScript(builds, nodes, killed int) schedsim.Script {
-	var s schedsim.Script
-	for i := 0; i < nodes; i++ {
-		ns := schedsim.NodeSpec{Name: fmt.Sprintf("node%02d", i), Devices: []string{fmt.Sprintf("dev-node%02d", i)}}
-		if i < killed {
-			ns.KillAt = 30 * time.Second
-		}
-		s.Nodes = append(s.Nodes, ns)
-	}
-	for i := 0; i < builds; i++ {
-		n := s.Nodes[i%nodes]
-		s.Builds = append(s.Builds, schedsim.BuildSpec{
-			Owner: "bench", Node: n.Name, Device: n.Devices[0], Fallback: true, Duration: 10 * time.Second,
-		})
-	}
-	return s
-}
 
 // TestPlacementEvalsScaleWithBuilds gates the drain pass's cost as a
 // count, so no machine can blur it: twice the builds may cost at most 2.2
@@ -42,7 +17,7 @@ func TestPlacementEvalsScaleWithBuilds(t *testing.T) {
 	for _, killed := range []int{0, 3} {
 		var evals [2]int64
 		for i, builds := range []int{1000, 2000} {
-			res, err := schedsim.Run(fleetScript(builds, 10, killed))
+			res, err := schedsim.Run(schedsim.FleetScript(builds, 10, killed, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +46,7 @@ func TestPlacementEvalsScaleWithBuilds(t *testing.T) {
 func TestPlacementEvalsBoundedPerEpoch(t *testing.T) {
 	const nodes = 10 // and so classes: the script never has more
 	for _, killed := range []int{0, 3} {
-		script := fleetScript(400, nodes, killed)
+		script := schedsim.FleetScript(400, nodes, killed, nil)
 		var lastEvals int64
 		var lastEpoch uint64
 		events := 0

@@ -20,6 +20,7 @@ package schedsim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"batterylab/internal/accessserver"
@@ -237,7 +238,7 @@ func Run(script Script) (Result, error) {
 	for _, ns := range script.Nodes {
 		ns := ns
 		flk[ns.Name] = accessserver.NewFlakyNode(simNode{
-			name: ns.Name, devices: joinLines(ns.Devices),
+			name: ns.Name, devices: strings.Join(ns.Devices, "\n"),
 		})
 		if ns.RegisterAt > 0 {
 			clk.AfterFunc(ns.RegisterAt, func() {
@@ -377,15 +378,32 @@ func Run(script Script) (Result, error) {
 	}, nil
 }
 
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n"
-		}
-		out += s
+// FleetScript is the standing load shape for scheduler gates and
+// benchmarks: builds spread round-robin over nodes node00, node01, …,
+// each pinned to its node's one device (dev-node00, …) with fallback
+// allowed, ten simulated seconds long; the first killed nodes die 30 s in
+// and their builds fail over to the survivors. owner names the submitter
+// of build i (nil: every build is "bench"'s). It has one placement class
+// per node.
+func FleetScript(builds, nodes, killed int, owner func(i int) string) Script {
+	if owner == nil {
+		owner = func(int) string { return "bench" }
 	}
-	return out
+	var s Script
+	for i := 0; i < nodes; i++ {
+		ns := NodeSpec{Name: fmt.Sprintf("node%02d", i), Devices: []string{fmt.Sprintf("dev-node%02d", i)}}
+		if i < killed {
+			ns.KillAt = 30 * time.Second
+		}
+		s.Nodes = append(s.Nodes, ns)
+	}
+	for i := 0; i < builds; i++ {
+		n := s.Nodes[i%nodes]
+		s.Builds = append(s.Builds, BuildSpec{
+			Owner: owner(i), Node: n.Name, Device: n.Devices[0], Fallback: true, Duration: 10 * time.Second,
+		})
+	}
+	return s
 }
 
 // RichScript is the determinism workhorse: a heterogeneous fleet with a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -363,6 +364,160 @@ func TestDeepQueueNoStackGrowth(t *testing.T) {
 	for i, b := range all {
 		if b.State() != accessserver.StateSuccess {
 			t.Fatalf("build %d ended %v after the drain", i, b.State())
+		}
+	}
+}
+
+// skewedScript is the admission-fairness shape: a hog floods the queue
+// with 70% of the builds before three small tenants submit 10% each behind
+// its backlog, all under a fair-share run cap of three.
+func skewedScript(builds, nodes int) Script {
+	small := builds / 10
+	hog := builds - 3*small
+	s := FleetScript(builds, nodes, 0, func(i int) string {
+		if i < hog {
+			return "hog"
+		}
+		return fmt.Sprintf("u%d", 1+(i-hog)/small)
+	})
+	s.Config = accessserver.Config{OwnerRunCap: 3, PendingTimeout: time.Hour}
+	return s
+}
+
+// heteroScript is the scoring shape: half the nodes host a pixel4, half a
+// motog5, and every build pins a node that is long gone and asks for one
+// model or the other, so only fallback placement — the scorer's
+// model-match term — can run it.
+func heteroScript(builds, nodes int) Script {
+	models := []string{"pixel4", "motog5"}
+	var s Script
+	for i := 0; i < nodes; i++ {
+		m, unit := models[i%2], i/2
+		s.Nodes = append(s.Nodes, NodeSpec{
+			Name: fmt.Sprintf("%s-host%02d", m, unit), Devices: []string{fmt.Sprintf("%s-%02d", m, unit)},
+		})
+	}
+	for i := 0; i < builds; i++ {
+		s.Builds = append(s.Builds, BuildSpec{
+			Owner: "bench", Node: "retired-node", Device: models[i%2] + "-want", Fallback: true, Duration: 10 * time.Second,
+		})
+	}
+	return s
+}
+
+// TestFleetScenarios holds four fleet conditions at 100 builds on 10 nodes
+// to the outcomes the scheduler has always produced for them: a healthy
+// fleet, one that loses three nodes in ten mid-run (their builds fail over
+// and every one still succeeds), one owner submitting 70% of the work under
+// a fair-share cap, and a mixed-model fleet placed by the scorer alone. The
+// numbers are literals on purpose — a change that moves one is a change in
+// scheduling behaviour and says so here.
+func TestFleetScenarios(t *testing.T) {
+	const builds, nodes = 100, 10
+	cases := []struct {
+		name                         string
+		script                       Script
+		succeeded, failed, failovers int
+		makespanMS                   int64
+		// worstWaitMS is each owner's worst submit→dispatch wait (nil: not
+		// a fairness scenario).
+		worstWaitMS map[string]int64
+		// onModel is how many builds must land on a node hosting the device
+		// model they asked for (0: not a scoring scenario).
+		onModel int
+	}{
+		{"healthy", FleetScript(builds, nodes, 0, nil), 100, 0, 0, 100_000, nil, 0},
+		{"flaky-30pct", FleetScript(builds, nodes, 3, nil), 100, 0, 3, 140_000, nil, 0},
+		{"skewed-tenant", skewedScript(builds, nodes), 100, 0, 0, 240_000,
+			map[string]int64{"hog": 230_000, "u1": 40_000, "u2": 50_000, "u3": 60_000}, 0},
+		{"hetero-fleet", heteroScript(builds/5, nodes), 20, 0, 0, 20_000, nil, 20},
+	}
+	// pixel4-host03 hosts the model a build asking for pixel4-want wants.
+	model := func(name string) string { m, _, _ := strings.Cut(name, "-"); return m }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var succeeded, failed, failovers, onModel int
+			worst := map[string]int64{}
+			for _, b := range res.Builds {
+				if b.State == "success" {
+					succeeded++
+				} else {
+					failed++
+				}
+				failovers += b.Failovers
+				if ms := time.Duration(b.WaitNS).Milliseconds(); ms > worst[b.Owner] {
+					worst[b.Owner] = ms
+				}
+				if model(b.Node) == model(tc.script.Builds[b.Index].Device) {
+					onModel++
+				}
+			}
+			if succeeded != tc.succeeded || failed != tc.failed || failovers != tc.failovers {
+				t.Errorf("succeeded/failed/failovers = %d/%d/%d, want %d/%d/%d",
+					succeeded, failed, failovers, tc.succeeded, tc.failed, tc.failovers)
+			}
+			if got := time.Duration(res.MakespanNS).Milliseconds(); got != tc.makespanMS {
+				t.Errorf("makespan %d ms, want %d", got, tc.makespanMS)
+			}
+			if onModel != tc.onModel {
+				t.Errorf("%d builds placed on the requested model, want %d", onModel, tc.onModel)
+			}
+			if tc.worstWaitMS == nil {
+				return
+			}
+			if !reflect.DeepEqual(worst, tc.worstWaitMS) {
+				t.Errorf("worst wait per owner %v ms, want %v", worst, tc.worstWaitMS)
+			}
+			// Starvation would show as a small tenant's worst wait tracking
+			// the hog's; fairness keeps it under half (the hog queues behind
+			// its own cap, the small tenants only behind free executors).
+			for owner, ms := range worst {
+				if 2*ms > worst["hog"] && owner != "hog" {
+					t.Errorf("tenant %s starved: worst wait %d ms against the hog's %d", owner, ms, worst["hog"])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFleet times the three FleetScript conditions at two queue
+// depths on 10 nodes and reports what the drain passes spent per build —
+// counts that repeat exactly, beside an ns/op that does not. Profile one
+// with
+//
+//	go test -run '^$' -bench 'Fleet/flaky-30pct/10000' -benchtime 1x \
+//	    -cpuprofile sched.prof ./internal/accessserver/schedsim/
+func BenchmarkFleet(b *testing.B) {
+	const nodes = 10
+	for _, sc := range []struct {
+		name   string
+		script func(builds int) Script
+	}{
+		{"healthy", func(n int) Script { return FleetScript(n, nodes, 0, nil) }},
+		{"flaky-30pct", func(n int) Script { return FleetScript(n, nodes, 3, nil) }},
+		{"skewed-tenant", func(n int) Script { return skewedScript(n, nodes) }},
+	} {
+		for _, builds := range []int{1000, 10_000} {
+			b.Run(fmt.Sprintf("%s/%d", sc.name, builds), func(b *testing.B) {
+				var res Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					if res, err = Run(sc.script(builds)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, r := range res.Builds {
+					if r.State != "success" {
+						b.Fatalf("build %d ended %s (%s)", r.Index, r.State, r.Err)
+					}
+				}
+				b.ReportMetric(float64(res.DrainVisits)/float64(builds), "visits/build")
+				b.ReportMetric(float64(res.PlacementEvals)/float64(builds), "evals/build")
+			})
 		}
 	}
 }

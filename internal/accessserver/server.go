@@ -22,10 +22,10 @@ import (
 
 // schedMutex is the scheduler lock with an acquisition counter. The
 // counter exists to make the control/data plane split provable: tests
-// (and the fleet bench) assert that streaming subscribers and status
-// pollers drive the read plane without a single scheduler-lock
-// acquisition. The atomic add costs nanoseconds next to the critical
-// sections the lock guards.
+// (TestFeedPlaneLockFree, TestMembershipChurn) assert that streaming
+// subscribers and status pollers drive the read plane without a single
+// scheduler-lock acquisition. The atomic add costs nanoseconds next to
+// the critical sections the lock guards.
 type schedMutex struct {
 	sync.Mutex
 	acquisitions atomic.Int64
@@ -338,9 +338,9 @@ func New(clock simclock.Clock, cfg Config) *Server {
 	return s
 }
 
-// FeedHub exposes the server's feed plane. Embedders (the fleet bench,
-// gateway tests) use it to resolve subscriptions the way the streaming
-// routes do; the scheduler drives lifecycle internally.
+// FeedHub exposes the server's feed plane. Embedders (the repo
+// benchmark, feed-plane tests) use it to resolve subscriptions the way
+// the streaming routes do; the scheduler drives lifecycle internally.
 func (s *Server) FeedHub() *feedhub.Hub { return s.hub }
 
 // SchedLockAcquisitions reports how many times the scheduler lock has

@@ -34,7 +34,7 @@ import (
 //
 // The listing's ORDER IS PART OF THE FORMAT: writing emits fields in
 // listing order, and equal records must keep encoding to equal bytes
-// (the bench drift gates and the v2wal golden fixture pin them). So
+// (the v2wal golden fixture pins them, TestGoldenV2WAL). So
 // listings are APPEND ONLY — never renumber, reorder or reuse a number.
 // Reading does not depend on order: a reader claims the pending key
 // wherever the listing names it, so our own bytes decode in one pass
@@ -623,7 +623,7 @@ const (
 
 // encodeParams appends a params map to b as count | (key, kind, value)…
 // with keys sorted, so equal maps encode to equal bytes — the
-// determinism the bench drift gate and result-cache keys rely on.
+// determinism the golden WAL fixture and result-cache keys rely on.
 // Numbers are stored as float64 to match what a JSON round trip of
 // Params produces, keeping binary and JSON replays byte-identical.
 func encodeParams(b []byte, p api.Params) ([]byte, error) {

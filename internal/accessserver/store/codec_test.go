@@ -422,8 +422,8 @@ func TestCodecUnknownFieldsSkipped(t *testing.T) {
 }
 
 // TestCodecParamsDeterministic pins that equal params maps encode to
-// equal bytes regardless of insertion order — the bench drift gate
-// (wal_bytes) depends on it.
+// equal bytes regardless of insertion order — the golden WAL fixture
+// (TestGoldenV2WAL) depends on it.
 func TestCodecParamsDeterministic(t *testing.T) {
 	a := api.Params{"z": "last", "a": float64(1), "m": true}
 	b := api.Params{"m": true, "a": float64(1), "z": "last"}

@@ -165,19 +165,6 @@ func (p *Platform) StartExperiment(ctx context.Context, spec ExperimentSpec, obs
 	return p.start(ctx, spec, obs, nil)
 }
 
-// StartExperimentFunc is the v1 callback form kept as a thin shim: done
-// is invoked exactly once with the run's outcome, and the scripted
-// duration is returned immediately.
-//
-// Deprecated: use StartExperiment and the returned Session.
-func (p *Platform) StartExperimentFunc(spec ExperimentSpec, done func(*Result, error)) (time.Duration, error) {
-	sess, err := p.start(context.Background(), spec, nil, done)
-	if err != nil {
-		return 0, err
-	}
-	return sess.Scripted(), nil
-}
-
 // start is the shared setup path behind StartExperiment, the campaign
 // scheduler and the access-server jobs. onDone, when non-nil, is invoked
 // exactly once from the teardown path with the run's outcome.

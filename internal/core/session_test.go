@@ -90,6 +90,9 @@ func TestCancelMidWorkloadVirtual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := sess.Scripted(); got != 61*time.Second { // 60×1 s + 1 s default padding
+		t.Fatalf("scripted = %v, want 61s", got)
+	}
 	// Cancel from a clock callback halfway through the workload — the
 	// deterministic way to cancel under the virtual clock.
 	r.clk.AfterFunc(30*time.Second, func() { sess.Cancel() })
@@ -469,33 +472,6 @@ func TestValidateTypedErrors(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-}
-
-func TestStartExperimentFuncShim(t *testing.T) {
-	r := newRig(t)
-	var got *Result
-	var gotErr error
-	fired := 0
-	scripted, err := r.plat.StartExperimentFunc(ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200,
-		Workload: sleepWorkload(3, 10*time.Second),
-	}, func(res *Result, err error) {
-		got, gotErr = res, err
-		fired++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scripted != 31*time.Second { // 3×10 s + 1 s default padding
-		t.Fatalf("scripted = %v", scripted)
-	}
-	r.clk.Advance(2 * scripted)
-	if fired != 1 {
-		t.Fatalf("done fired %d times", fired)
-	}
-	if gotErr != nil || got == nil || got.EnergyMAH <= 0 {
-		t.Fatalf("outcome = %v, %v", got, gotErr)
 	}
 }
 

@@ -3,15 +3,18 @@ package remote_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"batterylab"
+	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/cluster"
 	"batterylab/internal/api"
 	"batterylab/internal/core"
+	"batterylab/internal/metrics"
 	"batterylab/internal/remote"
 	"batterylab/internal/simclock"
 )
@@ -88,7 +91,7 @@ func newFedLab(t *testing.T) *fedLab {
 	fl := &fedLab{clock: clock, a: a, b: b, tsA: tsA, tsB: tsB, devices: []string{devA, devB}}
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
-	go fl.drive(stop)
+	go driveCluster(clock, a.Access, b.Access, stop)
 
 	// Join the mesh: A's first announce teaches B about lab-a, then B's
 	// announce back (to the peer it just learned) carries its census —
@@ -99,22 +102,22 @@ func newFedLab(t *testing.T) *fedLab {
 	return fl
 }
 
-// drive is DriveBuilds for a shared clock: step while EITHER server has
-// queued or running builds, freeze when the whole cluster is idle.
-func (fl *fedLab) drive(stop chan struct{}) {
+// driveCluster is DriveBuilds for a shared clock: step while EITHER
+// server has queued or running builds, freeze when the whole cluster is
+// idle. The real sleeps between steps are what lets the relay's HTTP
+// goroutines run.
+func driveCluster(clock *simclock.Virtual, a, b *accessserver.Server, stop chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		busy := fl.a.Access.Running()+fl.a.Access.QueueLength()+
-			fl.b.Access.Running()+fl.b.Access.QueueLength() > 0
-		if !busy {
+		if a.Running()+a.QueueLength()+b.Running()+b.QueueLength() == 0 {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		if !fl.clock.Step() {
+		if !clock.Step() {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
@@ -418,5 +421,158 @@ func TestFederationPeerLossFailover(t *testing.T) {
 	}
 	if !strings.Contains(st.Error, "peer") {
 		t.Fatalf("terminal error %q does not name the peer loss", st.Error)
+	}
+}
+
+// fanOutNode is an instant vantage point hosting one device, dev-<name>.
+type fanOutNode string
+
+func (n fanOutNode) Name() string { return string(n) }
+func (n fanOutNode) Ping() error  { return nil }
+func (n fanOutNode) Exec(cmd string, _ ...string) (string, error) {
+	switch cmd {
+	case "ping":
+		return "pong", nil
+	case "list_devices":
+		return "dev-" + string(n), nil
+	case "status":
+		return "status: cpu=5.0%", nil
+	}
+	return "", nil
+}
+
+// fedNodeWeight spreads run durations (4–8 s) and current draws across
+// the fleet deterministically by name.
+func fedNodeWeight(node string) int {
+	sum := 0
+	for i := 0; i < len(node); i++ {
+		sum += int(node[i])
+	}
+	return sum % 5
+}
+
+// fanOutBackend compiles a pinned spec into a run that posts a workload
+// event, a sample a second and a teardown event. Its length derives from
+// the node NAME, not the build ID: a build routed to the peer is assigned
+// a fresh ID over there, and the arrival order of concurrent relays is
+// racy, so ID-derived durations would make the sample totals drift run to
+// run.
+type fanOutBackend struct{ clock simclock.Clock }
+
+func (fb fanOutBackend) Compile(spec api.ExperimentSpec) (accessserver.Constraints, accessserver.RunFunc, error) {
+	cons := accessserver.Constraints{Node: spec.Node, Device: spec.Device}
+	return cons, func(ctx *accessserver.BuildContext, done func(error)) {
+		feed, node := ctx.Build.Feed(), ctx.Node.Name()
+		event := func(phase string) {
+			feed.PostEvent(api.BuildEvent{Build: ctx.Build.ID, Node: node, Phase: phase, AtNS: fb.clock.Now().UnixNano()})
+		}
+		event("workload")
+		w := fedNodeWeight(node)
+		for i := 1; i <= 4+w; i++ {
+			fb.clock.AfterFunc(time.Duration(i)*time.Second, func() {
+				feed.PostSample(api.SamplePoint{AtNS: fb.clock.Now().UnixNano(), CurrentMA: float64(100 + 10*w)})
+			})
+		}
+		fb.clock.AfterFunc(time.Duration(4+w)*time.Second, func() {
+			event("teardown")
+			done(nil)
+		})
+	}, nil
+}
+
+func (fanOutBackend) WorkloadNames() []string { return []string{"fleet"} }
+
+// TestFederationFanOut is the peer-relay arrow under concurrency: two
+// servers of four vantage points each share one virtual clock, twenty
+// builds go to the home server and every second one is pinned to a node
+// only the peer's census advertises — ten relays in flight at once, each
+// streaming its feed home over real HTTP. Wall-clock interleaving between
+// the relay goroutines and the clock driver varies run to run, so the
+// test holds the schedule-invariant counts: every build succeeds, exactly
+// half route, nothing is lost or dropped, and the home feed carries local
+// and relayed traffic alike.
+func TestFederationFanOut(t *testing.T) {
+	const perServer, builds = 4, 20
+	clock := simclock.NewVirtual()
+	cfg := accessserver.Config{Executors: perServer, HeartbeatEvery: 5 * time.Second}
+	home, peer := accessserver.New(clock, cfg), accessserver.New(clock, cfg)
+	home.SetSpecBackend(fanOutBackend{clock})
+	peer.SetSpecBackend(fanOutBackend{clock})
+	admin, err := home.Users.Add("bench", accessserver.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < perServer; i++ {
+		if err := home.RegisterNode(fanOutNode(fmt.Sprintf("fed-a-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.RegisterNode(fanOutNode(fmt.Sprintf("fed-b-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tsHome, tsPeer := httptest.NewServer(home.Handler()), httptest.NewServer(peer.Handler())
+	defer tsHome.Close()
+	defer tsPeer.Close()
+	home.ConfigureCluster("fleet-home", tsHome.URL, fedToken)
+	peer.ConfigureCluster("fleet-peer", tsPeer.URL, fedToken)
+	home.SetPeerRelay(remote.Relay)
+	peer.SetPeerRelay(remote.Relay)
+	defer home.StopCluster()
+	defer peer.StopCluster()
+
+	stop, driven := make(chan struct{}), make(chan struct{})
+	go func() { defer close(driven); driveCluster(clock, home, peer, stop) }()
+	defer func() { close(stop); <-driven }()
+
+	// Mesh join, as in newFedLab: placement knows the remote fleet before
+	// any submit.
+	home.StartCluster(tsPeer.URL)
+	peer.StartCluster()
+
+	all := make([]*accessserver.Build, builds)
+	for i := range all {
+		n := fmt.Sprintf("fed-%c-%02d", "ab"[i%2], (i/2)%perServer)
+		all[i], err = home.SubmitSpec(admin, api.ExperimentSpec{
+			Node: n, Device: "dev-" + n, Workload: api.WorkloadSpec{Name: "fleet"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := func() (n int) {
+		for _, b := range all {
+			switch b.State() {
+			case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(2 * time.Minute); settled() < builds; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled with %d/%d builds unsettled", builds-settled(), builds)
+		}
+	}
+
+	snap := home.MetricsSnapshot()
+	for _, want := range []struct {
+		name   string
+		labels []string
+		value  float64
+	}{
+		{"blab_builds_submitted_total", nil, 20},
+		{"blab_builds_finished_total", []string{"result", "success"}, 20},
+		{"blab_builds_finished_total", []string{"result", "failure"}, 0},
+		{"blab_cluster_builds_routed_total", nil, 10},
+		{"blab_cluster_peer_losses_total", nil, 0},
+		{"blab_feed_events_posted_total", nil, 40},
+		{"blab_feed_events_dropped_total", nil, 0},
+		{"blab_feed_samples_posted_total", nil, 126},
+		{"blab_feed_samples_dropped_total", nil, 0},
+		{"blab_cluster_peers", []string{"state", "online"}, 1},
+	} {
+		if m, _ := snap.Get(want.name, metrics.L(want.labels...)...); m.Value != want.value {
+			t.Errorf("%s%v = %v on the home server, want %v", want.name, want.labels, m.Value, want.value)
+		}
 	}
 }
