@@ -257,11 +257,11 @@ func (s *Server) LifecycleDrift() error {
 	if !reflect.DeepEqual(s.locks, locks) {
 		return fmt.Errorf("lock table %v, running builds hold %v", s.locks, locks)
 	}
-	if s.running != running || s.m.running != int64(running) || s.m.queued != int64(queued) {
-		return fmt.Errorf("running %d (gauge %d), queued gauge %d; the builds count %d running, %d queued",
-			s.running, s.m.running, s.m.queued, running, queued)
+	if s.running != running || s.m.queued != int64(queued) {
+		return fmt.Errorf("running %d, queued gauge %d; the builds count %d running, %d queued",
+			s.running, s.m.queued, running, queued)
 	}
-	if sum := s.m.queued + s.m.running + s.m.succeeded + s.m.failed + s.m.aborted; s.m.submitted != sum {
+	if sum := s.m.queued + int64(s.running) + s.m.succeeded + s.m.failed + s.m.aborted; s.m.submitted != sum {
 		return fmt.Errorf("%d builds submitted, the live and finished counters sum to %d", s.m.submitted, sum)
 	}
 	if !reflect.DeepEqual(s.ownerRunning, ownerRunning) || !reflect.DeepEqual(s.ownerActive, ownerActive) {

@@ -60,14 +60,19 @@ func (l *Ledger) History(user string) []LedgerEntry {
 	return append([]LedgerEntry{}, l.history[user]...)
 }
 
-func (l *Ledger) add(user string, delta float64, reason string) {
-	l.balances[user] += delta
-	e := LedgerEntry{Delta: delta, Reason: reason}
+// apply makes one movement; add also reports it to the hook. Callers
+// hold l.mu.
+func (l *Ledger) apply(user string, e LedgerEntry) {
+	l.balances[user] += e.Delta
 	h := append(l.history[user], e)
 	if len(h) > maxLedgerHistory {
 		h = h[len(h)-maxLedgerHistory:]
 	}
 	l.history[user] = h
+}
+
+func (l *Ledger) add(user string, e LedgerEntry) {
+	l.apply(user, e)
 	if l.hook != nil {
 		l.hook(user, e)
 	}
@@ -110,28 +115,24 @@ func (l *Ledger) CreditContribution(user, node string, dur time.Duration) float6
 	e := hostingEntry(node, dur)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.add(user, e.Delta, e.Reason)
+	l.add(user, e)
 	return e.Delta
 }
 
-// creditHostingQuiet applies a contribution movement without invoking
-// the WAL hook: the caller has already written (or is replaying) the
-// combined TNodeHostingFlush record that carries it.
-func (l *Ledger) creditHostingQuiet(user, node string, dur time.Duration) {
-	e := hostingEntry(node, dur)
+// creditHostingFlush applies a contribution movement the hook must not
+// see: the caller logs the combined TNodeHostingFlush record that carries
+// it.
+func (l *Ledger) creditHostingFlush(user, node string, dur time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	hook := l.hook
-	l.hook = nil
-	l.add(user, e.Delta, e.Reason)
-	l.hook = hook
+	l.apply(user, hostingEntry(node, dur))
 }
 
 // Grant adds credits administratively (new-member starter grants).
 func (l *Ledger) Grant(user string, credits float64, reason string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.add(user, credits, reason)
+	l.add(user, LedgerEntry{Delta: credits, Reason: reason})
 }
 
 // experimentEntry is the ledger movement one run's device time costs —
@@ -153,7 +154,7 @@ func (l *Ledger) ChargeExperiment(user string, deviceTime time.Duration) error {
 		return fmt.Errorf("%w: %s has %.1f credits, needs %.1f",
 			ErrInsufficientCredits, user, l.balances[user], -e.Delta)
 	}
-	l.add(user, e.Delta, e.Reason)
+	l.add(user, e)
 	return nil
 }
 
@@ -165,7 +166,7 @@ func (l *Ledger) DebitExperiment(user string, deviceTime time.Duration) float64 
 	e := experimentEntry(deviceTime)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.add(user, e.Delta, e.Reason)
+	l.add(user, e)
 	return l.balances[user]
 }
 

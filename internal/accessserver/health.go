@@ -156,7 +156,7 @@ type nodeRec struct {
 }
 
 // recLocked resolves (creating on first sight) a node's lifecycle
-// record. A new record is a new census row, built at the next publish.
+// record. A new record is a new census row, built when the section ends.
 // Callers hold s.mu, and mark the node with touchNodeLocked when they
 // change a field its row serves or a placement pinned to it reads.
 func (s *Server) recLocked(name string) *nodeRec {
@@ -265,14 +265,12 @@ func (s *Server) MonitorNode(name string) error {
 		}})
 		s.armLocked(rec)
 	}
-	s.publishCensusLocked()
 	return nil
 }
 
 // applyNodeLocked is a node transition: it runs applyNode with the
 // change's record on the node's durable state — the function replay
-// runs on the same record — and logs it. Callers hold s.mu (the lock
-// order snapshot compaction cuts under).
+// runs on the same record — and logs it. Callers hold s.mu.
 func (s *Server) applyNodeLocked(rec *nodeRec, change store.Record) {
 	applyNode(&rec.NodeRec, &change)
 	s.touchNodeLocked(rec.Name)
@@ -344,7 +342,7 @@ func (s *Server) flushHostingLocked(rec *nodeRec) {
 	if rec.Owner == "" || rec.OwedHostingNS <= 0 {
 		return
 	}
-	s.Ledger.creditHostingQuiet(rec.Owner, rec.Name, time.Duration(rec.OwedHostingNS))
+	s.Ledger.creditHostingFlush(rec.Owner, rec.Name, time.Duration(rec.OwedHostingNS))
 	s.applyNodeLocked(rec, store.Record{T: store.TNodeHostingFlush, Name: rec.Name, Owner: rec.Owner, AtNS: rec.OwedHostingNS})
 }
 
@@ -384,7 +382,6 @@ func (s *Server) Heartbeat(name string) {
 	rec.lastBeat = now
 	s.touchNodeLocked(name)
 	pending := len(s.queue)
-	s.publishCensusLocked()
 	s.mu.Unlock()
 	if pending > 0 && !wasOnline {
 		s.dispatch()
@@ -415,7 +412,6 @@ func (s *Server) setDraining(user *User, name string, draining bool) error {
 		return err
 	}
 	s.applyNodeLocked(rec, store.Record{T: store.TNodeDrain, Name: name, Draining: draining})
-	s.publishCensusLocked()
 	s.mu.Unlock()
 	if !draining {
 		s.dispatch()
@@ -450,7 +446,6 @@ func (s *Server) RemoveNode(user *User, name string) error {
 		}
 		return nil
 	})
-	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch() // fallback builds re-place onto survivors
 	return nil

@@ -27,20 +27,9 @@ import (
 // build's BuildRec — the function replay runs on the same record — and
 // logs it; none assigns a durable field itself.
 //
-// All four run under s.mu and take b.mu themselves. Their WAL appends
-// happen under s.mu too, which is what serializes them against snapshot
-// compaction (it cuts the log under s.mu). wal is the record sink
-// enqueueLocked also takes: nil appends at once, non-nil collects for a
-// caller that flushes later (recovery, before the store is live).
-
-// logTo appends rec to the store, or to wal when the caller collects.
-func (s *Server) logTo(wal *[]store.Record, rec store.Record) {
-	if wal != nil {
-		*wal = append(*wal, rec)
-		return
-	}
-	s.logStore(rec)
-}
+// All four run under s.mu and take b.mu themselves. What they log and
+// which nodes they touch leaves with the critical section they run in
+// (leaveSection); the build they moved they republish themselves.
 
 // claimLocked starts queued build b on placement pl, whose lock key the
 // drain pass found free: it takes the lock, an executor slot and the
@@ -61,7 +50,6 @@ func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time)
 	b.held = key
 	s.running++
 	s.m.queued--
-	s.m.running++
 	s.m.dispatched++
 	s.m.dispatchLatency.Observe(time.Duration(now.UnixNano() - b.QueuedAtNS).Seconds())
 	if b.camp != nil {
@@ -131,7 +119,6 @@ func (s *Server) releaseLocked(b *Build) bool {
 	}
 	b.held = lockKey{}
 	s.running--
-	s.m.running--
 	if b.camp != nil {
 		b.camp.running--
 	}
@@ -160,7 +147,7 @@ func (s *Server) releaseLocked(b *Build) bool {
 // than any backoff would). It returns the abandoned attempt's cancel
 // hook for the caller to invoke outside the lock, tearing down a session
 // that might still be alive on a merely partitioned node.
-func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]store.Record) (cancel func()) {
+func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) (cancel func()) {
 	now := s.clock.Now()
 	held := s.releaseLocked(b)
 	b.mu.Lock()
@@ -188,7 +175,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]sto
 	if r.Canceled {
 		fmt.Fprintf(&b.log, "attempt %d lost after a cancel request: %s\n", r.Attempts, reason)
 		b.mu.Unlock()
-		s.settleLocked(b, nil, wal)
+		s.settleLocked(b, nil)
 		return cancel
 	}
 	b.feed.PostEvent(api.BuildEvent{
@@ -208,7 +195,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]sto
 			err = markedErr(err.Error(), ErrNodeLost, ErrPeerLost)
 		}
 		b.mu.Unlock()
-		s.settleLocked(b, err, wal)
+		s.settleLocked(b, err)
 		return cancel
 	}
 	lost.Retries++
@@ -224,13 +211,12 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool, wal *[]sto
 	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, r.Retries, s.cfg.MaxRetries, wait)
 	b.schedReason = b.pendingReason
 	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, r.Retries, s.cfg.MaxRetries, wait)
-	s.logTo(wal, lost)
+	s.logStore(lost)
 	b.mu.Unlock()
 	if !backoff {
 		s.queuePushLocked(b)
 	}
 	s.publishBuildLocked(b)
-	s.publishCensusLocked()
 	return cancel
 }
 
@@ -251,7 +237,6 @@ func (s *Server) requeue(b *Build, attempt int) {
 	}
 	s.queuePushLocked(b)
 	s.publishBuildLocked(b)
-	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch()
 }
@@ -262,7 +247,7 @@ func (s *Server) requeue(b *Build, attempt int) {
 func (s *Server) reclaimUnlock(reason string, lost ...*Build) {
 	var cancels []func()
 	for _, b := range lost {
-		if c := s.reclaimLocked(b, reason, true, nil); c != nil {
+		if c := s.reclaimLocked(b, reason, true); c != nil {
 			cancels = append(cancels, c)
 		}
 	}
@@ -331,7 +316,7 @@ func (s *Server) checkLease(b *Build, attempt int) {
 // critical section keeps snapshot order identical to transition order
 // (monotonic reads for status pollers) — and schedules retention.
 // Whatever the build held must have been released already.
-func (s *Server) settleLocked(b *Build, err error, wal *[]store.Record) {
+func (s *Server) settleLocked(b *Build, err error) {
 	b.mu.Lock()
 	r := &b.BuildRec
 	fin := store.Record{T: store.TBuildFinished, BuildID: b.ID,
@@ -361,13 +346,12 @@ func (s *Server) settleLocked(b *Build, err error, wal *[]store.Record) {
 	applyBuild(r, &fin)
 	b.err = err
 	b.stopTimersLocked()
-	s.logTo(wal, fin)
+	s.logStore(fin)
 	b.mu.Unlock()
 	if s.ownerActive[b.Owner]--; s.ownerActive[b.Owner] <= 0 {
 		delete(s.ownerActive, b.Owner)
 	}
 	s.hub.Close(b.ID)
 	s.publishBuildLocked(b)
-	s.publishCensusLocked()
 	s.scheduleRetention(b)
 }

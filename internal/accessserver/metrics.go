@@ -38,7 +38,6 @@ type serverMetrics struct {
 	submitted        int64
 	dispatched       int64
 	queued           int64
-	running          int64
 	succeeded        int64
 	failed           int64
 	aborted          int64
@@ -87,9 +86,10 @@ type serverMetrics struct {
 
 	// Durability. appendErrors is guarded by storeMu like the latch it
 	// counts; the latency histograms are self-locking.
-	appendErrors    int64
-	fsyncLatency    *metrics.Histogram
-	snapshotLatency *metrics.Histogram
+	appendErrors     int64
+	walAppendLatency *metrics.Histogram
+	fsyncLatency     *metrics.Histogram
+	snapshotLatency  *metrics.Histogram
 
 	// Credits.
 	creditDenials  *metrics.Counter
@@ -142,6 +142,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		clusterAnnounceErrors: reg.Counter("blab_cluster_announce_errors_total",
 			"peer announces that failed (unreachable peer, bad token)"),
 		httpInFlight:     reg.Gauge("blab_http_in_flight", "HTTP requests currently being served"),
+		walAppendLatency: reg.Histogram("blab_wal_append_seconds", "WAL write latency, one write per critical section that logged (wall time)"),
 		fsyncLatency:     reg.Histogram("blab_wal_fsync_seconds", "WAL group-commit fsync latency (wall time)"),
 		snapshotLatency:  reg.Histogram("blab_store_snapshot_seconds", "snapshot compaction duration (wall time)"),
 		creditDenials:    reg.Counter("blab_credit_denials_total", "submissions rejected by the credit gate"),
@@ -223,7 +224,7 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 
 	e.Gauge("blab_queue_depth", "builds in state queued (including failover backoff)", float64(m.queued))
 	e.Gauge("blab_queue_dispatchable", "builds in the dispatch scan queue", float64(len(s.queue)))
-	e.Gauge("blab_builds_running", "builds holding an executor", float64(m.running))
+	e.Gauge("blab_builds_running", "builds holding an executor", float64(s.running))
 	e.Gauge("blab_executors", "configured executor cap", float64(s.cfg.Executors))
 	e.Gauge("blab_builds_tracked", "build records held in memory (retention window)", float64(len(s.builds)))
 	e.Gauge("blab_jobs", "stored pipelines", float64(len(s.jobs)))

@@ -70,8 +70,8 @@ func (n *RemoteNode) Exec(cmd string, args ...string) (string, error) {
 // Nodes is the vantage point registry as embedders see it: a view of the
 // server's one node table (Server.nodeRecs, see health.go), where a
 // registered node is a lifecycle record holding its handle. Register and
-// Remove are scheduler transitions under s.mu that publish the census;
-// Get, List and Devices read the published census and take no lock.
+// Remove are scheduler transitions under s.mu; Get, List and Devices read
+// the published census and take no lock.
 // Registration is restricted: the paper pre-approves vantage points via
 // IP lockdown and security groups; here an allowlist of names plays that
 // role (empty = open, for tests).
@@ -117,7 +117,6 @@ func (r *Nodes) Register(n Node) error {
 	}
 	s.armLocked(rec)
 	s.touchNodeLocked(name)
-	s.publishCensusLocked()
 	return nil
 }
 
@@ -144,14 +143,10 @@ func (r *Nodes) Get(name string) (Node, error) {
 // never removed, is forgotten) from here on. Its lifecycle record stays;
 // RemoveNode is the admin verb that also tombstones it.
 func (r *Nodes) Remove(name string) error {
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.unregisterLocked(name); err != nil {
-		return err
-	}
-	s.publishCensusLocked()
-	return nil
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	_, err := r.s.unregisterLocked(name)
+	return err
 }
 
 // registeredLocked resolves the lifecycle record of a registered node.
@@ -164,8 +159,7 @@ func (s *Server) registeredLocked(name string) (*nodeRec, error) {
 }
 
 // unregisterLocked takes a registered node's handle away and stops its
-// heartbeat ticker: nothing is left to probe. Callers hold s.mu and
-// publish the census.
+// heartbeat ticker: nothing is left to probe. Callers hold s.mu.
 func (s *Server) unregisterLocked(name string) (*nodeRec, error) {
 	rec, err := s.registeredLocked(name)
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 // does to that record is written once, in applyBuild and applyNode below:
 //
 //   - A live transition builds the record it logs, applies it to the
-//     entity with that function, and appends it (lifecycle.go for builds,
+//     entity with that function, and logs it (lifecycle.go for builds,
 //     health.go's applyNodeLocked for nodes).
 //   - Replay applies the same record, with the same function, to its
 //     entry for the entity (replayState.apply).
@@ -86,7 +86,7 @@ type RecoveryStats struct {
 }
 
 // walDo runs op against the attached store (a no-op without one).
-// storeMu is a leaf mutex: callers may hold s.mu and/or b.mu.
+// storeMu is a leaf mutex: taken under s.mu or a hook's lock, never b.mu.
 //
 // A failed op (full disk, I/O error) latches storeFailed: further ops
 // are suppressed — a WAL with a silent gap replays later records onto
@@ -108,20 +108,37 @@ func (s *Server) walDo(what string, op func(*store.Store) error) {
 	}
 }
 
-// logStore appends one record to the WAL.
+// logStore logs one record of the critical section the caller is in:
+// s.mu guards the buffer, and leaving the section writes it.
 func (s *Server) logStore(rec store.Record) {
-	s.walDo("append", func(st *store.Store) error { return st.Append(rec) })
+	s.walBuf = append(s.walBuf, rec)
 }
 
-// logStoreBatch appends a group of records in one WAL write (one frame
-// assembly, one syscall). The batch is all-or-nothing in the common
-// case — a partial write is a torn tail the next replay truncates — so
-// callers use it for record groups that describe one logical mutation
-// (a campaign and its builds).
-func (s *Server) logStoreBatch(recs []store.Record) {
-	if len(recs) > 0 {
-		s.walDo("batch append", func(st *store.Store) error { return st.AppendBatch(recs) })
+// leaveSection is what s.mu.Unlock runs before the lock drops, so no
+// transition can forget it. What the section logged becomes one WAL write
+// in program order (a partial write is a torn tail the next replay
+// truncates), still under s.mu: compaction cuts the log under it and finds
+// no record waiting. Then the census rows the section touched are
+// republished, in section order (monotonic reads).
+func (s *Server) leaveSection() {
+	if len(s.walBuf) > 0 {
+		s.walAppend(s.walBuf...)
+		clear(s.walBuf) // pin no spec or summary until the next section
+		s.walBuf = s.walBuf[:0]
 	}
+	s.publishCensusLocked()
+}
+
+// walAppend writes recs to the WAL in one timed write: a section's
+// records, or the one record of a Users or Ledger hook, which runs outside
+// s.mu under the lock of theirs that compaction also cuts under.
+func (s *Server) walAppend(recs ...store.Record) {
+	s.walDo("append", func(st *store.Store) error {
+		start := time.Now()
+		err := st.AppendBatch(recs)
+		s.m.walAppendLatency.Observe(time.Since(start).Seconds())
+		return err
+	})
 }
 
 // jobRecord is a job's persisted form (creation, edits and approvals
@@ -378,11 +395,14 @@ func accrueHosting(n *store.NodeRec, d time.Duration) {
 // installed and the deployment's nodes are registered (so queued spec
 // builds can recompile and dispatch), and at most once.
 func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
+	// Installed first: the transitions recovery itself causes are logged
+	// like any section's and leave with it (a second crash replays them).
 	s.storeMu.Lock()
 	if s.store != nil {
 		s.storeMu.Unlock()
 		return RecoveryStats{}, fmt.Errorf("accessserver: a store is already attached")
 	}
+	s.store = st
 	s.storeMu.Unlock()
 
 	snap, recs := st.Load()
@@ -392,11 +412,6 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	}
 
 	var stats RecoveryStats
-	// Records to append once the store is live: the failover/failure
-	// transitions recovery itself causes (so a second crash replays
-	// them too).
-	var pending []store.Record
-
 	defer s.holdClock()()
 	now := s.clock.Now()
 
@@ -539,7 +554,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// whatever a running one held), and counted like one: admission
 		// fairness must survive a restart, or an owner could double their
 		// quota by crashing the server. The transitions recovery causes
-		// from here are the live ones, their records collected in pending.
+		// from here are the live ones.
 		b.BuildRec.State = StateQueued.String()
 		s.m.queued++
 		s.ownerActive[b.Owner]++
@@ -547,7 +562,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 			// A cancel was requested before the crash but the build never
 			// settled: rerunning (and charging) a canceled experiment would
 			// be worse than the lost teardown.
-			s.settleLocked(b, nil, &pending)
+			s.settleLocked(b, nil)
 			continue
 		}
 		// The build must run again, so recompile its spec through the
@@ -564,11 +579,11 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		}
 		switch {
 		case compileErr != nil:
-			s.settleLocked(b, fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, compileErr), &pending)
+			s.settleLocked(b, fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, compileErr))
 			stats.Failed++
 		case state == StateRunning:
 			// The crash broke the lease: the attempt's work is gone.
-			s.reclaimLocked(b, fmt.Sprintf("access server restarted while attempt %d ran on %q", b.BuildRec.Attempts, b.Node), false, &pending)
+			s.reclaimLocked(b, fmt.Sprintf("access server restarted while attempt %d ran on %q", b.BuildRec.Attempts, b.Node), false)
 			if b.State() == StateQueued {
 				stats.Resumed++
 			} else {
@@ -595,34 +610,28 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	if s.nextCampaign > 1 {
 		s.reads.highCamp.Store(int64(s.nextCampaign - 1))
 	}
-	s.publishCensusLocked()
 	s.mu.Unlock()
 
-	// Go live: install the store and the observation hooks, flush the
-	// transitions recovery itself caused, arm periodic compaction.
+	// Leaving the section wrote recovery's records; a failed write latched,
+	// so a caller that continues anyway appends nothing past the gap.
 	s.storeMu.Lock()
-	s.store = st
-	appendErr := st.AppendBatch(pending)
+	failed := s.storeFailed
 	s.storeMu.Unlock()
-	if appendErr != nil {
-		// Latch the failure so a caller that continues anyway cannot
-		// append later records onto a WAL with a silent gap.
-		s.storeMu.Lock()
-		s.storeFailed = true
-		s.storeMu.Unlock()
-		return stats, fmt.Errorf("accessserver: flushing recovery records: %w", appendErr)
+	if failed {
+		return stats, fmt.Errorf("accessserver: flushing recovery records failed, durability suspended (see the log)")
 	}
+	// Go live: install the observation hooks, arm periodic compaction.
 	s.Users.setHook(func(u User, removed bool) {
 		if removed {
-			s.logStore(store.Record{T: store.TUserRemoved, Name: u.Name})
+			s.walAppend(store.Record{T: store.TUserRemoved, Name: u.Name})
 			return
 		}
-		s.logStore(store.Record{T: store.TUserAdded, User: &store.UserRec{
+		s.walAppend(store.Record{T: store.TUserAdded, User: &store.UserRec{
 			Name: u.Name, Role: int(u.Role), Token: u.Token,
 		}})
 	})
 	s.Ledger.setHook(func(user string, e LedgerEntry) {
-		s.logStore(store.Record{T: store.TLedger, Entry: &store.LedgerRec{
+		s.walAppend(store.Record{T: store.TLedger, Entry: &store.LedgerRec{
 			User: user, Delta: e.Delta, Reason: e.Reason,
 		}})
 	})

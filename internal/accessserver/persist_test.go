@@ -666,6 +666,85 @@ func TestPeriodicCompaction(t *testing.T) {
 	}
 }
 
+// TestFailedAppendLatches: a critical section whose write fails loses its
+// records together and latches durability off — one error counted, later
+// sections write nothing, /readyz answers 503 — until a compaction
+// snapshots what the WAL missed. The first failure is a record the codec
+// refuses, which leaves the file healthy, so the lift can be seen; the
+// second is the file closed under the server.
+func TestFailedAppendLatches(t *testing.T) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, Config{})
+	srv.ExpectDurable()
+	srv.SetSpecBackend(slowBackend(clk, time.Hour))
+	admin, _ := srv.Users.Add("alice", RoleAdmin)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	check := func(when string, wantErrors float64, wantReady int) {
+		t.Helper()
+		mv, _ := srv.MetricsSnapshot().Get("blab_wal_append_errors_total")
+		if mv.Value != wantErrors {
+			t.Fatalf("%s: blab_wal_append_errors_total = %v, want %v", when, mv.Value, wantErrors)
+		}
+		resp, err := http.Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != wantReady {
+			t.Fatalf("%s: /readyz = %d, want %d", when, resp.StatusCode, wantReady)
+		}
+	}
+	submit := func() {
+		t.Helper()
+		if _, err := srv.SubmitSpec(admin, testSpec("node1", "devA")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("healthy", 0, http.StatusOK)
+
+	// One section logs a build and a record of no known type: the batch
+	// fails as a whole.
+	w0, r0 := walCounts(srv)
+	srv.mu.Lock()
+	srv.enqueueLocked(admin.Name, "spec:lost", 0, Constraints{Node: "node1"}, nil, nil)
+	srv.logStore(store.Record{T: "no_such_type"})
+	srv.mu.Unlock()
+	check("after the failed section", 1, http.StatusServiceUnavailable)
+	submit()
+	if w1, r1 := walCounts(srv); w1 != w0+1 || r1 != r0 {
+		t.Fatalf("latched: %d writes tried and %d records written since the failure, want the failed write and nothing after", w1-w0, r1-r0)
+	}
+	check("after a later section", 1, http.StatusServiceUnavailable)
+	if srv.DurableDrift() == nil {
+		t.Fatal("two builds were never logged, yet the store replays to the server")
+	}
+
+	// A successful compaction holds everything the WAL missed.
+	if err := srv.CompactStore(); err != nil {
+		t.Fatal(err)
+	}
+	check("after compaction", 1, http.StatusOK)
+	submit()
+	if _, r1 := walCounts(srv); r1 <= r0 {
+		t.Fatal("appends did not resume after the compaction")
+	}
+	if err := srv.DurableDrift(); err != nil {
+		t.Fatalf("healed: %v", err)
+	}
+
+	st.Close()
+	submit()
+	check("file closed under the server", 2, http.StatusServiceUnavailable)
+}
+
 // staticNode is a minimal always-up Node.
 type staticNode struct{ name string }
 

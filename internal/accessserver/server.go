@@ -20,20 +20,26 @@ import (
 	"batterylab/internal/simclock"
 )
 
-// schedMutex is the scheduler lock with an acquisition counter. The
-// counter exists to make the control/data plane split provable: tests
-// (TestFeedPlaneLockFree, TestMembershipChurn) assert that streaming
-// subscribers and status pollers drive the read plane without a single
-// scheduler-lock acquisition. The atomic add costs nanoseconds next to
-// the critical sections the lock guards.
+// schedMutex is the scheduler lock. Lock counts acquisitions, which makes
+// the control/data plane split provable: tests (TestFeedPlaneLockFree,
+// TestMembershipChurn) assert that streaming subscribers and status
+// pollers drive the read plane without a single scheduler-lock
+// acquisition. Unlock is the one exit of every critical section: before
+// the lock drops it runs leave, the server's leaveSection (persist.go).
 type schedMutex struct {
 	sync.Mutex
 	acquisitions atomic.Int64
+	leave        func()
 }
 
 func (m *schedMutex) Lock() {
 	m.Mutex.Lock()
 	m.acquisitions.Add(1)
+}
+
+func (m *schedMutex) Unlock() {
+	m.leave()
+	m.Mutex.Unlock()
 }
 
 // Config tunes the access server.
@@ -217,9 +223,11 @@ type Server struct {
 	// census's Queued figure, kept current at every queue mutation
 	// instead of recounted from the queue (see countQueuedLocked).
 	queuedOn map[string]int
-	// censusDirty lists the nodes whose census row changed since the last
-	// publish (see publishCensusLocked).
+	// censusDirty lists the nodes whose census row the current critical
+	// section changed (touchNodeLocked), and walBuf the records it logged
+	// (logStore): leaving the section delivers and empties both.
 	censusDirty []string
+	walBuf      []store.Record
 	// queueSeq numbers builds in the order they enter s.queue, which is
 	// also the order they sit in it. execLabelled is the drain pass's
 	// labelled-through watermark (see labelSaturatedLocked).
@@ -252,7 +260,7 @@ type Server struct {
 	creditsOn atomic.Bool
 
 	// Persistence (see persist.go). storeMu is a leaf mutex: it may be
-	// taken under s.mu and b.mu but never takes either itself.
+	// taken under s.mu but never takes it.
 	// storeFailed latches after a failed WAL append; appends stay
 	// suppressed until a compaction re-establishes a complete snapshot.
 	storeMu     sync.Mutex
@@ -302,7 +310,7 @@ type campaignRec struct {
 type cronEntry struct {
 	name   string
 	ticker *simclock.Ticker
-	runs   int
+	runs   atomic.Int64 // the ticker goroutine counts, CronRuns reads
 }
 
 // New creates an access server.
@@ -325,6 +333,7 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		ownerRunning: make(map[string]int),
 		placer:       WeightedPlacer{W: DefaultScoreWeights()},
 	}
+	s.mu.leave = s.leaveSection
 	s.Nodes = &Nodes{s: s, approved: make(map[string]bool)}
 	s.analyticsCache = analytics.NewCache(analyticsCacheBytes)
 	s.m = newServerMetrics(s)
@@ -421,9 +430,6 @@ func (s *Server) EditJob(user *User, name string, spec api.ExperimentSpec) error
 	if _, _, err := s.compile(spec); err != nil {
 		return err
 	}
-	// s.mu spans the mutation and its WAL append: job writers must use
-	// the same lock order as snapshot compaction, or the record could
-	// fall between a snapshot read and the log truncation.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, err := s.ownedJobLocked(user, name)
@@ -570,12 +576,7 @@ func (s *Server) admitLocked(user *User, n int) error {
 // carries its own constraints and body plus the wire spec they were
 // compiled from, which the store needs for crash recovery. Callers hold
 // s.mu.
-//
-// walBatch controls durability batching: nil logs the TBuildQueued
-// record immediately; non-nil collects it for the caller to flush as
-// one group commit (SubmitCampaign batches N builds + the campaign
-// record into a single WAL write).
-func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constraints, run RunFunc, spec *api.ExperimentSpec, walBatch *[]store.Record) *Build {
+func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constraints, run RunFunc, spec *api.ExperimentSpec) *Build {
 	queued := store.Record{T: store.TBuildQueued, Build: &store.BuildRec{
 		ID: s.nextID, Job: jobName, Owner: owner, Campaign: campaign,
 		Spec: spec, State: StateQueued.String(), QueuedAtNS: s.clock.Now().UnixNano(),
@@ -588,7 +589,7 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	s.m.submitted++
 	s.m.queued++
 	s.ownerActive[owner]++
-	s.logTo(walBatch, queued)
+	s.logStore(queued)
 	s.publishBuildLocked(b)
 	return b
 }
@@ -642,7 +643,7 @@ func (s *Server) failQueuedLocked(why func(*Build) error) {
 	for _, b := range s.queue {
 		if err := why(b); err != nil {
 			s.uncountQueuedLocked(b)
-			s.settleLocked(b, err, nil)
+			s.settleLocked(b, err)
 			continue
 		}
 		kept = append(kept, b)
@@ -723,7 +724,7 @@ func (s *Server) submit(user *User, job string, spec api.ExperimentSpec) (*Build
 		s.mu.Unlock()
 		return nil, err
 	}
-	b := s.enqueueLocked(user.Name, label, 0, cons, run, &spec, nil)
+	b := s.enqueueLocked(user.Name, label, 0, cons, run, &spec)
 	s.mu.Unlock()
 	s.dispatch()
 	return b, nil
@@ -799,20 +800,15 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	rec := &campaignRec{maxConcurrent: cs.MaxConcurrent}
 	s.campaigns[id] = rec
 	builds := make([]*Build, len(pipelines))
-	// One logical mutation, one WAL write: the member TBuildQueued
-	// records and the campaign record group-commit together.
-	walBatch := make([]store.Record, 0, len(pipelines)+1)
 	for i, p := range pipelines {
 		spec := cs.Experiments[i]
-		builds[i] = s.enqueueLocked(user.Name, p.name, id, p.cons, p.run, &spec, &walBatch)
+		builds[i] = s.enqueueLocked(user.Name, p.name, id, p.cons, p.run, &spec)
 		rec.builds = append(rec.builds, builds[i].ID)
 	}
-	walBatch = append(walBatch, store.Record{T: store.TCampaign, Campaign: &store.CampaignRec{
+	s.logStore(store.Record{T: store.TCampaign, Campaign: &store.CampaignRec{
 		ID: id, MaxConcurrent: rec.maxConcurrent, Builds: append([]int(nil), rec.builds...),
 	}})
-	s.logStoreBatch(walBatch)
 	s.reads.publishCampaign(id, rec.builds)
-	s.publishCensusLocked()
 	s.mu.Unlock()
 	s.dispatch()
 	return id, builds, nil
@@ -886,7 +882,7 @@ func (s *Server) Abort(user *User, id int) error {
 		if i, ok := s.queueIndexLocked(b); ok {
 			s.queueRemoveAtLocked(i)
 		}
-		s.settleLocked(b, nil, nil)
+		s.settleLocked(b, nil)
 		s.mu.Unlock()
 		return nil
 	case StateRunning:
@@ -1200,7 +1196,6 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 		}
 		s.queue = s.queue[:w]
 	}
-	s.publishCensusLocked()
 	return picks, probes
 }
 
@@ -1559,7 +1554,7 @@ func (s *Server) checkAging(b *Build) {
 		reason = "its node never appeared"
 	}
 	s.settleLocked(b, fmt.Errorf("%w: build %d waited %s: %s",
-		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason), nil)
+		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason))
 	s.mu.Unlock()
 }
 
@@ -1579,7 +1574,7 @@ func (s *Server) finish(b *Build, attempt int, err error) {
 		return
 	}
 	s.releaseLocked(b)
-	s.settleLocked(b, err, nil)
+	s.settleLocked(b, err)
 	s.mu.Unlock()
 	s.chargeRun(b.Owner, b.Duration())
 	s.dispatch()
@@ -1631,7 +1626,7 @@ func (s *Server) Kick() { s.dispatch() }
 func (s *Server) Cron(name string, period time.Duration, task func()) (stop func()) {
 	entry := &cronEntry{name: name}
 	entry.ticker = simclock.NewTicker(s.clock, period, func(time.Time) {
-		entry.runs++
+		entry.runs.Add(1)
 		task()
 	})
 	s.mu.Lock()
@@ -1646,7 +1641,7 @@ func (s *Server) CronRuns(name string) int {
 	defer s.mu.Unlock()
 	for _, c := range s.crons {
 		if c.name == name {
-			return c.runs
+			return int(c.runs.Load())
 		}
 	}
 	return 0

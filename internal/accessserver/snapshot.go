@@ -40,7 +40,7 @@ func (e *nodeCensusEntry) known() bool {
 // Every publish costs what changed, not what exists: a build or campaign
 // is one cell of a chunked index (see chunkindex.go), and the census is
 // a sorted slice of pointers to immutable rows, of which a publish
-// rebuilds only the rows the scheduler marked (see publishCensusLocked).
+// rebuilds only the rows the critical section marked (touchNodeLocked).
 //
 // Consistency: publishers run inside the scheduler's critical sections,
 // so snapshots are installed in transition order — a client that
@@ -164,8 +164,8 @@ func (s *Server) publishBuildLocked(b *Build) {
 	s.reads.publishBuild(buildStatus(b))
 }
 
-// touchNodeLocked marks a node as changed, for its two caches. The next
-// publishCensusLocked rebuilds its census row: everything that moves a
+// touchNodeLocked marks a node as changed, for its two caches. Leaving
+// the critical section rebuilds its census row: everything that moves a
 // field the row serves (heartbeat, monitor/drain/remove, running and
 // queued counts) calls it. And every placement verdict pinned to the node
 // falls: whoever changes what the pinned path of placeLocked reads — the
@@ -183,13 +183,13 @@ func (s *Server) touchNodeLocked(name string) {
 }
 
 // publishCensusLocked republishes the node census — the one node table,
-// s.nodeRecs, as its readers see it — after a transition: it rebuilds the
-// rows marked since the last publish and swaps in one copied pointer
-// slice, so a reader still sees the whole fleet at one instant. With
-// nothing marked and no new record it does nothing. Records are never
-// deleted, so the sorted name index is stale exactly when there are more
-// records than rows; the rebuild carries every old row over and builds
-// the new ones. Callers hold s.mu but never any b.mu.
+// s.nodeRecs, as its readers see it. Its one caller is leaveSection, as
+// s.mu drops: it rebuilds the rows the section marked and swaps in one
+// copied pointer slice, so a reader still sees the whole fleet at one
+// instant. With nothing marked and no new record it does nothing. Records
+// are never deleted, so the sorted name index is stale exactly when there
+// are more records than rows; the rebuild carries every old row over and
+// builds the new ones.
 func (s *Server) publishCensusLocked() {
 	rows := s.reads.nodeList()
 	if len(rows) != len(s.nodeRecs) {

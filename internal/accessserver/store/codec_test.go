@@ -167,7 +167,7 @@ func TestCodecJSONBinaryReplayIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(frame(payload))
+		buf.Write(frame(nil, payload))
 	}
 	if err := os.WriteFile(filepath.Join(jsonDir, walName), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestCodecMixedLogReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(frame(payload))
+		buf.Write(frame(nil, payload))
 	}
 	if err := os.WriteFile(filepath.Join(dir, walName), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

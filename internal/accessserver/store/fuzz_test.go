@@ -35,7 +35,7 @@ func walBytes(t testing.TB, recs []Record) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(frame(payload))
+		buf.Write(frame(nil, payload))
 	}
 	return buf.Bytes()
 }
@@ -50,7 +50,7 @@ func walBytesBinary(t testing.TB, recs []Record) []byte {
 		if err != nil {
 			t.Fatalf("encoding %s: %v", rec.T, err)
 		}
-		buf.Write(frame(payload))
+		buf.Write(frame(nil, payload))
 	}
 	return buf.Bytes()
 }
@@ -75,7 +75,7 @@ func walBytesMixed(t testing.TB, recs []Record) []byte {
 				t.Fatalf("encoding %s: %v", rec.T, err)
 			}
 		}
-		buf.Write(frame(payload))
+		buf.Write(frame(nil, payload))
 	}
 	return buf.Bytes()
 }

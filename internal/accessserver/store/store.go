@@ -63,6 +63,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"batterylab/internal/api"
 )
@@ -343,49 +344,27 @@ func (s *Store) Load() (*Snapshot, []Record) { return s.snap, s.recs }
 // Appended reports records written since open or the last compaction.
 func (s *Store) Appended() int { return s.appended }
 
-// encodePayload renders one record as a binary frame payload.
-func encodePayload(rec Record) ([]byte, error) {
-	payload, err := encodeRecord(&rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding %s record: %w", rec.T, err)
-	}
-	return payload, nil
-}
-
-// Append frames one record onto the WAL.
+// Append frames one record onto the WAL: a batch of one.
 func (s *Store) Append(rec Record) error {
-	payload, err := encodePayload(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := s.wal.Write(frame(payload)); err != nil {
-		return fmt.Errorf("store: appending %s record: %w", rec.T, err)
-	}
-	s.appended++
-	s.totalAppends++
-	s.totalBytes += int64(len(payload))
-	s.dirty = true
-	return nil
+	return s.AppendBatch([]Record{rec})
 }
 
-// AppendBatch frames a group of records onto the WAL in one write —
-// the group-commit fast path for multi-record mutations (a campaign
-// submit, a recovery flush). The batch reaches the kernel in a single
-// syscall but carries the same durability as sequential Appends: each
-// record is its own CRC frame, so a torn batch replays its valid
-// prefix. An empty batch is a no-op.
+// AppendBatch frames a group of records onto the WAL in one write. The
+// batch reaches the kernel in a single syscall but carries the same
+// durability as sequential Appends: each record is its own CRC frame, so
+// a torn batch replays its valid prefix. An empty batch is a no-op.
 func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	var buf []byte
 	var payloadBytes int64
-	for _, rec := range recs {
-		payload, err := encodePayload(rec)
+	for i := range recs {
+		payload, err := encodeRecord(&recs[i])
 		if err != nil {
-			return err
+			return fmt.Errorf("store: encoding %s record: %w", recs[i].T, err)
 		}
-		buf = append(buf, frame(payload)...)
+		buf = frame(buf, payload)
 		payloadBytes += int64(len(payload))
 	}
 	if _, err := s.wal.Write(buf); err != nil {
@@ -472,7 +451,7 @@ func (s *Store) WriteSnapshot(c *Compaction) error {
 	}
 	tmp := filepath.Join(s.dir, snapName+".tmp")
 	buf := append(append([]byte{}, snapMagic...), byte(Version))
-	buf = append(buf, frame(payload)...)
+	buf = frame(buf, payload)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -601,12 +580,12 @@ func syncDir(dir string) error {
 // Close closes the WAL handle.
 func (s *Store) Close() error { return s.wal.Close() }
 
-// frame wraps a payload as uvarint length | CRC32 | payload.
-func frame(payload []byte) []byte {
-	var hdr [binary.MaxVarintLen64 + 4]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
-	return append(append([]byte{}, hdr[:n+4]...), payload...)
+// frame appends payload to dst as uvarint length | CRC32 | payload.
+func frame(dst, payload []byte) []byte {
+	dst = slices.Grow(dst, binary.MaxVarintLen64+4+len(payload))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // readFrame reads one framed payload, reporting io.EOF at a clean
