@@ -1,7 +1,6 @@
 package accessserver
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 
 	"batterylab/internal/analytics"
 	"batterylab/internal/api"
-	"batterylab/internal/trace"
 )
 
 // Server-side trace analytics: GET /api/v1/builds/{id}/analytics runs
@@ -84,17 +82,12 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 		writeError(w, err)
 		return
 	}
-	tr, err := trace.ReadBinary(bytes.NewReader(data))
-	if err != nil {
-		writeAPIError(w, apiError(codeInternal, "decoding artifact "+artifact+": "+err.Error()))
-		return
-	}
-	res, err := analytics.Compute(tr, api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: artifact})
+	res, err := analytics.ComputeBinary(data, api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: artifact})
 	if err != nil {
 		if errors.Is(err, analytics.ErrBadQuery) {
 			writeAPIError(w, apiError(codeBadRequest, err.Error()))
 		} else {
-			writeError(w, err)
+			writeAPIError(w, apiError(codeInternal, "decoding artifact "+artifact+": "+err.Error()))
 		}
 		return
 	}

@@ -387,7 +387,8 @@ func (rs *relaySink) Sample(p api.SamplePoint) {
 }
 
 // Artifact implements api.RelaySink: a terminal artifact fetched from the
-// executing peer lands in the home build's workspace, byte for byte.
+// executing peer lands in the home build's workspace, byte for byte — the
+// body as the relay read it, not a copy.
 func (rs *relaySink) Artifact(name string, data []byte) {
 	if !rs.live() {
 		return

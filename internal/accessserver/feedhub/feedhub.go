@@ -53,7 +53,7 @@ type Stats interface {
 // closes when the build finishes.
 type Feed struct {
 	mu      sync.Mutex
-	changed chan struct{}
+	changed chan struct{} // nil until a reader asks to wait, nil again once it fires
 	events  []api.BuildEvent
 	samples []api.SamplePoint
 	closed  bool
@@ -70,13 +70,34 @@ type Feed struct {
 // callers want Hub.Create instead; this exists for tests and for
 // embedders that manage their own registry.
 func NewFeed(st Stats) *Feed {
-	return &Feed{changed: make(chan struct{}), stats: st}
+	return &Feed{stats: st}
 }
 
-// notifyLocked wakes every waiting consumer. Callers hold f.mu.
+// notifyLocked wakes every waiting consumer. A post nobody waits for
+// finds no channel and makes none. Callers hold f.mu.
 func (f *Feed) notifyLocked() {
-	close(f.changed)
-	f.changed = make(chan struct{})
+	if f.changed != nil {
+		close(f.changed)
+		f.changed = nil
+	}
+}
+
+// closedChan is what a closed feed's reader gets to wait on: nothing more
+// will happen, so there is nothing to wait for.
+var closedChan = make(chan struct{})
+
+func init() { close(closedChan) }
+
+// waitLocked returns the channel the next change closes, making it for the
+// first reader since the last change. Callers hold f.mu.
+func (f *Feed) waitLocked() <-chan struct{} {
+	if f.closed {
+		return closedChan
+	}
+	if f.changed == nil {
+		f.changed = make(chan struct{})
+	}
+	return f.changed
 }
 
 // PostEvent appends a phase event, assigning its sequence number. Full
@@ -140,9 +161,10 @@ func (f *Feed) Closed() bool {
 }
 
 // EventsSince returns the events at cursor n and beyond, whether the
-// feed has closed, and a channel that signals the next change. A
-// consumer loops: drain the snapshot, exit when closed and caught up,
-// otherwise wait on the channel (or its own context).
+// feed has closed, and a channel that signals the next change (already
+// closed when the feed is). A consumer loops: drain the snapshot, exit
+// when closed and caught up, otherwise wait on the channel (or its own
+// context).
 //
 // The snapshot is a read-only view of the feed's own buffer, not a
 // copy: the buffer is append-only, so the records a view covers never
@@ -152,7 +174,7 @@ func (f *Feed) Closed() bool {
 func (f *Feed) EventsSince(n int) (evs []api.BuildEvent, closed bool, changed <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return since(f.events, n), f.closed, f.changed
+	return since(f.events, n), f.closed, f.waitLocked()
 }
 
 // SamplesSince is EventsSince for the sample stream, under the same
@@ -160,7 +182,7 @@ func (f *Feed) EventsSince(n int) (evs []api.BuildEvent, closed bool, changed <-
 func (f *Feed) SamplesSince(n int) (pts []api.SamplePoint, closed bool, changed <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return since(f.samples, n), f.closed, f.changed
+	return since(f.samples, n), f.closed, f.waitLocked()
 }
 
 // since is the capped view of an append-only buffer from cursor n on,

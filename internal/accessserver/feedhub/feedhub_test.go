@@ -254,3 +254,34 @@ func TestFeedSampleViewsImmutableAndGapFree(t *testing.T) {
 		t.Fatalf("feed holds %d samples after the readers' appends, want %d intact", len(pts), total)
 	}
 }
+
+// TestPostWithoutWaiterMakesNoChannel: a post nobody is waiting for
+// allocates nothing once the buffer has capacity to spare; the wake
+// channel exists from a reader's ask to the next post, and a closed feed's
+// reader is handed one that is already closed.
+func TestPostWithoutWaiterMakesNoChannel(t *testing.T) {
+	f := NewFeed(nil)
+	for i := 0; i < 600; i++ { // grow the buffer past what the runs below append
+		f.PostSample(api.SamplePoint{AtNS: int64(i)})
+	}
+	if n := testing.AllocsPerRun(100, func() { f.PostSample(api.SamplePoint{CurrentMA: 100}) }); n != 0 {
+		t.Errorf("PostSample with no waiter allocates %v times per post", n)
+	}
+	_, _, first := f.SamplesSince(0)
+	if _, _, again := f.EventsSince(0); again != first {
+		t.Error("two readers between posts wait on different channels")
+	}
+	f.PostSample(api.SamplePoint{})
+	select {
+	case <-first:
+	default:
+		t.Fatal("a post did not wake the reader")
+	}
+	f.Close()
+	_, closed, ch := f.SamplesSince(0)
+	select {
+	case <-ch:
+	default:
+		t.Fatalf("closed=%v feed handed out a channel that blocks", closed)
+	}
+}

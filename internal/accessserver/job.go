@@ -401,16 +401,19 @@ func NewWorkspace() *Workspace {
 	return &Workspace{files: make(map[string][]byte)}
 }
 
-// Save stores an artifact.
+// Save stores an artifact. The workspace owns data from here on — the
+// caller hands the slice over and must not write to it again — and keeps
+// it without copying, its capacity cut to its length.
 func (w *Workspace) Save(name string, data []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	w.files[name] = cp
+	w.files[name] = data[:len(data):len(data)]
 }
 
-// Load retrieves an artifact.
+// Load retrieves an artifact as a read-only view of the stored bytes, not
+// a copy: an artifact is replaced or purged, never modified, so the view
+// stays whole however long a reader holds it, and every Load of one Save
+// is the same bytes. Callers must not write through it.
 func (w *Workspace) Load(name string) ([]byte, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -418,9 +421,7 @@ func (w *Workspace) Load(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: no artifact %q", ErrNotFound, name)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return data, nil
 }
 
 // List reports artifact names sorted.

@@ -118,8 +118,10 @@ func (s *Server) logStore(rec store.Record) {
 // transition can forget it. What the section logged becomes one WAL write
 // in program order (a partial write is a torn tail the next replay
 // truncates), still under s.mu: compaction cuts the log under it and finds
-// no record waiting. Then the census rows the section touched are
-// republished, in section order (monotonic reads).
+// no record waiting. Then the census rows the section touched and the two
+// counts lock-free readers poll are republished, in section order
+// (monotonic reads). A section that logged and touched nothing allocates
+// nothing here.
 func (s *Server) leaveSection() {
 	if len(s.walBuf) > 0 {
 		s.walAppend(s.walBuf...)
@@ -127,6 +129,8 @@ func (s *Server) leaveSection() {
 		s.walBuf = s.walBuf[:0]
 	}
 	s.publishCensusLocked()
+	s.runningNow.Store(int64(s.running))
+	s.queuedNow.Store(s.m.queued)
 }
 
 // walAppend writes recs to the WAL in one timed write: a section's

@@ -228,6 +228,10 @@ type Server struct {
 	// (logStore): leaving the section delivers and empties both.
 	censusDirty []string
 	walBuf      []store.Record
+	// runningNow and queuedNow are s.running and s.m.queued as the last
+	// critical section left them, stored at its exit: what Running and
+	// QueueLength load without the lock.
+	runningNow, queuedNow atomic.Int64
 	// queueSeq numbers builds in the order they enter s.queue, which is
 	// also the order they sit in it. execLabelled is the drain pass's
 	// labelled-through watermark (see labelSaturatedLocked).
@@ -925,18 +929,15 @@ func (s *Server) Build(id int) (*Build, error) {
 // builds matter for virtual-clock drivers (DriveBuilds): their requeue
 // timers only fire if the clock keeps advancing, so a driver that froze
 // time whenever the dispatch queue emptied would strand them forever.
-func (s *Server) QueueLength() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.m.queued)
-}
+//
+// Like Running it is a section-exit snapshot: an atomic load of the count
+// the last critical section to finish stored before it released s.mu. A
+// driver polling once per clock step takes no lock and never sees a
+// section half done.
+func (s *Server) QueueLength() int { return int(s.queuedNow.Load()) }
 
-// Running reports in-flight builds.
-func (s *Server) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.running
-}
+// Running reports in-flight builds, as QueueLength reports queued ones.
+func (s *Server) Running() int { return int(s.runningNow.Load()) }
 
 // dispatch drains the queue in batches: one s.mu acquisition claims
 // every build whose constraints are satisfiable right now in a single

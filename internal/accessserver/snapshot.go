@@ -191,9 +191,14 @@ func (s *Server) touchNodeLocked(name string) {
 // are more records than rows; the rebuild carries every old row over and
 // builds the new ones.
 func (s *Server) publishCensusLocked() {
-	rows := s.reads.nodeList()
-	if len(rows) != len(s.nodeRecs) {
-		old := rows
+	old := s.reads.nodeList()
+	if len(old) == len(s.nodeRecs) && len(s.censusDirty) == 0 {
+		return // before rows, which escapes to the heap where it is declared
+	}
+	var rows []*nodeCensusEntry
+	if len(old) == len(s.nodeRecs) {
+		rows = slices.Clone(old)
+	} else {
 		rows = make([]*nodeCensusEntry, 0, len(s.nodeRecs))
 		for _, name := range s.nodeNames {
 			if i, ok := censusFind(old, name); ok {
@@ -202,10 +207,6 @@ func (s *Server) publishCensusLocked() {
 				rows = append(rows, s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name]))
 			}
 		}
-	} else if len(s.censusDirty) == 0 {
-		return
-	} else {
-		rows = slices.Clone(rows)
 	}
 	for _, name := range s.censusDirty {
 		// A marked name without a row is a node nobody has a record for

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"batterylab/internal/api"
 	"batterylab/internal/samples"
@@ -74,9 +75,58 @@ func NormalizeFields(fields []string) ([]string, error) {
 }
 
 // Compute runs one query over a decoded trace in a single streaming
-// pass. The query's Fields must already be normalized (NormalizeFields)
-// and WindowNS non-negative; Artifact is echoed, not interpreted.
+// pass. WindowNS must be non-negative; Artifact is echoed, not
+// interpreted.
 func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
+	var epochNS int64
+	if tr.Len() > 0 {
+		epochNS = tr.At(0).T.UnixNano()
+	}
+	return compute(q, epochNS, tr.Duration().Nanoseconds(), func(add func(tNanos int64, v float64)) {
+		tr.Samples().Iter(func(tNanos int64, v float64) bool { add(tNanos, v); return true })
+	})
+}
+
+// ComputeBinary is Compute(trace.DecodeBinary(data)), to the bit, without
+// the Series in between, whose own streaming summary would fold every
+// sample a first time. The bytes are decoded twice — to validate them and
+// learn the span the bucket bound is checked against, then to aggregate —
+// and nothing is sized from what they claim. An error that is not
+// ErrBadQuery says data is no binary trace.
+func ComputeBinary(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
+	h, payload, err := trace.DecodeHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	var first, last int64
+	n := 0
+	if err := h.DecodeSamples(payload, func(off int64, _ float64) {
+		if n == 0 {
+			first = off
+		}
+		last = off
+		n++
+	}); err != nil {
+		return nil, err
+	}
+	// As DecodeBinary builds them: the first sample is the epoch, a trace
+	// of one sample spans nothing.
+	var epochNS, durationNS int64
+	if n > 0 {
+		epochNS = h.Epoch().Add(time.Duration(first)).UnixNano()
+	}
+	if n > 1 {
+		durationNS = last - first
+	}
+	return compute(q, epochNS, durationNS, func(add func(tNanos int64, v float64)) {
+		h.DecodeSamples(payload, func(off int64, v float64) { add(off-first, v) }) // decoded clean above
+	})
+}
+
+// compute is the engine: one query over the samples each hands to add, in
+// order, as nanoseconds after the first (the trace's native storage: no
+// time conversion per sample), the trace's epoch and span known up front.
+func compute(q api.AnalyticsQuery, epochNS, durationNS int64, each func(add func(tNanos int64, v float64))) (*api.AnalyticsResult, error) {
 	if q.WindowNS < 0 {
 		return nil, fmt.Errorf("%w: negative window", ErrBadQuery)
 	}
@@ -84,7 +134,6 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 	if err != nil {
 		return nil, err
 	}
-	durationNS := tr.Duration().Nanoseconds()
 	if q.WindowNS > 0 {
 		if n := durationNS/q.WindowNS + 1; n > MaxBuckets {
 			return nil, fmt.Errorf("%w: window %dns over a %dns trace makes %d buckets (max %d)",
@@ -94,18 +143,14 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 
 	res := &api.AnalyticsResult{
 		Artifact:   q.Artifact,
+		EpochNS:    epochNS,
 		DurationNS: durationNS,
 		WindowNS:   q.WindowNS,
 		Fields:     fields,
 	}
-	if tr.Len() > 0 {
-		res.EpochNS = tr.At(0).T.UnixNano()
-	}
 
 	// One pass: the whole-trace rollup aggregators and, when bucketing
-	// was asked for, a Windowed splitting the same stream. Timestamps
-	// are nanosecond offsets from the trace epoch — the trace's native
-	// storage, no time conversion per sample.
+	// was asked for, a Windowed splitting the same stream.
 	var mom samples.Welford
 	p50, p95 := samples.NewP2Quantile(0.5), samples.NewP2Quantile(0.95)
 	var integ samples.Trapezoid
@@ -113,7 +158,7 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 	if q.WindowNS > 0 {
 		wd = samples.NewWindowed(0, q.WindowNS, 0.5, 0.95)
 	}
-	tr.Samples().Iter(func(tNanos int64, v float64) bool {
+	each(func(tNanos int64, v float64) {
 		mom.Observe(v)
 		p50.Observe(v)
 		p95.Observe(v)
@@ -121,7 +166,6 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 		if wd != nil {
 			wd.Add(tNanos, v)
 		}
-		return true
 	})
 
 	has := func(f string) bool {

@@ -3,9 +3,13 @@ package analytics
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -256,4 +260,124 @@ func TestComputeDeterministic(t *testing.T) {
 	if !bytes.Equal(aj, bj) {
 		t.Fatal("identical queries produced different bytes")
 	}
+}
+
+// traceFixtures are binary traces of both versions: the trace package's
+// golden files and encodings of this file's series, degenerate ones
+// included.
+func traceFixtures(t testing.TB) map[string][]byte {
+	out := map[string][]byte{}
+	for _, name := range []string{"golden_v1.bltrace", "golden_v2.bltrace"} {
+		data, err := os.ReadFile(filepath.Join("..", "trace", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = data
+	}
+	single := trace.NewSeries("current", "mA")
+	single.MustAppend(time.Unix(1_700_000_000, 5), 42)
+	nans := trace.NewSeries("current", "mA")
+	nans.MustAppend(time.Unix(0, 0), math.NaN())
+	nans.MustAppend(time.Unix(0, 0), math.NaN())
+	nans.MustAppend(time.Unix(3, 0), 5)
+	for name, tr := range map[string]*trace.Series{
+		"noisy":  makeTrace(11, 9_000), // spans chunks, about 18 s
+		"empty":  trace.NewSeries("current", "mA"),
+		"single": single,
+		"nans":   nans,
+	} {
+		for _, version := range []int{trace.BinaryV1, trace.BinaryV2} {
+			var buf bytes.Buffer
+			if err := trace.EncodeBinary(&buf, tr, version); err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s.v%d", name, version)] = buf.Bytes()
+		}
+	}
+	return out
+}
+
+// viaSeries is the analytics read as it was before ComputeBinary: decode
+// into a Series, then aggregate it.
+func viaSeries(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
+	tr, err := trace.ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return Compute(tr, q)
+}
+
+// TestAnalyticsFromBytesMatchesSeries: folding straight off the column
+// decoder gives, for every fixture, window and field selection, the
+// struct the Series-based path gives — every float the same bits.
+func TestAnalyticsFromBytesMatchesSeries(t *testing.T) {
+	var fieldSets [][]string
+	for mask := 0; mask < 1<<len(allFields); mask++ { // mask 0: no selection, every field
+		var set []string
+		for i, f := range allFields {
+			if mask&(1<<i) != 0 {
+				set = append(set, f)
+			}
+		}
+		fieldSets = append(fieldSets, set)
+	}
+	for name, data := range traceFixtures(t) {
+		for _, windowNS := range []int64{0, int64(2 * time.Second)} {
+			for _, fields := range fieldSets {
+				q := api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: name}
+				want, err := viaSeries(data, q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := ComputeBinary(data, q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s window %d fields %v:\n got %+v\nwant %+v", name, windowNS, fields, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestComputeBinaryErrors: a query the Series path refuses is refused the
+// same way, and bytes that are no trace are not a bad query.
+func TestComputeBinaryErrors(t *testing.T) {
+	data := traceFixtures(t)["noisy.v2"]
+	for _, q := range []api.AnalyticsQuery{{WindowNS: -1}, {WindowNS: 1}, {Fields: []string{"nope"}}} {
+		_, want := viaSeries(data, q)
+		_, got := ComputeBinary(data, q)
+		if !errors.Is(got, ErrBadQuery) || got.Error() != want.Error() {
+			t.Errorf("%+v: error %v, the Series path gives %v", q, got, want)
+		}
+	}
+	if _, err := ComputeBinary(data[:len(data)-3], api.AnalyticsQuery{WindowNS: 1}); err == nil || errors.Is(err, ErrBadQuery) {
+		t.Errorf("truncated trace: error %v, want a decode error", err)
+	}
+}
+
+// FuzzAnalyticsBytes feeds ComputeBinary arbitrary bytes as a trace of
+// either version. It must refuse or answer, never panic, and refuse and
+// answer exactly as decoding into a Series first does.
+func FuzzAnalyticsBytes(f *testing.F) {
+	for _, data := range traceFixtures(f) {
+		if len(data) > 1<<10 {
+			continue // a seed the mutator can get somewhere with
+		}
+		f.Add(data, int64(time.Second))
+		f.Add(data[:len(data)-1], int64(0))
+	}
+	f.Add([]byte("BLTRC\x02\x00\x00\x00\x00\x02\x02\x01\x7f\x00\x00"), int64(1))
+	f.Fuzz(func(t *testing.T, raw []byte, windowNS int64) {
+		q := api.AnalyticsQuery{WindowNS: windowNS}
+		want, wantErr := viaSeries(raw, q)
+		got, err := ComputeBinary(raw, q)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ComputeBinary: %v; via a Series: %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) { // no NaN to trip on: an undefined aggregate is a nil pointer
+			t.Fatalf("ComputeBinary gives %+v, via a Series %+v", got, want)
+		}
+	})
 }

@@ -274,7 +274,7 @@ type JobInfo struct {
 // on its executing server — events and samples as they stream, then
 // the terminal artifacts (traces, CPU CSVs) once the remote run
 // succeeds — so the home server can replay them into the home build's
-// feed and workspace.
+// feed and workspace. Artifact hands data over: the sink keeps the slice.
 type RelaySink interface {
 	Event(e BuildEvent)
 	Sample(p SamplePoint)

@@ -96,12 +96,13 @@ func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
+// The exposition format's two escapings, built once: a Replacer compiles
+// its lookup tables on first use.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }

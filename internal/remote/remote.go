@@ -949,7 +949,7 @@ func (s *Session) fetchResult(ctx context.Context, st api.BuildStatus) (*core.Re
 	if err != nil {
 		return nil, fmt.Errorf("remote: fetching current trace: %w", err)
 	}
-	current, err := trace.ReadBinary(bytes.NewReader(cur))
+	current, err := trace.DecodeBinary(cur)
 	if err != nil {
 		return nil, fmt.Errorf("remote: decoding current trace: %w", err)
 	}

@@ -32,8 +32,8 @@
 // The layout is written down once, on plain columns: appendHeader and
 // v2Encoder.appendChunk build it into a byte slice, DecodeHeader and
 // Header.DecodeSamples take it apart from one. Series.WriteBinary,
-// EncodeBinary and ReadBinary move a Series' columns through them;
-// AppendBinary and the two decode functions serve callers that hold
+// EncodeBinary, ReadBinary and DecodeBinary move a Series' columns through
+// them; AppendBinary and the two decode functions serve callers that hold
 // columns and bytes already (internal/api's sample frames) and have no
 // use for a Series or its streaming summary.
 
@@ -74,6 +74,7 @@ func EncodeBinary(w io.Writer, s *Series, version int) error {
 		return fmt.Errorf("trace: unknown binary version %d", version)
 	}
 	buf := appendHeader(nil, version, s.name, s.unit, s.epoch, s.Len())
+	growFor(w, len(buf)+9*s.Len()) // a capture's v2 sample is about 8 bytes, a v1 record 9 or more
 	var enc v2Encoder
 	var err error
 	s.data.Chunks(func(offs []int64, vals []float64) bool {
@@ -369,6 +370,12 @@ func ReadBinary(r io.Reader) (*Series, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading binary trace: %w", err)
 	}
+	return DecodeBinary(data)
+}
+
+// DecodeBinary is ReadBinary for a caller that holds the encoded bytes
+// already (a fetched artifact). It only reads data and keeps none of it.
+func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
 		return nil, err

@@ -21,15 +21,30 @@ func checkFixed6(t *testing.T, v float64) {
 	}
 }
 
+// fixed6Edges is what reaches each branch of appendFixed6 and the edges
+// between them: the table TestAppendFixed6 pins to strconv and the seed
+// corpus FuzzAppendFixed6 starts from.
+var fixed6Edges = []float64{
+	// Integer branch: Monsoon readings (k/10 mA), 200 µs offsets, both zeros.
+	0, math.Copysign(0, -1), 0.1, 33.4, -33.4, 5999.9, 6000, 0.0002, 0.0004, 33.4998, 1e-6, -1e-6,
+	0.3, 123456.789012, 33.5, 4, -4, 999999.999999,
+	// Its upper edge, 2³¹ and what sits either side of it.
+	1 << 31, -(1 << 31), 1<<31 - 0.5, 1<<31 + 0.5, math.Nextafter(1<<31, 0), math.Nextafter(1<<31, math.Inf(1)),
+	math.Nextafter(-(1 << 31), 0), 2147483647.999999, 2147483647.9999995,
+	// A seventh decimal of exactly 5 (a tie only in decimal: the double is
+	// a little to one side) and its neighbours.
+	5e-7, -5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.1234575, 999999.9999995, 0.0000005000000001, 4.9999999e-7,
+	math.Nextafter(0.1234565, 0), math.Nextafter(0.1234565, 1),
+	// One ulp off a six-decimal number: the division no longer gives v back.
+	math.Nextafter(33.4, 34), math.Nextafter(33.4, 33), math.Nextafter(0.0002, 1), math.Nextafter(1e-6, 0),
+	// More than six decimals, too small to show, too large for the branch.
+	1.0 / 3, 1e-7, -1e-7, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x0.8p-1022,
+	1e21, -1e21, 1e22, math.MaxFloat64,
+	math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
 func TestAppendFixed6(t *testing.T) {
-	edge := []float64{
-		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
-		5e-7, -5e-7, 1.5e-6, 2.5e-6, 4.9999999e-7, 1e-7, -1e-7, 1e-6, 0.0000005000000001,
-		1 << 31, 1<<31 - 0.5, 1<<31 + 0.5, -(1 << 31), math.Nextafter(1<<31, 0), 1e21, -1e21, 1e22,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 0.3, 1.0 / 3, 123456.789012, 0.1234565, 0.1234575,
-		999999.9999995, 33.5, 4,
-	}
-	for _, v := range edge {
+	for _, v := range fixed6Edges {
 		checkFixed6(t, v)
 	}
 	// What a Monsoon trace holds: currents quantised to 0.1 mA up to the
@@ -43,19 +58,20 @@ func TestAppendFixed6(t *testing.T) {
 }
 
 func FuzzAppendFixed6(f *testing.F) {
-	for _, v := range []float64{0, 0.1, 5e-7, 1.5e-6, 1 << 31, 1e21, 33.4, 0.0002} {
+	for _, v := range fixed6Edges {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
 		v := math.Float64frombits(bits)
 		checkFixed6(t, v)
-		// Also near the values traces hold, where the fast path is taken:
-		// fold the mantissa into a six-decimal number plus a few ulps.
+		// Also near the values traces hold, where the integer branch is
+		// taken: fold the mantissa into a six-decimal number plus a few ulps.
 		near := float64(int64(bits>>20)%4_000_000_000) / 1e6
 		for k := 0; k < int(bits&3); k++ {
 			near = math.Nextafter(near, math.Inf(1))
 		}
 		checkFixed6(t, near)
+		checkFixed6(t, -near)
 	})
 }
 

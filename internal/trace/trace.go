@@ -15,14 +15,14 @@
 // The binary format has a single body, the column codec of binary.go:
 // an append-style encoder over plain offset/value columns and a decoder
 // over a byte slice that visits (offset, value) pairs. WriteBinary,
-// EncodeBinary and ReadBinary are its callers for a Series; AppendBinary,
-// DecodeHeader and Header.DecodeSamples expose it to code that streams
-// samples without building one (the live sample frames of internal/api).
+// EncodeBinary, ReadBinary and DecodeBinary are its callers for a Series;
+// AppendBinary, DecodeHeader and Header.DecodeSamples expose it to code
+// that folds or streams samples without building one (internal/analytics,
+// the live sample frames of internal/api).
 package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -218,6 +218,7 @@ func (s *Series) Window(from, to time.Time) *Series {
 // quoting; a number never does, so each row is built in one reused
 // buffer.
 func (s *Series) WriteCSV(w io.Writer) error {
+	growFor(w, 64+24*s.Len()) // a capture's row, "33.499800,345.600000\n", is 20 to 22 bytes
 	bw := bufio.NewWriter(w)
 	cw := csv.NewWriter(bw)
 	if err := cw.Write([]string{"elapsed_s", s.name + "_" + s.unit}); err != nil {
@@ -236,28 +237,37 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	return bw.Flush() // reports the first failed write, the header's included
 }
 
+// growFor tells a destination that buffers in memory (a bytes.Buffer, a
+// strings.Builder) about how much is coming, so a multi-megabyte artifact
+// is allocated once instead of grown and copied through every doubling.
+func growFor(w io.Writer, n int) {
+	if g, ok := w.(interface{ Grow(n int) }); ok {
+		g.Grow(n)
+	}
+}
+
 // appendFixed6 is strconv.AppendFloat(dst, v, 'f', 6, 64), byte for byte,
 // without the multiprecision arithmetic fixed-precision formatting always
-// does. The shortest decimal that round-trips to v (the fast path of
-// strconv) lies within half an ulp of v; below 2³¹ that is under 1.2e-7,
-// so when it has at most six decimals it is also the six-decimal number
-// nearest to v, and zero-padding it gives the correctly rounded digits.
-// Anything else — seven or more decimals, large magnitudes, NaN, ±Inf —
-// takes the exact call.
+// does. When r = round(v·1e6) divides back to exactly v, v is the double
+// nearest r/1e6; below 2³¹ half an ulp is under 1.2e-7, so r/1e6 is also
+// the six-decimal number nearest to v, and the correctly rounded digits
+// are the integer r's with the point six from the right. Every 0.1 mA
+// reading and every 200 µs offset of a Monsoon trace ends there — as does
+// any v whose shortest round-tripping decimal has at most six places
+// (v·1e6 is then within half a unit of that decimal's digits). Anything
+// else — a seventh decimal, large magnitudes, NaN, ±Inf — takes the exact
+// call.
 func appendFixed6(dst []byte, v float64) []byte {
-	if math.Abs(v) < 1<<31 {
-		start := len(dst)
-		dst = strconv.AppendFloat(dst, v, 'f', -1, 64)
-		decimals := 0
-		if dot := bytes.IndexByte(dst[start:], '.'); dot >= 0 {
-			decimals = len(dst) - start - dot - 1
-		} else {
-			dst = append(dst, '.')
+	if r := math.RoundToEven(v * 1e6); math.Abs(v) < 1<<31 && r/1e6 == v {
+		if math.Signbit(v) { // -0 included: it prints as -0.000000
+			dst = append(dst, '-')
 		}
-		if decimals <= 6 {
-			return append(dst, "000000"[decimals:]...)
-		}
-		dst = dst[:start]
+		u := uint64(math.Abs(r)) // below 2³¹·1e6 < 2⁵³: exact
+		dst = strconv.AppendUint(dst, u/1e6, 10)
+		f := u % 1e6
+		return append(dst, '.',
+			byte('0'+f/100000), byte('0'+f/10000%10), byte('0'+f/1000%10),
+			byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 	}
 	return strconv.AppendFloat(dst, v, 'f', 6, 64)
 }
