@@ -38,7 +38,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 	if ws := q.Get("window"); ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d <= 0 {
-			writeAPIError(w, apiError(codeBadRequest, "?window= must be a positive Go duration (e.g. 2s, 500ms)"))
+			api.WriteError(w, apiError(codeBadRequest, "?window= must be a positive Go duration (e.g. 2s, 500ms)"))
 			return
 		}
 		windowNS = d.Nanoseconds()
@@ -49,7 +49,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 	}
 	fields, err := analytics.NormalizeFields(fields)
 	if err != nil {
-		writeAPIError(w, apiError(codeBadRequest, err.Error()))
+		api.WriteError(w, apiError(codeBadRequest, err.Error()))
 		return
 	}
 
@@ -85,9 +85,9 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 	res, err := analytics.ComputeBinary(data, api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: artifact})
 	if err != nil {
 		if errors.Is(err, analytics.ErrBadQuery) {
-			writeAPIError(w, apiError(codeBadRequest, err.Error()))
+			api.WriteError(w, apiError(codeBadRequest, err.Error()))
 		} else {
-			writeAPIError(w, apiError(codeInternal, "decoding artifact "+artifact+": "+err.Error()))
+			api.WriteError(w, apiError(codeInternal, "decoding artifact "+artifact+": "+err.Error()))
 		}
 		return
 	}
@@ -95,7 +95,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 
 	body, err := json.Marshal(res)
 	if err != nil {
-		writeAPIError(w, apiError(codeInternal, "encoding response: "+err.Error()))
+		api.WriteError(w, apiError(codeInternal, "encoding response: "+err.Error()))
 		return
 	}
 	body = append(body, '\n')

@@ -223,20 +223,20 @@ func (s *Server) peerCensus(now time.Time) []api.PeerNode {
 func (s *Server) handlerCluster(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/cluster/peers", func(w http.ResponseWriter, r *http.Request) {
 		if !s.cluster.Authorize(api.BearerToken(r)) {
-			writeAPIError(w, apiError(codeUnauthorized, "missing or invalid cluster token"))
+			api.WriteError(w, apiError(codeUnauthorized, "missing or invalid cluster token"))
 			return
 		}
 		var ann api.PeerAnnounce
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBodyBytes)).Decode(&ann); err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "decoding peer announce: "+err.Error()))
+			api.WriteError(w, apiError(codeBadRequest, "decoding peer announce: "+err.Error()))
 			return
 		}
 		if ann.Name == "" {
-			writeAPIError(w, apiError(codeBadRequest, "peer announce needs a name"))
+			api.WriteError(w, apiError(codeBadRequest, "peer announce needs a name"))
 			return
 		}
 		if ann.Name == s.cluster.Self() {
-			writeAPIError(w, apiError(codeConflict,
+			api.WriteError(w, apiError(codeConflict,
 				"peer announces as "+ann.Name+", this server's own cluster name"))
 			return
 		}
@@ -268,7 +268,7 @@ func (s *Server) handlerCluster(mux *http.ServeMux) {
 		}
 		name := r.PathValue("name")
 		if !s.cluster.Remove(name) {
-			writeAPIError(w, apiError(codeNotFound, "no peer "+name))
+			api.WriteError(w, apiError(codeNotFound, "no peer "+name))
 			return
 		}
 		s.reclaimPeer(name)

@@ -8,12 +8,16 @@
 // feed epoch), all of which the v1 API already carries on the wire. A
 // gateway deployed next to a dashboard fleet absorbs thousands of
 // streaming subscribers and holds exactly one upstream subscription per
-// active client stream — and when its upstream connection drops, it
-// reconnects from its accumulated cursor (`?from=`) so clients see an
-// uninterrupted, exactly-once stream. If the upstream's feed epoch
-// moves (a server restart re-created the feed), accumulated cursors are
-// void and the gateway ends the client stream rather than splice two
-// incompatible replays.
+// active client stream. It follows that subscription with the same loop
+// every remote follower uses (remote's Platform.Follow): when its
+// upstream connection breaks, it reconnects from its accumulated cursor
+// (`?from=`) so clients see an uninterrupted, exactly-once stream. A
+// clean upstream end means the feed closed, and ends the client's stream
+// cleanly; any other end — the reconnect budget spent, a permanent
+// upstream error, or a feed epoch that moved (a server restart re-created
+// the feed, so the cursor is void and two replays must not be spliced) —
+// aborts the client connection, so a truncated stream never reads as a
+// complete one.
 //
 // Auth is pass-through: the client's bearer token is forwarded
 // upstream, so the gateway needs no user database and upstream
@@ -22,7 +26,7 @@ package feedgw
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -66,13 +70,9 @@ func New(upstream string) *Gateway {
 	}
 }
 
-// SetRetryPolicy tunes the upstream reconnect budget and backoff.
-func (g *Gateway) SetRetryPolicy(rp remote.RetryPolicy) {
-	if rp.Attempts < 1 {
-		rp.Attempts = 1
-	}
-	g.retry = rp
-}
+// SetRetryPolicy tunes the upstream reconnect budget and backoff: each
+// client stream's follower runs under it.
+func (g *Gateway) SetRetryPolicy(rp remote.RetryPolicy) { g.retry = rp }
 
 // SetHTTPClient swaps the HTTP client used for upstream subscriptions
 // (custom TLS, timeouts).
@@ -81,9 +81,6 @@ func (g *Gateway) SetHTTPClient(hc *http.Client) { g.hc = hc }
 // MetricsRegistry exposes the gateway's registry so embedders can add
 // their own series to the same endpoint.
 func (g *Gateway) MetricsRegistry() *metrics.Registry { return g.reg }
-
-// Upstream reports the upstream base URL.
-func (g *Gateway) Upstream() string { return g.upstream }
 
 // Handler mounts the gateway routes: the two v1 streaming routes it
 // relays, its own metrics, and an unauthenticated liveness probe.
@@ -96,16 +93,8 @@ func (g *Gateway) Handler() http.Handler {
 		g.relay(w, r, true)
 	})
 	mux.HandleFunc("GET /api/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := g.reg.Snapshot()
-		switch r.URL.Query().Get("format") {
-		case "", "prom":
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			metrics.WritePrometheus(w, snap)
-		case "json":
-			w.Header().Set("Content-Type", "application/json")
-			metrics.WriteJSON(w, snap)
-		default:
-			writeErr(w, &api.Error{Code: api.CodeBadRequest, Message: "?format= must be prom or json"})
+		if err := metrics.Serve(w, r.URL.Query().Get("format"), g.reg.Snapshot()); err != nil {
+			api.WriteError(w, &api.Error{Code: api.CodeBadRequest, Message: err.Error()})
 		}
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -125,7 +114,7 @@ func (g *Gateway) Handler() http.Handler {
 		g.proxyRead(w, r)
 	})
 	mux.HandleFunc("/api/v1/", func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, &api.Error{Code: api.CodeNotRelayed,
+		api.WriteError(w, &api.Error{Code: api.CodeNotRelayed,
 			Message: fmt.Sprintf("feed gateway: %s %s is not relayed; only build streams, status and analytics are — use the control server at %s", r.Method, r.URL.Path, g.upstream)})
 	})
 	return mux
@@ -142,7 +131,7 @@ func (g *Gateway) proxyRead(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
-		writeErr(w, &api.Error{Code: api.CodeInternal, Message: err.Error()})
+		api.WriteError(w, &api.Error{Code: api.CodeInternal, Message: err.Error()})
 		return
 	}
 	if tok := r.Header.Get("Authorization"); tok != "" {
@@ -154,7 +143,7 @@ func (g *Gateway) proxyRead(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		writeErr(w, &api.Error{Code: api.CodeInternal, Message: "upstream: " + err.Error()})
+		api.WriteError(w, &api.Error{Code: api.CodeInternal, Message: "upstream: " + err.Error()})
 		return
 	}
 	defer resp.Body.Close()
@@ -166,18 +155,6 @@ func (g *Gateway) proxyRead(w http.ResponseWriter, r *http.Request) {
 	g.reads.Inc()
 }
 
-// writeErr writes the typed v1 error envelope at its canonical status.
-func writeErr(w http.ResponseWriter, e *api.Error) {
-	data, err := json.Marshal(api.Envelope{Error: e})
-	if err != nil {
-		http.Error(w, e.Message, e.HTTPStatus())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.HTTPStatus())
-	w.Write(append(data, '\n'))
-}
-
 // passErr relays an upstream failure to the client: typed envelopes
 // pass through verbatim (the upstream's 401/403/404 is the client's
 // 401/403/404), anything else — an unreachable upstream after the
@@ -185,48 +162,39 @@ func writeErr(w http.ResponseWriter, e *api.Error) {
 func passErr(w http.ResponseWriter, err error) {
 	var ae *api.Error
 	if errors.As(err, &ae) {
-		writeErr(w, ae)
+		api.WriteError(w, ae)
 		return
 	}
-	writeErr(w, &api.Error{Code: api.CodeInternal, Message: "upstream: " + err.Error()})
+	api.WriteError(w, &api.Error{Code: api.CodeInternal, Message: "upstream: " + err.Error()})
 }
 
-// relay serves one client stream by following the upstream stream,
-// reconnecting from the accumulated cursor across transient upstream
-// failures. samples selects the sample route (framed binary or NDJSON);
-// otherwise the NDJSON event route is relayed line by line.
+// relay serves one client stream by following the upstream stream
+// through remote's one follower (Platform.Follow), which resumes a
+// broken upstream connection from the accumulated cursor. samples
+// selects the sample route (framed binary or NDJSON); otherwise the
+// NDJSON event route is relayed line by line. A clean upstream end —
+// the feed closed — ends the client's stream cleanly; whenever the
+// gateway stops short of one it aborts the client connection, so the
+// client reads a broken stream rather than a truncated one that looks
+// complete.
 func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, samples bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, &api.Error{Code: api.CodeBadRequest, Message: "build id must be an integer"})
+		api.WriteError(w, &api.Error{Code: api.CodeBadRequest, Message: "build id must be an integer"})
 		return
 	}
-	// Local ?from= validation: garbage cursors are the client's bug and
-	// must not cost an upstream round trip. Same typed code as the
-	// direct path, so clients branch identically either way.
-	cursor := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		n, err := strconv.Atoi(from)
-		if err != nil || n < 0 {
-			writeErr(w, &api.Error{Code: api.CodeInvalidCursor, Message: "?from= must be a non-negative integer"})
-			return
-		}
-		cursor = n
-	}
-	format := ""
-	if samples {
-		format = r.URL.Query().Get("format")
-		switch format {
-		case "", "binary", "ndjson":
-		default:
-			writeErr(w, &api.Error{Code: api.CodeBadRequest, Message: "?format= must be binary or ndjson"})
-			return
-		}
+	// Local query validation: garbage is the client's bug and must not
+	// cost an upstream round trip. Same typed codes as the direct path,
+	// so clients branch identically either way.
+	from, ndjson, qerr := api.StreamQuery(r, samples)
+	if qerr != nil {
+		api.WriteError(w, qerr)
+		return
 	}
 
 	plat, err := remote.Dial(g.upstream, api.BearerToken(r))
 	if err != nil {
-		writeErr(w, &api.Error{Code: api.CodeInternal, Message: err.Error()})
+		api.WriteError(w, &api.Error{Code: api.CodeInternal, Message: err.Error()})
 		return
 	}
 	plat.SetRetryPolicy(g.retry)
@@ -246,124 +214,83 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, samples bool) {
 	if st.State == api.StateExpired {
 		// Parity with the direct streaming path: an expired build's
 		// stream is a 404, not the status route's 200 marker.
-		writeErr(w, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("build %d expired upstream", id)})
+		api.WriteError(w, &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("build %d expired upstream", id)})
 		return
 	}
-	epoch := st.FeedEpoch
 
-	if samples && format != "ndjson" {
+	flusher, _ := w.(http.Flusher)
+	s := &remote.Stream{Route: "events", From: from, Epoch: st.FeedEpoch,
+		Consume: func(body io.Reader) (int, error) { return relayLines(w, flusher, body, g.events) },
+		// Abort, don't splice: what went downstream cannot be taken back.
+		Restart: func() error { return errors.New("feed gateway: the upstream feed started over") },
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	switch {
+	case samples && ndjson:
+		s.Route = "samples?format=ndjson"
+		s.Consume = func(body io.Reader) (int, error) { return relayLines(w, flusher, body, g.samples) }
+	case samples:
+		s.Route = "samples"
+		s.Consume = func(body io.Reader) (int, error) { return relayFrames(w, flusher, body, g.samples) }
 		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
 	g.streams.Inc()
 	defer g.streams.Dec()
-	flusher, _ := w.(http.Flusher)
 
-	path := func() string {
-		if samples {
-			p := fmt.Sprintf("/api/v1/builds/%d/samples?from=%d", id, cursor)
-			if format != "" {
-				p += "&format=" + format
-			}
-			return p
-		}
-		return fmt.Sprintf("/api/v1/builds/%d/events?from=%d", id, cursor)
-	}
-
-	failures := 0
-	connected := false
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		rc, err := plat.OpenStream(ctx, path())
-		if err != nil {
-			// Past the 200 header the only honest move on a permanent
-			// error is to end the stream: the client resumes from its own
-			// cursor and gets the typed error then.
-			if !remote.IsTransient(err) {
-				return
-			}
-			failures++
-			if failures >= g.retry.Attempts || !g.retry.Sleep(ctx, failures) {
-				return
-			}
-			g.reconnects.Inc()
-			continue
-		}
-		if connected {
-			g.reconnects.Inc()
-		}
-		connected = true
-		var n int
-		if samples && format != "ndjson" {
-			n, err = g.relayFrames(w, flusher, rc, &cursor)
-		} else {
-			n, err = g.relayLines(w, flusher, rc, &cursor, samples)
-		}
-		rc.Close()
-		if err == nil {
-			return // clean upstream end of stream: the feed closed and drained
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if n > 0 {
-			failures = 0 // progress refills the reconnect budget
-		}
-		failures++
-		if failures >= g.retry.Attempts {
-			return
-		}
-		// Severed mid-stream: resuming from the cursor is only valid
-		// against the same feed incarnation.
-		if st, serr := plat.BuildStatus(ctx, id); serr != nil || st.FeedEpoch != epoch {
-			return
-		}
-		if !g.retry.Sleep(ctx, failures) {
-			return
-		}
+	err = plat.Follow(ctx, id, s)
+	g.reconnects.Add(plat.Stats().StreamReconnects)
+	if err != nil {
+		// Past the 200 header a broken connection is the only way left to
+		// tell the client its stream is short; it resumes from its own
+		// cursor and gets any typed error then.
+		panic(http.ErrAbortHandler)
 	}
 }
 
-// relayLines copies an NDJSON stream line by line, advancing the cursor
-// per line. A nil error is the upstream's clean end of stream.
-func (g *Gateway) relayLines(w io.Writer, flusher http.Flusher, rc io.Reader, cursor *int, samples bool) (int, error) {
-	sc := bufio.NewScanner(rc)
+// relayLines copies an NDJSON stream line by line, counting each in
+// relayed, and reports how many lines it forwarded. Only whole lines go
+// downstream; a nil error is the upstream's clean end of stream.
+func relayLines(w io.Writer, flusher http.Flusher, body io.Reader, relayed *metrics.Counter) (int, error) {
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Split(wholeLines)
 	n := 0
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		if _, err := w.Write(sc.Bytes()); err != nil {
 			return n, nil // client gone; treat as a clean end
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		*cursor++
 		n++
-		if samples {
-			g.samples.Inc()
-		} else {
-			g.events.Inc()
-		}
+		relayed.Inc()
 	}
 	return n, sc.Err()
 }
 
-// relayFrames copies the framed binary sample stream frame by frame.
+// wholeLines is bufio.ScanLines without its last-line leniency: a token
+// ends at '\n' and keeps it, and bytes left without one when the stream
+// ends are a line cut short — a broken end, never forwarded.
+func wholeLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	return 0, nil, nil
+}
+
+// relayFrames copies the framed binary sample stream frame by frame,
+// counting its points in relayed, and reports how many it forwarded.
 // Each upstream frame is read whole and decoded — to vet it and to
-// count its points for the cursor — and then the bytes that arrived
-// are what goes downstream, so they match a direct connection by
+// count its points for the cursor — and then the bytes that arrived are
+// what goes downstream, so they match a direct connection by
 // construction and a frame cut short upstream is never forwarded in
 // part.
-func (g *Gateway) relayFrames(w io.Writer, flusher http.Flusher, rc io.Reader, cursor *int) (int, error) {
-	br := bufio.NewReader(rc)
+func relayFrames(w io.Writer, flusher http.Flusher, body io.Reader, relayed *metrics.Counter) (int, error) {
+	br := bufio.NewReader(body)
 	var frame []byte
 	n := 0
 	for {
@@ -382,8 +309,7 @@ func (g *Gateway) relayFrames(w io.Writer, flusher http.Flusher, rc io.Reader, c
 		if flusher != nil {
 			flusher.Flush()
 		}
-		*cursor += pts
 		n += pts
-		g.samples.Add(int64(pts))
+		relayed.Add(int64(pts))
 	}
 }

@@ -36,12 +36,12 @@ func (s *Server) auth(w http.ResponseWriter, r *http.Request, perm Permission) *
 			// streams, cancel).
 			user = &User{Name: "cluster", Role: RolePeer}
 		} else {
-			writeAPIError(w, apiError(codeUnauthorized, "missing or invalid token"))
+			api.WriteError(w, apiError(codeUnauthorized, "missing or invalid token"))
 			return nil
 		}
 	}
 	if !Allowed(user.Role, perm) {
-		writeAPIError(w, apiError(codeForbidden,
+		api.WriteError(w, apiError(codeForbidden,
 			"role "+user.Role.String()+" may not "+perm.String()))
 		return nil
 	}
@@ -57,7 +57,7 @@ func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request) *Build {
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeAPIError(w, apiError(codeBadRequest, "build id must be an integer"))
+		api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
 		return nil
 	}
 	b, err := s.Build(id)
@@ -74,7 +74,7 @@ func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request) *Build {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		writeAPIError(w, apiError(codeInternal, "encoding response: "+err.Error()))
+		api.WriteError(w, apiError(codeInternal, "encoding response: "+err.Error()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -113,7 +113,7 @@ func writeError(w http.ResponseWriter, err error) {
 			secs := int((d + time.Second - 1) / time.Second)
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
-		writeAPIError(w, apiError(api.CodePeerUnavailable, err.Error()))
+		api.WriteError(w, apiError(api.CodePeerUnavailable, err.Error()))
 		return
 	case errors.Is(err, ErrOverloaded):
 		// 429: admission control shed the submission. The envelope
@@ -121,8 +121,8 @@ func writeError(w http.ResponseWriter, err error) {
 		// parsing the message.
 		e := apiError(api.CodeOverloaded, err.Error())
 		e.ShedReason = ShedReasonOf(err)
-		writeAPIError(w, e)
+		api.WriteError(w, e)
 		return
 	}
-	writeAPIError(w, apiError(code, err.Error()))
+	api.WriteError(w, apiError(code, err.Error()))
 }

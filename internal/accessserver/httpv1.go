@@ -49,13 +49,12 @@ import (
 
 // Error-code aliases keep the HTTP files terse.
 const (
-	codeBadRequest    = api.CodeBadRequest
-	codeUnauthorized  = api.CodeUnauthorized
-	codeForbidden     = api.CodeForbidden
-	codeNotFound      = api.CodeNotFound
-	codeConflict      = api.CodeConflict
-	codeInternal      = api.CodeInternal
-	codeInvalidCursor = api.CodeInvalidCursor
+	codeBadRequest   = api.CodeBadRequest
+	codeUnauthorized = api.CodeUnauthorized
+	codeForbidden    = api.CodeForbidden
+	codeNotFound     = api.CodeNotFound
+	codeConflict     = api.CodeConflict
+	codeInternal     = api.CodeInternal
 )
 
 // Submission body bounds: a spec is well under a kilobyte of JSON, so
@@ -68,19 +67,6 @@ const (
 
 func apiError(code api.ErrorCode, msg string) *api.Error {
 	return &api.Error{Code: code, Message: msg}
-}
-
-// writeAPIError writes the typed error envelope with its canonical
-// status.
-func writeAPIError(w http.ResponseWriter, e *api.Error) {
-	data, err := json.Marshal(api.Envelope{Error: e})
-	if err != nil {
-		http.Error(w, e.Message, e.HTTPStatus())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.HTTPStatus())
-	w.Write(append(data, '\n'))
 }
 
 // handlerV1 mounts the v1 routes on mux.
@@ -174,7 +160,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			Owner string `json:"owner"`
 		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBodyBytes)).Decode(&body); err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "decoding owner body: "+err.Error()))
+			api.WriteError(w, apiError(codeBadRequest, "decoding owner body: "+err.Error()))
 			return
 		}
 		name := r.PathValue("name")
@@ -186,7 +172,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		// their contribution credits would accrue to a void.
 		if body.Owner != "" {
 			if _, err := s.Users.Lookup(body.Owner); err != nil {
-				writeAPIError(w, apiError(codeNotFound, "no member "+body.Owner))
+				api.WriteError(w, apiError(codeNotFound, "no member "+body.Owner))
 				return
 			}
 		}
@@ -221,7 +207,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		var spec api.ExperimentSpec
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBodyBytes)).Decode(&spec); err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "decoding experiment spec: "+err.Error()))
+			api.WriteError(w, apiError(codeBadRequest, "decoding experiment spec: "+err.Error()))
 			return
 		}
 		name := r.PathValue("name")
@@ -261,7 +247,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		var spec api.ExperimentSpec
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBodyBytes)).Decode(&spec); err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "decoding experiment spec: "+err.Error()))
+			api.WriteError(w, apiError(codeBadRequest, "decoding experiment spec: "+err.Error()))
 			return
 		}
 		b, err := s.SubmitSpec(user, spec)
@@ -278,7 +264,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		var spec api.CampaignSpec
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCampaignBodyBytes)).Decode(&spec); err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "decoding campaign spec: "+err.Error()))
+			api.WriteError(w, apiError(codeBadRequest, "decoding campaign spec: "+err.Error()))
 			return
 		}
 		id, builds, err := s.SubmitCampaign(user, spec)
@@ -298,7 +284,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "campaign id must be an integer"))
+			api.WriteError(w, apiError(codeBadRequest, "campaign id must be an integer"))
 			return
 		}
 		// Snapshot-served: membership and member statuses come from the
@@ -332,7 +318,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "build id must be an integer"))
+			api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
 			return
 		}
 		// The hot poll path: served from the read plane's published
@@ -358,16 +344,8 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		if s.auth(w, r, PermViewConsole) == nil {
 			return
 		}
-		snap := s.MetricsSnapshot()
-		switch r.URL.Query().Get("format") {
-		case "", "prom":
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			metrics.WritePrometheus(w, snap)
-		case "json":
-			w.Header().Set("Content-Type", "application/json")
-			metrics.WriteJSON(w, snap)
-		default:
-			writeAPIError(w, apiError(codeBadRequest, "?format= must be prom or json"))
+		if err := metrics.Serve(w, r.URL.Query().Get("format"), s.MetricsSnapshot()); err != nil {
+			api.WriteError(w, apiError(codeBadRequest, err.Error()))
 		}
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -419,7 +397,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
-			writeAPIError(w, apiError(codeBadRequest, "build id must be an integer"))
+			api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
 			return
 		}
 		if err := s.Abort(user, id); err != nil {
@@ -485,7 +463,7 @@ func (s *Server) feedFromPath(w http.ResponseWriter, r *http.Request) *feedhub.F
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeAPIError(w, apiError(codeBadRequest, "build id must be an integer"))
+		api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
 		return nil
 	}
 	f, _, st := s.hub.Resolve(id)
@@ -500,28 +478,13 @@ func (s *Server) feedFromPath(w http.ResponseWriter, r *http.Request) *feedhub.F
 	return nil
 }
 
-// streamCursor parses the ?from= resume cursor (default 0), writing the
-// typed invalid_cursor envelope on garbage — a reconnecting client can
-// branch on the code and restart from 0 instead of giving up.
-func streamCursor(w http.ResponseWriter, r *http.Request) (int, bool) {
-	from := r.URL.Query().Get("from")
-	if from == "" {
-		return 0, true
-	}
-	n, err := strconv.Atoi(from)
-	if err != nil || n < 0 {
-		writeAPIError(w, apiError(codeInvalidCursor, "?from= must be a non-negative integer"))
-		return 0, false
-	}
-	return n, true
-}
-
 // streamEvents serves the NDJSON phase-event stream: replay from the
 // ?from= cursor (default 0), then follow until the build finishes or
 // the client goes away.
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, f *feedhub.Feed) {
-	cursor, ok := streamCursor(w, r)
-	if !ok {
+	cursor, _, e := api.StreamQuery(r, false)
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -569,18 +532,11 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, f *feedhub
 // drop-under-backpressure, so however slowly this consumer drains, the
 // capture loop never blocks.
 func (s *Server) streamSamples(w http.ResponseWriter, r *http.Request, f *feedhub.Feed) {
-	format := r.URL.Query().Get("format")
-	switch format {
-	case "", "binary", "ndjson":
-	default:
-		writeAPIError(w, apiError(codeBadRequest, "?format= must be binary or ndjson"))
+	cursor, ndjson, e := api.StreamQuery(r, true)
+	if e != nil {
+		api.WriteError(w, e)
 		return
 	}
-	cursor, ok := streamCursor(w, r)
-	if !ok {
-		return
-	}
-	ndjson := format == "ndjson"
 	if ndjson {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	} else {

@@ -311,11 +311,14 @@ func (s *Server) checkLease(b *Build, attempt int) {
 // nil succeeded (only finish settles a running build); anything else
 // that ends a build its owner asked to cancel is an abort; the rest are
 // failures. It records the result, stops the build's timers, logs the
-// finished record, closes the feed and republishes — the hub and the
-// read plane are leaf locks, and doing both inside the scheduler's
+// finished record, republishes and then closes the feed — the hub and
+// the read plane are leaf locks, and doing both inside the scheduler's
 // critical section keeps snapshot order identical to transition order
 // (monotonic reads for status pollers) — and schedules retention.
-// Whatever the build held must have been released already.
+// Publish comes first because a stream's clean end is how a follower
+// learns the build settled: by the time the feed closes, the terminal
+// status must already be readable. Whatever the build held must have
+// been released already.
 func (s *Server) settleLocked(b *Build, err error) {
 	b.mu.Lock()
 	r := &b.BuildRec
@@ -351,7 +354,7 @@ func (s *Server) settleLocked(b *Build, err error) {
 	if s.ownerActive[b.Owner]--; s.ownerActive[b.Owner] <= 0 {
 		delete(s.ownerActive, b.Owner)
 	}
-	s.hub.Close(b.ID)
 	s.publishBuildLocked(b)
+	s.hub.Close(b.ID)
 	s.scheduleRetention(b)
 }

@@ -548,8 +548,8 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 				}
 				b.err = &recoveredErr{msg: br.Err, sentinels: sentinels}
 			}
-			s.hub.Close(b.ID)
 			s.publishBuildLocked(b)
+			s.hub.Close(b.ID)
 			s.scheduleRetention(b)
 			continue
 		}

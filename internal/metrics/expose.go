@@ -2,11 +2,32 @@ package metrics
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
 )
+
+// Serve writes s in the exposition format a metrics route's ?format=
+// names: "prom" (the default) for the Prometheus text format, "json"
+// for JSON. Any other format writes nothing and returns the error the
+// route answers with; a failed write is the departed client's to
+// notice, not the caller's.
+func Serve(w http.ResponseWriter, format string, s Snapshot) error {
+	switch format {
+	case "", "prom":
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		WritePrometheus(w, s)
+	case "json":
+		w.Header().Set("Content-Type", "application/json")
+		WriteJSON(w, s)
+	default:
+		return errors.New("?format= must be prom or json")
+	}
+	return nil
+}
 
 // WriteJSON serializes a snapshot as indented JSON.
 func WriteJSON(w io.Writer, s Snapshot) error {

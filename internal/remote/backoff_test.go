@@ -9,8 +9,8 @@ import (
 // thousand times: every draw stays inside the policy's ×[0.5, 1.5) band
 // around the nominal delay, and together they spread over more than
 // ±25 % of it — a fleet of streams severed by one upstream blip must
-// not reconnect in lockstep. (feedgw has the same test on the gateway:
-// both draw from RetryPolicy.Delay.)
+// not reconnect in lockstep. Every stream follower — a session, the
+// federation relay, the feed gateway — draws from this one function.
 func TestClientBackoffJitters(t *testing.T) {
 	rp := RetryPolicy{Attempts: 5, BaseDelay: 80 * time.Millisecond, MaxDelay: 10 * time.Second}
 	p, err := Dial("http://upstream.invalid", "tok")
@@ -21,7 +21,7 @@ func TestClientBackoffJitters(t *testing.T) {
 	nominal := rp.BaseDelay << 2
 	lo, hi := time.Duration(1<<62), time.Duration(0)
 	for i := 0; i < 1000; i++ {
-		d := p.retry.Delay(3)
+		d := p.retry.delay(3)
 		if d < nominal/2 || d >= nominal*3/2 {
 			t.Fatalf("delay %v outside [%v, %v)", d, nominal/2, nominal*3/2)
 		}
@@ -35,12 +35,12 @@ func TestClientBackoffJitters(t *testing.T) {
 // TestRetryDelayDefaultsAndCap: a partial policy still backs off, and a
 // huge attempt number neither overflows nor exceeds the cap's band.
 func TestRetryDelayDefaultsAndCap(t *testing.T) {
-	if d := (RetryPolicy{Attempts: 3}).Delay(1); d < DefaultRetryPolicy.BaseDelay/2 {
+	if d := (RetryPolicy{Attempts: 3}).delay(1); d < DefaultRetryPolicy.BaseDelay/2 {
 		t.Fatalf("zero-BaseDelay policy waits %v", d)
 	}
 	rp := RetryPolicy{BaseDelay: time.Second, MaxDelay: 4 * time.Second}
 	for _, n := range []int{3, 10, 100, 1 << 30} {
-		if d := rp.Delay(n); d < 2*time.Second || d >= 6*time.Second {
+		if d := rp.delay(n); d < 2*time.Second || d >= 6*time.Second {
 			t.Fatalf("Delay(%d) = %v, want the 4s cap ×[0.5, 1.5)", n, d)
 		}
 	}

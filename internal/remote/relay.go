@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"batterylab/internal/api"
@@ -40,23 +39,11 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 	if err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/experiments"), spec, &resp); err != nil {
 		return nil, err
 	}
-	return p.followRelay(ctx, resp.Build, sink)
-}
-
-// followRelay attaches the relay streams to a submitted peer build and
-// resolves its terminal status.
-func (p *Platform) followRelay(ctx context.Context, build int, sink api.RelaySink) (*api.BuildStatus, error) {
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	var wg sync.WaitGroup
-	wg.Add(2)
+	build := resp.Build
 	// An epoch reset (the peer restarted and recovered the build) needs
-	// no sample hook: the recovered build re-executes, its feed is a
-	// fresh capture, and the sink takes it as it comes.
-	go func() { defer wg.Done(); p.followEvents(sctx, build, sink.Event) }()
-	go func() { defer wg.Done(); p.followSamples(sctx, build, sink.Sample, nil) }()
-	wg.Wait()
-
+	// no Restart: the recovered build re-executes, its feed is a fresh
+	// capture, and the sink takes it as it comes.
+	err = p.followStreams(ctx, build, eventStream(sink.Event), sampleStream(sink.Sample))
 	if ctx.Err() != nil {
 		// The home scheduler reclaimed the attempt (abort, failover):
 		// propagate the cancel so the peer tears the measurement down
@@ -67,9 +54,12 @@ func (p *Platform) followRelay(ctx context.Context, build int, sink api.RelaySin
 		p.doJSONIdempotent(cctx, http.MethodPost, p.url("/api/v1/builds/%d/cancel", build), nil, nil)
 		return nil, ctx.Err()
 	}
-	// An expired or still-running build is a relay failure — the home
-	// scheduler's failover budget decides what happens.
-	st, err := p.awaitTerminal(ctx, build)
+	// A broken stream, or an expired or still-running build, is a relay
+	// failure — the home scheduler's failover budget decides what happens.
+	if err != nil {
+		return nil, err
+	}
+	st, err := p.terminalStatus(ctx, build)
 	if err != nil {
 		return nil, err
 	}

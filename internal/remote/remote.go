@@ -42,6 +42,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,14 +129,15 @@ func (p *Platform) SetRetryPolicy(rp RetryPolicy) {
 	p.retry = rp
 }
 
-// Delay computes the jittered backoff before retry attempt n (1-based)
-// — the one place it is computed, for the client and for the feed
-// gateway's upstream reconnects alike: BaseDelay doubling per attempt,
-// capped at MaxDelay, scaled by a random factor in [0.5, 1.5) so a
-// fleet of reconnecting streams does not thunder back in lockstep.
-// Doubling by repeated shift-with-cap rather than one big shift keeps a
-// large Attempts from overflowing into a negative (instant) delay.
-func (rp RetryPolicy) Delay(n int) time.Duration {
+// delay computes the jittered backoff before retry attempt n (1-based)
+// — the one place it is computed, for requests and for every stream
+// follower (a session, the federation relay, the feed gateway) alike:
+// BaseDelay doubling per attempt, capped at MaxDelay, scaled by a random
+// factor in [0.5, 1.5) so a fleet of reconnecting streams does not
+// thunder back in lockstep. Doubling by repeated shift-with-cap rather
+// than one big shift keeps a large Attempts from overflowing into a
+// negative (instant) delay.
+func (rp RetryPolicy) delay(n int) time.Duration {
 	d := rp.BaseDelay
 	if d <= 0 {
 		// A partial policy (only Attempts set) must still back off, not
@@ -155,10 +157,10 @@ func (rp RetryPolicy) Delay(n int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 
-// Sleep waits out Delay(n) before attempt n, honoring ctx. Reports
+// sleep waits out delay(n) before attempt n, honoring ctx. Reports
 // false when ctx ended first.
-func (rp RetryPolicy) Sleep(ctx context.Context, n int) bool {
-	t := time.NewTimer(rp.Delay(n))
+func (rp RetryPolicy) sleep(ctx context.Context, n int) bool {
+	t := time.NewTimer(rp.delay(n))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -193,12 +195,14 @@ func (p *Platform) url(format string, args ...any) string {
 }
 
 // doJSON performs one request/response round trip, retrying transient
-// failures (network errors, 502/503/504) with backoff for idempotent
-// requests — GETs, plus POSTs the caller marks idempotent via
-// doJSONIdempotent (cancel is; submit is not, since a retried submit
-// could double-queue a build). A non-2xx response is decoded as the
-// api.Error envelope (synthesized from the bare status when the body
-// is not an envelope) and returned as *api.Error.
+// failures (network errors, 502/503/504, a body cut short) with backoff
+// for idempotent requests — GETs, plus POSTs the caller marks
+// idempotent via doJSONIdempotent (cancel is; submit is not, since a
+// retried submit could double-queue a build). The response body is
+// decoded as JSON into out, or kept whole when out is a *[]byte. A
+// non-2xx response is decoded as the api.Error envelope (synthesized
+// from the bare status when the body is not an envelope) and returned
+// as *api.Error.
 func (p *Platform) doJSON(ctx context.Context, method, u string, in, out any) error {
 	return p.do(ctx, method, u, in, out, method == http.MethodGet)
 }
@@ -228,49 +232,35 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
-			if !p.retry.Sleep(ctx, attempt-1) {
+			if !p.retry.sleep(ctx, attempt-1) {
 				break
 			}
 			p.requestRetries.Add(1)
 		}
-		var body io.Reader
-		if payload != nil {
-			body = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, u, body)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Authorization", "Bearer "+p.token)
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := p.hc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("remote: %s %s: %w", method, u, err)
+		rc, err := p.open(ctx, method, u, payload)
+		var te *transientErr
+		if errors.As(err, &te) {
+			lastErr = te.err
 			if ctx.Err() != nil {
 				break
 			}
 			continue
 		}
-		if transientStatus(resp.StatusCode) {
-			lastErr = decodeError(resp)
-			resp.Body.Close()
-			continue
-		}
-		if resp.StatusCode >= 300 {
-			err := decodeError(resp)
-			resp.Body.Close()
+		if err != nil {
 			return err
 		}
 		// Read the whole body before declaring success: a connection
 		// reset mid-body is the same transient failure as one before
 		// the headers and retries under the same budget.
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
+		data, err := io.ReadAll(rc)
+		rc.Close()
 		if err != nil {
 			lastErr = fmt.Errorf("remote: %s %s: reading response: %w", method, u, err)
 			continue
+		}
+		if raw, ok := out.(*[]byte); ok {
+			*raw = data
+			return nil
 		}
 		if out == nil {
 			return nil
@@ -314,21 +304,27 @@ type transientErr struct{ err error }
 func (e *transientErr) Error() string { return e.err.Error() }
 func (e *transientErr) Unwrap() error { return e.err }
 
-// stream opens a streaming GET and returns the open body. Transient
-// failures come back wrapped as *transientErr; callers with resume
-// cursors (the stream loops, getBytes) retry on those.
-func (p *Platform) stream(ctx context.Context, u string) (io.ReadCloser, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// open sends one request and returns the open body of its 2xx
+// response — the one place a request is made, for do's round trips and
+// Follow's streams alike. Failures worth another attempt (network
+// errors, gateway-class statuses) come back as *transientErr; any other
+// non-2xx response is its *api.Error.
+func (p *Platform) open(ctx context.Context, method, u string, payload []byte) (io.ReadCloser, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, method, u, body)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Authorization", "Bearer "+p.token)
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := p.hc.Do(req)
 	if err != nil {
-		return nil, &transientErr{err}
+		return nil, &transientErr{fmt.Errorf("remote: %s %s: %w", method, u, err)}
 	}
 	if resp.StatusCode >= 300 {
 		defer resp.Body.Close()
@@ -339,73 +335,6 @@ func (p *Platform) stream(ctx context.Context, u string) (io.ReadCloser, error) 
 		return nil, err
 	}
 	return resp.Body, nil
-}
-
-// OpenStream opens a long-lived streaming GET against a server-relative
-// path plus query (e.g. "/api/v1/builds/7/events?from=42") and returns
-// the open response body. No retry loop runs here: transient failures —
-// network errors and gateway-class statuses — report true from
-// IsTransient so a caller holding its own resume cursor (the feed
-// gateway) can reconnect where it left off; application errors come
-// back as *api.Error. The caller owns the body.
-func (p *Platform) OpenStream(ctx context.Context, pathQuery string) (io.ReadCloser, error) {
-	ref, err := url.Parse(pathQuery)
-	if err != nil {
-		return nil, fmt.Errorf("remote: parsing stream path %q: %w", pathQuery, err)
-	}
-	return p.stream(ctx, p.base.ResolveReference(ref).String())
-}
-
-// IsTransient reports whether err is a retry-worthy transport failure
-// rather than an application error: a network error, a gateway-class
-// response (502/503/504) that burned through the retry budget and came
-// back as its *api.Error envelope, or the server's typed 503
-// peer_unavailable rejection (the target vantage point lives on a
-// federated peer that is expected back within a heartbeat).
-func IsTransient(err error) bool {
-	var te *transientErr
-	if errors.As(err, &te) {
-		return true
-	}
-	var ae *api.Error
-	return errors.As(err, &ae) && transientStatus(ae.HTTPStatus())
-}
-
-// getBytes fetches a whole resource (artifacts), retrying transient
-// failures with the client's backoff policy.
-func (p *Platform) getBytes(ctx context.Context, u string) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var lastErr error
-	for attempt := 1; attempt <= p.retry.Attempts; attempt++ {
-		if attempt > 1 {
-			if !p.retry.Sleep(ctx, attempt-1) {
-				break
-			}
-			p.requestRetries.Add(1)
-		}
-		rc, err := p.stream(ctx, u)
-		if err != nil {
-			var te *transientErr
-			if !errors.As(err, &te) {
-				return nil, err // application error: retrying cannot help
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				break
-			}
-			continue
-		}
-		data, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			lastErr = err // connection died mid-body
-			continue
-		}
-		return data, nil
-	}
-	return nil, lastErr
 }
 
 // Nodes lists the server's vantage points with their devices and
@@ -441,7 +370,9 @@ func (p *Platform) BuildStatus(ctx context.Context, build int) (api.BuildStatus,
 // Artifact fetches one workspace artifact's raw bytes, retrying
 // transient failures.
 func (p *Platform) Artifact(ctx context.Context, build int, name string) ([]byte, error) {
-	return p.getBytes(ctx, p.url("/api/v1/builds/%d/artifacts/%s", build, name))
+	var data []byte
+	err := p.doJSON(ctx, http.MethodGet, p.url("/api/v1/builds/%d/artifacts/%s", build, name), nil, &data)
+	return data, err
 }
 
 // Analytics runs a server-side trace query over a finished build's
@@ -558,13 +489,10 @@ func (p *Platform) followBuild(ctx context.Context, build int, node, device stri
 		done:   make(chan struct{}),
 		agg:    samples.NewStreamSummary(),
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); p.followEvents(sctx, build, s.handleEvent) }()
-	go func() { defer wg.Done(); p.followSamples(sctx, build, s.handleSample, s.resetLive) }()
+	sampled := sampleStream(s.handleSample)
+	sampled.Restart = s.resetLive
 	go func() {
-		wg.Wait()
-		s.finalize(sctx)
+		s.finalize(sctx, p.followStreams(sctx, build, eventStream(s.handleEvent), sampled))
 		scancel()
 		close(s.done)
 	}()
@@ -662,138 +590,171 @@ func (s *Session) Wait(ctx context.Context) (*core.Result, error) {
 	return s.Result()
 }
 
-// streamCheck is the stream loops' decision point after a failed open
-// or a disconnect: fetch the build status and report whether the loop
-// should stop (terminal state, or the server unreachable — finalize
-// resolves the real state). It also detects a server that restarted
-// and recovered the build: each recovery hands the build a fresh feed
-// and bumps its feed_epoch, so whenever the epoch moves past what the
-// caller has seen, its resume cursor belongs to an abandoned feed and
-// must reset — on every restart, not just the first.
-func (p *Platform) streamCheck(ctx context.Context, build int, seenEpoch *int) (stop, reset bool) {
-	st, err := p.BuildStatus(ctx, build)
+// Stream is one follower of a build's event or sample stream, as Follow
+// drives it: where the next connection resumes and what reads it.
+type Stream struct {
+	// Route is the stream under /api/v1/builds/{id}/ with any query
+	// beyond the cursor: "events", "samples" or "samples?format=ndjson".
+	Route string
+	// From is the resume cursor (?from=): how many records of the feed
+	// the follower has delivered. Follow advances it.
+	From int
+	// Epoch is the feed incarnation From counts in, pinned by a status
+	// read before the first open.
+	Epoch int
+	// Consume reads one connection's body, delivering whole records, and
+	// reports how many it delivered. It returns nil only when the body
+	// ended at a record boundary; any other return is a broken end.
+	Consume func(body io.Reader) (records int, err error)
+	// Restart runs when a broken end finds that the feed started over —
+	// the server restarted and recovered the build, so the epoch moved
+	// and From is back at 0 — to void what the follower derived from the
+	// abandoned feed. Nil: there is nothing to void. An error ends the
+	// follow with it: what a follower that has passed records on and
+	// cannot take them back must do.
+	Restart func() error
+}
+
+// Follow follows one build stream to its end — the one loop behind a
+// session, the federation relay and the feed gateway. It rests on one
+// rule: a clean end (the body terminated at a record boundary) means the
+// feed closed, and since the server publishes a build's terminal status
+// before it closes the feed, that status can already be read; Follow
+// returns nil. Any other end is broken — a failed open, a cut
+// connection, a record cut short — and resumes from s.From after one
+// status read: if the feed epoch moved past s.Epoch, the cursor belongs
+// to an abandoned feed and starts over (see Stream.Restart). Follow
+// gives up with an error when an open meets an application error, the
+// status cannot be read, ctx ends, or the retry policy's budget of
+// consecutive failures is spent.
+func (p *Platform) Follow(ctx context.Context, build int, s *Stream) error {
+	ref, err := url.Parse(fmt.Sprintf("/api/v1/builds/%d/%s", build, s.Route))
 	if err != nil {
-		return true, false
+		return fmt.Errorf("remote: stream route %q: %w", s.Route, err)
 	}
-	if st.Terminal() {
-		return true, false
-	}
-	if st.FeedEpoch > *seenEpoch {
-		*seenEpoch = st.FeedEpoch
-		return false, true
-	}
-	return false, false
-}
-
-// healthyConn reports whether a finished connection attempt counts as
-// a fresh start for the consecutive-failure budget: it delivered data,
-// or it stayed up long enough that the drop is a new incident rather
-// than a continuation of the same outage. Without this, idle-phase
-// streams severed by proxies every few minutes would burn the budget
-// cumulatively over a perfectly healthy run.
-func healthyConn(progressed bool, opened time.Time) bool {
-	return progressed || time.Since(opened) > 5*time.Second
-}
-
-// runStream is the replay-plus-follow driver behind followEvents and
-// followSamples: open the stream at the consumer's resume cursor, let
-// consume drain it (reporting whether anything arrived), and on
-// disconnect decide between stopping (build terminal), resetting the
-// consumer (the server restarted — feed epoch moved), and retrying
-// within the consecutive-failure budget.
-func (p *Platform) runStream(ctx context.Context, build int, path string, cursor func() int, reset func(), consume func(io.Reader) bool) {
+	query := ref.Query()
 	failures := 0
-	seenEpoch := 0
-	first := true
 	for {
-		if !first {
-			p.streamReconnects.Add(1)
-		}
-		first = false
+		query.Set("from", strconv.Itoa(s.From))
+		ref.RawQuery = query.Encode()
 		opened := time.Now()
-		rc, err := p.stream(ctx, p.url(path, build)+fmt.Sprintf("?from=%d", cursor()))
-		progressed := false
-		if err == nil {
-			progressed = consume(rc)
+		rc, err := p.open(ctx, http.MethodGet, p.base.ResolveReference(ref).String(), nil)
+		var te *transientErr
+		n := 0
+		switch {
+		case err == nil:
+			n, err = s.Consume(rc)
 			rc.Close()
+			s.From += n
+			if err == nil {
+				return nil
+			}
+		case !errors.As(err, &te):
+			return err // an application error: reconnecting cannot help
 		}
 		if ctx.Err() != nil {
-			return
+			return ctx.Err()
 		}
-		stop, rst := p.streamCheck(ctx, build, &seenEpoch)
-		if stop {
-			return
-		}
-		if rst {
-			p.epochResets.Add(1)
-			reset()
-		}
-		if healthyConn(progressed, opened) {
+		// A connection that delivered records, or stayed up long enough
+		// that its drop is a new incident, refills the budget: idle
+		// streams severed by proxies every few minutes must not burn it
+		// cumulatively over a healthy run.
+		if n > 0 || time.Since(opened) > 5*time.Second {
 			failures = 0
 		}
-		failures++
-		if failures >= p.retry.Attempts || !p.retry.Sleep(ctx, failures) {
-			return
+		if failures++; failures >= p.retry.Attempts {
+			return fmt.Errorf("remote: following build %d's %s: %w", build, s.Route, err)
 		}
+		st, err := p.BuildStatus(ctx, build)
+		if err != nil {
+			return err
+		}
+		if st.FeedEpoch > s.Epoch {
+			s.Epoch, s.From = st.FeedEpoch, 0
+			p.epochResets.Add(1)
+			if s.Restart != nil {
+				if err := s.Restart(); err != nil {
+					return err
+				}
+			}
+		}
+		if !p.retry.sleep(ctx, failures) {
+			return ctx.Err()
+		}
+		p.streamReconnects.Add(1)
 	}
 }
 
-// followEvents streams a build's NDJSON events to each, in order —
-// the one event follower, behind a session and behind the federation
-// relay. A dropped connection resumes from the last seen Seq via the
-// ?from= cursor, with the client's backoff policy between reconnects; a
-// stream that ends while the server reports the build still running is
-// a loss, not a finish. When the server restarted and recovered the
-// build, its feed is a fresh capture and the cursor starts over.
-func (p *Platform) followEvents(ctx context.Context, build int, each func(api.BuildEvent)) {
-	cursor := 0
-	p.runStream(ctx, build, "/api/v1/builds/%d/events",
-		func() int { return cursor },
-		func() { cursor = 0 },
-		func(r io.Reader) bool {
-			dec := json.NewDecoder(r)
-			progressed := false
-			for {
-				var ev api.BuildEvent
-				if err := dec.Decode(&ev); err != nil {
-					return progressed
-				}
-				progressed = true
-				cursor = ev.Seq + 1
-				each(ev)
-			}
-		})
+// followStreams pins the build's feed epoch with one status read and
+// follows each stream from it concurrently. It returns what ended them
+// broken, if anything.
+func (p *Platform) followStreams(ctx context.Context, build int, streams ...*Stream) error {
+	st, err := p.BuildStatus(ctx, build)
+	if err != nil {
+		return err
+	}
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
+	for i, s := range streams {
+		s.Epoch = st.FeedEpoch
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.Follow(ctx, build, s)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// followSamples is followEvents for the binary sample stream: the
-// cursor counts points received, so a reconnect neither hands a point
-// to each twice nor skips the gap. When the cursor starts over, reset
-// (if any) clears what the caller derived from the abandoned feed.
-func (p *Platform) followSamples(ctx context.Context, build int, each func(api.SamplePoint), reset func()) {
-	cursor := 0
-	p.runStream(ctx, build, "/api/v1/builds/%d/samples",
-		func() int { return cursor },
-		func() {
-			cursor = 0
-			if reset != nil {
-				reset()
-			}
-		},
-		func(r io.Reader) bool {
-			br := bufio.NewReader(r)
-			progressed := false
-			for {
-				pts, err := api.ReadSampleFrame(br)
-				if err != nil {
-					return progressed // io.EOF at a frame boundary is the clean end
+// terminalStatus is the one status read after a build's streams ended
+// clean: their feed closed, so the status it reports is terminal.
+func (p *Platform) terminalStatus(ctx context.Context, build int) (api.BuildStatus, error) {
+	st, err := p.BuildStatus(ctx, build)
+	if err == nil && !st.Terminal() {
+		err = fmt.Errorf("remote: build %d still %s after its streams ended", build, st.State)
+	}
+	return st, err
+}
+
+// eventStream reads the NDJSON event stream, handing each event to each
+// in order.
+func eventStream(each func(api.BuildEvent)) *Stream {
+	return &Stream{Route: "events", Consume: func(body io.Reader) (int, error) {
+		dec := json.NewDecoder(body)
+		for n := 0; ; n++ {
+			var ev api.BuildEvent
+			if err := dec.Decode(&ev); err != nil {
+				if err == io.EOF {
+					err = nil
 				}
-				progressed = true
-				for _, pt := range pts {
-					cursor++
-					each(pt)
-				}
+				return n, err
 			}
-		})
+			each(ev)
+		}
+	}}
+}
+
+// sampleStream reads the binary sample stream, handing each point to
+// each in order.
+func sampleStream(each func(api.SamplePoint)) *Stream {
+	return &Stream{Route: "samples", Consume: func(body io.Reader) (int, error) {
+		br := bufio.NewReader(body)
+		n := 0
+		for {
+			pts, err := api.ReadSampleFrame(br)
+			if err != nil {
+				if err == io.EOF { // at a frame boundary: the clean end
+					err = nil
+				}
+				return n, err
+			}
+			for _, pt := range pts {
+				each(pt)
+			}
+			n += len(pts)
+		}
+	}}
 }
 
 // handleEvent folds one wire event into the session and observers. The
@@ -861,18 +822,24 @@ func (s *Session) handleSample(pt api.SamplePoint) {
 // resetLive clears the live aggregate when the server restarted and
 // recovered the build: the rerun's samples are a fresh capture, and the
 // pre-crash ones belonged to an attempt the scheduler abandoned.
-func (s *Session) resetLive() {
+func (s *Session) resetLive() error {
 	s.agg = samples.NewStreamSummary()
 	s.mu.Lock()
 	s.live = samples.LiveSummary{}
 	s.mu.Unlock()
+	return nil
 }
 
-// finalize runs after both streams end: resolve the terminal build
-// state, reconstruct the Result from the workspace artifacts, and
-// deliver the withheld PhaseDone event.
-func (s *Session) finalize(ctx context.Context) {
-	st, err := s.p.awaitTerminal(ctx, s.build)
+// finalize runs after both streams end: read the terminal build state
+// once (unless a stream ended broken — then err says why, and the
+// observers missed records a local session would have delivered),
+// reconstruct the Result from the workspace artifacts, and deliver the
+// withheld PhaseDone event.
+func (s *Session) finalize(ctx context.Context, err error) {
+	var st api.BuildStatus
+	if err == nil {
+		st, err = s.p.terminalStatus(ctx, s.build)
+	}
 	var res *core.Result
 	var runErr error
 	switch {
@@ -917,28 +884,6 @@ func (s *Session) finalize(ctx context.Context) {
 	}
 	for _, o := range s.obs {
 		o.OnPhase(*doneEvent)
-	}
-}
-
-// awaitTerminal polls the build status until it is terminal — settled,
-// or expired, which the caller interprets. The streams normally end
-// exactly at finish, so the first poll usually suffices; the retry loop
-// covers stream teardown racing the state transition.
-func (p *Platform) awaitTerminal(ctx context.Context, build int) (api.BuildStatus, error) {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st, err := p.BuildStatus(ctx, build)
-		if err != nil || st.Terminal() {
-			return st, err
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("remote: build %d still %s after its streams closed", build, st.State)
-		}
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
 	}
 }
 
