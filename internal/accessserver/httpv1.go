@@ -386,7 +386,10 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			writeError(w, err)
 			return
 		}
+		// A declared length: a trace larger than the server's write
+		// buffer is not sent chunked, and the client sizes its buffer once.
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data)
 	})
 	s.handlerCluster(mux)
@@ -437,6 +440,9 @@ func buildStatus(b *Build) api.BuildStatus {
 		// spec) names the submitting server for the peer executing it.
 		RoutedVia:      b.routedVia,
 		PlacementScore: b.placementScore,
+		QueuedAtNS:     r.QueuedAtNS,
+		StartedAtNS:    r.StartedAtNS,
+		FinishedAtNS:   r.FinishedAtNS,
 	}
 	if r.State == StateQueued.String() {
 		st.PendingReason = b.pendingReason

@@ -472,6 +472,12 @@ type BuildStatus struct {
 	// cross-server routing path, so an operator reading this server's
 	// build list can trace a routed run back to where it was submitted.
 	HomeServer string `json:"home_server,omitempty"`
+	// The build's timeline on the server's clock, in Unix nanoseconds:
+	// submitted, dispatched (the latest attempt) and finished. Zero, and
+	// omitted, until the build gets there.
+	QueuedAtNS   int64 `json:"queued_at_ns,omitempty"`
+	StartedAtNS  int64 `json:"started_at_ns,omitempty"`
+	FinishedAtNS int64 `json:"finished_at_ns,omitempty"`
 }
 
 // BearerToken extracts the access token from a request's Authorization

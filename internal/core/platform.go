@@ -163,7 +163,13 @@ func (p *Platform) drive(ctx context.Context, v *simclock.Virtual, done <-chan s
 			p.driveMu.Unlock()
 			return fmt.Errorf("core: run did not finish within its time budget (next event %v past %v)", next, dl)
 		}
-		v.RunUntil(next)
+		// Step, not RunUntil(next): a ticker firing at next batches its
+		// ticks up to the following deadline only under a driver that
+		// does not stop at next. A held clock refuses Step; RunUntil
+		// fires regardless, as this loop always has.
+		if !v.Step() {
+			v.RunUntil(next)
+		}
 		p.driveMu.Unlock()
 	}
 }

@@ -284,3 +284,60 @@ func TestSampleStepDoesNotAllocate(t *testing.T) {
 		t.Fatalf("captured %d samples, want %d", s.Len(), 10+steps+1)
 	}
 }
+
+// TestCaptureCost is a cost gate that counts work: on a virtual clock a
+// 5 kHz capture costs a clock event per foreign deadline, not one per
+// sample — the ticks between two foreign deadlines run inside one Step —
+// and such a batch of samples allocates nothing.
+func TestCaptureCost(t *testing.T) {
+	start := func(t *testing.T, foreign time.Duration) (*Monsoon, *simclock.Virtual) {
+		m, clk := newMon(t)
+		m.SetMains(true)
+		if err := m.SetVout(4.0); err != nil {
+			t.Fatal(err)
+		}
+		m.WireSource(constSource(250))
+		if err := m.StartSampling(MaxSampleRate); err != nil {
+			t.Fatal(err)
+		}
+		tk := simclock.NewTicker(clk, foreign, func(time.Time) {})
+		t.Cleanup(tk.Stop)
+		return m, clk
+	}
+
+	t.Run("one Step per foreign deadline", func(t *testing.T) {
+		m, clk := start(t, 100*time.Millisecond)
+		end := clk.Now().Add(10 * time.Second)
+		steps := 0
+		for clk.Now().Before(end) && clk.Step() {
+			steps++
+		}
+		clk.RunUntil(end) // the sample at end sorts after the foreign tick there
+		s, err := m.StopSampling()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != 50000 {
+			t.Fatalf("captured %d samples in 10 s at 5 kHz, want 50000", s.Len())
+		}
+		if steps > 3*100 {
+			t.Fatalf("%d Steps for 100 foreign deadlines, want at most 300", steps)
+		}
+	})
+
+	t.Run("a batch of samples allocates nothing", func(t *testing.T) {
+		m, clk := start(t, 10*time.Millisecond) // 50 samples per batch
+		clk.Step()                              // starts the first chunk
+		const steps = 40
+		if n := testing.AllocsPerRun(steps, func() { clk.Step() }); n != 0 {
+			t.Fatalf("%v allocations per Step", n)
+		}
+		s, err := m.StopSampling()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() < steps/2*50 || s.Len() >= samples.ChunkLen {
+			t.Fatalf("captured %d samples: want batches of 50 inside one %d-sample chunk", s.Len(), samples.ChunkLen)
+		}
+	})
+}

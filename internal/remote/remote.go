@@ -237,7 +237,7 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 			}
 			p.requestRetries.Add(1)
 		}
-		rc, err := p.open(ctx, method, u, payload)
+		resp, err := p.open(ctx, method, u, payload)
 		var te *transientErr
 		if errors.As(err, &te) {
 			lastErr = te.err
@@ -252,8 +252,8 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 		// Read the whole body before declaring success: a connection
 		// reset mid-body is the same transient failure as one before
 		// the headers and retries under the same budget.
-		data, err := io.ReadAll(rc)
-		rc.Close()
+		data, err := readBody(resp)
+		resp.Body.Close()
 		if err != nil {
 			lastErr = fmt.Errorf("remote: %s %s: reading response: %w", method, u, err)
 			continue
@@ -268,6 +268,24 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 		return json.Unmarshal(data, out)
 	}
 	return lastErr
+}
+
+// maxSizedBody caps the buffer a declared Content-Length may allocate
+// up front; a larger body is read as it arrives.
+const maxSizedBody = 64 << 20
+
+// readBody reads a 2xx response's whole body. A declared length sizes
+// the buffer once — a megabyte-scale trace artifact would otherwise be
+// reassembled by repeated doubling — and a body that ends short of it
+// is an error (io.ErrUnexpectedEOF), which do retries.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	_, err := io.ReadFull(resp.Body, data)
+	return data, err
 }
 
 // IsOverloaded reports whether err is the server's 429 admission
@@ -304,12 +322,12 @@ type transientErr struct{ err error }
 func (e *transientErr) Error() string { return e.err.Error() }
 func (e *transientErr) Unwrap() error { return e.err }
 
-// open sends one request and returns the open body of its 2xx
-// response — the one place a request is made, for do's round trips and
+// open sends one request and returns its 2xx response with the body
+// open — the one place a request is made, for do's round trips and
 // Follow's streams alike. Failures worth another attempt (network
 // errors, gateway-class statuses) come back as *transientErr; any other
 // non-2xx response is its *api.Error.
-func (p *Platform) open(ctx context.Context, method, u string, payload []byte) (io.ReadCloser, error) {
+func (p *Platform) open(ctx context.Context, method, u string, payload []byte) (*http.Response, error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
@@ -334,7 +352,7 @@ func (p *Platform) open(ctx context.Context, method, u string, payload []byte) (
 		}
 		return nil, err
 	}
-	return resp.Body, nil
+	return resp, nil
 }
 
 // Nodes lists the server's vantage points with their devices and
@@ -638,13 +656,13 @@ func (p *Platform) Follow(ctx context.Context, build int, s *Stream) error {
 		query.Set("from", strconv.Itoa(s.From))
 		ref.RawQuery = query.Encode()
 		opened := time.Now()
-		rc, err := p.open(ctx, http.MethodGet, p.base.ResolveReference(ref).String(), nil)
+		resp, err := p.open(ctx, http.MethodGet, p.base.ResolveReference(ref).String(), nil)
 		var te *transientErr
 		n := 0
 		switch {
 		case err == nil:
-			n, err = s.Consume(rc)
-			rc.Close()
+			n, err = s.Consume(resp.Body)
+			resp.Body.Close()
 			s.From += n
 			if err == nil {
 				return nil

@@ -284,6 +284,13 @@ func TestRemoteSingleExperiment(t *testing.T) {
 	if int64(res.Current.Len()) != st.Summary.Samples {
 		t.Errorf("trace %d samples vs summary %d", res.Current.Len(), st.Summary.Samples)
 	}
+	// The build's timeline: submitted, dispatched, then finished once the
+	// run's simulated time had passed.
+	if st.QueuedAtNS == 0 || st.StartedAtNS < st.QueuedAtNS ||
+		time.Duration(st.FinishedAtNS-st.StartedAtNS) < res.Current.Duration() {
+		t.Errorf("timeline queued %d, started %d, finished %d: want non-zero, in order and spanning the %v trace",
+			st.QueuedAtNS, st.StartedAtNS, st.FinishedAtNS, res.Current.Duration())
+	}
 	// The monitor's trace and the CPU traces all made the trip.
 	if res.DeviceCPU.Len() == 0 || res.ControllerCPU.Len() == 0 {
 		t.Error("CPU traces missing from the reconstructed result")

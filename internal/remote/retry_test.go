@@ -6,6 +6,7 @@ package remote_test
 // access server.
 
 import (
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 
 	"batterylab"
 	"batterylab/internal/api"
+	"batterylab/internal/core"
 	"batterylab/internal/remote"
 )
 
@@ -276,5 +278,92 @@ func TestStreamReconnect(t *testing.T) {
 	live := sess.Live()
 	if int64(live.N) != int64(got) {
 		t.Fatalf("client aggregate N = %d, observer delivered %d — duplicate or lost samples across the reconnect", live.N, got)
+	}
+}
+
+// artifactProxy records the length the server declares on every
+// artifact response and cuts the first one off halfway through it.
+type artifactProxy struct {
+	inner http.Handler
+
+	mu      sync.Mutex
+	lengths map[string][]string // path -> declared Content-Length per response
+	cut     bool
+}
+
+func (p *artifactProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.Contains(r.URL.Path, "/artifacts/") {
+		p.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	p.inner.ServeHTTP(rec, r)
+	p.mu.Lock()
+	p.lengths[r.URL.Path] = append(p.lengths[r.URL.Path], rec.Header().Get("Content-Length"))
+	cut := !p.cut
+	p.cut = true
+	p.mu.Unlock()
+	maps.Copy(w.Header(), rec.Header())
+	w.WriteHeader(rec.Code)
+	body := rec.Body.Bytes()
+	if cut {
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}
+	w.Write(body)
+}
+
+// TestArtifactDeclaredLength: an artifact response declares its
+// length, and a body that ends short of it is retried like a dropped
+// connection, so the run's trace still arrives whole.
+func TestArtifactDeclaredLength(t *testing.T) {
+	l := newLab(t)
+	token, err := batterylab.NewAPIToken(l.plat, "tester-"+t.Name(), "experimenter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := &artifactProxy{inner: l.plat.Access.Handler(), lengths: map[string][]string{}}
+	ts := httptest.NewServer(proxy)
+	t.Cleanup(ts.Close)
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go batterylab.DriveBuilds(l.clock, l.plat, stop)
+	client, err := remote.Dial(ts.URL, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetRetryPolicy(remote.RetryPolicy{Attempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
+
+	spec := idleSpec(l)
+	spec.Monitor.SampleRateHz = 5000
+	spec.Workload.Params = api.Params{"duration_ms": 2000}
+	sess, err := client.StartExperiment(nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Wait(nil)
+	if err != nil {
+		t.Fatalf("run with a truncated artifact: %v", err)
+	}
+	trace, err := client.Artifact(nil, sess.Build(), core.ArtifactCurrentTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Current.Len() < 10000 || len(trace) < 64<<10 {
+		t.Fatalf("%d samples in a %d-byte trace: want one larger than the server's write buffer", res.Current.Len(), len(trace))
+	}
+
+	path := "/api/v1/builds/" + strconv.Itoa(sess.Build()) + "/artifacts/" + core.ArtifactCurrentTrace
+	proxy.mu.Lock()
+	defer proxy.mu.Unlock()
+	declared := proxy.lengths[path]
+	if len(declared) < 3 { // the cut fetch, its retry, the fetch above
+		t.Fatalf("trace fetched %d times, want the cut fetch retried", len(declared))
+	}
+	for _, n := range declared {
+		if n != strconv.Itoa(len(trace)) {
+			t.Fatalf("declared lengths %v, want %d on every response", declared, len(trace))
+		}
 	}
 }

@@ -15,6 +15,17 @@ import (
 // nothing. On a Virtual clock the re-armed timer takes a fresh sequence
 // number, which orders it among timers with an equal deadline exactly as
 // if the tick had called AfterFunc.
+//
+// On a Virtual clock a tick does not need a clock event of its own: once
+// a tick has run, the ticker runs the following ticks in place, in order,
+// each with Now() at its nominal deadline, for as long as the next tick
+// is the event the clock would pop next anyway — strictly before every
+// other pending deadline, with no Hold active and within the running
+// RunUntil's target — and re-arms its timer once, after the last. No
+// other timer can fall between two ticks run this way, so the order of
+// callbacks, the Now() each observes and the sequence numbers drawn are
+// those of one clock event per tick; a 5 kHz Monsoon capture costs one
+// heap pop per foreign deadline instead of one per sample.
 type Ticker struct {
 	clock  Clock
 	period time.Duration
@@ -45,19 +56,28 @@ func NewTicker(clock Clock, period time.Duration, fn func(now time.Time)) *Ticke
 func (t *Ticker) fire() {
 	t.mu.Lock()
 	deadline, stopped := t.next, t.stopped
+	ev, _ := t.timer.(*event)
 	t.mu.Unlock()
 	if stopped {
 		return
 	}
-	t.fn(deadline)
+	for {
+		t.fn(deadline)
 
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped { // from inside fn, or meanwhile
-		return
+		t.mu.Lock()
+		if t.stopped { // from inside fn, or meanwhile
+			t.mu.Unlock()
+			return
+		}
+		deadline = deadline.Add(t.period)
+		t.next = deadline
+		if ev == nil || !ev.owner.runInPlace(ev, deadline) {
+			t.timer.Reset(deadline.Sub(t.clock.Now()))
+			t.mu.Unlock()
+			return
+		}
+		t.mu.Unlock()
 	}
-	t.next = deadline.Add(t.period)
-	t.timer.Reset(t.next.Sub(t.clock.Now()))
 }
 
 // Stop cancels future ticks. It does not interrupt a tick in flight.

@@ -79,7 +79,7 @@ func (v *Virtual) RunUntil(t time.Time) {
 			v.mu.Unlock()
 			return
 		}
-		fn := v.popLocked()
+		fn := v.popLocked(t)
 		v.mu.Unlock()
 		if fn != nil {
 			fn()
@@ -87,10 +87,14 @@ func (v *Virtual) RunUntil(t time.Time) {
 	}
 }
 
+// endOfTime bounds a Step's batch: only the next foreign deadline does.
+var endOfTime = time.Unix(1<<62, 0)
+
 // popLocked removes the earliest event, moves the clock to its deadline
 // and returns the callback to run — nil for a stopped timer, which is
-// discarded here.
-func (v *Virtual) popLocked() func() {
+// discarded here. until is the driver's target, past which a Ticker
+// firing in this pop may not batch (see runInPlace).
+func (v *Virtual) popLocked(until time.Time) func() {
 	ev := heap.Pop(&v.heap).(*event)
 	if ev.when.After(v.now) {
 		v.now = ev.when
@@ -98,8 +102,31 @@ func (v *Virtual) popLocked() func() {
 	if ev.done {
 		return nil
 	}
-	ev.done = true
+	ev.done, ev.until = true, until
 	return ev.fn
+}
+
+// runInPlace reports whether the Ticker whose event ev is firing may run
+// its next tick, due at next, inside this same clock event — true only
+// when that tick is the event the heap would pop next anyway: strictly
+// before the earliest pending deadline (on an equal one the pending
+// timer was armed first and wins), no Hold active, at or before the
+// driver's target and not already passed by a callback that advanced
+// the clock itself. A clock with nothing else pending does not batch,
+// so a lone ticker still fires one tick per Step. On true the clock
+// moves to next and draws the sequence number the ticker's re-arm would
+// have drawn, so event order, Now() and later sequence numbers are
+// exactly those of one event per tick.
+func (v *Virtual) runInPlace(ev *event, next time.Time) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.holds > 0 || len(v.heap) == 0 || next.Before(v.now) ||
+		!next.Before(v.heap[0].when) || next.After(ev.until) {
+		return false
+	}
+	v.now = next
+	v.seq++
+	return true
 }
 
 // Hold suspends Step drivers until the returned release runs. It lets
@@ -124,17 +151,21 @@ func (v *Virtual) Hold() (release func()) {
 }
 
 // Step fires the earliest pending timer, advancing the clock to its
-// deadline — one discrete-event iteration. It reports false (firing
-// nothing) when the clock is held or no timers are pending. Step is
-// the building block for drivers that serve real-time consumers from a
-// virtual timeline (batterylab.DriveBuilds).
+// deadline — one discrete-event iteration. When that timer is a
+// Ticker's, the iteration also runs every following tick due strictly
+// before the next other pending deadline (see Ticker), so one Step may
+// advance the clock by many periods; a ticker alone on the clock still
+// fires one tick per Step. It reports false (firing nothing) when the
+// clock is held or no timers are pending. Step is the building block
+// for drivers that serve real-time consumers from a virtual timeline
+// (batterylab.DriveBuilds).
 func (v *Virtual) Step() bool {
 	v.mu.Lock()
 	if v.holds > 0 || len(v.heap) == 0 {
 		v.mu.Unlock()
 		return false
 	}
-	fn := v.popLocked()
+	fn := v.popLocked(endOfTime)
 	v.mu.Unlock()
 	if fn != nil {
 		fn()
@@ -186,6 +217,7 @@ type event struct {
 	index int  // position in the heap, -1 once popped
 	done  bool // fired or stopped: fn will not run unless Reset re-arms it
 	owner *Virtual
+	until time.Time // target of the driver that last popped it
 }
 
 // Stop implements Timer. It is safe to call after firing. A stopped event
