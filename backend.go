@@ -11,7 +11,6 @@ package batterylab
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/api"
@@ -21,42 +20,17 @@ import (
 )
 
 // DriveBuilds lets a virtual-clock platform serve real-time remote
-// clients: it advances simulated time (one timer deadline per step)
-// whenever the access server has queued or running builds, and freezes
-// it when the server is idle — so experiments run at simulation speed
-// while idle-time machinery (cron maintenance, the multi-day
+// clients: it advances simulated time while the access server has
+// queued or running builds and freezes it when the server is idle, so
+// idle-time machinery (cron maintenance, the multi-day
 // artifact-retention expiry) does not race ahead of clients still
-// streaming or fetching results. Stepping coordinates with the
-// server's dispatch via the clock's hold protocol, so a run dispatched
-// at instant t deterministically starts at t no matter how the driver
-// interleaves. It returns when stop is closed. On a real clock it is a
-// no-op: time drives itself.
+// streaming or fetching results. It is the clock's DriveWhile: the
+// server holds the clock around every submit and dispatch, so a run
+// dispatched at t starts at t, and the release wakes the driver. It
+// returns when stop is closed; on a real clock it is a no-op.
 func DriveBuilds(clock Clock, p *Platform, stop <-chan struct{}) {
-	v, ok := clock.(*simclock.Virtual)
-	if !ok {
-		return
-	}
-	const (
-		// activePoll keeps step latency low while builds are in flight
-		// (a held clock, or one waiting on new work, re-checks quickly).
-		activePoll = 200 * time.Microsecond
-		// idlePoll is the relaxed cadence when no builds exist — the
-		// driver is just watching for the next submission.
-		idlePoll = 5 * time.Millisecond
-	)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if p.Access.Running() == 0 && p.Access.QueueLength() == 0 {
-			time.Sleep(idlePoll)
-			continue
-		}
-		if !v.Step() {
-			time.Sleep(activePoll)
-		}
+	if v, ok := clock.(*simclock.Virtual); ok {
+		v.DriveWhile(func() bool { return p.Access.Running()+p.Access.QueueLength() > 0 }, stop)
 	}
 }
 

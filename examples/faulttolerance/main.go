@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"batterylab"
@@ -83,31 +84,10 @@ func main() {
 		fmt.Printf("t=%-6s node2 killed (heartbeats stop)\n", clock.Now().Sub(start))
 	})
 
-	// Drive simulated time event-by-event until every build settles,
-	// narrating health transitions as they happen.
+	// Drive simulated time instant by instant until every build
+	// settles, narrating health transitions as they happen.
 	lastHealth := map[string]string{}
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
-	for {
-		done := true
-		for _, b := range builds {
-			if !terminal(b) {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		next, ok := clock.NextDeadline()
-		if !ok {
-			log.Fatal("campaign stalled")
-		}
-		clock.RunUntil(next)
+	settling := func() bool {
 		for _, name := range []string{"node1", "node2"} {
 			h := srv.NodeHealth(name).Health.String()
 			if lastHealth[name] != h {
@@ -115,6 +95,10 @@ func main() {
 				lastHealth[name] = h
 			}
 		}
+		return slices.ContainsFunc(builds, func(b *accessserver.Build) bool { return !b.State().Terminal() })
+	}
+	if err := clock.RunWhile(settling, nil); err != nil {
+		log.Fatal("campaign: ", err)
 	}
 
 	fmt.Printf("campaign finished at t=%s\n\n", clock.Now().Sub(start))

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"batterylab"
@@ -54,24 +55,13 @@ func boot(dir string) (*simclock.Virtual, *accessserver.Server, map[string]strin
 	return clock, plat.Access, devices, st, stats
 }
 
+// drive runs the clock instant by instant until every build settles.
 func drive(clock *simclock.Virtual, builds []*accessserver.Build) {
-	for {
-		done := true
-		for _, b := range builds {
-			switch b.State() {
-			case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			default:
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		next, ok := clock.NextDeadline()
-		if !ok {
-			log.Fatal("stalled: no pending timers")
-		}
-		clock.RunUntil(next)
+	settling := func() bool {
+		return slices.ContainsFunc(builds, func(b *accessserver.Build) bool { return !b.State().Terminal() })
+	}
+	if err := clock.RunWhile(settling, nil); err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -9,6 +9,7 @@ package batterylab
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,37 +81,17 @@ func (l *faultLab) idleSpec(node string) api.ExperimentSpec {
 	}
 }
 
-// runToCompletion drives the virtual clock event-by-event until every
-// build reaches a terminal state, returning the simulated finish time.
-func (l *faultLab) runToCompletion(t *testing.T, builds []*accessserver.Build) time.Time {
+// settle runs the virtual clock instant by instant until every build
+// reaches a terminal state, failing if it stalls or passes four
+// simulated hours.
+func settle(t *testing.T, clk *simclock.Virtual, srv *accessserver.Server, builds []*accessserver.Build) {
 	t.Helper()
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
+	settling := func() bool {
+		return slices.ContainsFunc(builds, func(b *accessserver.Build) bool { return !b.State().Terminal() })
 	}
-	deadline := l.clk.Now().Add(4 * time.Hour) // simulated-time safety net
-	for {
-		done := true
-		for _, b := range builds {
-			if !terminal(b) {
-				done = false
-				break
-			}
-		}
-		if done {
-			return l.clk.Now()
-		}
-		next, ok := l.clk.NextDeadline()
-		if !ok {
-			t.Fatalf("campaign stalled: no pending timers, %d queued", l.srv.QueueLength())
-		}
-		if next.After(deadline) {
-			t.Fatalf("campaign did not finish within the simulated budget")
-		}
-		l.clk.RunUntil(next)
+	budget := clk.Now().Add(4 * time.Hour)
+	if err := clk.RunWhile(settling, func() time.Time { return budget }); err != nil {
+		t.Fatalf("builds did not settle: %v (%d queued)", err, srv.QueueLength())
 	}
 }
 
@@ -136,9 +117,9 @@ func runKillScenario(t *testing.T) ([]*accessserver.Build, *faultLab, killOutcom
 	}
 	// The vantage point dies 30 s into the campaign and never returns.
 	l.clk.AfterFunc(30*time.Second, l.flk.Kill)
-	finishedAt := l.runToCompletion(t, builds)
+	settle(t, l.clk, l.srv, builds)
 
-	out := killOutcome{finishedAt: finishedAt}
+	out := killOutcome{finishedAt: l.clk.Now()}
 	for _, b := range builds {
 		out.states = append(out.states, b.State())
 		out.retries = append(out.retries, b.Retries())
@@ -218,7 +199,7 @@ func TestPinnedBuildFailsWhenNodeDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.clk.AfterFunc(30*time.Second, l.flk.Kill)
-	l.runToCompletion(t, []*accessserver.Build{b})
+	settle(t, l.clk, l.srv, []*accessserver.Build{b})
 	if b.State() != accessserver.StateFailure {
 		t.Fatalf("state = %v, want failure", b.State())
 	}

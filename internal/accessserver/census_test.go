@@ -14,7 +14,7 @@ import (
 // builds running, queued behind a drained node and queued for a removed
 // one — and requires the census a recovered server serves to equal a
 // full rebuild, and its lifecycle bookkeeping a recount over its builds,
-// straight after AttachStore and again after every clock deadline of the
+// straight after AttachStore and again after every clock instant of the
 // re-drain.
 func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -91,13 +91,12 @@ func TestCensusMatchesOracleAfterRecovery(t *testing.T) {
 	if err := srv2.UndrainNode(admin2, "node2"); err != nil {
 		t.Fatal(err)
 	}
-	for srv2.QueueLength() > 0 || srv2.Running() > 0 {
-		next, ok := clk2.NextDeadline()
-		if !ok {
-			t.Fatal("stalled: no pending timers")
-		}
-		clk2.RunUntil(next)
+	redraining := func() bool {
 		checkLifecycle(t, srv2, "re-drain at "+clk2.Now().Sub(simclock.Epoch).String())
+		return srv2.QueueLength() > 0 || srv2.Running() > 0
+	}
+	if err := clk2.RunWhile(redraining, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -217,14 +216,7 @@ func TestSubmitStartsAtSubmissionInstant(t *testing.T) {
 	stepper.Add(1)
 	go func() {
 		defer stepper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				clk.Step() // heartbeats re-arm themselves: there is always a deadline
-			}
-		}
+		clk.DriveWhile(func() bool { return true }, stop)
 	}()
 	defer func() {
 		close(stop)

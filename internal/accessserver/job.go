@@ -75,6 +75,12 @@ const (
 
 func (s BuildState) String() string { return string(s) }
 
+// Terminal reports whether the build has settled for good: success,
+// failure or aborted (api.BuildStatus.Terminal is the wire form's).
+func (s BuildState) Terminal() bool {
+	return s == StateSuccess || s == StateFailure || s == StateAborted
+}
+
 // Build is one execution of a job or of a directly submitted v1 spec.
 type Build struct {
 	// BuildRec is the build's durable state, kept as the record a

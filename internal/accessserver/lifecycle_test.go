@@ -127,12 +127,9 @@ func lostBuild(t *testing.T, cfg Config, beforeLoss func(*Server, *User, *Build)
 	}
 	// Step to the lease break (one offline window after the last beat)
 	// and no further.
-	for b.Attempts() == 1 && b.State() == StateRunning {
-		next, ok := clk.NextDeadline()
-		if !ok {
-			t.Fatal("stalled before the lease broke")
-		}
-		clk.RunUntil(next)
+	leased := func() bool { return b.Attempts() == 1 && b.State() == StateRunning }
+	if err := clk.RunWhile(leased, nil); err != nil {
+		t.Fatalf("before the lease broke: %v", err)
 	}
 	return clk, srv, admin, b
 }

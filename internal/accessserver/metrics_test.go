@@ -2,6 +2,7 @@ package accessserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -261,37 +262,19 @@ func TestMetricsConsistentUnderChurn(t *testing.T) {
 	}
 
 	// Drive the virtual clock until every build settles, while readers
-	// and submitters race against the scheduler.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		submittedAll := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return len(all) == builds
-		}()
-		done := submittedAll
-		if submittedAll {
-			mu.Lock()
-			for _, b := range all {
-				switch b.State() {
-				case StateSuccess, StateFailure, StateAborted:
-				default:
-					done = false
-				}
-				if !done {
-					break
-				}
-			}
-			mu.Unlock()
-		}
-		if done {
-			break
-		}
+	// and submitters race against the scheduler. The clock stalls
+	// whenever the builds so far have settled ahead of the submitters.
+	settling := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(all) < builds || slices.ContainsFunc(all, func(b *Build) bool { return !b.State().Terminal() })
+	}
+	for deadline := time.Now().Add(30 * time.Second); settling(); {
 		if time.Now().After(deadline) {
 			t.Fatal("builds did not settle within 30s wall time")
 		}
-		if next, ok := r.clk.NextDeadline(); ok {
-			r.clk.RunUntil(next)
+		if err := r.clk.RunWhile(settling, nil); err != nil && !errors.Is(err, simclock.ErrStalled) {
+			t.Fatal(err)
 		}
 	}
 	submitters.Wait()

@@ -508,12 +508,9 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	// Builds in ID order: submission order, deterministically.
 	for _, id := range slices.Sorted(maps.Keys(rs.builds)) {
 		br := rs.builds[id]
-		state, live := BuildState(br.State), false
-		switch state {
-		case StateQueued, StateRunning:
-			live = true
-		case StateSuccess, StateFailure, StateAborted:
-		default:
+		state := BuildState(br.State)
+		live := state == StateQueued || state == StateRunning
+		if !live && !state.Terminal() {
 			continue // a state this version does not know
 		}
 		// The record comes in whole. Every recovery hands the build a fresh

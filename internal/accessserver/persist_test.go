@@ -44,31 +44,16 @@ func testSpec(node, device string) api.ExperimentSpec {
 	}
 }
 
-// drainServer advances the virtual clock event-by-event until every
+// drainServer runs the virtual clock instant by instant until every
 // given build is terminal.
 func drainServer(t *testing.T, clk *simclock.Virtual, builds []*Build) {
 	t.Helper()
-	deadline := clk.Now().Add(12 * time.Hour)
-	for {
-		done := true
-		for _, b := range builds {
-			switch b.State() {
-			case StateSuccess, StateFailure, StateAborted:
-			default:
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		next, ok := clk.NextDeadline()
-		if !ok {
-			t.Fatalf("stalled: no pending timers")
-		}
-		if next.After(deadline) {
-			t.Fatalf("did not finish within the simulated budget")
-		}
-		clk.RunUntil(next)
+	settling := func() bool {
+		return slices.ContainsFunc(builds, func(b *Build) bool { return !b.State().Terminal() })
+	}
+	budget := clk.Now().Add(12 * time.Hour)
+	if err := clk.RunWhile(settling, func() time.Time { return budget }); err != nil {
+		t.Fatalf("builds did not settle: %v", err)
 	}
 }
 

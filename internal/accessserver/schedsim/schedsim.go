@@ -308,45 +308,33 @@ func Run(script Script) (Result, error) {
 		observe()
 	}
 
-	terminal := func(b *accessserver.Build) bool {
-		switch b.State() {
-		case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			return true
-		}
-		return false
-	}
 	// A build is outstanding while unsubmitted (its SubmitAt has not
 	// fired — builds[i] still nil and results[i] not shed) or
 	// non-terminal.
 	allDone := func() bool {
 		for i, b := range builds {
-			if b == nil {
-				if !results[i].Shed {
-					return false
-				}
-				continue
-			}
-			if !terminal(b) {
+			if b == nil && !results[i].Shed || b != nil && !b.State().Terminal() {
 				return false
 			}
 		}
 		return true
 	}
-	var makespan time.Duration
-	for !allDone() {
-		next, ok := clk.NextDeadline()
-		if !ok {
-			return Result{}, fmt.Errorf("schedsim: stalled with %d builds queued and no pending clock work", srv.QueueLength())
+	// Observe after every instant; busy is asked once before the first.
+	first := true
+	err := clk.RunWhile(func() bool {
+		if !first {
+			observe()
 		}
-		if next.Sub(t0) > maxSim {
-			return Result{}, fmt.Errorf("schedsim: exceeded the %s simulated-time safety net", maxSim)
-		}
-		clk.RunUntil(next)
-		observe()
-		if allDone() {
-			makespan = clk.Now().Sub(t0)
-		}
+		first = false
+		return !allDone()
+	}, func() time.Time { return t0.Add(maxSim) })
+	switch {
+	case errors.Is(err, simclock.ErrStalled):
+		return Result{}, fmt.Errorf("schedsim: stalled with %d builds queued and no pending clock work", srv.QueueLength())
+	case errors.Is(err, simclock.ErrPastLimit):
+		return Result{}, fmt.Errorf("schedsim: exceeded the %s simulated-time safety net", maxSim)
 	}
+	makespan := clk.Now().Sub(t0) // time moves only in instants
 
 	for i, b := range builds {
 		if b == nil {

@@ -926,13 +926,13 @@ func (s *Server) Build(id int) (*Build, error) {
 
 // QueueLength reports builds in state queued: the dispatchable queue
 // plus failed-over builds sitting out their retry backoff. The backoff
-// builds matter for virtual-clock drivers (DriveBuilds): their requeue
-// timers only fire if the clock keeps advancing, so a driver that froze
-// time whenever the dispatch queue emptied would strand them forever.
+// builds matter for a virtual clock's DriveWhile (DriveBuilds): their
+// requeue timers only fire if the clock keeps advancing, so a driver
+// that froze time when the dispatch queue emptied would strand them.
 //
 // Like Running it is a section-exit snapshot: an atomic load of the count
 // the last critical section to finish stored before it released s.mu. A
-// driver polling once per clock step takes no lock and never sees a
+// driver that asks once per clock step takes no lock and never sees a
 // section half done.
 func (s *Server) QueueLength() int { return int(s.queuedNow.Load()) }
 
@@ -944,10 +944,10 @@ func (s *Server) Running() int { return int(s.runningNow.Load()) }
 // placement pass, then the claimed pipelines start outside the lock.
 // On a virtual clock the whole drain runs under a clock hold: pipeline
 // setup is synchronous (RunFuncs schedule their session timers before
-// returning), and a concurrent Step driver (batterylab.DriveBuilds)
-// must not advance the clock to some unrelated far-future deadline
-// mid-setup — every build dispatched in one pass starts at the same
-// instant it was dispatched at, deterministically.
+// returning), and a concurrent DriveWhile (batterylab.DriveBuilds) must
+// not advance the clock to some unrelated far-future deadline mid-setup
+// — every build dispatched in one pass starts at the same instant it
+// was dispatched at, deterministically; the release then wakes it.
 //
 // dispatch is non-reentrant by design: a call arriving while a drain
 // loop is active (a pipeline completing synchronously inside
@@ -1011,7 +1011,7 @@ func (s *Server) dispatch() {
 	s.mu.Unlock()
 }
 
-// holdClock keeps a concurrent Step driver from advancing a virtual
+// holdClock keeps a concurrent DriveWhile from advancing a virtual
 // clock until the returned release runs (a no-op on any other clock).
 // Holds nest. Submissions take one before they enqueue and keep it
 // across their dispatch: a build that can start at once must start at

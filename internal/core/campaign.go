@@ -195,7 +195,7 @@ func (cs *CampaignSession) Wait(ctx context.Context) ([]CampaignRun, error) {
 			return cs.Runs(), ctx.Err()
 		}
 	}
-	err := cs.platform.drive(ctx, v, cs.done, cs.deadlineAt)
+	err := drive(ctx, v, cs.done, cs.deadlineAt)
 	if err != nil {
 		if ctx.Err() != nil {
 			cs.cancelWith(context.Cause(ctx))

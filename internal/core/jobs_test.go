@@ -34,6 +34,16 @@ func installStudyBrowsers(t *testing.T, r *rig) {
 	}
 }
 
+// runWhile runs the clock instant by instant while busy holds, failing
+// if it stalls or passes budget of simulated time first.
+func (r *rig) runWhile(t *testing.T, busy func() bool, budget time.Duration) {
+	t.Helper()
+	limit := r.clk.Now().Add(budget)
+	if err := r.clk.RunWhile(busy, func() time.Time { return limit }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSubmitExperimentThroughQueue(t *testing.T) {
 	r := newRig(t)
 	installStudyBrowsers(t, r)
@@ -49,10 +59,7 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 		t.Fatal("admin submission should queue immediately")
 	}
 	// The build runs asynchronously on clock callbacks; drive time.
-	deadline := r.clk.Now().Add(10 * time.Minute)
-	for b.State() == accessserver.StateRunning && r.clk.Now().Before(deadline) {
-		r.clk.Advance(time.Second)
-	}
+	r.runWhile(t, func() bool { return b.State() == accessserver.StateRunning }, 10*time.Minute)
 	if b.State() != accessserver.StateSuccess {
 		t.Fatalf("state = %v err = %v log:\n%s", b.State(), b.Err(), b.Log())
 	}
@@ -123,10 +130,7 @@ func TestSubmitExperimentNeedsApproval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := r.clk.Now().Add(10 * time.Minute)
-	for b2.State() == accessserver.StateRunning && r.clk.Now().Before(deadline) {
-		r.clk.Advance(time.Second)
-	}
+	r.runWhile(t, func() bool { return b2.State() == accessserver.StateRunning }, 10*time.Minute)
 	if b2.State() != accessserver.StateSuccess {
 		t.Fatalf("state = %v err = %v", b2.State(), b2.Err())
 	}
@@ -153,10 +157,7 @@ func TestQueuedExperimentsSerializeOnDevice(t *testing.T) {
 	if b2.State() != accessserver.StateQueued {
 		t.Fatalf("b2 = %v, want queued behind device lock", b2.State())
 	}
-	deadline := r.clk.Now().Add(30 * time.Minute)
-	for b2.State() != accessserver.StateSuccess && r.clk.Now().Before(deadline) {
-		r.clk.Advance(time.Second)
-	}
+	r.runWhile(t, func() bool { return !b2.State().Terminal() }, 30*time.Minute)
 	if b1.State() != accessserver.StateSuccess || b2.State() != accessserver.StateSuccess {
 		t.Fatalf("states = %v, %v (b2 err %v)", b1.State(), b2.State(), b2.Err())
 	}
@@ -171,10 +172,7 @@ func TestMeasurementJobFailurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := r.clk.Now().Add(10 * time.Minute)
-	for b.State() == accessserver.StateRunning && r.clk.Now().Before(deadline) {
-		r.clk.Advance(time.Second)
-	}
+	r.runWhile(t, func() bool { return b.State() == accessserver.StateRunning }, 10*time.Minute)
 	if b.State() != accessserver.StateFailure {
 		t.Fatalf("state = %v", b.State())
 	}
@@ -221,10 +219,7 @@ func TestTwoDevicesShareOneMonitor(t *testing.T) {
 		t.Fatalf("at submit: build 1 %s, build 2 %s (%q; %v): want running, and queued waiting for node1",
 			first.State(), waiting.State(), waiting.PendingReason(), waiting.Err())
 	}
-	deadline := r.clk.Now().Add(10 * time.Minute)
-	for waiting.State() != accessserver.StateSuccess && waiting.State() != accessserver.StateFailure && r.clk.Now().Before(deadline) {
-		r.clk.Advance(time.Second)
-	}
+	r.runWhile(t, func() bool { return !waiting.State().Terminal() }, 10*time.Minute)
 	for _, b := range builds {
 		if b.State() != accessserver.StateSuccess {
 			t.Fatalf("build %d: %s (%v)", b.ID, b.State(), b.Err())

@@ -12,7 +12,6 @@ package core
 import (
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,10 +42,6 @@ type Platform struct {
 	mu    sync.Mutex
 	vps   map[string]*controller.Controller
 	certs map[string]*certs.Certificate // node -> deployed cert
-
-	// driveMu serializes virtual-clock driving across concurrent Waits
-	// (sessions and campaigns), keeping event order deterministic.
-	driveMu sync.Mutex
 }
 
 // NewPlatform assembles an empty platform: access server, DNS zone and
@@ -130,47 +125,27 @@ func (p *Platform) Controller(name string) (*controller.Controller, error) {
 	return ctl, nil
 }
 
-// drive advances a virtual clock deadline-by-deadline until done closes,
-// ctx is canceled, or the next pending timer lies beyond deadline(). It
-// replaces the old fixed-increment spin loop: every iteration either
-// fires at least one timer or returns, and concurrent drivers block on
-// the platform's driver lock instead of burning CPU.
-func (p *Platform) drive(ctx context.Context, v *simclock.Virtual, done <-chan struct{}, deadline func() time.Time) error {
-	for {
+// drive runs a virtual clock for one Wait until done closes or ctx is
+// canceled, failing when the clock stalls or its next event lies past
+// limit(). Concurrent Waits on one clock take turns instant by instant
+// (simclock.RunWhile), so event order stays deterministic.
+func drive(ctx context.Context, v *simclock.Virtual, done <-chan struct{}, limit func() time.Time) error {
+	err := v.RunWhile(func() bool {
 		select {
 		case <-done:
-			return nil
+			return false
 		default:
+			return ctx.Err() == nil
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p.driveMu.Lock()
-		// Another driver may have completed our run while we waited for
-		// the lock.
-		select {
-		case <-done:
-			p.driveMu.Unlock()
-			return nil
-		default:
-		}
-		next, ok := v.NextDeadline()
-		if !ok {
-			p.driveMu.Unlock()
-			return errors.New("core: run stalled: no pending timers on the virtual clock")
-		}
-		if dl := deadline(); next.After(dl) {
-			p.driveMu.Unlock()
-			return fmt.Errorf("core: run did not finish within its time budget (next event %v past %v)", next, dl)
-		}
-		// Step, not RunUntil(next): a ticker firing at next batches its
-		// ticks up to the following deadline only under a driver that
-		// does not stop at next. A held clock refuses Step; RunUntil
-		// fires regardless, as this loop always has.
-		if !v.Step() {
-			v.RunUntil(next)
-		}
-		p.driveMu.Unlock()
+	}, limit)
+	if err != nil {
+		return fmt.Errorf("core: run did not finish: %w", err)
+	}
+	select {
+	case <-done:
+		return nil
+	default:
+		return ctx.Err()
 	}
 }
 

@@ -400,10 +400,9 @@ func (s *Session) canceledErr() error {
 }
 
 // Wait blocks until the run completes and returns its outcome. On a
-// Virtual platform clock it drives simulated time itself,
-// deadline-by-deadline, blocking between advances rather than spinning;
-// concurrent Waits (a campaign, or sessions waited from several
-// goroutines) serialize on the platform's driver lock. Cancelling ctx
+// Virtual platform clock it drives simulated time itself, instant by
+// instant; concurrent Waits (a campaign, or sessions waited from several
+// goroutines) take turns on the clock. Cancelling ctx
 // cancels the run, tears it down, and returns the cancellation error.
 func (s *Session) Wait(ctx context.Context) (*Result, error) {
 	if ctx == nil {
@@ -421,7 +420,7 @@ func (s *Session) Wait(ctx context.Context) (*Result, error) {
 	}
 	// A generous budget so a stuck workload cannot drive time forever.
 	deadline := v.Now().Add(s.scripted*2 + time.Minute)
-	err := s.platform.drive(ctx, v, s.done, func() time.Time { return deadline })
+	err := drive(ctx, v, s.done, func() time.Time { return deadline })
 	if err != nil {
 		if ctx.Err() != nil {
 			// Under the virtual clock cancellation tears down

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"batterylab/internal/accessserver"
@@ -313,19 +314,12 @@ func AblationScheduler(opts Options) ([]SchedulerRow, error) {
 			builds = append(builds, b)
 		}
 		// Drive until all builds finish.
-		deadline := start.Add(time.Duration(len(builds)+2) * jobDur * 2)
-		for env.Clk.Now().Before(deadline) {
-			allDone := true
-			for _, b := range builds {
-				if b.State() == accessserver.StateQueued || b.State() == accessserver.StateRunning {
-					allDone = false
-					break
-				}
-			}
-			if allDone {
-				break
-			}
-			env.Clk.Advance(time.Second)
+		settling := func() bool {
+			return slices.ContainsFunc(builds, func(b *accessserver.Build) bool { return !b.State().Terminal() })
+		}
+		budget := start.Add(time.Duration(len(builds)+2) * jobDur * 2)
+		if err := env.Clk.RunWhile(settling, func() time.Time { return budget }); err != nil {
+			return SchedulerRow{}, fmt.Errorf("ablation scheduler: %w", err)
 		}
 		row := SchedulerRow{BuildCount: len(builds)}
 		if perDevice {

@@ -91,7 +91,7 @@ func newFedLab(t *testing.T) *fedLab {
 	fl := &fedLab{clock: clock, a: a, b: b, tsA: tsA, tsB: tsB, devices: []string{devA, devB}}
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
-	go driveCluster(clock, a.Access, b.Access, stop)
+	go clock.DriveWhile(anyBusy(a.Access, b.Access), stop)
 
 	// Join the mesh: A's first announce teaches B about lab-a, then B's
 	// announce back (to the peer it just learned) carries its census —
@@ -102,24 +102,17 @@ func newFedLab(t *testing.T) *fedLab {
 	return fl
 }
 
-// driveCluster is DriveBuilds for a shared clock: step while EITHER
-// server has queued or running builds, freeze when the whole cluster is
-// idle. The real sleeps between steps are what lets the relay's HTTP
-// goroutines run.
-func driveCluster(clock *simclock.Virtual, a, b *accessserver.Server, stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
+// anyBusy is DriveBuilds' busy for servers sharing one clock: it moves
+// while ANY of them has queued or running builds and freezes when the
+// whole cluster is idle.
+func anyBusy(servers ...*accessserver.Server) func() bool {
+	return func() bool {
+		for _, s := range servers {
+			if s.Running()+s.QueueLength() > 0 {
+				return true
+			}
 		}
-		if a.Running()+a.QueueLength()+b.Running()+b.QueueLength() == 0 {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		if !clock.Step() {
-			time.Sleep(200 * time.Microsecond)
-		}
+		return false
 	}
 }
 
@@ -521,7 +514,7 @@ func TestFederationFanOut(t *testing.T) {
 	defer peer.StopCluster()
 
 	stop, driven := make(chan struct{}), make(chan struct{})
-	go func() { defer close(driven); driveCluster(clock, home, peer, stop) }()
+	go func() { defer close(driven); clock.DriveWhile(anyBusy(home, peer), stop) }()
 	defer func() { close(stop); <-driven }()
 
 	// Mesh join, as in newFedLab: placement knows the remote fleet before
@@ -541,8 +534,7 @@ func TestFederationFanOut(t *testing.T) {
 	}
 	settled := func() (n int) {
 		for _, b := range all {
-			switch b.State() {
-			case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
+			if b.State().Terminal() {
 				n++
 			}
 		}

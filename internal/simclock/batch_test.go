@@ -64,27 +64,34 @@ func newBatchTicker(clock Clock, period time.Duration, fn func(now time.Time)) s
 	return NewTicker(clock, period, fn)
 }
 
-// script runs one seeded random scenario and returns its log of
-// (label, nominal tick, Now()) in firing order. Callbacks draw from the
-// seeded source in firing order, so two tickers with the same firing
-// order make the same choices; the driver draws from its own source and
-// mixes Step with RunUntil targets that fall between ticks. Nothing the
-// driver does may change the log: it only decides how far each call
-// goes, never what fires in which order.
-func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) stopper) []string {
+// scenario is one seeded random scenario armed on a fresh clock:
+// tickers with coprime periods whose callbacks draw from the seeded
+// source in firing order — arming timers due before or exactly at the
+// next tick, Stop and Reset, holds taken and released, a Sleep — and an
+// end timer no ticker batch crosses. Two drivers that fire the same
+// events in the same order make the same choices and log the same
+// (label, nominal tick, Now()) lines.
+type scenario struct {
+	v       *Virtual
+	log     []string
+	tickers []stopper
+	end     time.Time
+	ended   bool // the end timer has fired
+}
+
+func newScenario(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) stopper) *scenario {
 	const unit = 100 * time.Microsecond
 	end := 300 * time.Millisecond
 	v := NewVirtual()
+	s := &scenario{v: v, end: Epoch.Add(end)}
 	r := rand.New(rand.NewPCG(seed, 1))
 	var (
-		log     []string
 		pending []Timer // foreign timers a callback may Stop or Reset
-		tickers []stopper
 		release func()
 		id      int
 	)
 	at := func(label string, nominal time.Time) {
-		log = append(log, fmt.Sprintf("%s %d %d", label, nominal.Sub(Epoch)/time.Microsecond, v.Now().Sub(Epoch)/time.Microsecond))
+		s.log = append(s.log, fmt.Sprintf("%s %d %d", label, nominal.Sub(Epoch)/time.Microsecond, v.Now().Sub(Epoch)/time.Microsecond))
 	}
 	var foreign func(d time.Duration)
 	foreign = func(d time.Duration) {
@@ -100,9 +107,9 @@ func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) s
 	}
 	var startTicker func(period time.Duration)
 	startTicker = func(period time.Duration) {
-		n := len(tickers)
+		n := len(s.tickers)
 		label := fmt.Sprintf("T%d/%d", n, period/unit)
-		tickers = append(tickers, newTicker(v, period, func(now time.Time) {
+		s.tickers = append(s.tickers, newTicker(v, period, func(now time.Time) {
 			at(label, now)
 			switch k := r.IntN(400); {
 			case k < 12: // due before the next tick
@@ -121,22 +128,44 @@ func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) s
 				release()
 				release = nil
 			case k == 60: // stop some ticker, maybe this one, and start another
-				tickers[r.IntN(len(tickers))].Stop()
+				s.tickers[r.IntN(len(s.tickers))].Stop()
 				startTicker(time.Duration(2+r.IntN(12)) * unit)
 			case k == 61: // sleep past the next tick or two
 				v.Sleep(time.Duration(1+r.IntN(3)) * period)
 			}
 		}))
 	}
-	v.AfterFunc(end, func() { at("end", Epoch.Add(end)) }) // no batch crosses end
+	// No batch crosses end, nor runs on from a tick due at end.
+	v.AfterFunc(end, func() { at("end", s.end); s.ended = true })
+	v.AfterFunc(end+time.Microsecond, func() {})
 	periods := []time.Duration{2, 7, 11, 13}
 	r.Shuffle(len(periods)-1, func(i, j int) { periods[i+1], periods[j+1] = periods[j+1], periods[i+1] })
 	for _, p := range periods[:2+r.IntN(2)] {
 		startTicker(p * unit)
 	}
+	return s
+}
 
+// finish stops the tickers and returns the log, closed by the clock's
+// next sequence number.
+func (s *scenario) finish() []string {
+	for _, tk := range s.tickers {
+		tk.Stop()
+	}
+	s.v.mu.Lock()
+	defer s.v.mu.Unlock()
+	return append(s.log, fmt.Sprintf("seq %d", s.v.seq))
+}
+
+// script runs one seeded scenario and returns its log. The driver draws
+// from its own source and mixes Step with RunUntil targets that fall
+// between ticks. Nothing the driver does may change the log: it only
+// decides how far each call goes, never what fires in which order.
+func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) stopper) []string {
+	s := newScenario(seed, newTicker)
+	v := s.v
 	// The driver never passes end, so both logs stop at the same event.
-	stop := Epoch.Add(end)
+	stop := s.end
 	drv := rand.New(rand.NewPCG(seed, 2))
 	for v.Now().Before(stop) {
 		if drv.IntN(2) == 0 {
@@ -148,7 +177,7 @@ func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) s
 			continue
 		}
 		for n := 1 + drv.IntN(20); n > 0 && v.Now().Before(stop); n-- {
-			if !v.Step() { // held: fire the next deadline anyway, as core's driver does
+			if !v.Step() { // held: fire the next deadline anyway
 				next, ok := v.NextDeadline()
 				if !ok {
 					break
@@ -158,12 +187,21 @@ func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) s
 		}
 	}
 	v.RunUntil(stop)
-	for _, tk := range tickers {
-		tk.Stop()
+	return s.finish()
+}
+
+// sameLog fails t at the first line where got departs from want.
+func sameLog(t *testing.T, seed uint64, got, want []string, ref string) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return append(log, fmt.Sprintf("seq %d", v.seq))
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: line %d = %q, %s logged %q", seed, i, got[i], ref, want[i])
+		}
+	}
+	t.Fatalf("seed %d: %d lines, %s logged %d", seed, len(got), ref, len(want))
 }
 
 // TestTickerBatchMatchesPerEvent runs random scenarios — tickers with
@@ -177,14 +215,7 @@ func TestTickerBatchMatchesPerEvent(t *testing.T) {
 		if len(want) < 500 {
 			t.Fatalf("seed %d: only %d log lines; the scenario is too thin", seed, len(want))
 		}
-		if !reflect.DeepEqual(got, want) {
-			for i := range min(len(got), len(want)) {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d: line %d = %q, per-event ticker logged %q", seed, i, got[i], want[i])
-				}
-			}
-			t.Fatalf("seed %d: %d lines, per-event ticker logged %d", seed, len(got), len(want))
-		}
+		sameLog(t, seed, got, want, "the per-event ticker")
 	}
 }
 
@@ -324,7 +355,7 @@ func TestTickerBatchRace(t *testing.T) {
 	}
 	tk.Stop()
 	bound.Stop()
-	v.RunAll()
+	v.RunUntil(v.Now().Add(time.Second))
 
 	mu.Lock()
 	defer mu.Unlock()

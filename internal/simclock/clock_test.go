@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,17 +110,35 @@ func TestVirtualNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestVirtualRunAll(t *testing.T) {
+func TestVirtualRunWhile(t *testing.T) {
+	always := func() bool { return true }
+	never := func() time.Time { return Epoch.Add(24 * time.Hour) }
+
 	v := NewVirtual()
 	n := 0
 	v.AfterFunc(time.Minute, func() { n++ })
 	v.AfterFunc(time.Hour, func() { n++ })
-	v.RunAll()
+	if err := v.RunWhile(always, never); !errors.Is(err, ErrStalled) {
+		t.Fatalf("RunWhile on a draining clock = %v, want ErrStalled", err)
+	}
 	if n != 2 {
 		t.Fatalf("fired %d timers, want 2", n)
 	}
 	if want := Epoch.Add(time.Hour); !v.Now().Equal(want) {
 		t.Fatalf("Now = %v, want %v", v.Now(), want)
+	}
+
+	v = NewVirtual()
+	v.AfterFunc(time.Hour, func() { t.Fatal("fired past the limit") })
+	err := v.RunWhile(always, func() time.Time { return Epoch.Add(time.Minute) })
+	if !errors.Is(err, ErrPastLimit) || !strings.Contains(err.Error(), "10:00:00") || !strings.Contains(err.Error(), "09:01:00") {
+		t.Fatalf("RunWhile with the next event past its limit = %v, want ErrPastLimit naming both instants", err)
+	}
+	if !v.Now().Equal(Epoch) {
+		t.Fatalf("clock moved to %v", v.Now())
+	}
+	if err := v.RunWhile(func() bool { return false }, never); err != nil || !v.Now().Equal(Epoch) {
+		t.Fatalf("RunWhile with nothing to do = %v at %v, want nil at the epoch", err, v.Now())
 	}
 }
 

@@ -41,7 +41,7 @@ func TestTickerRearm(t *testing.T) {
 		v := NewVirtual()
 		tk := NewTicker(v, time.Millisecond, func(time.Time) {})
 		for i := 0; i < 5; i++ {
-			if n := v.PendingTimers(); n != 1 {
+			if n := pendingTimers(v); n != 1 {
 				t.Fatalf("after %d ticks: %d pending timers, want 1", i, n)
 			}
 			v.Step()
@@ -49,11 +49,11 @@ func TestTickerRearm(t *testing.T) {
 		// A stopped ticker's timer stays queued as a no-op until its
 		// deadline, as a stopped AfterFunc does.
 		tk.Stop()
-		if n := v.PendingTimers(); n != 1 {
+		if n := pendingTimers(v); n != 1 {
 			t.Fatalf("after Stop: %d pending timers, want 1", n)
 		}
 		v.Advance(time.Millisecond)
-		if n := v.PendingTimers(); n != 0 {
+		if n := pendingTimers(v); n != 0 {
 			t.Fatalf("after the stopped deadline: %d pending timers, want 0", n)
 		}
 	})
@@ -71,7 +71,7 @@ func TestTickerRearm(t *testing.T) {
 		if n != 3 {
 			t.Fatalf("%d ticks, want 3", n)
 		}
-		if p := v.PendingTimers(); p != 0 {
+		if p := pendingTimers(v); p != 0 {
 			t.Fatalf("%d pending timers after an in-callback Stop, want 0", p)
 		}
 	})
@@ -96,7 +96,7 @@ func TestVirtualTimerReset(t *testing.T) {
 		if !tm.Reset(10 * ms) {
 			t.Fatal("Reset of a pending timer reported false")
 		}
-		if n := v.PendingTimers(); n != 1 {
+		if n := pendingTimers(v); n != 1 {
 			t.Fatalf("%d pending timers, want 1", n)
 		}
 		v.Advance(20 * ms)
@@ -128,7 +128,7 @@ func TestVirtualTimerReset(t *testing.T) {
 		if tm.Reset(3 * ms) {
 			t.Fatal("Reset of a stopped timer reported true")
 		}
-		if n := v.PendingTimers(); n != 1 {
+		if n := pendingTimers(v); n != 1 {
 			t.Fatalf("%d pending timers, want 1", n)
 		}
 		v.Advance(20 * ms)
@@ -160,4 +160,11 @@ func TestRealTimerReset(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("re-armed timer did not fire")
 	}
+}
+
+// pendingTimers reports how many timers v's queue holds.
+func pendingTimers(v *Virtual) int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.heap)
 }

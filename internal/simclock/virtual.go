@@ -2,6 +2,8 @@ package simclock
 
 import (
 	"container/heap"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -16,9 +18,18 @@ type Virtual struct {
 	mu    sync.Mutex
 	now   time.Time
 	heap  timerHeap
-	seq   uint64 // tiebreak so equal deadlines fire FIFO
-	holds int    // suspended Step drivers (see Hold)
+	seq   uint64        // tiebreak so equal deadlines fire FIFO
+	holds int           // suspended Step drivers (see Hold)
+	wake  chan struct{} // closed to wake parked DriveWhile drivers; nil when none waits
+	turn  sync.Mutex    // held by a RunWhile driver for one instant
 }
+
+// RunWhile's errors: no timer is pending, or the next is due past the
+// caller's limit.
+var (
+	ErrStalled   = errors.New("simclock: stalled: no pending timers")
+	ErrPastLimit = errors.New("simclock: next event past the limit")
+)
 
 // Epoch is the default start time for virtual clocks: an arbitrary fixed
 // instant so traces are reproducible byte-for-byte.
@@ -50,7 +61,17 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	ev := &event{when: v.now.Add(d), seq: v.seq, fn: f, owner: v}
 	v.seq++
 	heap.Push(&v.heap, ev)
+	v.wakeLocked()
 	return ev
+}
+
+// wakeLocked wakes every parked DriveWhile: a timer or an unheld clock
+// may now exist. With none parked it costs one branch.
+func (v *Virtual) wakeLocked() {
+	if v.wake != nil {
+		close(v.wake)
+		v.wake = nil
+	}
 }
 
 // Sleep advances the clock by d from the calling goroutine's perspective.
@@ -79,10 +100,10 @@ func (v *Virtual) RunUntil(t time.Time) {
 			v.mu.Unlock()
 			return
 		}
-		fn := v.popLocked(t)
+		ev := v.popLocked(t)
 		v.mu.Unlock()
-		if fn != nil {
-			fn()
+		if ev != nil {
+			ev.fn()
 		}
 	}
 }
@@ -91,10 +112,10 @@ func (v *Virtual) RunUntil(t time.Time) {
 var endOfTime = time.Unix(1<<62, 0)
 
 // popLocked removes the earliest event, moves the clock to its deadline
-// and returns the callback to run — nil for a stopped timer, which is
+// and returns it to be fired — nil for a stopped timer, which is
 // discarded here. until is the driver's target, past which a Ticker
 // firing in this pop may not batch (see runInPlace).
-func (v *Virtual) popLocked(until time.Time) func() {
+func (v *Virtual) popLocked(until time.Time) *event {
 	ev := heap.Pop(&v.heap).(*event)
 	if ev.when.After(v.now) {
 		v.now = ev.when
@@ -102,8 +123,8 @@ func (v *Virtual) popLocked(until time.Time) func() {
 	if ev.done {
 		return nil
 	}
-	ev.done, ev.until = true, until
-	return ev.fn
+	ev.done, ev.until, ev.ran = true, until, ev.when
+	return ev
 }
 
 // runInPlace reports whether the Ticker whose event ev is firing may run
@@ -116,7 +137,8 @@ func (v *Virtual) popLocked(until time.Time) func() {
 // so a lone ticker still fires one tick per Step. On true the clock
 // moves to next and draws the sequence number the ticker's re-arm would
 // have drawn, so event order, Now() and later sequence numbers are
-// exactly those of one event per tick.
+// exactly those of one event per tick; ev records next as the tick it
+// ran last, which is where a RunWhile instant ends.
 func (v *Virtual) runInPlace(ev *event, next time.Time) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -124,18 +146,18 @@ func (v *Virtual) runInPlace(ev *event, next time.Time) bool {
 		!next.Before(v.heap[0].when) || next.After(ev.until) {
 		return false
 	}
-	v.now = next
+	v.now, ev.ran = next, next
 	v.seq++
 	return true
 }
 
 // Hold suspends Step drivers until the returned release runs. It lets
 // a goroutine that is synchronously scheduling a batch of timers (an
-// access server dispatching builds) keep a concurrent deadline-stepping
-// driver from jumping the clock to an unrelated far-future deadline in
-// the window before the batch's near-term timers exist. Holds nest;
-// release is idempotent. Hold gates only Step — RunUntil/Advance
-// callers own their timeline and are unaffected.
+// access server dispatching builds) keep a concurrent DriveWhile from
+// jumping the clock to an unrelated far-future deadline in the window
+// before the batch's near-term timers exist; the last release wakes it.
+// Holds nest; release is idempotent. Hold gates only Step and Ticker
+// batching — RunUntil, Advance and RunWhile callers own their timeline.
 func (v *Virtual) Hold() (release func()) {
 	v.mu.Lock()
 	v.holds++
@@ -144,9 +166,98 @@ func (v *Virtual) Hold() (release func()) {
 	return func() {
 		once.Do(func() {
 			v.mu.Lock()
-			v.holds--
+			if v.holds--; v.holds == 0 {
+				v.wakeLocked()
+			}
 			v.mu.Unlock()
 		})
+	}
+}
+
+// RunWhile drives the clock for a caller that owns its timeline. While
+// busy reports true it fires one instant per turn: every timer due at
+// the earliest pending deadline, including those the callbacks arm for
+// it. A Ticker whose tick ends an instant still runs its following
+// ticks in place (see Ticker), and the instant ends where they do; a
+// Hold stops only that batching. busy is asked between instants only.
+// RunWhile returns nil once busy reports false, ErrStalled when nothing
+// is pending, and ErrPastLimit when the next deadline lies past limit()
+// (read every turn, so a budget may move; nil sets none). Concurrent
+// callers on one clock take turns instant by instant, so the events
+// fire in the order one driver would fire them; a callback that called
+// RunWhile would wait for its own turn forever.
+func (v *Virtual) RunWhile(busy func() bool, limit func() time.Time) error {
+	for {
+		if done, err := v.runInstant(busy, limit); done {
+			return err
+		}
+	}
+}
+
+// runInstant is one RunWhile turn; it reports whether the drive is over.
+// busy and limit run outside v.mu: they may take the caller's locks,
+// under which the caller arms timers.
+func (v *Virtual) runInstant(busy func() bool, limit func() time.Time) (bool, error) {
+	v.turn.Lock()
+	defer v.turn.Unlock()
+	if !busy() {
+		return true, nil
+	}
+	at, ok := v.NextDeadline()
+	if !ok {
+		return true, ErrStalled
+	}
+	if limit != nil {
+		if lim := limit(); at.After(lim) {
+			return true, fmt.Errorf("%w: next event at %v, limit %v", ErrPastLimit, at, lim)
+		}
+	}
+	v.mu.Lock()
+	for len(v.heap) > 0 && !v.heap[0].when.After(at) {
+		if ev := v.popLocked(endOfTime); ev != nil {
+			v.mu.Unlock()
+			ev.fn()
+			v.mu.Lock()
+			if ev.ran.After(at) { // a Ticker's batch carries the instant on
+				at = ev.ran
+			}
+		}
+	}
+	v.mu.Unlock()
+	return false, nil
+}
+
+// DriveWhile drives the clock for a caller that shares it with
+// real-time goroutines, until stop closes: it Steps while busy reports
+// true and the clock is not held, and otherwise parks until a timer is
+// armed or the last Hold released, from any goroutine. It never polls:
+// an access server holds the clock around every submit, dispatch and
+// recovery, so what makes its builds runnable also wakes the driver.
+func (v *Virtual) DriveWhile(busy func() bool, stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		if busy() && v.Step() {
+			continue
+		}
+		v.mu.Lock()
+		if v.wake == nil {
+			v.wake = make(chan struct{})
+		}
+		wake := v.wake
+		v.mu.Unlock()
+		// Look again now that a wake would reach us: a timer armed or a
+		// hold released since the look above must not be slept through.
+		if !busy() || !v.Step() {
+			select {
+			case <-wake:
+			case <-stop:
+				return
+			}
+		}
 	}
 }
 
@@ -157,18 +268,18 @@ func (v *Virtual) Hold() (release func()) {
 // advance the clock by many periods; a ticker alone on the clock still
 // fires one tick per Step. It reports false (firing nothing) when the
 // clock is held or no timers are pending. Step is the building block
-// for drivers that serve real-time consumers from a virtual timeline
-// (batterylab.DriveBuilds).
+// of DriveWhile, the driver that serves real-time consumers from a
+// virtual timeline.
 func (v *Virtual) Step() bool {
 	v.mu.Lock()
 	if v.holds > 0 || len(v.heap) == 0 {
 		v.mu.Unlock()
 		return false
 	}
-	fn := v.popLocked(endOfTime)
+	ev := v.popLocked(endOfTime)
 	v.mu.Unlock()
-	if fn != nil {
-		fn()
+	if ev != nil {
+		ev.fn()
 	}
 	return true
 }
@@ -186,30 +297,6 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 	return v.heap[0].when, true
 }
 
-// RunAll fires every pending timer, advancing time to each deadline. It
-// stops when the queue is empty. Callbacks that schedule new timers keep
-// the run going, so a self-rescheduling ticker would never terminate;
-// prefer RunUntil for periodic work.
-func (v *Virtual) RunAll() {
-	for {
-		v.mu.Lock()
-		if len(v.heap) == 0 {
-			v.mu.Unlock()
-			return
-		}
-		deadline := v.heap[0].when
-		v.mu.Unlock()
-		v.RunUntil(deadline)
-	}
-}
-
-// PendingTimers reports how many timers are queued.
-func (v *Virtual) PendingTimers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.heap)
-}
-
 type event struct {
 	when  time.Time
 	seq   uint64
@@ -218,6 +305,7 @@ type event struct {
 	done  bool // fired or stopped: fn will not run unless Reset re-arms it
 	owner *Virtual
 	until time.Time // target of the driver that last popped it
+	ran   time.Time // deadline of the tick that pop ran last (see runInPlace)
 }
 
 // Stop implements Timer. It is safe to call after firing. A stopped event
@@ -253,6 +341,7 @@ func (e *event) Reset(d time.Duration) bool {
 	} else {
 		heap.Push(&v.heap, e)
 	}
+	v.wakeLocked()
 	return pending
 }
 

@@ -65,33 +65,6 @@ func (l *recoveryLab) idleSpec(node string) api.ExperimentSpec {
 	}
 }
 
-// drive advances the virtual clock until every build is terminal.
-func (l *recoveryLab) drive(t *testing.T, builds []*accessserver.Build) {
-	t.Helper()
-	deadline := l.clk.Now().Add(4 * time.Hour)
-	for {
-		done := true
-		for _, b := range builds {
-			switch b.State() {
-			case accessserver.StateSuccess, accessserver.StateFailure, accessserver.StateAborted:
-			default:
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		next, ok := l.clk.NextDeadline()
-		if !ok {
-			t.Fatalf("stalled: no pending timers, %d queued", l.srv.QueueLength())
-		}
-		if next.After(deadline) {
-			t.Fatalf("did not finish within the simulated budget")
-		}
-		l.clk.RunUntil(next)
-	}
-}
-
 // TestCampaignSurvivesServerCrash is the acceptance scenario: kill the
 // access server mid-campaign, restart from snapshot+WAL, and the
 // campaign — including the builds that were mid-measurement at the
@@ -174,7 +147,7 @@ func TestCampaignSurvivesServerCrash(t *testing.T) {
 		t.Fatalf("%d builds carry a failover event, want %d (the interrupted ones)", sawFailover, running)
 	}
 
-	l2.drive(t, members)
+	settle(t, l2.clk, l2.srv, members)
 	for i, b := range members {
 		if b.State() != accessserver.StateSuccess {
 			t.Fatalf("post-restart build %d state = %v (%v)", i, b.State(), b.Err())
@@ -217,7 +190,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 			}
 			members = append(members, b)
 		}
-		l2.drive(t, members)
+		settle(t, l2.clk, l2.srv, members)
 		var states []accessserver.BuildState
 		for _, b := range members {
 			states = append(states, b.State())
