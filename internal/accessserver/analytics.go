@@ -56,7 +56,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 	// Only finished builds are served: before the terminal transition
 	// the trace artifact does not exist (or is mid-replacement during a
 	// failover re-run), and a stable answer is what makes it cacheable.
-	if st := b.State(); st != StateSuccess && st != StateFailure && st != StateAborted {
+	if st := b.State(); !st.Terminal() {
 		writeError(w, fmt.Errorf("%w: build %d is %s; analytics needs a finished build", ErrConflict, b.ID, st))
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 
 	"batterylab/internal/accessserver/store"
 )
@@ -141,10 +142,11 @@ func (s *Server) CensusDrift() error {
 // QueueDrift checks the bookkeeping the drain pass relies on instead of
 // rewalking the queue: builds sit in s.queue in queueSeq order, every
 // queued build's dispatch-side reason shadow equals the reason it
-// reports and the reason the read plane serves, and behind the first
-// build labelled execWait every build up to the labelled-through
-// watermark carries that label too (labelSaturatedLocked skips that run
-// unread).
+// reports and the reason the read plane serves, the category stored with
+// it is the one the reason's text names (pendingCategoryOf), and behind
+// the first build labelled execWait every build up to the
+// labelled-through watermark carries that label too
+// (labelSaturatedLocked skips that run unread).
 func (s *Server) QueueDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,6 +163,9 @@ func (s *Server) QueueDrift() error {
 		if st, ok := s.reads.buildStatus(b.ID); !ok || st.PendingReason != b.schedReason {
 			return fmt.Errorf("build %d is served as %q (published %v), the scheduler holds %q", b.ID, st.PendingReason, ok, b.schedReason)
 		}
+		if got, want := pendingCategories[b.schedPrio], pendingCategoryOf(b.schedReason); got != want {
+			return fmt.Errorf("build %d waits %q, counted as %s, which the reason's text names %s", b.ID, b.schedReason, got, want)
+		}
 		if b.schedReason == execWait {
 			inRun = true
 		} else if inRun && b.queueSeq <= s.execLabelled {
@@ -169,6 +174,38 @@ func (s *Server) QueueDrift() error {
 		}
 	}
 	return nil
+}
+
+// pendingCategoryOf is how the pending-reason gauge once found a queued
+// build's category: by matching the free-text reason. It is kept as the
+// reference the stored category (Build.schedPrio) must agree with.
+func pendingCategoryOf(reason string) string {
+	switch {
+	case reason == "":
+		return "next_in_line"
+	// "waiting for a free executor" must fold before the generic
+	// "waiting for " lock_wait prefix below.
+	case reason == execWait:
+		return "executor_wait"
+	case strings.Contains(reason, "campaign concurrency"):
+		return "campaign_cap"
+	case strings.Contains(reason, "fair-share cap"):
+		return "owner_cap"
+	case strings.Contains(reason, "probing controller CPU"):
+		return "cpu_probe"
+	case strings.Contains(reason, "controller CPU"):
+		return "cpu_gate"
+	case strings.HasPrefix(reason, "waiting for node ") && strings.Contains(reason, "to register"),
+		strings.Contains(reason, "was removed"),
+		strings.Contains(reason, "node ") && strings.Contains(reason, " is "):
+		return "node_unavailable"
+	case strings.HasPrefix(reason, "waiting for "):
+		return "lock_wait"
+	case strings.Contains(reason, "; retry "):
+		return "retry_backoff"
+	default:
+		return "other"
+	}
 }
 
 // LifecycleDrift recomputes from s.builds alone everything the four
@@ -193,8 +230,14 @@ func (s *Server) LifecycleDrift() error {
 	for id, b := range s.builds {
 		b.mu.Lock()
 		state, node, peer := BuildState(b.BuildRec.State), b.Node, b.routedVia
-		lease, retry, aging := b.leaseTimer != nil, b.retryTimer != nil, b.agingTimer != nil
 		b.mu.Unlock()
+		// The watchdog's kind follows from the state: a running build's lease
+		// (none on an unmonitored node), a queued build's aging in the queue
+		// or its backoff out of it, nothing once settled.
+		watching := b.watching
+		if (watching == watchNone) != (b.watch == nil) {
+			return fmt.Errorf("build %d: watchdog timer %v armed for kind %d", id, b.watch, watching)
+		}
 		switch state {
 		case StateRunning:
 			running++
@@ -222,26 +265,25 @@ func (s *Server) LifecycleDrift() error {
 				locks[k.name] = map[string]int{}
 			}
 			locks[k.name][k.device] = id
-			if inQueue[b] || retry || aging {
-				return fmt.Errorf("running build %d: in queue %v, retry timer %v, aging timer %v", id, inQueue[b], retry, aging)
+			if inQueue[b] || watching != watchLease && watching != watchNone {
+				return fmt.Errorf("running build %d: in queue %v, watchdog armed for kind %d", id, inQueue[b], watching)
 			}
 		case StateQueued:
 			queued++
 			ownerActive[b.Owner]++
-			// In the queue, or sitting out a failover backoff — exactly one.
-			if inQueue[b] == retry {
-				return fmt.Errorf("queued build %d: in queue %v, retry timer %v", id, inQueue[b], retry)
-			}
+			// In the queue and aging, or sitting out a failover backoff.
+			want := watchRetry
 			if inQueue[b] {
 				waiting++
+				want = watchAging
 			}
-			if b.held != (lockKey{}) || lease || aging != inQueue[b] {
-				return fmt.Errorf("queued build %d: holds %q, lease timer %v, aging timer %v (in queue %v)", id, b.held, lease, aging, inQueue[b])
+			if b.held != (lockKey{}) || watching != want {
+				return fmt.Errorf("queued build %d: holds %q, watchdog armed for kind %d, want %d (in queue %v)", id, b.held, watching, want, inQueue[b])
 			}
 		default:
-			if !b.feed.Closed() || lease || retry || aging || b.held != (lockKey{}) || inQueue[b] {
-				return fmt.Errorf("%s build %d: feed closed %v, timers %v/%v/%v, holds %q, in queue %v",
-					state, id, b.feed.Closed(), lease, retry, aging, b.held, inQueue[b])
+			if !b.feed.Closed() || watching != watchNone || b.held != (lockKey{}) || inQueue[b] {
+				return fmt.Errorf("%s build %d: feed closed %v, watchdog armed for kind %d, holds %q, in queue %v",
+					state, id, b.feed.Closed(), watching, b.held, inQueue[b])
 			}
 		}
 		if st, ok := s.reads.buildStatus(id); !ok || st.State != state.String() {

@@ -201,6 +201,7 @@ func TestReadPlaneExpiry(t *testing.T) {
 	}
 
 	members := []int{1, 2, 3}
+	rp.highCamp.Store(7) // as a server's section exit does for a new campaign
 	rp.publishCampaign(7, members)
 	members[0] = 99 // the plane keeps its own copy
 	if got, ok := rp.campaign(7); !ok || got[0] != 1 || len(got) != 3 {

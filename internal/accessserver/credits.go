@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"batterylab/internal/accessserver/store"
 )
 
 // Ledger implements the credit system the paper anticipates (§5):
@@ -119,13 +121,14 @@ func (l *Ledger) CreditContribution(user, node string, dur time.Duration) float6
 	return e.Delta
 }
 
-// creditHostingFlush applies a contribution movement the hook must not
-// see: the caller logs the combined TNodeHostingFlush record that carries
-// it.
-func (l *Ledger) creditHostingFlush(user, node string, dur time.Duration) {
+// record makes a movement the hook must not see: the caller logs the
+// record that carries it with its critical section — a hosting flush's
+// combined TNodeHostingFlush, a finished run's TLedger — so the movement
+// and the change that caused it reach the WAL as one write.
+func (l *Ledger) record(user string, e LedgerEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.apply(user, hostingEntry(node, dur))
+	l.apply(user, e)
 }
 
 // Grant adds credits administratively (new-member starter grants).
@@ -158,18 +161,6 @@ func (l *Ledger) ChargeExperiment(user string, deviceTime time.Duration) error {
 	return nil
 }
 
-// DebitExperiment debits the device time an experiment actually
-// consumed, even into a negative balance — the run already happened, so
-// unlike the submission gate there is nothing left to refuse. Returns
-// the new balance.
-func (l *Ledger) DebitExperiment(user string, deviceTime time.Duration) float64 {
-	e := experimentEntry(deviceTime)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.add(user, e)
-	return l.balances[user]
-}
-
 // CanAfford reports whether user can cover deviceTime of measurement.
 func (l *Ledger) CanAfford(user string, deviceTime time.Duration) bool {
 	l.mu.Lock()
@@ -196,19 +187,24 @@ func (s *Server) creditGate(user *User, n int) error {
 	return nil
 }
 
-// chargeRun debits the device time a finished build actually consumed
-// (the real §5 charge; the submission gate was only an affordability
-// check). The balance may go negative — the device time is spent — and
-// the next submission gate catches up with the debtor.
-func (s *Server) chargeRun(owner string, deviceTime time.Duration) {
+// chargeRunLocked debits the device time build b, settled by the caller's
+// section, actually consumed (the real §5 charge; the submission gate was
+// only an affordability check), even into a negative balance: the run
+// already happened, and the next submission gate catches the debtor. The
+// finished record and its charge leave the section as one WAL write.
+// Callers hold s.mu.
+func (s *Server) chargeRunLocked(b *Build) {
+	deviceTime := b.Duration()
 	if !s.creditsOn.Load() || deviceTime <= 0 {
 		return
 	}
-	u, err := s.Users.Lookup(owner)
+	u, err := s.Users.Lookup(b.Owner)
 	if err != nil || u.Role == RoleAdmin {
 		return
 	}
-	s.Ledger.DebitExperiment(owner, deviceTime)
+	e := experimentEntry(deviceTime)
+	s.Ledger.record(b.Owner, e)
+	s.logStore(store.Record{T: store.TLedger, Entry: &store.LedgerRec{User: b.Owner, Delta: e.Delta, Reason: e.Reason}})
 	s.m.runsCharged.Inc()
 	s.m.creditsDebited.Add(deviceTime.Minutes())
 }

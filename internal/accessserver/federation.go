@@ -400,12 +400,13 @@ func (rs *relaySink) Artifact(name string, data []byte) {
 // relay error from an attempt already reclaimed is a no-op.
 func (s *Server) peerLost(b *Build, attempt int, reason string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !b.live(attempt) {
-		s.mu.Unlock()
 		return
 	}
 	s.m.clusterPeerLost++
-	s.reclaimUnlock(reason, b)
+	s.reclaimLocked(b, reason, true)
+	s.exit.redrain = true
 }
 
 // reclaimPeer reclaims every running build routed via the named peer
@@ -413,6 +414,7 @@ func (s *Server) peerLost(b *Build, attempt int, reason string) {
 // Builds reclaim in id order so virtual-clock runs stay deterministic.
 func (s *Server) reclaimPeer(peer string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var lost []*Build
 	for _, b := range s.builds {
 		if b.State() == StateRunning && b.RoutedVia() == peer {
@@ -420,12 +422,15 @@ func (s *Server) reclaimPeer(peer string) {
 		}
 	}
 	if len(lost) == 0 {
-		s.mu.Unlock()
 		return
 	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
 	s.m.clusterPeerLost += int64(len(lost))
-	s.reclaimUnlock(fmt.Sprintf("peer %q left the cluster's online set", peer), lost...)
+	reason := fmt.Sprintf("peer %q left the cluster's online set", peer)
+	for _, b := range lost {
+		s.reclaimLocked(b, reason, true)
+	}
+	s.exit.redrain = true
 }
 
 // compileForPeer is the cross-server fallback behind SubmitSpec and

@@ -342,7 +342,7 @@ func (s *Server) flushHostingLocked(rec *nodeRec) {
 	if rec.Owner == "" || rec.OwedHostingNS <= 0 {
 		return
 	}
-	s.Ledger.creditHostingFlush(rec.Owner, rec.Name, time.Duration(rec.OwedHostingNS))
+	s.Ledger.record(rec.Owner, hostingEntry(rec.Name, time.Duration(rec.OwedHostingNS)))
 	s.applyNodeLocked(rec, store.Record{T: store.TNodeHostingFlush, Name: rec.Name, Owner: rec.Owner, AtNS: rec.OwedHostingNS})
 }
 
@@ -359,6 +359,7 @@ func (s *Server) Heartbeat(name string) {
 	s.m.heartbeats.Inc()
 	now := s.clock.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec := s.recLocked(name)
 	wasOnline := s.healthLocked(rec, now) == HealthOnline
 	rec.beats++
@@ -381,10 +382,8 @@ func (s *Server) Heartbeat(name string) {
 	}
 	rec.lastBeat = now
 	s.touchNodeLocked(name)
-	pending := len(s.queue)
-	s.mu.Unlock()
-	if pending > 0 && !wasOnline {
-		s.dispatch()
+	if len(s.queue) > 0 && !wasOnline {
+		s.exit.redrain = true
 	}
 }
 
@@ -406,15 +405,14 @@ func (s *Server) setDraining(user *User, name string, draining bool) error {
 		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec, err := s.registeredLocked(name)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	s.applyNodeLocked(rec, store.Record{T: store.TNodeDrain, Name: name, Draining: draining})
-	s.mu.Unlock()
 	if !draining {
-		s.dispatch()
+		s.exit.redrain = true
 	}
 	return nil
 }
@@ -431,9 +429,9 @@ func (s *Server) RemoveNode(user *User, name string) error {
 		return fmt.Errorf("%w: %s (%s) may not manage nodes", ErrForbidden, user.Name, user.Role)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec, err := s.unregisterLocked(name)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	// Final contribution flush: hosting time accrued below the lump
@@ -446,8 +444,7 @@ func (s *Server) RemoveNode(user *User, name string) error {
 		}
 		return nil
 	})
-	s.mu.Unlock()
-	s.dispatch() // fallback builds re-place onto survivors
+	s.exit.redrain = true // fallback builds re-place onto survivors
 	return nil
 }
 

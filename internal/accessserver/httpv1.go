@@ -322,9 +322,10 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		// The hot poll path: served from the read plane's published
-		// snapshot, lock-free with respect to dispatch. The scheduler
-		// republishes on every transition, in transition order, so polls
-		// observe monotonic state. Drop counters move without a scheduler
+		// snapshot, lock-free with respect to dispatch. Each scheduler
+		// section republishes what it changed at its exit, after its WAL
+		// write and in section order, so polls observe monotonic state
+		// that is already in the log. Drop counters move without a scheduler
 		// transition (producer-side shedding), so they are refreshed from
 		// the feed plane — also a leaf, never s.mu.
 		if st, ok := s.reads.buildStatus(id); ok {

@@ -133,8 +133,13 @@ type Build struct {
 	// every pass, and the shadow lets it skip the per-build lock when
 	// the reason has not changed (the overwhelmingly common case on a
 	// deep queue). Every writer of pendingReason that holds s.mu must
-	// keep the two in sync.
+	// keep the two in sync. schedPrio is the reason's category, recorded
+	// by whoever chose it (a prio constant; see pendingCategories).
 	schedReason string
+	schedPrio   int
+	// touched marks a build the current critical section changed, whose
+	// status its exit republishes (touchBuildLocked). Guarded by s.mu.
+	touched bool
 	// queuedOn is the node this build is counted against in the server's
 	// per-node queued counters while it sits in the dispatch queue (""
 	// otherwise). Guarded by s.mu.
@@ -153,10 +158,31 @@ type Build struct {
 	// held is the lock the running attempt holds, zero when the build
 	// holds nothing — the one record of what claimLocked took and
 	// releaseLocked must give back. Guarded by s.mu.
-	held       lockKey
-	leaseTimer simclock.Timer
-	retryTimer simclock.Timer
-	agingTimer simclock.Timer
+	held lockKey
+	// watch is the build's one watchdog timer and watching what it is
+	// armed for, which its state decides. Guarded by s.mu.
+	watch    simclock.Timer
+	watching watchKind
+}
+
+// watchKind is what a build's watchdog is armed for.
+type watchKind uint8
+
+const (
+	watchNone  watchKind = iota
+	watchLease           // running: the attempt's lease (checkLease)
+	watchRetry           // queued, sitting out a failover backoff (requeue)
+	watchAging           // queued, in the queue: the pending timeout (checkAging)
+)
+
+// watchFor makes t, armed for kind, the build's watchdog, and stops the
+// one it replaces: a build waits for one thing at a time, and for nothing
+// (watchNone, nil) once running unleased or settled. Callers hold s.mu.
+func (b *Build) watchFor(kind watchKind, t simclock.Timer) {
+	if b.watch != nil {
+		b.watch.Stop()
+	}
+	b.watch, b.watching = t, kind
 }
 
 // State reports the build state.
@@ -228,24 +254,6 @@ func (b *Build) PlacementScore() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.placementScore
-}
-
-// setPendingReason records the scheduler's skip reason for this scan.
-func (b *Build) setPendingReason(reason string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pendingReason = reason
-}
-
-// stopTimersLocked cancels the build's lease, retry and aging timers on
-// a terminal transition. Callers hold b.mu.
-func (b *Build) stopTimersLocked() {
-	for _, t := range []simclock.Timer{b.leaseTimer, b.retryTimer, b.agingTimer} {
-		if t != nil {
-			t.Stop()
-		}
-	}
-	b.leaseTimer, b.retryTimer, b.agingTimer = nil, nil, nil
 }
 
 // Err reports the failure cause for failed builds.

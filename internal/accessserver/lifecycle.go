@@ -27,9 +27,10 @@ import (
 // build's BuildRec — the function replay runs on the same record — and
 // logs it; none assigns a durable field itself.
 //
-// All four run under s.mu and take b.mu themselves. What they log and
-// which nodes they touch leaves with the critical section they run in
-// (leaveSection); the build they moved they republish themselves.
+// All four run under s.mu and take b.mu themselves. They decide and mark:
+// the records they log, the builds and nodes they touch, the events they
+// queue, the feeds they end and the cancel hooks they detach all leave at
+// the one exit of the section they run in (leaveSection), the log first.
 
 // claimLocked starts queued build b on placement pl, whose lock key the
 // drain pass found free: it takes the lock, an executor slot and the
@@ -56,7 +57,7 @@ func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time)
 		b.camp.running++
 	}
 	s.ownerRunning[b.Owner]++
-	b.schedReason = ""
+	b.schedReason, b.schedPrio = "", prioNone
 	// A routed build's lease is its peer's heartbeat (the relay reports
 	// most failures itself; the lease catches the peer falling silent
 	// mid-run); a local one's is its node's, if the node is monitored.
@@ -90,18 +91,14 @@ func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time)
 	b.routedVia = pl.peer
 	b.pendingReason = ""
 	b.placementScore = pl.score
-	// The aging timer is done: left armed, it would outlive a failover and
-	// fail the requeued build against the original deadline.
-	if b.agingTimer != nil {
-		b.agingTimer.Stop()
-		b.agingTimer = nil
-	}
-	if leased {
-		b.leaseTimer = s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) })
-	}
 	b.mu.Unlock()
+	if leased {
+		b.watchFor(watchLease, s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) }))
+	} else {
+		b.watchFor(watchNone, nil)
+	}
 	s.logStore(started)
-	s.publishBuildLocked(b)
+	s.touchBuildLocked(b)
 	return &pick{b: b, run: run, node: pl.node, nodeName: pl.nodeName, device: pl.device}
 }
 
@@ -125,12 +122,9 @@ func (s *Server) releaseLocked(b *Build) bool {
 	if s.ownerRunning[b.Owner]--; s.ownerRunning[b.Owner] <= 0 {
 		delete(s.ownerRunning, b.Owner)
 	}
+	b.watchFor(watchNone, nil)
 	b.mu.Lock()
 	node, local := b.Node, b.routedVia == ""
-	if b.leaseTimer != nil {
-		b.leaseTimer.Stop()
-		b.leaseTimer = nil
-	}
 	b.mu.Unlock()
 	if local {
 		s.nodeRecs[node].running--
@@ -144,10 +138,10 @@ func (s *Server) releaseLocked(b *Build) bool {
 // if its owner had asked to cancel, failed with ErrNodeLost if the retry
 // budget is spent — or is queued again, after an exponential backoff
 // unless backoff is false (crash recovery: the restart already cost more
-// than any backoff would). It returns the abandoned attempt's cancel
-// hook for the caller to invoke outside the lock, tearing down a session
-// that might still be alive on a merely partitioned node.
-func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) (cancel func()) {
+// than any backoff would). The abandoned attempt's cancel hook runs once
+// the section has let go of the lock, tearing down a session that might
+// still be alive on a merely partitioned node.
+func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 	now := s.clock.Now()
 	held := s.releaseLocked(b)
 	b.mu.Lock()
@@ -171,14 +165,17 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) (cancel fu
 	// Later done() calls from the abandoned pipeline are stale (finish
 	// checks the attempt); its cancel hook is detached, not armed the way
 	// Abort does, which would taint the retry with the canceled flag.
-	cancel, b.canceler = b.canceler, nil
+	if b.canceler != nil {
+		s.exit.cancels = append(s.exit.cancels, b.canceler)
+		b.canceler = nil
+	}
 	if r.Canceled {
 		fmt.Fprintf(&b.log, "attempt %d lost after a cancel request: %s\n", r.Attempts, reason)
 		b.mu.Unlock()
 		s.settleLocked(b, nil)
-		return cancel
+		return
 	}
-	b.feed.PostEvent(api.BuildEvent{
+	s.exit.events = append(s.exit.events, api.BuildEvent{
 		Build: b.ID,
 		Node:  r.Node,
 		Phase: api.EventFailover,
@@ -196,7 +193,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) (cancel fu
 		}
 		b.mu.Unlock()
 		s.settleLocked(b, err)
-		return cancel
+		return
 	}
 	lost.Retries++
 	applyBuild(r, &lost)
@@ -206,56 +203,29 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) (cancel fu
 		delay := s.cfg.RetryBackoff << (r.Retries - 1)
 		wait = " in " + delay.String()
 		attempt := r.Attempts
-		b.retryTimer = s.clock.AfterFunc(delay, func() { s.requeue(b, attempt) })
+		b.watchFor(watchRetry, s.clock.AfterFunc(delay, func() { s.requeue(b, attempt) }))
 	}
 	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, r.Retries, s.cfg.MaxRetries, wait)
-	b.schedReason = b.pendingReason
+	b.schedReason, b.schedPrio = b.pendingReason, prioRetry
 	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, r.Retries, s.cfg.MaxRetries, wait)
 	s.logStore(lost)
 	b.mu.Unlock()
 	if !backoff {
 		s.queuePushLocked(b)
 	}
-	s.publishBuildLocked(b)
-	return cancel
+	s.touchBuildLocked(b)
 }
 
 // requeue returns a failed-over build to the queue once its backoff has
-// elapsed. Abort settles a build in backoff at once and stops this
+// elapsed. Abort settles a build in backoff at once and disarms this
 // timer; the check covers a timer that had already fired.
 func (s *Server) requeue(b *Build, attempt int) {
 	s.mu.Lock()
-	b.mu.Lock()
-	waiting := b.BuildRec.State == StateQueued.String() && b.BuildRec.Attempts == attempt
-	if waiting {
-		b.retryTimer = nil
+	defer s.mu.Unlock()
+	if b.State() == StateQueued && b.Attempts() == attempt {
+		s.queuePushLocked(b)
+		s.exit.redrain = true
 	}
-	b.mu.Unlock()
-	if !waiting {
-		s.mu.Unlock()
-		return
-	}
-	s.queuePushLocked(b)
-	s.publishBuildLocked(b)
-	s.mu.Unlock()
-	s.dispatch()
-}
-
-// reclaimUnlock reclaims builds the caller found running on a lost
-// vantage point, drops s.mu (which the caller holds), tears down the
-// abandoned sessions and redispatches.
-func (s *Server) reclaimUnlock(reason string, lost ...*Build) {
-	var cancels []func()
-	for _, b := range lost {
-		if c := s.reclaimLocked(b, reason, true); c != nil {
-			cancels = append(cancels, c)
-		}
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	s.dispatch()
 }
 
 // checkLease is the per-attempt lease watchdog. The lease follows the
@@ -269,8 +239,8 @@ func (s *Server) reclaimUnlock(reason string, lost ...*Build) {
 // monitored again later and then dies.
 func (s *Server) checkLease(b *Build, attempt int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !b.live(attempt) {
-		s.mu.Unlock()
 		return
 	}
 	node, peer := b.NodeName(), b.RoutedVia()
@@ -293,10 +263,7 @@ func (s *Server) checkLease(b *Build, attempt int) {
 		if watched {
 			next = max(beat.Add(s.cfg.OfflineAfter).Sub(now), s.cfg.HeartbeatEvery)
 		}
-		b.mu.Lock()
-		b.leaseTimer = s.clock.AfterFunc(next, func() { s.checkLease(b, attempt) })
-		b.mu.Unlock()
-		s.mu.Unlock()
+		b.watchFor(watchLease, s.clock.AfterFunc(next, func() { s.checkLease(b, attempt) }))
 		return
 	}
 	reason := fmt.Sprintf("node %q offline (last heartbeat %s ago)", node, now.Sub(beat))
@@ -304,21 +271,16 @@ func (s *Server) checkLease(b *Build, attempt int) {
 		s.m.clusterPeerLost++
 		reason = fmt.Sprintf("peer %q lost (no announce within %s)", peer, s.cfg.OfflineAfter)
 	}
-	s.reclaimUnlock(reason, b)
+	s.reclaimLocked(b, reason, true)
+	s.exit.redrain = true
 }
 
 // settleLocked is the one terminal transition. A pipeline that reported
 // nil succeeded (only finish settles a running build); anything else
 // that ends a build its owner asked to cancel is an abort; the rest are
-// failures. It records the result, stops the build's timers, logs the
-// finished record, republishes and then closes the feed — the hub and
-// the read plane are leaf locks, and doing both inside the scheduler's
-// critical section keeps snapshot order identical to transition order
-// (monotonic reads for status pollers) — and schedules retention.
-// Publish comes first because a stream's clean end is how a follower
-// learns the build settled: by the time the feed closes, the terminal
-// status must already be readable. Whatever the build held must have
-// been released already.
+// failures. It records the result, disarms the build's watchdog, logs the
+// finished record and ends the build (endLocked). Whatever the build held
+// must have been released already.
 func (s *Server) settleLocked(b *Build, err error) {
 	b.mu.Lock()
 	r := &b.BuildRec
@@ -348,13 +310,21 @@ func (s *Server) settleLocked(b *Build, err error) {
 	}
 	applyBuild(r, &fin)
 	b.err = err
-	b.stopTimersLocked()
 	s.logStore(fin)
 	b.mu.Unlock()
+	b.watchFor(watchNone, nil)
 	if s.ownerActive[b.Owner]--; s.ownerActive[b.Owner] <= 0 {
 		delete(s.ownerActive, b.Owner)
 	}
-	s.publishBuildLocked(b)
-	s.hub.Close(b.ID)
+	s.endLocked(b)
+}
+
+// endLocked marks terminal build b's status to republish and then its feed
+// to close at the section's exit, after the record behind them is written
+// (a stream's clean end is how a follower learns the build settled), and
+// schedules its retention. Settling and recovering a terminal build end it.
+func (s *Server) endLocked(b *Build) {
+	s.touchBuildLocked(b)
+	s.exit.closing = append(s.exit.closing, b.ID)
 	s.scheduleRetention(b)
 }

@@ -3,7 +3,6 @@ package accessserver
 import (
 	"context"
 	"log/slog"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -157,44 +156,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// pendingCategory folds the scheduler's free-text skip reasons into a
-// bounded label set, so the pending-reason gauge cannot explode
-// cardinality with node names and percentages.
-func pendingCategory(reason string) string {
-	switch {
-	case reason == "":
-		return "next_in_line"
-	// "waiting for a free executor" must fold before the generic
-	// "waiting for " lock_wait prefix below.
-	case reason == "waiting for a free executor":
-		return "executor_wait"
-	case strings.Contains(reason, "campaign concurrency"):
-		return "campaign_cap"
-	case strings.Contains(reason, "fair-share cap"):
-		return "owner_cap"
-	case strings.Contains(reason, "probing controller CPU"):
-		return "cpu_probe"
-	case strings.Contains(reason, "controller CPU"):
-		return "cpu_gate"
-	case strings.HasPrefix(reason, "waiting for node ") && strings.Contains(reason, "to register"),
-		strings.Contains(reason, "was removed"),
-		strings.Contains(reason, "node ") && strings.Contains(reason, " is "):
-		return "node_unavailable"
-	case strings.HasPrefix(reason, "waiting for "):
-		return "lock_wait"
-	case strings.Contains(reason, "; retry "):
-		return "retry_backoff"
-	default:
-		return "other"
-	}
-}
-
-// pendingCategories is the full label set, emitted every snapshot
-// (zeros included) so scrapes see stable series.
-var pendingCategories = []string{
-	"next_in_line", "executor_wait", "campaign_cap", "owner_cap",
-	"cpu_probe", "cpu_gate",
-	"node_unavailable", "lock_wait", "retry_backoff", "other",
+// pendingCategories labels the pending-reason gauge by the category
+// whoever chose a queued build's reason recorded with it (see the prio
+// constants), so the gauge cannot explode cardinality with node names and
+// percentages. Every label is emitted every snapshot (zeros included) so
+// scrapes see stable series.
+var pendingCategories = [...]string{
+	prioNone: "next_in_line", prioExecutor: "executor_wait", prioCampaignCap: "campaign_cap",
+	prioOwnerCap: "owner_cap", prioNodeUnavailable: "node_unavailable", prioLockWait: "lock_wait",
+	prioCPUProbe: "cpu_probe", prioCPUGate: "cpu_gate", prioRetry: "retry_backoff",
 }
 
 // collectScheduler emits the scheduler's lifecycle counters and derived
@@ -230,13 +200,13 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 	e.Gauge("blab_jobs", "stored pipelines", float64(len(s.jobs)))
 
 	// Pending-reason breakdown of the dispatch queue.
-	pending := map[string]int{}
+	var pending [len(pendingCategories)]int
 	for _, b := range s.queue {
-		pending[pendingCategory(b.PendingReason())]++
+		pending[b.schedPrio]++
 	}
-	for _, cat := range pendingCategories {
+	for prio, cat := range pendingCategories {
 		e.Gauge("blab_queue_pending", "queued builds by wait reason",
-			float64(pending[cat]), metrics.Label{Name: "reason", Value: cat})
+			float64(pending[prio]), metrics.Label{Name: "reason", Value: cat})
 	}
 
 	// Node health census.

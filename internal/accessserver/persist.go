@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/store"
+	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
 
@@ -108,29 +109,85 @@ func (s *Server) walDo(what string, op func(*store.Store) error) {
 	}
 }
 
+// sectionExit is what one critical section marked for its exit. The
+// transitions decide and mark; leaveSection delivers, in its fixed order,
+// and hands back what must wait for the lock to drop. Guarded by s.mu;
+// each list keeps its backing array from section to section.
+type sectionExit struct {
+	wal     []store.Record   // logStore
+	events  []api.BuildEvent // reclaimLocked's failover events
+	builds  []*Build         // touchBuildLocked, each build once
+	camps   []int            // campaigns added or evicted
+	closing []int            // settled builds, whose feeds close
+	expired []int            // evicted builds, whose status and feed go
+	census  []string         // touchNodeLocked
+	cancels []func()         // cancel hooks: abandoned attempts', an aborted run's
+	redrain bool             // a drain pass follows the section
+}
+
 // logStore logs one record of the critical section the caller is in:
 // s.mu guards the buffer, and leaving the section writes it.
 func (s *Server) logStore(rec store.Record) {
-	s.walBuf = append(s.walBuf, rec)
+	s.exit.wal = append(s.exit.wal, rec)
 }
 
 // leaveSection is what s.mu.Unlock runs before the lock drops, so no
-// transition can forget it. What the section logged becomes one WAL write
-// in program order (a partial write is a torn tail the next replay
-// truncates), still under s.mu: compaction cuts the log under it and finds
-// no record waiting. Then the census rows the section touched and the two
-// counts lock-free readers poll are republished, in section order
-// (monotonic reads). A section that logged and touched nothing allocates
-// nothing here.
-func (s *Server) leaveSection() {
-	if len(s.walBuf) > 0 {
-		s.walAppend(s.walBuf...)
-		clear(s.walBuf) // pin no spec or summary until the next section
-		s.walBuf = s.walBuf[:0]
+// transition can forget it, and the one place a section's effects happen.
+// Write, then show: (1) what the section logged becomes one WAL write in
+// program order (a partial write is a torn tail the next replay
+// truncates), still under s.mu, so compaction finds no record waiting;
+// then (2) its failover events are posted, (3) the statuses of the builds
+// it touched and the campaign cells it added or evicted are republished,
+// (4) the feeds of the builds it settled close and those it evicted go,
+// and (5) its census rows and the two polled counts are republished. No
+// status or clean end of stream a reader sees is ahead of the log, and
+// sections show in the order they run (monotonic reads). A section that
+// marked nothing allocates nothing here. What must wait for the lock to
+// drop is handed back.
+func (s *Server) leaveSection() (cancels []func(), redrain bool) {
+	x := &s.exit
+	if len(x.wal) > 0 {
+		s.walAppend(x.wal...)
+		clear(x.wal) // pin no spec or summary until the next section
+		x.wal = x.wal[:0]
 	}
+	for _, ev := range x.events {
+		s.hub.Feed(ev.Build).PostEvent(ev)
+	}
+	clear(x.events)
+	x.events = x.events[:0]
+	for _, b := range x.builds {
+		b.touched = false
+		s.reads.publishBuild(buildStatus(b))
+	}
+	clear(x.builds)
+	x.builds = x.builds[:0]
+	for _, id := range x.camps {
+		if rec := s.campaigns[id]; rec != nil {
+			s.reads.publishCampaign(id, rec.builds)
+		} else {
+			s.reads.removeCampaign(id)
+		}
+	}
+	x.camps = x.camps[:0]
+	if high := int64(s.nextCampaign - 1); high > s.reads.highCamp.Load() {
+		s.reads.highCamp.Store(high)
+	}
+	for _, id := range x.closing {
+		s.hub.Close(id)
+	}
+	x.closing = x.closing[:0]
+	for _, id := range x.expired {
+		s.reads.removeBuild(id)
+		s.hub.Remove(id)
+	}
+	x.expired = x.expired[:0]
 	s.publishCensusLocked()
 	s.runningNow.Store(int64(s.running))
 	s.queuedNow.Store(s.m.queued)
+	cancels, redrain = x.cancels, x.redrain
+	x.cancels, x.redrain = nil, false
+	return cancels, redrain
 }
 
 // walAppend writes recs to the WAL in one timed write: a section's
@@ -545,9 +602,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 				}
 				b.err = &recoveredErr{msg: br.Err, sentinels: sentinels}
 			}
-			s.publishBuildLocked(b)
-			s.hub.Close(b.ID)
-			s.scheduleRetention(b)
+			s.endLocked(b)
 			continue
 		}
 
@@ -592,24 +647,20 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 			}
 		default:
 			s.queuePushLocked(b)
-			s.publishBuildLocked(b)
+			s.touchBuildLocked(b)
 			stats.Requeued++
 		}
 	}
 
-	// Prime the feed-plane high-water mark and the rest of the read plane
-	// with the recovered world before the lock drops: ids whose records
-	// expired before the restart must resolve as expired (not unknown),
-	// and the snapshot routes must serve the recovered state from the
-	// first request rather than waiting for the next transition to
-	// publish. Every build was published once above, by the branch or the
-	// transition that decided its state.
+	// Prime the feed-plane high-water mark and mark every campaign, so the
+	// exit shows the recovered world before the lock drops: ids that expired
+	// before the restart must resolve as expired (not unknown), and the
+	// snapshot routes must serve the recovered state from the first request.
+	// Every build was touched above, by the branch or the transition that
+	// decided its state. No drain pass follows the exit: it runs last, below.
 	s.hub.SetHighWater(s.nextID - 1)
-	for id, rec := range s.campaigns {
-		s.reads.publishCampaign(id, rec.builds)
-	}
-	if s.nextCampaign > 1 {
-		s.reads.highCamp.Store(int64(s.nextCampaign - 1))
+	for id := range s.campaigns {
+		s.exit.camps = append(s.exit.camps, id)
 	}
 	s.mu.Unlock()
 

@@ -100,7 +100,9 @@ func TestRecoverControlPlaneState(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.srv.Ledger.Grant("carol", 30, "starter grant")
-	r.srv.Ledger.DebitExperiment("carol", 5*time.Minute)
+	if err := r.srv.Ledger.ChargeExperiment("carol", 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
 
 	// Restart: fresh server on the same directory. The node registers

@@ -1,10 +1,13 @@
 package accessserver
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -16,10 +19,15 @@ import (
 )
 
 // TestSectionsHaveOneExit is the rule leaveSection rests on, read off the
-// package's own non-test source: the census is republished from nowhere
-// but the exit, nothing reaches the store's append but walAppend — which
-// only the exit and AttachStore's Users/Ledger hooks call — and no
-// function takes a record sink to thread through the transitions.
+// package's own non-test source. Every effect of a scheduler section —
+// the census and build statuses republished, campaign cells published or
+// dropped, feeds closed or removed, failover events posted — happens at
+// the exit and nowhere else, and after the exit's WAL write. Nothing
+// reaches the store's append but walAppend, which only the exit and
+// AttachStore's Users/Ledger hooks call. A drain pass runs after a
+// section's exit or from the standalone callers named below, never by
+// hand after an Unlock. And no function takes a record sink to thread
+// through the transitions.
 func TestSectionsHaveOneExit(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -28,14 +36,34 @@ func TestSectionsHaveOneExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// callers maps each function the rule names to the declared functions
-	// that may call it (a closure counts as the function declaring it).
+	exit := []string{"leaveSection"}
+	// callers maps each call the rule names to the declared functions that
+	// may make it (a closure counts as the function declaring it). A method
+	// on the feed hub or the read plane is named with its receiver, as
+	// ruledCall spells it.
 	callers := map[string][]string{
-		"publishCensusLocked": {"leaveSection"},
-		"Append":              {"walAppend"},
-		"AppendBatch":         {"walAppend"},
-		"walAppend":           {"leaveSection", "AttachStore"},
+		"publishCensusLocked": exit,
+		"publishBuild":        exit,
+		"publishCampaign":     exit,
+		"removeBuild":         exit,
+		"removeCampaign":      exit,
+		"s.hub.Close":         exit,
+		"s.hub.Remove":        exit,
+		"s.reads.Store":       {"leaveSection", "publishCensusLocked"},
+		// A relayed build's remote events are the peer's, posted by the
+		// relay's sink (relaySink.Event) outside any section.
+		"PostEvent":   {"leaveSection", "Event"},
+		"Append":      {"walAppend"},
+		"AppendBatch": {"walAppend"},
+		"walAppend":   {"leaveSection", "AttachStore"},
+		// A section asks for a drain pass with a mark, which Unlock runs;
+		// these start one on their own: the scheduler tick, the announce
+		// loop and handler, a registration, the CPU probe's goroutine, and
+		// recovery, after its hooks and first compaction.
+		"dispatch": {"Unlock", "Kick", "announceTick", "handlerCluster", "RegisterNode", "dispatch", "AttachStore"},
 	}
+	var walAt token.Pos
+	var effectsAt []token.Pos
 	for _, file := range pkgs["accessserver"].Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -45,12 +73,20 @@ func TestSectionsHaveOneExit(t *testing.T) {
 			ast.Inspect(fn, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok {
+					call := ruledCall(n)
+					allowed, ruled := callers[call]
+					if !ruled {
 						break
 					}
-					if allowed, ruled := callers[sel.Sel.Name]; ruled && !slices.Contains(allowed, fn.Name.Name) {
-						t.Errorf("%s: %s calls %s, which only %v may", fset.Position(n.Pos()), fn.Name.Name, sel.Sel.Name, allowed)
+					if !slices.Contains(allowed, fn.Name.Name) {
+						t.Errorf("%s: %s calls %s, which only %v may", fset.Position(n.Pos()), fn.Name.Name, call, allowed)
+					}
+					if fn.Name.Name == "leaveSection" {
+						if call == "walAppend" {
+							walAt = n.Pos()
+						} else {
+							effectsAt = append(effectsAt, n.Pos())
+						}
 					}
 				case *ast.FuncType:
 					for _, p := range n.Params.List {
@@ -63,6 +99,47 @@ func TestSectionsHaveOneExit(t *testing.T) {
 			})
 		}
 	}
+	if walAt == token.NoPos || len(effectsAt) == 0 {
+		t.Fatalf("leaveSection makes no WAL write (%v) or shows nothing (%d calls)", walAt, len(effectsAt))
+	}
+	for _, at := range effectsAt {
+		if at < walAt {
+			t.Errorf("%s: leaveSection shows an effect before its WAL write at %s", fset.Position(at), fset.Position(walAt))
+		}
+	}
+}
+
+// ruledCall names the call TestSectionsHaveOneExit rules on: the method
+// or function called, qualified with its receiver when that is the feed
+// hub (s.hub.Close) or anything in the read plane (s.reads.Store for any
+// of its atomics).
+func ruledCall(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	on := exprPath(sel.X)
+	switch {
+	case on == "s.hub":
+		return "s.hub." + sel.Sel.Name
+	case strings.HasPrefix(on, "s.reads.") && sel.Sel.Name == "Store":
+		return "s.reads.Store"
+	}
+	return sel.Sel.Name
+}
+
+// exprPath spells a chain of selectors ("s.reads.nodes"), "" for anything
+// else.
+func exprPath(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if x := exprPath(e.X); x != "" {
+			return x + "." + e.Sel.Name
+		}
+	}
+	return ""
 }
 
 // isRecordSink reports whether e spells *[]store.Record.
@@ -91,30 +168,31 @@ func walCounts(srv *Server) (writes, records int64) {
 	return writes, int64(mv.Value)
 }
 
+// durable returns a server on a virtual clock with a store attached in
+// dir and node1 registered, its builds taking an hour of that clock.
+func durable(t *testing.T, dir string, cfg Config) (*Server, *User, *store.Store) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, cfg)
+	srv.SetSpecBackend(slowBackend(clk, time.Hour))
+	if err := srv.Nodes.Register(staticNode{name: "node1"}); err != nil {
+		t.Fatal(err)
+	}
+	admin, _ := srv.Users.Add("alice", RoleAdmin)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	return srv, admin, st
+}
+
 // TestOneSectionOneWrite: whatever one scheduler critical section logs
 // reaches the WAL as one write, however many records it is — and the
 // store then replays to the server's state.
 func TestOneSectionOneWrite(t *testing.T) {
 	const n = 4
-	// durable returns a server on a virtual clock with a store attached
-	// and node1 registered, its builds never finishing on their own.
-	durable := func(t *testing.T, dir string, cfg Config) (*Server, *User, *store.Store) {
-		clk := simclock.NewVirtual()
-		srv := New(clk, cfg)
-		srv.SetSpecBackend(slowBackend(clk, time.Hour))
-		if err := srv.Nodes.Register(staticNode{name: "node1"}); err != nil {
-			t.Fatal(err)
-		}
-		admin, _ := srv.Users.Add("alice", RoleAdmin)
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.AttachStore(st); err != nil {
-			t.Fatal(err)
-		}
-		return srv, admin, st
-	}
 	// oneRunningThenQueued submits n+1 builds of submit onto one device:
 	// the first runs, n wait for its lock.
 	oneRunningThenQueued := func(t *testing.T, submit func() (*Build, error)) {
@@ -185,6 +263,34 @@ func TestOneSectionOneWrite(t *testing.T) {
 			}
 			return srv, func() error { srv.Heartbeat("node1"); return nil }
 		}, 0, 0},
+		// The finished record and the charge for its hour of device time:
+		// a crash keeps both or neither.
+		{"finish with credits enforced", func(t *testing.T, dir string) (*Server, func() error) {
+			srv, _, _ := durable(t, dir, Config{SnapshotEvery: 2 * time.Hour}) // no compaction cuts the log
+			bob, _ := srv.Users.Add("bob", RoleExperimenter)
+			srv.Ledger.Grant("bob", 100, "starter grant")
+			srv.SetCreditEnforcement(true)
+			b, err := srv.SubmitSpec(bob, testSpec("node1", "devA"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srv, func() error {
+				srv.clock.(*simclock.Virtual).Advance(time.Hour)
+				if b.State() != StateSuccess || srv.Ledger.Balance("bob") != 40 {
+					return fmt.Errorf("build %s, bob has %v credits: want success and 40", b.State(), srv.Ledger.Balance("bob"))
+				}
+				disk, err := store.Open(dir)
+				if err != nil {
+					return err
+				}
+				defer disk.Close()
+				_, recs := disk.Load()
+				if n := len(recs); n < 2 || recs[n-2].T != store.TBuildFinished || recs[n-1].T != store.TLedger || recs[n-1].Entry.User != "bob" {
+					return fmt.Errorf("the log does not end in the finished record and bob's charge: %+v", recs[max(n-2, 0):])
+				}
+				return nil
+			}
+		}, 1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,6 +307,61 @@ func TestOneSectionOneWrite(t *testing.T) {
 				t.Errorf("the store does not replay to the server: %v", err)
 			}
 		})
+	}
+}
+
+// TestShownIsWritten: a section shows nothing its WAL write has not
+// taken. While the write of an Abort's section is held up, the aborted
+// build still reads queued and its feed is open — a follower cannot take
+// a clean end, nor a poller a terminal status, that a crash would undo —
+// and both change once the write goes through.
+func TestShownIsWritten(t *testing.T) {
+	srv, admin, _ := durable(t, t.TempDir(), Config{})
+	if _, err := srv.SubmitSpec(admin, testSpec("node1", "devA")); err != nil {
+		t.Fatal(err)
+	}
+	b, err := srv.SubmitSpec(admin, testSpec("node1", "devA")) // waits for the first's lock
+	if err != nil {
+		t.Fatal(err)
+	}
+	shown := func() (string, bool) {
+		st, _ := srv.reads.buildStatus(b.ID)
+		return st.State, b.Feed().Closed()
+	}
+	if state, closed := shown(); state != "queued" || closed {
+		t.Fatalf("before the abort: %s, feed closed %v", state, closed)
+	}
+
+	srv.storeMu.Lock() // the WAL write blocks
+	aborted := make(chan error, 1)
+	go func() { aborted <- srv.Abort(admin, b.ID) }()
+	waitForStack(t, "accessserver.(*Server).walDo")
+	state, closed := shown()
+	srv.storeMu.Unlock()
+	if state != "queued" || closed {
+		t.Errorf("while the abort's WAL write waits: %s, feed closed %v; want queued and open", state, closed)
+	}
+	if err := <-aborted; err != nil {
+		t.Fatal(err)
+	}
+	if state, closed := shown(); state != "aborted" || !closed {
+		t.Errorf("after the write: %s, feed closed %v; want aborted and closed", state, closed)
+	}
+}
+
+// waitForStack waits until some goroutine's stack names fn, failing the
+// test after 5 s.
+func waitForStack(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if n := runtime.Stack(buf, true); bytes.Contains(buf[:n], []byte(fn)) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no goroutine reached %s in 5 s", fn)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

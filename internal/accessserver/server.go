@@ -24,12 +24,11 @@ import (
 // the control/data plane split provable: tests (TestFeedPlaneLockFree,
 // TestMembershipChurn) assert that streaming subscribers and status
 // pollers drive the read plane without a single scheduler-lock
-// acquisition. Unlock is the one exit of every critical section: before
-// the lock drops it runs leave, the server's leaveSection (persist.go).
+// acquisition. Unlock is the one exit of every critical section.
 type schedMutex struct {
 	sync.Mutex
 	acquisitions atomic.Int64
-	leave        func()
+	s            *Server
 }
 
 func (m *schedMutex) Lock() {
@@ -37,9 +36,20 @@ func (m *schedMutex) Lock() {
 	m.acquisitions.Add(1)
 }
 
+// Unlock runs the server's leaveSection (persist.go) before the lock drops,
+// and after, on the calling goroutine, what the section left for later:
+// first the cancel hooks it detached, which tear down sessions that may
+// still be alive on a merely partitioned node (and may re-enter the
+// server), then the drain pass it asked for.
 func (m *schedMutex) Unlock() {
-	m.leave()
+	cancels, redrain := m.s.leaveSection()
 	m.Mutex.Unlock()
+	for _, cancel := range cancels {
+		cancel()
+	}
+	if redrain {
+		m.s.dispatch()
+	}
 }
 
 // Config tunes the access server.
@@ -192,7 +202,7 @@ type Server struct {
 	// create/close/evict feeds while holding any of its locks.
 	hub *feedhub.Hub
 	// reads is the snapshot read plane: build/node/campaign views
-	// republished at every transition under s.mu, each publish costing
+	// republished at each critical section's exit, each publish costing
 	// what changed, served by the hot GET routes lock-free (see
 	// snapshot.go).
 	reads *readPlane
@@ -223,11 +233,9 @@ type Server struct {
 	// census's Queued figure, kept current at every queue mutation
 	// instead of recounted from the queue (see countQueuedLocked).
 	queuedOn map[string]int
-	// censusDirty lists the nodes whose census row the current critical
-	// section changed (touchNodeLocked), and walBuf the records it logged
-	// (logStore): leaving the section delivers and empties both.
-	censusDirty []string
-	walBuf      []store.Record
+	// exit is what the current critical section marked for its one exit
+	// (see sectionExit): leaving the section delivers and empties it.
+	exit sectionExit
 	// runningNow and queuedNow are s.running and s.m.queued as the last
 	// critical section left them, stored at its exit: what Running and
 	// QueueLength load without the lock.
@@ -337,7 +345,7 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		ownerRunning: make(map[string]int),
 		placer:       WeightedPlacer{W: DefaultScoreWeights()},
 	}
-	s.mu.leave = s.leaveSection
+	s.mu.s = s
 	s.Nodes = &Nodes{s: s, approved: make(map[string]bool)}
 	s.analyticsCache = analytics.NewCache(analyticsCacheBytes)
 	s.m = newServerMetrics(s)
@@ -594,7 +602,7 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	s.m.queued++
 	s.ownerActive[owner]++
 	s.logStore(queued)
-	s.publishBuildLocked(b)
+	s.touchBuildLocked(b)
 	return b
 }
 
@@ -620,9 +628,7 @@ func (s *Server) queuePushLocked(b *Build) {
 
 // armAgingLocked arms b's next aging check, one PendingTimeout from now.
 func (s *Server) armAgingLocked(b *Build) {
-	b.mu.Lock()
-	b.agingTimer = s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) })
-	b.mu.Unlock()
+	b.watchFor(watchAging, s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) }))
 }
 
 // queueIndexLocked finds b in the dispatch queue, which is ordered by
@@ -715,22 +721,20 @@ func (s *Server) submit(user *User, job string, spec api.ExperimentSpec) (*Build
 	}
 	defer s.holdClock()()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	label := job
 	if job == "" {
 		label = specJobName(spec)
 	} else if _, ok := s.jobs[job]; !ok {
 		// DeleteJob won the race with the compile: its sweep of the queue
 		// is over, so this build must not slip in behind it.
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: job %q was deleted", ErrNotFound, job)
 	}
 	if err := s.admitLocked(user, 1); err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
 	b := s.enqueueLocked(user.Name, label, 0, cons, run, &spec)
-	s.mu.Unlock()
-	s.dispatch()
+	s.exit.redrain = true
 	return b, nil
 }
 
@@ -794,8 +798,8 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	}
 	defer s.holdClock()()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.admitLocked(user, len(pipelines)); err != nil {
-		s.mu.Unlock()
 		return 0, nil, err
 	}
 	id := s.nextCampaign
@@ -812,9 +816,8 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	s.logStore(store.Record{T: store.TCampaign, Campaign: &store.CampaignRec{
 		ID: id, MaxConcurrent: rec.maxConcurrent, Builds: append([]int(nil), rec.builds...),
 	}})
-	s.reads.publishCampaign(id, rec.builds)
-	s.mu.Unlock()
-	s.dispatch()
+	s.exit.camps = append(s.exit.camps, id)
+	s.exit.redrain = true
 	return id, builds, nil
 }
 
@@ -870,6 +873,7 @@ func (s *Server) Abort(user *User, id int) error {
 	// the state and acting on it: a finished build reliably answers
 	// conflict instead of gaining a bogus persisted canceled marker.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	want := store.Record{T: store.TBuildCancelWant, BuildID: b.ID}
 	b.mu.Lock()
 	state := BuildState(b.BuildRec.State)
@@ -887,23 +891,20 @@ func (s *Server) Abort(user *User, id int) error {
 			s.queueRemoveAtLocked(i)
 		}
 		s.settleLocked(b, nil)
-		s.mu.Unlock()
 		return nil
 	case StateRunning:
 		// The pipeline's OnCancel hook settles it. The flag is WAL-logged
 		// first, so a server that crashes before the build settles recovers
 		// it as aborted instead of rerunning a canceled experiment; the
-		// hook itself runs outside the locks (it tears down a session,
+		// hook itself runs once the lock drops (it tears down a session,
 		// which may re-enter the server through the build's done callback).
 		s.logStore(want)
-		s.publishBuildLocked(b) // the served status carries Canceled now
-		s.mu.Unlock()
+		s.touchBuildLocked(b) // the served status carries Canceled now
 		if fn != nil {
-			fn()
+			s.exit.cancels = append(s.exit.cancels, fn)
 		}
 		return nil
 	}
-	s.mu.Unlock()
 	return fmt.Errorf("%w: build %d already finished (%s)", ErrConflict, id, state)
 }
 
@@ -1067,21 +1068,24 @@ func (pl placement) lockName() string {
 	return pl.peer + "!" + pl.nodeName
 }
 
-// Pending-reason priorities. A build skipped for several reasons in
+// Pending-reason priorities, which are also the categories the
+// blab_queue_pending gauge counts. A build skipped for several reasons in
 // one pass reports the highest-priority one — stably, instead of
 // whichever check happened to run last. Executor saturation outranks
 // everything (nothing dispatches regardless of other conditions, and
 // it lets the pass stop evaluating the tail of a deep queue); below
-// it, the order runs from policy caps down to transient gates.
+// it, the order runs from policy caps down to transient gates. None
+// (next in line) and a failover's retry are no drain verdict.
 const (
-	prioExecutor = iota
+	prioNone = iota
+	prioExecutor
 	prioCampaignCap
 	prioOwnerCap
 	prioNodeUnavailable
 	prioLockWait
 	prioCPUProbe
 	prioCPUGate
-	prioNone // dispatchable
+	prioRetry
 )
 
 // drainLocked is the single placement pass: it scans the queue once,
@@ -1174,7 +1178,7 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 			}
 		}
 		if prio != prioNone {
-			s.skipLocked(cand, reason)
+			s.skipLocked(cand, prio, reason)
 			if w >= 0 {
 				s.queue[w] = cand
 				w++
@@ -1200,17 +1204,20 @@ func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
 	return picks, probes
 }
 
-// skipLocked records a skipped build's pending reason through the
-// s.mu-guarded shadow, taking b.mu only when the reason actually changed
-// — the drain labels every skipped build every pass, and on a deep queue
-// almost all of those labels are repeats. The changed reason is
-// republished so snapshot-served status polls surface it. Callers hold
-// s.mu.
-func (s *Server) skipLocked(b *Build, reason string) {
+// skipLocked records a skipped build's pending reason and its category
+// through the s.mu-guarded shadow, taking b.mu only when the reason
+// actually changed — the drain labels every skipped build every pass, and
+// on a deep queue almost all of those labels are repeats. A changed
+// reason is republished so snapshot-served status polls surface it.
+// Callers hold s.mu.
+func (s *Server) skipLocked(b *Build, prio int, reason string) {
+	b.schedPrio = prio
 	if b.schedReason != reason {
 		b.schedReason = reason
-		b.setPendingReason(reason)
-		s.publishBuildLocked(b)
+		b.mu.Lock()
+		b.pendingReason = reason
+		b.mu.Unlock()
+		s.touchBuildLocked(b)
 	}
 }
 
@@ -1247,14 +1254,14 @@ const execWait = "waiting for a free executor"
 func (s *Server) labelSaturatedLocked(tail []*Build) {
 	i := 0
 	for i < len(tail) && tail[i].schedReason != execWait {
-		s.skipLocked(tail[i], execWait)
+		s.skipLocked(tail[i], prioExecutor, execWait)
 		i++
 	}
 	// s.queue is ordered by queueSeq: everything from i up to the
 	// watermark is labelled already.
 	i += sort.Search(len(tail)-i, func(n int) bool { return tail[i+n].queueSeq > s.execLabelled })
 	for _, b := range tail[i:] {
-		s.skipLocked(b, execWait)
+		s.skipLocked(b, prioExecutor, execWait)
 	}
 	s.execLabelled = tail[len(tail)-1].queueSeq
 }
@@ -1493,28 +1500,23 @@ func (s *Server) recordCPU(name string, pct float64, ok bool) {
 // is offline. Builds waiting on a live-but-busy node are untouched.
 func (s *Server) checkAging(b *Build) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	idx, queued := s.queueIndexLocked(b)
 	if !queued {
-		s.mu.Unlock()
 		return // dispatched, finished, or in a failover backoff window
 	}
 	cons := b.cons
 	now := s.clock.Now()
+	// Aging only fires when no viable node is alive. A placeable build
+	// waits on lock/executor pressure, not node loss; otherwise the
+	// preferred node, or — for fallback builds — any online monitored
+	// substitute. A live-but-busy node means the queue is draining and the
+	// build will run; killing it would lose campaign tails whose backlog on
+	// the survivor exceeds PendingTimeout. Alive, it keeps being watched in
+	// case the node dies later.
 	pl, _ := s.placeLocked(cons, now)
-	if pl.nodeName != "" {
-		// Placeable: the wait is lock/executor pressure, not node
-		// loss. Keep watching in case the node dies later.
-		s.armAgingLocked(b)
-		s.mu.Unlock()
-		return
-	}
-	// Aging only fires when no viable node is alive: the preferred
-	// node, or — for fallback builds — any online monitored
-	// substitute. A live-but-busy node means the queue is draining
-	// and the build will run; killing it would lose campaign tails
-	// whose backlog on the survivor exceeds PendingTimeout.
 	rec := s.nodeRecs[cons.Node]
-	alive := rec != nil && s.healthLocked(rec, now) != HealthOffline
+	alive := pl.nodeName != "" || rec != nil && s.healthLocked(rec, now) != HealthOffline
 	if !alive && cons.Fallback {
 		for _, sub := range s.nodeRecs {
 			if s.substituteLocked(sub, cons.Node, now) {
@@ -1545,7 +1547,6 @@ func (s *Server) checkAging(b *Build) {
 	}
 	if alive {
 		s.armAgingLocked(b)
-		s.mu.Unlock()
 		return
 	}
 	s.queueRemoveAtLocked(idx)
@@ -1556,19 +1557,19 @@ func (s *Server) checkAging(b *Build) {
 	}
 	s.settleLocked(b, fmt.Errorf("%w: build %d waited %s: %s",
 		ErrNodeLost, b.ID, s.cfg.PendingTimeout, reason))
-	s.mu.Unlock()
 }
 
 // finish completes a running build: it gives back what the build held,
-// settles it and re-runs dispatch. Completions from a failed-over
-// attempt (the done() of a pipeline the scheduler already reclaimed) are
-// stale and ignored. A build whose pipeline errored after an explicit
-// cancel request settles as aborted, not failed — the distinction the v1
-// Canceled flag carries to remote clients.
+// settles it, charges its device time and asks for a drain pass.
+// Completions from a failed-over attempt (the done() of a pipeline the
+// scheduler already reclaimed) are stale and ignored. A build whose
+// pipeline errored after an explicit cancel request settles as aborted,
+// not failed — the distinction the v1 Canceled flag carries to remote
+// clients.
 func (s *Server) finish(b *Build, attempt int, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !b.live(attempt) {
-		s.mu.Unlock()
 		b.mu.Lock()
 		fmt.Fprintf(&b.log, "ignoring stale completion from attempt %d\n", attempt)
 		b.mu.Unlock()
@@ -1576,9 +1577,8 @@ func (s *Server) finish(b *Build, attempt int, err error) {
 	}
 	s.releaseLocked(b)
 	s.settleLocked(b, err)
-	s.mu.Unlock()
-	s.chargeRun(b.Owner, b.Duration())
-	s.dispatch()
+	s.chargeRunLocked(b)
+	s.exit.redrain = true
 }
 
 // scheduleRetention purges a finished build's workspace and log after
@@ -1594,9 +1594,9 @@ func (s *Server) scheduleRetention(b *Build) {
 		b.log.Reset()
 		b.mu.Unlock()
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		delete(s.builds, b.ID)
-		s.hub.Remove(b.ID)
-		s.reads.removeBuild(b.ID)
+		s.exit.expired = append(s.exit.expired, b.ID)
 		s.logStore(store.Record{T: store.TBuildExpired, BuildID: b.ID})
 		if rec := s.campaigns[b.Campaign]; rec != nil {
 			live := false
@@ -1608,11 +1608,10 @@ func (s *Server) scheduleRetention(b *Build) {
 			}
 			if !live {
 				delete(s.campaigns, b.Campaign)
-				s.reads.removeCampaign(b.Campaign)
+				s.exit.camps = append(s.exit.camps, b.Campaign)
 				s.logStore(store.Record{T: store.TCampaignExpired, CampaignID: b.Campaign})
 			}
 		}
-		s.mu.Unlock()
 	})
 }
 

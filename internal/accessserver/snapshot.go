@@ -30,28 +30,29 @@ func (e *nodeCensusEntry) known() bool {
 }
 
 // readPlane is the server's snapshot-served read side: published views
-// of build status, the node census and campaign membership, republished
-// by the scheduler at every state transition while it already holds
-// s.mu. The hot GET routes (build status, node list, campaign status)
-// load these views with atomic pointer reads and never acquire the
-// scheduler lock, so status-poll floods are lock-free with respect to
-// dispatch.
+// of build status, the node census and campaign membership. Its one
+// writer is leaveSection, which republishes what the critical section
+// marked (touchBuildLocked, touchNodeLocked, sectionExit.camps) after the
+// section's WAL write and before s.mu drops. The hot GET routes
+// (build status, node list, campaign status) load these views with atomic
+// pointer reads and never acquire the scheduler lock, so status-poll
+// floods are lock-free with respect to dispatch.
 //
 // Every publish costs what changed, not what exists: a build or campaign
 // is one cell of a chunked index (see chunkindex.go), and the census is
 // a sorted slice of pointers to immutable rows, of which a publish
-// rebuilds only the rows the critical section marked (touchNodeLocked).
+// rebuilds only the rows the critical section marked.
 //
-// Consistency: publishers run inside the scheduler's critical sections,
-// so snapshots are installed in transition order — a client that
-// observed a build running can never later read it queued
-// (monotonic reads).
+// Consistency: what is served is written — a status is published only
+// once the records behind it are in the log — and sections publish in
+// the order they run, so a client that observed a build running can never
+// later read it queued (monotonic reads).
 type readPlane struct {
-	// builds maps build id -> served status, republished in place on
-	// every transition and evicted at retention.
+	// builds maps build id -> served status, republished in place when a
+	// section touched it and evicted at retention.
 	builds chunkIndex[api.BuildStatus]
 	// buildPublishes counts publishBuild calls. Publishers hold s.mu, so
-	// it is a plain int; tests read it to pin "one transition, one
+	// it is a plain int; tests read it to pin "one touched build, one
 	// publish".
 	buildPublishes int
 	// nodes is the published node census, sorted by name. The slice and
@@ -91,13 +92,10 @@ func (rp *readPlane) buildStatus(id int) (api.BuildStatus, bool) {
 }
 
 // publishCampaign records a campaign's member build ids (fixed at
-// submission) and raises the campaign high-water mark.
+// submission).
 func (rp *readPlane) publishCampaign(id int, builds []int) {
 	members := append([]int(nil), builds...)
 	rp.camps.put(id, &members)
-	if int64(id) > rp.highCamp.Load() {
-		rp.highCamp.Store(int64(id))
-	}
 }
 
 // removeCampaign evicts a campaign (its last member expired).
@@ -157,11 +155,15 @@ func (s *Server) censusHealth(e *nodeCensusEntry, now time.Time) Health {
 	return s.healthAt(e.node != nil, e.Removed, e.Monitored, e.Draining, e.LastHeartbeat, now)
 }
 
-// publishBuildLocked republishes b's served wire-form status after a
-// state transition. Callers hold s.mu but never b.mu (the snapshot
-// reads b's state through its own accessors).
-func (s *Server) publishBuildLocked(b *Build) {
-	s.reads.publishBuild(buildStatus(b))
+// touchBuildLocked marks b as changed: leaving the critical section
+// republishes its served status, once however many transitions the
+// section ran on it. Callers hold s.mu but never b.mu (the exit reads b's
+// state through its own lock).
+func (s *Server) touchBuildLocked(b *Build) {
+	if !b.touched {
+		b.touched = true
+		s.exit.builds = append(s.exit.builds, b)
+	}
 }
 
 // touchNodeLocked marks a node as changed, for its two caches. Leaving
@@ -176,10 +178,10 @@ func (s *Server) touchNodeLocked(name string) {
 	if rec := s.nodeRecs[name]; rec != nil {
 		rec.version++ // before the early-out: a repeated name is a second change
 	}
-	if n := len(s.censusDirty); n > 0 && s.censusDirty[n-1] == name {
+	if n := len(s.exit.census); n > 0 && s.exit.census[n-1] == name {
 		return
 	}
-	s.censusDirty = append(s.censusDirty, name)
+	s.exit.census = append(s.exit.census, name)
 }
 
 // publishCensusLocked republishes the node census — the one node table,
@@ -192,7 +194,7 @@ func (s *Server) touchNodeLocked(name string) {
 // builds the new ones.
 func (s *Server) publishCensusLocked() {
 	old := s.reads.nodeList()
-	if len(old) == len(s.nodeRecs) && len(s.censusDirty) == 0 {
+	if len(old) == len(s.nodeRecs) && len(s.exit.census) == 0 {
 		return // before rows, which escapes to the heap where it is declared
 	}
 	var rows []*nodeCensusEntry
@@ -208,13 +210,13 @@ func (s *Server) publishCensusLocked() {
 			}
 		}
 	}
-	for _, name := range s.censusDirty {
+	for _, name := range s.exit.census {
 		// A marked name without a row is a node nobody has a record for
 		// yet (builds may queue for it); its row is built when it appears.
 		if i, ok := censusFind(rows, name); ok {
 			rows[i] = s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name])
 		}
 	}
-	s.censusDirty = s.censusDirty[:0]
+	s.exit.census = s.exit.census[:0]
 	s.reads.nodes.Store(&rows)
 }

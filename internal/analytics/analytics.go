@@ -149,20 +149,16 @@ func compute(q api.AnalyticsQuery, epochNS, durationNS int64, each func(add func
 		Fields:     fields,
 	}
 
-	// One pass: the whole-trace rollup aggregators and, when bucketing
-	// was asked for, a Windowed splitting the same stream.
-	var mom samples.Welford
-	p50, p95 := samples.NewP2Quantile(0.5), samples.NewP2Quantile(0.95)
-	var integ samples.Trapezoid
+	// One pass: the whole-trace rollup (the capture's own stream summary)
+	// and, when bucketing was asked for, a Windowed splitting the same
+	// stream.
+	total := samples.NewStreamSummary()
 	var wd *samples.Windowed
 	if q.WindowNS > 0 {
 		wd = samples.NewWindowed(0, q.WindowNS, 0.5, 0.95)
 	}
 	each(func(tNanos int64, v float64) {
-		mom.Observe(v)
-		p50.Observe(v)
-		p95.Observe(v)
-		integ.Add(tNanos, v)
+		total.Add(tNanos, v)
 		if wd != nil {
 			wd.Add(tNanos, v)
 		}
@@ -195,8 +191,9 @@ func compute(q api.AnalyticsQuery, epochNS, durationNS int64, each func(add func
 		}
 	}
 
-	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS, NaNs: mom.NaNs()}
-	fill(&res.Total, mom.N(), mom.Mean(), mom.Min(), mom.Max(), p50.Value(), p95.Value(), integ.IntegralSeconds())
+	sum := total.Snapshot()
+	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS, NaNs: int64(sum.NaNs)}
+	fill(&res.Total, int64(sum.N), sum.Mean, sum.Min, sum.Max, sum.P50, sum.P95, sum.IntegralSeconds)
 
 	if wd != nil {
 		for _, b := range wd.Buckets() {
