@@ -350,8 +350,6 @@ func (s *Server) LifecycleDrift() error {
 //   - Snapshot.V, WALGen, WALCut: stamped by the store when it writes.
 func (s *Server) DurableDrift() error {
 	s.mu.Lock()
-	s.Users.mu.RLock()
-	s.Ledger.mu.Lock()
 	s.storeMu.Lock()
 	live := s.buildSnapshotLocked()
 	var disk *store.Store
@@ -360,8 +358,6 @@ func (s *Server) DurableDrift() error {
 		disk, err = store.Open(s.store.Dir())
 	}
 	s.storeMu.Unlock()
-	s.Ledger.mu.Unlock()
-	s.Users.mu.RUnlock()
 	s.mu.Unlock()
 	if disk == nil {
 		return err

@@ -14,13 +14,15 @@ import (
 // initial setup can still buy access.
 //
 // Accounting units: one credit buys one device-minute of measurement.
+//
+// A view of the server like Users: every movement is made under s.mu by a
+// section that logs the record carrying it, and takes l.mu under s.mu;
+// Balance, History and CanAfford read under l.mu alone.
 type Ledger struct {
+	s        *Server
 	mu       sync.Mutex
 	balances map[string]float64
 	history  map[string][]LedgerEntry
-	// hook observes every movement (the WAL append when a store is
-	// attached). Called under l.mu; it must not re-enter the ledger.
-	hook func(user string, e LedgerEntry)
 }
 
 // LedgerEntry records one credit movement.
@@ -40,14 +42,6 @@ const ContributionRate = 4.0
 // snapshots and restart time without bound.
 const maxLedgerHistory = 1000
 
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{
-		balances: make(map[string]float64),
-		history:  make(map[string][]LedgerEntry),
-	}
-}
-
 // Balance reports a member's credits.
 func (l *Ledger) Balance(user string) float64 {
 	l.mu.Lock()
@@ -62,35 +56,9 @@ func (l *Ledger) History(user string) []LedgerEntry {
 	return append([]LedgerEntry{}, l.history[user]...)
 }
 
-// apply makes one movement; add also reports it to the hook. Callers
-// hold l.mu.
-func (l *Ledger) apply(user string, e LedgerEntry) {
-	l.balances[user] += e.Delta
-	h := append(l.history[user], e)
-	if len(h) > maxLedgerHistory {
-		h = h[len(h)-maxLedgerHistory:]
-	}
-	l.history[user] = h
-}
-
-func (l *Ledger) add(user string, e LedgerEntry) {
-	l.apply(user, e)
-	if l.hook != nil {
-		l.hook(user, e)
-	}
-}
-
-// setHook installs the movement observer (the persistence layer's WAL
-// append). Replayed history installed via restore never reaches it.
-func (l *Ledger) setHook(fn func(user string, e LedgerEntry)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.hook = fn
-}
-
 // restore reinstates a member's balance and (bounded) entry history
 // from replay. The balance is authoritative — the history may be a
-// trimmed tail that no longer sums to it.
+// trimmed tail that no longer sums to it. Callers hold s.mu.
 func (l *Ledger) restore(user string, balance float64, entries []LedgerEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -111,31 +79,34 @@ func hostingEntry(node string, dur time.Duration) LedgerEntry {
 	}
 }
 
-// CreditContribution awards credits for hosting a vantage point for the
-// given duration.
-func (l *Ledger) CreditContribution(user, node string, dur time.Duration) float64 {
-	e := hostingEntry(node, dur)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.add(user, e)
-	return e.Delta
-}
-
-// record makes a movement the hook must not see: the caller logs the
-// record that carries it with its critical section — a hosting flush's
-// combined TNodeHostingFlush, a finished run's TLedger — so the movement
-// and the change that caused it reach the WAL as one write.
+// record makes one movement. Callers hold s.mu and log the record that
+// carries it with their section — a hosting flush's combined
+// TNodeHostingFlush, a grant's or a finished run's TLedger (moveLocked) —
+// so the movement and the change that caused it reach the WAL as one
+// write.
 func (l *Ledger) record(user string, e LedgerEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.apply(user, e)
+	l.balances[user] += e.Delta
+	h := append(l.history[user], e)
+	if len(h) > maxLedgerHistory {
+		h = h[len(h)-maxLedgerHistory:]
+	}
+	l.history[user] = h
 }
 
 // Grant adds credits administratively (new-member starter grants).
 func (l *Ledger) Grant(user string, credits float64, reason string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.add(user, LedgerEntry{Delta: credits, Reason: reason})
+	l.s.mu.Lock()
+	defer l.s.mu.Unlock()
+	l.s.moveLocked(user, LedgerEntry{Delta: credits, Reason: reason})
+}
+
+// moveLocked makes a movement that is its own TLedger record. Callers
+// hold s.mu.
+func (s *Server) moveLocked(user string, e LedgerEntry) {
+	s.Ledger.record(user, e)
+	s.logStore(store.Record{T: store.TLedger, Entry: &store.LedgerRec{User: user, Delta: e.Delta, Reason: e.Reason}})
 }
 
 // experimentEntry is the ledger movement one run's device time costs —
@@ -145,20 +116,6 @@ func experimentEntry(deviceTime time.Duration) LedgerEntry {
 		Delta:  -deviceTime.Minutes(),
 		Reason: fmt.Sprintf("experiment (%s of device time)", deviceTime.Round(time.Second)),
 	}
-}
-
-// ChargeExperiment debits the device-minutes an experiment consumed. It
-// fails without mutating the balance when the member cannot cover it.
-func (l *Ledger) ChargeExperiment(user string, deviceTime time.Duration) error {
-	e := experimentEntry(deviceTime)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.balances[user] < -e.Delta {
-		return fmt.Errorf("%w: %s has %.1f credits, needs %.1f",
-			ErrInsufficientCredits, user, l.balances[user], -e.Delta)
-	}
-	l.add(user, e)
-	return nil
 }
 
 // CanAfford reports whether user can cover deviceTime of measurement.
@@ -202,9 +159,7 @@ func (s *Server) chargeRunLocked(b *Build) {
 	if err != nil || u.Role == RoleAdmin {
 		return
 	}
-	e := experimentEntry(deviceTime)
-	s.Ledger.record(b.Owner, e)
-	s.logStore(store.Record{T: store.TLedger, Entry: &store.LedgerRec{User: b.Owner, Delta: e.Delta, Reason: e.Reason}})
+	s.moveLocked(b.Owner, experimentEntry(deviceTime))
 	s.m.runsCharged.Inc()
 	s.m.creditsDebited.Add(deviceTime.Minutes())
 }

@@ -87,7 +87,7 @@ type RecoveryStats struct {
 }
 
 // walDo runs op against the attached store (a no-op without one).
-// storeMu is a leaf mutex: taken under s.mu or a hook's lock, never b.mu.
+// storeMu is a leaf mutex: taken under s.mu, never b.mu.
 //
 // A failed op (full disk, I/O error) latches storeFailed: further ops
 // are suppressed — a WAL with a silent gap replays later records onto
@@ -190,9 +190,7 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 	return cancels, redrain
 }
 
-// walAppend writes recs to the WAL in one timed write: a section's
-// records, or the one record of a Users or Ledger hook, which runs outside
-// s.mu under the lock of theirs that compaction also cuts under.
+// walAppend writes a section's records to the WAL in one timed write.
 func (s *Server) walAppend(recs ...store.Record) {
 	s.walDo("append", func(st *store.Store) error {
 		start := time.Now()
@@ -476,7 +474,18 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	defer s.holdClock()()
 	now := s.clock.Now()
 
-	// Users and ledger first: independent of scheduler state.
+	// Cluster membership: known peers come back by name and URL but
+	// start offline (zero last-beat) — the next announce exchange proves
+	// them alive again, and until then the scheduler will not route
+	// builds their way.
+	for _, name := range slices.Sorted(maps.Keys(rs.peers)) {
+		s.cluster.Restore(name, rs.peers[name].URL)
+	}
+
+	s.mu.Lock()
+	backend := s.specs
+
+	// Users and ledger first: independent of the rest.
 	for _, u := range rs.users {
 		s.Users.restore(u.Name, Role(u.Role), u.Token)
 		stats.Users++
@@ -489,17 +498,6 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		s.Ledger.restore(user, rs.balances[user], entries)
 		stats.Ledger += len(entries)
 	}
-
-	// Cluster membership: known peers come back by name and URL but
-	// start offline (zero last-beat) — the next announce exchange proves
-	// them alive again, and until then the scheduler will not route
-	// builds their way.
-	for _, name := range slices.Sorted(maps.Keys(rs.peers)) {
-		s.cluster.Restore(name, rs.peers[name].URL)
-	}
-
-	s.mu.Lock()
-	backend := s.specs
 
 	// Jobs. A job the daemon already re-created this boot wins over its
 	// record. A record from before jobs stored their spec has none: the
@@ -672,21 +670,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	if failed {
 		return stats, fmt.Errorf("accessserver: flushing recovery records failed, durability suspended (see the log)")
 	}
-	// Go live: install the observation hooks, arm periodic compaction.
-	s.Users.setHook(func(u User, removed bool) {
-		if removed {
-			s.walAppend(store.Record{T: store.TUserRemoved, Name: u.Name})
-			return
-		}
-		s.walAppend(store.Record{T: store.TUserAdded, User: &store.UserRec{
-			Name: u.Name, Role: int(u.Role), Token: u.Token,
-		}})
-	})
-	s.Ledger.setHook(func(user string, e LedgerEntry) {
-		s.walAppend(store.Record{T: store.TLedger, Entry: &store.LedgerRec{
-			User: user, Delta: e.Delta, Reason: e.Reason,
-		}})
-	})
+	// Go live: arm periodic compaction.
 	s.snapTicker = simclock.NewTicker(s.clock, s.cfg.SnapshotEvery, func(time.Time) {
 		s.maybeCompact()
 	})
@@ -743,14 +727,13 @@ func (s *Server) maybeCompact() {
 //
 // Correctness needs a clean cut: no record may fall between the state
 // the snapshot captures and the truncation. The snapshot is therefore
-// built, and the WAL cut offset taken, under one lock ordering (s.mu →
-// Users.mu → Ledger.mu → storeMu — the same relative order every WAL
-// writer uses), so every record before the cut describes state the
-// snapshot contains. The expensive part — marshaling and fsyncing the
-// snapshot file — then runs with all of those released: records
-// appended meanwhile land past the cut, and FinishCompact preserves
-// them when it resets the log. The scheduler never waits on a disk
-// flush.
+// built, and the WAL cut offset taken, under s.mu — the lock every WAL
+// write is made under, by the exit of the section that logged it — so
+// every record before the cut describes state the snapshot contains. The
+// expensive part — marshaling and fsyncing the snapshot file — then runs
+// with s.mu released: records appended meanwhile land past the cut, and
+// FinishCompact preserves them when it resets the log. The scheduler
+// never waits on a disk flush.
 func (s *Server) CompactStore() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -758,8 +741,6 @@ func (s *Server) CompactStore() error {
 	defer func() { s.m.snapshotLatency.Observe(time.Since(start).Seconds()) }()
 
 	s.mu.Lock()
-	s.Users.mu.RLock()
-	s.Ledger.mu.Lock()
 	snap := s.buildSnapshotLocked()
 	s.storeMu.Lock()
 	st := s.store
@@ -779,8 +760,6 @@ func (s *Server) CompactStore() error {
 		}
 	}
 	s.storeMu.Unlock()
-	s.Ledger.mu.Unlock()
-	s.Users.mu.RUnlock()
 	s.mu.Unlock()
 
 	if st == nil {
@@ -826,7 +805,7 @@ func (s *Server) CompactStore() error {
 }
 
 // buildSnapshotLocked captures the server's full persistent state.
-// Callers hold s.mu, Users.mu (read) and Ledger.mu.
+// Callers hold s.mu, which every Users and Ledger writer holds too.
 func (s *Server) buildSnapshotLocked() *store.Snapshot {
 	snap := &store.Snapshot{Ledger: map[string][]store.LedgerRec{}}
 

@@ -78,6 +78,18 @@ func TestRecoverControlPlaneState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A grant, and the charge a finished 5-minute run of carol's pays.
+	r.srv.Ledger.Grant("carol", 30, "starter grant")
+	r.tb.handle("five-minutes", func(ctx *BuildContext, done func(error)) {
+		r.clk.AfterFunc(5*time.Minute, func() { done(nil) })
+	})
+	r.srv.SetCreditEnforcement(true)
+	charged, err := r.srv.SubmitSpec(carol, jobSpec("five-minutes", Constraints{Node: "node1"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainServer(t, r.clk, []*Build{charged})
+	r.srv.SetCreditEnforcement(false)
 	nightly := jobSpec("nightly", Constraints{Node: "node1"})
 	nightly.Workload.Params = api.Params{"browser": "Brave"}
 	if _, err := r.job(r.exp, "nightly", Constraints{Node: "node1"}, noopJob); err != nil {
@@ -97,10 +109,6 @@ func TestRecoverControlPlaneState(t *testing.T) {
 	}
 	r.srv.SetNodeOwner("node1", "carol")
 	if err := r.srv.DrainNode(r.admin, "node1"); err != nil {
-		t.Fatal(err)
-	}
-	r.srv.Ledger.Grant("carol", 30, "starter grant")
-	if err := r.srv.Ledger.ChargeExperiment("carol", 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

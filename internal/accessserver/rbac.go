@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"batterylab/internal/accessserver/store"
 )
 
 // Role is a user's platform role.
@@ -117,28 +119,21 @@ type User struct {
 	Token string
 }
 
-// Users is the credential store.
+// Users is the credential store, a view of the server like Nodes: Add and
+// Remove are scheduler sections under s.mu that log their record, which
+// the section's exit writes. Authenticate, Lookup and List read under
+// u.mu alone and stay off s.mu; a writer takes u.mu under s.mu.
 type Users struct {
+	s       *Server
 	mu      sync.RWMutex
 	byToken map[string]*User
 	byName  map[string]*User
-	// hook observes membership changes (the WAL append when a store is
-	// attached). Called under u.mu; it must not re-enter the store.
-	hook func(u User, removed bool)
-}
-
-// setHook installs the membership observer. Entries installed via
-// restore never reach it.
-func (u *Users) setHook(fn func(u User, removed bool)) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.hook = fn
 }
 
 // restore reinstates a member with their original token (recovery
 // path). An existing entry by the same name — a daemon that re-created
 // its bootstrap users before attaching the store — is replaced, so the
-// persisted token stays the valid one.
+// persisted token stays the valid one. Callers hold s.mu.
 func (u *Users) restore(name string, role Role, token string) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -150,28 +145,23 @@ func (u *Users) restore(name string, role Role, token string) {
 	u.byToken[token] = user
 }
 
-// NewUsers returns an empty store.
-func NewUsers() *Users {
-	return &Users{byToken: make(map[string]*User), byName: make(map[string]*User)}
-}
-
 // Add creates a user and returns its access token.
 func (u *Users) Add(name string, role Role) (*User, error) {
+	tok := make([]byte, 16)
+	if _, err := rand.Read(tok); err != nil {
+		return nil, err
+	}
+	u.s.mu.Lock()
+	defer u.s.mu.Unlock()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if _, dup := u.byName[name]; dup {
 		return nil, fmt.Errorf("accessserver: user %q exists", name)
 	}
-	tok := make([]byte, 16)
-	if _, err := rand.Read(tok); err != nil {
-		return nil, err
-	}
 	user := &User{Name: name, Role: role, Token: hex.EncodeToString(tok)}
 	u.byToken[user.Token] = user
 	u.byName[name] = user
-	if u.hook != nil {
-		u.hook(*user, false)
-	}
+	u.s.logStore(store.Record{T: store.TUserAdded, User: &store.UserRec{Name: name, Role: int(role), Token: user.Token}})
 	return user, nil
 }
 
@@ -199,6 +189,8 @@ func (u *Users) Lookup(name string) (*User, error) {
 
 // Remove deletes a user.
 func (u *Users) Remove(name string) error {
+	u.s.mu.Lock()
+	defer u.s.mu.Unlock()
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	user, ok := u.byName[name]
@@ -207,9 +199,7 @@ func (u *Users) Remove(name string) error {
 	}
 	delete(u.byName, name)
 	delete(u.byToken, user.Token)
-	if u.hook != nil {
-		u.hook(*user, true)
-	}
+	u.s.logStore(store.Record{T: store.TUserRemoved, Name: name})
 	return nil
 }
 

@@ -3,13 +3,7 @@ package accessserver
 import (
 	"bytes"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"runtime"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,144 +11,6 @@ import (
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
-
-// TestSectionsHaveOneExit is the rule leaveSection rests on, read off the
-// package's own non-test source. Every effect of a scheduler section —
-// the census and build statuses republished, campaign cells published or
-// dropped, feeds closed or removed, failover events posted — happens at
-// the exit and nowhere else, and after the exit's WAL write. Nothing
-// reaches the store's append but walAppend, which only the exit and
-// AttachStore's Users/Ledger hooks call. A drain pass runs after a
-// section's exit or from the standalone callers named below, never by
-// hand after an Unlock. And no function takes a record sink to thread
-// through the transitions.
-func TestSectionsHaveOneExit(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exit := []string{"leaveSection"}
-	// callers maps each call the rule names to the declared functions that
-	// may make it (a closure counts as the function declaring it). A method
-	// on the feed hub or the read plane is named with its receiver, as
-	// ruledCall spells it.
-	callers := map[string][]string{
-		"publishCensusLocked": exit,
-		"publishBuild":        exit,
-		"publishCampaign":     exit,
-		"removeBuild":         exit,
-		"removeCampaign":      exit,
-		"s.hub.Close":         exit,
-		"s.hub.Remove":        exit,
-		"s.reads.Store":       {"leaveSection", "publishCensusLocked"},
-		// A relayed build's remote events are the peer's, posted by the
-		// relay's sink (relaySink.Event) outside any section.
-		"PostEvent":   {"leaveSection", "Event"},
-		"Append":      {"walAppend"},
-		"AppendBatch": {"walAppend"},
-		"walAppend":   {"leaveSection", "AttachStore"},
-		// A section asks for a drain pass with a mark, which Unlock runs;
-		// these start one on their own: the scheduler tick, the announce
-		// loop and handler, a registration, the CPU probe's goroutine, and
-		// recovery, after its hooks and first compaction.
-		"dispatch": {"Unlock", "Kick", "announceTick", "handlerCluster", "RegisterNode", "dispatch", "AttachStore"},
-	}
-	var walAt token.Pos
-	var effectsAt []token.Pos
-	for _, file := range pkgs["accessserver"].Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					call := ruledCall(n)
-					allowed, ruled := callers[call]
-					if !ruled {
-						break
-					}
-					if !slices.Contains(allowed, fn.Name.Name) {
-						t.Errorf("%s: %s calls %s, which only %v may", fset.Position(n.Pos()), fn.Name.Name, call, allowed)
-					}
-					if fn.Name.Name == "leaveSection" {
-						if call == "walAppend" {
-							walAt = n.Pos()
-						} else {
-							effectsAt = append(effectsAt, n.Pos())
-						}
-					}
-				case *ast.FuncType:
-					for _, p := range n.Params.List {
-						if isRecordSink(p.Type) {
-							t.Errorf("%s: %s declares a *[]store.Record parameter: log with logStore, the section's exit writes", fset.Position(p.Pos()), fn.Name.Name)
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	if walAt == token.NoPos || len(effectsAt) == 0 {
-		t.Fatalf("leaveSection makes no WAL write (%v) or shows nothing (%d calls)", walAt, len(effectsAt))
-	}
-	for _, at := range effectsAt {
-		if at < walAt {
-			t.Errorf("%s: leaveSection shows an effect before its WAL write at %s", fset.Position(at), fset.Position(walAt))
-		}
-	}
-}
-
-// ruledCall names the call TestSectionsHaveOneExit rules on: the method
-// or function called, qualified with its receiver when that is the feed
-// hub (s.hub.Close) or anything in the read plane (s.reads.Store for any
-// of its atomics).
-func ruledCall(call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	on := exprPath(sel.X)
-	switch {
-	case on == "s.hub":
-		return "s.hub." + sel.Sel.Name
-	case strings.HasPrefix(on, "s.reads.") && sel.Sel.Name == "Store":
-		return "s.reads.Store"
-	}
-	return sel.Sel.Name
-}
-
-// exprPath spells a chain of selectors ("s.reads.nodes"), "" for anything
-// else.
-func exprPath(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		if x := exprPath(e.X); x != "" {
-			return x + "." + e.Sel.Name
-		}
-	}
-	return ""
-}
-
-// isRecordSink reports whether e spells *[]store.Record.
-func isRecordSink(e ast.Expr) bool {
-	star, ok := e.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	arr, ok := star.X.(*ast.ArrayType)
-	if !ok || arr.Len != nil {
-		return false
-	}
-	sel, ok := arr.Elt.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Record"
-}
 
 // walCounts reads the number of WAL writes (the count of
 // blab_wal_append_seconds) and of records written (store.TotalAppends, as
@@ -263,6 +119,15 @@ func TestOneSectionOneWrite(t *testing.T) {
 			}
 			return srv, func() error { srv.Heartbeat("node1"); return nil }
 		}, 0, 0},
+		// A member and a grant are sections like any other.
+		{"Users.Add", func(t *testing.T, dir string) (*Server, func() error) {
+			srv, _, _ := durable(t, dir, Config{})
+			return srv, func() error { _, err := srv.Users.Add("bob", RoleExperimenter); return err }
+		}, 1, 1},
+		{"Ledger.Grant", func(t *testing.T, dir string) (*Server, func() error) {
+			srv, _, _ := durable(t, dir, Config{})
+			return srv, func() error { srv.Ledger.Grant("alice", 10, "starter grant"); return nil }
+		}, 1, 1},
 		// The finished record and the charge for its hour of device time:
 		// a crash keeps both or neither.
 		{"finish with credits enforced", func(t *testing.T, dir string) (*Server, func() error) {

@@ -330,8 +330,6 @@ func New(clock simclock.Clock, cfg Config) *Server {
 	s := &Server{
 		cfg:          cfg.withDefaults(),
 		clock:        clock,
-		Users:        NewUsers(),
-		Ledger:       NewLedger(),
 		jobs:         make(map[string]*Job),
 		builds:       make(map[int]*Build),
 		nextID:       1,
@@ -346,7 +344,9 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		placer:       WeightedPlacer{W: DefaultScoreWeights()},
 	}
 	s.mu.s = s
+	s.Users = &Users{s: s, byToken: make(map[string]*User), byName: make(map[string]*User)}
 	s.Nodes = &Nodes{s: s, approved: make(map[string]bool)}
+	s.Ledger = &Ledger{s: s, balances: make(map[string]float64), history: make(map[string][]LedgerEntry)}
 	s.analyticsCache = analytics.NewCache(analyticsCacheBytes)
 	s.m = newServerMetrics(s)
 	s.hub = feedhub.New(&s.m.feeds)

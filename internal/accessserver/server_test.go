@@ -76,7 +76,7 @@ func TestRBACMatrix(t *testing.T) {
 }
 
 func TestUsersStore(t *testing.T) {
-	u := NewUsers()
+	u := New(simclock.NewVirtual(), Config{}).Users
 	a, err := u.Add("alice", RoleAdmin)
 	if err != nil {
 		t.Fatal(err)

@@ -129,11 +129,7 @@ func playSnapshotScenario(t *testing.T) *Server {
 func snapshotJSON(t *testing.T, s *Server) []byte {
 	t.Helper()
 	s.mu.Lock()
-	s.Users.mu.RLock()
-	s.Ledger.mu.Lock()
 	snap := s.buildSnapshotLocked()
-	s.Ledger.mu.Unlock()
-	s.Users.mu.RUnlock()
 	s.mu.Unlock()
 	return goldenJSON(t, snap)
 }

@@ -1,0 +1,8 @@
+package store
+
+import "encoding/json"
+
+// marshalRecord is the second write path the one codec retired.
+func marshalRecord(r Record) ([]byte, error) {
+	return json.Marshal(r)
+}

@@ -1,0 +1,8 @@
+package accessserver
+
+// settleAndShow closes a settled build's feed mid-section, ahead of the
+// WAL write that makes the settlement durable.
+func (s *Server) settleAndShow(b *Build) {
+	s.settleLocked(b, nil)
+	s.hub.Close(b.ID)
+}

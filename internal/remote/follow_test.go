@@ -49,7 +49,8 @@ type scriptedUpstream struct {
 	*httptest.Server
 
 	mu     sync.Mutex
-	conns  int // sample connections ended so far
+	conns  int      // sample connections ended so far
+	ids    []string // the X-Request-Id of each sample connection
 	closed chan struct{}
 }
 
@@ -92,6 +93,9 @@ func (up *scriptedUpstream) step() feedStep {
 }
 
 func (up *scriptedUpstream) serveSamples(w http.ResponseWriter, r *http.Request) {
+	up.mu.Lock()
+	up.ids = append(up.ids, r.Header.Get("X-Request-Id"))
+	up.mu.Unlock()
 	st := up.step()
 	from, _ := strconv.Atoi(r.URL.Query().Get("from"))
 	end := len(st.pts)
@@ -167,7 +171,8 @@ func followSession(t *testing.T, up *scriptedUpstream) ([]float64, *remote.Sessi
 // and the sample stream is cut mid-way. The epoch pinned before the
 // first open is the one the status read after the cut reports, so the
 // follower resumes from its cursor: each sample reaches the observers
-// once, and the live aggregate counts what they saw.
+// once, and the live aggregate counts what they saw. The reconnect
+// carries the follow's one X-Request-Id.
 func TestStreamPinsEpoch(t *testing.T) {
 	pts := incarnation(100, 10)
 	up := newScriptedUpstream(t, feedStep{epoch: 1, pts: pts, cut: 4}, feedStep{epoch: 1, pts: pts, cut: -1})
@@ -180,6 +185,11 @@ func TestStreamPinsEpoch(t *testing.T) {
 	}
 	if r := client.Stats().EpochResets; r != 0 {
 		t.Fatalf("%d epoch resets on a feed whose epoch never moved", r)
+	}
+	up.mu.Lock()
+	defer up.mu.Unlock()
+	if len(up.ids) != 2 || up.ids[0] == "" || up.ids[1] != up.ids[0] {
+		t.Fatalf("sample connections carried X-Request-Id %q, want one id on both", up.ids)
 	}
 }
 

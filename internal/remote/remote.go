@@ -35,6 +35,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	crand "crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -229,6 +230,7 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 	if !idempotent || attempts < 1 {
 		attempts = 1
 	}
+	id := requestID()
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
@@ -237,7 +239,7 @@ func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempo
 			}
 			p.requestRetries.Add(1)
 		}
-		resp, err := p.open(ctx, method, u, payload)
+		resp, err := p.open(ctx, method, u, payload, id)
 		var te *transientErr
 		if errors.As(err, &te) {
 			lastErr = te.err
@@ -322,12 +324,19 @@ type transientErr struct{ err error }
 func (e *transientErr) Error() string { return e.err.Error() }
 func (e *transientErr) Unwrap() error { return e.err }
 
+// requestID is a fresh correlation id: one per do call and one per
+// Follow, sent as X-Request-Id on each of its attempts, so the server's
+// access log ties the retries and reconnects of one call together. It is
+// within the charset the server echoes, and never a bare number nor a
+// benchmark span's "sp-" id.
+func requestID() string { return "rq-" + crand.Text() }
+
 // open sends one request and returns its 2xx response with the body
 // open — the one place a request is made, for do's round trips and
 // Follow's streams alike. Failures worth another attempt (network
 // errors, gateway-class statuses) come back as *transientErr; any other
 // non-2xx response is its *api.Error.
-func (p *Platform) open(ctx context.Context, method, u string, payload []byte) (*http.Response, error) {
+func (p *Platform) open(ctx context.Context, method, u string, payload []byte, id string) (*http.Response, error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
@@ -337,6 +346,7 @@ func (p *Platform) open(ctx context.Context, method, u string, payload []byte) (
 		return nil, err
 	}
 	req.Header.Set("Authorization", "Bearer "+p.token)
+	req.Header.Set("X-Request-Id", id)
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
@@ -651,12 +661,13 @@ func (p *Platform) Follow(ctx context.Context, build int, s *Stream) error {
 		return fmt.Errorf("remote: stream route %q: %w", s.Route, err)
 	}
 	query := ref.Query()
+	id := requestID()
 	failures := 0
 	for {
 		query.Set("from", strconv.Itoa(s.From))
 		ref.RawQuery = query.Encode()
 		opened := time.Now()
-		resp, err := p.open(ctx, http.MethodGet, p.base.ResolveReference(ref).String(), nil)
+		resp, err := p.open(ctx, http.MethodGet, p.base.ResolveReference(ref).String(), nil, id)
 		var te *transientErr
 		n := 0
 		switch {

@@ -9,6 +9,8 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -364,6 +366,59 @@ func TestArtifactDeclaredLength(t *testing.T) {
 	for _, n := range declared {
 		if n != strconv.Itoa(len(trace)) {
 			t.Fatalf("declared lengths %v, want %d on every response", declared, len(trace))
+		}
+	}
+}
+
+// TestRequestIDAcrossRetries: a call's first attempt meets a 503 and is
+// retried. Both attempts carry one X-Request-Id, which the server echoes;
+// the next call carries another.
+func TestRequestIDAcrossRetries(t *testing.T) {
+	l := newLab(t)
+	token, err := batterylab.NewAPIToken(l.plat, "tester", "experimenter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := l.plat.Access.Handler()
+	var mu sync.Mutex
+	var sent, echoed []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		sent = append(sent, r.Header.Get("X-Request-Id"))
+		first := len(sent) == 1
+		mu.Unlock()
+		if first {
+			http.Error(w, "unavailable (injected)", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+		mu.Lock()
+		echoed = append(echoed, w.Header().Get("X-Request-Id"))
+		mu.Unlock()
+	}))
+	defer ts.Close()
+	client, err := remote.Dial(ts.URL, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetRetryPolicy(remote.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+	for range 2 {
+		if _, err := client.Nodes(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sent) != 3 || sent[0] != sent[1] || sent[1] == sent[2] {
+		t.Fatalf("X-Request-Id per attempt %q: want the retry's id twice, then another", sent)
+	}
+	if !slices.Equal(echoed, sent[1:]) {
+		t.Fatalf("server echoed %q to requests carrying %q", echoed, sent[1:])
+	}
+	for _, id := range sent {
+		_, numeric := strconv.ParseInt(id, 10, 64)
+		if numeric == nil || strings.HasPrefix(id, "sp-") || !regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`).MatchString(id) {
+			t.Errorf("id %q is a bare number, a span id, or outside the echoed charset", id)
 		}
 	}
 }

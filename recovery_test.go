@@ -240,7 +240,12 @@ func TestInsufficientCreditsLocal(t *testing.T) {
 		t.Fatalf("submit err = %v, want ErrInsufficientCredits", err)
 	}
 	// Contribution makes the member solvent again.
-	srv.Ledger.CreditContribution("poor", "node1", time.Hour)
+	// Hosting the vantage point earns it: an hour of attested online time.
+	if err := srv.MonitorNode("node1"); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetNodeOwner("node1", "poor")
+	clk.Advance(time.Hour)
 	if _, err := srv.SubmitSpec(exp, spec); err != nil {
 		t.Fatalf("funded submit: %v", err)
 	}
