@@ -96,12 +96,11 @@ func (s *Server) PlacementCost() (evals int64, classes int, epoch uint64) {
 
 // CensusDrift compares what the server serves about its nodes with the
 // oracle's full rebuild of the same instant and describes the first
-// difference (nil when there is none). It checks the published census
-// row for row — Health as the read routes derive it, since a published
-// row's own Health field ages — the per-node queued counters, and
-// NodeStatuses, which is served from the same counters.
+// difference (nil when there is none). It checks the published census the
+// nodes routes serve row for row — Health as they derive it, since a
+// published row's own Health field ages — and the per-node queued
+// counters the rows are built from.
 func (s *Server) CensusDrift() error {
-	statuses := s.NodeStatuses()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	want, queued := s.censusOracleLocked()
@@ -128,15 +127,20 @@ func (s *Server) CensusDrift() error {
 			return fmt.Errorf("census row %d is %+v, the oracle builds %+v", i, g, w)
 		}
 	}
-	if len(statuses) != len(want) {
-		return fmt.Errorf("NodeStatuses lists %d nodes, the oracle %d", len(statuses), len(want))
-	}
-	for i, w := range want {
-		if !reflect.DeepEqual(statuses[i], w.NodeStatus) {
-			return fmt.Errorf("NodeStatuses[%d] is %+v, the oracle builds %+v", i, statuses[i], w.NodeStatus)
-		}
-	}
 	return nil
+}
+
+// servedNodes is the node census as the nodes routes serve it, sorted by
+// name, each row's health derived at the current instant.
+func (s *Server) servedNodes() []NodeStatus {
+	now := s.clock.Now()
+	rows := s.reads.nodeList()
+	out := make([]NodeStatus, len(rows))
+	for i, e := range rows {
+		out[i] = e.NodeStatus
+		out[i].Health = s.censusHealth(e, now)
+	}
+	return out
 }
 
 // QueueDrift checks the bookkeeping the drain pass relies on instead of

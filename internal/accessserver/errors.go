@@ -85,10 +85,6 @@ func (e *overloadError) Error() string { return e.msg }
 // Is makes errors.Is(err, ErrOverloaded) work across the wrap.
 func (e *overloadError) Is(target error) bool { return target == ErrOverloaded }
 
-// ShedReason reports the typed shed cause (ShedOwnerCap or
-// ShedQueueWatermark).
-func (e *overloadError) ShedReason() string { return e.shed }
-
 // overloadf builds a typed admission rejection.
 func overloadf(shed, format string, args ...any) error {
 	return &overloadError{shed: shed, msg: fmt.Sprintf(format, args...)}

@@ -74,10 +74,6 @@ func New(upstream string) *Gateway {
 // client stream's follower runs under it.
 func (g *Gateway) SetRetryPolicy(rp remote.RetryPolicy) { g.retry = rp }
 
-// SetHTTPClient swaps the HTTP client used for upstream subscriptions
-// (custom TLS, timeouts).
-func (g *Gateway) SetHTTPClient(hc *http.Client) { g.hc = hc }
-
 // MetricsRegistry exposes the gateway's registry so embedders can add
 // their own series to the same endpoint.
 func (g *Gateway) MetricsRegistry() *metrics.Registry { return g.reg }

@@ -301,16 +301,6 @@ func (h *Hub) Feed(id int) *Feed {
 	return h.tomb
 }
 
-// Epoch reports build id's feed epoch (0 when unknown).
-func (h *Hub) Epoch(id int) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.feeds[id]; ok {
-		return e.epoch
-	}
-	return 0
-}
-
 // Resolve maps a build id to its feed for a streaming subscription:
 // the feed and epoch when live, or a status explaining its absence.
 // This is the data plane's only lookup — it never touches scheduler

@@ -285,3 +285,13 @@ func TestPostWithoutWaiterMakesNoChannel(t *testing.T) {
 		t.Fatalf("closed=%v feed handed out a channel that blocks", closed)
 	}
 }
+
+// Epoch reports build id's feed epoch (0 when unknown).
+func (h *Hub) Epoch(id int) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if e, ok := h.feeds[id]; ok {
+		return e.epoch
+	}
+	return 0
+}

@@ -479,15 +479,3 @@ func (s *Server) nodeEntryLocked(rec *nodeRec, queued int) *nodeCensusEntry {
 		Failovers:     rec.failovers,
 	}}
 }
-
-// NodeStatuses snapshots every known node (registered or remembered),
-// sorted by name.
-func (s *Server) NodeStatuses() []NodeStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]NodeStatus, 0, len(s.nodeRecs))
-	for _, name := range s.nodeNames {
-		out = append(out, s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name]).NodeStatus)
-	}
-	return out
-}

@@ -889,3 +889,12 @@ func TestNodeVerbsAreDurable(t *testing.T) {
 	}
 	checkLifecycle(t, srv, "removal ended by the registry")
 }
+
+// CancelRequested reports whether an explicit cancel was requested
+// (Abort, or a pending cancel armed before the pipeline registered its
+// hook).
+func (b *Build) CancelRequested() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.Canceled
+}

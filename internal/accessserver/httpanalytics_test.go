@@ -10,7 +10,6 @@ import (
 
 	"batterylab/internal/analytics"
 	"batterylab/internal/api"
-	"batterylab/internal/trace"
 )
 
 // readAll drains and closes a response body.
@@ -28,7 +27,7 @@ func readBody(t *testing.T, resp interface {
 }
 
 // TestV1Analytics drives the analytics route end to end: the response
-// must equal a direct analytics.Compute over the same stored trace,
+// must equal a direct analytics.ComputeBinary over the same stored trace,
 // the repeat query must be a bit-identical cache hit, and a different
 // query must miss.
 func TestV1Analytics(t *testing.T) {
@@ -45,11 +44,7 @@ func TestV1Analytics(t *testing.T) {
 	cold := readBody(t, resp.Body)
 
 	// Ground truth: the same engine over the same bytes.
-	tr, err := trace.ReadBinary(bytes.NewReader(stubTraceBytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := analytics.Compute(tr, api.AnalyticsQuery{
+	want, err := analytics.ComputeBinary(stubTraceBytes(), api.AnalyticsQuery{
 		WindowNS: 1_000_000_000, Fields: []string{"energy", "mean"}, Artifact: "current.trace",
 	})
 	if err != nil {
@@ -59,7 +54,7 @@ func TestV1Analytics(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	wantJSON = append(wantJSON, '\n')
 	if !bytes.Equal(cold, wantJSON) {
-		t.Fatalf("response does not match direct Compute:\n got %s\nwant %s", cold, wantJSON)
+		t.Fatalf("response does not match direct ComputeBinary:\n got %s\nwant %s", cold, wantJSON)
 	}
 
 	var res api.AnalyticsResult

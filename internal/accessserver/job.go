@@ -91,9 +91,9 @@ type Build struct {
 	// were compiled from, which crash recovery recompiles and a relay
 	// resubmits to a peer) are fixed at submission. The rest is guarded by
 	// mu and changes only through applyBuild (persist.go), with the
-	// record that logs the change. Five fields share their name with an
-	// accessor and are reached as b.BuildRec.State, .Attempts, .Retries,
-	// .Summary and .FeedEpoch.
+	// record that logs the change. Four fields share their name with an
+	// accessor and are reached as b.BuildRec.State, .Attempts, .Retries
+	// and .FeedEpoch.
 	//
 	// Attempts is the dispatch token: each dispatch increments it, and
 	// completions carrying an older token (a pipeline the scheduler
@@ -276,9 +276,6 @@ func (b *Build) Workspace() *Workspace { return b.workspace }
 // Feed returns the build's event/sample stream.
 func (b *Build) Feed() *feedhub.Feed { return b.feed }
 
-// CampaignID reports the campaign the build belongs to (0 = none).
-func (b *Build) CampaignID() int { return b.Campaign }
-
 // SetSummary hands over the run's wire-level digest, for a pipeline to
 // call before it reports done; the v1 status endpoint serves it once the
 // build has finished.
@@ -288,40 +285,16 @@ func (b *Build) SetSummary(s api.RunSummary) {
 	b.reported = &s
 }
 
-// Summary returns the recorded digest (nil until the run finishes).
-func (b *Build) Summary() *api.RunSummary {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.BuildRec.Summary == nil {
-		return nil
-	}
-	cp := *b.BuildRec.Summary
-	return &cp
-}
-
-// OnCancel registers the pipeline's cancel hook. If an abort request
-// arrived before the hook was registered (the submit/abort race), the
-// hook runs immediately. Pipelines should prefer BuildContext.OnCancel,
-// which additionally rejects registrations from attempts the scheduler
-// has already reclaimed.
-func (b *Build) OnCancel(fn func()) {
-	b.mu.Lock()
-	b.canceler = fn
-	want := b.Canceled
-	b.mu.Unlock()
-	if want && fn != nil {
-		fn()
-	}
-}
-
-// onCancelForAttempt is OnCancel with a staleness gate: a hook from a
-// failed-over attempt (its pipeline finally came back after the
-// scheduler reclaimed the build) must not displace the live attempt's
-// hook — Abort would then cancel a dead session while the real run
-// kept measuring. The stale hook is invoked instead of stored: it is
-// the only handle to the orphaned session (failover found no hook to
-// detach), and left alone that session would run its full workload on
-// a device the retry may have re-locked.
+// onCancelForAttempt registers the pipeline's cancel hook behind
+// BuildContext.OnCancel. If an abort request arrived before the hook
+// (the submit/abort race), the hook runs at once. A staleness gate
+// guards it: a hook from a failed-over attempt (its pipeline finally
+// came back after the scheduler reclaimed the build) must not displace
+// the live attempt's hook — Abort would then cancel a dead session while
+// the real run kept measuring. The stale hook is invoked instead of
+// stored: it is the only handle to the orphaned session (failover found
+// no hook to detach), and left alone that session would run its full
+// workload on a device the retry may have re-locked.
 func (b *Build) onCancelForAttempt(attempt int, fn func()) {
 	b.mu.Lock()
 	if b.BuildRec.Attempts != attempt || b.BuildRec.State != StateRunning.String() {
@@ -337,15 +310,6 @@ func (b *Build) onCancelForAttempt(attempt int, fn func()) {
 	if want && fn != nil {
 		fn()
 	}
-}
-
-// CancelRequested reports whether an explicit cancel was requested
-// (Abort, or a pending cancel armed before the pipeline registered its
-// hook).
-func (b *Build) CancelRequested() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.Canceled
 }
 
 // QueueTime reports how long the build waited before dispatch (zero

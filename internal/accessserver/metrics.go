@@ -288,10 +288,6 @@ func b2f(v bool) float64 {
 // the scheduler and store collectors' consistent views.
 func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.m.reg.Snapshot() }
 
-// MetricsRegistry exposes the registry for embedding layers that want
-// to add their own series to the same endpoint.
-func (s *Server) MetricsRegistry() *metrics.Registry { return s.m.reg }
-
 // SetLogger installs the structured logger the HTTP middleware and
 // stats flusher write to. Safe to call at any time; the default
 // discards.

@@ -33,9 +33,6 @@ func NewLocalNode(ctl *controller.Controller) *LocalNode {
 // Name implements Node.
 func (n *LocalNode) Name() string { return n.ctl.Name() }
 
-// Controller exposes the wrapped controller for in-process experiments.
-func (n *LocalNode) Controller() *controller.Controller { return n.ctl }
-
 // Exec implements Node.
 func (n *LocalNode) Exec(cmd string, args ...string) (string, error) {
 	return n.ctl.Exec(cmd, args...)

@@ -13,7 +13,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 
 	"batterylab/internal/accessserver/store"
@@ -185,32 +184,4 @@ func (u *Users) Lookup(name string) (*User, error) {
 		return nil, fmt.Errorf("accessserver: no user %q", name)
 	}
 	return user, nil
-}
-
-// Remove deletes a user.
-func (u *Users) Remove(name string) error {
-	u.s.mu.Lock()
-	defer u.s.mu.Unlock()
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	user, ok := u.byName[name]
-	if !ok {
-		return fmt.Errorf("accessserver: no user %q", name)
-	}
-	delete(u.byName, name)
-	delete(u.byToken, user.Token)
-	u.s.logStore(store.Record{T: store.TUserRemoved, Name: name})
-	return nil
-}
-
-// List reports user names sorted.
-func (u *Users) List() []string {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	out := make([]string, 0, len(u.byName))
-	for n := range u.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,11 +2,13 @@ package accessserver
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/store"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
 	"batterylab/internal/simclock"
@@ -491,4 +493,20 @@ func TestJobChangesNeedOwnerOrAdmin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Remove deletes a user.
+func (u *Users) Remove(name string) error {
+	u.s.mu.Lock()
+	defer u.s.mu.Unlock()
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	user, ok := u.byName[name]
+	if !ok {
+		return fmt.Errorf("accessserver: no user %q", name)
+	}
+	delete(u.byName, name)
+	delete(u.byToken, user.Token)
+	u.s.logStore(store.Record{T: store.TUserRemoved, Name: name})
+	return nil
 }

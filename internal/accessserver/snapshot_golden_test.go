@@ -184,7 +184,14 @@ func TestGoldenSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.Compact(&snap); err != nil {
+	c, err := st.BeginCompact(&snap)
+	if err == nil {
+		err = st.WriteSnapshot(c)
+	}
+	if err == nil {
+		err = st.FinishCompact(c)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -208,7 +215,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		Stats  RecoveryStats
 		Builds []api.BuildStatus
 		Nodes  []NodeStatus
-	}{Stats: stats, Nodes: srv.NodeStatuses()}
+	}{Stats: stats, Nodes: srv.servedNodes()}
 	for id := 1; id < snap.NextBuild; id++ {
 		b, err := srv.Build(id)
 		if err != nil {

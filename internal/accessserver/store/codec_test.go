@@ -155,7 +155,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestCodecJSONBinaryReplayIdentical appends the same records through
 // the JSON framing (hand-built, as a pre-upgrade server would have)
-// and through Append's binary framing, then checks both logs replay to
+// and through AppendBatch's binary framing, then checks both logs replay to
 // identical record lists.
 func TestCodecJSONBinaryReplayIdentical(t *testing.T) {
 	recs := codecVocabulary()
@@ -179,7 +179,7 @@ func TestCodecJSONBinaryReplayIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		if err := st.Append(rec); err != nil {
+		if err := st.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestCodecMixedLogReplays(t *testing.T) {
 		t.Fatalf("v1 log replayed %d records, want %d", len(got), half)
 	}
 	for _, rec := range recs[half:] {
-		if err := st.Append(rec); err != nil {
+		if err := st.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestGoldenV1WALReplay(t *testing.T) {
 
 	// The upgraded store must also be able to extend the old log and
 	// replay the union: append one binary record, reopen, recount.
-	if err := st.Append(Record{T: TBuildExpired, BuildID: 99}); err != nil {
+	if err := st.AppendBatch([]Record{{T: TBuildExpired, BuildID: 99}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -323,7 +323,7 @@ func TestAppendBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		if err := seq.Append(rec); err != nil {
+		if err := seq.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,7 +469,7 @@ func TestGoldenV2WAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range codecVocabulary() {
-		if err := st.Append(rec); err != nil {
+		if err := st.AppendBatch([]Record{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -510,7 +510,7 @@ func TestAppendUntabledIsAnError(t *testing.T) {
 		{T: TBuildFinished, BuildID: 1, State: "exploded"},
 		{T: TBuildQueued, Build: &BuildRec{ID: 1, State: "exploded"}},
 	} {
-		if err := st.Append(rec); err == nil {
+		if err := st.AppendBatch([]Record{rec}); err == nil {
 			t.Errorf("append of %+v succeeded", rec)
 		}
 		if err := st.AppendBatch([]Record{{T: TBuildExpired, BuildID: 2}, rec}); err == nil {
@@ -730,9 +730,9 @@ func TestCodecAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	fat := codecVocabulary()[fatRecord]
-	if n := testing.AllocsPerRun(100, func() { st.Append(fat) }); n > 34 {
-		t.Errorf("Append of the fat build record allocates %v times, want ≤ 34", n)
+	fat := []Record{codecVocabulary()[fatRecord]}
+	if n := testing.AllocsPerRun(100, func() { st.AppendBatch(fat) }); n > 34 {
+		t.Errorf("AppendBatch of the fat build record allocates %v times, want ≤ 34", n)
 	}
 	recs := make([]Record, 1000)
 	for i := range recs {

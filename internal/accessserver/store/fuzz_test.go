@@ -40,7 +40,7 @@ func walBytes(t testing.TB, recs []Record) []byte {
 	return buf.Bytes()
 }
 
-// walBytesBinary assembles a WAL image of binary frames — what Append
+// walBytesBinary assembles a WAL image of binary frames — what AppendBatch
 // writes today.
 func walBytesBinary(t testing.TB, recs []Record) []byte {
 	t.Helper()
@@ -167,7 +167,7 @@ func FuzzOpenCorruptWAL(f *testing.F) {
 		// torn tail was truncated, so a fresh record lands on a clean
 		// boundary. (No fsync — durability is not what this fuzzer
 		// checks, and it would dominate the exec budget.)
-		st.Append(Record{T: TBuildExpired, BuildID: 7})
+		st.AppendBatch([]Record{{T: TBuildExpired, BuildID: 7}})
 		st.Close()
 		if st2, err := Open(dir); err == nil {
 			st2.Close()

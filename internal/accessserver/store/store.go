@@ -294,14 +294,14 @@ type Snapshot struct {
 
 // Store is an open store directory: the WAL file handle positioned at
 // the end of the last valid record, plus the loaded snapshot and
-// records for recovery. Append is not safe for concurrent use; the
+// records for recovery. AppendBatch is not safe for concurrent use; the
 // server serializes appends behind its own store mutex.
 type Store struct {
 	dir  string
 	wal  *os.File
 	snap *Snapshot
 	recs []Record
-	// appended counts records written since open or the last Compact —
+	// appended counts records written since open or the last compaction —
 	// the compaction trigger reads it to skip empty cycles. dirty
 	// tracks records written since the last Sync, so the group-commit
 	// ticker skips fsyncs of an unchanged file. gen is the log's
@@ -318,7 +318,7 @@ type Store struct {
 }
 
 // Open creates (or opens) a store directory, validates both files and
-// truncates any torn WAL tail so the next Append lands on a clean
+// truncates any torn WAL tail so the next append lands on a clean
 // boundary. The snapshot and surviving records are held for Load.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -344,14 +344,9 @@ func (s *Store) Load() (*Snapshot, []Record) { return s.snap, s.recs }
 // Appended reports records written since open or the last compaction.
 func (s *Store) Appended() int { return s.appended }
 
-// Append frames one record onto the WAL: a batch of one.
-func (s *Store) Append(rec Record) error {
-	return s.AppendBatch([]Record{rec})
-}
-
 // AppendBatch frames a group of records onto the WAL in one write. The
 // batch reaches the kernel in a single syscall but carries the same
-// durability as sequential Appends: each record is its own CRC frame, so
+// durability as batches of one: each record is its own CRC frame, so
 // a torn batch replays its valid prefix. An empty batch is a no-op.
 func (s *Store) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
@@ -427,7 +422,7 @@ type Compaction struct {
 
 // BeginCompact opens a compaction cycle, stamping the snapshot with
 // the log generation and cut offset it covers. Callers hold their
-// append lock (the same one serializing Append).
+// append lock (the same one serializing AppendBatch).
 func (s *Store) BeginCompact(snap *Snapshot) (*Compaction, error) {
 	off, err := s.wal.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -551,19 +546,6 @@ func (s *Store) Rollback(c *Compaction) error {
 	}
 	s.appended = c.appended
 	return nil
-}
-
-// Compact is the single-call form — snapshot and truncate in one
-// breath, for callers without lock-latency concerns (tests, tools).
-func (s *Store) Compact(snap *Snapshot) error {
-	c, err := s.BeginCompact(snap)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteSnapshot(c); err != nil {
-		return err
-	}
-	return s.FinishCompact(c)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power

@@ -35,7 +35,7 @@ func TestWALRoundTrip(t *testing.T) {
 		{T: TLedger, Entry: &LedgerRec{User: "bob", Delta: -2.5, Reason: "experiment"}},
 	}
 	for _, r := range want {
-		if err := st.Append(r); err != nil {
+		if err := st.AppendBatch([]Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := st.Append(rec(i)); err != nil {
+		if err := st.AppendBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("got %d records after torn tail, want 2", len(recs))
 	}
 	// The WAL must be usable again: append and reopen.
-	if err := st2.Append(rec(4)); err != nil {
+	if err := st2.AppendBatch([]Record{rec(4)}); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -118,7 +118,7 @@ func TestCorruptPayloadStopsReplay(t *testing.T) {
 	}
 	off := int64(len(walMagic) + 1)
 	for i := 1; i <= 3; i++ {
-		if err := st.Append(rec(i)); err != nil {
+		if err := st.AppendBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
@@ -152,7 +152,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
-		if err := st.Append(rec(i)); err != nil {
+		if err := st.AppendBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,14 +166,21 @@ func TestSnapshotCompaction(t *testing.T) {
 		Builds:       []BuildRec{{ID: 5, Job: "j", State: "success"}},
 		Ledger:       map[string][]LedgerRec{"bob": {{User: "bob", Delta: 3, Reason: "grant"}}},
 	}
-	if err := st.Compact(snap); err != nil {
+	c, err := st.BeginCompact(snap)
+	if err == nil {
+		err = st.WriteSnapshot(c)
+	}
+	if err == nil {
+		err = st.FinishCompact(c)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Appended() != 0 {
 		t.Fatalf("Appended after compaction = %d, want 0", st.Appended())
 	}
 	// Post-compaction appends replay on top of the snapshot.
-	if err := st.Append(Record{T: TBuildExpired, BuildID: 5}); err != nil {
+	if err := st.AppendBatch([]Record{{T: TBuildExpired, BuildID: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -208,7 +215,7 @@ func TestCompactionPreservesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := st.Append(rec(i)); err != nil {
+		if err := st.AppendBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +225,7 @@ func TestCompactionPreservesTail(t *testing.T) {
 	}
 	// Concurrent-with-fsync appends: past the cut, must survive.
 	for i := 4; i <= 5; i++ {
-		if err := st.Append(rec(i)); err != nil {
+		if err := st.AppendBatch([]Record{rec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +265,7 @@ func TestCompactionCrashBeforeLogSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := st.Append(Record{T: TLedger, Entry: &LedgerRec{User: "bob", Delta: 5, Reason: "grant"}}); err != nil {
+		if err := st.AppendBatch([]Record{{T: TLedger, Entry: &LedgerRec{User: "bob", Delta: 5, Reason: "grant"}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +279,7 @@ func TestCompactionCrashBeforeLogSwap(t *testing.T) {
 	}
 	// Crash here: FinishCompact never runs. One more record lands in
 	// the old-generation log past the cut.
-	if err := st.Append(Record{T: TLedger, Entry: &LedgerRec{User: "bob", Delta: -2, Reason: "experiment"}}); err != nil {
+	if err := st.AppendBatch([]Record{{T: TLedger, Entry: &LedgerRec{User: "bob", Delta: -2, Reason: "experiment"}}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -314,7 +321,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	r := rec(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Append(r); err != nil {
+		if err := st.AppendBatch([]Record{r}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +334,7 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 10_000; i++ {
-		if err := st.Append(rec(i + 1)); err != nil {
+		if err := st.AppendBatch([]Record{rec(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

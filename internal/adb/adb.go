@@ -13,7 +13,6 @@ package adb
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -95,27 +94,6 @@ func (s *Server) Register(d *device.Device) error {
 	}
 	s.entries[d.Serial()] = &entry{dev: d, transport: TransportUSB}
 	return nil
-}
-
-// Devices lists registered serials with their state, like `adb devices`.
-func (s *Server) Devices() []DeviceState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DeviceState, 0, len(s.entries))
-	for serial, e := range s.entries {
-		st := DeviceState{Serial: serial, Transport: e.transport}
-		st.Online = s.availableLocked(serial, e) == nil
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Serial < out[j].Serial })
-	return out
-}
-
-// DeviceState is one `adb devices` row.
-type DeviceState struct {
-	Serial    string
-	Transport TransportKind
-	Online    bool
 }
 
 func (s *Server) lookup(serial string) (*entry, error) {
@@ -240,22 +218,4 @@ func (s *Server) CommandLatency(serial string) (time.Duration, error) {
 		return 0, err
 	}
 	return t.Latency(), nil
-}
-
-// Push uploads a file to the device (`adb push`).
-func (s *Server) Push(serial, path string, data []byte) error {
-	e, err := s.available(serial)
-	if err != nil {
-		return err
-	}
-	return e.dev.Storage().Push(path, data)
-}
-
-// Pull downloads a file from the device (`adb pull`).
-func (s *Server) Pull(serial, path string) ([]byte, error) {
-	e, err := s.available(serial)
-	if err != nil {
-		return nil, err
-	}
-	return e.dev.Storage().Pull(path)
 }

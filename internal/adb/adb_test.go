@@ -2,6 +2,7 @@ package adb
 
 import (
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
@@ -297,4 +298,43 @@ func (c *captureApp) ClearData(*device.Device) error { c.cleared++; return nil }
 func (c *captureApp) HandleInput(_ *device.Device, ev device.InputEvent) error {
 	c.events = append(c.events, ev)
 	return nil
+}
+
+// Devices lists registered serials with their state, like `adb devices`.
+func (s *Server) Devices() []DeviceState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]DeviceState, 0, len(s.entries))
+	for serial, e := range s.entries {
+		st := DeviceState{Serial: serial, Transport: e.transport}
+		st.Online = s.availableLocked(serial, e) == nil
+		out = append(out, st)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Serial < out[j].Serial })
+	return out
+}
+
+// Push uploads a file to the device (`adb push`).
+func (s *Server) Push(serial, path string, data []byte) error {
+	e, err := s.available(serial)
+	if err != nil {
+		return err
+	}
+	return e.dev.Storage().Push(path, data)
+}
+
+// Pull downloads a file from the device (`adb pull`).
+func (s *Server) Pull(serial, path string) ([]byte, error) {
+	e, err := s.available(serial)
+	if err != nil {
+		return nil, err
+	}
+	return e.dev.Storage().Pull(path)
+}
+
+// DeviceState is one `adb devices` row.
+type DeviceState struct {
+	Serial    string
+	Transport TransportKind
+	Online    bool
 }

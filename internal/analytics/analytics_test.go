@@ -300,7 +300,7 @@ func traceFixtures(t testing.TB) map[string][]byte {
 // viaSeries is the analytics read as it was before ComputeBinary: decode
 // into a Series, then aggregate it.
 func viaSeries(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
-	tr, err := trace.ReadBinary(bytes.NewReader(data))
+	tr, err := trace.DecodeBinary(data)
 	if err != nil {
 		return nil, err
 	}
@@ -380,4 +380,11 @@ func FuzzAnalyticsBytes(f *testing.F) {
 			t.Fatalf("ComputeBinary gives %+v, via a Series %+v", got, want)
 		}
 	})
+}
+
+// SizeBytes reports the stored body bytes.
+func (c *Cache) SizeBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
 }

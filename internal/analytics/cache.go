@@ -81,10 +81,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// SizeBytes reports the stored body bytes.
-func (c *Cache) SizeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}

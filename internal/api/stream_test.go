@@ -129,11 +129,11 @@ func frameOf(body []byte) []byte {
 
 // refDecode is how a frame body was decoded before this package did it
 // directly, kept as the reference the direct decoder is fuzzed against:
-// trace.ReadBinary builds a Series (chunked store, ordering check,
+// trace.DecodeBinary builds a Series (chunked store, ordering check,
 // streaming summary), and each of its samples becomes a point. A sample
 // time outside the int64 nanosecond range has no SamplePoint.
 func refDecode(body []byte) ([]SamplePoint, error) {
-	s, err := trace.ReadBinary(bytes.NewReader(body))
+	s, err := trace.DecodeBinary(body)
 	if err != nil {
 		return nil, err
 	}

@@ -41,6 +41,7 @@ var rules = []struct {
 	{"one-clock-driver", "internal/core", oneClockDriver},
 	{"frame-is-bytes", "internal/api", frameIsBytes},
 	{"architecture-map", "README.md", architectureMap},
+	{"reachable", "internal/stats", reachable},
 }
 
 // broken runs every rule on m and returns the findings of each that m
@@ -110,3 +111,4 @@ func TestSectionsHaveOneExit(t *testing.T) { holds(t, "sections-have-one-exit") 
 func TestOneClockDriver(t *testing.T)      { holds(t, "one-clock-driver") }
 func TestFrameIsBytes(t *testing.T)        { holds(t, "frame-is-bytes") }
 func TestArchitectureMap(t *testing.T)     { holds(t, "architecture-map") }
+func TestReachable(t *testing.T)           { holds(t, "reachable") }

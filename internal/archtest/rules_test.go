@@ -22,11 +22,16 @@ type report struct {
 }
 
 func (r *report) at(pos token.Pos, format string, args ...any) {
+	r.found = append(r.found, r.position(pos).String()+": "+fmt.Sprintf(format, args...))
+}
+
+// position is pos with its file named relative to the module root.
+func (r *report) position(pos token.Pos) token.Position {
 	p := r.m.fset.Position(pos)
 	if rel, err := filepath.Rel(r.m.root, p.Filename); err == nil {
 		p.Filename = rel
 	}
-	r.found = append(r.found, p.String()+": "+fmt.Sprintf(format, args...))
+	return p
 }
 
 func (r *report) fail(format string, args ...any) {
@@ -477,7 +482,6 @@ func sectionsHaveOneExit(r *report) {
 		fn("readPlane.removeCampaign"):       {exit},
 		r.object(feedhub, "Hub.Close"):       {exit},
 		r.object(feedhub, "Hub.Remove"):      {exit},
-		r.object(store, "Store.Append"):      {wal},
 		r.object(store, "Store.AppendBatch"): {wal},
 		wal:                                  {exit},
 		// A relayed build's remote events are the peer's, posted by the
@@ -582,36 +586,32 @@ func names(objs []types.Object) string {
 // fires the clock (RunUntil, Step or Advance). Such a loop is a
 // hand-written driver; RunWhile fires instant by instant for a caller that
 // owns the timeline, DriveWhile steps for one that shares it. Reading
-// NextDeadline to inspect the queue stays legal. Test files count, read
-// by method name since they are parsed only; simclock, whose tests hold
-// the drivers to exactly such loops, is skipped.
+// NextDeadline to inspect the queue stays legal. Test files count;
+// simclock, whose tests hold the drivers to exactly such loops, is
+// skipped.
 func oneClockDriver(r *report) {
 	reads := r.object("internal/simclock", "Virtual.NextDeadline")
 	fires := r.objects("internal/simclock", "Virtual.RunUntil", "Virtual.Step", "Virtual.Advance")
 	if len(r.found) > 0 {
 		return
 	}
+	typed := func(info *types.Info) func(*ast.CallExpr) (bool, bool) {
+		return func(call *ast.CallExpr) (bool, bool) {
+			f := called(info, call)
+			return f == reads, slices.Contains(fires, f)
+		}
+	}
 	for _, p := range r.m.pkgs {
 		if p.path == r.m.path+"/internal/simclock" {
 			continue
 		}
-		typed := func(call *ast.CallExpr) (bool, bool) {
-			f := called(p.info, call)
-			return f == reads, slices.Contains(fires, f)
-		}
-		named := func(call *ast.CallExpr) (bool, bool) {
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return false, false
-			}
-			name := sel.Sel.Name
-			return name == "NextDeadline", name == "RunUntil" || name == "Step" || name == "Advance"
-		}
 		for _, f := range p.files {
-			r.driverLoops(f, typed)
+			r.driverLoops(f, typed(p.info))
 		}
-		for _, f := range p.tests {
-			r.driverLoops(f, named)
+		for _, v := range r.m.variants(p) {
+			for _, f := range v.tests {
+				r.driverLoops(f, typed(v.info))
+			}
 		}
 	}
 }

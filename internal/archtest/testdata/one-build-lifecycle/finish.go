@@ -8,3 +8,5 @@ func (s *Server) finishQuietly(b *Build) {
 	const done = store.TBuildFinished
 	s.logStore(store.Record{T: done, BuildID: b.ID})
 }
+
+var _ = (*Server).finishQuietly // reached, so only the rule under test trips

@@ -8,3 +8,5 @@ const legacy = "GET /api/builds"
 func handlerLegacy(mux *http.ServeMux) {
 	mux.HandleFunc(legacy, func(http.ResponseWriter, *http.Request) {})
 }
+
+var _ = handlerLegacy // reached, so only the rule under test trips

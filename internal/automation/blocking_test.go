@@ -13,7 +13,9 @@ func TestRunBlockingOnRealClock(t *testing.T) {
 	s := NewScript("real").
 		Add("a", time.Millisecond, func() error { order = append(order, "a"); return nil }).
 		Add("b", time.Millisecond, func() error { order = append(order, "b"); return nil })
-	if err := NewExecutor(simclock.Real()).RunBlocking(s); err != nil {
+	done := make(chan error, 1)
+	NewExecutor(simclock.Real()).Run(s, func(err error) { done <- err })
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -24,8 +26,9 @@ func TestRunBlockingOnRealClock(t *testing.T) {
 func TestRunBlockingError(t *testing.T) {
 	s := NewScript("fail").
 		Add("boom", 0, func() error { return errors.New("nope") })
-	err := NewExecutor(simclock.Real()).RunBlocking(s)
-	if err == nil {
+	done := make(chan error, 1)
+	NewExecutor(simclock.Real()).Run(s, func(err error) { done <- err })
+	if err := <-done; err == nil {
 		t.Fatal("error swallowed")
 	}
 }

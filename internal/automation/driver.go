@@ -7,7 +7,9 @@ import (
 // Kind identifies the automation strategy.
 type Kind int
 
-// The three strategies of §3.3.
+// The three strategies of §3.3. The platform drives devices over ADB;
+// the UI-test and Bluetooth-keyboard drivers are modelled beside the
+// package's tests (uidriver_test.go, btdriver_test.go).
 const (
 	KindADB Kind = iota
 	KindUITest

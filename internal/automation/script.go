@@ -159,12 +159,3 @@ func (r *Run) Abort() {
 		r.complete(ErrAborted)
 	}
 }
-
-// RunBlocking runs the script to completion on a real clock and returns
-// its outcome. It must not be used with a Virtual clock (which would need
-// an external driver to advance).
-func (e *Executor) RunBlocking(s *Script) error {
-	ch := make(chan error, 1)
-	e.Run(s, func(err error) { ch <- err })
-	return <-ch
-}

@@ -84,22 +84,6 @@ func (b *Battery) Drain(mah float64) (float64, error) {
 	return drained, nil
 }
 
-// Charge adds mah of charge, clamped at capacity, and reports the charge
-// actually stored.
-func (b *Battery) Charge(mah float64) (float64, error) {
-	if mah < 0 {
-		return 0, fmt.Errorf("battery: negative charge %v", mah)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	stored := mah
-	if b.chargeMAH+stored > b.capacityMAH {
-		stored = b.capacityMAH - b.chargeMAH
-	}
-	b.chargeMAH += stored
-	return stored, nil
-}
-
 // Detach removes the battery from the phone (the relay's bypass position,
 // or a human lifting the pack). Detaching twice is an error so tests catch
 // double-switching.

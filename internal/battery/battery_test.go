@@ -1,6 +1,7 @@
 package battery
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,4 +152,20 @@ func TestChargeConservationProperty(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Charge adds mah of charge, clamped at capacity, and reports the charge
+// actually stored.
+func (b *Battery) Charge(mah float64) (float64, error) {
+	if mah < 0 {
+		return 0, fmt.Errorf("battery: negative charge %v", mah)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	stored := mah
+	if b.chargeMAH+stored > b.capacityMAH {
+		stored = b.capacityMAH - b.chargeMAH
+	}
+	b.chargeMAH += stored
+	return stored, nil
 }

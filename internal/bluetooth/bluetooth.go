@@ -51,13 +51,6 @@ func (k *HIDKeyboard) Pair(d *device.Device) error {
 	return nil
 }
 
-// Unpair removes the bond.
-func (k *HIDKeyboard) Unpair(serial string) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	delete(k.paired, serial)
-}
-
 // Paired reports whether serial is bonded.
 func (k *HIDKeyboard) Paired(serial string) bool {
 	k.mu.Lock()

@@ -109,3 +109,10 @@ func (c *captureApp) HandleInput(_ *device.Device, ev device.InputEvent) error {
 	c.events = append(c.events, ev)
 	return nil
 }
+
+// Unpair removes the bond.
+func (k *HIDKeyboard) Unpair(serial string) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	delete(k.paired, serial)
+}

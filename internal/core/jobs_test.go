@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -86,7 +85,7 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binSeries, err := trace.ReadBinary(bytes.NewReader(rawBin))
+	binSeries, err := trace.DecodeBinary(rawBin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,18 @@ import (
 	"batterylab/internal/rng"
 )
 
-// Screen models the display panel: ~60 mA floor when lit plus up to
-// ~60 mA with brightness.
+// Screen models the display panel: a 50 mA floor when lit plus up to
+// 50 mA more with brightness.
 type Screen struct {
-	mu         sync.Mutex
-	on         bool
-	brightness float64 // [0, 1]
+	mu sync.Mutex
+	on bool
 }
 
-func newScreen() *Screen {
-	return &Screen{brightness: 0.5}
-}
+// screenBrightness is the backlight level in [0, 1]; every panel stays
+// at half.
+const screenBrightness = 0.5
+
+func newScreen() *Screen { return &Screen{} }
 
 // Name implements power.Component.
 func (s *Screen) Name() string { return "screen" }
@@ -36,26 +37,6 @@ func (s *Screen) On() bool {
 	return s.on
 }
 
-// SetBrightness sets the backlight level, clamped to [0, 1].
-func (s *Screen) SetBrightness(b float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b < 0 {
-		b = 0
-	}
-	if b > 1 {
-		b = 1
-	}
-	s.brightness = b
-}
-
-// Brightness reports the backlight level.
-func (s *Screen) Brightness() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.brightness
-}
-
 // CurrentMA implements power.Source.
 func (s *Screen) CurrentMA(time.Time) float64 {
 	s.mu.Lock()
@@ -63,7 +44,7 @@ func (s *Screen) CurrentMA(time.Time) float64 {
 	if !s.on {
 		return 0
 	}
-	return 50 + 50*s.brightness
+	return 50 + 50*screenBrightness
 }
 
 // RadioKind distinguishes the device radios.
@@ -119,9 +100,6 @@ func newRadio(name string, kind RadioKind, clk interface{ Now() time.Time }) *Ra
 
 // Name implements power.Component.
 func (r *Radio) Name() string { return r.name }
-
-// Kind reports the radio type.
-func (r *Radio) Kind() RadioKind { return r.kind }
 
 // SetState forces the radio state (off/idle). Active state is managed by
 // transfers.

@@ -85,18 +85,6 @@ func (c *CPU) StartProcess(name string) *Process {
 	return p
 }
 
-// Kill removes a process by pid.
-func (c *CPU) Kill(pid int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := slices.IndexFunc(c.procs, func(p *Process) bool { return p.pid == pid })
-	if i < 0 {
-		return fmt.Errorf("cpu: no process %d", pid)
-	}
-	c.procs = slices.Delete(c.procs, i, i+1)
-	return nil
-}
-
 // KillByName removes every process with the given name and reports how
 // many it killed (`am force-stop` semantics).
 func (c *CPU) KillByName(name string) int {
@@ -182,13 +170,6 @@ func (p *Process) SetLoad(target, sigma float64) {
 	}
 	p.target = target
 	p.sigma = sigma
-}
-
-// Load reports the current target and sigma.
-func (p *Process) Load() (target, sigma float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target, p.sigma
 }
 
 // SetMemMB sets resident memory for dumpsys meminfo.

@@ -1,7 +1,9 @@
 package device
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -456,4 +458,16 @@ func TestProcessesStayInPIDOrder(t *testing.T) {
 	if last := procs[len(procs)-1]; last.Name() != "d" || c.FindProcess("a") != nil {
 		t.Fatalf("table after kills: last %q", last.Name())
 	}
+}
+
+// Kill removes a process by pid.
+func (c *CPU) Kill(pid int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.IndexFunc(c.procs, func(p *Process) bool { return p.pid == pid })
+	if i < 0 {
+		return fmt.Errorf("cpu: no process %d", pid)
+	}
+	c.procs = slices.Delete(c.procs, i, i+1)
+	return nil
 }

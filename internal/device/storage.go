@@ -85,14 +85,3 @@ func (s *Storage) Wipe() {
 	defer s.mu.Unlock()
 	s.files = make(map[string][]byte)
 }
-
-// UsedBytes reports total stored bytes.
-func (s *Storage) UsedBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, d := range s.files {
-		n += int64(len(d))
-	}
-	return n
-}

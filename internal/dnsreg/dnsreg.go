@@ -27,9 +27,6 @@ func NewZone(domain string) *Zone {
 	return &Zone{domain: domain, records: make(map[string]string)}
 }
 
-// Domain reports the apex.
-func (z *Zone) Domain() string { return z.domain }
-
 // Register adds label pointing at addr and returns the FQDN. Labels must
 // be valid DNS labels and unused.
 func (z *Zone) Register(label, addr string) (string, error) {
@@ -63,28 +60,6 @@ func (z *Zone) Resolve(fqdn string) (string, error) {
 		return "", fmt.Errorf("dnsreg: NXDOMAIN %s", fqdn)
 	}
 	return addr, nil
-}
-
-// Deregister removes a label.
-func (z *Zone) Deregister(label string) error {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if _, ok := z.records[label]; !ok {
-		return fmt.Errorf("dnsreg: no record %s.%s", label, z.domain)
-	}
-	delete(z.records, label)
-	return nil
-}
-
-// Update repoints an existing label (a vantage point changing IP).
-func (z *Zone) Update(label, addr string) error {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if _, ok := z.records[label]; !ok {
-		return fmt.Errorf("dnsreg: no record %s.%s", label, z.domain)
-	}
-	z.records[label] = addr
-	return nil
 }
 
 // List reports all FQDNs in the zone, sorted.

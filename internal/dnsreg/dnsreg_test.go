@@ -1,6 +1,9 @@
 package dnsreg
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestRegisterResolve(t *testing.T) {
 	z := NewZone("batterylab.dev")
@@ -77,4 +80,26 @@ func TestList(t *testing.T) {
 	if len(got) != 2 || got[0] != "node1.batterylab.dev" || got[1] != "node2.batterylab.dev" {
 		t.Fatalf("List = %v", got)
 	}
+}
+
+// Deregister removes a label.
+func (z *Zone) Deregister(label string) error {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if _, ok := z.records[label]; !ok {
+		return fmt.Errorf("dnsreg: no record %s.%s", label, z.domain)
+	}
+	delete(z.records, label)
+	return nil
+}
+
+// Update repoints an existing label (a vantage point changing IP).
+func (z *Zone) Update(label, addr string) error {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if _, ok := z.records[label]; !ok {
+		return fmt.Errorf("dnsreg: no record %s.%s", label, z.domain)
+	}
+	z.records[label] = addr
+	return nil
 }

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"batterylab/internal/browser"
@@ -75,15 +74,6 @@ func NewEnv(seed uint64) (*Env, error) {
 		return nil, err
 	}
 	return env, nil
-}
-
-// Browser returns an installed study browser by name.
-func (e *Env) Browser(name string) (*browser.Browser, error) {
-	b, ok := e.browsers[name]
-	if !ok {
-		return nil, fmt.Errorf("experiments: no browser %q", name)
-	}
-	return b, nil
 }
 
 // BrowserNames lists the study browsers in the paper's order.

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"batterylab/internal/browser"
 )
 
 // testOpts shrinks the paper's parameters so the whole suite stays fast;
@@ -378,4 +381,13 @@ func TestEnvBrowserLookup(t *testing.T) {
 	if len(BrowserNames()) != 4 {
 		t.Fatal("browser names")
 	}
+}
+
+// Browser returns an installed study browser by name.
+func (e *Env) Browser(name string) (*browser.Browser, error) {
+	b, ok := e.browsers[name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: no browser %q", name)
+	}
+	return b, nil
 }

@@ -64,9 +64,6 @@ func NewBank(n int) *Bank {
 	return &Bank{pins: make([]pin, n)}
 }
 
-// Pins reports the number of pins in the bank.
-func (b *Bank) Pins() int { return len(b.pins) }
-
 func (b *Bank) check(n int) error {
 	if n < 0 || n >= len(b.pins) {
 		return fmt.Errorf("gpio: pin %d out of range [0,%d)", n, len(b.pins))
@@ -110,34 +107,6 @@ func (b *Bank) Write(n int, level Level) error {
 			w(level)
 		}
 	}
-	return nil
-}
-
-// Read reports a configured pin's level.
-func (b *Bank) Read(n int) (Level, error) {
-	if err := b.check(n); err != nil {
-		return Low, err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.pins[n].dir == Unconfigured {
-		return Low, fmt.Errorf("gpio: read of unconfigured pin %d", n)
-	}
-	return b.pins[n].level, nil
-}
-
-// SetInput drives an input pin externally (a sensor or switch on the
-// header), visible to subsequent Reads.
-func (b *Bank) SetInput(n int, level Level) error {
-	if err := b.check(n); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.pins[n].dir != Input {
-		return fmt.Errorf("gpio: SetInput on non-input pin %d", n)
-	}
-	b.pins[n].level = level
 	return nil
 }
 

@@ -1,6 +1,9 @@
 package gpio
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestConfigureAndWrite(t *testing.T) {
 	b := NewBank(4)
@@ -105,4 +108,32 @@ func TestStrings(t *testing.T) {
 	if Input.String() != "in" || Output.String() != "out" || Unconfigured.String() != "unconfigured" {
 		t.Fatal("Direction strings")
 	}
+}
+
+// Read reports a configured pin's level.
+func (b *Bank) Read(n int) (Level, error) {
+	if err := b.check(n); err != nil {
+		return Low, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.pins[n].dir == Unconfigured {
+		return Low, fmt.Errorf("gpio: read of unconfigured pin %d", n)
+	}
+	return b.pins[n].level, nil
+}
+
+// SetInput drives an input pin externally (a sensor or switch on the
+// header), visible to subsequent Reads.
+func (b *Bank) SetInput(n int, level Level) error {
+	if err := b.check(n); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.pins[n].dir != Input {
+		return fmt.Errorf("gpio: SetInput on non-input pin %d", n)
+	}
+	b.pins[n].level = level
+	return nil
 }

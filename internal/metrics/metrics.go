@@ -42,12 +42,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous int64 value that can move both ways.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -359,21 +353,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return in.gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed at snapshot time.
-// Unlike Counter/Gauge/Histogram, re-registration is not idempotent
-// (two functions cannot be proven identical), so any existing instance
-// with the same identity — a plain gauge or an earlier function — is a
-// misregistration and panics.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	in, ok := r.family(name, help, KindGauge).inst(labels)
-	if ok {
-		panic("metrics: " + name + " already registered; GaugeFunc identity must be unique")
-	}
-	in.fn = fn
-}
-
 // Histogram returns (registering if needed) the histogram with the
 // given name and labels.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
@@ -462,13 +441,6 @@ func (e *Emitter) Gauge(name, help string, v float64, labels ...Label) {
 	checkNames(name, labels)
 	f := e.fam(name, help, KindGauge)
 	f.Metrics = append(f.Metrics, Metric{Labels: sortLabels(labels), Value: v})
-}
-
-// Histogram emits one histogram summary.
-func (e *Emitter) Histogram(name, help string, hv HistogramValue, labels ...Label) {
-	checkNames(name, labels)
-	f := e.fam(name, help, KindHistogram)
-	f.Metrics = append(f.Metrics, Metric{Labels: sortLabels(labels), Hist: &hv})
 }
 
 // Snapshot captures every registered metric and runs every collector.

@@ -324,3 +324,21 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// GaugeFunc registers a gauge whose value is computed at snapshot time.
+// Unlike Counter/Gauge/Histogram, re-registration is not idempotent
+// (two functions cannot be proven identical), so any existing instance
+// with the same identity — a plain gauge or an earlier function — is a
+// misregistration and panics.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	in, ok := r.family(name, help, KindGauge).inst(labels)
+	if ok {
+		panic("metrics: " + name + " already registered; GaugeFunc identity must be unique")
+	}
+	in.fn = fn
+}
+
+// Set replaces the value.
+func (g *Gauge) Set(n int64) { g.v.Store(n) }

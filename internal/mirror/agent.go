@@ -152,19 +152,9 @@ func (a *Agent) Stop() {
 	a.dev.Logcat().Append("scrcpy", device.Info, "agent stopped")
 }
 
-// Running reports whether the agent is streaming.
-func (a *Agent) Running() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.running
-}
-
 // BytesSent reports the cumulative encoded upload volume.
 func (a *Agent) BytesSent() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.bytesSent
 }
-
-// BitrateMbps reports the configured cap.
-func (a *Agent) BitrateMbps() float64 { return a.bitrateMbps }

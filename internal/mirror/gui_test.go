@@ -29,9 +29,8 @@ func TestGUISessionEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var st struct {
-		Device  string `json:"device"`
-		Active  bool   `json:"active"`
-		Clients int    `json:"clients"`
+		Device string `json:"device"`
+		Active bool   `json:"active"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package mirror
 
 import (
 	"math"
-	"net"
 	"testing"
 	"time"
 
@@ -169,19 +168,6 @@ func TestVNCLoadModel(t *testing.T) {
 	}
 }
 
-func TestVNCClients(t *testing.T) {
-	v := NewVNCServer(1)
-	v.AddClient("a")
-	v.AddClient("b")
-	if v.Clients() != 2 {
-		t.Fatalf("clients = %d", v.Clients())
-	}
-	v.RemoveClient("a")
-	if v.Clients() != 1 {
-		t.Fatalf("clients = %d", v.Clients())
-	}
-}
-
 func TestLatencyProbeMatchesPaper(t *testing.T) {
 	p := NewLatencyProbe(42, time.Millisecond)
 	samples := p.Measure(40)
@@ -204,71 +190,3 @@ func TestLatencyGrowsWithRTT(t *testing.T) {
 		t.Fatalf("latency should grow with RTT: %.3f vs %.3f", nm, fm)
 	}
 }
-
-func TestRFBHandshakeAndFrames(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := Handshake(server, ServerInit{Width: 720, Height: 1280, Name: "J7DUO"}); err != nil {
-			errc <- err
-			return
-		}
-		errc <- WriteUpdate(server, Update{X: 0, Y: 0, W: 720, H: 1280, Payload: []byte("seg-1")})
-	}()
-
-	si, err := ClientHandshake(client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if si.Width != 720 || si.Height != 1280 || si.Name != "J7DUO" {
-		t.Fatalf("ServerInit = %+v", si)
-	}
-	u, err := ReadUpdate(client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(u.Payload) != "seg-1" || u.W != 720 {
-		t.Fatalf("update = %+v", u)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRFBEvents(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	go func() {
-		WriteEvent(client, Event{Type: MsgPointerEvent, Buttons: 1, X: 100, Y: 200})
-		WriteEvent(client, Event{Type: MsgKeyEvent, Down: true, Key: 0xff0d})
-	}()
-	ev, err := ReadEvent(server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Type != MsgPointerEvent || ev.X != 100 || ev.Y != 200 || ev.Buttons != 1 {
-		t.Fatalf("pointer = %+v", ev)
-	}
-	ev, err = ReadEvent(server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Type != MsgKeyEvent || !ev.Down || ev.Key != 0xff0d {
-		t.Fatalf("key = %+v", ev)
-	}
-}
-
-func TestRFBBadEventType(t *testing.T) {
-	if err := WriteEvent(io_discard{}, Event{Type: 99}); err == nil {
-		t.Fatal("bad event type accepted")
-	}
-}
-
-type io_discard struct{}
-
-func (io_discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -173,7 +173,6 @@ func (s *Session) GUIHandler() http.Handler {
 		writeJSON(w, map[string]any{
 			"device":    s.dev.Serial(),
 			"active":    s.Active(),
-			"clients":   s.vnc.Clients(),
 			"bytes_in":  in,
 			"bytes_out": out,
 		})

@@ -13,9 +13,10 @@ import (
 const noVNCCompression = 0.85
 
 // VNCServer is the controller-side half of the pipeline: it receives the
-// agent's stream, transcodes it into the VNC session that noVNC clients
-// watch, and forwards client input back to the device. Its CPU cost is
-// the dominant controller-side expense of mirroring (Fig. 5).
+// agent's stream and transcodes it into the VNC session that noVNC
+// clients watch; their input reaches the device through the GUI
+// backend's /api/input. Its CPU cost is the dominant controller-side
+// expense of mirroring (Fig. 5).
 type VNCServer struct {
 	noise *rng.RNG
 
@@ -24,17 +25,11 @@ type VNCServer struct {
 	updateRate float64 // latest observed full-frame-equivalents/sec
 	bytesIn    int64
 	bytesOut   int64
-	segments   int64
-	clients    map[string]bool
-	forward    func(updateRate float64, payload []byte)
 }
 
 // NewVNCServer returns an idle server.
 func NewVNCServer(seed uint64) *VNCServer {
-	return &VNCServer{
-		noise:   rng.New(seed).Fork("vnc"),
-		clients: make(map[string]bool),
-	}
+	return &VNCServer{noise: rng.New(seed).Fork("vnc")}
 }
 
 // Activate marks a mirroring session live (tigervnc + noVNC processes
@@ -53,59 +48,16 @@ func (v *VNCServer) Deactivate() {
 	v.updateRate = 0
 }
 
-// Active reports whether a session is live.
-func (v *VNCServer) Active() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.active
-}
-
-// setForward installs a stream target (the RFB server); nil uninstalls.
-func (v *VNCServer) setForward(f func(updateRate float64, payload []byte)) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.forward = f
-}
-
 // OnSegment implements FrameSink.
 func (v *VNCServer) OnSegment(updateRate float64, bytes int64) {
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	if !v.active {
-		v.mu.Unlock()
 		return
 	}
 	v.updateRate = updateRate
 	v.bytesIn += bytes
 	v.bytesOut += int64(float64(bytes) * noVNCCompression)
-	v.segments++
-	forward := v.forward
-	v.mu.Unlock()
-	if forward != nil && bytes > 0 {
-		// The payload content is synthetic (the encoder is simulated);
-		// its size is the real quantity.
-		forward(updateRate, make([]byte, int(float64(bytes)*noVNCCompression)))
-	}
-}
-
-// AddClient registers a browser viewer (noVNC session id).
-func (v *VNCServer) AddClient(id string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.clients[id] = true
-}
-
-// RemoveClient drops a viewer.
-func (v *VNCServer) RemoveClient(id string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	delete(v.clients, id)
-}
-
-// Clients reports connected viewer count.
-func (v *VNCServer) Clients() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.clients)
 }
 
 // Traffic reports cumulative stream bytes (from device, to viewers).

@@ -239,20 +239,3 @@ func (m *Monsoon) Sampling() bool {
 	defer m.mu.Unlock()
 	return m.run != nil
 }
-
-// SampleRate reports the active run's rate, or 0.
-func (m *Monsoon) SampleRate() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.run == nil {
-		return 0
-	}
-	return m.run.rate
-}
-
-// OvercurrentEvents reports how many samples hit the 6 A clamp.
-func (m *Monsoon) OvercurrentEvents() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.overcurrent
-}

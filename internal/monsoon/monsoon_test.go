@@ -341,3 +341,20 @@ func TestCaptureCost(t *testing.T) {
 		}
 	})
 }
+
+// SampleRate reports the active run's rate, or 0.
+func (m *Monsoon) SampleRate() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.run == nil {
+		return 0
+	}
+	return m.run.rate
+}
+
+// OvercurrentEvents reports how many samples hit the 6 A clamp.
+func (m *Monsoon) OvercurrentEvents() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.overcurrent
+}

@@ -74,9 +74,6 @@ func (p *Path) Append(links ...Link) (*Path, error) {
 // Hops reports the number of links.
 func (p *Path) Hops() int { return len(p.links) }
 
-// Links returns a copy of the path's hops.
-func (p *Path) Links() []Link { return append([]Link{}, p.links...) }
-
 // AppendPath returns a new path that traverses p and then q.
 func (p *Path) AppendPath(q *Path) (*Path, error) {
 	return p.Append(q.links...)

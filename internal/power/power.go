@@ -65,16 +65,6 @@ func (r *Rail) Attach(c Component) error {
 	return nil
 }
 
-// Detach removes a component by name. Detaching an absent component is a
-// no-op.
-func (r *Rail) Detach(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.findLocked(name); ok {
-		r.components = slices.Delete(r.components, i, i+1)
-	}
-}
-
 // CurrentMA implements Source by summing all attached components.
 func (r *Rail) CurrentMA(now time.Time) float64 {
 	r.mu.RLock()
@@ -87,24 +77,6 @@ func (r *Rail) CurrentMA(now time.Time) float64 {
 		}
 	}
 	return total
-}
-
-// Breakdown reports each component's instantaneous draw, sorted by name —
-// the data behind per-component attribution in experiment reports.
-func (r *Rail) Breakdown(now time.Time) []Draw {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Draw, 0, len(r.components))
-	for _, c := range r.components {
-		out = append(out, Draw{Name: c.Name(), MA: c.CurrentMA(now)})
-	}
-	return out
-}
-
-// Draw is one component's contribution at an instant.
-type Draw struct {
-	Name string
-	MA   float64
 }
 
 // Constant is a fixed-draw component (for example a sensor hub).
@@ -164,25 +136,4 @@ func (s *Switched) CurrentMA(now time.Time) float64 {
 		return 0
 	}
 	return s.src.CurrentMA(now)
-}
-
-// Scaled multiplies a source by a gain, used for modelling voltage
-// conversion losses and the relay's contact resistance.
-type Scaled struct {
-	name string
-	src  Source
-	gain float64
-}
-
-// NewScaled returns a component reporting gain × src.
-func NewScaled(name string, src Source, gain float64) *Scaled {
-	return &Scaled{name: name, src: src, gain: gain}
-}
-
-// Name implements Component.
-func (s *Scaled) Name() string { return s.name }
-
-// CurrentMA implements Source.
-func (s *Scaled) CurrentMA(now time.Time) float64 {
-	return s.gain * s.src.CurrentMA(now)
 }

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -121,4 +122,53 @@ func TestRailSumsInNameOrder(t *testing.T) {
 			t.Fatalf("sum = %.0f, want %.0f", got, 1e16+2)
 		}
 	}
+}
+
+// NewScaled returns a component reporting gain × src.
+func NewScaled(name string, src Source, gain float64) *Scaled {
+	return &Scaled{name: name, src: src, gain: gain}
+}
+
+// Detach removes a component by name. Detaching an absent component is a
+// no-op.
+func (r *Rail) Detach(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i, ok := r.findLocked(name); ok {
+		r.components = slices.Delete(r.components, i, i+1)
+	}
+}
+
+// Breakdown reports each component's instantaneous draw, sorted by name —
+// the data behind per-component attribution in experiment reports.
+func (r *Rail) Breakdown(now time.Time) []Draw {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]Draw, 0, len(r.components))
+	for _, c := range r.components {
+		out = append(out, Draw{Name: c.Name(), MA: c.CurrentMA(now)})
+	}
+	return out
+}
+
+// Draw is one component's contribution at an instant.
+type Draw struct {
+	Name string
+	MA   float64
+}
+
+// Scaled multiplies a source by a gain, used for modelling voltage
+// conversion losses and the relay's contact resistance.
+type Scaled struct {
+	name string
+	src  Source
+	gain float64
+}
+
+// Name implements Component.
+func (s *Scaled) Name() string { return s.name }
+
+// CurrentMA implements Source.
+func (s *Scaled) CurrentMA(now time.Time) float64 {
+	return s.gain * s.src.CurrentMA(now)
 }

@@ -1,16 +1,14 @@
 // Package powersocket models the Meross-style WiFi power socket that lets
 // the BatteryLab controller switch the Monsoon's mains supply on and off
 // remotely (§3.2). The real socket is driven through a small HTTP/JSON
-// API (the MerossIot library); this model exposes the same surface via
-// net/http so the controller exercises a genuine network round trip.
+// API (the MerossIot library); this model serves the same surface via
+// net/http (Handler), which the package's tests drive with a client.
 package powersocket
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 )
 
@@ -54,13 +52,6 @@ func (s *Socket) On() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.on
-}
-
-// Toggles reports how many state changes occurred (relay wear metric).
-func (s *Socket) Toggles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.toggles
 }
 
 // OnChange registers a listener invoked on every state change — how the
@@ -112,54 +103,4 @@ func (s *Socket) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-// Client drives a socket over its HTTP API, the controller's side of the
-// conversation.
-type Client struct {
-	base string
-	hc   *http.Client
-}
-
-// NewClient returns a client for the socket served at baseURL.
-func NewClient(baseURL string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Client{base: strings.TrimRight(baseURL, "/"), hc: hc}
-}
-
-// Status fetches the socket state.
-func (c *Client) Status() (name string, on bool, err error) {
-	resp, err := c.hc.Get(c.base + "/status")
-	if err != nil {
-		return "", false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", false, fmt.Errorf("powersocket: status %s", resp.Status)
-	}
-	var out struct {
-		Name string `json:"name"`
-		On   bool   `json:"on"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", false, err
-	}
-	return out.Name, out.On, nil
-}
-
-// Set switches the socket.
-func (c *Client) Set(on bool) error {
-	body := fmt.Sprintf(`{"on":%v}`, on)
-	resp, err := c.hc.Post(c.base+"/control", "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("powersocket: control %s", resp.Status)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
 }

@@ -1,6 +1,9 @@
 package powersocket
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -115,4 +118,61 @@ func TestMonsoonIntegrationWiring(t *testing.T) {
 	if !mains {
 		t.Fatal("listener did not fire over HTTP transport")
 	}
+}
+
+// Toggles reports how many state changes occurred (relay wear metric).
+func (s *Socket) Toggles() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.toggles
+}
+
+// Client drives a socket over its HTTP API, the controller's side of the
+// conversation.
+type Client struct {
+	base string
+	hc   *http.Client
+}
+
+// NewClient returns a client for the socket served at baseURL.
+func NewClient(baseURL string, hc *http.Client) *Client {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	return &Client{base: strings.TrimRight(baseURL, "/"), hc: hc}
+}
+
+// Status fetches the socket state.
+func (c *Client) Status() (name string, on bool, err error) {
+	resp, err := c.hc.Get(c.base + "/status")
+	if err != nil {
+		return "", false, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", false, fmt.Errorf("powersocket: status %s", resp.Status)
+	}
+	var out struct {
+		Name string `json:"name"`
+		On   bool   `json:"on"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return "", false, err
+	}
+	return out.Name, out.On, nil
+}
+
+// Set switches the socket.
+func (c *Client) Set(on bool) error {
+	body := fmt.Sprintf(`{"on":%v}`, on)
+	resp, err := c.hc.Post(c.base+"/control", "application/json", strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("powersocket: control %s", resp.Status)
+	}
+	io.Copy(io.Discard, resp.Body)
+	return nil
 }

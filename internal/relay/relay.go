@@ -87,13 +87,6 @@ func NewSwitch(clock simclock.Clock, bank *gpio.Bank, pinBase, n int) (*Switch, 
 	return s, nil
 }
 
-// Channels reports the channel count.
-func (s *Switch) Channels() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.channels)
-}
-
 func (s *Switch) checkLocked(ch int) error {
 	if ch < 0 || ch >= len(s.channels) {
 		return fmt.Errorf("relay: channel %d out of range [0,%d)", ch, len(s.channels))
@@ -145,16 +138,6 @@ func (s *Switch) Get(ch int) (Position, error) {
 		return PosBattery, err
 	}
 	return s.channels[ch].pos, nil
-}
-
-// Settled reports whether channel ch's contacts have settled.
-func (s *Switch) Settled(ch int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkLocked(ch); err != nil {
-		return false, err
-	}
-	return !s.clock.Now().Before(s.channels[ch].settledAt), nil
 }
 
 // OnSwitch registers a callback invoked whenever channel ch changes

@@ -133,3 +133,13 @@ func TestPositionString(t *testing.T) {
 		t.Fatal("Position strings")
 	}
 }
+
+// Settled reports whether channel ch's contacts have settled.
+func (s *Switch) Settled(ch int) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkLocked(ch); err != nil {
+		return false, err
+	}
+	return !s.clock.Now().Before(s.channels[ch].settledAt), nil
+}

@@ -24,8 +24,8 @@ func (shedBackend) Compile(spec api.ExperimentSpec) (accessserver.Constraints, a
 func (shedBackend) WorkloadNames() []string { return []string{"hold"} }
 
 // TestRemoteOverloaded: admission sheds cross the wire as the typed
-// overloaded error (HTTP 429) with a shed_reason the client decodes
-// via remote.IsOverloaded — and admins bypass admission entirely.
+// overloaded error (HTTP 429) whose envelope carries the shed_reason —
+// and admins bypass admission entirely.
 // The in-cap builds are submitted server-side so the test holds no
 // event streams open (a shed submission never creates a session).
 func TestRemoteOverloaded(t *testing.T) {
@@ -66,14 +66,8 @@ func TestRemoteOverloaded(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeOverloaded {
 		t.Fatalf("err = %v, want api code %s", err, api.CodeOverloaded)
 	}
-	reason, ok := remote.IsOverloaded(err)
-	if !ok || reason != accessserver.ShedOwnerCap {
-		t.Fatalf("IsOverloaded = %q, %v; want %q, true", reason, ok, accessserver.ShedOwnerCap)
-	}
-
-	// A non-overload error must not read as a shed.
-	if reason, ok := remote.IsOverloaded(errors.New("plain")); ok {
-		t.Fatalf("IsOverloaded(plain error) = %q, true; want false", reason)
+	if apiErr.ShedReason != accessserver.ShedOwnerCap {
+		t.Fatalf("shed_reason = %q, want %q", apiErr.ShedReason, accessserver.ShedOwnerCap)
 	}
 
 	// Admins bypass admission: the same cap does not shed them.

@@ -186,9 +186,6 @@ func transientStatus(code int) bool {
 // timeouts). Call before starting sessions.
 func (p *Platform) SetHTTPClient(hc *http.Client) { p.hc = hc }
 
-// BaseURL reports the server URL the client dials.
-func (p *Platform) BaseURL() string { return p.base.String() }
-
 // url joins the base with a formatted path.
 func (p *Platform) url(format string, args ...any) string {
 	ref := &url.URL{Path: fmt.Sprintf(format, args...)}
@@ -290,19 +287,6 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return data, err
 }
 
-// IsOverloaded reports whether err is the server's 429 admission
-// rejection, and if so the typed shed reason ("owner_cap" — back off
-// your own submissions; "queue_watermark" — the fleet is saturated,
-// back off globally). Submissions are never auto-retried, so callers
-// decide their own backoff on this signal.
-func IsOverloaded(err error) (reason string, ok bool) {
-	var ae *api.Error
-	if errors.As(err, &ae) && ae.Code == api.CodeOverloaded {
-		return ae.ShedReason, true
-	}
-	return "", false
-}
-
 // decodeError turns a non-2xx response into *api.Error.
 func decodeError(resp *http.Response) error {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
@@ -373,14 +357,6 @@ func (p *Platform) Nodes(ctx context.Context) ([]api.NodeInfo, error) {
 	return out, err
 }
 
-// NodeDetail fetches one vantage point's lifecycle snapshot: health
-// state, heartbeat age, drain flag, leased and queued builds.
-func (p *Platform) NodeDetail(ctx context.Context, name string) (api.NodeDetail, error) {
-	var out api.NodeDetail
-	err := p.doJSON(ctx, http.MethodGet, p.url("/api/v1/nodes/%s", name), nil, &out)
-	return out, err
-}
-
 // WorkloadNames lists the server's registered workloads.
 func (p *Platform) WorkloadNames(ctx context.Context) ([]string, error) {
 	var out []string
@@ -444,15 +420,6 @@ func (p *Platform) StartExperiment(ctx context.Context, spec api.ExperimentSpec,
 	return p.followBuild(ctx, resp.Build, spec.Node, spec.Device, obs), nil
 }
 
-// RunExperiment is the blocking shorthand: submit, stream, wait.
-func (p *Platform) RunExperiment(ctx context.Context, spec api.ExperimentSpec, obs ...core.Observer) (*core.Result, error) {
-	s, err := p.StartExperiment(ctx, spec, obs...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Wait(ctx)
-}
-
 // StartCampaign submits a campaign and returns a handle over its
 // builds. The server fans the runs out across vantage points through
 // its scheduler; each build gets its own event/sample streams.
@@ -497,8 +464,6 @@ type Session struct {
 	res       *core.Result
 	err       error
 	canceled  bool
-	failovers int
-	lastRetry string
 }
 
 // followBuild attaches streams to a submitted build and returns its
@@ -550,26 +515,6 @@ func (s *Session) Phase() core.Phase {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.phase
-}
-
-// Failovers reports how many scheduler failover events the session has
-// observed on its event stream: each one means the build's vantage
-// point was lost and the server requeued the run (on the same node
-// once it returns, or a fallback node). The last failover's reason is
-// the second return.
-func (s *Session) Failovers() (int, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failovers, s.lastRetry
-}
-
-// Live reports the client-side streaming summary of the live samples
-// received so far (mean/P50/P95/charge over the live feed's cadence —
-// an estimate of the monitor-side summary a local session exposes).
-func (s *Session) Live() samples.LiveSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.live
 }
 
 // Result reports the outcome once Done is closed ((nil, nil) before).
@@ -793,10 +738,6 @@ func (s *Session) handleEvent(ev api.BuildEvent) {
 	if ev.Phase == api.EventFailover {
 		// Scheduler retry transition, not an experiment phase: the
 		// node was lost and the build is being requeued.
-		s.mu.Lock()
-		s.failovers++
-		s.lastRetry = ev.Error
-		s.mu.Unlock()
 		return
 	}
 	phase, ok := core.PhaseFromString(ev.Phase)
@@ -982,9 +923,6 @@ type CampaignRun struct {
 	Result *core.Result
 	Err    error
 }
-
-// Sessions returns the campaign's per-build sessions in spec order.
-func (c *Campaign) Sessions() []*Session { return c.sessions }
 
 // Done returns a channel closed when every run has finished.
 func (c *Campaign) Done() <-chan struct{} { return c.done }

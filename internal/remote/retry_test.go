@@ -178,7 +178,11 @@ func TestRetryTransientFailures(t *testing.T) {
 	l := newLab(t)
 	client, proxy := serveFlaky(t, l, 1, 0, true)
 
-	res, err := client.RunExperiment(nil, idleSpec(l))
+	sess, err := client.StartExperiment(nil, idleSpec(l))
+	if err != nil {
+		t.Fatalf("submit with transient failures: %v", err)
+	}
+	res, err := sess.Wait(nil)
 	if err != nil {
 		t.Fatalf("run with transient failures: %v", err)
 	}

@@ -92,15 +92,6 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Seed reports the seed this stream was created with.
-func (r *RNG) Seed() uint64 { return r.seed }
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
-
-// IntN returns a uniform draw in [0, n). It panics if n <= 0.
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
-
 // Uniform returns a uniform draw in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()
@@ -125,16 +116,6 @@ func (r *RNG) TruncNormal(mean, std, lo, hi float64) float64 {
 	return math.Min(hi, math.Max(lo, r.Normal(mean, std)))
 }
 
-// LogNormal returns exp(N(mu, sigma)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Exp returns an exponential draw with the given mean (not rate).
-func (r *RNG) Exp(mean float64) float64 {
-	return r.src.ExpFloat64() * mean
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
 
@@ -142,6 +123,3 @@ func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
 func (r *RNG) Jitter(x, frac float64) float64 {
 	return x * r.Uniform(1-frac, 1+frac)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }

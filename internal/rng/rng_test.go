@@ -227,3 +227,27 @@ func TestAtIntoDoesNotAllocate(t *testing.T) {
 		t.Fatalf("AtInto + draw allocates %v times", n)
 	}
 }
+
+// Draws and accessors only the tests use.
+
+// Seed reports the seed this stream was created with.
+func (r *RNG) Seed() uint64 { return r.seed }
+
+// Float64 returns a uniform draw in [0, 1).
+func (r *RNG) Float64() float64 { return r.src.Float64() }
+
+// IntN returns a uniform draw in [0, n). It panics if n <= 0.
+func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
+
+// LogNormal returns exp(N(mu, sigma)).
+func (r *RNG) LogNormal(mu, sigma float64) float64 {
+	return math.Exp(r.Normal(mu, sigma))
+}
+
+// Exp returns an exponential draw with the given mean (not rate).
+func (r *RNG) Exp(mean float64) float64 {
+	return r.src.ExpFloat64() * mean
+}
+
+// Perm returns a random permutation of [0, n).
+func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }

@@ -99,12 +99,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return e
 }
 
-// P reports the target quantile.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// N reports how many (non-NaN) values were observed.
-func (e *P2Quantile) N() int64 { return e.n }
-
 // Add implements Aggregator. NaN values are skipped.
 func (e *P2Quantile) Add(_ int64, v float64) { e.Observe(v) }
 

@@ -44,7 +44,7 @@
 //     an exactly 50/50 bimodal mixture) is ill-conditioned for any
 //     constant-memory estimator — the estimate may land in either
 //     mode; the tested bounds assume the quantile is interior to a
-//     mode. For exact quantiles, sort once via stats.Sorted.
+//     mode. For exact quantiles, sort the sample (stats.Quantile).
 //   - Trapezoid: running trapezoidal time integration (unit·seconds),
 //     bit-identical to the batch loop it replaces because it
 //     accumulates the same terms in the same order.
@@ -116,11 +116,6 @@ func (s *Series) T(i int) int64 {
 	return s.chunks[i/ChunkLen].t[i%ChunkLen]
 }
 
-// V returns the i-th sample's value.
-func (s *Series) V(i int) float64 {
-	return s.chunks[i/ChunkLen].v[i%ChunkLen]
-}
-
 // Iter walks the samples in order, chunk by chunk, calling fn until it
 // returns false. It avoids At's per-index chunk arithmetic.
 func (s *Series) Iter(fn func(tNanos int64, v float64) bool) {
@@ -143,69 +138,4 @@ func (s *Series) Chunks(fn func(t []int64, v []float64) bool) {
 			return
 		}
 	}
-}
-
-// Values copies the value column into a fresh flat slice.
-func (s *Series) Values() []float64 {
-	out := make([]float64, 0, s.n)
-	for _, c := range s.chunks {
-		out = append(out, c.v...)
-	}
-	return out
-}
-
-// Slice returns a zero-copy view of samples [i, j). It panics when the
-// bounds are out of range, like a slice expression.
-func (s *Series) Slice(i, j int) View {
-	if i < 0 || j < i || j > s.n {
-		panic("samples: Slice bounds out of range")
-	}
-	return View{s: s, lo: i, hi: j}
-}
-
-// View returns a zero-copy view of the whole series.
-func (s *Series) View() View { return View{s: s, hi: s.n} }
-
-// View is a zero-copy window [lo, hi) over a Series. Appends to the
-// underlying series never move existing chunks, so a view stays valid
-// while capture continues.
-type View struct {
-	s      *Series
-	lo, hi int
-}
-
-// Len reports the view's sample count.
-func (v View) Len() int { return v.hi - v.lo }
-
-// At returns the view's i-th sample.
-func (v View) At(i int) (int64, float64) { return v.s.At(v.lo + i) }
-
-// Iter walks the view's samples in order.
-func (v View) Iter(fn func(tNanos int64, val float64) bool) {
-	idx := v.lo
-	for ci := v.lo / ChunkLen; ci < len(v.s.chunks) && idx < v.hi; ci++ {
-		c := v.s.chunks[ci]
-		base := ci * ChunkLen
-		start := idx - base
-		end := len(c.t)
-		if base+end > v.hi {
-			end = v.hi - base
-		}
-		for i := start; i < end; i++ {
-			if !fn(c.t[i], c.v[i]) {
-				return
-			}
-			idx++
-		}
-	}
-}
-
-// Values copies the view's value column into a fresh slice.
-func (v View) Values() []float64 {
-	out := make([]float64, 0, v.Len())
-	v.Iter(func(_ int64, val float64) bool {
-		out = append(out, val)
-		return true
-	})
-	return out
 }

@@ -47,13 +47,6 @@ func (s *Server) AuthorizeKey(pub ed25519.PublicKey) {
 	s.authorized[Fingerprint(pub)] = true
 }
 
-// RevokeKey removes a client key.
-func (s *Server) RevokeKey(pub ed25519.PublicKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.authorized, Fingerprint(pub))
-}
-
 // AllowCIDR adds an address range to the IP allowlist. With no ranges
 // configured, all source addresses are accepted (useful in-process).
 func (s *Server) AllowCIDR(cidr string) error {
@@ -181,13 +174,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// Connections reports how many clients completed the handshake.
-func (s *Server) Connections() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conns
 }
 
 // Client is the access-server side of the channel.

@@ -1,6 +1,7 @@
 package sshx
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"strings"
 	"sync"
@@ -191,4 +192,18 @@ func TestFingerprintStable(t *testing.T) {
 	if Fingerprint(key.Pub) == Fingerprint(other.Pub) {
 		t.Fatal("fingerprint collision")
 	}
+}
+
+// Connections reports how many clients completed the handshake.
+func (s *Server) Connections() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.conns
+}
+
+// RevokeKey removes a client key.
+func (s *Server) RevokeKey(pub ed25519.PublicKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.authorized, Fingerprint(pub))
 }

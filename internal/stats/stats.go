@@ -115,62 +115,9 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return samples.QuantileSorted(sorted, p)
 }
 
-// Sorted is a sample sorted once, for reading many exact quantiles
-// without re-sorting per call — the Fig. 4/5 CDF tables read five
-// quantiles of the same distribution, and stats.Quantile would pay an
-// O(n log n) sort for each.
-type Sorted struct {
-	xs []float64
-}
-
-// NewSorted copies and sorts the sample once. An empty input is allowed;
-// its quantiles are NaN.
-func NewSorted(xs []float64) Sorted {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Sorted{xs: sorted}
-}
-
-// N reports the sample size.
-func (s Sorted) N() int { return len(s.xs) }
-
-// Quantile returns the exact p-quantile in O(1).
-func (s Sorted) Quantile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(s.xs, p)
-}
-
-// Median is shorthand for Quantile(0.5).
-func (s Sorted) Median() float64 { return s.Quantile(0.5) }
-
-// Quantiles computes several quantiles of xs with a single sort — use
-// this instead of repeated Quantile calls on the same slice.
-func Quantiles(xs []float64, ps ...float64) []float64 {
-	s := NewSorted(xs)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = s.Quantile(p)
-	}
-	return out
-}
-
 // CDF is an empirical cumulative distribution function over a sample.
 type CDF struct {
 	sorted []float64
-}
-
-// NewCDF builds an empirical CDF. The input is copied.
-func NewCDF(xs []float64) (*CDF, error) {
-	if len(xs) == 0 {
-		return nil, errors.New("stats: empty sample")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}, nil
 }
 
 // NewCDFSeries builds an empirical CDF from a chunked sample series,
@@ -189,9 +136,6 @@ func NewCDFSeries(s *samples.Series) (*CDF, error) {
 	return &CDF{sorted: sorted}, nil
 }
 
-// N reports the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At reports the fraction of samples <= x.
 func (c *CDF) At(x float64) float64 {
 	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
@@ -209,32 +153,6 @@ func (c *CDF) Min() float64 { return c.sorted[0] }
 
 // Max reports the largest sample.
 func (c *CDF) Max() float64 { return c.sorted[len(c.sorted)-1] }
-
-// Points returns up to n evenly spaced (x, F(x)) pairs for plotting a CDF
-// series like the paper's figures.
-func (c *CDF) Points(n int) []Point {
-	if n < 2 {
-		n = 2
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / (n - 1)
-		pts = append(pts, Point{
-			X: c.sorted[idx],
-			F: float64(idx+1) / float64(len(c.sorted)),
-		})
-	}
-	return pts
-}
-
-// Point is one (value, cumulative fraction) sample of a CDF curve.
-type Point struct {
-	X float64
-	F float64
-}
 
 // KSDistance computes the Kolmogorov–Smirnov statistic between two
 // empirical CDFs: the supremum of |F1(x) - F2(x)| over the pooled sample

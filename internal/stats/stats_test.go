@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -286,4 +288,84 @@ func TestMedianQuantileAgreement(t *testing.T) {
 	if c.Min() != 1 || c.Max() != 9 {
 		t.Fatal("min/max wrong")
 	}
+}
+
+// Sorted, Quantiles, NewCDF and Points are the reference forms the tests
+// hold the package's production paths to (Quantile, NewCDFSeries).
+
+// Sorted is a sample sorted once, for reading many exact quantiles
+// without re-sorting per call.
+type Sorted struct {
+	xs []float64
+}
+
+// NewSorted copies and sorts the sample once. An empty input is allowed;
+// its quantiles are NaN.
+func NewSorted(xs []float64) Sorted {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return Sorted{xs: sorted}
+}
+
+// N reports the sample size.
+func (s Sorted) N() int { return len(s.xs) }
+
+// Quantile returns the exact p-quantile in O(1).
+func (s Sorted) Quantile(p float64) float64 {
+	if len(s.xs) == 0 {
+		return math.NaN()
+	}
+	return quantileSorted(s.xs, p)
+}
+
+// Median is shorthand for Quantile(0.5).
+func (s Sorted) Median() float64 { return s.Quantile(0.5) }
+
+// Quantiles computes several quantiles of xs with a single sort — use
+// this instead of repeated Quantile calls on the same slice.
+func Quantiles(xs []float64, ps ...float64) []float64 {
+	s := NewSorted(xs)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = s.Quantile(p)
+	}
+	return out
+}
+
+// NewCDF builds an empirical CDF. The input is copied.
+func NewCDF(xs []float64) (*CDF, error) {
+	if len(xs) == 0 {
+		return nil, errors.New("stats: empty sample")
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return &CDF{sorted: sorted}, nil
+}
+
+// Points returns up to n evenly spaced (x, F(x)) pairs for plotting a CDF
+// series like the paper's figures.
+func (c *CDF) Points(n int) []Point {
+	if n < 2 {
+		n = 2
+	}
+	if n > len(c.sorted) {
+		n = len(c.sorted)
+	}
+	pts := make([]Point, 0, n)
+	for i := 0; i < n; i++ {
+		idx := i * (len(c.sorted) - 1) / (n - 1)
+		pts = append(pts, Point{
+			X: c.sorted[idx],
+			F: float64(idx+1) / float64(len(c.sorted)),
+		})
+	}
+	return pts
+}
+
+// Point is one (value, cumulative fraction) sample of a CDF curve.
+type Point struct {
+	X float64
+	F float64
 }

@@ -128,9 +128,6 @@ func (s *Series) Iter(fn func(Sample) bool) {
 // directly would bypass the ordering check and the streaming summary.
 func (s *Series) Samples() *samples.Series { return s.data }
 
-// Values returns a copy of the sample values.
-func (s *Series) Values() []float64 { return s.data.Values() }
-
 // Duration reports the time spanned by the series.
 func (s *Series) Duration() time.Duration {
 	if s.data.Len() < 2 {
@@ -181,20 +178,6 @@ func (s *Series) MeanDt() time.Duration {
 		return 0
 	}
 	return s.Duration() / time.Duration(s.data.Len()-1)
-}
-
-// Decimate returns a new series keeping every k-th sample, used to thin a
-// 5 kHz monitor trace before plotting. k < 1 is treated as 1.
-func (s *Series) Decimate(k int) *Series {
-	if k < 1 {
-		k = 1
-	}
-	out := NewSeries(s.name, s.unit)
-	for i := 0; i < s.data.Len(); i += k {
-		smp := s.At(i)
-		out.MustAppend(smp.T, smp.V)
-	}
-	return out
 }
 
 // Window returns the sub-series with timestamps in [from, to).

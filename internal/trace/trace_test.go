@@ -295,3 +295,24 @@ func TestIterMatchesAt(t *testing.T) {
 		t.Fatalf("Iter visited %d", i)
 	}
 }
+
+// Values returns a copy of the sample values.
+func (s *Series) Values() []float64 {
+	out := make([]float64, 0, s.Len())
+	s.Iter(func(smp Sample) bool { out = append(out, smp.V); return true })
+	return out
+}
+
+// Decimate returns a new series keeping every k-th sample, used to thin a
+// 5 kHz monitor trace before plotting. k < 1 is treated as 1.
+func (s *Series) Decimate(k int) *Series {
+	if k < 1 {
+		k = 1
+	}
+	out := NewSeries(s.name, s.unit)
+	for i := 0; i < s.data.Len(); i += k {
+		smp := s.At(i)
+		out.MustAppend(smp.T, smp.V)
+	}
+	return out
+}

@@ -9,7 +9,6 @@ package usb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -45,9 +44,6 @@ func NewHub(n int) *Hub {
 	return h
 }
 
-// Ports reports the number of ports.
-func (h *Hub) Ports() int { return len(h.ports) }
-
 func (h *Hub) check(n int) error {
 	if n < 0 || n >= len(h.ports) {
 		return fmt.Errorf("usb: port %d out of range [0,%d)", n, len(h.ports))
@@ -73,21 +69,6 @@ func (h *Hub) Attach(n int, dev Peripheral) error {
 	powered := h.ports[n].powered
 	h.mu.Unlock()
 	dev.USBPowerChanged(powered)
-	return nil
-}
-
-// Detach unplugs port n's peripheral, notifying it of power loss first.
-func (h *Hub) Detach(n int) error {
-	if err := h.check(n); err != nil {
-		return err
-	}
-	h.mu.Lock()
-	dev := h.ports[n].dev
-	h.ports[n].dev = nil
-	h.mu.Unlock()
-	if dev != nil {
-		dev.USBPowerChanged(false)
-	}
 	return nil
 }
 
@@ -129,26 +110,4 @@ func (h *Hub) PortOf(serial string) int {
 		}
 	}
 	return -1
-}
-
-// List reports the attached peripherals' serials sorted by port, the
-// equivalent of `lsusb`/`adb devices` inventory at the transport level.
-func (h *Hub) List() []PortInfo {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []PortInfo
-	for i, p := range h.ports {
-		if p.dev != nil {
-			out = append(out, PortInfo{Port: i, Serial: p.dev.USBSerial(), Powered: p.powered})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
-	return out
-}
-
-// PortInfo describes one occupied port.
-type PortInfo struct {
-	Port    int
-	Serial  string
-	Powered bool
 }

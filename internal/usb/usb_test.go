@@ -1,6 +1,9 @@
 package usb
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 type fakeDev struct {
 	serial string
@@ -104,4 +107,41 @@ func TestRangeChecks(t *testing.T) {
 	if err := h.Detach(4); err == nil {
 		t.Fatal("out-of-range detach accepted")
 	}
+}
+
+// List reports the attached peripherals' serials sorted by port, the
+// equivalent of `lsusb`/`adb devices` inventory at the transport level.
+func (h *Hub) List() []PortInfo {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []PortInfo
+	for i, p := range h.ports {
+		if p.dev != nil {
+			out = append(out, PortInfo{Port: i, Serial: p.dev.USBSerial(), Powered: p.powered})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
+	return out
+}
+
+// Detach unplugs port n's peripheral, notifying it of power loss first.
+func (h *Hub) Detach(n int) error {
+	if err := h.check(n); err != nil {
+		return err
+	}
+	h.mu.Lock()
+	dev := h.ports[n].dev
+	h.ports[n].dev = nil
+	h.mu.Unlock()
+	if dev != nil {
+		dev.USBPowerChanged(false)
+	}
+	return nil
+}
+
+// PortInfo describes one occupied port.
+type PortInfo struct {
+	Port    int
+	Serial  string
+	Powered bool
 }

@@ -59,12 +59,6 @@ func NewAP(ssid string, mode Mode) *AP {
 	}
 }
 
-// SSID reports the network name.
-func (ap *AP) SSID() string { return ap.ssid }
-
-// Mode reports the forwarding mode.
-func (ap *AP) Mode() Mode { return ap.mode }
-
 // SetUplink installs the upstream path provider.
 func (ap *AP) SetUplink(p PathProvider) {
 	ap.mu.Lock()
@@ -87,30 +81,12 @@ func (ap *AP) Connect(d *device.Device) error {
 	return nil
 }
 
-// Disconnect dissociates a device.
-func (ap *AP) Disconnect(serial string) {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	delete(ap.clients, serial)
-}
-
 // Connected reports whether the serial is associated.
 func (ap *AP) Connected(serial string) bool {
 	ap.mu.Lock()
 	defer ap.mu.Unlock()
 	_, ok := ap.clients[serial]
 	return ok
-}
-
-// Clients lists associated serials.
-func (ap *AP) Clients() []string {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	out := make([]string, 0, len(ap.clients))
-	for s := range ap.clients {
-		out = append(out, s)
-	}
-	return out
 }
 
 // Path composes the device-to-origin path: the local WiFi hop plus the
@@ -140,11 +116,6 @@ func (ap *AP) Download(d *device.Device, n int64) (time.Duration, error) {
 	return ap.transfer(d, n, true)
 }
 
-// Upload moves n bytes from the device to the network.
-func (ap *AP) Upload(d *device.Device, n int64) (time.Duration, error) {
-	return ap.transfer(d, n, false)
-}
-
 func (ap *AP) transfer(d *device.Device, n int64, download bool) (time.Duration, error) {
 	if !ap.Connected(d.Serial()) {
 		return 0, fmt.Errorf("wifi: device %s not associated with %s", d.Serial(), ap.ssid)
@@ -159,13 +130,4 @@ func (ap *AP) transfer(d *device.Device, n int64, download bool) (time.Duration,
 		d.WiFi().Transfer(n, rate, !download)
 	}
 	return dur, nil
-}
-
-// RTT reports the current device-to-origin round-trip time.
-func (ap *AP) RTT() (time.Duration, error) {
-	p, err := ap.Path()
-	if err != nil {
-		return 0, err
-	}
-	return p.RTT(), nil
 }

@@ -144,3 +144,38 @@ func TestModeString(t *testing.T) {
 		t.Fatal("mode strings")
 	}
 }
+
+// Association and traffic calls only the tests make; devices join with
+// Connect and fetch with Download.
+
+// Disconnect dissociates a device.
+func (ap *AP) Disconnect(serial string) {
+	ap.mu.Lock()
+	defer ap.mu.Unlock()
+	delete(ap.clients, serial)
+}
+
+// Clients lists associated serials.
+func (ap *AP) Clients() []string {
+	ap.mu.Lock()
+	defer ap.mu.Unlock()
+	out := make([]string, 0, len(ap.clients))
+	for s := range ap.clients {
+		out = append(out, s)
+	}
+	return out
+}
+
+// Upload moves n bytes from the device to the network.
+func (ap *AP) Upload(d *device.Device, n int64) (time.Duration, error) {
+	return ap.transfer(d, n, false)
+}
+
+// RTT reports the current device-to-origin round-trip time.
+func (ap *AP) RTT() (time.Duration, error) {
+	p, err := ap.Path()
+	if err != nil {
+		return 0, err
+	}
+	return p.RTT(), nil
+}
