@@ -182,6 +182,14 @@ func TestChunkIndexConcurrentReaders(t *testing.T) {
 	}
 }
 
+// buildStatus returns the served status for id, if published.
+func (rp *readPlane) buildStatus(id int) (api.BuildStatus, bool) {
+	if ss := rp.builds.get(id); ss != nil {
+		return ss.st, true
+	}
+	return api.BuildStatus{}, false
+}
+
 // TestReadPlaneExpiry: an evicted build no longer resolves (the status
 // route then asks the feed hub, which answers expired), and an evicted
 // campaign is told apart from one that never existed by the high-water

@@ -13,8 +13,8 @@ import (
 )
 
 // The access plane's cost as counts a machine cannot change: what a clock
-// driver's poll, an idle critical section and an artifact's way through
-// the workspace allocate.
+// driver's poll, an idle critical section, a status read and an
+// artifact's way through the workspace allocate.
 
 // TestPollAndIdleSectionAllocateNothing: a driver polls Running and
 // QueueLength once per clock step, 167 499 steps an experiment, and every
@@ -36,6 +36,70 @@ func TestPollAndIdleSectionAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { r.srv.mu.Lock(); r.srv.mu.Unlock() }); n != 0 {
 		t.Errorf("a section that logs and marks nothing allocates %v times at its exit", n)
+	}
+}
+
+// discardWriter is a ResponseWriter a test reuses across requests: the
+// caller clears its header map rather than allocating one, and the body
+// is counted and dropped.
+type discardWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *discardWriter) Header() http.Header  { return w.h }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// statusRead returns one GET /api/v1/builds/{id} of a finished build
+// with no dropped records, served by the v1 mux alone (no middleware)
+// into one reused writer, and that writer.
+func statusRead(tb testing.TB) (read func(), w *discardWriter) {
+	r := newRig(tb)
+	r.srv.SetSpecBackend(stubBackend{})
+	b, err := r.srv.SubmitSpec(r.admin, testSpec("node1", "dev1"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ev, sm := b.Feed().Dropped(); b.State() != StateSuccess || ev != 0 || sm != 0 {
+		tb.Fatalf("build %d: state %s, %d/%d dropped; want success with none dropped", b.ID, b.State(), ev, sm)
+	}
+	mux := http.NewServeMux()
+	r.srv.handlerV1(mux)
+	req := httptest.NewRequest("GET", fmt.Sprintf("/api/v1/builds/%d", b.ID), nil)
+	req.Header.Set("Authorization", "Bearer "+r.admin.Token)
+	w = &discardWriter{h: http.Header{}}
+	return func() {
+		clear(w.h)
+		mux.ServeHTTP(w, req)
+	}, w
+}
+
+// TestStatusReadAllocations: a published status is encoded at its first
+// read, and every later read writes those bytes. What is left per read
+// is the mux's path match and the Content-Type header value.
+func TestStatusReadAllocations(t *testing.T) {
+	read, w := statusRead(t)
+	read() // the first read encodes
+	if w.code != http.StatusOK || w.n == 0 {
+		t.Fatalf("status read answered %d with %d bytes", w.code, w.n)
+	}
+	if n := testing.AllocsPerRun(100, read); n > 2 {
+		t.Errorf("a cached status read allocates %v times, want at most 2", n)
+	}
+}
+
+// BenchmarkStatusRead is the hot poll: one cached, zero-drop status
+// through the v1 mux.
+func BenchmarkStatusRead(b *testing.B) {
+	read, _ := statusRead(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		read()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
@@ -67,6 +68,19 @@ const (
 
 func apiError(code api.ErrorCode, msg string) *api.Error {
 	return &api.Error{Code: code, Message: msg}
+}
+
+// Handler returns the server's HTTP API: the versioned remote-execution
+// routes (handlerV1; wire schema in internal/api) and the operational
+// ones (handlerOps). Every API request needs a valid user token in the
+// Authorization header ("Bearer <token>"); the role matrix gates each
+// route. In deployment this sits behind HTTPS only (§3.1) —
+// transport security is the listener's concern.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	s.handlerV1(mux)
+	s.handlerOps(mux)
+	return s.instrument(mux)
 }
 
 // handlerV1 mounts the v1 routes on mux.
@@ -288,8 +302,9 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		// Snapshot-served: membership and member statuses come from the
-		// read plane; only the drop counters are refreshed from the feed
-		// plane. No scheduler lock on this path.
+		// read plane, each member as its cached encoding; only the drop
+		// counters are refreshed from the feed plane. No scheduler lock on
+		// this path.
 		ids, ok := s.reads.campaign(id)
 		if !ok {
 			if s.reads.campaignExpired(id) {
@@ -299,18 +314,15 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			}
 			return
 		}
-		status := api.CampaignStatus{Campaign: id}
-		for _, bid := range ids {
-			st, ok := s.reads.buildStatus(bid)
-			if !ok {
-				// Tombstoned member: the record aged out of retention.
-				status.Builds = append(status.Builds, api.BuildStatus{ID: bid, State: api.StateExpired})
-				continue
+		body, err := campaignBody(id, ids, func(bid int) (*servedStatus, int64, int64) {
+			if ss := s.reads.builds.get(bid); ss != nil {
+				events, samples := s.hub.Feed(bid).Dropped()
+				return ss, events, samples
 			}
-			st.DroppedEvents, st.DroppedSamples = s.hub.Feed(bid).Dropped()
-			status.Builds = append(status.Builds, st)
-		}
-		writeJSON(w, http.StatusOK, status)
+			// Tombstoned member: the record aged out of retention.
+			return expiredStatus(bid), 0, 0
+		})
+		writeEncoded(w, http.StatusOK, body, err)
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if s.auth(w, r, PermViewConsole) == nil {
@@ -325,18 +337,20 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		// snapshot, lock-free with respect to dispatch. Each scheduler
 		// section republishes what it changed at its exit, after its WAL
 		// write and in section order, so polls observe monotonic state
-		// that is already in the log. Drop counters move without a scheduler
-		// transition (producer-side shedding), so they are refreshed from
-		// the feed plane — also a leaf, never s.mu.
-		if st, ok := s.reads.buildStatus(id); ok {
-			st.DroppedEvents, st.DroppedSamples = s.hub.Feed(id).Dropped()
-			writeJSON(w, http.StatusOK, st)
+		// that is already in the log. A published version is marshalled
+		// once, at its first read, and every later poll writes those
+		// bytes. Drop counters move without a scheduler transition
+		// (producer-side shedding), so they are read live from the feed
+		// plane — also a leaf, never s.mu — and spliced in.
+		if ss := s.reads.builds.get(id); ss != nil {
+			events, samples := s.hub.Feed(id).Dropped()
+			writeStatus(w, ss, events, samples)
 			return
 		}
 		if _, _, hst := s.hub.Resolve(id); hst == feedhub.StatusExpired {
 			// The build existed but aged out: an explicit marker, not a
 			// 404 — clients distinguish "expired" from "never existed".
-			writeJSON(w, http.StatusOK, api.BuildStatus{ID: id, State: api.StateExpired})
+			writeStatus(w, expiredStatus(id), 0, 0)
 			return
 		}
 		writeError(w, fmt.Errorf("%w: no build %d", ErrNotFound, id))
@@ -415,6 +429,161 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 // jobInfo is a job's wire form.
 func jobInfo(j Job) api.JobInfo {
 	return api.JobInfo{Name: j.Name, Owner: j.Owner, Spec: j.Spec, Approved: j.Approved, Revision: j.Revision}
+}
+
+// auth authenticates the bearer token and checks the permission,
+// writing the error response itself on failure.
+func (s *Server) auth(w http.ResponseWriter, r *http.Request, perm Permission) *User {
+	tok := api.BearerToken(r)
+	user, err := s.Users.Authenticate(tok)
+	if err != nil {
+		if tok != "" && s.cluster.Authorize(tok) {
+			// A federated peer holding the shared cluster token: it acts
+			// as the synthetic "cluster" principal, whose RolePeer grants
+			// exactly what relaying a build needs (submit, status,
+			// streams, cancel).
+			user = &User{Name: "cluster", Role: RolePeer}
+		} else {
+			api.WriteError(w, apiError(codeUnauthorized, "missing or invalid token"))
+			return nil
+		}
+	}
+	if !Allowed(user.Role, perm) {
+		api.WriteError(w, apiError(codeForbidden,
+			"role "+user.Role.String()+" may not "+perm.String()))
+		return nil
+	}
+	return user
+}
+
+// buildFromPath resolves the {id} path segment to a build, writing the
+// error response (400 for a malformed id, 404 for a missing build)
+// itself. Authentication runs first.
+func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request) *Build {
+	if s.auth(w, r, PermViewConsole) == nil {
+		return nil
+	}
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
+		return nil
+	}
+	b, err := s.Build(id)
+	if err != nil {
+		writeError(w, err)
+		return nil
+	}
+	return b
+}
+
+// writeJSON marshals v up front (so encoding failures can still produce
+// a 500 instead of a half-written 200), sets the status and writes the
+// body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, err := json.Marshal(v)
+	writeEncoded(w, status, append(data, '\n'), err)
+}
+
+// writeEncoded writes an encoded JSON body under status, or the 500 its
+// encoding failed with.
+func writeEncoded(w http.ResponseWriter, status int, body []byte, err error) {
+	if err != nil {
+		api.WriteError(w, apiError(codeInternal, "encoding response: "+err.Error()))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// writeStatus writes a published status from its cached encoding with
+// the live drop counters spliced in. With both zero, the common case,
+// the cached bytes go out as they are.
+func writeStatus(w http.ResponseWriter, ss *servedStatus, events, samples int64) {
+	e, err := ss.encoding()
+	var body []byte
+	if err == nil {
+		body = e.body
+		if events != 0 || samples != 0 {
+			body = append(e.appendTo(nil, events, samples), '\n')
+		}
+	}
+	writeEncoded(w, http.StatusOK, body, err)
+}
+
+// campaignBody encodes campaign id's status, the bytes json.Marshal
+// writes for its api.CampaignStatus plus '\n', from its members' cached
+// encodings joined in member order. member resolves one member id to
+// its served status and live drop counters.
+func campaignBody(id int, ids []int, member func(int) (*servedStatus, int64, int64)) ([]byte, error) {
+	body := strconv.AppendInt([]byte(`{"campaign":`), int64(id), 10)
+	if len(ids) == 0 {
+		return append(body, `,"builds":null}`+"\n"...), nil
+	}
+	body = append(body, `,"builds":[`...)
+	for i, bid := range ids {
+		ss, events, samples := member(bid)
+		e, err := ss.encoding()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = e.appendTo(body, events, samples)
+	}
+	return append(body, "]}\n"...), nil
+}
+
+// expiredStatus is the marker served for a build that aged out of
+// retention.
+func expiredStatus(id int) *servedStatus {
+	return &servedStatus{st: api.BuildStatus{ID: id, State: api.StateExpired}}
+}
+
+// writeError maps a server error to its HTTP status via the typed
+// sentinels and writes the v1 error envelope. Unrecognized errors are
+// internal (500) — never the blanket 409 of the original console.
+func writeError(w http.ResponseWriter, err error) {
+	code := codeInternal
+	switch {
+	case errors.Is(err, ErrExpired):
+		// The resource existed but aged out of retention; only the v1
+		// build-status route serves the explicit "expired" marker.
+		code = codeNotFound
+	case errors.Is(err, ErrJobDeleted):
+		code = codeNotFound
+	case errors.Is(err, ErrNotFound):
+		code = codeNotFound
+	case errors.Is(err, ErrForbidden):
+		code = codeForbidden
+	case errors.Is(err, ErrInvalid):
+		code = codeBadRequest
+	case errors.Is(err, ErrConflict):
+		code = codeConflict
+	case errors.Is(err, ErrInsufficientCredits):
+		// 402: the §5 credit economy rejected the submission.
+		code = api.CodeInsufficientCredits
+	case errors.Is(err, ErrPeerUnavailable):
+		// 503: the submission's only matching vantage point lives on a
+		// federated peer that is not online right now. Retry-After hints
+		// one peer heartbeat interval — transient by definition.
+		if d := RetryAfterOf(err); d > 0 {
+			secs := int((d + time.Second - 1) / time.Second)
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
+		}
+		api.WriteError(w, apiError(api.CodePeerUnavailable, err.Error()))
+		return
+	case errors.Is(err, ErrOverloaded):
+		// 429: admission control shed the submission. The envelope
+		// carries the typed shed reason so clients can branch without
+		// parsing the message.
+		e := apiError(api.CodeOverloaded, err.Error())
+		e.ShedReason = ShedReasonOf(err)
+		api.WriteError(w, e)
+		return
+	}
+	api.WriteError(w, apiError(code, err.Error()))
 }
 
 // buildStatus snapshots a build as its wire form: the durable record

@@ -288,12 +288,15 @@ func b2f(v bool) float64 {
 // the scheduler and store collectors' consistent views.
 func (s *Server) MetricsSnapshot() metrics.Snapshot { return s.m.reg.Snapshot() }
 
+// discardLogger is the logger of a server that was given none.
+var discardLogger = slog.New(slog.DiscardHandler)
+
 // SetLogger installs the structured logger the HTTP middleware and
 // stats flusher write to. Safe to call at any time; the default
 // discards.
 func (s *Server) SetLogger(l *slog.Logger) {
 	if l == nil {
-		l = slog.New(slog.DiscardHandler)
+		l = discardLogger
 	}
 	s.logger.Store(l)
 }
@@ -303,7 +306,7 @@ func (s *Server) slogger() *slog.Logger {
 	if l := s.logger.Load(); l != nil {
 		return l
 	}
-	return slog.New(slog.DiscardHandler)
+	return discardLogger
 }
 
 // StartStatsFlush arms a periodic digest of the key fleet metrics to

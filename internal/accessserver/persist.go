@@ -178,8 +178,10 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 	}
 	x.closing = x.closing[:0]
 	for _, id := range x.expired {
-		s.reads.removeBuild(id)
+		// The feed goes first: a status read that finds no status asks
+		// the hub, which must by then answer expired, not unknown.
 		s.hub.Remove(id)
+		s.reads.removeBuild(id)
 	}
 	x.expired = x.expired[:0]
 	s.publishCensusLocked()

@@ -24,7 +24,7 @@ type rig struct {
 	tst   *User
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	clk := simclock.NewVirtual()
 	srv := New(clk, Config{})

@@ -1,7 +1,11 @@
 package accessserver
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -41,16 +45,20 @@ func (e *nodeCensusEntry) known() bool {
 // Every publish costs what changed, not what exists: a build or campaign
 // is one cell of a chunked index (see chunkindex.go), and the census is
 // a sorted slice of pointers to immutable rows, of which a publish
-// rebuilds only the rows the critical section marked.
+// rebuilds only the rows the critical section marked. A build status is
+// encoded once per published version, at its first read rather than at
+// publish, which runs under s.mu and often replaces a version nobody
+// read; reads serve those bytes with the live drop counters spliced in
+// (see servedStatus).
 //
 // Consistency: what is served is written — a status is published only
 // once the records behind it are in the log — and sections publish in
 // the order they run, so a client that observed a build running can never
 // later read it queued (monotonic reads).
 type readPlane struct {
-	// builds maps build id -> served status, republished in place when a
-	// section touched it and evicted at retention.
-	builds chunkIndex[api.BuildStatus]
+	// builds maps build id -> served status, replaced by a new version
+	// when a section touched it and evicted at retention.
+	builds chunkIndex[servedStatus]
 	// buildPublishes counts publishBuild calls. Publishers hold s.mu, so
 	// it is a plain int; tests read it to pin "one touched build, one
 	// publish".
@@ -72,23 +80,79 @@ func newReadPlane() *readPlane {
 	return rp
 }
 
-// publishBuild installs st as build st.ID's served status.
+// servedStatus is one published version of a build's status. The status
+// never changes once published: a republish installs a new servedStatus,
+// so an encoding cached here can never be served for a later version.
+type servedStatus struct {
+	st  api.BuildStatus
+	enc atomic.Pointer[statusEncoding]
+}
+
+// statusEncoding is a status's response body with both drop counters
+// zero — what json.Marshal writes, then the '\n' writeJSON adds — and
+// the offset in it where dropped_events and dropped_samples belong.
+type statusEncoding struct {
+	body  []byte
+	drops int
+}
+
+// dropsMarker is what json.Marshal writes for DroppedEvents = 1:
+// encoding marshals with that value and cuts the marker out, which
+// leaves the zero-drop body and the offset in one pass.
+const dropsMarker = `,"dropped_events":1`
+
+// encoding returns ss's wire form, encoding it at the first call. Two
+// readers racing to fill the cache encode the same bytes, so the last
+// store may win.
+func (ss *servedStatus) encoding() (*statusEncoding, error) {
+	if e := ss.enc.Load(); e != nil {
+		return e, nil
+	}
+	st := ss.st
+	st.DroppedEvents, st.DroppedSamples = 1, 0
+	data, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	// Only flat fields (strings, numbers, bools) follow the drop counters,
+	// and a string never holds an unescaped quote, so the last match is
+	// the field itself.
+	at := bytes.LastIndex(data, []byte(dropsMarker))
+	if at < 0 {
+		return nil, errors.New("encoding build status: no dropped_events field")
+	}
+	body := make([]byte, 0, len(data)-len(dropsMarker)+1)
+	body = append(body, data[:at]...)
+	body = append(body, data[at+len(dropsMarker):]...)
+	e := &statusEncoding{body: append(body, '\n'), drops: at}
+	ss.enc.Store(e)
+	return e, nil
+}
+
+// appendTo appends the body with the drop counters spliced in where
+// json.Marshal puts them (each omitted when zero), less the trailing
+// newline.
+func (e *statusEncoding) appendTo(dst []byte, events, samples int64) []byte {
+	dst = append(dst, e.body[:e.drops]...)
+	if events != 0 {
+		dst = strconv.AppendInt(append(dst, `,"dropped_events":`...), events, 10)
+	}
+	if samples != 0 {
+		dst = strconv.AppendInt(append(dst, `,"dropped_samples":`...), samples, 10)
+	}
+	return append(dst, e.body[e.drops:len(e.body)-1]...)
+}
+
+// publishBuild installs st as build st.ID's served status: a new version,
+// encoded when it is first read.
 func (rp *readPlane) publishBuild(st api.BuildStatus) {
 	rp.buildPublishes++
-	rp.builds.put(st.ID, &st)
+	rp.builds.put(st.ID, &servedStatus{st: st})
 }
 
 // removeBuild evicts a build's served status (retention expiry).
 func (rp *readPlane) removeBuild(id int) {
 	rp.builds.remove(id)
-}
-
-// buildStatus returns the served status for id, if published.
-func (rp *readPlane) buildStatus(id int) (api.BuildStatus, bool) {
-	if st := rp.builds.get(id); st != nil {
-		return *st, true
-	}
-	return api.BuildStatus{}, false
 }
 
 // publishCampaign records a campaign's member build ids (fixed at
