@@ -113,7 +113,7 @@ func (d *Device) Packages() []string {
 // stopped first — the workload scripts drive one app at a time.
 func (d *Device) LaunchApp(pkg string) error {
 	d.mu.Lock()
-	if !d.booted {
+	if !d.supply.Load().booted {
 		d.mu.Unlock()
 		return fmt.Errorf("device: not booted")
 	}
@@ -185,7 +185,7 @@ func (d *Device) Foreground() string {
 // screen wake it instead (Android behaviour).
 func (d *Device) Input(ev InputEvent) error {
 	d.mu.Lock()
-	if !d.booted {
+	if !d.supply.Load().booted {
 		d.mu.Unlock()
 		return fmt.Errorf("device: not booted")
 	}
@@ -209,7 +209,7 @@ func (d *Device) Input(ev InputEvent) error {
 // maintenance job the access server runs between experimenters.
 func (d *Device) FactoryReset() error {
 	d.mu.Lock()
-	booted := d.booted
+	booted := d.supply.Load().booted
 	d.apps = make(map[string]App)
 	d.foreground = ""
 	d.mu.Unlock()

@@ -2,6 +2,7 @@ package device
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"batterylab/internal/rng"
@@ -10,8 +11,7 @@ import (
 // Screen models the display panel: a 50 mA floor when lit plus up to
 // 50 mA more with brightness.
 type Screen struct {
-	mu sync.Mutex
-	on bool
+	on atomic.Bool
 }
 
 // screenBrightness is the backlight level in [0, 1]; every panel stays
@@ -24,24 +24,14 @@ func newScreen() *Screen { return &Screen{} }
 func (s *Screen) Name() string { return "screen" }
 
 // SetOn lights or darkens the panel.
-func (s *Screen) SetOn(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.on = on
-}
+func (s *Screen) SetOn(on bool) { s.on.Store(on) }
 
 // On reports the panel state.
-func (s *Screen) On() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.on
-}
+func (s *Screen) On() bool { return s.on.Load() }
 
 // CurrentMA implements power.Source.
 func (s *Screen) CurrentMA(time.Time) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.on {
+	if !s.on.Load() {
 		return 0
 	}
 	return 50 + 50*screenBrightness
@@ -86,16 +76,24 @@ type Radio struct {
 	kind RadioKind
 	clk  interface{ Now() time.Time }
 
-	mu        sync.Mutex
+	mu      sync.Mutex // orders writers; guards the byte counters
+	view    atomic.Pointer[radioView]
+	txBytes int64
+	rxBytes int64
+}
+
+// radioView is the power state CurrentMA reads. A write publishes a new
+// one; a published one is never modified.
+type radioView struct {
 	state     RadioState
 	busyUntil time.Time
 	rateMbps  float64 // throughput of the transfer in flight
-	txBytes   int64
-	rxBytes   int64
 }
 
 func newRadio(name string, kind RadioKind, clk interface{ Now() time.Time }) *Radio {
-	return &Radio{name: name, kind: kind, clk: clk}
+	r := &Radio{name: name, kind: kind, clk: clk}
+	r.view.Store(&radioView{})
+	return r
 }
 
 // Name implements power.Component.
@@ -106,24 +104,22 @@ func (r *Radio) Name() string { return r.name }
 func (r *Radio) SetState(s RadioState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.state = s
+	v := *r.view.Load()
+	v.state = s
+	r.view.Store(&v)
 }
 
 // State reports the radio state, accounting for in-flight transfers.
-func (r *Radio) State() RadioState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stateLocked(r.clk.Now())
-}
+func (r *Radio) State() RadioState { return r.view.Load().stateAt(r.clk.Now()) }
 
-func (r *Radio) stateLocked(now time.Time) RadioState {
-	if r.state == RadioOff {
+func (v *radioView) stateAt(now time.Time) RadioState {
+	if v.state == RadioOff {
 		return RadioOff
 	}
-	if now.Before(r.busyUntil) {
+	if now.Before(v.busyUntil) {
 		return RadioActive
 	}
-	return r.state
+	return v.state
 }
 
 // Transfer accounts bytes moved at rateMbps, keeping the radio active for
@@ -135,23 +131,25 @@ func (r *Radio) Transfer(bytes int64, rateMbps float64, tx bool) time.Duration {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state == RadioOff {
+	v := *r.view.Load()
+	if v.state == RadioOff {
 		return 0
 	}
 	dur := time.Duration(float64(bytes*8) / (rateMbps * 1e6) * float64(time.Second))
 	now := r.clk.Now()
 	start := now
-	if r.busyUntil.After(now) {
-		start = r.busyUntil // serialize behind the in-flight transfer
+	if v.busyUntil.After(now) {
+		start = v.busyUntil // serialize behind the in-flight transfer
 	}
-	r.busyUntil = start.Add(dur)
-	r.rateMbps = rateMbps
+	v.busyUntil = start.Add(dur)
+	v.rateMbps = rateMbps
+	r.view.Store(&v)
 	if tx {
 		r.txBytes += bytes
 	} else {
 		r.rxBytes += bytes
 	}
-	return r.busyUntil.Sub(now)
+	return v.busyUntil.Sub(now)
 }
 
 // Counters reports cumulative bytes moved.
@@ -166,10 +164,8 @@ func (r *Radio) Counters() (tx, rx int64) {
 // technology (cellular radio burns more than WiFi at the same rate;
 // Bluetooth is cheap).
 func (r *Radio) CurrentMA(now time.Time) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	state := r.stateLocked(now)
-	switch state {
+	v := r.view.Load()
+	switch v.stateAt(now) {
 	case RadioOff:
 		return 0
 	case RadioIdle:
@@ -182,7 +178,7 @@ func (r *Radio) CurrentMA(now time.Time) float64 {
 			return 4
 		}
 	default: // active
-		rate := r.rateMbps
+		rate := v.rateMbps
 		switch r.kind {
 		case RadioBluetooth:
 			return 12
@@ -196,12 +192,16 @@ func (r *Radio) CurrentMA(now time.Time) float64 {
 
 // ripple models supply/PMIC noise: a small zero-mean wobble, piecewise
 // constant per 50 ms, derived statelessly so all samplers agree. The last
-// epoch's value is remembered — a cache of a pure function of the epoch.
+// epoch's value is remembered — a cache of a pure function of the epoch,
+// so two samplers filling it at once store the same value.
 type rippleComponent struct {
-	rnd *rng.RNG
+	rnd  *rng.RNG
+	memo atomic.Pointer[rippleMemo]
+}
 
-	mu    sync.Mutex
-	drawn bool
+// rippleMemo is one epoch's ripple draw; a published one is never
+// modified.
+type rippleMemo struct {
 	epoch int64
 	ma    float64
 }
@@ -213,14 +213,13 @@ func (r *rippleComponent) Name() string { return "pmic-ripple" }
 func (r *rippleComponent) CurrentMA(now time.Time) float64 {
 	const epoch = 50 * time.Millisecond
 	e := now.UnixNano() / int64(epoch)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.drawn || r.epoch != e {
-		v := r.rnd.At("ripple", e).Normal(4, 2.5)
-		if v < 0 {
-			v = 0
-		}
-		r.drawn, r.epoch, r.ma = true, e, v
+	if m := r.memo.Load(); m != nil && m.epoch == e {
+		return m.ma
 	}
-	return r.ma
+	v := r.rnd.At("ripple", e).Normal(4, 2.5)
+	if v < 0 {
+		v = 0
+	}
+	r.memo.Store(&rippleMemo{epoch: e, ma: v})
+	return v
 }

@@ -2,8 +2,10 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"batterylab/internal/rng"
@@ -29,13 +31,16 @@ type CPU struct {
 	idleMA    float64
 	perUtilMA float64
 
-	mu      sync.Mutex
+	mu      sync.Mutex // orders writers of the process table
 	nextPID int
-	procs   []*Process // ascending pid: UtilAt sums in a fixed order
+	// procs is the process table in ascending pid, so UtilAt sums in a
+	// fixed order. A write publishes a new slice; a published one is
+	// never modified.
+	procs atomic.Pointer[[]*Process]
 }
 
 func newCPU(clock simclock.Clock, rnd *rng.RNG, cores int) *CPU {
-	return &CPU{
+	c := &CPU{
 		clock:     clock,
 		rnd:       rnd.Fork("cpu"),
 		cores:     cores,
@@ -43,6 +48,8 @@ func newCPU(clock simclock.Clock, rnd *rng.RNG, cores int) *CPU {
 		perUtilMA: 6.3,
 		nextPID:   1000,
 	}
+	c.procs.Store(&[]*Process{})
+	return c
 }
 
 // Cores reports the core count.
@@ -58,10 +65,8 @@ func (c *CPU) CurrentMA(now time.Time) float64 {
 
 // UtilAt reports total utilization in percent [0, 100] at the given time.
 func (c *CPU) UtilAt(now time.Time) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var total float64
-	for _, p := range c.procs {
+	for _, p := range *c.procs.Load() {
 		total += p.utilAt(now)
 	}
 	if total > 100 {
@@ -81,7 +86,10 @@ func (c *CPU) StartProcess(name string) *Process {
 		name:  name,
 		noise: c.rnd.Fork(fmt.Sprintf("proc/%d/%s", pid, name)),
 	}
-	c.procs = append(c.procs, p) // pids only grow, so the slice stays sorted
+	p.load.Store(&processLoad{})
+	// pids only grow, so the slice stays sorted
+	procs := append(slices.Clip(*c.procs.Load()), p)
+	c.procs.Store(&procs)
 	return p
 }
 
@@ -90,21 +98,18 @@ func (c *CPU) StartProcess(name string) *Process {
 func (c *CPU) KillByName(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.procs)
-	c.procs = slices.DeleteFunc(c.procs, func(p *Process) bool { return p.name == name })
-	return n - len(c.procs)
+	procs := *c.procs.Load()
+	kept := slices.DeleteFunc(slices.Clone(procs), func(p *Process) bool { return p.name == name })
+	c.procs.Store(&kept)
+	return len(procs) - len(kept)
 }
 
 // Processes lists the process table sorted by pid.
-func (c *CPU) Processes() []*Process {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return slices.Clone(c.procs)
-}
+func (c *CPU) Processes() []*Process { return slices.Clone(*c.procs.Load()) }
 
 // FindProcess returns the first process with the given name, or nil.
 func (c *CPU) FindProcess(name string) *Process {
-	for _, p := range c.Processes() {
+	for _, p := range *c.procs.Load() {
 		if p.name == name {
 			return p
 		}
@@ -126,7 +131,7 @@ func (c *CPU) startSystemProcesses() {
 func (c *CPU) killAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.procs = nil
+	c.procs.Store(&[]*Process{})
 }
 
 // Process is one entry in the device process table. Its utilization is a
@@ -134,25 +139,30 @@ func (c *CPU) killAll() {
 // utilEpoch, derived statelessly from the process's seed so that all
 // samplers agree. The value is a pure function of (epoch, target, sigma);
 // the process remembers the last one it computed, so the 500 Monsoon
-// samples of an epoch cost one draw, not 500.
+// samples of an epoch cost one draw, not 500, and two samplers filling
+// the memo at once store the same value.
 type Process struct {
 	pid   int
 	name  string
 	noise *rng.RNG
 
-	mu     sync.Mutex
-	target float64 // percent
-	sigma  float64
-	memMB  float64
-	memo   utilMemo
+	load  atomic.Pointer[processLoad] // replaced whole by SetLoad
+	memMB atomic.Uint64               // math.Float64bits of the resident MB
+	memo  atomic.Pointer[utilMemo]
+}
+
+// processLoad is a process's utilization target (percent) and its noise
+// sigma.
+type processLoad struct {
+	target, sigma float64
 }
 
 // utilMemo caches utilAt's last result with the inputs it was drawn for.
+// A published one is never modified.
 type utilMemo struct {
-	ok            bool
-	epoch         int64
-	target, sigma float64
-	util          float64
+	epoch int64
+	load  processLoad
+	util  float64
 }
 
 // PID reports the process id.
@@ -163,42 +173,30 @@ func (p *Process) Name() string { return p.name }
 
 // SetLoad sets the utilization target (percent) and its noise sigma.
 func (p *Process) SetLoad(target, sigma float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if target < 0 {
 		target = 0
 	}
-	p.target = target
-	p.sigma = sigma
+	p.load.Store(&processLoad{target: target, sigma: sigma})
 }
 
 // SetMemMB sets resident memory for dumpsys meminfo.
-func (p *Process) SetMemMB(mb float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.memMB = mb
-}
+func (p *Process) SetMemMB(mb float64) { p.memMB.Store(math.Float64bits(mb)) }
 
 // MemMB reports resident memory.
-func (p *Process) MemMB() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.memMB
-}
+func (p *Process) MemMB() float64 { return math.Float64frombits(p.memMB.Load()) }
 
 func (p *Process) utilAt(now time.Time) float64 {
 	epoch := now.UnixNano() / int64(utilEpoch)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	target, sigma := p.target, p.sigma
-	if target == 0 && sigma == 0 {
+	load := *p.load.Load()
+	if load.target == 0 && load.sigma == 0 {
 		return 0
 	}
 	// Keyed on the load as well as the epoch: a SetLoad mid-epoch takes
 	// effect at the very next sample.
-	if m := p.memo; !m.ok || m.epoch != epoch || m.target != target || m.sigma != sigma {
-		util := p.noise.At("util", epoch).TruncNormal(target, sigma, 0, 100)
-		p.memo = utilMemo{ok: true, epoch: epoch, target: target, sigma: sigma, util: util}
+	if m := p.memo.Load(); m != nil && m.epoch == epoch && m.load == load {
+		return m.util
 	}
-	return p.memo.util
+	util := p.noise.At("util", epoch).TruncNormal(load.target, load.sigma, 0, 100)
+	p.memo.Store(&utilMemo{epoch: epoch, load: load, util: util})
+	return util
 }

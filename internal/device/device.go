@@ -15,6 +15,7 @@ package device
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"batterylab/internal/battery"
@@ -107,10 +108,9 @@ type Device struct {
 	logcat *Logcat
 	fb     *Framebuffer
 
-	mu          sync.Mutex
-	booted      bool
-	path        PowerPath
-	usbPowered  bool
+	mu sync.Mutex
+	// supply is what the sampler reads; writers replace it under mu.
+	supply      atomic.Pointer[supply]
 	batteryPath bool // relay at battery position (vs monitor bypass)
 	// monitorSupply tracks whether the monitor's Vout is actually live;
 	// a bypassed device with a dead monitor has no power at all. The
@@ -121,6 +121,14 @@ type Device struct {
 	foreground    string
 	drain         *simclock.Ticker
 	bootCount     int
+}
+
+// supply is the device's published power state. A published one is never
+// modified.
+type supply struct {
+	path       PowerPath
+	booted     bool
+	usbPowered bool
 }
 
 // New builds a device from cfg. The device starts powered by its battery
@@ -166,7 +174,8 @@ func New(clock simclock.Clock, cfg Config) (*Device, error) {
 			return nil, err
 		}
 	}
-	d.recomputePath()
+	d.supply.Store(&supply{})
+	d.recomputePath(supply{})
 	if err := d.Boot(); err != nil {
 		return nil, err
 	}
@@ -216,11 +225,10 @@ func (d *Device) Rail() *power.Rail { return d.rail }
 
 // CurrentMA reports the true instantaneous draw: zero when the device is
 // unpowered or off.
-func (d *Device) CurrentMA(now time.Time) float64 {
-	d.mu.Lock()
-	off := !d.booted || d.path == PathNone
-	d.mu.Unlock()
-	if off {
+func (d *Device) CurrentMA(now time.Time) float64 { return d.drawMA(d.supply.Load(), now) }
+
+func (d *Device) drawMA(s *supply, now time.Time) float64 {
+	if !s.booted || s.path == PathNone {
 		return 0
 	}
 	return d.rail.CurrentMA(now)
@@ -230,13 +238,15 @@ func (d *Device) CurrentMA(now time.Time) float64 {
 func (d *Device) Boot() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.booted {
+	s := *d.supply.Load()
+	if s.booted {
 		return fmt.Errorf("device %s: already booted", d.cfg.Serial)
 	}
-	if d.path == PathNone {
+	if s.path == PathNone {
 		return fmt.Errorf("device %s: no power source", d.cfg.Serial)
 	}
-	d.booted = true
+	s.booted = true
+	d.supply.Store(&s)
 	d.bootCount++
 	d.cpu.startSystemProcesses()
 	d.screen.SetOn(true)
@@ -251,7 +261,7 @@ func (d *Device) Boot() error {
 func (d *Device) Shutdown() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.booted {
+	if !d.supply.Load().booted {
 		return fmt.Errorf("device %s: not booted", d.cfg.Serial)
 	}
 	d.shutdownLocked("shutdown requested")
@@ -259,7 +269,9 @@ func (d *Device) Shutdown() error {
 }
 
 func (d *Device) shutdownLocked(reason string) {
-	d.booted = false
+	s := *d.supply.Load()
+	s.booted = false
+	d.supply.Store(&s)
 	d.foreground = ""
 	d.cpu.killAll()
 	d.screen.SetOn(false)
@@ -275,11 +287,7 @@ func (d *Device) shutdownLocked(reason string) {
 }
 
 // Booted reports whether the OS is up.
-func (d *Device) Booted() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.booted
-}
+func (d *Device) Booted() bool { return d.supply.Load().booted }
 
 // BootCount reports how many times the device booted (factory-reset and
 // power-loss testing).
@@ -290,11 +298,7 @@ func (d *Device) BootCount() int {
 }
 
 // Path reports the active supply path.
-func (d *Device) Path() PowerPath {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.path
-}
+func (d *Device) Path() PowerPath { return d.supply.Load().path }
 
 // SetRelayPosition tells the device whether the relay connects it to its
 // battery (true) or to the monitor's Vout (false = bypass). Wired up by
@@ -303,7 +307,7 @@ func (d *Device) SetRelayPosition(batteryPos bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.batteryPath = batteryPos
-	d.recomputePath()
+	d.recomputePath(*d.supply.Load())
 }
 
 // SetMonitorSupply informs the device whether the power monitor's Vout
@@ -312,7 +316,7 @@ func (d *Device) SetMonitorSupply(on bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.monitorSupply = on
-	d.recomputePath()
+	d.recomputePath(*d.supply.Load())
 }
 
 // USBSerial implements usb.Peripheral.
@@ -322,30 +326,33 @@ func (d *Device) USBSerial() string { return d.cfg.Serial }
 func (d *Device) USBPowerChanged(powered bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.usbPowered = powered
-	d.recomputePath()
+	s := *d.supply.Load()
+	s.usbPowered = powered
+	d.recomputePath(s)
 }
 
-// recomputePath picks the supply: USB wins (hardware charge controller
-// prefers VBUS), then battery/bypass per relay position. A transition to
-// PathNone while booted is a hard power loss.
-func (d *Device) recomputePath() {
-	prev := d.path
+// recomputePath picks the supply for s and publishes s: USB wins
+// (hardware charge controller prefers VBUS), then battery/bypass per
+// relay position. A transition to PathNone while booted is a hard power
+// loss. Callers hold d.mu.
+func (d *Device) recomputePath(s supply) {
+	prev := d.supply.Load().path
 	switch {
-	case d.usbPowered:
-		d.path = PathUSB
+	case s.usbPowered:
+		s.path = PathUSB
 	case d.batteryPath && d.batt.Attached():
-		d.path = PathBattery
+		s.path = PathBattery
 	case !d.batteryPath && d.monitorSupply:
-		d.path = PathMonitor
+		s.path = PathMonitor
 	default:
-		d.path = PathNone
+		s.path = PathNone
 	}
-	if d.path == PathNone && d.booted {
+	d.supply.Store(&s)
+	if s.path == PathNone && s.booted {
 		d.shutdownLocked("power lost")
 	}
-	if prev != d.path {
-		d.logcat.Append("power", Info, fmt.Sprintf("supply path %v -> %v", prev, d.path))
+	if prev != s.path {
+		d.logcat.Append("power", Info, fmt.Sprintf("supply path %v -> %v", prev, s.path))
 	}
 }
 
@@ -355,10 +362,7 @@ func (d *Device) recomputePath() {
 func (d *Device) startDrainLocked() {
 	const period = time.Second
 	d.drain = simclock.NewTicker(d.clock, period, func(now time.Time) {
-		d.mu.Lock()
-		onBattery := d.booted && d.path == PathBattery
-		d.mu.Unlock()
-		if !onBattery {
+		if s := d.supply.Load(); !s.booted || s.path != PathBattery {
 			return
 		}
 		ma := d.rail.CurrentMA(now)
@@ -381,20 +385,19 @@ const (
 // micro-controller's negotiation draw — a distorted reading. This is the
 // quantitative reason BatteryLab cuts USB power during measurements.
 func (d *Device) USBObservedSource() power.Source {
-	return power.SourceFunc(func(now time.Time) float64 {
-		d.mu.Lock()
-		usb := d.usbPowered
-		d.mu.Unlock()
-		if !usb {
-			return 0
-		}
-		true_ := d.CurrentMA(now)
-		residual := true_ - usbBudgetMA
-		if residual < 0 {
-			residual = 0
-		}
-		return residual + usbMicroCtrl
-	})
+	return power.SourceFunc(func(now time.Time) float64 { return d.usbObservedMA(d.supply.Load(), now) })
+}
+
+func (d *Device) usbObservedMA(s *supply, now time.Time) float64 {
+	if !s.usbPowered {
+		return 0
+	}
+	true_ := d.drawMA(s, now)
+	residual := true_ - usbBudgetMA
+	if residual < 0 {
+		residual = 0
+	}
+	return residual + usbMicroCtrl
 }
 
 // MonitorVisibleSource reports the current that actually flows through
@@ -403,13 +406,13 @@ func (d *Device) USBObservedSource() power.Source {
 // residual while VBUS is up (the §3.3 interference), and nothing when
 // the device runs off its own battery.
 func (d *Device) MonitorVisibleSource() power.Source {
-	usbObs := d.USBObservedSource()
 	return power.SourceFunc(func(now time.Time) float64 {
-		switch d.Path() {
+		s := d.supply.Load()
+		switch s.path {
 		case PathMonitor:
-			return d.CurrentMA(now)
+			return d.drawMA(s, now)
 		case PathUSB:
-			return usbObs.CurrentMA(now)
+			return d.usbObservedMA(s, now)
 		default:
 			return 0
 		}

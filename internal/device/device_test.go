@@ -464,10 +464,12 @@ func TestProcessesStayInPIDOrder(t *testing.T) {
 func (c *CPU) Kill(pid int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := slices.IndexFunc(c.procs, func(p *Process) bool { return p.pid == pid })
+	procs := *c.procs.Load()
+	i := slices.IndexFunc(procs, func(p *Process) bool { return p.pid == pid })
 	if i < 0 {
 		return fmt.Errorf("cpu: no process %d", pid)
 	}
-	c.procs = slices.Delete(c.procs, i, i+1)
+	procs = slices.Delete(slices.Clone(procs), i, i+1)
+	c.procs.Store(&procs)
 	return nil
 }

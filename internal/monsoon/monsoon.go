@@ -55,6 +55,7 @@ type Monsoon struct {
 }
 
 type samplingRun struct {
+	src    power.Source // the input wired when the run started
 	series *trace.Series
 	ticker *simclock.Ticker
 	rate   int
@@ -98,7 +99,8 @@ func (m *Monsoon) Powered() bool {
 
 // WireSource connects the measurement input: what flows through the Vout
 // terminals. In a vantage point this is the relay switch's MeasuredSource
-// for the selected channel.
+// for the selected channel. A sampling run reads the input wired when it
+// started.
 func (m *Monsoon) WireSource(src power.Source) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -153,6 +155,7 @@ func (m *Monsoon) StartSampling(rate int) error {
 		rate = MaxSampleRate
 	}
 	run := &samplingRun{
+		src:    m.source,
 		series: trace.NewSeries("current", "mA"),
 		rate:   rate,
 		adc:    rng.New(0),
@@ -166,17 +169,11 @@ func (m *Monsoon) StartSampling(rate int) error {
 }
 
 // sample records one ADC reading: the wired source's draw plus ADC noise,
-// clamped to the 6 A envelope (counting overcurrent events).
+// clamped to the 6 A envelope (counting overcurrent events). The source
+// read takes no lock (see power.Source), so the one lock section is the
+// append.
 func (m *Monsoon) sample(run *samplingRun, now time.Time) {
-	m.mu.Lock()
-	if m.run != run { // stopped since scheduling
-		m.mu.Unlock()
-		return
-	}
-	src := m.source
-	m.mu.Unlock()
-
-	i := src.CurrentMA(now)
+	i := run.src.CurrentMA(now)
 	// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
 	m.noise.AtInto(run.adc, "adc", now.UnixNano())
 	i += run.adc.Normal(0, 1.2)
@@ -191,7 +188,7 @@ func (m *Monsoon) sample(run *samplingRun, now time.Time) {
 	i = float64(int64(i*10+0.5)) / 10
 
 	m.mu.Lock()
-	if m.run == run {
+	if m.run == run { // not stopped since scheduling
 		run.series.MustAppend(now, i)
 		if over {
 			m.overcurrent++
@@ -221,9 +218,10 @@ func (m *Monsoon) stopLocked() {
 
 // LiveSummary reports the streaming summary of the in-flight sampling
 // run — running mean/std/min/max, P50/P95 estimates and charge integral
-// over every sample captured so far. O(1): the trace aggregates online
-// while the ADC ticks, so progress UIs and session observers read
-// mid-run statistics without touching the sample columns.
+// over every sample captured so far. The moments and the integral are
+// folded while the ADC ticks; the P² quantiles fold the samples captured
+// since the previous read (see trace.Series.Live), so each sample is
+// folded once however often progress UIs and session observers read.
 func (m *Monsoon) LiveSummary() (samples.LiveSummary, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,10 +2,16 @@ package monsoon
 
 import (
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"batterylab/internal/device"
+	"batterylab/internal/gpio"
 	"batterylab/internal/power"
+	"batterylab/internal/relay"
 	"batterylab/internal/samples"
 	"batterylab/internal/simclock"
 )
@@ -288,15 +294,16 @@ func TestSampleStepDoesNotAllocate(t *testing.T) {
 // TestCaptureCost is a cost gate that counts work: on a virtual clock a
 // 5 kHz capture costs a clock event per foreign deadline, not one per
 // sample — the ticks between two foreign deadlines run inside one Step —
-// and such a batch of samples allocates nothing.
+// and such a batch of samples allocates nothing, also when the input is a
+// real device's rail read the way a vantage point wires it.
 func TestCaptureCost(t *testing.T) {
-	start := func(t *testing.T, foreign time.Duration) (*Monsoon, *simclock.Virtual) {
+	start := func(t *testing.T, foreign time.Duration, src func(simclock.Clock) power.Source) (*Monsoon, *simclock.Virtual) {
 		m, clk := newMon(t)
 		m.SetMains(true)
 		if err := m.SetVout(4.0); err != nil {
 			t.Fatal(err)
 		}
-		m.WireSource(constSource(250))
+		m.WireSource(src(clk))
 		if err := m.StartSampling(MaxSampleRate); err != nil {
 			t.Fatal(err)
 		}
@@ -305,8 +312,10 @@ func TestCaptureCost(t *testing.T) {
 		return m, clk
 	}
 
+	constant := func(simclock.Clock) power.Source { return constSource(250) }
+
 	t.Run("one Step per foreign deadline", func(t *testing.T) {
-		m, clk := start(t, 100*time.Millisecond)
+		m, clk := start(t, 100*time.Millisecond, constant)
 		end := clk.Now().Add(10 * time.Second)
 		steps := 0
 		for clk.Now().Before(end) && clk.Step() {
@@ -325,21 +334,161 @@ func TestCaptureCost(t *testing.T) {
 		}
 	})
 
-	t.Run("a batch of samples allocates nothing", func(t *testing.T) {
-		m, clk := start(t, 10*time.Millisecond) // 50 samples per batch
-		clk.Step()                              // starts the first chunk
-		const steps = 40
-		if n := testing.AllocsPerRun(steps, func() { clk.Step() }); n != 0 {
-			t.Fatalf("%v allocations per Step", n)
-		}
-		s, err := m.StopSampling()
+	// A device's noise is a memo per epoch (50 ms of supply ripple, 100 ms
+	// of process load), and filling it allocates: its batches stay inside
+	// one ripple epoch — the clock starts on an epoch boundary, and 1 + 40
+	// batches of 1 ms end before the next.
+	bypassed := func(clk simclock.Clock) power.Source {
+		dev, err := device.New(clk, device.Config{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Len() < steps/2*50 || s.Len() >= samples.ChunkLen {
-			t.Fatalf("captured %d samples: want batches of 50 inside one %d-sample chunk", s.Len(), samples.ChunkLen)
+		dev.SetRelayPosition(false) // bypass: the monitor sees the rail
+		dev.CPU().StartProcess("load").SetLoad(35, 6)
+		return dev.MonitorVisibleSource()
+	}
+	const rippleEpoch = 50 * time.Millisecond
+	t.Run("a batch of samples allocates nothing", func(t *testing.T) {
+		for _, in := range []struct {
+			name    string
+			src     func(simclock.Clock) power.Source
+			foreign time.Duration // a batch is foreign × 5 kHz samples
+			within  time.Duration // the batches end inside this span, if set
+		}{
+			{"constant", constant, 10 * time.Millisecond, 0},
+			{"device", bypassed, time.Millisecond, rippleEpoch},
+		} {
+			t.Run(in.name, func(t *testing.T) {
+				m, clk := start(t, in.foreign, in.src)
+				if in.within > 0 && clk.Now().UnixNano()%int64(in.within) != 0 {
+					t.Fatalf("clock does not start on a %v boundary", in.within)
+				}
+				end := clk.Now().Add(in.within)
+				clk.Step() // starts the first chunk and fills the epoch's memos
+				const steps = 40
+				if n := testing.AllocsPerRun(steps, func() { clk.Step() }); n != 0 {
+					t.Fatalf("%v allocations per Step", n)
+				}
+				if in.within > 0 && !clk.Now().Before(end) {
+					t.Fatalf("batches ran to %v, past %v", clk.Now(), end)
+				}
+				s, err := m.StopSampling()
+				if err != nil {
+					t.Fatal(err)
+				}
+				perBatch := int(in.foreign / (time.Second / MaxSampleRate))
+				if s.Len() < steps/2*perBatch || s.Len() >= samples.ChunkLen {
+					t.Fatalf("captured %d samples: want batches of %d inside one %d-sample chunk", s.Len(), perBatch, samples.ChunkLen)
+				}
+				if s.Summary().Min <= 0 {
+					t.Fatalf("captured a %v mA sample: want a drawing source", s.Summary().Min)
+				}
+			})
 		}
 	})
+}
+
+// Sampling at 5 kHz while every writer of the model runs: process loads
+// and the process table, radio transfers and states, the screen and the
+// decoder gate, the relay and the USB port — and a reader of the live
+// summary. Run under -race this checks the published views; it also
+// checks that no sample is lost or reordered.
+func TestSamplingRacesWriters(t *testing.T) {
+	clk := simclock.NewVirtual()
+	dev, err := device.New(clk, device.Config{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := relay.NewSwitch(clk, gpio.NewBank(4), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.OnSwitch(0, func(p relay.Position) { dev.SetRelayPosition(p == relay.PosBattery) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Set(0, relay.PosMonitor); err != nil {
+		t.Fatal(err)
+	}
+	m := New(clk, "HV0001", 7)
+	m.SetMains(true)
+	if err := m.SetVout(3.85); err != nil {
+		t.Fatal(err)
+	}
+	m.WireSource(sw.MeasuredSource(0, dev.MonitorVisibleSource()))
+	if err := m.StartSampling(MaxSampleRate); err != nil {
+		t.Fatal(err)
+	}
+
+	// One goroutine per writer, so no writer's synchronisation orders
+	// another's writes before the sampler's reads. The relay and the USB
+	// port change phase every 100 ms: a relay flipped at every call would
+	// keep the channel inside its settle window, where nothing is read.
+	phase := func() int64 { return clk.Now().UnixNano() / int64(100*time.Millisecond) % 4 }
+	proc := dev.CPU().StartProcess("app")
+	writers := []func(i int){
+		func(i int) { proc.SetLoad(float64(i%90), float64(i%7)) },
+		func(i int) {
+			dev.CPU().StartProcess("worker").SetLoad(10, 2)
+			dev.CPU().KillByName("worker")
+		},
+		func(i int) { dev.WiFi().Transfer(int64(1000+i), 20, i%2 == 0) },
+		func(i int) { dev.Cellular().SetState(device.RadioState(1 + i%2)) },
+		func(i int) { dev.Screen().SetOn(i%2 == 0) },
+		func(i int) { dev.Framebuffer().Decoder().SetOn(i%3 == 0) },
+		func(int) {
+			pos := relay.PosMonitor
+			if phase() == 3 {
+				pos = relay.PosBattery
+			}
+			sw.Set(0, pos)
+		},
+		func(int) { dev.USBPowerChanged(phase() == 1) },
+		func(int) {
+			if _, err := m.LiveSummary(); err != nil {
+				t.Error(err)
+			}
+		},
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	runs := make([]atomic.Int64, len(writers))
+	for k, w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w(i)
+				runs[k].Add(1)
+				runtime.Gosched()
+			}
+		}()
+	}
+	for i := 0; i < 1000; i++ {
+		clk.Advance(time.Millisecond)
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	for k := range runs {
+		if runs[k].Load() == 0 {
+			t.Fatalf("writer %d never ran while sampling", k)
+		}
+	}
+	s, err := m.StopSampling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 5000 {
+		t.Fatalf("captured %d samples in 1 s at 5 kHz, want 5000", s.Len())
+	}
+	if s.MeanDt() != 200*time.Microsecond {
+		t.Fatalf("mean interval %v, want 200µs", s.MeanDt())
+	}
 }
 
 // SampleRate reports the active run's rate, or 0.

@@ -11,13 +11,18 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Source reports instantaneous current draw in mA at time now. Values
 // must be non-negative. Implementations must be safe for concurrent use:
 // the power monitor samples from its own ticker while workloads mutate
-// component state.
+// component state. CurrentMA sits on the 5 kHz sampling path, so it must
+// not wait on a writer: a component keeps its mutex only to order its
+// writers, publishes an immutable view of its state on every write
+// (an atomic value, an atomic pointer to a value struct, a copy-on-write
+// slice), and CurrentMA only loads that view.
 type Source interface {
 	CurrentMA(now time.Time) float64
 }
@@ -36,18 +41,23 @@ type Component interface {
 
 // Rail aggregates components into a single measurable supply rail.
 type Rail struct {
-	mu sync.RWMutex
+	mu sync.Mutex // orders Attach and Detach
 	// components is sorted by name, so the float sum of CurrentMA is
-	// taken in one order on every run.
-	components []Component
+	// taken in one order on every run. A write publishes a new slice;
+	// a published one is never modified.
+	components atomic.Pointer[[]Component]
 }
 
 // NewRail returns an empty rail.
-func NewRail() *Rail { return &Rail{} }
+func NewRail() *Rail {
+	r := &Rail{}
+	r.components.Store(&[]Component{})
+	return r
+}
 
-// findLocked reports where name is, or would be inserted, in components.
-func (r *Rail) findLocked(name string) (int, bool) {
-	return slices.BinarySearchFunc(r.components, name, func(c Component, name string) int {
+// find reports where name is, or would be inserted, in cs.
+func find(cs []Component, name string) (int, bool) {
+	return slices.BinarySearchFunc(cs, name, func(c Component, name string) int {
 		return strings.Compare(c.Name(), name)
 	})
 }
@@ -57,20 +67,20 @@ func (r *Rail) findLocked(name string) (int, bool) {
 func (r *Rail) Attach(c Component) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, dup := r.findLocked(c.Name())
+	cs := *r.components.Load()
+	i, dup := find(cs, c.Name())
 	if dup {
 		return fmt.Errorf("power: component %q already attached", c.Name())
 	}
-	r.components = slices.Insert(r.components, i, c)
+	cs = slices.Insert(slices.Clip(cs), i, c)
+	r.components.Store(&cs)
 	return nil
 }
 
 // CurrentMA implements Source by summing all attached components.
 func (r *Rail) CurrentMA(now time.Time) float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var total float64
-	for _, c := range r.components {
+	for _, c := range *r.components.Load() {
 		i := c.CurrentMA(now)
 		if i > 0 {
 			total += i
@@ -101,9 +111,7 @@ func (c *Constant) CurrentMA(time.Time) float64 { return c.ma }
 type Switched struct {
 	name string
 	src  Source
-
-	mu sync.RWMutex
-	on bool
+	on   atomic.Bool
 }
 
 // NewSwitched returns an initially-off gated component.
@@ -115,24 +123,14 @@ func NewSwitched(name string, src Source) *Switched {
 func (s *Switched) Name() string { return s.name }
 
 // SetOn sets the gate state.
-func (s *Switched) SetOn(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.on = on
-}
+func (s *Switched) SetOn(on bool) { s.on.Store(on) }
 
 // On reports the gate state.
-func (s *Switched) On() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.on
-}
+func (s *Switched) On() bool { return s.on.Load() }
 
 // CurrentMA implements Source.
 func (s *Switched) CurrentMA(now time.Time) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.on {
+	if !s.on.Load() {
 		return 0
 	}
 	return s.src.CurrentMA(now)

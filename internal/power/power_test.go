@@ -134,18 +134,19 @@ func NewScaled(name string, src Source, gain float64) *Scaled {
 func (r *Rail) Detach(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.findLocked(name); ok {
-		r.components = slices.Delete(r.components, i, i+1)
+	cs := *r.components.Load()
+	if i, ok := find(cs, name); ok {
+		cs = slices.Delete(slices.Clone(cs), i, i+1)
+		r.components.Store(&cs)
 	}
 }
 
 // Breakdown reports each component's instantaneous draw, sorted by name —
 // the data behind per-component attribution in experiment reports.
 func (r *Rail) Breakdown(now time.Time) []Draw {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Draw, 0, len(r.components))
-	for _, c := range r.components {
+	cs := *r.components.Load()
+	out := make([]Draw, 0, len(cs))
+	for _, c := range cs {
 		out = append(out, Draw{Name: c.Name(), MA: c.CurrentMA(now)})
 	}
 	return out

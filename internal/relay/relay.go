@@ -14,6 +14,7 @@ package relay
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"batterylab/internal/gpio"
@@ -55,14 +56,20 @@ type Switch struct {
 	bank    *gpio.Bank
 	pinBase int
 
-	mu       sync.Mutex
-	channels []channel
+	mu       sync.Mutex // orders actuations; guards the callbacks
+	channels []channel  // fixed length
 }
 
 type channel struct {
+	contact  atomic.Pointer[contact]
+	onSwitch []func(Position)
+}
+
+// contact is a channel's published position; a published one is never
+// modified.
+type contact struct {
 	pos       Position
 	settledAt time.Time
-	onSwitch  []func(Position)
 }
 
 // NewSwitch wires an n-channel relay board to GPIO pins
@@ -74,6 +81,7 @@ func NewSwitch(clock simclock.Clock, bank *gpio.Bank, pinBase, n int) (*Switch, 
 	}
 	s := &Switch{clock: clock, bank: bank, pinBase: pinBase, channels: make([]channel, n)}
 	for i := 0; i < n; i++ {
+		s.channels[i].contact.Store(&contact{pos: PosBattery})
 		if err := bank.Configure(pinBase+i, gpio.Output); err != nil {
 			return nil, fmt.Errorf("relay: configuring pin %d: %w", pinBase+i, err)
 		}
@@ -87,7 +95,7 @@ func NewSwitch(clock simclock.Clock, bank *gpio.Bank, pinBase, n int) (*Switch, 
 	return s, nil
 }
 
-func (s *Switch) checkLocked(ch int) error {
+func (s *Switch) check(ch int) error {
 	if ch < 0 || ch >= len(s.channels) {
 		return fmt.Errorf("relay: channel %d out of range [0,%d)", ch, len(s.channels))
 	}
@@ -101,12 +109,11 @@ func (s *Switch) actuate(ch int, level gpio.Level) {
 		pos = PosMonitor
 	}
 	s.mu.Lock()
-	if s.channels[ch].pos == pos {
+	if s.channels[ch].contact.Load().pos == pos {
 		s.mu.Unlock()
 		return
 	}
-	s.channels[ch].pos = pos
-	s.channels[ch].settledAt = s.clock.Now().Add(SettleTime)
+	s.channels[ch].contact.Store(&contact{pos: pos, settledAt: s.clock.Now().Add(SettleTime)})
 	callbacks := append([]func(Position){}, s.channels[ch].onSwitch...)
 	s.mu.Unlock()
 	for _, f := range callbacks {
@@ -117,12 +124,9 @@ func (s *Switch) actuate(ch int, level gpio.Level) {
 // Set drives channel ch to pos through the GPIO pin — exactly what the
 // controller's batt_switch API does.
 func (s *Switch) Set(ch int, pos Position) error {
-	s.mu.Lock()
-	if err := s.checkLocked(ch); err != nil {
-		s.mu.Unlock()
+	if err := s.check(ch); err != nil {
 		return err
 	}
-	s.mu.Unlock()
 	level := gpio.Low
 	if pos == PosMonitor {
 		level = gpio.High
@@ -132,12 +136,10 @@ func (s *Switch) Set(ch int, pos Position) error {
 
 // Get reports channel ch's position.
 func (s *Switch) Get(ch int) (Position, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkLocked(ch); err != nil {
+	if err := s.check(ch); err != nil {
 		return PosBattery, err
 	}
-	return s.channels[ch].pos, nil
+	return s.channels[ch].contact.Load().pos, nil
 }
 
 // OnSwitch registers a callback invoked whenever channel ch changes
@@ -145,7 +147,7 @@ func (s *Switch) Get(ch int) (Position, error) {
 func (s *Switch) OnSwitch(ch int, f func(Position)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.checkLocked(ch); err != nil {
+	if err := s.check(ch); err != nil {
 		return err
 	}
 	s.channels[ch].onSwitch = append(s.channels[ch].onSwitch, f)
@@ -158,13 +160,10 @@ func (s *Switch) OnSwitch(ch int, f func(Position)) error {
 // monitor reads garbage (zero-clamped) during the settle window.
 func (s *Switch) MeasuredSource(ch int, rail power.Source) power.Source {
 	return power.SourceFunc(func(now time.Time) float64 {
-		s.mu.Lock()
 		if ch < 0 || ch >= len(s.channels) {
-			s.mu.Unlock()
 			return 0
 		}
-		c := s.channels[ch]
-		s.mu.Unlock()
+		c := s.channels[ch].contact.Load()
 		if c.pos != PosMonitor || now.Before(c.settledAt) {
 			return 0
 		}

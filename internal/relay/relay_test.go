@@ -1,9 +1,11 @@
 package relay
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"batterylab/internal/device"
 	"batterylab/internal/gpio"
 	"batterylab/internal/power"
 	"batterylab/internal/simclock"
@@ -136,10 +138,77 @@ func TestPositionString(t *testing.T) {
 
 // Settled reports whether channel ch's contacts have settled.
 func (s *Switch) Settled(ch int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkLocked(ch); err != nil {
+	if err := s.check(ch); err != nil {
 		return false, err
 	}
-	return !s.clock.Now().Before(s.channels[ch].settledAt), nil
+	return !s.clock.Now().Before(s.channels[ch].contact.Load().settledAt), nil
+}
+
+// stuckName is a component whose first Name call blocks until release is
+// closed: an Attach of it holds the rail's writer mutex meanwhile.
+type stuckName struct {
+	entered, release chan struct{}
+	once             *sync.Once
+}
+
+func (s stuckName) Name() string {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+	return "zz-stuck"
+}
+
+func (stuckName) CurrentMA(time.Time) float64 { return 0 }
+
+// The monitor's input does not wait on a writer either: with the switch's
+// mutex and the device rail's held, MeasuredSource over a bypassed
+// device still reads, and reads what it read before.
+func TestMeasuredSourceNeverWaitsOnWriters(t *testing.T) {
+	s, clk := newSwitch(t, 1)
+	dev, err := device.New(clk, device.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.OnSwitch(0, func(p Position) { dev.SetRelayPosition(p == PosBattery) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Set(0, PosMonitor); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(SettleTime)
+	src := s.MeasuredSource(0, dev.MonitorVisibleSource())
+	want := src.CurrentMA(clk.Now())
+	if want == 0 {
+		t.Fatal("bypassed channel reads 0 mA")
+	}
+
+	stuck := stuckName{entered: make(chan struct{}), release: make(chan struct{}), once: new(sync.Once)}
+	attached := make(chan error, 1)
+	go func() { attached <- dev.Rail().Attach(stuck) }()
+	<-stuck.entered
+	s.mu.Lock()
+	var release sync.Once
+	releaseAll := func() {
+		release.Do(func() {
+			s.mu.Unlock()
+			close(stuck.release)
+		})
+	}
+	t.Cleanup(releaseAll)
+
+	got := make(chan float64, 1)
+	go func() { got <- src.CurrentMA(clk.Now()) }()
+	select {
+	case v := <-got:
+		if v != want {
+			t.Fatalf("read under held writers = %v mA, want %v", v, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("MeasuredSource waited on a writer")
+	}
+	releaseAll()
+	if err := <-attached; err != nil {
+		t.Fatal(err)
+	}
 }

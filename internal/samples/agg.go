@@ -80,12 +80,14 @@ type P2Quantile struct {
 	p float64
 	n int64 // non-NaN count
 
-	// q are marker heights, pos their current positions (1-based),
-	// want their desired positions.
+	// q are marker heights and pos their current positions (1-based).
+	// want are the desired positions of the interior markers 1–3 and inc
+	// what each observation adds to them; the extremes' desired
+	// positions are never read, so they are not kept.
 	q    [5]float64
 	pos  [5]float64
-	want [5]float64
-	inc  [5]float64
+	want [3]float64
+	inc  [3]float64
 }
 
 // NewP2Quantile returns an estimator for the p-quantile (0 < p < 1).
@@ -94,8 +96,8 @@ func NewP2Quantile(p float64) *P2Quantile {
 		panic("samples: P2 quantile p outside (0, 1)")
 	}
 	e := &P2Quantile{p: p}
-	e.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-	e.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
+	e.want = [3]float64{1 + 2*p, 1 + 4*p, 3 + 2*p}
+	e.inc = [3]float64{p / 2, p, (1 + p) / 2}
 	return e
 }
 
@@ -143,7 +145,7 @@ func (e *P2Quantile) Observe(v float64) {
 
 	// Adjust the interior markers toward their desired positions.
 	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
+		d := e.want[i-1] - e.pos[i]
 		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
 			s := 1.0
 			if d < 0 {
@@ -277,10 +279,24 @@ func NewStreamSummary() *StreamSummary {
 
 // Add implements Aggregator, feeding every bundled aggregator.
 func (ss *StreamSummary) Add(tNanos int64, v float64) {
+	ss.AddMoments(tNanos, v)
+	ss.AddQuantiles(v)
+}
+
+// AddMoments feeds the Welford moments and the integral only. A caller
+// that folds the quantiles later (trace.Series, when they are read) must
+// pass AddQuantiles the same values in the same order before Snapshot;
+// the aggregators are independent, so the snapshot is then bit for bit
+// Add's.
+func (ss *StreamSummary) AddMoments(tNanos int64, v float64) {
 	ss.mom.Observe(v)
+	ss.integ.Add(tNanos, v)
+}
+
+// AddQuantiles feeds the P50/P95 estimators only; see AddMoments.
+func (ss *StreamSummary) AddQuantiles(v float64) {
 	ss.p50.Observe(v)
 	ss.p95.Observe(v)
-	ss.integ.Add(tNanos, v)
 }
 
 // Snapshot reports the live summary of everything added so far.

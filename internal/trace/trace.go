@@ -6,9 +6,13 @@
 //
 // Since the streaming sample pipeline landed, a Series is backed by the
 // chunked columnar store of internal/samples (appends never copy prior
-// samples) and maintains a streaming summary online: Summary, Live,
-// IntegralSeconds and EnergyMAH are O(1) snapshots of aggregates
-// computed while capturing, not teardown re-scans of the full trace.
+// samples) and maintains a streaming summary online: an append folds the
+// Welford moments and the trapezoid integral, so IntegralSeconds and
+// EnergyMAH are O(1). The P² quantiles are folded when they are read:
+// Summary and Live fold the samples appended since the previous read, in
+// order, so each sample is folded once and the estimates are bit for bit
+// those of folding at every append — and a trace nobody asks a quantile
+// of (a decoded one whose summary is never read) folds none.
 // Series persist to disk as CSV (WriteCSV/ReadCSV, the v1 text format)
 // or the binary trace format of binary.go.
 //
@@ -29,6 +33,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 
 	"batterylab/internal/samples"
@@ -44,10 +49,11 @@ type Sample struct {
 // Series is an append-only time series of samples with a name and a unit
 // (for example "current" / "mA"). Samples live in fixed-size columnar
 // chunks (timestamps as nanosecond offsets from the first sample), and
-// every append also feeds a streaming aggregator, so summaries are ready
-// the moment capture stops. The zero value is not usable; construct with
-// NewSeries. A Series is not safe for concurrent use; the capture models
-// that share one (the Monsoon) serialize access with their own locks.
+// every append also feeds the moments and the integral, so summaries are
+// ready the moment capture stops. The zero value is not usable; construct
+// with NewSeries. Appends are not safe for concurrent use with anything
+// else; the capture models that share one (the Monsoon) serialize access
+// with their own locks. Reads may run concurrently with each other.
 type Series struct {
 	name string
 	unit string
@@ -57,7 +63,11 @@ type Series struct {
 	lastOff  int64 // last sample's offset from epoch, nanoseconds
 
 	data *samples.Series
-	agg  *samples.StreamSummary
+	// agg has the moments and the integral of every sample, and the
+	// quantiles of the first folded: reading them takes qmu.
+	agg    *samples.StreamSummary
+	qmu    sync.Mutex
+	folded int
 }
 
 // NewSeries returns an empty series.
@@ -95,7 +105,7 @@ func (s *Series) Append(t time.Time, v float64) error {
 // nanoseconds after the epoch.
 func (s *Series) appendOffset(off int64, v float64) {
 	s.data.Append(off, v)
-	s.agg.Add(off, v)
+	s.agg.AddMoments(off, v)
 	s.lastOff = off
 }
 
@@ -141,20 +151,39 @@ func (s *Series) Duration() time.Duration {
 // series up to one chunk (4096 samples — CPU traces, thinned sweeps)
 // the Median is exact too, from one bounded sort; beyond that it is the
 // P² streaming estimate (see the internal/samples package comment for
-// its error bounds) and Summary is O(1). For an exact median on a large
-// series, use CDF or stats.SummarizeSeries.
+// its error bounds), folded over the samples appended since the last
+// read. For an exact median on a large series, use CDF or
+// stats.SummarizeSeries.
 func (s *Series) Summary() stats.Summary {
 	if s.data.Len() <= samples.ChunkLen {
 		return stats.SummarizeSeries(s.data)
 	}
-	return stats.FromLive(s.agg.Snapshot())
+	return stats.FromLive(s.Live())
 }
 
 // Live reports the streaming summary of the capture so far: running
-// mean/std/min/max, P50/P95 estimates and the time integral. O(1), safe
-// to read between appends, and what session observers receive alongside
-// raw samples.
-func (s *Series) Live() samples.LiveSummary { return s.agg.Snapshot() }
+// mean/std/min/max, P50/P95 estimates and the time integral. Safe to
+// read between appends, and what session observers receive alongside
+// raw samples. It costs the P² fold of the samples appended since the
+// previous read: each sample is folded once over all reads.
+func (s *Series) Live() samples.LiveSummary {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	if s.folded < s.data.Len() {
+		start := 0 // the chunk's first sample
+		s.data.Chunks(func(_ []int64, v []float64) bool {
+			if end := start + len(v); end > s.folded {
+				for _, x := range v[s.folded-start:] {
+					s.agg.AddQuantiles(x)
+				}
+				s.folded = end
+			}
+			start += len(v)
+			return true
+		})
+	}
+	return s.agg.Snapshot()
+}
 
 // CDF builds the empirical CDF of the series values.
 func (s *Series) CDF() (*stats.CDF, error) { return stats.NewCDFSeries(s.data) }
@@ -163,6 +192,8 @@ func (s *Series) CDF() (*stats.CDF, error) { return stats.NewCDFSeries(s.data) }
 // trapezoid rule, yielding unit·seconds (for a mA series:
 // milliamp-seconds). Computed online during capture; reading it is O(1).
 func (s *Series) IntegralSeconds() float64 {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	return s.agg.Snapshot().IntegralSeconds
 }
 

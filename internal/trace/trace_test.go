@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"batterylab/internal/samples"
 	"batterylab/internal/stats"
 )
 
@@ -315,4 +317,96 @@ func (s *Series) Decimate(k int) *Series {
 		out.MustAppend(smp.T, smp.V)
 	}
 	return out
+}
+
+// FuzzSeriesSummary checks the lazy quantiles: a Series folds its P²
+// estimators when Live or Summary is read, so at every read point it
+// must equal, bit for bit, a samples.StreamSummary fed at every append —
+// and Summary what the eager aggregates would give. Each input byte is
+// one step: a Live read, a Summary read, a NaN, a burst of bulk values
+// that crosses chunks, values up to the next chunk boundary (where a
+// fold resumes in a new chunk), or a value built from the byte and the
+// next.
+func FuzzSeriesSummary(f *testing.F) {
+	f.Add([]byte{0, 9, 40, 1, 2, 77, 3, 0, 120, 5, 1}, uint16(5000))
+	f.Add([]byte{3, 0, 3, 1, 8, 8, 0, 3, 2, 1}, uint16(2100))
+	f.Add([]byte{1, 0}, uint16(0))
+	f.Add([]byte{5, 1, 4, 0, 5, 9, 4, 1, 5, 2}, uint16(0))
+	f.Fuzz(func(t *testing.T, steps []byte, bulk uint16) {
+		const maxLen = 4 * samples.ChunkLen
+		s := NewSeries("current", "mA")
+		eager := samples.NewStreamSummary()
+		add := func(v float64) {
+			if s.Len() >= maxLen {
+				return
+			}
+			off := int64(s.Len()) * 200_000 // 5 kHz
+			s.MustAppend(t0.Add(time.Duration(off)), v)
+			eager.Add(off, v)
+		}
+		checkLive := func() {
+			if got, want := s.Live(), eager.Snapshot(); !sameBits(got, want) {
+				t.Fatalf("after %d samples: Live %+v, eager %+v", s.Len(), got, want)
+			}
+		}
+		checkSummary := func() {
+			want := stats.SummarizeSeries(s.Samples())
+			if s.Len() > samples.ChunkLen {
+				want = stats.FromLive(eager.Snapshot())
+			}
+			if got := s.Summary(); !sameBits(got, want) {
+				t.Fatalf("after %d samples: Summary %+v, want %+v", s.Len(), got, want)
+			}
+		}
+		for i := 0; i < len(steps); i++ {
+			b := steps[i]
+			switch b % 8 {
+			case 0:
+				checkLive()
+			case 1:
+				checkSummary()
+			case 2:
+				add(math.NaN())
+			case 3, 4:
+				rng := rand.New(rand.NewSource(int64(b)))
+				n := int(bulk) % (2 * samples.ChunkLen)
+				if b%8 == 4 {
+					n = samples.ChunkLen - s.Len()%samples.ChunkLen
+				}
+				for j := 0; j < n; j++ {
+					add(math.Round(rng.NormFloat64()*400+300) / 10)
+				}
+			default:
+				var next byte
+				if i+1 < len(steps) {
+					i++
+					next = steps[i]
+				}
+				add(float64(int16(uint16(b)<<8|uint16(next))) / 10)
+			}
+		}
+		checkLive()
+		checkSummary()
+	})
+}
+
+// sameBits reports whether two structs of ints and floats are equal field
+// by field, floats compared by their bits (so NaN equals NaN and 0 is not
+// -0).
+func sameBits(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		x, y := va.Field(i), vb.Field(i)
+		switch x.Kind() {
+		case reflect.Float64:
+			if math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
+				return false
+			}
+		default:
+			if x.Int() != y.Int() {
+				return false
+			}
+		}
+	}
+	return true
 }
