@@ -1,15 +1,23 @@
 // Package analytics is the server-side trace query engine: batch
 // windowed aggregates (mean/min/max/P² quantiles/trapezoid energy per
 // time bucket, plus whole-trace rollups) computed over stored binary
-// traces in one streaming pass, so dashboards fetch kilobytes of
-// summaries instead of re-downloading whole artifacts.
+// traces, so dashboards fetch kilobytes of summaries instead of
+// re-downloading whole artifacts.
 //
 // The engine reuses the capture path's streaming aggregators
-// (internal/samples): a query costs one aggregator update per sample
-// and O(buckets) memory, never a second copy of the trace. The rollup
-// row accumulates exactly the terms the capture-time summary did, in
-// the same order, so its energy integral is bit-identical to the
-// RunSummary produced when the build finished.
+// (internal/samples). A query decodes its trace once, a chunk
+// (samples.ChunkLen samples) at a time, into a small ring of recycled
+// column buffers, and folds each chunk into every aggregator it asked
+// for: the whole-trace rollup and, for a windowed query, the windows.
+// Each aggregator folds on a goroutine of its own, beside the decode and
+// each other. A query costs one decode and one aggregator update per
+// sample per aggregator, and O(buckets + ring) memory, never a second
+// copy of the trace. The folds shorten a query only while cores are
+// free: with as many queries in flight as cores, they add no speed,
+// only a hand-off per chunk. Each aggregator sees every sample in
+// order, so the rollup row accumulates exactly the terms the
+// capture-time summary did, in the same order, and its energy integral
+// is bit-identical to the RunSummary produced when the build finished.
 //
 // Results are plain api.AnalyticsResult values; the HTTP layer owns
 // caching (see Cache) and RBAC.
@@ -74,39 +82,81 @@ func NormalizeFields(fields []string) ([]string, error) {
 	return out, nil
 }
 
-// Compute runs one query over a decoded trace in a single streaming
-// pass. WindowNS must be non-negative; Artifact is echoed, not
-// interpreted.
+// Compute runs one query over a decoded trace, whose chunks feed the
+// folds as they are stored, uncopied. WindowNS must be non-negative;
+// Artifact is echoed, not interpreted.
 func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
+	fields, err := checkQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	durationNS := tr.Duration().Nanoseconds()
+	if err := checkBuckets(q.WindowNS, durationNS); err != nil {
+		return nil, err
+	}
 	var epochNS int64
 	if tr.Len() > 0 {
 		epochNS = tr.At(0).T.UnixNano()
 	}
-	return compute(q, epochNS, tr.Duration().Nanoseconds(), func(add func(tNanos int64, v float64)) {
-		tr.Samples().Iter(func(tNanos int64, v float64) bool { add(tNanos, v); return true })
+	a := newAggs(q.WindowNS)
+	runFolds(a.folds(), func(p *pipeline) {
+		tr.Samples().Chunks(func(t []int64, v []float64) bool {
+			p.emit(batch{t: t, v: v})
+			return true
+		})
 	})
+	return a.result(q, fields, epochNS, durationNS), nil
 }
 
 // ComputeBinary is Compute(trace.DecodeBinary(data)), to the bit, without
 // the Series in between, whose own streaming summary would fold every
-// sample a first time. The bytes are decoded twice — to validate them and
-// learn the span the bucket bound is checked against, then to aggregate —
-// and nothing is sized from what they claim. An error that is not
-// ErrBadQuery says data is no binary trace.
+// sample a first time. The bytes are decoded once, into the ring's chunk
+// buffers, and nothing is sized from what they claim. A decode error
+// outranks a bad query, and the bucket bound is checked against the
+// whole span: once a chunk reaches past MaxBuckets windows the folds stop
+// and the decoding goes on. An error that is not ErrBadQuery says data is
+// no binary trace.
 func ComputeBinary(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
 	h, payload, err := trace.DecodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	var first, last int64
-	n := 0
-	if err := h.DecodeSamples(payload, func(off int64, _ float64) {
-		if n == 0 {
-			first = off
+	fields, qerr := checkQuery(q)
+	if qerr != nil {
+		if err := h.DecodeSamples(payload, func(int64, float64) {}); err != nil {
+			return nil, err
 		}
-		last = off
-		n++
-	}); err != nil {
+		return nil, qerr
+	}
+
+	a := newAggs(q.WindowNS)
+	var first, span int64 // span: the last sample's offset from the first
+	n := 0
+	runFolds(a.folds(), func(p *pipeline) {
+		buf, k := p.buffer(), 0
+		flush := func() {
+			span = buf.t[k-1]
+			if checkBuckets(q.WindowNS, span) == nil {
+				p.emit(batch{t: buf.t[:k], v: buf.v[:k], buf: buf})
+				buf = p.buffer()
+			}
+			k = 0
+		}
+		err = h.DecodeSamples(payload, func(off int64, v float64) {
+			if n == 0 {
+				first = off
+			}
+			n++
+			buf.t[k], buf.v[k] = off-first, v
+			if k++; k == samples.ChunkLen {
+				flush()
+			}
+		})
+		if err == nil && k > 0 {
+			flush()
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	// As DecodeBinary builds them: the first sample is the epoch, a trace
@@ -116,31 +166,73 @@ func ComputeBinary(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, err
 		epochNS = h.Epoch().Add(time.Duration(first)).UnixNano()
 	}
 	if n > 1 {
-		durationNS = last - first
+		durationNS = span
 	}
-	return compute(q, epochNS, durationNS, func(add func(tNanos int64, v float64)) {
-		h.DecodeSamples(payload, func(off int64, v float64) { add(off-first, v) }) // decoded clean above
-	})
+	if err := checkBuckets(q.WindowNS, durationNS); err != nil {
+		return nil, err
+	}
+	return a.result(q, fields, epochNS, durationNS), nil
 }
 
-// compute is the engine: one query over the samples each hands to add, in
-// order, as nanoseconds after the first (the trace's native storage: no
-// time conversion per sample), the trace's epoch and span known up front.
-func compute(q api.AnalyticsQuery, epochNS, durationNS int64, each func(add func(tNanos int64, v float64))) (*api.AnalyticsResult, error) {
+// checkQuery validates what of q needs no trace: the window's sign and
+// the field selection, which it returns canonical.
+func checkQuery(q api.AnalyticsQuery) ([]string, error) {
 	if q.WindowNS < 0 {
 		return nil, fmt.Errorf("%w: negative window", ErrBadQuery)
 	}
-	fields, err := NormalizeFields(q.Fields)
-	if err != nil {
-		return nil, err
-	}
-	if q.WindowNS > 0 {
-		if n := durationNS/q.WindowNS + 1; n > MaxBuckets {
-			return nil, fmt.Errorf("%w: window %dns over a %dns trace makes %d buckets (max %d)",
-				ErrBadQuery, q.WindowNS, durationNS, n, MaxBuckets)
+	return NormalizeFields(q.Fields)
+}
+
+// checkBuckets refuses a window that slices a trace spanning durationNS
+// into more than MaxBuckets buckets.
+func checkBuckets(windowNS, durationNS int64) error {
+	if windowNS > 0 {
+		if n := durationNS/windowNS + 1; n > MaxBuckets {
+			return fmt.Errorf("%w: window %dns over a %dns trace makes %d buckets (max %d)",
+				ErrBadQuery, windowNS, durationNS, n, MaxBuckets)
 		}
 	}
+	return nil
+}
 
+// aggs are one query's aggregators: the whole-trace rollup (the
+// capture's own stream summary) and, when bucketing was asked for, a
+// Windowed splitting the same stream.
+type aggs struct {
+	total *samples.StreamSummary
+	wd    *samples.Windowed
+}
+
+func newAggs(windowNS int64) aggs {
+	a := aggs{total: samples.NewStreamSummary()}
+	if windowNS > 0 {
+		a.wd = samples.NewWindowed(0, windowNS, 0.5, 0.95)
+	}
+	return a
+}
+
+// folds returns one chunk fold per aggregator. They share no state, so
+// each runs on a goroutine of its own.
+func (a aggs) folds() []func(t []int64, v []float64) {
+	folds := []func(t []int64, v []float64){func(t []int64, v []float64) {
+		t = t[:len(v)]
+		for i, x := range v {
+			a.total.Add(t[i], x)
+		}
+	}}
+	if a.wd != nil {
+		folds = append(folds, func(t []int64, v []float64) {
+			t = t[:len(v)]
+			for i, x := range v {
+				a.wd.Add(t[i], x)
+			}
+		})
+	}
+	return folds
+}
+
+// result renders the folded aggregators as the answer to q.
+func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS int64) *api.AnalyticsResult {
 	res := &api.AnalyticsResult{
 		Artifact:   q.Artifact,
 		EpochNS:    epochNS,
@@ -148,22 +240,6 @@ func compute(q api.AnalyticsQuery, epochNS, durationNS int64, each func(add func
 		WindowNS:   q.WindowNS,
 		Fields:     fields,
 	}
-
-	// One pass: the whole-trace rollup (the capture's own stream summary)
-	// and, when bucketing was asked for, a Windowed splitting the same
-	// stream.
-	total := samples.NewStreamSummary()
-	var wd *samples.Windowed
-	if q.WindowNS > 0 {
-		wd = samples.NewWindowed(0, q.WindowNS, 0.5, 0.95)
-	}
-	each(func(tNanos int64, v float64) {
-		total.Add(tNanos, v)
-		if wd != nil {
-			wd.Add(tNanos, v)
-		}
-	})
-
 	has := func(f string) bool {
 		for _, g := range fields {
 			if g == f {
@@ -191,18 +267,18 @@ func compute(q api.AnalyticsQuery, epochNS, durationNS int64, each func(add func
 		}
 	}
 
-	sum := total.Snapshot()
+	sum := a.total.Snapshot()
 	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS, NaNs: int64(sum.NaNs)}
 	fill(&res.Total, int64(sum.N), sum.Mean, sum.Min, sum.Max, sum.P50, sum.P95, sum.IntegralSeconds)
 
-	if wd != nil {
-		for _, b := range wd.Buckets() {
+	if a.wd != nil {
+		for _, b := range a.wd.Buckets() {
 			out := api.AnalyticsBucket{StartNS: b.StartNS, EndNS: b.StartNS + q.WindowNS, NaNs: b.NaNs}
 			fill(&out, b.N, b.Mean, b.Min, b.Max, b.Quantiles[0], b.Quantiles[1], b.IntegralSeconds)
 			res.Buckets = append(res.Buckets, out)
 		}
 	}
-	return res, nil
+	return res
 }
 
 func ptr(v float64) *float64 {

@@ -34,6 +34,35 @@ func makeTrace(seed int64, n int) *trace.Series {
 	return tr
 }
 
+// makeCapture builds a 5 kHz capture of the given length, the rate and
+// size of a measured run, with two runs of invalid (NaN) samples: one
+// straddling the boundary between the third and fourth chunks, one
+// blanking the whole 2 s window from 20 s.
+func makeCapture(seed int64, seconds int) *trace.Series {
+	const hz = 5000
+	rng := rand.New(rand.NewSource(seed))
+	tr := trace.NewSeries("current", "mA")
+	t0 := time.Unix(1_700_000_000, 0)
+	for i := 0; i < seconds*hz; i++ {
+		v := 150 + 40*math.Sin(float64(i)/3000) + rng.NormFloat64()*15
+		if i >= 3*samples.ChunkLen-50 && i < 3*samples.ChunkLen+50 || i >= 20*hz && i < 22*hz+500 {
+			v = math.NaN()
+		}
+		tr.MustAppend(t0.Add(time.Duration(i)*time.Second/hz), v)
+	}
+	return tr
+}
+
+// encodeV2 is tr as a version 2 binary trace, the format a build's
+// trace is stored in.
+func encodeV2(t testing.TB, tr *trace.Series) []byte {
+	var buf bytes.Buffer
+	if err := trace.EncodeBinary(&buf, tr, trace.BinaryV2); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestComputeAgainstBatch is the satellite property test: windowed
 // aggregates must agree with a batch recomputation from the decoded
 // trace — mean and energy to 1e-9 relative, quantiles within the
@@ -234,11 +263,19 @@ func TestCacheLRU(t *testing.T) {
 	if c.SizeBytes() != 50 {
 		t.Fatalf("size after replace %d", c.SizeBytes())
 	}
-	// Disabled cache.
-	d := NewCache(0)
-	d.Put("k", []byte("v"))
-	if _, ok := d.Get("k"); ok {
-		t.Fatal("disabled cache stored an entry")
+	// Disabled cache, an empty body included.
+	for _, max := range []int64{0, -1} {
+		d := NewCache(max)
+		d.Put("k", []byte("v"))
+		d.Put("empty", []byte{})
+		for _, key := range []string{"k", "empty"} {
+			if _, ok := d.Get(key); ok {
+				t.Fatalf("cache of %d bytes stored %q", max, key)
+			}
+		}
+		if d.Len() != 0 {
+			t.Fatalf("cache of %d bytes holds %d entries", max, d.Len())
+		}
 	}
 }
 
@@ -280,6 +317,9 @@ func traceFixtures(t testing.TB) map[string][]byte {
 	nans.MustAppend(time.Unix(0, 0), math.NaN())
 	nans.MustAppend(time.Unix(0, 0), math.NaN())
 	nans.MustAppend(time.Unix(3, 0), 5)
+	// Over 40 chunks, so the decoder laps the ring of chunk buffers ten
+	// times; its 2 s windows straddle chunk boundaries.
+	out["capture.v2"] = encodeV2(t, makeCapture(5, 33))
 	for name, tr := range map[string]*trace.Series{
 		"noisy":  makeTrace(11, 9_000), // spans chunks, about 18 s
 		"empty":  trace.NewSeries("current", "mA"),
@@ -298,18 +338,58 @@ func traceFixtures(t testing.TB) map[string][]byte {
 }
 
 // viaSeries is the analytics read as it was before ComputeBinary: decode
-// into a Series, then aggregate it.
+// into a Series, then aggregate it, in one sequential fold.
 func viaSeries(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
 	tr, err := trace.DecodeBinary(data)
 	if err != nil {
 		return nil, err
 	}
-	return Compute(tr, q)
+	return sequential(tr, q)
+}
+
+// sequential is the reference fold: Compute as one loop feeding each
+// sample to the rollup and then to the windows, on the calling goroutine.
+func sequential(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
+	fields, err := checkQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	render, err := sequentialFold(tr, q.WindowNS)
+	if err != nil {
+		return nil, err
+	}
+	return render(q, fields), nil
+}
+
+// sequentialFold is sequential's fold, done once for every query with
+// windows of windowNS: it returns their answers' renderer.
+func sequentialFold(tr *trace.Series, windowNS int64) (func(q api.AnalyticsQuery, fields []string) *api.AnalyticsResult, error) {
+	durationNS := tr.Duration().Nanoseconds()
+	if err := checkBuckets(windowNS, durationNS); err != nil {
+		return nil, err
+	}
+	var epochNS int64
+	if tr.Len() > 0 {
+		epochNS = tr.At(0).T.UnixNano()
+	}
+	a := newAggs(windowNS)
+	tr.Samples().Iter(func(tNanos int64, v float64) bool {
+		a.total.Add(tNanos, v)
+		if a.wd != nil {
+			a.wd.Add(tNanos, v)
+		}
+		return true
+	})
+	return func(q api.AnalyticsQuery, fields []string) *api.AnalyticsResult {
+		return a.result(q, fields, epochNS, durationNS)
+	}, nil
 }
 
 // TestAnalyticsFromBytesMatchesSeries: folding straight off the column
 // decoder gives, for every fixture, window and field selection, the
-// struct the Series-based path gives — every float the same bits.
+// struct the sequential fold of the Series gives — every float the same
+// bits — and so does folding the Series' chunks. A window too fine for a
+// trace is refused by all three with the same error.
 func TestAnalyticsFromBytesMatchesSeries(t *testing.T) {
 	var fieldSets [][]string
 	for mask := 0; mask < 1<<len(allFields); mask++ { // mask 0: no selection, every field
@@ -321,23 +401,50 @@ func TestAnalyticsFromBytesMatchesSeries(t *testing.T) {
 		}
 		fieldSets = append(fieldSets, set)
 	}
+	refused := 0
 	for name, data := range traceFixtures(t) {
-		for _, windowNS := range []int64{0, int64(2 * time.Second)} {
-			for _, fields := range fieldSets {
-				q := api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: name}
-				want, err := viaSeries(data, q)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		tr, err := trace.DecodeBinary(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, windowNS := range []int64{0, int64(time.Millisecond), int64(2 * time.Second)} {
+			render, wantErr := sequentialFold(tr, windowNS)
+			if wantErr != nil && !errors.Is(wantErr, ErrBadQuery) {
+				t.Fatalf("%s: %v", name, wantErr)
+			}
+			check := func(path string, q api.AnalyticsQuery, got *api.AnalyticsResult, err error) {
+				t.Helper()
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s window %d: %s error %v, the sequential fold gives %v", name, windowNS, path, err, wantErr)
 				}
-				got, err := ComputeBinary(data, q)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+				var want *api.AnalyticsResult
+				if wantErr == nil {
+					fields, err := NormalizeFields(q.Fields)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = render(q, fields)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s window %d fields %v:\n got %+v\nwant %+v", name, windowNS, fields, got, want)
+					t.Errorf("%s window %d fields %v: %s\n got %+v\nwant %+v", name, windowNS, q.Fields, path, got, want)
 				}
 			}
+			for _, fields := range fieldSets {
+				q := api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: name}
+				got, err := ComputeBinary(data, q)
+				check("ComputeBinary", q, got, err)
+			}
+			// The field selection only renders: the Series feed needs one.
+			q := api.AnalyticsQuery{WindowNS: windowNS, Artifact: name}
+			got, err := Compute(tr, q)
+			check("Compute", q, got, err)
+			if wantErr != nil {
+				refused++
+			}
 		}
+	}
+	if refused != 1 {
+		t.Errorf("%d windows refused, want the one of 1 ms over the 33 s capture", refused)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 // layer stores the exact response body, so a cache hit is
 // bit-identical to the cold query it memoized — no re-marshal, no
 // float drift. Keys carry everything that could change the answer
-// (build, feed epoch, finish time, artifact, resolved query), which is
-// how invalidation works: a build that finishes or a feed that starts
-// a new epoch changes the key, and the orphaned entry ages out the LRU
-// tail. Safe for concurrent use.
+// (build, feed epoch, terminal state, artifact, resolved query), which
+// is how invalidation works: a build that ends in another state or a
+// feed that starts a new epoch changes the key, and the orphaned entry
+// ages out the LRU tail. Safe for concurrent use.
 type Cache struct {
 	mu    sync.Mutex
 	max   int64
@@ -47,9 +47,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Put stores body under key, evicting least-recently-used entries
 // until the byte bound holds. A body larger than the whole bound is
-// not cached.
+// not cached, and a disabled cache (maxBytes <= 0) caches nothing, an
+// empty body included.
 func (c *Cache) Put(key string, body []byte) {
-	if int64(len(body)) > c.max {
+	if c.max <= 0 || int64(len(body)) > c.max {
 		return
 	}
 	c.mu.Lock()

@@ -210,21 +210,22 @@ func TestLabelEscaping(t *testing.T) {
 // goroutines lazily register fresh labeled instances and whole new
 // families — the shape of the HTTP middleware, which materializes a
 // (route,code) counter on first sight of each status. Run under -race
-// this guards the family/instance copy in Snapshot.
+// this guards the family/instance copy in Snapshot. The writers do a
+// fixed amount of work from one start signal (each registers 400 codes
+// and 40 families), and the reader snapshots until they are done, at
+// least 500 times, so every registration overlaps a snapshot and the
+// test's cost does not grow with how the two interleave.
 func TestSnapshotRacesWithLazyRegistration(t *testing.T) {
+	const writers, perWriter = 4, 2000
 	r := NewRegistry()
-	stop := make(chan struct{})
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			<-start
+			for i := 0; i < perWriter; i++ {
 				r.Counter("race_requests_total", "",
 					L("route", "/r", "code", strconv.Itoa(200+i%400))...).Inc()
 				if i%50 == 0 {
@@ -233,7 +234,18 @@ func TestSnapshotRacesWithLazyRegistration(t *testing.T) {
 			}
 		}(w)
 	}
-	for i := 0; i < 500; i++ {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	writing := func() bool {
+		select {
+		case <-done:
+			return false
+		default:
+			return true
+		}
+	}
+	close(start)
+	for i := 0; i < 500 || writing(); i++ {
 		snap := r.Snapshot()
 		for _, f := range snap.Families {
 			if f.Name == "" {
@@ -241,8 +253,9 @@ func TestSnapshotRacesWithLazyRegistration(t *testing.T) {
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
+	if n := len(r.Snapshot().Families); n != 1+writers*perWriter/50 {
+		t.Fatalf("%d families registered, want %d", n, 1+writers*perWriter/50)
+	}
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
