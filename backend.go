@@ -92,8 +92,7 @@ type ExperimentHandle interface {
 }
 
 // RunOutcome is one experiment's outcome within a campaign, in the
-// location-transparent shape (the local CampaignRun carries the
-// compiled spec, which has no wire form).
+// location-transparent shape.
 type RunOutcome struct {
 	// Index is the experiment's position in the campaign spec.
 	Index int
@@ -121,8 +120,8 @@ type CampaignHandle interface {
 type Backend interface {
 	// StartExperimentSpec submits one run and returns its session.
 	StartExperimentSpec(ctx context.Context, spec ExperimentSpecV1, obs ...Observer) (ExperimentHandle, error)
-	// StartCampaignSpec submits a batch; runs fan out across vantage
-	// points, serialized per device.
+	// StartCampaignSpec submits a batch to an access server; runs fan
+	// out across vantage points, serialized per node.
 	StartCampaignSpec(ctx context.Context, spec CampaignSpecV1, obs ...Observer) (CampaignHandle, error)
 	// Nodes lists the reachable vantage points and their devices.
 	Nodes(ctx context.Context) ([]NodeInfo, error)
@@ -131,9 +130,10 @@ type Backend interface {
 }
 
 // LocalBackend adapts an in-process Platform to the Backend interface:
-// specs compile through the platform's workload registry and run as
-// ordinary core sessions (driving the virtual clock from Wait, exactly
-// like StartExperiment).
+// specs compile through the platform's workload registry; an
+// experiment runs as an ordinary core session and a campaign queues on
+// the platform's own access server (both drive the virtual clock from
+// Wait, exactly like StartExperiment).
 func LocalBackend(p *Platform) Backend { return localBackend{p} }
 
 type localBackend struct{ p *core.Platform }
@@ -179,7 +179,7 @@ func (c localCampaign) Wait(ctx context.Context) ([]RunOutcome, error) {
 	for i, r := range runs {
 		out[i] = RunOutcome{
 			Index: r.Index,
-			Node:  r.Spec.Node, Device: r.Spec.Device,
+			Node:  r.Node, Device: r.Device,
 			Result: r.Result, Err: r.Err,
 		}
 	}

@@ -25,11 +25,13 @@
 //	fmt.Println(res.EnergyMAH)
 //
 // Measurement campaigns — many specs across many vantage points — are
-// first-class: RunCampaign schedules them concurrently across nodes
-// (serialized per device, since one Monsoon powers one device) and
-// returns aggregated per-run outcomes:
+// first-class: StartCampaignSpec queues a declarative CampaignSpecV1 on
+// the platform's own access server, which runs it concurrently across
+// nodes (serialized per node, since one Monsoon measures one run at a
+// time) and is readable over the v1 API like any campaign:
 //
-//	runs, _ := dep.Platform.RunCampaign(ctx, batterylab.Campaign{Specs: specs})
+//	cs, _ := dep.Platform.StartCampaignSpec(ctx, batterylab.CampaignSpecV1{Experiments: specs})
+//	runs, _ := cs.Wait(ctx)
 //
 // The v1 remote execution API makes the platform location-transparent:
 // a declarative ExperimentSpecV1 (node, device, named workload +
@@ -83,12 +85,9 @@ type (
 	// Session is a handle to one in-flight experiment (Wait, Cancel,
 	// Phase, observer hooks).
 	Session = core.Session
-	// Campaign is a batch of experiments with a parallelism policy.
-	Campaign = core.Campaign
-	// CampaignRun is one spec's outcome within a campaign.
+	// CampaignRun is one experiment's outcome within an in-process
+	// campaign.
 	CampaignRun = core.CampaignRun
-	// CampaignSession is a handle to an in-flight campaign.
-	CampaignSession = core.CampaignSession
 	// Observer receives a session's phase transitions and live samples.
 	Observer = core.Observer
 	// ObserverFuncs adapts plain functions to Observer.

@@ -7,126 +7,112 @@ import (
 	"sync"
 	"time"
 
+	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/feedhub"
+	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
 
-// Campaign is a batch of experiments run under one scheduling policy —
-// the first-class abstraction for large measurement sweeps (many
-// devices × many KPIs) that a shared platform serves, instead of a
-// for-loop around a blocking call.
-type Campaign struct {
-	// Specs are the runs, dispatched FIFO per vantage point.
-	Specs []ExperimentSpec
-	// MaxConcurrent caps how many experiments run at once across the
-	// whole campaign (0 = no cap beyond the hardware bound). Runs on the
-	// same vantage point are always serialized: one Monsoon powers one
-	// device at a time, so a node's monitor is exclusive.
-	MaxConcurrent int
-	// Budget bounds how much simulated time Wait may drive before giving
-	// up on a stuck campaign. Zero selects a default that adapts to the
-	// dispatched runs (48 h, extended past any run's scripted window); an
-	// explicit Budget is a hard bound.
-	Budget time.Duration
-}
+// This file runs a campaign in-process. A platform has one campaign
+// scheduler, its access server (§3.1): an in-process campaign is a wire
+// campaign submitted to the platform's own server, so it queues, waits
+// for free vantage points and is readable at GET /api/v1/campaigns/{id}
+// like one POSTed there. The handle follows each member build's feed
+// and decodes each run's result from the build's workspace.
 
-// CampaignRun is one spec's outcome within a campaign.
+// campaignOwner names the platform-owned admin user that submits
+// in-process campaigns.
+const campaignOwner = "platform"
+
+// CampaignRun is one experiment's outcome within a campaign.
 type CampaignRun struct {
-	// Index is the spec's position in Campaign.Specs.
+	// Index is the experiment's position in the campaign spec.
 	Index int
-	// Spec is the run as submitted.
-	Spec ExperimentSpec
+	// Build is the access-server build that ran it.
+	Build int
+	// Node and Device identify the run as the spec named it.
+	Node   string
+	Device string
 	// Result is the measurement (nil when Err is set).
 	Result *Result
-	// Err is the per-run failure: validation, setup, workload or
+	// Err is the per-run failure: setup, workload, node loss or
 	// cancellation. One run failing never aborts its siblings.
 	Err error
-	// Started and Finished are platform-clock instants (Started is zero
-	// when the run failed before dispatch or was canceled while queued).
+	// Started and Finished are the platform-clock instants the build was
+	// dispatched and settled (Started is zero for a run canceled while
+	// queued).
 	Started  time.Time
 	Finished time.Time
 }
 
-// CampaignSession is a handle to an in-flight campaign.
+// CampaignSession is a handle to an in-process campaign: the member
+// builds the platform's access server queued for it, index-aligned
+// with the spec.
 type CampaignSession struct {
-	platform  *Platform
-	clock     simclock.Clock
-	campaign  Campaign
-	observers []Observer
-	ctx       context.Context
+	// ID is the campaign's id on the platform's access server.
+	ID int
 
+	platform *Platform
+	owner    *accessserver.User
+	builds   []*accessserver.Build
+
+	// runs is written by each member's follower before done closes.
+	runs []CampaignRun
 	done chan struct{}
-
-	mu            sync.Mutex
-	pending       []int
-	busy          map[string]bool // vantage point -> measuring
-	running       int
-	sessions      map[int]*Session
-	runs          []CampaignRun
-	outstanding   int
-	canceled      bool
-	cancelCause   error
-	deadline      time.Time
-	defaultBudget bool
 }
 
-// RunCampaign submits the campaign and blocks until every run has
-// finished (or the campaign is canceled), returning the aggregated
-// per-run outcomes in spec order. Under the virtual clock the scheduler
-// is deterministic: the same seed and specs produce identical results,
-// and runs on distinct vantage points execute concurrently in simulated
-// time while each node's runs stay serialized.
-func (p *Platform) RunCampaign(ctx context.Context, c Campaign, obs ...Observer) ([]CampaignRun, error) {
-	cs, err := p.StartCampaign(ctx, c, obs...)
-	if err != nil {
-		return nil, err
-	}
-	return cs.Wait(ctx)
-}
-
-// StartCampaign validates the batch shape and begins dispatching,
-// returning a handle immediately. Individual spec failures (unknown
-// node, bad workload, …) are recorded per run, not returned here.
-func (p *Platform) StartCampaign(ctx context.Context, c Campaign, obs ...Observer) (*CampaignSession, error) {
-	if len(c.Specs) == 0 {
-		return nil, errors.New("core: campaign has no specs")
-	}
+// StartCampaignSpec submits a wire campaign to the platform's access
+// server as the platform's own admin user and returns a handle over its
+// member builds. A spec that does not compile fails here, typed, and
+// queues nothing. Runs spread across vantage points and queue per node,
+// whose one Monsoon measures one run at a time. Observers receive each
+// member's phase events and live samples from its build feed, on a
+// goroutine per member (so callbacks for different members may run
+// concurrently). Cancelling ctx cancels the campaign.
+func (p *Platform) StartCampaignSpec(ctx context.Context, spec api.CampaignSpec, obs ...Observer) (*CampaignSession, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	defaultBudget := c.Budget == 0
-	if defaultBudget {
-		c.Budget = 48 * time.Hour
+	owner, err := p.owner()
+	if err != nil {
+		return nil, err
+	}
+	id, builds, err := p.Access.SubmitCampaign(owner, spec)
+	if err != nil {
+		return nil, err
 	}
 	cs := &CampaignSession{
-		platform:      p,
-		clock:         p.clock,
-		campaign:      c,
-		observers:     obs,
-		ctx:           ctx,
-		done:          make(chan struct{}),
-		busy:          make(map[string]bool),
-		sessions:      make(map[int]*Session),
-		runs:          make([]CampaignRun, len(c.Specs)),
-		outstanding:   len(c.Specs),
-		deadline:      p.clock.Now().Add(c.Budget),
-		defaultBudget: defaultBudget,
+		ID:       id,
+		platform: p,
+		owner:    owner,
+		builds:   builds,
+		runs:     make([]CampaignRun, len(builds)),
+		done:     make(chan struct{}),
 	}
-	for i, spec := range c.Specs {
-		cs.pending = append(cs.pending, i)
-		cs.runs[i] = CampaignRun{Index: i, Spec: spec}
+	var wg sync.WaitGroup
+	for i, b := range builds {
+		ws := spec.Experiments[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			follow(b.Feed(), ws.Node, ws.Device, obs)
+			cs.runs[i] = outcome(i, b, ws)
+		}()
 	}
-	cs.schedule()
+	go func() {
+		wg.Wait()
+		close(cs.done)
+	}()
 	// Real clock only, for the same reason as Platform.start: under a
-	// Virtual clock Wait's drive loop observes ctx itself, and an async
-	// watcher would race the driving goroutine.
+	// Virtual clock Wait's drive loop observes ctx itself.
 	if _, virtual := p.clock.(*simclock.Virtual); !virtual && ctx.Done() != nil {
 		go func() {
 			select {
 			case <-ctx.Done():
-				cs.cancelWith(context.Cause(ctx))
+				cs.Cancel()
 			case <-cs.done:
 			}
 		}()
@@ -134,171 +120,141 @@ func (p *Platform) StartCampaign(ctx context.Context, c Campaign, obs ...Observe
 	return cs, nil
 }
 
-// Done returns a channel closed when every run has finished.
+// follow delivers a member build's feed to obs until the feed closes,
+// which it does once the build has settled. Like a session, it delivers
+// the terminal PhaseDone last, after every sample.
+func follow(feed *feedhub.Feed, node, device string, obs []Observer) {
+	var nEvents, nSamples int
+	var last *PhaseChange
+	for {
+		// The samples read comes first: if it finds the feed closed,
+		// the events read after it finds every event too.
+		pts, closed, changed := feed.SamplesSince(nSamples)
+		evs, _, _ := feed.EventsSince(nEvents)
+		nSamples += len(pts)
+		nEvents += len(evs)
+		for _, pt := range pts {
+			smp := SampleOf(node, device, pt)
+			for _, o := range obs {
+				o.OnSample(smp)
+			}
+		}
+		for _, ev := range evs {
+			c, ok := PhaseChangeOf(ev)
+			switch {
+			case !ok:
+			case c.Phase == PhaseDone:
+				last = &c
+			default:
+				for _, o := range obs {
+					o.OnPhase(c)
+				}
+			}
+		}
+		if closed {
+			break
+		}
+		<-changed
+	}
+	if last != nil {
+		for _, o := range obs {
+			o.OnPhase(*last)
+		}
+	}
+}
+
+// outcome reads a settled member build's run. The caller has seen the
+// build's feed closed, which the server does only after settling it, so
+// the build's record is final.
+func outcome(i int, b *accessserver.Build, ws api.ExperimentSpec) CampaignRun {
+	run := CampaignRun{
+		Index: i, Build: b.ID,
+		Node: ws.Node, Device: ws.Device,
+		Started:  instant(b.StartedAtNS),
+		Finished: instant(b.FinishedAtNS),
+	}
+	switch b.State() {
+	case accessserver.StateSuccess:
+		run.Result, run.Err = DecodeResult(b.Workspace().Load, b.Summary)
+	case accessserver.StateAborted:
+		run.Err = fmt.Errorf("%w: build %d aborted", ErrCanceled, b.ID)
+	default:
+		run.Err = b.Err()
+		if errors.Is(run.Err, accessserver.ErrNodeLost) {
+			run.Err = fmt.Errorf("%w: %v", ErrNodeLost, run.Err)
+		}
+	}
+	return run
+}
+
+// instant converts a record's UnixNano stamp, 0 meaning never.
+func instant(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
+
+// Done returns a channel closed when every run has finished and its
+// outcome is read.
 func (cs *CampaignSession) Done() <-chan struct{} { return cs.done }
 
-// Runs returns a snapshot of the per-run outcomes in spec order.
-func (cs *CampaignSession) Runs() []CampaignRun {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return append([]CampaignRun{}, cs.runs...)
-}
-
-// Cancel stops the campaign: queued runs are failed with ErrCanceled and
-// in-flight sessions are canceled (their teardown completes before the
-// campaign's Done closes). Idempotent.
-func (cs *CampaignSession) Cancel() { cs.cancelWith(nil) }
-
-func (cs *CampaignSession) cancelWith(cause error) {
-	cs.mu.Lock()
-	if cs.canceled {
-		cs.mu.Unlock()
-		return
-	}
-	cs.canceled = true
-	cs.cancelCause = cause
-	pending := cs.pending
-	cs.pending = nil
-	sessions := make([]*Session, 0, len(cs.sessions))
-	for _, s := range cs.sessions {
-		sessions = append(sessions, s)
-	}
-	cs.mu.Unlock()
-
-	err := ErrCanceled
-	if cause != nil {
-		err = fmt.Errorf("%w: %v", ErrCanceled, cause)
-	}
-	for _, i := range pending {
-		cs.record(i, nil, err, false)
-	}
-	for _, s := range sessions {
-		s.Cancel()
+// Cancel aborts every member that has not settled: a queued run ends
+// with ErrCanceled at once, a running one is torn down through its
+// build's cancel hook. Members go last to first, so queued ones leave
+// the queue before the running ones ahead of them free their nodes.
+// Idempotent.
+func (cs *CampaignSession) Cancel() {
+	for i := len(cs.builds) - 1; i >= 0; i-- {
+		// A member that settled already answers ErrConflict (or
+		// ErrExpired): there is nothing left to cancel.
+		_ = cs.platform.Access.Abort(cs.owner, cs.builds[i].ID)
 	}
 }
 
-// Wait blocks until the campaign completes and returns the aggregated
-// outcomes. Per-run failures live in the returned runs; the error return
-// is campaign-level only (context cancellation or a blown time budget).
+// settled reports whether every member build is terminal — drive's
+// finished for Wait, asked between instants.
+func (cs *CampaignSession) settled() bool {
+	for _, b := range cs.builds {
+		if !b.State().Terminal() {
+			return false
+		}
+	}
+	return true
+}
+
+// Wait blocks until every run has finished and returns the outcomes in
+// spec order. On a Virtual platform clock it drives simulated time
+// itself until every member build is terminal. Per-run failures live
+// in the returned runs; the error return is campaign-level only.
+// Cancelling ctx cancels the campaign, waits for its teardown and
+// returns ctx's error.
 func (cs *CampaignSession) Wait(ctx context.Context) ([]CampaignRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	v, ok := cs.clock.(*simclock.Virtual)
-	if !ok {
+	var err error
+	v, virtual := cs.platform.clock.(*simclock.Virtual)
+	if virtual {
+		err = drive(ctx, v, cs.settled, nil)
+	} else {
 		select {
 		case <-cs.done:
-			return cs.Runs(), nil
 		case <-ctx.Done():
-			cs.cancelWith(context.Cause(ctx))
-			<-cs.done
-			return cs.Runs(), ctx.Err()
+			err = ctx.Err()
 		}
 	}
-	err := drive(ctx, v, cs.done, cs.deadlineAt)
 	if err != nil {
-		if ctx.Err() != nil {
-			cs.cancelWith(context.Cause(ctx))
-			<-cs.done
-			return cs.Runs(), ctx.Err()
-		}
-		// Budget blown or clock stalled: cancel so in-flight sessions
-		// release their hardware, queued runs get an outcome and Done
-		// closes (also unblocking the ctx-watcher goroutine).
-		cs.cancelWith(err)
-		<-cs.done
-		return cs.Runs(), err
-	}
-	return cs.Runs(), nil
-}
-
-func (cs *CampaignSession) deadlineAt() time.Time {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.deadline
-}
-
-// schedule dispatches every runnable spec: lowest pending index first,
-// skipping specs whose vantage point is measuring, stopping at the
-// concurrency cap. It is called at submission and from every run's
-// completion, so the campaign is fully event-driven — under the virtual
-// clock all dispatch decisions happen at deterministic instants.
-func (cs *CampaignSession) schedule() {
-	for {
-		cs.mu.Lock()
-		if cs.canceled {
-			cs.mu.Unlock()
-			return
-		}
-		pick := -1
-		for qi, i := range cs.pending {
-			if cs.campaign.MaxConcurrent > 0 && cs.running >= cs.campaign.MaxConcurrent {
-				break
+		cs.Cancel()
+		if virtual {
+			// Aborts settle queued members at once and tear running
+			// ones down on this goroutine; drive finishes any teardown
+			// that still waits on the clock.
+			if err := drive(context.Background(), v, cs.settled, nil); err != nil {
+				return nil, err // a member that cannot settle: no outcomes
 			}
-			node := cs.campaign.Specs[i].Node
-			if cs.busy[node] {
-				continue
-			}
-			pick = i
-			cs.pending = append(cs.pending[:qi], cs.pending[qi+1:]...)
-			cs.busy[node] = true
-			cs.running++
-			break
-		}
-		cs.mu.Unlock()
-		if pick < 0 {
-			return
-		}
-
-		i := pick
-		spec := cs.campaign.Specs[i]
-		started := cs.clock.Now()
-		sess, err := cs.platform.start(cs.ctx, spec, cs.observers, func(res *Result, err error) {
-			cs.record(i, res, err, true)
-			cs.schedule()
-		})
-		if err != nil {
-			// A dispatch that lost the race against context cancellation
-			// records the same canceled shape as queued runs do.
-			if cs.ctx.Err() != nil {
-				err = fmt.Errorf("%w: %v", ErrCanceled, context.Cause(cs.ctx))
-			}
-			cs.record(i, nil, err, true)
-			continue
-		}
-		cs.mu.Lock()
-		cs.sessions[i] = sess
-		cs.runs[i].Started = started
-		// Only the default budget adapts to long runs; an explicit
-		// Budget is a hard bound the user asked for.
-		if dl := started.Add(sess.Scripted()*2 + time.Minute); cs.defaultBudget && dl.After(cs.deadline) {
-			cs.deadline = dl
-		}
-		canceled := cs.canceled
-		cs.mu.Unlock()
-		if canceled {
-			// Cancel raced the dispatch; fold this session in.
-			sess.Cancel()
 		}
 	}
-}
-
-// record stores one run's outcome; dispatched runs also release their
-// vantage point. The campaign completes when the last outcome lands.
-func (cs *CampaignSession) record(i int, res *Result, err error, dispatched bool) {
-	cs.mu.Lock()
-	if dispatched {
-		cs.busy[cs.campaign.Specs[i].Node] = false
-		cs.running--
-		delete(cs.sessions, i)
-	}
-	cs.runs[i].Result = res
-	cs.runs[i].Err = err
-	cs.runs[i].Finished = cs.clock.Now()
-	cs.outstanding--
-	doneNow := cs.outstanding == 0
-	cs.mu.Unlock()
-	if doneNow {
-		close(cs.done)
-	}
+	<-cs.done
+	return append([]CampaignRun(nil), cs.runs...), err
 }

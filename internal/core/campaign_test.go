@@ -1,11 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver"
+	"batterylab/internal/api"
 	"batterylab/internal/automation"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
@@ -51,39 +58,71 @@ func newCampaignRig(t *testing.T, n int) (*Platform, *simclock.Virtual, []string
 	return plat, clk, nodes, serials
 }
 
-func videoWorkload(dur time.Duration) func(automation.Driver) *automation.Script {
-	return func(drv automation.Driver) *automation.Script {
-		s := automation.NewScript("video")
-		s.Add("launch", dur, func() error {
-			_, err := drv.LaunchApp(video.PackageName)
-			return err
-		})
-		return s
+// videoSpec is one wire run of the registry's video workload.
+func videoSpec(node, serial string, dur time.Duration) api.ExperimentSpec {
+	return api.ExperimentSpec{
+		Node: node, Device: serial,
+		Monitor:  api.MonitorSpec{SampleRateHz: 200},
+		Workload: api.WorkloadSpec{Name: "video", Params: api.Params{"duration_ms": float64(dur.Milliseconds())}},
 	}
 }
 
 // sixSpecs builds the acceptance-criterion batch: two vantage points ×
 // three specs each, node-interleaved.
-func sixSpecs(nodes, serials []string) []ExperimentSpec {
-	var specs []ExperimentSpec
+func sixSpecs(nodes, serials []string) api.CampaignSpec {
+	var cs api.CampaignSpec
 	for r := 0; r < 3; r++ {
 		for n := 0; n < 2; n++ {
-			specs = append(specs, ExperimentSpec{
-				Node: nodes[n], Device: serials[n], SampleRate: 200,
-				Workload: videoWorkload(time.Duration(20+5*r) * time.Second),
-			})
+			cs.Experiments = append(cs.Experiments, videoSpec(nodes[n], serials[n], time.Duration(20+5*r)*time.Second))
 		}
 	}
-	return specs
+	return cs
+}
+
+// runCampaign starts a campaign and waits for it.
+func runCampaign(t *testing.T, plat *Platform, cs api.CampaignSpec, obs ...Observer) []CampaignRun {
+	t.Helper()
+	sess, err := plat.StartCampaignSpec(context.Background(), cs, obs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := sess.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+// getJSON serves one GET from the platform's v1 API as an admin.
+func getJSON(t *testing.T, plat *Platform, path string, out any) {
+	t.Helper()
+	admin, err := plat.Access.Users.Lookup("viewer")
+	if err != nil {
+		if admin, err = plat.Access.Users.Add("viewer", accessserver.RoleAdmin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set("Authorization", "Bearer "+admin.Token)
+	w := httptest.NewRecorder()
+	plat.Access.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, w.Code, w.Body)
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), out); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCampaignConcurrentAcrossNodesSerializedPerDevice(t *testing.T) {
 	plat, clk, nodes, serials := newCampaignRig(t, 2)
-	specs := sixSpecs(nodes, serials)
-
 	start := clk.Now()
 	rec := &recorder{}
-	runs, err := plat.RunCampaign(context.Background(), Campaign{Specs: specs}, rec)
+	sess, err := plat.StartCampaignSpec(context.Background(), sixSpecs(nodes, serials), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := sess.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +130,7 @@ func TestCampaignConcurrentAcrossNodesSerializedPerDevice(t *testing.T) {
 		t.Fatalf("runs = %d", len(runs))
 	}
 	// One observer watches the whole campaign: events from interleaved
-	// sessions are attributable through Node/Device.
+	// runs are attributable through Node/Device.
 	seenNode := map[string]bool{}
 	rec.mu.Lock()
 	for _, e := range rec.phases {
@@ -118,16 +157,16 @@ func TestCampaignConcurrentAcrossNodesSerializedPerDevice(t *testing.T) {
 		sequential += run.Result.Duration
 	}
 
-	// Serialized per device: intervals on the same node never overlap.
+	// Serialized per node: intervals on the same node never overlap.
 	overlap := func(a, b CampaignRun) bool {
 		return a.Started.Before(b.Finished) && b.Started.Before(a.Finished)
 	}
 	crossNodeOverlap := false
 	for i := range runs {
 		for j := i + 1; j < len(runs); j++ {
-			if runs[i].Spec.Node == runs[j].Spec.Node {
+			if runs[i].Node == runs[j].Node {
 				if overlap(runs[i], runs[j]) {
-					t.Fatalf("runs %d and %d overlap on %s", i, j, runs[i].Spec.Node)
+					t.Fatalf("runs %d and %d overlap on %s", i, j, runs[i].Node)
 				}
 			} else if overlap(runs[i], runs[j]) {
 				crossNodeOverlap = true
@@ -149,6 +188,59 @@ func TestCampaignConcurrentAcrossNodesSerializedPerDevice(t *testing.T) {
 			t.Fatalf("%s still measuring", name)
 		}
 	}
+	// The campaign is the access server's like any other: its members
+	// are readable over the v1 API, settled, in spec order.
+	var st api.CampaignStatus
+	getJSON(t, plat, fmt.Sprintf("/api/v1/campaigns/%d", sess.ID), &st)
+	if st.Campaign != sess.ID || len(st.Builds) != len(runs) {
+		t.Fatalf("campaign status %+v, want campaign %d with %d builds", st, sess.ID, len(runs))
+	}
+	for i, b := range st.Builds {
+		if b.ID != runs[i].Build || b.State != "success" || b.Summary == nil || b.Summary.EnergyMAH != runs[i].Result.EnergyMAH {
+			t.Fatalf("member %d served as %+v, want build %d succeeded with %v mAh", i, b, runs[i].Build, runs[i].Result.EnergyMAH)
+		}
+	}
+}
+
+// TestPlatformRunsEveryNodeAtOnce: a campaign POSTed to a platform's
+// own server runs on every free vantage point at once — the platform's
+// server caps no executors below its node locks.
+func TestPlatformRunsEveryNodeAtOnce(t *testing.T) {
+	plat, clk, nodes, serials := newCampaignRig(t, 3)
+	var cs api.CampaignSpec
+	for i := range nodes {
+		cs.Experiments = append(cs.Experiments, videoSpec(nodes[i], serials[i], 20*time.Second))
+	}
+	admin, err := plat.Access.Users.Add("alice", accessserver.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(cs)
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/campaigns", bytes.NewReader(body))
+	req.Header.Set("Authorization", "Bearer "+admin.Token)
+	w := httptest.NewRecorder()
+	plat.Access.Handler().ServeHTTP(w, req)
+	if w.Code/100 != 2 {
+		t.Fatalf("POST /api/v1/campaigns: %d %s", w.Code, w.Body)
+	}
+	var resp api.CampaignResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	var st api.CampaignStatus
+	getJSON(t, plat, fmt.Sprintf("/api/v1/campaigns/%d", resp.Campaign), &st)
+	for _, b := range st.Builds {
+		if b.State != "running" || b.StartedAtNS != clk.Now().UnixNano() {
+			t.Fatalf("build %d on %s: %s since %d, want running since %d",
+				b.ID, b.Node, b.State, b.StartedAtNS, clk.Now().UnixNano())
+		}
+	}
+	if len(st.Builds) != 3 {
+		t.Fatalf("campaign has %d builds", len(st.Builds))
+	}
+	if err := clk.RunWhile(func() bool { return plat.Access.Running() > 0 }, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
@@ -165,16 +257,9 @@ func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
 
 	// Same campaign on two fresh platforms: bit-identical outcomes.
 	plat1, _, nodes, serials := newCampaignRig(t, 2)
-	runs1, err := plat1.RunCampaign(context.Background(), Campaign{Specs: sixSpecs(nodes, serials)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := energies(runCampaign(t, plat1, sixSpecs(nodes, serials)))
 	plat2, _, nodes2, serials2 := newCampaignRig(t, 2)
-	runs2, err := plat2.RunCampaign(context.Background(), Campaign{Specs: sixSpecs(nodes2, serials2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, e2 := energies(runs1), energies(runs2)
+	e2 := energies(runCampaign(t, plat2, sixSpecs(nodes2, serials2)))
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatalf("campaign not seed-stable: run %d %v vs %v", i, e1[i], e2[i])
@@ -189,10 +274,13 @@ func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
 	// node's runs to later instants and different noise realizations.)
 	for n := 0; n < 2; n++ {
 		platN, _, nodesN, serialsN := newCampaignRig(t, 2)
-		specsN := sixSpecs(nodesN, serialsN)
-		for i, spec := range specsN {
-			if spec.Node != nodesN[n] {
+		for i, ws := range sixSpecs(nodesN, serialsN).Experiments {
+			if ws.Node != nodesN[n] {
 				continue
+			}
+			spec, err := platN.CompileExperiment(ws)
+			if err != nil {
+				t.Fatal(err)
 			}
 			res, err := platN.RunExperiment(context.Background(), spec)
 			if err != nil {
@@ -200,7 +288,7 @@ func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
 			}
 			if res.EnergyMAH != e1[i] {
 				t.Fatalf("campaign run %d (%s) = %v mAh, sequential baseline = %v mAh",
-					i, spec.Node, e1[i], res.EnergyMAH)
+					i, ws.Node, e1[i], res.EnergyMAH)
 			}
 		}
 	}
@@ -208,45 +296,53 @@ func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
 
 func TestCampaignPerRunErrors(t *testing.T) {
 	plat, _, nodes, serials := newCampaignRig(t, 2)
-	specs := []ExperimentSpec{
-		{Node: nodes[0], Device: serials[0], SampleRate: 200, Workload: videoWorkload(10 * time.Second)},
-		// Unknown device: recorded per-run, dispatch fails synchronously.
-		{Node: nodes[1], Device: "NOPE", SampleRate: 200, Workload: videoWorkload(10 * time.Second)},
-		// Workload failure: the launched app is not installed.
-		{Node: nodes[1], Device: serials[1], SampleRate: 200,
-			Workload: func(drv automation.Driver) *automation.Script {
-				s := automation.NewScript("bad")
-				s.Add("boom", time.Second, func() error {
-					_, err := drv.LaunchApp("com.not.installed")
-					return err
-				})
-				return s
-			}},
-		{Node: nodes[1], Device: serials[1], SampleRate: 200, Workload: videoWorkload(10 * time.Second)},
-	}
-	runs, err := plat.RunCampaign(context.Background(), Campaign{Specs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A workload that fails mid-run: the launched app is not installed.
+	plat.Workloads().Register("bad", func(api.Params) (func(automation.Driver) *automation.Script, error) {
+		return func(drv automation.Driver) *automation.Script {
+			s := automation.NewScript("bad")
+			s.Add("boom", time.Second, func() error {
+				_, err := drv.LaunchApp("com.not.installed")
+				return err
+			})
+			return s
+		}, nil
+	})
+	bad := videoSpec(nodes[1], serials[1], 0)
+	bad.Workload = api.WorkloadSpec{Name: "bad"}
+	runs := runCampaign(t, plat, api.CampaignSpec{Experiments: []api.ExperimentSpec{
+		videoSpec(nodes[0], serials[0], 10*time.Second),
+		bad,
+		videoSpec(nodes[1], serials[1], 10*time.Second),
+	}})
 	if runs[0].Err != nil || runs[0].Result == nil {
 		t.Fatalf("run 0: %v", runs[0].Err)
 	}
-	if !errors.Is(runs[1].Err, ErrUnknownDevice) {
-		t.Fatalf("run 1 err = %v, want ErrUnknownDevice", runs[1].Err)
-	}
-	if runs[2].Err == nil {
-		t.Fatal("run 2 should have failed its workload")
+	if runs[1].Err == nil || runs[1].Result != nil {
+		t.Fatal("run 1 should have failed its workload")
 	}
 	// Siblings on the same node keep running after a failure.
-	if runs[3].Err != nil || runs[3].Result == nil {
-		t.Fatalf("run 3: %v", runs[3].Err)
+	if runs[2].Err != nil || runs[2].Result == nil {
+		t.Fatalf("run 2: %v", runs[2].Err)
+	}
+
+	// A spec naming an unknown device fails the submission, typed, and
+	// queues nothing.
+	before := plat.Access.QueueLength() + plat.Access.Running()
+	_, err := plat.StartCampaignSpec(context.Background(), api.CampaignSpec{Experiments: []api.ExperimentSpec{
+		videoSpec(nodes[0], serials[0], 10*time.Second),
+		videoSpec(nodes[1], "NOPE", 10*time.Second),
+	}})
+	if !errors.Is(err, accessserver.ErrNotFound) {
+		t.Fatalf("unknown device: err = %v, want ErrNotFound", err)
+	}
+	if n := plat.Access.QueueLength() + plat.Access.Running(); n != before {
+		t.Fatalf("a rejected campaign left %d builds queued or running", n-before)
 	}
 }
 
 func TestCampaignCancel(t *testing.T) {
 	plat, clk, nodes, serials := newCampaignRig(t, 2)
-	specs := sixSpecs(nodes, serials)
-	cs, err := plat.StartCampaign(context.Background(), Campaign{Specs: specs})
+	cs, err := plat.StartCampaignSpec(context.Background(), sixSpecs(nodes, serials))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,15 +373,30 @@ func TestCampaignCancel(t *testing.T) {
 	}
 	// Cancel is idempotent.
 	cs.Cancel()
+
+	// Cancelling Wait's context cancels the campaign the same way.
+	cs, err = plat.StartCampaignSpec(context.Background(), sixSpecs(nodes, serials))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	clk.AfterFunc(5*time.Second, cancel)
+	runs, err = cs.Wait(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+	for _, run := range runs {
+		if !errors.Is(run.Err, ErrCanceled) {
+			t.Fatalf("run %d: err = %v, want ErrCanceled", run.Index, run.Err)
+		}
+	}
 }
 
 func TestCampaignMaxConcurrent(t *testing.T) {
 	plat, _, nodes, serials := newCampaignRig(t, 2)
-	specs := sixSpecs(nodes, serials)
-	runs, err := plat.RunCampaign(context.Background(), Campaign{Specs: specs, MaxConcurrent: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := sixSpecs(nodes, serials)
+	cs.MaxConcurrent = 1
+	runs := runCampaign(t, plat, cs)
 	for i := range runs {
 		if runs[i].Err != nil {
 			t.Fatalf("run %d: %v", i, runs[i].Err)
@@ -304,7 +415,10 @@ func TestCampaignRealClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []ExperimentSpec
+	plat.Workloads().Register("sleep", func(api.Params) (func(automation.Driver) *automation.Script, error) {
+		return sleepWorkload(4, 50*time.Millisecond), nil
+	})
+	var cs api.CampaignSpec
 	for i := 0; i < 2; i++ {
 		name := "node" + string(rune('1'+i))
 		ctl, err := controller.New(clk, controller.Config{Name: name, Seed: uint64(10 + i)})
@@ -321,18 +435,13 @@ func TestCampaignRealClock(t *testing.T) {
 		if _, err := plat.Join(ctl, "198.51.100."+string(rune('1'+i))+":2222"); err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, ExperimentSpec{
-			Node: name, Device: dev.Serial(), SampleRate: 100,
-			Padding:         50 * time.Millisecond,
-			CPUSamplePeriod: 20 * time.Millisecond,
-			Workload:        sleepWorkload(4, 50*time.Millisecond),
+		cs.Experiments = append(cs.Experiments, api.ExperimentSpec{
+			Node: name, Device: dev.Serial(),
+			Monitor:  api.MonitorSpec{SampleRateHz: 100, PaddingMS: 50, CPUSamplePeriodMS: 20},
+			Workload: api.WorkloadSpec{Name: "sleep"},
 		})
 	}
-	runs, err := plat.RunCampaign(context.Background(), Campaign{Specs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, run := range runs {
+	for i, run := range runCampaign(t, plat, cs) {
 		if run.Err != nil {
 			t.Fatalf("run %d: %v", i, run.Err)
 		}

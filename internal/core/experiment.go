@@ -38,8 +38,9 @@ var (
 	ErrUSBTransport = errors.New("core: USB transport corrupts measurements; use WiFi or Bluetooth")
 	// ErrNoWorkload reports a spec without a workload builder.
 	ErrNoWorkload = errors.New("core: experiment needs a workload")
-	// ErrCanceled reports a run ended by Session.Cancel, Campaign
-	// cancellation or context cancellation. Teardown still completed.
+	// ErrCanceled reports a run ended by Session.Cancel, campaign or
+	// build cancellation, or context cancellation. Teardown still
+	// completed.
 	ErrCanceled = errors.New("core: experiment canceled")
 	// ErrNodeLost reports a remote run that failed because its vantage
 	// point died (and the scheduler's failover budget was spent). The
@@ -165,8 +166,8 @@ func (p *Platform) StartExperiment(ctx context.Context, spec ExperimentSpec, obs
 	return p.start(ctx, spec, obs, nil)
 }
 
-// start is the shared setup path behind StartExperiment, the campaign
-// scheduler and the access-server jobs. onDone, when non-nil, is invoked
+// start is the shared setup path behind StartExperiment and the
+// access-server measurement jobs (campaigns among them). onDone, when non-nil, is invoked
 // exactly once from the teardown path with the run's outcome.
 func (p *Platform) start(ctx context.Context, spec ExperimentSpec, obs []Observer, onDone func(*Result, error)) (*Session, error) {
 	if err := spec.Validate(); err != nil {

@@ -3,13 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
-
 	"sync/atomic"
+	"time"
 
 	"batterylab/internal/accessserver"
 	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
+	"batterylab/internal/samples"
 	"batterylab/internal/trace"
 )
 
@@ -171,6 +173,93 @@ func (o feedObserver) OnSample(s Sample) {
 		P95MA:     s.Live.P95,
 		IntegralS: s.Live.IntegralSeconds,
 	})
+}
+
+// PhaseChangeOf inverts feedObserver.OnPhase: the PhaseChange a feed's
+// event record carries. ok is false for a record that is no experiment
+// phase — a scheduler failover transition, or a phase a newer server
+// added.
+func PhaseChangeOf(ev api.BuildEvent) (c PhaseChange, ok bool) {
+	phase, ok := phaseFromString(ev.Phase)
+	if !ok {
+		return PhaseChange{}, false
+	}
+	c = PhaseChange{
+		Node:   ev.Node,
+		Device: ev.Device,
+		Phase:  phase,
+		At:     time.Unix(0, ev.AtNS),
+		Step:   ev.Step,
+	}
+	if ev.Error != "" {
+		c.Err = errors.New(ev.Error)
+	}
+	return c, true
+}
+
+// SampleOf inverts feedObserver.OnSample. A feed's sample carries
+// neither the run's node and device, which its follower knows, nor the
+// live summary's spread (Std, Min, Max), which stays zero.
+func SampleOf(node, device string, pt api.SamplePoint) Sample {
+	return Sample{
+		Node:      node,
+		Device:    device,
+		At:        time.Unix(0, pt.AtNS),
+		CurrentMA: pt.CurrentMA,
+		Live: samples.LiveSummary{
+			N:               int(pt.N),
+			Mean:            pt.MeanMA,
+			P50:             pt.P50MA,
+			P95:             pt.P95MA,
+			IntegralSeconds: pt.IntegralS,
+		},
+	}
+}
+
+// DecodeResult rebuilds a run's Result from what measurementJob left
+// on its build: the lossless binary current trace and the CPU CSVs in
+// the workspace, and the summary. load fetches one artifact by name —
+// from the workspace in-process, over HTTP for a remote client — so
+// local and remote results come from the same bytes and the same code.
+func DecodeResult(load func(name string) ([]byte, error), sum *api.RunSummary) (*Result, error) {
+	cur, err := load(ArtifactCurrentTrace)
+	if err != nil {
+		return nil, fmt.Errorf("core: fetching current trace: %w", err)
+	}
+	current, err := trace.DecodeBinary(cur)
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding current trace: %w", err)
+	}
+	var t0 time.Time
+	if current.Len() > 0 {
+		t0 = current.At(0).T
+	}
+	readCSV := func(name, series, unit string) (*trace.Series, error) {
+		data, err := load(name)
+		if err != nil {
+			return nil, err
+		}
+		return trace.ReadCSV(bytes.NewReader(data), series, unit, t0)
+	}
+	devCPU, err := readCSV(ArtifactDeviceCPU, "device-cpu", "percent")
+	if err != nil {
+		return nil, fmt.Errorf("core: fetching device CPU trace: %w", err)
+	}
+	ctlCPU, err := readCSV(ArtifactControllerCPU, "controller-cpu", "percent")
+	if err != nil {
+		return nil, fmt.Errorf("core: fetching controller CPU trace: %w", err)
+	}
+	res := &Result{
+		Current:       current,
+		DeviceCPU:     devCPU,
+		ControllerCPU: ctlCPU,
+		EnergyMAH:     current.EnergyMAH(),
+	}
+	if sum != nil {
+		res.Duration = time.Duration(sum.DurationNS)
+		res.MirrorUploadBytes = sum.MirrorUploadBytes
+	}
+	return res, nil
 }
 
 // SubmitExperiment creates a measurement job from spec and, when the

@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -38,6 +39,9 @@ type Platform struct {
 	// workloads is the named-workload registry the v1 remote API
 	// compiles declarative specs against.
 	workloads *WorkloadRegistry
+	// owner is the platform's own admin user, which submits in-process
+	// campaigns; created on first use.
+	owner func() (*accessserver.User, error)
 
 	mu    sync.Mutex
 	vps   map[string]*controller.Controller
@@ -52,9 +56,13 @@ func NewPlatform(clock simclock.Clock, seed uint64) (*Platform, error) {
 		return nil, err
 	}
 	p := &Platform{
-		clock:     clock,
-		seed:      seed,
-		Access:    accessserver.New(clock, accessserver.Config{}),
+		clock: clock,
+		seed:  seed,
+		// Every measurement build holds its vantage point's whole-node
+		// lock (one Monsoon per node), so the node locks already bound
+		// how many run at once. An executor cap could only bind below
+		// them and hold free vantage points idle.
+		Access:    accessserver.New(clock, accessserver.Config{Executors: math.MaxInt}),
 		Zone:      dnsreg.NewZone(Domain),
 		CA:        ca,
 		workloads: NewWorkloadRegistry(),
@@ -64,6 +72,12 @@ func NewPlatform(clock simclock.Clock, seed uint64) (*Platform, error) {
 	// Wire the v1 remote-execution API: the access server compiles
 	// declarative specs through the platform's workload registry.
 	p.Access.SetSpecBackend(specBackend{p})
+	p.owner = sync.OnceValues(func() (*accessserver.User, error) {
+		if u, err := p.Access.Users.Lookup(campaignOwner); err == nil {
+			return u, nil // restored from the server's store
+		}
+		return p.Access.Users.Add(campaignOwner, accessserver.RoleAdmin)
+	})
 	return p, nil
 }
 
@@ -125,27 +139,32 @@ func (p *Platform) Controller(name string) (*controller.Controller, error) {
 	return ctl, nil
 }
 
-// drive runs a virtual clock for one Wait until done closes or ctx is
-// canceled, failing when the clock stalls or its next event lies past
-// limit(). Concurrent Waits on one clock take turns instant by instant
+// drive runs a virtual clock for one Wait until finished reports true or
+// ctx is canceled, failing when the clock stalls or its next event lies
+// past limit() (nil sets no limit). finished is asked between instants.
+// Concurrent Waits on one clock take turns instant by instant
 // (simclock.RunWhile), so event order stays deterministic.
-func drive(ctx context.Context, v *simclock.Virtual, done <-chan struct{}, limit func() time.Time) error {
-	err := v.RunWhile(func() bool {
-		select {
-		case <-done:
-			return false
-		default:
-			return ctx.Err() == nil
-		}
-	}, limit)
+func drive(ctx context.Context, v *simclock.Virtual, finished func() bool, limit func() time.Time) error {
+	err := v.RunWhile(func() bool { return !finished() && ctx.Err() == nil }, limit)
 	if err != nil {
 		return fmt.Errorf("core: run did not finish: %w", err)
 	}
-	select {
-	case <-done:
+	if finished() {
 		return nil
-	default:
-		return ctx.Err()
+	}
+	return ctx.Err()
+}
+
+// isClosed reports whether ch is closed, as drive's finished for a run
+// that signals its end on a channel.
+func isClosed(ch <-chan struct{}) func() bool {
+	return func() bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
 	}
 }
 

@@ -203,22 +203,6 @@ func (p *Platform) StartExperimentSpec(ctx context.Context, ws api.ExperimentSpe
 	return p.StartExperiment(ctx, spec, obs...)
 }
 
-// StartCampaignSpec compiles a wire campaign and starts it locally.
-func (p *Platform) StartCampaignSpec(ctx context.Context, cs api.CampaignSpec, obs ...Observer) (*CampaignSession, error) {
-	if err := cs.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", accessserver.ErrInvalid, err)
-	}
-	c := Campaign{MaxConcurrent: cs.MaxConcurrent}
-	for i, ws := range cs.Experiments {
-		spec, err := p.CompileExperiment(ws)
-		if err != nil {
-			return nil, fmt.Errorf("experiments[%d]: %w", i, err)
-		}
-		c.Specs = append(c.Specs, spec)
-	}
-	return p.StartCampaign(ctx, c, obs...)
-}
-
 // specBackend implements accessserver.SpecBackend over the platform.
 type specBackend struct{ p *Platform }
 

@@ -75,10 +75,9 @@ func (p Phase) String() string {
 	}
 }
 
-// PhaseFromString inverts String for wire decoding (the remote client
-// reconstructs PhaseChange events from their NDJSON form). Unknown
-// strings report false.
-func PhaseFromString(s string) (Phase, bool) {
+// phaseFromString inverts String for decoding feed records
+// (PhaseChangeOf). Unknown strings report false.
+func phaseFromString(s string) (Phase, bool) {
 	for p := PhasePending; p <= PhaseDone; p++ {
 		if p.String() == s {
 			return p, true
@@ -401,7 +400,7 @@ func (s *Session) canceledErr() error {
 
 // Wait blocks until the run completes and returns its outcome. On a
 // Virtual platform clock it drives simulated time itself, instant by
-// instant; concurrent Waits (a campaign, or sessions waited from several
+// instant; concurrent Waits (sessions or campaigns waited from several
 // goroutines) take turns on the clock. Cancelling ctx
 // cancels the run, tears it down, and returns the cancellation error.
 func (s *Session) Wait(ctx context.Context) (*Result, error) {
@@ -420,7 +419,7 @@ func (s *Session) Wait(ctx context.Context) (*Result, error) {
 	}
 	// A generous budget so a stuck workload cannot drive time forever.
 	deadline := v.Now().Add(s.scripted*2 + time.Minute)
-	err := drive(ctx, v, s.done, func() time.Time { return deadline })
+	err := drive(ctx, v, isClosed(s.done), func() time.Time { return deadline })
 	if err != nil {
 		if ctx.Err() != nil {
 			// Under the virtual clock cancellation tears down

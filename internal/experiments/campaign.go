@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"batterylab/internal/automation"
+	"batterylab/internal/api"
 	"batterylab/internal/browser"
 	"batterylab/internal/controller"
 	"batterylab/internal/core"
@@ -81,8 +81,10 @@ type CampaignReport struct {
 
 // CampaignSweep runs runsPerNode browser workloads on each of nodes
 // vantage points as one concurrent campaign — the platform-scale usage
-// the session/campaign API exists for. Runs on distinct nodes overlap in
-// simulated time; each node's runs stay serialized on its Monsoon.
+// the campaign API exists for. It submits wire specs of the registry's
+// browser workload to the platform's own access server, which runs
+// distinct nodes side by side in simulated time and each node's runs
+// one after another on its Monsoon.
 func CampaignSweep(opts Options, nodes, runsPerNode int) (*CampaignReport, error) {
 	opts = opts.withDefaults()
 	if nodes <= 0 {
@@ -96,26 +98,28 @@ func CampaignSweep(opts Options, nodes, runsPerNode int) (*CampaignReport, error
 		return nil, err
 	}
 	names := BrowserNames()
-	var specs []core.ExperimentSpec
+	var spec api.CampaignSpec
 	var labels []CampaignRow
 	for r := 0; r < runsPerNode; r++ {
 		for n := 0; n < nodes; n++ {
-			prof, err := browser.FindProfile(names[r%len(names)])
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, core.ExperimentSpec{
+			name := names[r%len(names)]
+			spec.Experiments = append(spec.Experiments, api.ExperimentSpec{
 				Node: env.Ctls[n].Name(), Device: env.Serials[n],
-				SampleRate: opts.SampleRate,
-				Workload: func(drv automation.Driver) *automation.Script {
-					return browser.BuildWorkload(drv, prof.Package, opts.browserWorkloadOpts())
-				},
+				Monitor: api.MonitorSpec{SampleRateHz: opts.SampleRate},
+				// The params browserWorkloadOpts sets, in wire form.
+				Workload: api.WorkloadSpec{Name: "browser", Params: api.Params{
+					"browser": name, "pages": opts.Pages, "scrolls": opts.Scrolls,
+				}},
 			})
-			labels = append(labels, CampaignRow{Node: env.Ctls[n].Name(), Browser: prof.Name})
+			labels = append(labels, CampaignRow{Node: env.Ctls[n].Name(), Browser: name})
 		}
 	}
 	start := env.Clk.Now()
-	runs, err := env.Plat.RunCampaign(context.Background(), core.Campaign{Specs: specs})
+	cs, err := env.Plat.StartCampaignSpec(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := cs.Wait(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,6 @@ import (
 	"batterylab/internal/api"
 	"batterylab/internal/core"
 	"batterylab/internal/samples"
-	"batterylab/internal/trace"
 )
 
 // Platform is a client handle to a remote access server. It is safe
@@ -735,55 +734,36 @@ func sampleStream(each func(api.SamplePoint)) *Stream {
 // terminal PhaseDone event is withheld and delivered by finalize, after
 // the sample stream has drained.
 func (s *Session) handleEvent(ev api.BuildEvent) {
-	if ev.Phase == api.EventFailover {
-		// Scheduler retry transition, not an experiment phase: the
-		// node was lost and the build is being requeued.
-		return
-	}
-	phase, ok := core.PhaseFromString(ev.Phase)
+	change, ok := core.PhaseChangeOf(ev)
 	if !ok {
-		return // newer server: skip unknown phases
-	}
-	change := core.PhaseChange{
-		Node:   ev.Node,
-		Device: ev.Device,
-		Phase:  phase,
-		At:     time.Unix(0, ev.AtNS),
-		Step:   ev.Step,
-	}
-	if ev.Error != "" {
-		change.Err = errors.New(ev.Error)
+		return // a failover transition, or a newer server's phase
 	}
 	s.mu.Lock()
-	if phase > s.phase {
-		s.phase = phase
+	if change.Phase > s.phase {
+		s.phase = change.Phase
 	}
-	if phase == core.PhaseDone {
+	if change.Phase == core.PhaseDone {
 		s.doneEvent = &change
 	}
 	s.mu.Unlock()
-	if phase != core.PhaseDone {
+	if change.Phase != core.PhaseDone {
 		for _, o := range s.obs {
 			o.OnPhase(change)
 		}
 	}
 }
 
-// handleSample re-aggregates the live summary client-side and forwards
-// the point to observers.
+// handleSample re-aggregates the live summary client-side — the binary
+// sample stream carries each point's time and current only — and
+// forwards the point to observers.
 func (s *Session) handleSample(pt api.SamplePoint) {
 	s.agg.Add(pt.AtNS, pt.CurrentMA)
 	live := s.agg.Snapshot()
 	s.mu.Lock()
 	s.live = live
 	s.mu.Unlock()
-	smp := core.Sample{
-		Node:      s.node,
-		Device:    s.device,
-		At:        time.Unix(0, pt.AtNS),
-		CurrentMA: pt.CurrentMA,
-		Live:      live,
-	}
+	smp := core.SampleOf(s.node, s.device, pt)
+	smp.Live = live
 	for _, o := range s.obs {
 		o.OnSample(smp)
 	}
@@ -816,7 +796,9 @@ func (s *Session) finalize(ctx context.Context, err error) {
 	case err != nil:
 		runErr = err
 	case st.State == "success":
-		res, runErr = s.fetchResult(ctx, st)
+		res, runErr = core.DecodeResult(func(name string) ([]byte, error) {
+			return s.Artifact(ctx, name)
+		}, st.Summary)
 	case st.State == "aborted":
 		runErr = fmt.Errorf("%w: build %d aborted", core.ErrCanceled, s.build)
 	case st.State == api.StateExpired:
@@ -855,49 +837,6 @@ func (s *Session) finalize(ctx context.Context, err error) {
 	for _, o := range s.obs {
 		o.OnPhase(*doneEvent)
 	}
-}
-
-// fetchResult reconstructs a *core.Result from the build's workspace:
-// the lossless binary current trace plus the CPU CSVs.
-func (s *Session) fetchResult(ctx context.Context, st api.BuildStatus) (*core.Result, error) {
-	cur, err := s.Artifact(ctx, core.ArtifactCurrentTrace)
-	if err != nil {
-		return nil, fmt.Errorf("remote: fetching current trace: %w", err)
-	}
-	current, err := trace.DecodeBinary(cur)
-	if err != nil {
-		return nil, fmt.Errorf("remote: decoding current trace: %w", err)
-	}
-	var t0 time.Time
-	if current.Len() > 0 {
-		t0 = current.At(0).T
-	}
-	readCSV := func(name, series, unit string) (*trace.Series, error) {
-		data, err := s.Artifact(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		return trace.ReadCSV(bytes.NewReader(data), series, unit, t0)
-	}
-	devCPU, err := readCSV(core.ArtifactDeviceCPU, "device-cpu", "percent")
-	if err != nil {
-		return nil, fmt.Errorf("remote: fetching device CPU trace: %w", err)
-	}
-	ctlCPU, err := readCSV(core.ArtifactControllerCPU, "controller-cpu", "percent")
-	if err != nil {
-		return nil, fmt.Errorf("remote: fetching controller CPU trace: %w", err)
-	}
-	res := &core.Result{
-		Current:       current,
-		DeviceCPU:     devCPU,
-		ControllerCPU: ctlCPU,
-		EnergyMAH:     current.EnergyMAH(),
-	}
-	if st.Summary != nil {
-		res.Duration = time.Duration(st.Summary.DurationNS)
-		res.MirrorUploadBytes = st.Summary.MirrorUploadBytes
-	}
-	return res, nil
 }
 
 // Artifact fetches one of this build's workspace artifacts.
@@ -950,8 +889,9 @@ func (c *Campaign) Runs() []CampaignRun {
 }
 
 // Wait blocks until every run completes and returns the aggregated
-// outcomes. Cancelling ctx cancels the remaining builds, mirroring
-// core.CampaignSession.Wait.
+// outcomes. Cancelling ctx cancels the remaining builds, waits for them
+// to settle and returns ctx's error — the contract of an in-process
+// campaign's Wait, which queues on the same kind of server.
 func (c *Campaign) Wait(ctx context.Context) ([]CampaignRun, error) {
 	if ctx == nil {
 		ctx = context.Background()

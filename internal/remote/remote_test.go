@@ -154,7 +154,7 @@ func relTol(a, b float64) bool {
 // CampaignSpec submitted as JSON to an httptest server fans out across
 // two nodes; phase events and binary-codec live samples stream back
 // through remote.Platform while the builds run concurrently; and the
-// reconstructed results match a local core run of the same specs on
+// reconstructed results match local core runs of the same specs on
 // the virtual clock to 1e-9 (in fact bit for bit).
 func TestRemoteCampaignRoundTrip(t *testing.T) {
 	server := newLab(t)
@@ -183,23 +183,21 @@ func TestRemoteCampaignRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The local control: identical lab, same specs, driven by core's
-	// own campaign scheduler.
-	control := newLab(t)
-	local, err := control.plat.StartCampaignSpec(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	controlRuns, err := local.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	for i := range runs {
-		rr, lr := runs[i].Result, controlRuns[i].Result
-		if lr == nil {
-			t.Fatalf("control run %d failed: %v", i, controlRuns[i].Err)
+		// The local control, which no scheduler produces: the same spec
+		// run alone with a blocking core.RunExperiment on an identical
+		// lab (one lab per run, so each starts at the instant its
+		// campaign member did).
+		control := newLab(t)
+		cspec, err := control.plat.CompileExperiment(spec.Experiments[i])
+		if err != nil {
+			t.Fatal(err)
 		}
+		lr, err := control.plat.RunExperiment(ctx, cspec)
+		if err != nil {
+			t.Fatalf("control run %d failed: %v", i, err)
+		}
+		rr := runs[i].Result
 		if rr.Current.Len() != lr.Current.Len() {
 			t.Errorf("run %d: %d samples remotely, %d locally", i, rr.Current.Len(), lr.Current.Len())
 		}
