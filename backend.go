@@ -80,9 +80,9 @@ type (
 	APIError = api.Error
 )
 
-// ExperimentHandle is the session shape shared by local and remote
+// ExperimentHandle is the handle shape shared by local and remote
 // runs: Wait for the result, Cancel at the earliest safe point, Done
-// for select loops, Phase for progress. *core.Session and
+// for select loops, Phase for progress. *core.Experiment and
 // *remote.Session both satisfy it.
 type ExperimentHandle interface {
 	Wait(ctx context.Context) (*Result, error)
@@ -118,7 +118,7 @@ type CampaignHandle interface {
 // a remote access server. Construct with LocalBackend or
 // RemoteBackend.
 type Backend interface {
-	// StartExperimentSpec submits one run and returns its session.
+	// StartExperimentSpec submits one run and returns its handle.
 	StartExperimentSpec(ctx context.Context, spec ExperimentSpecV1, obs ...Observer) (ExperimentHandle, error)
 	// StartCampaignSpec submits a batch to an access server; runs fan
 	// out across vantage points, serialized per node.
@@ -130,10 +130,9 @@ type Backend interface {
 }
 
 // LocalBackend adapts an in-process Platform to the Backend interface:
-// specs compile through the platform's workload registry; an
-// experiment runs as an ordinary core session and a campaign queues on
-// the platform's own access server (both drive the virtual clock from
-// Wait, exactly like StartExperiment).
+// experiments and campaigns queue on the platform's own access server,
+// exactly as Platform.StartExperimentSpec and StartCampaignSpec do (both
+// drive a virtual clock from Wait).
 func LocalBackend(p *Platform) Backend { return localBackend{p} }
 
 type localBackend struct{ p *core.Platform }

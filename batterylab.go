@@ -5,23 +5,29 @@
 // devices, Raspberry Pi controller, Meross socket, ProtonVPN tunnels)
 // simulated faithfully.
 //
-// The typical flow mirrors the paper's architecture. The v2 experiment
-// API is session-based: StartExperiment returns a handle with Wait,
-// Cancel and observer hooks, and RunExperiment is the blocking shorthand
-// — both context-aware, so callers can cancel a run and have the VPN,
-// mirroring session and monitor torn down cleanly:
+// The typical flow mirrors the paper's architecture: every measurement
+// is a job on the access server (§3.1). An experiment is a declarative
+// ExperimentSpecV1 — node, device, a workload named from the platform's
+// registry ("browser", "video", "idle") with its parameters, monitor
+// settings — and StartExperimentSpec submits it to the platform's own
+// access server, which queues it until the vantage point is free. The
+// returned handle has Wait, Cancel, Done, Phase and Build; observers
+// receive phase transitions and live samples from the build's feed.
+// Both are context-aware: cancelling tears the VPN, mirroring session
+// and monitor down cleanly.
 //
 //	clock := batterylab.VirtualClock()                  // or RealClock()
 //	dep, _ := batterylab.NewDeployment(clock, batterylab.DeploymentConfig{Seed: 1})
-//	sess, _ := dep.Platform.StartExperiment(ctx, batterylab.ExperimentSpec{
+//	x, _ := dep.Platform.StartExperimentSpec(ctx, batterylab.ExperimentSpecV1{
 //	    Node:      dep.NodeName,
 //	    Device:    dep.DeviceSerial,
 //	    Mirroring: true,
-//	    Workload:  func(drv batterylab.Driver) *batterylab.Script { ... },
+//	    Workload: batterylab.WorkloadSpec{Name: "browser",
+//	        Params: batterylab.Params{"browser": "Brave", "pages": 3}},
 //	}, batterylab.ObserverFuncs{
 //	    Phase: func(e batterylab.PhaseChange) { fmt.Println(e.Phase) },
 //	})
-//	res, _ := sess.Wait(ctx) // or sess.Cancel()
+//	res, _ := x.Wait(ctx) // or x.Cancel()
 //	fmt.Println(res.EnergyMAH)
 //
 // Measurement campaigns — many specs across many vantage points — are
@@ -34,10 +40,10 @@
 //	runs, _ := cs.Wait(ctx)
 //
 // The v1 remote execution API makes the platform location-transparent:
-// a declarative ExperimentSpecV1 (node, device, named workload +
-// params) runs through the same Backend interface whether the hardware
-// is in-process or behind an access server's HTTP API (see backend.go,
-// internal/api for the wire schema, and examples/remote):
+// the same ExperimentSpecV1 runs through the same Backend interface
+// whether the hardware is in-process or behind an access server's HTTP
+// API, and its result is decoded from the same build artifacts (see
+// backend.go, internal/api for the wire schema, and examples/remote):
 //
 //	backend, _ := batterylab.RemoteBackend("http://lab:9090", token)
 //	sess, _ := backend.StartExperimentSpec(ctx, batterylab.ExperimentSpecV1{
@@ -57,7 +63,6 @@ import (
 	"fmt"
 	"time"
 
-	"batterylab/internal/automation"
 	"batterylab/internal/browser"
 	"batterylab/internal/controller"
 	"batterylab/internal/core"
@@ -75,16 +80,11 @@ type (
 	// Platform is a BatteryLab deployment: access server, DNS zone,
 	// certificate authority and joined vantage points.
 	Platform = core.Platform
-	// ExperimentSpec describes one battery measurement run.
-	ExperimentSpec = core.ExperimentSpec
 	// Result carries an experiment's traces and energy figure.
 	Result = core.Result
 	// Transport selects the measurement-time automation channel.
 	Transport = core.Transport
 
-	// Session is a handle to one in-flight experiment (Wait, Cancel,
-	// Phase, observer hooks).
-	Session = core.Session
 	// CampaignRun is one experiment's outcome within an in-process
 	// campaign.
 	CampaignRun = core.CampaignRun
@@ -97,8 +97,8 @@ type (
 	// Sample is one live current reading.
 	Sample = core.Sample
 	// LiveSummary is the streaming summary of a capture in flight
-	// (running mean/std/min/max, P50/P95 estimates, charge integral),
-	// carried on every Sample and readable via Session.Live.
+	// (sample count, running mean, P50/P95 estimates, charge integral),
+	// carried on every Sample.
 	LiveSummary = samples.LiveSummary
 	// Phase is where a running experiment currently is.
 	Phase = core.Phase
@@ -115,17 +115,10 @@ type (
 	// Clock abstracts time; experiments run on a virtual clock.
 	Clock = simclock.Clock
 
-	// Script is an automation workload.
-	Script = automation.Script
-	// Driver is an automation channel bound to a device.
-	Driver = automation.Driver
-
 	// BrowserProfile is one of the study browsers' calibrated models.
 	BrowserProfile = browser.Profile
 	// Browser is an installed browser app instance.
 	Browser = browser.Browser
-	// BrowserWorkloadOptions tunes the §4.2 page-visit workload.
-	BrowserWorkloadOptions = browser.WorkloadOptions
 
 	// VPNExit is one ProtonVPN egress location.
 	VPNExit = vpn.Exit
@@ -165,7 +158,8 @@ const (
 	PhaseDone           = core.PhaseDone
 )
 
-// Typed sentinel errors of the v2 experiment API; test with errors.Is.
+// Typed sentinel errors of the experiment API; test with errors.Is. A
+// spec StartExperimentSpec cannot compile wraps one of the first four.
 var (
 	ErrUnknownNode   = core.ErrUnknownNode
 	ErrUnknownDevice = core.ErrUnknownDevice
@@ -202,9 +196,6 @@ func NewDevice(clock Clock, cfg DeviceConfig) (*Device, error) {
 	return device.New(clock, cfg)
 }
 
-// NewScript starts an empty automation script.
-func NewScript(name string) *Script { return automation.NewScript(name) }
-
 // BrowserProfiles returns the four §4.2 study browsers: Brave, Chrome,
 // Edge, Firefox.
 func BrowserProfiles() []BrowserProfile { return browser.Profiles() }
@@ -219,11 +210,6 @@ func FindBrowserProfile(name string) (BrowserProfile, error) {
 // controller's VPN state.
 func NewBrowser(prof BrowserProfile, ctl *Controller) *Browser {
 	return browser.New(prof, ctl.AP(), func() string { return ctl.Region() })
-}
-
-// BuildBrowserWorkload assembles the paper's page-visit workload script.
-func BuildBrowserWorkload(drv Driver, pkg string, opts BrowserWorkloadOptions) *Script {
-	return browser.BuildWorkload(drv, pkg, opts)
 }
 
 // NewsSites returns the workload's 10 news pages.

@@ -6,6 +6,20 @@ import (
 	"time"
 )
 
+// measure runs one wire spec on the platform and waits for its result.
+func measure(t *testing.T, p *Platform, spec ExperimentSpecV1) *Result {
+	t.Helper()
+	x, err := p.StartExperimentSpec(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := x.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestDeploymentQuickstart(t *testing.T) {
 	clock := VirtualClock()
 	dep, err := NewDeployment(clock, DeploymentConfig{Seed: 7, VideoPath: "/sdcard/v.mp4"})
@@ -15,24 +29,14 @@ func TestDeploymentQuickstart(t *testing.T) {
 	if dep.FQDN != "node1.batterylab.dev" {
 		t.Fatalf("fqdn = %s", dep.FQDN)
 	}
-	prof, err := FindBrowserProfile("Brave")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dep.Platform.RunExperiment(context.Background(), ExperimentSpec{
-		Node:       dep.NodeName,
-		Device:     dep.DeviceSerial,
-		SampleRate: 100,
-		Workload: func(drv Driver) *Script {
-			return BuildBrowserWorkload(drv, prof.Package, BrowserWorkloadOptions{
-				Pages:   NewsSites()[:2],
-				Scrolls: 2,
-			})
-		},
+	res := measure(t, dep.Platform, ExperimentSpecV1{
+		Node:    dep.NodeName,
+		Device:  dep.DeviceSerial,
+		Monitor: MonitorSpec{SampleRateHz: 100},
+		Workload: WorkloadSpec{Name: "browser", Params: Params{
+			"browser": "Brave", "pages": 2, "scrolls": 2,
+		}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.EnergyMAH <= 0 {
 		t.Fatal("no energy measured")
 	}

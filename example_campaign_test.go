@@ -13,7 +13,7 @@ import (
 // vantage points, queued on the platform's own access server as one
 // campaign. The two nodes run side by side in simulated time while each
 // node's runs stay serialized on its Monsoon, so the makespan is half of
-// what a for-loop around RunExperiment would pay.
+// what a for-loop around StartExperimentSpec would pay.
 func ExamplePlatform_StartCampaignSpec() {
 	clock := batterylab.VirtualClock()
 	plat, err := batterylab.NewPlatform(clock, 2019)

@@ -1,7 +1,6 @@
 package batterylab
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -37,16 +36,13 @@ func TestManualAssembly(t *testing.T) {
 	if err := dev.Install(NewBrowser(prof, ctl)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node9", Device: "CUSTOM01", SampleRate: 100,
-		Workload: func(drv Driver) *Script {
-			return BuildBrowserWorkload(drv, prof.Package,
-				BrowserWorkloadOptions{Pages: []string{"bbc.com"}, Scrolls: 2})
-		},
+	res := measure(t, plat, ExperimentSpecV1{
+		Node: "node9", Device: "CUSTOM01",
+		Monitor: MonitorSpec{SampleRateHz: 100},
+		Workload: WorkloadSpec{Name: "browser", Params: Params{
+			"browser": prof.Name, "pages": 1, "scrolls": 2,
+		}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.EnergyMAH <= 0 {
 		t.Fatal("no energy")
 	}
@@ -60,20 +56,11 @@ func TestVideoPlayerViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dep.Platform.RunExperiment(context.Background(), ExperimentSpec{
-		Node: dep.NodeName, Device: dep.DeviceSerial, SampleRate: 200,
-		Workload: func(drv Driver) *Script {
-			s := NewScript("video")
-			s.Add("play", 20*time.Second, func() error {
-				_, err := drv.LaunchApp(VideoPlayerPackage)
-				return err
-			})
-			return s
-		},
+	res := measure(t, dep.Platform, ExperimentSpecV1{
+		Node: dep.NodeName, Device: dep.DeviceSerial,
+		Monitor:  MonitorSpec{SampleRateHz: 200},
+		Workload: WorkloadSpec{Name: "video", Params: Params{"duration_ms": 20000}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	med, _ := res.Current.CDF()
 	if m := med.Median(); m < 130 || m > 200 {
 		t.Fatalf("video median = %.1f", m)

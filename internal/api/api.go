@@ -272,7 +272,7 @@ type JobInfo struct {
 
 // RelaySink receives what a build relayed to a federation peer emits
 // on its executing server — events and samples as they stream, then
-// the terminal artifacts (traces, CPU CSVs) once the remote run
+// the terminal artifacts (current and CPU traces) once the remote run
 // succeeds — so the home server can replay them into the home build's
 // feed and workspace. Artifact hands data over: the sink keeps the slice.
 type RelaySink interface {

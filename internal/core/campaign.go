@@ -8,21 +8,22 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
-	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
 )
 
-// This file runs a campaign in-process. A platform has one campaign
-// scheduler, its access server (§3.1): an in-process campaign is a wire
-// campaign submitted to the platform's own server, so it queues, waits
-// for free vantage points and is readable at GET /api/v1/campaigns/{id}
-// like one POSTed there. The handle follows each member build's feed
-// and decodes each run's result from the build's workspace.
+// This file is how an in-process caller runs a measurement. A platform
+// has one run path, its access server (§3.1): a run is a wire spec
+// submitted to the platform's own server, so it queues until its
+// vantage point is free and is readable over the v1 API like one POSTed
+// there, and a campaign is a wire campaign submitted the same way. The
+// handle of one run follows its build's feed and decodes its result
+// from the build's workspace; a campaign holds one such handle per
+// member build.
 
-// campaignOwner names the platform-owned admin user that submits
-// in-process campaigns.
-const campaignOwner = "platform"
+// ownerName names the platform-owned admin user that submits in-process
+// runs and campaigns.
+const ownerName = "platform"
 
 // CampaignRun is one experiment's outcome within a campaign.
 type CampaignRun struct {
@@ -45,85 +46,91 @@ type CampaignRun struct {
 	Finished time.Time
 }
 
-// CampaignSession is a handle to an in-process campaign: the member
-// builds the platform's access server queued for it, index-aligned
-// with the spec.
-type CampaignSession struct {
-	// ID is the campaign's id on the platform's access server.
-	ID int
-
+// Experiment is a handle to one measurement run as a build on the
+// platform's own access server. It is safe for concurrent use.
+type Experiment struct {
 	platform *Platform
 	owner    *accessserver.User
-	builds   []*accessserver.Build
+	build    *accessserver.Build
 
-	// runs is written by each member's follower before done closes.
-	runs []CampaignRun
+	// run is written by the follower before done closes.
+	run  CampaignRun
 	done chan struct{}
+
+	mu    sync.Mutex
+	phase Phase
 }
 
-// StartCampaignSpec submits a wire campaign to the platform's access
-// server as the platform's own admin user and returns a handle over its
-// member builds. A spec that does not compile fails here, typed, and
-// queues nothing. Runs spread across vantage points and queue per node,
-// whose one Monsoon measures one run at a time. Observers receive each
-// member's phase events and live samples from its build feed, on a
-// goroutine per member (so callbacks for different members may run
-// concurrently). Cancelling ctx cancels the campaign.
-func (p *Platform) StartCampaignSpec(ctx context.Context, spec api.CampaignSpec, obs ...Observer) (*CampaignSession, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	owner, err := p.owner()
+// StartExperimentSpec submits a wire spec to the platform's access
+// server as the platform's own admin user and returns a handle on its
+// build at once. A spec that does not compile fails here, typed, and
+// queues nothing; every later failure (setup, workload, node loss)
+// surfaces through Wait. The run queues until its vantage point is free:
+// one Monsoon measures one run at a time. Observers receive the run's
+// phase events and live samples from its build feed. Cancelling ctx
+// cancels the run.
+func (p *Platform) StartExperimentSpec(ctx context.Context, ws api.ExperimentSpec, obs ...Observer) (*Experiment, error) {
+	owner, err := p.submitter(ctx)
 	if err != nil {
 		return nil, err
 	}
-	id, builds, err := p.Access.SubmitCampaign(owner, spec)
+	b, err := p.Access.SubmitSpec(owner, ws)
 	if err != nil {
 		return nil, err
 	}
-	cs := &CampaignSession{
-		ID:       id,
-		platform: p,
-		owner:    owner,
-		builds:   builds,
-		runs:     make([]CampaignRun, len(builds)),
-		done:     make(chan struct{}),
+	e := p.follow(owner, b, 0, ws, obs)
+	p.watch(ctx, e.done, e.Cancel)
+	return e, nil
+}
+
+// submitter is the user in-process runs are submitted as, once ctx is
+// known to be live.
+func (p *Platform) submitter(ctx context.Context) (*accessserver.User, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	var wg sync.WaitGroup
-	for i, b := range builds {
-		ws := spec.Experiments[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			follow(b.Feed(), ws.Node, ws.Device, obs)
-			cs.runs[i] = outcome(i, b, ws)
-		}()
+	return p.owner()
+}
+
+// watch cancels a handle when ctx ends before done closes. Real clock
+// only: under a Virtual clock all progress happens inside Wait's drive
+// loop, which observes ctx itself — an async cancel would tear a run
+// down concurrently with timer callbacks and break the single-driver
+// determinism model.
+func (p *Platform) watch(ctx context.Context, done <-chan struct{}, cancel func()) {
+	if _, virtual := p.clock.(*simclock.Virtual); virtual || ctx == nil || ctx.Done() == nil {
+		return
 	}
 	go func() {
-		wg.Wait()
-		close(cs.done)
+		select {
+		case <-ctx.Done():
+			cancel()
+		case <-done:
+		}
 	}()
-	// Real clock only, for the same reason as Platform.start: under a
-	// Virtual clock Wait's drive loop observes ctx itself.
-	if _, virtual := p.clock.(*simclock.Virtual); !virtual && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				cs.Cancel()
-			case <-cs.done:
-			}
-		}()
-	}
-	return cs, nil
 }
 
-// follow delivers a member build's feed to obs until the feed closes,
-// which it does once the build has settled. Like a session, it delivers
-// the terminal PhaseDone last, after every sample.
-func follow(feed *feedhub.Feed, node, device string, obs []Observer) {
+// follow returns the handle of a submitted build, the i-th of its
+// campaign, and starts its follower: a goroutine that delivers the
+// build's feed to obs until the feed closes, which it does once the
+// build has settled, then reads the run's outcome and closes done.
+func (p *Platform) follow(owner *accessserver.User, b *accessserver.Build, i int, ws api.ExperimentSpec, obs []Observer) *Experiment {
+	e := &Experiment{platform: p, owner: owner, build: b, done: make(chan struct{})}
+	go func() {
+		e.deliver(ws.Node, ws.Device, obs)
+		e.run = outcome(i, b, ws)
+		e.setPhase(PhaseDone)
+		close(e.done)
+	}()
+	return e
+}
+
+// deliver hands the build's feed to obs in order, holding the terminal
+// PhaseDone back until every sample is delivered.
+func (e *Experiment) deliver(node, device string, obs []Observer) {
+	feed := e.build.Feed()
 	var nEvents, nSamples int
 	var last *PhaseChange
 	for {
@@ -146,6 +153,7 @@ func follow(feed *feedhub.Feed, node, device string, obs []Observer) {
 			case c.Phase == PhaseDone:
 				last = &c
 			default:
+				e.setPhase(c.Phase)
 				for _, o := range obs {
 					o.OnPhase(c)
 				}
@@ -195,28 +203,150 @@ func instant(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
+// setPhase advances the handle's phase monotonically.
+func (e *Experiment) setPhase(p Phase) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.phase = max(e.phase, p)
+}
+
+// Phase reports the latest phase the follower has delivered; PhaseDone
+// once Done is closed.
+func (e *Experiment) Phase() Phase {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.phase
+}
+
+// Build reports the access-server build that runs the experiment.
+func (e *Experiment) Build() int { return e.build.ID }
+
+// Done returns a channel closed when the run has finished and its
+// outcome is read.
+func (e *Experiment) Done() <-chan struct{} { return e.done }
+
+// Cancel aborts the run: a queued one ends with ErrCanceled at once, a
+// running one is torn down in reverse setup order (monitor, mirroring,
+// VPN) through its build's cancel hook. Idempotent, safe from any
+// goroutine — an observer callback included — and a no-op once the run
+// has settled.
+func (e *Experiment) Cancel() {
+	// A build that settled already answers ErrConflict (or ErrExpired):
+	// there is nothing left to cancel.
+	_ = e.platform.Access.Abort(e.owner, e.build.ID)
+}
+
+// settled reports whether the build is terminal — drive's finished for
+// Wait, asked between instants.
+func (e *Experiment) settled() bool { return e.build.State().Terminal() }
+
+// Wait blocks until the run has finished and returns its outcome. On a
+// Virtual platform clock it drives simulated time itself until the
+// build is terminal; concurrent Waits take turns on the clock.
+// Cancelling ctx cancels the run, waits for its teardown and returns
+// the canceled outcome.
+func (e *Experiment) Wait(ctx context.Context) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	err := e.platform.await(ctx, e.settled, e.done, e.Cancel)
+	if err != nil && (ctx.Err() == nil || !isClosed(e.done)()) {
+		return nil, err // the clock stalled
+	}
+	return e.run.Result, e.run.Err
+}
+
+// await blocks until settled reports true and done has closed, driving
+// a Virtual platform clock itself. When ctx ends first, or the clock
+// stalls, it cancels (cancel) and waits for the teardown, returning
+// that error; when even the teardown cannot settle, it returns without
+// done closed.
+func (p *Platform) await(ctx context.Context, settled func() bool, done <-chan struct{}, cancel func()) error {
+	var err error
+	v, virtual := p.clock.(*simclock.Virtual)
+	if virtual {
+		err = drive(ctx, v, settled)
+	} else {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	if err != nil {
+		cancel()
+		if virtual {
+			// Aborts settle queued builds at once and tear running ones
+			// down on this goroutine; drive finishes any teardown that
+			// still waits on the clock.
+			if err := drive(context.Background(), v, settled); err != nil {
+				return err
+			}
+		}
+	}
+	<-done
+	return err
+}
+
+// CampaignSession is a handle to an in-process campaign: one Experiment
+// per member build the platform's access server queued for it,
+// index-aligned with the spec.
+type CampaignSession struct {
+	// ID is the campaign's id on the platform's access server.
+	ID int
+
+	platform *Platform
+	members  []*Experiment
+	done     chan struct{}
+}
+
+// StartCampaignSpec submits a wire campaign to the platform's access
+// server as the platform's own admin user and returns a handle over its
+// member builds. A spec that does not compile fails here, typed, and
+// queues nothing. Runs spread across vantage points and queue per node,
+// whose one Monsoon measures one run at a time. Observers receive each
+// member's phase events and live samples from its build feed, on each
+// member's follower goroutine. Cancelling ctx cancels the campaign.
+func (p *Platform) StartCampaignSpec(ctx context.Context, spec api.CampaignSpec, obs ...Observer) (*CampaignSession, error) {
+	owner, err := p.submitter(ctx)
+	if err != nil {
+		return nil, err
+	}
+	id, builds, err := p.Access.SubmitCampaign(owner, spec)
+	if err != nil {
+		return nil, err
+	}
+	cs := &CampaignSession{ID: id, platform: p, done: make(chan struct{})}
+	for i, b := range builds {
+		cs.members = append(cs.members, p.follow(owner, b, i, spec.Experiments[i], obs))
+	}
+	go func() {
+		for _, m := range cs.members {
+			<-m.done
+		}
+		close(cs.done)
+	}()
+	p.watch(ctx, cs.done, cs.Cancel)
+	return cs, nil
+}
+
 // Done returns a channel closed when every run has finished and its
 // outcome is read.
 func (cs *CampaignSession) Done() <-chan struct{} { return cs.done }
 
-// Cancel aborts every member that has not settled: a queued run ends
-// with ErrCanceled at once, a running one is torn down through its
-// build's cancel hook. Members go last to first, so queued ones leave
-// the queue before the running ones ahead of them free their nodes.
-// Idempotent.
+// Cancel aborts every member that has not settled. Members go last to
+// first, so queued ones leave the queue before the running ones ahead
+// of them free their nodes. Idempotent.
 func (cs *CampaignSession) Cancel() {
-	for i := len(cs.builds) - 1; i >= 0; i-- {
-		// A member that settled already answers ErrConflict (or
-		// ErrExpired): there is nothing left to cancel.
-		_ = cs.platform.Access.Abort(cs.owner, cs.builds[i].ID)
+	for i := len(cs.members) - 1; i >= 0; i-- {
+		cs.members[i].Cancel()
 	}
 }
 
-// settled reports whether every member build is terminal — drive's
-// finished for Wait, asked between instants.
+// settled reports whether every member build is terminal.
 func (cs *CampaignSession) settled() bool {
-	for _, b := range cs.builds {
-		if !b.State().Terminal() {
+	for _, m := range cs.members {
+		if !m.settled() {
 			return false
 		}
 	}
@@ -233,28 +363,13 @@ func (cs *CampaignSession) Wait(ctx context.Context) ([]CampaignRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var err error
-	v, virtual := cs.platform.clock.(*simclock.Virtual)
-	if virtual {
-		err = drive(ctx, v, cs.settled, nil)
-	} else {
-		select {
-		case <-cs.done:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
+	err := cs.platform.await(ctx, cs.settled, cs.done, cs.Cancel)
+	if !isClosed(cs.done)() {
+		return nil, err // a member that cannot settle: no outcomes
 	}
-	if err != nil {
-		cs.Cancel()
-		if virtual {
-			// Aborts settle queued members at once and tear running
-			// ones down on this goroutine; drive finishes any teardown
-			// that still waits on the clock.
-			if err := drive(context.Background(), v, cs.settled, nil); err != nil {
-				return nil, err // a member that cannot settle: no outcomes
-			}
-		}
+	runs := make([]CampaignRun, len(cs.members))
+	for i, m := range cs.members {
+		runs[i] = m.run
 	}
-	<-cs.done
-	return append([]CampaignRun(nil), cs.runs...), err
+	return runs, err
 }

@@ -267,7 +267,7 @@ func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
 	}
 
 	// Concurrency does not change the science: each node's runs, executed
-	// sequentially with blocking RunExperiment on a fresh platform, land
+	// one by one with StartExperimentSpec on a fresh platform, land
 	// on the same timeline as inside the concurrent campaign — and so
 	// produce bit-identical energies. (One fresh platform per node: a
 	// single sequential sweep over both nodes would shift the second
@@ -278,11 +278,7 @@ func TestCampaignDeterministicAndMatchesSequential(t *testing.T) {
 			if ws.Node != nodesN[n] {
 				continue
 			}
-			spec, err := platN.CompileExperiment(ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := platN.RunExperiment(context.Background(), spec)
+			res, err := run(platN, ws)
 			if err != nil {
 				t.Fatalf("baseline run %d: %v", i, err)
 			}
@@ -448,5 +444,40 @@ func TestCampaignRealClock(t *testing.T) {
 		if run.Result.EnergyMAH <= 0 {
 			t.Fatalf("run %d measured no energy", i)
 		}
+	}
+}
+
+// TestLocalRunHoldsItsNode: an in-process run is a build on the
+// platform's own server, so the scheduler sees it hold its vantage
+// point. A campaign member for the same node, submitted while the run is
+// in flight, queues behind it, starts at the instant it finishes, and
+// succeeds.
+func TestLocalRunHoldsItsNode(t *testing.T) {
+	plat, clk, nodes, serials := newCampaignRig(t, 1)
+	ctx := context.Background()
+	x, err := plat.StartExperimentSpec(ctx, videoSpec(nodes[0], serials[0], 30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := plat.StartCampaignSpec(ctx, api.CampaignSpec{Experiments: []api.ExperimentSpec{
+		videoSpec(nodes[0], serials[0], 20*time.Second),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Wait(ctx); err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+	finished := clk.Now()
+	runs, err := cs.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs[0].Err != nil {
+		t.Fatalf("campaign member: %v", runs[0].Err)
+	}
+	if !runs[0].Started.Equal(finished) {
+		t.Fatalf("campaign member started at %s, the local run finished at %s",
+			runs[0].Started.Format(time.StampMilli), finished.Format(time.StampMilli))
 	}
 }

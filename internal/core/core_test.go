@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"batterylab/internal/automation"
+	"batterylab/internal/api"
 	"batterylab/internal/browser"
 	"batterylab/internal/certs"
 	"batterylab/internal/controller"
@@ -119,22 +119,19 @@ func TestMaintenanceJobs(t *testing.T) {
 	}
 }
 
-func TestRunExperimentVideo(t *testing.T) {
+// videoRig is a rig with the sample video installed.
+func videoRig(t *testing.T) *rig {
 	r := newRig(t)
 	r.dev.Storage().Push("/sdcard/video.mp4", video.SampleMP4(1<<20))
 	r.dev.Install(video.NewPlayer("/sdcard/video.mp4"))
+	return r
+}
 
-	res, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 500,
-		Workload: func(drv automation.Driver) *automation.Script {
-			s := automation.NewScript("video")
-			s.Add("launch", 30*time.Second, func() error {
-				_, err := drv.LaunchApp(video.PackageName)
-				return err
-			})
-			return s
-		},
-	})
+func TestRunExperimentVideo(t *testing.T) {
+	r := videoRig(t)
+	spec := videoSpec("node1", r.serial, 30*time.Second)
+	spec.Monitor.SampleRateHz = 500
+	res, err := run(r.plat, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,26 +159,14 @@ func TestRunExperimentVideo(t *testing.T) {
 }
 
 func TestRunExperimentMirroringRaisesCurrent(t *testing.T) {
-	r := newRig(t)
-	r.dev.Storage().Push("/sdcard/video.mp4", video.SampleMP4(1<<20))
-	r.dev.Install(video.NewPlayer("/sdcard/video.mp4"))
-	workload := func(drv automation.Driver) *automation.Script {
-		s := automation.NewScript("video")
-		s.Add("launch", 60*time.Second, func() error {
-			_, err := drv.LaunchApp(video.PackageName)
-			return err
-		})
-		return s
-	}
-	plain, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200, Workload: workload,
-	})
+	r := videoRig(t)
+	spec := videoSpec("node1", r.serial, 60*time.Second)
+	plain, err := run(r.plat, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirrored, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200, Mirroring: true, Workload: workload,
-	})
+	spec.Mirroring = true
+	mirrored, err := run(r.plat, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +184,9 @@ func TestRunExperimentMirroringRaisesCurrent(t *testing.T) {
 
 func TestRunExperimentRejectsUSB(t *testing.T) {
 	r := newRig(t)
-	_, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, Transport: TransportUSB,
-		Workload: func(drv automation.Driver) *automation.Script {
-			return automation.NewScript("x")
-		},
-	})
+	spec := idleSpec(r, time.Second)
+	spec.Transport = api.TransportUSB
+	_, err := r.plat.StartExperimentSpec(context.Background(), spec)
 	if err == nil || !strings.Contains(err.Error(), "USB") {
 		t.Fatalf("err = %v", err)
 	}
@@ -216,14 +198,10 @@ func TestRunExperimentVPN(t *testing.T) {
 	b := browser.New(prof, r.ctl.AP(), func() string { return r.ctl.Region() })
 	r.dev.Install(b)
 
-	res, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 100, VPNLocation: "Bunkyo",
-		Workload: func(drv automation.Driver) *automation.Script {
-			return browser.BuildWorkload(drv, prof.Package, browser.WorkloadOptions{
-				Pages:   []string{"bbc.com", "cnn.com"},
-				Scrolls: 2,
-			})
-		},
+	res, err := run(r.plat, api.ExperimentSpec{
+		Node: "node1", Device: r.serial, VPNLocation: "Bunkyo",
+		Monitor:  api.MonitorSpec{SampleRateHz: 100},
+		Workload: api.WorkloadSpec{Name: "browser", Params: api.Params{"browser": "Chrome", "pages": 2, "scrolls": 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,16 +217,10 @@ func TestRunExperimentVPN(t *testing.T) {
 
 func TestRunExperimentWorkloadError(t *testing.T) {
 	r := newRig(t)
-	_, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
+	// The rig has no browsers installed: launching one fails mid-run.
+	_, err := run(r.plat, api.ExperimentSpec{
 		Node: "node1", Device: r.serial,
-		Workload: func(drv automation.Driver) *automation.Script {
-			s := automation.NewScript("bad")
-			s.Add("boom", time.Second, func() error {
-				_, err := drv.LaunchApp("com.not.installed")
-				return err
-			})
-			return s
-		},
+		Workload: api.WorkloadSpec{Name: "browser", Params: api.Params{"pages": 1}},
 	})
 	if err == nil {
 		t.Fatal("workload error swallowed")
@@ -261,18 +233,18 @@ func TestRunExperimentWorkloadError(t *testing.T) {
 
 func TestRunExperimentValidation(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{Node: "node1", Device: r.serial}); err == nil {
+	spec := idleSpec(r, time.Second)
+	spec.Workload = api.WorkloadSpec{}
+	if _, err := r.plat.StartExperimentSpec(context.Background(), spec); err == nil {
 		t.Fatal("missing workload accepted")
 	}
-	spec := ExperimentSpec{
-		Node: "nowhere", Device: r.serial,
-		Workload: func(drv automation.Driver) *automation.Script { return automation.NewScript("x") },
-	}
-	if _, err := r.plat.RunExperiment(context.Background(), spec); err == nil {
+	spec = idleSpec(r, time.Second)
+	spec.Node = "nowhere"
+	if _, err := r.plat.StartExperimentSpec(context.Background(), spec); err == nil {
 		t.Fatal("unknown node accepted")
 	}
 	spec.Node, spec.Device = "node1", "nodevice"
-	if _, err := r.plat.RunExperiment(context.Background(), spec); err == nil {
+	if _, err := r.plat.StartExperimentSpec(context.Background(), spec); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }

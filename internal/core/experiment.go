@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"batterylab/internal/automation"
-	"batterylab/internal/simclock"
 	"batterylab/internal/trace"
 )
 
@@ -23,24 +20,24 @@ const (
 	TransportUSB
 )
 
-// Typed sentinel errors for spec validation and lookup failures. Callers
+// Typed sentinel errors for spec compilation and run failures. Callers
 // branch with errors.Is rather than matching message strings.
 var (
 	// ErrUnknownNode reports a vantage point that is not joined to the
-	// platform (or an empty Node field).
+	// platform.
 	ErrUnknownNode = errors.New("core: unknown vantage point")
 	// ErrUnknownDevice reports a device serial the target vantage point
-	// does not host (or an empty Device field).
+	// does not host.
 	ErrUnknownDevice = errors.New("core: unknown device")
 	// ErrUSBTransport rejects measuring over USB: the port's
 	// micro-controller activation current corrupts the measurement
 	// (§3.3). Use WiFi or Bluetooth.
 	ErrUSBTransport = errors.New("core: USB transport corrupts measurements; use WiFi or Bluetooth")
-	// ErrNoWorkload reports a spec without a workload builder.
-	ErrNoWorkload = errors.New("core: experiment needs a workload")
-	// ErrCanceled reports a run ended by Session.Cancel, campaign or
-	// build cancellation, or context cancellation. Teardown still
-	// completed.
+	// ErrNoWorkload reports a spec naming a workload the platform's
+	// registry does not have.
+	ErrNoWorkload = errors.New("core: unknown workload")
+	// ErrCanceled reports a run ended by Cancel on its handle, build
+	// cancellation, or context cancellation. Teardown still completed.
 	ErrCanceled = errors.New("core: experiment canceled")
 	// ErrNodeLost reports a remote run that failed because its vantage
 	// point died (and the scheduler's failover budget was spent). The
@@ -48,9 +45,12 @@ var (
 	ErrNodeLost = errors.New("core: vantage point lost")
 )
 
-// ExperimentSpec describes one battery measurement run — the programmatic
-// equivalent of a Jenkins job built from the Table 1 API.
-type ExperimentSpec struct {
+// experimentSpec is a compiled wire spec: one battery measurement run
+// with its workload bound to a script builder — what a build's pipeline
+// body runs. compileExperiment has checked it: its node and device
+// exist, its workload is set, its transport is WiFi or Bluetooth and no
+// knob is negative.
+type experimentSpec struct {
 	// Node and Device select the vantage point and test device.
 	Node   string
 	Device string
@@ -79,41 +79,8 @@ type ExperimentSpec struct {
 	Padding time.Duration
 }
 
-// Validate checks the spec's self-contained invariants and returns a
-// typed sentinel error (wrapped with detail) on the first violation.
-// Node/device existence is checked against the platform at start time,
-// with the same sentinels.
-func (s *ExperimentSpec) Validate() error {
-	if s.Node == "" {
-		return fmt.Errorf("%w: spec.Node is empty", ErrUnknownNode)
-	}
-	if s.Device == "" {
-		return fmt.Errorf("%w: spec.Device is empty", ErrUnknownDevice)
-	}
-	if s.Workload == nil {
-		return ErrNoWorkload
-	}
-	switch s.Transport {
-	case TransportWiFi, TransportBluetooth:
-	case TransportUSB:
-		return ErrUSBTransport
-	default:
-		return fmt.Errorf("core: unknown transport %d", s.Transport)
-	}
-	if s.SampleRate < 0 {
-		return fmt.Errorf("core: negative sample rate %d", s.SampleRate)
-	}
-	if s.VoltageV < 0 {
-		return fmt.Errorf("core: negative voltage %v", s.VoltageV)
-	}
-	if s.CPUSamplePeriod < 0 || s.Padding < 0 {
-		return errors.New("core: negative durations in spec")
-	}
-	return nil
-}
-
 // withDefaults fills the zero-value knobs.
-func (s ExperimentSpec) withDefaults(nominalVoltage float64) ExperimentSpec {
+func (s experimentSpec) withDefaults(nominalVoltage float64) experimentSpec {
 	if s.CPUSamplePeriod == 0 {
 		s.CPUSamplePeriod = time.Second
 	}
@@ -141,91 +108,47 @@ type Result struct {
 	Duration time.Duration
 }
 
-// RunExperiment executes a measurement end to end on a joined vantage
-// point and blocks until it completes, fails, or ctx is canceled
-// (cancellation tears the VPN, mirroring session and monitor down in
-// reverse setup order before returning). On a Virtual clock it drives
-// simulated time itself, so a 7-minute workload returns in milliseconds;
-// on the Real clock it blocks for the workload's actual duration.
-func (p *Platform) RunExperiment(ctx context.Context, spec ExperimentSpec, obs ...Observer) (*Result, error) {
-	sess, err := p.StartExperiment(ctx, spec, obs...)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Wait(ctx)
-}
-
-// StartExperiment sets a measurement up and schedules its workload,
-// returning a Session handle immediately. The session exposes Wait,
-// Cancel, the current Phase and the scripted duration; observers receive
-// phase transitions and live current samples. Setup errors that can be
-// detected synchronously (validation, unknown node/device, VPN or
-// transport failures) are returned here; later failures surface through
-// Wait. Cancelling ctx cancels the run.
-func (p *Platform) StartExperiment(ctx context.Context, spec ExperimentSpec, obs ...Observer) (*Session, error) {
-	return p.start(ctx, spec, obs, nil)
-}
-
-// start is the shared setup path behind StartExperiment and the
-// access-server measurement jobs (campaigns among them). onDone, when non-nil, is invoked
-// exactly once from the teardown path with the run's outcome.
-func (p *Platform) start(ctx context.Context, spec ExperimentSpec, obs []Observer, onDone func(*Result, error)) (*Session, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// start sets a measurement up on a joined vantage point and schedules
+// its workload: it is a build's pipeline body (measurementJob), and spec
+// comes from compileExperiment. Setup errors that can be detected
+// synchronously (a node that left, VPN or transport failures) are
+// returned here; later
+// failures reach onDone, which, when non-nil, is invoked exactly once
+// from the teardown path with the run's outcome. Observers are called
+// synchronously, on whatever context the run is on at the time, and
+// must not block.
+func (p *Platform) start(spec experimentSpec, obs []Observer, onDone func(*Result, error)) (*session, error) {
 	ctl, err := p.Controller(spec.Node)
 	if err != nil {
 		return nil, err
 	}
 	dev, err := ctl.Device(spec.Device)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownDevice, err)
+		return nil, err
 	}
 	spec = spec.withDefaults(dev.Battery().NominalVoltage())
 
-	s := &Session{
-		platform:  p,
+	s := &session{
 		clock:     p.clock,
 		spec:      spec,
 		ctl:       ctl,
 		dev:       dev,
 		observers: obs,
 		onDone:    onDone,
-		done:      make(chan struct{}),
-	}
-	if len(obs) > 0 {
-		// Live samples are fanned out on a dedicated delivery goroutine
-		// so observer latency never stalls the capture path.
-		s.mux = newObsMux(obs)
 	}
 
 	// 1. Network location (§4.3).
 	if spec.VPNLocation != "" {
 		if _, err := ctl.VPN().Connect(spec.VPNLocation); err != nil {
-			if s.mux != nil {
-				s.mux.stop() // release the delivery goroutine
-			}
 			return nil, err
 		}
 		s.vpnConnected = true
 		s.setPhase(PhaseVPNUp, "")
 	}
-	fail := func(err error) (*Session, error) {
+	fail := func(err error) (*session, error) {
 		s.teardownSetup()
 		// Observers that saw this run enter phases get the terminal
 		// event too, with the setup failure attached.
-		s.mu.Lock()
-		s.phase = PhaseDone
-		s.mu.Unlock()
-		if s.mux != nil {
-			s.mux.stop() // no samples flowed; release the delivery goroutine
-		}
 		s.notifyPhase(PhaseChange{
 			Node: spec.Node, Device: spec.Device,
 			Phase: PhaseDone, At: p.clock.Now(), Err: err,
@@ -277,20 +200,5 @@ func (p *Platform) start(ctx context.Context, spec ExperimentSpec, obs []Observe
 	s.mu.Lock()
 	s.abortArm = abortArm
 	s.mu.Unlock()
-	// Watch ctx on the real clock only: there timers fire on their own
-	// goroutines, so an async cancel is both needed and safe. Under a
-	// Virtual clock all progress happens inside Wait's drive loop, which
-	// checks ctx itself — an async watcher would run teardown
-	// concurrently with timer callbacks and break the single-driver
-	// determinism model.
-	if _, virtual := p.clock.(*simclock.Virtual); !virtual && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.cancelWith(context.Cause(ctx))
-			case <-s.done:
-			}
-		}()
-	}
 	return s, nil
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"batterylab/internal/accessserver"
@@ -24,25 +22,24 @@ import (
 // the streaming endpoints pick them up, and the finished run leaves a
 // wire-level summary on the build.
 
-// Artifact names a measurement build saves into its workspace.
+// Artifact names a measurement build saves into its workspace. Every
+// trace is stored in the binary trace format (v2), which carries its
+// own epoch and every bit of every sample; the current trace is also
+// stored as CSV, the Monsoon library's export format.
 const (
 	ArtifactCurrentCSV    = "current.csv"
 	ArtifactCurrentTrace  = "current.trace"
-	ArtifactDeviceCPU     = "device-cpu.csv"
-	ArtifactControllerCPU = "controller-cpu.csv"
+	ArtifactDeviceCPU     = "device-cpu.trace"
+	ArtifactControllerCPU = "controller-cpu.trace"
 )
 
-// measurementJob wraps an ExperimentSpec as an access-server pipeline
+// measurementJob wraps a compiled spec as an access-server pipeline
 // body (what specBackend.Compile returns). The build succeeds when the
-// measurement completes; the current trace is stored as "current.csv"
-// plus the compact binary
-// "current.trace" (trace format v2 — at 5 kHz the CSV is ~3× larger),
-// and the CPU traces as "device-cpu.csv" / "controller-cpu.csv" in the
-// build workspace. The session's phase events and live samples are
-// forwarded to the build's feed, and Session.Cancel is registered as
-// the build's cancel hook, so remote clients can stream progress and
-// abort mid-run.
-func (p *Platform) measurementJob(spec ExperimentSpec) accessserver.RunFunc {
+// measurement completes and saveRun has stored its result. The
+// session's phase events and live samples are posted to the build's
+// feed, and the session's Cancel is registered as the build's cancel
+// hook, so clients can stream progress and abort mid-run.
+func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 	return func(ctx *accessserver.BuildContext, done func(error)) {
 		// Per-attempt copy: the captured spec is shared across dispatch
 		// attempts of this RunFunc, and an abandoned attempt may still
@@ -63,8 +60,7 @@ func (p *Platform) measurementJob(spec ExperimentSpec) accessserver.RunFunc {
 		if feed != nil {
 			obs = append(obs, feedObserver{build: ctx.Build.ID, feed: feed})
 		}
-		var sessRef atomic.Pointer[Session]
-		sess, err := p.start(context.Background(), spec, obs, func(res *Result, err error) {
+		sess, err := p.start(spec, obs, func(res *Result, err error) {
 			if ctx.Stale() {
 				// The scheduler reclaimed this attempt (failover) and a
 				// retry owns the build now: writing artifacts or the
@@ -72,53 +68,14 @@ func (p *Platform) measurementJob(spec ExperimentSpec) accessserver.RunFunc {
 				// done() would be ignored as stale anyway.
 				return
 			}
+			if err == nil {
+				err = saveRun(ctx.Build, res)
+			}
 			if err != nil {
 				ctx.Logf("measurement failed: %v", err)
 				done(err)
 				return
 			}
-			saveCSV := func(name string, s *trace.Series) error {
-				var b bytes.Buffer
-				if err := s.WriteCSV(&b); err != nil {
-					return err
-				}
-				ctx.Build.Workspace().Save(name, b.Bytes())
-				return nil
-			}
-			if err := saveCSV(ArtifactCurrentCSV, res.Current); err != nil {
-				done(err)
-				return
-			}
-			var bin bytes.Buffer
-			if err := res.Current.WriteBinary(&bin); err != nil {
-				done(err)
-				return
-			}
-			ctx.Build.Workspace().Save(ArtifactCurrentTrace, bin.Bytes())
-			if err := saveCSV(ArtifactDeviceCPU, res.DeviceCPU); err != nil {
-				done(err)
-				return
-			}
-			if err := saveCSV(ArtifactControllerCPU, res.ControllerCPU); err != nil {
-				done(err)
-				return
-			}
-			summary := res.Current.Summary()
-			live := res.Current.Live()
-			var dropped int64
-			if sess := sessRef.Load(); sess != nil {
-				dropped = sess.DroppedSamples()
-			}
-			ctx.Build.SetSummary(api.RunSummary{
-				Samples:            int64(res.Current.Len()),
-				MeanMA:             summary.Mean,
-				P50MA:              live.P50,
-				P95MA:              live.P95,
-				EnergyMAH:          res.EnergyMAH,
-				DurationNS:         int64(res.Duration),
-				MirrorUploadBytes:  res.MirrorUploadBytes,
-				DroppedLiveSamples: dropped,
-			})
 			ctx.Logf("measured %s: %.2f mAh over %s (%d samples)",
 				spec.Device, res.EnergyMAH, res.Duration, res.Current.Len())
 			done(nil)
@@ -127,20 +84,60 @@ func (p *Platform) measurementJob(spec ExperimentSpec) accessserver.RunFunc {
 			done(err)
 			return
 		}
-		sessRef.Store(sess)
 		// Attempt-gated: if the scheduler failed this attempt over while
 		// setup blocked, the registration is dropped instead of
 		// displacing the retry's cancel hook.
 		ctx.OnCancel(sess.Cancel)
-		ctx.Logf("experiment scheduled: ~%s of device time", sess.Scripted())
+		ctx.Logf("experiment scheduled: ~%s of device time", sess.scripted)
 	}
 }
 
-// feedObserver forwards a session's progress into its build's feed.
-// OnPhase runs on the clock-dispatch context and OnSample on the
-// session's delivery goroutine; Feed appends never block either (the
-// buffers are bounded, drop-under-backpressure), so a slow or stalled
-// HTTP consumer downstream cannot stall the capture loop.
+// saveRun stores a finished run on its build: the artifacts
+// DecodeResult reads back and the run summary, which counts the live
+// samples the build's feed dropped.
+func saveRun(b *accessserver.Build, res *Result) error {
+	var csv bytes.Buffer
+	if err := res.Current.WriteCSV(&csv); err != nil {
+		return err
+	}
+	b.Workspace().Save(ArtifactCurrentCSV, csv.Bytes())
+	for _, a := range []struct {
+		name   string
+		series *trace.Series
+	}{
+		{ArtifactCurrentTrace, res.Current},
+		{ArtifactDeviceCPU, res.DeviceCPU},
+		{ArtifactControllerCPU, res.ControllerCPU},
+	} {
+		var bin bytes.Buffer
+		if err := a.series.WriteBinary(&bin); err != nil {
+			return err
+		}
+		b.Workspace().Save(a.name, bin.Bytes())
+	}
+	var droppedSamples int64
+	if feed := b.Feed(); feed != nil {
+		_, droppedSamples = feed.Dropped()
+	}
+	summary := res.Current.Summary()
+	live := res.Current.Live()
+	b.SetSummary(api.RunSummary{
+		Samples:            int64(res.Current.Len()),
+		MeanMA:             summary.Mean,
+		P50MA:              live.P50,
+		P95MA:              live.P95,
+		EnergyMAH:          res.EnergyMAH,
+		DurationNS:         int64(res.Duration),
+		MirrorUploadBytes:  res.MirrorUploadBytes,
+		DroppedLiveSamples: droppedSamples,
+	})
+	return nil
+}
+
+// feedObserver posts a session's progress into its build's feed. Both
+// callbacks run on the clock's dispatch context, and a feed append
+// never blocks (the buffers are bounded, drop-under-backpressure), so a
+// slow or stalled consumer downstream cannot stall the capture loop.
 type feedObserver struct {
 	build int
 	feed  *feedhub.Feed
@@ -216,38 +213,34 @@ func SampleOf(node, device string, pt api.SamplePoint) Sample {
 	}
 }
 
-// DecodeResult rebuilds a run's Result from what measurementJob left
-// on its build: the lossless binary current trace and the CPU CSVs in
-// the workspace, and the summary. load fetches one artifact by name —
-// from the workspace in-process, over HTTP for a remote client — so
-// local and remote results come from the same bytes and the same code.
+// DecodeResult rebuilds a run's Result from what saveRun left on its
+// build: the three binary traces in the workspace, and the summary.
+// load fetches one artifact by name — from the workspace in-process,
+// over HTTP for a remote client — so local and remote results come from
+// the same bytes and the same code.
 func DecodeResult(load func(name string) ([]byte, error), sum *api.RunSummary) (*Result, error) {
-	cur, err := load(ArtifactCurrentTrace)
-	if err != nil {
-		return nil, fmt.Errorf("core: fetching current trace: %w", err)
-	}
-	current, err := trace.DecodeBinary(cur)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding current trace: %w", err)
-	}
-	var t0 time.Time
-	if current.Len() > 0 {
-		t0 = current.At(0).T
-	}
-	readCSV := func(name, series, unit string) (*trace.Series, error) {
+	decode := func(name, what string) (*trace.Series, error) {
 		data, err := load(name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: fetching %s trace: %w", what, err)
 		}
-		return trace.ReadCSV(bytes.NewReader(data), series, unit, t0)
+		s, err := trace.DecodeBinary(data)
+		if err != nil {
+			return nil, fmt.Errorf("core: decoding %s trace: %w", what, err)
+		}
+		return s, nil
 	}
-	devCPU, err := readCSV(ArtifactDeviceCPU, "device-cpu", "percent")
+	current, err := decode(ArtifactCurrentTrace, "current")
 	if err != nil {
-		return nil, fmt.Errorf("core: fetching device CPU trace: %w", err)
+		return nil, err
 	}
-	ctlCPU, err := readCSV(ArtifactControllerCPU, "controller-cpu", "percent")
+	devCPU, err := decode(ArtifactDeviceCPU, "device CPU")
 	if err != nil {
-		return nil, fmt.Errorf("core: fetching controller CPU trace: %w", err)
+		return nil, err
+	}
+	ctlCPU, err := decode(ArtifactControllerCPU, "controller CPU")
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Current:       current,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"batterylab/internal/browser"
 	"batterylab/internal/device"
 	"batterylab/internal/trace"
+	"batterylab/internal/video"
 )
 
 func browserSpec(r *rig, name string, pages int) api.ExperimentSpec {
@@ -62,13 +65,13 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 	if b.State() != accessserver.StateSuccess {
 		t.Fatalf("state = %v err = %v log:\n%s", b.State(), b.Err(), b.Log())
 	}
-	// Artifacts: all three traces in the workspace.
-	for _, name := range []string{"current.csv", "device-cpu.csv", "controller-cpu.csv"} {
+	// Artifacts: the three binary traces in the workspace.
+	for _, name := range []string{ArtifactCurrentTrace, ArtifactDeviceCPU, ArtifactControllerCPU} {
 		raw, err := b.Workspace().Load(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		series, err := trace.ReadCSV(strings.NewReader(string(raw)), "x", "u", r.clk.Now())
+		series, err := trace.DecodeBinary(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -79,9 +82,8 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 	if !strings.Contains(b.Log(), "measured "+r.serial) {
 		t.Fatalf("log:\n%s", b.Log())
 	}
-	// The binary artifact round-trips to the same trace as the CSV, in
-	// fewer bytes.
-	rawBin, err := b.Workspace().Load("current.trace")
+	// The CSV export is the binary current trace's, in more bytes.
+	rawBin, err := b.Workspace().Load(ArtifactCurrentTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +91,17 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawCSV, err := b.Workspace().Load("current.csv")
+	rawCSV, err := b.Workspace().Load(ArtifactCurrentCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csvSeries, err := trace.ReadCSV(strings.NewReader(string(rawCSV)), "current", "mA", r.clk.Now())
-	if err != nil {
+	var csv bytes.Buffer
+	if err := binSeries.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if binSeries.Len() != csvSeries.Len() || binSeries.Name() != "current" || binSeries.Unit() != "mA" {
-		t.Fatalf("binary artifact: len=%d name=%q unit=%q (csv len=%d)",
-			binSeries.Len(), binSeries.Name(), binSeries.Unit(), csvSeries.Len())
+	if !bytes.Equal(csv.Bytes(), rawCSV) || binSeries.Name() != "current" || binSeries.Unit() != "mA" {
+		t.Fatalf("binary artifact: len=%d name=%q unit=%q does not export to the stored CSV",
+			binSeries.Len(), binSeries.Name(), binSeries.Unit())
 	}
 	if len(rawBin) >= len(rawCSV) {
 		t.Fatalf("binary trace %d bytes not smaller than CSV %d", len(rawBin), len(rawCSV))
@@ -227,5 +229,127 @@ func TestTwoDevicesShareOneMonitor(t *testing.T) {
 	if end := first.QueueTime() + first.Duration(); waiting.QueueTime() < end {
 		t.Fatalf("build 2 started %s after submit, build 1 only finished at %s: the runs overlap",
 			waiting.QueueTime(), end)
+	}
+}
+
+// tapBackend compiles specs like the platform's own backend, but runs
+// each through start directly: the pipeline body measurementJob builds,
+// with taps on the two values it does not keep. started, when set, gets
+// the run's session once it is set up; ran, when set, gets the Result
+// handed to onDone before saveRun stores it on the build.
+type tapBackend struct {
+	specBackend
+	started func(*session)
+	ran     func(*Result)
+}
+
+func (b tapBackend) Compile(ws api.ExperimentSpec) (accessserver.Constraints, accessserver.RunFunc, error) {
+	cons, _, err := b.specBackend.Compile(ws)
+	if err != nil {
+		return cons, nil, err
+	}
+	spec, err := b.p.compileExperiment(ws)
+	if err != nil {
+		return cons, nil, err
+	}
+	return cons, func(ctx *accessserver.BuildContext, done func(error)) {
+		sess, err := b.p.start(spec, nil, func(res *Result, err error) {
+			if err == nil {
+				if b.ran != nil {
+					b.ran(res)
+				}
+				err = saveRun(ctx.Build, res)
+			}
+			done(err)
+		})
+		if err != nil {
+			done(err)
+			return
+		}
+		if b.started != nil {
+			b.started(sess)
+		}
+		ctx.OnCancel(sess.Cancel)
+	}, nil
+}
+
+// sameSeries reports the first sample where two traces differ in a bit
+// of the time or the value.
+func sameSeries(t *testing.T, what string, got, want *trace.Series) {
+	t.Helper()
+	if got.Name() != want.Name() || got.Unit() != want.Unit() || got.Len() != want.Len() {
+		t.Errorf("%s: decoded %s/%s with %d samples, ran %s/%s with %d",
+			what, got.Name(), got.Unit(), got.Len(), want.Name(), want.Unit(), want.Len())
+		return
+	}
+	for i := 0; i < want.Len(); i++ {
+		g, w := got.At(i), want.At(i)
+		if g.T.UnixNano() != w.T.UnixNano() || math.Float64bits(g.V) != math.Float64bits(w.V) {
+			t.Errorf("%s[%d]: decoded %v at %s, ran %v at %s",
+				what, i, g.V, g.T.Format(time.StampNano), w.V, w.T.Format(time.StampNano))
+			return
+		}
+	}
+}
+
+// TestDecodedResultMatchesRun is the differential test of a build's
+// artifacts: for every registered workload, the Result a run hands to
+// start's onDone and the one DecodeResult rebuilds from that build's
+// workspace and summary are equal field by field, bit for bit. A
+// remote, campaign or routed result is decoded this way, so it is the
+// run's own.
+func TestDecodedResultMatchesRun(t *testing.T) {
+	params := map[string]api.Params{
+		"browser": {"browser": "Chrome", "pages": 1, "scrolls": 2},
+		"video":   {"duration_ms": 30000},
+		"idle":    {"duration_ms": 10000},
+	}
+	r := newRig(t)
+	installStudyBrowsers(t, r)
+	r.dev.Storage().Push("/sdcard/video.mp4", video.SampleMP4(1<<20))
+	r.dev.Install(video.NewPlayer("/sdcard/video.mp4"))
+	admin, err := r.plat.Access.Users.Add("admin", accessserver.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran *Result
+	r.plat.Access.SetSpecBackend(tapBackend{specBackend: specBackend{r.plat}, ran: func(res *Result) { ran = res }})
+	names := r.plat.Workloads().Names()
+	if len(names) != len(params) {
+		t.Fatalf("registry has %v, the test covers %d workloads", names, len(params))
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			ran = nil
+			b, err := r.plat.Access.SubmitSpec(admin, api.ExperimentSpec{
+				Node: "node1", Device: r.serial, Mirroring: true,
+				Monitor:  api.MonitorSpec{SampleRateHz: 500},
+				Workload: api.WorkloadSpec{Name: name, Params: params[name]},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.runWhile(t, func() bool { return !b.State().Terminal() }, 10*time.Minute)
+			if b.State() != accessserver.StateSuccess || ran == nil {
+				t.Fatalf("state = %v err = %v log:\n%s", b.State(), b.Err(), b.Log())
+			}
+			got, err := DecodeResult(b.Workspace().Load, b.Summary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSeries(t, "Current", got.Current, ran.Current)
+			sameSeries(t, "DeviceCPU", got.DeviceCPU, ran.DeviceCPU)
+			sameSeries(t, "ControllerCPU", got.ControllerCPU, ran.ControllerCPU)
+			if math.Float64bits(got.EnergyMAH) != math.Float64bits(ran.EnergyMAH) {
+				t.Errorf("EnergyMAH: decoded %v, ran %v", got.EnergyMAH, ran.EnergyMAH)
+			}
+			if got.Duration != ran.Duration || got.MirrorUploadBytes != ran.MirrorUploadBytes {
+				t.Errorf("decoded %v and %d mirror bytes, ran %v and %d",
+					got.Duration, got.MirrorUploadBytes, ran.Duration, ran.MirrorUploadBytes)
+			}
+			if ran.DeviceCPU.Len() == 0 || ran.ControllerCPU.Len() == 0 {
+				t.Errorf("degenerate run: %d/%d CPU points", ran.DeviceCPU.Len(), ran.ControllerCPU.Len())
+			}
+		})
 	}
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
-	"batterylab/internal/automation"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
 	"batterylab/internal/simclock"
@@ -74,17 +72,7 @@ func TestMultiVPIndependentExperiments(t *testing.T) {
 		dev, _ := ctl.Device(serial)
 		dev.Storage().Push("/sdcard/v.mp4", video.SampleMP4(1024))
 		dev.Install(video.NewPlayer("/sdcard/v.mp4"))
-		res, err := plat.RunExperiment(context.Background(), ExperimentSpec{
-			Node: ctl.Name(), Device: serial, SampleRate: 200,
-			Workload: func(drv automation.Driver) *automation.Script {
-				s := automation.NewScript("video")
-				s.Add("launch", 20*time.Second, func() error {
-					_, err := drv.LaunchApp(video.PackageName)
-					return err
-				})
-				return s
-			},
-		})
+		res, err := run(plat, videoSpec(ctl.Name(), serial, 20*time.Second))
 		if err != nil {
 			t.Fatalf("vp %d: %v", i, err)
 		}

@@ -4,9 +4,11 @@
 // to vantage points through the §3.4 join workflow (DNS registration,
 // wildcard certificate deployment, key exchange), installs the
 // platform's maintenance jobs, and provides the experiment runner that
-// orchestrates an end-to-end battery measurement: automation channel
+// orchestrates an end-to-end battery measurement — automation channel
 // setup, optional device mirroring, monitor arming, workload execution
-// and trace collection.
+// and trace collection — as the pipeline body of an access-server
+// build. In-process callers run measurements the way remote ones do: as
+// builds on the platform's own server.
 package core
 
 import (
@@ -40,7 +42,7 @@ type Platform struct {
 	// compiles declarative specs against.
 	workloads *WorkloadRegistry
 	// owner is the platform's own admin user, which submits in-process
-	// campaigns; created on first use.
+	// runs and campaigns; created on first use.
 	owner func() (*accessserver.User, error)
 
 	mu    sync.Mutex
@@ -73,10 +75,10 @@ func NewPlatform(clock simclock.Clock, seed uint64) (*Platform, error) {
 	// declarative specs through the platform's workload registry.
 	p.Access.SetSpecBackend(specBackend{p})
 	p.owner = sync.OnceValues(func() (*accessserver.User, error) {
-		if u, err := p.Access.Users.Lookup(campaignOwner); err == nil {
+		if u, err := p.Access.Users.Lookup(ownerName); err == nil {
 			return u, nil // restored from the server's store
 		}
-		return p.Access.Users.Add(campaignOwner, accessserver.RoleAdmin)
+		return p.Access.Users.Add(ownerName, accessserver.RoleAdmin)
 	})
 	return p, nil
 }
@@ -140,12 +142,11 @@ func (p *Platform) Controller(name string) (*controller.Controller, error) {
 }
 
 // drive runs a virtual clock for one Wait until finished reports true or
-// ctx is canceled, failing when the clock stalls or its next event lies
-// past limit() (nil sets no limit). finished is asked between instants.
-// Concurrent Waits on one clock take turns instant by instant
-// (simclock.RunWhile), so event order stays deterministic.
-func drive(ctx context.Context, v *simclock.Virtual, finished func() bool, limit func() time.Time) error {
-	err := v.RunWhile(func() bool { return !finished() && ctx.Err() == nil }, limit)
+// ctx is canceled, failing when the clock stalls. finished is asked
+// between instants. Concurrent Waits on one clock take turns instant by
+// instant (simclock.RunWhile), so event order stays deterministic.
+func drive(ctx context.Context, v *simclock.Virtual, finished func() bool) error {
+	err := v.RunWhile(func() bool { return !finished() && ctx.Err() == nil }, nil)
 	if err != nil {
 		return fmt.Errorf("core: run did not finish: %w", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -15,7 +14,7 @@ import (
 )
 
 // This file turns declarative wire specs (internal/api) into runnable
-// core.ExperimentSpec values. The bridge is the workload registry: a
+// compiled specs. The bridge is the workload registry: a
 // remote client cannot ship a Go closure, so it names a workload the
 // server has vetted and parameterizes it. The platform implements
 // accessserver.SpecBackend on top, which is how POST /api/v1/experiments
@@ -142,13 +141,15 @@ func buildIdleWorkload(params api.Params) (func(automation.Driver) *automation.S
 // deployment-specific additions.
 func (p *Platform) Workloads() *WorkloadRegistry { return p.workloads }
 
-// CompileExperiment turns a declarative wire spec into a runnable
-// ExperimentSpec: wire validation, transport parsing, workload lookup
+// compileExperiment turns a declarative wire spec into a runnable
+// experimentSpec: wire validation, transport parsing, workload lookup
 // and parameter binding, plus node/device existence checks so a bad
 // submission fails at the API boundary instead of inside the build
-// queue. Errors wrap the accessserver sentinels for HTTP mapping.
-func (p *Platform) CompileExperiment(ws api.ExperimentSpec) (ExperimentSpec, error) {
-	var zero ExperimentSpec
+// queue. Errors wrap the accessserver sentinels for HTTP mapping and,
+// for USB or an unknown workload, node or device, this package's
+// sentinels.
+func (p *Platform) compileExperiment(ws api.ExperimentSpec) (experimentSpec, error) {
+	var zero experimentSpec
 	if err := ws.Validate(); err != nil {
 		return zero, fmt.Errorf("%w: %v", accessserver.ErrInvalid, err)
 	}
@@ -159,12 +160,12 @@ func (p *Platform) CompileExperiment(ws api.ExperimentSpec) (ExperimentSpec, err
 	case api.TransportBluetooth:
 		transport = TransportBluetooth
 	case api.TransportUSB:
-		return zero, fmt.Errorf("%w: %v", accessserver.ErrInvalid, ErrUSBTransport)
+		return zero, fmt.Errorf("%w: %w", accessserver.ErrInvalid, ErrUSBTransport)
 	}
 	builder, ok := p.workloads.lookup(ws.Workload.Name)
 	if !ok {
-		return zero, fmt.Errorf("%w: no workload %q (have %v)",
-			accessserver.ErrNotFound, ws.Workload.Name, p.workloads.Names())
+		return zero, fmt.Errorf("%w: %w %q (have %v)",
+			accessserver.ErrNotFound, ErrNoWorkload, ws.Workload.Name, p.workloads.Names())
 	}
 	workload, err := builder(ws.Workload.Params)
 	if err != nil {
@@ -172,12 +173,13 @@ func (p *Platform) CompileExperiment(ws api.ExperimentSpec) (ExperimentSpec, err
 	}
 	ctl, err := p.Controller(ws.Node)
 	if err != nil {
-		return zero, fmt.Errorf("%w: no vantage point %q", accessserver.ErrNotFound, ws.Node)
+		return zero, fmt.Errorf("%w: %w", accessserver.ErrNotFound, err)
 	}
 	if _, err := ctl.Device(ws.Device); err != nil {
-		return zero, fmt.Errorf("%w: node %q has no device %q", accessserver.ErrNotFound, ws.Node, ws.Device)
+		return zero, fmt.Errorf("%w: %w: node %q has no device %q",
+			accessserver.ErrNotFound, ErrUnknownDevice, ws.Node, ws.Device)
 	}
-	return ExperimentSpec{
+	return experimentSpec{
 		Node:            ws.Node,
 		Device:          ws.Device,
 		SampleRate:      ws.Monitor.SampleRateHz,
@@ -191,24 +193,12 @@ func (p *Platform) CompileExperiment(ws api.ExperimentSpec) (ExperimentSpec, err
 	}, nil
 }
 
-// StartExperimentSpec compiles a wire spec and starts it as a local
-// session — the local half of the location-transparent client contract:
-// the same declarative spec a remote client POSTs runs unchanged
-// in-process.
-func (p *Platform) StartExperimentSpec(ctx context.Context, ws api.ExperimentSpec, obs ...Observer) (*Session, error) {
-	spec, err := p.CompileExperiment(ws)
-	if err != nil {
-		return nil, err
-	}
-	return p.StartExperiment(ctx, spec, obs...)
-}
-
 // specBackend implements accessserver.SpecBackend over the platform.
 type specBackend struct{ p *Platform }
 
 // Compile implements accessserver.SpecBackend.
 func (b specBackend) Compile(ws api.ExperimentSpec) (accessserver.Constraints, accessserver.RunFunc, error) {
-	spec, err := b.p.CompileExperiment(ws)
+	spec, err := b.p.compileExperiment(ws)
 	if err != nil {
 		return accessserver.Constraints{}, nil, err
 	}

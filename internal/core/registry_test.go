@@ -70,19 +70,19 @@ func TestCompileExperimentErrors(t *testing.T) {
 	for _, c := range cases {
 		spec := base()
 		c.mutate(&spec)
-		_, err := p.CompileExperiment(spec)
+		_, err := p.compileExperiment(spec)
 		if !errors.Is(err, c.sentinel) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.sentinel)
 		}
 	}
-	if _, err := p.CompileExperiment(base()); err != nil {
+	if _, err := p.compileExperiment(base()); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 }
 
 func TestCompileExperimentBindsParams(t *testing.T) {
 	p, serial := compileRig(t)
-	spec, err := p.CompileExperiment(api.ExperimentSpec{
+	spec, err := p.compileExperiment(api.ExperimentSpec{
 		Node: "node1", Device: serial,
 		Transport: api.TransportBluetooth,
 		Monitor: api.MonitorSpec{
@@ -111,18 +111,19 @@ func TestCompileExperimentBindsParams(t *testing.T) {
 	}
 }
 
-// TestSpecAndClosurePathsAgree: the declarative route and the classic
-// closure route produce identical measurements for the same workload.
+// TestSpecAndClosurePathsAgree: a wire spec run as a build on the
+// platform's server and the same workload as a closure run directly on
+// the session runner produce identical measurements.
 func TestSpecAndClosurePathsAgree(t *testing.T) {
 	p1, serial1 := compileRig(t)
-	res1, err := p1.RunExperiment(context.Background(), ExperimentSpec{
+	res1, err := startDirect(t, p1, experimentSpec{
 		Node: "node1", Device: serial1, SampleRate: 1000,
 		Workload: func(drv automation.Driver) *automation.Script {
 			s := automation.NewScript("idle")
 			s.Add("idle", 10*time.Second, nil)
 			return s
 		},
-	})
+	}).wait(t, p1.Clock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestWorkloadRegistryCustom(t *testing.T) {
 	if !found {
 		t.Fatalf("custom workload missing from %v", names)
 	}
-	if _, err := p.CompileExperiment(api.ExperimentSpec{
+	if _, err := p.compileExperiment(api.ExperimentSpec{
 		Node: "node1", Device: serial,
 		Workload: api.WorkloadSpec{Name: "blink"},
 	}); err != nil {

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -117,23 +113,24 @@ type Sample struct {
 	CurrentMA float64
 	// Live is the monitor-side streaming summary of the capture so far
 	// (running mean, P50/P95, charge integral over every Monsoon sample
-	// recorded up to At). Zero when the monitor is not sampling.
+	// recorded up to At), without its spread: a feed carries no Std,
+	// Min or Max (see SampleOf).
 	Live samples.LiveSummary
 }
 
-// Observer receives a session's progress. OnPhase callbacks run on the
-// clock's dispatch context (the driving goroutine under a Virtual
-// clock, timer goroutines under the Real clock) and must not block or
-// drive the clock. OnSample callbacks are decoupled from the capture
-// path: they run on a per-session delivery goroutine, so a slow
-// observer never stalls the Monsoon's sampling or the CPU monitors —
-// under sustained backpressure live samples are dropped (counted by
-// Session.DroppedSamples) rather than queued without bound. All
-// accepted samples are delivered before the session's PhaseDone event
-// and before Done closes — which also means an OnSample callback must
-// not wait on the session's own completion (Wait or Done): teardown
-// flushes the delivery queue before Done closes, so such a wait can
-// never be satisfied. Cancel from a callback is fine.
+// Observer receives a run's progress from its build's feed: phase
+// transitions and live samples, in the order the run posted them. The
+// callbacks run on the handle's follower goroutine (one per run; a
+// campaign's runs have one each, so callbacks for different runs may
+// run concurrently), not on the clock's dispatch context, so a slow
+// observer never stalls the capture: the feed is bounded and, under
+// sustained backpressure, drops live samples (counted in the run
+// summary's DroppedLiveSamples) rather than queueing them without
+// bound. Every accepted sample is delivered before the run's terminal
+// PhaseDone event, and PhaseDone before the handle's Done closes — so a
+// callback must not wait on its own handle's Wait or Done, which can
+// then never return. Cancel from a callback is fine. A Sample's Live
+// summary carries no Std, Min or Max (see SampleOf).
 type Observer interface {
 	OnPhase(PhaseChange)
 	OnSample(Sample)
@@ -160,128 +157,26 @@ func (o ObserverFuncs) OnSample(s Sample) {
 	}
 }
 
-// obsMuxBuffer bounds the live-sample delivery queue. At the default
-// 1 s CPUSamplePeriod this is over 17 minutes of backlog before a
-// stuck observer costs a sample.
-const obsMuxBuffer = 1024
-
-// obsMux fans live samples out to observers on a dedicated goroutine,
-// decoupling observer latency from the capture path. Phase events stay
-// synchronous (they are rare and ordered); samples flow through a
-// bounded queue with a drop-newest policy under backpressure.
-type obsMux struct {
-	obs []Observer
-	ch  chan Sample
-	// drained closes when the delivery goroutine has exited (queue
-	// empty, channel closed).
-	drained chan struct{}
-	goid    uint64 // delivery goroutine id, for re-entrant stop()
-
-	mu      sync.Mutex
-	closed  bool
-	dropped int64
-}
-
-func newObsMux(obs []Observer) *obsMux {
-	m := &obsMux{
-		obs:     obs,
-		ch:      make(chan Sample, obsMuxBuffer),
-		drained: make(chan struct{}),
-	}
-	ready := make(chan struct{})
-	go func() {
-		m.goid = goroutineID()
-		close(ready)
-		for s := range m.ch {
-			for _, o := range m.obs {
-				o.OnSample(s)
-			}
-		}
-		close(m.drained)
-	}()
-	<-ready
-	return m
-}
-
-// post enqueues a sample without ever blocking the caller (the capture
-// path). A full queue drops the sample; a stopped mux ignores it (a
-// ticker tick can still be in flight while teardown runs).
-func (m *obsMux) post(s Sample) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return
-	}
-	select {
-	case m.ch <- s:
-	default:
-		m.dropped++
-	}
-}
-
-// stop closes intake and waits until every queued sample has been
-// delivered. Idempotent. When called from an observer callback itself
-// (an OnSample handler cancelling its own session), it skips the wait
-// instead of deadlocking; the handful of trailing samples then drain
-// after Done.
-func (m *obsMux) stop() {
-	m.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		close(m.ch)
-	}
-	m.mu.Unlock()
-	if goroutineID() == m.goid {
-		return
-	}
-	<-m.drained
-}
-
-func (m *obsMux) droppedCount() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropped
-}
-
-// goroutineID parses the current goroutine's id from its stack header —
-// only used to make obsMux.stop re-entrancy-safe.
-func goroutineID() uint64 {
-	var buf [64]byte
-	b := buf[:runtime.Stack(buf[:], false)]
-	b = bytes.TrimPrefix(b, []byte("goroutine "))
-	if i := bytes.IndexByte(b, ' '); i > 0 {
-		if id, err := strconv.ParseUint(string(b[:i]), 10, 64); err == nil {
-			return id
-		}
-	}
-	return 0
-}
-
-// Session is a handle to one in-flight experiment. It is created by
-// Platform.StartExperiment and is safe for concurrent use.
-type Session struct {
-	platform  *Platform
+// session is one measurement in flight on a vantage point: setup,
+// monitor, workload, settle tail and teardown, driven by clock
+// callbacks. It is created by Platform.start, as a build's pipeline
+// body, and is safe for concurrent use.
+type session struct {
 	clock     simclock.Clock
-	spec      ExperimentSpec
+	spec      experimentSpec
 	ctl       *controller.Controller
 	dev       *device.Device
 	observers []Observer
-	mux       *obsMux // nil without observers
 	onDone    func(*Result, error)
 
 	script   *automation.Script
 	scripted time.Duration
 
-	// done closes when teardown has completed and the outcome is set.
-	done chan struct{}
-
 	mu           sync.Mutex
-	phase        Phase
 	vpnConnected bool
 	mirrorActive bool
 	monitorArmed bool
 	canceled     bool
-	cancelCause  error
 	finished     bool
 	startAt      time.Time
 	live         samples.LiveSummary
@@ -296,73 +191,23 @@ type Session struct {
 	devTicker  *simclock.Ticker
 	stopCtlCPU func()
 
-	res *Result
-	err error
-
 	// Test instrumentation: how many times teardown ran (must be 1) and
 	// in which order resources were released.
 	teardowns     int
 	teardownOrder []string
 }
 
-// Done returns a channel closed when the run has fully torn down.
-func (s *Session) Done() <-chan struct{} { return s.done }
-
-// Phase reports the session's current phase.
-func (s *Session) Phase() Phase {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.phase
-}
-
-// Spec returns the (defaults-filled) spec the session runs.
-func (s *Session) Spec() ExperimentSpec { return s.spec }
-
-// Live reports the most recent streaming summary of the monitor's
-// capture (mean/P50/P95/integral so far) — the same snapshot observers
-// receive in Sample.Live. Zero until the monitor arms.
-func (s *Session) Live() samples.LiveSummary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.live
-}
-
-// DroppedSamples reports how many live samples were dropped because
-// observers could not keep up with the capture cadence. Always zero for
-// sessions without observers.
-func (s *Session) DroppedSamples() int64 {
-	if s.mux == nil {
-		return 0
-	}
-	return s.mux.droppedCount()
-}
-
-// Scripted reports the scripted duration: the workload's total wait plus
-// the padding tail. The measured Duration is at least this.
-func (s *Session) Scripted() time.Duration { return s.scripted }
-
-// Result reports the outcome. It is only meaningful once Done is closed;
-// before that it returns (nil, nil).
-func (s *Session) Result() (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.res, s.err
-}
-
 // Cancel stops the run at the earliest safe point and tears everything
-// down in reverse setup order (monitor, mirroring, VPN). It is
-// idempotent and safe from any goroutine; a canceled run's Wait returns
-// an error matching ErrCanceled. Cancel after completion is a no-op.
-func (s *Session) Cancel() { s.cancelWith(nil) }
-
-func (s *Session) cancelWith(cause error) {
+// down in reverse setup order (monitor, mirroring, VPN); the outcome is
+// ErrCanceled. It is the build's cancel hook: idempotent, safe from any
+// goroutine, and a no-op after completion.
+func (s *session) Cancel() {
 	s.mu.Lock()
 	if s.finished || s.canceled {
 		s.mu.Unlock()
 		return
 	}
 	s.canceled = true
-	s.cancelCause = cause
 	abortArm, run, padTimer := s.abortArm, s.run, s.padTimer
 	s.mu.Unlock()
 
@@ -371,7 +216,7 @@ func (s *Session) cancelWith(cause error) {
 		// In the settle tail: stop the padding timer and collect now. If
 		// Stop loses the race the run is completing normally anyway.
 		if padTimer.Stop() {
-			s.finish(s.canceledErr())
+			s.finish(ErrCanceled)
 		}
 	case run != nil:
 		// Mid-workload: the executor aborts at the next step boundary
@@ -383,63 +228,14 @@ func (s *Session) cancelWith(cause error) {
 		// the monitor never started. If the arming callback wins the
 		// race it observes the canceled flag and finishes for us.
 		if abortArm() {
-			s.finish(s.canceledErr())
+			s.finish(ErrCanceled)
 		}
 	}
-}
-
-func (s *Session) canceledErr() error {
-	s.mu.Lock()
-	cause := s.cancelCause
-	s.mu.Unlock()
-	if cause == nil {
-		return ErrCanceled
-	}
-	return fmt.Errorf("%w: %v", ErrCanceled, cause)
-}
-
-// Wait blocks until the run completes and returns its outcome. On a
-// Virtual platform clock it drives simulated time itself, instant by
-// instant; concurrent Waits (sessions or campaigns waited from several
-// goroutines) take turns on the clock. Cancelling ctx
-// cancels the run, tears it down, and returns the cancellation error.
-func (s *Session) Wait(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	v, ok := s.clock.(*simclock.Virtual)
-	if !ok {
-		select {
-		case <-s.done:
-		case <-ctx.Done():
-			s.cancelWith(context.Cause(ctx))
-			<-s.done
-		}
-		return s.Result()
-	}
-	// A generous budget so a stuck workload cannot drive time forever.
-	deadline := v.Now().Add(s.scripted*2 + time.Minute)
-	err := drive(ctx, v, isClosed(s.done), func() time.Time { return deadline })
-	if err != nil {
-		if ctx.Err() != nil {
-			// Under the virtual clock cancellation tears down
-			// synchronously on this goroutine.
-			s.cancelWith(context.Cause(ctx))
-			<-s.done
-			return s.Result()
-		}
-		// Budget blown or clock stalled: still release the hardware —
-		// an abandoned session must not leave the monitor armed or the
-		// VPN up for the next experimenter.
-		s.cancelWith(err)
-		return nil, err
-	}
-	return s.Result()
 }
 
 // armTransport arms the measurement-safe automation channel while USB is
 // still powered.
-func (s *Session) armTransport() error {
+func (s *session) armTransport() error {
 	switch s.spec.Transport {
 	case TransportBluetooth:
 		return s.ctl.ADB().SetTransport(s.spec.Device, adb.TransportBluetooth)
@@ -453,7 +249,7 @@ func (s *Session) armTransport() error {
 
 // instrument wraps the script's steps so observers see per-step
 // PhaseWorkload events; without observers the script runs untouched.
-func (s *Session) instrument(script *automation.Script) *automation.Script {
+func (s *session) instrument(script *automation.Script) *automation.Script {
 	if len(s.observers) == 0 {
 		return script
 	}
@@ -474,7 +270,7 @@ func (s *Session) instrument(script *automation.Script) *automation.Script {
 // armed is ArmMonitor's completion callback: the relay has settled and
 // the monitor is sampling (or arming failed). It starts the CPU
 // instrumentation and the workload.
-func (s *Session) armed(armErr error) {
+func (s *session) armed(armErr error) {
 	s.mu.Lock()
 	if s.finished {
 		s.mu.Unlock()
@@ -488,7 +284,7 @@ func (s *Session) armed(armErr error) {
 	s.mu.Unlock()
 
 	if canceled {
-		s.finish(s.canceledErr())
+		s.finish(ErrCanceled)
 		return
 	}
 	if armErr != nil {
@@ -509,7 +305,9 @@ func (s *Session) armed(armErr error) {
 		} else {
 			// A tick can race teardown's StopMonitor on the real clock;
 			// carry the last snapshot instead of a zero summary.
-			smp.Live = s.Live()
+			s.mu.Lock()
+			smp.Live = s.live
+			s.mu.Unlock()
 		}
 		s.notifySample(smp)
 	})
@@ -537,10 +335,10 @@ func (s *Session) armed(armErr error) {
 }
 
 // scriptDone is the executor's completion callback.
-func (s *Session) scriptDone(scriptErr error) {
+func (s *session) scriptDone(scriptErr error) {
 	if scriptErr != nil {
 		if errors.Is(scriptErr, automation.ErrAborted) {
-			s.finish(s.canceledErr())
+			s.finish(ErrCanceled)
 			return
 		}
 		s.finish(fmt.Errorf("core: workload: %w", scriptErr))
@@ -555,13 +353,13 @@ func (s *Session) scriptDone(scriptErr error) {
 	canceled := s.canceled
 	s.mu.Unlock()
 	if canceled && t.Stop() {
-		s.finish(s.canceledErr())
+		s.finish(ErrCanceled)
 	}
 }
 
 // teardownSetup releases what a failed synchronous setup acquired (VPN
 // and mirroring); the monitor was not armed yet.
-func (s *Session) teardownSetup() {
+func (s *session) teardownSetup() {
 	if s.mirrorActive {
 		if sess, err := s.ctl.MirrorSession(s.spec.Device); err == nil {
 			sess.Stop()
@@ -575,9 +373,9 @@ func (s *Session) teardownSetup() {
 }
 
 // finish tears the run down exactly once — monitor, then mirroring, then
-// VPN: the reverse of setup order — records the outcome, notifies
-// observers and closes Done.
-func (s *Session) finish(runErr error) {
+// VPN: the reverse of setup order — notifies observers and hands the
+// outcome to onDone.
+func (s *session) finish(runErr error) {
 	s.mu.Lock()
 	if s.finished {
 		s.mu.Unlock()
@@ -643,48 +441,34 @@ func (s *Session) finish(runErr error) {
 	}
 
 	s.mu.Lock()
-	s.res, s.err = res, err
-	s.phase = PhaseDone
 	s.teardowns++
 	s.teardownOrder = order
 	s.mu.Unlock()
 
-	// Flush the live-sample queue so observers see every accepted sample
-	// before the terminal phase event and before Done closes.
-	if s.mux != nil {
-		s.mux.stop()
-	}
 	s.notifyPhase(PhaseChange{
 		Node: s.spec.Node, Device: s.spec.Device,
 		Phase: PhaseDone, At: s.clock.Now(), Err: err,
 	})
-	close(s.done)
 	if s.onDone != nil {
 		s.onDone(res, err)
 	}
 }
 
-// setPhase advances the session's phase (monotonically) and notifies
-// observers.
-func (s *Session) setPhase(p Phase, step string) {
-	s.mu.Lock()
-	if p > s.phase {
-		s.phase = p
-	}
-	s.mu.Unlock()
+// setPhase notifies observers of a phase transition.
+func (s *session) setPhase(p Phase, step string) {
 	s.notifyPhase(PhaseChange{
 		Node: s.spec.Node, Device: s.spec.Device,
 		Phase: p, At: s.clock.Now(), Step: step,
 	})
 }
 
-func (s *Session) notifyPhase(e PhaseChange) {
+func (s *session) notifyPhase(e PhaseChange) {
 	for _, o := range s.observers {
 		o.OnPhase(e)
 	}
 }
 
-func (s *Session) notifySample(smp Sample) {
+func (s *session) notifySample(smp Sample) {
 	s.mu.Lock()
 	// Live summaries only move forward; never regress the handle's
 	// snapshot on a tick that lost a race with teardown.
@@ -692,7 +476,7 @@ func (s *Session) notifySample(smp Sample) {
 		s.live = smp.Live
 	}
 	s.mu.Unlock()
-	if s.mux != nil {
-		s.mux.post(smp)
+	for _, o := range s.observers {
+		o.OnSample(smp)
 	}
 }

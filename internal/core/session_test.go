@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/api"
 	"batterylab/internal/automation"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
@@ -60,66 +61,117 @@ func (r *recorder) phaseSeq() []Phase {
 	return out
 }
 
-func assertTornDown(t *testing.T, r *rig, s *Session) {
+// direct is a run on the session runner itself, outside any build:
+// what a build's pipeline body starts, for the tests of the runner's
+// own setup, cancellation and teardown.
+type direct struct {
+	sess *session
+	done chan struct{}
+	res  *Result
+	err  error
+}
+
+func startDirect(t *testing.T, p *Platform, spec experimentSpec, obs ...Observer) *direct {
 	t.Helper()
-	if r.ctl.VPN().Active() != nil {
+	d := &direct{done: make(chan struct{})}
+	sess, err := p.start(spec, obs, func(res *Result, err error) {
+		d.res, d.err = res, err
+		close(d.done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.sess = sess
+	return d
+}
+
+// wait returns the run's outcome, driving a virtual clock until the run
+// has finished (on the real clock it finishes on its own).
+func (d *direct) wait(t *testing.T, clk simclock.Clock) (*Result, error) {
+	t.Helper()
+	if v, ok := clk.(*simclock.Virtual); ok {
+		if err := drive(context.Background(), v, isClosed(d.done)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-d.done
+	return d.res, d.err
+}
+
+// teardowns reports how many times a session tore down, and in which
+// order it released the hardware.
+func teardowns(s *session) (int, string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.teardowns, strings.Join(s.teardownOrder, ",")
+}
+
+// run measures one wire spec through the platform's own access server.
+func run(p *Platform, ws api.ExperimentSpec, obs ...Observer) (*Result, error) {
+	x, err := p.StartExperimentSpec(context.Background(), ws, obs...)
+	if err != nil {
+		return nil, err
+	}
+	return x.Wait(context.Background())
+}
+
+// idleSpec is one wire run of the registry's idle workload on the rig.
+func idleSpec(r *rig, d time.Duration) api.ExperimentSpec {
+	return api.ExperimentSpec{
+		Node: "node1", Device: r.serial,
+		Monitor:  api.MonitorSpec{SampleRateHz: 200},
+		Workload: api.WorkloadSpec{Name: "idle", Params: api.Params{"duration_ms": float64(d.Milliseconds())}},
+	}
+}
+
+// assertReleased checks the vantage point is free for the next
+// experimenter: no tunnel, no mirroring, no monitor held.
+func assertReleased(t *testing.T, ctl *controller.Controller, serial string) {
+	t.Helper()
+	if ctl.VPN().Active() != nil {
 		t.Error("VPN left connected")
 	}
-	if sess, err := r.ctl.MirrorSession(r.serial); err == nil && sess.Active() {
+	if sess, err := ctl.MirrorSession(serial); err == nil && sess.Active() {
 		t.Error("mirroring left active")
 	}
-	if r.ctl.Measuring() != "" {
+	if ctl.Measuring() != "" {
 		t.Error("monitor still held")
-	}
-	s.mu.Lock()
-	teardowns := s.teardowns
-	s.mu.Unlock()
-	if teardowns != 1 {
-		t.Errorf("teardown ran %d times, want exactly 1", teardowns)
 	}
 }
 
 func TestCancelMidWorkloadVirtual(t *testing.T) {
 	r := newRig(t)
-	spec := ExperimentSpec{
+	d := startDirect(t, r.plat, experimentSpec{
 		Node: "node1", Device: r.serial, SampleRate: 200,
 		Mirroring: true, VPNLocation: "Bunkyo",
 		Workload: sleepWorkload(60, time.Second),
-	}
-	sess, err := r.plat.StartExperiment(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.Scripted(); got != 61*time.Second { // 60×1 s + 1 s default padding
+	})
+	if got := d.sess.scripted; got != 61*time.Second { // 60×1 s + 1 s default padding
 		t.Fatalf("scripted = %v, want 61s", got)
 	}
 	// Cancel from a clock callback halfway through the workload — the
 	// deterministic way to cancel under the virtual clock.
-	r.clk.AfterFunc(30*time.Second, func() { sess.Cancel() })
-	res, err := sess.Wait(context.Background())
+	r.clk.AfterFunc(30*time.Second, d.sess.Cancel)
+	res, err := d.wait(t, r.clk)
 	if res != nil {
 		t.Fatal("canceled run returned a result")
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	assertTornDown(t, r, sess)
-	// Teardown happens in reverse setup order: monitor, mirror, VPN.
-	sess.mu.Lock()
-	order := strings.Join(sess.teardownOrder, ",")
-	sess.mu.Unlock()
-	if order != "monitor,mirror,vpn" {
-		t.Fatalf("teardown order = %s, want monitor,mirror,vpn", order)
+	assertReleased(t, r.ctl, r.serial)
+	// Teardown ran once, in reverse setup order: monitor, mirror, VPN.
+	if n, order := teardowns(d.sess); n != 1 || order != "monitor,mirror,vpn" {
+		t.Fatalf("teardown ran %d times in order %s, want once in order monitor,mirror,vpn", n, order)
 	}
 	// Cancel is idempotent after completion.
-	sess.Cancel()
-	sess.Cancel()
-	assertTornDown(t, r, sess)
+	d.sess.Cancel()
+	d.sess.Cancel()
+	if n, _ := teardowns(d.sess); n != 1 {
+		t.Fatalf("teardown ran %d times, want exactly 1", n)
+	}
 	// The device is free for the next experimenter.
-	if _, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200,
-		Workload: sleepWorkload(2, time.Second),
-	}); err != nil {
+	if _, err := run(r.plat, idleSpec(r, 2*time.Second)); err != nil {
 		t.Fatalf("follow-up run after cancel: %v", err)
 	}
 }
@@ -128,74 +180,69 @@ func TestCancelMidWorkloadRealClock(t *testing.T) {
 	clk := simclock.Real()
 	plat, ctl, dev := newRealRig(t, clk)
 	serial := dev.Serial()
-	spec := ExperimentSpec{
+	d := startDirect(t, plat, experimentSpec{
 		Node: "node1", Device: serial, SampleRate: 100,
 		Mirroring: true, VPNLocation: "Bunkyo",
 		Padding:         50 * time.Millisecond,
 		CPUSamplePeriod: 20 * time.Millisecond,
 		Workload:        sleepWorkload(40, 50*time.Millisecond),
-	}
-	sess, err := plat.StartExperiment(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	go func() {
 		time.Sleep(150 * time.Millisecond)
-		sess.Cancel()
+		d.sess.Cancel()
 	}()
-	res, err := sess.Wait(context.Background())
+	res, err := d.wait(t, clk)
 	if res != nil {
 		t.Fatal("canceled run returned a result")
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if ctl.VPN().Active() != nil {
-		t.Error("VPN left connected")
-	}
-	if ms, err := ctl.MirrorSession(serial); err == nil && ms.Active() {
-		t.Error("mirroring left active")
-	}
-	if ctl.Measuring() != "" {
-		t.Error("monitor still held")
-	}
-	sess.mu.Lock()
-	teardowns := sess.teardowns
-	sess.mu.Unlock()
-	if teardowns != 1 {
-		t.Errorf("teardown ran %d times, want exactly 1", teardowns)
+	assertReleased(t, ctl, serial)
+	if n, _ := teardowns(d.sess); n != 1 {
+		t.Errorf("teardown ran %d times, want exactly 1", n)
 	}
 }
 
 func TestContextCancelTearsDown(t *testing.T) {
 	r := newRig(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	sess, err := r.plat.StartExperiment(ctx, ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200,
-		VPNLocation: "Bunkyo",
-		Workload:    sleepWorkload(30, time.Second),
+	var sess *session
+	r.plat.Access.SetSpecBackend(tapBackend{
+		specBackend: specBackend{r.plat},
+		started:     func(s *session) { sess = s },
 	})
+	ctx, cancel := context.WithCancel(context.Background())
+	spec := idleSpec(r, 30*time.Second)
+	spec.Mirroring = true
+	spec.VPNLocation = "Bunkyo"
+	x, err := r.plat.StartExperimentSpec(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
-	res, err := sess.Wait(ctx)
+	// Cancel ctx mid-workload, from a clock callback: Wait sees it
+	// between instants and aborts the build, whose cancel hook tears
+	// the session down.
+	r.clk.AfterFunc(10*time.Second, cancel)
+	res, err := x.Wait(ctx)
 	if res != nil {
 		t.Fatal("canceled run returned a result")
 	}
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	assertTornDown(t, r, sess)
-	if err := ctx.Err(); err == nil {
-		t.Fatal("ctx not canceled?")
+	assertReleased(t, r.ctl, r.serial)
+	if sess == nil {
+		t.Fatal("the run never started")
+	}
+	if n, order := teardowns(sess); n != 1 || order != "monitor,mirror,vpn" {
+		t.Errorf("teardown ran %d times in order %q, want once as monitor,mirror,vpn", n, order)
+	}
+	if x.Phase() != PhaseDone {
+		t.Fatalf("phase after Wait = %v, want done", x.Phase())
 	}
 	// A pre-canceled context refuses to start at all.
-	if _, err := r.plat.StartExperiment(ctx, ExperimentSpec{
-		Node: "node1", Device: r.serial,
-		Workload: sleepWorkload(1, time.Second),
-	}); err == nil {
-		t.Fatal("StartExperiment accepted a canceled context")
+	if _, err := r.plat.StartExperimentSpec(ctx, idleSpec(r, time.Second)); err == nil {
+		t.Fatal("StartExperimentSpec accepted a canceled context")
 	}
 }
 
@@ -204,17 +251,11 @@ func TestPhaseObserverSequence(t *testing.T) {
 	r.dev.Storage().Push("/sdcard/v.mp4", video.SampleMP4(1<<20))
 	r.dev.Install(video.NewPlayer("/sdcard/v.mp4"))
 	rec := &recorder{}
-	res, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 200,
+	res, err := run(r.plat, api.ExperimentSpec{
+		Node: "node1", Device: r.serial,
 		Mirroring: true, VPNLocation: "Santa Clara",
-		Workload: func(drv automation.Driver) *automation.Script {
-			s := automation.NewScript("video")
-			s.Add("launch", 20*time.Second, func() error {
-				_, err := drv.LaunchApp(video.PackageName)
-				return err
-			})
-			return s
-		},
+		Monitor:  api.MonitorSpec{SampleRateHz: 200},
+		Workload: api.WorkloadSpec{Name: "video", Params: api.Params{"duration_ms": 20000}},
 	}, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -264,13 +305,13 @@ func TestPhaseObserverSequence(t *testing.T) {
 }
 
 // TestBlockedObserverDoesNotStallCapture pins the delivery contract: an
-// OnSample callback that blocks must not stall the Monsoon capture loop
-// or the CPU monitors — live samples are fanned out on a dedicated
-// delivery goroutine. The helper goroutine only releases the blocked
-// observer after the monitor has provably captured thousands of samples
-// past the block; with synchronous (capture-path) delivery the clock
-// driver would be stuck inside the callback and Live().N could never
-// advance, so the watchdog would fire.
+// OnSample callback that blocks must not stall the Monsoon capture loop,
+// the CPU monitors or the run itself — observers run on the handle's
+// follower goroutine, which reads the build's feed. The helper goroutine
+// only releases the blocked observer once the run's build has settled;
+// with delivery on the capture path the clock driver would be stuck
+// inside the callback and the build could never settle, so the watchdog
+// would fire.
 func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 	r := newRig(t)
 	release := make(chan struct{})
@@ -283,11 +324,9 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 			<-release
 		})
 	}}
-	sess, err := r.plat.StartExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 1000,
-		CPUSamplePeriod: 100 * time.Millisecond,
-		Workload:        sleepWorkload(10, time.Second),
-	}, rec, blocker)
+	spec := idleSpec(r, 10*time.Second)
+	spec.Monitor = api.MonitorSpec{SampleRateHz: 1000, CPUSamplePeriodMS: 100}
+	x, err := r.plat.StartExperimentSpec(context.Background(), spec, rec, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +338,13 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 			close(release)
 			return
 		}
-		// The observer is now blocked. Capture must keep flowing: wait
-		// for the monitor-side live summary to advance well past the
-		// blocking instant, then release.
+		// The observer is now blocked. The run must still go to its
+		// end: wait for its build to settle, then release.
 		watchdog := time.After(10 * time.Second)
-		for sess.Live().N < 5000 {
+		for !x.settled() {
 			select {
 			case <-watchdog:
-				t.Errorf("capture stalled behind a blocked observer: live N = %d", sess.Live().N)
+				t.Error("the run stalled behind a blocked observer")
 				close(release)
 				return
 			case <-time.After(time.Millisecond):
@@ -314,7 +352,7 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 		}
 		close(release)
 	}()
-	res, err := sess.Wait(context.Background())
+	res, err := x.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,29 +363,30 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 	if res.DeviceCPU.Len() < 100 {
 		t.Fatalf("device CPU trace %d samples, ticker was stalled", res.DeviceCPU.Len())
 	}
-	// Every accepted sample was delivered before Wait returned, and the
-	// 1024-slot queue absorbed the ~110-sample backlog without drops.
+	// Every posted sample was delivered before Wait returned, and the
+	// feed absorbed the backlog without drops.
+	posted, _, _ := x.build.Feed().SamplesSince(0)
 	rec.mu.Lock()
 	delivered := len(rec.samples)
 	rec.mu.Unlock()
-	if delivered < 100 {
-		t.Fatalf("only %d samples delivered", delivered)
+	if delivered < 100 || delivered != len(posted) {
+		t.Fatalf("%d samples delivered of %d posted", delivered, len(posted))
 	}
-	if d := sess.DroppedSamples(); d != 0 {
-		t.Fatalf("%d samples dropped with an ample queue", d)
+	if d := x.build.Summary.DroppedLiveSamples; d != 0 {
+		t.Fatalf("%d samples dropped with an ample feed", d)
 	}
 }
 
 // TestLiveSummariesFlowToObservers checks the satellite contract: each
-// live Sample carries the monitor's streaming summary-so-far, summaries
-// are monotone in N, and the final one agrees with the returned trace.
+// live Sample carries the monitor's streaming summary-so-far (count,
+// mean, P50/P95, integral; no spread, see SampleOf), summaries are
+// monotone in N, and the final one agrees with the returned trace.
 func TestLiveSummariesFlowToObservers(t *testing.T) {
 	r := newRig(t)
 	rec := &recorder{}
-	res, err := r.plat.RunExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: r.serial, SampleRate: 500,
-		Workload: sleepWorkload(8, time.Second),
-	}, rec)
+	spec := idleSpec(r, 8*time.Second)
+	spec.Monitor.SampleRateHz = 500
+	res, err := run(r.plat, spec, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +405,7 @@ func TestLiveSummariesFlowToObservers(t *testing.T) {
 			t.Fatalf("live N went backwards: %d after %d", ls.N, prevN)
 		}
 		prevN = ls.N
-		if ls.P50 > ls.P95 || ls.Min > ls.Max || ls.Mean <= 0 {
+		if ls.P50 > ls.P95 || ls.Mean <= 0 || ls.Std != 0 || ls.Min != 0 || ls.Max != 0 {
 			t.Fatalf("implausible live summary: %+v", ls)
 		}
 	}
@@ -383,93 +422,90 @@ func TestLiveSummariesFlowToObservers(t *testing.T) {
 	}
 }
 
-// TestCancelFromObserverCallback exercises the re-entrant stop path: an
-// observer cancelling its own session from OnSample must not deadlock
-// the delivery goroutine against the teardown flush.
+// TestCancelFromObserverCallback: an observer cancelling its own run
+// from OnSample must not deadlock the follower against the teardown.
 func TestCancelFromObserverCallback(t *testing.T) {
 	clk := simclock.Real()
 	plat, _, dev := newRealRig(t, clk)
-	var sess *Session
+	var x *Experiment
 	started := make(chan struct{})
 	var cancelOnce sync.Once
 	obs := ObserverFuncs{Sample: func(Sample) {
 		cancelOnce.Do(func() {
 			<-started
-			sess.Cancel()
+			x.Cancel()
 		})
 	}}
 	var err error
-	sess, err = plat.StartExperiment(context.Background(), ExperimentSpec{
-		Node: "node1", Device: dev.Serial(), SampleRate: 200,
-		CPUSamplePeriod: 10 * time.Millisecond,
-		Padding:         20 * time.Millisecond,
-		Workload:        sleepWorkload(50, 50*time.Millisecond),
+	x, err = plat.StartExperimentSpec(context.Background(), api.ExperimentSpec{
+		Node: "node1", Device: dev.Serial(),
+		Monitor:  api.MonitorSpec{SampleRateHz: 200, CPUSamplePeriodMS: 10, PaddingMS: 20},
+		Workload: api.WorkloadSpec{Name: "idle", Params: api.Params{"duration_ms": 2500}},
 	}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	close(started)
 	done := make(chan struct{})
+	var waitErr error
 	go func() {
-		sess.Wait(context.Background())
+		_, waitErr = x.Wait(context.Background())
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("cancel from observer callback deadlocked the session")
+		t.Fatal("cancel from observer callback deadlocked the run")
 	}
-	if _, err := sess.Result(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
+	if !errors.Is(waitErr, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", waitErr)
 	}
 }
 
-// TestFailedSetupReleasesDeliveryGoroutine guards the obsMux lifecycle:
-// every failed StartExperiment with observers must stop the per-session
-// delivery goroutine, including the VPN-connect branch that fails
-// before the shared fail helper exists.
+// TestFailedSetupReleasesDeliveryGoroutine guards the follower's
+// lifecycle: every run whose setup fails (here its VPN connect) settles
+// its build, and the follower delivering its feed to the observers
+// exits.
 func TestFailedSetupReleasesDeliveryGoroutine(t *testing.T) {
 	r := newRig(t)
 	obs := ObserverFuncs{Sample: func(Sample) {}}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		if _, err := r.plat.StartExperiment(context.Background(), ExperimentSpec{
-			Node: "node1", Device: r.serial,
-			VPNLocation: "nowhere-exit",
-			Workload:    sleepWorkload(1, time.Second),
-		}, obs); err == nil {
+		spec := idleSpec(r, time.Second)
+		spec.VPNLocation = "nowhere-exit"
+		if _, err := run(r.plat, spec, obs); err == nil {
 			t.Fatal("bad VPN location accepted")
 		}
 	}
-	// Give stopped delivery goroutines a beat to exit, then compare
-	// with a generous margin for unrelated runtime goroutines.
+	// Give exited followers a beat, then compare with a generous margin
+	// for unrelated runtime goroutines.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+10 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before+10 {
-		t.Fatalf("goroutines grew from %d to %d across 50 failed starts", before, after)
+		t.Fatalf("goroutines grew from %d to %d across 50 failed runs", before, after)
 	}
 }
 
+// TestValidateTypedErrors checks that a spec that does not compile
+// fails StartExperimentSpec with the sentinel callers branch on.
 func TestValidateTypedErrors(t *testing.T) {
 	r := newRig(t)
-	wl := sleepWorkload(1, time.Second)
 	cases := []struct {
-		name string
-		spec ExperimentSpec
-		want error
+		name   string
+		mutate func(*api.ExperimentSpec)
+		want   error
 	}{
-		{"no workload", ExperimentSpec{Node: "node1", Device: r.serial}, ErrNoWorkload},
-		{"usb", ExperimentSpec{Node: "node1", Device: r.serial, Transport: TransportUSB, Workload: wl}, ErrUSBTransport},
-		{"empty node", ExperimentSpec{Device: r.serial, Workload: wl}, ErrUnknownNode},
-		{"unknown node", ExperimentSpec{Node: "nowhere", Device: r.serial, Workload: wl}, ErrUnknownNode},
-		{"empty device", ExperimentSpec{Node: "node1", Workload: wl}, ErrUnknownDevice},
-		{"unknown device", ExperimentSpec{Node: "node1", Device: "nodevice", Workload: wl}, ErrUnknownDevice},
+		{"unknown workload", func(s *api.ExperimentSpec) { s.Workload.Name = "defrag" }, ErrNoWorkload},
+		{"usb", func(s *api.ExperimentSpec) { s.Transport = api.TransportUSB }, ErrUSBTransport},
+		{"unknown node", func(s *api.ExperimentSpec) { s.Node = "nowhere" }, ErrUnknownNode},
+		{"unknown device", func(s *api.ExperimentSpec) { s.Device = "nodevice" }, ErrUnknownDevice},
 	}
 	for _, tc := range cases {
-		_, err := r.plat.RunExperiment(context.Background(), tc.spec)
-		if !errors.Is(err, tc.want) {
+		spec := idleSpec(r, time.Second)
+		tc.mutate(&spec)
+		if _, err := r.plat.StartExperimentSpec(context.Background(), spec); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}

@@ -103,14 +103,7 @@ func CampaignSweep(opts Options, nodes, runsPerNode int) (*CampaignReport, error
 	for r := 0; r < runsPerNode; r++ {
 		for n := 0; n < nodes; n++ {
 			name := names[r%len(names)]
-			spec.Experiments = append(spec.Experiments, api.ExperimentSpec{
-				Node: env.Ctls[n].Name(), Device: env.Serials[n],
-				Monitor: api.MonitorSpec{SampleRateHz: opts.SampleRate},
-				// The params browserWorkloadOpts sets, in wire form.
-				Workload: api.WorkloadSpec{Name: "browser", Params: api.Params{
-					"browser": name, "pages": opts.Pages, "scrolls": opts.Scrolls,
-				}},
-			})
+			spec.Experiments = append(spec.Experiments, opts.browserSpec(env.Ctls[n].Name(), env.Serials[n], name))
 			labels = append(labels, CampaignRow{Node: env.Ctls[n].Name(), Browser: name})
 		}
 	}

@@ -6,8 +6,10 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
+	"batterylab/internal/api"
 	"batterylab/internal/browser"
 	"batterylab/internal/controller"
 	"batterylab/internal/core"
@@ -119,10 +121,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// browserWorkloadOpts converts Options to the §4.2 workload parameters.
-func (o Options) browserWorkloadOpts() browser.WorkloadOptions {
-	return browser.WorkloadOptions{
-		Pages:   browser.NewsSites()[:o.Pages],
-		Scrolls: o.Scrolls,
+// browserSpec is one run of the registry's §4.2 page-visit workload
+// at the options' scale, as a wire spec.
+func (o Options) browserSpec(node, device, browser string) api.ExperimentSpec {
+	return api.ExperimentSpec{
+		Node: node, Device: device,
+		Monitor: api.MonitorSpec{SampleRateHz: o.SampleRate},
+		Workload: api.WorkloadSpec{Name: "browser", Params: api.Params{
+			"browser": browser, "pages": o.Pages, "scrolls": o.Scrolls,
+		}},
 	}
+}
+
+// run measures one wire spec on the deployment: a build on its
+// platform's access server.
+func (e *Env) run(spec api.ExperimentSpec) (*core.Result, error) {
+	x, err := e.Plat.StartExperimentSpec(context.Background(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return x.Wait(context.Background())
 }

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"batterylab/internal/automation"
-	"batterylab/internal/browser"
-	"batterylab/internal/core"
 	"batterylab/internal/stats"
 )
 
@@ -31,22 +27,13 @@ func Fig3BrowserEnergy(opts Options) ([]Fig3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof, err := browser.FindProfile(name)
-		if err != nil {
-			return nil, err
-		}
 		row := Fig3Row{Browser: name}
 		for _, mirroring := range []bool{false, true} {
 			var energies []float64
 			for rep := 0; rep < opts.Repetitions; rep++ {
-				res, err := env.Plat.RunExperiment(context.Background(), core.ExperimentSpec{
-					Node: "node1", Device: env.Serial,
-					SampleRate: opts.SampleRate,
-					Mirroring:  mirroring,
-					Workload: func(drv automation.Driver) *automation.Script {
-						return browser.BuildWorkload(drv, prof.Package, opts.browserWorkloadOpts())
-					},
-				})
+				spec := opts.browserSpec("node1", env.Serial, name)
+				spec.Mirroring = mirroring
+				res, err := env.run(spec)
 				if err != nil {
 					return nil, fmt.Errorf("fig3 %s rep %d (mirror=%v): %w", name, rep, mirroring, err)
 				}

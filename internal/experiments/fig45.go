@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"batterylab/internal/automation"
-	"batterylab/internal/browser"
-	"batterylab/internal/core"
 	"batterylab/internal/stats"
 )
 
@@ -32,18 +28,9 @@ func Fig4DeviceCPU(opts Options) ([]Fig4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			prof, err := browser.FindProfile(name)
-			if err != nil {
-				return nil, err
-			}
-			res, err := env.Plat.RunExperiment(context.Background(), core.ExperimentSpec{
-				Node: "node1", Device: env.Serial,
-				SampleRate: opts.SampleRate,
-				Mirroring:  mirroring,
-				Workload: func(drv automation.Driver) *automation.Script {
-					return browser.BuildWorkload(drv, prof.Package, opts.browserWorkloadOpts())
-				},
-			})
+			spec := opts.browserSpec("node1", env.Serial, name)
+			spec.Mirroring = mirroring
+			res, err := env.run(spec)
 			if err != nil {
 				return nil, fmt.Errorf("fig4 %s (mirror=%v): %w", name, mirroring, err)
 			}
@@ -70,24 +57,15 @@ type Fig5Row struct {
 // in the top decile.
 func Fig5ControllerCPU(opts Options) ([]Fig5Row, error) {
 	opts = opts.withDefaults()
-	prof, err := browser.FindProfile("Chrome")
-	if err != nil {
-		return nil, err
-	}
 	var rows []Fig5Row
 	for i, mirroring := range []bool{false, true} {
 		env, err := NewEnv(opts.Seed + uint64(i)*2221)
 		if err != nil {
 			return nil, err
 		}
-		res, err := env.Plat.RunExperiment(context.Background(), core.ExperimentSpec{
-			Node: "node1", Device: env.Serial,
-			SampleRate: opts.SampleRate,
-			Mirroring:  mirroring,
-			Workload: func(drv automation.Driver) *automation.Script {
-				return browser.BuildWorkload(drv, prof.Package, opts.browserWorkloadOpts())
-			},
-		})
+		spec := opts.browserSpec("node1", env.Serial, "Chrome")
+		spec.Mirroring = mirroring
+		res, err := env.run(spec)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 (mirror=%v): %w", mirroring, err)
 		}

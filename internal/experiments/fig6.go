@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"batterylab/internal/automation"
-	"batterylab/internal/browser"
-	"batterylab/internal/core"
 	"batterylab/internal/stats"
 	"batterylab/internal/vpn"
 )
@@ -46,20 +42,11 @@ func Fig6VPNEnergy(opts Options) ([]Fig6Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			prof, err := browser.FindProfile(name)
-			if err != nil {
-				return nil, err
-			}
 			var energies []float64
 			for rep := 0; rep < opts.Repetitions; rep++ {
-				res, err := env.Plat.RunExperiment(context.Background(), core.ExperimentSpec{
-					Node: "node1", Device: env.Serial,
-					SampleRate:  opts.SampleRate,
-					VPNLocation: exit.Location,
-					Workload: func(drv automation.Driver) *automation.Script {
-						return browser.BuildWorkload(drv, prof.Package, opts.browserWorkloadOpts())
-					},
-				})
+				spec := opts.browserSpec("node1", env.Serial, name)
+				spec.VPNLocation = exit.Location
+				res, err := env.run(spec)
 				if err != nil {
 					return nil, fmt.Errorf("fig6 %s@%s rep %d: %w", name, exit.Location, rep, err)
 				}

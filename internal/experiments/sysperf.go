@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"time"
 
-	"batterylab/internal/automation"
-	"batterylab/internal/browser"
 	"batterylab/internal/core"
 	"batterylab/internal/mirror"
 	"batterylab/internal/stats"
@@ -42,23 +39,14 @@ type SysPerfReport struct {
 // derives the system-performance report.
 func SysPerf(opts Options) (*SysPerfReport, error) {
 	opts = opts.withDefaults()
-	prof, err := browser.FindProfile("Chrome")
-	if err != nil {
-		return nil, err
-	}
 	run := func(mirroring bool, seed uint64) (*core.Result, *Env, error) {
 		env, err := NewEnv(seed)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := env.Plat.RunExperiment(context.Background(), core.ExperimentSpec{
-			Node: "node1", Device: env.Serial,
-			SampleRate: opts.SampleRate,
-			Mirroring:  mirroring,
-			Workload: func(drv automation.Driver) *automation.Script {
-				return browser.BuildWorkload(drv, prof.Package, opts.browserWorkloadOpts())
-			},
-		})
+		spec := opts.browserSpec("node1", env.Serial, "Chrome")
+		spec.Mirroring = mirroring
+		res, err := env.run(spec)
 		return res, env, err
 	}
 

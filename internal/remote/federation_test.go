@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +34,8 @@ type fedLab struct {
 	a, b     *batterylab.Platform
 	tsA, tsB *httptest.Server
 	devices  []string // devices[0] on A's node1, devices[1] on B's node2
+	// bDead makes B's handler drop every request (killB).
+	bDead atomic.Bool
 }
 
 // fedNode replicates newLab's per-node build (same seeds, browsers,
@@ -79,16 +84,23 @@ func newFedLab(t *testing.T) *fedLab {
 	}
 	devA := fedNode(t, clock, a, 0)
 	devB := fedNode(t, clock, b, 1)
+	fl := &fedLab{clock: clock, a: a, b: b, devices: []string{devA, devB}}
+	hB := b.Access.Handler()
 	tsA := httptest.NewServer(a.Access.Handler())
-	tsB := httptest.NewServer(b.Access.Handler())
+	tsB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fl.bDead.Load() {
+			panic(http.ErrAbortHandler) // drop the connection, answer nothing
+		}
+		hB.ServeHTTP(w, r)
+	}))
 	t.Cleanup(tsA.Close)
 	t.Cleanup(tsB.Close)
+	fl.tsA, fl.tsB = tsA, tsB
 	a.Access.ConfigureCluster("lab-a", tsA.URL, fedToken)
 	b.Access.ConfigureCluster("lab-b", tsB.URL, fedToken)
 	a.Access.SetPeerRelay(remote.Relay)
 	b.Access.SetPeerRelay(remote.Relay)
 
-	fl := &fedLab{clock: clock, a: a, b: b, tsA: tsA, tsB: tsB, devices: []string{devA, devB}}
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	go clock.DriveWhile(anyBusy(a.Access, b.Access), stop)
@@ -114,6 +126,16 @@ func anyBusy(servers ...*accessserver.Server) func() bool {
 		}
 		return false
 	}
+}
+
+// killB kills peer B as its clients see it: from now on its handler
+// drops every request, new connections are refused and live ones are
+// severed. The handler goes first: a connection the listener accepted
+// just as it closed is severed or, if it escaped, answers nothing.
+func (fl *fedLab) killB() {
+	fl.bDead.Store(true)
+	fl.tsB.Listener.Close()
+	fl.tsB.CloseClientConnections()
 }
 
 // client dials server A as an experimenter — the home server every
@@ -355,9 +377,23 @@ func TestFederationRoundTrip(t *testing.T) {
 func TestFederationPeerLossFailover(t *testing.T) {
 	fl := newFedLab(t)
 	client := fl.client(t)
-	log := newProgressLog()
 	ctx := context.Background()
 
+	// The first sample from B holds the clock, synchronously, on the
+	// stream that delivers it: from the instant the routed run is seen
+	// live to the instant the peer is dead, the remote run cannot
+	// sprint to completion.
+	var release func()
+	var holdOnce sync.Once
+	live := make(chan struct{})
+	obs := core.ObserverFuncs{Sample: func(s core.Sample) {
+		if s.Node == "node2" {
+			holdOnce.Do(func() {
+				release = fl.clock.Hold()
+				close(live)
+			})
+		}
+	}}
 	sess, err := client.StartExperiment(ctx, api.ExperimentSpec{
 		Node: "node2", Device: fl.devices[1],
 		Monitor: api.MonitorSpec{SampleRateHz: 500},
@@ -365,36 +401,22 @@ func TestFederationPeerLossFailover(t *testing.T) {
 			Name:   "video",
 			Params: api.Params{"duration_ms": 120000},
 		},
-	}, log)
+	}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Wait (real time) until the routed run is live: samples from B are
-	// streaming through A's feed.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		log.mu.Lock()
-		n := log.samples["node2"]
-		log.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("routed build never streamed a sample home")
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-live:
+	case <-time.After(30 * time.Second):
+		t.Fatal("routed build never streamed a sample home")
 	}
+	defer release()
 	if st, err := client.BuildStatus(ctx, sess.Build()); err != nil || st.RoutedVia != "lab-b" {
 		t.Fatalf("mid-run status: routed_via=%q err=%v, want lab-b", st.RoutedVia, err)
 	}
 
-	// Kill the peer: sever every live connection and refuse new ones.
-	// The clock is held across the kill so the remote run cannot sprint
-	// to completion in the gap.
-	release := fl.clock.Hold()
-	fl.tsB.CloseClientConnections()
-	fl.tsB.Listener.Close()
+	// Kill the peer, then let the clock go.
+	fl.killB()
 	release()
 
 	_, err = sess.Wait(ctx)

@@ -79,7 +79,7 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 }
 
 // relayArtifacts copies the remote build's workspace (current trace,
-// CPU CSVs, logs) into the sink, byte for byte.
+// CPU traces, logs) into the sink, byte for byte.
 func (p *Platform) relayArtifacts(ctx context.Context, build int, sink api.RelaySink) error {
 	var names []string
 	if err := p.doJSONIdempotent(ctx, http.MethodGet, p.url("/api/v1/builds/%d/artifacts", build), nil, &names); err != nil {

@@ -3,7 +3,7 @@
 // experiment runner. remote.Platform speaks the wire protocol of
 // internal/api against an access server's /api/v1/ routes, and its
 // sessions expose the same Start/Wait/Cancel/Observer shape as
-// core.Session — experiments written against the shared backend
+// core.Experiment — experiments written against the shared backend
 // interface in the batterylab facade run unchanged whether the
 // platform is in this address space or across the network.
 //
@@ -18,11 +18,12 @@
 //     session would deliver; Sample.Live is re-aggregated client-side
 //     from the live feed.
 //  3. When the build finishes, the session fetches the run summary and
-//     the workspace artifacts — the full binary current trace plus the
-//     CPU CSVs — and reconstructs a *core.Result. Because the binary
-//     codec is lossless and the streaming aggregators are recomputed
-//     in append order, Summary().Mean and EnergyMAH are bit-identical
-//     to the server's (and to a local run of the same spec).
+//     the workspace artifacts — the binary current and CPU traces — and
+//     reconstructs a *core.Result with core.DecodeResult, as a local
+//     run does. Because the binary codec is lossless and the streaming
+//     aggregators are recomputed in append order, the result is
+//     bit-identical to the server's (and to a local run of the same
+//     spec).
 //
 // The client is resilient to transient failures: idempotent requests
 // retry with exponential backoff and jitter (see RetryPolicy), and a
@@ -405,7 +406,7 @@ func (p *Platform) Analytics(ctx context.Context, build int, q api.AnalyticsQuer
 
 // StartExperiment submits a declarative spec and returns a live
 // session handle — the remote counterpart of
-// core.Platform.StartExperiment. Observers receive phase transitions
+// core.Platform.StartExperimentSpec. Observers receive phase transitions
 // and live samples streamed from the server; cancelling ctx cancels
 // the remote build.
 func (p *Platform) StartExperiment(ctx context.Context, spec api.ExperimentSpec, obs ...core.Observer) (*Session, error) {
@@ -445,7 +446,7 @@ func (p *Platform) StartCampaign(ctx context.Context, spec api.CampaignSpec, obs
 }
 
 // Session is a handle to one in-flight remote build. It satisfies the
-// same Wait/Cancel/Done/Phase session shape as core.Session.
+// same Wait/Cancel/Done/Phase shape as core.Experiment.
 type Session struct {
 	p      *Platform
 	build  int
@@ -506,7 +507,7 @@ func (s *Session) Build() int { return s.build }
 // Done returns a channel closed when the remote run has finished and
 // the result (or error) is available. Every accepted sample and phase
 // event is delivered to observers before Done closes, with the
-// terminal PhaseDone event last — the same contract as core.Session.
+// terminal PhaseDone event last — the same contract as core.Experiment.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Phase reports the latest phase observed on the event stream.
@@ -548,7 +549,7 @@ func (s *Session) Cancel() {
 
 // Wait blocks until the remote run completes and returns its outcome.
 // Cancelling ctx cancels the build and still waits for its teardown,
-// mirroring core.Session.Wait.
+// mirroring core.Experiment.Wait.
 func (s *Session) Wait(ctx context.Context) (*core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

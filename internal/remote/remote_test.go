@@ -184,16 +184,15 @@ func TestRemoteCampaignRoundTrip(t *testing.T) {
 	}
 
 	for i := range runs {
-		// The local control, which no scheduler produces: the same spec
-		// run alone with a blocking core.RunExperiment on an identical
-		// lab (one lab per run, so each starts at the instant its
-		// campaign member did).
+		// The local control: the same spec run alone, in-process, on an
+		// identical lab (one lab per run, so each starts at the instant
+		// its campaign member did).
 		control := newLab(t)
-		cspec, err := control.plat.CompileExperiment(spec.Experiments[i])
+		x, err := control.plat.StartExperimentSpec(ctx, spec.Experiments[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr, err := control.plat.RunExperiment(ctx, cspec)
+		lr, err := x.Wait(ctx)
 		if err != nil {
 			t.Fatalf("control run %d failed: %v", i, err)
 		}

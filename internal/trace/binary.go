@@ -26,8 +26,7 @@
 //	predictors run across chunk boundaries.
 //
 // Both versions decode with ReadBinary; WriteBinary emits version 2.
-// The CSV text format (WriteCSV/ReadCSV) remains readable and written
-// wherever it was before.
+// The CSV text format (WriteCSV) remains an export format.
 //
 // The layout is written down once, on plain columns: appendHeader and
 // v2Encoder.appendChunk build it into a byte slice, DecodeHeader and

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -167,6 +171,43 @@ func TestWriteCSVReportsWriteError(t *testing.T) {
 	for _, after := range []int{0, 100, 40 << 10} {
 		if err := s.WriteCSV(&failingWriter{after: after}); err == nil {
 			t.Errorf("writer failing after %d bytes: no error", after)
+		}
+	}
+}
+
+// ReadCSV parses a series written by WriteCSV, the oracle of the CSV
+// round-trip tests. The base time for reconstructed timestamps is t0.
+func ReadCSV(r io.Reader, name, unit string, t0 time.Time) (*Series, error) {
+	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
+	if _, err := cr.Read(); err != nil { // header
+		if err == io.EOF {
+			return nil, errors.New("trace: empty CSV")
+		}
+		return nil, err
+	}
+	s := NewSeries(name, unit)
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return s, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(row) != 2 {
+			return nil, fmt.Errorf("trace: bad row %v", row)
+		}
+		secs, err := strconv.ParseFloat(row[0], 64)
+		if err != nil {
+			return nil, err
+		}
+		v, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.Append(t0.Add(time.Duration(secs*float64(time.Second))), v); err != nil {
+			return nil, err
 		}
 	}
 }

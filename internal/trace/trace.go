@@ -13,8 +13,8 @@
 // order, so each sample is folded once and the estimates are bit for bit
 // those of folding at every append — and a trace nobody asks a quantile
 // of (a decoded one whose summary is never read) folds none.
-// Series persist to disk as CSV (WriteCSV/ReadCSV, the v1 text format)
-// or the binary trace format of binary.go.
+// Series persist to disk in the binary trace format of binary.go, and
+// export as CSV (WriteCSV, the v1 text format).
 //
 // The binary format has a single body, the column codec of binary.go:
 // an append-style encoder over plain offset/value columns and a decoder
@@ -28,7 +28,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -284,41 +283,4 @@ func appendFixed6(dst []byte, v float64) []byte {
 			byte('0'+f/100%10), byte('0'+f/10%10), byte('0'+f%10))
 	}
 	return strconv.AppendFloat(dst, v, 'f', 6, 64)
-}
-
-// ReadCSV parses a series previously written by WriteCSV. The base time
-// for reconstructed timestamps is t0.
-func ReadCSV(r io.Reader, name, unit string, t0 time.Time) (*Series, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	if _, err := cr.Read(); err != nil { // header
-		if err == io.EOF {
-			return nil, errors.New("trace: empty CSV")
-		}
-		return nil, err
-	}
-	s := NewSeries(name, unit)
-	for {
-		row, err := cr.Read()
-		if err == io.EOF {
-			return s, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(row) != 2 {
-			return nil, fmt.Errorf("trace: bad row %v", row)
-		}
-		secs, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, err
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Append(t0.Add(time.Duration(secs*float64(time.Second))), v); err != nil {
-			return nil, err
-		}
-	}
 }
