@@ -13,8 +13,9 @@ import (
 // values were taken from the commit before the allocation-free sample
 // path landed, so any drift in the noise streams, the summation order,
 // the ticker's deadlines or the CSV writer shows up as a changed sample
-// count, energy bit pattern or file digest. The repo benchmark's
-// bit-for-bit check compares two runs of one binary and cannot see that.
+// count, energy bit pattern or file digest — of the run's trace and of
+// the current.csv its build serves. The repo benchmark's bit-for-bit
+// check compares two runs of one binary and cannot see that.
 func TestGoldenCapture(t *testing.T) {
 	cases := []struct {
 		browser string
@@ -65,6 +66,19 @@ func TestGoldenCapture(t *testing.T) {
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.csvSHA {
 				t.Errorf("sha256(current.csv) = %s, want %s", got, tc.csvSHA)
+			}
+			// The build's own current.csv, the view its workspace renders
+			// from current.trace, is the same bytes.
+			b, err := dep.Platform.Access.Build(sess.Build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := b.Workspace().Load("current.csv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(served); hex.EncodeToString(sum[:]) != tc.csvSHA {
+				t.Errorf("sha256(workspace current.csv) = %x, want %s", sum, tc.csvSHA)
 			}
 		})
 	}

@@ -396,6 +396,9 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		if b == nil {
 			return
 		}
+		// Load renders a view (current.csv) whole before any header is
+		// written: a source that does not render is a typed error, never
+		// a partial 200.
 		data, err := b.Workspace().Load(r.PathValue("name"))
 		if err != nil {
 			writeError(w, err)

@@ -368,10 +368,19 @@ func (ctx *BuildContext) Stale() bool { return !ctx.Build.live(ctx.attempt) }
 
 // Workspace is a build's artifact store: named byte files kept for the
 // retention window ("available for several days within the job's
-// workspace", §3.1).
+// workspace", §3.1), and views — artifacts rendered from a stored one
+// each time they are read.
 type Workspace struct {
 	mu    sync.RWMutex
 	files map[string][]byte
+	views map[string]view
+}
+
+// view is an artifact a workspace renders on Load from the stored bytes
+// of another artifact, so the derived form costs nothing until it is read.
+type view struct {
+	from   string
+	render func(src []byte) ([]byte, error)
 }
 
 // NewWorkspace returns an empty workspace.
@@ -379,35 +388,69 @@ func NewWorkspace() *Workspace {
 	return &Workspace{files: make(map[string][]byte)}
 }
 
-// Save stores an artifact. The workspace owns data from here on — the
-// caller hands the slice over and must not write to it again — and keeps
-// it without copying, its capacity cut to its length.
+// Save stores an artifact, replacing a file or view of that name. The
+// workspace owns data from here on — the caller hands the slice over and
+// must not write to it again — and keeps it without copying, its capacity
+// cut to its length.
 func (w *Workspace) Save(name string, data []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	delete(w.views, name)
 	w.files[name] = data[:len(data):len(data)]
 }
 
-// Load retrieves an artifact as a read-only view of the stored bytes, not
-// a copy: an artifact is replaced or purged, never modified, so the view
-// stays whole however long a reader holds it, and every Load of one Save
-// is the same bytes. Callers must not write through it.
-func (w *Workspace) Load(name string) ([]byte, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	data, ok := w.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: no artifact %q", ErrNotFound, name)
+// SaveView stores name as a view of the artifact named from, replacing a
+// file or view called name: each Load of name renders what from holds at
+// that moment. render must not write to its input; its error is Load's,
+// wrapped.
+func (w *Workspace) SaveView(name, from string, render func(src []byte) ([]byte, error)) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	delete(w.files, name)
+	if w.views == nil { // most builds have none
+		w.views = make(map[string]view)
 	}
-	return data, nil
+	w.views[name] = view{from: from, render: render}
 }
 
-// List reports artifact names sorted.
+// Load retrieves an artifact. A file comes back as the stored bytes
+// themselves, not a copy: an artifact is replaced or purged, never
+// modified, so the slice stays whole however long a reader holds it, and
+// every Load of one Save is the same bytes. Callers must not write
+// through it. A view comes back rendered in full or not at all: without
+// its source it is ErrNotFound, and a source its render rejects fails
+// with render's error.
+func (w *Workspace) Load(name string) ([]byte, error) {
+	w.mu.RLock()
+	v, isView := w.views[name]
+	src := name
+	if isView {
+		src = v.from
+	}
+	data, ok := w.files[src]
+	w.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: no artifact %q", ErrNotFound, src)
+	}
+	if !isView {
+		return data, nil
+	}
+	out, err := v.render(data)
+	if err != nil {
+		return nil, fmt.Errorf("rendering artifact %q from %q: %w", name, src, err)
+	}
+	return out, nil
+}
+
+// List reports artifact names, files and views, sorted.
 func (w *Workspace) List() []string {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	out := make([]string, 0, len(w.files))
+	out := make([]string, 0, len(w.files)+len(w.views))
 	for n := range w.files {
+		out = append(out, n)
+	}
+	for n := range w.views {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -419,4 +462,5 @@ func (w *Workspace) purge() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.files = make(map[string][]byte)
+	w.views = nil
 }

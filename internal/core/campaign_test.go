@@ -93,8 +93,8 @@ func runCampaign(t *testing.T, plat *Platform, cs api.CampaignSpec, obs ...Obser
 	return runs
 }
 
-// getJSON serves one GET from the platform's v1 API as an admin.
-func getJSON(t *testing.T, plat *Platform, path string, out any) {
+// get serves one GET from the platform's v1 API as an admin.
+func get(t *testing.T, plat *Platform, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	admin, err := plat.Access.Users.Lookup("viewer")
 	if err != nil {
@@ -106,6 +106,14 @@ func getJSON(t *testing.T, plat *Platform, path string, out any) {
 	req.Header.Set("Authorization", "Bearer "+admin.Token)
 	w := httptest.NewRecorder()
 	plat.Access.Handler().ServeHTTP(w, req)
+	return w
+}
+
+// getJSON serves one GET from the platform's v1 API as an admin and
+// decodes its 200 body.
+func getJSON(t *testing.T, plat *Platform, path string, out any) {
+	t.Helper()
+	w := get(t, plat, path)
 	if w.Code != http.StatusOK {
 		t.Fatalf("GET %s: %d %s", path, w.Code, w.Body)
 	}

@@ -23,7 +23,7 @@ type rig struct {
 	serial string
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	clk := simclock.NewVirtual()
 	plat, err := NewPlatform(clk, 11)

@@ -24,8 +24,9 @@ import (
 
 // Artifact names a measurement build saves into its workspace. Every
 // trace is stored in the binary trace format (v2), which carries its
-// own epoch and every bit of every sample; the current trace is also
-// stored as CSV, the Monsoon library's export format.
+// own epoch and every bit of every sample. current.csv, the Monsoon
+// library's export format, is not stored: it is a view the workspace
+// renders from current.trace each time someone reads it.
 const (
 	ArtifactCurrentCSV    = "current.csv"
 	ArtifactCurrentTrace  = "current.trace"
@@ -93,14 +94,10 @@ func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 }
 
 // saveRun stores a finished run on its build: the artifacts
-// DecodeResult reads back and the run summary, which counts the live
-// samples the build's feed dropped.
+// DecodeResult reads back, the current.csv view over them, and the run
+// summary, which counts the live samples the build's feed dropped.
 func saveRun(b *accessserver.Build, res *Result) error {
-	var csv bytes.Buffer
-	if err := res.Current.WriteCSV(&csv); err != nil {
-		return err
-	}
-	b.Workspace().Save(ArtifactCurrentCSV, csv.Bytes())
+	ws := b.Workspace()
 	for _, a := range []struct {
 		name   string
 		series *trace.Series
@@ -113,8 +110,9 @@ func saveRun(b *accessserver.Build, res *Result) error {
 		if err := a.series.WriteBinary(&bin); err != nil {
 			return err
 		}
-		b.Workspace().Save(a.name, bin.Bytes())
+		ws.Save(a.name, bin.Bytes())
 	}
+	ws.SaveView(ArtifactCurrentCSV, ArtifactCurrentTrace, renderCSV)
 	var droppedSamples int64
 	if feed := b.Feed(); feed != nil {
 		_, droppedSamples = feed.Dropped()
@@ -132,6 +130,20 @@ func saveRun(b *accessserver.Build, res *Result) error {
 		DroppedLiveSamples: droppedSamples,
 	})
 	return nil
+}
+
+// renderCSV is the current.csv view: the CSV export of a stored binary
+// trace, byte for byte what WriteCSV makes of the series it encodes.
+func renderCSV(bin []byte) ([]byte, error) {
+	s, err := trace.DecodeBinary(bin)
+	if err != nil {
+		return nil, err
+	}
+	var csv bytes.Buffer
+	if err := s.WriteCSV(&csv); err != nil {
+		return nil, err
+	}
+	return csv.Bytes(), nil
 }
 
 // feedObserver posts a session's progress into its build's feed. Both

@@ -2,7 +2,16 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +35,7 @@ func browserSpec(r *rig, name string, pages int) api.ExperimentSpec {
 	}
 }
 
-func installStudyBrowsers(t *testing.T, r *rig) {
+func installStudyBrowsers(t testing.TB, r *rig) {
 	t.Helper()
 	for _, prof := range browser.Profiles() {
 		b := browser.New(prof, r.ctl.AP(), func() string { return r.ctl.Region() })
@@ -82,7 +91,14 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 	if !strings.Contains(b.Log(), "measured "+r.serial) {
 		t.Fatalf("log:\n%s", b.Log())
 	}
-	// The CSV export is the binary current trace's, in more bytes.
+	// current.csv is a view over the v1 API: listed, served whole with
+	// its length, byte for byte the CSV export of the stored binary
+	// current trace, in more bytes.
+	var names []string
+	getJSON(t, r.plat, fmt.Sprintf("/api/v1/builds/%d/artifacts", b.ID), &names)
+	if !slices.Contains(names, ArtifactCurrentCSV) {
+		t.Fatalf("artifacts = %v, want %s listed", names, ArtifactCurrentCSV)
+	}
 	rawBin, err := b.Workspace().Load(ArtifactCurrentTrace)
 	if err != nil {
 		t.Fatal(err)
@@ -91,20 +107,89 @@ func TestSubmitExperimentThroughQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawCSV, err := b.Workspace().Load(ArtifactCurrentCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var csv bytes.Buffer
 	if err := binSeries.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(csv.Bytes(), rawCSV) || binSeries.Name() != "current" || binSeries.Unit() != "mA" {
-		t.Fatalf("binary artifact: len=%d name=%q unit=%q does not export to the stored CSV",
+	csvPath := fmt.Sprintf("/api/v1/builds/%d/artifacts/%s", b.ID, ArtifactCurrentCSV)
+	w := get(t, r.plat, csvPath)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", csvPath, w.Code, w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), csv.Bytes()) || binSeries.Name() != "current" || binSeries.Unit() != "mA" {
+		t.Fatalf("binary artifact: len=%d name=%q unit=%q does not export to the served CSV",
 			binSeries.Len(), binSeries.Name(), binSeries.Unit())
 	}
-	if len(rawBin) >= len(rawCSV) {
-		t.Fatalf("binary trace %d bytes not smaller than CSV %d", len(rawBin), len(rawCSV))
+	if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(w.Body.Len()) {
+		t.Fatalf("Content-Length = %q for a %d-byte body", cl, w.Body.Len())
+	}
+	if len(rawBin) >= w.Body.Len() {
+		t.Fatalf("binary trace %d bytes not smaller than CSV %d", len(rawBin), w.Body.Len())
+	}
+	// The view goes with the workspace at retention purge (the default
+	// window is five days).
+	r.clk.Advance(6 * 24 * time.Hour)
+	if _, err := b.Workspace().Load(ArtifactCurrentCSV); !errors.Is(err, accessserver.ErrNotFound) {
+		t.Fatalf("Load after purge: %v, want ErrNotFound", err)
+	}
+	if e := apiErrorOf(t, get(t, r.plat, csvPath)); e.Code != api.CodeNotFound || e.HTTPStatus() != http.StatusNotFound {
+		t.Fatalf("GET %s after purge: %+v, want not_found", csvPath, e)
+	}
+}
+
+// apiErrorOf decodes a response's api.Error envelope, failing the test
+// if the status or the body is not one.
+func apiErrorOf(t *testing.T, w *httptest.ResponseRecorder) *api.Error {
+	t.Helper()
+	var env api.Envelope
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error == nil {
+		t.Fatalf("%d body %.80q is not an api.Error envelope (%v)", w.Code, w.Body, err)
+	}
+	if w.Code != env.Error.HTTPStatus() {
+		t.Fatalf("status %d for a %s error", w.Code, env.Error.Code)
+	}
+	return env.Error
+}
+
+// TestCSVViewOfCorruptTrace: a current.trace in a workspace can come
+// from a peer. If the stored bytes do not decode, the current.csv view
+// answers with a typed error, never a panic and never a partial 200.
+func TestCSVViewOfCorruptTrace(t *testing.T) {
+	r := newRig(t)
+	installStudyBrowsers(t, r)
+	admin, _ := r.plat.Access.Users.Add("admin", accessserver.RoleAdmin)
+	b, err := r.plat.SubmitExperiment(admin, "one-page", browserSpec(r, "Brave", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.runWhile(t, func() bool { return b.State() == accessserver.StateRunning }, 10*time.Minute)
+	if b.State() != accessserver.StateSuccess {
+		t.Fatalf("state = %v err = %v", b.State(), b.Err())
+	}
+	raw, err := b.Workspace().Load(ArtifactCurrentTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvPath := fmt.Sprintf("/api/v1/builds/%d/artifacts/%s", b.ID, ArtifactCurrentCSV)
+	for name, bad := range map[string][]byte{
+		"truncated payload": raw[:len(raw)/2],
+		"truncated header":  raw[:5],
+		"not a trace":       []byte("elapsed_s,current_mA\n0.000000,1.000000\n"),
+		"empty":             {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			b.Workspace().Save(ArtifactCurrentTrace, bad)
+			if _, err := b.Workspace().Load(ArtifactCurrentCSV); err == nil {
+				t.Fatal("Load rendered a CSV from a corrupt trace")
+			}
+			w := get(t, r.plat, csvPath)
+			if e := apiErrorOf(t, w); e.Code != api.CodeInternal || !strings.Contains(e.Message, ArtifactCurrentTrace) {
+				t.Fatalf("GET %s: %+v, want internal naming %s", csvPath, e, ArtifactCurrentTrace)
+			}
+			if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type = %q, want the error envelope's", ct)
+			}
+		})
 	}
 }
 
@@ -351,5 +436,91 @@ func TestDecodedResultMatchesRun(t *testing.T) {
 				t.Errorf("degenerate run: %d/%d CPU points", ran.DeviceCPU.Len(), ran.ControllerCPU.Len())
 			}
 		})
+	}
+}
+
+// capture5kHz measures one 5 kHz browser run — Chrome, two pages, four
+// scrolls — on a fresh rig and returns its build and its result.
+func capture5kHz(tb testing.TB) (*accessserver.Build, *Result) {
+	tb.Helper()
+	r := newRig(tb)
+	installStudyBrowsers(tb, r)
+	ctx := context.Background()
+	x, err := r.plat.StartExperimentSpec(ctx, api.ExperimentSpec{
+		Node: "node1", Device: r.serial,
+		Monitor: api.MonitorSpec{SampleRateHz: 5000},
+		Workload: api.WorkloadSpec{
+			Name:   "browser",
+			Params: api.Params{"browser": "Chrome", "pages": 2, "scrolls": 4},
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := x.Wait(ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := r.plat.Access.Build(x.Build())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b, res
+}
+
+// saveRunAllocBound caps what saveRun allocates for a run, as a multiple
+// of the bytes of its three v2 traces: each encoding is grown once to a
+// size estimate a little above what it needs, and nothing else of the
+// run's size is made. A CSV formatted on save would add about 2.6 times
+// the v2 bytes more.
+const saveRunAllocBound = 2.0
+
+// TestSaveRunAllocBound holds saveRun on a 167 499-sample run to
+// saveRunAllocBound: finishing a build stores its traces and renders no
+// export nobody has asked for.
+func TestSaveRunAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("buffer growth allocates twice under the race detector")
+	}
+	b, res := capture5kHz(t)
+	if n := res.Current.Len(); n != 167499 {
+		t.Fatalf("capture has %d samples, want 167499", n)
+	}
+	var v2 int
+	for _, name := range []string{ArtifactCurrentTrace, ArtifactDeviceCPU, ArtifactControllerCPU} {
+		data, err := b.Workspace().Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 += len(data)
+	}
+	// The least of three saves: a stray allocation elsewhere in the
+	// process can only add to one reading.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := saveRun(b, res); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := saveRunAllocBound * float64(v2); float64(least) > limit {
+		t.Fatalf("saveRun allocated %d bytes for %d bytes of v2 traces (%.2f×), want at most %.1f×",
+			least, v2, float64(least)/float64(v2), saveRunAllocBound)
+	}
+}
+
+// BenchmarkSaveRun times a finished build's save path on one 167 499-
+// sample run: encoding its three traces and storing them, the
+// current.csv view, and the summary.
+func BenchmarkSaveRun(b *testing.B) {
+	build, res := capture5kHz(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := saveRun(build, res); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

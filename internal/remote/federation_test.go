@@ -1,6 +1,7 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -269,6 +270,11 @@ func TestFederationRoundTrip(t *testing.T) {
 	sums, runs, sessions := runFederated(t, fl, client, log)
 
 	// Provenance: node2's build was routed via lab-b; node1's ran here.
+	peerClient, err := remote.Dial(fl.tsB.URL, fedToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := 0 // node2's build on A
 	for _, s := range sessions {
 		st, err := client.BuildStatus(ctx, s.Build())
 		if err != nil {
@@ -283,11 +289,8 @@ func TestFederationRoundTrip(t *testing.T) {
 			if st.RoutedVia != "lab-b" {
 				t.Errorf("node2 routed via %q, want lab-b", st.RoutedVia)
 			}
+			routed = s.Build()
 			// The executing server's own record points home.
-			peerClient, err := remote.Dial(fl.tsB.URL, fedToken)
-			if err != nil {
-				t.Fatal(err)
-			}
 			rst, err := peerClient.BuildStatus(ctx, 1) // B's only build
 			if err != nil {
 				t.Fatal(err)
@@ -336,6 +339,7 @@ func TestFederationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	control2 := 0 // node2's build on the control lab
 	for _, s := range ccamp.Sessions() {
 		st, err := cclient.BuildStatus(ctx, s.Build())
 		if err != nil {
@@ -343,6 +347,9 @@ func TestFederationRoundTrip(t *testing.T) {
 		}
 		if st.Summary == nil {
 			t.Fatalf("control build %d: no summary", st.ID)
+		}
+		if st.Node == "node2" {
+			control2 = s.Build()
 		}
 		if got := sums[st.Node]; got != *st.Summary {
 			t.Errorf("%s: federated summary %+v != control %+v", st.Node, got, *st.Summary)
@@ -358,6 +365,29 @@ func TestFederationRoundTrip(t *testing.T) {
 				i, fr.Current.Len(), fr.EnergyMAH, fr.Duration, cr.Current.Len(), cr.EnergyMAH, cr.Duration)
 		}
 	}
+
+	// The routed build keeps its export: home serves the current.csv the
+	// relay copied from the peer, where it is a view of current.trace
+	// rendered for the relay's fetch. It is the peer's own bytes and the
+	// control's.
+	t.Run("routed current.csv", func(t *testing.T) {
+		home, err := client.Artifact(ctx, routed, core.ArtifactCurrentCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := peerClient.Artifact(ctx, 1, core.ArtifactCurrentCSV) // B's only build
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := cclient.Artifact(ctx, control2, core.ArtifactCurrentCSV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(home) == 0 || !bytes.Equal(home, peer) || !bytes.Equal(home, local) {
+			t.Fatalf("current.csv: home %d bytes, peer %d, control %d; want one non-empty body",
+				len(home), len(peer), len(local))
+		}
+	})
 
 	// Determinism: a fresh federation, same seeds, same campaign —
 	// bit-identical summaries again.
