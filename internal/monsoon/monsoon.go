@@ -54,15 +54,21 @@ type Monsoon struct {
 	serial      string
 }
 
+// samplingRun is one capture: a sampler (simclock.NewSampler) hands it
+// the ticks of a clock event as one run, which sampleRun reads outside
+// the Monsoon's lock and appends under it.
 type samplingRun struct {
 	src    power.Source // the input wired when the run started
 	series *trace.Series
 	ticker *simclock.Ticker
 	rate   int
-	// adc is re-seeded for every sample's noise draw (rng.AtInto). Only
-	// the run's ticker callback touches it, and a ticker never runs two
-	// ticks at once.
+	period time.Duration
+	// adc is re-seeded for every sample's noise draw (rng.AtInto), and buf
+	// holds up to samples.ChunkLen readings between two appends. Only the
+	// run's sampler callback touches them, and a sampler never runs two
+	// callbacks at once.
 	adc *rng.RNG
+	buf []float64
 }
 
 // New returns a monitor with mains off and Vout disabled.
@@ -154,47 +160,63 @@ func (m *Monsoon) StartSampling(rate int) error {
 	if rate <= 0 || rate > MaxSampleRate {
 		rate = MaxSampleRate
 	}
+	period := time.Duration(float64(time.Second) / float64(rate))
 	run := &samplingRun{
 		src:    m.source,
 		series: trace.NewSeries("current", "mA"),
 		rate:   rate,
+		period: period,
 		adc:    rng.New(0),
+		buf:    make([]float64, 0, samples.ChunkLen),
 	}
-	period := time.Duration(float64(time.Second) / float64(rate))
-	run.ticker = simclock.NewTicker(m.clock, period, func(now time.Time) {
-		m.sample(run, now)
+	run.ticker = simclock.NewSampler(m.clock, period, func(first time.Time, n int) {
+		m.sampleRun(run, first, n)
 	})
 	m.run = run
 	return nil
 }
 
-// sample records one ADC reading: the wired source's draw plus ADC noise,
-// clamped to the 6 A envelope (counting overcurrent events). The source
-// read takes no lock (see power.Source), so the one lock section is the
-// append.
-func (m *Monsoon) sample(run *samplingRun, now time.Time) {
-	i := run.src.CurrentMA(now)
-	// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
-	m.noise.AtInto(run.adc, "adc", now.UnixNano())
-	i += run.adc.Normal(0, 1.2)
-	if i < 0 {
-		i = 0
-	}
-	over := false
-	if i > MaxCurrentMA {
-		i = MaxCurrentMA
-		over = true
-	}
-	i = float64(int64(i*10+0.5)) / 10
-
-	m.mu.Lock()
-	if m.run == run { // not stopped since scheduling
-		run.series.MustAppend(now, i)
-		if over {
-			m.overcurrent++
+// sampleRun records the ADC readings of the n ticks due every period
+// from first: for each, the wired source's draw plus ADC noise keyed by
+// the tick's instant, clamped to the 6 A envelope and quantised. The
+// readings are computed outside m.mu — the source read takes no lock
+// and touches no clock (see power.Source) — into the run's buffer, and
+// each full buffer, samples.ChunkLen readings at most, is appended in
+// one lock section, which also counts its overcurrent samples.
+func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
+	for n > 0 {
+		buf := run.buf[:min(n, cap(run.buf))]
+		over := 0
+		now := first
+		for j := range buf {
+			i := run.src.CurrentMA(now)
+			// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
+			m.noise.AtInto(run.adc, "adc", now.UnixNano())
+			i += run.adc.Normal(0, 1.2)
+			if i < 0 {
+				i = 0
+			}
+			if i > MaxCurrentMA {
+				i = MaxCurrentMA
+				over++
+			}
+			buf[j] = float64(int64(i*10+0.5)) / 10
+			now = now.Add(run.period)
 		}
+
+		m.mu.Lock()
+		if m.run != run { // stopped since the run was handed over
+			m.mu.Unlock()
+			return
+		}
+		if err := run.series.AppendRun(first, run.period, buf); err != nil {
+			m.mu.Unlock()
+			panic(err)
+		}
+		m.overcurrent += over
+		m.mu.Unlock()
+		first, n = now, n-len(buf)
 	}
-	m.mu.Unlock()
 }
 
 // StopSampling ends the run and returns the recorded trace.
@@ -219,9 +241,12 @@ func (m *Monsoon) stopLocked() {
 // LiveSummary reports the streaming summary of the in-flight sampling
 // run — running mean/std/min/max, P50/P95 estimates and charge integral
 // over every sample captured so far. The moments and the integral are
-// folded while the ADC ticks; the P² quantiles fold the samples captured
-// since the previous read (see trace.Series.Live), so each sample is
-// folded once however often progress UIs and session observers read.
+// folded as each run of samples is appended, so on a virtual clock the
+// summary moves in steps of a run (the ticks of one clock event, at most
+// samples.ChunkLen per append), never partway through one; the P²
+// quantiles fold the samples captured since the previous read (see
+// trace.Series.Live), so each sample is folded once however often
+// progress UIs and session observers read.
 func (m *Monsoon) LiveSummary() (samples.LiveSummary, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

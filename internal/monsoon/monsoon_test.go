@@ -14,6 +14,7 @@ import (
 	"batterylab/internal/relay"
 	"batterylab/internal/samples"
 	"batterylab/internal/simclock"
+	"batterylab/internal/trace"
 )
 
 func newMon(t *testing.T) (*Monsoon, *simclock.Virtual) {
@@ -506,4 +507,201 @@ func (m *Monsoon) OvercurrentEvents() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.overcurrent
+}
+
+// watchedClock counts the calls made on a clock, its timers' included,
+// and those made while a source read is in progress.
+type watchedClock struct {
+	simclock.Clock
+	reading        *atomic.Bool
+	calls, inReads atomic.Int64
+}
+
+func (c *watchedClock) note() {
+	c.calls.Add(1)
+	if c.reading.Load() {
+		c.inReads.Add(1)
+	}
+}
+
+func (c *watchedClock) Now() time.Time { c.note(); return c.Clock.Now() }
+
+func (c *watchedClock) Sleep(d time.Duration) { c.note(); c.Clock.Sleep(d) }
+
+func (c *watchedClock) AfterFunc(d time.Duration, f func()) simclock.Timer {
+	c.note()
+	return watchedTimer{c.Clock.AfterFunc(d, f), c}
+}
+
+type watchedTimer struct {
+	simclock.Timer
+	c *watchedClock
+}
+
+func (t watchedTimer) Stop() bool                 { t.c.note(); return t.Timer.Stop() }
+func (t watchedTimer) Reset(d time.Duration) bool { t.c.note(); return t.Timer.Reset(d) }
+
+// watchedSource marks the reads of src in progress.
+type watchedSource struct {
+	src     power.Source
+	reading *atomic.Bool
+	reads   int
+}
+
+func (w *watchedSource) CurrentMA(now time.Time) float64 {
+	w.reading.Store(true)
+	defer w.reading.Store(false)
+	w.reads++
+	return w.src.CurrentMA(now)
+}
+
+// A model read touches no clock: the sampler's contract, which lets a
+// clock event hand the Monsoon a whole run of ticks, checked against the
+// source a vantage point wires — the relay channel over the device's
+// monitor-visible rail. The device and the relay switch run on a
+// clock that counts every call, and a 10 s capture reads while every
+// writer of TestSamplingRacesWriters runs. The writers are clock events
+// of their own, on the driving goroutine like the reads, so a call the
+// clock sees while a read is in progress is the read's.
+func TestModelReadTouchesNoClock(t *testing.T) {
+	clk := simclock.NewVirtual()
+	var reading atomic.Bool
+	model := &watchedClock{Clock: clk, reading: &reading}
+	dev, err := device.New(model, device.Config{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := relay.NewSwitch(model, gpio.NewBank(4), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.OnSwitch(0, func(p relay.Position) { dev.SetRelayPosition(p == relay.PosBattery) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Set(0, relay.PosMonitor); err != nil {
+		t.Fatal(err)
+	}
+	m := New(clk, "HV0001", 7)
+	m.SetMains(true)
+	if err := m.SetVout(3.85); err != nil {
+		t.Fatal(err)
+	}
+	src := &watchedSource{src: sw.MeasuredSource(0, dev.MonitorVisibleSource()), reading: &reading}
+	m.WireSource(src)
+	if err := m.StartSampling(MaxSampleRate); err != nil {
+		t.Fatal(err)
+	}
+
+	proc := dev.CPU().StartProcess("app")
+	i := 0
+	writers := simclock.NewTicker(clk, 7*time.Millisecond, func(now time.Time) {
+		i++
+		phase := now.UnixNano() / int64(100*time.Millisecond) % 4
+		proc.SetLoad(float64(i%90), float64(i%7))
+		dev.CPU().StartProcess("worker").SetLoad(10, 2)
+		dev.CPU().KillByName("worker")
+		dev.WiFi().Transfer(int64(1000+i), 20, i%2 == 0)
+		dev.Cellular().SetState(device.RadioState(1 + i%2))
+		dev.Screen().SetOn(i%2 == 0)
+		dev.Framebuffer().Decoder().SetOn(i%3 == 0)
+		pos := relay.PosMonitor
+		if phase == 3 {
+			pos = relay.PosBattery
+		}
+		sw.Set(0, pos)
+		dev.USBPowerChanged(phase == 1)
+	})
+	defer writers.Stop()
+	before := model.calls.Load()
+	clk.Advance(10 * time.Second)
+	s, err := m.StopSampling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 50000 || src.reads != 50000 {
+		t.Fatalf("%d samples from %d reads in 10 s at 5 kHz, want 50000", s.Len(), src.reads)
+	}
+	if s.Summary().Max <= 0 {
+		t.Fatal("the capture read nothing but zeros: the rail was never wired through")
+	}
+	if model.calls.Load() == before {
+		t.Fatal("the writers made no clock call: the counting clock is not the model's")
+	}
+	if n := model.inReads.Load(); n != 0 {
+		t.Fatalf("%d clock calls inside a source read", n)
+	}
+}
+
+// One Step whose only foreign deadline is a minute away is one run of
+// 299 999 samples. Its buffer is capped at a chunk, so the Step
+// allocates the trace's chunk storage and hardly more; a buffer the
+// size of the run would add 2.4 MB.
+func TestRunBufferIsBounded(t *testing.T) {
+	m, clk := newMon(t)
+	m.SetMains(true)
+	if err := m.SetVout(4.0); err != nil {
+		t.Fatal(err)
+	}
+	m.WireSource(constSource(250))
+	if err := m.StartSampling(MaxSampleRate); err != nil {
+		t.Fatal(err)
+	}
+	clk.AfterFunc(time.Minute, func() {})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	clk.Step()
+	runtime.ReadMemStats(&after)
+	s, err := m.StopSampling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const run = 300000 - 1 // the tick at the deadline waits for it
+	if s.Len() != run {
+		t.Fatalf("one Step captured %d samples, want %d", s.Len(), run)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(run*16*11/10); got > limit {
+		t.Fatalf("one Step allocated %d bytes for %d samples, want at most %d", got, run, limit)
+	}
+}
+
+// A run that crosses the 6 A envelope for part of its length, across
+// several buffers, counts every clamped sample.
+func TestOvercurrentCountedPerSample(t *testing.T) {
+	m, clk := newMon(t)
+	m.SetMains(true)
+	if err := m.SetVout(13.5); err != nil {
+		t.Fatal(err)
+	}
+	from, to := clk.Now().Add(500*time.Millisecond), clk.Now().Add(2500*time.Millisecond)
+	m.WireSource(power.SourceFunc(func(now time.Time) float64 {
+		if !now.Before(from) && now.Before(to) {
+			return 9000
+		}
+		return 100
+	}))
+	if err := m.StartSampling(MaxSampleRate); err != nil {
+		t.Fatal(err)
+	}
+	clk.AfterFunc(3*time.Second, func() {})
+	clk.Step()
+	s, err := m.StopSampling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 3*MaxSampleRate-1 {
+		t.Fatalf("one Step captured %d samples, want one run of %d", s.Len(), 3*MaxSampleRate-1)
+	}
+	clamped := 0
+	s.Iter(func(smp trace.Sample) bool {
+		if smp.V == MaxCurrentMA {
+			clamped++
+		}
+		return true
+	})
+	if clamped != 2*MaxSampleRate {
+		t.Fatalf("%d samples at the clamp, want the %d of the 2 s above 6 A", clamped, 2*MaxSampleRate)
+	}
+	if n := m.OvercurrentEvents(); n != clamped {
+		t.Fatalf("%d overcurrent events for %d clamped samples", n, clamped)
+	}
 }

@@ -22,7 +22,12 @@ import (
 // not wait on a writer: a component keeps its mutex only to order its
 // writers, publishes an immutable view of its state on every write
 // (an atomic value, an atomic pointer to a value struct, a copy-on-write
-// slice), and CurrentMA only loads that view.
+// slice), and CurrentMA only loads that view. Nor may CurrentMA call a
+// clock — no Now, AfterFunc, Sleep, Hold or Timer method, directly or
+// through what it reads: its answer is a function of now and the
+// published views. The monitor samples through a simclock sampler,
+// whose callback promises exactly that, so one clock event can hand it
+// a whole run of ticks to read before the clock has reached them.
 type Source interface {
 	CurrentMA(now time.Time) float64
 }

@@ -2,8 +2,10 @@ package simclock
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,13 +66,38 @@ func newBatchTicker(clock Clock, period time.Duration, fn func(now time.Time)) s
 	return NewTicker(clock, period, fn)
 }
 
+// newBatchSampler is a sampler that hands every tick of a run to fn in
+// turn; fn must keep the sampler's contract.
+func newBatchSampler(clock Clock, period time.Duration, fn func(now time.Time)) stopper {
+	return NewSampler(clock, period, func(first time.Time, n int) {
+		for i := range n {
+			fn(first.Add(time.Duration(i) * period))
+		}
+	})
+}
+
+// tickers builds a scenario's periodic timers: the ticker under test, or
+// the one-event-per-tick reference, and a sampler, or again the
+// reference; a nil sampler leaves it out.
+type tickers struct {
+	ticker, sampler func(Clock, time.Duration, func(time.Time)) stopper
+}
+
+var (
+	batching = tickers{newBatchTicker, newBatchSampler}
+	perEvent = tickers{newRefTicker, newRefTicker}
+)
+
 // scenario is one seeded random scenario armed on a fresh clock:
 // tickers with coprime periods whose callbacks draw from the seeded
 // source in firing order — arming timers due before or exactly at the
 // next tick, Stop and Reset, holds taken and released, a Sleep — and an
 // end timer no ticker batch crosses. Two drivers that fire the same
 // events in the same order make the same choices and log the same
-// (label, nominal tick, Now()) lines.
+// (label, nominal tick, Now()) lines. A sampler beside them, its period
+// one or three units, logs (label, nominal tick) and nothing else: it
+// reads no clock, so its runs end on every kind of deadline the tickers
+// arm, often exactly on one of its ticks.
 type scenario struct {
 	v       *Virtual
 	log     []string
@@ -79,7 +106,7 @@ type scenario struct {
 	ended   bool // the end timer has fired
 }
 
-func newScenario(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) stopper) *scenario {
+func newScenario(seed uint64, kind tickers) *scenario {
 	const unit = 100 * time.Microsecond
 	end := 300 * time.Millisecond
 	v := NewVirtual()
@@ -109,7 +136,7 @@ func newScenario(seed uint64, newTicker func(Clock, time.Duration, func(time.Tim
 	startTicker = func(period time.Duration) {
 		n := len(s.tickers)
 		label := fmt.Sprintf("T%d/%d", n, period/unit)
-		s.tickers = append(s.tickers, newTicker(v, period, func(now time.Time) {
+		s.tickers = append(s.tickers, kind.ticker(v, period, func(now time.Time) {
 			at(label, now)
 			switch k := r.IntN(400); {
 			case k < 12: // due before the next tick
@@ -143,6 +170,14 @@ func newScenario(seed uint64, newTicker func(Clock, time.Duration, func(time.Tim
 	for _, p := range periods[:2+r.IntN(2)] {
 		startTicker(p * unit)
 	}
+	if kind.sampler == nil {
+		return s
+	}
+	sp := time.Duration(1+2*r.IntN(2)) * unit
+	label := fmt.Sprintf("S/%d", sp/unit)
+	s.tickers = append(s.tickers, kind.sampler(v, sp, func(nominal time.Time) {
+		s.log = append(s.log, fmt.Sprintf("%s %d", label, nominal.Sub(Epoch)/time.Microsecond))
+	}))
 	return s
 }
 
@@ -161,8 +196,8 @@ func (s *scenario) finish() []string {
 // from its own source and mixes Step with RunUntil targets that fall
 // between ticks. Nothing the driver does may change the log: it only
 // decides how far each call goes, never what fires in which order.
-func script(seed uint64, newTicker func(Clock, time.Duration, func(time.Time)) stopper) []string {
-	s := newScenario(seed, newTicker)
+func script(seed uint64, kind tickers) []string {
+	s := newScenario(seed, kind)
 	v := s.v
 	// The driver never passes end, so both logs stop at the same event.
 	stop := s.end
@@ -205,13 +240,14 @@ func sameLog(t *testing.T, seed uint64, got, want []string, ref string) {
 }
 
 // TestTickerBatchMatchesPerEvent runs random scenarios — tickers with
-// coprime periods, timers armed from ticks to fire before or exactly at
-// the next tick, Stop and Reset from callbacks, holds taken and released
-// mid-run, Step and RunUntil drivers — on the batching Ticker and on the
-// one-event-per-tick reference, and requires the same log.
+// coprime periods and a sampler, timers armed from ticks to fire before
+// or exactly at the next tick, Stop and Reset from callbacks, holds
+// taken and released mid-run, Step and RunUntil drivers — on the
+// batching Ticker and sampler and on the one-event-per-tick reference,
+// and requires the same log.
 func TestTickerBatchMatchesPerEvent(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		got, want := script(seed, newBatchTicker), script(seed, newRefTicker)
+		got, want := script(seed, batching), script(seed, perEvent)
 		if len(want) < 500 {
 			t.Fatalf("seed %d: only %d log lines; the scenario is too thin", seed, len(want))
 		}
@@ -299,15 +335,115 @@ func TestTickerBatch(t *testing.T) {
 	})
 }
 
-// TestTickerBatchRace arms timers from a second goroutine while a
-// Step driver's batches run, and then drives with two goroutines at
-// once: under -race the batch's reads of the heap and of the driver's
-// target must be clean, and every tick still runs, in order.
+// TestSamplerRunLength pins where a sampler's run ends, one rule per
+// row: the clock event of the tick due at 1p counts the ticks from 2p
+// on that may run in place. Each row also counts them one tick at a
+// time, the way a Ticker asks, on a second clock set up alike: both
+// must agree on the count, the clock's time, the sequence numbers drawn
+// and the tick the event ran last.
+func TestSamplerRunLength(t *testing.T) {
+	const p = 100 * time.Microsecond
+	at := func(k int) time.Time { return Epoch.Add(time.Duration(k) * p) }
+	for _, tc := range []struct {
+		name    string
+		foreign []time.Duration // other pending deadlines, from Epoch
+		until   time.Time       // the driver's target
+		hold    bool
+		now     time.Time // set after the pop when not zero: a second driver moved on
+		want    int
+	}{
+		{name: "a foreign deadline exactly on a tick excludes it", foreign: []time.Duration{10 * p}, until: endOfTime, want: 8},
+		{name: "a foreign deadline between ticks", foreign: []time.Duration{10*p + p/2}, until: endOfTime, want: 9},
+		{name: "a RunUntil target exactly on a tick includes it", foreign: []time.Duration{time.Second}, until: at(6), want: 5},
+		{name: "a RunUntil target between ticks", foreign: []time.Duration{time.Second}, until: at(6).Add(p / 2), want: 5},
+		{name: "a RunUntil target on the popped tick", foreign: []time.Duration{time.Second}, until: at(1), want: 0},
+		{name: "an endOfTime target runs to the foreign deadline", foreign: []time.Duration{time.Minute}, until: endOfTime, want: int(time.Minute/p) - 2},
+		{name: "an active Hold", foreign: []time.Duration{time.Second}, until: endOfTime, hold: true, want: 0},
+		{name: "a second driver already past the next tick", foreign: []time.Duration{time.Second}, until: endOfTime, now: at(2).Add(p / 2), want: 0},
+		{name: "a second driver exactly on the next tick", foreign: []time.Duration{time.Second}, until: endOfTime, now: at(2), want: int(time.Second/p) - 2},
+		{name: "nothing else pending", until: endOfTime, want: 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			count := func(limit int) (n int, now time.Time, seq uint64, ran time.Time) {
+				v := NewVirtual()
+				ev := v.AfterFunc(p, func() {}).(*event)
+				for _, d := range tc.foreign {
+					v.AfterFunc(d, func() {})
+				}
+				if tc.hold {
+					defer v.Hold()()
+				}
+				v.mu.Lock()
+				if v.popLocked(tc.until) != ev {
+					t.Fatal("the popped event is not the sampler's")
+				}
+				if !tc.now.IsZero() {
+					v.now = tc.now
+				}
+				v.mu.Unlock()
+				for next := at(2); ; {
+					k := v.runInPlace(ev, next, p, limit)
+					if n += k; k == 0 || limit > 1 {
+						break
+					}
+					next = next.Add(p)
+				}
+				return n, v.Now(), v.seq, ev.ran
+			}
+			n, now, seq, ran := count(math.MaxInt)
+			if n != tc.want {
+				t.Fatalf("a run of %d ticks after the popped one, want %d", n, tc.want)
+			}
+			n1, now1, seq1, ran1 := count(1)
+			if n != n1 || !now.Equal(now1) || seq != seq1 || !ran.Equal(ran1) {
+				t.Fatalf("run: %d ticks, clock %v, seq %d, ran %v; one at a time: %d, %v, %d, %v",
+					n, now.Sub(Epoch), seq, ran.Sub(Epoch), n1, now1.Sub(Epoch), seq1, ran1.Sub(Epoch))
+			}
+			if n > 0 && !now.Equal(at(1+n)) {
+				t.Fatalf("clock at %v after a run of %d, want the last tick %v", now.Sub(Epoch), n, at(1+n).Sub(Epoch))
+			}
+		})
+	}
+
+	t.Run("one Step hands the sampler its run", func(t *testing.T) {
+		v := NewVirtual()
+		var runs [][2]int64
+		sm := NewSampler(v, p, func(first time.Time, n int) {
+			runs = append(runs, [2]int64{int64(first.Sub(Epoch) / p), int64(n)})
+		})
+		defer sm.Stop()
+		v.AfterFunc(10*p, func() {})
+		v.Step()
+		v.Step() // the foreign timer
+		if want := [][2]int64{{1, 9}}; !reflect.DeepEqual(runs, want) {
+			t.Fatalf("runs (first tick, length) %v after the foreign timer, want %v: the tick on it waits for the next Step", runs, want)
+		}
+		v.Step() // a lone sampler: one tick per Step
+		v.Step()
+		if want := [][2]int64{{1, 9}, {10, 1}, {11, 1}}; !reflect.DeepEqual(runs, want) {
+			t.Fatalf("runs %v, want %v", runs, want)
+		}
+	})
+}
+
+// TestTickerBatchRace arms timers and takes holds from other goroutines
+// while a Step driver's batches run, and then drives with two goroutines
+// at once: under -race the batch's reads of the heap and of the driver's
+// target must be clean, and every tick still runs, in order — a
+// Ticker's one call at a time, a sampler's in runs.
 func TestTickerBatchRace(t *testing.T) {
+	t.Run("ticker", func(t *testing.T) { batchRace(t, newBatchTicker) })
+	t.Run("sampler", func(t *testing.T) { batchRace(t, newBatchSampler) })
+}
+
+// racePeriod is the raced ticker's period.
+const racePeriod = 100 * time.Microsecond
+
+func batchRace(t *testing.T, start func(Clock, time.Duration, func(time.Time)) stopper) {
 	v := NewVirtual()
 	var mu sync.Mutex
 	var ticks []time.Time
-	tk := NewTicker(v, 100*time.Microsecond, func(now time.Time) {
+	tk := start(v, racePeriod, func(now time.Time) {
 		mu.Lock()
 		ticks = append(ticks, now)
 		mu.Unlock()
@@ -317,11 +453,25 @@ func TestTickerBatchRace(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() { // arms timers while batches run
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
 			v.AfterFunc(time.Duration(i%50)*37*time.Microsecond, func() { foreign.Add(1) })
+		}
+	}()
+	go func() { // holds the clock now and then while batches run
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				release := v.Hold()
+				runtime.Gosched()
+				release()
+				runtime.Gosched()
+			}
 		}
 	}()
 	go func() { // a second driver on the same clock
@@ -360,7 +510,7 @@ func TestTickerBatchRace(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for i, at := range ticks {
-		if want := Epoch.Add(time.Duration(i+1) * 100 * time.Microsecond); !at.Equal(want) {
+		if want := Epoch.Add(time.Duration(i+1) * racePeriod); !at.Equal(want) {
 			t.Fatalf("tick %d at %v, want %v", i, at.Sub(Epoch), want.Sub(Epoch))
 		}
 	}

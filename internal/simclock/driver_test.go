@@ -18,7 +18,7 @@ import (
 func TestRunWhileMatchesDeadlineLoop(t *testing.T) {
 	for seed := uint64(1); seed <= 100; seed++ {
 		drive := func(run func(s *scenario, busy func() bool)) (log, seen []string) {
-			s := newScenario(seed, newBatchTicker)
+			s := newScenario(seed, tickers{ticker: newBatchTicker})
 			run(s, func() bool {
 				seen = append(seen, fmt.Sprintf("%d lines at %v", len(s.log), s.v.Now().Sub(Epoch)))
 				return !s.ended
@@ -66,7 +66,7 @@ func TestRunWhileMatchesDeadlineLoop(t *testing.T) {
 func TestRunWhileTakesTurns(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		run := func(drivers int) []string {
-			s := newScenario(seed, newBatchTicker)
+			s := newScenario(seed, tickers{ticker: newBatchTicker})
 			busy := func() bool { return !s.ended }
 			limit := func() time.Time { return s.end }
 			var wg sync.WaitGroup

@@ -127,28 +127,47 @@ func (v *Virtual) popLocked(until time.Time) *event {
 	return ev
 }
 
-// runInPlace reports whether the Ticker whose event ev is firing may run
-// its next tick, due at next, inside this same clock event — true only
-// when that tick is the event the heap would pop next anyway: strictly
-// before the earliest pending deadline (on an equal one the pending
-// timer was armed first and wins), no Hold active, at or before the
-// driver's target and not already passed by a callback that advanced
-// the clock itself. A clock with nothing else pending does not batch,
-// so a lone ticker still fires one tick per Step. On true the clock
-// moves to next and draws the sequence number the ticker's re-arm would
-// have drawn, so event order, Now() and later sequence numbers are
-// exactly those of one event per tick; ev records next as the tick it
-// ran last, which is where a RunWhile instant ends.
-func (v *Virtual) runInPlace(ev *event, next time.Time) bool {
+// runInPlace reports how many of the ticks due at next, next+period, …
+// — at most limit — the Ticker whose event ev is firing may run inside
+// this same clock event. A tick qualifies only when it is the event the
+// heap would pop next anyway: strictly before the earliest pending
+// deadline (on an equal one the pending timer was armed first and wins),
+// no Hold active, at or before the driver's target and not already
+// passed by a callback or a second driver that advanced the clock
+// itself. A clock with nothing else pending does not batch, so a lone
+// ticker still fires one tick per Step. The n ticks that qualify are
+// counted in one section: the clock moves to the last and draws the n
+// sequence numbers the ticker's re-arms would have drawn, so event
+// order, Now() at each tick and later sequence numbers are exactly those
+// of one event per tick; ev records the last as the tick it ran last,
+// which is where a RunWhile instant ends. A Ticker asks for one tick at
+// a time (limit 1), a sampler for its whole run.
+func (v *Virtual) runInPlace(ev *event, next time.Time, period time.Duration, limit int) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.holds > 0 || len(v.heap) == 0 || next.Before(v.now) ||
-		!next.Before(v.heap[0].when) || next.After(ev.until) {
-		return false
+	if v.holds > 0 || len(v.heap) == 0 || next.Before(v.now) {
+		return 0
 	}
-	v.now, ev.ran = next, next
-	v.seq++
-	return true
+	// Tick i is due at next + i·period: it must be strictly before the
+	// earliest pending deadline and not after the target. Both gaps are
+	// exact in nanoseconds, but for a target over 292 years off (such as
+	// endOfTime), where Sub saturates; the pending deadline, armed at
+	// most that far from a past Now, bounds the run then.
+	n := limit
+	if gap := v.heap[0].when.Sub(next); gap <= 0 {
+		return 0
+	} else if k := (gap-1)/period + 1; k < time.Duration(n) {
+		n = int(k)
+	}
+	if gap := ev.until.Sub(next); gap < 0 {
+		return 0
+	} else if k := gap / period; k < time.Duration(n) {
+		n = int(k) + 1
+	}
+	last := next.Add(time.Duration(n-1) * period)
+	v.now, ev.ran = last, last
+	v.seq += uint64(n)
+	return n
 }
 
 // Hold suspends Step drivers until the returned release runs. It lets

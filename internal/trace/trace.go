@@ -108,6 +108,33 @@ func (s *Series) appendOffset(off int64, v float64) {
 	s.lastOff = off
 }
 
+// AppendRun adds a run of samples taken every step from first: vs[i] at
+// first + i·step. It stores exactly what Append would for each sample in
+// turn, but checks the order once, for the run's first sample, and
+// derives the other offsets by integer addition. A negative step is out
+// of order.
+func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) error {
+	if len(vs) == 0 {
+		return nil
+	}
+	if step < 0 {
+		return fmt.Errorf("trace: run of samples with negative step %v", step)
+	}
+	if !s.hasEpoch {
+		s.epoch = first
+		s.hasEpoch = true
+	}
+	off := first.Sub(s.epoch).Nanoseconds()
+	if s.data.Len() > 0 && off < s.lastOff {
+		return fmt.Errorf("trace: out-of-order sample at %v (last %v)", first, s.epoch.Add(time.Duration(s.lastOff)))
+	}
+	for _, v := range vs {
+		s.appendOffset(off, v)
+		off += int64(step)
+	}
+	return nil
+}
+
 // MustAppend is Append for recorders that already guarantee ordering.
 func (s *Series) MustAppend(t time.Time, v float64) {
 	if err := s.Append(t, v); err != nil {

@@ -37,6 +37,43 @@ func TestAppendOrdering(t *testing.T) {
 	}
 }
 
+// A run appended at once stores what appending its samples one by one
+// stores, summary bits included, and is checked for order once.
+func TestAppendRunMatchesAppend(t *testing.T) {
+	const step = 200 * time.Microsecond
+	rng := rand.New(rand.NewSource(3))
+	one, run := NewSeries("current", "mA"), NewSeries("current", "mA")
+	at := t0.Add(7 * time.Millisecond)
+	for _, n := range []int{1, 5, samples.ChunkLen - 6, 1, 3 * samples.ChunkLen, 0, 17} {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(int64(rng.Float64()*3000)) / 10
+			one.MustAppend(at.Add(time.Duration(i)*step), vs[i])
+		}
+		if err := run.AppendRun(at, step, vs); err != nil {
+			t.Fatal(err)
+		}
+		at = at.Add(time.Duration(n) * step)
+	}
+	if one.Len() != run.Len() || one.Live() != run.Live() || one.Duration() != run.Duration() {
+		t.Fatalf("run-appended %d samples, %+v; one by one %d, %+v", run.Len(), run.Live(), one.Len(), one.Live())
+	}
+	for i := range one.Len() {
+		if a, b := one.At(i), run.At(i); !a.T.Equal(b.T) || a.V != b.V {
+			t.Fatalf("sample %d: %v run-appended, %v one by one", i, run.At(i), one.At(i))
+		}
+	}
+	if err := run.AppendRun(at.Add(-step-1), step, []float64{1}); err == nil {
+		t.Fatal("a run starting before the last sample was accepted")
+	}
+	if err := run.AppendRun(at, -step, []float64{1, 2}); err == nil {
+		t.Fatal("a run with a negative step was accepted")
+	}
+	if run.Len() != one.Len() {
+		t.Fatalf("a rejected run stored samples: %d, want %d", run.Len(), one.Len())
+	}
+}
+
 func TestIntegralConstant(t *testing.T) {
 	s := mk(100, 100, 100, 100, 100) // 4 s at 100 mA
 	if got := s.IntegralSeconds(); got != 400 {
