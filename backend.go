@@ -83,7 +83,9 @@ type (
 // ExperimentHandle is the handle shape shared by local and remote
 // runs: Wait for the result, Cancel at the earliest safe point, Done
 // for select loops, Phase for progress. *core.Experiment and
-// *remote.Session both satisfy it.
+// *remote.Session both satisfy it, and both read the settled build's
+// wire status through core.RunOf, so a run's Result and error are the
+// same on either handle.
 type ExperimentHandle interface {
 	Wait(ctx context.Context) (*Result, error)
 	Cancel()
@@ -91,25 +93,11 @@ type ExperimentHandle interface {
 	Phase() Phase
 }
 
-// RunOutcome is one experiment's outcome within a campaign, in the
-// location-transparent shape.
-type RunOutcome struct {
-	// Index is the experiment's position in the campaign spec.
-	Index int
-	// Node and Device identify the run.
-	Node   string
-	Device string
-	// Result is the measurement (nil when Err is set).
-	Result *Result
-	// Err is the per-run failure; one run failing never aborts
-	// siblings.
-	Err error
-}
-
 // CampaignHandle is the campaign shape shared by local and remote
-// backends.
+// backends: *core.CampaignSession and *remote.Campaign both satisfy it,
+// and their Wait returns the same CampaignRun for the same build.
 type CampaignHandle interface {
-	Wait(ctx context.Context) ([]RunOutcome, error)
+	Wait(ctx context.Context) ([]CampaignRun, error)
 	Cancel()
 	Done() <-chan struct{}
 }
@@ -150,43 +138,16 @@ func (b localBackend) StartCampaignSpec(ctx context.Context, spec CampaignSpecV1
 	if err != nil {
 		return nil, err
 	}
-	return localCampaign{cs}, nil
+	return cs, nil
 }
 
 func (b localBackend) Nodes(ctx context.Context) ([]NodeInfo, error) {
-	infos := make([]NodeInfo, 0)
-	for _, name := range b.p.Access.Nodes.List() {
-		info := NodeInfo{Name: name}
-		if ctl, err := b.p.Controller(name); err == nil {
-			info.Devices = ctl.ListDevices()
-		}
-		infos = append(infos, info)
-	}
-	return infos, nil
+	return b.p.Access.NodeInfos(), nil
 }
 
 func (b localBackend) Workloads(ctx context.Context) ([]string, error) {
 	return b.p.Workloads().Names(), nil
 }
-
-// localCampaign maps core.CampaignRun to the shared RunOutcome shape.
-type localCampaign struct{ cs *core.CampaignSession }
-
-func (c localCampaign) Wait(ctx context.Context) ([]RunOutcome, error) {
-	runs, err := c.cs.Wait(ctx)
-	out := make([]RunOutcome, len(runs))
-	for i, r := range runs {
-		out[i] = RunOutcome{
-			Index: r.Index,
-			Node:  r.Node, Device: r.Device,
-			Result: r.Result, Err: r.Err,
-		}
-	}
-	return out, err
-}
-
-func (c localCampaign) Cancel()               { c.cs.Cancel() }
-func (c localCampaign) Done() <-chan struct{} { return c.cs.Done() }
 
 // RemoteBackend connects to an access server's v1 API and returns a
 // Backend whose sessions stream phase events and live samples back and
@@ -215,7 +176,7 @@ func (b remoteBackend) StartCampaignSpec(ctx context.Context, spec CampaignSpecV
 	if err != nil {
 		return nil, err
 	}
-	return remoteCampaign{c}, nil
+	return c, nil
 }
 
 func (b remoteBackend) Nodes(ctx context.Context) ([]NodeInfo, error) {
@@ -225,23 +186,3 @@ func (b remoteBackend) Nodes(ctx context.Context) ([]NodeInfo, error) {
 func (b remoteBackend) Workloads(ctx context.Context) ([]string, error) {
 	return b.p.WorkloadNames(ctx)
 }
-
-// remoteCampaign maps remote.CampaignRun to the shared RunOutcome
-// shape.
-type remoteCampaign struct{ c *remote.Campaign }
-
-func (c remoteCampaign) Wait(ctx context.Context) ([]RunOutcome, error) {
-	runs, err := c.c.Wait(ctx)
-	out := make([]RunOutcome, len(runs))
-	for i, r := range runs {
-		out[i] = RunOutcome{
-			Index: r.Index,
-			Node:  r.Node, Device: r.Device,
-			Result: r.Result, Err: r.Err,
-		}
-	}
-	return out, err
-}
-
-func (c remoteCampaign) Cancel()               { c.c.Cancel() }
-func (c remoteCampaign) Done() <-chan struct{} { return c.c.Done() }

@@ -42,8 +42,10 @@
 // The v1 remote execution API makes the platform location-transparent:
 // the same ExperimentSpecV1 runs through the same Backend interface
 // whether the hardware is in-process or behind an access server's HTTP
-// API, and its result is decoded from the same build artifacts (see
-// backend.go, internal/api for the wire schema, and examples/remote):
+// API, and both handles read the settled build through one function,
+// so its result is decoded from the same build artifacts (see
+// backend.go, internal/api for the wire schema, and
+// ExampleRemoteBackend):
 //
 //	backend, _ := batterylab.RemoteBackend("http://lab:9090", token)
 //	sess, _ := backend.StartExperimentSpec(ctx, batterylab.ExperimentSpecV1{
@@ -85,8 +87,8 @@ type (
 	// Transport selects the measurement-time automation channel.
 	Transport = core.Transport
 
-	// CampaignRun is one experiment's outcome within an in-process
-	// campaign.
+	// CampaignRun is one experiment's outcome within a campaign, local
+	// or remote.
 	CampaignRun = core.CampaignRun
 	// Observer receives a session's phase transitions and live samples.
 	Observer = core.Observer

@@ -23,12 +23,11 @@ import (
 	"batterylab/internal/api"
 )
 
-// Feed buffer bounds. Like the capture pipeline's observer queue, the
-// feed is bounded and never blocks a producer: when a buffer fills,
-// new records are dropped and counted rather than queued without
-// limit, so a stalled HTTP consumer can never exert backpressure on
-// the capture loop. At the default 1 s live-sample cadence the sample
-// buffer holds over four hours of backlog.
+// Feed buffer bounds. The feed is bounded and never blocks a producer:
+// when a buffer fills, new records are dropped and counted rather than
+// queued without limit, so a stalled HTTP consumer can never exert
+// backpressure on the capture loop. At the default 1 s live-sample
+// cadence the sample buffer holds over four hours of backlog.
 const (
 	EventCap  = 4096
 	SampleCap = 16384
@@ -47,10 +46,10 @@ type Stats interface {
 
 // Feed is a build's streaming log: the phase events and live power
 // samples its run emitted, buffered for replay-plus-follow consumers.
-// Producers (the measurement session's observer) append without ever
-// blocking; consumers (the NDJSON/binary streaming handlers) read
-// snapshots by cursor and wait on a change channel for more. The feed
-// closes when the build finishes.
+// Producers (the measurement session) append without ever blocking;
+// consumers (the NDJSON/binary streaming handlers) read snapshots by
+// cursor and wait on a change channel for more. The feed closes when
+// the build finishes.
 type Feed struct {
 	mu      sync.Mutex
 	changed chan struct{} // nil until a reader asks to wait, nil again once it fires

@@ -89,32 +89,7 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		if s.auth(w, r, PermViewConsole) == nil {
 			return
 		}
-		// Snapshot-served: one load of the published census is one
-		// consistent view of the fleet, rows and membership — a
-		// fleet-listing flood is lock-free with respect to dispatch. Health
-		// is recomputed against the current clock because silence ages a
-		// node without republishing.
-		now := s.clock.Now()
-		rows := s.reads.nodeList()
-		infos := make([]api.NodeInfo, 0, len(rows))
-		for _, e := range rows {
-			if e.node == nil {
-				continue
-			}
-			devs := e.Devices
-			if !e.Monitored {
-				// Monitored nodes serve the cached device list: one hung
-				// vantage point must not stall the whole fleet listing on
-				// a live list_devices round trip.
-				devs, _ = listDevices(e.node)
-			}
-			infos = append(infos, api.NodeInfo{
-				Name:    e.Name,
-				Devices: devs,
-				Health:  s.censusHealth(e, now).String(),
-			})
-		}
-		writeJSON(w, http.StatusOK, infos)
+		writeJSON(w, http.StatusOK, s.NodeInfos())
 	})
 	mux.HandleFunc("GET /api/v1/nodes/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if s.auth(w, r, PermViewConsole) == nil {
@@ -589,46 +564,35 @@ func writeError(w http.ResponseWriter, err error) {
 	api.WriteError(w, apiError(code, err.Error()))
 }
 
-// buildStatus snapshots a build as its wire form: the durable record
-// plus the live placement, read once under the build's lock.
-func buildStatus(b *Build) api.BuildStatus {
-	b.mu.Lock()
-	r := b.BuildRec
-	st := api.BuildStatus{
-		ID:        r.ID,
-		Job:       r.Job,
-		Owner:     r.Owner,
-		State:     r.State,
-		Campaign:  r.Campaign,
-		Canceled:  r.Canceled,
-		Summary:   r.Summary,
-		Node:      r.Node,
-		Attempts:  r.Attempts,
-		Error:     r.Err,
-		NodeLost:  r.NodeLost,
-		Recovered: b.recovered,
-		FeedEpoch: r.FeedEpoch,
-		// Federation provenance: routed_via names the peer executing the
-		// build for its home server; home_server (carried on the relayed
-		// spec) names the submitting server for the peer executing it.
-		RoutedVia:      b.routedVia,
-		PlacementScore: b.placementScore,
-		QueuedAtNS:     r.QueuedAtNS,
-		StartedAtNS:    r.StartedAtNS,
-		FinishedAtNS:   r.FinishedAtNS,
+// NodeInfos lists the registered vantage points with their devices and
+// health: what GET /api/v1/nodes serves, and what an in-process client
+// lists. It is snapshot-served: one load of the published census is one
+// consistent view of the fleet, rows and membership, so a fleet-listing
+// flood is lock-free with respect to dispatch. Health is recomputed
+// against the current clock because silence ages a node without
+// republishing.
+func (s *Server) NodeInfos() []api.NodeInfo {
+	now := s.clock.Now()
+	rows := s.reads.nodeList()
+	infos := make([]api.NodeInfo, 0, len(rows))
+	for _, e := range rows {
+		if e.node == nil {
+			continue
+		}
+		devs := e.Devices
+		if !e.Monitored {
+			// Monitored nodes serve the cached device list: one hung
+			// vantage point must not stall the whole fleet listing on a
+			// live list_devices round trip.
+			devs, _ = listDevices(e.node)
+		}
+		infos = append(infos, api.NodeInfo{
+			Name:    e.Name,
+			Devices: devs,
+			Health:  s.censusHealth(e, now).String(),
+		})
 	}
-	if r.State == StateQueued.String() {
-		st.PendingReason = b.pendingReason
-	}
-	b.mu.Unlock()
-	if r.Spec != nil {
-		st.HomeServer = r.Spec.HomeServer
-	}
-	// Feed-loss counters: a streaming client that sees a non-zero value
-	// knows its replay is missing records instead of trusting a silently
-	// truncated stream.
-	st.DroppedEvents, st.DroppedSamples = b.feed.Dropped()
-	return st
+	return infos
 }
 
 // feedFromPath resolves the {id} path segment to its feed through the

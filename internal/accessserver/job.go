@@ -263,6 +263,50 @@ func (b *Build) Err() error {
 	return b.err
 }
 
+// Status snapshots the build as its wire form: the durable record plus
+// the live placement, read once under the build's lock and never under
+// the server's. The server publishes a settled build's status before it
+// closes the build's feed, so once the feed has closed this is final.
+func (b *Build) Status() api.BuildStatus {
+	b.mu.Lock()
+	r := b.BuildRec
+	st := api.BuildStatus{
+		ID:        r.ID,
+		Job:       r.Job,
+		Owner:     r.Owner,
+		State:     r.State,
+		Campaign:  r.Campaign,
+		Canceled:  r.Canceled,
+		Summary:   r.Summary,
+		Node:      r.Node,
+		Attempts:  r.Attempts,
+		Error:     r.Err,
+		NodeLost:  r.NodeLost,
+		Recovered: b.recovered,
+		FeedEpoch: r.FeedEpoch,
+		// Federation provenance: routed_via names the peer executing the
+		// build for its home server; home_server (carried on the relayed
+		// spec) names the submitting server for the peer executing it.
+		RoutedVia:      b.routedVia,
+		PlacementScore: b.placementScore,
+		QueuedAtNS:     r.QueuedAtNS,
+		StartedAtNS:    r.StartedAtNS,
+		FinishedAtNS:   r.FinishedAtNS,
+	}
+	if r.State == StateQueued.String() {
+		st.PendingReason = b.pendingReason
+	}
+	b.mu.Unlock()
+	if r.Spec != nil {
+		st.HomeServer = r.Spec.HomeServer
+	}
+	// Feed-loss counters: a streaming client that sees a non-zero value
+	// knows its replay is missing records instead of trusting a silently
+	// truncated stream.
+	st.DroppedEvents, st.DroppedSamples = b.feed.Dropped()
+	return st
+}
+
 // Log returns the console log so far.
 func (b *Build) Log() string {
 	b.mu.Lock()

@@ -158,7 +158,7 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 	x.events = x.events[:0]
 	for _, b := range x.builds {
 		b.touched = false
-		s.reads.publishBuild(buildStatus(b))
+		s.reads.publishBuild(b.Status())
 	}
 	clear(x.builds)
 	x.builds = x.builds[:0]

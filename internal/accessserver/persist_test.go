@@ -333,7 +333,7 @@ func TestRecoverBuilds(t *testing.T) {
 	if fin.State() != StateSuccess {
 		t.Fatalf("pre-crash build state = %v", fin.State())
 	}
-	preStatus, err := json.Marshal(buildStatus(fin))
+	preStatus, err := json.Marshal(fin.Status())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestRecoverBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stRec := buildStatus(rb)
+	stRec := rb.Status()
 	if !stRec.Recovered {
 		t.Fatal("recovered build not marked recovered")
 	}
@@ -941,7 +941,7 @@ func TestDroppedCountersOnStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainServer(t, clk, []*Build{b})
-	st := buildStatus(b)
+	st := b.Status()
 	if st.DroppedEvents != 5 {
 		t.Fatalf("dropped_events = %d, want 5", st.DroppedEvents)
 	}

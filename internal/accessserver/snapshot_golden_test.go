@@ -221,7 +221,7 @@ func TestGoldenSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recovered.Builds = append(recovered.Builds, buildStatus(b))
+		recovered.Builds = append(recovered.Builds, b.Status())
 	}
 	checkGolden(t, "snapshot.recovered.golden.json", goldenJSON(t, recovered))
 	checkLifecycle(t, srv, "recovered from the golden snapshot")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -115,21 +114,27 @@ func (p *Platform) watch(ctx context.Context, done <-chan struct{}, cancel func(
 // follow returns the handle of a submitted build, the i-th of its
 // campaign, and starts its follower: a goroutine that delivers the
 // build's feed to obs until the feed closes, which it does once the
-// build has settled, then reads the run's outcome and closes done.
+// build's terminal status is published, then reads the run from that
+// status, delivers the terminal PhaseDone and closes done.
 func (p *Platform) follow(owner *accessserver.User, b *accessserver.Build, i int, ws api.ExperimentSpec, obs []Observer) *Experiment {
 	e := &Experiment{platform: p, owner: owner, build: b, done: make(chan struct{})}
 	go func() {
-		e.deliver(ws.Node, ws.Device, obs)
-		e.run = outcome(i, b, ws)
+		posted := e.deliver(ws.Node, ws.Device, obs)
+		var last PhaseChange
+		e.run, last = RunOf(i, ws, b.Status(), posted, b.Workspace().Load)
 		e.setPhase(PhaseDone)
+		for _, o := range obs {
+			o.OnPhase(last)
+		}
 		close(e.done)
 	}()
 	return e
 }
 
-// deliver hands the build's feed to obs in order, holding the terminal
-// PhaseDone back until every sample is delivered.
-func (e *Experiment) deliver(node, device string, obs []Observer) {
+// deliver hands the build's feed to obs in order, up to its closing,
+// and returns the terminal PhaseDone it held back (nil when the feed
+// posted none).
+func (e *Experiment) deliver(node, device string, obs []Observer) *PhaseChange {
 	feed := e.build.Feed()
 	var nEvents, nSamples int
 	var last *PhaseChange
@@ -160,39 +165,53 @@ func (e *Experiment) deliver(node, device string, obs []Observer) {
 			}
 		}
 		if closed {
-			break
+			return last
 		}
 		<-changed
 	}
-	if last != nil {
-		for _, o := range obs {
-			o.OnPhase(*last)
-		}
-	}
 }
 
-// outcome reads a settled member build's run. The caller has seen the
-// build's feed closed, which the server does only after settling it, so
-// the build's record is final.
-func outcome(i int, b *accessserver.Build, ws api.ExperimentSpec) CampaignRun {
+// RunOf reads a settled build's run from its wire status: the one
+// reading of a build that an in-process Experiment (from its build's
+// Status) and a remote session (from the status it fetched once the
+// build's streams ended) share, so both handles report a run alike. i
+// and ws are the run's position and spec in its campaign; load fetches
+// one of the build's artifacts, from the workspace in-process and over
+// HTTP remotely. posted is the terminal PhaseDone the build's feed
+// carried, if any; RunOf returns it, or, for a build whose feed posted
+// none (a run canceled while queued), one stamped with the instant the
+// build settled and carrying the run's error.
+func RunOf(i int, ws api.ExperimentSpec, st api.BuildStatus, posted *PhaseChange, load func(string) ([]byte, error)) (CampaignRun, PhaseChange) {
 	run := CampaignRun{
-		Index: i, Build: b.ID,
+		Index: i, Build: st.ID,
 		Node: ws.Node, Device: ws.Device,
-		Started:  instant(b.StartedAtNS),
-		Finished: instant(b.FinishedAtNS),
+		Started:  instant(st.StartedAtNS),
+		Finished: instant(st.FinishedAtNS),
 	}
-	switch b.State() {
-	case accessserver.StateSuccess:
-		run.Result, run.Err = DecodeResult(b.Workspace().Load, b.Summary)
-	case accessserver.StateAborted:
-		run.Err = fmt.Errorf("%w: build %d aborted", ErrCanceled, b.ID)
+	switch {
+	case st.State == accessserver.StateSuccess.String():
+		run.Result, run.Err = DecodeResult(load, st.Summary)
+	case st.State == accessserver.StateAborted.String():
+		run.Err = fmt.Errorf("%w: build %d aborted", ErrCanceled, st.ID)
+	case st.State == api.StateExpired:
+		run.Err = fmt.Errorf("core: build %d expired from the server's retention window", st.ID)
+	case st.Canceled:
+		// The structured markers, never inferred from the message text,
+		// which the wire contract does not promise.
+		run.Err = fmt.Errorf("%w: build %d: %s", ErrCanceled, st.ID, st.Error)
+	case st.NodeLost:
+		// The scheduler spent its failover budget on dead vantage points.
+		run.Err = fmt.Errorf("%w: build %d: %s", ErrNodeLost, st.ID, st.Error)
 	default:
-		run.Err = b.Err()
-		if errors.Is(run.Err, accessserver.ErrNodeLost) {
-			run.Err = fmt.Errorf("%w: %v", ErrNodeLost, run.Err)
-		}
+		run.Err = fmt.Errorf("core: build %d failed: %s", st.ID, st.Error)
 	}
-	return run
+	if posted != nil {
+		return run, *posted
+	}
+	return run, PhaseChange{
+		Node: ws.Node, Device: ws.Device,
+		Phase: PhaseDone, At: run.Finished, Err: run.Err,
+	}
 }
 
 // instant converts a record's UnixNano stamp, 0 meaning never.

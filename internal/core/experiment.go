@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/automation"
 	"batterylab/internal/trace"
 )
@@ -114,10 +115,10 @@ type Result struct {
 // synchronously (a node that left, VPN or transport failures) are
 // returned here; later
 // failures reach onDone, which, when non-nil, is invoked exactly once
-// from the teardown path with the run's outcome. Observers are called
-// synchronously, on whatever context the run is on at the time, and
-// must not block.
-func (p *Platform) start(spec experimentSpec, obs []Observer, onDone func(*Result, error)) (*session, error) {
+// from the teardown path with the run's outcome. The run's phase events
+// and live samples are posted to feed, the feed of build, on whatever
+// context the run is on at the time; a post never blocks.
+func (p *Platform) start(spec experimentSpec, build int, feed *feedhub.Feed, onDone func(*Result, error)) (*session, error) {
 	ctl, err := p.Controller(spec.Node)
 	if err != nil {
 		return nil, err
@@ -129,12 +130,13 @@ func (p *Platform) start(spec experimentSpec, obs []Observer, onDone func(*Resul
 	spec = spec.withDefaults(dev.Battery().NominalVoltage())
 
 	s := &session{
-		clock:     p.clock,
-		spec:      spec,
-		ctl:       ctl,
-		dev:       dev,
-		observers: obs,
-		onDone:    onDone,
+		clock:  p.clock,
+		spec:   spec,
+		ctl:    ctl,
+		dev:    dev,
+		build:  build,
+		feed:   feed,
+		onDone: onDone,
 	}
 
 	// 1. Network location (§4.3).
@@ -143,16 +145,13 @@ func (p *Platform) start(spec experimentSpec, obs []Observer, onDone func(*Resul
 			return nil, err
 		}
 		s.vpnConnected = true
-		s.setPhase(PhaseVPNUp, "")
+		s.postPhase(PhaseVPNUp, "", nil)
 	}
 	fail := func(err error) (*session, error) {
 		s.teardownSetup()
-		// Observers that saw this run enter phases get the terminal
-		// event too, with the setup failure attached.
-		s.notifyPhase(PhaseChange{
-			Node: spec.Node, Device: spec.Device,
-			Phase: PhaseDone, At: p.clock.Now(), Err: err,
-		})
+		// A feed that saw this run enter phases gets the terminal event
+		// too, with the setup failure attached.
+		s.postPhase(PhaseDone, "", err)
 		return nil, err
 	}
 
@@ -161,7 +160,7 @@ func (p *Platform) start(spec experimentSpec, obs []Observer, onDone func(*Resul
 	if err := s.armTransport(); err != nil {
 		return fail(err)
 	}
-	s.setPhase(PhaseTransportArmed, "")
+	s.postPhase(PhaseTransportArmed, "", nil)
 
 	// 3. Mirroring (§3.2), before the monitor so its cost is measured.
 	if spec.Mirroring {
@@ -173,7 +172,7 @@ func (p *Platform) start(spec experimentSpec, obs []Observer, onDone func(*Resul
 			return fail(err)
 		}
 		s.mirrorActive = true
-		s.setPhase(PhaseMirrorOn, "")
+		s.postPhase(PhaseMirrorOn, "", nil)
 	}
 
 	// 4. Build the workload script up front so the scripted duration is

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
-	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 	"batterylab/internal/samples"
 	"batterylab/internal/trace"
@@ -56,12 +55,7 @@ func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 			spec.Node = name
 			spec.Device = ctx.Device
 		}
-		feed := ctx.Build.Feed()
-		var obs []Observer
-		if feed != nil {
-			obs = append(obs, feedObserver{build: ctx.Build.ID, feed: feed})
-		}
-		sess, err := p.start(spec, obs, func(res *Result, err error) {
+		sess, err := p.start(spec, ctx.Build.ID, ctx.Build.Feed(), func(res *Result, err error) {
 			if ctx.Stale() {
 				// The scheduler reclaimed this attempt (failover) and a
 				// retry owns the build now: writing artifacts or the
@@ -113,10 +107,7 @@ func saveRun(b *accessserver.Build, res *Result) error {
 		ws.Save(a.name, bin.Bytes())
 	}
 	ws.SaveView(ArtifactCurrentCSV, ArtifactCurrentTrace, renderCSV)
-	var droppedSamples int64
-	if feed := b.Feed(); feed != nil {
-		_, droppedSamples = feed.Dropped()
-	}
+	_, droppedSamples := b.Feed().Dropped()
 	summary := res.Current.Summary()
 	live := res.Current.Live()
 	b.SetSummary(api.RunSummary{
@@ -146,45 +137,7 @@ func renderCSV(bin []byte) ([]byte, error) {
 	return csv.Bytes(), nil
 }
 
-// feedObserver posts a session's progress into its build's feed. Both
-// callbacks run on the clock's dispatch context, and a feed append
-// never blocks (the buffers are bounded, drop-under-backpressure), so a
-// slow or stalled consumer downstream cannot stall the capture loop.
-type feedObserver struct {
-	build int
-	feed  *feedhub.Feed
-}
-
-// OnPhase implements Observer.
-func (o feedObserver) OnPhase(e PhaseChange) {
-	ev := api.BuildEvent{
-		Build:  o.build,
-		Node:   e.Node,
-		Device: e.Device,
-		Phase:  e.Phase.String(),
-		Step:   e.Step,
-		AtNS:   e.At.UnixNano(),
-	}
-	if e.Err != nil {
-		ev.Error = e.Err.Error()
-	}
-	o.feed.PostEvent(ev)
-}
-
-// OnSample implements Observer.
-func (o feedObserver) OnSample(s Sample) {
-	o.feed.PostSample(api.SamplePoint{
-		AtNS:      s.At.UnixNano(),
-		CurrentMA: s.CurrentMA,
-		N:         int64(s.Live.N),
-		MeanMA:    s.Live.Mean,
-		P50MA:     s.Live.P50,
-		P95MA:     s.Live.P95,
-		IntegralS: s.Live.IntegralSeconds,
-	})
-}
-
-// PhaseChangeOf inverts feedObserver.OnPhase: the PhaseChange a feed's
+// PhaseChangeOf inverts session.postPhase: the PhaseChange a feed's
 // event record carries. ok is false for a record that is no experiment
 // phase — a scheduler failover transition, or a phase a newer server
 // added.
@@ -206,7 +159,8 @@ func PhaseChangeOf(ev api.BuildEvent) (c PhaseChange, ok bool) {
 	return c, true
 }
 
-// SampleOf inverts feedObserver.OnSample. A feed's sample carries
+// SampleOf inverts the point a session posts each live sample as. A
+// feed's sample carries
 // neither the run's node and device, which its follower knows, nor the
 // live summary's spread (Std, Min, Max), which stays zero.
 func SampleOf(node, device string, pt api.SamplePoint) Sample {

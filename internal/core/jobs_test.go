@@ -338,7 +338,7 @@ func (b tapBackend) Compile(ws api.ExperimentSpec) (accessserver.Constraints, ac
 		return cons, nil, err
 	}
 	return cons, func(ctx *accessserver.BuildContext, done func(error)) {
-		sess, err := b.p.start(spec, nil, func(res *Result, err error) {
+		sess, err := b.p.start(spec, ctx.Build.ID, ctx.Build.Feed(), func(res *Result, err error) {
 			if err == nil {
 				if b.ran != nil {
 					b.ran(res)

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/adb"
+	"batterylab/internal/api"
 	"batterylab/internal/automation"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
@@ -160,14 +162,19 @@ func (o ObserverFuncs) OnSample(s Sample) {
 // session is one measurement in flight on a vantage point: setup,
 // monitor, workload, settle tail and teardown, driven by clock
 // callbacks. It is created by Platform.start, as a build's pipeline
-// body, and is safe for concurrent use.
+// body, and is safe for concurrent use. Its phase events and live
+// samples go to its build's feed. Every post runs on the clock's
+// dispatch context, and a feed append never blocks (the buffers are
+// bounded, drop-under-backpressure), so a slow or stalled consumer
+// downstream cannot stall the capture loop.
 type session struct {
-	clock     simclock.Clock
-	spec      experimentSpec
-	ctl       *controller.Controller
-	dev       *device.Device
-	observers []Observer
-	onDone    func(*Result, error)
+	clock  simclock.Clock
+	spec   experimentSpec
+	ctl    *controller.Controller
+	dev    *device.Device
+	build  int
+	feed   *feedhub.Feed
+	onDone func(*Result, error)
 
 	script   *automation.Script
 	scripted time.Duration
@@ -247,17 +254,14 @@ func (s *session) armTransport() error {
 	}
 }
 
-// instrument wraps the script's steps so observers see per-step
-// PhaseWorkload events; without observers the script runs untouched.
+// instrument wraps the script's steps so the feed carries per-step
+// PhaseWorkload events.
 func (s *session) instrument(script *automation.Script) *automation.Script {
-	if len(s.observers) == 0 {
-		return script
-	}
 	out := automation.NewScript(script.Name())
 	for _, st := range script.Steps() {
 		st := st
 		out.Add(st.Name, st.Wait, func() error {
-			s.setPhase(PhaseWorkload, st.Name)
+			s.postPhase(PhaseWorkload, st.Name, nil)
 			if st.Do == nil {
 				return nil
 			}
@@ -296,30 +300,39 @@ func (s *session) armed(armErr error) {
 	devCPU := trace.NewSeries("device-cpu", "percent")
 	devTicker := simclock.NewTicker(s.clock, s.spec.CPUSamplePeriod, func(now time.Time) {
 		devCPU.MustAppend(now, s.dev.CPU().UtilAt(now))
-		smp := Sample{
-			Node: s.spec.Node, Device: s.spec.Device,
-			At: now, CurrentMA: s.dev.CurrentMA(now),
-		}
-		if live, err := s.ctl.Monsoon().LiveSummary(); err == nil {
-			smp.Live = live
-		} else {
+		current := s.dev.CurrentMA(now)
+		live, err := s.ctl.Monsoon().LiveSummary()
+		s.mu.Lock()
+		switch {
+		case err != nil:
 			// A tick can race teardown's StopMonitor on the real clock;
 			// carry the last snapshot instead of a zero summary.
-			s.mu.Lock()
-			smp.Live = s.live
-			s.mu.Unlock()
+			live = s.live
+		case live.N >= s.live.N:
+			// The snapshot only moves forward; never regress it on a
+			// tick that lost a race with teardown.
+			s.live = live
 		}
-		s.notifySample(smp)
+		s.mu.Unlock()
+		s.feed.PostSample(api.SamplePoint{
+			AtNS:      now.UnixNano(),
+			CurrentMA: current,
+			N:         int64(live.N),
+			MeanMA:    live.Mean,
+			P50MA:     live.P50,
+			P95MA:     live.P95,
+			IntegralS: live.IntegralSeconds,
+		})
 	})
 	ctlCPU, stopCtlCPU := s.ctl.MonitorCPU(s.spec.CPUSamplePeriod)
 	s.mu.Lock()
 	s.devCPU, s.ctlCPU = devCPU, ctlCPU
 	s.devTicker, s.stopCtlCPU = devTicker, stopCtlCPU
 	s.mu.Unlock()
-	s.setPhase(PhaseMonitorArmed, "")
+	s.postPhase(PhaseMonitorArmed, "", nil)
 
 	// Run the workload; completion flows through finish exactly once.
-	s.setPhase(PhaseWorkload, "")
+	s.postPhase(PhaseWorkload, "", nil)
 	exec := automation.NewExecutor(s.clock)
 	run := exec.Run(s.script, s.scriptDone)
 	s.mu.Lock()
@@ -345,7 +358,7 @@ func (s *session) scriptDone(scriptErr error) {
 		return
 	}
 	// Hold the monitor through the padding tail, then collect.
-	s.setPhase(PhaseSettle, "")
+	s.postPhase(PhaseSettle, "", nil)
 	t := s.clock.AfterFunc(s.spec.Padding, func() { s.finish(nil) })
 	s.mu.Lock()
 	s.run = nil
@@ -373,8 +386,8 @@ func (s *session) teardownSetup() {
 }
 
 // finish tears the run down exactly once — monitor, then mirroring, then
-// VPN: the reverse of setup order — notifies observers and hands the
-// outcome to onDone.
+// VPN: the reverse of setup order — posts the terminal PhaseDone and
+// hands the outcome to onDone.
 func (s *session) finish(runErr error) {
 	s.mu.Lock()
 	if s.finished {
@@ -445,38 +458,25 @@ func (s *session) finish(runErr error) {
 	s.teardownOrder = order
 	s.mu.Unlock()
 
-	s.notifyPhase(PhaseChange{
-		Node: s.spec.Node, Device: s.spec.Device,
-		Phase: PhaseDone, At: s.clock.Now(), Err: err,
-	})
+	s.postPhase(PhaseDone, "", err)
 	if s.onDone != nil {
 		s.onDone(res, err)
 	}
 }
 
-// setPhase notifies observers of a phase transition.
-func (s *session) setPhase(p Phase, step string) {
-	s.notifyPhase(PhaseChange{
-		Node: s.spec.Node, Device: s.spec.Device,
-		Phase: p, At: s.clock.Now(), Step: step,
-	})
-}
-
-func (s *session) notifyPhase(e PhaseChange) {
-	for _, o := range s.observers {
-		o.OnPhase(e)
+// postPhase posts a phase transition to the run's feed; err is the
+// run's terminal error on PhaseDone. PhaseChangeOf decodes it.
+func (s *session) postPhase(p Phase, step string, err error) {
+	ev := api.BuildEvent{
+		Build:  s.build,
+		Node:   s.spec.Node,
+		Device: s.spec.Device,
+		Phase:  p.String(),
+		Step:   step,
+		AtNS:   s.clock.Now().UnixNano(),
 	}
-}
-
-func (s *session) notifySample(smp Sample) {
-	s.mu.Lock()
-	// Live summaries only move forward; never regress the handle's
-	// snapshot on a tick that lost a race with teardown.
-	if smp.Live.N >= s.live.N {
-		s.live = smp.Live
+	if err != nil {
+		ev.Error = err.Error()
 	}
-	s.mu.Unlock()
-	for _, o := range s.observers {
-		o.OnSample(smp)
-	}
+	s.feed.PostEvent(ev)
 }

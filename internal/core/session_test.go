@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 	"batterylab/internal/automation"
 	"batterylab/internal/controller"
@@ -63,7 +64,8 @@ func (r *recorder) phaseSeq() []Phase {
 
 // direct is a run on the session runner itself, outside any build:
 // what a build's pipeline body starts, for the tests of the runner's
-// own setup, cancellation and teardown.
+// own setup, cancellation and teardown. Its feed is build 1's on a hub
+// of its own.
 type direct struct {
 	sess *session
 	done chan struct{}
@@ -71,10 +73,10 @@ type direct struct {
 	err  error
 }
 
-func startDirect(t *testing.T, p *Platform, spec experimentSpec, obs ...Observer) *direct {
+func startDirect(t *testing.T, p *Platform, spec experimentSpec) *direct {
 	t.Helper()
 	d := &direct{done: make(chan struct{})}
-	sess, err := p.start(spec, obs, func(res *Result, err error) {
+	sess, err := p.start(spec, 1, feedhub.New(nil).Create(1, 0), func(res *Result, err error) {
 		d.res, d.err = res, err
 		close(d.done)
 	})

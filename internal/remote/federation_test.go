@@ -3,10 +3,13 @@ package remote_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -182,7 +185,7 @@ func (fl *fedLab) campaignSpec() api.CampaignSpec {
 
 // runFederated submits the campaign to A, waits it out, and returns the
 // per-node home-server summaries plus the runs and sessions.
-func runFederated(t *testing.T, fl *fedLab, client *remote.Platform, log *progressLog) (map[string]api.RunSummary, []remote.CampaignRun, []*remote.Session) {
+func runFederated(t *testing.T, fl *fedLab, client *remote.Platform, log *progressLog) (map[string]api.RunSummary, []core.CampaignRun, []*remote.Session) {
 	t.Helper()
 	ctx := context.Background()
 
@@ -389,6 +392,20 @@ func TestFederationRoundTrip(t *testing.T) {
 		}
 	})
 
+	// The routed build's home feed keeps each sample's live summary: what
+	// home serves as NDJSON is the peer's own sample stream, n, mean,
+	// quantiles and charge integral included.
+	t.Run("routed live summary", func(t *testing.T) {
+		home := ndjsonSamples(t, client, routed)
+		peer := ndjsonSamples(t, peerClient, 1) // B's only build
+		if len(home) == 0 || home[len(home)-1].N == 0 {
+			t.Fatalf("home served %d samples for the routed build, the last with n = 0", len(home))
+		}
+		if !reflect.DeepEqual(home, peer) {
+			t.Fatalf("home served %d samples, the peer %d: they differ", len(home), len(peer))
+		}
+	})
+
 	// Determinism: a fresh federation, same seeds, same campaign —
 	// bit-identical summaries again.
 	fl2 := newFedLab(t)
@@ -398,6 +415,32 @@ func TestFederationRoundTrip(t *testing.T) {
 			t.Errorf("%s: second federated run %+v != first %+v", node, got, want)
 		}
 	}
+}
+
+// ndjsonSamples reads a finished build's whole sample feed as NDJSON.
+func ndjsonSamples(t *testing.T, client *remote.Platform, build int) []api.SamplePoint {
+	t.Helper()
+	var pts []api.SamplePoint
+	err := client.Follow(context.Background(), build, &remote.Stream{
+		Route: "samples?format=ndjson",
+		Consume: func(body io.Reader) (int, error) {
+			dec := json.NewDecoder(body)
+			for n := 0; ; n++ {
+				var pt api.SamplePoint
+				if err := dec.Decode(&pt); err != nil {
+					if err == io.EOF {
+						err = nil
+					}
+					return n, err
+				}
+				pts = append(pts, pt)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 // TestFederationPeerLossFailover kills the executing peer mid-run: the

@@ -37,7 +37,7 @@ type feedStep struct {
 }
 
 // scriptedUpstream is an access server reduced to one build, id 1, whose
-// sample feed is scripted connection by connection: what no real server
+// sample feed is scripted connection by connection, in either encoding: what no real server
 // does on cue — start at a feed epoch past 0, cut a stream at a chosen
 // point, move the epoch between two connections. Status reads report
 // the epoch of the step the next connection will serve, and the state
@@ -102,10 +102,19 @@ func (up *scriptedUpstream) serveSamples(w http.ResponseWriter, r *http.Request)
 	if st.cut >= 0 {
 		end = st.cut
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	ndjson := r.URL.Query().Get("format") == "ndjson"
+	ctype := "application/octet-stream"
+	if ndjson {
+		ctype = "application/x-ndjson"
+	}
+	w.Header().Set("Content-Type", ctype)
 	w.WriteHeader(http.StatusOK)
 	for i := from; i < end; i++ {
-		api.WriteSampleFrame(w, st.pts[i:i+1])
+		if ndjson {
+			json.NewEncoder(w).Encode(st.pts[i])
+		} else {
+			api.WriteSampleFrame(w, st.pts[i:i+1])
+		}
 	}
 	w.(http.Flusher).Flush()
 	up.mu.Lock()
@@ -158,7 +167,7 @@ func followSession(t *testing.T, up *scriptedUpstream) ([]float64, *remote.Sessi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Wait(nil); err == nil || err.Error() != "remote: build 1 failed: scripted run over" {
+	if _, err := sess.Wait(nil); err == nil || err.Error() != "core: build 1 failed: scripted run over" {
 		t.Fatalf("session ended with %v, want the scripted failure", err)
 	}
 	mu.Lock()

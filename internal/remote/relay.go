@@ -43,7 +43,11 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 	// An epoch reset (the peer restarted and recovered the build) needs
 	// no Restart: the recovered build re-executes, its feed is a fresh
 	// capture, and the sink takes it as it comes.
-	err = p.followStreams(ctx, build, eventStream(sink.Event), sampleStream(sink.Sample))
+	// The samples come as NDJSON, not binary frames: only NDJSON carries
+	// each point's live summary (n, mean, P50/P95, charge integral), which
+	// the home feed serves on. At the live cadence the cost is
+	// negligible.
+	err = p.followStreams(ctx, build, ndjsonStream("events", sink.Event), ndjsonStream("samples?format=ndjson", sink.Sample))
 	if ctx.Err() != nil {
 		// The home scheduler reclaimed the attempt (abort, failover):
 		// propagate the cancel so the peer tears the measurement down

@@ -17,13 +17,20 @@
 //     Observers receive the same PhaseChange/Sample callbacks a local
 //     session would deliver; Sample.Live is re-aggregated client-side
 //     from the live feed.
-//  3. When the build finishes, the session fetches the run summary and
-//     the workspace artifacts — the binary current and CPU traces — and
-//     reconstructs a *core.Result with core.DecodeResult, as a local
-//     run does. Because the binary codec is lossless and the streaming
-//     aggregators are recomputed in append order, the result is
-//     bit-identical to the server's (and to a local run of the same
-//     spec).
+//  3. When the streams end, the session reads the build's terminal
+//     status once and turns it into a core.CampaignRun with core.RunOf,
+//     the one reading an in-process core.Experiment gives its build
+//     too: a success's *core.Result is rebuilt by core.DecodeResult
+//     from the workspace artifacts (the binary current and CPU traces),
+//     a failure has the local error text and sentinels, and both carry
+//     the build's start and finish instants on the server's clock. The
+//     terminal PhaseDone is the one the feed carried or, for a build
+//     that posted none (canceled while queued), one stamped with the
+//     build's finish instant. Because the binary codec is lossless and
+//     the streaming aggregators are recomputed in append order, the
+//     result is bit-identical to the server's (and to a local run of
+//     the same spec). A campaign's Wait returns the same runs a local
+//     campaign's does.
 //
 // The client is resilient to transient failures: idempotent requests
 // retry with exponential backoff and jitter (see RetryPolicy), and a
@@ -417,7 +424,9 @@ func (p *Platform) StartExperiment(ctx context.Context, spec api.ExperimentSpec,
 	if err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/experiments"), spec, &resp); err != nil {
 		return nil, err
 	}
-	return p.followBuild(ctx, resp.Build, spec.Node, spec.Device, obs), nil
+	s := p.followBuild(0, resp.Build, spec, obs)
+	watch(ctx, s.done, s.Cancel)
+	return s, nil
 }
 
 // StartCampaign submits a campaign and returns a handle over its
@@ -433,8 +442,7 @@ func (p *Platform) StartCampaign(ctx context.Context, spec api.CampaignSpec, obs
 	}
 	c := &Campaign{p: p, ID: resp.Campaign, done: make(chan struct{})}
 	for i, build := range resp.Builds {
-		exp := spec.Experiments[i]
-		c.sessions = append(c.sessions, p.followBuild(ctx, build, exp.Node, exp.Device, obs))
+		c.sessions = append(c.sessions, p.followBuild(i, build, spec.Experiments[i], obs))
 	}
 	go func() {
 		for _, s := range c.sessions {
@@ -442,18 +450,35 @@ func (p *Platform) StartCampaign(ctx context.Context, spec api.CampaignSpec, obs
 		}
 		close(c.done)
 	}()
+	watch(ctx, c.done, c.Cancel)
 	return c, nil
+}
+
+// watch cancels a handle when ctx ends before done closes.
+func watch(ctx context.Context, done <-chan struct{}, cancel func()) {
+	if ctx.Done() == nil {
+		return
+	}
+	go func() {
+		select {
+		case <-ctx.Done():
+			cancel()
+		case <-done:
+		}
+	}()
 }
 
 // Session is a handle to one in-flight remote build. It satisfies the
 // same Wait/Cancel/Done/Phase shape as core.Experiment.
 type Session struct {
-	p      *Platform
-	build  int
-	node   string
-	device string
-	obs    []core.Observer
+	p     *Platform
+	index int // the run's position in its campaign
+	spec  api.ExperimentSpec
+	build int
+	obs   []core.Observer
 
+	// run is written by finalize before done closes.
+	run  core.CampaignRun
 	done chan struct{}
 
 	mu        sync.Mutex
@@ -461,43 +486,32 @@ type Session struct {
 	doneEvent *core.PhaseChange
 	agg       *samples.StreamSummary
 	live      samples.LiveSummary
-	res       *core.Result
-	err       error
 	canceled  bool
 }
 
-// followBuild attaches streams to a submitted build and returns its
-// session.
-func (p *Platform) followBuild(ctx context.Context, build int, node, device string, obs []core.Observer) *Session {
+// followBuild attaches streams to a submitted build, the i-th of its
+// campaign, and returns its session.
+func (p *Platform) followBuild(i, build int, spec api.ExperimentSpec, obs []core.Observer) *Session {
 	// Streams live on their own context: they must outlast the submit
-	// ctx's happy path and end when the build does. The submit ctx is
-	// still honored for cancellation semantics below.
+	// ctx's happy path and end when the build does; the submit ctx
+	// cancels the build instead (watch).
 	sctx, scancel := context.WithCancel(context.Background())
 	s := &Session{
-		p:      p,
-		build:  build,
-		node:   node,
-		device: device,
-		obs:    obs,
-		done:   make(chan struct{}),
-		agg:    samples.NewStreamSummary(),
+		p:     p,
+		index: i,
+		spec:  spec,
+		build: build,
+		obs:   obs,
+		done:  make(chan struct{}),
+		agg:   samples.NewStreamSummary(),
 	}
 	sampled := sampleStream(s.handleSample)
 	sampled.Restart = s.resetLive
 	go func() {
-		s.finalize(sctx, p.followStreams(sctx, build, eventStream(s.handleEvent), sampled))
+		s.finalize(sctx, p.followStreams(sctx, build, ndjsonStream("events", s.handleEvent), sampled))
 		scancel()
 		close(s.done)
 	}()
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.Cancel()
-			case <-s.done:
-			}
-		}()
-	}
 	return s
 }
 
@@ -515,13 +529,6 @@ func (s *Session) Phase() core.Phase {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.phase
-}
-
-// Result reports the outcome once Done is closed ((nil, nil) before).
-func (s *Session) Result() (*core.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.res, s.err
 }
 
 // Cancel asks the server to abort the build (queued: dropped from the
@@ -560,7 +567,7 @@ func (s *Session) Wait(ctx context.Context) (*core.Result, error) {
 		s.Cancel()
 		<-s.done
 	}
-	return s.Result()
+	return s.run.Result, s.run.Err
 }
 
 // Stream is one follower of a build's event or sample stream, as Follow
@@ -691,20 +698,21 @@ func (p *Platform) terminalStatus(ctx context.Context, build int) (api.BuildStat
 	return st, err
 }
 
-// eventStream reads the NDJSON event stream, handing each event to each
-// in order.
-func eventStream(each func(api.BuildEvent)) *Stream {
-	return &Stream{Route: "events", Consume: func(body io.Reader) (int, error) {
+// ndjsonStream reads an NDJSON stream of records at route — the events,
+// or the samples with every field of their live summary — handing each
+// record to each in order.
+func ndjsonStream[T any](route string, each func(T)) *Stream {
+	return &Stream{Route: route, Consume: func(body io.Reader) (int, error) {
 		dec := json.NewDecoder(body)
 		for n := 0; ; n++ {
-			var ev api.BuildEvent
-			if err := dec.Decode(&ev); err != nil {
+			var rec T
+			if err := dec.Decode(&rec); err != nil {
 				if err == io.EOF {
 					err = nil
 				}
 				return n, err
 			}
-			each(ev)
+			each(rec)
 		}
 	}}
 }
@@ -763,7 +771,7 @@ func (s *Session) handleSample(pt api.SamplePoint) {
 	s.mu.Lock()
 	s.live = live
 	s.mu.Unlock()
-	smp := core.SampleOf(s.node, s.device, pt)
+	smp := core.SampleOf(s.spec.Node, s.spec.Device, pt)
 	smp.Live = live
 	for _, o := range s.obs {
 		o.OnSample(smp)
@@ -782,61 +790,33 @@ func (s *Session) resetLive() error {
 }
 
 // finalize runs after both streams end: read the terminal build state
-// once (unless a stream ended broken — then err says why, and the
-// observers missed records a local session would have delivered),
-// reconstruct the Result from the workspace artifacts, and deliver the
-// withheld PhaseDone event.
+// once and turn it into the run with core.RunOf, fetching the
+// workspace artifacts to rebuild a success's Result, then deliver the
+// terminal PhaseDone. When a stream ended broken or the status cannot be
+// read, err says why, the observers missed records a local handle
+// would have delivered, and there is no run to read: the run fails with
+// err.
 func (s *Session) finalize(ctx context.Context, err error) {
 	var st api.BuildStatus
 	if err == nil {
 		st, err = s.p.terminalStatus(ctx, s.build)
 	}
-	var res *core.Result
-	var runErr error
-	switch {
-	case err != nil:
-		runErr = err
-	case st.State == "success":
-		res, runErr = core.DecodeResult(func(name string) ([]byte, error) {
+	var last core.PhaseChange
+	if err == nil {
+		// The streams have ended, so handleEvent no longer writes
+		// doneEvent.
+		s.run, last = core.RunOf(s.index, s.spec, st, s.doneEvent, func(name string) ([]byte, error) {
 			return s.Artifact(ctx, name)
-		}, st.Summary)
-	case st.State == "aborted":
-		runErr = fmt.Errorf("%w: build %d aborted", core.ErrCanceled, s.build)
-	case st.State == api.StateExpired:
-		runErr = fmt.Errorf("remote: build %d expired from the server's retention window", s.build)
-	default: // failure
-		msg := st.Error
-		if msg == "" {
-			msg = "build " + st.State
-		}
-		switch {
-		case st.Canceled:
-			// Structured cancellation marker — never inferred from the
-			// message text, which the wire contract does not promise.
-			runErr = fmt.Errorf("%w: remote: %s", core.ErrCanceled, msg)
-		case st.NodeLost:
-			// Structured node-loss marker: the scheduler spent its
-			// failover budget on dead vantage points.
-			runErr = fmt.Errorf("%w: remote: %s", core.ErrNodeLost, msg)
-		default:
-			runErr = fmt.Errorf("remote: build %d failed: %s", s.build, msg)
-		}
+		})
+	} else {
+		s.run = core.CampaignRun{Index: s.index, Build: s.build, Node: s.spec.Node, Device: s.spec.Device, Err: err}
+		last = core.PhaseChange{Node: s.spec.Node, Device: s.spec.Device, Phase: core.PhaseDone, Err: err}
 	}
-
 	s.mu.Lock()
-	s.res, s.err = res, runErr
 	s.phase = core.PhaseDone
-	doneEvent := s.doneEvent
 	s.mu.Unlock()
-
-	if doneEvent == nil {
-		doneEvent = &core.PhaseChange{
-			Node: s.node, Device: s.device,
-			Phase: core.PhaseDone, At: time.Now(), Err: runErr,
-		}
-	}
 	for _, o := range s.obs {
-		o.OnPhase(*doneEvent)
+		o.OnPhase(last)
 	}
 }
 
@@ -854,55 +834,39 @@ type Campaign struct {
 	done     chan struct{}
 }
 
-// CampaignRun is one experiment's outcome within a remote campaign.
-type CampaignRun struct {
-	Index  int
-	Build  int
-	Node   string
-	Device string
-	Result *core.Result
-	Err    error
-}
-
 // Done returns a channel closed when every run has finished.
 func (c *Campaign) Done() <-chan struct{} { return c.done }
 
-// Cancel aborts every build in the campaign.
+// Cancel aborts every build in the campaign that has not settled.
+// Members go last to first, as an in-process campaign's do, so queued
+// ones leave the server's queue before the running ones ahead of them
+// free their nodes: first to last, the server could dispatch the next
+// member between two requests — a device setup for a run nobody wants.
 func (c *Campaign) Cancel() {
-	for _, s := range c.sessions {
-		s.Cancel()
+	for i := len(c.sessions) - 1; i >= 0; i-- {
+		c.sessions[i].Cancel()
 	}
 }
 
-// Runs snapshots the per-run outcomes in spec order (final only once
-// Done is closed).
-func (c *Campaign) Runs() []CampaignRun {
-	out := make([]CampaignRun, len(c.sessions))
-	for i, s := range c.sessions {
-		res, err := s.Result()
-		out[i] = CampaignRun{
-			Index: i, Build: s.build,
-			Node: s.node, Device: s.device,
-			Result: res, Err: err,
-		}
-	}
-	return out
-}
-
-// Wait blocks until every run completes and returns the aggregated
-// outcomes. Cancelling ctx cancels the remaining builds, waits for them
-// to settle and returns ctx's error — the contract of an in-process
-// campaign's Wait, which queues on the same kind of server.
-func (c *Campaign) Wait(ctx context.Context) ([]CampaignRun, error) {
+// Wait blocks until every run completes and returns the outcomes in
+// spec order. Cancelling ctx cancels the remaining builds, waits for
+// them to settle and returns ctx's error — the contract of an
+// in-process campaign's Wait, which queues on the same kind of server.
+func (c *Campaign) Wait(ctx context.Context) ([]core.CampaignRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	var err error
 	select {
 	case <-c.done:
-		return c.Runs(), nil
 	case <-ctx.Done():
 		c.Cancel()
 		<-c.done
-		return c.Runs(), ctx.Err()
+		err = ctx.Err()
 	}
+	runs := make([]core.CampaignRun, len(c.sessions))
+	for i, s := range c.sessions {
+		runs[i] = s.run
+	}
+	return runs, err
 }
