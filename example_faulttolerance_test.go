@@ -1,13 +1,4 @@
-// Fault tolerance tour: a measurement campaign across two vantage
-// points survives one of them dying mid-run. Both nodes are
-// health-monitored (heartbeat probes on the platform clock); 30
-// seconds into the campaign the failure injector kills node2. Its
-// in-flight build hangs, the lease watchdog reclaims it, and fallback
-// placement requeues it — plus node2's still-queued work — onto the
-// surviving node. The whole story runs on the virtual clock, so the
-// sequence of health transitions, failovers and completions is
-// deterministic down to the timestamp.
-package main
+package batterylab_test
 
 import (
 	"fmt"
@@ -20,7 +11,16 @@ import (
 	"batterylab/internal/api"
 )
 
-func main() {
+// Fault tolerance tour: a measurement campaign across two vantage
+// points survives one of them dying mid-run. Both nodes are
+// health-monitored (heartbeat probes on the platform clock); 30 seconds
+// into the campaign the failure injector kills node2. Its in-flight
+// build hangs, the lease watchdog reclaims it, and fallback placement
+// requeues it — plus node2's still-queued work — onto the surviving
+// node. The whole story runs on the virtual clock, so the sequence of
+// health transitions, failovers and completions is deterministic down
+// to the timestamp.
+func Example_faultTolerance() {
 	clock := batterylab.VirtualClock()
 	plat, err := batterylab.NewPlatform(clock, 2019)
 	if err != nil {
@@ -101,7 +101,7 @@ func main() {
 		log.Fatal("campaign: ", err)
 	}
 
-	fmt.Printf("campaign finished at t=%s\n\n", clock.Now().Sub(start))
+	fmt.Printf("campaign finished at t=%s\n", clock.Now().Sub(start))
 	for i, b := range builds {
 		detail := ""
 		if b.Retries() > 0 {
@@ -110,7 +110,6 @@ func main() {
 		fmt.Printf("  build %d: %-8s on %s (attempt %d)%s\n",
 			i+1, b.State(), b.NodeName(), b.Attempts(), detail)
 	}
-	fmt.Println()
 	for _, b := range builds {
 		evs, _, _ := b.Feed().EventsSince(0)
 		for _, e := range evs {
@@ -119,5 +118,20 @@ func main() {
 			}
 		}
 	}
-	fmt.Println("\nall measurements completed on surviving hardware — no build was lost")
+	fmt.Println("all measurements completed on surviving hardware — no build was lost")
+
+	// Output:
+	// campaign submitted: 4 builds across 2 vantage points
+	// t=0s     node1 is online
+	// t=0s     node2 is online
+	// t=30s    node2 killed (heartbeats stop)
+	// t=45s    node2 is suspect
+	// t=1m15s  node2 is offline
+	// campaign finished at t=8m4.04s
+	//   build 1: success  on node1 (attempt 1)
+	//   build 2: success  on node1 (attempt 2) after 1 failover(s)
+	//   build 3: success  on node1 (attempt 1)
+	//   build 4: success  on node1 (attempt 1)
+	//   feed: build 2 failover — node "node2" offline (last heartbeat 1m0s ago)
+	// all measurements completed on surviving hardware — no build was lost
 }

@@ -26,8 +26,9 @@ import (
 // pipeline saves at build finish.
 const defaultTraceArtifact = "current.trace"
 
-// serveAnalytics handles one analytics query for an authorized build.
-func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build) {
+// serveAnalytics handles one analytics query for an authorized build,
+// read from its published cell.
+func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, ss *servedStatus) {
 	start := time.Now()
 	q := r.URL.Query()
 	artifact := q.Get("artifact")
@@ -53,11 +54,14 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 		return
 	}
 
-	// Only finished builds are served: before the terminal transition
-	// the trace artifact does not exist (or is mid-replacement during a
-	// failover re-run), and a stable answer is what makes it cacheable.
-	if st := b.State(); !st.Terminal() {
-		writeError(w, fmt.Errorf("%w: build %d is %s; analytics needs a finished build", ErrConflict, b.ID, st))
+	// Only builds whose published status is terminal are served: before
+	// the terminal transition the trace artifact does not exist (or is
+	// mid-replacement during a failover re-run), a settlement is not
+	// shown before it is logged, and a stable answer is what makes it
+	// cacheable.
+	st := &ss.st
+	if !st.Terminal() {
+		writeError(w, fmt.Errorf("%w: build %d is %s; analytics needs a finished build", ErrConflict, st.ID, st.State))
 		return
 	}
 
@@ -69,7 +73,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 	}
 
 	key := fmt.Sprintf("%d|%d|%s|%s|%d|%s",
-		b.ID, b.FeedEpoch(), b.State(), artifact, windowNS, strings.Join(fields, ","))
+		st.ID, st.FeedEpoch, st.State, artifact, windowNS, strings.Join(fields, ","))
 	if body, ok := s.analyticsCache.Get(key); ok {
 		s.m.analyticsHits.Inc()
 		serve(body, "hit")
@@ -77,7 +81,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 	}
 	s.m.analyticsMisses.Inc()
 
-	data, err := b.Workspace().Load(artifact)
+	data, err := ss.ws.Load(artifact)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -91,7 +95,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, b *Build
 		}
 		return
 	}
-	res.BuildID = b.ID
+	res.BuildID = st.ID
 
 	body, err := json.Marshal(res)
 	if err != nil {

@@ -190,22 +190,27 @@ func (rp *readPlane) buildStatus(id int) (api.BuildStatus, bool) {
 	return api.BuildStatus{}, false
 }
 
-// TestReadPlaneExpiry: an evicted build no longer resolves (the status
-// route then asks the feed hub, which answers expired), and an evicted
-// campaign is told apart from one that never existed by the high-water
-// mark — including a mark restored far above zero.
+// TestReadPlaneExpiry: an evicted build or campaign no longer resolves,
+// and is told apart from one that never existed by its high-water mark —
+// including a mark restored far above zero.
 func TestReadPlaneExpiry(t *testing.T) {
 	rp := newReadPlane()
 	for id := 1; id <= 3; id++ {
-		rp.publishBuild(api.BuildStatus{ID: id, State: "queued"})
+		rp.publishBuild(api.BuildStatus{ID: id, State: "queued"}, nil, nil)
 	}
-	rp.publishBuild(api.BuildStatus{ID: 2, State: "success"})
+	rp.highBuild.Store(3) // as a server's section exit does for new builds
+	rp.publishBuild(api.BuildStatus{ID: 2, State: "success"}, nil, nil)
 	rp.removeBuild(2)
 	if _, ok := rp.buildStatus(2); ok {
 		t.Fatal("evicted build still served")
 	}
 	if st, ok := rp.buildStatus(3); !ok || st.State != "queued" {
 		t.Fatalf("neighbour of an evicted build = %+v, %v", st, ok)
+	}
+	for id, want := range map[int]bool{2: true, 4: false, 0: false, -1: false} {
+		if ss, expired := rp.build(id); ss != nil || expired != want {
+			t.Fatalf("build(%d) = %v, expired %v; want no cell, expired %v", id, ss, expired, want)
+		}
 	}
 
 	members := []int{1, 2, 3}

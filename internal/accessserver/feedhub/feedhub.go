@@ -1,6 +1,8 @@
 // Package feedhub is the access server's feed plane: per-build event/
-// sample streams and the registry that resolves streaming subscriptions
-// without touching scheduler state.
+// sample streams and their lifecycle (create, close, evict). Which build
+// ids exist, live or expired, is the read plane's to say: it publishes
+// each build's feed beside its status, so a reader resolves both with
+// one lock-free lookup.
 //
 // The hub exists to split the server into two lock domains. The
 // scheduler lock (s.mu) orders dispatch, failover and settlement; the
@@ -11,10 +13,6 @@
 // the old "close the feed after releasing s.mu" contract the scheduler
 // used to carry (and occasionally violate) when feeds hung off the
 // build struct.
-//
-// Streaming HTTP handlers resolve a build id to its feed through
-// Resolve alone, so thousands of dashboard subscribers never contend
-// with dispatch.
 package feedhub
 
 import (
@@ -201,23 +199,11 @@ func (f *Feed) Dropped() (events, samples int64) {
 	return f.droppedEvents, f.droppedSamples
 }
 
-// Status classifies a build id for the streaming routes.
-type Status int
-
-const (
-	// StatusUnknown: the id was never issued (404).
-	StatusUnknown Status = iota
-	// StatusLive: a feed is registered — open, or closed and still
-	// replayable until retention evicts it.
-	StatusLive
-	// StatusExpired: the id was issued but retention evicted its feed;
-	// only a tombstone remains.
-	StatusExpired
-)
-
-// Hub is the epoch-aware feed registry. One hub serves one access
-// server; the scheduler drives lifecycle through Create/Close/Remove
-// and the streaming handlers resolve subscriptions through Resolve.
+// Hub is the feed lifecycle of one access server: the scheduler creates
+// a build's feed when it issues the id, closes it when the build settles
+// and removes it when retention evicts the build. It resolves nothing for
+// readers: a read route finds a build's feed in the server's read plane,
+// beside the build's published status.
 //
 // Lock rule: h.mu (and each feed's lock) is a leaf. Hub methods may be
 // called while holding any scheduler lock; hub methods never call out.
@@ -225,41 +211,23 @@ type Hub struct {
 	stats Stats
 
 	mu    sync.Mutex
-	feeds map[int]*entry
-	// high is the highest build id ever registered (or declared via
-	// SetHighWater after recovery): ids at or below it that are no
-	// longer registered have expired rather than never existed.
-	high int
-
-	// tomb is a permanently closed feed returned for evicted ids, so a
-	// late producer posts into a drop-everything sink instead of nil.
-	tomb *Feed
-}
-
-type entry struct {
-	feed  *Feed
-	epoch int
+	feeds map[int]*Feed
 }
 
 // New returns an empty hub. st may be nil.
 func New(st Stats) *Hub {
-	tomb := NewFeed(nil)
-	tomb.Close()
-	return &Hub{stats: st, feeds: make(map[int]*entry), tomb: tomb}
+	return &Hub{stats: st, feeds: make(map[int]*Feed)}
 }
 
-// Create registers a fresh feed for build id at the given epoch
-// (epochs count feed restarts across server recoveries; streaming
-// clients use them to invalidate stale resume cursors). Re-creating an
-// id replaces its entry.
+// Create registers a fresh feed for build id. The epoch (how many times
+// the build's feed started over, once per server recovery) is not kept:
+// readers take it from the build's published status. Re-creating an id
+// replaces its feed.
 func (h *Hub) Create(id, epoch int) *Feed {
 	f := NewFeed(h.stats)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.feeds[id] = &entry{feed: f, epoch: epoch}
-	if id > h.high {
-		h.high = id
-	}
+	h.feeds[id] = f
 	return f
 }
 
@@ -268,63 +236,22 @@ func (h *Hub) Create(id, epoch int) *Feed {
 // a no-op. Safe under any scheduler lock.
 func (h *Hub) Close(id int) {
 	h.mu.Lock()
-	e := h.feeds[id]
+	f := h.feeds[id]
 	h.mu.Unlock()
-	if e != nil {
-		e.feed.Close()
+	if f != nil {
+		f.Close()
 	}
 }
 
-// Remove evicts build id's feed (retention expiry). The feed is closed
-// first so stragglers drain; subsequent Resolve calls report expiry.
+// Remove evicts build id's feed (retention expiry), closing it first so
+// stragglers drain.
 func (h *Hub) Remove(id int) {
 	h.mu.Lock()
-	e := h.feeds[id]
+	f := h.feeds[id]
 	delete(h.feeds, id)
 	h.mu.Unlock()
-	if e != nil {
-		e.feed.Close()
-	}
-}
-
-// Feed returns build id's feed, or a permanently closed sink when the
-// id is unknown or evicted — producers can always post without a nil
-// check, and posts to evicted builds are counted as drops by the sink
-// (locally, not in Stats).
-func (h *Hub) Feed(id int) *Feed {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.feeds[id]; ok {
-		return e.feed
-	}
-	return h.tomb
-}
-
-// Resolve maps a build id to its feed for a streaming subscription:
-// the feed and epoch when live, or a status explaining its absence.
-// This is the data plane's only lookup — it never touches scheduler
-// state.
-func (h *Hub) Resolve(id int) (f *Feed, epoch int, st Status) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.feeds[id]; ok {
-		return e.feed, e.epoch, StatusLive
-	}
-	if id >= 1 && id <= h.high {
-		return nil, 0, StatusExpired
-	}
-	return nil, 0, StatusUnknown
-}
-
-// SetHighWater raises the id high-water mark. Recovery calls it with
-// the highest id ever issued so ids whose records expired before the
-// restart (no feed to re-create) still resolve as expired, not
-// unknown.
-func (h *Hub) SetHighWater(id int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if id > h.high {
-		h.high = id
+	if f != nil {
+		f.Close()
 	}
 }
 

@@ -19,54 +19,42 @@ func (c *countStats) EventDropped()  { c.eventsDropped.Add(1) }
 func (c *countStats) SamplePosted()  { c.samplesPosted.Add(1) }
 func (c *countStats) SampleDropped() { c.samplesDropped.Add(1) }
 
+// TestHubLifecycle: Create registers an open feed, Close closes it and
+// keeps it registered, and Remove closes and unregisters it. The hub
+// resolves nothing for readers; a holder of the feed waits on its change
+// channel, which Close fires.
 func TestHubLifecycle(t *testing.T) {
 	h := New(nil)
-
-	// Unknown id: tombstone feed, unknown status, epoch 0.
-	if _, _, st := h.Resolve(1); st != StatusUnknown {
-		t.Fatalf("resolve before create = %v, want unknown", st)
-	}
-	if f := h.Feed(1); f == nil || !f.Closed() {
-		t.Fatal("unknown id must yield the closed tombstone, not nil")
-	}
+	h.Close(1) // unknown ids are a no-op
+	h.Remove(1)
 
 	f := h.Create(1, 3)
-	if got, epoch, st := h.Resolve(1); st != StatusLive || got != f || epoch != 3 {
-		t.Fatalf("resolve live = (%p, %d, %v), want (%p, 3, live)", got, epoch, st, f)
-	}
-	if h.Epoch(1) != 3 || h.Len() != 1 {
-		t.Fatalf("epoch=%d len=%d", h.Epoch(1), h.Len())
+	if f.Closed() || h.Len() != 1 {
+		t.Fatalf("after create: closed %v, len %d", f.Closed(), h.Len())
 	}
 
-	// Close keeps the feed registered and replayable.
+	// Close keeps the feed registered and replayable, and wakes a waiter.
 	f.PostEvent(api.BuildEvent{Phase: "run"})
+	_, _, changed := f.EventsSince(1)
 	h.Close(1)
-	if _, _, st := h.Resolve(1); st != StatusLive {
-		t.Fatalf("resolve after close = %v, want live (replayable)", st)
-	}
+	<-changed
 	evs, closed, _ := f.EventsSince(0)
-	if len(evs) != 1 || !closed {
-		t.Fatalf("replay after close: %d events, closed=%v", len(evs), closed)
+	if len(evs) != 1 || !closed || h.Len() != 1 {
+		t.Fatalf("replay after close: %d events, closed=%v, len %d", len(evs), closed, h.Len())
 	}
 
-	// Remove evicts; the id now reads expired, not unknown, and the
-	// tombstone absorbs late producers.
+	// Remove unregisters; a late producer's post is dropped and counted.
+	g := h.Create(2, 0)
+	_, _, changed = g.EventsSince(0)
+	h.Remove(2)
+	<-changed
+	g.PostEvent(api.BuildEvent{Phase: "late"})
+	if de, _ := g.Dropped(); !g.Closed() || de != 1 || h.Len() != 1 {
+		t.Fatalf("after remove: closed %v, dropped %d, len %d", g.Closed(), de, h.Len())
+	}
 	h.Remove(1)
-	if _, _, st := h.Resolve(1); st != StatusExpired {
-		t.Fatalf("resolve after remove = %v, want expired", st)
-	}
-	h.Feed(1).PostEvent(api.BuildEvent{Phase: "late"}) // must not panic
 	if h.Len() != 0 {
-		t.Fatalf("len after remove = %d", h.Len())
-	}
-
-	// Ids above the high-water mark are still unknown.
-	if _, _, st := h.Resolve(2); st != StatusUnknown {
-		t.Fatalf("resolve high id = %v, want unknown", st)
-	}
-	h.SetHighWater(10)
-	if _, _, st := h.Resolve(7); st != StatusExpired {
-		t.Fatalf("resolve under raised high water = %v, want expired", st)
+		t.Fatalf("len after removing both = %d", h.Len())
 	}
 }
 
@@ -135,18 +123,22 @@ func TestFeedDropAccounting(t *testing.T) {
 	}
 }
 
-// TestHubConcurrentChurn hammers create/close/remove/resolve from many
-// goroutines; run under -race it proves every hub and feed method is
-// safe to call from any lock context.
+// TestHubConcurrentChurn hammers create/close/remove from many
+// goroutines, each feed drained by a reader that waits on nothing but its
+// change channel; run under -race it proves every hub and feed method is
+// safe to call from any lock context, and a reader that missed a close
+// would hang it.
 func TestHubConcurrentChurn(t *testing.T) {
 	h := New(&countStats{})
 	const n = 32
 	var wg sync.WaitGroup
 	for id := 1; id <= n; id++ {
+		created := make(chan *Feed, 1)
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			f := h.Create(id, 0)
+			created <- f
 			for i := 0; i < 50; i++ {
 				f.PostEvent(api.BuildEvent{Phase: "run"})
 			}
@@ -156,41 +148,29 @@ func TestHubConcurrentChurn(t *testing.T) {
 			}
 		}(id)
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
+			f := <-created
 			cursor := 0
 			for {
-				f, _, st := h.Resolve(id)
-				if st == StatusExpired {
-					return
-				}
-				if st == StatusUnknown {
-					continue // creator hasn't run yet
-				}
 				evs, closed, changed := f.EventsSince(cursor)
 				cursor += len(evs)
 				if closed {
 					if more, _, _ := f.EventsSince(cursor); len(more) == 0 {
-						return
+						break
 					}
 					continue
 				}
-				select {
-				case <-changed:
-				case <-time.After(10 * time.Millisecond):
-				}
+				<-changed
 			}
-		}(id)
+			if cursor != 50 {
+				t.Errorf("reader drained %d events, want 50", cursor)
+			}
+		}()
 	}
 	wg.Wait()
-	for id := 1; id <= n; id++ {
-		want := StatusLive
-		if id%2 == 0 {
-			want = StatusExpired
-		}
-		if _, _, st := h.Resolve(id); st != want {
-			t.Fatalf("id %d: status %v, want %v", id, st, want)
-		}
+	if h.Len() != n/2 {
+		t.Fatalf("%d feeds registered, want the %d closed and not removed", h.Len(), n/2)
 	}
 }
 
@@ -284,14 +264,4 @@ func TestPostWithoutWaiterMakesNoChannel(t *testing.T) {
 	default:
 		t.Fatalf("closed=%v feed handed out a channel that blocks", closed)
 	}
-}
-
-// Epoch reports build id's feed epoch (0 when unknown).
-func (h *Hub) Epoch(id int) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.feeds[id]; ok {
-		return e.epoch
-	}
-	return 0
 }

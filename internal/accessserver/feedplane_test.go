@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 )
 
@@ -31,7 +30,7 @@ func waitGauge(t *testing.T, want int64, fn func() int64) {
 // TestFeedPlaneLockFree is the control/data plane split's acceptance
 // test: with 100 streaming subscribers attached and a thousand status
 // polls in flight, the scheduler mutex is never acquired. Streaming
-// resolves through the feed hub, status reads come off the snapshot
+// resolves through the read plane, status reads come off the snapshot
 // plane, and the instrumented scheduler lock counts every acquisition —
 // the delta across the read flood must be exactly zero.
 func TestFeedPlaneLockFree(t *testing.T) {
@@ -211,14 +210,14 @@ func TestMonotonicReadsDuringChurn(t *testing.T) {
 
 // TestFeedCloseChurnRace is the lock-ordering regression test for the
 // old "close the feed after releasing s.mu" contract: subscribers
-// attach and drain feeds through the hub while builds are concurrently
-// aborted, finished and — after the churn — expired by retention. Feed
-// close now happens inside the scheduler's critical sections (the hub
-// is a leaf lock), so under -race this must be quiet and no subscriber
-// may hang on a feed whose close it missed.
+// resolve builds through the read plane and drain their feeds while the
+// builds are concurrently aborted, finished and — after the churn —
+// expired by retention. Feed close happens inside the scheduler's
+// critical sections (the hub is a leaf lock), so under -race this must
+// be quiet, and no subscriber, which waits on nothing but its feed's
+// change channel, may hang on a feed whose close it missed.
 func TestFeedCloseChurnRace(t *testing.T) {
 	v := newV1Rig(t)
-	hub := v.srv.FeedHub()
 
 	const nBuilds = 16
 	ids := make([]int, nBuilds)
@@ -234,24 +233,22 @@ func TestFeedCloseChurnRace(t *testing.T) {
 			go func(id int) {
 				defer subs.Done()
 				<-start
+				ss, _ := v.srv.reads.build(id)
+				if ss == nil {
+					t.Errorf("build %d: no published cell before its abort", id)
+					return
+				}
 				cursor := 0
 				for {
-					f, _, st := hub.Resolve(id)
-					if st != feedhub.StatusLive {
-						return // evicted while we looped: fine
-					}
-					evs, closed, changed := f.EventsSince(cursor)
+					evs, closed, changed := ss.feed.EventsSince(cursor)
 					cursor += len(evs)
 					if closed {
-						if more, _, _ := f.EventsSince(cursor); len(more) == 0 {
+						if more, _, _ := ss.feed.EventsSince(cursor); len(more) == 0 {
 							return
 						}
 						continue
 					}
-					select {
-					case <-changed:
-					case <-time.After(50 * time.Millisecond):
-					}
+					<-changed
 				}
 			}(id)
 		}
@@ -280,37 +277,37 @@ func TestFeedCloseChurnRace(t *testing.T) {
 	subs.Wait()
 
 	for _, id := range ids {
-		if !hub.Feed(id).Closed() {
+		if ss, _ := v.srv.reads.build(id); ss == nil || !ss.feed.Closed() {
 			t.Fatalf("build %d: feed still open after churn", id)
 		}
 	}
 
-	// Expiry: retention eviction (hub.Remove) races fresh subscribers
-	// resolving the same ids.
+	// Expiry: retention eviction races fresh subscribers resolving the
+	// same ids. Each resolves once: before the eviction it gets the cell,
+	// whose feed has closed; after it, expired. Never unknown.
 	var late sync.WaitGroup
 	for _, id := range ids {
 		late.Add(1)
 		go func(id int) {
 			defer late.Done()
-			for {
-				f, _, st := hub.Resolve(id)
-				if st == feedhub.StatusExpired {
-					return
+			ss, expired := v.srv.reads.build(id)
+			switch {
+			case ss != nil:
+				if _, closed, _ := ss.feed.EventsSince(0); !closed {
+					t.Errorf("build %d: resolved a settled build to an open feed", id)
 				}
-				if st == feedhub.StatusUnknown {
-					t.Errorf("build %d: resolved unknown, want live or expired", id)
-					return
-				}
-				f.EventsSince(0)
-				time.Sleep(time.Millisecond)
+			case !expired:
+				t.Errorf("build %d: resolved unknown, want live or expired", id)
 			}
 		}(id)
 	}
 	v.clk.Advance(v.srv.cfg.Retention + time.Hour)
 	late.Wait()
 
-	if _, _, st := hub.Resolve(ids[0]); st != feedhub.StatusExpired {
-		t.Fatalf("post-retention resolve = %v, want expired", st)
+	for _, id := range ids {
+		if ss, expired := v.srv.reads.build(id); ss != nil || !expired {
+			t.Fatalf("build %d after retention: cell %v, expired %v; want expired", id, ss, expired)
+		}
 	}
 }
 

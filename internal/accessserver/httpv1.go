@@ -277,9 +277,8 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		// Snapshot-served: membership and member statuses come from the
-		// read plane, each member as its cached encoding; only the drop
-		// counters are refreshed from the feed plane. No scheduler lock on
-		// this path.
+		// read plane, each member as its cached encoding with the drop
+		// counters read live from its feed. No scheduler lock on this path.
 		ids, ok := s.reads.campaign(id)
 		if !ok {
 			if s.reads.campaignExpired(id) {
@@ -290,24 +289,18 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 			return
 		}
 		body, err := campaignBody(id, ids, func(bid int) (*servedStatus, int64, int64) {
-			if ss := s.reads.builds.get(bid); ss != nil {
-				events, samples := s.hub.Feed(bid).Dropped()
-				return ss, events, samples
+			ss, _ := s.reads.build(bid)
+			if ss == nil {
+				// A member is issued with its campaign, so it aged out of
+				// retention.
+				ss = expiredStatus(bid)
 			}
-			// Tombstoned member: the record aged out of retention.
-			return expiredStatus(bid), 0, 0
+			events, samples := ss.dropped()
+			return ss, events, samples
 		})
 		writeEncoded(w, http.StatusOK, body, err)
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if s.auth(w, r, PermViewConsole) == nil {
-			return
-		}
-		id, err := strconv.Atoi(r.PathValue("id"))
-		if err != nil {
-			api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
-			return
-		}
 		// The hot poll path: served from the read plane's published
 		// snapshot, lock-free with respect to dispatch. Each scheduler
 		// section republishes what it changed at its exit, after its WAL
@@ -315,20 +308,14 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		// that is already in the log. A published version is marshalled
 		// once, at its first read, and every later poll writes those
 		// bytes. Drop counters move without a scheduler transition
-		// (producer-side shedding), so they are read live from the feed
-		// plane — also a leaf, never s.mu — and spliced in.
-		if ss := s.reads.builds.get(id); ss != nil {
-			events, samples := s.hub.Feed(id).Dropped()
+		// (producer-side shedding), so they are read live from the
+		// build's feed — a leaf lock, never s.mu — and spliced in. A build
+		// that aged out gets an explicit marker, not a 404: clients
+		// distinguish "expired" from "never existed".
+		if ss := s.buildFromPath(w, r, true); ss != nil {
+			events, samples := ss.dropped()
 			writeStatus(w, ss, events, samples)
-			return
 		}
-		if _, _, hst := s.hub.Resolve(id); hst == feedhub.StatusExpired {
-			// The build existed but aged out: an explicit marker, not a
-			// 404 — clients distinguish "expired" from "never existed".
-			writeStatus(w, expiredStatus(id), 0, 0)
-			return
-		}
-		writeError(w, fmt.Errorf("%w: no build %d", ErrNotFound, id))
 	})
 	mux.HandleFunc("GET /api/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if s.auth(w, r, PermViewConsole) == nil {
@@ -339,42 +326,34 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 		}
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		f := s.feedFromPath(w, r)
-		if f == nil {
-			return
+		if ss := s.buildFromPath(w, r, false); ss != nil {
+			s.streamEvents(w, r, ss.feed)
 		}
-		s.streamEvents(w, r, f)
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/samples", func(w http.ResponseWriter, r *http.Request) {
-		f := s.feedFromPath(w, r)
-		if f == nil {
-			return
+		if ss := s.buildFromPath(w, r, false); ss != nil {
+			s.streamSamples(w, r, ss.feed)
 		}
-		s.streamSamples(w, r, f)
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/analytics", func(w http.ResponseWriter, r *http.Request) {
-		b := s.buildFromPath(w, r)
-		if b == nil {
-			return
+		if ss := s.buildFromPath(w, r, false); ss != nil {
+			s.serveAnalytics(w, r, ss)
 		}
-		s.serveAnalytics(w, r, b)
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/artifacts", func(w http.ResponseWriter, r *http.Request) {
-		b := s.buildFromPath(w, r)
-		if b == nil {
-			return
+		if ss := s.buildFromPath(w, r, false); ss != nil {
+			writeJSON(w, http.StatusOK, ss.ws.List())
 		}
-		writeJSON(w, http.StatusOK, b.Workspace().List())
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/artifacts/{name}", func(w http.ResponseWriter, r *http.Request) {
-		b := s.buildFromPath(w, r)
-		if b == nil {
+		ss := s.buildFromPath(w, r, false)
+		if ss == nil {
 			return
 		}
 		// Load renders a view (current.csv) whole before any header is
 		// written: a source that does not render is a typed error, never
 		// a partial 200.
-		data, err := b.Workspace().Load(r.PathValue("name"))
+		data, err := ss.ws.Load(r.PathValue("name"))
 		if err != nil {
 			writeError(w, err)
 			return
@@ -434,10 +413,12 @@ func (s *Server) auth(w http.ResponseWriter, r *http.Request, perm Permission) *
 	return user
 }
 
-// buildFromPath resolves the {id} path segment to a build, writing the
-// error response (400 for a malformed id, 404 for a missing build)
-// itself. Authentication runs first.
-func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request) *Build {
+// buildFromPath resolves the {id} path segment through the read plane
+// to the build's published cell — one lock-free lookup, never s.mu — and
+// writes the error response itself: 400 for a malformed id, 404 for one
+// never issued, and for an expired build a 404 or, with marker (the
+// status route), the expired marker. Authentication runs first.
+func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request, marker bool) *servedStatus {
 	if s.auth(w, r, PermViewConsole) == nil {
 		return nil
 	}
@@ -446,12 +427,18 @@ func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request) *Build {
 		api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
 		return nil
 	}
-	b, err := s.Build(id)
-	if err != nil {
-		writeError(w, err)
-		return nil
+	ss, expired := s.reads.build(id)
+	switch {
+	case ss != nil:
+		return ss
+	case expired && marker:
+		return expiredStatus(id)
+	case expired:
+		writeError(w, fmt.Errorf("%w: build %d expired after its %s retention window", ErrExpired, id, s.cfg.Retention))
+	default:
+		writeError(w, fmt.Errorf("%w: no build %d", ErrNotFound, id))
 	}
-	return b
+	return nil
 }
 
 // writeJSON marshals v up front (so encoding failures can still produce
@@ -593,32 +580,6 @@ func (s *Server) NodeInfos() []api.NodeInfo {
 		})
 	}
 	return infos
-}
-
-// feedFromPath resolves the {id} path segment to its feed through the
-// hub — the data plane's only lookup; streaming subscriptions never
-// touch scheduler state. Writes the error response itself (400 for a
-// malformed id, 404 for unknown or expired builds). Authentication runs
-// first.
-func (s *Server) feedFromPath(w http.ResponseWriter, r *http.Request) *feedhub.Feed {
-	if s.auth(w, r, PermViewConsole) == nil {
-		return nil
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		api.WriteError(w, apiError(codeBadRequest, "build id must be an integer"))
-		return nil
-	}
-	f, _, st := s.hub.Resolve(id)
-	switch st {
-	case feedhub.StatusLive:
-		return f
-	case feedhub.StatusExpired:
-		writeError(w, fmt.Errorf("%w: build %d expired after its %s retention window", ErrExpired, id, s.cfg.Retention))
-	default:
-		writeError(w, fmt.Errorf("%w: no build %d", ErrNotFound, id))
-	}
-	return nil
 }
 
 // streamEvents serves the NDJSON phase-event stream: replay from the

@@ -91,9 +91,9 @@ type Build struct {
 	// were compiled from, which crash recovery recompiles and a relay
 	// resubmits to a peer) are fixed at submission. The rest is guarded by
 	// mu and changes only through applyBuild (persist.go), with the
-	// record that logs the change. Four fields share their name with an
-	// accessor and are reached as b.BuildRec.State, .Attempts, .Retries
-	// and .FeedEpoch.
+	// record that logs the change. Three fields share their name with an
+	// accessor and are reached as b.BuildRec.State, .Attempts and
+	// .Retries.
 	//
 	// Attempts is the dispatch token: each dispatch increments it, and
 	// completions carrying an older token (a pipeline the scheduler
@@ -218,10 +218,6 @@ func (b *Build) Retries() int {
 // Recovered reports whether this build's state was reconstructed from
 // the server's WAL+snapshot store after a restart.
 func (b *Build) Recovered() bool { return b.recovered }
-
-// FeedEpoch reports how many times the build's feed started over (once
-// per server recovery).
-func (b *Build) FeedEpoch() int { return b.BuildRec.FeedEpoch }
 
 // NodeName reports the vantage point of the current (or last) attempt —
 // after a fallback placement this differs from the spec's node.

@@ -175,13 +175,13 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 		s.settleLocked(b, nil)
 		return
 	}
-	s.exit.events = append(s.exit.events, api.BuildEvent{
+	s.exit.events = append(s.exit.events, feedEvent{b.feed, api.BuildEvent{
 		Build: b.ID,
 		Node:  r.Node,
 		Phase: api.EventFailover,
 		AtNS:  now.UnixNano(),
 		Error: reason,
-	})
+	}})
 	if r.Retries >= s.cfg.MaxRetries {
 		err := fmt.Errorf("%w: %s after %d retries", ErrNodeLost, reason, r.Retries)
 		if b.routedVia != "" {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -114,15 +115,21 @@ func (s *Server) walDo(what string, op func(*store.Store) error) {
 // and hands back what must wait for the lock to drop. Guarded by s.mu;
 // each list keeps its backing array from section to section.
 type sectionExit struct {
-	wal     []store.Record   // logStore
-	events  []api.BuildEvent // reclaimLocked's failover events
-	builds  []*Build         // touchBuildLocked, each build once
-	camps   []int            // campaigns added or evicted
-	closing []int            // settled builds, whose feeds close
-	expired []int            // evicted builds, whose status and feed go
-	census  []string         // touchNodeLocked
-	cancels []func()         // cancel hooks: abandoned attempts', an aborted run's
-	redrain bool             // a drain pass follows the section
+	wal     []store.Record // logStore
+	events  []feedEvent    // reclaimLocked's failover events
+	builds  []*Build       // touchBuildLocked, each build once
+	camps   []int          // campaigns added or evicted
+	closing []int          // settled builds, whose feeds close
+	expired []int          // evicted builds, whose status and feed go
+	census  []string       // touchNodeLocked
+	cancels []func()       // cancel hooks: abandoned attempts', an aborted run's
+	redrain bool           // a drain pass follows the section
+}
+
+// feedEvent is a failover event and the feed of the build it is about.
+type feedEvent struct {
+	feed *feedhub.Feed
+	ev   api.BuildEvent
 }
 
 // logStore logs one record of the critical section the caller is in:
@@ -136,10 +143,11 @@ func (s *Server) logStore(rec store.Record) {
 // Write, then show: (1) what the section logged becomes one WAL write in
 // program order (a partial write is a torn tail the next replay
 // truncates), still under s.mu, so compaction finds no record waiting;
-// then (2) its failover events are posted, (3) the statuses of the builds
-// it touched and the campaign cells it added or evicted are republished,
-// (4) the feeds of the builds it settled close and those it evicted go,
-// and (5) its census rows and the two polled counts are republished. No
+// then (2) its failover events are posted to the builds' feeds, (3) the
+// statuses of the builds it touched, the build high-water mark and the
+// campaign cells it added or evicted are republished, (4) the feeds of
+// the builds it settled close and those it evicted go, and (5) its
+// census rows and the two polled counts are republished. No
 // status or clean end of stream a reader sees is ahead of the log, and
 // sections show in the order they run (monotonic reads). A section that
 // marked nothing allocates nothing here. What must wait for the lock to
@@ -151,17 +159,22 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 		clear(x.wal) // pin no spec or summary until the next section
 		x.wal = x.wal[:0]
 	}
-	for _, ev := range x.events {
-		s.hub.Feed(ev.Build).PostEvent(ev)
+	for _, e := range x.events {
+		e.feed.PostEvent(e.ev)
 	}
 	clear(x.events)
 	x.events = x.events[:0]
 	for _, b := range x.builds {
 		b.touched = false
-		s.reads.publishBuild(b.Status())
+		s.reads.publishBuild(b.Status(), b.feed, b.workspace)
 	}
 	clear(x.builds)
 	x.builds = x.builds[:0]
+	// After the cells: an id at or below the mark without a cell reads
+	// expired, which a build just issued must never do.
+	if high := int64(s.nextID - 1); high > s.reads.highBuild.Load() {
+		s.reads.highBuild.Store(high)
+	}
 	for _, id := range x.camps {
 		if rec := s.campaigns[id]; rec != nil {
 			s.reads.publishCampaign(id, rec.builds)
@@ -178,10 +191,11 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 	}
 	x.closing = x.closing[:0]
 	for _, id := range x.expired {
-		// The feed goes first: a status read that finds no status asks
-		// the hub, which must by then answer expired, not unknown.
-		s.hub.Remove(id)
+		// The id stays under the high-water mark, so it reads expired
+		// from here; a reader that resolved the cell before holds the
+		// feed, which Remove closes, so its stream ends clean.
 		s.reads.removeBuild(id)
+		s.hub.Remove(id)
 	}
 	x.expired = x.expired[:0]
 	s.publishCensusLocked()
@@ -652,13 +666,12 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		}
 	}
 
-	// Prime the feed-plane high-water mark and mark every campaign, so the
-	// exit shows the recovered world before the lock drops: ids that expired
-	// before the restart must resolve as expired (not unknown), and the
-	// snapshot routes must serve the recovered state from the first request.
+	// Mark every campaign, so the exit shows the recovered world before the
+	// lock drops: the snapshot routes serve the recovered state from the
+	// first request, and the exit's build high-water mark (nextID-1) makes
+	// ids that expired before the restart resolve as expired, not unknown.
 	// Every build was touched above, by the branch or the transition that
 	// decided its state. No drain pass follows the exit: it runs last, below.
-	s.hub.SetHighWater(s.nextID - 1)
 	for id := range s.campaigns {
 		s.exit.camps = append(s.exit.camps, id)
 	}

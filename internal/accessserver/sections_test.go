@@ -2,7 +2,10 @@ package accessserver
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -197,14 +200,42 @@ func TestShownIsWritten(t *testing.T) {
 		t.Fatalf("before the abort: %s, feed closed %v", state, closed)
 	}
 
+	// read starts a GET of one of b's routes and answers its status code.
+	h := srv.Handler()
+	read := func(route string) <-chan int {
+		code := make(chan int, 1)
+		go func() {
+			req := httptest.NewRequest("GET", fmt.Sprintf("/api/v1/builds/%d/%s", b.ID, route), nil)
+			req.Header.Set("Authorization", "Bearer "+admin.Token)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			code <- rec.Code
+		}()
+		return code
+	}
+
 	srv.storeMu.Lock() // the WAL write blocks
 	aborted := make(chan error, 1)
 	go func() { aborted <- srv.Abort(admin, b.ID) }()
 	waitForStack(t, "accessserver.(*Server).walDo")
 	state, closed := shown()
+	// The artifact routes answer from the published status too, without
+	// waiting on the section: analytics still finds the build unfinished.
+	var codes [2]int
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, code := range []<-chan int{read("analytics"), read("artifacts")} {
+		select {
+		case codes[i] = <-code:
+		case <-deadline.Done():
+		}
+	}
 	srv.storeMu.Unlock()
 	if state != "queued" || closed {
 		t.Errorf("while the abort's WAL write waits: %s, feed closed %v; want queued and open", state, closed)
+	}
+	if codes != [2]int{http.StatusConflict, http.StatusOK} {
+		t.Errorf("while the abort's WAL write waits, analytics and artifacts answered %v (0: still waiting after 5 s); want 409 and 200", codes)
 	}
 	if err := <-aborted; err != nil {
 		t.Fatal(err)

@@ -196,15 +196,16 @@ type Server struct {
 	// gated by SetCreditEnforcement.
 	Ledger *Ledger
 
-	// hub is the feed plane: per-build event/sample streams behind
-	// their own leaf lock, so streaming subscribers resolve and drain
-	// feeds without ever touching s.mu, and the scheduler may
-	// create/close/evict feeds while holding any of its locks.
+	// hub is the feed lifecycle: per-build event/sample streams behind
+	// their own leaf lock, which the scheduler may create/close/evict
+	// while holding any of its locks.
 	hub *feedhub.Hub
 	// reads is the snapshot read plane: build/node/campaign views
 	// republished at each critical section's exit, each publish costing
-	// what changed, served by the hot GET routes lock-free (see
-	// snapshot.go).
+	// what changed, served by every GET route lock-free (see
+	// snapshot.go). It is the one build index: a build's published cell
+	// carries its feed and workspace, so streaming subscribers and
+	// artifact readers resolve a build id without ever touching s.mu.
 	reads *readPlane
 
 	mu      schedMutex
@@ -359,9 +360,10 @@ func New(clock simclock.Clock, cfg Config) *Server {
 	return s
 }
 
-// FeedHub exposes the server's feed plane. Embedders (the repo
-// benchmark, feed-plane tests) use it to resolve subscriptions the way
-// the streaming routes do; the scheduler drives lifecycle internally.
+// FeedHub exposes the server's feed lifecycle, for embedders that create
+// and retire feeds of their own beside the scheduler's (the repo
+// benchmark's feed probe). It resolves no build ids: the read routes
+// find a build's feed in the read plane.
 func (s *Server) FeedHub() *feedhub.Hub { return s.hub }
 
 // SchedLockAcquisitions reports how many times the scheduler lock has
@@ -908,10 +910,13 @@ func (s *Server) Abort(user *User, id int) error {
 	return fmt.Errorf("%w: build %d already finished (%s)", ErrConflict, id, state)
 }
 
-// Build resolves a build by id. Builds past their retention window are
-// evicted; asking for one returns ErrExpired (ids are monotonic, so any
-// id below the high-water mark that is absent from the table must have
-// existed and aged out).
+// Build resolves a build by id in the scheduler's table, under s.mu, for
+// Abort and embedders that drive a build in process. Builds past their
+// retention window are evicted; asking for one returns ErrExpired (ids
+// are monotonic, so any id below the high-water mark that is absent from
+// the table must have existed and aged out). The HTTP read routes never
+// call it: they resolve ids through the read plane, which takes no lock
+// and shows nothing ahead of the log.
 func (s *Server) Build(id int) (*Build, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"batterylab/internal/accessserver/feedhub"
 	"batterylab/internal/api"
 )
 
@@ -37,10 +38,14 @@ func (e *nodeCensusEntry) known() bool {
 // of build status, the node census and campaign membership. Its one
 // writer is leaveSection, which republishes what the critical section
 // marked (touchBuildLocked, touchNodeLocked, sectionExit.camps) after the
-// section's WAL write and before s.mu drops. The hot GET routes
-// (build status, node list, campaign status) load these views with atomic
-// pointer reads and never acquire the scheduler lock, so status-poll
-// floods are lock-free with respect to dispatch.
+// section's WAL write and before s.mu drops. Every GET route loads these
+// views with atomic pointer reads and never acquires the scheduler lock,
+// so read floods are lock-free with respect to dispatch.
+//
+// It is also the one build index: a build id resolves to its published
+// cell (status, feed and workspace — everything a read route serves), or,
+// with no cell, to expired when it is at or below the published
+// high-water mark and to unknown when not.
 //
 // Every publish costs what changed, not what exists: a build or campaign
 // is one cell of a chunked index (see chunkindex.go), and the census is
@@ -59,6 +64,9 @@ type readPlane struct {
 	// builds maps build id -> served status, replaced by a new version
 	// when a section touched it and evicted at retention.
 	builds chunkIndex[servedStatus]
+	// highBuild is the highest build id ever issued, for the
+	// expired-vs-unknown distinction after eviction.
+	highBuild atomic.Int64
 	// buildPublishes counts publishBuild calls. Publishers hold s.mu, so
 	// it is a plain int; tests read it to pin "one touched build, one
 	// publish".
@@ -80,12 +88,28 @@ func newReadPlane() *readPlane {
 	return rp
 }
 
-// servedStatus is one published version of a build's status. The status
-// never changes once published: a republish installs a new servedStatus,
-// so an encoding cached here can never be served for a later version.
+// servedStatus is one published version of a build's status, with the
+// build's feed and workspace: the cell every read route resolves a build
+// id to. It holds no *Build, so no route reads a field ahead of the log.
+// The status never changes once published: a republish installs a new
+// servedStatus, so an encoding cached here can never be served for a
+// later version.
 type servedStatus struct {
 	st  api.BuildStatus
 	enc atomic.Pointer[statusEncoding]
+	// feed and ws are the build's own, fixed at its construction: nil
+	// only in the expired marker.
+	feed *feedhub.Feed
+	ws   *Workspace
+}
+
+// dropped reads the build's live drop counters, which producer-side
+// shedding moves without a republish; the expired marker has none.
+func (ss *servedStatus) dropped() (events, samples int64) {
+	if ss.feed == nil {
+		return 0, 0
+	}
+	return ss.feed.Dropped()
 }
 
 // statusEncoding is a status's response body with both drop counters
@@ -143,11 +167,21 @@ func (e *statusEncoding) appendTo(dst []byte, events, samples int64) []byte {
 	return append(dst, e.body[e.drops:len(e.body)-1]...)
 }
 
-// publishBuild installs st as build st.ID's served status: a new version,
-// encoded when it is first read.
-func (rp *readPlane) publishBuild(st api.BuildStatus) {
+// publishBuild installs st as build st.ID's served status, beside the
+// build's feed and workspace: a new version, encoded when it is first
+// read.
+func (rp *readPlane) publishBuild(st api.BuildStatus, feed *feedhub.Feed, ws *Workspace) {
 	rp.buildPublishes++
-	rp.builds.put(st.ID, &servedStatus{st: st})
+	rp.builds.put(st.ID, &servedStatus{st: st, feed: feed, ws: ws})
+}
+
+// build resolves a build id: its published cell, or nil and whether the
+// id was issued and has expired rather than never issued.
+func (rp *readPlane) build(id int) (ss *servedStatus, expired bool) {
+	if ss = rp.builds.get(id); ss != nil {
+		return ss, false
+	}
+	return nil, id >= 1 && int64(id) <= rp.highBuild.Load()
 }
 
 // removeBuild evicts a build's served status (retention expiry).

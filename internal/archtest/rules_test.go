@@ -390,6 +390,59 @@ func oneNodeTable(r *report) {
 	}
 }
 
+// oneBuildIndex: the read plane is the one build index. No handler — a
+// function taking an http.ResponseWriter, or one registering closures
+// that do — selects Server.builds or Server.Build, whatever the receiver
+// is called: a read route resolves a build id with one lock-free lookup
+// and never takes s.mu or reads a *Build ahead of the log. The feed hub
+// keeps no second registry: it declares no Resolve, Feed or SetHighWater
+// on Hub, nor a Status to answer them with.
+func oneBuildIndex(r *report) {
+	p := r.pkg(accessserver)
+	table := r.objects(accessserver, "Server.builds", "Server.Build")
+	hub, writer := r.object(feedhub, "Hub"), r.object("net/http", "ResponseWriter")
+	if len(r.found) > 0 {
+		return
+	}
+	for _, name := range []string{"Resolve", "Feed", "SetHighWater"} {
+		if obj, _, _ := types.LookupFieldOrMethod(hub.Type(), true, hub.Pkg(), name); obj != nil {
+			r.at(obj.Pos(), "Hub.%s resolves build ids beside the read plane", name)
+		}
+	}
+	if obj := hub.Pkg().Scope().Lookup("Status"); obj != nil {
+		r.at(obj.Pos(), "feedhub.Status classifies build ids beside the read plane")
+	}
+	takesWriter := func(ft *ast.FuncType) bool {
+		return slices.ContainsFunc(ft.Params.List, func(f *ast.Field) bool {
+			return types.Identical(p.info.TypeOf(f.Type), writer.Type())
+		})
+	}
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			handler := takesWriter(fd.Type)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok && takesWriter(lit.Type) {
+					handler = true
+				}
+				return !handler
+			})
+			if !handler {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && slices.ContainsFunc(table, func(obj types.Object) bool { return selects(p.info, sel, obj) }) {
+					r.at(sel.Sel.Pos(), "handler %s selects Server.%s: resolve build ids through the read plane", fd.Name.Name, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // oneRecordCodec: a WAL message's layout is written once, in store's
 // codec. Nothing in store marshals a store.Record with encoding/json (the
 // old write fork), declares an encode… or decode… function of one

@@ -131,11 +131,12 @@ func (up *scriptedUpstream) serveSamples(w http.ResponseWriter, r *http.Request)
 }
 
 // incarnation returns n points whose currents start at base, so the
-// points of two incarnations tell apart.
+// points of two incarnations tell apart, each carrying the live summary
+// count a server's session would: the points of its incarnation so far.
 func incarnation(base float64, n int) []api.SamplePoint {
 	pts := make([]api.SamplePoint, n)
 	for i := range pts {
-		pts[i] = api.SamplePoint{AtNS: int64(i+1) * int64(time.Millisecond), CurrentMA: base + float64(i)}
+		pts[i] = api.SamplePoint{AtNS: int64(i+1) * int64(time.Millisecond), CurrentMA: base + float64(i), N: int64(i + 1)}
 	}
 	return pts
 }
@@ -152,8 +153,9 @@ func currents(pts []api.SamplePoint) []float64 {
 var scriptedRetry = remote.RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 
 // followSession runs a session against up and returns the currents its
-// observers saw, the session and its client.
-func followSession(t *testing.T, up *scriptedUpstream) ([]float64, *remote.Session, *remote.Platform) {
+// observers saw, the live summary count of the last sample they saw, and
+// the client.
+func followSession(t *testing.T, up *scriptedUpstream) ([]float64, int, *remote.Platform) {
 	t.Helper()
 	client, err := remote.Dial(up.URL, "tok")
 	if err != nil {
@@ -162,8 +164,13 @@ func followSession(t *testing.T, up *scriptedUpstream) ([]float64, *remote.Sessi
 	client.SetRetryPolicy(scriptedRetry)
 	var mu sync.Mutex
 	var seen []float64
+	var lastN int
 	sess, err := client.StartExperiment(nil, api.ExperimentSpec{Node: "node1", Device: "dev1", Workload: api.WorkloadSpec{Name: "idle"}},
-		batterylab.ObserverFuncs{Sample: func(s batterylab.Sample) { mu.Lock(); seen = append(seen, s.CurrentMA); mu.Unlock() }})
+		batterylab.ObserverFuncs{Sample: func(s batterylab.Sample) {
+			mu.Lock()
+			seen, lastN = append(seen, s.CurrentMA), s.Live.N
+			mu.Unlock()
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +179,7 @@ func followSession(t *testing.T, up *scriptedUpstream) ([]float64, *remote.Sessi
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return seen, sess, client
+	return seen, lastN, client
 }
 
 // TestStreamPinsEpoch: the server recovered before the follower's first
@@ -180,17 +187,17 @@ func followSession(t *testing.T, up *scriptedUpstream) ([]float64, *remote.Sessi
 // and the sample stream is cut mid-way. The epoch pinned before the
 // first open is the one the status read after the cut reports, so the
 // follower resumes from its cursor: each sample reaches the observers
-// once, and the live aggregate counts what they saw. The reconnect
-// carries the follow's one X-Request-Id.
+// once, and the last carries the live summary the feed's last point
+// does. The reconnect carries the follow's one X-Request-Id.
 func TestStreamPinsEpoch(t *testing.T) {
 	pts := incarnation(100, 10)
 	up := newScriptedUpstream(t, feedStep{epoch: 1, pts: pts, cut: 4}, feedStep{epoch: 1, pts: pts, cut: -1})
-	seen, sess, client := followSession(t, up)
+	seen, lastN, client := followSession(t, up)
 	if want := currents(pts); !reflect.DeepEqual(seen, want) {
 		t.Fatalf("observers saw %v, want each sample once: %v", seen, want)
 	}
-	if n := sess.Live().N; n != len(seen) {
-		t.Fatalf("Live().N = %d, observers saw %d", n, len(seen))
+	if lastN != len(pts) {
+		t.Fatalf("last Sample.Live.N = %d, the feed's last point carries %d", lastN, len(pts))
 	}
 	if r := client.Stats().EpochResets; r != 0 {
 		t.Fatalf("%d epoch resets on a feed whose epoch never moved", r)
@@ -220,7 +227,8 @@ func (s *relaySink) Artifact(string, []byte) {}
 // stream is cut inside the feed's first incarnation, and the status
 // read after the cut finds the epoch moved (the server restarted and
 // recovered the build). A session resets once and delivers the new
-// incarnation exactly once; the gateway, which has already passed the
+// incarnation exactly once, its live summary the new incarnation's; the
+// gateway, which has already passed the
 // old records on, aborts its client; the relay's sink receives the new
 // incarnation after what it had.
 func TestFollowEpochMoves(t *testing.T) {
@@ -231,15 +239,15 @@ func TestFollowEpochMoves(t *testing.T) {
 		run  func(t *testing.T, up *scriptedUpstream)
 	}{
 		{"session", func(t *testing.T, up *scriptedUpstream) {
-			seen, sess, client := followSession(t, up)
+			seen, lastN, client := followSession(t, up)
 			if r := client.Stats().EpochResets; r != 1 {
 				t.Fatalf("EpochResets = %d, want 1", r)
 			}
 			if want := append(currents(old[:3]), currents(fresh)...); !reflect.DeepEqual(seen, want) {
 				t.Fatalf("observers saw %v, want the old prefix then the new incarnation once: %v", seen, want)
 			}
-			if n := sess.Live().N; n != len(fresh) {
-				t.Fatalf("Live().N = %d, want the new incarnation's %d", n, len(fresh))
+			if lastN != len(fresh) {
+				t.Fatalf("last Sample.Live.N = %d, want the new incarnation's %d", lastN, len(fresh))
 			}
 		}},
 		{"gateway", func(t *testing.T, up *scriptedUpstream) {

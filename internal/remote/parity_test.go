@@ -271,3 +271,83 @@ func TestRemoteCampaignCancelOrder(t *testing.T) {
 		}
 	}
 }
+
+// sampleLog records every live sample observers were handed.
+type sampleLog struct {
+	mu  sync.Mutex
+	all []core.Sample
+}
+
+func (l *sampleLog) OnPhase(core.PhaseChange) {}
+
+func (l *sampleLog) OnSample(s core.Sample) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.all = append(l.all, s)
+}
+
+func (l *sampleLog) samples() []core.Sample {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.all
+}
+
+// TestSamplesMatchLocal runs one experiment spec on twin deployments, in
+// process and over HTTP, and requires the observers' Sample sequences to
+// agree field by field, Live included: both handles read the live
+// summary the server's session computed over every monitor sample,
+// rather than one re-aggregated from the feed's one point per second.
+func TestSamplesMatchLocal(t *testing.T) {
+	ctx := context.Background()
+
+	_, plat, campaign := parityLab(t)
+	spec := campaign.Experiments[0]
+	spec.Workload.Params = api.Params{"duration_ms": 10000}
+	var local sampleLog
+	run, err := batterylab.LocalBackend(plat).StartExperimentSpec(ctx, spec, &local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rclock, rplat, _ := parityLab(t)
+	token, err := batterylab.NewAPIToken(rplat, "alice", "experimenter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rplat.Access.Handler())
+	defer ts.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go batterylab.DriveBuilds(rclock, rplat, stop)
+	backend, err := batterylab.RemoteBackend(ts.URL, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var over sampleLog
+	run, err = backend.StartExperimentSpec(ctx, spec, &over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	want, got := local.samples(), over.samples()
+	if len(want) == 0 || want[len(want)-1].Live.N <= len(want) {
+		t.Fatalf("local observers saw %d samples, the last summarising %d: want more monitor samples than feed points",
+			len(want), want[len(want)-1].Live.N)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("remote observers saw %d samples, local %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Node != w.Node || g.Device != w.Device || !g.At.Equal(w.At) ||
+			math.Float64bits(g.CurrentMA) != math.Float64bits(w.CurrentMA) || g.Live != w.Live {
+			t.Fatalf("sample %d: remote %+v, local %+v", i, g, w)
+		}
+	}
+}

@@ -11,12 +11,12 @@
 //
 //  1. StartExperiment POSTs the declarative spec; the server compiles
 //     it against its workload registry and queues a build.
-//  2. Two streams follow the build: NDJSON phase events
+//  2. Two NDJSON streams follow the build: phase events
 //     (/builds/{id}/events) and live power samples
-//     (/builds/{id}/samples, length-prefixed binary trace frames).
-//     Observers receive the same PhaseChange/Sample callbacks a local
-//     session would deliver; Sample.Live is re-aggregated client-side
-//     from the live feed.
+//     (/builds/{id}/samples?format=ndjson). Observers receive the same
+//     PhaseChange/Sample callbacks a local session delivers, Sample.Live
+//     included: each point carries the live summary the server's
+//     session computed over every monitor sample.
 //  3. When the streams end, the session reads the build's terminal
 //     status once and turns it into a core.CampaignRun with core.RunOf,
 //     the one reading an in-process core.Experiment gives its build
@@ -40,7 +40,6 @@
 package remote
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	crand "crypto/rand"
@@ -59,7 +58,6 @@ import (
 
 	"batterylab/internal/api"
 	"batterylab/internal/core"
-	"batterylab/internal/samples"
 )
 
 // Platform is a client handle to a remote access server. It is safe
@@ -484,8 +482,6 @@ type Session struct {
 	mu        sync.Mutex
 	phase     core.Phase
 	doneEvent *core.PhaseChange
-	agg       *samples.StreamSummary
-	live      samples.LiveSummary
 	canceled  bool
 }
 
@@ -503,12 +499,16 @@ func (p *Platform) followBuild(i, build int, spec api.ExperimentSpec, obs []core
 		build: build,
 		obs:   obs,
 		done:  make(chan struct{}),
-		agg:   samples.NewStreamSummary(),
 	}
-	sampled := sampleStream(s.handleSample)
-	sampled.Restart = s.resetLive
+	// The samples come as NDJSON, as Relay follows them: only NDJSON
+	// carries each point's live summary, the one the server's session
+	// computed over every monitor sample, so observers see the Sample a
+	// local handle delivers. An epoch reset needs no Restart: the
+	// recovered build's feed is a fresh capture whose points carry their
+	// own summary.
 	go func() {
-		s.finalize(sctx, p.followStreams(sctx, build, ndjsonStream("events", s.handleEvent), sampled))
+		s.finalize(sctx, p.followStreams(sctx, build,
+			ndjsonStream("events", s.handleEvent), ndjsonStream("samples?format=ndjson", s.handleSample)))
 		scancel()
 		close(s.done)
 	}()
@@ -717,28 +717,6 @@ func ndjsonStream[T any](route string, each func(T)) *Stream {
 	}}
 }
 
-// sampleStream reads the binary sample stream, handing each point to
-// each in order.
-func sampleStream(each func(api.SamplePoint)) *Stream {
-	return &Stream{Route: "samples", Consume: func(body io.Reader) (int, error) {
-		br := bufio.NewReader(body)
-		n := 0
-		for {
-			pts, err := api.ReadSampleFrame(br)
-			if err != nil {
-				if err == io.EOF { // at a frame boundary: the clean end
-					err = nil
-				}
-				return n, err
-			}
-			for _, pt := range pts {
-				each(pt)
-			}
-			n += len(pts)
-		}
-	}}
-}
-
 // handleEvent folds one wire event into the session and observers. The
 // terminal PhaseDone event is withheld and delivered by finalize, after
 // the sample stream has drained.
@@ -762,31 +740,13 @@ func (s *Session) handleEvent(ev api.BuildEvent) {
 	}
 }
 
-// handleSample re-aggregates the live summary client-side — the binary
-// sample stream carries each point's time and current only — and
-// forwards the point to observers.
+// handleSample forwards one wire point to observers as the Sample a
+// local handle delivers for it.
 func (s *Session) handleSample(pt api.SamplePoint) {
-	s.agg.Add(pt.AtNS, pt.CurrentMA)
-	live := s.agg.Snapshot()
-	s.mu.Lock()
-	s.live = live
-	s.mu.Unlock()
 	smp := core.SampleOf(s.spec.Node, s.spec.Device, pt)
-	smp.Live = live
 	for _, o := range s.obs {
 		o.OnSample(smp)
 	}
-}
-
-// resetLive clears the live aggregate when the server restarted and
-// recovered the build: the rerun's samples are a fresh capture, and the
-// pre-crash ones belonged to an attempt the scheduler abandoned.
-func (s *Session) resetLive() error {
-	s.agg = samples.NewStreamSummary()
-	s.mu.Lock()
-	s.live = samples.LiveSummary{}
-	s.mu.Unlock()
-	return nil
 }
 
 // finalize runs after both streams end: read the terminal build state

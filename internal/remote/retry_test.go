@@ -208,9 +208,9 @@ func TestStreamReconnect(t *testing.T) {
 	client, proxy := serveFlaky(t, l, 0, 256, false)
 
 	var mu sync.Mutex
-	samples := 0
+	var seen []int64
 	obs := batterylab.ObserverFuncs{
-		Sample: func(batterylab.Sample) { mu.Lock(); samples++; mu.Unlock() },
+		Sample: func(s batterylab.Sample) { mu.Lock(); seen = append(seen, s.At.UnixNano()); mu.Unlock() },
 	}
 	sess, err := client.StartExperiment(nil, idleSpec(l), obs)
 	if err != nil {
@@ -266,24 +266,26 @@ func TestStreamReconnect(t *testing.T) {
 	if !resumed {
 		t.Fatalf("no reconnect carried a positive ?from= cursor: %v", froms)
 	}
-	// Exactly-once delivery across the cut: the observer saw as many
-	// samples as the server recorded for the whole run.
-	st, err := client.BuildStatus(nil, sess.Build())
+	// Exactly-once delivery across the cut: the observer saw the points
+	// of the build's feed, each once, in order.
+	b, err := l.plat.Access.Build(sess.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Summary == nil {
-		t.Fatal("no run summary")
-	}
+	pts, _, _ := b.Feed().SamplesSince(0)
 	mu.Lock()
-	got := samples
+	got := seen
 	mu.Unlock()
-	if got == 0 {
+	if len(got) == 0 {
 		t.Fatal("observer saw no samples")
 	}
-	live := sess.Live()
-	if int64(live.N) != int64(got) {
-		t.Fatalf("client aggregate N = %d, observer delivered %d — duplicate or lost samples across the reconnect", live.N, got)
+	if len(got) != len(pts) {
+		t.Fatalf("observer delivered %d samples, the feed holds %d — duplicate or lost samples across the reconnect", len(got), len(pts))
+	}
+	for i, at := range got {
+		if at != pts[i].AtNS {
+			t.Fatalf("sample %d at %d, the feed's is at %d — duplicate or lost samples across the reconnect", i, at, pts[i].AtNS)
+		}
 	}
 }
 
