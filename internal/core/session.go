@@ -12,6 +12,7 @@ import (
 	"batterylab/internal/automation"
 	"batterylab/internal/controller"
 	"batterylab/internal/device"
+	"batterylab/internal/power"
 	"batterylab/internal/samples"
 	"batterylab/internal/simclock"
 	"batterylab/internal/trace"
@@ -300,7 +301,7 @@ func (s *session) armed(armErr error) {
 	devCPU := trace.NewSeries("device-cpu", "percent")
 	devTicker := simclock.NewTicker(s.clock, s.spec.CPUSamplePeriod, func(now time.Time) {
 		devCPU.MustAppend(now, s.dev.CPU().UtilAt(now))
-		current := s.dev.CurrentMA(now)
+		current := power.At(s.dev, now)
 		live, err := s.ctl.Monsoon().LiveSummary()
 		s.mu.Lock()
 		switch {

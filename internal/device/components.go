@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"batterylab/internal/power"
 	"batterylab/internal/rng"
 )
 
@@ -29,12 +30,11 @@ func (s *Screen) SetOn(on bool) { s.on.Store(on) }
 // On reports the panel state.
 func (s *Screen) On() bool { return s.on.Load() }
 
-// CurrentMA implements power.Source.
-func (s *Screen) CurrentMA(time.Time) float64 {
-	if !s.on.Load() {
-		return 0
+// AddMA implements power.Component.
+func (s *Screen) AddMA(_ time.Time, _ time.Duration, out []float64) {
+	if s.on.Load() {
+		power.Add(out, 50+50*screenBrightness)
 	}
-	return 50 + 50*screenBrightness
 }
 
 // RadioKind distinguishes the device radios.
@@ -82,7 +82,7 @@ type Radio struct {
 	rxBytes int64
 }
 
-// radioView is the power state CurrentMA reads. A write publishes a new
+// radioView is the power state AddMA reads. A write publishes a new
 // one; a published one is never modified.
 type radioView struct {
 	state     RadioState
@@ -159,13 +159,24 @@ func (r *Radio) Counters() (tx, rx int64) {
 	return r.txBytes, r.rxBytes
 }
 
-// CurrentMA implements power.Source. Idle listening costs a trickle;
+// AddMA implements power.Component: the run splits where the transfer
+// in flight ends.
+func (r *Radio) AddMA(first time.Time, step time.Duration, out []float64) {
+	v := r.view.Load()
+	if v.state == RadioOff {
+		return
+	}
+	k := power.Before(first, step, len(out), v.busyUntil)
+	power.Add(out[:k], r.drawMA(RadioActive, v.rateMbps))
+	power.Add(out[k:], r.drawMA(v.state, v.rateMbps))
+}
+
+// drawMA is the radio's draw in state s. Idle listening costs a trickle;
 // active transfer cost grows with throughput and differs per radio
 // technology (cellular radio burns more than WiFi at the same rate;
 // Bluetooth is cheap).
-func (r *Radio) CurrentMA(now time.Time) float64 {
-	v := r.view.Load()
-	switch v.stateAt(now) {
+func (r *Radio) drawMA(s RadioState, rateMbps float64) float64 {
+	switch s {
 	case RadioOff:
 		return 0
 	case RadioIdle:
@@ -178,22 +189,23 @@ func (r *Radio) CurrentMA(now time.Time) float64 {
 			return 4
 		}
 	default: // active
-		rate := v.rateMbps
 		switch r.kind {
 		case RadioBluetooth:
 			return 12
 		case RadioCellular:
-			return 180 + 6*rate
+			return 180 + 6*rateMbps
 		default: // WiFi
-			return 60 + 4.5*rate
+			return 60 + 4.5*rateMbps
 		}
 	}
 }
 
 // ripple models supply/PMIC noise: a small zero-mean wobble, piecewise
-// constant per 50 ms, derived statelessly so all samplers agree. The last
-// epoch's value is remembered — a cache of a pure function of the epoch,
-// so two samplers filling it at once store the same value.
+// constant per 50 ms, derived statelessly so all samplers agree. A run
+// draws it once per epoch it crosses, and the last epoch's value is
+// remembered, so the runs of one epoch (a run ends at every foreign
+// clock deadline) share one draw. The memo is a cache of a pure function
+// of the epoch, so two samplers filling it at once store the same value.
 type rippleComponent struct {
 	rnd  *rng.RNG
 	memo atomic.Pointer[rippleMemo]
@@ -206,13 +218,21 @@ type rippleMemo struct {
 	ma    float64
 }
 
+// rippleEpoch is how long the supply ripple holds one value.
+const rippleEpoch = 50 * time.Millisecond
+
 func newRipple(rnd *rng.RNG) *rippleComponent { return &rippleComponent{rnd: rnd} }
 
 func (r *rippleComponent) Name() string { return "pmic-ripple" }
 
-func (r *rippleComponent) CurrentMA(now time.Time) float64 {
-	const epoch = 50 * time.Millisecond
-	e := now.UnixNano() / int64(epoch)
+func (r *rippleComponent) AddMA(first time.Time, step time.Duration, out []float64) {
+	power.EachEpoch(first, step, rippleEpoch, len(out), func(e int64, lo, hi int) {
+		power.Add(out[lo:hi], r.epochMA(e))
+	})
+}
+
+// epochMA is the ripple draw of epoch e.
+func (r *rippleComponent) epochMA(e int64) float64 {
 	if m := r.memo.Load(); m != nil && m.epoch == e {
 		return m.ma
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"batterylab/internal/power"
 	"batterylab/internal/rng"
 	"batterylab/internal/simclock"
 )
@@ -58,16 +59,26 @@ func (c *CPU) Cores() int { return c.cores }
 // Name implements power.Component.
 func (c *CPU) Name() string { return "cpu" }
 
-// CurrentMA implements power.Source.
-func (c *CPU) CurrentMA(now time.Time) float64 {
-	return c.idleMA + c.perUtilMA*c.UtilAt(now)
+// AddMA implements power.Component: the process table is loaded once per
+// run, and the utilization computed once per epoch the run crosses.
+func (c *CPU) AddMA(first time.Time, step time.Duration, out []float64) {
+	procs := *c.procs.Load()
+	power.EachEpoch(first, step, utilEpoch, len(out), func(e int64, lo, hi int) {
+		power.Add(out[lo:hi], c.idleMA+c.perUtilMA*utilIn(procs, e))
+	})
 }
 
 // UtilAt reports total utilization in percent [0, 100] at the given time.
 func (c *CPU) UtilAt(now time.Time) float64 {
+	return utilIn(*c.procs.Load(), now.UnixNano()/int64(utilEpoch))
+}
+
+// utilIn is the total utilization of procs in epoch e, summed in pid
+// order and clamped to 100.
+func utilIn(procs []*Process, e int64) float64 {
 	var total float64
-	for _, p := range *c.procs.Load() {
-		total += p.utilAt(now)
+	for _, p := range procs {
+		total += p.utilIn(e)
 	}
 	if total > 100 {
 		total = 100
@@ -137,10 +148,12 @@ func (c *CPU) killAll() {
 // Process is one entry in the device process table. Its utilization is a
 // truncated-normal noise process around a target, piecewise-constant per
 // utilEpoch, derived statelessly from the process's seed so that all
-// samplers agree. The value is a pure function of (epoch, target, sigma);
-// the process remembers the last one it computed, so the 500 Monsoon
-// samples of an epoch cost one draw, not 500, and two samplers filling
-// the memo at once store the same value.
+// samplers agree. The value is a pure function of (epoch, target, sigma).
+// A run of Monsoon samples asks for it once per epoch it crosses, and the
+// process remembers the last one it computed, so the runs of one epoch (a
+// run ends at every foreign clock deadline) and the 1 Hz CPU monitor's
+// reads share one draw; two samplers filling the memo at once store the
+// same value.
 type Process struct {
 	pid   int
 	name  string
@@ -157,7 +170,7 @@ type processLoad struct {
 	target, sigma float64
 }
 
-// utilMemo caches utilAt's last result with the inputs it was drawn for.
+// utilMemo caches utilIn's last result with the inputs it was drawn for.
 // A published one is never modified.
 type utilMemo struct {
 	epoch int64
@@ -185,8 +198,8 @@ func (p *Process) SetMemMB(mb float64) { p.memMB.Store(math.Float64bits(mb)) }
 // MemMB reports resident memory.
 func (p *Process) MemMB() float64 { return math.Float64frombits(p.memMB.Load()) }
 
-func (p *Process) utilAt(now time.Time) float64 {
-	epoch := now.UnixNano() / int64(utilEpoch)
+// utilIn is the process's utilization in epoch e under its current load.
+func (p *Process) utilIn(epoch int64) float64 {
 	load := *p.load.Load()
 	if load.target == 0 && load.sigma == 0 {
 		return 0

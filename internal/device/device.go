@@ -223,15 +223,18 @@ func (d *Device) Framebuffer() *Framebuffer { return d.fb }
 // MeasuredSource, or through USB distortion (USBObservedSource).
 func (d *Device) Rail() *power.Rail { return d.rail }
 
-// CurrentMA reports the true instantaneous draw: zero when the device is
-// unpowered or off.
-func (d *Device) CurrentMA(now time.Time) float64 { return d.drawMA(d.supply.Load(), now) }
+// ReadMA implements power.Source with the true draw: zero when the
+// device is unpowered or off.
+func (d *Device) ReadMA(first time.Time, step time.Duration, out []float64) {
+	d.readMA(d.supply.Load(), first, step, out)
+}
 
-func (d *Device) drawMA(s *supply, now time.Time) float64 {
+func (d *Device) readMA(s *supply, first time.Time, step time.Duration, out []float64) {
 	if !s.booted || s.path == PathNone {
-		return 0
+		clear(out)
+		return
 	}
-	return d.rail.CurrentMA(now)
+	d.rail.ReadMA(first, step, out)
 }
 
 // Boot powers the OS up. It fails without a supply path.
@@ -365,7 +368,7 @@ func (d *Device) startDrainLocked() {
 		if s := d.supply.Load(); !s.booted || s.path != PathBattery {
 			return
 		}
-		ma := d.rail.CurrentMA(now)
+		ma := power.At(d.rail, now)
 		mah := ma * period.Seconds() / 3600
 		if _, err := d.batt.Drain(mah); err != nil {
 			d.logcat.Append("power", Warn, "battery drain accounting: "+err.Error())
@@ -384,37 +387,47 @@ const (
 // monitor observes only the residual above the USB budget plus the USB
 // micro-controller's negotiation draw — a distorted reading. This is the
 // quantitative reason BatteryLab cuts USB power during measurements.
-func (d *Device) USBObservedSource() power.Source {
-	return power.SourceFunc(func(now time.Time) float64 { return d.usbObservedMA(d.supply.Load(), now) })
+func (d *Device) USBObservedSource() power.Source { return usbObserved{d} }
+
+type usbObserved struct{ d *Device }
+
+func (u usbObserved) ReadMA(first time.Time, step time.Duration, out []float64) {
+	u.d.readUSBObserved(u.d.supply.Load(), first, step, out)
 }
 
-func (d *Device) usbObservedMA(s *supply, now time.Time) float64 {
+func (d *Device) readUSBObserved(s *supply, first time.Time, step time.Duration, out []float64) {
 	if !s.usbPowered {
-		return 0
+		clear(out)
+		return
 	}
-	true_ := d.drawMA(s, now)
-	residual := true_ - usbBudgetMA
-	if residual < 0 {
-		residual = 0
+	d.readMA(s, first, step, out)
+	for j, true_ := range out {
+		residual := true_ - usbBudgetMA
+		if residual < 0 {
+			residual = 0
+		}
+		out[j] = residual + usbMicroCtrl
 	}
-	return residual + usbMicroCtrl
 }
 
 // MonitorVisibleSource reports the current that actually flows through
 // the device's V+ terminal toward an external monitor: the full draw
 // when the device runs off the monitor's supply, the distorted USB
 // residual while VBUS is up (the §3.3 interference), and nothing when
-// the device runs off its own battery.
-func (d *Device) MonitorVisibleSource() power.Source {
-	return power.SourceFunc(func(now time.Time) float64 {
-		s := d.supply.Load()
-		switch s.path {
-		case PathMonitor:
-			return d.drawMA(s, now)
-		case PathUSB:
-			return d.usbObservedMA(s, now)
-		default:
-			return 0
-		}
-	})
+// the device runs off its own battery. A read loads the supply once per
+// run.
+func (d *Device) MonitorVisibleSource() power.Source { return monitorVisible{d} }
+
+type monitorVisible struct{ d *Device }
+
+func (m monitorVisible) ReadMA(first time.Time, step time.Duration, out []float64) {
+	s := m.d.supply.Load()
+	switch s.path {
+	case PathMonitor:
+		m.d.readMA(s, first, step, out)
+	case PathUSB:
+		m.d.readUSBObserved(s, first, step, out)
+	default:
+		clear(out)
+	}
 }

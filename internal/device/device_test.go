@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/power"
 	"batterylab/internal/rng"
 	"batterylab/internal/simclock"
 )
@@ -47,7 +48,7 @@ func TestIdleCurrentRange(t *testing.T) {
 	const n = 50
 	for i := 0; i < n; i++ {
 		clk.Advance(100 * time.Millisecond)
-		sum += d.CurrentMA(clk.Now())
+		sum += power.At(d, clk.Now())
 	}
 	avg := sum / n
 	if avg < 110 || avg > 190 {
@@ -57,9 +58,9 @@ func TestIdleCurrentRange(t *testing.T) {
 
 func TestScreenOffReducesDraw(t *testing.T) {
 	d, clk := newDev(t)
-	on := d.CurrentMA(clk.Now())
+	on := power.At(d, clk.Now())
 	d.Screen().SetOn(false)
-	off := d.CurrentMA(clk.Now())
+	off := power.At(d, clk.Now())
 	if on-off < 60 {
 		t.Fatalf("screen gate too small: on=%.1f off=%.1f", on, off)
 	}
@@ -70,7 +71,7 @@ func TestShutdownZeroesDraw(t *testing.T) {
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.CurrentMA(clk.Now()); got != 0 {
+	if got := power.At(d, clk.Now()); got != 0 {
 		t.Fatalf("draw after shutdown = %v", got)
 	}
 	if err := d.Shutdown(); err == nil {
@@ -135,12 +136,12 @@ func TestUSBPathPreferred(t *testing.T) {
 func TestUSBObservedDistortsReading(t *testing.T) {
 	d, clk := newDev(t)
 	obs := d.USBObservedSource()
-	if got := obs.CurrentMA(clk.Now()); got != 0 {
+	if got := power.At(obs, clk.Now()); got != 0 {
 		t.Fatalf("USB-observed without USB = %v", got)
 	}
 	d.USBPowerChanged(true)
-	true_ := d.CurrentMA(clk.Now())
-	seen := obs.CurrentMA(clk.Now())
+	true_ := power.At(d, clk.Now())
+	seen := power.At(obs, clk.Now())
 	if math.Abs(seen-true_) < 0.1*true_ {
 		t.Fatalf("USB observation should be distorted: true=%.1f seen=%.1f", true_, seen)
 	}
@@ -277,10 +278,10 @@ func TestRadioActiveDrawScalesWithRate(t *testing.T) {
 	d, clk := newDev(t)
 	w := d.WiFi()
 	w.Transfer(10_000_000, 5, false)
-	slow := w.CurrentMA(clk.Now())
+	slow := drawAt(w, clk.Now())
 	d2, clk2 := newDev(t)
 	d2.WiFi().Transfer(10_000_000, 20, false)
-	fast := d2.WiFi().CurrentMA(clk2.Now())
+	fast := drawAt(d2.WiFi(), clk2.Now())
 	if fast <= slow {
 		t.Fatalf("draw should grow with rate: %v (5 Mbps) vs %v (20 Mbps)", slow, fast)
 	}
@@ -430,7 +431,7 @@ func TestRippleMemo(t *testing.T) {
 		return math.Max(0, src.At("ripple", simclock.Epoch.Add(time.Duration(ms)*time.Millisecond).UnixNano()/int64(50*time.Millisecond)).Normal(4, 2.5))
 	}
 	for _, ms := range []int{0, 49, 50, 51, 10, 120, 149, 150} {
-		if got := r.CurrentMA(simclock.Epoch.Add(time.Duration(ms) * time.Millisecond)); got != fresh(ms) {
+		if got := drawAt(r, simclock.Epoch.Add(time.Duration(ms)*time.Millisecond)); got != fresh(ms) {
 			t.Fatalf("ripple at %d ms = %v, fresh draw %v", ms, got, fresh(ms))
 		}
 	}
@@ -472,4 +473,11 @@ func (c *CPU) Kill(pid int) error {
 	procs = slices.Delete(slices.Clone(procs), i, i+1)
 	c.procs.Store(&procs)
 	return nil
+}
+
+// drawAt is c's draw at one instant, as a rail adds it.
+func drawAt(c power.Component, now time.Time) float64 {
+	var v [1]float64
+	c.AddMA(now, 0, v[:])
+	return v[0]
 }

@@ -3,6 +3,8 @@ package device
 import (
 	"fmt"
 	"strings"
+
+	"batterylab/internal/power"
 )
 
 // Dumpsys renders diagnostic text for the named service, mimicking the
@@ -40,11 +42,12 @@ func (d *Device) dumpsysBattery() string {
 
 func (d *Device) dumpsysCPU() string {
 	now := d.clock.Now()
+	epoch := now.UnixNano() / int64(utilEpoch)
 	var b strings.Builder
 	total := d.cpu.UtilAt(now)
 	fmt.Fprintf(&b, "Load: %.1f%% TOTAL across %d cores\n", total, d.cpu.Cores())
 	for _, p := range d.cpu.Processes() {
-		fmt.Fprintf(&b, "  %5.1f%% %d/%s\n", p.utilAt(now), p.PID(), p.Name())
+		fmt.Fprintf(&b, "  %5.1f%% %d/%s\n", p.utilIn(epoch), p.PID(), p.Name())
 	}
 	return b.String()
 }
@@ -66,6 +69,6 @@ func (d *Device) dumpsysPower() string {
 	b.WriteString("POWER MANAGER (dumpsys power)\n")
 	fmt.Fprintf(&b, "  Display Power: state=%v\n", map[bool]string{true: "ON", false: "OFF"}[d.screen.On()])
 	fmt.Fprintf(&b, "  Supply path: %v\n", d.Path())
-	fmt.Fprintf(&b, "  Instantaneous draw: %.1f mA\n", d.CurrentMA(d.clock.Now()))
+	fmt.Fprintf(&b, "  Instantaneous draw: %.1f mA\n", power.At(d, d.clock.Now()))
 	return b.String()
 }

@@ -2,7 +2,6 @@ package device
 
 import (
 	"sync"
-	"time"
 
 	"batterylab/internal/power"
 )
@@ -25,11 +24,8 @@ type Framebuffer struct {
 }
 
 func newFramebuffer() *Framebuffer {
-	fb := &Framebuffer{}
-	fb.decoder = power.NewSwitched("video-decoder", power.SourceFunc(func(time.Time) float64 {
-		return 18 // hardware H.264 decode block
-	}))
-	return fb
+	// hardware H.264 decode block
+	return &Framebuffer{decoder: power.NewSwitched(power.NewConstant("video-decoder", 18))}
 }
 
 // SetActivity declares the display change rate: fps changed frames per

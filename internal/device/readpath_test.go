@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"batterylab/internal/power"
 )
 
 // stuckName is a component whose first Name call blocks until release is
@@ -21,7 +23,7 @@ func (s stuckName) Name() string {
 	return "zz-stuck"
 }
 
-func (stuckName) CurrentMA(time.Time) float64 { return 0 }
+func (stuckName) AddMA(time.Time, time.Duration, []float64) {}
 
 // A sample reads the model; it does not wait on a writer. With every
 // writer mutex on the read path held — the device's, the process
@@ -35,7 +37,7 @@ func TestReadersNeverWaitOnWriters(t *testing.T) {
 	d.WiFi().Transfer(1<<20, 20, false)
 	d.Framebuffer().Decoder().SetOn(true)
 	src := d.MonitorVisibleSource()
-	want := src.CurrentMA(clk.Now())
+	want := power.At(src, clk.Now())
 	if want == 0 {
 		t.Fatal("bypassed device reads 0 mA")
 	}
@@ -60,14 +62,14 @@ func TestReadersNeverWaitOnWriters(t *testing.T) {
 	t.Cleanup(releaseAll)
 
 	got := make(chan float64, 1)
-	go func() { got <- src.CurrentMA(clk.Now()) }()
+	go func() { got <- power.At(src, clk.Now()) }()
 	select {
 	case v := <-got:
 		if v != want {
 			t.Fatalf("read under held writers = %v mA, want %v", v, want)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("MonitorVisibleSource().CurrentMA waited on a writer")
+		t.Fatal("MonitorVisibleSource().ReadMA waited on a writer")
 	}
 	releaseAll()
 	if err := <-attached; err != nil {

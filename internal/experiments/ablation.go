@@ -10,6 +10,7 @@ import (
 	"batterylab/internal/adb"
 	"batterylab/internal/api"
 	"batterylab/internal/mirror"
+	"batterylab/internal/power"
 	"batterylab/internal/simclock"
 	"batterylab/internal/stats"
 	"batterylab/internal/video"
@@ -241,7 +242,7 @@ func AblationAutomation(opts Options) ([]AutomationRow, error) {
 		var trueSamples []float64
 		for t := time.Duration(0); t < window; t += 200 * time.Millisecond {
 			env.Clk.Advance(200 * time.Millisecond)
-			trueSamples = append(trueSamples, env.Dev.CurrentMA(env.Clk.Now()))
+			trueSamples = append(trueSamples, power.At(env.Dev, env.Clk.Now()))
 		}
 		series, err := env.Ctl.Monsoon().StopSampling()
 		if err != nil {

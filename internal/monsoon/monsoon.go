@@ -180,16 +180,17 @@ func (m *Monsoon) StartSampling(rate int) error {
 // from first: for each, the wired source's draw plus ADC noise keyed by
 // the tick's instant, clamped to the 6 A envelope and quantised. The
 // readings are computed outside m.mu — the source read takes no lock
-// and touches no clock (see power.Source) — into the run's buffer, and
-// each full buffer, samples.ChunkLen readings at most, is appended in
-// one lock section, which also counts its overcurrent samples.
+// and touches no clock (see power.Source) — into the run's buffer, which
+// holds samples.ChunkLen readings at most: one source read fills it with
+// the draws of its ticks, a loop adds the noise in place, and one lock
+// section appends it and counts its overcurrent samples.
 func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 	for n > 0 {
 		buf := run.buf[:min(n, cap(run.buf))]
+		run.src.ReadMA(first, run.period, buf)
 		over := 0
 		now := first
-		for j := range buf {
-			i := run.src.CurrentMA(now)
+		for j, i := range buf {
 			// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
 			m.noise.AtInto(run.adc, "adc", now.UnixNano())
 			i += run.adc.Normal(0, 1.2)

@@ -541,18 +541,20 @@ type watchedTimer struct {
 func (t watchedTimer) Stop() bool                 { t.c.note(); return t.Timer.Stop() }
 func (t watchedTimer) Reset(d time.Duration) bool { t.c.note(); return t.Timer.Reset(d) }
 
-// watchedSource marks the reads of src in progress.
+// watchedSource marks the reads of src in progress and counts the
+// instants they read. It forwards each run whole, so the run read of
+// src is the path under watch.
 type watchedSource struct {
 	src     power.Source
 	reading *atomic.Bool
 	reads   int
 }
 
-func (w *watchedSource) CurrentMA(now time.Time) float64 {
+func (w *watchedSource) ReadMA(first time.Time, step time.Duration, out []float64) {
 	w.reading.Store(true)
 	defer w.reading.Store(false)
-	w.reads++
-	return w.src.CurrentMA(now)
+	w.reads += len(out)
+	w.src.ReadMA(first, step, out)
 }
 
 // A model read touches no clock: the sampler's contract, which lets a

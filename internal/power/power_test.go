@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestRailSumsComponents(t *testing.T) {
 	if err := r.Attach(NewConstant("b", 32)); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.CurrentMA(now); got != 42 {
+	if got := At(r, now); got != 42 {
 		t.Fatalf("rail = %v, want 42", got)
 	}
 }
@@ -36,7 +37,7 @@ func TestRailDetach(t *testing.T) {
 	r := NewRail()
 	r.Attach(NewConstant("a", 10))
 	r.Detach("a")
-	if got := r.CurrentMA(now); got != 0 {
+	if got := At(r, now); got != 0 {
 		t.Fatalf("rail after detach = %v", got)
 	}
 	r.Detach("missing") // no-op
@@ -46,7 +47,7 @@ func TestRailIgnoresNegative(t *testing.T) {
 	r := NewRail()
 	r.Attach(NewConstant("bad", -5))
 	r.Attach(NewConstant("good", 7))
-	if got := r.CurrentMA(now); got != 7 {
+	if got := At(r, now); got != 7 {
 		t.Fatalf("rail = %v, want 7 (negative clamped)", got)
 	}
 }
@@ -65,26 +66,26 @@ func TestRailBreakdownSorted(t *testing.T) {
 }
 
 func TestSwitchedGate(t *testing.T) {
-	s := NewSwitched("screen", SourceFunc(func(time.Time) float64 { return 90 }))
+	s := NewSwitched(NewConstant("screen", 90))
 	if s.On() {
 		t.Fatal("switched starts on")
 	}
-	if got := s.CurrentMA(now); got != 0 {
+	if got := drawAt(s, now); got != 0 {
 		t.Fatalf("off draw = %v", got)
 	}
 	s.SetOn(true)
-	if got := s.CurrentMA(now); got != 90 {
+	if got := drawAt(s, now); got != 90 {
 		t.Fatalf("on draw = %v", got)
 	}
 	s.SetOn(false)
-	if got := s.CurrentMA(now); got != 0 {
+	if got := drawAt(s, now); got != 0 {
 		t.Fatalf("re-off draw = %v", got)
 	}
 }
 
 func TestScaled(t *testing.T) {
-	s := NewScaled("loss", SourceFunc(func(time.Time) float64 { return 100 }), 1.005)
-	if got := s.CurrentMA(now); math.Abs(got-100.5) > 1e-9 {
+	s := NewScaled(SourceFunc(func(time.Time) float64 { return 100 }), 1.005)
+	if got := At(s, now); math.Abs(got-100.5) > 1e-9 {
 		t.Fatalf("scaled = %v", got)
 	}
 }
@@ -92,13 +93,13 @@ func TestScaled(t *testing.T) {
 func TestSourceFunc(t *testing.T) {
 	var called bool
 	f := SourceFunc(func(time.Time) float64 { called = true; return 1 })
-	if f.CurrentMA(now) != 1 || !called {
+	if At(f, now) != 1 || !called {
 		t.Fatal("SourceFunc adapter broken")
 	}
 }
 
 func TestRailEmptyIsZero(t *testing.T) {
-	if got := NewRail().CurrentMA(now); got != 0 {
+	if got := At(NewRail(), now); got != 0 {
 		t.Fatalf("empty rail = %v", got)
 	}
 }
@@ -118,15 +119,15 @@ func TestRailSumsInNameOrder(t *testing.T) {
 		}
 		r.Detach("0-extra")
 		r.Detach("absent")
-		if got := r.CurrentMA(time.Time{}); got != 1e16+2 {
+		if got := At(r, time.Time{}); got != 1e16+2 {
 			t.Fatalf("sum = %.0f, want %.0f", got, 1e16+2)
 		}
 	}
 }
 
-// NewScaled returns a component reporting gain × src.
-func NewScaled(name string, src Source, gain float64) *Scaled {
-	return &Scaled{name: name, src: src, gain: gain}
+// NewScaled returns a source reporting gain × src.
+func NewScaled(src Source, gain float64) *Scaled {
+	return &Scaled{src: src, gain: gain}
 }
 
 // Detach removes a component by name. Detaching an absent component is a
@@ -147,7 +148,7 @@ func (r *Rail) Breakdown(now time.Time) []Draw {
 	cs := *r.components.Load()
 	out := make([]Draw, 0, len(cs))
 	for _, c := range cs {
-		out = append(out, Draw{Name: c.Name(), MA: c.CurrentMA(now)})
+		out = append(out, Draw{Name: c.Name(), MA: drawAt(c, now)})
 	}
 	return out
 }
@@ -161,15 +162,64 @@ type Draw struct {
 // Scaled multiplies a source by a gain, used for modelling voltage
 // conversion losses and the relay's contact resistance.
 type Scaled struct {
-	name string
 	src  Source
 	gain float64
 }
 
-// Name implements Component.
-func (s *Scaled) Name() string { return s.name }
+// ReadMA implements Source.
+func (s *Scaled) ReadMA(first time.Time, step time.Duration, out []float64) {
+	s.src.ReadMA(first, step, out)
+	for j := range out {
+		out[j] *= s.gain
+	}
+}
 
-// CurrentMA implements Source.
-func (s *Scaled) CurrentMA(now time.Time) float64 {
-	return s.gain * s.src.CurrentMA(now)
+// drawAt is c's draw at one instant, as a rail adds it.
+func drawAt(c Component, now time.Time) float64 {
+	var v [1]float64
+	c.AddMA(now, 0, v[:])
+	return v[0]
+}
+
+// EachEpoch cuts a run into maximal stretches of one epoch each, and
+// Before finds where a run crosses an instant, for any start — before
+// 1970 too, where the epoch division truncates toward zero — and any
+// step, as reading each instant alone finds them.
+func TestRunSplitsMatchInstants(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(7, 11))
+	const epoch = 100 * time.Millisecond
+	for range 2000 {
+		first := time.Unix(0, rnd.Int64N(int64(4*time.Second))-int64(2*time.Second))
+		step := time.Duration(rnd.Int64N(int64(30 * time.Millisecond)))
+		n := 1 + rnd.IntN(64)
+		at := func(j int) time.Time { return first.Add(time.Duration(j) * step) }
+
+		next := 0
+		EachEpoch(first, step, epoch, n, func(e int64, lo, hi int) {
+			if lo != next || hi <= lo || hi > n {
+				t.Fatalf("stretch [%d, %d) after %d of %d", lo, hi, next, n)
+			}
+			for j := lo; j < hi; j++ {
+				if got := at(j).UnixNano() / int64(epoch); got != e {
+					t.Fatalf("instant %d of [%d, %d) is in epoch %d, stretch says %d", j, lo, hi, got, e)
+				}
+			}
+			if hi < n && at(hi).UnixNano()/int64(epoch) == e {
+				t.Fatalf("stretch [%d, %d) of epoch %d stops short", lo, hi, e)
+			}
+			next = hi
+		})
+		if next != n {
+			t.Fatalf("stretches cover %d of %d instants", next, n)
+		}
+
+		mark := first.Add(time.Duration(rnd.Int64N(int64(2*time.Second))) - time.Second)
+		want := 0
+		for want < n && at(want).Before(mark) {
+			want++
+		}
+		if got := Before(first, step, n, mark); got != want {
+			t.Fatalf("Before(%v, %v, %d, %v) = %d, want %d", first, step, n, mark, got, want)
+		}
+	}
 }

@@ -157,16 +157,35 @@ func (s *Switch) OnSwitch(ch int, f func(Position)) error {
 // MeasuredSource returns the current the power monitor observes on its
 // Vout for channel ch given the device rail: zero unless the channel is
 // in the bypass position, and scaled by the contact loss when it is. The
-// monitor reads garbage (zero-clamped) during the settle window.
+// monitor reads garbage (zero-clamped) during the settle window. The
+// channel is checked here, once: out of range, the source is an empty
+// rail, which reads zero.
 func (s *Switch) MeasuredSource(ch int, rail power.Source) power.Source {
-	return power.SourceFunc(func(now time.Time) float64 {
-		if ch < 0 || ch >= len(s.channels) {
-			return 0
-		}
-		c := s.channels[ch].contact.Load()
-		if c.pos != PosMonitor || now.Before(c.settledAt) {
-			return 0
-		}
-		return ContactGain * rail.CurrentMA(now)
-	})
+	if s.check(ch) != nil {
+		return power.NewRail()
+	}
+	return measured{&s.channels[ch], rail}
+}
+
+// measured is a channel's view of a device rail.
+type measured struct {
+	ch   *channel
+	rail power.Source
+}
+
+// ReadMA implements power.Source: the contact is loaded once per run,
+// the part of the run before the contacts settle reads zero, and the rest
+// reads the scaled rail.
+func (m measured) ReadMA(first time.Time, step time.Duration, out []float64) {
+	c := m.ch.contact.Load()
+	if c.pos != PosMonitor {
+		clear(out)
+		return
+	}
+	k := power.Before(first, step, len(out), c.settledAt)
+	clear(out[:k])
+	m.rail.ReadMA(first.Add(time.Duration(k)*step), step, out[k:])
+	for j := k; j < len(out); j++ {
+		out[j] *= ContactGain
+	}
 }

@@ -82,21 +82,21 @@ func TestMeasuredSourceGating(t *testing.T) {
 	rail := power.SourceFunc(func(time.Time) float64 { return 100 })
 	src := s.MeasuredSource(0, rail)
 
-	if got := src.CurrentMA(clk.Now()); got != 0 {
+	if got := power.At(src, clk.Now()); got != 0 {
 		t.Fatalf("battery position reads %v, want 0", got)
 	}
 	s.Set(0, PosMonitor)
-	if got := src.CurrentMA(clk.Now()); got != 0 {
+	if got := power.At(src, clk.Now()); got != 0 {
 		t.Fatalf("unsettled reads %v, want 0", got)
 	}
 	clk.Advance(SettleTime)
 	want := ContactGain * 100
-	if got := src.CurrentMA(clk.Now()); got != want {
+	if got := power.At(src, clk.Now()); got != want {
 		t.Fatalf("bypass reads %v, want %v", got, want)
 	}
 	s.Set(0, PosBattery)
 	clk.Advance(SettleTime)
-	if got := src.CurrentMA(clk.Now()); got != 0 {
+	if got := power.At(src, clk.Now()); got != 0 {
 		t.Fatalf("back-to-battery reads %v, want 0", got)
 	}
 }
@@ -159,7 +159,7 @@ func (s stuckName) Name() string {
 	return "zz-stuck"
 }
 
-func (stuckName) CurrentMA(time.Time) float64 { return 0 }
+func (stuckName) AddMA(time.Time, time.Duration, []float64) {}
 
 // The monitor's input does not wait on a writer either: with the switch's
 // mutex and the device rail's held, MeasuredSource over a bypassed
@@ -178,7 +178,7 @@ func TestMeasuredSourceNeverWaitsOnWriters(t *testing.T) {
 	}
 	clk.Advance(SettleTime)
 	src := s.MeasuredSource(0, dev.MonitorVisibleSource())
-	want := src.CurrentMA(clk.Now())
+	want := power.At(src, clk.Now())
 	if want == 0 {
 		t.Fatal("bypassed channel reads 0 mA")
 	}
@@ -198,7 +198,7 @@ func TestMeasuredSourceNeverWaitsOnWriters(t *testing.T) {
 	t.Cleanup(releaseAll)
 
 	got := make(chan float64, 1)
-	go func() { got <- src.CurrentMA(clk.Now()) }()
+	go func() { got <- power.At(src, clk.Now()) }()
 	select {
 	case v := <-got:
 		if v != want {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"batterylab/internal/device"
+	"batterylab/internal/power"
 	"batterylab/internal/simclock"
 )
 
@@ -46,10 +47,10 @@ func TestPlaybackDrivesPipeline(t *testing.T) {
 	}
 	// Playback draw should exceed idle draw by the decoder + player CPU.
 	clk.Advance(time.Second)
-	playing := d.CurrentMA(clk.Now())
+	playing := power.At(d, clk.Now())
 	d.StopApp(PackageName)
 	clk.Advance(time.Second)
-	stopped := d.CurrentMA(clk.Now())
+	stopped := power.At(d, clk.Now())
 	if playing-stopped < 15 {
 		t.Fatalf("playback delta too small: %v vs %v", playing, stopped)
 	}
