@@ -80,31 +80,22 @@ type (
 	APIError = api.Error
 )
 
-// ExperimentHandle is the handle shape shared by local and remote
-// runs: Wait for the result, Cancel at the earliest safe point, Done
-// for select loops, Phase for progress. *core.Experiment and
-// *remote.Session both satisfy it, and both read the settled build's
-// wire status through core.RunOf, so a run's Result and error are the
-// same on either handle.
-type ExperimentHandle interface {
-	Wait(ctx context.Context) (*Result, error)
-	Cancel()
-	Done() <-chan struct{}
-	Phase() Phase
-}
+// ExperimentHandle is the handle of one run, local or remote — there is
+// one: Wait for the result, Cancel at the earliest safe point, Done for
+// select loops, Phase for progress, Build for the server's build id. It
+// follows the build through a port (in process, or over HTTP) and reads
+// the settled build's wire status the same way on either, so a run's
+// Result and error are the same wherever it ran.
+type ExperimentHandle = *core.Experiment
 
-// CampaignHandle is the campaign shape shared by local and remote
-// backends: *core.CampaignSession and *remote.Campaign both satisfy it,
-// and their Wait returns the same CampaignRun for the same build.
-type CampaignHandle interface {
-	Wait(ctx context.Context) ([]CampaignRun, error)
-	Cancel()
-	Done() <-chan struct{}
-}
+// CampaignHandle is the handle of a campaign, local or remote: one
+// ExperimentHandle per member, whose Wait returns the same CampaignRun
+// for the same build on either backend.
+type CampaignHandle = *core.CampaignSession
 
 // Backend runs declarative v1 specs somewhere — in this process or on
-// a remote access server. Construct with LocalBackend or
-// RemoteBackend.
+// a remote access server. Construct with LocalBackend or RemoteBackend;
+// both start the one handle, over the in-process port or the HTTP one.
 type Backend interface {
 	// StartExperimentSpec submits one run and returns its handle.
 	StartExperimentSpec(ctx context.Context, spec ExperimentSpecV1, obs ...Observer) (ExperimentHandle, error)
@@ -121,36 +112,17 @@ type Backend interface {
 // experiments and campaigns queue on the platform's own access server,
 // exactly as Platform.StartExperimentSpec and StartCampaignSpec do (both
 // drive a virtual clock from Wait).
-func LocalBackend(p *Platform) Backend { return localBackend{p} }
-
-type localBackend struct{ p *core.Platform }
-
-func (b localBackend) StartExperimentSpec(ctx context.Context, spec ExperimentSpecV1, obs ...Observer) (ExperimentHandle, error) {
-	s, err := b.p.StartExperimentSpec(ctx, spec, obs...)
-	if err != nil {
-		return nil, err
+func LocalBackend(p *Platform) Backend {
+	return backend{
+		experiment: p.StartExperimentSpec,
+		campaign:   p.StartCampaignSpec,
+		nodes:      func(context.Context) ([]NodeInfo, error) { return p.Access.NodeInfos(), nil },
+		workloads:  func(context.Context) ([]string, error) { return p.Workloads().Names(), nil },
 	}
-	return s, nil
-}
-
-func (b localBackend) StartCampaignSpec(ctx context.Context, spec CampaignSpecV1, obs ...Observer) (CampaignHandle, error) {
-	cs, err := b.p.StartCampaignSpec(ctx, spec, obs...)
-	if err != nil {
-		return nil, err
-	}
-	return cs, nil
-}
-
-func (b localBackend) Nodes(ctx context.Context) ([]NodeInfo, error) {
-	return b.p.Access.NodeInfos(), nil
-}
-
-func (b localBackend) Workloads(ctx context.Context) ([]string, error) {
-	return b.p.Workloads().Names(), nil
 }
 
 // RemoteBackend connects to an access server's v1 API and returns a
-// Backend whose sessions stream phase events and live samples back and
+// Backend whose handles stream phase events and live samples back and
 // reconstruct results from the build workspace. server is the base
 // URL (e.g. "http://lab.example:9090"); token is the user's API token.
 func RemoteBackend(server, token string) (Backend, error) {
@@ -158,31 +130,25 @@ func RemoteBackend(server, token string) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return remoteBackend{p}, nil
+	return backend{p.StartExperiment, p.StartCampaign, p.Nodes, p.WorkloadNames}, nil
 }
 
-type remoteBackend struct{ p *remote.Platform }
-
-func (b remoteBackend) StartExperimentSpec(ctx context.Context, spec ExperimentSpecV1, obs ...Observer) (ExperimentHandle, error) {
-	s, err := b.p.StartExperiment(ctx, spec, obs...)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+// backend is a Backend bound to one platform, in process or remote.
+type backend struct {
+	experiment func(context.Context, ExperimentSpecV1, ...Observer) (ExperimentHandle, error)
+	campaign   func(context.Context, CampaignSpecV1, ...Observer) (CampaignHandle, error)
+	nodes      func(context.Context) ([]NodeInfo, error)
+	workloads  func(context.Context) ([]string, error)
 }
 
-func (b remoteBackend) StartCampaignSpec(ctx context.Context, spec CampaignSpecV1, obs ...Observer) (CampaignHandle, error) {
-	c, err := b.p.StartCampaign(ctx, spec, obs...)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+func (b backend) StartExperimentSpec(ctx context.Context, spec ExperimentSpecV1, obs ...Observer) (ExperimentHandle, error) {
+	return b.experiment(ctx, spec, obs...)
 }
 
-func (b remoteBackend) Nodes(ctx context.Context) ([]NodeInfo, error) {
-	return b.p.Nodes(ctx)
+func (b backend) StartCampaignSpec(ctx context.Context, spec CampaignSpecV1, obs ...Observer) (CampaignHandle, error) {
+	return b.campaign(ctx, spec, obs...)
 }
 
-func (b remoteBackend) Workloads(ctx context.Context) ([]string, error) {
-	return b.p.WorkloadNames(ctx)
-}
+func (b backend) Nodes(ctx context.Context) ([]NodeInfo, error) { return b.nodes(ctx) }
+
+func (b backend) Workloads(ctx context.Context) ([]string, error) { return b.workloads(ctx) }

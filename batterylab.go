@@ -40,11 +40,10 @@
 //	runs, _ := cs.Wait(ctx)
 //
 // The v1 remote execution API makes the platform location-transparent:
-// the same ExperimentSpecV1 runs through the same Backend interface
-// whether the hardware is in-process or behind an access server's HTTP
-// API, and both handles read the settled build through one function,
-// so its result is decoded from the same build artifacts (see
-// backend.go, internal/api for the wire schema, and
+// the same ExperimentSpecV1 runs through the same Backend interface, and
+// returns the same handle, whether the hardware is in-process or behind
+// an access server's HTTP API, so its result is decoded from the same
+// build artifacts (see backend.go, internal/api for the wire schema, and
 // ExampleRemoteBackend):
 //
 //	backend, _ := batterylab.RemoteBackend("http://lab:9090", token)

@@ -13,8 +13,8 @@ import (
 // the v1 HTTP API, connect the location-transparent client to it, and
 // run the same declarative spec remotely and, on a twin deployment,
 // locally. Code written against batterylab.Backend does not care where
-// the hardware lives, and both handles read the settled build alike: the
-// two outcome lines are identical, bit for bit.
+// the hardware lives, and one handle reads the settled build over either
+// port: the two outcome lines are identical, bit for bit.
 func ExampleRemoteBackend() {
 	// The "lab": one simulated vantage point on a virtual clock, its
 	// access server behind an HTTP listener.

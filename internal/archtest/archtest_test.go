@@ -41,6 +41,7 @@ var rules = []struct {
 	{"sections-have-one-exit", "internal/accessserver", sectionsHaveOneExit},
 	{"one-clock-driver", "internal/core", oneClockDriver},
 	{"frame-is-bytes", "internal/api", frameIsBytes},
+	{"one-run-handle", "internal/remote", oneRunHandle},
 	{"architecture-map", "README.md", architectureMap},
 	{"reachable", "internal/stats", reachable},
 }
@@ -112,5 +113,6 @@ func TestOneRecordCodec(t *testing.T)      { holds(t, "one-record-codec") }
 func TestSectionsHaveOneExit(t *testing.T) { holds(t, "sections-have-one-exit") }
 func TestOneClockDriver(t *testing.T)      { holds(t, "one-clock-driver") }
 func TestFrameIsBytes(t *testing.T)        { holds(t, "frame-is-bytes") }
+func TestOneRunHandle(t *testing.T)        { holds(t, "one-run-handle") }
 func TestArchitectureMap(t *testing.T)     { holds(t, "architecture-map") }
 func TestReachable(t *testing.T)           { holds(t, "reachable") }

@@ -25,6 +25,10 @@
 //   - sections have one exit, one clock driver, a frame is bytes: the
 //     go/parser tests of accessserver, simclock and api they were.
 //   - architecture map: README's internal/ table has one row per package.
+//   - one run handle (new, no step replaced): outside internal/core no
+//     type declares Wait(ctx, …) and no non-test code starts a goroutine
+//     that acts when a context's Done fires — the run handle and its ctx
+//     watcher exist once, in core.
 //   - reachable (new, no step replaced): every function and method of a
 //     non-test file is reached — called, taken as a value or referenced,
 //     a generic instance counting as its origin — from a root: main and

@@ -732,6 +732,61 @@ func frameIsBytes(r *report) {
 	}
 }
 
+// oneRunHandle: one client. A run's handle — its follower, the PhaseDone
+// hold-back, Cancel, Wait and the ctx watcher — lives in internal/core,
+// over a port with an in-process and an HTTP adapter. Outside core no
+// type declares a Wait method whose first parameter is a
+// context.Context, and no non-test code starts a goroutine that selects
+// on a context's Done to act on it: cancelling a build when ctx ends is
+// core's one watch.
+func oneRunHandle(r *report) {
+	ctx := r.object("context", "Context")
+	done := r.object("context", "Context.Done")
+	if len(r.found) > 0 {
+		return
+	}
+	// watches reports whether a select case of n receives from a
+	// Context's Done and then does something.
+	watches := func(info *types.Info, n ast.Node) (found bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CommClause); ok && cc.Comm != nil && len(cc.Body) > 0 {
+				ast.Inspect(cc.Comm, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && called(info, call) == done {
+						found = true
+					}
+					return !found
+				})
+			}
+			return !found
+		})
+		return found
+	}
+	for _, p := range r.m.pkgs {
+		if p.path == r.m.path+"/internal/core" {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					fn, _ := p.info.Defs[n.Name].(*types.Func)
+					if n.Recv == nil || n.Name.Name != "Wait" || fn == nil {
+						return true
+					}
+					if params := fn.Signature().Params(); params.Len() > 0 && types.Identical(params.At(0).Type(), ctx.Type()) {
+						r.at(n.Name.Pos(), "%s declares Wait(ctx, …): a run handle beside core's", types.TypeString(fn.Signature().Recv().Type(), types.RelativeTo(fn.Pkg())))
+					}
+				case *ast.GoStmt:
+					if watches(p.info, n.Call) {
+						r.at(n.Pos(), "a goroutine watches a ctx to act when it ends: cancel through core's one watch")
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // mapHeading opens README's package table.
 const mapHeading = "## Architecture map (`internal/`)"
 

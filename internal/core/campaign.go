@@ -11,18 +11,14 @@ import (
 	"batterylab/internal/simclock"
 )
 
-// This file is how an in-process caller runs a measurement. A platform
-// has one run path, its access server (§3.1): a run is a wire spec
-// submitted to the platform's own server, so it queues until its
+// This file is the one client of a build, in process and over HTTP
+// alike. A run is a wire spec submitted through a Port — the platform's
+// own access server (§3.1) or a remote one — so it queues until its
 // vantage point is free and is readable over the v1 API like one POSTed
 // there, and a campaign is a wire campaign submitted the same way. The
-// handle of one run follows its build's feed and decodes its result
-// from the build's workspace; a campaign holds one such handle per
-// member build.
-
-// ownerName names the platform-owned admin user that submits in-process
-// runs and campaigns.
-const ownerName = "platform"
+// handle of one run follows its build's feed through the port and reads
+// its run from the build's settled wire status; a campaign holds one
+// such handle per member build.
 
 // CampaignRun is one experiment's outcome within a campaign.
 type CampaignRun struct {
@@ -45,61 +41,86 @@ type CampaignRun struct {
 	Finished time.Time
 }
 
-// Experiment is a handle to one measurement run as a build on the
-// platform's own access server. It is safe for concurrent use.
+// Port is what a run handle needs of the access server its builds run
+// on. It has two adapters: the platform's own server in process
+// (localPort, behind Platform.StartExperimentSpec) and a remote one over
+// HTTP (behind remote's Platform.StartExperiment).
+type Port interface {
+	// Submit queues one run and returns its build.
+	Submit(ctx context.Context, spec api.ExperimentSpec) (build int, err error)
+	// SubmitCampaign queues a campaign and returns its id and its
+	// builds, index-aligned with spec.Experiments.
+	SubmitCampaign(ctx context.Context, spec api.CampaignSpec) (id int, builds []int, err error)
+	// Follow hands the build's feed to event and sample, each stream in
+	// order (the two may run concurrently), until the feed closes, which
+	// it does once the build's terminal status is published; then it
+	// returns nil. Any other end is an error: records were lost.
+	Follow(ctx context.Context, build int, event func(api.BuildEvent), sample func(api.SamplePoint)) error
+	// BuildStatus reads the build's wire status.
+	BuildStatus(ctx context.Context, build int) (api.BuildStatus, error)
+	// Artifact reads one of the build's workspace artifacts.
+	Artifact(ctx context.Context, build int, name string) ([]byte, error)
+	// Abort cancels the build. A build that has settled or expired is not
+	// an error: there is nothing left to cancel.
+	Abort(ctx context.Context, build int) error
+	// Drive blocks until settled reports true and done has closed: the
+	// in-process port on a Virtual clock drives simulated time itself,
+	// asking settled between instants, and any other port Awaits. When
+	// ctx ends first it cancels (cancel), waits for the teardown and
+	// returns ctx's error; any other error means done may not have closed.
+	Drive(ctx context.Context, settled func() bool, done <-chan struct{}, cancel func()) error
+}
+
+// Experiment is a handle to one measurement run as a build, in process
+// or on a remote access server. It is safe for concurrent use.
 type Experiment struct {
-	platform *Platform
-	owner    *accessserver.User
-	build    *accessserver.Build
+	port  Port
+	index int // the run's position in its campaign
+	spec  api.ExperimentSpec
+	build int
+	obs   []Observer
 
 	// run is written by the follower before done closes.
 	run  CampaignRun
 	done chan struct{}
 
-	mu    sync.Mutex
-	phase Phase
+	mu     sync.Mutex
+	phase  Phase
+	posted *PhaseChange // the feed's terminal PhaseDone, held back
 }
 
-// StartExperimentSpec submits a wire spec to the platform's access
-// server as the platform's own admin user and returns a handle on its
-// build at once. A spec that does not compile fails here, typed, and
-// queues nothing; every later failure (setup, workload, node loss)
+// StartExperiment submits a wire spec through port and returns a handle
+// on its build at once. A spec that does not compile fails here, typed,
+// and queues nothing; every later failure (setup, workload, node loss)
 // surfaces through Wait. The run queues until its vantage point is free:
 // one Monsoon measures one run at a time. Observers receive the run's
 // phase events and live samples from its build feed. Cancelling ctx
 // cancels the run.
-func (p *Platform) StartExperimentSpec(ctx context.Context, ws api.ExperimentSpec, obs ...Observer) (*Experiment, error) {
-	owner, err := p.submitter(ctx)
+func StartExperiment(ctx context.Context, port Port, spec api.ExperimentSpec, obs ...Observer) (*Experiment, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	build, err := port.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	b, err := p.Access.SubmitSpec(owner, ws)
-	if err != nil {
-		return nil, err
-	}
-	e := p.follow(owner, b, 0, ws, obs)
-	p.watch(ctx, e.done, e.Cancel)
+	e := follow(port, build, 0, spec, obs)
+	watch(ctx, port, e.done, e.Cancel)
 	return e, nil
 }
 
-// submitter is the user in-process runs are submitted as, once ctx is
-// known to be live.
-func (p *Platform) submitter(ctx context.Context) (*accessserver.User, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// watch cancels a handle when ctx ends before done closes. The
+// in-process port on a Virtual clock is the exception: there all
+// progress happens inside Wait's Drive, which observes ctx itself — an
+// async cancel would tear a run down concurrently with timer callbacks
+// and break the single-driver determinism model.
+func watch(ctx context.Context, port Port, done <-chan struct{}, cancel func()) {
+	if lp, ok := port.(*localPort); ok {
+		if _, virtual := lp.p.clock.(*simclock.Virtual); virtual {
+			return
 		}
 	}
-	return p.owner()
-}
-
-// watch cancels a handle when ctx ends before done closes. Real clock
-// only: under a Virtual clock all progress happens inside Wait's drive
-// loop, which observes ctx itself — an async cancel would tear a run
-// down concurrently with timer callbacks and break the single-driver
-// determinism model.
-func (p *Platform) watch(ctx context.Context, done <-chan struct{}, cancel func()) {
-	if _, virtual := p.clock.(*simclock.Virtual); virtual || ctx == nil || ctx.Done() == nil {
+	if ctx.Done() == nil {
 		return
 	}
 	go func() {
@@ -112,76 +133,87 @@ func (p *Platform) watch(ctx context.Context, done <-chan struct{}, cancel func(
 }
 
 // follow returns the handle of a submitted build, the i-th of its
-// campaign, and starts its follower: a goroutine that delivers the
-// build's feed to obs until the feed closes, which it does once the
-// build's terminal status is published, then reads the run from that
-// status, delivers the terminal PhaseDone and closes done.
-func (p *Platform) follow(owner *accessserver.User, b *accessserver.Build, i int, ws api.ExperimentSpec, obs []Observer) *Experiment {
-	e := &Experiment{platform: p, owner: owner, build: b, done: make(chan struct{})}
+// campaign, and starts its follower: a goroutine that hands the build's
+// feed to obs until the feed closes, then reads the run (finalize) and
+// closes done. The follow has a context of its own: it outlasts the
+// submit ctx's happy path and ends when the build does, and the submit
+// ctx cancels the build instead (watch).
+func follow(port Port, build, i int, spec api.ExperimentSpec, obs []Observer) *Experiment {
+	e := &Experiment{port: port, index: i, spec: spec, build: build, obs: obs, done: make(chan struct{})}
 	go func() {
-		posted := e.deliver(ws.Node, ws.Device, obs)
-		var last PhaseChange
-		e.run, last = RunOf(i, ws, b.Status(), posted, b.Workspace().Load)
-		e.setPhase(PhaseDone)
-		for _, o := range obs {
-			o.OnPhase(last)
-		}
+		ctx := context.Background()
+		e.finalize(ctx, port.Follow(ctx, build, e.onEvent, e.onSample))
 		close(e.done)
 	}()
 	return e
 }
 
-// deliver hands the build's feed to obs in order, up to its closing,
-// and returns the terminal PhaseDone it held back (nil when the feed
-// posted none).
-func (e *Experiment) deliver(node, device string, obs []Observer) *PhaseChange {
-	feed := e.build.Feed()
-	var nEvents, nSamples int
-	var last *PhaseChange
-	for {
-		// The samples read comes first: if it finds the feed closed,
-		// the events read after it finds every event too.
-		pts, closed, changed := feed.SamplesSince(nSamples)
-		evs, _, _ := feed.EventsSince(nEvents)
-		nSamples += len(pts)
-		nEvents += len(evs)
-		for _, pt := range pts {
-			smp := SampleOf(node, device, pt)
-			for _, o := range obs {
-				o.OnSample(smp)
-			}
+// onEvent hands one feed event to the observers as the PhaseChange it
+// carries. The terminal PhaseDone is held back: finalize delivers it
+// once the samples have drained too.
+func (e *Experiment) onEvent(ev api.BuildEvent) {
+	c, ok := phaseChangeOf(ev)
+	switch {
+	case !ok: // a failover transition, or a newer server's phase
+	case c.Phase == PhaseDone:
+		e.mu.Lock()
+		e.posted = &c
+		e.mu.Unlock()
+	default:
+		e.setPhase(c.Phase)
+		for _, o := range e.obs {
+			o.OnPhase(c)
 		}
-		for _, ev := range evs {
-			c, ok := PhaseChangeOf(ev)
-			switch {
-			case !ok:
-			case c.Phase == PhaseDone:
-				last = &c
-			default:
-				e.setPhase(c.Phase)
-				for _, o := range obs {
-					o.OnPhase(c)
-				}
-			}
-		}
-		if closed {
-			return last
-		}
-		<-changed
 	}
 }
 
-// RunOf reads a settled build's run from its wire status: the one
-// reading of a build that an in-process Experiment (from its build's
-// Status) and a remote session (from the status it fetched once the
-// build's streams ended) share, so both handles report a run alike. i
-// and ws are the run's position and spec in its campaign; load fetches
-// one of the build's artifacts, from the workspace in-process and over
-// HTTP remotely. posted is the terminal PhaseDone the build's feed
-// carried, if any; RunOf returns it, or, for a build whose feed posted
-// none (a run canceled while queued), one stamped with the instant the
-// build settled and carrying the run's error.
-func RunOf(i int, ws api.ExperimentSpec, st api.BuildStatus, posted *PhaseChange, load func(string) ([]byte, error)) (CampaignRun, PhaseChange) {
+// onSample hands one feed point to the observers as a Sample.
+func (e *Experiment) onSample(pt api.SamplePoint) {
+	smp := sampleOf(e.spec.Node, e.spec.Device, pt)
+	for _, o := range e.obs {
+		o.OnSample(smp)
+	}
+}
+
+// finalize reads the run once its follow has ended, err saying how. A
+// closed feed means the build's terminal status is published: one
+// status read gives the run (runOf), a success's result decoded from
+// the artifacts the port reads. A follow that ended broken, or a status
+// that cannot be read, fails the run with that error, and its PhaseDone
+// carries no instant: the observers missed records. The terminal
+// PhaseDone goes out last.
+func (e *Experiment) finalize(ctx context.Context, err error) {
+	var st api.BuildStatus
+	if err == nil {
+		st, err = e.port.BuildStatus(ctx, e.build)
+	}
+	if err == nil && !st.Terminal() {
+		err = fmt.Errorf("core: build %d still %s after its feed closed", e.build, st.State)
+	}
+	var last PhaseChange
+	if err == nil {
+		// The follow has ended, so onEvent no longer writes posted.
+		e.run, last = runOf(e.index, e.spec, st, e.posted, func(name string) ([]byte, error) {
+			return e.port.Artifact(ctx, e.build, name)
+		})
+	} else {
+		e.run = CampaignRun{Index: e.index, Build: e.build, Node: e.spec.Node, Device: e.spec.Device, Err: err}
+		last = PhaseChange{Node: e.spec.Node, Device: e.spec.Device, Phase: PhaseDone, Err: err}
+	}
+	e.setPhase(PhaseDone)
+	for _, o := range e.obs {
+		o.OnPhase(last)
+	}
+}
+
+// runOf reads a settled build's run from its wire status, the one
+// reading of a build, in process and over HTTP. i and ws are the run's
+// position and spec in its campaign; load fetches one of the build's
+// artifacts. posted is the terminal PhaseDone the build's feed carried,
+// if any; runOf returns it, or, for a build whose feed posted none (a
+// run canceled while queued), one stamped with the instant the build
+// settled and carrying the run's error.
+func runOf(i int, ws api.ExperimentSpec, st api.BuildStatus, posted *PhaseChange, load func(string) ([]byte, error)) (CampaignRun, PhaseChange) {
 	run := CampaignRun{
 		Index: i, Build: st.ID,
 		Node: ws.Node, Device: ws.Device,
@@ -190,7 +222,7 @@ func RunOf(i int, ws api.ExperimentSpec, st api.BuildStatus, posted *PhaseChange
 	}
 	switch {
 	case st.State == accessserver.StateSuccess.String():
-		run.Result, run.Err = DecodeResult(load, st.Summary)
+		run.Result, run.Err = decodeResult(load, st.Summary)
 	case st.State == accessserver.StateAborted.String():
 		run.Err = fmt.Errorf("%w: build %d aborted", ErrCanceled, st.ID)
 	case st.State == api.StateExpired:
@@ -238,106 +270,78 @@ func (e *Experiment) Phase() Phase {
 }
 
 // Build reports the access-server build that runs the experiment.
-func (e *Experiment) Build() int { return e.build.ID }
+func (e *Experiment) Build() int { return e.build }
 
 // Done returns a channel closed when the run has finished and its
-// outcome is read.
+// outcome is read. Every accepted sample and phase event reaches the
+// observers before it closes, the terminal PhaseDone last.
 func (e *Experiment) Done() <-chan struct{} { return e.done }
 
 // Cancel aborts the run: a queued one ends with ErrCanceled at once, a
 // running one is torn down in reverse setup order (monitor, mirroring,
 // VPN) through its build's cancel hook. Idempotent, safe from any
 // goroutine — an observer callback included — and a no-op once the run
-// has settled.
+// has settled. Until then every call asks the port again, so a cancel
+// lost to a transient failure is not the last word.
 func (e *Experiment) Cancel() {
-	// A build that settled already answers ErrConflict (or ErrExpired):
-	// there is nothing left to cancel.
-	_ = e.platform.Access.Abort(e.owner, e.build.ID)
+	if isClosed(e.done)() {
+		return
+	}
+	_ = e.port.Abort(context.Background(), e.build)
 }
 
-// settled reports whether the build is terminal — drive's finished for
-// Wait, asked between instants.
-func (e *Experiment) settled() bool { return e.build.State().Terminal() }
+// settled reports whether the build is terminal, as Drive asks it
+// between instants. A build the port can no longer read cannot move.
+func (e *Experiment) settled() bool {
+	st, err := e.port.BuildStatus(context.Background(), e.build)
+	return err != nil || st.Terminal()
+}
 
-// Wait blocks until the run has finished and returns its outcome. On a
-// Virtual platform clock it drives simulated time itself until the
-// build is terminal; concurrent Waits take turns on the clock.
+// Wait blocks until the run has finished and returns its outcome. On an
+// in-process Virtual platform clock it drives simulated time itself
+// until the build is terminal; concurrent Waits take turns on the clock.
 // Cancelling ctx cancels the run, waits for its teardown and returns
 // the canceled outcome.
 func (e *Experiment) Wait(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	err := e.platform.await(ctx, e.settled, e.done, e.Cancel)
+	err := e.port.Drive(ctx, e.settled, e.done, e.Cancel)
 	if err != nil && (ctx.Err() == nil || !isClosed(e.done)()) {
 		return nil, err // the clock stalled
 	}
 	return e.run.Result, e.run.Err
 }
 
-// await blocks until settled reports true and done has closed, driving
-// a Virtual platform clock itself. When ctx ends first, or the clock
-// stalls, it cancels (cancel) and waits for the teardown, returning
-// that error; when even the teardown cannot settle, it returns without
-// done closed.
-func (p *Platform) await(ctx context.Context, settled func() bool, done <-chan struct{}, cancel func()) error {
-	var err error
-	v, virtual := p.clock.(*simclock.Virtual)
-	if virtual {
-		err = drive(ctx, v, settled)
-	} else {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-	}
-	if err != nil {
-		cancel()
-		if virtual {
-			// Aborts settle queued builds at once and tear running ones
-			// down on this goroutine; drive finishes any teardown that
-			// still waits on the clock.
-			if err := drive(context.Background(), v, settled); err != nil {
-				return err
-			}
-		}
-	}
-	<-done
-	return err
-}
-
-// CampaignSession is a handle to an in-process campaign: one Experiment
-// per member build the platform's access server queued for it,
-// index-aligned with the spec.
+// CampaignSession is a handle to a campaign: one Experiment per member
+// build, index-aligned with the spec.
 type CampaignSession struct {
-	// ID is the campaign's id on the platform's access server.
+	// ID is the campaign's id on its access server.
 	ID int
 
-	platform *Platform
-	members  []*Experiment
-	done     chan struct{}
+	port    Port
+	members []*Experiment
+	done    chan struct{}
 }
 
-// StartCampaignSpec submits a wire campaign to the platform's access
-// server as the platform's own admin user and returns a handle over its
-// member builds. A spec that does not compile fails here, typed, and
-// queues nothing. Runs spread across vantage points and queue per node,
-// whose one Monsoon measures one run at a time. Observers receive each
-// member's phase events and live samples from its build feed, on each
-// member's follower goroutine. Cancelling ctx cancels the campaign.
-func (p *Platform) StartCampaignSpec(ctx context.Context, spec api.CampaignSpec, obs ...Observer) (*CampaignSession, error) {
-	owner, err := p.submitter(ctx)
+// StartCampaign submits a wire campaign through port and returns a
+// handle over its member builds. A spec that does not compile fails
+// here, typed, and queues nothing. Runs spread across vantage points and
+// queue per node, whose one Monsoon measures one run at a time.
+// Observers receive each member's phase events and live samples from
+// its build feed, on each member's follower goroutine. Cancelling ctx
+// cancels the campaign.
+func StartCampaign(ctx context.Context, port Port, spec api.CampaignSpec, obs ...Observer) (*CampaignSession, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	id, builds, err := port.SubmitCampaign(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	id, builds, err := p.Access.SubmitCampaign(owner, spec)
-	if err != nil {
-		return nil, err
-	}
-	cs := &CampaignSession{ID: id, platform: p, done: make(chan struct{})}
+	cs := &CampaignSession{ID: id, port: port, done: make(chan struct{})}
 	for i, b := range builds {
-		cs.members = append(cs.members, p.follow(owner, b, i, spec.Experiments[i], obs))
+		cs.members = append(cs.members, follow(port, b, i, spec.Experiments[i], obs))
 	}
 	go func() {
 		for _, m := range cs.members {
@@ -345,7 +349,7 @@ func (p *Platform) StartCampaignSpec(ctx context.Context, spec api.CampaignSpec,
 		}
 		close(cs.done)
 	}()
-	p.watch(ctx, cs.done, cs.Cancel)
+	watch(ctx, port, cs.done, cs.Cancel)
 	return cs, nil
 }
 
@@ -355,7 +359,9 @@ func (cs *CampaignSession) Done() <-chan struct{} { return cs.done }
 
 // Cancel aborts every member that has not settled. Members go last to
 // first, so queued ones leave the queue before the running ones ahead
-// of them free their nodes. Idempotent.
+// of them free their nodes: first to last, the server could dispatch
+// the next member between two aborts — a device setup for a run nobody
+// wants. Idempotent.
 func (cs *CampaignSession) Cancel() {
 	for i := len(cs.members) - 1; i >= 0; i-- {
 		cs.members[i].Cancel()
@@ -373,16 +379,16 @@ func (cs *CampaignSession) settled() bool {
 }
 
 // Wait blocks until every run has finished and returns the outcomes in
-// spec order. On a Virtual platform clock it drives simulated time
-// itself until every member build is terminal. Per-run failures live
-// in the returned runs; the error return is campaign-level only.
-// Cancelling ctx cancels the campaign, waits for its teardown and
-// returns ctx's error.
+// spec order. On an in-process Virtual platform clock it drives
+// simulated time itself until every member build is terminal. Per-run
+// failures live in the returned runs; the error return is
+// campaign-level only. Cancelling ctx cancels the campaign, waits for
+// its teardown and returns ctx's error.
 func (cs *CampaignSession) Wait(ctx context.Context) ([]CampaignRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	err := cs.platform.await(ctx, cs.settled, cs.done, cs.Cancel)
+	err := cs.port.Drive(ctx, cs.settled, cs.done, cs.Cancel)
 	if !isClosed(cs.done)() {
 		return nil, err // a member that cannot settle: no outcomes
 	}

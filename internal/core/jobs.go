@@ -88,7 +88,7 @@ func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 }
 
 // saveRun stores a finished run on its build: the artifacts
-// DecodeResult reads back, the current.csv view over them, and the run
+// decodeResult reads back, the current.csv view over them, and the run
 // summary, which counts the live samples the build's feed dropped.
 func saveRun(b *accessserver.Build, res *Result) error {
 	ws := b.Workspace()
@@ -137,11 +137,11 @@ func renderCSV(bin []byte) ([]byte, error) {
 	return csv.Bytes(), nil
 }
 
-// PhaseChangeOf inverts session.postPhase: the PhaseChange a feed's
+// phaseChangeOf inverts session.postPhase: the PhaseChange a feed's
 // event record carries. ok is false for a record that is no experiment
 // phase — a scheduler failover transition, or a phase a newer server
 // added.
-func PhaseChangeOf(ev api.BuildEvent) (c PhaseChange, ok bool) {
+func phaseChangeOf(ev api.BuildEvent) (c PhaseChange, ok bool) {
 	phase, ok := phaseFromString(ev.Phase)
 	if !ok {
 		return PhaseChange{}, false
@@ -159,11 +159,11 @@ func PhaseChangeOf(ev api.BuildEvent) (c PhaseChange, ok bool) {
 	return c, true
 }
 
-// SampleOf inverts the point a session posts each live sample as. A
-// feed's sample carries
-// neither the run's node and device, which its follower knows, nor the
-// live summary's spread (Std, Min, Max), which stays zero.
-func SampleOf(node, device string, pt api.SamplePoint) Sample {
+// sampleOf inverts the point a session posts each live sample as. A
+// feed's sample carries neither the run's node and device, which its
+// follower knows, nor the live summary's spread (Std, Min, Max), which
+// stays zero.
+func sampleOf(node, device string, pt api.SamplePoint) Sample {
 	return Sample{
 		Node:      node,
 		Device:    device,
@@ -179,12 +179,12 @@ func SampleOf(node, device string, pt api.SamplePoint) Sample {
 	}
 }
 
-// DecodeResult rebuilds a run's Result from what saveRun left on its
+// decodeResult rebuilds a run's Result from what saveRun left on its
 // build: the three binary traces in the workspace, and the summary.
 // load fetches one artifact by name — from the workspace in-process,
 // over HTTP for a remote client — so local and remote results come from
 // the same bytes and the same code.
-func DecodeResult(load func(name string) ([]byte, error), sum *api.RunSummary) (*Result, error) {
+func decodeResult(load func(name string) ([]byte, error), sum *api.RunSummary) (*Result, error) {
 	decode := func(name, what string) (*trace.Series, error) {
 		data, err := load(name)
 		if err != nil {

@@ -75,7 +75,7 @@ func (p Phase) String() string {
 }
 
 // phaseFromString inverts String for decoding feed records
-// (PhaseChangeOf). Unknown strings report false.
+// (phaseChangeOf). Unknown strings report false.
 func phaseFromString(s string) (Phase, bool) {
 	for p := PhasePending; p <= PhaseDone; p++ {
 		if p.String() == s {
@@ -117,23 +117,23 @@ type Sample struct {
 	// Live is the monitor-side streaming summary of the capture so far
 	// (running mean, P50/P95, charge integral over every Monsoon sample
 	// recorded up to At), without its spread: a feed carries no Std,
-	// Min or Max (see SampleOf).
+	// Min or Max.
 	Live samples.LiveSummary
 }
 
 // Observer receives a run's progress from its build's feed: phase
-// transitions and live samples, in the order the run posted them. The
-// callbacks run on the handle's follower goroutine (one per run; a
-// campaign's runs have one each, so callbacks for different runs may
-// run concurrently), not on the clock's dispatch context, so a slow
-// observer never stalls the capture: the feed is bounded and, under
-// sustained backpressure, drops live samples (counted in the run
-// summary's DroppedLiveSamples) rather than queueing them without
-// bound. Every accepted sample is delivered before the run's terminal
-// PhaseDone event, and PhaseDone before the handle's Done closes — so a
-// callback must not wait on its own handle's Wait or Done, which can
-// then never return. Cancel from a callback is fine. A Sample's Live
-// summary carries no Std, Min or Max (see SampleOf).
+// transitions and live samples, each in the order the run posted them.
+// The callbacks run on the handle's follower (one per run, so callbacks
+// for a campaign's runs may run concurrently, and over HTTP a run's
+// phase and sample streams are followed concurrently too), not on the
+// clock's dispatch context, so a slow observer never stalls the
+// capture: the feed is bounded and, under sustained backpressure, drops
+// live samples (counted in the run summary's DroppedLiveSamples) rather
+// than queueing them without bound. Every accepted sample is delivered
+// before the run's terminal PhaseDone event, and PhaseDone before the
+// handle's Done closes — so a callback must not wait on its own
+// handle's Wait or Done, which can then never return. Cancel from a
+// callback is fine. A Sample's Live summary carries no Std, Min or Max.
 type Observer interface {
 	OnPhase(PhaseChange)
 	OnSample(Sample)
@@ -466,7 +466,7 @@ func (s *session) finish(runErr error) {
 }
 
 // postPhase posts a phase transition to the run's feed; err is the
-// run's terminal error on PhaseDone. PhaseChangeOf decodes it.
+// run's terminal error on PhaseDone. phaseChangeOf decodes it.
 func (s *session) postPhase(p Phase, step string, err error) {
 	ev := api.BuildEvent{
 		Build:  s.build,

@@ -332,6 +332,10 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := r.plat.Access.Build(x.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		select {
 		case <-blocked:
@@ -343,7 +347,7 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 		// The observer is now blocked. The run must still go to its
 		// end: wait for its build to settle, then release.
 		watchdog := time.After(10 * time.Second)
-		for !x.settled() {
+		for !b.State().Terminal() {
 			select {
 			case <-watchdog:
 				t.Error("the run stalled behind a blocked observer")
@@ -367,21 +371,21 @@ func TestBlockedObserverDoesNotStallCapture(t *testing.T) {
 	}
 	// Every posted sample was delivered before Wait returned, and the
 	// feed absorbed the backlog without drops.
-	posted, _, _ := x.build.Feed().SamplesSince(0)
+	posted, _, _ := b.Feed().SamplesSince(0)
 	rec.mu.Lock()
 	delivered := len(rec.samples)
 	rec.mu.Unlock()
 	if delivered < 100 || delivered != len(posted) {
 		t.Fatalf("%d samples delivered of %d posted", delivered, len(posted))
 	}
-	if d := x.build.Summary.DroppedLiveSamples; d != 0 {
+	if d := b.Summary.DroppedLiveSamples; d != 0 {
 		t.Fatalf("%d samples dropped with an ample feed", d)
 	}
 }
 
 // TestLiveSummariesFlowToObservers checks the satellite contract: each
 // live Sample carries the monitor's streaming summary-so-far (count,
-// mean, P50/P95, integral; no spread, see SampleOf), summaries are
+// mean, P50/P95, integral; no spread, see sampleOf), summaries are
 // monotone in N, and the final one agrees with the returned trace.
 func TestLiveSummariesFlowToObservers(t *testing.T) {
 	r := newRig(t)

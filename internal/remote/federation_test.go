@@ -184,8 +184,8 @@ func (fl *fedLab) campaignSpec() api.CampaignSpec {
 }
 
 // runFederated submits the campaign to A, waits it out, and returns the
-// per-node home-server summaries plus the runs and sessions.
-func runFederated(t *testing.T, fl *fedLab, client *remote.Platform, log *progressLog) (map[string]api.RunSummary, []core.CampaignRun, []*remote.Session) {
+// per-node home-server summaries plus the runs.
+func runFederated(t *testing.T, fl *fedLab, client *remote.Platform, log *progressLog) (map[string]api.RunSummary, []core.CampaignRun) {
 	t.Helper()
 	ctx := context.Background()
 
@@ -236,8 +236,8 @@ func runFederated(t *testing.T, fl *fedLab, client *remote.Platform, log *progre
 		}
 	}
 	sums := make(map[string]api.RunSummary)
-	for _, s := range camp.Sessions() {
-		st, err := client.BuildStatus(ctx, s.Build())
+	for _, r := range runs {
+		st, err := client.BuildStatus(ctx, r.Build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func runFederated(t *testing.T, fl *fedLab, client *remote.Platform, log *progre
 		}
 		sums[st.Node] = *st.Summary
 	}
-	return sums, runs, camp.Sessions()
+	return sums, runs
 }
 
 // TestFederationRoundTrip is the cross-server acceptance path: a
@@ -270,7 +270,7 @@ func TestFederationRoundTrip(t *testing.T) {
 		t.Fatalf("lab-a on B: ok=%v state=%v, want online", ok, st)
 	}
 
-	sums, runs, sessions := runFederated(t, fl, client, log)
+	sums, runs := runFederated(t, fl, client, log)
 
 	// Provenance: node2's build was routed via lab-b; node1's ran here.
 	peerClient, err := remote.Dial(fl.tsB.URL, fedToken)
@@ -278,8 +278,8 @@ func TestFederationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed := 0 // node2's build on A
-	for _, s := range sessions {
-		st, err := client.BuildStatus(ctx, s.Build())
+	for _, r := range runs {
+		st, err := client.BuildStatus(ctx, r.Build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestFederationRoundTrip(t *testing.T) {
 			if st.RoutedVia != "lab-b" {
 				t.Errorf("node2 routed via %q, want lab-b", st.RoutedVia)
 			}
-			routed = s.Build()
+			routed = r.Build
 			// The executing server's own record points home.
 			rst, err := peerClient.BuildStatus(ctx, 1) // B's only build
 			if err != nil {
@@ -303,7 +303,7 @@ func TestFederationRoundTrip(t *testing.T) {
 			}
 			// Artifacts were copied home: the server-side analytics
 			// engine answers for the routed build on A.
-			an, err := client.Analytics(ctx, s.Build(), api.AnalyticsQuery{})
+			an, err := client.Analytics(ctx, r.Build, api.AnalyticsQuery{})
 			if err != nil {
 				t.Fatalf("analytics on the routed build: %v", err)
 			}
@@ -343,8 +343,8 @@ func TestFederationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	control2 := 0 // node2's build on the control lab
-	for _, s := range ccamp.Sessions() {
-		st, err := cclient.BuildStatus(ctx, s.Build())
+	for _, r := range cruns {
+		st, err := cclient.BuildStatus(ctx, r.Build)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestFederationRoundTrip(t *testing.T) {
 			t.Fatalf("control build %d: no summary", st.ID)
 		}
 		if st.Node == "node2" {
-			control2 = s.Build()
+			control2 = r.Build
 		}
 		if got := sums[st.Node]; got != *st.Summary {
 			t.Errorf("%s: federated summary %+v != control %+v", st.Node, got, *st.Summary)
@@ -409,7 +409,7 @@ func TestFederationRoundTrip(t *testing.T) {
 	// Determinism: a fresh federation, same seeds, same campaign —
 	// bit-identical summaries again.
 	fl2 := newFedLab(t)
-	sums2, _, _ := runFederated(t, fl2, fl2.client(t), newProgressLog())
+	sums2, _ := runFederated(t, fl2, fl2.client(t), newProgressLog())
 	for node, want := range sums {
 		if got := sums2[node]; got != want {
 			t.Errorf("%s: second federated run %+v != first %+v", node, got, want)

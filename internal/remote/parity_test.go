@@ -1,8 +1,8 @@
 package remote_test
 
-// One reading of a build: an in-process campaign and the same campaign
-// over HTTP report every run alike, because both handles turn the
-// settled build's wire status into its run through core.RunOf.
+// One client: an in-process campaign and the same campaign over HTTP
+// report every run alike, because one handle follows both, through the
+// in-process port and through the HTTP one.
 
 import (
 	"context"
@@ -144,7 +144,17 @@ func TestCampaignRunsMatchLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	camp.Sessions()[2].Cancel()
+	rids, err := rplat.Access.CampaignBuildIDs(camp.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radmin, err := rplat.Access.Users.Add("ops", accessserver.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rplat.Access.Abort(radmin, rids[2]); err != nil {
+		t.Fatal(err)
+	}
 	release()
 	got, err := camp.Wait(ctx)
 	if err != nil {
@@ -294,9 +304,10 @@ func (l *sampleLog) samples() []core.Sample {
 
 // TestSamplesMatchLocal runs one experiment spec on twin deployments, in
 // process and over HTTP, and requires the observers' Sample sequences to
-// agree field by field, Live included: both handles read the live
-// summary the server's session computed over every monitor sample,
-// rather than one re-aggregated from the feed's one point per second.
+// agree field by field, Live included: over either port the handle
+// reads the live summary the server's session computed over every
+// monitor sample, rather than one re-aggregated from the feed's one
+// point per second.
 func TestSamplesMatchLocal(t *testing.T) {
 	ctx := context.Background()
 

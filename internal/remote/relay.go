@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"batterylab/internal/api"
 )
@@ -35,27 +34,21 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 	if err != nil {
 		return nil, err
 	}
-	var resp api.SubmitResponse
-	if err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/experiments"), spec, &resp); err != nil {
+	peer := port{p}
+	build, err := peer.Submit(ctx, spec)
+	if err != nil {
 		return nil, err
 	}
-	build := resp.Build
 	// An epoch reset (the peer restarted and recovered the build) needs
 	// no Restart: the recovered build re-executes, its feed is a fresh
 	// capture, and the sink takes it as it comes.
-	// The samples come as NDJSON, not binary frames: only NDJSON carries
-	// each point's live summary (n, mean, P50/P95, charge integral), which
-	// the home feed serves on. At the live cadence the cost is
-	// negligible.
-	err = p.followStreams(ctx, build, ndjsonStream("events", sink.Event), ndjsonStream("samples?format=ndjson", sink.Sample))
+	err = peer.Follow(ctx, build, sink.Event, sink.Sample)
 	if ctx.Err() != nil {
 		// The home scheduler reclaimed the attempt (abort, failover):
 		// propagate the cancel so the peer tears the measurement down
 		// instead of running an orphan. Best effort on a fresh context —
 		// the canceled one cannot carry a request.
-		cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		p.doJSONIdempotent(cctx, http.MethodPost, p.url("/api/v1/builds/%d/cancel", build), nil, nil)
+		_ = peer.Abort(context.Background(), build)
 		return nil, ctx.Err()
 	}
 	// A broken stream, or an expired or still-running build, is a relay
@@ -63,14 +56,15 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 	if err != nil {
 		return nil, err
 	}
-	st, err := p.terminalStatus(ctx, build)
-	if err != nil {
+	st, err := p.BuildStatus(ctx, build)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if st.State == api.StateExpired {
+	case !st.Terminal():
+		return nil, fmt.Errorf("remote: relayed build %d still %s after its streams ended", build, st.State)
+	case st.State == api.StateExpired:
 		return nil, fmt.Errorf("remote: relayed build %d expired on the peer before its status was read", build)
-	}
-	if st.State == "success" {
+	case st.State == "success":
 		// The home server serves this build's artifact and analytics
 		// reads from its own workspace: copy the peer's terminal
 		// artifacts home before reporting success. A peer that vanishes
@@ -86,7 +80,7 @@ func Relay(ctx context.Context, peerURL, token string, spec api.ExperimentSpec, 
 // CPU traces, logs) into the sink, byte for byte.
 func (p *Platform) relayArtifacts(ctx context.Context, build int, sink api.RelaySink) error {
 	var names []string
-	if err := p.doJSONIdempotent(ctx, http.MethodGet, p.url("/api/v1/builds/%d/artifacts", build), nil, &names); err != nil {
+	if err := p.doJSON(ctx, http.MethodGet, p.url("/api/v1/builds/%d/artifacts", build), nil, &names); err != nil {
 		return fmt.Errorf("remote: listing relayed build %d's artifacts: %w", build, err)
 	}
 	for _, name := range names {

@@ -1,36 +1,23 @@
 // Package remote is the client side of BatteryLab's v1 remote
-// execution API: a location-transparent mirror of the in-process
-// experiment runner. remote.Platform speaks the wire protocol of
-// internal/api against an access server's /api/v1/ routes, and its
-// sessions expose the same Start/Wait/Cancel/Observer shape as
-// core.Experiment — experiments written against the shared backend
-// interface in the batterylab facade run unchanged whether the
-// platform is in this address space or across the network.
+// execution API. remote.Platform speaks the wire protocol of
+// internal/api against an access server's /api/v1/ routes, and it is
+// core.Port's HTTP adapter: StartExperiment and StartCampaign return the
+// one run handle, core.Experiment and core.CampaignSession, that an
+// in-process run has, so code written against the batterylab facade's
+// Backend runs unchanged wherever the platform is. The adapter:
 //
-// A remote session's life:
-//
-//  1. StartExperiment POSTs the declarative spec; the server compiles
-//     it against its workload registry and queues a build.
-//  2. Two NDJSON streams follow the build: phase events
+//   - submits by POSTing the declarative spec; the server compiles it
+//     against its workload registry and queues a build;
+//   - follows a build over two NDJSON streams, phase events
 //     (/builds/{id}/events) and live power samples
-//     (/builds/{id}/samples?format=ndjson). Observers receive the same
-//     PhaseChange/Sample callbacks a local session delivers, Sample.Live
-//     included: each point carries the live summary the server's
-//     session computed over every monitor sample.
-//  3. When the streams end, the session reads the build's terminal
-//     status once and turns it into a core.CampaignRun with core.RunOf,
-//     the one reading an in-process core.Experiment gives its build
-//     too: a success's *core.Result is rebuilt by core.DecodeResult
-//     from the workspace artifacts (the binary current and CPU traces),
-//     a failure has the local error text and sentinels, and both carry
-//     the build's start and finish instants on the server's clock. The
-//     terminal PhaseDone is the one the feed carried or, for a build
-//     that posted none (canceled while queued), one stamped with the
-//     build's finish instant. Because the binary codec is lossless and
-//     the streaming aggregators are recomputed in append order, the
-//     result is bit-identical to the server's (and to a local run of
-//     the same spec). A campaign's Wait returns the same runs a local
-//     campaign's does.
+//     (/builds/{id}/samples?format=ndjson), each point carrying the live
+//     summary the server's session computed over every monitor sample;
+//   - reads the settled build's status and its workspace artifacts (the
+//     binary current and CPU traces), from which the handle rebuilds the
+//     run — bit-identical to the server's, and to a local run of the
+//     same spec, because the binary codec is lossless;
+//   - aborts with an idempotent cancel POST, and lets Wait just wait:
+//     the server's clock is not the client's to drive.
 //
 // The client is resilient to transient failures: idempotent requests
 // retry with exponential backoff and jitter (see RetryPolicy), and a
@@ -52,7 +39,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,14 +47,14 @@ import (
 )
 
 // Platform is a client handle to a remote access server. It is safe
-// for concurrent use; every session it starts shares its HTTP client.
+// for concurrent use; every run it starts shares its HTTP client.
 type Platform struct {
 	base  *url.URL
 	token string
 	hc    *http.Client
 	retry RetryPolicy
 
-	// Resilience counters, shared by every session (see Stats).
+	// Resilience counters, shared by every run (see Stats).
 	requestRetries   atomic.Int64
 	streamReconnects atomic.Int64
 	epochResets      atomic.Int64
@@ -127,7 +113,7 @@ func Dial(server, token string) (*Platform, error) {
 }
 
 // SetRetryPolicy replaces the client's retry policy. Call before
-// starting sessions.
+// starting runs.
 func (p *Platform) SetRetryPolicy(rp RetryPolicy) {
 	if rp.Attempts < 1 {
 		rp.Attempts = 1
@@ -137,7 +123,7 @@ func (p *Platform) SetRetryPolicy(rp RetryPolicy) {
 
 // delay computes the jittered backoff before retry attempt n (1-based)
 // — the one place it is computed, for requests and for every stream
-// follower (a session, the federation relay, the feed gateway) alike:
+// follower (a run handle, the federation relay, the feed gateway) alike:
 // BaseDelay doubling per attempt, capped at MaxDelay, scaled by a random
 // factor in [0.5, 1.5) so a fleet of reconnecting streams does not
 // thunder back in lockstep. Doubling by repeated shift-with-cap rather
@@ -188,7 +174,7 @@ func transientStatus(code int) bool {
 }
 
 // SetHTTPClient swaps the underlying HTTP client (custom TLS,
-// timeouts). Call before starting sessions.
+// timeouts). Call before starting runs.
 func (p *Platform) SetHTTPClient(hc *http.Client) { p.hc = hc }
 
 // url joins the base with a formatted path.
@@ -199,21 +185,14 @@ func (p *Platform) url(format string, args ...any) string {
 
 // doJSON performs one request/response round trip, retrying transient
 // failures (network errors, 502/503/504, a body cut short) with backoff
-// for idempotent requests — GETs, plus POSTs the caller marks
-// idempotent via doJSONIdempotent (cancel is; submit is not, since a
-// retried submit could double-queue a build). The response body is
-// decoded as JSON into out, or kept whole when out is a *[]byte. A
-// non-2xx response is decoded as the api.Error envelope (synthesized
-// from the bare status when the body is not an envelope) and returned
-// as *api.Error.
+// for idempotent requests — GETs, plus POSTs do's caller marks
+// idempotent (cancel is; submit is not, since a retried submit could
+// double-queue a build). The response body is decoded as JSON into out,
+// or kept whole when out is a *[]byte. A non-2xx response is decoded as
+// the api.Error envelope (synthesized from the bare status when the body
+// is not an envelope) and returned as *api.Error.
 func (p *Platform) doJSON(ctx context.Context, method, u string, in, out any) error {
 	return p.do(ctx, method, u, in, out, method == http.MethodGet)
-}
-
-// doJSONIdempotent is doJSON with retries enabled regardless of
-// method, for POSTs that are safe to repeat (cancel).
-func (p *Platform) doJSONIdempotent(ctx context.Context, method, u string, in, out any) error {
-	return p.do(ctx, method, u, in, out, true)
 }
 
 func (p *Platform) do(ctx context.Context, method, u string, in, out any, idempotent bool) error {
@@ -409,165 +388,76 @@ func (p *Platform) Analytics(ctx context.Context, build int, q api.AnalyticsQuer
 	return out, err
 }
 
-// StartExperiment submits a declarative spec and returns a live
-// session handle — the remote counterpart of
-// core.Platform.StartExperimentSpec. Observers receive phase transitions
-// and live samples streamed from the server; cancelling ctx cancels
-// the remote build.
-func (p *Platform) StartExperiment(ctx context.Context, spec api.ExperimentSpec, obs ...core.Observer) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// StartExperiment submits a declarative spec and returns the handle of
+// its build — core.StartExperiment through this client's port, the
+// handle an in-process run has. Observers receive phase transitions and
+// live samples streamed from the server; cancelling ctx cancels the
+// remote build.
+func (p *Platform) StartExperiment(ctx context.Context, spec api.ExperimentSpec, obs ...core.Observer) (*core.Experiment, error) {
+	return core.StartExperiment(ctx, port{p}, spec, obs...)
+}
+
+// StartCampaign submits a campaign and returns the handle over its
+// builds — core.StartCampaign through this client's port. The server
+// fans the runs out across vantage points through its scheduler; each
+// build gets its own event/sample streams.
+func (p *Platform) StartCampaign(ctx context.Context, spec api.CampaignSpec, obs ...core.Observer) (*core.CampaignSession, error) {
+	return core.StartCampaign(ctx, port{p}, spec, obs...)
+}
+
+// port is the HTTP adapter of core.Port: submissions POST the wire
+// spec, a build is followed over its two NDJSON streams and read with
+// status and artifact GETs, and Drive just waits — the server's clock
+// is not the client's to drive.
+type port struct{ *Platform }
+
+func (p port) Submit(ctx context.Context, spec api.ExperimentSpec) (int, error) {
 	var resp api.SubmitResponse
-	if err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/experiments"), spec, &resp); err != nil {
-		return nil, err
-	}
-	s := p.followBuild(0, resp.Build, spec, obs)
-	watch(ctx, s.done, s.Cancel)
-	return s, nil
+	err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/experiments"), spec, &resp)
+	return resp.Build, err
 }
 
-// StartCampaign submits a campaign and returns a handle over its
-// builds. The server fans the runs out across vantage points through
-// its scheduler; each build gets its own event/sample streams.
-func (p *Platform) StartCampaign(ctx context.Context, spec api.CampaignSpec, obs ...core.Observer) (*Campaign, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (p port) SubmitCampaign(ctx context.Context, spec api.CampaignSpec) (int, []int, error) {
 	var resp api.CampaignResponse
-	if err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/campaigns"), spec, &resp); err != nil {
-		return nil, err
-	}
-	c := &Campaign{p: p, ID: resp.Campaign, done: make(chan struct{})}
-	for i, build := range resp.Builds {
-		c.sessions = append(c.sessions, p.followBuild(i, build, spec.Experiments[i], obs))
-	}
-	go func() {
-		for _, s := range c.sessions {
-			<-s.Done()
-		}
-		close(c.done)
-	}()
-	watch(ctx, c.done, c.Cancel)
-	return c, nil
+	err := p.doJSON(ctx, http.MethodPost, p.url("/api/v1/campaigns"), spec, &resp)
+	return resp.Campaign, resp.Builds, err
 }
 
-// watch cancels a handle when ctx ends before done closes.
-func watch(ctx context.Context, done <-chan struct{}, cancel func()) {
-	if ctx.Done() == nil {
-		return
+// Follow pins the build's feed epoch with one status read and follows
+// its event and sample streams from it concurrently. The samples come as
+// NDJSON: only NDJSON carries each point's live summary, the one the
+// server's session computed over every monitor sample. An epoch reset
+// needs no Restart: the recovered build's feed is a fresh capture whose
+// points carry their own summary.
+func (p port) Follow(ctx context.Context, build int, event func(api.BuildEvent), sample func(api.SamplePoint)) error {
+	st, err := p.BuildStatus(ctx, build)
+	if err != nil {
+		return err
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			cancel()
-		case <-done:
-		}
-	}()
+	events, samples := ndjsonStream("events", event), ndjsonStream("samples?format=ndjson", sample)
+	events.Epoch, samples.Epoch = st.FeedEpoch, st.FeedEpoch
+	broken := make(chan error, 1)
+	go func() { broken <- p.Platform.Follow(ctx, build, events) }()
+	err = p.Platform.Follow(ctx, build, samples)
+	return errors.Join(<-broken, err)
 }
 
-// Session is a handle to one in-flight remote build. It satisfies the
-// same Wait/Cancel/Done/Phase shape as core.Experiment.
-type Session struct {
-	p     *Platform
-	index int // the run's position in its campaign
-	spec  api.ExperimentSpec
-	build int
-	obs   []core.Observer
-
-	// run is written by finalize before done closes.
-	run  core.CampaignRun
-	done chan struct{}
-
-	mu        sync.Mutex
-	phase     core.Phase
-	doneEvent *core.PhaseChange
-	canceled  bool
-}
-
-// followBuild attaches streams to a submitted build, the i-th of its
-// campaign, and returns its session.
-func (p *Platform) followBuild(i, build int, spec api.ExperimentSpec, obs []core.Observer) *Session {
-	// Streams live on their own context: they must outlast the submit
-	// ctx's happy path and end when the build does; the submit ctx
-	// cancels the build instead (watch).
-	sctx, scancel := context.WithCancel(context.Background())
-	s := &Session{
-		p:     p,
-		index: i,
-		spec:  spec,
-		build: build,
-		obs:   obs,
-		done:  make(chan struct{}),
-	}
-	// The samples come as NDJSON, as Relay follows them: only NDJSON
-	// carries each point's live summary, the one the server's session
-	// computed over every monitor sample, so observers see the Sample a
-	// local handle delivers. An epoch reset needs no Restart: the
-	// recovered build's feed is a fresh capture whose points carry their
-	// own summary.
-	go func() {
-		s.finalize(sctx, p.followStreams(sctx, build,
-			ndjsonStream("events", s.handleEvent), ndjsonStream("samples?format=ndjson", s.handleSample)))
-		scancel()
-		close(s.done)
-	}()
-	return s
-}
-
-// Build reports the server-side build id backing this session.
-func (s *Session) Build() int { return s.build }
-
-// Done returns a channel closed when the remote run has finished and
-// the result (or error) is available. Every accepted sample and phase
-// event is delivered to observers before Done closes, with the
-// terminal PhaseDone event last — the same contract as core.Experiment.
-func (s *Session) Done() <-chan struct{} { return s.done }
-
-// Phase reports the latest phase observed on the event stream.
-func (s *Session) Phase() core.Phase {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.phase
-}
-
-// Cancel asks the server to abort the build (queued: dropped from the
-// queue; running: the measurement session tears down at the earliest
-// safe point). Idempotent; the result still arrives through Wait with
-// an error matching core.ErrCanceled.
-func (s *Session) Cancel() {
-	s.mu.Lock()
-	already := s.canceled
-	s.canceled = true
-	s.mu.Unlock()
-	if already {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+// Abort POSTs the build's cancel, which is idempotent server-side and
+// retries like a GET, for at most 10 s. A conflict (the build settled)
+// or a not-found (it expired) leaves nothing to cancel.
+func (p port) Abort(ctx context.Context, build int) error {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	// Conflict means the build already finished — not an error here.
-	// Cancel is idempotent server-side, so it retries like a GET.
-	err := s.p.doJSONIdempotent(ctx, http.MethodPost, s.p.url("/api/v1/builds/%d/cancel", s.build), nil, nil)
+	err := p.do(ctx, http.MethodPost, p.url("/api/v1/builds/%d/cancel", build), nil, nil, true)
 	var apiErr *api.Error
-	if err != nil && errors.As(err, &apiErr) && apiErr.Code == api.CodeConflict {
-		return
+	if errors.As(err, &apiErr) && (apiErr.Code == api.CodeConflict || apiErr.Code == api.CodeNotFound) {
+		return nil
 	}
+	return err
 }
 
-// Wait blocks until the remote run completes and returns its outcome.
-// Cancelling ctx cancels the build and still waits for its teardown,
-// mirroring core.Experiment.Wait.
-func (s *Session) Wait(ctx context.Context) (*core.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		s.Cancel()
-		<-s.done
-	}
-	return s.run.Result, s.run.Err
+func (port) Drive(ctx context.Context, _ func() bool, done <-chan struct{}, cancel func()) error {
+	return core.Await(ctx, done, cancel)
 }
 
 // Stream is one follower of a build's event or sample stream, as Follow
@@ -596,7 +486,7 @@ type Stream struct {
 }
 
 // Follow follows one build stream to its end — the one loop behind a
-// session, the federation relay and the feed gateway. It rests on one
+// run handle, the federation relay and the feed gateway. It rests on one
 // rule: a clean end (the body terminated at a record boundary) means the
 // feed closed, and since the server publishes a build's terminal status
 // before it closes the feed, that status can already be read; Follow
@@ -666,38 +556,6 @@ func (p *Platform) Follow(ctx context.Context, build int, s *Stream) error {
 	}
 }
 
-// followStreams pins the build's feed epoch with one status read and
-// follows each stream from it concurrently. It returns what ended them
-// broken, if anything.
-func (p *Platform) followStreams(ctx context.Context, build int, streams ...*Stream) error {
-	st, err := p.BuildStatus(ctx, build)
-	if err != nil {
-		return err
-	}
-	errs := make([]error, len(streams))
-	var wg sync.WaitGroup
-	for i, s := range streams {
-		s.Epoch = st.FeedEpoch
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = p.Follow(ctx, build, s)
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// terminalStatus is the one status read after a build's streams ended
-// clean: their feed closed, so the status it reports is terminal.
-func (p *Platform) terminalStatus(ctx context.Context, build int) (api.BuildStatus, error) {
-	st, err := p.BuildStatus(ctx, build)
-	if err == nil && !st.Terminal() {
-		err = fmt.Errorf("remote: build %d still %s after its streams ended", build, st.State)
-	}
-	return st, err
-}
-
 // ndjsonStream reads an NDJSON stream of records at route — the events,
 // or the samples with every field of their live summary — handing each
 // record to each in order.
@@ -715,118 +573,4 @@ func ndjsonStream[T any](route string, each func(T)) *Stream {
 			each(rec)
 		}
 	}}
-}
-
-// handleEvent folds one wire event into the session and observers. The
-// terminal PhaseDone event is withheld and delivered by finalize, after
-// the sample stream has drained.
-func (s *Session) handleEvent(ev api.BuildEvent) {
-	change, ok := core.PhaseChangeOf(ev)
-	if !ok {
-		return // a failover transition, or a newer server's phase
-	}
-	s.mu.Lock()
-	if change.Phase > s.phase {
-		s.phase = change.Phase
-	}
-	if change.Phase == core.PhaseDone {
-		s.doneEvent = &change
-	}
-	s.mu.Unlock()
-	if change.Phase != core.PhaseDone {
-		for _, o := range s.obs {
-			o.OnPhase(change)
-		}
-	}
-}
-
-// handleSample forwards one wire point to observers as the Sample a
-// local handle delivers for it.
-func (s *Session) handleSample(pt api.SamplePoint) {
-	smp := core.SampleOf(s.spec.Node, s.spec.Device, pt)
-	for _, o := range s.obs {
-		o.OnSample(smp)
-	}
-}
-
-// finalize runs after both streams end: read the terminal build state
-// once and turn it into the run with core.RunOf, fetching the
-// workspace artifacts to rebuild a success's Result, then deliver the
-// terminal PhaseDone. When a stream ended broken or the status cannot be
-// read, err says why, the observers missed records a local handle
-// would have delivered, and there is no run to read: the run fails with
-// err.
-func (s *Session) finalize(ctx context.Context, err error) {
-	var st api.BuildStatus
-	if err == nil {
-		st, err = s.p.terminalStatus(ctx, s.build)
-	}
-	var last core.PhaseChange
-	if err == nil {
-		// The streams have ended, so handleEvent no longer writes
-		// doneEvent.
-		s.run, last = core.RunOf(s.index, s.spec, st, s.doneEvent, func(name string) ([]byte, error) {
-			return s.Artifact(ctx, name)
-		})
-	} else {
-		s.run = core.CampaignRun{Index: s.index, Build: s.build, Node: s.spec.Node, Device: s.spec.Device, Err: err}
-		last = core.PhaseChange{Node: s.spec.Node, Device: s.spec.Device, Phase: core.PhaseDone, Err: err}
-	}
-	s.mu.Lock()
-	s.phase = core.PhaseDone
-	s.mu.Unlock()
-	for _, o := range s.obs {
-		o.OnPhase(last)
-	}
-}
-
-// Artifact fetches one of this build's workspace artifacts.
-func (s *Session) Artifact(ctx context.Context, name string) ([]byte, error) {
-	return s.p.Artifact(ctx, s.build, name)
-}
-
-// Campaign is a handle to an in-flight remote campaign: one session
-// per submitted experiment, index-aligned with the spec.
-type Campaign struct {
-	p        *Platform
-	ID       int
-	sessions []*Session
-	done     chan struct{}
-}
-
-// Done returns a channel closed when every run has finished.
-func (c *Campaign) Done() <-chan struct{} { return c.done }
-
-// Cancel aborts every build in the campaign that has not settled.
-// Members go last to first, as an in-process campaign's do, so queued
-// ones leave the server's queue before the running ones ahead of them
-// free their nodes: first to last, the server could dispatch the next
-// member between two requests — a device setup for a run nobody wants.
-func (c *Campaign) Cancel() {
-	for i := len(c.sessions) - 1; i >= 0; i-- {
-		c.sessions[i].Cancel()
-	}
-}
-
-// Wait blocks until every run completes and returns the outcomes in
-// spec order. Cancelling ctx cancels the remaining builds, waits for
-// them to settle and returns ctx's error — the contract of an
-// in-process campaign's Wait, which queues on the same kind of server.
-func (c *Campaign) Wait(ctx context.Context) ([]core.CampaignRun, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var err error
-	select {
-	case <-c.done:
-	case <-ctx.Done():
-		c.Cancel()
-		<-c.done
-		err = ctx.Err()
-	}
-	runs := make([]core.CampaignRun, len(c.sessions))
-	for i, s := range c.sessions {
-		runs[i] = s.run
-	}
-	return runs, err
 }

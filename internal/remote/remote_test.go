@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,6 +393,62 @@ func TestRemoteCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Cancel()
+	if _, err := sess.Wait(ctx); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("Wait after Cancel = %v, want ErrCanceled", err)
+	}
+}
+
+// failFirstCancel answers 503 to the first cancel POST it sees and
+// passes every other request through.
+type failFirstCancel struct {
+	inner  http.Handler
+	failed atomic.Bool
+}
+
+func (p *failFirstCancel) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/cancel") && p.failed.CompareAndSwap(false, true) {
+		http.Error(w, "unavailable (injected)", http.StatusServiceUnavailable)
+		return
+	}
+	p.inner.ServeHTTP(w, r)
+}
+
+// TestRemoteCancelAfterLostCancel: a cancel lost to a transient failure
+// does not latch. With one attempt per request, the first Cancel's POST
+// meets a 503 and is lost; the second must still reach the server, so
+// the build settles aborted instead of holding its device.
+func TestRemoteCancelAfterLostCancel(t *testing.T) {
+	server := newLab(t)
+	token, err := batterylab.NewAPIToken(server.plat, "canceler", "experimenter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(&failFirstCancel{inner: server.plat.Access.Handler()})
+	defer ts.Close()
+	defer ts.CloseClientConnections() // a build left running keeps its streams open
+	client, err := remote.Dial(ts.URL, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetRetryPolicy(remote.RetryPolicy{Attempts: 1})
+
+	ctx := context.Background()
+	sess, err := client.StartExperiment(ctx, api.ExperimentSpec{
+		Node: server.nodes[0], Device: server.devices[0],
+		Workload: api.WorkloadSpec{Name: "idle", Params: api.Params{"duration_ms": 600000}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Cancel() // lost to the 503
+	sess.Cancel()
+	st, err := client.BuildStatus(ctx, sess.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "aborted" {
+		t.Fatalf("after a lost Cancel and a second one the build is %s, want aborted", st.State)
+	}
 	if _, err := sess.Wait(ctx); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("Wait after Cancel = %v, want ErrCanceled", err)
 	}
