@@ -141,8 +141,8 @@ func TestBuildIDResolution(t *testing.T) {
 	ended, cancel := context.WithCancel(context.Background())
 	cancel()
 	h := srv.Handler()
-	answer := func(path string) string {
-		req := httptest.NewRequest("GET", path, nil).WithContext(ended)
+	answer := func(method, path string) string {
+		req := httptest.NewRequest(method, path, nil).WithContext(ended)
 		req.Header.Set("Authorization", "Bearer "+admin.Token)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -170,10 +170,24 @@ func TestBuildIDResolution(t *testing.T) {
 	for name, at := range ids {
 		got := make([]string, len(readRoutes))
 		for i, rt := range readRoutes {
-			got[i] = answer(rt.path(at.build, at.campaign))
+			got[i] = answer("GET", rt.path(at.build, at.campaign))
 		}
 		if g := strings.Join(got, " "); g != want[name] {
 			t.Errorf("%s (build %d): routes answer %q, want %q", name, at.build, g, want[name])
+		}
+	}
+
+	// Cancel answers an expired build as it answers any finished one:
+	// there is nothing left to cancel. Only an id never issued is not
+	// found, so a cancel sent with a wrong id cannot pass for done.
+	for name, want := range map[string]string{
+		"settled":                  "409 conflict",
+		"expired in process":       "409 conflict",
+		"expired before a restart": "409 conflict",
+		"never issued":             "404 not_found",
+	} {
+		if got := answer("POST", fmt.Sprintf("/api/v1/builds/%d/cancel", ids[name].build)); got != want {
+			t.Errorf("%s (build %d): cancel answers %q, want %q", name, ids[name].build, got, want)
 		}
 	}
 }

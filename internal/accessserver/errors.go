@@ -35,8 +35,9 @@ var (
 	ErrJobDeleted = errors.New("accessserver: job deleted")
 	// ErrExpired reports a build id whose record aged out of the
 	// retention window — it existed, but only a tombstone remains. The
-	// v1 status endpoint answers it with an "expired" marker; every
-	// other route maps it to 404.
+	// v1 status endpoint answers it with an "expired" marker and the
+	// cancel route with 409 conflict, as for any finished build (Abort
+	// reports it as ErrConflict); every other route maps it to 404.
 	ErrExpired = errors.New("accessserver: build expired")
 	// ErrInsufficientCredits reports a submission rejected by the §5
 	// credit economy: the member's ledger balance cannot cover the

@@ -2,6 +2,7 @@ package accessserver
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -857,14 +858,18 @@ func (s *Server) CampaignBuildIDs(id int) ([]int, error) {
 // Abort cancels a build: a queued build (in the queue or waiting out a
 // failover backoff) settles aborted at once; a running build has its
 // pipeline's cancel hook invoked (the measurement session tears down and
-// the build finishes canceled). Aborting a finished build is a conflict.
-// The user needs PermRunJob and must own the build (admins may cancel
-// anyone's).
+// the build finishes canceled). Aborting a finished build is a conflict,
+// and so is aborting an expired one: it finished before it aged out.
+// Only an id never issued is not found. The user needs PermRunJob and
+// must own the build (admins may cancel anyone's).
 func (s *Server) Abort(user *User, id int) error {
 	if !Allowed(user.Role, PermRunJob) {
 		return fmt.Errorf("%w: %s (%s) may not cancel builds", ErrForbidden, user.Name, user.Role)
 	}
 	b, err := s.Build(id)
+	if errors.Is(err, ErrExpired) {
+		return fmt.Errorf("%w: build %d finished and expired, nothing to cancel", ErrConflict, id)
+	}
 	if err != nil {
 		return err
 	}

@@ -10,14 +10,15 @@
 // column buffers, and folds each chunk into every aggregator it asked
 // for: the whole-trace rollup and, for a windowed query, the windows.
 // Each aggregator folds on a goroutine of its own, beside the decode and
-// each other. A query costs one decode and one aggregator update per
-// sample per aggregator, and O(buckets + ring) memory, never a second
-// copy of the trace. The folds shorten a query only while cores are
-// free: with as many queries in flight as cores, they add no speed,
-// only a hand-off per chunk. Each aggregator sees every sample in
-// order, so the rollup row accumulates exactly the terms the
-// capture-time summary did, in the same order, and its energy integral
-// is bit-identical to the RunSummary produced when the build finished.
+// each other. A query costs one decode, one aggregator call per chunk
+// per aggregator (a window edge inside a chunk cuts it in two), and
+// O(buckets + ring) memory, never a second copy of the trace. The folds
+// shorten a query only while cores are free: with as many queries in
+// flight as cores, they add no speed, only a hand-off per chunk. Each
+// aggregator sees every sample in order, so the rollup row accumulates
+// exactly the terms the capture-time summary did, in the same order, and
+// its energy integral is bit-identical to the RunSummary produced when
+// the build finished.
 //
 // Results are plain api.AnalyticsResult values; the HTTP layer owns
 // caching (see Cache) and RBAC.
@@ -100,7 +101,7 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 	}
 	a := newAggs(q.WindowNS)
 	runFolds(a.folds(), func(p *pipeline) {
-		tr.Samples().Chunks(func(t []int64, v []float64) bool {
+		tr.Samples().Chunks(0, func(t []int64, v []float64) bool {
 			p.emit(batch{t: t, v: v})
 			return true
 		})
@@ -211,22 +212,12 @@ func newAggs(windowNS int64) aggs {
 	return a
 }
 
-// folds returns one chunk fold per aggregator. They share no state, so
-// each runs on a goroutine of its own.
+// folds returns one chunk fold per aggregator, each folding a chunk as
+// one run. They share no state, so each runs on a goroutine of its own.
 func (a aggs) folds() []func(t []int64, v []float64) {
-	folds := []func(t []int64, v []float64){func(t []int64, v []float64) {
-		t = t[:len(v)]
-		for i, x := range v {
-			a.total.Add(t[i], x)
-		}
-	}}
+	folds := []func(t []int64, v []float64){a.total.AddRun}
 	if a.wd != nil {
-		folds = append(folds, func(t []int64, v []float64) {
-			t = t[:len(v)]
-			for i, x := range v {
-				a.wd.Add(t[i], x)
-			}
-		})
+		folds = append(folds, a.wd.AddRun)
 	}
 	return folds
 }

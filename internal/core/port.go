@@ -125,7 +125,7 @@ func (lp *localPort) Abort(_ context.Context, build int) error {
 		return err
 	}
 	err = lp.p.Access.Abort(owner, build)
-	if errors.Is(err, accessserver.ErrConflict) || errors.Is(err, accessserver.ErrExpired) {
+	if errors.Is(err, accessserver.ErrConflict) {
 		return nil // settled already
 	}
 	return err

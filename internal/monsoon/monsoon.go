@@ -241,13 +241,14 @@ func (m *Monsoon) stopLocked() {
 
 // LiveSummary reports the streaming summary of the in-flight sampling
 // run — running mean/std/min/max, P50/P95 estimates and charge integral
-// over every sample captured so far. The moments and the integral are
-// folded as each run of samples is appended, so on a virtual clock the
-// summary moves in steps of a run (the ticks of one clock event, at most
-// samples.ChunkLen per append), never partway through one; the P²
-// quantiles fold the samples captured since the previous read (see
-// trace.Series.Live), so each sample is folded once however often
-// progress UIs and session observers read.
+// over every sample captured so far. The moments and the integral fold
+// each run of samples as one run when it is appended, so on a virtual
+// clock the summary moves in steps of a run (the ticks of one clock
+// event, at most samples.ChunkLen per append), never partway through
+// one; the P² quantiles fold the samples captured since the previous
+// read, a chunk's stretch per call (see trace.Series.Live), so each
+// sample is folded once however often progress UIs and session observers
+// read.
 func (m *Monsoon) LiveSummary() (samples.LiveSummary, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -97,8 +97,8 @@ func newFedLab(t *testing.T) *fedLab {
 		}
 		hB.ServeHTTP(w, r)
 	}))
-	t.Cleanup(tsA.Close)
-	t.Cleanup(tsB.Close)
+	closeOnCleanup(t, tsA)
+	closeOnCleanup(t, tsB)
 	fl.tsA, fl.tsB = tsA, tsB
 	a.Access.ConfigureCluster("lab-a", tsA.URL, fedToken)
 	b.Access.ConfigureCluster("lab-b", tsB.URL, fedToken)
@@ -599,8 +599,8 @@ func TestFederationFanOut(t *testing.T) {
 		}
 	}
 	tsHome, tsPeer := httptest.NewServer(home.Handler()), httptest.NewServer(peer.Handler())
-	defer tsHome.Close()
-	defer tsPeer.Close()
+	closeOnCleanup(t, tsHome)
+	closeOnCleanup(t, tsPeer)
 	home.ConfigureCluster("fleet-home", tsHome.URL, fedToken)
 	peer.ConfigureCluster("fleet-peer", tsPeer.URL, fedToken)
 	home.SetPeerRelay(remote.Relay)

@@ -78,7 +78,7 @@ func TestGatewayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	upstream := httptest.NewServer(l.plat.Access.Handler())
-	t.Cleanup(upstream.Close)
+	closeOnCleanup(t, upstream)
 
 	client, err := remote.Dial(upstream.URL, token)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestGatewayRoundTrip(t *testing.T) {
 	// Clean path: gateway bytes must match the direct bytes exactly.
 	gw := feedgw.New(upstream.URL)
 	gwts := httptest.NewServer(gw.Handler())
-	t.Cleanup(gwts.Close)
+	closeOnCleanup(t, gwts)
 	st, gwEvents := get(t, gwts.URL+eventsPath, token)
 	if st != 200 {
 		t.Fatalf("gateway events: status %d", st)
@@ -140,11 +140,11 @@ func TestGatewayRoundTrip(t *testing.T) {
 	// its client must not be able to tell.
 	proxy := newFlakyProxy(l.plat.Access.Handler(), 0, 100)
 	pts := httptest.NewServer(proxy)
-	t.Cleanup(pts.Close)
+	closeOnCleanup(t, pts)
 	gw2 := feedgw.New(pts.URL)
 	gw2.SetRetryPolicy(remote.RetryPolicy{Attempts: 6, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
 	gwts2 := httptest.NewServer(gw2.Handler())
-	t.Cleanup(gwts2.Close)
+	closeOnCleanup(t, gwts2)
 
 	sess2, err := client.StartExperiment(nil, idleSpec(l), batterylab.ObserverFuncs{})
 	if err != nil {
@@ -241,11 +241,11 @@ func TestGatewayRoundTrip(t *testing.T) {
 	cutter := &midFrameCut{inner: l.plat.Access.Handler(), path: samplesPath,
 		body: append(whole.Bytes(), next.Bytes()[:next.Len()/2]...)}
 	cts := httptest.NewServer(cutter)
-	t.Cleanup(cts.Close)
+	closeOnCleanup(t, cts)
 	gw3 := feedgw.New(cts.URL)
 	gw3.SetRetryPolicy(remote.RetryPolicy{Attempts: 6, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
 	gwts3 := httptest.NewServer(gw3.Handler())
-	t.Cleanup(gwts3.Close)
+	closeOnCleanup(t, gwts3)
 	st, midCut := get(t, gwts3.URL+samplesPath, token)
 	if st != 200 {
 		t.Fatalf("gateway samples across a mid-frame cut: status %d", st)
@@ -309,10 +309,10 @@ func TestGatewayErrors(t *testing.T) {
 	}
 	proxy := newFlakyProxy(l.plat.Access.Handler(), 0, 0)
 	upstream := httptest.NewServer(proxy)
-	t.Cleanup(upstream.Close)
+	closeOnCleanup(t, upstream)
 	gw := feedgw.New(upstream.URL)
 	gwts := httptest.NewServer(gw.Handler())
-	t.Cleanup(gwts.Close)
+	closeOnCleanup(t, gwts)
 
 	// Garbage cursor: rejected at the gateway, upstream never dialed.
 	st, body := get(t, gwts.URL+"/api/v1/builds/1/events?from=bogus", token)

@@ -342,7 +342,7 @@ func TestFollowStatusReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	gts := httptest.NewServer(feedgw.New(client.BaseURL()).Handler())
-	defer gts.Close()
+	closeOnCleanup(t, gts)
 	if st, _ := get(t, fmt.Sprintf("%s/api/v1/builds/%d/samples", gts.URL, sess.Build()), token); st != 200 {
 		t.Fatalf("gateway samples: status %d", st)
 	}

@@ -42,7 +42,7 @@ func TestRemoteOverloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	closeOnCleanup(t, ts)
 
 	spec := api.ExperimentSpec{
 		Node: "pi-1", Device: "pixel4-a",

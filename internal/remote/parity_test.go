@@ -130,7 +130,7 @@ func TestCampaignRunsMatchLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(rplat.Access.Handler())
-	defer ts.Close()
+	closeOnCleanup(t, ts)
 	stop := make(chan struct{})
 	defer close(stop)
 	go batterylab.DriveBuilds(rclock, rplat, stop)
@@ -329,7 +329,7 @@ func TestSamplesMatchLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(rplat.Access.Handler())
-	defer ts.Close()
+	closeOnCleanup(t, ts)
 	stop := make(chan struct{})
 	defer close(stop)
 	go batterylab.DriveBuilds(rclock, rplat, stop)

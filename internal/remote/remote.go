@@ -443,14 +443,15 @@ func (p port) Follow(ctx context.Context, build int, event func(api.BuildEvent),
 }
 
 // Abort POSTs the build's cancel, which is idempotent server-side and
-// retries like a GET, for at most 10 s. A conflict (the build settled)
-// or a not-found (it expired) leaves nothing to cancel.
+// retries like a GET, for at most 10 s. A conflict (the build settled,
+// or settled and expired) leaves nothing to cancel; a not-found is an id
+// the server never issued, and an error.
 func (p port) Abort(ctx context.Context, build int) error {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	err := p.do(ctx, http.MethodPost, p.url("/api/v1/builds/%d/cancel", build), nil, nil, true)
 	var apiErr *api.Error
-	if errors.As(err, &apiErr) && (apiErr.Code == api.CodeConflict || apiErr.Code == api.CodeNotFound) {
+	if errors.As(err, &apiErr) && apiErr.Code == api.CodeConflict {
 		return nil
 	}
 	return err

@@ -70,6 +70,16 @@ func newLab(t *testing.T) *lab {
 	return l
 }
 
+// closeOnCleanup closes ts when the test ends, cutting its client
+// connections first (cleanups run last in, first out). Close waits for
+// every request in flight, and a build a failing test leaves running
+// keeps its NDJSON streams open: without the cut the test would hang
+// until go test's timeout instead of failing.
+func closeOnCleanup(t testing.TB, ts *httptest.Server) {
+	t.Cleanup(ts.Close)
+	t.Cleanup(ts.CloseClientConnections)
+}
+
 // serve exposes the lab over HTTP with a build-driving goroutine and
 // returns a connected client.
 func (l *lab) serve(t *testing.T) *remote.Platform {
@@ -79,7 +89,7 @@ func (l *lab) serve(t *testing.T) *remote.Platform {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(l.plat.Access.Handler())
-	t.Cleanup(ts.Close)
+	closeOnCleanup(t, ts)
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	go batterylab.DriveBuilds(l.clock, l.plat, stop)
@@ -378,7 +388,7 @@ func TestRemoteCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(server.plat.Access.Handler())
-	defer ts.Close()
+	closeOnCleanup(t, ts)
 	client, err := remote.Dial(ts.URL, token)
 	if err != nil {
 		t.Fatal(err)
@@ -395,6 +405,17 @@ func TestRemoteCancel(t *testing.T) {
 	sess.Cancel()
 	if _, err := sess.Wait(ctx); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("Wait after Cancel = %v, want ErrCanceled", err)
+	}
+
+	// The build has settled: the server answers a second cancel with a
+	// conflict, which Abort takes as done. An id the server never issued
+	// is an error, not a build that settled.
+	if err := client.Abort(ctx, sess.Build()); err != nil {
+		t.Fatalf("Abort of a settled build = %v, want nil", err)
+	}
+	var apiErr *api.Error
+	if err := client.Abort(ctx, sess.Build()+1000); !errors.As(err, &apiErr) || apiErr.Code != api.CodeNotFound {
+		t.Fatalf("Abort of a never-issued build = %v, want not_found", err)
 	}
 }
 
@@ -424,8 +445,7 @@ func TestRemoteCancelAfterLostCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(&failFirstCancel{inner: server.plat.Access.Handler()})
-	defer ts.Close()
-	defer ts.CloseClientConnections() // a build left running keeps its streams open
+	closeOnCleanup(t, ts)
 	client, err := remote.Dial(ts.URL, token)
 	if err != nil {
 		t.Fatal(err)

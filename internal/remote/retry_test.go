@@ -147,7 +147,7 @@ func serveFlaky(t *testing.T, l *lab, failFirst, cutAfter int, drive bool) (*rem
 	}
 	proxy := newFlakyProxy(l.plat.Access.Handler(), failFirst, cutAfter)
 	ts := httptest.NewServer(proxy)
-	t.Cleanup(ts.Close)
+	closeOnCleanup(t, ts)
 	if drive {
 		stop := make(chan struct{})
 		t.Cleanup(func() { close(stop) })
@@ -333,7 +333,7 @@ func TestArtifactDeclaredLength(t *testing.T) {
 	}
 	proxy := &artifactProxy{inner: l.plat.Access.Handler(), lengths: map[string][]string{}}
 	ts := httptest.NewServer(proxy)
-	t.Cleanup(ts.Close)
+	closeOnCleanup(t, ts)
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	go batterylab.DriveBuilds(l.clock, l.plat, stop)
@@ -402,7 +402,7 @@ func TestRequestIDAcrossRetries(t *testing.T) {
 		echoed = append(echoed, w.Header().Get("X-Request-Id"))
 		mu.Unlock()
 	}))
-	defer ts.Close()
+	closeOnCleanup(t, ts)
 	client, err := remote.Dial(ts.URL, token)
 	if err != nil {
 		t.Fatal(err)

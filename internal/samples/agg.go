@@ -5,13 +5,6 @@ import (
 	"sort"
 )
 
-// Aggregator consumes one timestamped sample at a time in O(1). The
-// capture path feeds every registered aggregator as samples arrive, so
-// summaries are ready the instant capture stops — no teardown re-scan.
-type Aggregator interface {
-	Add(tNanos int64, v float64)
-}
-
 // Welford is the numerically stable online mean/variance accumulator
 // (Welford 1962), extended with min/max. The zero value is ready to use.
 type Welford struct {
@@ -21,29 +14,36 @@ type Welford struct {
 	nans     int64
 }
 
-// Add implements Aggregator. NaN values are skipped and counted.
-func (w *Welford) Add(_ int64, v float64) { w.Observe(v) }
+// Observe folds one value in: a run of one.
+func (w *Welford) Observe(v float64) { w.ObserveRun([]float64{v}) }
 
-// Observe folds one value in.
-func (w *Welford) Observe(v float64) {
-	if math.IsNaN(v) {
-		w.nans++
-		return
-	}
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = v, v
-	} else {
-		if v < w.min {
-			w.min = v
+// ObserveRun folds vs in, in order. NaN values are skipped and counted.
+// The state is held in locals for the run; the arithmetic is a value's
+// at a time, in order, so a run ends where its values folded one by one
+// would, bit for bit.
+func (w *Welford) ObserveRun(vs []float64) {
+	n, mean, m2, lo, hi, nans := w.n, w.mean, w.m2, w.min, w.max, w.nans
+	for _, v := range vs {
+		if math.IsNaN(v) {
+			nans++
+			continue
 		}
-		if v > w.max {
-			w.max = v
+		n++
+		if n == 1 {
+			lo, hi = v, v
+		} else {
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
 		}
+		d := v - mean
+		mean += d / float64(n)
+		m2 += d * (v - mean)
 	}
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
+	w.n, w.mean, w.m2, w.min, w.max, w.nans = n, mean, m2, lo, hi, nans
 }
 
 // N reports how many (non-NaN) values were observed.
@@ -101,78 +101,116 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return e
 }
 
-// Add implements Aggregator. NaN values are skipped.
-func (e *P2Quantile) Add(_ int64, v float64) { e.Observe(v) }
+// Observe folds one value in: a run of one.
+func (e *P2Quantile) Observe(v float64) { e.ObserveRun([]float64{v}) }
 
-// Observe folds one value in.
-func (e *P2Quantile) Observe(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	if e.n < 5 {
+// ObserveRun folds vs in, in order. NaN values are skipped. The first
+// five values are kept as they come; after that the markers are held in
+// locals for the rest of the run, and each value moves them with the
+// arithmetic, in the order, of folding it alone — so a run ends where its
+// values folded one by one would, bit for bit.
+func (e *P2Quantile) ObserveRun(vs []float64) {
+	for len(vs) > 0 && e.n < 5 {
+		v := vs[0]
+		vs = vs[1:]
+		if math.IsNaN(v) {
+			continue
+		}
 		e.q[e.n] = v
 		e.n++
 		if e.n == 5 {
 			sort.Float64s(e.q[:])
 			e.pos = [5]float64{1, 2, 3, 4, 5}
 		}
+	}
+	if len(vs) == 0 {
 		return
 	}
-	e.n++
+	// The markers as scalars: q0–q4 the heights, p0–p4 the positions,
+	// w0–w2 the interior markers' desired positions.
+	n := e.n
+	q0, q1, q2, q3, q4 := e.q[0], e.q[1], e.q[2], e.q[3], e.q[4]
+	p0, p1, p2, p3, p4 := e.pos[0], e.pos[1], e.pos[2], e.pos[3], e.pos[4]
+	w0, w1, w2 := e.want[0], e.want[1], e.want[2]
+	for _, v := range vs {
+		if math.IsNaN(v) {
+			continue
+		}
+		n++
 
-	// Find the cell k the new value falls in, growing the extremes.
-	var k int
-	switch {
-	case v < e.q[0]:
-		e.q[0] = v
-		k = 0
-	case v >= e.q[4]:
-		e.q[4] = v
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if v < e.q[k+1] {
-				break
-			}
+		// Find the cell the new value falls in, growing the extremes, and
+		// move the markers above it up one position.
+		switch {
+		case v < q0:
+			q0 = v
+			p1++
+			p2++
+			p3++
+		case v >= q4:
+			q4 = v
+		case v < q1:
+			p1++
+			p2++
+			p3++
+		case v < q2:
+			p2++
+			p3++
+		case v < q3:
+			p3++
+		}
+		p4++
+		w0 += e.inc[0]
+		w1 += e.inc[1]
+		w2 += e.inc[2]
+
+		// Adjust the interior markers toward their desired positions, in
+		// order: each sees its lower neighbour already adjusted.
+		if d := w0 - p1; (d >= 1 && p2-p1 > 1) || (d <= -1 && p0-p1 < -1) {
+			s := p2Sign(d)
+			q1 = p2Adjust(q0, q1, q2, p0, p1, p2, s)
+			p1 += s
+		}
+		if d := w1 - p2; (d >= 1 && p3-p2 > 1) || (d <= -1 && p1-p2 < -1) {
+			s := p2Sign(d)
+			q2 = p2Adjust(q1, q2, q3, p1, p2, p3, s)
+			p2 += s
+		}
+		if d := w2 - p3; (d >= 1 && p4-p3 > 1) || (d <= -1 && p2-p3 < -1) {
+			s := p2Sign(d)
+			q3 = p2Adjust(q2, q3, q4, p2, p3, p4, s)
+			p3 += s
 		}
 	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := range e.want {
-		e.want[i] += e.inc[i]
-	}
-
-	// Adjust the interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.want[i-1] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1
-			}
-			q := e.parabolic(i, s)
-			if e.q[i-1] < q && q < e.q[i+1] {
-				e.q[i] = q
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
-		}
-	}
+	e.n = n
+	e.q = [5]float64{q0, q1, q2, q3, q4}
+	e.pos = [5]float64{p0, p1, p2, p3, p4}
+	e.want = [3]float64{w0, w1, w2}
 }
 
-// parabolic is the P² piecewise-parabolic marker update.
-func (e *P2Quantile) parabolic(i int, s float64) float64 {
-	return e.q[i] + s/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+s)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-s)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
+// p2Sign is the direction, ±1, a marker d positions from where it should
+// be moves.
+func p2Sign(d float64) float64 {
+	if d < 0 {
+		return -1
+	}
+	return 1
 }
 
-// linear is the fallback update when the parabola leaves the bracket.
-func (e *P2Quantile) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return e.q[i] + s*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
+// p2Adjust moves the height q of a marker at position p one position in
+// direction s, between its neighbours (qm at pm below, qp at pp above):
+// the P² piecewise-parabolic update, or the linear one when the parabola
+// leaves the bracket.
+func p2Adjust(qm, q, qp, pm, p, pp, s float64) float64 {
+	x := q + s/(pp-pm)*
+		((p-pm+s)*(qp-q)/(pp-p)+
+			(pp-p-s)*(q-qm)/(p-pm))
+	if qm < x && x < qp {
+		return x
+	}
+	if s > 0 {
+		return q + s*(qp-q)/(pp-p)
+	}
+	return q + s*(qm-q)/(pm-p)
 }
 
 // Value reports the current quantile estimate. For n ≤ 5 it is the
@@ -224,18 +262,25 @@ type Trapezoid struct {
 	total float64
 }
 
-// Add implements Aggregator. NaN values are skipped entirely (the
-// integral bridges the surrounding samples).
-func (tr *Trapezoid) Add(tNanos int64, v float64) {
-	if math.IsNaN(v) {
-		return
+// AddRun folds a run of timestamped values in, t[i] paired with v[i], in
+// order. NaN values are skipped entirely (the integral bridges the
+// surrounding samples). The state is held in locals for the run; the
+// terms and their order are those of folding each sample alone.
+func (tr *Trapezoid) AddRun(t []int64, v []float64) {
+	t = t[:len(v)]
+	n, prevT, prevV, total := tr.n, tr.prevT, tr.prevV, tr.total
+	for i, x := range v {
+		if math.IsNaN(x) {
+			continue
+		}
+		if n > 0 {
+			dt := float64(t[i]-prevT) / 1e9
+			total += dt * (x + prevV) / 2
+		}
+		prevT, prevV = t[i], x
+		n++
 	}
-	if tr.n > 0 {
-		dt := float64(tNanos-tr.prevT) / 1e9
-		tr.total += dt * (v + tr.prevV) / 2
-	}
-	tr.prevT, tr.prevV = tNanos, v
-	tr.n++
+	tr.n, tr.prevT, tr.prevV, tr.total = n, prevT, prevV, total
 }
 
 // IntegralSeconds reports the running integral in unit·seconds.
@@ -277,26 +322,33 @@ func NewStreamSummary() *StreamSummary {
 	return &StreamSummary{p50: NewP2Quantile(0.5), p95: NewP2Quantile(0.95)}
 }
 
-// Add implements Aggregator, feeding every bundled aggregator.
+// Add folds one sample into every bundled aggregator: a run of one.
 func (ss *StreamSummary) Add(tNanos int64, v float64) {
-	ss.AddMoments(tNanos, v)
-	ss.AddQuantiles(v)
+	ss.AddRun([]int64{tNanos}, []float64{v})
 }
 
-// AddMoments feeds the Welford moments and the integral only. A caller
-// that folds the quantiles later (trace.Series, when they are read) must
-// pass AddQuantiles the same values in the same order before Snapshot;
-// the aggregators are independent, so the snapshot is then bit for bit
-// Add's.
-func (ss *StreamSummary) AddMoments(tNanos int64, v float64) {
-	ss.mom.Observe(v)
-	ss.integ.Add(tNanos, v)
+// AddRun folds a run of samples, t[i] paired with v[i], into every
+// bundled aggregator.
+func (ss *StreamSummary) AddRun(t []int64, v []float64) {
+	ss.AddMomentsRun(t, v)
+	ss.AddQuantilesRun(v)
 }
 
-// AddQuantiles feeds the P50/P95 estimators only; see AddMoments.
-func (ss *StreamSummary) AddQuantiles(v float64) {
-	ss.p50.Observe(v)
-	ss.p95.Observe(v)
+// AddMomentsRun folds a run into the Welford moments and the integral
+// only. A caller that folds the quantiles later (trace.Series, when they
+// are read) must pass AddQuantilesRun the same values in the same order
+// before Snapshot, in runs of any length; the aggregators are
+// independent, so the snapshot is then bit for bit AddRun's.
+func (ss *StreamSummary) AddMomentsRun(t []int64, v []float64) {
+	ss.mom.ObserveRun(v)
+	ss.integ.AddRun(t, v)
+}
+
+// AddQuantilesRun folds a run into the P50/P95 estimators only; see
+// AddMomentsRun.
+func (ss *StreamSummary) AddQuantilesRun(v []float64) {
+	ss.p50.ObserveRun(v)
+	ss.p95.ObserveRun(v)
 }
 
 // Snapshot reports the live summary of everything added so far.

@@ -2,6 +2,7 @@ package samples
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
@@ -160,5 +161,41 @@ func BenchmarkIter(b *testing.B) {
 		if sum == 0 {
 			b.Fatal("no samples")
 		}
+	}
+}
+
+// noisy returns n values shaped like a Monsoon current trace — a level
+// with ADC noise — in capture order.
+func noisy(n int) []float64 {
+	r := rand.New(rand.NewSource(1))
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = math.Round((160+r.NormFloat64()*1.2)*10) / 10
+	}
+	return vs
+}
+
+// BenchmarkP2TwoEstimators folds chunks of capture-shaped values into a
+// P50 and a P95 estimator, the quantile half of a live summary or an
+// analytics rollup.
+func BenchmarkP2TwoEstimators(b *testing.B) {
+	vs := noisy(ChunkLen)
+	p50, p95 := NewP2Quantile(0.5), NewP2Quantile(0.95)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p50.ObserveRun(vs)
+		p95.ObserveRun(vs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/sample")
+}
+
+// BenchmarkP2Observe folds one value per call, as metrics.Histogram does
+// per observation.
+func BenchmarkP2Observe(b *testing.B) {
+	vs := noisy(ChunkLen)
+	e := NewP2Quantile(0.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Observe(vs[i%len(vs)])
 	}
 }

@@ -1,6 +1,6 @@
 // Package samples is the streaming sample pipeline under BatteryLab's
 // capture path: chunked columnar storage for high-rate telemetry and
-// O(1)-per-sample online aggregators.
+// online aggregators of O(1) state that fold it a run at a time.
 //
 // One Monsoon emits 5 kHz current samples per device; a campaign runs
 // many devices concurrently, so a 30-minute sweep across 8 vantage
@@ -27,8 +27,12 @@
 //
 // # Streaming aggregators
 //
-// Aggregator implementations consume one (timestamp, value) pair at a
-// time in O(1):
+// Each aggregator folds a whole run of values (and, where time matters,
+// their timestamps) per call — a storage chunk, a decoded chunk, the
+// ticks of one clock event — holding its state in locals for the run.
+// A run does a value's arithmetic at a time, in order, so any cut of a
+// stream into runs gives the same state, bit for bit; folding one value
+// is a run of one:
 //
 //   - Welford: numerically stable running mean/variance plus min/max.
 //     Agrees with the two-pass batch computation to ~1e-12 relative
@@ -88,20 +92,57 @@ func (s *Series) Len() int { return s.n }
 // Append adds one sample. Amortized O(1): a full chunk is sealed and a
 // fresh one allocated; prior samples are never copied.
 func (s *Series) Append(tNanos int64, v float64) {
-	var c *chunk
-	if len(s.chunks) > 0 {
-		c = s.chunks[len(s.chunks)-1]
-	}
-	if c == nil || len(c.t) == ChunkLen {
-		c = &chunk{
-			t: make([]int64, 0, ChunkLen),
-			v: make([]float64, 0, ChunkLen),
-		}
-		s.chunks = append(s.chunks, c)
-	}
+	c := s.tail()
 	c.t = append(c.t, tNanos)
 	c.v = append(c.v, v)
 	s.n++
+}
+
+// AppendColumns adds the samples t[i], v[i] in order: what Append would
+// store for each in turn, copied into the chunk columns a chunk's room
+// at a time. t and v must be of one length.
+func (s *Series) AppendColumns(t []int64, v []float64) {
+	if len(t) != len(v) {
+		panic("samples: AppendColumns columns of unequal length")
+	}
+	for len(v) > 0 {
+		c := s.tail()
+		n := min(ChunkLen-len(c.v), len(v))
+		c.t = append(c.t, t[:n]...)
+		c.v = append(c.v, v[:n]...)
+		s.n += n
+		t, v = t[n:], v[n:]
+	}
+}
+
+// AppendRun adds a run of samples taken every step from first: vs[i] at
+// first + i·step, the timestamp found by adding step to the previous
+// one. It stores what Append would for each in turn.
+func (s *Series) AppendRun(first, step int64, vs []float64) {
+	for len(vs) > 0 {
+		c := s.tail()
+		n := min(ChunkLen-len(c.v), len(vs))
+		for range n {
+			c.t = append(c.t, first)
+			first += step
+		}
+		c.v = append(c.v, vs[:n]...)
+		s.n += n
+		vs = vs[n:]
+	}
+}
+
+// tail returns the chunk the next sample goes in, sealing a full one.
+func (s *Series) tail() *chunk {
+	if k := len(s.chunks); k > 0 && len(s.chunks[k-1].t) < ChunkLen {
+		return s.chunks[k-1]
+	}
+	c := &chunk{
+		t: make([]int64, 0, ChunkLen),
+		v: make([]float64, 0, ChunkLen),
+	}
+	s.chunks = append(s.chunks, c)
+	return c
 }
 
 // At returns the i-th sample's timestamp and value.
@@ -128,13 +169,20 @@ func (s *Series) Iter(fn func(tNanos int64, v float64) bool) {
 	}
 }
 
-// Chunks walks the storage chunk by chunk, handing fn each chunk's
-// parallel timestamp and value columns (ChunkLen entries, fewer in the
-// last) until it returns false. The columns are the series' own memory:
-// read-only.
-func (s *Series) Chunks(fn func(t []int64, v []float64) bool) {
-	for _, c := range s.chunks {
-		if !fn(c.t, c.v) {
+// Chunks walks the storage from sample from on, chunk by chunk, handing
+// fn each chunk's parallel timestamp and value columns (ChunkLen entries,
+// fewer in the last, and the first cut to start at from) until it
+// returns false. The columns are the series' own memory: read-only.
+func (s *Series) Chunks(from int, fn func(t []int64, v []float64) bool) {
+	if from >= s.n {
+		return
+	}
+	for i, c := range s.chunks[from/ChunkLen:] {
+		t, v := c.t, c.v
+		if i == 0 {
+			t, v = t[from%ChunkLen:], v[from%ChunkLen:]
+		}
+		if !fn(t, v) {
 			return
 		}
 	}

@@ -32,8 +32,8 @@ type WindowSummary struct {
 // Windowed partitions a time-ordered stream into fixed-width buckets
 // and aggregates each with fresh Welford/P²/Trapezoid state — the
 // streaming core of the server's trace analytics. It is O(buckets)
-// memory and one aggregator update per sample, independent of series
-// length.
+// memory, independent of series length, and folds a run a bucket's
+// stretch at a time: one aggregator call per stretch, not per sample.
 type Windowed struct {
 	originNS int64
 	widthNS  int64
@@ -72,23 +72,42 @@ func (wd *Windowed) bucketOf(tNanos int64) int64 {
 	return k
 }
 
-// Add implements Aggregator. Samples must arrive in non-decreasing
-// time order (the order every Series and trace stores them); a sample
-// whose bucket precedes the current one is folded into the current
-// bucket rather than reopening a flushed one.
+// Add folds one sample in: a run of one.
 func (wd *Windowed) Add(tNanos int64, v float64) {
-	k := wd.bucketOf(tNanos)
-	if !wd.started {
-		wd.open(k)
-	} else if k > wd.curIdx {
-		wd.flush()
-		wd.open(k)
+	wd.AddRun([]int64{tNanos}, []float64{v})
+}
+
+// AddRun folds a run of samples, t[i] paired with v[i]. Samples must
+// arrive in non-decreasing time order (the order every Series and trace
+// stores them); a sample whose bucket precedes the open one is folded
+// into the open bucket rather than reopening a flushed one. The run is
+// cut where a sample opens a later bucket, and each piece goes to the
+// bucket's aggregators as one run.
+func (wd *Windowed) AddRun(t []int64, v []float64) {
+	t = t[:len(v)]
+	for len(v) > 0 {
+		if k := wd.bucketOf(t[0]); !wd.started {
+			wd.open(k)
+		} else if k > wd.curIdx {
+			wd.flush()
+			wd.open(k)
+		}
+		// A sample stays in the open bucket while bucketOf would place it
+		// at or before curIdx: while t-origin, wrapped as bucketOf wraps
+		// it, is below the bucket's end — when that end is an int64 at all.
+		n := len(v)
+		if wd.curIdx < math.MaxInt64/wd.widthNS {
+			end := (wd.curIdx + 1) * wd.widthNS
+			for n = 1; n < len(v) && t[n]-wd.originNS < end; n++ {
+			}
+		}
+		wd.mom.ObserveRun(v[:n])
+		for _, q := range wd.qs {
+			q.ObserveRun(v[:n])
+		}
+		wd.integ.AddRun(t[:n], v[:n])
+		t, v = t[n:], v[n:]
 	}
-	wd.mom.Observe(v)
-	for _, q := range wd.qs {
-		q.Observe(v)
-	}
-	wd.integ.Add(tNanos, v)
 }
 
 func (wd *Windowed) open(k int64) {

@@ -31,14 +31,8 @@ type Summary struct {
 // the streaming aggregators' contract.
 func Summarize(xs []float64) Summary {
 	var w samples.Welford
-	vs := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		w.Observe(x)
-		if !math.IsNaN(x) {
-			vs = append(vs, x)
-		}
-	}
-	return summarizeValid(&w, vs)
+	w.ObserveRun(xs)
+	return summarizeValid(&w, appendValid(make([]float64, 0, len(xs)), xs))
 }
 
 // SummarizeSeries is Summarize over a chunked sample series, without
@@ -47,14 +41,22 @@ func Summarize(xs []float64) Summary {
 func SummarizeSeries(s *samples.Series) Summary {
 	var w samples.Welford
 	vs := make([]float64, 0, s.Len())
-	s.Iter(func(_ int64, v float64) bool {
-		w.Observe(v)
-		if !math.IsNaN(v) {
-			vs = append(vs, v)
-		}
+	s.Chunks(0, func(_ []int64, v []float64) bool {
+		w.ObserveRun(v)
+		vs = appendValid(vs, v)
 		return true
 	})
 	return summarizeValid(&w, vs)
+}
+
+// appendValid appends the values of xs that are not NaN to dst.
+func appendValid(dst, xs []float64) []float64 {
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			dst = append(dst, x)
+		}
+	}
+	return dst
 }
 
 // summarizeValid assembles a Summary from the one-pass moments and the

@@ -76,7 +76,7 @@ func EncodeBinary(w io.Writer, s *Series, version int) error {
 	growFor(w, len(buf)+9*s.Len()) // a capture's v2 sample is about 8 bytes, a v1 record 9 or more
 	var enc v2Encoder
 	var err error
-	s.data.Chunks(func(offs []int64, vals []float64) bool {
+	s.data.Chunks(0, func(offs []int64, vals []float64) bool {
 		if version == BinaryV1 {
 			buf = appendRecordsV1(buf, offs, vals)
 		} else {
@@ -374,22 +374,39 @@ func ReadBinary(r io.Reader) (*Series, error) {
 
 // DecodeBinary is ReadBinary for a caller that holds the encoded bytes
 // already (a fetched artifact). It only reads data and keeps none of it.
+// The samples are decoded into a chunk's worth of columns, which are
+// stored and folded into the summary a chunk at a time.
 func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSeries(string(h.Name), string(h.Unit))
+	n := min(h.Count, samples.ChunkLen)
+	offs, vals := make([]int64, n), make([]float64, n)
 	var first int64
+	k := 0
+	flush := func() {
+		from := s.data.Len()
+		s.data.AppendColumns(offs[:k], vals[:k])
+		s.foldMoments(from)
+		k = 0
+	}
 	err = h.DecodeSamples(payload, func(off int64, v float64) {
 		if !s.hasEpoch {
 			s.epoch, s.hasEpoch = h.Epoch().Add(time.Duration(off)), true
 			first = off
 		}
-		s.appendOffset(off-first, v)
+		offs[k], vals[k] = off-first, v
+		if k++; k == len(offs) {
+			flush()
+		}
 	})
 	if err != nil {
 		return nil, err
+	}
+	if k > 0 {
+		flush()
 	}
 	return s, nil
 }

@@ -7,12 +7,14 @@
 // Since the streaming sample pipeline landed, a Series is backed by the
 // chunked columnar store of internal/samples (appends never copy prior
 // samples) and maintains a streaming summary online: an append folds the
-// Welford moments and the trapezoid integral, so IntegralSeconds and
-// EnergyMAH are O(1). The P² quantiles are folded when they are read:
-// Summary and Live fold the samples appended since the previous read, in
-// order, so each sample is folded once and the estimates are bit for bit
-// those of folding at every append — and a trace nobody asks a quantile
-// of (a decoded one whose summary is never read) folds none.
+// Welford moments and the trapezoid integral over the run it stored — a
+// capture's clock event, a decoded chunk — in one call, so
+// IntegralSeconds and EnergyMAH are O(1). The P² quantiles are folded
+// when they are read: Summary and Live fold the samples appended since
+// the previous read, in order and a chunk's stretch per call, so each
+// sample is folded once and the estimates are bit for bit those of
+// folding at every append — and a trace nobody asks a quantile of (a
+// decoded one whose summary is never read) folds none.
 // Series persist to disk in the binary trace format of binary.go, and
 // export as CSV (WriteCSV, the v1 text format).
 //
@@ -86,33 +88,17 @@ func (s *Series) Name() string { return s.name }
 func (s *Series) Unit() string { return s.unit }
 
 // Append adds a sample. Timestamps must be non-decreasing; out-of-order
-// appends return an error so recorder bugs surface immediately.
+// appends return an error so recorder bugs surface immediately. It is a
+// run of one.
 func (s *Series) Append(t time.Time, v float64) error {
-	if !s.hasEpoch {
-		s.epoch = t
-		s.hasEpoch = true
-	}
-	off := t.Sub(s.epoch).Nanoseconds()
-	if s.data.Len() > 0 && off < s.lastOff {
-		return fmt.Errorf("trace: out-of-order sample at %v (last %v)", t, s.epoch.Add(time.Duration(s.lastOff)))
-	}
-	s.appendOffset(off, v)
-	return nil
-}
-
-// appendOffset stores a sample already known to be in order, off
-// nanoseconds after the epoch.
-func (s *Series) appendOffset(off int64, v float64) {
-	s.data.Append(off, v)
-	s.agg.AddMoments(off, v)
-	s.lastOff = off
+	return s.AppendRun(t, 0, []float64{v})
 }
 
 // AppendRun adds a run of samples taken every step from first: vs[i] at
 // first + i·step. It stores exactly what Append would for each sample in
-// turn, but checks the order once, for the run's first sample, and
-// derives the other offsets by integer addition. A negative step is out
-// of order.
+// turn, but checks the order once, for the run's first sample, derives
+// the other offsets by integer addition, and folds the moments over the
+// run in one call. A negative step is out of order.
 func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) error {
 	if len(vs) == 0 {
 		return nil
@@ -128,11 +114,21 @@ func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) er
 	if s.data.Len() > 0 && off < s.lastOff {
 		return fmt.Errorf("trace: out-of-order sample at %v (last %v)", first, s.epoch.Add(time.Duration(s.lastOff)))
 	}
-	for _, v := range vs {
-		s.appendOffset(off, v)
-		off += int64(step)
-	}
+	from := s.data.Len()
+	s.data.AppendRun(off, int64(step), vs)
+	s.foldMoments(from)
 	return nil
+}
+
+// foldMoments folds the moments and the integral over the samples stored
+// from sample from on, reading them back from their chunk columns, and
+// notes the last offset.
+func (s *Series) foldMoments(from int) {
+	s.data.Chunks(from, func(t []int64, v []float64) bool {
+		s.agg.AddMomentsRun(t, v)
+		return true
+	})
+	s.lastOff = s.data.T(s.data.Len() - 1)
 }
 
 // MustAppend is Append for recorders that already guarantee ordering.
@@ -195,19 +191,11 @@ func (s *Series) Summary() stats.Summary {
 func (s *Series) Live() samples.LiveSummary {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if s.folded < s.data.Len() {
-		start := 0 // the chunk's first sample
-		s.data.Chunks(func(_ []int64, v []float64) bool {
-			if end := start + len(v); end > s.folded {
-				for _, x := range v[s.folded-start:] {
-					s.agg.AddQuantiles(x)
-				}
-				s.folded = end
-			}
-			start += len(v)
-			return true
-		})
-	}
+	s.data.Chunks(s.folded, func(_ []int64, v []float64) bool {
+		s.agg.AddQuantilesRun(v)
+		return true
+	})
+	s.folded = s.data.Len()
 	return s.agg.Snapshot()
 }
 
