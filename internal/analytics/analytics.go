@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"batterylab/internal/api"
 	"batterylab/internal/samples"
@@ -111,68 +110,62 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 
 // ComputeBinary is Compute(trace.DecodeBinary(data)), to the bit, without
 // the Series in between, whose own streaming summary would fold every
-// sample a first time. The bytes are decoded once, into the ring's chunk
-// buffers, and nothing is sized from what they claim. A decode error
-// outranks a bad query, and the bucket bound is checked against the
-// whole span: once a chunk reaches past MaxBuckets windows the folds stop
-// and the decoding goes on. An error that is not ErrBadQuery says data is
-// no binary trace.
+// sample a first time. The bytes are decoded once, a chunk per call
+// straight into the ring's chunk buffers, and nothing is sized from what
+// they claim. A decode error outranks a bad query, and the bucket bound
+// is checked against the whole span: once a chunk reaches past
+// MaxBuckets windows the folds stop and the decoding goes on. An error
+// that is not ErrBadQuery says data is no binary trace.
 func ComputeBinary(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
 	h, payload, err := trace.DecodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
+	d := h.Decoder(payload)
 	fields, qerr := checkQuery(q)
 	if qerr != nil {
-		if err := h.DecodeSamples(payload, func(int64, float64) {}); err != nil {
-			return nil, err
+		ring := rings.Get().(*[ringLen]chunkBuf)
+		defer rings.Put(ring)
+		for {
+			k, err := d.Next(ring[0].t[:], ring[0].v[:])
+			if err != nil {
+				return nil, err
+			}
+			if k == 0 {
+				return nil, qerr
+			}
 		}
-		return nil, qerr
 	}
 
 	a := newAggs(q.WindowNS)
-	var first, span int64 // span: the last sample's offset from the first
-	n := 0
+	var span int64 // the last sample's offset from the first; 0 with none
 	runFolds(a.folds(), func(p *pipeline) {
-		buf, k := p.buffer(), 0
-		flush := func() {
+		buf := p.buffer()
+		for {
+			var k int
+			if k, err = d.Next(buf.t[:], buf.v[:]); err != nil || k == 0 {
+				return
+			}
 			span = buf.t[k-1]
 			if checkBuckets(q.WindowNS, span) == nil {
 				p.emit(batch{t: buf.t[:k], v: buf.v[:k], buf: buf})
 				buf = p.buffer()
 			}
-			k = 0
-		}
-		err = h.DecodeSamples(payload, func(off int64, v float64) {
-			if n == 0 {
-				first = off
-			}
-			n++
-			buf.t[k], buf.v[k] = off-first, v
-			if k++; k == samples.ChunkLen {
-				flush()
-			}
-		})
-		if err == nil && k > 0 {
-			flush()
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	// As DecodeBinary builds them: the first sample is the epoch, a trace
-	// of one sample spans nothing.
-	var epochNS, durationNS int64
-	if n > 0 {
-		epochNS = h.Epoch().Add(time.Duration(first)).UnixNano()
+	// As DecodeBinary builds them: the first sample is the epoch, and the
+	// last one's offset from it is the duration.
+	var epochNS int64
+	if h.Count > 0 {
+		epochNS = d.Start().UnixNano()
 	}
-	if n > 1 {
-		durationNS = span
-	}
-	if err := checkBuckets(q.WindowNS, durationNS); err != nil {
+	if err := checkBuckets(q.WindowNS, span); err != nil {
 		return nil, err
 	}
-	return a.result(q, fields, epochNS, durationNS), nil
+	return a.result(q, fields, epochNS, span), nil
 }
 
 // checkQuery validates what of q needs no trace: the window's sign and

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"batterylab/internal/samples"
 	"batterylab/internal/trace"
 )
 
@@ -31,10 +32,10 @@ import (
 //
 // A frame is bytes, not a trace.Series: WriteSampleFrame encodes the
 // points' two columns with trace.AppendBinary into one pooled buffer,
-// and ReadSampleFrame decodes the received bytes straight into points
-// with trace.DecodeHeader and Header.DecodeSamples — the same codec body
-// a stored trace goes through, without the chunked store and streaming
-// summary a Series maintains and no frame consumer reads.
+// and ReadSampleFrame decodes the received bytes into points, a chunk's
+// columns at a time, with trace.DecodeHeader and Header.Decoder — the
+// same codec body a stored trace goes through, without the chunked store
+// and streaming summary a Series maintains and no frame consumer reads.
 
 // SampleStreamSeriesName is the series name sample frames carry.
 const SampleStreamSeriesName = "live"
@@ -105,7 +106,7 @@ func ReadSampleFrame(br *bufio.Reader) ([]SamplePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeFrame(frame[body:], nil)
+	return decodeFrame(frame[body:], sc, nil)
 }
 
 // ReadRawSampleFrame reads the next frame into raw's memory and checks
@@ -119,7 +120,7 @@ func ReadRawSampleFrame(br *bufio.Reader, raw []byte) (frame []byte, points int,
 	}
 	sc := framePool.Get().(*frameScratch)
 	defer framePool.Put(sc)
-	sc.pts, err = decodeFrame(frame[body:], sc.pts[:0])
+	sc.pts, err = decodeFrame(frame[body:], sc, sc.pts[:0])
 	return frame, len(sc.pts), err
 }
 
@@ -159,33 +160,44 @@ func readFrame(br *bufio.Reader, dst []byte) (frame []byte, body int, err error)
 var minAt, maxAt = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
 
 // decodeFrame decodes one frame body into dst[:0] (nil: a slice sized to
-// the frame's count).
-func decodeFrame(body []byte, dst []SamplePoint) ([]SamplePoint, error) {
+// the frame's count), a chunk at a time through sc's columns.
+func decodeFrame(body []byte, sc *frameScratch, dst []SamplePoint) ([]SamplePoint, error) {
 	h, payload, err := trace.DecodeHeader(body)
 	if err != nil {
 		return dst, fmt.Errorf("api: decoding sample frame: %w", err)
 	}
 	dst = slices.Grow(dst, h.Count)
+	if n := min(h.Count, samples.ChunkLen); cap(sc.offs) < n {
+		sc.offs, sc.vals = make([]int64, n), make([]float64, n)
+	}
+	offs, vals := sc.offs[:cap(sc.offs)], sc.vals[:cap(sc.vals)]
 	// The first sample's time is worked out once, on time.Time, which
 	// cannot overflow; every later one is that plus a non-negative
-	// distance DecodeSamples has checked fits an int64.
-	var first, base int64
+	// distance the decoder has checked fits an int64, and the distances
+	// do not decrease: a run is in range when its last sample is.
+	d := h.Decoder(payload)
+	var base int64
 	inRange := true
-	err = h.DecodeSamples(payload, func(off int64, v float64) {
-		if len(dst) == 0 {
-			t0 := h.Epoch().Add(time.Duration(off))
-			inRange = !t0.Before(minAt) && !t0.After(maxAt)
-			first, base = off, t0.UnixNano()
+	for {
+		k, err := d.Next(offs, vals)
+		if err != nil {
+			return dst, fmt.Errorf("api: decoding sample frame: %w", err)
 		}
-		at := base + (off - first)
-		inRange = inRange && at >= base
-		dst = append(dst, SamplePoint{AtNS: at, CurrentMA: v})
-	})
-	if err == nil && !inRange {
-		err = errors.New("a timestamp falls outside the int64 nanosecond range")
+		if k == 0 {
+			break
+		}
+		if len(dst) == 0 {
+			t0 := d.Start()
+			inRange = !t0.Before(minAt) && !t0.After(maxAt)
+			base = t0.UnixNano()
+		}
+		inRange = inRange && base+offs[k-1] >= base
+		for i, off := range offs[:k] {
+			dst = append(dst, SamplePoint{AtNS: base + off, CurrentMA: vals[i]})
+		}
 	}
-	if err != nil {
-		return dst, fmt.Errorf("api: decoding sample frame: %w", err)
+	if !inRange {
+		return dst, errors.New("api: decoding sample frame: a timestamp falls outside the int64 nanosecond range")
 	}
 	return dst, nil
 }

@@ -29,12 +29,14 @@
 // The CSV text format (WriteCSV) remains an export format.
 //
 // The layout is written down once, on plain columns: appendHeader and
-// v2Encoder.appendChunk build it into a byte slice, DecodeHeader and
-// Header.DecodeSamples take it apart from one. Series.WriteBinary,
-// EncodeBinary, ReadBinary and DecodeBinary move a Series' columns through
-// them; AppendBinary and the two decode functions serve callers that hold
-// columns and bytes already (internal/api's sample frames) and have no
-// use for a Series or its streaming summary.
+// v2Encoder.appendChunk build it into a byte slice, DecodeHeader and the
+// run decoder (Header.Decoder, a chunk's columns per call) take it apart
+// from one. Series.WriteBinary, EncodeBinary, ReadBinary and DecodeBinary
+// move a Series' columns through them; AppendBinary, DecodeHeader and
+// the decoder serve callers that hold columns and bytes already
+// (internal/analytics, internal/api's sample frames) and have no use for
+// a Series or its streaming summary. A payload ends with its last stated
+// sample: bytes after it are refused, not ignored.
 
 package trace
 
@@ -43,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"time"
 
 	"batterylab/internal/samples"
@@ -260,89 +263,169 @@ func varintError(what string, k int) error {
 	return fmt.Errorf("trace: %s overflows 64 bits", what)
 }
 
-// DecodeSamples decodes the payload DecodeHeader returned with h,
-// calling visit with each sample's offset from the header epoch
-// (nanoseconds) and its value, in order. Offsets must not decrease and
-// the last must be within an int64 of the first, so offset arithmetic
-// on what visit receives cannot overflow. Samples visited before an
-// error is found are to be discarded. Bytes past the last sample are
-// ignored.
-func (h Header) DecodeSamples(payload []byte, visit func(off int64, v float64)) error {
-	var first, prevT int64
-	p := 0
-	switch h.Version {
-	case BinaryV1:
-		for i := 0; i < h.Count; i++ {
-			off, k := binary.Varint(payload[p:])
-			if k <= 0 {
-				return varintError(fmt.Sprintf("sample %d", i), k)
-			}
-			p += k
-			if len(payload)-p < 8 {
-				return fmt.Errorf("trace: sample %d: %w", i, io.ErrUnexpectedEOF)
-			}
-			bits := binary.LittleEndian.Uint64(payload[p:])
-			p += 8
-			if i == 0 {
-				first = off
-			} else if off < prevT || off-first < 0 {
-				return orderError(i, off, prevT, first)
-			}
-			prevT = off
-			visit(off, math.Float64frombits(bits))
-		}
-	case BinaryV2:
-		var prevDelta int64
-		var prevBits uint64
-		for read := 0; read < h.Count; {
-			n64, k := binary.Uvarint(payload[p:])
-			if k <= 0 {
-				return varintError("chunk header", k)
-			}
-			p += k
-			if n64 == 0 || n64 > samples.ChunkLen || n64 > uint64(h.Count-read) {
-				return fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, read, h.Count)
-			}
-			n := int(n64)
-			// The value column starts where the n-th timestamp varint
-			// ends; finding that first lets both columns decode in step.
-			vp := p
-			for left := n; left > 0; vp++ {
-				if vp == len(payload) {
-					return fmt.Errorf("trace: timestamps of the chunk at sample %d: %w", read, io.ErrUnexpectedEOF)
-				}
-				if payload[vp] < 0x80 {
-					left--
-				}
-			}
-			timestamps := payload[:vp]
-			for i := read; i < read+n; i++ {
-				dod, k := binary.Varint(timestamps[p:])
-				if k <= 0 {
-					return varintError(fmt.Sprintf("timestamp %d", i), k)
-				}
-				p += k
-				x, k := binary.Uvarint(payload[vp:])
-				if k <= 0 {
-					return varintError(fmt.Sprintf("value %d", i), k)
-				}
-				vp += k
-				prevDelta += dod
-				off := prevT + prevDelta
-				if i == 0 {
-					first = off
-				} else if prevDelta < 0 || off < prevT || off-first < 0 {
-					return orderError(i, off, prevT, first)
-				}
-				prevT = off
-				prevBits ^= x
-				visit(off, math.Float64frombits(prevBits))
-			}
-			p = vp
-			read += n
-		}
+// Decoder takes apart the payload of one binary trace a run at a time,
+// into columns its caller owns: Next fills them with one version 2 chunk
+// (its timestamp column in one loop, then its value column in another),
+// or with as many version 1 records as they hold. Offsets come out
+// counted from the first sample, whose time Start reports. Every check
+// holds on every run — chunk bounds, EOF, varint overflow, offsets that
+// do not decrease and stay within an int64 of the first — and a trace
+// with bytes past its last stated sample is refused with a
+// *TrailingBytesError. What earlier runs returned is to be discarded
+// once an error is found.
+type Decoder struct {
+	h       Header
+	payload []byte
+	p, read int
+	// first is the first sample's offset from the header epoch; the
+	// predictors after it run across chunks.
+	first, prevT, prevDelta int64
+	prevBits                uint64
+}
+
+// Decoder returns a decoder over the payload DecodeHeader returned with h.
+func (h Header) Decoder(payload []byte) Decoder {
+	return Decoder{h: h, payload: payload}
+}
+
+// TrailingBytesError reports bytes after a trace's last stated sample:
+// its count is wrong, or it runs into another artifact. Either way the
+// bytes are not the trace that was written, and a shorter one is not
+// made of them.
+type TrailingBytesError struct {
+	Count int // the samples stated, all decoded
+	Extra int // the bytes after the last of them
+}
+
+func (e *TrailingBytesError) Error() string {
+	return fmt.Sprintf("trace: %d bytes past the last sample (%d stated)", e.Extra, e.Count)
+}
+
+// Start reports the first sample's wall-clock time, once Next has
+// returned it.
+func (d *Decoder) Start() time.Time {
+	return d.h.Epoch().Add(time.Duration(d.first))
+}
+
+// Next decodes the next run into offs and vals and returns its length;
+// 0 with a nil error is the end of the trace. The columns must hold
+// min(Count, samples.ChunkLen) samples, a version 2 chunk's most.
+func (d *Decoder) Next(offs []int64, vals []float64) (int, error) {
+	switch {
+	case d.read < d.h.Count && d.h.Version == BinaryV1:
+		return d.nextV1(offs, vals)
+	case d.read < d.h.Count:
+		return d.nextV2(offs, vals)
+	case d.p < len(d.payload):
+		return 0, &TrailingBytesError{Count: d.h.Count, Extra: len(d.payload) - d.p}
 	}
-	return nil
+	return 0, nil
+}
+
+func (d *Decoder) nextV1(offs []int64, vals []float64) (int, error) {
+	payload, p := d.payload, d.p
+	first, prevT := d.first, d.prevT
+	n := min(len(offs), d.h.Count-d.read)
+	for i := range n {
+		off, k := binary.Varint(payload[p:])
+		if k <= 0 {
+			return 0, varintError(fmt.Sprintf("sample %d", d.read+i), k)
+		}
+		p += k
+		if len(payload)-p < 8 {
+			return 0, fmt.Errorf("trace: sample %d: %w", d.read+i, io.ErrUnexpectedEOF)
+		}
+		bits := binary.LittleEndian.Uint64(payload[p:])
+		p += 8
+		if d.read+i == 0 {
+			first = off
+		} else if off < prevT || off-first < 0 {
+			return 0, orderError(d.read+i, off, prevT, first)
+		}
+		prevT = off
+		offs[i], vals[i] = off-first, math.Float64frombits(bits)
+	}
+	d.p, d.read, d.first, d.prevT = p, d.read+n, first, prevT
+	return n, nil
+}
+
+func (d *Decoder) nextV2(offs []int64, vals []float64) (int, error) {
+	payload, p := d.payload, d.p
+	n64, k := binary.Uvarint(payload[p:])
+	if k <= 0 {
+		return 0, varintError("chunk header", k)
+	}
+	p += k
+	if n64 == 0 || n64 > samples.ChunkLen || n64 > uint64(d.h.Count-d.read) {
+		return 0, fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, d.read, d.h.Count)
+	}
+	n := int(n64)
+	offs, vals = offs[:n], vals[:n]
+
+	// The timestamp column. A steady sampling period is a zero
+	// delta-of-delta, one byte; any one-byte value skips binary.Varint.
+	first, prevT, prevDelta := d.first, d.prevT, d.prevDelta
+	for i := range offs {
+		if p == len(payload) {
+			return 0, fmt.Errorf("trace: timestamps of the chunk at sample %d: %w", d.read, io.ErrUnexpectedEOF)
+		}
+		var dod int64
+		if b := payload[p]; b < 0x80 {
+			dod = int64(b>>1) ^ -int64(b&1) // zigzag
+			p++
+		} else {
+			if dod, k = binary.Varint(payload[p:]); k <= 0 {
+				return 0, varintError(fmt.Sprintf("timestamp %d", d.read+i), k)
+			}
+			p += k
+		}
+		prevDelta += dod
+		off := prevT + prevDelta
+		if d.read+i == 0 {
+			first = off
+		} else if prevDelta < 0 || off < prevT || off-first < 0 {
+			return 0, orderError(d.read+i, off, prevT, first)
+		}
+		prevT = off
+		offs[i] = off - first
+	}
+
+	// The value column: a varint of up to 8 bytes is taken from one 8-byte
+	// load; a longer one, or one in the payload's last 7 bytes, goes
+	// through binary.Uvarint.
+	prev := d.prevBits
+	for i := range vals {
+		x, k := uint64(0), 9
+		if len(payload)-p >= 8 {
+			x, k = uvarint8(binary.LittleEndian.Uint64(payload[p:]))
+		}
+		if k > 8 {
+			if x, k = binary.Uvarint(payload[p:]); k <= 0 {
+				return 0, varintError(fmt.Sprintf("value %d", d.read+i), k)
+			}
+		}
+		p += k
+		prev ^= x
+		vals[i] = math.Float64frombits(prev)
+	}
+	d.p, d.read = p, d.read+n
+	d.first, d.prevT, d.prevDelta, d.prevBits = first, prevT, prevDelta, prev
+	return n, nil
+}
+
+// uvarint8 decodes the uvarint at the start of w, eight payload bytes
+// loaded little-endian, and returns it with its length in bytes — 9 when
+// it is longer than w. The first byte with its top bit clear ends it;
+// the bytes up to it keep their low seven bits, which three
+// mask-and-shift steps pack together.
+func uvarint8(w uint64) (uint64, int) {
+	stops := ^w & 0x8080808080808080
+	end := stops & -stops // the stop bit of the varint's last byte; 0 if w holds none
+	w &= (end | (end - 1)) & 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | (w&0x7f007f007f007f00)>>1
+	w = w&0x00003fff00003fff | (w&0x3fff00003fff0000)>>2
+	w = w&0x000000000fffffff | (w&0x0fffffff00000000)>>4
+	return w, bits.TrailingZeros64(stops)/8 + 1
 }
 
 // orderError reports sample i's offset as behind its predecessor's, or
@@ -374,8 +457,8 @@ func ReadBinary(r io.Reader) (*Series, error) {
 
 // DecodeBinary is ReadBinary for a caller that holds the encoded bytes
 // already (a fetched artifact). It only reads data and keeps none of it.
-// The samples are decoded into a chunk's worth of columns, which are
-// stored and folded into the summary a chunk at a time.
+// The samples are decoded a chunk at a time into one chunk's worth of
+// columns, and each chunk is stored and folded into the summary as a run.
 func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
@@ -384,29 +467,21 @@ func DecodeBinary(data []byte) (*Series, error) {
 	s := NewSeries(string(h.Name), string(h.Unit))
 	n := min(h.Count, samples.ChunkLen)
 	offs, vals := make([]int64, n), make([]float64, n)
-	var first int64
-	k := 0
-	flush := func() {
+	d := h.Decoder(payload)
+	for {
+		k, err := d.Next(offs, vals)
+		if err != nil {
+			return nil, err
+		}
+		if k == 0 {
+			break
+		}
 		from := s.data.Len()
 		s.data.AppendColumns(offs[:k], vals[:k])
 		s.foldMoments(from)
-		k = 0
 	}
-	err = h.DecodeSamples(payload, func(off int64, v float64) {
-		if !s.hasEpoch {
-			s.epoch, s.hasEpoch = h.Epoch().Add(time.Duration(off)), true
-			first = off
-		}
-		offs[k], vals[k] = off-first, v
-		if k++; k == len(offs) {
-			flush()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if k > 0 {
-		flush()
+	if h.Count > 0 {
+		s.epoch, s.hasEpoch = d.Start(), true
 	}
 	return s, nil
 }

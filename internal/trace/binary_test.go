@@ -3,23 +3,32 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"batterylab/internal/samples"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the binary trace golden fixtures")
 
 // goldenSeries is the fixed trace behind the testdata fixtures: a short
 // 5 kHz capture with a quantized-current shape like the Monsoon's.
-func goldenSeries() *Series {
+func goldenSeries() *Series { return quantizedCapture(2*4096 + 37) }
+
+// quantizedCapture is n samples of 5 kHz capture with the Monsoon's
+// 0.1 mA quantization; every length is a prefix of the same trace.
+func quantizedCapture(n int) *Series {
 	s := NewSeries("current", "mA")
 	r := rand.New(rand.NewSource(2019))
-	for i := 0; i < 2*4096+37; i++ {
+	for i := 0; i < n; i++ {
 		v := 160 + math.Floor(r.Float64()*400)/10 // 0.1 mA quantization
 		s.MustAppend(t0.Add(time.Duration(i)*200*time.Microsecond), v)
 	}
@@ -240,10 +249,17 @@ func TestBinaryRejectsHostileHeaders(t *testing.T) {
 		"v1 timestamps running back":       head(1, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0), // offsets 2, 1
 		"v2 offset sum wrapping":           head(2, append(append([]byte{3, 3}, maxOff...), append(maxOff, 0, 0, 0, 0)...)...),
 		"v1 span past an int64":            head(1, append(append([]byte{2, 3}, 0, 0, 0, 0, 0, 0, 0, 0), append(maxOff, 0, 0, 0, 0, 0, 0, 0, 0)...)...), // offsets -2, MaxInt64
+		"bytes past the last sample":       head(2, 2, 2, 4, 0, 0, 0, 0),
+		"bytes past an empty trace":        head(2, 0, 0),
+		"v1 bytes past the last sample":    head(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 	} {
 		if s, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: decoded to %d samples", name, s.Len())
 		}
+	}
+	var trailing *TrailingBytesError
+	if _, err := ReadBinary(bytes.NewReader(head(2, 2, 2, 4, 0, 0, 0, 0))); !errors.As(err, &trailing) || trailing.Extra != 1 {
+		t.Errorf("bytes past the last sample: %v, want a TrailingBytesError of 1 byte", err)
 	}
 	// The same header with an honest payload decodes.
 	if s, err := ReadBinary(bytes.NewReader(head(2, 2, 2, 4, 0, 0, 0))); err != nil || s.Len() != 2 {
@@ -292,4 +308,212 @@ func FuzzReadBinary(f *testing.F) {
 			assertBitIdentical(t, again, s)
 		}
 	})
+}
+
+// decodeSamplesRef is the per-sample decoder the run decoder replaced,
+// kept as its reference: it calls visit with each sample's offset from
+// the header epoch and its value, decoding both v2 columns in step, and
+// refuses bytes past the last sample as the run decoder does.
+func decodeSamplesRef(h Header, payload []byte, visit func(off int64, v float64)) error {
+	var first, prevT int64
+	p := 0
+	switch h.Version {
+	case BinaryV1:
+		for i := 0; i < h.Count; i++ {
+			off, k := binary.Varint(payload[p:])
+			if k <= 0 {
+				return varintError(fmt.Sprintf("sample %d", i), k)
+			}
+			p += k
+			if len(payload)-p < 8 {
+				return fmt.Errorf("trace: sample %d: %w", i, io.ErrUnexpectedEOF)
+			}
+			bits := binary.LittleEndian.Uint64(payload[p:])
+			p += 8
+			if i == 0 {
+				first = off
+			} else if off < prevT || off-first < 0 {
+				return orderError(i, off, prevT, first)
+			}
+			prevT = off
+			visit(off, math.Float64frombits(bits))
+		}
+	case BinaryV2:
+		var prevDelta int64
+		var prevBits uint64
+		for read := 0; read < h.Count; {
+			n64, k := binary.Uvarint(payload[p:])
+			if k <= 0 {
+				return varintError("chunk header", k)
+			}
+			p += k
+			if n64 == 0 || n64 > samples.ChunkLen || n64 > uint64(h.Count-read) {
+				return fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, read, h.Count)
+			}
+			n := int(n64)
+			// The value column starts where the n-th timestamp varint
+			// ends; finding that first lets both columns decode in step.
+			vp := p
+			for left := n; left > 0; vp++ {
+				if vp == len(payload) {
+					return fmt.Errorf("trace: timestamps of the chunk at sample %d: %w", read, io.ErrUnexpectedEOF)
+				}
+				if payload[vp] < 0x80 {
+					left--
+				}
+			}
+			timestamps := payload[:vp]
+			for i := read; i < read+n; i++ {
+				dod, k := binary.Varint(timestamps[p:])
+				if k <= 0 {
+					return varintError(fmt.Sprintf("timestamp %d", i), k)
+				}
+				p += k
+				x, k := binary.Uvarint(payload[vp:])
+				if k <= 0 {
+					return varintError(fmt.Sprintf("value %d", i), k)
+				}
+				vp += k
+				prevDelta += dod
+				off := prevT + prevDelta
+				if i == 0 {
+					first = off
+				} else if prevDelta < 0 || off < prevT || off-first < 0 {
+					return orderError(i, off, prevT, first)
+				}
+				prevT = off
+				prevBits ^= x
+				visit(off, math.Float64frombits(prevBits))
+			}
+			p = vp
+			read += n
+		}
+	}
+	if p < len(payload) {
+		return &TrailingBytesError{Count: h.Count, Extra: len(payload) - p}
+	}
+	return nil
+}
+
+// decoderSeeds are payload shapes at the edges of the run decoder's
+// paths: value varints of 8 (the widest single load), 9 and 10 bytes,
+// an overlong varint away from and at the payload's end, a varint that
+// straddles the payload's last 8 bytes, and a chunk cut short.
+func decoderSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	trace := func(bits ...uint64) []byte {
+		offs, vals := make([]int64, len(bits)), make([]float64, len(bits))
+		var prev uint64
+		for i, x := range bits {
+			prev ^= x // the XOR the encoder takes against the previous value
+			offs[i], vals[i] = int64(i)*200_000, math.Float64frombits(prev)
+		}
+		return AppendBinary(nil, "current", "mA", t0, offs, vals)
+	}
+	// Eight samples at a steady period (eight zero delta-of-deltas after
+	// the first), then the value column.
+	overlong := func(values ...byte) []byte {
+		raw := []byte{'B', 'L', 'T', 'R', 'C', 2, 0, 0, 0, 0, 8, 8, 0, 0, 0, 0, 0, 0, 0, 0}
+		return append(raw, values...)
+	}
+	cut := quantizedCapture(40)
+	var whole bytes.Buffer
+	if err := cut.WriteBinary(&whole); err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		trace(1<<55, 1<<62, 1<<63, 1, 2, 3, 4, 5, 6, 7, 8), // 8-, 9- and 10-byte values ahead of 8 more bytes
+		trace(1, 2, 1<<55),                        // an 8-byte value that ends the payload
+		trace(1, 2, 1<<62),                        // a 9-byte one
+		trace(1, 2, 1<<63),                        // a 10-byte one
+		overlong(0x80, 0x00, 0, 0, 0, 0, 0, 0, 0), // 0 as two bytes, with a word behind it
+		overlong(0, 0, 0, 0, 0, 0, 0, 0x80, 0x00), // and at the payload's end
+		trace(1, 1<<21, 1<<28),                    // a 4-byte varint from 9 bytes before the end into the last 8
+		whole.Bytes()[:whole.Len()-5],             // a chunk cut short
+	}
+}
+
+// TestDecoderSeedsDecode: the seed shapes reach the decoder's paths
+// rather than a refusal ahead of them — every seed but the cut one is a
+// trace, and decodes to the values its varints state.
+func TestDecoderSeedsDecode(t *testing.T) {
+	seeds := decoderSeeds(t)
+	for i, raw := range seeds {
+		s, err := DecodeBinary(raw)
+		if last := i == len(seeds)-1; (err != nil) != last {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if i == 0 && math.Float64bits(s.At(2).V) != 1<<55^1<<62^1<<63 {
+			t.Fatalf("seed 0: value 2 bits %x", math.Float64bits(s.At(2).V))
+		}
+	}
+}
+
+// FuzzDecoderMatchesReference holds the run decoder to the per-sample
+// reference on any bytes: both accept or both refuse, and what they
+// accept is the same samples, bit for bit.
+func FuzzDecoderMatchesReference(f *testing.F) {
+	for _, raw := range decoderSeeds(f) {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		h, payload, err := DecodeHeader(raw)
+		if err != nil {
+			return
+		}
+		var wantOffs []int64
+		var wantVals []float64
+		refErr := decodeSamplesRef(h, payload, func(off int64, v float64) {
+			wantOffs, wantVals = append(wantOffs, off), append(wantVals, v)
+		})
+		n := min(h.Count, samples.ChunkLen)
+		offs, vals := make([]int64, n), make([]float64, n)
+		var gotOffs []int64
+		var gotVals []float64
+		d := h.Decoder(payload)
+		for {
+			var k int
+			if k, err = d.Next(offs, vals); err != nil || k == 0 {
+				break
+			}
+			for i := range k {
+				gotOffs, gotVals = append(gotOffs, d.first+offs[i]), append(gotVals, vals[i])
+			}
+		}
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("run decoder: %v; reference: %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if len(gotOffs) != len(wantOffs) {
+			t.Fatalf("run decoder: %d samples, reference %d", len(gotOffs), len(wantOffs))
+		}
+		for i := range gotOffs {
+			if gotOffs[i] != wantOffs[i] || math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
+				t.Fatalf("sample %d: (%d, %x), reference (%d, %x)", i, gotOffs[i], math.Float64bits(gotVals[i]), wantOffs[i], math.Float64bits(wantVals[i]))
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeBinary rebuilds a Series from the bytes of 167 499
+// samples (33.5 s) of quantized 5 kHz capture: the client's Result
+// rebuild of a measurement's current trace. ns/sample divides an op by
+// the sample count.
+func BenchmarkDecodeBinary(b *testing.B) {
+	const count = 167_499
+	var buf bytes.Buffer
+	if err := quantizedCapture(count).WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeBinary(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
+	b.ReportMetric(float64(len(data))/count, "bytes/sample")
 }

@@ -19,12 +19,12 @@
 // export as CSV (WriteCSV, the v1 text format).
 //
 // The binary format has a single body, the column codec of binary.go:
-// an append-style encoder over plain offset/value columns and a decoder
-// over a byte slice that visits (offset, value) pairs. WriteBinary,
-// EncodeBinary, ReadBinary and DecodeBinary are its callers for a Series;
-// AppendBinary, DecodeHeader and Header.DecodeSamples expose it to code
-// that folds or streams samples without building one (internal/analytics,
-// the live sample frames of internal/api).
+// an append-style encoder over plain offset/value columns and a run
+// decoder over a byte slice that fills such columns a chunk per call.
+// WriteBinary, EncodeBinary, ReadBinary and DecodeBinary are its callers
+// for a Series; AppendBinary, DecodeHeader and Header.Decoder expose it
+// to code that folds or streams samples without building one
+// (internal/analytics, the live sample frames of internal/api).
 package trace
 
 import (
