@@ -19,7 +19,9 @@ import (
 // state, artifact name and the resolved query, so anything that could
 // change the answer — a recovery that re-ran the build, a different
 // window — is a different key, and a repeat of the same query is a
-// bit-identical body straight from memory.
+// bit-identical body straight from memory. A miss on a build this server
+// measured takes its Total row from the summary the build stored (see
+// storedTotal), so it folds only the windows.
 
 // defaultTraceArtifact is the artifact the analytics route aggregates
 // when ?artifact= is absent: the binary power trace the measurement
@@ -86,7 +88,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, ss *serv
 		writeError(w, err)
 		return
 	}
-	res, err := analytics.ComputeBinary(data, api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: artifact})
+	res, err := analytics.ComputeBinary(data, api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: artifact}, storedTotal(st, artifact))
 	if err != nil {
 		if errors.Is(err, analytics.ErrBadQuery) {
 			api.WriteError(w, apiError(codeBadRequest, err.Error()))
@@ -105,4 +107,16 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, ss *serv
 	body = append(body, '\n')
 	s.analyticsCache.Put(key, body)
 	serve(body, "miss")
+}
+
+// storedTotal is the summary a build stored of its power trace, when it
+// is the analytics Total of the artifact's bytes: the artifact is the
+// power trace, the build's measurement stored both on this server (a
+// relayed build's bytes and summary are a peer's, and nothing checks
+// the copy), and the summary carries the whole rollup. nil means fold.
+func storedTotal(st *api.BuildStatus, artifact string) *api.RunSummary {
+	if artifact != defaultTraceArtifact || st.RoutedVia != "" || st.Summary == nil || !st.Summary.Rollup {
+		return nil
+	}
+	return st.Summary
 }

@@ -2,14 +2,19 @@ package accessserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"batterylab/internal/analytics"
 	"batterylab/internal/api"
+	"batterylab/internal/simclock"
 )
 
 // readAll drains and closes a response body.
@@ -46,7 +51,7 @@ func TestV1Analytics(t *testing.T) {
 	// Ground truth: the same engine over the same bytes.
 	want, err := analytics.ComputeBinary(stubTraceBytes(), api.AnalyticsQuery{
 		WindowNS: 1_000_000_000, Fields: []string{"energy", "mean"}, Artifact: "current.trace",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +128,125 @@ func TestV1AnalyticsDefaults(t *testing.T) {
 	// (trapezoid over the step; exact value pinned by the engine test).
 	if e := *res.Total.EnergyMAH; e < 0.15 || e > 0.18 {
 		t.Fatalf("energy %v mAh outside the plausible envelope", e)
+	}
+}
+
+// TestAnalyticsStoredTotal: a miss on a build this server measured takes
+// its Total row from the summary the build stored, and folds the bytes
+// only for the windows. The stored summary here is deliberately not the
+// bytes' (a mean of 999 mA over a trace whose mean is 150), so where the
+// Total comes from shows. A relayed build, a summary without the Rollup
+// mark (as written before it existed, or by hand) and an artifact other
+// than the power trace each fold the bytes instead.
+func TestAnalyticsStoredTotal(t *testing.T) {
+	clk := simclock.NewVirtual()
+	srv := New(clk, Config{Executors: 2})
+	stored := api.RunSummary{
+		Samples: 4000, MeanMA: 999, P50MA: 998, P95MA: 997, EnergyMAH: 0.5,
+		MinMA: -1, MaxMA: 1000, NaNs: 3, DurationNS: 4_000_000_000, Rollup: true,
+	}
+	premark := stored
+	premark.Rollup = false
+	srv.SetSpecBackend(funcBackend(func(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
+		return Constraints{Node: spec.Node, Device: spec.Device}, func(ctx *BuildContext, done func(error)) {
+			ws := ctx.Build.Workspace()
+			ws.Save(defaultTraceArtifact, stubTraceBytes())
+			ws.Save("device-cpu.trace", stubTraceBytes())
+			if spec.Workload.Name == "premark" {
+				ctx.Build.SetSummary(premark)
+			} else {
+				ctx.Build.SetSummary(stored)
+			}
+			done(nil)
+		}, nil
+	}))
+	srv.SetPeerRelay(func(_ context.Context, _, _ string, _ api.ExperimentSpec, sink api.RelaySink) (*api.BuildStatus, error) {
+		sink.Artifact(defaultTraceArtifact, stubTraceBytes())
+		return &api.BuildStatus{ID: 7, State: StateSuccess.String(), Summary: &stored}, nil
+	})
+	if err := srv.RegisterNode(staticNode{name: "node1"}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Cluster().Announce(api.PeerAnnounce{Name: "west", URL: "http://west.example", Nodes: []api.PeerNode{
+		{Name: "node9", Health: api.HealthOnline, Devices: []string{"dev9"}},
+	}}, clk.Now())
+	admin, _ := srv.Users.Add("alice", RoleAdmin)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	submit := func(node, device, workload string) *Build {
+		t.Helper()
+		b, err := srv.SubmitSpec(admin, api.ExperimentSpec{Node: node, Device: device, Workload: api.WorkloadSpec{Name: workload}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFeed(t, b, func(_ []api.BuildEvent, closed bool) bool { return closed })
+		if b.State() != StateSuccess {
+			t.Fatalf("build %d: %s (%v)", b.ID, b.State(), b.Err())
+		}
+		return b
+	}
+	measured := submit("node1", "dev1", "measure")
+	old := submit("node1", "dev2", "premark")
+	routed := submit("node9", "dev9", "measure")
+	if routed.RoutedVia() != "west" {
+		t.Fatalf("routed build ran via %q, want west", routed.RoutedVia())
+	}
+
+	for _, c := range []struct {
+		name     string
+		b        *Build
+		artifact string
+		total    *api.RunSummary // nil: the Total is the bytes' fold
+	}{
+		{"measured here", measured, "", &stored},
+		{"non-default artifact", measured, "device-cpu.trace", nil},
+		{"summary without the mark", old, "", nil},
+		{"relayed", routed, "", nil},
+	} {
+		for _, window := range []string{"", "1s"} {
+			url := fmt.Sprintf("%s/api/v1/builds/%d/analytics?window=%s&artifact=%s", ts.URL, c.b.ID, window, c.artifact)
+			req, _ := http.NewRequest("GET", url, nil)
+			req.Header.Set("Authorization", "Bearer "+admin.Token)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s window %q: status %d: %s", c.name, window, resp.StatusCode, readBody(t, resp.Body))
+			}
+			got := readBody(t, resp.Body)
+
+			q := api.AnalyticsQuery{Artifact: c.artifact, Fields: []string{"energy", "mean", "minmax", "quantiles"}}
+			if q.Artifact == "" {
+				q.Artifact = defaultTraceArtifact
+			}
+			if window != "" {
+				q.WindowNS = int64(time.Second)
+			}
+			want, err := analytics.ComputeBinary(stubTraceBytes(), q, c.total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.BuildID = c.b.ID
+			wantJSON, _ := json.Marshal(want)
+			if !bytes.Equal(got, append(wantJSON, '\n')) {
+				t.Errorf("%s window %q:\n got %s\nwant %s", c.name, window, got, wantJSON)
+			}
+			var res api.AnalyticsResult
+			if err := json.Unmarshal(got, &res); err != nil {
+				t.Fatal(err)
+			}
+			wantMean, wantSamples := 150.0, int64(4000)
+			if c.total != nil {
+				wantMean, wantSamples = stored.MeanMA, stored.Samples-stored.NaNs
+			}
+			if res.Total.MeanMA == nil || math.Abs(*res.Total.MeanMA-wantMean) > 1e-9 || res.Total.Samples != wantSamples {
+				t.Errorf("%s window %q: Total %+v, want mean %v over %d samples", c.name, window, res.Total, wantMean, wantSamples)
+			}
+			if window != "" && (len(res.Buckets) != 4 || *res.Buckets[0].MeanMA != 100 || *res.Buckets[3].MeanMA != 200) {
+				t.Errorf("%s window %q: buckets %+v, want the bytes' four", c.name, window, res.Buckets)
+			}
+		}
 	}
 }

@@ -299,10 +299,10 @@ func (c *codec) int(n int, p *int) {
 	*p = int(v)
 }
 
-// float is a fixed64 float64, omitted when zero.
+// float is a fixed64 float64, omitted when +0: a -0 keeps its sign.
 func (c *codec) float(n int, p *float64) {
 	if !c.reading {
-		if *p != 0 {
+		if math.Float64bits(*p) != 0 {
 			c.key(n, wFixed64)
 			c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*p))
 		}
@@ -577,6 +577,10 @@ func summaryFields(c *codec, s *api.RunSummary) {
 	c.int64(6, &s.DurationNS)
 	c.int64(7, &s.MirrorUploadBytes)
 	c.int64(8, &s.DroppedLiveSamples)
+	c.float(9, (*float64)(&s.MinMA))
+	c.float(10, (*float64)(&s.MaxMA))
+	c.int64(11, &s.NaNs)
+	c.flag(12, &s.Rollup)
 }
 
 // encodeRecord renders rec as a binary frame payload: the marker byte

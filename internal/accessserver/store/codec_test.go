@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -150,6 +151,28 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if binTotal*2 >= jsonTotal {
 		t.Errorf("binary codec too fat: %d bytes vs %d JSON (want <50%%)", binTotal, jsonTotal)
+	}
+}
+
+// TestSummaryRollupFields: the summary lines after the eight the golden
+// log pins (MinMA, MaxMA, NaNs and the Rollup mark) round-trip to the
+// bit, and a -0 float keeps its sign: the codec omits only a +0.
+func TestSummaryRollupFields(t *testing.T) {
+	sum := *codecVocabulary()[fatRecord].Build.Summary
+	sum.MinMA, sum.MaxMA, sum.NaNs, sum.Rollup = api.Extreme(math.Copysign(0, -1)), 201.75, 9, true
+	sum.P50MA = math.Copysign(0, -1)
+	rec := Record{T: TBuildFinished, BuildID: 1, State: "success", Summary: &sum}
+	payload, err := encodeRecord(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Summary == nil || !reflect.DeepEqual(*got.Summary, sum) ||
+		!math.Signbit(float64(got.Summary.MinMA)) || !math.Signbit(got.Summary.P50MA) {
+		t.Fatalf("summary round trip: got %+v, want %+v with -0 kept", got.Summary, sum)
 	}
 }
 

@@ -7,18 +7,22 @@
 // The engine reuses the capture path's streaming aggregators
 // (internal/samples). A query decodes its trace once, a chunk
 // (samples.ChunkLen samples) at a time, into a small ring of recycled
-// column buffers, and folds each chunk into every aggregator it asked
-// for: the whole-trace rollup and, for a windowed query, the windows.
-// Each aggregator folds on a goroutine of its own, beside the decode and
-// each other. A query costs one decode, one aggregator call per chunk
-// per aggregator (a window edge inside a chunk cuts it in two), and
-// O(buckets + ring) memory, never a second copy of the trace. The folds
-// shorten a query only while cores are free: with as many queries in
-// flight as cores, they add no speed, only a hand-off per chunk. Each
-// aggregator sees every sample in order, so the rollup row accumulates
-// exactly the terms the capture-time summary did, in the same order, and
-// its energy integral is bit-identical to the RunSummary produced when
-// the build finished.
+// column buffers, and folds each chunk into every aggregator it needs.
+// The whole-trace rollup is the capture's own stream summary, and a
+// build's stored api.RunSummary already holds it: a query given that
+// summary renders its Total row from it and folds only the windows (a
+// query with no window folds nothing and only decodes, for the epoch,
+// the span and the checks). Without one, the rollup is folded beside the
+// windows. Each aggregator folds on a goroutine of its own, beside the
+// decode and each other. A query costs one decode, one aggregator call
+// per chunk per aggregator (a window edge inside a chunk cuts it in
+// two), and O(buckets + ring) memory, never a second copy of the trace.
+// The folds shorten a query only while cores are free: with as many
+// queries in flight as cores, they add no speed, only a hand-off per
+// chunk. Each aggregator sees every sample in order, so a folded rollup
+// accumulates exactly the terms the capture-time summary did, in the
+// same order, and its row is bit-identical to the one rendered from the
+// RunSummary stored when the build finished.
 //
 // Results are plain api.AnalyticsResult values; the HTTP layer owns
 // caching (see Cache) and RBAC.
@@ -98,7 +102,7 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 	if tr.Len() > 0 {
 		epochNS = tr.At(0).T.UnixNano()
 	}
-	a := newAggs(q.WindowNS)
+	a := newAggs(q.WindowNS, nil)
 	runFolds(a.folds(), func(p *pipeline) {
 		tr.Samples().Chunks(0, func(t []int64, v []float64) bool {
 			p.emit(batch{t: t, v: v})
@@ -116,28 +120,26 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 // is checked against the whole span: once a chunk reaches past
 // MaxBuckets windows the folds stop and the decoding goes on. An error
 // that is not ErrBadQuery says data is no binary trace.
-func ComputeBinary(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
+//
+// total, when not nil, is the whole-trace summary of exactly these
+// bytes, as api.NewRunSummary renders a capture's: the Total row is
+// rendered from it and the bytes fold only into the windows, or, with
+// no window, into nothing. They are still decoded, and every check
+// still holds: the decode finds the epoch and the span, and refuses
+// bytes that are no trace. nil folds the whole-trace rollup too.
+func ComputeBinary(data []byte, q api.AnalyticsQuery, total *api.RunSummary) (*api.AnalyticsResult, error) {
 	h, payload, err := trace.DecodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	d := h.Decoder(payload)
+	// A bad query folds nothing; its bytes are decoded all the same, so
+	// that a decode error outranks it.
 	fields, qerr := checkQuery(q)
-	if qerr != nil {
-		ring := rings.Get().(*[ringLen]chunkBuf)
-		defer rings.Put(ring)
-		for {
-			k, err := d.Next(ring[0].t[:], ring[0].v[:])
-			if err != nil {
-				return nil, err
-			}
-			if k == 0 {
-				return nil, qerr
-			}
-		}
+	var a aggs
+	if qerr == nil {
+		a = newAggs(q.WindowNS, total)
 	}
-
-	a := newAggs(q.WindowNS)
 	var span int64 // the last sample's offset from the first; 0 with none
 	runFolds(a.folds(), func(p *pipeline) {
 		buf := p.buffer()
@@ -155,6 +157,9 @@ func ComputeBinary(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if qerr != nil {
+		return nil, qerr
 	}
 	// As DecodeBinary builds them: the first sample is the epoch, and the
 	// last one's offset from it is the duration.
@@ -189,33 +194,46 @@ func checkBuckets(windowNS, durationNS int64) error {
 	return nil
 }
 
-// aggs are one query's aggregators: the whole-trace rollup (the
-// capture's own stream summary) and, when bucketing was asked for, a
-// Windowed splitting the same stream.
+// aggs are one query's aggregators: the whole-trace rollup, either
+// known (a stored summary) or folded (the capture's own stream summary),
+// and, when bucketing was asked for, a Windowed splitting the same
+// stream. The zero aggs folds nothing.
 type aggs struct {
+	known *api.RunSummary
 	total *samples.StreamSummary
 	wd    *samples.Windowed
 }
 
-func newAggs(windowNS int64) aggs {
-	a := aggs{total: samples.NewStreamSummary()}
+// newAggs folds the rollup unless known gives it.
+func newAggs(windowNS int64, known *api.RunSummary) aggs {
+	a := aggs{known: known}
+	if known == nil {
+		a.total = samples.NewStreamSummary()
+	}
 	if windowNS > 0 {
 		a.wd = samples.NewWindowed(0, windowNS, 0.5, 0.95)
 	}
 	return a
 }
 
-// folds returns one chunk fold per aggregator, each folding a chunk as
-// one run. They share no state, so each runs on a goroutine of its own.
+// folds returns one chunk fold per folding aggregator, each folding a
+// chunk as one run. They share no state, so each runs on a goroutine of
+// its own.
 func (a aggs) folds() []func(t []int64, v []float64) {
-	folds := []func(t []int64, v []float64){a.total.AddRun}
+	var folds []func(t []int64, v []float64)
+	if a.total != nil {
+		folds = append(folds, a.total.AddRun)
+	}
 	if a.wd != nil {
 		folds = append(folds, a.wd.AddRun)
 	}
 	return folds
 }
 
-// result renders the folded aggregators as the answer to q.
+// result renders the aggregators as the answer to q. The Total row is
+// rendered from a RunSummary whether it was known or folded, so a
+// stored summary and a fold of the same samples answer alike, bit for
+// bit.
 func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS int64) *api.AnalyticsResult {
 	res := &api.AnalyticsResult{
 		Artifact:   q.Artifact,
@@ -232,7 +250,7 @@ func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS 
 		}
 		return false
 	}
-	fill := func(b *api.AnalyticsBucket, n int64, mean, min, max, q50, q95, integralSeconds float64) {
+	fill := func(b *api.AnalyticsBucket, n int64, mean, min, max, q50, q95, energyMAH float64) {
 		b.Samples = n
 		if n == 0 {
 			return // no valid samples: aggregate fields stay absent
@@ -247,18 +265,22 @@ func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS 
 			b.P50MA, b.P95MA = ptr(q50), ptr(q95)
 		}
 		if has(api.AnalyticsFieldEnergy) {
-			b.EnergyMAH = ptr(integralSeconds / 3600)
+			b.EnergyMAH = ptr(energyMAH)
 		}
 	}
 
-	sum := a.total.Snapshot()
-	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS, NaNs: int64(sum.NaNs)}
-	fill(&res.Total, int64(sum.N), sum.Mean, sum.Min, sum.Max, sum.P50, sum.P95, sum.IntegralSeconds)
+	sum := a.known
+	if sum == nil {
+		folded := api.NewRunSummary(a.total.Snapshot())
+		sum = &folded
+	}
+	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS, NaNs: sum.NaNs}
+	fill(&res.Total, sum.Samples-sum.NaNs, sum.MeanMA, float64(sum.MinMA), float64(sum.MaxMA), sum.P50MA, sum.P95MA, sum.EnergyMAH)
 
 	if a.wd != nil {
 		for _, b := range a.wd.Buckets() {
 			out := api.AnalyticsBucket{StartNS: b.StartNS, EndNS: b.StartNS + q.WindowNS, NaNs: b.NaNs}
-			fill(&out, b.N, b.Mean, b.Min, b.Max, b.Quantiles[0], b.Quantiles[1], b.IntegralSeconds)
+			fill(&out, b.N, b.Mean, b.Min, b.Max, b.Quantiles[0], b.Quantiles[1], b.IntegralSeconds/3600)
 			res.Buckets = append(res.Buckets, out)
 		}
 	}

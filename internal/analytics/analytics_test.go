@@ -372,7 +372,7 @@ func sequentialFold(tr *trace.Series, windowNS int64) (func(q api.AnalyticsQuery
 	if tr.Len() > 0 {
 		epochNS = tr.At(0).T.UnixNano()
 	}
-	a := newAggs(windowNS)
+	a := newAggs(windowNS, nil)
 	tr.Samples().Iter(func(tNanos int64, v float64) bool {
 		a.total.Add(tNanos, v)
 		if a.wd != nil {
@@ -431,7 +431,7 @@ func TestAnalyticsFromBytesMatchesSeries(t *testing.T) {
 			}
 			for _, fields := range fieldSets {
 				q := api.AnalyticsQuery{WindowNS: windowNS, Fields: fields, Artifact: name}
-				got, err := ComputeBinary(data, q)
+				got, err := ComputeBinary(data, q, nil)
 				check("ComputeBinary", q, got, err)
 			}
 			// The field selection only renders: the Series feed needs one.
@@ -454,19 +454,22 @@ func TestComputeBinaryErrors(t *testing.T) {
 	data := traceFixtures(t)["noisy.v2"]
 	for _, q := range []api.AnalyticsQuery{{WindowNS: -1}, {WindowNS: 1}, {Fields: []string{"nope"}}} {
 		_, want := viaSeries(data, q)
-		_, got := ComputeBinary(data, q)
+		_, got := ComputeBinary(data, q, nil)
 		if !errors.Is(got, ErrBadQuery) || got.Error() != want.Error() {
 			t.Errorf("%+v: error %v, the Series path gives %v", q, got, want)
 		}
 	}
-	if _, err := ComputeBinary(data[:len(data)-3], api.AnalyticsQuery{WindowNS: 1}); err == nil || errors.Is(err, ErrBadQuery) {
+	if _, err := ComputeBinary(data[:len(data)-3], api.AnalyticsQuery{WindowNS: 1}, nil); err == nil || errors.Is(err, ErrBadQuery) {
 		t.Errorf("truncated trace: error %v, want a decode error", err)
 	}
 }
 
 // FuzzAnalyticsBytes feeds ComputeBinary arbitrary bytes as a trace of
 // either version. It must refuse or answer, never panic, and refuse and
-// answer exactly as decoding into a Series first does.
+// answer exactly as decoding into a Series first does. Bytes it answers
+// for it answers alike given their whole-trace summary, the decoded
+// Series' own, as a build stores it: every float the same bits, the sign
+// of a zero included.
 func FuzzAnalyticsBytes(f *testing.F) {
 	for _, data := range traceFixtures(f) {
 		if len(data) > 1<<10 {
@@ -476,17 +479,85 @@ func FuzzAnalyticsBytes(f *testing.F) {
 		f.Add(data[:len(data)-1], int64(0))
 	}
 	f.Add([]byte("BLTRC\x02\x00\x00\x00\x00\x02\x02\x01\x7f\x00\x00"), int64(1))
+	negZero := trace.NewSeries("current", "mA")
+	for i, v := range []float64{math.Copysign(0, -1), math.NaN(), 0, 3} {
+		negZero.MustAppend(time.Unix(0, int64(i)*1e6), v)
+	}
+	f.Add(encodeV2(f, negZero), int64(0))
 	f.Fuzz(func(t *testing.T, raw []byte, windowNS int64) {
 		q := api.AnalyticsQuery{WindowNS: windowNS}
 		want, wantErr := viaSeries(raw, q)
-		got, err := ComputeBinary(raw, q)
+		got, err := ComputeBinary(raw, q, nil)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("ComputeBinary: %v; via a Series: %v", err, wantErr)
 		}
 		if !reflect.DeepEqual(got, want) { // no NaN to trip on: an undefined aggregate is a nil pointer
 			t.Fatalf("ComputeBinary gives %+v, via a Series %+v", got, want)
 		}
+		if err != nil {
+			return
+		}
+		tr, err := trace.DecodeBinary(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := api.NewRunSummary(tr.Live())
+		stored, err := ComputeBinary(raw, q, &total)
+		if err != nil || !reflect.DeepEqual(stored, want) || !sameJSON(stored, want) {
+			t.Fatalf("given its summary, ComputeBinary gives %+v (%v); folding, %+v", stored, err, want)
+		}
 	})
+}
+
+// sameJSON reports whether a and b marshal to the same bytes, which
+// tells apart floats reflect.DeepEqual holds equal: 0 and -0.
+func sameJSON(a, b *api.AnalyticsResult) bool {
+	aj, aerr := json.Marshal(a)
+	bj, berr := json.Marshal(b)
+	return aerr == nil && berr == nil && bytes.Equal(aj, bj)
+}
+
+// TestStoredTotalFoldsOnlyWindows: given the whole-trace summary, a query
+// folds no rollup: with no window it folds nothing, with one only the
+// windows. Its Total is the summary's, whatever the bytes say, so a
+// summary that is not theirs shows through, while its windows, epoch and
+// span are the bytes'.
+func TestStoredTotalFoldsOnlyWindows(t *testing.T) {
+	data := encodeV2(t, makeCapture(5, 33))
+	tr, err := trace.DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := api.NewRunSummary(tr.Live())
+	for _, windowNS := range []int64{0, int64(2 * time.Second)} {
+		a := newAggs(windowNS, &total)
+		if folds := a.folds(); a.total != nil || len(folds) != len(newAggs(windowNS, nil).folds())-1 {
+			t.Errorf("window %d: %d folds given the summary, rollup folded %v", windowNS, len(folds), a.total != nil)
+		}
+		q := api.AnalyticsQuery{WindowNS: windowNS}
+		want, err := ComputeBinary(data, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ComputeBinary(data, q, &total)
+		if err != nil || !reflect.DeepEqual(got, want) || !sameJSON(got, want) {
+			t.Errorf("window %d: given the summary %+v (%v), folding %+v", windowNS, got, err, want)
+		}
+
+		wrong := total
+		wrong.MeanMA, wrong.NaNs = -1, 7
+		got, err = ComputeBinary(data, q, &wrong)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got.Total.MeanMA != -1 || got.Total.NaNs != 7 || got.Total.Samples != wrong.Samples-7 {
+			t.Errorf("window %d: Total %+v, not the summary's", windowNS, got.Total)
+		}
+		got.Total = want.Total
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("window %d: beside its Total, the answer is not the bytes'", windowNS)
+		}
+	}
 }
 
 // SizeBytes reports the stored body bytes.

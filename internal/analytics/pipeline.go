@@ -14,7 +14,8 @@ import (
 const ringLen = 4
 
 // chunkBuf is one slot of the ring: a decoded chunk's columns, and how
-// many folds have yet to finish with them.
+// many holders, the folds and the producer handing it out, have yet to
+// finish with them.
 type chunkBuf struct {
 	t    [samples.ChunkLen]int64
 	v    [samples.ChunkLen]float64
@@ -53,7 +54,7 @@ type pipeline struct {
 // runFolds runs produce, which emits chunks into folds, and returns once
 // every fold has seen every chunk. No goroutine it starts outlives it,
 // whether produce returns or panics, and a fold's panic is re-raised on
-// the caller.
+// the caller. With no folds, produce runs alone on the ring.
 func runFolds(folds []func(t []int64, v []float64), produce func(p *pipeline)) {
 	p := &pipeline{
 		folds:  folds,
@@ -106,14 +107,16 @@ func (p *pipeline) buffer() *chunkBuf {
 }
 
 // emit hands b to every fold. A ring slot goes back to the free list
-// once the last of them has folded it.
+// once the last of them has folded it, and the producer has handed it to
+// all of them: with no fold at all, at once.
 func (p *pipeline) emit(b batch) {
 	if b.buf != nil {
-		b.buf.refs.Store(int32(len(p.folds)))
+		b.buf.refs.Store(int32(len(p.folds) + 1))
 	}
 	for _, lane := range p.lanes {
 		lane <- b
 	}
+	p.release(b)
 }
 
 func (p *pipeline) release(b batch) {

@@ -51,7 +51,9 @@ func chunkOffset(t *testing.T, data []byte, i int) int {
 // TestComputeBinaryReturnsAlone: no fold goroutine outlives a query,
 // whether it answers, meets a decode error mid-trace, refuses a bad query
 // over a corrupt trace (with the decode error, which outranks it) or
-// refuses a window too fine for the trace.
+// refuses a window too fine for the trace. Given the whole-trace summary
+// with no window, a query folds nothing, yet decodes every byte and is
+// refused alike.
 func TestComputeBinaryReturnsAlone(t *testing.T) {
 	data := encodeV2(t, makeCapture(9, 33))
 	corrupt := append([]byte(nil), data...)
@@ -60,24 +62,33 @@ func TestComputeBinaryReturnsAlone(t *testing.T) {
 	if decodeErr == nil {
 		t.Fatal("the corrupted trace decodes")
 	}
+	tr, err := trace.DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := api.NewRunSummary(tr.Live())
 	window := api.AnalyticsQuery{WindowNS: int64(2 * time.Second)}
+	overflow := fmt.Errorf("%w: window 1000000ns over a 32999800000ns trace makes 33000 buckets (max 20000)", ErrBadQuery)
 	for _, c := range []struct {
-		name string
-		data []byte
-		q    api.AnalyticsQuery
-		want error // nil: an answer
+		name  string
+		data  []byte
+		q     api.AnalyticsQuery
+		total *api.RunSummary
+		want  error // nil: an answer
 	}{
-		{"success", data, window, nil},
-		{"rollup only", data, api.AnalyticsQuery{}, nil},
-		{"decode error at chunk 20", corrupt, window, decodeErr},
-		{"negative window over a corrupt trace", corrupt, api.AnalyticsQuery{WindowNS: -1}, decodeErr},
-		{"unknown field over a corrupt trace", corrupt, api.AnalyticsQuery{Fields: []string{"nope"}}, decodeErr},
-		{"overflow over a corrupt trace", corrupt, api.AnalyticsQuery{WindowNS: int64(time.Millisecond)}, decodeErr},
-		{"bucket overflow", data, api.AnalyticsQuery{WindowNS: int64(time.Millisecond)},
-			fmt.Errorf("%w: window 1000000ns over a 32999800000ns trace makes 33000 buckets (max 20000)", ErrBadQuery)},
+		{"success", data, window, nil, nil},
+		{"rollup only", data, api.AnalyticsQuery{}, nil, nil},
+		{"decode error at chunk 20", corrupt, window, nil, decodeErr},
+		{"negative window over a corrupt trace", corrupt, api.AnalyticsQuery{WindowNS: -1}, nil, decodeErr},
+		{"unknown field over a corrupt trace", corrupt, api.AnalyticsQuery{Fields: []string{"nope"}}, nil, decodeErr},
+		{"overflow over a corrupt trace", corrupt, api.AnalyticsQuery{WindowNS: int64(time.Millisecond)}, nil, decodeErr},
+		{"bucket overflow", data, api.AnalyticsQuery{WindowNS: int64(time.Millisecond)}, nil, overflow},
+		{"stored rollup", data, api.AnalyticsQuery{}, &total, nil},
+		{"stored rollup, decode error at chunk 20", corrupt, api.AnalyticsQuery{}, &total, decodeErr},
+		{"stored rollup, bucket overflow", data, api.AnalyticsQuery{WindowNS: int64(time.Millisecond)}, &total, overflow},
 	} {
 		base := runtime.NumGoroutine()
-		res, err := ComputeBinary(c.data, c.q)
+		res, err := ComputeBinary(c.data, c.q, c.total)
 		if fmt.Sprint(err) != fmt.Sprint(c.want) || (err == nil) != (res != nil) {
 			t.Errorf("%s: result %v, error %v, want error %v", c.name, res != nil, err, c.want)
 		}
@@ -86,6 +97,34 @@ func TestComputeBinaryReturnsAlone(t *testing.T) {
 		}
 		settleGoroutines(t, base, c.name)
 	}
+}
+
+// TestNoFoldsReturns: with no fold to feed, the producer laps the ring
+// and runFolds returns, having started no goroutine. A query given its
+// whole-trace summary and no window is such a run.
+func TestNoFoldsReturns(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const chunks = 10 * ringLen
+	done := make(chan int, 1)
+	go func() {
+		emitted := 0
+		runFolds(nil, func(p *pipeline) {
+			for ; emitted < chunks; emitted++ {
+				buf := p.buffer()
+				p.emit(batch{t: buf.t[:1], v: buf.v[:1], buf: buf})
+			}
+		})
+		done <- emitted
+	}()
+	select {
+	case n := <-done:
+		if n != chunks {
+			t.Errorf("emitted %d chunks, want %d", n, chunks)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("runFolds with no folds never returned: the producer waits on a ring slot nobody frees")
+	}
+	settleGoroutines(t, base, "no folds")
 }
 
 // TestFoldPanicReachesCaller: a panic mid-stream, in a fold or in the
@@ -147,7 +186,7 @@ func TestRollupAllocationFlat(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := ComputeBinary(data, api.AnalyticsQuery{}); err != nil {
+			if _, err := ComputeBinary(data, api.AnalyticsQuery{}, nil); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -177,7 +216,7 @@ func TestComputeBinaryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				got, err := ComputeBinary(data, q)
+				got, err := ComputeBinary(data, q, nil)
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent query: error %v, result differs: %v", err, !reflect.DeepEqual(got, want))
 					return

@@ -50,9 +50,12 @@ package api
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"time"
+
+	"batterylab/internal/samples"
 )
 
 // Version is the wire protocol version this package speaks. Breaking
@@ -332,7 +335,16 @@ type NodeDetail struct {
 // RunSummary is the server-side digest of a finished measurement —
 // enough for dashboards that never fetch the full trace. Timestamps and
 // durations are nanoseconds for lossless round-trips.
+//
+// Its whole-trace fields (Samples through EnergyMAH, MinMA, MaxMA and
+// NaNs) are the capture's own streaming summary of the stored power
+// trace, as NewRunSummary renders it: the analytics Total row of that
+// trace, which the server answers from here instead of folding the
+// trace again. Rollup marks a summary whose whole-trace fields are all
+// there; one without it (written before MinMA, MaxMA and NaNs existed,
+// or set by hand) is not served as a Total.
 type RunSummary struct {
+	// Samples counts every sample of the trace, NaNs included.
 	Samples            int64   `json:"samples"`
 	MeanMA             float64 `json:"mean_ma"`
 	P50MA              float64 `json:"p50_ma"`
@@ -341,6 +353,38 @@ type RunSummary struct {
 	DurationNS         int64   `json:"duration_ns"`
 	MirrorUploadBytes  int64   `json:"mirror_upload_bytes,omitempty"`
 	DroppedLiveSamples int64   `json:"dropped_live_samples,omitempty"`
+	MinMA              Extreme `json:"min_ma,omitzero"`
+	MaxMA              Extreme `json:"max_ma,omitzero"`
+	// NaNs counts the trace's invalid (NaN) samples.
+	NaNs   int64 `json:"nans,omitempty"`
+	Rollup bool  `json:"rollup,omitempty"`
+}
+
+// Extreme is a trace's least or greatest value. JSON's omitzero omits
+// it only as +0: a -0 extreme is a value, and keeps its sign through a
+// round trip.
+type Extreme float64
+
+// IsZero reports whether e is +0.
+func (e Extreme) IsZero() bool { return math.Float64bits(float64(e)) == 0 }
+
+// encoding/json's omitzero calls IsZero through an interface of this shape.
+var _ interface{ IsZero() bool } = Extreme(0)
+
+// NewRunSummary renders a capture's whole-trace summary as a
+// RunSummary's whole-trace fields: duration, mirror bytes, dropped
+// samples and the Rollup mark are the caller's.
+func NewRunSummary(ls samples.LiveSummary) RunSummary {
+	return RunSummary{
+		Samples:   int64(ls.N + ls.NaNs),
+		MeanMA:    ls.Mean,
+		P50MA:     ls.P50,
+		P95MA:     ls.P95,
+		EnergyMAH: ls.IntegralSeconds / 3600,
+		MinMA:     Extreme(ls.Min),
+		MaxMA:     Extreme(ls.Max),
+		NaNs:      int64(ls.NaNs),
+	}
 }
 
 // Analytics field names a client may request via the analytics route's

@@ -47,13 +47,12 @@ const SampleStreamUnit = "mA"
 const maxFrameBytes = 64 << 20
 
 // frameScratch is the working memory of one frame being written or
-// read: the frame's bytes, and the columns or points on the other side
-// of the codec.
+// read: the frame's bytes, and the columns on the other side of the
+// codec.
 type frameScratch struct {
 	buf  []byte
 	offs []int64
 	vals []float64
-	pts  []SamplePoint
 }
 
 var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
@@ -106,7 +105,9 @@ func ReadSampleFrame(br *bufio.Reader) ([]SamplePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeFrame(frame[body:], sc, nil)
+	var pts []SamplePoint
+	_, err = decodeFrame(frame[body:], sc, &pts)
+	return pts, err
 }
 
 // ReadRawSampleFrame reads the next frame into raw's memory and checks
@@ -120,8 +121,8 @@ func ReadRawSampleFrame(br *bufio.Reader, raw []byte) (frame []byte, points int,
 	}
 	sc := framePool.Get().(*frameScratch)
 	defer framePool.Put(sc)
-	sc.pts, err = decodeFrame(frame[body:], sc, sc.pts[:0])
-	return frame, len(sc.pts), err
+	points, err = decodeFrame(frame[body:], sc, nil)
+	return frame, points, err
 }
 
 // readFrame appends the next frame — its length prefix, then its body,
@@ -159,14 +160,18 @@ func readFrame(br *bufio.Reader, dst []byte) (frame []byte, body int, err error)
 // The AtNS range: a decoded timestamp outside it has no SamplePoint.
 var minAt, maxAt = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
 
-// decodeFrame decodes one frame body into dst[:0] (nil: a slice sized to
-// the frame's count), a chunk at a time through sc's columns.
-func decodeFrame(body []byte, sc *frameScratch, dst []SamplePoint) ([]SamplePoint, error) {
+// decodeFrame checks one frame body, a chunk at a time through sc's
+// columns, and returns how many points it carries. With pts not nil, it
+// appends them to *pts, grown once to the frame's count; a relay that
+// only counts them builds none.
+func decodeFrame(body []byte, sc *frameScratch, pts *[]SamplePoint) (int, error) {
 	h, payload, err := trace.DecodeHeader(body)
 	if err != nil {
-		return dst, fmt.Errorf("api: decoding sample frame: %w", err)
+		return 0, fmt.Errorf("api: decoding sample frame: %w", err)
 	}
-	dst = slices.Grow(dst, h.Count)
+	if pts != nil {
+		*pts = slices.Grow(*pts, h.Count)
+	}
 	if n := min(h.Count, samples.ChunkLen); cap(sc.offs) < n {
 		sc.offs, sc.vals = make([]int64, n), make([]float64, n)
 	}
@@ -177,27 +182,31 @@ func decodeFrame(body []byte, sc *frameScratch, dst []SamplePoint) ([]SamplePoin
 	// do not decrease: a run is in range when its last sample is.
 	d := h.Decoder(payload)
 	var base int64
+	n := 0
 	inRange := true
 	for {
 		k, err := d.Next(offs, vals)
 		if err != nil {
-			return dst, fmt.Errorf("api: decoding sample frame: %w", err)
+			return n, fmt.Errorf("api: decoding sample frame: %w", err)
 		}
 		if k == 0 {
 			break
 		}
-		if len(dst) == 0 {
+		if n == 0 {
 			t0 := d.Start()
 			inRange = !t0.Before(minAt) && !t0.After(maxAt)
 			base = t0.UnixNano()
 		}
 		inRange = inRange && base+offs[k-1] >= base
-		for i, off := range offs[:k] {
-			dst = append(dst, SamplePoint{AtNS: base + off, CurrentMA: vals[i]})
+		n += k
+		if pts != nil {
+			for i, off := range offs[:k] {
+				*pts = append(*pts, SamplePoint{AtNS: base + off, CurrentMA: vals[i]})
+			}
 		}
 	}
 	if !inRange {
-		return dst, errors.New("api: decoding sample frame: a timestamp falls outside the int64 nanosecond range")
+		return n, errors.New("api: decoding sample frame: a timestamp falls outside the int64 nanosecond range")
 	}
-	return dst, nil
+	return n, nil
 }

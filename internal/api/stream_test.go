@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -277,6 +278,68 @@ func TestSampleFrameAllocations(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("ReadSampleFrame: %v allocations per frame, want at most 2", n)
+	}
+}
+
+// TestRawFrameChecksAsDecoded: the relay's read refuses what
+// ReadSampleFrame refuses, with the same error — a timestamp past either
+// end of the int64 range included — and counts the points ReadSampleFrame
+// returns, building none: once its buffers are warm, it allocates
+// nothing.
+func TestRawFrameChecksAsDecoded(t *testing.T) {
+	bodies := map[string][]byte{
+		"empty":  []byte("BLTRC\x02\x00\x00\x00\x00\x00"),
+		"behind": []byte("BLTRC\x02\x00\x00\x00\x00\x02\x02\x01\x7f\x00\x00"),
+	}
+	for i, pts := range goldenFrames() {
+		var buf bytes.Buffer
+		if err := WriteSampleFrame(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		_, n := binary.Uvarint(buf.Bytes())
+		bodies[fmt.Sprint("golden ", i)] = buf.Bytes()[n:]
+		bodies[fmt.Sprint("golden ", i, " truncated")] = buf.Bytes()[n : buf.Len()-1]
+	}
+	for name, at := range map[string]time.Time{"late": maxAt, "early": minAt.Add(-time.Nanosecond)} {
+		s := trace.NewSeries(SampleStreamSeriesName, SampleStreamUnit)
+		s.MustAppend(at, 1)
+		s.MustAppend(at.Add(time.Nanosecond), 2)
+		var buf bytes.Buffer
+		if err := s.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bodies[name] = buf.Bytes()
+	}
+	refused := 0
+	for name, body := range bodies {
+		pts, err := ReadSampleFrame(bufio.NewReader(bytes.NewReader(frameOf(body))))
+		raw, n, rawErr := ReadRawSampleFrame(bufio.NewReader(bytes.NewReader(frameOf(body))), nil)
+		if fmt.Sprint(rawErr) != fmt.Sprint(err) || n != len(pts) || !bytes.Equal(raw, frameOf(body)) {
+			t.Errorf("%s: raw read counts %d (%v), ReadSampleFrame gives %d (%v)", name, n, rawErr, len(pts), err)
+		}
+		if err != nil && strings.Contains(err.Error(), "int64 nanosecond range") {
+			refused++
+		}
+	}
+	if refused != 2 {
+		t.Errorf("%d frames refused for their range, want late and early", refused)
+	}
+
+	if raceEnabled {
+		return // sync.Pool sheds entries under the race detector
+	}
+	frame := frameOf(bodies["golden 2"])
+	raw := make([]byte, 0, len(frame))
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	if n := testing.AllocsPerRun(100, func() {
+		rd.Reset(frame)
+		br.Reset(rd)
+		if _, _, err := ReadRawSampleFrame(br, raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadRawSampleFrame: %v allocations per frame, want 0", n)
 	}
 }
 

@@ -89,7 +89,10 @@ func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 
 // saveRun stores a finished run on its build: the artifacts
 // decodeResult reads back, the current.csv view over them, and the run
-// summary, which counts the live samples the build's feed dropped.
+// summary, which counts the live samples the build's feed dropped. The
+// summary's whole-trace fields come from one snapshot of the capture's
+// own streaming summary, the one analytics Total of current.trace, so
+// they are marked as the rollup the analytics route may serve.
 func saveRun(b *accessserver.Build, res *Result) error {
 	ws := b.Workspace()
 	for _, a := range []struct {
@@ -108,18 +111,12 @@ func saveRun(b *accessserver.Build, res *Result) error {
 	}
 	ws.SaveView(ArtifactCurrentCSV, ArtifactCurrentTrace, renderCSV)
 	_, droppedSamples := b.Feed().Dropped()
-	summary := res.Current.Summary()
-	live := res.Current.Live()
-	b.SetSummary(api.RunSummary{
-		Samples:            int64(res.Current.Len()),
-		MeanMA:             summary.Mean,
-		P50MA:              live.P50,
-		P95MA:              live.P95,
-		EnergyMAH:          res.EnergyMAH,
-		DurationNS:         int64(res.Duration),
-		MirrorUploadBytes:  res.MirrorUploadBytes,
-		DroppedLiveSamples: droppedSamples,
-	})
+	sum := api.NewRunSummary(res.Current.Live())
+	sum.DurationNS = int64(res.Duration)
+	sum.MirrorUploadBytes = res.MirrorUploadBytes
+	sum.DroppedLiveSamples = droppedSamples
+	sum.Rollup = true
+	b.SetSummary(sum)
 	return nil
 }
 

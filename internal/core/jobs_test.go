@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -17,9 +18,12 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver"
+	"batterylab/internal/accessserver/store"
+	"batterylab/internal/analytics"
 	"batterylab/internal/api"
 	"batterylab/internal/browser"
 	"batterylab/internal/device"
+	"batterylab/internal/samples"
 	"batterylab/internal/trace"
 	"batterylab/internal/video"
 )
@@ -436,6 +440,120 @@ func TestDecodedResultMatchesRun(t *testing.T) {
 				t.Errorf("degenerate run: %d/%d CPU points", ran.DeviceCPU.Len(), ran.ControllerCPU.Len())
 			}
 		})
+	}
+}
+
+// blanked is a copy of a capture with two runs of invalid (NaN) samples,
+// one across the boundary between its first two chunks and one the
+// whole second from 3 s, and a -0 as its eleventh sample: below every
+// other value of a current trace, so the trace's minimum is a zero with
+// its sign bit set.
+func blanked(tr *trace.Series, hz int) *trace.Series {
+	out := trace.NewSeries(tr.Name(), tr.Unit())
+	t0 := tr.At(0).T
+	i := 0
+	tr.Samples().Chunks(0, func(offs []int64, vals []float64) bool {
+		for k, off := range offs {
+			v := vals[k]
+			switch {
+			case i == 10:
+				v = math.Copysign(0, -1)
+			case i >= samples.ChunkLen-50 && i < samples.ChunkLen+50, i >= 3*hz && i < 4*hz:
+				v = math.NaN()
+			}
+			out.MustAppend(t0.Add(time.Duration(off)), v)
+			i++
+		}
+		return true
+	})
+	return out
+}
+
+// TestStoredSummaryIsTheRollup pins the stored summary to the analytics
+// rollup on a real capture: the summary saveRun stores for a 5 kHz run,
+// with NaN runs and a -0 minimum written into its trace, survives the
+// WAL codec and the JSON of a snapshot and of the status route to the
+// bit, and given as the known total it makes ComputeBinary answer
+// exactly as folding the stored bytes does, Total row included.
+func TestStoredSummaryIsTheRollup(t *testing.T) {
+	const hz = 5000
+	r := newRig(t)
+	admin, err := r.plat.Access.Users.Add("admin", accessserver.RoleAdmin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.plat.Access.SetSpecBackend(tapBackend{specBackend: specBackend{r.plat}, ran: func(res *Result) {
+		res.Current = blanked(res.Current, hz)
+	}})
+	b, err := r.plat.Access.SubmitSpec(admin, api.ExperimentSpec{
+		Node: "node1", Device: r.serial,
+		Monitor:  api.MonitorSpec{SampleRateHz: hz},
+		Workload: api.WorkloadSpec{Name: "idle", Params: api.Params{"duration_ms": 8000}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.runWhile(t, func() bool { return !b.State().Terminal() }, 10*time.Minute)
+	if b.State() != accessserver.StateSuccess || b.Summary == nil {
+		t.Fatalf("state = %v err = %v summary %v", b.State(), b.Err(), b.Summary)
+	}
+	sum := *b.Summary
+	if !sum.Rollup || sum.NaNs < int64(hz) || sum.MinMA != 0 || !math.Signbit(float64(sum.MinMA)) {
+		t.Fatalf("stored summary %+v: want the Rollup mark, over %d NaNs and a -0 minimum", sum, hz)
+	}
+
+	// Through the WAL: a finished record, appended and replayed.
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch([]store.Record{{T: store.TBuildFinished, BuildID: b.ID, State: "success", Summary: &sum}}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if st, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := st.Load()
+	st.Close()
+	if len(recs) != 1 || recs[0].Summary == nil {
+		t.Fatalf("replayed %d records", len(recs))
+	}
+	// Through JSON: a snapshot and the status route both carry it so.
+	raw, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaJSON api.RunSummary
+	if err := json.Unmarshal(raw, &viaJSON); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := b.Workspace().Load(ArtifactCurrentTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, windowNS := range []int64{0, int64(2 * time.Second)} {
+		q := api.AnalyticsQuery{WindowNS: windowNS, Artifact: ArtifactCurrentTrace}
+		fold, err := analytics.ComputeBinary(data, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foldJSON, _ := json.Marshal(fold)
+		if !bytes.Contains(foldJSON, []byte(`"min_ma":-0,`)) || fold.Total.NaNs != sum.NaNs {
+			t.Fatalf("the fold's Total %s: want the -0 minimum and %d NaNs", foldJSON, sum.NaNs)
+		}
+		for path, total := range map[string]*api.RunSummary{"stored": &sum, "WAL": recs[0].Summary, "JSON": &viaJSON} {
+			got, err := analytics.ComputeBinary(data, q, total)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, _ := json.Marshal(got)
+			if !bytes.Equal(gotJSON, foldJSON) || !reflect.DeepEqual(got, fold) {
+				t.Errorf("window %d, summary %s: given the summary\n %s\nfolding\n %s", windowNS, path, gotJSON, foldJSON)
+			}
+		}
 	}
 }
 
