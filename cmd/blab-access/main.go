@@ -30,10 +30,11 @@
 // scheduler, no nodes, no state — just a stateless relay that serves
 // the v1 streaming routes (build events and live samples) by
 // subscribing to the given upstream access server with each client's
-// own bearer token. Deploy gateways next to dashboard fleets to absorb
-// streaming subscribers away from the control plane; the gateway
-// reconnects severed upstream streams from its accumulated resume
-// cursor, so clients see one uninterrupted stream.
+// own bearer token. A gateway next to a dashboard fleet holds its client
+// connections, but each client stream is still one upstream stream at
+// the control server. The gateway reconnects severed upstream streams
+// from its accumulated resume cursor, so clients see one uninterrupted
+// stream.
 //
 // With -data the server keeps a write-ahead log plus periodic
 // snapshots under the directory and replays them at startup: users

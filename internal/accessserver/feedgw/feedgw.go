@@ -6,14 +6,15 @@
 // The control/data plane split makes this possible: the streaming
 // routes depend only on the feed plane (a build id, a resume cursor, a
 // feed epoch), all of which the v1 API already carries on the wire. A
-// gateway deployed next to a dashboard fleet absorbs thousands of
-// streaming subscribers and holds exactly one upstream subscription per
-// active client stream. It follows that subscription with the same loop
-// every remote follower uses (remote's Platform.Follow): when its
-// upstream connection breaks, it reconnects from its accumulated cursor
-// (`?from=`) so clients see an uninterrupted, exactly-once stream. A
-// clean upstream end means the feed closed, and ends the client's stream
-// cleanly; any other end — the reconnect budget spent, a permanent
+// gateway deployed next to a dashboard fleet holds its client
+// connections, but it does not fan out: it holds exactly one upstream
+// subscription per active client stream, so k subscribers to one build
+// cost the upstream k streams, as k direct clients would. It follows
+// that subscription with the same loop every remote follower uses
+// (remote's Platform.Follow): when its upstream connection breaks, it
+// reconnects from its accumulated cursor (`?from=`) so clients see an
+// uninterrupted, exactly-once stream. A clean upstream end means the
+// feed closed, and ends the client's stream cleanly; any other end — the reconnect budget spent, a permanent
 // upstream error, or a feed epoch that moved (a server restart re-created
 // the feed, so the cursor is void and two replays must not be spliced) —
 // aborts the client connection, so a truncated stream never reads as a

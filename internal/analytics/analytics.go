@@ -4,16 +4,18 @@
 // traces, so dashboards fetch kilobytes of summaries instead of
 // re-downloading whole artifacts.
 //
-// The engine reuses the capture path's streaming aggregators
-// (internal/samples). A query decodes its trace once, a chunk
-// (samples.ChunkLen samples) at a time, into a small ring of recycled
-// column buffers, and folds each chunk into every aggregator it needs.
-// The whole-trace rollup is the capture's own stream summary, and a
-// build's stored api.RunSummary already holds it: a query given that
-// summary renders its Total row from it and folds only the windows (a
-// query with no window folds nothing and only decodes, for the epoch,
-// the span and the checks). Without one, the rollup is folded beside the
-// windows. Each aggregator folds on a goroutine of its own, beside the
+// The engine reuses the capture path's streaming summary
+// (samples.StreamSummary): each time bucket is folded by one, as the
+// whole-trace rollup is, and every row, the Total and each bucket, is
+// rendered through api.NewRunSummary, as a build's stored summary is. A
+// query decodes its trace once, a chunk (samples.ChunkLen samples) at a
+// time, into a small ring of recycled column buffers, and folds each
+// chunk into every aggregator it needs. A build's stored api.RunSummary
+// already holds the whole-trace rollup: a query given that summary
+// renders its Total row from it and folds only the windows (a query with
+// no window folds nothing and only decodes, for the epoch, the span and
+// the checks). Without one, the rollup is folded beside the windows.
+// Each aggregator folds on a goroutine of its own, beside the
 // decode and each other. A query costs one decode, one aggregator call
 // per chunk per aggregator (a window edge inside a chunk cuts it in
 // two), and O(buckets + ring) memory, never a second copy of the trace.
@@ -186,9 +188,11 @@ func checkQuery(q api.AnalyticsQuery) ([]string, error) {
 // into more than MaxBuckets buckets.
 func checkBuckets(windowNS, durationNS int64) error {
 	if windowNS > 0 {
-		if n := durationNS/windowNS + 1; n > MaxBuckets {
+		// n is the bucket count less one, which a span of the whole of
+		// int64 time cannot overflow.
+		if n := durationNS / windowNS; n >= MaxBuckets {
 			return fmt.Errorf("%w: window %dns over a %dns trace makes %d buckets (max %d)",
-				ErrBadQuery, windowNS, durationNS, n, MaxBuckets)
+				ErrBadQuery, windowNS, durationNS, uint64(n)+1, MaxBuckets)
 		}
 	}
 	return nil
@@ -196,8 +200,8 @@ func checkBuckets(windowNS, durationNS int64) error {
 
 // aggs are one query's aggregators: the whole-trace rollup, either
 // known (a stored summary) or folded (the capture's own stream summary),
-// and, when bucketing was asked for, a Windowed splitting the same
-// stream. The zero aggs folds nothing.
+// and, when bucketing was asked for, a Windowed folding the same stream
+// into one stream summary per bucket. The zero aggs folds nothing.
 type aggs struct {
 	known *api.RunSummary
 	total *samples.StreamSummary
@@ -211,7 +215,7 @@ func newAggs(windowNS int64, known *api.RunSummary) aggs {
 		a.total = samples.NewStreamSummary()
 	}
 	if windowNS > 0 {
-		a.wd = samples.NewWindowed(0, windowNS, 0.5, 0.95)
+		a.wd = samples.NewWindowed(windowNS)
 	}
 	return a
 }
@@ -230,10 +234,10 @@ func (a aggs) folds() []func(t []int64, v []float64) {
 	return folds
 }
 
-// result renders the aggregators as the answer to q. The Total row is
-// rendered from a RunSummary whether it was known or folded, so a
-// stored summary and a fold of the same samples answer alike, bit for
-// bit.
+// result renders the aggregators as the answer to q. Every row is
+// rendered from a RunSummary by one fill: the Total from the known or
+// folded one, so a stored summary and a fold of the same samples answer
+// alike, bit for bit, and each bucket from its own.
 func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS int64) *api.AnalyticsResult {
 	res := &api.AnalyticsResult{
 		Artifact:   q.Artifact,
@@ -250,22 +254,22 @@ func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS 
 		}
 		return false
 	}
-	fill := func(b *api.AnalyticsBucket, n int64, mean, min, max, q50, q95, energyMAH float64) {
-		b.Samples = n
-		if n == 0 {
+	fill := func(b *api.AnalyticsBucket, sum api.RunSummary) {
+		b.Samples, b.NaNs = sum.Samples-sum.NaNs, sum.NaNs
+		if b.Samples == 0 {
 			return // no valid samples: aggregate fields stay absent
 		}
 		if has(api.AnalyticsFieldMean) {
-			b.MeanMA = ptr(mean)
+			b.MeanMA = ptr(sum.MeanMA)
 		}
 		if has(api.AnalyticsFieldMinMax) {
-			b.MinMA, b.MaxMA = ptr(min), ptr(max)
+			b.MinMA, b.MaxMA = ptr(float64(sum.MinMA)), ptr(float64(sum.MaxMA))
 		}
 		if has(api.AnalyticsFieldQuantiles) {
-			b.P50MA, b.P95MA = ptr(q50), ptr(q95)
+			b.P50MA, b.P95MA = ptr(sum.P50MA), ptr(sum.P95MA)
 		}
 		if has(api.AnalyticsFieldEnergy) {
-			b.EnergyMAH = ptr(energyMAH)
+			b.EnergyMAH = ptr(sum.EnergyMAH)
 		}
 	}
 
@@ -274,13 +278,15 @@ func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS 
 		folded := api.NewRunSummary(a.total.Snapshot())
 		sum = &folded
 	}
-	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS, NaNs: sum.NaNs}
-	fill(&res.Total, sum.Samples-sum.NaNs, sum.MeanMA, float64(sum.MinMA), float64(sum.MaxMA), sum.P50MA, sum.P95MA, sum.EnergyMAH)
+	res.Total = api.AnalyticsBucket{StartNS: 0, EndNS: durationNS}
+	fill(&res.Total, *sum)
 
 	if a.wd != nil {
 		for _, b := range a.wd.Buckets() {
-			out := api.AnalyticsBucket{StartNS: b.StartNS, EndNS: b.StartNS + q.WindowNS, NaNs: b.NaNs}
-			fill(&out, b.N, b.Mean, b.Min, b.Max, b.Quantiles[0], b.Quantiles[1], b.IntegralSeconds/3600)
+			// The last bucket of a trace that reaches the end of int64 time
+			// ends there.
+			out := api.AnalyticsBucket{StartNS: b.StartNS, EndNS: b.StartNS + min(q.WindowNS, math.MaxInt64-b.StartNS)}
+			fill(&out, api.NewRunSummary(b.LiveSummary))
 			res.Buckets = append(res.Buckets, out)
 		}
 	}

@@ -464,6 +464,43 @@ func TestComputeBinaryErrors(t *testing.T) {
 	}
 }
 
+// spanAllTime is a trace whose last sample is the whole of int64 time
+// after its first: bytes a relayed artifact can carry.
+func spanAllTime() []byte {
+	return trace.AppendBinary(nil, "current", "mA", time.Unix(0, 0), []int64{0, math.MaxInt64}, []float64{1, 2})
+}
+
+// TestBucketBoundAtEndOfTime: over a trace that spans the whole of int64
+// time, a 1 ns window is refused as too many buckets, and a window of
+// 2^62 ns answers with a last bucket that ends at the end of int64 time,
+// not before its start. Compute and ComputeBinary agree on both.
+func TestBucketBoundAtEndOfTime(t *testing.T) {
+	data := spanAllTime()
+	for _, q := range []api.AnalyticsQuery{{WindowNS: 1}, {WindowNS: 1 << 62}} {
+		want, wantErr := viaSeries(data, q)
+		got, err := ComputeBinary(data, q, nil)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %d: ComputeBinary %+v (%v), via a Series %+v (%v)", q.WindowNS, got, err, want, wantErr)
+		}
+		if q.WindowNS == 1 {
+			if !errors.Is(err, ErrBadQuery) {
+				t.Errorf("1 ns windows over all of int64 time: error %v, want too many buckets", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ends []int64
+		for _, b := range got.Buckets {
+			ends = append(ends, b.EndNS)
+		}
+		if want := []int64{1 << 62, math.MaxInt64}; !reflect.DeepEqual(ends, want) {
+			t.Errorf("2^62 ns windows over all of int64 time end at %v, want %v", ends, want)
+		}
+	}
+}
+
 // FuzzAnalyticsBytes feeds ComputeBinary arbitrary bytes as a trace of
 // either version. It must refuse or answer, never panic, and refuse and
 // answer exactly as decoding into a Series first does. Bytes it answers
@@ -484,6 +521,8 @@ func FuzzAnalyticsBytes(f *testing.F) {
 		negZero.MustAppend(time.Unix(0, int64(i)*1e6), v)
 	}
 	f.Add(encodeV2(f, negZero), int64(0))
+	f.Add(spanAllTime(), int64(1))
+	f.Add(spanAllTime(), int64(1<<62))
 	f.Fuzz(func(t *testing.T, raw []byte, windowNS int64) {
 		q := api.AnalyticsQuery{WindowNS: windowNS}
 		want, wantErr := viaSeries(raw, q)

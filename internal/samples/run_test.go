@@ -119,18 +119,10 @@ func (ss *StreamSummary) addOne(tNanos int64, v float64) {
 }
 
 func (wd *Windowed) addOne(tNanos int64, v float64) {
-	k := wd.bucketOf(tNanos)
-	if !wd.started {
-		wd.open(k)
-	} else if k > wd.curIdx {
-		wd.flush()
+	if k := wd.bucketOf(tNanos); wd.cur == nil || k > wd.curIdx {
 		wd.open(k)
 	}
-	wd.mom.observeOne(v)
-	for _, q := range wd.qs {
-		q.observeOne(v)
-	}
-	wd.integ.addOne(tNanos, v)
+	wd.cur.addOne(tNanos, v)
 }
 
 // Add folds one sample in: a run of one.
@@ -186,7 +178,8 @@ const maxFuzzStream = 4*ChunkLen + 100
 // byte and the next — and its high bits the step to the next timestamp:
 // none (a repeated timestamp), back by half a window (a sample behind the
 // open window), forward by a nanosecond, a window or several, or a jump
-// to either end of int64 time. The stream starts before the origin.
+// to either end of int64 time. The stream starts before 0, so its first
+// windows are negative ones.
 func fuzzStream(data []byte, bulk uint16, width int64) ([]int64, []float64) {
 	var ts []int64
 	var vs []float64
@@ -283,13 +276,11 @@ func FuzzRunMatchesSingles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream, cuts []byte, bulk uint16, w uint8) {
 		width := 1 + int64(w)
 		ts, vs := fuzzStream(stream, bulk, width)
-		const origin = 1000
-
 		var wel, welRef Welford
 		p2, p2Ref := NewP2Quantile(0.3), NewP2Quantile(0.3)
 		var tr, trRef Trapezoid
 		ss, ssRef := NewStreamSummary(), NewStreamSummary()
-		wd, wdRef := NewWindowed(origin, width, 0.5, 0.95), NewWindowed(origin, width, 0.5, 0.95)
+		wd, wdRef := NewWindowed(width), NewWindowed(width)
 		cols, colsRef := NewSeries(), NewSeries()
 		arith, arithRef := NewSeries(), NewSeries()
 
@@ -330,8 +321,8 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				{"StreamSummary", ss, ssRef},
 				{"StreamSummary.Snapshot", ss.Snapshot(), ssRef.Snapshot()},
 				// Windowed's flushed buckets are compared once, at the end.
-				{"Windowed open bucket", []any{wd.started, wd.curIdx, wd.mom, wd.qs, wd.integ, len(wd.done)},
-					[]any{wdRef.started, wdRef.curIdx, wdRef.mom, wdRef.qs, wdRef.integ, len(wdRef.done)}},
+				{"Windowed open bucket", []any{wd.curIdx, wd.cur, len(wd.done)},
+					[]any{wdRef.curIdx, wdRef.cur, len(wdRef.done)}},
 				// The Series' chunks before the last are compared at the end.
 				{"Series.AppendColumns", tailOf(cols), tailOf(colsRef)},
 				{"Series.AppendRun", tailOf(arith), tailOf(arithRef)},
@@ -362,7 +353,7 @@ func TestRunBodiesDoNotAllocate(t *testing.T) {
 	ts, vs := synth(ChunkLen)
 	e := NewP2Quantile(0.5)
 	ss := NewStreamSummary()
-	wd := NewWindowed(0, math.MaxInt64, 0.5, 0.95)
+	wd := NewWindowed(math.MaxInt64)
 	wd.AddRun(ts[:1], vs[:1]) // opens the one bucket the runs stay in
 	for _, c := range []struct {
 		name string

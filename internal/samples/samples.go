@@ -55,7 +55,9 @@
 //
 // StreamSummary bundles all of the above so a capture loop feeds one
 // aggregator and observers read a LiveSummary snapshot mid-run instead
-// of waiting for teardown.
+// of waiting for teardown. It is the one bundle: Windowed folds each
+// fixed-width time bucket of a stream into a StreamSummary of its own,
+// so a bucket's WindowSummary is a LiveSummary and its start.
 //
 // NaN values are invalid measurements (the Monsoon ADC clamps its floor
 // at 0 mA and can never produce them); aggregators skip them and count

@@ -33,9 +33,11 @@ func TestWindowedAgainstBatch(t *testing.T) {
 		all = append(all, sample{tcur, 120 + rng.NormFloat64()*15})
 	}
 
-	wd := NewWindowed(originNS, widthNS, 0.5, 0.95)
+	// Buckets start at 0: the windows see the times shifted so that
+	// originNS is 0.
+	wd := NewWindowed(widthNS)
 	for _, s := range all {
-		wd.Add(s.t, s.v)
+		wd.Add(s.t-originNS, s.v)
 	}
 	buckets := wd.Buckets()
 
@@ -54,9 +56,9 @@ func TestWindowedAgainstBatch(t *testing.T) {
 		return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 	}
 	for _, b := range buckets {
-		k := (b.StartNS - originNS) / widthNS
+		k := b.StartNS / widthNS
 		group := byBucket[k]
-		if int64(len(group)) != b.N {
+		if len(group) != b.N {
 			t.Fatalf("bucket %d: N=%d, batch has %d samples", k, b.N, len(group))
 		}
 		var sum, minV, maxV float64
@@ -89,9 +91,9 @@ func TestWindowedAgainstBatch(t *testing.T) {
 			vals[i] = s.v
 		}
 		sort.Float64s(vals)
-		for qi, p := range []float64{0.5, 0.95} {
+		for _, qc := range []struct{ p, got float64 }{{0.5, b.P50}, {0.95, b.P95}} {
+			p, got := qc.p, qc.got
 			exact := QuantileSorted(vals, p)
-			got := b.Quantiles[qi]
 			bound := 0.05 * (maxV - minV)
 			if b.N < 1000 {
 				bound = 0.25 * (maxV - minV)
@@ -108,10 +110,10 @@ func TestWindowedAgainstBatch(t *testing.T) {
 }
 
 // TestWindowedBucketEdges pins boundary behavior: a sample exactly on
-// a bucket boundary opens the next bucket, pre-origin samples get
+// a bucket boundary opens the next bucket, samples before 0 get
 // negative buckets, and NaNs are counted but excluded.
 func TestWindowedBucketEdges(t *testing.T) {
-	wd := NewWindowed(0, 100, 0.5)
+	wd := NewWindowed(100)
 	wd.Add(-50, 1) // bucket -1
 	wd.Add(0, 2)   // bucket 0
 	wd.Add(99, 4)  // bucket 0
@@ -145,7 +147,7 @@ func TestWindowedBucketEdges(t *testing.T) {
 
 // TestWindowedEmpty pins the zero-sample case.
 func TestWindowedEmpty(t *testing.T) {
-	wd := NewWindowed(0, 1000, 0.5, 0.95)
+	wd := NewWindowed(1000)
 	if got := wd.Buckets(); len(got) != 0 {
 		t.Fatalf("empty aggregator produced %d buckets", len(got))
 	}
