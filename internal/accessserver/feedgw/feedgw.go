@@ -14,11 +14,11 @@
 // (remote's Platform.Follow): when its upstream connection breaks, it
 // reconnects from its accumulated cursor (`?from=`) so clients see an
 // uninterrupted, exactly-once stream. A clean upstream end means the
-// feed closed, and ends the client's stream cleanly; any other end — the reconnect budget spent, a permanent
-// upstream error, or a feed epoch that moved (a server restart re-created
-// the feed, so the cursor is void and two replays must not be spliced) —
-// aborts the client connection, so a truncated stream never reads as a
-// complete one.
+// feed closed, and ends the client's stream cleanly; any other end —
+// the reconnect budget spent, a permanent upstream error, or a feed
+// epoch that moved (a server restart re-created the feed, so the cursor
+// is void and two replays must not be spliced) — aborts the client
+// connection, so a truncated stream never reads as a complete one.
 //
 // Auth is pass-through: the client's bearer token is forwarded
 // upstream, so the gateway needs no user database and upstream

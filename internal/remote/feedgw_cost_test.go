@@ -8,7 +8,6 @@ package remote_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -50,6 +49,7 @@ func TestGatewayStreamsPerSubscriber(t *testing.T) {
 	}
 	for _, k := range []int{1, 8, 64} {
 		before := proxy.requests(route)
+		codes := make([]int, k)
 		bodies := make([][]byte, k)
 		errs := make([]error, k)
 		var wg sync.WaitGroup
@@ -57,13 +57,16 @@ func TestGatewayStreamsPerSubscriber(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				bodies[i], errs[i] = fetch(gw.URL+samplesPath, token)
+				codes[i], bodies[i], errs[i] = fetch(gw.URL+samplesPath, token)
 			}()
 		}
 		wg.Wait()
 		for i := range k {
 			if errs[i] != nil {
 				t.Fatalf("k=%d, subscriber %d: %v", k, i, errs[i])
+			}
+			if codes[i] != http.StatusOK {
+				t.Fatalf("k=%d, subscriber %d: status %d: %s", k, i, codes[i], bodies[i])
 			}
 			if !bytes.Equal(bodies[i], direct) {
 				t.Fatalf("k=%d, subscriber %d: %d bytes, direct %d", k, i, len(bodies[i]), len(direct))
@@ -73,24 +76,4 @@ func TestGatewayStreamsPerSubscriber(t *testing.T) {
 			t.Errorf("%d subscribers through one gateway: the home served %d sample streams, want %d", k, got, k)
 		}
 	}
-}
-
-// fetch is get for a goroutine of its own: a bearer GET whose body it
-// returns, or an error for a transport failure or a status other than 200.
-func fetch(url, token string) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err == nil && resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-	}
-	return body, err
 }

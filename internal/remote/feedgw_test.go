@@ -29,21 +29,29 @@ import (
 // get fetches a URL with a bearer token and returns status and body.
 func get(t *testing.T, url, token string) (int, []byte) {
 	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
+	code, body, err := fetch(url, token)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return code, body
+}
+
+// fetch is get without the test: a bearer GET that returns status and
+// body, or an error for a transport failure, so it can run on a
+// goroutine of its own.
+func fetch(url, token string) (int, []byte, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return 0, nil, err
 	}
 	req.Header.Set("Authorization", "Bearer "+token)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
+	return resp.StatusCode, body, err
 }
 
 // decodeFrames decodes a framed binary sample stream into its points.

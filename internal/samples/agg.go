@@ -312,15 +312,14 @@ type LiveSummary struct {
 // integral. Construct with NewStreamSummary.
 type StreamSummary struct {
 	mom   Welford
-	p50   P2Quantile
-	p95   P2Quantile
+	p50   *P2Quantile
+	p95   *P2Quantile
 	integ Trapezoid
 }
 
-// NewStreamSummary returns an empty stream summary: one allocation, the
-// estimators held in it.
+// NewStreamSummary returns an empty stream summary.
 func NewStreamSummary() *StreamSummary {
-	return &StreamSummary{p50: *NewP2Quantile(0.5), p95: *NewP2Quantile(0.95)}
+	return &StreamSummary{p50: NewP2Quantile(0.5), p95: NewP2Quantile(0.95)}
 }
 
 // Add folds one sample into every bundled aggregator: a run of one.
