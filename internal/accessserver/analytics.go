@@ -111,12 +111,11 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, ss *serv
 
 // storedTotal is the summary a build stored of its power trace, when it
 // is the analytics Total of the artifact's bytes: the artifact is the
-// power trace, the build's measurement stored both on this server (a
-// relayed build's bytes and summary are a peer's, and nothing checks
-// the copy), and the summary carries the whole rollup. nil means fold.
+// power trace, and the status trusts the summary as its rollup
+// (api.BuildStatus.StoredRollup). nil means fold.
 func storedTotal(st *api.BuildStatus, artifact string) *api.RunSummary {
-	if artifact != defaultTraceArtifact || st.RoutedVia != "" || st.Summary == nil || !st.Summary.Rollup {
+	if artifact != defaultTraceArtifact {
 		return nil
 	}
-	return st.Summary
+	return st.StoredRollup()
 }

@@ -549,6 +549,18 @@ func (s BuildStatus) Terminal() bool {
 	return false
 }
 
+// StoredRollup is the build's summary when it is the rollup of the
+// power trace this server stored: the summary carries the Rollup mark,
+// and the build was measured here. A relayed build's summary is the
+// peer's account of bytes that were copied, and nothing checks the copy.
+// nil means the trace's figures are to be folded from its bytes.
+func (s BuildStatus) StoredRollup() *RunSummary {
+	if s.RoutedVia != "" || s.Summary == nil || !s.Summary.Rollup {
+		return nil
+	}
+	return s.Summary
+}
+
 // EventFailover is the BuildEvent.Phase of a scheduler failover
 // record: the build's node was lost and the build is being requeued
 // (or failed, once the retry budget is spent). Error carries the

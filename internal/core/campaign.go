@@ -222,7 +222,7 @@ func runOf(i int, ws api.ExperimentSpec, st api.BuildStatus, posted *PhaseChange
 	}
 	switch {
 	case st.State == accessserver.StateSuccess.String():
-		run.Result, run.Err = decodeResult(load, st.Summary)
+		run.Result, run.Err = decodeResult(load, st)
 	case st.State == accessserver.StateAborted.String():
 		run.Err = fmt.Errorf("%w: build %d aborted", ErrCanceled, st.ID)
 	case st.State == api.StateExpired:

@@ -92,7 +92,8 @@ func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 // summary, which counts the live samples the build's feed dropped. The
 // summary's whole-trace fields come from one snapshot of the capture's
 // own streaming summary, the one analytics Total of current.trace, so
-// they are marked as the rollup the analytics route may serve.
+// they are marked as the rollup the analytics route serves and
+// decodeResult takes the energy from.
 func saveRun(b *accessserver.Build, res *Result) error {
 	ws := b.Workspace()
 	for _, a := range []struct {
@@ -177,11 +178,13 @@ func sampleOf(node, device string, pt api.SamplePoint) Sample {
 }
 
 // decodeResult rebuilds a run's Result from what saveRun left on its
-// build: the three binary traces in the workspace, and the summary.
-// load fetches one artifact by name — from the workspace in-process,
-// over HTTP for a remote client — so local and remote results come from
-// the same bytes and the same code.
-func decodeResult(load func(name string) ([]byte, error), sum *api.RunSummary) (*Result, error) {
+// build, as its status st states it: the three binary traces in the
+// workspace, and the summary. load fetches one artifact by name — from
+// the workspace in-process, over HTTP for a remote client — so local and
+// remote results come from the same bytes and the same code. The energy
+// is the stored rollup's (st.StoredRollup) when it counts the samples
+// decoded; otherwise it is folded from them.
+func decodeResult(load func(name string) ([]byte, error), st api.BuildStatus) (*Result, error) {
 	decode := func(name, what string) (*trace.Series, error) {
 		data, err := load(name)
 		if err != nil {
@@ -209,9 +212,13 @@ func decodeResult(load func(name string) ([]byte, error), sum *api.RunSummary) (
 		Current:       current,
 		DeviceCPU:     devCPU,
 		ControllerCPU: ctlCPU,
-		EnergyMAH:     current.EnergyMAH(),
 	}
-	if sum != nil {
+	if r := st.StoredRollup(); r != nil && r.Samples == int64(current.Len()) {
+		res.EnergyMAH = r.EnergyMAH
+	} else {
+		res.EnergyMAH = current.EnergyMAH()
+	}
+	if sum := st.Summary; sum != nil {
 		res.Duration = time.Duration(sum.DurationNS)
 		res.MirrorUploadBytes = sum.MirrorUploadBytes
 	}

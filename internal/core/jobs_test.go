@@ -384,7 +384,7 @@ func sameSeries(t *testing.T, what string, got, want *trace.Series) {
 // TestDecodedResultMatchesRun is the differential test of a build's
 // artifacts: for every registered workload, the Result a run hands to
 // start's onDone and the one decodeResult rebuilds from that build's
-// workspace and summary are equal field by field, bit for bit. A
+// workspace and status are equal field by field, bit for bit. A
 // remote, campaign or routed result is decoded this way, so it is the
 // run's own.
 func TestDecodedResultMatchesRun(t *testing.T) {
@@ -422,7 +422,7 @@ func TestDecodedResultMatchesRun(t *testing.T) {
 			if b.State() != accessserver.StateSuccess || ran == nil {
 				t.Fatalf("state = %v err = %v log:\n%s", b.State(), b.Err(), b.Log())
 			}
-			got, err := decodeResult(b.Workspace().Load, b.Summary)
+			got, err := decodeResult(b.Workspace().Load, b.Status())
 			if err != nil {
 				t.Fatal(err)
 			}

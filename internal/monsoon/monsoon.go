@@ -189,10 +189,10 @@ func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 		buf := run.buf[:min(n, cap(run.buf))]
 		run.src.ReadMA(first, run.period, buf)
 		over := 0
-		now := first
+		now := first.UnixNano() // the tick's instant, stepped as an integer
 		for j, i := range buf {
 			// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
-			m.noise.AtInto(run.adc, "adc", now.UnixNano())
+			m.noise.AtInto(run.adc, "adc", now)
 			i += run.adc.Normal(0, 1.2)
 			if i < 0 {
 				i = 0
@@ -202,7 +202,7 @@ func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 				over++
 			}
 			buf[j] = float64(int64(i*10+0.5)) / 10
-			now = now.Add(run.period)
+			now += int64(run.period)
 		}
 
 		m.mu.Lock()
@@ -216,7 +216,7 @@ func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 		}
 		m.overcurrent += over
 		m.mu.Unlock()
-		first, n = now, n-len(buf)
+		first, n = first.Add(time.Duration(len(buf))*run.period), n-len(buf)
 	}
 }
 
@@ -241,14 +241,13 @@ func (m *Monsoon) stopLocked() {
 
 // LiveSummary reports the streaming summary of the in-flight sampling
 // run — running mean/std/min/max, P50/P95 estimates and charge integral
-// over every sample captured so far. The moments and the integral fold
-// each run of samples as one run when it is appended, so on a virtual
-// clock the summary moves in steps of a run (the ticks of one clock
-// event, at most samples.ChunkLen per append), never partway through
-// one; the P² quantiles fold the samples captured since the previous
-// read, a chunk's stretch per call (see trace.Series.Live), so each
-// sample is folded once however often progress UIs and session observers
-// read.
+// over every sample captured so far. Samples are appended a run at a
+// time (the ticks of one clock event, at most samples.ChunkLen per
+// append), so on a virtual clock the summary moves in steps of a run,
+// never partway through one. The read folds the samples captured since
+// the previous read, a chunk's stretch per call (see trace.Series.Live),
+// so each sample is folded once however often progress UIs and session
+// observers read.
 func (m *Monsoon) LiveSummary() (samples.LiveSummary, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

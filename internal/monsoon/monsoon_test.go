@@ -451,8 +451,9 @@ func TestSamplingRacesWriters(t *testing.T) {
 		},
 	}
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
 	runs := make([]atomic.Int64, len(writers))
+	started.Add(len(writers))
 	for k, w := range writers {
 		wg.Add(1)
 		go func() {
@@ -464,11 +465,17 @@ func TestSamplingRacesWriters(t *testing.T) {
 				default:
 				}
 				w(i)
-				runs[k].Add(1)
+				if runs[k].Add(1) == 1 {
+					started.Done()
+				}
 				runtime.Gosched()
 			}
 		}()
 	}
+	// Every writer has run once, with sampling started, before the clock
+	// moves: whether one also gets a turn within the 1 000 steps is up to
+	// the scheduler of a loaded host.
+	started.Wait()
 	for i := 0; i < 1000; i++ {
 		clk.Advance(time.Millisecond)
 		runtime.Gosched()

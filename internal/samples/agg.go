@@ -328,25 +328,12 @@ func (ss *StreamSummary) Add(tNanos int64, v float64) {
 }
 
 // AddRun folds a run of samples, t[i] paired with v[i], into every
-// bundled aggregator.
+// bundled aggregator. A caller may fold a stream later than it arrives
+// (trace.Series does, when its summary is read): the snapshot depends
+// only on the values and their order, not on how they were cut into runs.
 func (ss *StreamSummary) AddRun(t []int64, v []float64) {
-	ss.AddMomentsRun(t, v)
-	ss.AddQuantilesRun(v)
-}
-
-// AddMomentsRun folds a run into the Welford moments and the integral
-// only. A caller that folds the quantiles later (trace.Series, when they
-// are read) must pass AddQuantilesRun the same values in the same order
-// before Snapshot, in runs of any length; the aggregators are
-// independent, so the snapshot is then bit for bit AddRun's.
-func (ss *StreamSummary) AddMomentsRun(t []int64, v []float64) {
 	ss.mom.ObserveRun(v)
 	ss.integ.AddRun(t, v)
-}
-
-// AddQuantilesRun folds a run into the P50/P95 estimators only; see
-// AddMomentsRun.
-func (ss *StreamSummary) AddQuantilesRun(v []float64) {
 	ss.p50.ObserveRun(v)
 	ss.p95.ObserveRun(v)
 }

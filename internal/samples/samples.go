@@ -100,23 +100,6 @@ func (s *Series) Append(tNanos int64, v float64) {
 	s.n++
 }
 
-// AppendColumns adds the samples t[i], v[i] in order: what Append would
-// store for each in turn, copied into the chunk columns a chunk's room
-// at a time. t and v must be of one length.
-func (s *Series) AppendColumns(t []int64, v []float64) {
-	if len(t) != len(v) {
-		panic("samples: AppendColumns columns of unequal length")
-	}
-	for len(v) > 0 {
-		c := s.tail()
-		n := min(ChunkLen-len(c.v), len(v))
-		c.t = append(c.t, t[:n]...)
-		c.v = append(c.v, v[:n]...)
-		s.n += n
-		t, v = t[n:], v[n:]
-	}
-}
-
 // AppendRun adds a run of samples taken every step from first: vs[i] at
 // first + i·step, the timestamp found by adding step to the previous
 // one. It stores what Append would for each in turn.
@@ -124,14 +107,34 @@ func (s *Series) AppendRun(first, step int64, vs []float64) {
 	for len(vs) > 0 {
 		c := s.tail()
 		n := min(ChunkLen-len(c.v), len(vs))
-		for range n {
-			c.t = append(c.t, first)
+		ts := c.t[len(c.t) : len(c.t)+n]
+		for i := range ts {
+			ts[i] = first
 			first += step
 		}
+		c.t = c.t[:len(c.t)+n]
 		c.v = append(c.v, vs[:n]...)
 		s.n += n
 		vs = vs[n:]
 	}
+}
+
+// Grow returns the free columns of the tail chunk, sealing a full one
+// first: room for 1 to ChunkLen samples, for a caller that writes them in
+// place (a decoder) and then stores them with Commit. A series filled a
+// whole ChunkLen run at a time from empty gets a whole run's room every
+// time.
+func (s *Series) Grow() (t []int64, v []float64) {
+	c := s.tail()
+	return c.t[len(c.t):ChunkLen], c.v[len(c.v):ChunkLen]
+}
+
+// Commit stores the first n samples written into the columns Grow
+// returned: what Append would store for each in turn.
+func (s *Series) Commit(n int) {
+	c := s.chunks[len(s.chunks)-1]
+	c.t, c.v = c.t[:len(c.t)+n], c.v[:len(c.v)+n]
+	s.n += n
 }
 
 // tail returns the chunk the next sample goes in, sealing a full one.

@@ -46,6 +46,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"batterylab/internal/samples"
@@ -145,20 +146,63 @@ type v2Encoder struct {
 
 // appendChunk appends one version 2 chunk (at most samples.ChunkLen
 // samples): its length, the timestamp column as delta-of-delta, then
-// the value column XORed against the previous value.
+// the value column XORed against the previous value. dst is grown once
+// to hold the chunk's longest encoding, and each varint is written into
+// it in place: a one-byte timestamp as a byte, any other varint of up to
+// 56 bits with one 8-byte store (uvarintWord), a longer one through
+// binary.PutUvarint. An 8-byte store needs 8 bytes of room whatever the
+// varint's length; the bytes past its end are overwritten by the next
+// one or cut off.
 func (e *v2Encoder) appendChunk(dst []byte, offs []int64, vals []float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(offs)))
+	p := len(dst)
+	dst = slices.Grow(dst, 2*binary.MaxVarintLen64*len(offs))
+	buf := dst[:cap(dst)]
+	prevT, prevDelta := e.prevT, e.prevDelta
 	for _, off := range offs {
-		delta := off - e.prevT
-		dst = binary.AppendVarint(dst, delta-e.prevDelta)
-		e.prevT, e.prevDelta = off, delta
+		delta := off - prevT
+		dod := delta - prevDelta
+		prevT, prevDelta = off, delta
+		switch x := uint64(dod<<1) ^ uint64(dod>>63); { // zigzag, as binary.AppendVarint
+		case x < 0x80: // a steady sampling period
+			buf[p] = byte(x)
+			p++
+		case x < 1<<56:
+			w, n := uvarintWord(x)
+			binary.LittleEndian.PutUint64(buf[p:], w)
+			p += n
+		default:
+			p += binary.PutUvarint(buf[p:], x)
+		}
 	}
+	prev := e.prevBits
 	for _, v := range vals {
 		bits := math.Float64bits(v)
-		dst = binary.AppendUvarint(dst, bits^e.prevBits)
-		e.prevBits = bits
+		if x := bits ^ prev; x < 1<<56 {
+			w, n := uvarintWord(x)
+			binary.LittleEndian.PutUint64(buf[p:], w)
+			p += n
+		} else {
+			p += binary.PutUvarint(buf[p:], x)
+		}
+		prev = bits
 	}
-	return dst
+	e.prevT, e.prevDelta, e.prevBits = prevT, prevDelta, prev
+	return buf[:p]
+}
+
+// uvarintWord returns the uvarint of x < 2⁵⁶, byte for byte what
+// binary.PutUvarint writes, as the eight bytes a little-endian store of
+// the word puts down (zeros past its end), and its length in bytes: the
+// inverse of uvarint8. Three mask-and-shift steps spread x's 7-bit
+// groups a byte apart, and every byte ahead of the last gets its
+// continuation bit.
+func uvarintWord(x uint64) (uint64, int) {
+	w := x&0x000000000fffffff | (x&0x00fffffff0000000)<<4
+	w = w&0x00003fff00003fff | (w&0x0fffc0000fffc000)<<2
+	w = w&0x007f007f007f007f | (w&0x3f803f803f803f80)<<1
+	n := max(1, (bits.Len64(w)+7)/8)
+	return w | 0x8080808080808080&(1<<(8*n-8)-1), n
 }
 
 // Header is what a binary trace states ahead of its samples.
@@ -309,7 +353,8 @@ func (d *Decoder) Start() time.Time {
 
 // Next decodes the next run into offs and vals and returns its length;
 // 0 with a nil error is the end of the trace. The columns must hold
-// min(Count, samples.ChunkLen) samples, a version 2 chunk's most.
+// min(Count − the samples read, samples.ChunkLen) samples, a version 2
+// chunk's most.
 func (d *Decoder) Next(offs []int64, vals []float64) (int, error) {
 	switch {
 	case d.read < d.h.Count && d.h.Version == BinaryV1:
@@ -457,31 +502,48 @@ func ReadBinary(r io.Reader) (*Series, error) {
 
 // DecodeBinary is ReadBinary for a caller that holds the encoded bytes
 // already (a fetched artifact). It only reads data and keeps none of it.
-// The samples are decoded a chunk at a time into one chunk's worth of
-// columns, and each chunk is stored and folded into the summary as a run.
+// The samples are decoded a chunk at a time straight into the free
+// columns of the series' tail chunk (samples.Series.Grow), and nothing
+// is folded until the summary is read. A version 2 chunk that does not
+// fit the room left — one cut across this package's chunk boundaries,
+// which neither encoder here writes — is decoded aside and appended a
+// sample at a time.
 func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	s := NewSeries(string(h.Name), string(h.Unit))
-	n := min(h.Count, samples.ChunkLen)
-	offs, vals := make([]int64, n), make([]float64, n)
 	d := h.Decoder(payload)
-	for {
-		k, err := d.Next(offs, vals)
+	var asideT []int64
+	var asideV []float64
+	for s.data.Len() < h.Count {
+		offs, vals := s.data.Grow()
+		if len(offs) >= min(samples.ChunkLen, h.Count-s.data.Len()) {
+			k, err := d.Next(offs, vals)
+			if err != nil {
+				return nil, err
+			}
+			s.data.Commit(k)
+			continue
+		}
+		if asideT == nil {
+			asideT, asideV = make([]int64, samples.ChunkLen), make([]float64, samples.ChunkLen)
+		}
+		k, err := d.Next(asideT, asideV)
 		if err != nil {
 			return nil, err
 		}
-		if k == 0 {
-			break
+		for i := range k {
+			s.data.Append(asideT[i], asideV[i])
 		}
-		from := s.data.Len()
-		s.data.AppendColumns(offs[:k], vals[:k])
-		s.foldMoments(from)
+	}
+	if _, err := d.Next(nil, nil); err != nil { // bytes past the last sample
+		return nil, err
 	}
 	if h.Count > 0 {
 		s.epoch, s.hasEpoch = d.Start(), true
+		s.lastOff = s.data.T(h.Count - 1)
 	}
 	return s, nil
 }

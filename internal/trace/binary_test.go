@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -267,10 +268,72 @@ func TestBinaryRejectsHostileHeaders(t *testing.T) {
 	}
 }
 
+// appendChunkRef is the version 2 chunk body appendChunk replaced, kept
+// as its reference: every varint through binary.AppendVarint or
+// binary.AppendUvarint.
+func (e *v2Encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(offs)))
+	for _, off := range offs {
+		delta := off - e.prevT
+		dst = binary.AppendVarint(dst, delta-e.prevDelta)
+		e.prevT, e.prevDelta = off, delta
+	}
+	for _, v := range vals {
+		bits := math.Float64bits(v)
+		dst = binary.AppendUvarint(dst, bits^e.prevBits)
+		e.prevBits = bits
+	}
+	return dst
+}
+
+// encodeRef is the version 2 encoding of s through appendChunkRef.
+func encodeRef(s *Series) []byte {
+	raw := appendHeader(nil, BinaryV2, s.name, s.unit, s.epoch, s.Len())
+	var enc v2Encoder
+	s.data.Chunks(0, func(offs []int64, vals []float64) bool {
+		raw = enc.appendChunkRef(raw, offs, vals)
+		return true
+	})
+	return raw
+}
+
+// chunkedTrace is a version 2 trace of offs and vals, written by
+// appendChunkRef in chunks of the given lengths, however they fall
+// against samples.ChunkLen.
+func chunkedTrace(offs []int64, vals []float64, lens ...int) []byte {
+	raw := appendHeader(nil, BinaryV2, "current", "mA", t0, len(offs))
+	var enc v2Encoder
+	for _, n := range lens {
+		raw = enc.appendChunkRef(raw, offs[:n], vals[:n])
+		offs, vals = offs[n:], vals[n:]
+	}
+	return raw
+}
+
+// TestUvarintWordMatches: the word the encoder stores puts down the
+// bytes binary.PutUvarint writes, on both sides of every length boundary
+// up to the 2⁵⁶ where the encoder calls binary.PutUvarint itself.
+func TestUvarintWordMatches(t *testing.T) {
+	for k := range 57 {
+		for _, x := range []uint64{1<<k - 1, 1 << k, 1<<k + 1, 1<<k | 0x5555555555555555>>(64-max(k, 1))} {
+			if x >= 1<<56 {
+				continue
+			}
+			w, n := uvarintWord(x)
+			got := binary.LittleEndian.AppendUint64(nil, w)
+			want := binary.AppendUvarint(nil, x)
+			if !bytes.Equal(got[:n], want) || n < 8 && binary.LittleEndian.Uint64(got)>>(8*n) != 0 {
+				t.Fatalf("%#x: word % x of %d bytes, binary.PutUvarint % x", x, got, n, want)
+			}
+		}
+	}
+}
+
 // FuzzReadBinary feeds the decoder arbitrary bytes as either version.
 // It must not panic or size anything from a stated length; what it
 // accepts is an ordered series of exactly the stated count that both
-// encoders write back to something that decodes bit-identically.
+// encoders write back to something that decodes bit-identically, and
+// that the version 2 encoder writes byte for byte as appendChunkRef does.
 func FuzzReadBinary(f *testing.F) {
 	short := mk(1.5, -2.25, math.Inf(1), 1.5, 1.5)
 	for _, version := range []int{BinaryV1, BinaryV2} {
@@ -282,6 +345,18 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()-3])
 	}
 	f.Add([]byte("BLTRC\x02\x00\x00\x00\x00\x02\x02\x01\x7f\x00\x00"))
+	// Written by the reference encoder, not the one under test: value
+	// XORs of 2⁵⁶ − 1 (the widest in-place store), 2⁵⁶ and more;
+	// delta-of-deltas of 64, -65 (two zigzag bytes) and past 2⁵⁵; and
+	// one-sample chunks, which land across the decoder's chunk boundaries.
+	xors := []uint64{1<<56 - 1, 1 << 56, 1<<63 | 1}
+	vals := make([]float64, len(xors)+1)
+	for i, x := range xors {
+		vals[i+1] = math.Float64frombits(math.Float64bits(vals[i]) ^ x)
+	}
+	f.Add(chunkedTrace([]int64{0, 1, 2, 3}, vals, 4))
+	f.Add(chunkedTrace([]int64{0, 1, 66, 66, 1 << 57}, []float64{1, 2, 3, 4, 5}, 5))
+	f.Add(chunkedTrace([]int64{0, 5, 10, 15}, []float64{1, 2, 3, 4}, 1, 2, 1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := ReadBinary(bytes.NewReader(raw))
 		if err != nil {
@@ -307,7 +382,62 @@ func FuzzReadBinary(f *testing.F) {
 			}
 			assertBitIdentical(t, again, s)
 		}
+		var got bytes.Buffer
+		if err := s.WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeRef(s); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("encoder wrote %d bytes, appendChunkRef %d, or they differ", got.Len(), len(want))
+		}
 	})
+}
+
+// TestDecodeAcrossChunkBoundaries: chunks cut anywhere against
+// samples.ChunkLen — one sample, a chunk's worth straddling a boundary —
+// decode to the samples they state, and the decoded series stores them
+// in whole chunks as appending them would.
+func TestDecodeAcrossChunkBoundaries(t *testing.T) {
+	want := quantizedCapture(2*samples.ChunkLen + 3)
+	var offs []int64
+	var vals []float64
+	want.Samples().Iter(func(off int64, v float64) bool {
+		offs, vals = append(offs, off), append(vals, v)
+		return true
+	})
+	got, err := DecodeBinary(chunkedTrace(offs, vals, 1, samples.ChunkLen, samples.ChunkLen-1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, got, want)
+	if !reflect.DeepEqual(got.Samples(), want.Samples()) {
+		t.Fatal("decoded chunks differ from appended ones")
+	}
+	if got.Duration() != want.Duration() || got.EnergyMAH() != want.EnergyMAH() {
+		t.Fatalf("decoded %v, %v mAh; appended %v, %v mAh", got.Duration(), got.EnergyMAH(), want.Duration(), want.EnergyMAH())
+	}
+}
+
+// TestDecodeFoldsOnRead: a decoded trace's summary is folded when it is
+// first read, not while decoding, and then equals the encoded trace's.
+func TestDecodeFoldsOnRead(t *testing.T) {
+	want := quantizedCapture(3*samples.ChunkLen + 5)
+	var buf bytes.Buffer
+	if err := want.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBinary(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.folded != 0 || got.agg.Snapshot().N != 0 {
+		t.Fatalf("decoding folded %d samples (%d in the summary)", got.folded, got.agg.Snapshot().N)
+	}
+	if math.Float64bits(got.EnergyMAH()) != math.Float64bits(want.EnergyMAH()) {
+		t.Fatalf("energy %v mAh, encoded trace's %v", got.EnergyMAH(), want.EnergyMAH())
+	}
+	if got.folded != got.Len() || !sameBits(got.Live(), want.Live()) {
+		t.Fatalf("after a read: %d of %d samples folded; Live %+v, want %+v", got.folded, got.Len(), got.Live(), want.Live())
+	}
 }
 
 // decodeSamplesRef is the per-sample decoder the run decoder replaced,
@@ -495,6 +625,26 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkEncodeBinary encodes 167 499 samples (33.5 s) of quantized
+// 5 kHz capture into a fresh buffer: the bytes saveRun stores of a
+// measurement's current trace. ns/sample divides an op by the sample
+// count.
+func BenchmarkEncodeBinary(b *testing.B) {
+	const count = 167_499
+	s := quantizedCapture(count)
+	var size int
+	b.ReportAllocs()
+	for b.Loop() {
+		var buf bytes.Buffer
+		if err := s.WriteBinary(&buf); err != nil {
+			b.Fatal(err)
+		}
+		size = buf.Len()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
+	b.ReportMetric(float64(size)/count, "bytes/sample")
 }
 
 // BenchmarkDecodeBinary rebuilds a Series from the bytes of 167 499

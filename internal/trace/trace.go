@@ -6,15 +6,13 @@
 //
 // Since the streaming sample pipeline landed, a Series is backed by the
 // chunked columnar store of internal/samples (appends never copy prior
-// samples) and maintains a streaming summary online: an append folds the
-// Welford moments and the trapezoid integral over the run it stored — a
-// capture's clock event, a decoded chunk — in one call, so
-// IntegralSeconds and EnergyMAH are O(1). The P² quantiles are folded
-// when they are read: Summary and Live fold the samples appended since
+// samples) and keeps a streaming summary — Welford moments, trapezoid
+// integral and P² quantiles — that is folded when it is read: Live,
+// Summary, IntegralSeconds and EnergyMAH fold the samples appended since
 // the previous read, in order and a chunk's stretch per call, so each
-// sample is folded once and the estimates are bit for bit those of
-// folding at every append — and a trace nobody asks a quantile of (a
-// decoded one whose summary is never read) folds none.
+// sample is folded once and every figure is bit for bit that of folding
+// at every append. A trace nobody reads a summary of (a decoded one whose
+// energy the stored summary already gave) folds nothing.
 // Series persist to disk in the binary trace format of binary.go, and
 // export as CSV (WriteCSV, the v1 text format).
 //
@@ -49,12 +47,13 @@ type Sample struct {
 
 // Series is an append-only time series of samples with a name and a unit
 // (for example "current" / "mA"). Samples live in fixed-size columnar
-// chunks (timestamps as nanosecond offsets from the first sample), and
-// every append also feeds the moments and the integral, so summaries are
-// ready the moment capture stops. The zero value is not usable; construct
-// with NewSeries. Appends are not safe for concurrent use with anything
-// else; the capture models that share one (the Monsoon) serialize access
-// with their own locks. Reads may run concurrently with each other.
+// chunks (timestamps as nanosecond offsets from the first sample); the
+// streaming summary folds them when it is read, so a capture read
+// between appends (a live view) has folded most of its samples by the
+// time it stops. The zero value is not usable; construct with NewSeries.
+// Appends are not safe for concurrent use with anything else; the
+// capture models that share one (the Monsoon) serialize access with
+// their own locks. Reads may run concurrently with each other.
 type Series struct {
 	name string
 	unit string
@@ -64,8 +63,8 @@ type Series struct {
 	lastOff  int64 // last sample's offset from epoch, nanoseconds
 
 	data *samples.Series
-	// agg has the moments and the integral of every sample, and the
-	// quantiles of the first folded: reading them takes qmu.
+	// agg is the summary of the first folded samples; a read folds the
+	// rest into it under qmu.
 	agg    *samples.StreamSummary
 	qmu    sync.Mutex
 	folded int
@@ -96,9 +95,9 @@ func (s *Series) Append(t time.Time, v float64) error {
 
 // AppendRun adds a run of samples taken every step from first: vs[i] at
 // first + i·step. It stores exactly what Append would for each sample in
-// turn, but checks the order once, for the run's first sample, derives
-// the other offsets by integer addition, and folds the moments over the
-// run in one call. A negative step is out of order.
+// turn, but checks the order once, for the run's first sample, and
+// derives the other offsets by integer addition. A negative step is out
+// of order.
 func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) error {
 	if len(vs) == 0 {
 		return nil
@@ -114,21 +113,9 @@ func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) er
 	if s.data.Len() > 0 && off < s.lastOff {
 		return fmt.Errorf("trace: out-of-order sample at %v (last %v)", first, s.epoch.Add(time.Duration(s.lastOff)))
 	}
-	from := s.data.Len()
 	s.data.AppendRun(off, int64(step), vs)
-	s.foldMoments(from)
-	return nil
-}
-
-// foldMoments folds the moments and the integral over the samples stored
-// from sample from on, reading them back from their chunk columns, and
-// notes the last offset.
-func (s *Series) foldMoments(from int) {
-	s.data.Chunks(from, func(t []int64, v []float64) bool {
-		s.agg.AddMomentsRun(t, v)
-		return true
-	})
 	s.lastOff = s.data.T(s.data.Len() - 1)
+	return nil
 }
 
 // MustAppend is Append for recorders that already guarantee ordering.
@@ -168,14 +155,12 @@ func (s *Series) Duration() time.Duration {
 	return time.Duration(s.lastOff)
 }
 
-// Summary reduces the series to summary statistics from the aggregates
-// maintained during capture. Mean, Std, Min and Max are exact. For
-// series up to one chunk (4096 samples — CPU traces, thinned sweeps)
-// the Median is exact too, from one bounded sort; beyond that it is the
-// P² streaming estimate (see the internal/samples package comment for
-// its error bounds), folded over the samples appended since the last
-// read. For an exact median on a large series, use CDF or
-// stats.SummarizeSeries.
+// Summary reduces the series to summary statistics from its streaming
+// summary. Mean, Std, Min and Max are exact. For series up to one chunk
+// (4096 samples — CPU traces, thinned sweeps) the Median is exact too,
+// from one bounded sort; beyond that it is the P² streaming estimate
+// (see the internal/samples package comment for its error bounds). For
+// an exact median on a large series, use CDF or stats.SummarizeSeries.
 func (s *Series) Summary() stats.Summary {
 	if s.data.Len() <= samples.ChunkLen {
 		return stats.SummarizeSeries(s.data)
@@ -186,13 +171,13 @@ func (s *Series) Summary() stats.Summary {
 // Live reports the streaming summary of the capture so far: running
 // mean/std/min/max, P50/P95 estimates and the time integral. Safe to
 // read between appends, and what session observers receive alongside
-// raw samples. It costs the P² fold of the samples appended since the
+// raw samples. It costs the fold of the samples appended since the
 // previous read: each sample is folded once over all reads.
 func (s *Series) Live() samples.LiveSummary {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	s.data.Chunks(s.folded, func(_ []int64, v []float64) bool {
-		s.agg.AddQuantilesRun(v)
+	s.data.Chunks(s.folded, func(t []int64, v []float64) bool {
+		s.agg.AddRun(t, v)
 		return true
 	})
 	s.folded = s.data.Len()
@@ -204,12 +189,9 @@ func (s *Series) CDF() (*stats.CDF, error) { return stats.NewCDFSeries(s.data) }
 
 // IntegralSeconds reports the series' integral over time using the
 // trapezoid rule, yielding unit·seconds (for a mA series:
-// milliamp-seconds). Computed online during capture; reading it is O(1).
-func (s *Series) IntegralSeconds() float64 {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return s.agg.Snapshot().IntegralSeconds
-}
+// milliamp-seconds). It is the streaming summary's, read as Live reads
+// it.
+func (s *Series) IntegralSeconds() float64 { return s.Live().IntegralSeconds }
 
 // EnergyMAH interprets the series as a current trace in mA and returns
 // the charge drawn in milliamp-hours — the unit of Fig. 3 and Fig. 6.

@@ -356,19 +356,22 @@ func (s *Series) Decimate(k int) *Series {
 	return out
 }
 
-// FuzzSeriesSummary checks the lazy quantiles: a Series folds its P²
-// estimators when Live or Summary is read, so at every read point it
-// must equal, bit for bit, a samples.StreamSummary fed at every append —
-// and Summary what the eager aggregates would give. Each input byte is
-// one step: a Live read, a Summary read, a NaN, a burst of bulk values
-// that crosses chunks, values up to the next chunk boundary (where a
-// fold resumes in a new chunk), or a value built from the byte and the
-// next.
+// FuzzSeriesSummary checks the lazy summary: a Series folds its moments,
+// integral and P² estimators when Live, Summary, IntegralSeconds or
+// EnergyMAH is read, so at every read point it must equal, bit for bit,
+// a samples.StreamSummary fed at every append — and Summary what the
+// eager aggregates would give. Each input byte is one step: a Live read,
+// a Summary read, an IntegralSeconds and EnergyMAH read, a NaN, a burst
+// of bulk values that crosses chunks, values up to the next chunk
+// boundary (where a fold resumes in a new chunk), a round trip through
+// the binary format that carries on with the decoded series (which has
+// folded nothing), or a value built from the byte and the next.
 func FuzzSeriesSummary(f *testing.F) {
 	f.Add([]byte{0, 9, 40, 1, 2, 77, 3, 0, 120, 5, 1}, uint16(5000))
 	f.Add([]byte{3, 0, 3, 1, 8, 8, 0, 3, 2, 1}, uint16(2100))
 	f.Add([]byte{1, 0}, uint16(0))
 	f.Add([]byte{5, 1, 4, 0, 5, 9, 4, 1, 5, 2}, uint16(0))
+	f.Add([]byte{3, 6, 5, 3, 15, 2, 16, 0, 4, 6, 3, 0, 25, 1}, uint16(5000))
 	f.Fuzz(func(t *testing.T, steps []byte, bulk uint16) {
 		const maxLen = 4 * samples.ChunkLen
 		s := NewSeries("current", "mA")
@@ -386,6 +389,29 @@ func FuzzSeriesSummary(f *testing.F) {
 				t.Fatalf("after %d samples: Live %+v, eager %+v", s.Len(), got, want)
 			}
 		}
+		checkIntegral := func() {
+			want := eager.Snapshot().IntegralSeconds
+			if got := s.IntegralSeconds(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("after %d samples: IntegralSeconds %v, eager %v", s.Len(), got, want)
+			}
+			if got := s.EnergyMAH(); math.Float64bits(got) != math.Float64bits(want/3600) {
+				t.Fatalf("after %d samples: EnergyMAH %v, eager %v", s.Len(), got, want/3600)
+			}
+		}
+		decode := func() {
+			var buf bytes.Buffer
+			if err := s.WriteBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			d, err := DecodeBinary(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.folded != 0 {
+				t.Fatalf("decoding %d samples folded %d", d.Len(), d.folded)
+			}
+			s = d
+		}
 		checkSummary := func() {
 			want := stats.SummarizeSeries(s.Samples())
 			if s.Len() > samples.ChunkLen {
@@ -397,7 +423,7 @@ func FuzzSeriesSummary(f *testing.F) {
 		}
 		for i := 0; i < len(steps); i++ {
 			b := steps[i]
-			switch b % 8 {
+			switch b % 10 {
 			case 0:
 				checkLive()
 			case 1:
@@ -407,12 +433,16 @@ func FuzzSeriesSummary(f *testing.F) {
 			case 3, 4:
 				rng := rand.New(rand.NewSource(int64(b)))
 				n := int(bulk) % (2 * samples.ChunkLen)
-				if b%8 == 4 {
+				if b%10 == 4 {
 					n = samples.ChunkLen - s.Len()%samples.ChunkLen
 				}
 				for j := 0; j < n; j++ {
 					add(math.Round(rng.NormFloat64()*400+300) / 10)
 				}
+			case 5:
+				checkIntegral()
+			case 6:
+				decode()
 			default:
 				var next byte
 				if i+1 < len(steps) {
@@ -422,6 +452,7 @@ func FuzzSeriesSummary(f *testing.F) {
 				add(float64(int16(uint16(b)<<8|uint16(next))) / 10)
 			}
 		}
+		checkIntegral()
 		checkLive()
 		checkSummary()
 	})
