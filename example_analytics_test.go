@@ -108,7 +108,7 @@ func Example_analytics() {
 
 	// Output:
 	// build 1 finished: 33499 samples, 2.0557 mAh
-	// rollup: mean 220.92 mA, p50 182.42, p95 262.77, energy 2.0557 mAh (bit-identical: true)
+	// rollup: mean 220.92 mA, p50 183.70, p95 363.60, energy 2.0557 mAh (bit-identical: true)
 	// windowed: 17 buckets of 2s
 	//   [ 0.0s,  2.0s) mean  231.58 mA, energy 0.12860 mAh (2000 samples)
 	//   [ 2.0s,  4.0s) mean  281.93 mA, energy 0.15654 mAh (2000 samples)

@@ -15,6 +15,7 @@ import (
 	"batterylab/internal/analytics"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
+	"batterylab/internal/trace"
 )
 
 // readAll drains and closes a response body.
@@ -247,6 +248,68 @@ func TestAnalyticsStoredTotal(t *testing.T) {
 			if window != "" && (len(res.Buckets) != 4 || *res.Buckets[0].MeanMA != 100 || *res.Buckets[3].MeanMA != 200) {
 				t.Errorf("%s window %q: buckets %+v, want the bytes' four", c.name, window, res.Buckets)
 			}
+		}
+	}
+}
+
+// TestAnalyticsOmitsNonFinite: a trace whose energy overflows float64 (two
+// samples at MaxFloat64 a second apart) is answered, not refused: the miss
+// and the cache hit after it are both 200, with the energy absent and the
+// finite aggregates present.
+func TestAnalyticsOmitsNonFinite(t *testing.T) {
+	tr := trace.NewSeries("current", "mA")
+	for i, v := range []float64{math.Copysign(0, -1), math.MaxFloat64, math.MaxFloat64} {
+		tr.MustAppend(time.Unix(int64(i), 0), v)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if e := tr.EnergyMAH(); !math.IsInf(e, 1) {
+		t.Fatalf("the trace's energy is %v, want +Inf", e)
+	}
+	clk := simclock.NewVirtual()
+	srv := New(clk, Config{Executors: 2})
+	srv.SetSpecBackend(funcBackend(func(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
+		return Constraints{Node: spec.Node, Device: spec.Device}, func(ctx *BuildContext, done func(error)) {
+			ctx.Build.Workspace().Save(defaultTraceArtifact, buf.Bytes())
+			done(nil)
+		}, nil
+	}))
+	if err := srv.RegisterNode(staticNode{name: "node1"}); err != nil {
+		t.Fatal(err)
+	}
+	admin, _ := srv.Users.Add("alice", RoleAdmin)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	b, err := srv.SubmitSpec(admin, api.ExperimentSpec{Node: "node1", Device: "dev1", Workload: api.WorkloadSpec{Name: "overflow"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFeed(t, b, func(_ []api.BuildEvent, closed bool) bool { return closed })
+	if b.State() != StateSuccess {
+		t.Fatalf("build %d: %s (%v)", b.ID, b.State(), b.Err())
+	}
+	for _, cache := range []string{"miss", "hit"} {
+		req, _ := http.NewRequest("GET", fmt.Sprintf("%s/api/v1/builds/%d/analytics", ts.URL, b.ID), nil)
+		req.Header.Set("Authorization", "Bearer "+admin.Token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp.Body)
+		if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != cache {
+			t.Fatalf("%s: status %d, X-Cache %q: %s", cache, resp.StatusCode, resp.Header.Get("X-Cache"), body)
+		}
+		var res api.AnalyticsResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Total.EnergyMAH != nil || bytes.Contains(body, []byte("energy_mah")) {
+			t.Errorf("%s: energy present in %s", cache, body)
+		}
+		if res.Total.MaxMA == nil || *res.Total.MaxMA != math.MaxFloat64 || res.Total.Samples != 3 {
+			t.Errorf("%s: Total %+v, want its 3 samples and MaxFloat64 maximum", cache, res.Total)
 		}
 	}
 }

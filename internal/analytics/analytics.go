@@ -1,30 +1,32 @@
 // Package analytics is the server-side trace query engine: batch
-// windowed aggregates (mean/min/max/P² quantiles/trapezoid energy per
-// time bucket, plus whole-trace rollups) computed over stored binary
+// windowed aggregates (mean/min/max/exact P50 and P95/trapezoid energy
+// per time bucket, plus whole-trace rollups) computed over stored binary
 // traces, so dashboards fetch kilobytes of summaries instead of
 // re-downloading whole artifacts.
 //
-// The engine reuses the capture path's streaming summary
-// (samples.StreamSummary): each time bucket is folded by one, as the
-// whole-trace rollup is, and every row, the Total and each bucket, is
-// rendered through api.NewRunSummary, as a build's stored summary is. A
-// query decodes its trace once, a chunk (samples.ChunkLen samples) at a
-// time, into a small ring of recycled column buffers, and folds each
-// chunk into every aggregator it needs. A build's stored api.RunSummary
-// already holds the whole-trace rollup: a query given that summary
-// renders its Total row from it and folds only the windows (a query with
-// no window folds nothing and only decodes, for the epoch, the span and
-// the checks). Without one, the rollup is folded beside the windows.
-// Each aggregator folds on a goroutine of its own, beside the
-// decode and each other. A query costs one decode, one aggregator call
-// per chunk per aggregator (a window edge inside a chunk cuts it in
-// two), and O(buckets + ring) memory, never a second copy of the trace.
-// The folds shorten a query only while cores are free: with as many
-// queries in flight as cores, they add no speed, only a hand-off per
-// chunk. Each aggregator sees every sample in order, so a folded rollup
-// accumulates exactly the terms the capture-time summary did, in the
-// same order, and its row is bit-identical to the one rendered from the
-// RunSummary stored when the build finished.
+// Each time bucket, and the whole-trace rollup, is summarized by a
+// samples.ExactSummary: the moments and integral the capture's streaming
+// summary folds, folded alike, and the exact quantiles of the values it
+// keeps. Every row, the Total and each bucket, is rendered through
+// api.NewRunSummary, as a build's stored summary is. A query decodes its
+// trace once, a chunk (samples.ChunkLen samples) at a time, into a small
+// ring of recycled column buffers, and folds each chunk into every
+// aggregator it needs. A build's stored api.RunSummary already holds the
+// whole-trace rollup: a query given that summary renders its Total row
+// from it and folds only the windows (a query with no window folds
+// nothing and only decodes, for the epoch, the span and the checks).
+// Without one, the rollup is folded beside the windows. Each aggregator
+// folds on a goroutine of its own, beside the decode and each other. A
+// query costs one decode, one aggregator call per chunk per aggregator (a
+// window edge inside a chunk cuts it in two), a selection per bucket, and
+// memory for the ring, the buckets and the values of the largest bucket;
+// a folded rollup holds one copy of the trace's values besides. The
+// folds shorten a query only while cores are free: with as many queries
+// in flight as cores, they add no speed, only a hand-off per chunk. Each
+// aggregator sees every sample in order, so a folded rollup accumulates
+// exactly the terms the capture-time summary did, in the same order, and
+// selects the quantiles the build stored: its row is bit-identical to
+// the one rendered from the RunSummary stored when the build finished.
 //
 // Results are plain api.AnalyticsResult values; the HTTP layer owns
 // caching (see Cache) and RBAC.
@@ -124,9 +126,9 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 // that is not ErrBadQuery says data is no binary trace.
 //
 // total, when not nil, is the whole-trace summary of exactly these
-// bytes, as api.NewRunSummary renders a capture's: the Total row is
-// rendered from it and the bytes fold only into the windows, or, with
-// no window, into nothing. They are still decoded, and every check
+// bytes, as api.NewRunSummary renders a capture's Series.Whole: the
+// Total row is rendered from it and the bytes fold only into the
+// windows, or, with no window, into nothing. They are still decoded, and every check
 // still holds: the decode finds the epoch and the span, and refuses
 // bytes that are no trace. nil folds the whole-trace rollup too.
 func ComputeBinary(data []byte, q api.AnalyticsQuery, total *api.RunSummary) (*api.AnalyticsResult, error) {
@@ -199,12 +201,12 @@ func checkBuckets(windowNS, durationNS int64) error {
 }
 
 // aggs are one query's aggregators: the whole-trace rollup, either
-// known (a stored summary) or folded (the capture's own stream summary),
-// and, when bucketing was asked for, a Windowed folding the same stream
-// into one stream summary per bucket. The zero aggs folds nothing.
+// known (a stored summary) or folded (an exact summary of every value),
+// and, when bucketing was asked for, a Windowed summarizing the same
+// stream per bucket. The zero aggs folds nothing.
 type aggs struct {
 	known *api.RunSummary
-	total *samples.StreamSummary
+	total *samples.ExactSummary
 	wd    *samples.Windowed
 }
 
@@ -212,7 +214,7 @@ type aggs struct {
 func newAggs(windowNS int64, known *api.RunSummary) aggs {
 	a := aggs{known: known}
 	if known == nil {
-		a.total = samples.NewStreamSummary()
+		a.total = new(samples.ExactSummary)
 	}
 	if windowNS > 0 {
 		a.wd = samples.NewWindowed(windowNS)
@@ -293,9 +295,12 @@ func (a aggs) result(q api.AnalyticsQuery, fields []string, epochNS, durationNS 
 	return res
 }
 
+// ptr is an aggregate as the answer carries it: absent when it is not
+// finite (an empty row's NaN, an energy that overflowed to ±Inf), which
+// no JSON number holds and a zero would misstate.
 func ptr(v float64) *float64 {
-	if math.IsNaN(v) {
-		return nil // JSON has no NaN; absent beats lying with a zero
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil
 	}
 	return &v
 }

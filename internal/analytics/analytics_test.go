@@ -65,9 +65,9 @@ func encodeV2(t testing.TB, tr *trace.Series) []byte {
 
 // TestComputeAgainstBatch is the satellite property test: windowed
 // aggregates must agree with a batch recomputation from the decoded
-// trace — mean and energy to 1e-9 relative, quantiles within the
-// documented P² envelope — and the rollup energy must be bit-identical
-// to the capture-time integral.
+// trace — mean and energy to 1e-9 relative, quantiles exactly, bit for
+// bit — and the rollup energy must be bit-identical to the capture-time
+// integral.
 func TestComputeAgainstBatch(t *testing.T) {
 	tr := makeTrace(7, 40_000)
 	const windowNS = int64(2_500_000_000)
@@ -88,6 +88,15 @@ func TestComputeAgainstBatch(t *testing.T) {
 	}
 	if *res.Total.MinMA != sum.Min || *res.Total.MaxMA != sum.Max {
 		t.Errorf("rollup extremes [%v,%v] vs batch [%v,%v]", *res.Total.MinMA, *res.Total.MaxMA, sum.Min, sum.Max)
+	}
+	var all []float64
+	tr.Samples().Iter(func(_ int64, v float64) bool {
+		all = append(all, v)
+		return true
+	})
+	if p50, p95 := stats.Quantile(all, 0.5), stats.Quantile(all, 0.95); math.Float64bits(*res.Total.P50MA) != math.Float64bits(p50) ||
+		math.Float64bits(*res.Total.P95MA) != math.Float64bits(p95) {
+		t.Errorf("rollup quantiles %v, %v; exact %v, %v", *res.Total.P50MA, *res.Total.P95MA, p50, p95)
 	}
 
 	// Batch recomputation per bucket, straight off the decoded series.
@@ -137,17 +146,8 @@ func TestComputeAgainstBatch(t *testing.T) {
 			p   float64
 			got float64
 		}{{0.5, *b.P50MA}, {0.95, *b.P95MA}} {
-			exact := samples.QuantileSorted(vals, qc.p)
-			bound := 0.05 * (maxV - minV) // documented for n ≥ 1000
-			if int64(len(group)) < 1000 {
-				bound = 0.25 * (maxV - minV) // ragged final bucket
-			}
-			if len(group) <= 5 {
-				if qc.got != exact {
-					t.Errorf("bucket %d p%v small-n %v != %v", k, qc.p, qc.got, exact)
-				}
-			} else if math.Abs(qc.got-exact) > bound+1e-12 {
-				t.Errorf("bucket %d p%v %v vs exact %v exceeds P² bound", k, qc.p, qc.got, exact)
+			if exact := samples.QuantileSorted(vals, qc.p); math.Float64bits(qc.got) != math.Float64bits(exact) {
+				t.Errorf("bucket %d p%v %v, exact %v", k, qc.p, qc.got, exact)
 			}
 		}
 	}
@@ -374,7 +374,7 @@ func sequentialFold(tr *trace.Series, windowNS int64) (func(q api.AnalyticsQuery
 	}
 	a := newAggs(windowNS, nil)
 	tr.Samples().Iter(func(tNanos int64, v float64) bool {
-		a.total.Add(tNanos, v)
+		a.total.AddRun([]int64{tNanos}, []float64{v})
 		if a.wd != nil {
 			a.wd.Add(tNanos, v)
 		}
@@ -545,7 +545,7 @@ func FuzzAnalyticsBytes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := api.NewRunSummary(tr.Live())
+		total := api.NewRunSummary(tr.Whole())
 		stored, err := ComputeBinary(raw, q, &total)
 		if err != nil || !reflect.DeepEqual(stored, want) || !sameBits(stored, want) {
 			t.Fatalf("given its summary, ComputeBinary gives %+v (%v); folding, %+v", stored, err, want)
@@ -595,7 +595,7 @@ func TestStoredTotalFoldsOnlyWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := api.NewRunSummary(tr.Live())
+	total := api.NewRunSummary(tr.Whole())
 	for _, windowNS := range []int64{0, int64(2 * time.Second)} {
 		a := newAggs(windowNS, &total)
 		if folds := a.folds(); a.total != nil || len(folds) != len(newAggs(windowNS, nil).folds())-1 {

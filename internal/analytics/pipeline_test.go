@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"batterylab/internal/api"
+	"batterylab/internal/samples"
 	"batterylab/internal/trace"
 )
 
@@ -66,7 +67,7 @@ func TestComputeBinaryReturnsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := api.NewRunSummary(tr.Live())
+	total := api.NewRunSummary(tr.Whole())
 	window := api.AnalyticsQuery{WindowNS: int64(2 * time.Second)}
 	overflow := fmt.Errorf("%w: window 1000000ns over a 32999800000ns trace makes 33000 buckets (max 20000)", ErrBadQuery)
 	for _, c := range []struct {
@@ -176,17 +177,19 @@ func TestFoldPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// TestRollupAllocationFlat: a rollup-only query allocates the same bytes
-// over a trace eight times as long; the ring is recycled, never sized from
-// the trace. Each size keeps its least of several runs, the ones whose
-// ring the pool still held.
+// TestRollupAllocationFlat: given its stored summary, a rollup-only query
+// allocates the same bytes over a trace eight times as long; the ring is
+// recycled, never sized from the trace. Folding the rollup, it allocates
+// one copy of the values more, in whole columns of samples.ChunkLen, and
+// nothing else that grows. Each size keeps its least of several runs, the
+// ones whose ring the pool still held.
 func TestRollupAllocationFlat(t *testing.T) {
-	least := func(data []byte) uint64 {
+	least := func(data []byte, total *api.RunSummary) uint64 {
 		best := ^uint64(0)
 		for i := 0; i < 10; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := ComputeBinary(data, api.AnalyticsQuery{}, nil); err != nil {
+			if _, err := ComputeBinary(data, api.AnalyticsQuery{}, total); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -194,10 +197,19 @@ func TestRollupAllocationFlat(t *testing.T) {
 		}
 		return best
 	}
-	short, long := encodeV2(t, makeCapture(3, 4)), encodeV2(t, makeCapture(3, 32))
-	if s, l := least(short), least(long); l > s {
-		t.Errorf("a rollup query allocates %d bytes over %d samples, %d over 8× as many",
-			s, 4*5000, l)
+	short, long := makeCapture(3, 4), makeCapture(3, 32)
+	shortTotal, longTotal := api.NewRunSummary(short.Whole()), api.NewRunSummary(long.Whole())
+	shortData, longData := encodeV2(t, short), encodeV2(t, long)
+	if s, l := least(shortData, &shortTotal), least(longData, &longTotal); l > s {
+		t.Errorf("given the summary, a rollup query allocates %d bytes over %d samples, %d over 8× as many",
+			s, short.Len(), l)
+	}
+	cols := func(n int) uint64 { return uint64(n+samples.ChunkLen-1) / samples.ChunkLen }
+	values := 8 * samples.ChunkLen * (cols(long.Len()) - cols(short.Len()))
+	const headers = 4096 // the growing slice of column headers
+	if s, l := least(shortData, nil), least(longData, nil); l > s+values+headers {
+		t.Errorf("folding, a rollup query allocates %d bytes over %d samples, %d over 8× as many: %d more than the %d bytes of the values' columns",
+			s, short.Len(), l, l-s-values, values)
 	}
 }
 

@@ -337,12 +337,15 @@ type NodeDetail struct {
 // durations are nanoseconds for lossless round-trips.
 //
 // Its whole-trace fields (Samples through EnergyMAH, MinMA, MaxMA and
-// NaNs) are the capture's own streaming summary of the stored power
-// trace, as NewRunSummary renders it: the analytics Total row of that
-// trace, which the server answers from here instead of folding the
-// trace again. Rollup marks a summary whose whole-trace fields are all
-// there; one without it (written before MinMA, MaxMA and NaNs existed,
-// or set by hand) is not served as a Total.
+// NaNs) summarize the stored power trace, as NewRunSummary renders
+// trace.Series.Whole: the capture's own streaming moments, extremes and
+// energy, and P50MA and P95MA the exact quantiles of its values
+// (stats.Quantile's). That is the analytics Total row of the trace,
+// which the server answers from here instead of folding the trace again.
+// A summary stored before the quantiles were exact keeps the P² estimates
+// it was stored with and is served as it is. Rollup marks a summary whose
+// whole-trace fields are all there; one without it (written before
+// MinMA, MaxMA and NaNs existed, or set by hand) is not served as a Total.
 type RunSummary struct {
 	// Samples counts every sample of the trace, NaNs included.
 	Samples            int64   `json:"samples"`
@@ -413,10 +416,11 @@ type AnalyticsQuery struct {
 
 // AnalyticsBucket is one time bucket (or the whole-trace rollup) of
 // server-side aggregates over a stored trace. Aggregate fields are
-// pointers so unrequested fields — and statistics of a bucket whose
-// every sample was invalid — are absent rather than zero or NaN (JSON
-// has no NaN). Quantiles are P² streaming estimates, exact for ≤ 5
-// samples; see internal/samples for the error envelope beyond that.
+// pointers so unrequested fields — statistics of a bucket whose every
+// sample was invalid, and any that is not finite — are absent rather
+// than zero, NaN or ±Inf (JSON has none of those). Quantiles are exact
+// order statistics (stats.Quantile's), except a rollup rendered from a
+// summary stored with P² estimates (see RunSummary).
 // Energy integrates only within-bucket sample pairs, so bucket
 // energies sum to slightly less than the rollup's exact whole-trace
 // integral (boundary-straddling spans belong to neither bucket).

@@ -112,7 +112,7 @@ func saveRun(b *accessserver.Build, res *Result) error {
 	}
 	ws.SaveView(ArtifactCurrentCSV, ArtifactCurrentTrace, renderCSV)
 	_, droppedSamples := b.Feed().Dropped()
-	sum := api.NewRunSummary(res.Current.Live())
+	sum := api.NewRunSummary(res.Current.Whole())
 	sum.DurationNS = int64(res.Duration)
 	sum.MirrorUploadBytes = res.MirrorUploadBytes
 	sum.DroppedLiveSamples = droppedSamples

@@ -24,6 +24,7 @@ import (
 	"batterylab/internal/browser"
 	"batterylab/internal/device"
 	"batterylab/internal/samples"
+	"batterylab/internal/stats"
 	"batterylab/internal/trace"
 	"batterylab/internal/video"
 )
@@ -554,6 +555,48 @@ func TestStoredSummaryIsTheRollup(t *testing.T) {
 				t.Errorf("window %d, summary %s: given the summary\n %s\nfolding\n %s", windowNS, path, gotJSON, foldJSON)
 			}
 		}
+	}
+}
+
+// TestStoredQuantilesAreExact pins the P50 and P95 saveRun stores for a
+// 5 kHz browser run to stats.Quantile of the stored trace's values, bit
+// for bit, and every other whole-trace figure to the capture's own
+// streaming summary.
+func TestStoredQuantilesAreExact(t *testing.T) {
+	b, res := capture5kHz(t)
+	sum := b.Status().Summary
+	data, err := b.Workspace().Load(ArtifactCurrentTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := trace.DecodeBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []float64
+	stored.Samples().Iter(func(_ int64, v float64) bool {
+		if !math.IsNaN(v) {
+			vals = append(vals, v)
+		}
+		return true
+	})
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"P50MA", sum.P50MA, stats.Quantile(vals, 0.5)},
+		{"P95MA", sum.P95MA, stats.Quantile(vals, 0.95)},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("stored %s %v, stats.Quantile of the stored trace %v", c.name, c.got, c.want)
+		}
+	}
+	live := api.NewRunSummary(res.Current.Live())
+	live.P50MA, live.P95MA = sum.P50MA, sum.P95MA
+	live.DurationNS, live.MirrorUploadBytes, live.DroppedLiveSamples, live.Rollup = sum.DurationNS, sum.MirrorUploadBytes, sum.DroppedLiveSamples, true
+	if !reflect.DeepEqual(*sum, live) || math.Float64bits(sum.MeanMA) != math.Float64bits(live.MeanMA) ||
+		math.Float64bits(sum.EnergyMAH) != math.Float64bits(live.EnergyMAH) {
+		t.Errorf("stored summary %+v; beside its quantiles, the capture's stream summary is %+v", *sum, live)
 	}
 }
 

@@ -235,20 +235,8 @@ func (e *P2Quantile) Value() float64 {
 // P2Quantile's small-n exact path agrees with the batch API bit for
 // bit.
 func QuantileSorted(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	a, b, frac := quantileRanks(len(sorted), p)
+	return interpolate(sorted[a], sorted[b], a == b, frac)
 }
 
 // Trapezoid integrates a timestamped series over time with the
@@ -297,8 +285,10 @@ type LiveSummary struct {
 	Mean, Std float64
 	// Min and Max are exact running extremes.
 	Min, Max float64
-	// P50 and P95 are P² streaming quantile estimates (exact for N ≤ 5;
-	// see the package comment for bounds beyond that). NaN when N = 0.
+	// P50 and P95 are, in a StreamSummary's snapshot, P² streaming
+	// estimates (exact for N ≤ 5; see the package comment for bounds
+	// beyond that), and exact in an ExactSummary's or after Exact. NaN
+	// when N = 0.
 	P50, P95 float64
 	// IntegralSeconds is the running trapezoidal time integral
 	// (unit·seconds; for a mA series, milliamp-seconds).
@@ -340,15 +330,82 @@ func (ss *StreamSummary) AddRun(t []int64, v []float64) {
 
 // Snapshot reports the live summary of everything added so far.
 func (ss *StreamSummary) Snapshot() LiveSummary {
+	return summarize(&ss.mom, &ss.integ, ss.p50.Value(), ss.p95.Value())
+}
+
+// summarize renders folded moments, an integral and two quantiles as a
+// LiveSummary.
+func summarize(mom *Welford, integ *Trapezoid, p50, p95 float64) LiveSummary {
 	return LiveSummary{
-		N:               int(ss.mom.N()),
-		Mean:            ss.mom.Mean(),
-		Std:             ss.mom.Std(),
-		Min:             ss.mom.Min(),
-		Max:             ss.mom.Max(),
-		P50:             ss.p50.Value(),
-		P95:             ss.p95.Value(),
-		IntegralSeconds: ss.integ.IntegralSeconds(),
-		NaNs:            int(ss.mom.NaNs()),
+		N:               int(mom.N()),
+		Mean:            mom.Mean(),
+		Std:             mom.Std(),
+		Min:             mom.Min(),
+		Max:             mom.Max(),
+		P50:             p50,
+		P95:             p95,
+		IntegralSeconds: integ.IntegralSeconds(),
+		NaNs:            int(mom.NaNs()),
 	}
+}
+
+// Exact returns ls with its P50 and P95 the exact quantiles of the values
+// it summarizes (SelectQuantiles), which cols hold, NaNs included or not:
+// its Min and Max must be theirs.
+func (ls LiveSummary) Exact(cols ...[]float64) LiveSummary {
+	var q [2]float64
+	SelectQuantiles(q[:], []float64{0.5, 0.95}, ls.Min, ls.Max, cols...)
+	ls.P50, ls.P95 = q[0], q[1]
+	return ls
+}
+
+// ExactSummary is the summary of a sample set held whole: the moments,
+// extremes and integral a StreamSummary folds, folded alike, bit for
+// bit, and every value kept, so that its P50 and P95 are exact order
+// statistics (LiveSummary.Exact) rather than P² estimates. It costs the
+// values' memory, kept in columns of ChunkLen as a Series keeps them, so
+// that holding more never copies what is held. The zero value is empty
+// and ready to use.
+type ExactSummary struct {
+	mom   Welford
+	integ Trapezoid
+	// vals holds the values in full columns and a last one filling up;
+	// spare holds columns a Reset emptied, to fill again.
+	vals, spare [][]float64
+}
+
+// AddRun folds a run of samples, t[i] paired with v[i], and keeps their
+// values.
+func (es *ExactSummary) AddRun(t []int64, v []float64) {
+	es.mom.ObserveRun(v)
+	es.integ.AddRun(t, v)
+	for len(v) > 0 {
+		k := len(es.vals) - 1
+		if k < 0 || len(es.vals[k]) == ChunkLen {
+			var col []float64
+			if n := len(es.spare); n > 0 {
+				col, es.spare = es.spare[n-1], es.spare[:n-1]
+			} else {
+				col = make([]float64, 0, ChunkLen)
+			}
+			es.vals, k = append(es.vals, col), k+1
+		}
+		n := min(ChunkLen-len(es.vals[k]), len(v))
+		es.vals[k] = append(es.vals[k], v[:n]...)
+		v = v[n:]
+	}
+}
+
+// Snapshot reports the summary of everything added so far. It reorders
+// nothing, so adding may go on.
+func (es *ExactSummary) Snapshot() LiveSummary {
+	return summarize(&es.mom, &es.integ, 0, 0).Exact(es.vals...)
+}
+
+// Reset empties the summary and keeps the memory its values took.
+func (es *ExactSummary) Reset() {
+	for _, col := range es.vals {
+		es.spare = append(es.spare, col[:0])
+	}
+	*es = ExactSummary{vals: es.vals[:0], spare: es.spare}
 }

@@ -1,0 +1,269 @@
+package samples
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// nonNaN copies the values of cols that are not NaN.
+func nonNaN(cols [][]float64) []float64 {
+	var vs []float64
+	for _, c := range cols {
+		for _, v := range c {
+			if !math.IsNaN(v) {
+				vs = append(vs, v)
+			}
+		}
+	}
+	return vs
+}
+
+// sortedQuantiles is SelectQuantiles' reference: the non-NaN values
+// copied and sorted, −0 before +0, and QuantileSorted read off them.
+func sortedQuantiles(ps []float64, cols [][]float64) []float64 {
+	vs := nonNaN(cols)
+	// The total order of IEEE 754: flipping the bits of a negative
+	// float's word and the sign of a positive one's sorts the words as
+	// unsigned integers.
+	key := func(v float64) uint64 {
+		b := math.Float64bits(v)
+		if b>>63 != 0 {
+			return ^b
+		}
+		return b | 1<<63
+	}
+	slices.SortFunc(vs, func(a, b float64) int {
+		ka, kb := key(a), key(b)
+		switch {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
+		}
+		return 0
+	})
+	q := make([]float64, len(ps))
+	for i, p := range ps {
+		q[i] = math.NaN()
+		if len(vs) > 0 {
+			q[i] = QuantileSorted(vs, p)
+		}
+	}
+	return q
+}
+
+// statsQuantiles is stats.Quantile of each p: the non-NaN values sorted
+// by sort.Float64s, as the batch API does.
+func statsQuantiles(ps []float64, cols [][]float64) []float64 {
+	vs := nonNaN(cols)
+	sort.Float64s(vs)
+	q := make([]float64, len(ps))
+	for i, p := range ps {
+		q[i] = QuantileSorted(vs, p)
+	}
+	return q
+}
+
+// mixesZeros reports whether cols hold both a +0 and a −0.
+func mixesZeros(cols [][]float64) bool {
+	var pos, neg bool
+	for _, c := range cols {
+		for _, v := range c {
+			if v == 0 {
+				pos, neg = pos || !math.Signbit(v), neg || math.Signbit(v)
+			}
+		}
+	}
+	return pos && neg
+}
+
+// checkSelect holds SelectQuantiles over cols, with the extremes a
+// Welford of them reports, to the sort reference by bits, and to
+// stats.Quantile's answer too where zeros of both signs do not meet. The
+// columns must come back as they went in.
+func checkSelect(t *testing.T, ps []float64, cols [][]float64) {
+	t.Helper()
+	var w Welford
+	before := make([][]float64, len(cols))
+	for i, c := range cols {
+		w.ObserveRun(c)
+		before[i] = slices.Clone(c)
+	}
+	got := make([]float64, len(ps))
+	SelectQuantiles(got, ps, w.Min(), w.Max(), cols...)
+	want := sortedQuantiles(ps, cols)
+	for i := range ps {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%d values in %d columns, p %v: selected %v (%#x), sorted %v (%#x)",
+				w.N(), len(cols), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	if w.N() > 0 && !mixesZeros(cols) {
+		for i, q := range statsQuantiles(ps, cols) {
+			if math.Float64bits(got[i]) != math.Float64bits(q) {
+				t.Fatalf("%d values, p %v: selected %v, stats.Quantile %v", w.N(), ps[i], got[i], q)
+			}
+		}
+	}
+	for i, c := range cols {
+		for j := range c {
+			if math.Float64bits(c[j]) != math.Float64bits(before[i][j]) {
+				t.Fatalf("column %d value %d changed from %v to %v", i, j, before[i][j], c[j])
+			}
+		}
+	}
+}
+
+// exactValues decodes values from bytes. A byte's low nibble picks the
+// value — NaN, ±Inf, ±0, a burst of capture-shaped values, a huge
+// outlier, a repeat of the last value, a subnormal, ±MaxFloat64 — or
+// builds one from the byte and the next.
+func exactValues(data []byte, bulk uint16) []float64 {
+	var vs []float64
+	for i, b := range data {
+		if len(vs) > 1<<16 {
+			break
+		}
+		var v float64
+		switch b & 15 {
+		case 0:
+			v = math.NaN()
+		case 1:
+			v = math.Inf(1 - 2*int(b>>7))
+		case 2:
+			v = 0
+		case 3:
+			v = math.Copysign(0, -1)
+		case 4:
+			rng := rand.New(rand.NewSource(int64(b)))
+			for range int(bulk) % 12_000 {
+				vs = append(vs, math.Round((160+rng.NormFloat64()*15)*10)/10)
+			}
+			continue
+		case 5:
+			v = math.Copysign(1e300, float64(int(b>>7)*2-1))
+		case 6:
+			v = 1
+			if len(vs) > 0 {
+				v = vs[len(vs)-1]
+			}
+		case 7:
+			v = math.SmallestNonzeroFloat64 * float64(b>>4)
+		case 8:
+			v = math.Copysign(math.MaxFloat64, float64(int(b>>7)*2-1))
+		default:
+			v = float64(int16(uint16(b)<<8|uint16(data[(i+1)%len(data)]))) / 10
+		}
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// columns cuts vs into columns of the lengths runLens gives.
+func columns(vs []float64, cuts []byte) [][]float64 {
+	var cols [][]float64
+	for _, n := range runLens(len(vs), cuts) {
+		cols = append(cols, vs[:n])
+		vs = vs[n:]
+	}
+	return cols
+}
+
+// FuzzExactQuantiles holds SelectQuantiles to a sort of the same values,
+// bit for bit, on any values cut into any columns, and checks it leaves
+// the columns alone.
+func FuzzExactQuantiles(f *testing.F) {
+	f.Add([]byte{0x00, 0x10, 0x4a, 0x00, 0x5b, 0x00}, []byte{2, 1}, uint16(0), uint16(0))  // NaN runs
+	f.Add([]byte{0x01, 0x81, 0x4a, 0x33, 0x01, 0x81}, []byte{}, uint16(0), uint16(1))      // ±Inf
+	f.Add([]byte{0x02, 0x03, 0x03, 0x02, 0x02, 0x03}, []byte{1}, uint16(0), uint16(40000)) // ±0
+	f.Add([]byte{0x14, 0x02, 0x03}, []byte{}, uint16(3000), uint16(0))                     // ±0 among many
+	f.Add([]byte{0x02, 0x03, 0x9a, 0x02, 0x03}, []byte{}, uint16(0), uint16(1))            // ±0 sorted, p = 0
+	// 151 −0 then 150 +0: the median is the last −0.
+	f.Add(append(bytes.Repeat([]byte{0x03}, 151), bytes.Repeat([]byte{0x02}, 150)...), []byte{7}, uint16(0), uint16(0))
+	f.Add(append(bytes.Repeat([]byte{0x02, 0x03, 0x03}, 150), 0x9a, 0x1c), []byte{}, uint16(0), uint16(0)) // ±0 at the median, counted
+	f.Add([]byte{0x9a, 0x11, 0x06, 0x06, 0x06, 0x9a, 0x06, 0x9b}, []byte{3}, uint16(0), uint16(0))         // duplicates
+	for n := 1; n <= 6; n++ {
+		f.Add([]byte{0x9a, 0x13, 0x2c, 0x7d, 0x4e, 0x1f}[:n], []byte{}, uint16(0), uint16(65535))
+	}
+	f.Add([]byte{0x16, 0x06, 0x06, 0x06}, []byte{}, uint16(0), uint16(0))           // min = max
+	f.Add(bytes.Repeat([]byte{0x06}, 300), []byte{200}, uint16(0), uint16(0))       // min = max, many
+	f.Add([]byte{0x34, 0x05}, []byte{210, 7}, uint16(10000), uint16(32768))         // one huge outlier
+	f.Add([]byte{0x44, 0x85, 0x08}, []byte{}, uint16(9000), uint16(0))              // spans no float64 holds
+	f.Add([]byte{0x54, 0x17, 0x27, 0x37}, []byte{0, 255}, uint16(11000), uint16(7)) // subnormals
+	f.Fuzz(func(t *testing.T, data, cuts []byte, bulk, p uint16) {
+		ps := []float64{0.5, 0.95}
+		if p != 0 {
+			ps = append(ps, float64(p-1)/(math.MaxUint16-1))
+		}
+		checkSelect(t, ps, columns(exactValues(data, bulk), cuts))
+	})
+}
+
+// TestSelectQuantilesShapes: capture-shaped windows and columns, with NaN
+// runs, a trend, steps, heavy ties and skew, each selected as the sort
+// reference has it, for many quantiles at once too.
+func TestSelectQuantilesShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	gen := func(n int, f func(i int) float64) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = f(i)
+		}
+		return vs
+	}
+	shapes := map[string][]float64{
+		"window": gen(10_000, func(int) float64 { return 150 + rng.NormFloat64()*15 }),
+		"column": gen(167_499, func(i int) float64 { return 150 + 40*math.Sin(float64(i)/3000) + rng.NormFloat64()*15 }),
+		"nan runs": gen(20_000, func(i int) float64 {
+			if i%5000 < 700 {
+				return math.NaN()
+			}
+			return rng.ExpFloat64() * 100
+		}),
+		"steps":    gen(4000, func(i int) float64 { return float64(100 + 100*(i/2000)) }),
+		"adc":      noisy(50_000),
+		"outlier":  append(gen(30_000, func(int) float64 { return 160 + rng.NormFloat64() }), 1e12),
+		"lognorm":  gen(40_000, func(int) float64 { return math.Exp(rng.NormFloat64() * 30) }),
+		"constant": gen(5000, func(int) float64 { return 42.5 }),
+	}
+	all := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
+	for name, vs := range shapes {
+		t.Run(name, func(t *testing.T) {
+			checkSelect(t, []float64{0.5, 0.95}, [][]float64{vs})
+			checkSelect(t, all, columns(vs, []byte{210, 13, 255}))
+		})
+	}
+}
+
+// BenchmarkExactQuantiles selects an exact P50 and P95 from
+// capture-shaped values, as an analytics bucket does at its close (a 2 s
+// window at 5 kHz, one buffer) and a finished capture does for its
+// stored summary (33 s at 5 kHz, in storage chunks): the selection that
+// replaced BenchmarkP2TwoEstimators' fold where the values are whole.
+func BenchmarkExactQuantiles(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"window=2s", 10_000}, {"column=33s", 167_499}} {
+		b.Run(c.name, func(b *testing.B) {
+			vs := noisy(c.n)
+			var cols [][]float64
+			for i := 0; i < len(vs); i += ChunkLen {
+				cols = append(cols, vs[i:min(i+ChunkLen, len(vs))])
+			}
+			var w Welford
+			w.ObserveRun(vs)
+			q := make([]float64, 2)
+			ps := []float64{0.5, 0.95}
+			b.ReportAllocs()
+			for b.Loop() {
+				SelectQuantiles(q, ps, w.Min(), w.Max(), cols...)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/sample")
+		})
+	}
+}

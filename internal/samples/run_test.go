@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -118,8 +119,23 @@ func (ss *StreamSummary) addOne(tNanos int64, v float64) {
 	ss.p95.observeOne(v)
 }
 
+func (es *ExactSummary) addOne(tNanos int64, v float64) {
+	es.mom.observeOne(v)
+	es.integ.addOne(tNanos, v)
+	if len(es.vals) == 0 {
+		es.vals = [][]float64{nil}
+	}
+	es.vals[0] = append(es.vals[0], v)
+}
+
+// state is what an ExactSummary holds, whatever the columns it keeps its
+// values in: the folds and the values in order.
+func (es *ExactSummary) state() []any {
+	return []any{es.mom, es.integ, slices.Concat(es.vals...)}
+}
+
 func (wd *Windowed) addOne(tNanos int64, v float64) {
-	if k := wd.bucketOf(tNanos); wd.cur == nil || k > wd.curIdx {
+	if k := wd.bucketOf(tNanos); !wd.started || k > wd.curIdx {
 		wd.open(k)
 	}
 	wd.cur.addOne(tNanos, v)
@@ -292,6 +308,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 		p2, p2Ref := NewP2Quantile(0.3), NewP2Quantile(0.3)
 		var tr, trRef Trapezoid
 		ss, ssRef := NewStreamSummary(), NewStreamSummary()
+		var es, esRef ExactSummary
 		wd, wdRef := NewWindowed(width), NewWindowed(width)
 		cols, colsRef := NewSeries(), NewSeries()
 		arith, arithRef := NewSeries(), NewSeries()
@@ -303,6 +320,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 			p2.ObserveRun(rv)
 			tr.AddRun(rt, rv)
 			ss.AddRun(rt, rv)
+			es.AddRun(rt, rv)
 			wd.AddRun(rt, rv)
 			fillInPlace(cols, rt, rv)
 			var first int64
@@ -316,6 +334,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				p2Ref.observeOne(v)
 				trRef.addOne(rt[j], v)
 				ssRef.addOne(rt[j], v)
+				esRef.addOne(rt[j], v)
 				wdRef.addOne(rt[j], v)
 				colsRef.Append(rt[j], v)
 				arithRef.Append(first+int64(j)*step, v)
@@ -332,9 +351,11 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				{"Trapezoid", tr, trRef},
 				{"StreamSummary", ss, ssRef},
 				{"StreamSummary.Snapshot", ss.Snapshot(), ssRef.Snapshot()},
+				{"ExactSummary", es.state(), esRef.state()},
+				{"ExactSummary.Snapshot", es.Snapshot(), esRef.Snapshot()},
 				// Windowed's flushed buckets are compared once, at the end.
-				{"Windowed open bucket", []any{wd.curIdx, wd.cur, len(wd.done)},
-					[]any{wdRef.curIdx, wdRef.cur, len(wdRef.done)}},
+				{"Windowed open bucket", []any{wd.curIdx, wd.cur.state(), len(wd.done)},
+					[]any{wdRef.curIdx, wdRef.cur.state(), len(wdRef.done)}},
 				// The Series' chunks before the last are compared at the end.
 				{"Series.Grow/Commit", tailOf(cols), tailOf(colsRef)},
 				{"Series.AppendRun", tailOf(arith), tailOf(arithRef)},
@@ -344,7 +365,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				}
 			}
 		}
-		if got, want := wd.Buckets(), wdRef.Buckets(); !same(wd, wdRef) || !same(got, want) {
+		if got, want := wd.Buckets(), wdRef.Buckets(); !same(got, want) {
 			i := 0
 			for i < min(len(got), len(want)) && same(got[i], want[i]) {
 				i++
@@ -359,21 +380,22 @@ func FuzzRunMatchesSingles(f *testing.F) {
 }
 
 // TestRunBodiesDoNotAllocate: a fold of a chunk allocates nothing,
-// whether one estimator, a stream summary or a window that stays in one
-// bucket does it.
+// whether one estimator, a stream summary or an exact summary whose kept
+// memory has room does it, and neither does selecting its quantiles.
 func TestRunBodiesDoNotAllocate(t *testing.T) {
 	ts, vs := synth(ChunkLen)
 	e := NewP2Quantile(0.5)
 	ss := NewStreamSummary()
-	wd := NewWindowed(math.MaxInt64)
-	wd.AddRun(ts[:1], vs[:1]) // opens the one bucket the runs stay in
+	var es ExactSummary
+	es.AddRun(ts, vs) // grows the memory each Reset keeps
 	for _, c := range []struct {
 		name string
 		fold func()
 	}{
 		{"P2Quantile.ObserveRun", func() { e.ObserveRun(vs) }},
 		{"StreamSummary.AddRun", func() { ss.AddRun(ts, vs) }},
-		{"Windowed.AddRun", func() { wd.AddRun(ts, vs) }},
+		{"ExactSummary.AddRun", func() { es.Reset(); es.AddRun(ts, vs) }},
+		{"ExactSummary.Snapshot", func() { es.Snapshot() }},
 	} {
 		if n := testing.AllocsPerRun(20, c.fold); n != 0 {
 			t.Errorf("%s of %d samples: %v allocations, want 0", c.name, len(vs), n)

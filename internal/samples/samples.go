@@ -1,6 +1,7 @@
 // Package samples is the streaming sample pipeline under BatteryLab's
-// capture path: chunked columnar storage for high-rate telemetry and
-// online aggregators of O(1) state that fold it a run at a time.
+// capture path: chunked columnar storage for high-rate telemetry, online
+// aggregators that fold it a run at a time, and exact quantiles of a
+// sample held whole.
 //
 // One Monsoon emits 5 kHz current samples per device; a campaign runs
 // many devices concurrently, so a 30-minute sweep across 8 vantage
@@ -48,16 +49,29 @@
 //     an exactly 50/50 bimodal mixture) is ill-conditioned for any
 //     constant-memory estimator — the estimate may land in either
 //     mode; the tested bounds assume the quantile is interior to a
-//     mode. For exact quantiles, sort the sample (stats.Quantile).
+//     mode. P² is for data that streams: a capture's live view
+//     (StreamSummary) and metrics.Histogram. Wherever the whole sample
+//     is in hand, select instead (below).
 //   - Trapezoid: running trapezoidal time integration (unit·seconds),
 //     bit-identical to the batch loop it replaces because it
 //     accumulates the same terms in the same order.
 //
 // StreamSummary bundles all of the above so a capture loop feeds one
 // aggregator and observers read a LiveSummary snapshot mid-run instead
-// of waiting for teardown. It is the one bundle: Windowed folds each
-// fixed-width time bucket of a stream into a StreamSummary of its own,
-// so a bucket's WindowSummary is a LiveSummary and its start.
+// of waiting for teardown.
+//
+// # Exact quantiles
+//
+// SelectQuantiles finds exact quantiles, the order statistics
+// QuantileSorted interpolates (stats.Quantile's answer), in linear time
+// and without reordering or copying the values: one pass counts them
+// into 4096 equal ranges between their extremes, a second gathers the
+// few ranges that hold the wanted ranks. ExactSummary is StreamSummary's
+// twin for a sample kept whole: the same moments and integral, bit for
+// bit, and exact P50 and P95. Windowed summarizes each fixed-width time
+// bucket of a stream with one, so a bucket's WindowSummary is a
+// LiveSummary and its start; a finished capture's stored summary
+// (trace.Series.Whole) selects over its storage chunks.
 //
 // NaN values are invalid measurements (the Monsoon ADC clamps its floor
 // at 0 mA and can never produce them); aggregators skip them and count

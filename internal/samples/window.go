@@ -3,11 +3,12 @@ package samples
 import "math"
 
 // WindowSummary is the summary of one fixed-width time bucket,
-// [StartNS, StartNS+width): the LiveSummary of a StreamSummary that
-// folded only the bucket's samples, the same bundle a capture folds for
-// its whole trace. Consecutive-sample spans that straddle a bucket
-// boundary are not attributed to either bucket: each bucket integrates
-// only its own samples, so the sum of bucket integrals undercounts the
+// [StartNS, StartNS+width): the LiveSummary of an ExactSummary of only
+// the bucket's samples, whose moments and integral a capture's
+// StreamSummary folds alike and whose quantiles are exact.
+// Consecutive-sample spans that straddle a bucket boundary are not
+// attributed to either bucket: each bucket integrates only its own
+// samples, so the sum of bucket integrals undercounts the
 // whole-series integral by the straddling spans — use a whole-series
 // Trapezoid for the total.
 type WindowSummary struct {
@@ -18,15 +19,17 @@ type WindowSummary struct {
 }
 
 // Windowed partitions a time-ordered stream into fixed-width buckets
-// and folds each into a StreamSummary of its own — the streaming core
-// of the server's trace analytics. It is O(buckets) memory, independent
-// of series length, and folds a run a bucket's stretch at a time: one
-// StreamSummary call per stretch, not per sample.
+// and summarizes each with an ExactSummary — the core of the server's
+// trace analytics. It holds the summaries of the closed buckets and the
+// values of the open one, in one buffer reused from bucket to bucket, and
+// folds a run a bucket's stretch at a time: one call per stretch, not
+// per sample. A bucket's P50 and P95 are selected when it closes.
 type Windowed struct {
 	widthNS int64
 
-	curIdx int64          // bucket index of cur
-	cur    *StreamSummary // the open bucket; nil before the first sample
+	curIdx  int64        // bucket index of cur
+	cur     ExactSummary // the open bucket
+	started bool         // whether a sample has opened a bucket
 
 	done []WindowSummary
 }
@@ -61,11 +64,11 @@ func (wd *Windowed) Add(tNanos int64, v float64) {
 // stores them); a sample whose bucket precedes the open one is folded
 // into the open bucket rather than reopening a flushed one. The run is
 // cut where a sample opens a later bucket, and each piece goes to the
-// bucket's StreamSummary as one run.
+// bucket's summary as one run.
 func (wd *Windowed) AddRun(t []int64, v []float64) {
 	t = t[:len(v)]
 	for len(v) > 0 {
-		if k := wd.bucketOf(t[0]); wd.cur == nil || k > wd.curIdx {
+		if k := wd.bucketOf(t[0]); !wd.started || k > wd.curIdx {
 			wd.open(k)
 		}
 		// A sample stays in the open bucket while it is below the bucket's
@@ -83,10 +86,11 @@ func (wd *Windowed) AddRun(t []int64, v []float64) {
 
 // open flushes the open bucket, if there is one, and opens bucket k.
 func (wd *Windowed) open(k int64) {
-	if wd.cur != nil {
+	if wd.started {
 		wd.done = append(wd.done, wd.snapshotCur())
+		wd.cur.Reset()
 	}
-	wd.curIdx, wd.cur = k, NewStreamSummary()
+	wd.curIdx, wd.started = k, true
 }
 
 // snapshotCur summarizes the open bucket without disturbing it.
@@ -102,7 +106,7 @@ func (wd *Windowed) snapshotCur() WindowSummary {
 func (wd *Windowed) Buckets() []WindowSummary {
 	out := make([]WindowSummary, 0, len(wd.done)+1)
 	out = append(out, wd.done...)
-	if wd.cur != nil {
+	if wd.started {
 		out = append(out, wd.snapshotCur())
 	}
 	return out

@@ -184,6 +184,18 @@ func (s *Series) Live() samples.LiveSummary {
 	return s.agg.Snapshot()
 }
 
+// Whole reports the summary of the whole series: Live's, with P50 and
+// P95 the exact quantiles of the values (samples.LiveSummary.Exact)
+// instead of P² estimates. It is what a finished capture stores.
+func (s *Series) Whole() samples.LiveSummary {
+	var cols [][]float64
+	s.data.Chunks(0, func(_ []int64, v []float64) bool {
+		cols = append(cols, v)
+		return true
+	})
+	return s.Live().Exact(cols...)
+}
+
 // CDF builds the empirical CDF of the series values.
 func (s *Series) CDF() (*stats.CDF, error) { return stats.NewCDFSeries(s.data) }
 
