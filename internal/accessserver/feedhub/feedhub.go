@@ -4,6 +4,11 @@
 // each build's feed beside its status, so a reader resolves both with
 // one lock-free lookup.
 //
+// A feed has one reader, Feed.Follow, which the HTTP stream handlers and
+// the in-process port both follow a build through. It returns nil only
+// once the feed has closed and every record went out: only a closed feed
+// ends a stream cleanly.
+//
 // The hub exists to split the server into two lock domains. The
 // scheduler lock (s.mu) orders dispatch, failover and settlement; the
 // hub's lock orders only feed lifecycle (create/close/evict) and is a
@@ -16,6 +21,7 @@
 package feedhub
 
 import (
+	"context"
 	"sync"
 
 	"batterylab/internal/api"
@@ -45,9 +51,8 @@ type Stats interface {
 // Feed is a build's streaming log: the phase events and live power
 // samples its run emitted, buffered for replay-plus-follow consumers.
 // Producers (the measurement session) append without ever blocking;
-// consumers (the NDJSON/binary streaming handlers) read snapshots by
-// cursor and wait on a change channel for more. The feed closes when
-// the build finishes.
+// consumers (the NDJSON/binary streaming handlers, the in-process port)
+// follow it through Follow. The feed closes when the build finishes.
 type Feed struct {
 	mu      sync.Mutex
 	changed chan struct{} // nil until a reader asks to wait, nil again once it fires
@@ -159,9 +164,8 @@ func (f *Feed) Closed() bool {
 
 // EventsSince returns the events at cursor n and beyond, whether the
 // feed has closed, and a channel that signals the next change (already
-// closed when the feed is). A consumer loops: drain the snapshot, exit
-// when closed and caught up, otherwise wait on the channel (or its own
-// context).
+// closed when the feed is): one look at the feed, for a reader that does
+// not follow it. To follow a feed, use Follow.
 //
 // The snapshot is a read-only view of the feed's own buffer, not a
 // copy: the buffer is append-only, so the records a view covers never
@@ -190,6 +194,36 @@ func since[T any](buf []T, n int) []T {
 		return nil
 	}
 	return buf[n:len(buf):len(buf)]
+}
+
+// Follow is the feed's one reader: it replays both streams from their
+// cursors (math.MaxInt follows nothing of one), then follows. Each turn
+// takes both views, the closed flag and the change channel in one lock
+// hold and hands fn any new records, read-only as EventsSince's. It
+// returns nil once the feed has closed and fn has had every record, ctx's
+// error if ctx ends first, and fn's error if fn fails.
+func (f *Feed) Follow(ctx context.Context, events, samples int, fn func([]api.BuildEvent, []api.SamplePoint) error) error {
+	for {
+		f.mu.Lock()
+		evs, pts := since(f.events, events), since(f.samples, samples)
+		closed, changed := f.closed, f.waitLocked()
+		f.mu.Unlock()
+		if len(evs) > 0 || len(pts) > 0 {
+			if err := fn(evs, pts); err != nil {
+				return err
+			}
+			events += len(evs)
+			samples += len(pts)
+		}
+		if closed {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // Dropped reports how many events and samples the bounded buffers shed.

@@ -1,6 +1,10 @@
 package feedhub
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,20 +129,21 @@ func TestFeedDropAccounting(t *testing.T) {
 
 // TestHubConcurrentChurn hammers create/close/remove from many
 // goroutines, each feed drained by a reader that waits on nothing but its
-// change channel; run under -race it proves every hub and feed method is
-// safe to call from any lock context, and a reader that missed a close
-// would hang it.
+// change channel and by one that follows it through Follow; run under
+// -race it proves every hub and feed method is safe to call from any lock
+// context, and a reader that missed a close would hang it.
 func TestHubConcurrentChurn(t *testing.T) {
 	h := New(&countStats{})
 	const n = 32
 	var wg sync.WaitGroup
 	for id := 1; id <= n; id++ {
-		created := make(chan *Feed, 1)
+		created, followed := make(chan *Feed, 1), make(chan *Feed, 1)
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			f := h.Create(id, 0)
 			created <- f
+			followed <- f
 			for i := 0; i < 50; i++ {
 				f.PostEvent(api.BuildEvent{Phase: "run"})
 			}
@@ -167,6 +172,29 @@ func TestHubConcurrentChurn(t *testing.T) {
 				t.Errorf("reader drained %d events, want 50", cursor)
 			}
 		}()
+		// One more reader follows the same feed through Follow: every
+		// event once and in order, then nil after the close.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := <-followed
+			n := 0
+			err := f.Follow(context.Background(), 0, 0, func(evs []api.BuildEvent, pts []api.SamplePoint) error {
+				for _, e := range evs {
+					if e.Seq != n {
+						return fmt.Errorf("event %d has seq %d", n, e.Seq)
+					}
+					n++
+				}
+				if len(pts) > 0 {
+					return fmt.Errorf("%d samples on a feed that posts none", len(pts))
+				}
+				return nil
+			})
+			if err != nil || n != 50 {
+				t.Errorf("Follow drained %d events and returned %v, want 50 and nil", n, err)
+			}
+		}()
 	}
 	wg.Wait()
 	if h.Len() != n/2 {
@@ -174,10 +202,10 @@ func TestHubConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestFeedSampleViewsImmutableAndGapFree: SamplesSince hands out views of
-// the feed's own buffer while PostSample keeps appending to it (and
-// moving it, as it grows). Every reader holds on to every view it was
-// given and, once the writer is done, checks that each still reads as
+// TestFeedSampleViewsImmutableAndGapFree: SamplesSince and Follow hand
+// out views of the feed's own buffer while PostSample keeps appending to
+// it (and moving it, as it grows). Every reader holds on to every view it
+// was given and, once the writer is done, checks that each still reads as
 // the run of samples it covered — no gap or overlap at a cursor, no
 // record changed behind a reader's back — and that appending to a view
 // does not reach the feed. Run under -race this is also the proof that
@@ -185,25 +213,43 @@ func TestHubConcurrentChurn(t *testing.T) {
 func TestFeedSampleViewsImmutableAndGapFree(t *testing.T) {
 	const total, readers = SampleCap, 4
 	f := NewFeed(nil)
+	type held struct {
+		at   int
+		view []api.SamplePoint
+	}
+	// hold keeps one view, given at cursor, and returns the next cursor.
+	hold := func(views *[]held, cursor int, pts []api.SamplePoint) int {
+		if cap(pts) != len(pts) {
+			t.Errorf("view at %d: len %d, cap %d — an append would land in the feed", cursor, len(pts), cap(pts))
+		}
+		*views = append(*views, held{cursor, pts})
+		return cursor + len(pts)
+	}
+	check := func(views []held, cursor int) {
+		if cursor != total {
+			t.Errorf("reader saw %d samples, want %d", cursor, total)
+		}
+		for _, h := range views {
+			for i, p := range h.view {
+				if want := int64(h.at + i); p.AtNS != want || p.CurrentMA != float64(want) {
+					t.Errorf("view at %d, sample %d: %+v, want AtNS %d", h.at, i, p, want)
+					return
+				}
+			}
+			_ = append(h.view, api.SamplePoint{AtNS: -1})
+		}
+	}
 	var wg sync.WaitGroup
 	for range readers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			type held struct {
-				at   int
-				view []api.SamplePoint
-			}
 			var views []held
 			cursor := 0
 			for {
 				pts, closed, changed := f.SamplesSince(cursor)
 				if len(pts) > 0 {
-					if cap(pts) != len(pts) {
-						t.Errorf("view at %d: len %d, cap %d — an append would land in the feed", cursor, len(pts), cap(pts))
-					}
-					views = append(views, held{cursor, pts})
-					cursor += len(pts)
+					cursor = hold(&views, cursor, pts)
 					continue
 				}
 				if closed {
@@ -211,20 +257,26 @@ func TestFeedSampleViewsImmutableAndGapFree(t *testing.T) {
 				}
 				<-changed
 			}
-			if cursor != total {
-				t.Errorf("reader saw %d samples, want %d", cursor, total)
-			}
-			for _, h := range views {
-				for i, p := range h.view {
-					if want := int64(h.at + i); p.AtNS != want || p.CurrentMA != float64(want) {
-						t.Errorf("view at %d, sample %d: %+v, want AtNS %d", h.at, i, p, want)
-						return
-					}
-				}
-				_ = append(h.view, api.SamplePoint{AtNS: -1})
-			}
+			check(views, cursor)
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var views []held
+		cursor := 0
+		err := f.Follow(context.Background(), 0, 0, func(evs []api.BuildEvent, pts []api.SamplePoint) error {
+			if len(pts) == 0 || len(evs) > 0 {
+				return fmt.Errorf("batch of %d events and %d samples from a feed that posts samples only", len(evs), len(pts))
+			}
+			cursor = hold(&views, cursor, pts)
+			return nil
+		})
+		if err != nil {
+			t.Errorf("Follow: %v", err)
+		}
+		check(views, cursor)
+	}()
 	for i := range total {
 		f.PostSample(api.SamplePoint{AtNS: int64(i), CurrentMA: float64(i)})
 	}
@@ -232,6 +284,65 @@ func TestFeedSampleViewsImmutableAndGapFree(t *testing.T) {
 	wg.Wait()
 	if pts, _, _ := f.SamplesSince(0); len(pts) != total || pts[total-1].AtNS != total-1 {
 		t.Fatalf("feed holds %d samples after the readers' appends, want %d intact", len(pts), total)
+	}
+}
+
+// TestFeedFollowEnds: Follow returns nil only once the feed has closed
+// and fn has had every record from its cursors on, in order; ctx's error
+// when ctx ends first, after handing over what was there; fn's error, at
+// once, when fn fails. A cursor at math.MaxInt follows nothing of its
+// stream.
+func TestFeedFollowEnds(t *testing.T) {
+	f := NewFeed(nil)
+	for i := range 3 {
+		f.PostEvent(api.BuildEvent{Phase: "run"})
+		f.PostSample(api.SamplePoint{AtNS: int64(i)})
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var evs, pts int
+	err := f.Follow(ctx, 1, 0, func(e []api.BuildEvent, p []api.SamplePoint) error {
+		evs, pts = evs+len(e), pts+len(p)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || evs != 2 || pts != 3 {
+		t.Fatalf("Follow under a cancelled ctx: %d events, %d samples, %v; want 2, 3 and context.Canceled", evs, pts, err)
+	}
+
+	boom := errors.New("boom")
+	calls := 0
+	if err := f.Follow(context.Background(), 0, 0, func([]api.BuildEvent, []api.SamplePoint) error {
+		calls++
+		return boom
+	}); err != boom || calls != 1 {
+		t.Fatalf("Follow with a failing fn: %d calls, %v; want 1 and fn's error", calls, err)
+	}
+
+	go func() {
+		for range 2 {
+			f.PostSample(api.SamplePoint{})
+			f.PostEvent(api.BuildEvent{Phase: "teardown"})
+		}
+		f.Close()
+	}()
+	var seqs []int
+	err = f.Follow(context.Background(), 0, math.MaxInt, func(e []api.BuildEvent, p []api.SamplePoint) error {
+		if len(p) > 0 {
+			return fmt.Errorf("%d samples past a cursor at math.MaxInt", len(p))
+		}
+		for _, ev := range e {
+			seqs = append(seqs, ev.Seq)
+		}
+		return nil
+	})
+	if err != nil || len(seqs) != 5 {
+		t.Fatalf("Follow to the close: events %v, %v; want 5 and nil", seqs, err)
+	}
+	for i, seq := range seqs {
+		if seq != i {
+			t.Fatalf("Follow handed events out of order: %v", seqs)
+		}
 	}
 }
 

@@ -212,10 +212,11 @@ func TestMonotonicReadsDuringChurn(t *testing.T) {
 // old "close the feed after releasing s.mu" contract: subscribers
 // resolve builds through the read plane and drain their feeds while the
 // builds are concurrently aborted, finished and — after the churn —
-// expired by retention. Feed close happens inside the scheduler's
-// critical sections (the hub is a leaf lock), so under -race this must
-// be quiet, and no subscriber, which waits on nothing but its feed's
-// change channel, may hang on a feed whose close it missed.
+// expired by retention; one subscriber per build follows it through
+// Feed.Follow. Feed close happens inside the scheduler's critical
+// sections (the hub is a leaf lock), so under -race this must be quiet,
+// and no subscriber, which waits on nothing but its feed's change
+// channel, may hang on a feed whose close it missed.
 func TestFeedCloseChurnRace(t *testing.T) {
 	v := newV1Rig(t)
 
@@ -252,6 +253,31 @@ func TestFeedCloseChurnRace(t *testing.T) {
 				}
 			}(id)
 		}
+		// One more subscriber follows the feed through Follow: every
+		// event once and in order, then nil when the churn closes it.
+		subs.Add(1)
+		go func(id int) {
+			defer subs.Done()
+			<-start
+			ss, _ := v.srv.reads.build(id)
+			if ss == nil {
+				t.Errorf("build %d: no published cell before its abort", id)
+				return
+			}
+			n := 0
+			err := ss.feed.Follow(context.Background(), 0, 0, func(evs []api.BuildEvent, _ []api.SamplePoint) error {
+				for _, e := range evs {
+					if e.Seq != n {
+						return fmt.Errorf("event %d has seq %d", n, e.Seq)
+					}
+					n++
+				}
+				return nil
+			})
+			if all, _, _ := ss.feed.EventsSince(0); err != nil || n != len(all) {
+				t.Errorf("build %d: Follow handed over %d of %d events and returned %v", id, n, len(all), err)
+			}
+		}(id)
 	}
 
 	var churn sync.WaitGroup

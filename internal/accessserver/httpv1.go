@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -327,12 +328,12 @@ func (s *Server) handlerV1(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		if ss := s.buildFromPath(w, r, false); ss != nil {
-			s.streamEvents(w, r, ss.feed)
+			s.streamFeed(w, r, ss.feed, false)
 		}
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/samples", func(w http.ResponseWriter, r *http.Request) {
 		if ss := s.buildFromPath(w, r, false); ss != nil {
-			s.streamSamples(w, r, ss.feed)
+			s.streamFeed(w, r, ss.feed, true)
 		}
 	})
 	mux.HandleFunc("GET /api/v1/builds/{id}/analytics", func(w http.ResponseWriter, r *http.Request) {
@@ -582,104 +583,60 @@ func (s *Server) NodeInfos() []api.NodeInfo {
 	return infos
 }
 
-// streamEvents serves the NDJSON phase-event stream: replay from the
-// ?from= cursor (default 0), then follow until the build finishes or
-// the client goes away.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, f *feedhub.Feed) {
-	cursor, _, e := api.StreamQuery(r, false)
+// streamFeed serves one of a build's two streams from its feed: the
+// NDJSON phase events, or (samples) the live power samples as
+// length-prefixed binary trace frames by default (the compact v2 codec
+// of internal/trace, see api.WriteSampleFrame) or NDJSON SamplePoint
+// lines with ?format=ndjson. It replays the feed from the ?from= cursor
+// (default 0, counting records) and then follows — a client that lost
+// its connection after n records resumes with ?from=n. The feed it reads
+// is bounded and drop-under-backpressure, so however slowly this
+// consumer drains, the capture loop never blocks. The response ends
+// cleanly only when the feed has closed and every record went out.
+func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, f *feedhub.Feed, samples bool) {
+	cursor, ndjson, e := api.StreamQuery(r, samples)
 	if e != nil {
 		api.WriteError(w, e)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	fromEvents, fromSamples, subscribers := cursor, math.MaxInt, s.m.eventSubscribers
+	if samples {
+		fromEvents, fromSamples, subscribers = math.MaxInt, cursor, s.m.sampleSubscribers
+	}
+	frames := samples && !ndjson
+	if frames {
+		w.Header().Set("Content-Type", "application/octet-stream")
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
 	w.WriteHeader(http.StatusOK)
 	s.m.feedSubscribers.Inc()
-	s.m.eventSubscribers.Inc()
+	subscribers.Inc()
 	defer s.m.feedSubscribers.Dec()
-	defer s.m.eventSubscribers.Dec()
+	defer subscribers.Dec()
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for {
-		evs, closed, changed := f.EventsSince(cursor)
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
-				return // client gone
-			}
+	err := f.Follow(r.Context(), fromEvents, fromSamples, func(evs []api.BuildEvent, pts []api.SamplePoint) error {
+		// Only the followed stream has records: the other's cursor is past its end.
+		var err error
+		if frames {
+			err = api.WriteSampleFrame(w, pts)
 		}
-		cursor += len(evs)
-		if flusher != nil && len(evs) > 0 {
+		for i := 0; err == nil && i < len(evs); i++ {
+			err = enc.Encode(evs[i])
+		}
+		for i := 0; err == nil && !frames && i < len(pts); i++ {
+			err = enc.Encode(pts[i])
+		}
+		if err == nil && flusher != nil {
 			flusher.Flush()
 		}
-		if closed {
-			// One last snapshot covers the close/append race: EventsSince
-			// reported closed only after any final events were visible.
-			if more, _, _ := f.EventsSince(cursor); len(more) == 0 {
-				return
-			}
-			continue
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// streamSamples serves the live power-sample stream: length-prefixed
-// binary trace frames by default (the compact v2 codec of
-// internal/trace, see api.WriteSampleFrame), or NDJSON SamplePoint
-// lines with ?format=ndjson. Like the event stream it replays the
-// build's buffered samples from the ?from= cursor (default 0, counting
-// samples) and then follows — a client that lost its connection after
-// n samples resumes with ?from=n. The feed it reads is bounded and
-// drop-under-backpressure, so however slowly this consumer drains, the
-// capture loop never blocks.
-func (s *Server) streamSamples(w http.ResponseWriter, r *http.Request, f *feedhub.Feed) {
-	cursor, ndjson, e := api.StreamQuery(r, true)
-	if e != nil {
-		api.WriteError(w, e)
-		return
-	}
-	if ndjson {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
-	w.WriteHeader(http.StatusOK)
-	s.m.feedSubscribers.Inc()
-	s.m.sampleSubscribers.Inc()
-	defer s.m.feedSubscribers.Dec()
-	defer s.m.sampleSubscribers.Dec()
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for {
-		pts, closed, changed := f.SamplesSince(cursor)
-		if len(pts) > 0 {
-			if ndjson {
-				for _, p := range pts {
-					if err := enc.Encode(p); err != nil {
-						return
-					}
-				}
-			} else if err := api.WriteSampleFrame(w, pts); err != nil {
-				return
-			}
-			cursor += len(pts)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if closed {
-			if more, _, _ := f.SamplesSince(cursor); len(more) == 0 {
-				return
-			}
-			continue
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
+		return err
+	})
+	if err != nil && r.Context().Err() == nil {
+		// A record that would not encode, or a write that failed, while
+		// the client is still there: past the 200 header a broken
+		// connection is the only way left to tell it the stream is short.
+		panic(http.ErrAbortHandler)
 	}
 }

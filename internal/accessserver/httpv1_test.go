@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -414,6 +416,60 @@ func TestV1SampleStreamFormats(t *testing.T) {
 	resp.Body.Close()
 	if pt.CurrentMA != 120.5 || pt.MeanMA != 120.5 || pt.N != 1 {
 		t.Fatalf("ndjson point = %+v", pt)
+	}
+}
+
+// TestV1ShortSampleStreamIsBroken: a point NDJSON cannot carry (a NaN
+// quantile) in a running build's feed ends the NDJSON sample stream
+// broken — its follower, having read the line before the point, reads an
+// unexpected EOF, not a clean end it would take for the feed's close —
+// while the binary route, whose frames carry no summary, still delivers
+// every point.
+func TestV1ShortSampleStreamIsBroken(t *testing.T) {
+	v := newV1Rig(t)
+	id := v.queueBuild(t, v.exp)
+	b, err := v.srv.Build(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := b.Feed()
+	feed.PostSample(api.SamplePoint{AtNS: 1, CurrentMA: 100, N: 1, P50MA: 100})
+	resp := v.request(t, "GET", fmt.Sprintf("/api/v1/builds/%d/samples?format=ndjson", id), v.admin.Token, "")
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if _, err := br.ReadBytes('\n'); err != nil {
+		t.Fatalf("first NDJSON line: %v", err)
+	}
+	feed.PostSample(api.SamplePoint{AtNS: 2, CurrentMA: 101, N: 1, P50MA: math.NaN()})
+	feed.PostSample(api.SamplePoint{AtNS: 3, CurrentMA: 102, N: 2, P50MA: 101})
+	if err := v.srv.Abort(v.exp, id); err != nil { // closes the feed
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(br); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("NDJSON stream ended with %v after %q, want io.ErrUnexpectedEOF", err, rest)
+	}
+
+	resp = v.request(t, "GET", fmt.Sprintf("/api/v1/builds/%d/samples", id), v.admin.Token, "")
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("binary body read: %v", err)
+	}
+	var got []int64
+	for br := bufio.NewReader(bytes.NewReader(data)); ; {
+		pts, err := api.ReadSampleFrame(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			got = append(got, p.AtNS)
+		}
+	}
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("binary stream delivered points at %v, want [1 2 3]", got)
 	}
 }
 

@@ -37,6 +37,7 @@ var rules = []struct {
 	{"one-apply", "internal/accessserver", oneApply},
 	{"one-node-table", "internal/accessserver", oneNodeTable},
 	{"one-build-index", "internal/accessserver", oneBuildIndex},
+	{"one-feed-reader", "internal/core", oneFeedReader},
 	{"one-record-codec", "internal/accessserver/store", oneRecordCodec},
 	{"sections-have-one-exit", "internal/accessserver", sectionsHaveOneExit},
 	{"one-clock-driver", "internal/core", oneClockDriver},
@@ -109,6 +110,7 @@ func TestOneBuildLifecycle(t *testing.T)   { holds(t, "one-build-lifecycle") }
 func TestOneApply(t *testing.T)            { holds(t, "one-apply") }
 func TestOneNodeTable(t *testing.T)        { holds(t, "one-node-table") }
 func TestOneBuildIndex(t *testing.T)       { holds(t, "one-build-index") }
+func TestOneFeedReader(t *testing.T)       { holds(t, "one-feed-reader") }
 func TestOneRecordCodec(t *testing.T)      { holds(t, "one-record-codec") }
 func TestSectionsHaveOneExit(t *testing.T) { holds(t, "sections-have-one-exit") }
 func TestOneClockDriver(t *testing.T)      { holds(t, "one-clock-driver") }

@@ -29,6 +29,10 @@
 //     type declares Wait(ctx, …) and no non-test code starts a goroutine
 //     that acts when a context's Done fires — the run handle and its ctx
 //     watcher exist once, in core.
+//   - one feed reader (new, no step replaced): outside feedhub no
+//     non-test code of the module selects Feed.EventsSince or
+//     Feed.SamplesSince — a build's feed is followed through Feed.Follow
+//     alone, so a stream ends cleanly only when its feed closed.
 //   - reachable (new, no step replaced): every function and method of a
 //     non-test file is reached — called, taken as a value or referenced,
 //     a generic instance counting as its origin — from a root: main and

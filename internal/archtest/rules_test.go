@@ -443,6 +443,30 @@ func oneBuildIndex(r *report) {
 	}
 }
 
+// oneFeedReader: a build's feed has one reader, Feed.Follow. Outside
+// feedhub no non-test code selects Feed.EventsSince or Feed.SamplesSince:
+// a loop of its own over them is a second follower, with its own way to
+// end a stream. benchmark/ is a module of its own and is not read.
+func oneFeedReader(r *report) {
+	since := r.objects(feedhub, "Feed.EventsSince", "Feed.SamplesSince")
+	if len(r.found) > 0 {
+		return
+	}
+	for _, p := range r.m.pkgs {
+		if p.path == r.m.path+"/"+feedhub {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && slices.ContainsFunc(since, func(obj types.Object) bool { return selects(p.info, sel, obj) }) {
+					r.at(sel.Sel.Pos(), "Feed.%s read outside feedhub: follow a feed through Feed.Follow", sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // oneRecordCodec: a WAL message's layout is written once, in store's
 // codec. Nothing in store marshals a store.Record with encoding/json (the
 // old write fork), declares an encode… or decode… function of one

@@ -85,30 +85,15 @@ func (lp *localPort) SubmitCampaign(ctx context.Context, spec api.CampaignSpec) 
 // Follow reads the build's feed in process, each batch's samples before
 // its events.
 func (lp *localPort) Follow(ctx context.Context, build int, event func(api.BuildEvent), sample func(api.SamplePoint)) error {
-	feed := lp.builds[build].Feed()
-	var nEvents, nSamples int
-	for {
-		// The samples read comes first: if it finds the feed closed,
-		// the events read after it finds every event too.
-		pts, closed, changed := feed.SamplesSince(nSamples)
-		evs, _, _ := feed.EventsSince(nEvents)
-		nSamples += len(pts)
-		nEvents += len(evs)
+	return lp.builds[build].Feed().Follow(ctx, 0, 0, func(evs []api.BuildEvent, pts []api.SamplePoint) error {
 		for _, pt := range pts {
 			sample(pt)
 		}
 		for _, ev := range evs {
 			event(ev)
 		}
-		if closed {
-			return nil
-		}
-		select {
-		case <-changed:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+		return nil
+	})
 }
 
 func (lp *localPort) BuildStatus(_ context.Context, build int) (api.BuildStatus, error) {

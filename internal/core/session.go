@@ -315,15 +315,17 @@ func (s *session) armed(armErr error) {
 			s.live = live
 		}
 		s.mu.Unlock()
-		s.feed.PostSample(api.SamplePoint{
+		pt := api.SamplePoint{
 			AtNS:      now.UnixNano(),
 			CurrentMA: current,
 			N:         int64(live.N),
 			MeanMA:    live.Mean,
-			P50MA:     live.P50,
-			P95MA:     live.P95,
 			IntegralS: live.IntegralSeconds,
-		})
+		}
+		if live.N > 0 { // before the first sample they are NaN, which NDJSON cannot carry
+			pt.P50MA, pt.P95MA = live.P50, live.P95
+		}
+		s.feed.PostSample(pt)
 	})
 	ctlCPU, stopCtlCPU := s.ctl.MonitorCPU(s.spec.CPUSamplePeriod)
 	s.mu.Lock()

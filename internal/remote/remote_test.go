@@ -1,8 +1,10 @@
 package remote_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -304,6 +306,56 @@ func TestRemoteSingleExperiment(t *testing.T) {
 	// The monitor's trace and the CPU traces all made the trip.
 	if res.DeviceCPU.Len() == 0 || res.ControllerCPU.Len() == 0 {
 		t.Error("CPU traces missing from the reconstructed result")
+	}
+}
+
+// TestLiveStreamsCarryEveryPoint: a build whose first live points come
+// before the monitor's first sample (a 1 Hz monitor under 100 ms live
+// ticks) serves every point on both sample routes, and the remote
+// observer sees each one: NDJSON lines, binary frame points and observed
+// samples agree in number. A point's summary before any sample has no
+// quantiles to report, and must not cost a stream its lines.
+func TestLiveStreamsCarryEveryPoint(t *testing.T) {
+	server := newLab(t)
+	client := server.serve(t)
+	spec := api.ExperimentSpec{
+		Node: server.nodes[0], Device: server.devices[0],
+		Monitor:  api.MonitorSpec{SampleRateHz: 1, CPUSamplePeriodMS: 100},
+		Workload: api.WorkloadSpec{Name: "idle", Params: api.Params{"duration_ms": 5000}},
+	}
+	ctx := context.Background()
+	var observed atomic.Int64
+	sess, err := client.StartExperiment(ctx, spec, core.ObserverFuncs{Sample: func(core.Sample) { observed.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	lines := len(ndjsonSamples(t, client, sess.Build()))
+	frames := 0
+	err = client.Follow(ctx, sess.Build(), &remote.Stream{
+		Route: "samples",
+		Consume: func(body io.Reader) (int, error) {
+			br := bufio.NewReader(body)
+			for n := 0; ; {
+				pts, err := api.ReadSampleFrame(br)
+				if err == io.EOF {
+					return n, nil
+				}
+				if err != nil {
+					return n, err
+				}
+				n += len(pts)
+				frames += len(pts)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames == 0 || lines != frames || int(observed.Load()) != frames {
+		t.Fatalf("%d NDJSON lines, %d binary points, %d observed samples: want one count, above 0", lines, frames, observed.Load())
 	}
 }
 
