@@ -111,11 +111,15 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, ss *serv
 
 // storedTotal is the summary a build stored of its power trace, when it
 // is the analytics Total of the artifact's bytes: the artifact is the
-// power trace, and the status trusts the summary as its rollup
-// (api.BuildStatus.StoredRollup). nil means fold.
+// power trace, the status trusts the summary as its rollup
+// (api.BuildStatus.StoredRollup), and its quantiles are exact. nil means
+// fold: a summary stored with P² quantiles is not a Total.
 func storedTotal(st *api.BuildStatus, artifact string) *api.RunSummary {
 	if artifact != defaultTraceArtifact {
 		return nil
 	}
-	return st.StoredRollup()
+	if r := st.StoredRollup(); r != nil && r.ExactQuantiles {
+		return r
+	}
+	return nil
 }

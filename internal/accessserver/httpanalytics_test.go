@@ -137,25 +137,31 @@ func TestV1AnalyticsDefaults(t *testing.T) {
 // only for the windows. The stored summary here is deliberately not the
 // bytes' (a mean of 999 mA over a trace whose mean is 150), so where the
 // Total comes from shows. A relayed build, a summary without the Rollup
-// mark (as written before it existed, or by hand) and an artifact other
+// mark (as written before it existed, or by hand), a summary without the
+// ExactQuantiles mark (stored with P² estimates) and an artifact other
 // than the power trace each fold the bytes instead.
 func TestAnalyticsStoredTotal(t *testing.T) {
 	clk := simclock.NewVirtual()
 	srv := New(clk, Config{Executors: 2})
 	stored := api.RunSummary{
 		Samples: 4000, MeanMA: 999, P50MA: 998, P95MA: 997, EnergyMAH: 0.5,
-		MinMA: -1, MaxMA: 1000, NaNs: 3, DurationNS: 4_000_000_000, Rollup: true,
+		MinMA: -1, MaxMA: 1000, NaNs: 3, DurationNS: 4_000_000_000, Rollup: true, ExactQuantiles: true,
 	}
 	premark := stored
 	premark.Rollup = false
+	p2 := stored
+	p2.ExactQuantiles = false
 	srv.SetSpecBackend(funcBackend(func(spec api.ExperimentSpec) (Constraints, RunFunc, error) {
 		return Constraints{Node: spec.Node, Device: spec.Device}, func(ctx *BuildContext, done func(error)) {
 			ws := ctx.Build.Workspace()
 			ws.Save(defaultTraceArtifact, stubTraceBytes())
 			ws.Save("device-cpu.trace", stubTraceBytes())
-			if spec.Workload.Name == "premark" {
+			switch spec.Workload.Name {
+			case "premark":
 				ctx.Build.SetSummary(premark)
-			} else {
+			case "p2":
+				ctx.Build.SetSummary(p2)
+			default:
 				ctx.Build.SetSummary(stored)
 			}
 			done(nil)
@@ -189,6 +195,7 @@ func TestAnalyticsStoredTotal(t *testing.T) {
 	}
 	measured := submit("node1", "dev1", "measure")
 	old := submit("node1", "dev2", "premark")
+	estimated := submit("node1", "dev3", "p2")
 	routed := submit("node9", "dev9", "measure")
 	if routed.RoutedVia() != "west" {
 		t.Fatalf("routed build ran via %q, want west", routed.RoutedVia())
@@ -203,6 +210,7 @@ func TestAnalyticsStoredTotal(t *testing.T) {
 		{"measured here", measured, "", &stored},
 		{"non-default artifact", measured, "device-cpu.trace", nil},
 		{"summary without the mark", old, "", nil},
+		{"summary with P² quantiles", estimated, "", nil},
 		{"relayed", routed, "", nil},
 	} {
 		for _, window := range []string{"", "1s"} {

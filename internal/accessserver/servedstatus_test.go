@@ -28,19 +28,19 @@ func FuzzStatusBytes(f *testing.F) {
 	f.Add(7, "nightly", "alice", "running", 3, false, true, "", true,
 		int64(1200), 120.5, 118.0, 190.25, 3.5, int64(2e9), int64(0), int64(4),
 		"node1", 2, "", 0.75, int64(0), int64(0), false, 0,
-		"", "", int64(1_700_000_000_000_000_000), int64(1_700_000_001_000_000_000), int64(0))
+		"", "", int64(1_700_000_000_000_000_000), int64(1_700_000_001_000_000_000), int64(0), uint8(3))
 	f.Add(1, "<job>&\"q\"", "o w", "queued", 0, true, false, "bad \xff utf-8\n", false,
 		int64(0), 0.0, 0.0, 0.0, 0.0, int64(0), int64(0), int64(0),
 		"", 0, "device busy <dev1>", 0.0, int64(9), int64(0), true, 3,
-		"peer-b", "home&a", int64(-1), int64(0), int64(1))
+		"peer-b", "home&a", int64(-1), int64(0), int64(1), uint8(1))
 	f.Add(-5, "", "", "", -1, false, false, "", true,
 		int64(-1), math.Inf(1), 0.0, 0.0, 0.0, int64(0), int64(-7), int64(0),
 		"n", 0, "", math.NaN(), int64(0), int64(-3), false, -1,
-		"", "", int64(0), int64(0), int64(0))
+		"", "", int64(0), int64(0), int64(0), uint8(2))
 	f.Fuzz(func(t *testing.T, id int, job, owner, state string, campaign int, canceled, nodeLost bool, errMsg string,
 		hasSummary bool, samples int64, mean, p50, p95, energy float64, durNS, mirror, droppedLive int64,
 		node string, attempts int, pending string, score float64, droppedEvents, droppedSamples int64,
-		recovered bool, epoch int, routedVia, home string, queuedAt, startedAt, finishedAt int64) {
+		recovered bool, epoch int, routedVia, home string, queuedAt, startedAt, finishedAt int64, marks uint8) {
 		merged := api.BuildStatus{
 			ID: id, Job: job, Owner: owner, State: state, Campaign: campaign,
 			Canceled: canceled, NodeLost: nodeLost, Error: errMsg,
@@ -53,6 +53,7 @@ func FuzzStatusBytes(f *testing.F) {
 			merged.Summary = &api.RunSummary{
 				Samples: samples, MeanMA: mean, P50MA: p50, P95MA: p95, EnergyMAH: energy,
 				DurationNS: durNS, MirrorUploadBytes: mirror, DroppedLiveSamples: droppedLive,
+				Rollup: marks&1 != 0, ExactQuantiles: marks&2 != 0,
 			}
 		}
 		// The published version carries the counters as of its publish;

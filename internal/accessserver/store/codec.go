@@ -581,6 +581,7 @@ func summaryFields(c *codec, s *api.RunSummary) {
 	c.float(10, (*float64)(&s.MaxMA))
 	c.int64(11, &s.NaNs)
 	c.flag(12, &s.Rollup)
+	c.flag(13, &s.ExactQuantiles)
 }
 
 // encodeRecord renders rec as a binary frame payload: the marker byte

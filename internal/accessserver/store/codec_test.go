@@ -155,11 +155,20 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestSummaryRollupFields: the summary lines after the eight the golden
-// log pins (MinMA, MaxMA, NaNs and the Rollup mark) round-trip to the
-// bit, and a -0 float keeps its sign: the codec omits only a +0.
+// log pins (MinMA, MaxMA, NaNs, the Rollup mark and the ExactQuantiles
+// mark) round-trip to the bit, and a -0 float keeps its sign: the codec
+// omits only a +0. Each mark round-trips alone, too.
 func TestSummaryRollupFields(t *testing.T) {
+	for _, marks := range [][2]bool{{true, true}, {true, false}, {false, true}} {
+		summaryRoundTrip(t, marks[0], marks[1])
+	}
+}
+
+func summaryRoundTrip(t *testing.T, rollup, exact bool) {
+	t.Helper()
 	sum := *codecVocabulary()[fatRecord].Build.Summary
-	sum.MinMA, sum.MaxMA, sum.NaNs, sum.Rollup = api.Extreme(math.Copysign(0, -1)), 201.75, 9, true
+	sum.MinMA, sum.MaxMA, sum.NaNs = api.Extreme(math.Copysign(0, -1)), 201.75, 9
+	sum.Rollup, sum.ExactQuantiles = rollup, exact
 	sum.P50MA = math.Copysign(0, -1)
 	rec := Record{T: TBuildFinished, BuildID: 1, State: "success", Summary: &sum}
 	payload, err := encodeRecord(&rec)

@@ -126,7 +126,7 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 // that is not ErrBadQuery says data is no binary trace.
 //
 // total, when not nil, is the whole-trace summary of exactly these
-// bytes, as api.NewRunSummary renders a capture's Series.Whole: the
+// bytes, as api.NewRunSummary renders a capture's Series.Live: the
 // Total row is rendered from it and the bytes fold only into the
 // windows, or, with no window, into nothing. They are still decoded, and every check
 // still holds: the decode finds the epoch and the span, and refuses

@@ -545,7 +545,7 @@ func FuzzAnalyticsBytes(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := api.NewRunSummary(tr.Whole())
+		total := api.NewRunSummary(tr.Live())
 		stored, err := ComputeBinary(raw, q, &total)
 		if err != nil || !reflect.DeepEqual(stored, want) || !sameBits(stored, want) {
 			t.Fatalf("given its summary, ComputeBinary gives %+v (%v); folding, %+v", stored, err, want)
@@ -595,7 +595,7 @@ func TestStoredTotalFoldsOnlyWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := api.NewRunSummary(tr.Whole())
+	total := api.NewRunSummary(tr.Live())
 	for _, windowNS := range []int64{0, int64(2 * time.Second)} {
 		a := newAggs(windowNS, &total)
 		if folds := a.folds(); a.total != nil || len(folds) != len(newAggs(windowNS, nil).folds())-1 {

@@ -16,7 +16,7 @@ import (
 func BenchmarkComputeBinary(b *testing.B) {
 	tr := makeCapture(5, 33)
 	data := encodeV2(b, tr)
-	total := api.NewRunSummary(tr.Whole())
+	total := api.NewRunSummary(tr.Live())
 	for _, c := range []struct {
 		name   string
 		window time.Duration

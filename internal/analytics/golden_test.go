@@ -53,7 +53,7 @@ func goldenAnswers(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := api.NewRunSummary(tr.Whole())
+	total := api.NewRunSummary(tr.Live())
 	res, err := ComputeBinary(data, api.AnalyticsQuery{WindowNS: int64(2 * time.Second)}, &total)
 	line("capture.v2 window=2s stored", res, err)
 	return b.Bytes()

@@ -67,7 +67,7 @@ func TestComputeBinaryReturnsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := api.NewRunSummary(tr.Whole())
+	total := api.NewRunSummary(tr.Live())
 	window := api.AnalyticsQuery{WindowNS: int64(2 * time.Second)}
 	overflow := fmt.Errorf("%w: window 1000000ns over a 32999800000ns trace makes 33000 buckets (max 20000)", ErrBadQuery)
 	for _, c := range []struct {
@@ -198,7 +198,7 @@ func TestRollupAllocationFlat(t *testing.T) {
 		return best
 	}
 	short, long := makeCapture(3, 4), makeCapture(3, 32)
-	shortTotal, longTotal := api.NewRunSummary(short.Whole()), api.NewRunSummary(long.Whole())
+	shortTotal, longTotal := api.NewRunSummary(short.Live()), api.NewRunSummary(long.Live())
 	shortData, longData := encodeV2(t, short), encodeV2(t, long)
 	if s, l := least(shortData, &shortTotal), least(longData, &longTotal); l > s {
 		t.Errorf("given the summary, a rollup query allocates %d bytes over %d samples, %d over 8× as many",

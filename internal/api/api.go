@@ -338,14 +338,15 @@ type NodeDetail struct {
 //
 // Its whole-trace fields (Samples through EnergyMAH, MinMA, MaxMA and
 // NaNs) summarize the stored power trace, as NewRunSummary renders
-// trace.Series.Whole: the capture's own streaming moments, extremes and
+// trace.Series.Live: the capture's own streaming moments, extremes and
 // energy, and P50MA and P95MA the exact quantiles of its values
 // (stats.Quantile's). That is the analytics Total row of the trace,
 // which the server answers from here instead of folding the trace again.
-// A summary stored before the quantiles were exact keeps the P² estimates
-// it was stored with and is served as it is. Rollup marks a summary whose
-// whole-trace fields are all there; one without it (written before
-// MinMA, MaxMA and NaNs existed, or set by hand) is not served as a Total.
+// Rollup marks a summary whose whole-trace fields are all there (one
+// written before MinMA, MaxMA and NaNs existed has none), and
+// ExactQuantiles one whose P50MA and P95MA are exact (one stored before
+// they were keeps its P² estimates). Only a summary with both marks is
+// served as a Total; a client may still take a Rollup's energy.
 type RunSummary struct {
 	// Samples counts every sample of the trace, NaNs included.
 	Samples            int64   `json:"samples"`
@@ -359,8 +360,9 @@ type RunSummary struct {
 	MinMA              Extreme `json:"min_ma,omitzero"`
 	MaxMA              Extreme `json:"max_ma,omitzero"`
 	// NaNs counts the trace's invalid (NaN) samples.
-	NaNs   int64 `json:"nans,omitempty"`
-	Rollup bool  `json:"rollup,omitempty"`
+	NaNs           int64 `json:"nans,omitempty"`
+	Rollup         bool  `json:"rollup,omitempty"`
+	ExactQuantiles bool  `json:"exact_quantiles,omitempty"`
 }
 
 // Extreme is a trace's least or greatest value. JSON's omitzero omits
@@ -376,7 +378,7 @@ var _ interface{ IsZero() bool } = Extreme(0)
 
 // NewRunSummary renders a capture's whole-trace summary as a
 // RunSummary's whole-trace fields: duration, mirror bytes, dropped
-// samples and the Rollup mark are the caller's.
+// samples and the marks are the caller's.
 func NewRunSummary(ls samples.LiveSummary) RunSummary {
 	return RunSummary{
 		Samples:   int64(ls.N + ls.NaNs),
@@ -419,8 +421,7 @@ type AnalyticsQuery struct {
 // pointers so unrequested fields — statistics of a bucket whose every
 // sample was invalid, and any that is not finite — are absent rather
 // than zero, NaN or ±Inf (JSON has none of those). Quantiles are exact
-// order statistics (stats.Quantile's), except a rollup rendered from a
-// summary stored with P² estimates (see RunSummary).
+// order statistics (stats.Quantile's).
 // Energy integrates only within-bucket sample pairs, so bucket
 // energies sum to slightly less than the rollup's exact whole-trace
 // integral (boundary-straddling spans belong to neither bucket).

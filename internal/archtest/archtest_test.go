@@ -38,6 +38,7 @@ var rules = []struct {
 	{"one-node-table", "internal/accessserver", oneNodeTable},
 	{"one-build-index", "internal/accessserver", oneBuildIndex},
 	{"one-feed-reader", "internal/core", oneFeedReader},
+	{"p2-only-in-metrics", "internal/trace", p2OnlyInMetrics},
 	{"one-record-codec", "internal/accessserver/store", oneRecordCodec},
 	{"sections-have-one-exit", "internal/accessserver", sectionsHaveOneExit},
 	{"one-clock-driver", "internal/core", oneClockDriver},
@@ -111,6 +112,7 @@ func TestOneApply(t *testing.T)            { holds(t, "one-apply") }
 func TestOneNodeTable(t *testing.T)        { holds(t, "one-node-table") }
 func TestOneBuildIndex(t *testing.T)       { holds(t, "one-build-index") }
 func TestOneFeedReader(t *testing.T)       { holds(t, "one-feed-reader") }
+func TestP2OnlyInMetrics(t *testing.T)     { holds(t, "p2-only-in-metrics") }
 func TestOneRecordCodec(t *testing.T)      { holds(t, "one-record-codec") }
 func TestSectionsHaveOneExit(t *testing.T) { holds(t, "sections-have-one-exit") }
 func TestOneClockDriver(t *testing.T)      { holds(t, "one-clock-driver") }

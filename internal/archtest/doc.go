@@ -33,6 +33,10 @@
 //     non-test code of the module selects Feed.EventsSince or
 //     Feed.SamplesSince — a build's feed is followed through Feed.Follow
 //     alone, so a stream ends cleanly only when its feed closed.
+//   - p2 only in metrics (new, no step replaced): outside samples no
+//     non-test code but internal/metrics names samples.P2Quantile or
+//     samples.NewP2Quantile — a capture's quantiles are exact, and P² is
+//     left to metrics.Histogram's latencies.
 //   - reachable (new, no step replaced): every function and method of a
 //     non-test file is reached — called, taken as a value or referenced,
 //     a generic instance counting as its origin — from a root: main and

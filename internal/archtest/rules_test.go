@@ -145,6 +145,7 @@ const (
 	accessserver = "internal/accessserver"
 	store        = "internal/accessserver/store"
 	feedhub      = "internal/accessserver/feedhub"
+	samples      = "internal/samples"
 )
 
 // oneBuildModel: one console, /api/v1/. No route under /api/ but /api/v1/
@@ -460,6 +461,32 @@ func oneFeedReader(r *report) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectorExpr); ok && slices.ContainsFunc(since, func(obj types.Object) bool { return selects(p.info, sel, obj) }) {
 					r.at(sel.Sel.Pos(), "Feed.%s read outside feedhub: follow a feed through Feed.Follow", sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// p2OnlyInMetrics: a capture's quantiles are exact — counted on its
+// levels or selected from its values — and P² estimates only what streams
+// and is not kept: metrics.Histogram's latencies. Outside samples no
+// non-test code but metrics' names samples.P2Quantile or
+// samples.NewP2Quantile. benchmark/ is a module of its own and is not
+// read.
+func p2OnlyInMetrics(r *report) {
+	p2 := r.objects(samples, "P2Quantile", "NewP2Quantile")
+	if len(r.found) > 0 {
+		return
+	}
+	for _, p := range r.m.pkgs {
+		if p.path == r.m.path+"/"+samples || p.path == r.m.path+"/internal/metrics" {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && slices.Contains(p2, uses(p.info, id)) {
+					r.at(id.Pos(), "samples.%s used outside metrics: a capture's quantiles are exact", id.Name)
 				}
 				return true
 			})

@@ -48,7 +48,7 @@ func editSummary(b *accessserver.Build, edit func(*api.RunSummary)) error {
 	if err != nil {
 		return err
 	}
-	sum := api.NewRunSummary(s.Whole())
+	sum := api.NewRunSummary(s.Live())
 	sum.Rollup = true
 	edit(&sum)
 	b.SetSummary(sum)

@@ -91,9 +91,9 @@ func (p *Platform) measurementJob(spec experimentSpec) accessserver.RunFunc {
 // decodeResult reads back, the current.csv view over them, and the run
 // summary, which counts the live samples the build's feed dropped. The
 // summary's whole-trace fields come from one snapshot of the capture's
-// own streaming summary, the one analytics Total of current.trace, so
-// they are marked as the rollup the analytics route serves and
-// decodeResult takes the energy from.
+// own summary, exact quantiles and all, the one analytics Total of
+// current.trace, so they are marked as the rollup the analytics route
+// serves and decodeResult takes the energy from.
 func saveRun(b *accessserver.Build, res *Result) error {
 	ws := b.Workspace()
 	for _, a := range []struct {
@@ -112,11 +112,11 @@ func saveRun(b *accessserver.Build, res *Result) error {
 	}
 	ws.SaveView(ArtifactCurrentCSV, ArtifactCurrentTrace, renderCSV)
 	_, droppedSamples := b.Feed().Dropped()
-	sum := api.NewRunSummary(res.Current.Whole())
+	sum := api.NewRunSummary(res.Current.Live())
 	sum.DurationNS = int64(res.Duration)
 	sum.MirrorUploadBytes = res.MirrorUploadBytes
 	sum.DroppedLiveSamples = droppedSamples
-	sum.Rollup = true
+	sum.Rollup, sum.ExactQuantiles = true, true
 	b.SetSummary(sum)
 	return nil
 }

@@ -560,8 +560,8 @@ func TestStoredSummaryIsTheRollup(t *testing.T) {
 
 // TestStoredQuantilesAreExact pins the P50 and P95 saveRun stores for a
 // 5 kHz browser run to stats.Quantile of the stored trace's values, bit
-// for bit, and every other whole-trace figure to the capture's own
-// streaming summary.
+// for bit, and the whole stored summary, quantiles and both marks
+// included, to the capture's own live summary.
 func TestStoredQuantilesAreExact(t *testing.T) {
 	b, res := capture5kHz(t)
 	sum := b.Status().Summary
@@ -592,8 +592,8 @@ func TestStoredQuantilesAreExact(t *testing.T) {
 		}
 	}
 	live := api.NewRunSummary(res.Current.Live())
-	live.P50MA, live.P95MA = sum.P50MA, sum.P95MA
-	live.DurationNS, live.MirrorUploadBytes, live.DroppedLiveSamples, live.Rollup = sum.DurationNS, sum.MirrorUploadBytes, sum.DroppedLiveSamples, true
+	live.DurationNS, live.MirrorUploadBytes, live.DroppedLiveSamples = sum.DurationNS, sum.MirrorUploadBytes, sum.DroppedLiveSamples
+	live.Rollup, live.ExactQuantiles = true, true
 	if !reflect.DeepEqual(*sum, live) || math.Float64bits(sum.MeanMA) != math.Float64bits(live.MeanMA) ||
 		math.Float64bits(sum.EnergyMAH) != math.Float64bits(live.EnergyMAH) {
 		t.Errorf("stored summary %+v; beside its quantiles, the capture's stream summary is %+v", *sum, live)

@@ -63,7 +63,7 @@ func TestResultAdoptsStoredRollup(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		sum := api.NewRunSummary(s.Whole())
+		sum := api.NewRunSummary(s.Live())
 		sum.EnergyMAH, sum.Rollup = wrong, true
 		return &api.BuildStatus{ID: 7, State: accessserver.StateSuccess.String(), Summary: &sum}, nil
 	})

@@ -11,10 +11,21 @@ import (
 // BenchmarkCapture5kHz is the capture layer of a measurement: 10 s of
 // 5 kHz sampling of a real device's rail, read through the bypass the
 // way a vantage point wires it, with a 100 ms foreign ticker (a device
-// epoch) bounding the runs. An op is one capture; ns/sample divides it
-// by its 50 000 samples. Building the device and the monitor is not
-// timed.
+// epoch) bounding the runs. In the live case a 1 s ticker also reads
+// LiveSummary, as a session's live tick does, so the summary's fold and
+// its quantiles are paid for; without it nothing folds. An op is one
+// capture; ns/sample divides it by its 50 000 samples. Building the
+// device and the monitor is not timed.
 func BenchmarkCapture5kHz(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		live bool
+	}{{"capture", false}, {"live", true}} {
+		b.Run(c.name, func(b *testing.B) { benchCapture(b, c.live) })
+	}
+}
+
+func benchCapture(b *testing.B, live bool) {
 	b.ReportAllocs()
 	const (
 		span  = 10 * time.Second
@@ -36,6 +47,15 @@ func BenchmarkCapture5kHz(b *testing.B) {
 		}
 		m.WireSource(dev.MonitorVisibleSource())
 		foreign := simclock.NewTicker(clk, 100*time.Millisecond, func(time.Time) {})
+		reads := 0
+		tick := simclock.NewTicker(clk, time.Second, func(time.Time) {
+			if _, err := m.LiveSummary(); live && err == nil {
+				reads++
+			}
+		})
+		if !live {
+			tick.Stop()
+		}
 		end := clk.Now().Add(span)
 		b.StartTimer()
 
@@ -54,7 +74,11 @@ func BenchmarkCapture5kHz(b *testing.B) {
 		if s.Len() != count {
 			b.Fatalf("captured %d samples in %v at 5 kHz, want %d", s.Len(), span, count)
 		}
+		if live && reads < 9 {
+			b.Fatalf("%d live reads in %v, want one a second", reads, span)
+		}
 		foreign.Stop()
+		tick.Stop()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")

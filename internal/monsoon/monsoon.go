@@ -63,12 +63,14 @@ type samplingRun struct {
 	ticker *simclock.Ticker
 	rate   int
 	period time.Duration
-	// adc is re-seeded for every sample's noise draw (rng.AtInto), and buf
-	// holds up to samples.ChunkLen readings between two appends. Only the
-	// run's sampler callback touches them, and a sampler never runs two
+	// adc is re-seeded for every sample's noise draw, from the seed in
+	// seeds (rng.AtSeeds) of the tick's instant, and buf holds up to
+	// samples.ChunkLen readings between two appends. Only the run's
+	// sampler callback touches them, and a sampler never runs two
 	// callbacks at once.
-	adc *rng.RNG
-	buf []float64
+	adc   *rng.RNG
+	seeds []uint64
+	buf   []float64
 }
 
 // New returns a monitor with mains off and Vout disabled.
@@ -163,10 +165,11 @@ func (m *Monsoon) StartSampling(rate int) error {
 	period := time.Duration(float64(time.Second) / float64(rate))
 	run := &samplingRun{
 		src:    m.source,
-		series: trace.NewSeries("current", "mA"),
+		series: trace.NewGridSeries("current", "mA", 10, MaxCurrentMA*10), // the ADC's 0.1 mA levels
 		rate:   rate,
 		period: period,
 		adc:    rng.New(0),
+		seeds:  make([]uint64, samples.ChunkLen),
 		buf:    make([]float64, 0, samples.ChunkLen),
 	}
 	run.ticker = simclock.NewSampler(m.clock, period, func(first time.Time, n int) {
@@ -182,17 +185,20 @@ func (m *Monsoon) StartSampling(rate int) error {
 // readings are computed outside m.mu — the source read takes no lock
 // and touches no clock (see power.Source) — into the run's buffer, which
 // holds samples.ChunkLen readings at most: one source read fills it with
-// the draws of its ticks, a loop adds the noise in place, and one lock
-// section appends it and counts its overcurrent samples.
+// the draws of its ticks, one loop derives the noise seeds of their
+// instants, a loop adds the noise in place, and one lock section appends
+// it and counts its overcurrent samples.
 func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 	for n > 0 {
 		buf := run.buf[:min(n, cap(run.buf))]
 		run.src.ReadMA(first, run.period, buf)
+		// The ticks' instants, stepped as integers from the first.
+		seeds := run.seeds[:len(buf)]
+		m.noise.AtSeeds(seeds, "adc", first.UnixNano(), int64(run.period))
 		over := 0
-		now := first.UnixNano() // the tick's instant, stepped as an integer
 		for j, i := range buf {
 			// ADC noise: ±1.2 mA gaussian, then 0.1 mA quantization.
-			m.noise.AtInto(run.adc, "adc", now)
+			run.adc.Reseed(seeds[j])
 			i += run.adc.Normal(0, 1.2)
 			if i < 0 {
 				i = 0
@@ -202,7 +208,6 @@ func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 				over++
 			}
 			buf[j] = float64(int64(i*10+0.5)) / 10
-			now += int64(run.period)
 		}
 
 		m.mu.Lock()
@@ -240,14 +245,15 @@ func (m *Monsoon) stopLocked() {
 }
 
 // LiveSummary reports the streaming summary of the in-flight sampling
-// run — running mean/std/min/max, P50/P95 estimates and charge integral
-// over every sample captured so far. Samples are appended a run at a
-// time (the ticks of one clock event, at most samples.ChunkLen per
+// run — running mean/std/min/max, exact P50/P95 (counted on the ADC's
+// 0.1 mA levels: stats.Quantile of the samples, bit for bit) and charge
+// integral over every sample captured so far. Samples are appended a run
+// at a time (the ticks of one clock event, at most samples.ChunkLen per
 // append), so on a virtual clock the summary moves in steps of a run,
 // never partway through one. The read folds the samples captured since
 // the previous read, a chunk's stretch per call (see trace.Series.Live),
 // so each sample is folded once however often progress UIs and session
-// observers read.
+// observers read, and walks the level counts for the quantiles.
 func (m *Monsoon) LiveSummary() (samples.LiveSummary, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 	"batterylab/internal/relay"
 	"batterylab/internal/samples"
 	"batterylab/internal/simclock"
+	"batterylab/internal/stats"
 	"batterylab/internal/trace"
 )
 
@@ -387,6 +388,76 @@ func TestCaptureCost(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestLiveQuantilesAreExact: at every live read of a 5 kHz capture of a
+// device whose load moves through phases — read by a 1 s ticker, as a
+// session's live tick reads it, and by a 0.7 s one that falls inside the
+// runs — P50 and P95 are stats.Quantile of the samples captured so far,
+// bit for bit.
+func TestLiveQuantilesAreExact(t *testing.T) {
+	clk := simclock.NewVirtual()
+	dev, err := device.New(clk, device.Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.SetRelayPosition(false) // bypass: the monitor sees the rail
+	load := dev.CPU().StartProcess("load")
+	m := New(clk, "HV0001", 7)
+	m.SetMains(true)
+	if err := m.SetVout(4.0); err != nil {
+		t.Fatal(err)
+	}
+	m.WireSource(dev.MonitorVisibleSource())
+	if err := m.StartSampling(MaxSampleRate); err != nil {
+		t.Fatal(err)
+	}
+	var reads []samples.LiveSummary
+	read := func(time.Time) {
+		live, err := m.LiveSummary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads = append(reads, live)
+	}
+	phase := 0
+	ticks := []*simclock.Ticker{
+		simclock.NewTicker(clk, time.Second, read),
+		simclock.NewTicker(clk, 700*time.Millisecond, read),
+		// Phases: idle, then a heavy load, a light one, none, heavy again.
+		simclock.NewTicker(clk, 2500*time.Millisecond, func(time.Time) {
+			load.SetLoad([]float64{90, 10, 0, 70}[phase%4], 3)
+			phase++
+		}),
+	}
+	clk.Advance(12 * time.Second)
+	for _, tk := range ticks {
+		tk.Stop()
+	}
+	s, err := m.StopSampling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]float64, 0, s.Len())
+	s.Iter(func(smp trace.Sample) bool {
+		all = append(all, smp.V)
+		return true
+	})
+	if len(reads) < 25 || reads[len(reads)-1].Max-reads[len(reads)-1].Min < 100 {
+		t.Fatalf("%d reads over %v mA: want a capture read often across its phases", len(reads), reads[len(reads)-1].Max-reads[len(reads)-1].Min)
+	}
+	for i, live := range reads {
+		soFar := all[:live.N] // a capture has no NaN: N counts every sample
+		for _, q := range []struct {
+			name string
+			got  float64
+			p    float64
+		}{{"P50", live.P50, 0.5}, {"P95", live.P95, 0.95}} {
+			if want := stats.Quantile(soFar, q.p); math.Float64bits(q.got) != math.Float64bits(want) {
+				t.Fatalf("read %d, after %d samples: live %s %v, stats.Quantile %v", i, live.N, q.name, q.got, want)
+			}
+		}
+	}
 }
 
 // Sampling at 5 kHz while every writer of the model runs: process loads

@@ -6,10 +6,11 @@
 //
 // A stream is a PCG generator seeded from two SplitMix64 words of its
 // seed, and a derived stream's seed is a hash of (parent seed, label
-// [, epoch]) — nothing else. Deriving is therefore a pure function, and
-// AtInto can re-seed an existing stream in place instead of building a
-// new one: a per-sample consumer (the Monsoon's ADC noise, 5 000 draws a
-// simulated second) pays no allocation for draws identical to At's.
+// [, epoch]) — nothing else. Deriving is therefore a pure function: a
+// per-sample consumer (the Monsoon's ADC noise, 5 000 draws a simulated
+// second) computes the seeds of a run of epochs at once (AtSeeds), hashing
+// the label once, and re-seeds one stream in place for each (Reseed),
+// paying no allocation for draws identical to At's.
 package rng
 
 import (
@@ -20,7 +21,7 @@ import (
 // RNG is a deterministic random stream.
 type RNG struct {
 	seed uint64
-	pcg  *rand.PCG // src's source, kept so AtInto can re-seed it
+	pcg  *rand.PCG // src's source, kept so Reseed can re-seed it
 	src  *rand.Rand
 }
 
@@ -28,13 +29,14 @@ type RNG struct {
 func New(seed uint64) *RNG {
 	r := &RNG{pcg: new(rand.PCG)}
 	r.src = rand.New(r.pcg)
-	r.reseed(seed)
+	r.Reseed(seed)
 	return r
 }
 
-// reseed rewinds r to the start of the stream New(seed) returns. All of a
-// stream's state is in its PCG: rand.Rand buffers nothing between draws.
-func (r *RNG) reseed(seed uint64) {
+// Reseed rewinds r to the start of the stream New(seed) returns, in
+// place. All of a stream's state is in its PCG: rand.Rand buffers nothing
+// between draws. r must not be shared with another goroutine.
+func (r *RNG) Reseed(seed uint64) {
 	r.seed = seed
 	r.pcg.Seed(splitmix(seed), splitmix(seed^0x9e3779b97f4a7c15))
 }
@@ -51,23 +53,32 @@ func (r *RNG) Fork(label string) *RNG {
 // noise processes (CPU utilization, supply ripple) stay consistent no
 // matter how often or when they are sampled.
 func (r *RNG) At(label string, epoch int64) *RNG {
-	return New(r.atSeed(label, epoch))
+	var seed [1]uint64
+	r.AtSeeds(seed[:], label, epoch, 0)
+	return New(seed[0])
 }
 
-// AtInto is At without the allocation: it re-seeds dst in place so that
-// dst's next draws are exactly those of r.At(label, epoch). Whatever dst
-// was before is forgotten. dst must not be shared with another goroutine.
-func (r *RNG) AtInto(dst *RNG, label string, epoch int64) {
-	dst.reseed(r.atSeed(label, epoch))
-}
-
-// atSeed hashes label then the eight little-endian bytes of epoch.
-func (r *RNG) atSeed(label string, epoch int64) uint64 {
-	h := fnv1a(label)
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(epoch>>(8*i)))) * fnvPrime
+// AtSeeds sets seeds[i] to the seed of r.At(label, epoch + i·step), the
+// epoch found by adding step to the previous one: Reseed with it, and a
+// stream draws exactly what that At's does. It hashes the label once for
+// the run: a seed hashes the label's hash on with the eight little-endian
+// bytes of its epoch.
+func (r *RNG) AtSeeds(seeds []uint64, label string, epoch, step int64) {
+	lh := fnv1a(label)
+	for i := range seeds {
+		// The eight steps unrolled, so that a run's seeds hash side by side.
+		e := uint64(epoch)
+		h := (lh ^ e&0xff) * fnvPrime
+		h = (h ^ e>>8&0xff) * fnvPrime
+		h = (h ^ e>>16&0xff) * fnvPrime
+		h = (h ^ e>>24&0xff) * fnvPrime
+		h = (h ^ e>>32&0xff) * fnvPrime
+		h = (h ^ e>>40&0xff) * fnvPrime
+		h = (h ^ e>>48&0xff) * fnvPrime
+		h = (h ^ e>>56) * fnvPrime
+		seeds[i] = splitmix(r.seed ^ h)
+		epoch += step
 	}
-	return splitmix(r.seed ^ h)
 }
 
 // 64-bit FNV-1a, as hash/fnv computes it, without the hasher object.

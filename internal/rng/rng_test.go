@@ -171,23 +171,28 @@ func TestIntNRange(t *testing.T) {
 	}
 }
 
-// AtInto must hand out exactly At's stream, whatever the scratch stream
-// was used for before.
-func TestAtIntoMatchesAt(t *testing.T) {
+// A stream re-seeded with AtSeeds' i-th seed must hand out exactly the
+// stream of At at the i-th epoch, whatever the scratch stream was used for
+// before, for any run of epochs stepped by any step.
+func TestAtSeedsMatchAt(t *testing.T) {
 	parent := New(2019).Fork("monsoon/HV0001")
 	scratch := New(0)
-	f := func(label string, epoch int64, dirty uint8) bool {
-		for i := 0; i < int(dirty); i++ { // leave the scratch mid-stream
-			scratch.Normal(0, 1)
-		}
-		parent.AtInto(scratch, label, epoch)
-		want := parent.At(label, epoch)
-		if scratch.Seed() != want.Seed() {
-			return false
-		}
-		for i := 0; i < 4; i++ {
-			if scratch.Normal(0, 1.2) != want.Normal(0, 1.2) || scratch.Float64() != want.Float64() {
+	f := func(label string, epoch, step int64, n, dirty uint8) bool {
+		seeds := make([]uint64, n%9)
+		parent.AtSeeds(seeds, label, epoch, step)
+		for i, seed := range seeds {
+			for j := 0; j < int(dirty); j++ { // leave the scratch mid-stream
+				scratch.Normal(0, 1)
+			}
+			scratch.Reseed(seed)
+			want := parent.At(label, epoch+int64(i)*step)
+			if scratch.Seed() != want.Seed() {
 				return false
+			}
+			for j := 0; j < 4; j++ {
+				if scratch.Normal(0, 1.2) != want.Normal(0, 1.2) || scratch.Float64() != want.Float64() {
+					return false
+				}
 			}
 		}
 		return true
@@ -216,15 +221,19 @@ func TestDerivedSeedsMatchFNV(t *testing.T) {
 	}
 }
 
-func TestAtIntoDoesNotAllocate(t *testing.T) {
+func TestAtSeedsAndReseedDoNotAllocate(t *testing.T) {
 	parent, scratch := New(7), New(0)
+	seeds := make([]uint64, 64)
 	epoch := int64(0)
 	if n := testing.AllocsPerRun(100, func() {
-		epoch++
-		parent.AtInto(scratch, "adc", epoch)
-		scratch.Normal(0, 1.2)
+		epoch += 64 * 200_000
+		parent.AtSeeds(seeds, "adc", epoch, 200_000)
+		for _, seed := range seeds {
+			scratch.Reseed(seed)
+			scratch.Normal(0, 1.2)
+		}
 	}); n != 0 {
-		t.Fatalf("AtInto + draw allocates %v times", n)
+		t.Fatalf("AtSeeds + Reseed + draw allocates %v times", n)
 	}
 }
 

@@ -274,10 +274,9 @@ func (tr *Trapezoid) AddRun(t []int64, v []float64) {
 // IntegralSeconds reports the running integral in unit·seconds.
 func (tr *Trapezoid) IntegralSeconds() float64 { return tr.total }
 
-// LiveSummary is an O(1) snapshot of a capture in flight: the running
-// moments, extremes, P² quantile estimates and time integral of every
-// sample seen so far. Observers read this mid-run instead of waiting
-// for teardown.
+// LiveSummary is a snapshot of a capture in flight: the running moments,
+// extremes, exact P50/P95 and time integral of every sample seen so far.
+// Observers read this mid-run instead of waiting for teardown.
 type LiveSummary struct {
 	// N is the number of samples aggregated (NaNs excluded).
 	N int
@@ -285,10 +284,9 @@ type LiveSummary struct {
 	Mean, Std float64
 	// Min and Max are exact running extremes.
 	Min, Max float64
-	// P50 and P95 are, in a StreamSummary's snapshot, P² streaming
-	// estimates (exact for N ≤ 5; see the package comment for bounds
-	// beyond that), and exact in an ExactSummary's or after Exact. NaN
-	// when N = 0.
+	// P50 and P95 are exact quantiles, stats.Quantile's: from the level
+	// counts of a stream on a grid, or selected from its values. NaN when
+	// N = 0.
 	P50, P95 float64
 	// IntegralSeconds is the running trapezoidal time integral
 	// (unit·seconds; for a mA series, milliamp-seconds).
@@ -297,24 +295,21 @@ type LiveSummary struct {
 	NaNs int
 }
 
-// StreamSummary bundles the streaming aggregators the capture path
-// needs: Welford moments, P50/P95 P² quantiles and the trapezoidal
-// integral. Construct with NewStreamSummary.
+// StreamSummary bundles the aggregators a capture is summarized by:
+// Welford moments, the trapezoidal integral and, for a stream whose
+// values lie on a grid, its Levels. Its snapshot's P50 and P95 are exact:
+// counted while the levels are on, selected from the values otherwise.
+// The zero value counts no levels and is ready to use.
 type StreamSummary struct {
-	mom   Welford
-	p50   *P2Quantile
-	p95   *P2Quantile
-	integ Trapezoid
+	mom    Welford
+	integ  Trapezoid
+	levels *Levels
 }
 
-// NewStreamSummary returns an empty stream summary.
-func NewStreamSummary() *StreamSummary {
-	return &StreamSummary{p50: NewP2Quantile(0.5), p95: NewP2Quantile(0.95)}
-}
-
-// Add folds one sample into every bundled aggregator: a run of one.
-func (ss *StreamSummary) Add(tNanos int64, v float64) {
-	ss.AddRun([]int64{tNanos}, []float64{v})
+// NewStreamSummary returns an empty stream summary that counts its values
+// on levels, an empty Levels of the grid they lie on, or nil for none.
+func NewStreamSummary(levels *Levels) *StreamSummary {
+	return &StreamSummary{levels: levels}
 }
 
 // AddRun folds a run of samples, t[i] paired with v[i], into every
@@ -324,51 +319,45 @@ func (ss *StreamSummary) Add(tNanos int64, v float64) {
 func (ss *StreamSummary) AddRun(t []int64, v []float64) {
 	ss.mom.ObserveRun(v)
 	ss.integ.AddRun(t, v)
-	ss.p50.ObserveRun(v)
-	ss.p95.ObserveRun(v)
-}
-
-// Snapshot reports the live summary of everything added so far.
-func (ss *StreamSummary) Snapshot() LiveSummary {
-	return summarize(&ss.mom, &ss.integ, ss.p50.Value(), ss.p95.Value())
-}
-
-// summarize renders folded moments, an integral and two quantiles as a
-// LiveSummary.
-func summarize(mom *Welford, integ *Trapezoid, p50, p95 float64) LiveSummary {
-	return LiveSummary{
-		N:               int(mom.N()),
-		Mean:            mom.Mean(),
-		Std:             mom.Std(),
-		Min:             mom.Min(),
-		Max:             mom.Max(),
-		P50:             p50,
-		P95:             p95,
-		IntegralSeconds: integ.IntegralSeconds(),
-		NaNs:            int(mom.NaNs()),
+	if ss.levels != nil {
+		ss.levels.ObserveRun(v)
 	}
 }
 
-// Exact returns ls with its P50 and P95 the exact quantiles of the values
-// it summarizes (SelectQuantiles), which cols hold, NaNs included or not:
-// its Min and Max must be theirs.
-func (ls LiveSummary) Exact(cols ...[]float64) LiveSummary {
+// IntegralSeconds reports the integral of everything added so far.
+func (ss *StreamSummary) IntegralSeconds() float64 { return ss.integ.IntegralSeconds() }
+
+// Snapshot reports the summary of everything added so far. cols must hold
+// those values (NaNs and all, in any columns); they are read, for a
+// selection, only when the levels are off.
+func (ss *StreamSummary) Snapshot(cols ...[]float64) LiveSummary {
 	var q [2]float64
-	SelectQuantiles(q[:], []float64{0.5, 0.95}, ls.Min, ls.Max, cols...)
-	ls.P50, ls.P95 = q[0], q[1]
-	return ls
+	ps := []float64{0.5, 0.95}
+	if ss.levels.On() {
+		ss.levels.Quantiles(q[:], ps)
+	} else {
+		SelectQuantiles(q[:], ps, ss.mom.Min(), ss.mom.Max(), cols...)
+	}
+	return LiveSummary{
+		N:               int(ss.mom.N()),
+		Mean:            ss.mom.Mean(),
+		Std:             ss.mom.Std(),
+		Min:             ss.mom.Min(),
+		Max:             ss.mom.Max(),
+		P50:             q[0],
+		P95:             q[1],
+		IntegralSeconds: ss.integ.IntegralSeconds(),
+		NaNs:            int(ss.mom.NaNs()),
+	}
 }
 
-// ExactSummary is the summary of a sample set held whole: the moments,
-// extremes and integral a StreamSummary folds, folded alike, bit for
-// bit, and every value kept, so that its P50 and P95 are exact order
-// statistics (LiveSummary.Exact) rather than P² estimates. It costs the
-// values' memory, kept in columns of ChunkLen as a Series keeps them, so
-// that holding more never copies what is held. The zero value is empty
-// and ready to use.
+// ExactSummary is a StreamSummary, with no levels, that keeps every value
+// it folds, so that its snapshot can select them: the summary of a sample
+// set held nowhere else (an analytics bucket or rollup). It keeps them in
+// columns of ChunkLen as a Series does, so that holding more never copies
+// what is held. The zero value is empty and ready to use.
 type ExactSummary struct {
-	mom   Welford
-	integ Trapezoid
+	sum StreamSummary
 	// vals holds the values in full columns and a last one filling up;
 	// spare holds columns a Reset emptied, to fill again.
 	vals, spare [][]float64
@@ -377,8 +366,7 @@ type ExactSummary struct {
 // AddRun folds a run of samples, t[i] paired with v[i], and keeps their
 // values.
 func (es *ExactSummary) AddRun(t []int64, v []float64) {
-	es.mom.ObserveRun(v)
-	es.integ.AddRun(t, v)
+	es.sum.AddRun(t, v)
 	for len(v) > 0 {
 		k := len(es.vals) - 1
 		if k < 0 || len(es.vals[k]) == ChunkLen {
@@ -398,9 +386,7 @@ func (es *ExactSummary) AddRun(t []int64, v []float64) {
 
 // Snapshot reports the summary of everything added so far. It reorders
 // nothing, so adding may go on.
-func (es *ExactSummary) Snapshot() LiveSummary {
-	return summarize(&es.mom, &es.integ, 0, 0).Exact(es.vals...)
-}
+func (es *ExactSummary) Snapshot() LiveSummary { return es.sum.Snapshot(es.vals...) }
 
 // Reset empties the summary and keeps the memory its values took.
 func (es *ExactSummary) Reset() {

@@ -258,9 +258,11 @@ func TestTrapezoidEdgeCases(t *testing.T) {
 }
 
 func TestStreamSummarySnapshot(t *testing.T) {
-	ss := NewStreamSummary()
+	ss := NewStreamSummary(NewLevels(1, 100))
+	var vs []float64
 	for i := 0; i < 1000; i++ {
-		ss.Add(int64(i)*1e6, float64(i%100))
+		vs = append(vs, float64(i%100))
+		ss.Add(int64(i)*1e6, vs[i])
 	}
 	snap := ss.Snapshot()
 	if snap.N != 1000 {
@@ -272,11 +274,15 @@ func TestStreamSummarySnapshot(t *testing.T) {
 	if !relClose(snap.Mean, 49.5, 1e-9) {
 		t.Fatalf("mean = %v", snap.Mean)
 	}
-	if snap.P50 < 40 || snap.P50 > 60 {
-		t.Fatalf("p50 = %v", snap.P50)
+	sort.Float64s(vs)
+	if snap.P50 != QuantileSorted(vs, 0.5) || snap.P95 != QuantileSorted(vs, 0.95) {
+		t.Fatalf("p50, p95 = %v, %v; want %v, %v", snap.P50, snap.P95, QuantileSorted(vs, 0.5), QuantileSorted(vs, 0.95))
 	}
-	if snap.P95 < snap.P50 || snap.P95 > 99 {
-		t.Fatalf("p95 = %v", snap.P95)
+	// With no levels, the same quantiles are selected from the values.
+	sel := NewStreamSummary(nil)
+	sel.AddRun(make([]int64, len(vs)), vs)
+	if got := sel.Snapshot(vs); got.P50 != snap.P50 || got.P95 != snap.P95 {
+		t.Fatalf("selected p50, p95 = %v, %v; counted %v, %v", got.P50, got.P95, snap.P50, snap.P95)
 	}
 	if snap.IntegralSeconds <= 0 {
 		t.Fatal("integral not accumulated")
@@ -284,7 +290,7 @@ func TestStreamSummarySnapshot(t *testing.T) {
 }
 
 func TestStreamSummaryNaNPolicy(t *testing.T) {
-	ss := NewStreamSummary()
+	ss := NewStreamSummary(NewLevels(10, 1000))
 	ss.Add(0, 10)
 	ss.Add(1e9, math.NaN())
 	ss.Add(2e9, 20)
@@ -303,11 +309,13 @@ func TestStreamSummaryNaNPolicy(t *testing.T) {
 }
 
 func TestStreamSummaryEmpty(t *testing.T) {
-	snap := NewStreamSummary().Snapshot()
-	if snap.N != 0 || snap.Mean != 0 || snap.Std != 0 {
-		t.Fatalf("empty snapshot: %+v", snap)
-	}
-	if !math.IsNaN(snap.P50) || !math.IsNaN(snap.P95) {
-		t.Fatal("empty quantiles not NaN")
+	for _, ss := range []*StreamSummary{NewStreamSummary(NewLevels(10, 1000)), NewStreamSummary(nil)} {
+		snap := ss.Snapshot()
+		if snap.N != 0 || snap.Mean != 0 || snap.Std != 0 {
+			t.Fatalf("empty snapshot: %+v", snap)
+		}
+		if !math.IsNaN(snap.P50) || !math.IsNaN(snap.P95) {
+			t.Fatal("empty quantiles not NaN")
+		}
 	}
 }

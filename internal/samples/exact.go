@@ -20,7 +20,7 @@ const (
 	// magnitude can crowd one range at every level.
 	selectDepth = 4
 	// selectMaxPs is the most quantiles SelectQuantiles selects in one
-	// pair of passes.
+	// pair of passes, and Levels in one walk.
 	selectMaxPs = 8
 )
 
@@ -40,31 +40,38 @@ const (
 // values, or a span hi − lo that no float64 holds, are copied and sorted
 // instead.
 func SelectQuantiles(q, ps []float64, lo, hi float64, cols ...[]float64) {
-	for len(ps) > selectMaxPs {
-		SelectQuantiles(q[:selectMaxPs], ps[:selectMaxPs], lo, hi, cols...)
-		q, ps = q[selectMaxPs:], ps[selectMaxPs:]
-	}
 	var small [selectSortMax]float64
 	var starts [selectBuckets + 1]int32
 	s := newSelection(lo, hi, cols, small[:], &starts, 0)
-	if s.n == 0 {
+	s.quantiles(q, ps)
+}
+
+// quantiles sets q[i] to the ps[i]-quantile of the s.n values as
+// QuantileSorted interpolates it between the order statistics at finds,
+// for at most 2·selectMaxPs ranks a call. NaN when there is no value.
+func (s *selection) quantiles(q, ps []float64) {
+	for len(ps) > selectMaxPs {
+		s.quantiles(q[:selectMaxPs], ps[:selectMaxPs])
+		q, ps = q[selectMaxPs:], ps[selectMaxPs:]
+	}
+	n := s.n
+	if n == 0 {
 		for i := range ps {
 			q[i] = math.NaN()
 		}
 		return
 	}
-	// Each p needs the values of two ranks, which depend on the count the
-	// first pass found.
+	// Each p needs the values of two ranks, which depend on n.
 	var rbuf [2 * selectMaxPs]int
 	var vals [2 * selectMaxPs]float64
 	ranks := rbuf[:0]
 	for _, p := range ps {
-		a, b, _ := quantileRanks(s.n, p)
+		a, b, _ := quantileRanks(n, p)
 		ranks = append(ranks, a, b)
 	}
 	s.at(vals[:], ranks)
 	for i, p := range ps {
-		a, b, frac := quantileRanks(s.n, p)
+		a, b, frac := quantileRanks(n, p)
 		q[i] = interpolate(vals[2*i], vals[2*i+1], a == b, frac)
 	}
 }
@@ -110,8 +117,10 @@ func sortTotal(vs []float64) {
 }
 
 // selection finds values by rank among the n non-NaN values of cols, in
-// the first of three ways that applies:
+// the first of four ways that applies:
 //
+//   - levels: the values are counted on a grid (Levels.Quantiles), and
+//     cols are not needed.
 //   - equal: every value is lo, numerically, so only a zero's sign tells
 //     values apart; negZeros counts the −0s.
 //   - sorted: a sorted copy of the values.
@@ -122,6 +131,8 @@ type selection struct {
 	cols  [][]float64
 	lo    float64
 	depth int
+
+	levels *Levels
 
 	equal    bool
 	negZeros int
@@ -206,6 +217,8 @@ func bucket(v, lo, scale float64) uint {
 // at sets vals[j] to the value of rank ranks[j] (0-based, below n).
 func (s *selection) at(vals []float64, ranks []int) {
 	switch {
+	case s.levels != nil:
+		s.levels.at(vals, ranks)
 	case s.equal:
 		for j, r := range ranks {
 			vals[j] = s.lo

@@ -175,7 +175,11 @@ func columns(vs []float64, cuts []byte) [][]float64 {
 
 // FuzzExactQuantiles holds SelectQuantiles to a sort of the same values,
 // bit for bit, on any values cut into any columns, and checks it leaves
-// the columns alone.
+// the columns alone. Its Levels arm snaps the values to a grid of tenths,
+// leaving the ones no snap should reach (NaN, −0, negatives, subnormals,
+// infinities and values above the grid's max) as they are, counts the
+// columns a run each, and holds the counts to the selection by bits while
+// every value was on the grid, and to being off once one was not.
 func FuzzExactQuantiles(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x4a, 0x00, 0x5b, 0x00}, []byte{2, 1}, uint16(0), uint16(0))  // NaN runs
 	f.Add([]byte{0x01, 0x81, 0x4a, 0x33, 0x01, 0x81}, []byte{}, uint16(0), uint16(1))      // ±Inf
@@ -194,18 +198,88 @@ func FuzzExactQuantiles(f *testing.F) {
 	f.Add([]byte{0x34, 0x05}, []byte{210, 7}, uint16(10000), uint16(32768))         // one huge outlier
 	f.Add([]byte{0x44, 0x85, 0x08}, []byte{}, uint16(9000), uint16(0))              // spans no float64 holds
 	f.Add([]byte{0x54, 0x17, 0x27, 0x37}, []byte{0, 255}, uint16(11000), uint16(7)) // subnormals
+	f.Add([]byte{0x04}, []byte{9}, uint16(3001), uint16(0))                         // all on the grid
+	f.Add([]byte{0x04, 0x04}, []byte{}, uint16(1000), uint16(21846))                // on the grid, p = 1/3
 	f.Fuzz(func(t *testing.T, data, cuts []byte, bulk, p uint16) {
 		ps := []float64{0.5, 0.95}
 		if p != 0 {
 			ps = append(ps, float64(p-1)/(math.MaxUint16-1))
 		}
 		checkSelect(t, ps, columns(exactValues(data, bulk), cuts))
+		checkLevels(t, ps, columns(gridValues(exactValues(data, bulk)), cuts))
 	})
+}
+
+// gridMax is the Levels arm's top level: 2000.0 at scale 10, below the
+// 3276.7 a value built from two bytes reaches.
+const gridMax = 20_000
+
+// gridValues snaps the positive normal values up to gridMax tenths to
+// the nearest tenth, as the Monsoon's ADC rounds a reading, and leaves
+// every other value as it is.
+func gridValues(vs []float64) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		if v >= math.SmallestNonzeroFloat64*(1<<52) && v*10 <= gridMax {
+			v = float64(int64(v*10+0.5)) / 10
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// onGridRef reports whether v is a tenth from 0 to gridMax tenths: +0
+// included, −0 not.
+func onGridRef(v float64) bool {
+	k := math.Floor(v*10 + 0.5)
+	return k >= 0 && k <= gridMax && k/10 == v && !math.Signbit(v)
+}
+
+// checkLevels counts cols, a column per run, and holds the counts to the
+// selection over cols by bits while every non-NaN value is on the grid,
+// and to being off as soon as one is not. A StreamSummary on those levels
+// must snapshot the same quantiles either way.
+func checkLevels(t *testing.T, ps []float64, cols [][]float64) {
+	t.Helper()
+	l := NewLevels(10, gridMax)
+	ss := NewStreamSummary(NewLevels(10, gridMax))
+	var w Welford
+	on := true
+	for _, c := range cols {
+		l.ObserveRun(c)
+		ss.AddRun(make([]int64, len(c)), c)
+		w.ObserveRun(c)
+		for _, v := range c {
+			on = on && (v != v || onGridRef(v))
+		}
+		if l.On() != on {
+			t.Fatalf("after %d values: counts on %v, every value on the grid %v", w.N()+w.NaNs(), l.On(), on)
+		}
+	}
+	want := make([]float64, len(ps))
+	SelectQuantiles(want, ps, w.Min(), w.Max(), cols...)
+	if on {
+		got := make([]float64, len(ps))
+		l.Quantiles(got, ps)
+		for i := range ps {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d values on the grid, p %v: counted %v (%#x), selected %v (%#x)",
+					w.N(), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	var sel [2]float64
+	SelectQuantiles(sel[:], []float64{0.5, 0.95}, w.Min(), w.Max(), cols...)
+	snap := ss.Snapshot(cols...)
+	if math.Float64bits(snap.P50) != math.Float64bits(sel[0]) || math.Float64bits(snap.P95) != math.Float64bits(sel[1]) {
+		t.Fatalf("%d values (on the grid: %v): snapshot P50, P95 %v, %v; selected %v, %v", w.N(), on, snap.P50, snap.P95, sel[0], sel[1])
+	}
 }
 
 // TestSelectQuantilesShapes: capture-shaped windows and columns, with NaN
 // runs, a trend, steps, heavy ties and skew, each selected as the sort
-// reference has it, for many quantiles at once too.
+// reference has it, for many quantiles at once too, and counted on a grid
+// of tenths as they are selected once snapped to it.
 func TestSelectQuantilesShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := func(n int, f func(i int) float64) []float64 {
@@ -235,6 +309,7 @@ func TestSelectQuantilesShapes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			checkSelect(t, []float64{0.5, 0.95}, [][]float64{vs})
 			checkSelect(t, all, columns(vs, []byte{210, 13, 255}))
+			checkLevels(t, all, columns(gridValues(vs), []byte{210, 13, 255}))
 		})
 	}
 }

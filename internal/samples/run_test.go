@@ -112,16 +112,22 @@ func (tr *Trapezoid) addOne(tNanos int64, v float64) {
 	tr.n++
 }
 
+// Levels had no per-sample body: its reference is a run of one.
 func (ss *StreamSummary) addOne(tNanos int64, v float64) {
 	ss.mom.observeOne(v)
 	ss.integ.addOne(tNanos, v)
-	ss.p50.observeOne(v)
-	ss.p95.observeOne(v)
+	if ss.levels != nil {
+		ss.levels.ObserveRun([]float64{v})
+	}
+}
+
+// Add folds one sample in: a run of one.
+func (ss *StreamSummary) Add(tNanos int64, v float64) {
+	ss.AddRun([]int64{tNanos}, []float64{v})
 }
 
 func (es *ExactSummary) addOne(tNanos int64, v float64) {
-	es.mom.observeOne(v)
-	es.integ.addOne(tNanos, v)
+	es.sum.addOne(tNanos, v)
 	if len(es.vals) == 0 {
 		es.vals = [][]float64{nil}
 	}
@@ -131,7 +137,7 @@ func (es *ExactSummary) addOne(tNanos int64, v float64) {
 // state is what an ExactSummary holds, whatever the columns it keeps its
 // values in: the folds and the values in order.
 func (es *ExactSummary) state() []any {
-	return []any{es.mom, es.integ, slices.Concat(es.vals...)}
+	return []any{es.sum, slices.Concat(es.vals...)}
 }
 
 func (wd *Windowed) addOne(tNanos int64, v float64) {
@@ -153,7 +159,7 @@ func sameBits(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		return a.Int() == b.Int()
 	case reflect.Bool:
 		return a.Bool() == b.Bool()
@@ -307,7 +313,9 @@ func FuzzRunMatchesSingles(f *testing.F) {
 		var wel, welRef Welford
 		p2, p2Ref := NewP2Quantile(0.3), NewP2Quantile(0.3)
 		var tr, trRef Trapezoid
-		ss, ssRef := NewStreamSummary(), NewStreamSummary()
+		// On the grid of tenths up to 3276.7 a fuzzed value's rounding
+		// lands on, until a negative, an infinite or a bulk value does not.
+		ss, ssRef := NewStreamSummary(NewLevels(10, 32767)), NewStreamSummary(NewLevels(10, 32767))
 		var es, esRef ExactSummary
 		wd, wdRef := NewWindowed(width), NewWindowed(width)
 		cols, colsRef := NewSeries(), NewSeries()
@@ -350,7 +358,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				{"P2Quantile.Value", p2.Value(), p2Ref.Value()},
 				{"Trapezoid", tr, trRef},
 				{"StreamSummary", ss, ssRef},
-				{"StreamSummary.Snapshot", ss.Snapshot(), ssRef.Snapshot()},
+				{"StreamSummary.Snapshot", ss.Snapshot(vs[:at]), ssRef.Snapshot(vs[:at])},
 				{"ExactSummary", es.state(), esRef.state()},
 				{"ExactSummary.Snapshot", es.Snapshot(), esRef.Snapshot()},
 				// Windowed's flushed buckets are compared once, at the end.
@@ -380,12 +388,15 @@ func FuzzRunMatchesSingles(f *testing.F) {
 }
 
 // TestRunBodiesDoNotAllocate: a fold of a chunk allocates nothing,
-// whether one estimator, a stream summary or an exact summary whose kept
-// memory has room does it, and neither does selecting its quantiles.
+// whether one estimator, a stream summary whose level counts have room or
+// an exact summary whose kept memory has room does it, and neither does
+// counting or selecting its quantiles.
 func TestRunBodiesDoNotAllocate(t *testing.T) {
 	ts, vs := synth(ChunkLen)
 	e := NewP2Quantile(0.5)
-	ss := NewStreamSummary()
+	grid := noisy(ChunkLen)
+	ss := NewStreamSummary(NewLevels(10, 60000))
+	ss.AddRun(ts, grid) // grows the counts to the highest level
 	var es ExactSummary
 	es.AddRun(ts, vs) // grows the memory each Reset keeps
 	for _, c := range []struct {
@@ -393,7 +404,8 @@ func TestRunBodiesDoNotAllocate(t *testing.T) {
 		fold func()
 	}{
 		{"P2Quantile.ObserveRun", func() { e.ObserveRun(vs) }},
-		{"StreamSummary.AddRun", func() { ss.AddRun(ts, vs) }},
+		{"StreamSummary.AddRun", func() { ss.AddRun(ts, grid) }},
+		{"StreamSummary.Snapshot", func() { ss.Snapshot() }},
 		{"ExactSummary.AddRun", func() { es.Reset(); es.AddRun(ts, vs) }},
 		{"ExactSummary.Snapshot", func() { es.Snapshot() }},
 	} {

@@ -38,31 +38,29 @@
 //   - Welford: numerically stable running mean/variance plus min/max.
 //     Agrees with the two-pass batch computation to ~1e-12 relative
 //     error (the property tests in this package pin 1e-9).
+//   - Levels: counts of values on a grid k/scale (a Monsoon reading is
+//     on the 0.1 mA grid of its ADC), one increment a value, from which
+//     quantiles are exact order statistics. A value off the grid turns
+//     the counts off for good, and the quantiles are selected instead.
 //   - P2Quantile: the P² algorithm of Jain & Chlamtac (1985). Five
 //     markers track the target quantile without storing samples. Exact
-//     for n ≤ 5; beyond that the estimate is approximate, with error
-//     that shrinks as the sample grows. The property tests pin the
-//     documented bound |est − exact| ≤ 0.05·(max−min) for n ≥ 1000
-//     on uniform, normal and bimodal inputs; typical error on smooth
-//     distributions is well under 1% of the sample range. The bound is
-//     tested on stationary inputs only: on captures with phases, whose
-//     distribution moves mid-stream, it need not hold — a live P95 was
-//     measured missing by 3.69× the bound on a 1 kHz browser run and by
-//     up to 2.44× on 2 s windows of a trending capture. Caveat: a
-//     quantile that falls inside a probability gap (e.g. the median of
-//     an exactly 50/50 bimodal mixture) is ill-conditioned for any
-//     constant-memory estimator — the estimate may land in either
-//     mode; the tested bounds assume the quantile is interior to a
-//     mode. P² is for data that streams: a capture's live view
-//     (StreamSummary) and metrics.Histogram. Wherever the whole sample
-//     is in hand, select instead (below).
+//     for n ≤ 5; beyond that the estimate is approximate. The property
+//     tests pin |est − exact| ≤ 0.05·(max−min) for n ≥ 1000 on
+//     stationary uniform, normal and bimodal inputs only: on a capture
+//     with phases, whose distribution moves mid-stream, it need not hold
+//     (a live P95 once missed it by 3.69× on a 1 kHz browser run). P² is
+//     for data that streams and is not kept, and its one user is
+//     metrics.Histogram; no capture quantile is a P² estimate.
 //   - Trapezoid: running trapezoidal time integration (unit·seconds),
 //     bit-identical to the batch loop it replaces because it
 //     accumulates the same terms in the same order.
 //
-// StreamSummary bundles all of the above so a capture loop feeds one
-// aggregator and observers read a LiveSummary snapshot mid-run instead
-// of waiting for teardown.
+// StreamSummary bundles Welford, Trapezoid and, for a stream on a grid,
+// Levels, so a capture loop feeds one aggregator and observers read a
+// LiveSummary snapshot mid-run instead of waiting for teardown. Its P50
+// and P95 are exact: counted from the levels while they are on, selected
+// from the values otherwise. The live view of a capture is therefore
+// exact at every read.
 //
 // # Exact quantiles
 //
@@ -70,12 +68,10 @@
 // QuantileSorted interpolates (stats.Quantile's answer), in linear time
 // and without reordering or copying the values: one pass counts them
 // into 4096 equal ranges between their extremes, a second gathers the
-// few ranges that hold the wanted ranks. ExactSummary is StreamSummary's
-// twin for a sample kept whole: the same moments and integral, bit for
-// bit, and exact P50 and P95. Windowed summarizes each fixed-width time
-// bucket of a stream with one, so a bucket's WindowSummary is a
-// LiveSummary and its start; a finished capture's stored summary
-// (trace.Series.Whole) selects over its storage chunks.
+// few ranges that hold the wanted ranks. ExactSummary is a StreamSummary
+// that keeps its values to select from, for a sample held nowhere else.
+// Windowed summarizes each fixed-width time bucket of a stream with one,
+// so a bucket's WindowSummary is a LiveSummary and its start.
 //
 // NaN values are invalid measurements (the Monsoon ADC clamps its floor
 // at 0 mA and can never produce them); aggregators skip them and count

@@ -77,8 +77,7 @@ func summarizeValid(w *samples.Welford, vs []float64) Summary {
 }
 
 // FromLive converts a streaming samples.LiveSummary into a Summary. The
-// Median is the P² streaming estimate — exact for N ≤ 5, approximate
-// beyond (see the internal/samples package comment for bounds).
+// Median is its exact P50.
 func FromLive(ls samples.LiveSummary) Summary {
 	if ls.N == 0 {
 		return Summary{}

@@ -265,11 +265,11 @@ func TestNewCDFSeries(t *testing.T) {
 
 func TestFromLiveAgreesWithSummarize(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
-	ss := samples.NewStreamSummary()
+	ss := samples.NewStreamSummary(nil)
 	for i, x := range xs {
-		ss.Add(int64(i)*1e9, x)
+		ss.AddRun([]int64{int64(i) * 1e9}, []float64{x})
 	}
-	got, want := FromLive(ss.Snapshot()), Summarize(xs)
+	got, want := FromLive(ss.Snapshot(xs)), Summarize(xs)
 	if got.N != want.N || !almostEqual(got.Mean, want.Mean, 1e-9) ||
 		!almostEqual(got.Std, want.Std, 1e-9) || got.Min != want.Min ||
 		got.Max != want.Max || got.Median != want.Median {

@@ -7,12 +7,15 @@
 // Since the streaming sample pipeline landed, a Series is backed by the
 // chunked columnar store of internal/samples (appends never copy prior
 // samples) and keeps a streaming summary — Welford moments, trapezoid
-// integral and P² quantiles — that is folded when it is read: Live,
+// integral and, for a series on a grid (NewGridSeries: the Monsoon's
+// 0.1 mA readings), level counts — that is folded when it is read: Live,
 // Summary, IntegralSeconds and EnergyMAH fold the samples appended since
 // the previous read, in order and a chunk's stretch per call, so each
 // sample is folded once and every figure is bit for bit that of folding
-// at every append. A trace nobody reads a summary of (a decoded one whose
-// energy the stored summary already gave) folds nothing.
+// at every append. Its quantiles are exact: counted from the levels, or
+// selected from the stored values of a series with none. A trace nobody
+// reads a summary of (a decoded one whose energy the stored summary
+// already gave) folds nothing.
 // Series persist to disk in the binary trace format of binary.go, and
 // export as CSV (WriteCSV, the v1 text format).
 //
@@ -68,15 +71,26 @@ type Series struct {
 	agg    *samples.StreamSummary
 	qmu    sync.Mutex
 	folded int
+	cols   [][]float64 // the value columns, as a read last found them
 }
 
 // NewSeries returns an empty series.
-func NewSeries(name, unit string) *Series {
+func NewSeries(name, unit string) *Series { return newSeries(name, unit, nil) }
+
+// NewGridSeries returns an empty series of values on the grid k/scale,
+// 0 ≤ k ≤ max, as an instrument that rounds its readings makes them: its
+// summary counts them (samples.Levels), so Live's quantiles cost no
+// selection. A value off the grid only makes them selected again.
+func NewGridSeries(name, unit string, scale float64, max int) *Series {
+	return newSeries(name, unit, samples.NewLevels(scale, max))
+}
+
+func newSeries(name, unit string, levels *samples.Levels) *Series {
 	return &Series{
 		name: name,
 		unit: unit,
 		data: samples.NewSeries(),
-		agg:  samples.NewStreamSummary(),
+		agg:  samples.NewStreamSummary(levels),
 	}
 }
 
@@ -155,12 +169,10 @@ func (s *Series) Duration() time.Duration {
 	return time.Duration(s.lastOff)
 }
 
-// Summary reduces the series to summary statistics from its streaming
-// summary. Mean, Std, Min and Max are exact. For series up to one chunk
-// (4096 samples — CPU traces, thinned sweeps) the Median is exact too,
-// from one bounded sort; beyond that it is the P² streaming estimate
-// (see the internal/samples package comment for its error bounds). For
-// an exact median on a large series, use CDF or stats.SummarizeSeries.
+// Summary reduces the series to summary statistics. Every field is exact.
+// A series up to one chunk (4096 samples — CPU traces, thinned sweeps) is
+// summarized in batch, with one bounded sort; a larger one is its Live
+// summary.
 func (s *Series) Summary() stats.Summary {
 	if s.data.Len() <= samples.ChunkLen {
 		return stats.SummarizeSeries(s.data)
@@ -168,32 +180,34 @@ func (s *Series) Summary() stats.Summary {
 	return stats.FromLive(s.Live())
 }
 
-// Live reports the streaming summary of the capture so far: running
-// mean/std/min/max, P50/P95 estimates and the time integral. Safe to
-// read between appends, and what session observers receive alongside
-// raw samples. It costs the fold of the samples appended since the
-// previous read: each sample is folded once over all reads.
+// Live reports the summary of the series so far: running
+// mean/std/min/max, the time integral and exact P50/P95 (stats.Quantile's
+// of the values, bit for bit). Safe to read between appends; it is what
+// session observers receive alongside raw samples and what a finished
+// capture stores. It costs the fold of the samples appended since the
+// previous read, each sample folded once over all reads, and the
+// quantiles: a walk of the level counts of a grid series, or a selection
+// over every stored value of any other.
 func (s *Series) Live() samples.LiveSummary {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
+	s.fold()
+	s.cols = s.cols[:0]
+	s.data.Chunks(0, func(_ []int64, v []float64) bool {
+		s.cols = append(s.cols, v)
+		return true
+	})
+	return s.agg.Snapshot(s.cols...)
+}
+
+// fold folds the samples appended since the previous read into the
+// summary. The caller holds qmu.
+func (s *Series) fold() {
 	s.data.Chunks(s.folded, func(t []int64, v []float64) bool {
 		s.agg.AddRun(t, v)
 		return true
 	})
 	s.folded = s.data.Len()
-	return s.agg.Snapshot()
-}
-
-// Whole reports the summary of the whole series: Live's, with P50 and
-// P95 the exact quantiles of the values (samples.LiveSummary.Exact)
-// instead of P² estimates. It is what a finished capture stores.
-func (s *Series) Whole() samples.LiveSummary {
-	var cols [][]float64
-	s.data.Chunks(0, func(_ []int64, v []float64) bool {
-		cols = append(cols, v)
-		return true
-	})
-	return s.Live().Exact(cols...)
 }
 
 // CDF builds the empirical CDF of the series values.
@@ -201,9 +215,14 @@ func (s *Series) CDF() (*stats.CDF, error) { return stats.NewCDFSeries(s.data) }
 
 // IntegralSeconds reports the series' integral over time using the
 // trapezoid rule, yielding unit·seconds (for a mA series:
-// milliamp-seconds). It is the streaming summary's, read as Live reads
-// it.
-func (s *Series) IntegralSeconds() float64 { return s.Live().IntegralSeconds }
+// milliamp-seconds). It is the streaming summary's, folded as Live folds
+// it; it selects no quantile.
+func (s *Series) IntegralSeconds() float64 {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	s.fold()
+	return s.agg.IntegralSeconds()
+}
 
 // EnergyMAH interprets the series as a current trace in mA and returns
 // the charge drawn in milliamp-hours — the unit of Fig. 3 and Fig. 6.

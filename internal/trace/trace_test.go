@@ -271,9 +271,9 @@ func TestStreamingSummaryMatchesBatch(t *testing.T) {
 	check("zero-floor", floored)
 }
 
-// TestStreamingMedianWithinP2Bounds pins the documented accuracy of the
-// streaming Summary's Median against the exact CDF median.
-func TestStreamingMedianWithinP2Bounds(t *testing.T) {
+// TestSummaryMedianIsExact: a series larger than a chunk, summarized
+// from its live summary, has the exact CDF median, as a small one does.
+func TestSummaryMedianIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := NewSeries("current", "mA")
 	for i := 0; i < 10000; i++ {
@@ -283,12 +283,9 @@ func TestStreamingMedianWithinP2Bounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := cdf.Median()
-	bound := 0.05 * (cdf.Max() - cdf.Min())
-	if got := s.Summary().Median; math.Abs(got-exact) > bound {
-		t.Fatalf("streaming median %v vs exact %v (bound %v)", got, exact, bound)
+	if got := s.Summary(); got.Median != cdf.Median() || got.Min != cdf.Min() || got.Max != cdf.Max() {
+		t.Fatalf("summary median, min, max %v, %v, %v; CDF's %v, %v, %v", got.Median, got.Min, got.Max, cdf.Median(), cdf.Min(), cdf.Max())
 	}
-	// Small series are exact (P² holds the first 5 samples verbatim).
 	small := mk(9, 1, 5)
 	if small.Summary().Median != 5 {
 		t.Fatalf("small-series median = %v, want exact 5", small.Summary().Median)
@@ -357,10 +354,14 @@ func (s *Series) Decimate(k int) *Series {
 }
 
 // FuzzSeriesSummary checks the lazy summary: a Series folds its moments,
-// integral and P² estimators when Live, Summary, IntegralSeconds or
-// EnergyMAH is read, so at every read point it must equal, bit for bit,
-// a samples.StreamSummary fed at every append — and Summary what the
-// eager aggregates would give. Each input byte is one step: a Live read,
+// integral and, on a grid, level counts when Live, Summary,
+// IntegralSeconds or EnergyMAH is read, so at every read point it must
+// equal, bit for bit, a batch summary of the same values: the moments and
+// integral of a samples.StreamSummary fed at every append, and P50 and
+// P95 stats.Quantile's (a zero's sign aside, which a sort leaves as it
+// met it) — and Summary what those give. Half the inputs start on a grid
+// series, whose counts a negative or an out-of-range value turns off, and
+// a decode carries on with a series on none. Each input byte is one step: a Live read,
 // a Summary read, an IntegralSeconds and EnergyMAH read, a NaN, a burst
 // of bulk values that crosses chunks, values up to the next chunk
 // boundary (where a fold resumes in a new chunk), a round trip through
@@ -375,22 +376,45 @@ func FuzzSeriesSummary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, steps []byte, bulk uint16) {
 		const maxLen = 4 * samples.ChunkLen
 		s := NewSeries("current", "mA")
-		eager := samples.NewStreamSummary()
+		if bulk&1 == 0 {
+			s = NewGridSeries("current", "mA", 10, 32767)
+		}
+		eager := samples.NewStreamSummary(nil)
+		var vals []float64
 		add := func(v float64) {
 			if s.Len() >= maxLen {
 				return
 			}
 			off := int64(s.Len()) * 200_000 // 5 kHz
 			s.MustAppend(t0.Add(time.Duration(off)), v)
-			eager.Add(off, v)
+			eager.AddRun([]int64{off}, []float64{v})
+			vals = append(vals, v)
+		}
+		// batch is the eager moments and integral with stats.Quantile's
+		// P50 and P95, where they are not a zero of either sign.
+		batch := func() samples.LiveSummary {
+			want := eager.Snapshot(vals)
+			var valid []float64
+			for _, v := range vals {
+				if v == v {
+					valid = append(valid, v)
+				}
+			}
+			if q := stats.Quantile(valid, 0.5); q != 0 || want.P50 != 0 {
+				want.P50 = q
+			}
+			if q := stats.Quantile(valid, 0.95); q != 0 || want.P95 != 0 {
+				want.P95 = q
+			}
+			return want
 		}
 		checkLive := func() {
-			if got, want := s.Live(), eager.Snapshot(); !sameBits(got, want) {
-				t.Fatalf("after %d samples: Live %+v, eager %+v", s.Len(), got, want)
+			if got, want := s.Live(), batch(); !sameBits(got, want) {
+				t.Fatalf("after %d samples: Live %+v, batch %+v", s.Len(), got, want)
 			}
 		}
 		checkIntegral := func() {
-			want := eager.Snapshot().IntegralSeconds
+			want := eager.IntegralSeconds()
 			if got := s.IntegralSeconds(); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("after %d samples: IntegralSeconds %v, eager %v", s.Len(), got, want)
 			}
@@ -415,7 +439,7 @@ func FuzzSeriesSummary(f *testing.F) {
 		checkSummary := func() {
 			want := stats.SummarizeSeries(s.Samples())
 			if s.Len() > samples.ChunkLen {
-				want = stats.FromLive(eager.Snapshot())
+				want = stats.FromLive(batch())
 			}
 			if got := s.Summary(); !sameBits(got, want) {
 				t.Fatalf("after %d samples: Summary %+v, want %+v", s.Len(), got, want)
