@@ -7,7 +7,7 @@
 //
 //	blab-run -browser Brave
 //	blab-run -browser Chrome -mirror -vpn Bunkyo -pages 5 -out trace.csv
-//	blab-run -browser Brave -out trace.bin   # compact binary trace (v2)
+//	blab-run -browser Brave -out trace.bin   # compact binary trace (v3)
 //	blab-run -video            # the §4.1 playback workload instead
 //	blab-run -server http://127.0.0.1:9090 -token $TOKEN -browser Brave -pages 2
 package main
@@ -36,7 +36,7 @@ func main() {
 		scrolls     = flag.Int("scrolls", 8, "scrolls per page")
 		rate        = flag.Int("rate", 1000, "monitor sample rate (Hz)")
 		seed        = flag.Uint64("seed", 2019, "simulation seed (local backend only)")
-		out         = flag.String("out", "", "write the current trace here (.csv = text, anything else = binary v2)")
+		out         = flag.String("out", "", "write the current trace here (.csv = text, anything else = binary v3, about 1 byte a sample)")
 		progress    = flag.Bool("progress", false, "print session phase transitions")
 		server      = flag.String("server", "", "access server base URL; empty = in-process simulation")
 		token       = flag.String("token", "", "API token for -server")

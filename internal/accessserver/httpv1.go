@@ -591,8 +591,9 @@ func (s *Server) NodeInfos() []api.NodeInfo {
 // (default 0, counting records) and then follows — a client that lost
 // its connection after n records resumes with ?from=n. The feed it reads
 // is bounded and drop-under-backpressure, so however slowly this
-// consumer drains, the capture loop never blocks. The response ends
-// cleanly only when the feed has closed and every record went out.
+// consumer drains, the capture loop never blocks. The 200 header is
+// flushed as the stream opens. The response ends cleanly only when the
+// feed has closed and every record went out.
 func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, f *feedhub.Feed, samples bool) {
 	cursor, ndjson, e := api.StreamQuery(r, samples)
 	if e != nil {
@@ -610,11 +611,18 @@ func (s *Server) streamFeed(w http.ResponseWriter, r *http.Request, f *feedhub.F
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		// The 200 goes out now, not with the first record: a follower's
+		// open returns while the feed is still empty, and a record that
+		// fails in the first batch breaks a stream that opened instead of
+		// failing its open.
+		flusher.Flush()
+	}
 	s.m.feedSubscribers.Inc()
 	subscribers.Inc()
 	defer s.m.feedSubscribers.Dec()
 	defer subscribers.Dec()
-	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	err := f.Follow(r.Context(), fromEvents, fromSamples, func(evs []api.BuildEvent, pts []api.SamplePoint) error {
 		// Only the followed stream has records: the other's cursor is past its end.

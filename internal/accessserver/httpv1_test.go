@@ -473,6 +473,68 @@ func TestV1ShortSampleStreamIsBroken(t *testing.T) {
 	}
 }
 
+// TestV1StreamOpensBeforeFirstRecord: a stream's 200 goes out as it
+// opens, not with its first record. A follower of a queued build, whose
+// feed holds nothing yet, has its open back at once, on either stream;
+// and a point NDJSON cannot carry, in the very first batch, breaks a
+// stream that opened (its body ends in io.ErrUnexpectedEOF) rather than
+// failing the open with a bare EOF.
+func TestV1StreamOpensBeforeFirstRecord(t *testing.T) {
+	v := newV1Rig(t)
+	id := v.queueBuild(t, v.exp)
+	for _, route := range []string{"events", "samples"} {
+		type opened struct {
+			resp *http.Response
+			err  error
+		}
+		ch := make(chan opened, 1)
+		go func() {
+			req, err := http.NewRequest("GET", fmt.Sprintf("%s/api/v1/builds/%d/%s", v.ts.URL, id, route), nil)
+			if err != nil {
+				ch <- opened{err: err}
+				return
+			}
+			req.Header.Set("Authorization", "Bearer "+v.admin.Token)
+			resp, err := http.DefaultClient.Do(req)
+			ch <- opened{resp, err}
+		}()
+		select {
+		case o := <-ch:
+			if o.err != nil {
+				t.Fatalf("%s stream of a queued build: %v", route, o.err)
+			}
+			defer o.resp.Body.Close()
+			if o.resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s stream of a queued build: status %d", route, o.resp.StatusCode)
+			}
+		case <-time.After(5 * time.Second):
+			_ = v.srv.Abort(v.exp, id) // closes the feed, so the open can end
+			t.Fatalf("%s stream of a queued build did not open before its first record", route)
+		}
+	}
+	if err := v.srv.Abort(v.exp, id); err != nil {
+		t.Fatal(err)
+	}
+
+	id = v.queueBuild(t, v.exp)
+	b, err := v.srv.Build(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Feed().PostSample(api.SamplePoint{AtNS: 1, CurrentMA: 100, N: 1, P50MA: math.NaN()})
+	resp := v.request(t, "GET", fmt.Sprintf("/api/v1/builds/%d/samples?format=ndjson", id), v.admin.Token, "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if rest, err := io.ReadAll(resp.Body); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("NDJSON stream ended with %v after %q, want io.ErrUnexpectedEOF", err, rest)
+	}
+	if err := v.srv.Abort(v.exp, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestV1EventCursor: ?from= resumes the event stream mid-way.
 func TestV1EventCursor(t *testing.T) {
 	r := newRig(t)

@@ -53,8 +53,32 @@ func makeCapture(seed int64, seconds int) *trace.Series {
 	return tr
 }
 
+// gridOf is tr's samples on the Monsoon's 0.1 mA grid, its NaNs left
+// out: a capture as its ADC rounds it, which a build stores as version 3
+// level deltas.
+func gridOf(tr *trace.Series) *trace.Series {
+	g := trace.NewGridSeries(tr.Name(), tr.Unit(), 10, 60000)
+	tr.Iter(func(s trace.Sample) bool {
+		if s.V == s.V {
+			g.MustAppend(s.T, math.Max(0, math.Round(s.V*10)/10))
+		}
+		return true
+	})
+	return g
+}
+
+// encodeV3 is tr as WriteBinary writes it, the format a build's trace is
+// stored in.
+func encodeV3(t testing.TB, tr *trace.Series) []byte {
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // encodeV2 is tr as a version 2 binary trace, the format a build's
-// trace is stored in.
+// trace was stored in before version 3.
 func encodeV2(t testing.TB, tr *trace.Series) []byte {
 	var buf bytes.Buffer
 	if err := trace.EncodeBinary(&buf, tr, trace.BinaryV2); err != nil {
@@ -299,9 +323,9 @@ func TestComputeDeterministic(t *testing.T) {
 	}
 }
 
-// traceFixtures are binary traces of both versions: the trace package's
-// golden files and encodings of this file's series, degenerate ones
-// included.
+// traceFixtures are binary traces of versions 1 and 2, which
+// answers.golden pins the answers to: the trace package's golden files
+// and encodings of this file's series, degenerate ones included.
 func traceFixtures(t testing.TB) map[string][]byte {
 	out := map[string][]byte{}
 	for _, name := range []string{"golden_v1.bltrace", "golden_v2.bltrace"} {
@@ -502,7 +526,7 @@ func TestBucketBoundAtEndOfTime(t *testing.T) {
 }
 
 // FuzzAnalyticsBytes feeds ComputeBinary arbitrary bytes as a trace of
-// either version. It must refuse or answer, never panic, and refuse and
+// any version. It must refuse or answer, never panic, and refuse and
 // answer exactly as decoding into a Series first does. Bytes it answers
 // for it answers alike given their whole-trace summary, the decoded
 // Series' own, as a build stores it: every float the same bits, the sign
@@ -526,6 +550,15 @@ func FuzzAnalyticsBytes(f *testing.F) {
 		overflow.MustAppend(time.Unix(int64(i), 0), v)
 	}
 	f.Add(encodeV2(f, overflow), int64(0)) // energy +Inf: no JSON carries it
+	// Version 3, as a build stores a trace: these series, ones on a grid
+	// (their values as level deltas, an empty one's header alone), and
+	// the same with a byte cut off.
+	empty := trace.NewGridSeries("current", "mA", 10, 60000)
+	for _, tr := range []*trace.Series{negZero, overflow, gridOf(makeTrace(11, 100)), gridOf(negZero), empty} {
+		data := encodeV3(f, tr)
+		f.Add(data, int64(time.Millisecond))
+		f.Add(data[:len(data)-1], int64(0))
+	}
 	f.Add(spanAllTime(), int64(1))
 	f.Add(spanAllTime(), int64(1<<62))
 	f.Fuzz(func(t *testing.T, raw []byte, windowNS int64) {
@@ -551,6 +584,35 @@ func FuzzAnalyticsBytes(f *testing.F) {
 			t.Fatalf("given its summary, ComputeBinary gives %+v (%v); folding, %+v", stored, err, want)
 		}
 	})
+}
+
+// TestComputeBinaryV3MatchesV2: the bytes a build stores (version 3, a
+// grid capture's values as level deltas) answer every query as the
+// version 2 bytes of the same series do, every float the same bits, and
+// so do those of series on no grid.
+func TestComputeBinaryV3MatchesV2(t *testing.T) {
+	for name, tr := range map[string]*trace.Series{
+		"grid capture":      gridOf(makeCapture(5, 33)),
+		"capture with NaNs": makeCapture(5, 33),
+		"noisy":             makeTrace(11, 9_000),
+	} {
+		v3 := encodeV3(t, tr)
+		if h, _, err := trace.DecodeHeader(v3); err != nil || h.Version != trace.BinaryV3 || (h.Scale == 10) != (name == "grid capture") {
+			t.Fatalf("%s: header %+v, %v", name, h, err)
+		}
+		v2 := encodeV2(t, tr)
+		for _, windowNS := range []int64{0, int64(100 * time.Millisecond), int64(2 * time.Second)} {
+			q := api.AnalyticsQuery{WindowNS: windowNS}
+			want, err := ComputeBinary(v2, q, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := ComputeBinary(v3, q, nil)
+			if err != nil || !reflect.DeepEqual(got, want) || !sameBits(got, want) {
+				t.Fatalf("%s window %d: v3 gives %+v (%v), v2 %+v", name, windowNS, got, err, want)
+			}
+		}
+	}
 }
 
 // sameBits reports whether every aggregate of a and b, in the total and

@@ -630,10 +630,11 @@ func capture5kHz(tb testing.TB) (*accessserver.Build, *Result) {
 }
 
 // saveRunAllocBound caps what saveRun allocates for a run, as a multiple
-// of the bytes of its three v2 traces: each encoding is grown once to a
-// size estimate a little above what it needs, and nothing else of the
-// run's size is made. A CSV formatted on save would add about 2.6 times
-// the v2 bytes more.
+// of the bytes of its three stored traces (version 3, about a byte a
+// sample of a capture): each encoding is grown once to a size estimate a
+// little above what it needs, beside one chunk's scratch, and nothing
+// else of the run's size is made. A CSV formatted on save would add about
+// 20 times the stored bytes more.
 const saveRunAllocBound = 2.0
 
 // TestSaveRunAllocBound holds saveRun on a 167 499-sample run to
@@ -647,13 +648,13 @@ func TestSaveRunAllocBound(t *testing.T) {
 	if n := res.Current.Len(); n != 167499 {
 		t.Fatalf("capture has %d samples, want 167499", n)
 	}
-	var v2 int
+	var stored int
 	for _, name := range []string{ArtifactCurrentTrace, ArtifactDeviceCPU, ArtifactControllerCPU} {
 		data, err := b.Workspace().Load(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2 += len(data)
+		stored += len(data)
 	}
 	// The least of three saves: a stray allocation elsewhere in the
 	// process can only add to one reading.
@@ -667,9 +668,9 @@ func TestSaveRunAllocBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if limit := saveRunAllocBound * float64(v2); float64(least) > limit {
-		t.Fatalf("saveRun allocated %d bytes for %d bytes of v2 traces (%.2f×), want at most %.1f×",
-			least, v2, float64(least)/float64(v2), saveRunAllocBound)
+	if limit := saveRunAllocBound * float64(stored); float64(least) > limit {
+		t.Fatalf("saveRun allocated %d bytes for %d bytes of stored traces (%.2f×), want at most %.1f×",
+			least, stored, float64(least)/float64(stored), saveRunAllocBound)
 	}
 }
 

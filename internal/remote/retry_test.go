@@ -345,7 +345,8 @@ func TestArtifactDeclaredLength(t *testing.T) {
 
 	spec := idleSpec(l)
 	spec.Monitor.SampleRateHz = 5000
-	spec.Workload.Params = api.Params{"duration_ms": 2000}
+	// 20 s at 5 kHz: 100 000 samples, about 100 KB as stored.
+	spec.Workload.Params = api.Params{"duration_ms": 20000}
 	sess, err := client.StartExperiment(nil, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -324,6 +324,16 @@ func (ss *StreamSummary) AddRun(t []int64, v []float64) {
 	}
 }
 
+// Grid reports the grid its levels count values on, scale 0 with none,
+// and whether every value added so far lies on it: the levels are still
+// on and no value was NaN.
+func (ss *StreamSummary) Grid() (scale float64, max int, all bool) {
+	if ss.levels == nil {
+		return 0, 0, false
+	}
+	return ss.levels.scale, ss.levels.max, ss.levels.On() && ss.mom.NaNs() == 0
+}
+
 // IntegralSeconds reports the integral of everything added so far.
 func (ss *StreamSummary) IntegralSeconds() float64 { return ss.integ.IntegralSeconds() }
 

@@ -235,6 +235,41 @@ func onGridRef(v float64) bool {
 	return k >= 0 && k <= gridMax && k/10 == v && !math.Signbit(v)
 }
 
+// TestGridLevel: GridLevel says a value is on the grid of tenths exactly
+// when onGridRef does, and a value on it comes back from its level bit
+// for bit. A StreamSummary's Grid says every value was on it until one
+// is not, or is NaN.
+func TestGridLevel(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	vals := []float64{0, math.Copysign(0, -1), 0.1, 0.15, -0.1, -0.04, gridMax / 10, gridMax/10 + 0.1,
+		1638.4, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, 1e300, -1e300}
+	for range 10000 {
+		vals = append(vals, float64(r.Intn(gridMax+100))/10, 160+math.Floor(r.Float64()*400)/10, r.Float64()*100)
+	}
+	for _, v := range vals {
+		k, ok := GridLevel(v, 10, gridMax)
+		if ok != onGridRef(v) {
+			t.Fatalf("%v (%#x): on the grid %v, reference %v", v, math.Float64bits(v), ok, onGridRef(v))
+		}
+		if ok && math.Float64bits(float64(k)/10) != math.Float64bits(v) {
+			t.Fatalf("%v: level %d gives back %v", v, k, float64(k)/10)
+		}
+	}
+	ss := NewStreamSummary(NewLevels(10, gridMax))
+	for _, c := range []struct {
+		v  float64
+		on bool
+	}{{0.5, true}, {123.4, true}, {math.NaN(), false}} {
+		ss.AddRun([]int64{0}, []float64{c.v})
+		if scale, max, all := ss.Grid(); scale != 10 || max != gridMax || all != c.on {
+			t.Fatalf("after %v: Grid %v, %d, %v; want 10, %d, %v", c.v, scale, max, all, gridMax, c.on)
+		}
+	}
+	if scale, _, all := NewStreamSummary(nil).Grid(); scale != 0 || all {
+		t.Fatalf("no levels: Grid scale %v, every value on it %v", scale, all)
+	}
+}
+
 // checkLevels counts cols, a column per run, and holds the counts to the
 // selection over cols by bits while every non-NaN value is on the grid,
 // and to being off as soon as one is not. A StreamSummary on those levels

@@ -7,11 +7,10 @@ import "math"
 // the cost of one increment a value. A Monsoon reading is such a value:
 // its ADC rounds to 0.1 mA (scale 10) within the 6 A envelope.
 //
-// A value v is on the grid when float64(k)/scale == v for
-// k = int(v*scale+0.5), the rounding that made it. NaN is skipped. A value
-// off the grid, −0 (which a count of level 0 would turn into +0) or above
-// max turns the counts off for good: On reports false from then on, and
-// the caller selects its quantiles from the values instead.
+// Whether a value lies on the grid is GridLevel's to say. NaN is skipped.
+// A value off the grid, −0 (which a count of level 0 would turn into +0)
+// or above max turns the counts off for good: On reports false from then
+// on, and the caller selects its quantiles from the values instead.
 type Levels struct {
 	scale float64
 	max   int
@@ -21,6 +20,17 @@ type Levels struct {
 	lo     int // the lowest level counted
 	n      int // values counted
 	off    bool
+}
+
+// GridLevel is the one rule of the grid k/scale, 0 ≤ k ≤ max: it returns
+// v's level k = int(v*scale+0.5), the rounding that made it, and whether
+// v lies on it — float64(k)/scale == v, k within [0, max], and v is not
+// −0, which float64(0)/scale would give back as +0. So a value on the
+// grid is stored as its level and comes back bit for bit. NaN, ±Inf and
+// negative values are off it.
+func GridLevel(v, scale float64, max int) (k int, ok bool) {
+	k = int(v*scale + 0.5)
+	return k, uint(k) <= uint(max) && float64(k)/scale == v && !(k == 0 && math.Signbit(v))
 }
 
 // NewLevels returns empty counts of the grid k/scale, 0 ≤ k ≤ max.
@@ -41,18 +51,18 @@ func (l *Levels) ObserveRun(vs []float64) {
 		l.turnOff()
 		return
 	}
-	counts, scale := l.counts, l.scale
+	counts, scale, max := l.counts, l.scale, l.max
 	lo, n := l.lo, l.n
 	for _, v := range vs {
 		if v != v {
 			continue
 		}
-		k := int(v*scale + 0.5)
-		if uint(k) >= uint(len(counts)) || float64(k)/scale != v || (k == 0 && math.Signbit(v)) {
-			if k < 0 || k > l.max || float64(k)/scale != v || math.Signbit(v) {
-				l.turnOff()
-				return
-			}
+		k, ok := GridLevel(v, scale, max)
+		if !ok {
+			l.turnOff()
+			return
+		}
+		if k >= len(counts) {
 			// A level above the counts: they grow to it, amortized over
 			// doublings of their memory.
 			counts = append(counts, make([]int32, k+1-len(counts))...)

@@ -24,7 +24,8 @@
 //     capture allocates ~256 chunks instead of copying ~2× the trace
 //     through geometric slice growth;
 //   - at the Monsoon's full 5 kHz rate a chunk spans ~0.8 s, a natural
-//     granularity for chunked binary trace encoding (internal/trace v2).
+//     granularity for chunked binary trace encoding (internal/trace v2
+//     and v3).
 //
 // # Streaming aggregators
 //
@@ -42,6 +43,8 @@
 //     on the 0.1 mA grid of its ADC), one increment a value, from which
 //     quantiles are exact order statistics. A value off the grid turns
 //     the counts off for good, and the quantiles are selected instead.
+//     GridLevel is the one rule of what lies on a grid; the binary trace
+//     encoder of internal/trace stores such values as their levels.
 //   - P2Quantile: the P² algorithm of Jain & Chlamtac (1985). Five
 //     markers track the target quantile without storing samples. Exact
 //     for n ≤ 5; beyond that the estimate is approximate. The property

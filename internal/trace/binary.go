@@ -5,12 +5,15 @@
 // Layout (all varints are unsigned LEB128 as in encoding/binary):
 //
 //	magic   "BLTRC" (5 bytes)
-//	version 1 byte (1 or 2)
+//	version 1 byte (1, 2 or 3)
 //	name    uvarint length + bytes
 //	unit    uvarint length + bytes
 //	epoch   zigzag varint unix seconds + uvarint nanoseconds
 //	        (the first sample's wall-clock timestamp; 0/0 when empty)
 //	count   uvarint sample count
+//	grid    version 3 only: uvarint scale + uvarint max, both at most
+//	        2²⁰ (maxGrid). Non-zero, every value is float64(k)/scale for
+//	        a level 0 ≤ k ≤ max; 0/0 is no grid.
 //
 // Version 1 payload — fixed-width records, the straightforward dump:
 //
@@ -25,18 +28,35 @@
 //	bits; repeated values collapse to one byte). Timestamp and value
 //	predictors run across chunk boundaries.
 //
-// Both versions decode with ReadBinary; WriteBinary emits version 2.
-// The CSV text format (WriteCSV) remains an export format.
+// Version 3 payload — version 2 with two changes, for the traces an
+// instrument makes (a Monsoon capture: 5 kHz on the 0.1 mA grid of its
+// ADC, about 1 byte a sample against version 2's 8):
 //
-// The layout is written down once, on plain columns: appendHeader and
-// v2Encoder.appendChunk build it into a byte slice, DecodeHeader and the
-// run decoder (Header.Decoder, a chunk's columns per call) take it apart
-// from one. Series.WriteBinary, EncodeBinary, ReadBinary and DecodeBinary
-// move a Series' columns through them; AppendBinary, DecodeHeader and
-// the decoder serve callers that hold columns and bytes already
-// (internal/analytics, internal/api's sample frames) and have no use for
-// a Series or its streaming summary. A payload ends with its last stated
-// sample: bytes after it are refused, not ignored.
+//	per chunk: uvarint n<<1 | steady. A steady chunk's timestamp column
+//	is its first two delta-of-deltas (its first sample's, which sets it
+//	against the chunk before, and its second's, which sets its period),
+//	every later one being zero; any other chunk's is version 2's. The
+//	encoder marks a chunk of 3 or more samples steady when it is. On a
+//	grid the value column is n × zigzag varint level delta k − k_prev
+//	(k_prev starts at 0 and runs across chunks); with none it is version
+//	2's XOR column.
+//
+// All three versions decode with ReadBinary; WriteBinary emits version 3
+// (a series declares its grid with NewGridSeries, and it is written only
+// when the summary says every value lies on it). AppendBinary, the live
+// sample frames of internal/api, emits version 2. The CSV text format
+// (WriteCSV) remains an export format.
+//
+// The layout is written down once, on plain columns: encoder.appendHeader
+// and encoder.appendChunk build it into a byte slice for versions 2 and
+// 3 alike, DecodeHeader and the run decoder (Header.Decoder, a chunk's
+// columns per call) take it apart from one. Series.WriteBinary,
+// EncodeBinary, ReadBinary and DecodeBinary move a Series' columns
+// through them; AppendBinary, DecodeHeader and the decoder serve callers
+// that hold columns and bytes already (internal/analytics, internal/api's
+// sample frames) and have no use for a Series or its streaming summary.
+// A payload ends with its last stated sample: bytes after it are refused,
+// not ignored.
 
 package trace
 
@@ -56,6 +76,7 @@ import (
 const (
 	BinaryV1 = 1 // plain records
 	BinaryV2 = 2 // chunked, delta/XOR encoded
+	BinaryV3 = 3 // version 2 with steady-period chunks and grid level deltas
 )
 
 const binMagic = "BLTRC"
@@ -63,28 +84,43 @@ const binMagic = "BLTRC"
 // maxStringLen bounds the name and unit fields.
 const maxStringLen = 1 << 16
 
-// WriteBinary encodes the series in the current binary format (v2).
+// maxGrid bounds a version 3 grid's scale and max: a level delta then
+// takes at most 3 bytes, and a decoder never makes level counts larger.
+const maxGrid = 1 << 20
+
+// WriteBinary encodes the series in the current binary format (v3).
 func (s *Series) WriteBinary(w io.Writer) error {
-	return EncodeBinary(w, s, BinaryV2)
+	return EncodeBinary(w, s, BinaryV3)
 }
 
 // EncodeBinary encodes the series at an explicit format version —
-// version 1 for compatibility fixtures, version 2 (the default) for
-// everything else. Each storage chunk goes to w in one Write, the
-// header with the first.
+// version 1 and 2 for compatibility (fixtures, the benchmark's v2
+// figures), version 3 (the default) for everything else. Version 3 puts
+// the values on the grid the series declares when its summary, folded up
+// to now, says every one lies on it. Each storage chunk goes to w in one
+// Write, the header with the first. A w that buffers in memory is grown
+// once, with the first chunk, to what that chunk's bytes a sample make
+// of the whole trace, and an eighth more.
 func EncodeBinary(w io.Writer, s *Series, version int) error {
-	if version != BinaryV1 && version != BinaryV2 {
+	if version < BinaryV1 || version > BinaryV3 {
 		return fmt.Errorf("trace: unknown binary version %d", version)
 	}
-	buf := appendHeader(nil, version, s.name, s.unit, s.epoch, s.Len())
-	growFor(w, len(buf)+9*s.Len()) // a capture's v2 sample is about 8 bytes, a v1 record 9 or more
-	var enc v2Encoder
+	enc := encoder{version: version}
+	if version == BinaryV3 {
+		enc.scale, enc.max = s.grid()
+	}
+	buf := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	var err error
+	first := true
 	s.data.Chunks(0, func(offs []int64, vals []float64) bool {
 		if version == BinaryV1 {
 			buf = appendRecordsV1(buf, offs, vals)
-		} else {
-			buf = enc.appendChunk(buf, offs, vals)
+		} else if buf, err = enc.appendChunk(buf, offs, vals); err != nil {
+			return false
+		}
+		if first {
+			growFor(w, len(buf)+len(buf)*(s.Len()-len(offs))/len(offs)*9/8)
+			first = false
 		}
 		_, err = w.Write(buf)
 		buf = buf[:0]
@@ -99,34 +135,16 @@ func EncodeBinary(w io.Writer, s *Series, version int) error {
 // AppendBinary appends the v2 encoding of one trace held as plain
 // columns — offs[i] nanoseconds after epoch, non-decreasing, paired with
 // vals[i] — to dst and returns the extended slice. The bytes are those
-// WriteBinary produces for a Series holding the same samples.
+// EncodeBinary(…, BinaryV2) produces for a Series holding the same
+// samples.
 func AppendBinary(dst []byte, name, unit string, epoch time.Time, offs []int64, vals []float64) []byte {
-	dst = appendHeader(dst, BinaryV2, name, unit, epoch, len(offs))
-	var enc v2Encoder
+	enc := encoder{version: BinaryV2}
+	dst = enc.appendHeader(dst, name, unit, epoch, len(offs))
 	for start := 0; start < len(offs); start += samples.ChunkLen {
 		end := min(start+samples.ChunkLen, len(offs))
-		dst = enc.appendChunk(dst, offs[start:end], vals[start:end])
+		dst, _ = enc.appendChunk(dst, offs[start:end], vals[start:end]) // off a grid: no error
 	}
 	return dst
-}
-
-// appendHeader appends everything ahead of the payload. An empty trace
-// has no first sample and encodes its epoch as 0/0.
-func appendHeader(dst []byte, version int, name, unit string, epoch time.Time, count int) []byte {
-	dst = append(dst, binMagic...)
-	dst = append(dst, byte(version))
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	dst = append(dst, name...)
-	dst = binary.AppendUvarint(dst, uint64(len(unit)))
-	dst = append(dst, unit...)
-	var sec int64
-	var nsec uint64
-	if count > 0 {
-		sec, nsec = epoch.Unix(), uint64(epoch.Nanosecond())
-	}
-	dst = binary.AppendVarint(dst, sec)
-	dst = binary.AppendUvarint(dst, nsec)
-	return binary.AppendUvarint(dst, uint64(count))
 }
 
 // appendRecordsV1 appends the version 1 payload for one run of samples.
@@ -138,57 +156,145 @@ func appendRecordsV1(dst []byte, offs []int64, vals []float64) []byte {
 	return dst
 }
 
-// v2Encoder holds the version 2 predictors, which run across chunks.
-type v2Encoder struct {
+// encoder writes one trace at one version. Its predictors run across
+// chunks.
+type encoder struct {
+	version int
+	// scale and max are the version 3 grid, 0 and 0 for none.
+	scale, max int
+
 	prevT, prevDelta int64
 	prevBits         uint64
+	prevK            int
 }
 
-// appendChunk appends one version 2 chunk (at most samples.ChunkLen
-// samples): its length, the timestamp column as delta-of-delta, then
-// the value column XORed against the previous value. dst is grown once
-// to hold the chunk's longest encoding, and each varint is written into
-// it in place: a one-byte timestamp as a byte, any other varint of up to
-// 56 bits with one 8-byte store (uvarintWord), a longer one through
-// binary.PutUvarint. An 8-byte store needs 8 bytes of room whatever the
-// varint's length; the bytes past its end are overwritten by the next
-// one or cut off.
-func (e *v2Encoder) appendChunk(dst []byte, offs []int64, vals []float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(offs)))
+// appendHeader appends everything ahead of the payload. An empty trace
+// has no first sample and encodes its epoch as 0/0.
+func (e *encoder) appendHeader(dst []byte, name, unit string, epoch time.Time, count int) []byte {
+	dst = append(dst, binMagic...)
+	dst = append(dst, byte(e.version))
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	dst = binary.AppendUvarint(dst, uint64(len(unit)))
+	dst = append(dst, unit...)
+	var sec int64
+	var nsec uint64
+	if count > 0 {
+		sec, nsec = epoch.Unix(), uint64(epoch.Nanosecond())
+	}
+	dst = binary.AppendVarint(dst, sec)
+	dst = binary.AppendUvarint(dst, nsec)
+	dst = binary.AppendUvarint(dst, uint64(count))
+	if e.version == BinaryV3 {
+		dst = binary.AppendUvarint(dst, uint64(e.scale))
+		dst = binary.AppendUvarint(dst, uint64(e.max))
+	}
+	return dst
+}
+
+// appendChunk appends one version 2 or 3 chunk (at most samples.ChunkLen
+// samples): its length, the timestamp column as delta-of-delta (the
+// first two, for a steady version 3 chunk), then the value column, XORed
+// against the previous value or, on a grid, as level deltas. It refuses
+// a value off the grid. dst is grown once to hold the chunk's longest
+// encoding, and each varint is written into it in place: a one-byte
+// delta-of-delta or level delta as a byte, any other varint of up to 56
+// bits with one 8-byte store (uvarintWord), a longer one through
+// binary.PutUvarint. An 8-byte store
+// needs 8 bytes of room whatever the varint's length; the bytes past its
+// end are overwritten by the next one or cut off.
+func (e *encoder) appendChunk(dst []byte, offs []int64, vals []float64) ([]byte, error) {
+	n := len(offs)
+	ts := offs
+	head := uint64(n)
+	if e.version == BinaryV3 {
+		// Steady: every sample after the second is as far from the one
+		// before as the second is from the first.
+		steady := uint64(0)
+		if n > 2 {
+			steady = 1
+			for i, step := 2, offs[1]-offs[0]; i < n; i++ {
+				if offs[i]-offs[i-1] != step {
+					steady = 0
+					break
+				}
+			}
+		}
+		if steady == 1 {
+			ts = offs[:2]
+		}
+		head = head<<1 | steady
+	}
+	dst = binary.AppendUvarint(dst, head)
+	room := binary.MaxVarintLen64 * (len(ts) + n) // a value of any width
+	if e.scale > 0 {
+		room = binary.MaxVarintLen64*len(ts) + 3*n + 8 // a level delta within ±2²⁰
+	}
 	p := len(dst)
-	dst = slices.Grow(dst, 2*binary.MaxVarintLen64*len(offs))
+	dst = slices.Grow(dst, room)
 	buf := dst[:cap(dst)]
 	prevT, prevDelta := e.prevT, e.prevDelta
-	for _, off := range offs {
+	for _, off := range ts {
 		delta := off - prevT
 		dod := delta - prevDelta
 		prevT, prevDelta = off, delta
-		switch x := uint64(dod<<1) ^ uint64(dod>>63); { // zigzag, as binary.AppendVarint
-		case x < 0x80: // a steady sampling period
+		if x := zigzag(dod); x < 0x80 { // a steady sampling period
 			buf[p] = byte(x)
 			p++
-		case x < 1<<56:
-			w, n := uvarintWord(x)
-			binary.LittleEndian.PutUint64(buf[p:], w)
-			p += n
-		default:
-			p += binary.PutUvarint(buf[p:], x)
+		} else {
+			p = putUvarint(buf, p, x)
 		}
+	}
+	e.prevT, e.prevDelta = offs[n-1], prevDelta
+
+	if e.scale > 0 {
+		scale, max, prevK := float64(e.scale), e.max, e.prevK
+		for _, v := range vals {
+			k, ok := samples.GridLevel(v, scale, max)
+			if !ok {
+				return dst, fmt.Errorf("trace: value %v is off the grid k/%d, 0 ≤ k ≤ %d", v, e.scale, e.max)
+			}
+			if x := zigzag(int64(k - prevK)); x < 0x80 { // a step of a few levels
+				buf[p] = byte(x)
+				p++
+			} else {
+				p = putUvarint(buf, p, x)
+			}
+			prevK = k
+		}
+		e.prevK = prevK
+		return buf[:p], nil
 	}
 	prev := e.prevBits
 	for _, v := range vals {
 		bits := math.Float64bits(v)
 		if x := bits ^ prev; x < 1<<56 {
-			w, n := uvarintWord(x)
+			w, k := uvarintWord(x)
 			binary.LittleEndian.PutUint64(buf[p:], w)
-			p += n
+			p += k
 		} else {
 			p += binary.PutUvarint(buf[p:], x)
 		}
 		prev = bits
 	}
-	e.prevT, e.prevDelta, e.prevBits = prevT, prevDelta, prev
-	return buf[:p]
+	e.prevBits = prev
+	return buf[:p], nil
+}
+
+// zigzag maps a signed varint's value to the unsigned one
+// binary.AppendVarint writes.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// putUvarint writes the uvarint of x at buf[p:], as binary.PutUvarint
+// would, and returns the position after it: one of up to 56 bits with one
+// 8-byte store.
+func putUvarint(buf []byte, p int, x uint64) int {
+	if x < 1<<56 {
+		w, n := uvarintWord(x)
+		binary.LittleEndian.PutUint64(buf[p:], w)
+		return p + n
+	}
+	return p + binary.PutUvarint(buf[p:], x)
 }
 
 // uvarintWord returns the uvarint of x < 2⁵⁶, byte for byte what
@@ -217,6 +323,9 @@ type Header struct {
 	// Count is the number of samples, already checked against the bytes
 	// that follow: it is safe to size an allocation from.
 	Count int
+	// Scale and Max are a version 3 trace's grid, both at most 2²⁰: every
+	// value is float64(k)/Scale for a level 0 ≤ k ≤ Max. 0 and 0 for none.
+	Scale, Max int
 }
 
 // Epoch reports the time sample offsets count from.
@@ -224,8 +333,8 @@ func (h Header) Epoch() time.Time {
 	return time.Unix(h.EpochSec, int64(h.EpochNsec)).UTC()
 }
 
-// DecodeHeader parses the header of a binary trace of either version
-// and returns it with the payload bytes that follow it.
+// DecodeHeader parses the header of a binary trace of any version and
+// returns it with the payload bytes that follow it.
 func DecodeHeader(data []byte) (h Header, payload []byte, err error) {
 	if len(data) < len(binMagic) {
 		return h, nil, fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
@@ -239,7 +348,7 @@ func DecodeHeader(data []byte) (h Header, payload []byte, err error) {
 	}
 	h.Version = int(data[p])
 	p++
-	if h.Version != BinaryV1 && h.Version != BinaryV2 {
+	if h.Version < BinaryV1 || h.Version > BinaryV3 {
 		return h, nil, fmt.Errorf("trace: unsupported binary version %d", h.Version)
 	}
 	if h.Name, p, err = headerString(data, p); err != nil {
@@ -266,14 +375,27 @@ func DecodeHeader(data []byte) (h Header, payload []byte, err error) {
 		return h, nil, varintError("sample count", k)
 	}
 	p += k
-	payload = data[p:]
 	// A version 1 sample is at least 9 bytes, a version 2 sample at least
-	// 2: a count the payload cannot hold is refused before anything is
-	// sized from it.
-	minSample := 9
-	if h.Version == BinaryV2 {
-		minSample = 2
+	// 2 and a version 3 one 1, its value: a count the payload cannot hold
+	// is refused before anything is sized from it.
+	minSample := [...]int{BinaryV1: 9, BinaryV2: 2, BinaryV3: 1}[h.Version]
+	if h.Version == BinaryV3 {
+		scale, k := binary.Uvarint(data[p:])
+		if k <= 0 {
+			return h, nil, varintError("grid scale", k)
+		}
+		p += k
+		max, k := binary.Uvarint(data[p:])
+		if k <= 0 {
+			return h, nil, varintError("grid max", k)
+		}
+		p += k
+		if (scale == 0) != (max == 0) || scale > maxGrid || max > maxGrid {
+			return h, nil, fmt.Errorf("trace: bad grid: scale %d, max %d (both 0, or both in 1..%d)", scale, max, maxGrid)
+		}
+		h.Scale, h.Max = int(scale), int(max)
 	}
+	payload = data[p:]
 	if count > uint64(len(payload)/minSample) {
 		return h, nil, fmt.Errorf("trace: %d samples stated, %d payload bytes: %w", count, len(payload), io.ErrUnexpectedEOF)
 	}
@@ -308,9 +430,12 @@ func varintError(what string, k int) error {
 }
 
 // Decoder takes apart the payload of one binary trace a run at a time,
-// into columns its caller owns: Next fills them with one version 2 chunk
-// (its timestamp column in one loop, then its value column in another),
-// or with as many version 1 records as they hold. Offsets come out
+// into columns its caller owns: Next fills them with one version 2 or 3
+// chunk (its timestamp column in one loop, then its value column in
+// another), or with as many version 1 records as they hold. A steady
+// version 3 chunk's offsets after its second are filled by adding the
+// period, checked once for the chunk; a level is checked to lie within
+// the grid, and becomes float64(k)/Scale. Offsets come out
 // counted from the first sample, whose time Start reports. Every check
 // holds on every run — chunk bounds, EOF, varint overflow, offsets that
 // do not decrease and stay within an int64 of the first — and a trace
@@ -325,6 +450,7 @@ type Decoder struct {
 	// predictors after it run across chunks.
 	first, prevT, prevDelta int64
 	prevBits                uint64
+	prevK                   int64 // the last level, on a version 3 grid
 }
 
 // Decoder returns a decoder over the payload DecodeHeader returned with h.
@@ -354,13 +480,13 @@ func (d *Decoder) Start() time.Time {
 // Next decodes the next run into offs and vals and returns its length;
 // 0 with a nil error is the end of the trace. The columns must hold
 // min(Count − the samples read, samples.ChunkLen) samples, a version 2
-// chunk's most.
+// or 3 chunk's most.
 func (d *Decoder) Next(offs []int64, vals []float64) (int, error) {
 	switch {
 	case d.read < d.h.Count && d.h.Version == BinaryV1:
 		return d.nextV1(offs, vals)
 	case d.read < d.h.Count:
-		return d.nextV2(offs, vals)
+		return d.nextChunk(offs, vals)
 	case d.p < len(d.payload):
 		return 0, &TrailingBytesError{Count: d.h.Count, Extra: len(d.payload) - d.p}
 	}
@@ -394,23 +520,33 @@ func (d *Decoder) nextV1(offs []int64, vals []float64) (int, error) {
 	return n, nil
 }
 
-func (d *Decoder) nextV2(offs []int64, vals []float64) (int, error) {
+// nextChunk decodes one version 2 or 3 chunk.
+func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 	payload, p := d.payload, d.p
 	n64, k := binary.Uvarint(payload[p:])
 	if k <= 0 {
 		return 0, varintError("chunk header", k)
 	}
 	p += k
+	steady := false
+	if d.h.Version == BinaryV3 {
+		n64, steady = n64>>1, n64&1 == 1
+	}
 	if n64 == 0 || n64 > samples.ChunkLen || n64 > uint64(d.h.Count-d.read) {
 		return 0, fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, d.read, d.h.Count)
 	}
 	n := int(n64)
 	offs, vals = offs[:n], vals[:n]
 
-	// The timestamp column. A steady sampling period is a zero
-	// delta-of-delta, one byte; any one-byte value skips binary.Varint.
+	// The timestamp column, of a steady chunk its first two samples'. A
+	// steady sampling period is a zero delta-of-delta, one byte; any
+	// one-byte value skips binary.Varint.
+	ts := offs
+	if steady && n > 2 {
+		ts = offs[:2]
+	}
 	first, prevT, prevDelta := d.first, d.prevT, d.prevDelta
-	for i := range offs {
+	for i := range ts {
 		if p == len(payload) {
 			return 0, fmt.Errorf("trace: timestamps of the chunk at sample %d: %w", d.read, io.ErrUnexpectedEOF)
 		}
@@ -434,27 +570,70 @@ func (d *Decoder) nextV2(offs []int64, vals []float64) (int, error) {
 		prevT = off
 		offs[i] = off - first
 	}
+	if len(ts) < n {
+		// The rest of a steady chunk, each sample prevDelta after the one
+		// before: a step the second sample's check found not negative.
+		// The checks each would make hold for all when the last offset,
+		// and its distance from the first, fit an int64; room is what the
+		// larger of the two (the second sample's) may still grow by.
+		o := offs[1]
+		room := math.MaxInt64 - max(prevT, o)
+		if prevDelta > 0 && int64(n-2) > room/prevDelta {
+			j := room/prevDelta + 1 // the first step past it
+			return 0, orderError(d.read+1+int(j), prevT+j*prevDelta, prevT+(j-1)*prevDelta, first)
+		}
+		for i := 2; i < n; i++ {
+			o += prevDelta
+			offs[i] = o
+		}
+		prevT += int64(n-2) * prevDelta
+	}
 
-	// The value column: a varint of up to 8 bytes is taken from one 8-byte
-	// load; a longer one, or one in the payload's last 7 bytes, goes
-	// through binary.Uvarint.
-	prev := d.prevBits
-	for i := range vals {
-		x, k := uint64(0), 9
-		if len(payload)-p >= 8 {
-			x, k = uvarint8(binary.LittleEndian.Uint64(payload[p:]))
-		}
-		if k > 8 {
-			if x, k = binary.Uvarint(payload[p:]); k <= 0 {
-				return 0, varintError(fmt.Sprintf("value %d", d.read+i), k)
+	if d.h.Scale > 0 {
+		// Level deltas: a one-byte one skips binary.Varint.
+		scale, top, level := float64(d.h.Scale), uint64(d.h.Max), d.prevK
+		for i := range vals {
+			var dk int64
+			if p < len(payload) && payload[p] < 0x80 {
+				b := payload[p]
+				dk = int64(b>>1) ^ -int64(b&1) // zigzag
+				p++
+			} else {
+				if dk, k = binary.Varint(payload[p:]); k <= 0 {
+					return 0, varintError(fmt.Sprintf("value %d", d.read+i), k)
+				}
+				p += k
 			}
+			level += dk
+			if uint64(level) > top {
+				return 0, fmt.Errorf("trace: value %d: level %d outside the grid's 0..%d", d.read+i, level, top)
+			}
+			vals[i] = float64(level) / scale
 		}
-		p += k
-		prev ^= x
-		vals[i] = math.Float64frombits(prev)
+		d.prevK = level
+	} else {
+		// XORed values: a varint of up to 8 bytes is taken from one 8-byte
+		// load; a longer one, or one in the payload's last 7 bytes, goes
+		// through binary.Uvarint.
+		prev := d.prevBits
+		for i := range vals {
+			x, k := uint64(0), 9
+			if len(payload)-p >= 8 {
+				x, k = uvarint8(binary.LittleEndian.Uint64(payload[p:]))
+			}
+			if k > 8 {
+				if x, k = binary.Uvarint(payload[p:]); k <= 0 {
+					return 0, varintError(fmt.Sprintf("value %d", d.read+i), k)
+				}
+			}
+			p += k
+			prev ^= x
+			vals[i] = math.Float64frombits(prev)
+		}
+		d.prevBits = prev
 	}
 	d.p, d.read = p, d.read+n
-	d.first, d.prevT, d.prevDelta, d.prevBits = first, prevT, prevDelta, prev
+	d.first, d.prevT, d.prevDelta = first, prevT, prevDelta
 	return n, nil
 }
 
@@ -481,7 +660,7 @@ func orderError(i int, off, prev, first int64) error {
 }
 
 // ReadBinary decodes a series written by WriteBinary or EncodeBinary,
-// accepting both format versions. It reads r to its end.
+// accepting every format version. It reads r to its end.
 func ReadBinary(r io.Reader) (*Series, error) {
 	var data []byte
 	var err error
@@ -504,16 +683,22 @@ func ReadBinary(r io.Reader) (*Series, error) {
 // already (a fetched artifact). It only reads data and keeps none of it.
 // The samples are decoded a chunk at a time straight into the free
 // columns of the series' tail chunk (samples.Series.Grow), and nothing
-// is folded until the summary is read. A version 2 chunk that does not
-// fit the room left — one cut across this package's chunk boundaries,
-// which neither encoder here writes — is decoded aside and appended a
-// sample at a time.
+// is folded until the summary is read. A chunk that does not fit the
+// room left — one cut across this package's chunk boundaries, which
+// neither encoder here writes — is decoded aside and appended a sample
+// at a time. A version 3 trace on a grid decodes to a NewGridSeries of
+// that grid, so that writing it again gives back data.
 func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	s := NewSeries(string(h.Name), string(h.Unit))
+	var s *Series
+	if h.Scale > 0 { // within 1..maxGrid, as DecodeHeader checked
+		s = NewGridSeries(string(h.Name), string(h.Unit), h.Scale, h.Max)
+	} else {
+		s = NewSeries(string(h.Name), string(h.Unit))
+	}
 	d := h.Decoder(payload)
 	var asideT []int64
 	var asideV []float64

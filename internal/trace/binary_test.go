@@ -7,11 +7,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,6 +34,45 @@ func quantizedCapture(n int) *Series {
 	for i := 0; i < n; i++ {
 		v := 160 + math.Floor(r.Float64()*400)/10 // 0.1 mA quantization
 		s.MustAppend(t0.Add(time.Duration(i)*200*time.Microsecond), v)
+	}
+	return s
+}
+
+// gridCapture is n samples of 5 kHz capture on the Monsoon's grid, every
+// value float64(k)/10 exactly, in a grid series: a few levels of ADC
+// noise around a current that steps every 1000 samples, as a device
+// moving between phases draws. Every length is a prefix of the same
+// trace.
+func gridCapture(n int) *Series {
+	s := NewGridSeries("current", "mA", 10, 60000)
+	r := rand.New(rand.NewSource(2019))
+	base := 0
+	for i := 0; i < n; i++ {
+		if i%1000 == 0 {
+			base = 800 + r.Intn(4000)
+		}
+		k := base + r.Intn(21) - 10
+		s.MustAppend(t0.Add(time.Duration(i)*200*time.Microsecond), float64(k)/10)
+	}
+	return s
+}
+
+// gridGolden is the fixed trace behind golden_v3_grid.bltrace: a short
+// grid capture whose last sample comes a millisecond late, so that it
+// holds steady chunks and an unsteady one, and level deltas of one byte
+// and of two.
+func gridGolden() *Series {
+	s := gridCapture(2*samples.ChunkLen + 36)
+	s.MustAppend(s.At(s.Len()-1).T.Add(time.Millisecond), 432.1)
+	return s
+}
+
+// gridSeries is a grid series of the Monsoon's grid holding vals, a
+// second apart.
+func gridSeries(vals ...float64) *Series {
+	s := NewGridSeries("current", "mA", 10, 60000)
+	for i, v := range vals {
+		s.MustAppend(t0.Add(time.Duration(i)*time.Second), v)
 	}
 	return s
 }
@@ -58,7 +99,7 @@ func assertBitIdentical(t *testing.T, got, want *Series) {
 func TestBinaryRoundTripV2(t *testing.T) {
 	s := goldenSeries()
 	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
+	if err := EncodeBinary(&buf, s, BinaryV2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadBinary(&buf)
@@ -72,6 +113,114 @@ func TestBinaryRoundTripV2(t *testing.T) {
 	}
 	if got.EnergyMAH() != s.EnergyMAH() {
 		t.Fatal("energy differs after round trip")
+	}
+}
+
+// TestBinaryRoundTripV3: WriteBinary writes version 3, on the grid of a
+// grid series whose values all lie on it. Its bytes decode to the series
+// they came from, bit for bit, with that grid, so the summaries agree and
+// writing the decoded series gives back the same bytes; a grid capture
+// takes a fraction of version 2's bytes.
+func TestBinaryRoundTripV3(t *testing.T) {
+	for _, c := range []struct {
+		s          *Series
+		scale, max int
+	}{{goldenSeries(), 0, 0}, {gridGolden(), 10, 60000}} {
+		var buf bytes.Buffer
+		if err := c.s.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := bytes.Clone(buf.Bytes())
+		h, _, err := DecodeHeader(raw)
+		if err != nil || h.Version != BinaryV3 || h.Scale != c.scale || h.Max != c.max {
+			t.Fatalf("header %+v, %v; want version 3 on grid %d/%d", h, err, c.scale, c.max)
+		}
+		got, err := DecodeBinary(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, got, c.s)
+		if scale, max, _ := got.agg.Grid(); scale != float64(c.scale) || max != c.max {
+			t.Fatalf("decoded series counts levels of %v/%d, want %d/%d", scale, max, c.scale, c.max)
+		}
+		if got.Summary() != c.s.Summary() || !sameBits(got.Live(), c.s.Live()) {
+			t.Fatalf("summary %+v != %+v", got.Live(), c.s.Live())
+		}
+		var again bytes.Buffer
+		if err := got.WriteBinary(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), raw) {
+			t.Fatalf("encode(decode(b)): %d bytes, b %d, or they differ", again.Len(), len(raw))
+		}
+	}
+	s := gridGolden()
+	var v2, v3 bytes.Buffer
+	if err := EncodeBinary(&v2, s, BinaryV2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteBinary(&v3); err != nil {
+		t.Fatal(err)
+	}
+	// About a byte a level delta and nothing a timestamp: every chunk
+	// but the late sample's is steady, the first one too.
+	if perSample := float64(v3.Len()) / float64(s.Len()); perSample > 1.1 || 5*v3.Len() > v2.Len() {
+		t.Fatalf("v3 %.2f bytes/sample (%d bytes) on a grid capture, v2 %d bytes: want at most 1.1 and a fifth of v2", perSample, v3.Len(), v2.Len())
+	}
+}
+
+// TestV3GridChoice: a grid series is written on its grid only while its
+// summary says every value lies on it. NaN, −0, a value between levels,
+// below 0 or above max, or a series that declares none is written with
+// no grid, its values XORed, and decodes bit for bit all the same. A
+// grid the format cannot hold is refused when the series is made.
+func TestV3GridChoice(t *testing.T) {
+	for _, g := range [][2]int{{0, 100}, {10, 0}, {maxGrid + 1, 100}, {10, maxGrid + 1}, {-1, 100}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGridSeries made a series on the grid %d/%d", g[0], g[1])
+				}
+			}()
+			NewGridSeries("current", "mA", g[0], g[1])
+		}()
+	}
+	for name, c := range map[string]struct {
+		s     *Series
+		scale int
+	}{
+		"empty grid series": {NewGridSeries("current", "mA", 10, 60000), 10},
+		"on the grid":       {gridSeries(0, 0.1, 6000, 123.4, 123.4), 10},
+		"NaN":               {gridSeries(1, math.NaN(), 2), 0},
+		"−0":                {gridSeries(1, math.Copysign(0, -1)), 0},
+		"between levels":    {gridSeries(1, 0.15), 0},
+		"below 0":           {gridSeries(1, -0.1), 0},
+		"above max":         {gridSeries(1, 6000.1), 0},
+		"no grid declared":  {mk(0, 0.1, 0.2), 0},
+	} {
+		var buf bytes.Buffer
+		if err := c.s.WriteBinary(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h, _, err := DecodeHeader(buf.Bytes())
+		if err != nil || h.Scale != c.scale {
+			t.Fatalf("%s: grid scale %d, %v; want %d", name, h.Scale, err, c.scale)
+		}
+		got, err := DecodeBinary(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertBitIdentical(t, got, c.s)
+	}
+}
+
+// TestV3EncoderRefusesOffGridValue: the encoder checks each value it
+// writes as a level; a value its grid does not hold is an error, never a
+// wrong value.
+func TestV3EncoderRefusesOffGridValue(t *testing.T) {
+	enc := encoder{version: BinaryV3, scale: 10, max: 60000}
+	if _, err := enc.appendChunk(nil, []int64{0, 1, 2}, []float64{0.1, 0.15, 0.2}); err == nil {
+		t.Fatal("a value between levels was written as a level")
 	}
 }
 
@@ -94,6 +243,9 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 		mk(7),
 		mk(0, 0, 0, 0), // constant: v2 value column collapses to XOR zeros
 		mk(1.5, -2.25, math.Inf(1), math.SmallestNonzeroFloat64),
+		NewGridSeries("empty grid", "mA", 10, 60000),
+		gridSeries(0, 6000, 0, 0.1), // level deltas of ±60000
+		gridSeries(7),
 	}
 	burst := NewSeries("burst", "u")
 	burst.MustAppend(t0, 1)
@@ -101,7 +253,7 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	burst.MustAppend(t0.Add(time.Hour), 3)
 	cases = append(cases, burst)
 	for _, want := range cases {
-		for _, version := range []int{BinaryV1, BinaryV2} {
+		for _, version := range []int{BinaryV1, BinaryV2, BinaryV3} {
 			var buf bytes.Buffer
 			if err := EncodeBinary(&buf, want, version); err != nil {
 				t.Fatalf("%s v%d: %v", want.Name(), version, err)
@@ -158,30 +310,34 @@ func TestBinaryV2SmallerThanCSVAndV1(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtures pins the on-disk encoding: the checked-in v1 and
-// v2 fixtures must keep decoding bit-identically to goldenSeries, and
-// today's encoder must keep producing exactly the v2 fixture's bytes.
-// Regenerate (after a deliberate format change, with a version bump)
-// with: go test ./internal/trace -run Golden -update-golden
+// TestGoldenFixtures pins the on-disk encoding: the checked-in v1, v2
+// and v3 fixtures must keep decoding bit-identically to the series they
+// were written from, today's WriteBinary must keep producing exactly the
+// v3 fixtures' bytes, and EncodeBinary at version 2 the v2 fixture's.
+// Regenerate the v3 ones (after a deliberate format change, with a
+// version bump) with: go test ./internal/trace -run Golden -update-golden
 func TestGoldenFixtures(t *testing.T) {
-	want := goldenSeries()
-	v1Path := filepath.Join("testdata", "golden_v1.bltrace")
-	v2Path := filepath.Join("testdata", "golden_v2.bltrace")
-	if *updateGolden {
-		for _, f := range []struct {
-			path    string
-			version int
-		}{{v1Path, BinaryV1}, {v2Path, BinaryV2}} {
-			var buf bytes.Buffer
-			if err := EncodeBinary(&buf, want, f.version); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(f.path, buf.Bytes(), 0o644); err != nil {
+	fixtures := []struct {
+		file    string
+		series  *Series
+		version int
+	}{
+		{"golden_v1.bltrace", goldenSeries(), BinaryV1},
+		{"golden_v2.bltrace", goldenSeries(), BinaryV2},
+		{"golden_v3.bltrace", goldenSeries(), BinaryV3},
+		{"golden_v3_grid.bltrace", gridGolden(), BinaryV3},
+	}
+	for _, f := range fixtures {
+		path := filepath.Join("testdata", f.file)
+		var buf bytes.Buffer
+		if err := EncodeBinary(&buf, f.series, f.version); err != nil {
+			t.Fatal(err)
+		}
+		if *updateGolden && f.version == BinaryV3 { // the older fixtures are frozen
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	for _, path := range []string{v1Path, v2Path} {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v (run with -update-golden to create)", path, err)
@@ -190,29 +346,31 @@ func TestGoldenFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		assertBitIdentical(t, got, want)
-	}
-	// Encoder stability: v2 output is byte-for-byte the fixture.
-	rawV2, err := os.ReadFile(v2Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := want.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), rawV2) {
-		t.Fatal("v2 encoder output drifted from the golden fixture")
+		assertBitIdentical(t, got, f.series)
+		if f.version == BinaryV1 { // not written since version 2 became the default
+			continue
+		}
+		// Encoder stability: the output is byte for byte the fixture.
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("v%d encoder output drifted from %s", f.version, path)
+		}
+		if f.version == BinaryV3 {
+			buf.Reset()
+			if err := f.series.WriteBinary(&buf); err != nil || !bytes.Equal(buf.Bytes(), raw) {
+				t.Fatalf("WriteBinary drifted from %s (%v)", path, err)
+			}
+		}
 	}
 }
 
 // TestAppendBinaryMatchesWriteBinary: the column entry point and the
 // Series one are the same encoder — same bytes for the same samples,
-// across chunk boundaries and for the empty trace.
+// across chunk boundaries and for the empty trace. The columns are
+// written at version 2 (the live sample frames), so the Series is too.
 func TestAppendBinaryMatchesWriteBinary(t *testing.T) {
-	for _, s := range []*Series{goldenSeries(), mk(7), NewSeries("current", "mA")} {
+	for _, s := range []*Series{goldenSeries(), gridGolden(), mk(7), NewSeries("current", "mA")} {
 		var want bytes.Buffer
-		if err := s.WriteBinary(&want); err != nil {
+		if err := EncodeBinary(&want, s, BinaryV2); err != nil {
 			t.Fatal(err)
 		}
 		var offs []int64
@@ -223,21 +381,51 @@ func TestAppendBinaryMatchesWriteBinary(t *testing.T) {
 		})
 		got := AppendBinary([]byte("kept"), s.Name(), s.Unit(), t0, offs, vals)
 		if !bytes.Equal(got[4:], want.Bytes()) || string(got[:4]) != "kept" {
-			t.Fatalf("%d samples: AppendBinary wrote %d bytes, WriteBinary %d, or they differ", s.Len(), len(got)-4, want.Len())
+			t.Fatalf("%d samples: AppendBinary wrote %d bytes, EncodeBinary %d, or they differ", s.Len(), len(got)-4, want.Len())
 		}
+	}
+}
+
+// head is a trace's header up to its count, for a name "n" and a unit
+// "u" at epoch 0, followed by tail: the count, for version 3 the grid,
+// then the payload.
+func head(version byte, tail ...byte) []byte {
+	return append([]byte{'B', 'L', 'T', 'R', 'C', version, 1, 'n', 1, 'u', 0, 0}, tail...)
+}
+
+// hostileV3 are version 3 traces each refused for one thing alone: a grid
+// past the format's bounds or half stated, a level off the grid or run
+// off an int64, a steady chunk whose stated period runs back or whose
+// filled offsets run past an int64, an empty chunk, a count the payload
+// cannot hold, and a byte too many.
+func hostileV3() map[string][]byte {
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	zz := func(x int64) []byte { return binary.AppendVarint(nil, x) }
+	return map[string][]byte{
+		"v3 grid max past the bound":         head(3, cat(uv(1), uv(10), uv(maxGrid+1), uv(3), zz(0), zz(1))...),
+		"v3 grid scale past the bound":       head(3, cat(uv(1), uv(maxGrid+1), uv(100), uv(3), zz(0), zz(1))...),
+		"v3 grid scale without a max":        head(3, 1, 10, 0, 3, 0, 0),
+		"v3 grid max without a scale":        head(3, 1, 0, 100, 3, 0, 0),
+		"v3 level below 0":                   head(3, cat(uv(1), uv(10), uv(100), uv(3), zz(0), zz(-1))...),
+		"v3 level above max":                 head(3, cat(uv(2), uv(10), uv(100), uv(2<<1), zz(0), zz(0), zz(100), zz(1))...),
+		"v3 level run past an int64":         head(3, cat(uv(2), uv(10), uv(100), uv(2<<1), zz(0), zz(0), zz(5), zz(math.MaxInt64))...),
+		"v3 steady chunk running back":       head(3, cat(uv(3), uv(0), uv(0), uv(3<<1|1), zz(5), zz(-8), uv(0), uv(0), uv(0))...),
+		"v3 steady chunk past an int64":      head(3, cat(uv(3), uv(0), uv(0), uv(3<<1|1), zz(0), zz(1<<62), uv(0), uv(0), uv(0))...),
+		"v3 empty chunk":                     head(3, 1, 0, 0, 1, 0, 0),
+		"v3 count the payload cannot hold":   head(3, 3, 0, 0, 3, 0),
+		"v3 bytes past the last sample":      head(3, 1, 0, 0, 3, 0, 0, 0),
+		"v3 grid bytes past the last sample": head(3, 1, 10, 100, 3, 0, 2, 0),
 	}
 }
 
 // TestBinaryRejectsHostileHeaders: every length the header states is
 // checked against the bytes that are there before anything is sized or
 // read from it, and timestamps that run backwards or off the end of an
-// int64 are refused by the decoder itself.
+// int64, or levels off the grid, are refused by the decoder itself.
 func TestBinaryRejectsHostileHeaders(t *testing.T) {
-	head := func(version byte, tail ...byte) []byte {
-		return append([]byte{'B', 'L', 'T', 'R', 'C', version, 1, 'n', 1, 'u', 0, 0}, tail...)
-	}
 	maxOff := binary.AppendVarint(nil, math.MaxInt64)
-	for name, raw := range map[string][]byte{
+	hostile := map[string][]byte{
 		"name longer than the input":       {'B', 'L', 'T', 'R', 'C', 2, 200, 'n'},
 		"name past the string bound":       append([]byte{'B', 'L', 'T', 'R', 'C', 2}, binary.AppendUvarint(nil, 1<<40)...),
 		"epoch nanoseconds ≥ 1 s":          append([]byte{'B', 'L', 'T', 'R', 'C', 2, 0, 0, 0}, binary.AppendUvarint(nil, 1e9)...),
@@ -253,7 +441,9 @@ func TestBinaryRejectsHostileHeaders(t *testing.T) {
 		"bytes past the last sample":       head(2, 2, 2, 4, 0, 0, 0, 0),
 		"bytes past an empty trace":        head(2, 0, 0),
 		"v1 bytes past the last sample":    head(1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-	} {
+	}
+	maps.Copy(hostile, hostileV3())
+	for name, raw := range hostile {
 		if s, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: decoded to %d samples", name, s.Len())
 		}
@@ -262,23 +452,55 @@ func TestBinaryRejectsHostileHeaders(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(head(2, 2, 2, 4, 0, 0, 0, 0))); !errors.As(err, &trailing) || trailing.Extra != 1 {
 		t.Errorf("bytes past the last sample: %v, want a TrailingBytesError of 1 byte", err)
 	}
-	// The same header with an honest payload decodes.
+	// The same headers with an honest payload decode: offsets 2 and 4,
+	// and offsets 2, 4 and 6 at levels 1, 2 and 3 of a steady version 3
+	// chunk.
 	if s, err := ReadBinary(bytes.NewReader(head(2, 2, 2, 4, 0, 0, 0))); err != nil || s.Len() != 2 {
 		t.Fatalf("control trace: %v", err)
 	}
+	s, err := ReadBinary(bytes.NewReader(head(3, 3, 10, 100, 3<<1|1, 4, 0, 2, 2, 2)))
+	if err != nil || s.Len() != 3 || s.Samples().T(2) != 4 || s.At(0).V != 0.1 || s.At(2).V != 0.3 {
+		t.Fatalf("v3 control trace: %v", err)
+	}
 }
 
-// appendChunkRef is the version 2 chunk body appendChunk replaced, kept
-// as its reference: every varint through binary.AppendVarint or
-// binary.AppendUvarint.
-func (e *v2Encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(offs)))
-	for _, off := range offs {
+// appendChunkRef is the chunk body appendChunk replaced, kept as its
+// reference and grown to version 3 a sample at a time: every varint
+// through binary.AppendVarint or binary.AppendUvarint, a chunk of 3 or
+// more samples steady when every delta-of-delta after its second is zero.
+func (e *encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byte {
+	head := uint64(len(offs))
+	steady := false
+	if e.version == BinaryV3 {
+		steady = len(offs) > 2
+		prevT, prevDelta := e.prevT, e.prevDelta
+		for i, off := range offs {
+			delta := off - prevT
+			if i > 1 && delta != prevDelta {
+				steady = false
+			}
+			prevT, prevDelta = off, delta
+		}
+		head <<= 1
+		if steady {
+			head |= 1
+		}
+	}
+	dst = binary.AppendUvarint(dst, head)
+	for i, off := range offs {
 		delta := off - e.prevT
-		dst = binary.AppendVarint(dst, delta-e.prevDelta)
+		if i < 2 || !steady {
+			dst = binary.AppendVarint(dst, delta-e.prevDelta)
+		}
 		e.prevT, e.prevDelta = off, delta
 	}
 	for _, v := range vals {
+		if e.scale > 0 {
+			k, _ := samples.GridLevel(v, float64(e.scale), e.max)
+			dst = binary.AppendVarint(dst, int64(k-e.prevK))
+			e.prevK = k
+			continue
+		}
 		bits := math.Float64bits(v)
 		dst = binary.AppendUvarint(dst, bits^e.prevBits)
 		e.prevBits = bits
@@ -286,10 +508,14 @@ func (e *v2Encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []b
 	return dst
 }
 
-// encodeRef is the version 2 encoding of s through appendChunkRef.
-func encodeRef(s *Series) []byte {
-	raw := appendHeader(nil, BinaryV2, s.name, s.unit, s.epoch, s.Len())
-	var enc v2Encoder
+// encodeRef is what EncodeBinary writes of s at version 2 or 3, through
+// appendChunkRef.
+func encodeRef(s *Series, version int) []byte {
+	enc := encoder{version: version}
+	if version == BinaryV3 {
+		enc.scale, enc.max = s.grid()
+	}
+	raw := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	s.data.Chunks(0, func(offs []int64, vals []float64) bool {
 		raw = enc.appendChunkRef(raw, offs, vals)
 		return true
@@ -297,17 +523,31 @@ func encodeRef(s *Series) []byte {
 	return raw
 }
 
-// chunkedTrace is a version 2 trace of offs and vals, written by
-// appendChunkRef in chunks of the given lengths, however they fall
-// against samples.ChunkLen.
-func chunkedTrace(offs []int64, vals []float64, lens ...int) []byte {
-	raw := appendHeader(nil, BinaryV2, "current", "mA", t0, len(offs))
-	var enc v2Encoder
+// chunkedTrace is a trace of offs and vals at enc's version and grid,
+// written by appendChunkRef in chunks of the given lengths, however they
+// fall against samples.ChunkLen.
+func chunkedTrace(enc encoder, offs []int64, vals []float64, lens ...int) []byte {
+	raw := enc.appendHeader(nil, "current", "mA", t0, len(offs))
 	for _, n := range lens {
 		raw = enc.appendChunkRef(raw, offs[:n], vals[:n])
 		offs, vals = offs[n:], vals[n:]
 	}
 	return raw
+}
+
+// v3Seeds are version 3 traces the reference writes: steady chunks and
+// unsteady ones, on a grid and off one, level deltas of one byte, two
+// and three, and chunks cut across the decoder's chunk boundaries.
+func v3Seeds() [][]byte {
+	v2, v3, grid := encoder{version: BinaryV2}, encoder{version: BinaryV3}, encoder{version: BinaryV3, scale: 10, max: 60000}
+	steady := []int64{0, 200, 400, 600, 800, 1000}
+	return [][]byte{
+		chunkedTrace(v3, steady, []float64{1.5, -2.25, math.Inf(1), 1.5, 1.5, 0}, 6),
+		chunkedTrace(v3, []int64{0, 5, 11, 11, 1 << 57}, []float64{1, 2, 3, 4, 5}, 2, 3),
+		chunkedTrace(grid, steady, []float64{0.1, 0.2, 6.5, 6000, 0, 1638.4}, 6),
+		chunkedTrace(grid, []int64{0, 200, 400, 700, 900, 1100}, []float64{0.1, 0.3, 0.2, 0.2, 0.2, 0.1}, 1, 3, 2),
+		chunkedTrace(v2, steady, []float64{1, 2, 3, 4, 5, 6}, 6),
+	}
 }
 
 // TestUvarintWordMatches: the word the encoder stores puts down the
@@ -329,11 +569,13 @@ func TestUvarintWordMatches(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary feeds the decoder arbitrary bytes as either version.
-// It must not panic or size anything from a stated length; what it
-// accepts is an ordered series of exactly the stated count that both
-// encoders write back to something that decodes bit-identically, and
-// that the version 2 encoder writes byte for byte as appendChunkRef does.
+// FuzzReadBinary feeds the decoder arbitrary bytes as any version. It
+// must not panic or size anything from a stated length; what it accepts
+// is an ordered series of exactly the stated count that every encoder
+// writes back to something that decodes bit-identically, that the
+// version 2 and version 3 (WriteBinary) encoders write byte for byte as
+// the per-sample reference does, and whose version 3 bytes decode to a
+// series that writes them again.
 func FuzzReadBinary(f *testing.F) {
 	short := mk(1.5, -2.25, math.Inf(1), 1.5, 1.5)
 	for _, version := range []int{BinaryV1, BinaryV2} {
@@ -354,9 +596,24 @@ func FuzzReadBinary(f *testing.F) {
 	for i, x := range xors {
 		vals[i+1] = math.Float64frombits(math.Float64bits(vals[i]) ^ x)
 	}
-	f.Add(chunkedTrace([]int64{0, 1, 2, 3}, vals, 4))
-	f.Add(chunkedTrace([]int64{0, 1, 66, 66, 1 << 57}, []float64{1, 2, 3, 4, 5}, 5))
-	f.Add(chunkedTrace([]int64{0, 5, 10, 15}, []float64{1, 2, 3, 4}, 1, 2, 1))
+	v2 := encoder{version: BinaryV2}
+	f.Add(chunkedTrace(v2, []int64{0, 1, 2, 3}, vals, 4))
+	f.Add(chunkedTrace(v2, []int64{0, 1, 66, 66, 1 << 57}, []float64{1, 2, 3, 4, 5}, 5))
+	f.Add(chunkedTrace(v2, []int64{0, 5, 10, 15}, []float64{1, 2, 3, 4}, 1, 2, 1))
+	for _, s := range []*Series{short, gridSeries(0, 0.1, 6000, 0.2)} {
+		var buf bytes.Buffer
+		if err := s.WriteBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-2])
+	}
+	for _, raw := range v3Seeds() {
+		f.Add(raw)
+	}
+	for _, raw := range hostileV3() {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := ReadBinary(bytes.NewReader(raw))
 		if err != nil {
@@ -371,7 +628,7 @@ func FuzzReadBinary(f *testing.F) {
 				t.Fatalf("sample %d runs backwards", i)
 			}
 		}
-		for _, version := range []int{BinaryV1, BinaryV2} {
+		for _, version := range []int{BinaryV1, BinaryV2, BinaryV3} {
 			var buf bytes.Buffer
 			if err := EncodeBinary(&buf, s, version); err != nil {
 				t.Fatal(err)
@@ -382,38 +639,61 @@ func FuzzReadBinary(f *testing.F) {
 			}
 			assertBitIdentical(t, again, s)
 		}
+		var v2 bytes.Buffer
+		if err := EncodeBinary(&v2, s, BinaryV2); err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeRef(s, BinaryV2); !bytes.Equal(v2.Bytes(), want) {
+			t.Fatalf("v2 encoder wrote %d bytes, appendChunkRef %d, or they differ", v2.Len(), len(want))
+		}
 		var got bytes.Buffer
 		if err := s.WriteBinary(&got); err != nil {
 			t.Fatal(err)
 		}
-		if want := encodeRef(s); !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("encoder wrote %d bytes, appendChunkRef %d, or they differ", got.Len(), len(want))
+		if want := encodeRef(s, BinaryV3); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("v3 encoder wrote %d bytes, appendChunkRef %d, or they differ", got.Len(), len(want))
+		}
+		again, err := DecodeBinary(got.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var twice bytes.Buffer
+		if err := again.WriteBinary(&twice); err != nil || !bytes.Equal(twice.Bytes(), got.Bytes()) {
+			t.Fatalf("encode(decode(b)) differs from b (%v)", err)
 		}
 	})
 }
 
 // TestDecodeAcrossChunkBoundaries: chunks cut anywhere against
 // samples.ChunkLen — one sample, a chunk's worth straddling a boundary —
-// decode to the samples they state, and the decoded series stores them
-// in whole chunks as appending them would.
+// decode to the samples they state, at version 2 and on a version 3
+// grid, and the decoded series stores them in whole chunks as appending
+// them would.
 func TestDecodeAcrossChunkBoundaries(t *testing.T) {
-	want := quantizedCapture(2*samples.ChunkLen + 3)
-	var offs []int64
-	var vals []float64
-	want.Samples().Iter(func(off int64, v float64) bool {
-		offs, vals = append(offs, off), append(vals, v)
-		return true
-	})
-	got, err := DecodeBinary(chunkedTrace(offs, vals, 1, samples.ChunkLen, samples.ChunkLen-1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got, want)
-	if !reflect.DeepEqual(got.Samples(), want.Samples()) {
-		t.Fatal("decoded chunks differ from appended ones")
-	}
-	if got.Duration() != want.Duration() || got.EnergyMAH() != want.EnergyMAH() {
-		t.Fatalf("decoded %v, %v mAh; appended %v, %v mAh", got.Duration(), got.EnergyMAH(), want.Duration(), want.EnergyMAH())
+	for _, c := range []struct {
+		want *Series
+		enc  encoder
+	}{
+		{quantizedCapture(2*samples.ChunkLen + 3), encoder{version: BinaryV2}},
+		{gridCapture(2*samples.ChunkLen + 3), encoder{version: BinaryV3, scale: 10, max: 60000}},
+	} {
+		var offs []int64
+		var vals []float64
+		c.want.Samples().Iter(func(off int64, v float64) bool {
+			offs, vals = append(offs, off), append(vals, v)
+			return true
+		})
+		got, err := DecodeBinary(chunkedTrace(c.enc, offs, vals, 1, samples.ChunkLen, samples.ChunkLen-1, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, got, c.want)
+		if !reflect.DeepEqual(got.Samples(), c.want.Samples()) {
+			t.Fatal("decoded chunks differ from appended ones")
+		}
+		if got.Duration() != c.want.Duration() || got.EnergyMAH() != c.want.EnergyMAH() {
+			t.Fatalf("decoded %v, %v mAh; appended %v, %v mAh", got.Duration(), got.EnergyMAH(), c.want.Duration(), c.want.EnergyMAH())
+		}
 	}
 }
 
@@ -442,8 +722,9 @@ func TestDecodeFoldsOnRead(t *testing.T) {
 
 // decodeSamplesRef is the per-sample decoder the run decoder replaced,
 // kept as its reference: it calls visit with each sample's offset from
-// the header epoch and its value, decoding both v2 columns in step, and
-// refuses bytes past the last sample as the run decoder does.
+// the header epoch and its value, decoding both v2 columns in step (a v3
+// chunk's one after the other), and refuses bytes past the last sample
+// as the run decoder does.
 func decodeSamplesRef(h Header, payload []byte, visit func(off int64, v float64)) error {
 	var first, prevT int64
 	p := 0
@@ -518,6 +799,64 @@ func decodeSamplesRef(h Header, payload []byte, visit func(off int64, v float64)
 			p = vp
 			read += n
 		}
+	case BinaryV3:
+		// A chunk's timestamps, then its values, each sample checked as
+		// it comes: a steady chunk states only its first two
+		// delta-of-deltas.
+		var prevDelta, level int64
+		var prevBits uint64
+		for read := 0; read < h.Count; {
+			head, k := binary.Uvarint(payload[p:])
+			if k <= 0 {
+				return varintError("chunk header", k)
+			}
+			p += k
+			n64, steady := head>>1, head&1 == 1
+			if n64 == 0 || n64 > samples.ChunkLen || n64 > uint64(h.Count-read) {
+				return fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, read, h.Count)
+			}
+			offs := make([]int64, n64)
+			for i := range offs {
+				var dod int64
+				if i < 2 || !steady {
+					if dod, k = binary.Varint(payload[p:]); k <= 0 {
+						return varintError(fmt.Sprintf("timestamp %d", read+i), k)
+					}
+					p += k
+				}
+				prevDelta += dod
+				off := prevT + prevDelta
+				if read+i == 0 {
+					first = off
+				} else if prevDelta < 0 || off < prevT || off-first < 0 {
+					return orderError(read+i, off, prevT, first)
+				}
+				prevT = off
+				offs[i] = off
+			}
+			for i, off := range offs {
+				if h.Scale == 0 {
+					x, k := binary.Uvarint(payload[p:])
+					if k <= 0 {
+						return varintError(fmt.Sprintf("value %d", read+i), k)
+					}
+					p += k
+					prevBits ^= x
+					visit(off, math.Float64frombits(prevBits))
+					continue
+				}
+				dk, k := binary.Varint(payload[p:])
+				if k <= 0 {
+					return varintError(fmt.Sprintf("value %d", read+i), k)
+				}
+				p += k
+				if level += dk; level < 0 || level > int64(h.Max) {
+					return fmt.Errorf("trace: value %d: level %d outside the grid's 0..%d", read+i, level, h.Max)
+				}
+				visit(off, float64(level)/float64(h.Scale))
+			}
+			read += len(offs)
+		}
 	}
 	if p < len(payload) {
 		return &TrailingBytesError{Count: h.Count, Extra: len(payload) - p}
@@ -528,7 +867,8 @@ func decodeSamplesRef(h Header, payload []byte, visit func(off int64, v float64)
 // decoderSeeds are payload shapes at the edges of the run decoder's
 // paths: value varints of 8 (the widest single load), 9 and 10 bytes,
 // an overlong varint away from and at the payload's end, a varint that
-// straddles the payload's last 8 bytes, and a chunk cut short.
+// straddles the payload's last 8 bytes, the version 3 shapes of
+// v3Seeds, and a chunk cut short.
 func decoderSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	trace := func(bits ...uint64) []byte {
@@ -551,7 +891,7 @@ func decoderSeeds(tb testing.TB) [][]byte {
 	if err := cut.WriteBinary(&whole); err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{
+	return slices.Concat([][]byte{
 		trace(1<<55, 1<<62, 1<<63, 1, 2, 3, 4, 5, 6, 7, 8), // 8-, 9- and 10-byte values ahead of 8 more bytes
 		trace(1, 2, 1<<55),                        // an 8-byte value that ends the payload
 		trace(1, 2, 1<<62),                        // a 9-byte one
@@ -559,8 +899,9 @@ func decoderSeeds(tb testing.TB) [][]byte {
 		overlong(0x80, 0x00, 0, 0, 0, 0, 0, 0, 0), // 0 as two bytes, with a word behind it
 		overlong(0, 0, 0, 0, 0, 0, 0, 0x80, 0x00), // and at the payload's end
 		trace(1, 1<<21, 1<<28),                    // a 4-byte varint from 9 bytes before the end into the last 8
-		whole.Bytes()[:whole.Len()-5],             // a chunk cut short
-	}
+	}, v3Seeds(), [][]byte{
+		whole.Bytes()[:whole.Len()-5], // a chunk cut short
+	})
 }
 
 // TestDecoderSeedsDecode: the seed shapes reach the decoder's paths
@@ -584,6 +925,9 @@ func TestDecoderSeedsDecode(t *testing.T) {
 // accept is the same samples, bit for bit.
 func FuzzDecoderMatchesReference(f *testing.F) {
 	for _, raw := range decoderSeeds(f) {
+		f.Add(raw)
+	}
+	for _, raw := range hostileV3() {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -627,43 +971,59 @@ func FuzzDecoderMatchesReference(f *testing.F) {
 	})
 }
 
-// BenchmarkEncodeBinary encodes 167 499 samples (33.5 s) of quantized
-// 5 kHz capture into a fresh buffer: the bytes saveRun stores of a
-// measurement's current trace. ns/sample divides an op by the sample
-// count.
+// benchCaptures are the two 167 499-sample (33.5 s) 5 kHz captures the
+// codec benchmarks run on: quantizedCapture's values, 0.1 mA steps that
+// are not always float64(k)/10 bit for bit, in a series with no grid;
+// and gridCapture's, which are, in a series on the Monsoon's grid, as a
+// capture is.
+var benchCaptures = []struct {
+	name string
+	make func(int) *Series
+}{{"quantized", quantizedCapture}, {"grid", gridCapture}}
+
+// BenchmarkEncodeBinary encodes each bench capture into a fresh buffer:
+// the bytes saveRun stores of a measurement's current trace. ns/sample
+// divides an op by the sample count.
 func BenchmarkEncodeBinary(b *testing.B) {
 	const count = 167_499
-	s := quantizedCapture(count)
-	var size int
-	b.ReportAllocs()
-	for b.Loop() {
-		var buf bytes.Buffer
-		if err := s.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-		size = buf.Len()
+	for _, c := range benchCaptures {
+		b.Run(c.name, func(b *testing.B) {
+			s := c.make(count)
+			var size int
+			b.ReportAllocs()
+			for b.Loop() {
+				var buf bytes.Buffer
+				if err := s.WriteBinary(&buf); err != nil {
+					b.Fatal(err)
+				}
+				size = buf.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
+			b.ReportMetric(float64(size)/count, "bytes/sample")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
-	b.ReportMetric(float64(size)/count, "bytes/sample")
 }
 
-// BenchmarkDecodeBinary rebuilds a Series from the bytes of 167 499
-// samples (33.5 s) of quantized 5 kHz capture: the client's Result
-// rebuild of a measurement's current trace. ns/sample divides an op by
-// the sample count.
+// BenchmarkDecodeBinary rebuilds a Series from the bytes of each bench
+// capture: the client's Result rebuild of a measurement's current trace.
+// ns/sample divides an op by the sample count.
 func BenchmarkDecodeBinary(b *testing.B) {
 	const count = 167_499
-	var buf bytes.Buffer
-	if err := quantizedCapture(count).WriteBinary(&buf); err != nil {
-		b.Fatal(err)
+	for _, c := range benchCaptures {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := c.make(count).WriteBinary(&buf); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := DecodeBinary(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
+			b.ReportMetric(float64(len(data))/count, "bytes/sample")
+		})
 	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := DecodeBinary(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/sample")
-	b.ReportMetric(float64(len(data))/count, "bytes/sample")
 }

@@ -17,15 +17,20 @@
 // reads a summary of (a decoded one whose energy the stored summary
 // already gave) folds nothing.
 // Series persist to disk in the binary trace format of binary.go, and
-// export as CSV (WriteCSV, the v1 text format).
+// export as CSV (WriteCSV, the v1 text format). WriteBinary writes
+// version 3: a steady sampling period costs a chunk two timestamps, and a
+// grid series whose values all lie on its grid stores them as level
+// deltas, about a byte a sample of a Monsoon capture; DecodeBinary gives
+// such a trace back as a grid series of the same grid.
 //
 // The binary format has a single body, the column codec of binary.go:
 // an append-style encoder over plain offset/value columns and a run
-// decoder over a byte slice that fills such columns a chunk per call.
-// WriteBinary, EncodeBinary, ReadBinary and DecodeBinary are its callers
-// for a Series; AppendBinary, DecodeHeader and Header.Decoder expose it
-// to code that folds or streams samples without building one
-// (internal/analytics, the live sample frames of internal/api).
+// decoder over a byte slice that fills such columns a chunk per call,
+// both for versions 2 and 3. WriteBinary, EncodeBinary, ReadBinary and
+// DecodeBinary are its callers for a Series; AppendBinary, DecodeHeader
+// and Header.Decoder expose it to code that folds or streams samples
+// without building one (internal/analytics, the live sample frames of
+// internal/api, which stay version 2).
 package trace
 
 import (
@@ -80,9 +85,15 @@ func NewSeries(name, unit string) *Series { return newSeries(name, unit, nil) }
 // NewGridSeries returns an empty series of values on the grid k/scale,
 // 0 ≤ k ≤ max, as an instrument that rounds its readings makes them: its
 // summary counts them (samples.Levels), so Live's quantiles cost no
-// selection. A value off the grid only makes them selected again.
-func NewGridSeries(name, unit string, scale float64, max int) *Series {
-	return newSeries(name, unit, samples.NewLevels(scale, max))
+// selection, and WriteBinary stores them as levels. A value off the grid
+// only makes them selected again, and the values written as they are.
+// scale and max must lie within 1..2²⁰, the grids the binary format
+// holds; it panics on any other.
+func NewGridSeries(name, unit string, scale, max int) *Series {
+	if scale < 1 || scale > maxGrid || max < 1 || max > maxGrid {
+		panic(fmt.Sprintf("trace: grid %d/%d outside 1..%d", scale, max, maxGrid))
+	}
+	return newSeries(name, unit, samples.NewLevels(float64(scale), max))
 }
 
 func newSeries(name, unit string, levels *samples.Levels) *Series {
@@ -198,6 +209,19 @@ func (s *Series) Live() samples.LiveSummary {
 		return true
 	})
 	return s.agg.Snapshot(s.cols...)
+}
+
+// grid reports the grid a version 3 encoding puts the values on: the one
+// the series declares (NewGridSeries), when its summary, folded up to
+// now, says every value lies on it. 0 and 0 for none.
+func (s *Series) grid() (scale, max int) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	s.fold()
+	if sc, mx, all := s.agg.Grid(); all {
+		return int(sc), mx
+	}
+	return 0, 0
 }
 
 // fold folds the samples appended since the previous read into the

@@ -361,7 +361,8 @@ func (s *Series) Decimate(k int) *Series {
 // P95 stats.Quantile's (a zero's sign aside, which a sort leaves as it
 // met it) — and Summary what those give. Half the inputs start on a grid
 // series, whose counts a negative or an out-of-range value turns off, and
-// a decode carries on with a series on none. Each input byte is one step: a Live read,
+// a decode carries on with a series on the same grid when every value
+// lay on it, on none otherwise. Each input byte is one step: a Live read,
 // a Summary read, an IntegralSeconds and EnergyMAH read, a NaN, a burst
 // of bulk values that crosses chunks, values up to the next chunk
 // boundary (where a fold resumes in a new chunk), a round trip through
