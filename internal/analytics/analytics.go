@@ -6,8 +6,11 @@
 //
 // Each time bucket, and the whole-trace rollup, is summarized by a
 // samples.ExactSummary: the moments and integral the capture's streaming
-// summary folds, folded alike, and the exact quantiles of the values it
-// keeps. Every row, the Total and each bucket, is rendered through
+// summary folds, folded alike, and exact quantiles by one of two rules.
+// A trace on a grid (a version 3 trace's header grid, a grid Series' own)
+// is counted on it, and a bucket or rollup keeps only its level counts;
+// any other keeps its values and reads the quantiles off a sorted copy.
+// Every row, the Total and each bucket, is rendered through
 // api.NewRunSummary, as a build's stored summary is. A query decodes its
 // trace once, a chunk (samples.ChunkLen samples) at a time, into a small
 // ring of recycled column buffers, and folds each chunk into every
@@ -18,15 +21,17 @@
 // Without one, the rollup is folded beside the windows. Each aggregator
 // folds on a goroutine of its own, beside the decode and each other. A
 // query costs one decode, one aggregator call per chunk per aggregator (a
-// window edge inside a chunk cuts it in two), a selection per bucket, and
-// memory for the ring, the buckets and the values of the largest bucket;
-// a folded rollup holds one copy of the trace's values besides. The
-// folds shorten a query only while cores are free: with as many queries
-// in flight as cores, they add no speed, only a hand-off per chunk. Each
-// aggregator sees every sample in order, so a folded rollup accumulates
-// exactly the terms the capture-time summary did, in the same order, and
-// selects the quantiles the build stored: its row is bit-identical to
-// the one rendered from the RunSummary stored when the build finished.
+// window edge inside a chunk cuts it in two), a walk of the counts or a
+// sort per bucket, and memory for the ring, the buckets and the counts
+// of a trace on a grid or the values of the largest bucket of any other;
+// a folded rollup off a grid holds one copy of the trace's values
+// besides. The folds shorten a query only while cores are free: with as
+// many queries in flight as cores, they add no speed, only a hand-off per
+// chunk. Each aggregator sees every sample in order, so a folded rollup
+// accumulates exactly the terms the capture-time summary did, in the same
+// order, and finds the quantiles the build stored: its row is
+// bit-identical to the one rendered from the RunSummary stored when the
+// build finished.
 //
 // Results are plain api.AnalyticsResult values; the HTTP layer owns
 // caching (see Cache) and RBAC.
@@ -91,8 +96,9 @@ func NormalizeFields(fields []string) ([]string, error) {
 }
 
 // Compute runs one query over a decoded trace, whose chunks feed the
-// folds as they are stored, uncopied. WindowNS must be non-negative;
-// Artifact is echoed, not interpreted.
+// folds as they are stored, uncopied, counted on the trace's grid if it
+// has one. WindowNS must be non-negative; Artifact is echoed, not
+// interpreted.
 func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
 	fields, err := checkQuery(q)
 	if err != nil {
@@ -106,7 +112,8 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 	if tr.Len() > 0 {
 		epochNS = tr.At(0).T.UnixNano()
 	}
-	a := newAggs(q.WindowNS, nil)
+	scale, max := tr.Grid()
+	a := newAggs(q.WindowNS, nil, scale, max)
 	runFolds(a.folds(), func(p *pipeline) {
 		tr.Samples().Chunks(0, func(t []int64, v []float64) bool {
 			p.emit(batch{t: t, v: v})
@@ -120,7 +127,8 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 // the Series in between, whose own streaming summary would fold every
 // sample a first time. The bytes are decoded once, a chunk per call
 // straight into the ring's chunk buffers, and nothing is sized from what
-// they claim. A decode error outranks a bad query, and the bucket bound
+// they claim; the values are counted on the header's grid, if it has
+// one. A decode error outranks a bad query, and the bucket bound
 // is checked against the whole span: once a chunk reaches past
 // MaxBuckets windows the folds stop and the decoding goes on. An error
 // that is not ErrBadQuery says data is no binary trace.
@@ -142,7 +150,7 @@ func ComputeBinary(data []byte, q api.AnalyticsQuery, total *api.RunSummary) (*a
 	fields, qerr := checkQuery(q)
 	var a aggs
 	if qerr == nil {
-		a = newAggs(q.WindowNS, total)
+		a = newAggs(q.WindowNS, total, h.Scale, h.Max)
 	}
 	var span int64 // the last sample's offset from the first; 0 with none
 	runFolds(a.folds(), func(p *pipeline) {
@@ -210,14 +218,22 @@ type aggs struct {
 	wd    *samples.Windowed
 }
 
-// newAggs folds the rollup unless known gives it.
-func newAggs(windowNS int64, known *api.RunSummary) aggs {
+// newAggs folds the rollup unless known gives it. Both folds count the
+// values on the grid k/scale, 0 ≤ k ≤ max, that the trace declares; scale
+// 0 declares none.
+func newAggs(windowNS int64, known *api.RunSummary, scale, max int) aggs {
+	levels := func() *samples.Levels {
+		if scale == 0 {
+			return nil
+		}
+		return samples.NewLevels(float64(scale), max)
+	}
 	a := aggs{known: known}
 	if known == nil {
-		a.total = new(samples.ExactSummary)
+		a.total = samples.NewExactSummary(levels())
 	}
 	if windowNS > 0 {
-		a.wd = samples.NewWindowed(windowNS)
+		a.wd = samples.NewWindowed(windowNS, levels())
 	}
 	return a
 }

@@ -372,7 +372,8 @@ func viaSeries(data []byte, q api.AnalyticsQuery) (*api.AnalyticsResult, error) 
 }
 
 // sequential is the reference fold: Compute as one loop feeding each
-// sample to the rollup and then to the windows, on the calling goroutine.
+// sample to the rollup and then to the windows, on the calling goroutine,
+// every quantile read off a sorted copy, whatever grid the trace is on.
 func sequential(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
 	fields, err := checkQuery(q)
 	if err != nil {
@@ -396,7 +397,7 @@ func sequentialFold(tr *trace.Series, windowNS int64) (func(q api.AnalyticsQuery
 	if tr.Len() > 0 {
 		epochNS = tr.At(0).T.UnixNano()
 	}
-	a := newAggs(windowNS, nil)
+	a := newAggs(windowNS, nil, 0, 0)
 	tr.Samples().Iter(func(tNanos int64, v float64) bool {
 		a.total.AddRun([]int64{tNanos}, []float64{v})
 		if a.wd != nil {
@@ -587,9 +588,11 @@ func FuzzAnalyticsBytes(f *testing.F) {
 }
 
 // TestComputeBinaryV3MatchesV2: the bytes a build stores (version 3, a
-// grid capture's values as level deltas) answer every query as the
-// version 2 bytes of the same series do, every float the same bits, and
-// so do those of series on no grid.
+// grid capture's values as level deltas, whose buckets and rollup count
+// levels) answer every query as the version 2 bytes of the same series
+// do, whose buckets and rollup sort their values, every float the same
+// bits; so do the v3 bytes given the series' stored summary, and those of
+// series on no grid.
 func TestComputeBinaryV3MatchesV2(t *testing.T) {
 	for name, tr := range map[string]*trace.Series{
 		"grid capture":      gridOf(makeCapture(5, 33)),
@@ -601,6 +604,7 @@ func TestComputeBinaryV3MatchesV2(t *testing.T) {
 			t.Fatalf("%s: header %+v, %v", name, h, err)
 		}
 		v2 := encodeV2(t, tr)
+		total := api.NewRunSummary(tr.Live())
 		for _, windowNS := range []int64{0, int64(100 * time.Millisecond), int64(2 * time.Second)} {
 			q := api.AnalyticsQuery{WindowNS: windowNS}
 			want, err := ComputeBinary(v2, q, nil)
@@ -610,6 +614,10 @@ func TestComputeBinaryV3MatchesV2(t *testing.T) {
 			got, err := ComputeBinary(v3, q, nil)
 			if err != nil || !reflect.DeepEqual(got, want) || !sameBits(got, want) {
 				t.Fatalf("%s window %d: v3 gives %+v (%v), v2 %+v", name, windowNS, got, err, want)
+			}
+			got, err = ComputeBinary(v3, q, &total)
+			if err != nil || !reflect.DeepEqual(got, want) || !sameBits(got, want) {
+				t.Fatalf("%s window %d: v3 with its stored total gives %+v (%v), v2 %+v", name, windowNS, got, err, want)
 			}
 		}
 	}
@@ -659,8 +667,8 @@ func TestStoredTotalFoldsOnlyWindows(t *testing.T) {
 	}
 	total := api.NewRunSummary(tr.Live())
 	for _, windowNS := range []int64{0, int64(2 * time.Second)} {
-		a := newAggs(windowNS, &total)
-		if folds := a.folds(); a.total != nil || len(folds) != len(newAggs(windowNS, nil).folds())-1 {
+		a := newAggs(windowNS, &total, 0, 0)
+		if folds := a.folds(); a.total != nil || len(folds) != len(newAggs(windowNS, nil, 0, 0).folds())-1 {
 			t.Errorf("window %d: %d folds given the summary, rollup folded %v", windowNS, len(folds), a.total != nil)
 		}
 		q := api.AnalyticsQuery{WindowNS: windowNS}

@@ -213,6 +213,39 @@ func TestRollupAllocationFlat(t *testing.T) {
 	}
 }
 
+// TestGridWindowsAllocationFlat: over the bytes a build stores (version 3,
+// on the 0.1 mA grid), a query in 2 s windows that folds the rollup too
+// counts levels and keeps no value, in a bucket or in the rollup: it
+// allocates the same bytes over a trace eight times as long, but for the
+// rows of its extra buckets. Each size keeps its least of several runs.
+func TestGridWindowsAllocationFlat(t *testing.T) {
+	q := api.AnalyticsQuery{WindowNS: int64(2 * time.Second)}
+	least := func(data []byte) (uint64, int) {
+		best, buckets := ^uint64(0), 0
+		for i := 0; i < 10; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := ComputeBinary(data, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best, buckets = min(best, after.TotalAlloc-before.TotalAlloc), len(res.Buckets)
+		}
+		return best, buckets
+	}
+	short, long := gridOf(makeCapture(3, 4)), gridOf(makeCapture(3, 32))
+	s, sb := least(encodeV3(t, short))
+	l, lb := least(encodeV3(t, long))
+	// rowBytes bounds what one more bucket costs: its summary, its row and
+	// their share of the slices that hold them (about 470 bytes).
+	const rowBytes = 1024
+	if l > s+uint64(lb-sb)*rowBytes {
+		t.Errorf("a 2 s-window query allocates %d bytes over %d grid samples, %d over 8× as many: %d more than %d rows of %d bytes",
+			s, short.Len(), l, l-s-uint64(lb-sb)*rowBytes, lb-sb, rowBytes)
+	}
+}
+
 // TestComputeBinaryConcurrent: queries running at once, as the HTTP
 // server runs them, share the ring pool and still each answer exactly.
 func TestComputeBinaryConcurrent(t *testing.T) {

@@ -469,8 +469,8 @@ func oneFeedReader(r *report) {
 }
 
 // p2OnlyInMetrics: a capture's quantiles are exact — counted on its
-// levels or selected from its values — and P² estimates only what streams
-// and is not kept: metrics.Histogram's latencies. Outside samples no
+// levels or read off a sorted copy of its values — and P² estimates only
+// what streams and is not kept: metrics.Histogram's latencies. Outside samples no
 // non-test code but metrics' names samples.P2Quantile or
 // samples.NewP2Quantile. benchmark/ is a module of its own and is not
 // read.

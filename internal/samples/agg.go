@@ -285,8 +285,8 @@ type LiveSummary struct {
 	// Min and Max are exact running extremes.
 	Min, Max float64
 	// P50 and P95 are exact quantiles, stats.Quantile's: from the level
-	// counts of a stream on a grid, or selected from its values. NaN when
-	// N = 0.
+	// counts of a stream on a grid, or from a sorted copy of its values.
+	// NaN when N = 0.
 	P50, P95 float64
 	// IntegralSeconds is the running trapezoidal time integral
 	// (unit·seconds; for a mA series, milliamp-seconds).
@@ -298,8 +298,8 @@ type LiveSummary struct {
 // StreamSummary bundles the aggregators a capture is summarized by:
 // Welford moments, the trapezoidal integral and, for a stream whose
 // values lie on a grid, its Levels. Its snapshot's P50 and P95 are exact:
-// counted while the levels are on, selected from the values otherwise.
-// The zero value counts no levels and is ready to use.
+// counted while the levels are on, read off a sorted copy of the values
+// otherwise. The zero value counts no levels and is ready to use.
 type StreamSummary struct {
 	mom    Welford
 	integ  Trapezoid
@@ -338,16 +338,23 @@ func (ss *StreamSummary) Grid() (scale float64, max int, all bool) {
 func (ss *StreamSummary) IntegralSeconds() float64 { return ss.integ.IntegralSeconds() }
 
 // Snapshot reports the summary of everything added so far. cols must hold
-// those values (NaNs and all, in any columns); they are read, for a
-// selection, only when the levels are off.
+// those values (NaNs and all, in any columns) unless the levels are on;
+// they are only read, for a sorted copy, when the levels are off.
 func (ss *StreamSummary) Snapshot(cols ...[]float64) LiveSummary {
 	var q [2]float64
-	ps := []float64{0.5, 0.95}
 	if ss.levels.On() {
-		ss.levels.Quantiles(q[:], ps)
+		ss.levels.Quantiles(q[:], p50p95)
 	} else {
-		SelectQuantiles(q[:], ps, ss.mom.Min(), ss.mom.Max(), cols...)
+		copiedQuantiles(q[:], p50p95, cols...)
 	}
+	return ss.live(q)
+}
+
+// p50p95 are the quantiles a LiveSummary reports.
+var p50p95 = []float64{0.5, 0.95}
+
+// live is the summary of everything added so far, with P50 and P95 q.
+func (ss *StreamSummary) live(q [2]float64) LiveSummary {
 	return LiveSummary{
 		N:               int(ss.mom.N()),
 		Mean:            ss.mom.Mean(),
@@ -361,22 +368,49 @@ func (ss *StreamSummary) Snapshot(cols ...[]float64) LiveSummary {
 	}
 }
 
-// ExactSummary is a StreamSummary, with no levels, that keeps every value
-// it folds, so that its snapshot can select them: the summary of a sample
-// set held nowhere else (an analytics bucket or rollup). It keeps them in
-// columns of ChunkLen as a Series does, so that holding more never copies
-// what is held. The zero value is empty and ready to use.
+// ExactSummary is a StreamSummary that keeps what its snapshot's
+// quantiles need, for a sample held nowhere else (an analytics bucket or
+// rollup): on the grid it is given, the level counts alone; off it, every
+// value but NaN, in columns of ChunkLen as a Series keeps them, so that
+// holding more never copies what is held. Those columns are its sorted
+// rule's copy: a snapshot sorts them in place. The first value off the
+// grid turns the counts into kept values before it is kept itself, so
+// none is lost. The zero value has no grid, keeps every value but NaN
+// and is ready to use.
 type ExactSummary struct {
 	sum StreamSummary
-	// vals holds the values in full columns and a last one filling up;
-	// spare holds columns a Reset emptied, to fill again.
+	// vals holds the non-NaN values in full columns and a last one
+	// filling up, in no order; spare holds columns a Reset emptied, to
+	// fill again.
 	vals, spare [][]float64
 }
 
-// AddRun folds a run of samples, t[i] paired with v[i], and keeps their
-// values.
+// NewExactSummary returns an empty exact summary that counts its values
+// on levels, an empty Levels of the grid they lie on, or nil for none.
+func NewExactSummary(levels *Levels) *ExactSummary {
+	return &ExactSummary{sum: StreamSummary{levels: levels}}
+}
+
+// AddRun folds a run of samples, t[i] paired with v[i], and counts or
+// keeps their values.
 func (es *ExactSummary) AddRun(t []int64, v []float64) {
-	es.sum.AddRun(t, v)
+	es.sum.mom.ObserveRun(v)
+	es.sum.integ.AddRun(t, v)
+	if l := es.sum.levels; l.On() {
+		n := l.ObserveRun(v)
+		if l.On() {
+			return
+		}
+		// v[n] left the grid: the values counted so far are kept instead,
+		// and so is every value from v[n] on.
+		es.keep(l.values())
+		v = v[n:]
+	}
+	es.keep(v)
+}
+
+// keep appends the values of v but NaN to the kept values.
+func (es *ExactSummary) keep(v []float64) {
 	for len(v) > 0 {
 		k := len(es.vals) - 1
 		if k < 0 || len(es.vals[k]) == ChunkLen {
@@ -389,19 +423,37 @@ func (es *ExactSummary) AddRun(t []int64, v []float64) {
 			es.vals, k = append(es.vals, col), k+1
 		}
 		n := min(ChunkLen-len(es.vals[k]), len(v))
-		es.vals[k] = append(es.vals[k], v[:n]...)
-		v = v[n:]
+		col := es.vals[k]
+		for _, x := range v[:n] {
+			if x == x {
+				col = append(col, x)
+			}
+		}
+		es.vals[k], v = col, v[n:]
 	}
 }
 
-// Snapshot reports the summary of everything added so far. It reorders
-// nothing, so adding may go on.
-func (es *ExactSummary) Snapshot() LiveSummary { return es.sum.Snapshot(es.vals...) }
+// Snapshot reports the summary of everything added so far. Off its grid
+// it sorts the values it keeps, which only their multiset matters for, so
+// adding may go on.
+func (es *ExactSummary) Snapshot() LiveSummary {
+	if es.sum.levels.On() {
+		return es.sum.Snapshot()
+	}
+	var q [2]float64
+	sortedQuantiles(q[:], p50p95, es.vals...)
+	return es.sum.live(q)
+}
 
-// Reset empties the summary and keeps the memory its values took.
+// Reset empties the summary, on its grid again, and keeps the memory its
+// counts and values took.
 func (es *ExactSummary) Reset() {
 	for _, col := range es.vals {
 		es.spare = append(es.spare, col[:0])
 	}
-	*es = ExactSummary{vals: es.vals[:0], spare: es.spare}
+	levels := es.sum.levels
+	if levels != nil {
+		levels.reset()
+	}
+	*es = ExactSummary{sum: StreamSummary{levels: levels}, vals: es.vals[:0], spare: es.spare}
 }

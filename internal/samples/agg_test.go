@@ -278,11 +278,11 @@ func TestStreamSummarySnapshot(t *testing.T) {
 	if snap.P50 != QuantileSorted(vs, 0.5) || snap.P95 != QuantileSorted(vs, 0.95) {
 		t.Fatalf("p50, p95 = %v, %v; want %v, %v", snap.P50, snap.P95, QuantileSorted(vs, 0.5), QuantileSorted(vs, 0.95))
 	}
-	// With no levels, the same quantiles are selected from the values.
+	// With no levels, the same quantiles are read off a sorted copy.
 	sel := NewStreamSummary(nil)
 	sel.AddRun(make([]int64, len(vs)), vs)
 	if got := sel.Snapshot(vs); got.P50 != snap.P50 || got.P95 != snap.P95 {
-		t.Fatalf("selected p50, p95 = %v, %v; counted %v, %v", got.P50, got.P95, snap.P50, snap.P95)
+		t.Fatalf("sorted p50, p95 = %v, %v; counted %v, %v", got.P50, got.P95, snap.P50, snap.P95)
 	}
 	if snap.IntegralSeconds <= 0 {
 		t.Fatal("integral not accumulated")

@@ -72,8 +72,9 @@ func BenchmarkAppendStreaming(b *testing.B) {
 
 // BenchmarkSummarizeStreaming vs BenchmarkSummarizeBatchBaseline is the
 // acceptance-criteria pair: summarize-at-teardown on a 1M-sample series.
-// Streaming reads a snapshot with its quantiles selected, without a copy
-// or a sort; the batch baseline re-scans and sorts the full trace.
+// Streaming reads a snapshot of folded moments, its quantiles off a
+// recycled sorted copy (the values lie on no grid); the batch baseline
+// re-scans the full trace and sorts a fresh copy.
 
 func BenchmarkSummarizeStreaming(b *testing.B) {
 	ts, vs := synth(benchN)

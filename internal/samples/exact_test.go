@@ -22,9 +22,10 @@ func nonNaN(cols [][]float64) []float64 {
 	return vs
 }
 
-// sortedQuantiles is SelectQuantiles' reference: the non-NaN values
-// copied and sorted, −0 before +0, and QuantileSorted read off them.
-func sortedQuantiles(ps []float64, cols [][]float64) []float64 {
+// totalOrderQuantiles is the sorted rule's reference: the non-NaN values
+// copied and sorted in the total order of IEEE 754, so −0 before +0, and
+// QuantileSorted read off them.
+func totalOrderQuantiles(ps []float64, cols [][]float64) []float64 {
 	vs := nonNaN(cols)
 	// The total order of IEEE 754: flipping the bits of a negative
 	// float's word and the sign of a positive one's sorts the words as
@@ -81,11 +82,12 @@ func mixesZeros(cols [][]float64) bool {
 	return pos && neg
 }
 
-// checkSelect holds SelectQuantiles over cols, with the extremes a
-// Welford of them reports, to the sort reference by bits, and to
-// stats.Quantile's answer too where zeros of both signs do not meet. The
-// columns must come back as they went in.
-func checkSelect(t *testing.T, ps []float64, cols [][]float64) {
+// checkSorted holds the sorted rule over a copy of cols to the
+// total-order reference by bits, and to stats.Quantile's answer too where
+// zeros of both signs do not meet; the columns must come back as they
+// went in. An ExactSummary with no grid, which sorts its own copy in
+// place, must snapshot the same P50 and P95.
+func checkSorted(t *testing.T, ps []float64, cols [][]float64) {
 	t.Helper()
 	var w Welford
 	before := make([][]float64, len(cols))
@@ -94,18 +96,18 @@ func checkSelect(t *testing.T, ps []float64, cols [][]float64) {
 		before[i] = slices.Clone(c)
 	}
 	got := make([]float64, len(ps))
-	SelectQuantiles(got, ps, w.Min(), w.Max(), cols...)
-	want := sortedQuantiles(ps, cols)
+	copiedQuantiles(got, ps, cols...)
+	want := totalOrderQuantiles(ps, cols)
 	for i := range ps {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%d values in %d columns, p %v: selected %v (%#x), sorted %v (%#x)",
+			t.Fatalf("%d values in %d columns, p %v: sorted rule %v (%#x), reference %v (%#x)",
 				w.N(), len(cols), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 	if w.N() > 0 && !mixesZeros(cols) {
 		for i, q := range statsQuantiles(ps, cols) {
 			if math.Float64bits(got[i]) != math.Float64bits(q) {
-				t.Fatalf("%d values, p %v: selected %v, stats.Quantile %v", w.N(), ps[i], got[i], q)
+				t.Fatalf("%d values, p %v: sorted rule %v, stats.Quantile %v", w.N(), ps[i], got[i], q)
 			}
 		}
 	}
@@ -116,6 +118,11 @@ func checkSelect(t *testing.T, ps []float64, cols [][]float64) {
 			}
 		}
 	}
+	var es ExactSummary
+	for _, c := range cols {
+		es.AddRun(make([]int64, len(c)), c)
+	}
+	checkP50P95(t, "ExactSummary", es.Snapshot(), cols)
 }
 
 // exactValues decodes values from bytes. A byte's low nibble picks the
@@ -173,13 +180,16 @@ func columns(vs []float64, cuts []byte) [][]float64 {
 	return cols
 }
 
-// FuzzExactQuantiles holds SelectQuantiles to a sort of the same values,
-// bit for bit, on any values cut into any columns, and checks it leaves
-// the columns alone. Its Levels arm snaps the values to a grid of tenths,
-// leaving the ones no snap should reach (NaN, −0, negatives, subnormals,
-// infinities and values above the grid's max) as they are, counts the
-// columns a run each, and holds the counts to the selection by bits while
-// every value was on the grid, and to being off once one was not.
+// FuzzExactQuantiles holds the sorted rule to a total-order sort of the
+// same values, bit for bit, on any values cut into any columns, and
+// checks it leaves the columns alone. Its Levels arm snaps the values to
+// a grid of tenths, leaving the ones no snap should reach (NaN, −0,
+// negatives, subnormals, infinities and values above the grid's max) as
+// they are, counts the columns a run each, and holds the counts to the
+// sorted rule by bits while every value was on the grid, and to being off
+// once one was not. Its summary arm feeds a bucket and a rollup declared
+// on that grid the snapped values and then the values as they came, and
+// holds their P50 and P95 to the sorted rule's.
 func FuzzExactQuantiles(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x4a, 0x00, 0x5b, 0x00}, []byte{2, 1}, uint16(0), uint16(0))  // NaN runs
 	f.Add([]byte{0x01, 0x81, 0x4a, 0x33, 0x01, 0x81}, []byte{}, uint16(0), uint16(1))      // ±Inf
@@ -188,7 +198,7 @@ func FuzzExactQuantiles(f *testing.F) {
 	f.Add([]byte{0x02, 0x03, 0x9a, 0x02, 0x03}, []byte{}, uint16(0), uint16(1))            // ±0 sorted, p = 0
 	// 151 −0 then 150 +0: the median is the last −0.
 	f.Add(append(bytes.Repeat([]byte{0x03}, 151), bytes.Repeat([]byte{0x02}, 150)...), []byte{7}, uint16(0), uint16(0))
-	f.Add(append(bytes.Repeat([]byte{0x02, 0x03, 0x03}, 150), 0x9a, 0x1c), []byte{}, uint16(0), uint16(0)) // ±0 at the median, counted
+	f.Add(append(bytes.Repeat([]byte{0x02, 0x03, 0x03}, 150), 0x9a, 0x1c), []byte{}, uint16(0), uint16(0)) // ±0 at the median, many
 	f.Add([]byte{0x9a, 0x11, 0x06, 0x06, 0x06, 0x9a, 0x06, 0x9b}, []byte{3}, uint16(0), uint16(0))         // duplicates
 	for n := 1; n <= 6; n++ {
 		f.Add([]byte{0x9a, 0x13, 0x2c, 0x7d, 0x4e, 0x1f}[:n], []byte{}, uint16(0), uint16(65535))
@@ -200,13 +210,16 @@ func FuzzExactQuantiles(f *testing.F) {
 	f.Add([]byte{0x54, 0x17, 0x27, 0x37}, []byte{0, 255}, uint16(11000), uint16(7)) // subnormals
 	f.Add([]byte{0x04}, []byte{9}, uint16(3001), uint16(0))                         // all on the grid
 	f.Add([]byte{0x04, 0x04}, []byte{}, uint16(1000), uint16(21846))                // on the grid, p = 1/3
+	f.Add([]byte{0x04, 0x85, 0x04}, []byte{5, 40}, uint16(5000), uint16(0))         // off the grid mid-run
 	f.Fuzz(func(t *testing.T, data, cuts []byte, bulk, p uint16) {
 		ps := []float64{0.5, 0.95}
 		if p != 0 {
 			ps = append(ps, float64(p-1)/(math.MaxUint16-1))
 		}
-		checkSelect(t, ps, columns(exactValues(data, bulk), cuts))
-		checkLevels(t, ps, columns(gridValues(exactValues(data, bulk)), cuts))
+		vs := exactValues(data, bulk)
+		checkSorted(t, ps, columns(vs, cuts))
+		checkLevels(t, ps, columns(gridValues(vs), cuts))
+		checkGridSummaries(t, append(columns(gridValues(vs), cuts), columns(vs, cuts)...))
 	})
 }
 
@@ -271,9 +284,9 @@ func TestGridLevel(t *testing.T) {
 }
 
 // checkLevels counts cols, a column per run, and holds the counts to the
-// selection over cols by bits while every non-NaN value is on the grid,
+// sorted rule over cols by bits while every non-NaN value is on the grid,
 // and to being off as soon as one is not. A StreamSummary on those levels
-// must snapshot the same quantiles either way.
+// must snapshot the sorted rule's P50 and P95 either way.
 func checkLevels(t *testing.T, ps []float64, cols [][]float64) {
 	t.Helper()
 	l := NewLevels(10, gridMax)
@@ -292,29 +305,63 @@ func checkLevels(t *testing.T, ps []float64, cols [][]float64) {
 		}
 	}
 	want := make([]float64, len(ps))
-	SelectQuantiles(want, ps, w.Min(), w.Max(), cols...)
+	copiedQuantiles(want, ps, cols...)
 	if on {
 		got := make([]float64, len(ps))
 		l.Quantiles(got, ps)
 		for i := range ps {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%d values on the grid, p %v: counted %v (%#x), selected %v (%#x)",
+				t.Fatalf("%d values on the grid, p %v: counted %v (%#x), sorted %v (%#x)",
 					w.N(), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
-	var sel [2]float64
-	SelectQuantiles(sel[:], []float64{0.5, 0.95}, w.Min(), w.Max(), cols...)
-	snap := ss.Snapshot(cols...)
-	if math.Float64bits(snap.P50) != math.Float64bits(sel[0]) || math.Float64bits(snap.P95) != math.Float64bits(sel[1]) {
-		t.Fatalf("%d values (on the grid: %v): snapshot P50, P95 %v, %v; selected %v, %v", w.N(), on, snap.P50, snap.P95, sel[0], sel[1])
+	checkP50P95(t, "StreamSummary", ss.Snapshot(cols...), cols)
+}
+
+// checkP50P95 holds a snapshot's P50 and P95 to the sorted rule over cols.
+func checkP50P95(t *testing.T, what string, snap LiveSummary, cols [][]float64) {
+	t.Helper()
+	var want [2]float64
+	copiedQuantiles(want[:], []float64{0.5, 0.95}, cols...)
+	if math.Float64bits(snap.P50) != math.Float64bits(want[0]) || math.Float64bits(snap.P95) != math.Float64bits(want[1]) {
+		t.Fatalf("%s of %d values: P50, P95 %v, %v; sorted %v, %v", what, snap.N, snap.P50, snap.P95, want[0], want[1])
+	}
+}
+
+// checkGridSummaries feeds cols, a column per run, to an ExactSummary and
+// to one bucket of a Windowed, both declared on the grid of tenths, and
+// then once more after a Reset and in a second bucket: every time, they
+// answer as the sorted rule over cols does, whether the values stayed on
+// the grid, which keeps only counts, or left it, which turns the counts
+// into kept values.
+func checkGridSummaries(t *testing.T, cols [][]float64) {
+	t.Helper()
+	es := NewExactSummary(NewLevels(10, gridMax))
+	wd := NewWindowed(1, NewLevels(10, gridMax))
+	for bucket := range int64(2) {
+		es.Reset()
+		for _, c := range cols {
+			ts := make([]int64, len(c))
+			for i := range ts {
+				ts[i] = bucket
+			}
+			es.AddRun(ts, c)
+			wd.AddRun(ts, c)
+		}
+		checkP50P95(t, "ExactSummary on a grid", es.Snapshot(), cols)
+		if b := wd.Buckets(); int64(len(b)) > bucket { // no sample opens no bucket
+			checkP50P95(t, "Windowed bucket on a grid", b[bucket].LiveSummary, cols)
+		}
 	}
 }
 
 // TestSelectQuantilesShapes: capture-shaped windows and columns, with NaN
-// runs, a trend, steps, heavy ties and skew, each selected as the sort
-// reference has it, for many quantiles at once too, and counted on a grid
-// of tenths as they are selected once snapped to it.
+// runs, a trend, steps, heavy ties and skew, each run through both rules:
+// sorted as the total-order reference has it, for many quantiles at once
+// too, and counted on a grid of tenths as the sorted rule has them once
+// snapped to it, by a bare Levels and by a bucket and rollup on that grid
+// that then meet the values off it.
 func TestSelectQuantilesShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := func(n int, f func(i int) float64) []float64 {
@@ -342,36 +389,51 @@ func TestSelectQuantilesShapes(t *testing.T) {
 	all := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
 	for name, vs := range shapes {
 		t.Run(name, func(t *testing.T) {
-			checkSelect(t, []float64{0.5, 0.95}, [][]float64{vs})
-			checkSelect(t, all, columns(vs, []byte{210, 13, 255}))
-			checkLevels(t, all, columns(gridValues(vs), []byte{210, 13, 255}))
+			checkSorted(t, []float64{0.5, 0.95}, [][]float64{vs})
+			checkSorted(t, all, columns(vs, []byte{210, 13, 255}))
+			grid := columns(gridValues(vs), []byte{210, 13, 255})
+			checkLevels(t, all, grid)
+			checkGridSummaries(t, append(grid, vs))
 		})
 	}
 }
 
-// BenchmarkExactQuantiles selects an exact P50 and P95 from
-// capture-shaped values, as an analytics bucket does at its close (a 2 s
-// window at 5 kHz, one buffer) and a finished capture does for its
-// stored summary (33 s at 5 kHz, in storage chunks): the selection that
-// replaced BenchmarkP2TwoEstimators' fold where the values are whole.
+// BenchmarkExactQuantiles reports what an exact P50 and P95 of
+// capture-shaped values cost a sample by each rule, over a 2 s window at
+// 5 kHz (an analytics bucket) and 33 s in storage chunks (a finished
+// capture, or a rollup): "levels" counts the values on the 0.1 mA grid
+// into counts reset from the previous op, as a bucket on a grid does, and
+// walks them; "sorted" copies them into recycled memory, sorts the copy
+// and reads it, as a series off any grid does (a bucket or rollup off a
+// grid sorts the copy it keeps, in place).
 func BenchmarkExactQuantiles(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		n    int
 	}{{"window=2s", 10_000}, {"column=33s", 167_499}} {
-		b.Run(c.name, func(b *testing.B) {
-			vs := noisy(c.n)
-			var cols [][]float64
-			for i := 0; i < len(vs); i += ChunkLen {
-				cols = append(cols, vs[i:min(i+ChunkLen, len(vs))])
-			}
-			var w Welford
-			w.ObserveRun(vs)
-			q := make([]float64, 2)
-			ps := []float64{0.5, 0.95}
+		vs := noisy(c.n)
+		var cols [][]float64
+		for i := 0; i < len(vs); i += ChunkLen {
+			cols = append(cols, vs[i:min(i+ChunkLen, len(vs))])
+		}
+		q := make([]float64, 2)
+		ps := []float64{0.5, 0.95}
+		b.Run("levels,"+c.name, func(b *testing.B) {
+			l := NewLevels(10, 60000)
 			b.ReportAllocs()
 			for b.Loop() {
-				SelectQuantiles(q, ps, w.Min(), w.Max(), cols...)
+				l.reset()
+				for _, col := range cols {
+					l.ObserveRun(col)
+				}
+				l.Quantiles(q, ps)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/sample")
+		})
+		b.Run("sorted,"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				copiedQuantiles(q, ps, cols...)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/sample")
 		})

@@ -9,13 +9,15 @@ import "math"
 //
 // Whether a value lies on the grid is GridLevel's to say. NaN is skipped.
 // A value off the grid, −0 (which a count of level 0 would turn into +0)
-// or above max turns the counts off for good: On reports false from then
-// on, and the caller selects its quantiles from the values instead.
+// or above max turns the counts off: On reports false until a reset, and
+// the caller takes its quantiles from a sorted copy of the values. What
+// was counted stays readable as values, so a caller that holds the values
+// nowhere else loses none of them.
 type Levels struct {
 	scale float64
 	max   int
 	// counts[k] is how many values lie on level k; it grows to the highest
-	// level seen.
+	// level seen and keeps its memory across resets.
 	counts []int32
 	lo     int // the lowest level counted
 	n      int // values counted
@@ -38,29 +40,32 @@ func NewLevels(scale float64, max int) *Levels {
 	return &Levels{scale: scale, max: max, lo: max}
 }
 
-// On reports whether every non-NaN value folded so far was on the grid:
-// whether Quantiles answers. A nil Levels is off.
+// On reports whether every non-NaN value folded since the last reset was
+// on the grid: whether Quantiles answers. A nil Levels is off.
 func (l *Levels) On() bool { return l != nil && !l.off }
 
-// ObserveRun counts vs, in order, until a value leaves the grid.
-func (l *Levels) ObserveRun(vs []float64) {
+// ObserveRun counts vs, in order, until a value leaves the grid, and
+// returns how many of them it took: all of them while the counts stay on,
+// none once they are off. A run that could overflow a count turns them
+// off before it is counted.
+func (l *Levels) ObserveRun(vs []float64) int {
 	if l.off {
-		return
+		return 0
 	}
 	if l.n+len(vs) > math.MaxInt32 { // a count might not hold
-		l.turnOff()
-		return
+		l.off = true
+		return 0
 	}
 	counts, scale, max := l.counts, l.scale, l.max
 	lo, n := l.lo, l.n
-	for _, v := range vs {
+	for i, v := range vs {
 		if v != v {
 			continue
 		}
 		k, ok := GridLevel(v, scale, max)
 		if !ok {
-			l.turnOff()
-			return
+			l.lo, l.n, l.off = lo, n, true
+			return i
 		}
 		if k >= len(counts) {
 			// A level above the counts: they grow to it, amortized over
@@ -73,11 +78,29 @@ func (l *Levels) ObserveRun(vs []float64) {
 		n++
 	}
 	l.lo, l.n = lo, n
+	return len(vs)
 }
 
-// turnOff forgets the counts: a value left the grid.
-func (l *Levels) turnOff() {
-	*l = Levels{scale: l.scale, max: l.max, off: true}
+// values returns the values counted, in ascending order: the multiset the
+// counts hold, bit for bit.
+func (l *Levels) values() []float64 {
+	vs := make([]float64, 0, l.n)
+	for k := l.lo; len(vs) < l.n; k++ {
+		for range l.counts[k] {
+			vs = append(vs, float64(k)/l.scale)
+		}
+	}
+	return vs
+}
+
+// reset empties the counts and turns them on. It clears only the levels
+// from the lowest counted up to the highest, and keeps their memory.
+func (l *Levels) reset() {
+	for k, left := l.lo, l.n; left > 0; k++ {
+		left -= int(l.counts[k])
+		l.counts[k] = 0
+	}
+	l.lo, l.n, l.off = l.max, 0, false
 }
 
 // Quantiles sets q[i] to the exact ps[i]-quantile of the values counted:
@@ -87,15 +110,8 @@ func (l *Levels) turnOff() {
 // rank wanted; quantiles asked for in ascending order share one walk. The
 // counts must be On.
 func (l *Levels) Quantiles(q, ps []float64) {
-	s := selection{n: l.n, levels: l}
-	s.quantiles(q, ps)
-}
-
-// at sets vals[j] to the value of rank ranks[j] (0-based, below n),
-// walking on from the previous rank's level while the ranks ascend.
-func (l *Levels) at(vals []float64, ranks []int) {
 	k, below := l.lo, 0 // below counts the values on levels under k
-	for j, r := range ranks {
+	at := func(r int) float64 {
 		if r < below {
 			k, below = l.lo, 0
 		}
@@ -103,6 +119,14 @@ func (l *Levels) at(vals []float64, ranks []int) {
 			below += int(l.counts[k])
 			k++
 		}
-		vals[j] = float64(k) / l.scale
+		return float64(k) / l.scale
+	}
+	for i, p := range ps {
+		if l.n == 0 {
+			q[i] = math.NaN()
+			continue
+		}
+		a, b, frac := quantileRanks(l.n, p)
+		q[i] = interpolate(at(a), at(b), a == b, frac)
 	}
 }

@@ -131,13 +131,18 @@ func (es *ExactSummary) addOne(tNanos int64, v float64) {
 	if len(es.vals) == 0 {
 		es.vals = [][]float64{nil}
 	}
-	es.vals[0] = append(es.vals[0], v)
+	if v == v {
+		es.vals[0] = append(es.vals[0], v)
+	}
 }
 
 // state is what an ExactSummary holds, whatever the columns it keeps its
-// values in: the folds and the values in order.
+// values in and their order, which a snapshot sorts: the folds and the
+// values, sorted.
 func (es *ExactSummary) state() []any {
-	return []any{es.sum, slices.Concat(es.vals...)}
+	vs := slices.Concat(es.vals...)
+	sortTotal(vs)
+	return []any{es.sum, vs}
 }
 
 func (wd *Windowed) addOne(tNanos int64, v float64) {
@@ -317,7 +322,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 		// lands on, until a negative, an infinite or a bulk value does not.
 		ss, ssRef := NewStreamSummary(NewLevels(10, 32767)), NewStreamSummary(NewLevels(10, 32767))
 		var es, esRef ExactSummary
-		wd, wdRef := NewWindowed(width), NewWindowed(width)
+		wd, wdRef := NewWindowed(width, nil), NewWindowed(width, nil)
 		cols, colsRef := NewSeries(), NewSeries()
 		arith, arithRef := NewSeries(), NewSeries()
 
@@ -389,8 +394,9 @@ func FuzzRunMatchesSingles(f *testing.F) {
 
 // TestRunBodiesDoNotAllocate: a fold of a chunk allocates nothing,
 // whether one estimator, a stream summary whose level counts have room or
-// an exact summary whose kept memory has room does it, and neither does
-// counting or selecting its quantiles.
+// an exact summary whose kept memory or counts have room does it, and
+// neither does counting or sorting its quantiles once the sort's copy is
+// recycled.
 func TestRunBodiesDoNotAllocate(t *testing.T) {
 	ts, vs := synth(ChunkLen)
 	e := NewP2Quantile(0.5)
@@ -399,6 +405,8 @@ func TestRunBodiesDoNotAllocate(t *testing.T) {
 	ss.AddRun(ts, grid) // grows the counts to the highest level
 	var es ExactSummary
 	es.AddRun(ts, vs) // grows the memory each Reset keeps
+	esGrid := NewExactSummary(NewLevels(10, 60000))
+	esGrid.AddRun(ts, grid)
 	for _, c := range []struct {
 		name string
 		fold func()
@@ -408,6 +416,8 @@ func TestRunBodiesDoNotAllocate(t *testing.T) {
 		{"StreamSummary.Snapshot", func() { ss.Snapshot() }},
 		{"ExactSummary.AddRun", func() { es.Reset(); es.AddRun(ts, vs) }},
 		{"ExactSummary.Snapshot", func() { es.Snapshot() }},
+		{"ExactSummary.AddRun on a grid", func() { esGrid.Reset(); esGrid.AddRun(ts, grid) }},
+		{"ExactSummary.Snapshot on a grid", func() { esGrid.Snapshot() }},
 	} {
 		if n := testing.AllocsPerRun(20, c.fold); n != 0 {
 			t.Errorf("%s of %d samples: %v allocations, want 0", c.name, len(vs), n)

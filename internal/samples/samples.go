@@ -42,9 +42,10 @@
 //   - Levels: counts of values on a grid k/scale (a Monsoon reading is
 //     on the 0.1 mA grid of its ADC), one increment a value, from which
 //     quantiles are exact order statistics. A value off the grid turns
-//     the counts off for good, and the quantiles are selected instead.
-//     GridLevel is the one rule of what lies on a grid; the binary trace
-//     encoder of internal/trace stores such values as their levels.
+//     the counts off, and the quantiles come from a sorted copy of the
+//     values instead. GridLevel is the one rule of what lies on a grid;
+//     the binary trace encoder of internal/trace stores such values as
+//     their levels.
 //   - P2Quantile: the P² algorithm of Jain & Chlamtac (1985). Five
 //     markers track the target quantile without storing samples. Exact
 //     for n ≤ 5; beyond that the estimate is approximate. The property
@@ -61,20 +62,28 @@
 // StreamSummary bundles Welford, Trapezoid and, for a stream on a grid,
 // Levels, so a capture loop feeds one aggregator and observers read a
 // LiveSummary snapshot mid-run instead of waiting for teardown. Its P50
-// and P95 are exact: counted from the levels while they are on, selected
-// from the values otherwise. The live view of a capture is therefore
-// exact at every read.
+// and P95 are exact at every read.
 //
 // # Exact quantiles
 //
-// SelectQuantiles finds exact quantiles, the order statistics
-// QuantileSorted interpolates (stats.Quantile's answer), in linear time
-// and without reordering or copying the values: one pass counts them
-// into 4096 equal ranges between their extremes, a second gathers the
-// few ranges that hold the wanted ranks. ExactSummary is a StreamSummary
-// that keeps its values to select from, for a sample held nowhere else.
-// Windowed summarizes each fixed-width time bucket of a stream with one,
-// so a bucket's WindowSummary is a LiveSummary and its start.
+// Every exact quantile, the order statistics QuantileSorted interpolates
+// (stats.Quantile's answer), comes from one of two rules:
+//
+//   - Level counts: values on a declared grid are counted (Levels), and
+//     the quantiles are a walk of the counts. A capture, a decoded grid
+//     trace, and the analytics buckets and rollup of either are counted.
+//   - A sorted copy: any other values are copied, NaN left out, the
+//     copy is sorted a column at a time with −0 before +0, and the ranks
+//     QuantileSorted interpolates between are found across the sorted
+//     columns. A Series' storage is copied into recycled memory and never
+//     reordered.
+//
+// ExactSummary is a StreamSummary for a sample held nowhere else: on its
+// grid it keeps only the counts, off it the values, which are its sorted
+// rule's copy, and a value that leaves the grid turns the counts into
+// kept values first. Windowed summarizes each fixed-width time bucket of
+// a stream with one, so a bucket's WindowSummary is a LiveSummary and its
+// start.
 //
 // NaN values are invalid measurements (the Monsoon ADC clamps its floor
 // at 0 mA and can never produce them); aggregators skip them and count

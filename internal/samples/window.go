@@ -21,9 +21,11 @@ type WindowSummary struct {
 // Windowed partitions a time-ordered stream into fixed-width buckets
 // and summarizes each with an ExactSummary — the core of the server's
 // trace analytics. It holds the summaries of the closed buckets and the
-// values of the open one, in one buffer reused from bucket to bucket, and
-// folds a run a bucket's stretch at a time: one call per stretch, not
-// per sample. A bucket's P50 and P95 are selected when it closes.
+// open one's, whose memory, level counts or kept values, is reused from
+// bucket to bucket, and folds a run a bucket's stretch at a time: one call
+// per stretch, not per sample. A stream on a grid is counted on it, and a
+// bucket keeps no values; a bucket's P50 and P95 are read off its counts
+// or a sorted copy of its values when it closes.
 type Windowed struct {
 	widthNS int64
 
@@ -36,12 +38,13 @@ type Windowed struct {
 
 // NewWindowed returns a windowed aggregator with buckets of widthNS
 // nanoseconds: bucket k spans [k·width, (k+1)·width). widthNS must be
-// positive.
-func NewWindowed(widthNS int64) *Windowed {
+// positive. levels, an empty Levels of the grid the stream's values lie
+// on, or nil for none, counts every bucket's values in turn.
+func NewWindowed(widthNS int64, levels *Levels) *Windowed {
 	if widthNS <= 0 {
 		panic("samples: NewWindowed width must be positive")
 	}
-	return &Windowed{widthNS: widthNS}
+	return &Windowed{widthNS: widthNS, cur: *NewExactSummary(levels)}
 }
 
 // bucketOf floors t/width toward negative infinity, so samples before

@@ -10,7 +10,8 @@ import (
 // TestWindowedAgainstBatch is the core property: every bucket's
 // mean/min/max/integral must agree with a batch recomputation over
 // exactly the samples that fall in the bucket, and its P50 and P95 are
-// those samples' exact quantiles, bit for bit.
+// those samples' exact quantiles, bit for bit, whether the buckets sort
+// their values or count them on a grid.
 func TestWindowedAgainstBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const (
@@ -33,65 +34,76 @@ func TestWindowedAgainstBatch(t *testing.T) {
 		all = append(all, sample{tcur, 120 + rng.NormFloat64()*15})
 	}
 
-	// Buckets start at 0: the windows see the times shifted so that
-	// originNS is 0.
-	wd := NewWindowed(widthNS)
-	for _, s := range all {
-		wd.Add(s.t-originNS, s.v)
-	}
-	buckets := wd.Buckets()
-
-	// Batch recomputation per bucket.
-	byBucket := map[int64][]sample{}
-	for _, s := range all {
-		byBucket[(s.t-originNS)/widthNS] = append(byBucket[(s.t-originNS)/widthNS], s)
-	}
-	if len(buckets) != len(byBucket) {
-		t.Fatalf("windowed produced %d buckets, batch grouping %d", len(buckets), len(byBucket))
-	}
-	relErr := func(a, b float64) float64 {
-		if a == b {
-			return 0
-		}
-		return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
-	}
-	for _, b := range buckets {
-		k := b.StartNS / widthNS
-		group := byBucket[k]
-		if len(group) != b.N {
-			t.Fatalf("bucket %d: N=%d, batch has %d samples", k, b.N, len(group))
-		}
-		var sum, minV, maxV float64
-		minV, maxV = math.Inf(1), math.Inf(-1)
-		var integ float64
-		for i, s := range group {
-			sum += s.v
-			minV = math.Min(minV, s.v)
-			maxV = math.Max(maxV, s.v)
-			if i > 0 {
-				dt := float64(s.t-group[i-1].t) / 1e9
-				integ += dt * (s.v + group[i-1].v) / 2
+	// Off any grid, the buckets sort their values; snapped to the ADC's
+	// 0.1 mA grid, they count levels.
+	for _, grid := range []bool{false, true} {
+		var levels *Levels
+		if grid {
+			levels = NewLevels(10, 60000)
+			for i := range all {
+				all[i].v = math.Round(all[i].v*10) / 10
 			}
 		}
-		mean := sum / float64(len(group))
-		if relErr(b.Mean, mean) > 1e-9 {
-			t.Errorf("bucket %d mean: windowed %v batch %v", k, b.Mean, mean)
+		// Buckets start at 0: the windows see the times shifted so that
+		// originNS is 0.
+		wd := NewWindowed(widthNS, levels)
+		for _, s := range all {
+			wd.Add(s.t-originNS, s.v)
 		}
-		if b.Min != minV || b.Max != maxV {
-			t.Errorf("bucket %d extremes: [%v,%v] vs [%v,%v]", k, b.Min, b.Max, minV, maxV)
+		buckets := wd.Buckets()
+
+		// Batch recomputation per bucket.
+		byBucket := map[int64][]sample{}
+		for _, s := range all {
+			byBucket[(s.t-originNS)/widthNS] = append(byBucket[(s.t-originNS)/widthNS], s)
 		}
-		if relErr(b.IntegralSeconds, integ) > 1e-9 {
-			t.Errorf("bucket %d integral: windowed %v batch %v", k, b.IntegralSeconds, integ)
+		if len(buckets) != len(byBucket) {
+			t.Fatalf("windowed produced %d buckets, batch grouping %d", len(buckets), len(byBucket))
 		}
-		// Quantiles: exact, the order statistics of the bucket's values.
-		vals := make([]float64, len(group))
-		for i, s := range group {
-			vals[i] = s.v
+		relErr := func(a, b float64) float64 {
+			if a == b {
+				return 0
+			}
+			return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 		}
-		sort.Float64s(vals)
-		for _, qc := range []struct{ p, got float64 }{{0.5, b.P50}, {0.95, b.P95}} {
-			if exact := QuantileSorted(vals, qc.p); math.Float64bits(qc.got) != math.Float64bits(exact) {
-				t.Errorf("bucket %d p%v: %v, exact %v", k, qc.p, qc.got, exact)
+		for _, b := range buckets {
+			k := b.StartNS / widthNS
+			group := byBucket[k]
+			if len(group) != b.N {
+				t.Fatalf("bucket %d: N=%d, batch has %d samples", k, b.N, len(group))
+			}
+			var sum, minV, maxV float64
+			minV, maxV = math.Inf(1), math.Inf(-1)
+			var integ float64
+			for i, s := range group {
+				sum += s.v
+				minV = math.Min(minV, s.v)
+				maxV = math.Max(maxV, s.v)
+				if i > 0 {
+					dt := float64(s.t-group[i-1].t) / 1e9
+					integ += dt * (s.v + group[i-1].v) / 2
+				}
+			}
+			mean := sum / float64(len(group))
+			if relErr(b.Mean, mean) > 1e-9 {
+				t.Errorf("bucket %d mean: windowed %v batch %v", k, b.Mean, mean)
+			}
+			if b.Min != minV || b.Max != maxV {
+				t.Errorf("bucket %d extremes: [%v,%v] vs [%v,%v]", k, b.Min, b.Max, minV, maxV)
+			}
+			if relErr(b.IntegralSeconds, integ) > 1e-9 {
+				t.Errorf("bucket %d integral: windowed %v batch %v", k, b.IntegralSeconds, integ)
+			}
+			// Quantiles: exact, the order statistics of the bucket's values.
+			vals := make([]float64, len(group))
+			for i, s := range group {
+				vals[i] = s.v
+			}
+			sort.Float64s(vals)
+			for _, qc := range []struct{ p, got float64 }{{0.5, b.P50}, {0.95, b.P95}} {
+				if exact := QuantileSorted(vals, qc.p); math.Float64bits(qc.got) != math.Float64bits(exact) {
+					t.Errorf("bucket %d p%v: %v, exact %v", k, qc.p, qc.got, exact)
+				}
 			}
 		}
 	}
@@ -101,7 +113,7 @@ func TestWindowedAgainstBatch(t *testing.T) {
 // a bucket boundary opens the next bucket, samples before 0 get
 // negative buckets, and NaNs are counted but excluded.
 func TestWindowedBucketEdges(t *testing.T) {
-	wd := NewWindowed(100)
+	wd := NewWindowed(100, nil)
 	wd.Add(-50, 1) // bucket -1
 	wd.Add(0, 2)   // bucket 0
 	wd.Add(99, 4)  // bucket 0
@@ -135,7 +147,7 @@ func TestWindowedBucketEdges(t *testing.T) {
 
 // TestWindowedEmpty pins the zero-sample case.
 func TestWindowedEmpty(t *testing.T) {
-	wd := NewWindowed(1000)
+	wd := NewWindowed(1000, nil)
 	if got := wd.Buckets(); len(got) != 0 {
 		t.Fatalf("empty aggregator produced %d buckets", len(got))
 	}

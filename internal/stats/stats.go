@@ -37,7 +37,8 @@ func Summarize(xs []float64) Summary {
 
 // SummarizeSeries is Summarize over a chunked sample series, without
 // materializing a flat value slice for the moments (the exact median
-// still sorts one copy of the values).
+// still sorts one copy of the values). It is the batch reference a
+// trace's streaming Summary is held to.
 func SummarizeSeries(s *samples.Series) Summary {
 	var w samples.Welford
 	vs := make([]float64, 0, s.Len())
@@ -123,16 +124,17 @@ type CDF struct {
 
 // NewCDFSeries builds an empirical CDF from a chunked sample series,
 // filling the sorted buffer straight from the chunks (one copy instead
-// of Values()+copy).
+// of Values()+copy). NaN values are skipped, as Summarize skips them; a
+// series with no other value is an empty sample.
 func NewCDFSeries(s *samples.Series) (*CDF, error) {
-	if s.Len() == 0 {
-		return nil, errors.New("stats: empty sample")
-	}
 	sorted := make([]float64, 0, s.Len())
-	s.Iter(func(_ int64, v float64) bool {
-		sorted = append(sorted, v)
+	s.Chunks(0, func(_ []int64, v []float64) bool {
+		sorted = appendValid(sorted, v)
 		return true
 	})
+	if len(sorted) == 0 {
+		return nil, errors.New("stats: empty sample")
+	}
 	sort.Float64s(sorted)
 	return &CDF{sorted: sorted}, nil
 }

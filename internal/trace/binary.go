@@ -107,7 +107,7 @@ func EncodeBinary(w io.Writer, s *Series, version int) error {
 	}
 	enc := encoder{version: version}
 	if version == BinaryV3 {
-		enc.scale, enc.max = s.grid()
+		enc.scale, enc.max = s.storedGrid()
 	}
 	buf := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	var err error

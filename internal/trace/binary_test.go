@@ -513,7 +513,7 @@ func (e *encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byt
 func encodeRef(s *Series, version int) []byte {
 	enc := encoder{version: version}
 	if version == BinaryV3 {
-		enc.scale, enc.max = s.grid()
+		enc.scale, enc.max = s.storedGrid()
 	}
 	raw := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	s.data.Chunks(0, func(offs []int64, vals []float64) bool {

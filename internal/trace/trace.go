@@ -12,10 +12,11 @@
 // Summary, IntegralSeconds and EnergyMAH fold the samples appended since
 // the previous read, in order and a chunk's stretch per call, so each
 // sample is folded once and every figure is bit for bit that of folding
-// at every append. Its quantiles are exact: counted from the levels, or
-// selected from the stored values of a series with none. A trace nobody
-// reads a summary of (a decoded one whose energy the stored summary
-// already gave) folds nothing.
+// at every append. Its quantiles are exact, by one of two rules: a walk
+// of the level counts of a series on its grid, or a sorted copy of the
+// stored values of any other. A trace nobody reads a summary of (a
+// decoded one whose energy the stored summary already gave) folds
+// nothing.
 // Series persist to disk in the binary trace format of binary.go, and
 // export as CSV (WriteCSV, the v1 text format). WriteBinary writes
 // version 3: a steady sampling period costs a chunk two timestamps, and a
@@ -76,7 +77,6 @@ type Series struct {
 	agg    *samples.StreamSummary
 	qmu    sync.Mutex
 	folded int
-	cols   [][]float64 // the value columns, as a read last found them
 }
 
 // NewSeries returns an empty series.
@@ -84,11 +84,11 @@ func NewSeries(name, unit string) *Series { return newSeries(name, unit, nil) }
 
 // NewGridSeries returns an empty series of values on the grid k/scale,
 // 0 ≤ k ≤ max, as an instrument that rounds its readings makes them: its
-// summary counts them (samples.Levels), so Live's quantiles cost no
-// selection, and WriteBinary stores them as levels. A value off the grid
-// only makes them selected again, and the values written as they are.
-// scale and max must lie within 1..2²⁰, the grids the binary format
-// holds; it panics on any other.
+// summary counts them (samples.Levels), so Live's quantiles are a walk of
+// the counts, and WriteBinary stores them as levels. A value off the grid
+// only makes the quantiles come from a sorted copy of the values, and the
+// values written as they are. scale and max must lie within 1..2²⁰, the
+// grids the binary format holds; it panics on any other.
 func NewGridSeries(name, unit string, scale, max int) *Series {
 	if scale < 1 || scale > maxGrid || max < 1 || max > maxGrid {
 		panic(fmt.Sprintf("trace: grid %d/%d outside 1..%d", scale, max, maxGrid))
@@ -180,16 +180,9 @@ func (s *Series) Duration() time.Duration {
 	return time.Duration(s.lastOff)
 }
 
-// Summary reduces the series to summary statistics. Every field is exact.
-// A series up to one chunk (4096 samples — CPU traces, thinned sweeps) is
-// summarized in batch, with one bounded sort; a larger one is its Live
-// summary.
-func (s *Series) Summary() stats.Summary {
-	if s.data.Len() <= samples.ChunkLen {
-		return stats.SummarizeSeries(s.data)
-	}
-	return stats.FromLive(s.Live())
-}
+// Summary reduces the series to summary statistics: its Live summary, at
+// any length. Every field is exact.
+func (s *Series) Summary() stats.Summary { return stats.FromLive(s.Live()) }
 
 // Live reports the summary of the series so far: running
 // mean/std/min/max, the time integral and exact P50/P95 (stats.Quantile's
@@ -197,24 +190,36 @@ func (s *Series) Summary() stats.Summary {
 // session observers receive alongside raw samples and what a finished
 // capture stores. It costs the fold of the samples appended since the
 // previous read, each sample folded once over all reads, and the
-// quantiles: a walk of the level counts of a grid series, or a selection
-// over every stored value of any other.
+// quantiles: a walk of the level counts of a series on its grid, or a
+// sorted copy of every stored value of any other, which leaves the
+// storage as it is.
 func (s *Series) Live() samples.LiveSummary {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	s.fold()
-	s.cols = s.cols[:0]
-	s.data.Chunks(0, func(_ []int64, v []float64) bool {
-		s.cols = append(s.cols, v)
-		return true
-	})
-	return s.agg.Snapshot(s.cols...)
+	var cols [][]float64
+	if _, _, all := s.agg.Grid(); !all { // the counts may not answer: the values will
+		s.data.Chunks(0, func(_ []int64, v []float64) bool {
+			cols = append(cols, v)
+			return true
+		})
+	}
+	return s.agg.Snapshot(cols...)
 }
 
-// grid reports the grid a version 3 encoding puts the values on: the one
-// the series declares (NewGridSeries), when its summary, folded up to
-// now, says every value lies on it. 0 and 0 for none.
-func (s *Series) grid() (scale, max int) {
+// Grid reports the grid the series was declared on (NewGridSeries),
+// whatever its values: scale and max, or 0 and 0 for none.
+func (s *Series) Grid() (scale, max int) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	sc, mx, _ := s.agg.Grid()
+	return int(sc), mx
+}
+
+// storedGrid reports the grid a version 3 encoding puts the values on:
+// the one the series declares (NewGridSeries), when its summary, folded
+// up to now, says every value lies on it. 0 and 0 for none.
+func (s *Series) storedGrid() (scale, max int) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	s.fold()
@@ -240,7 +245,7 @@ func (s *Series) CDF() (*stats.CDF, error) { return stats.NewCDFSeries(s.data) }
 // IntegralSeconds reports the series' integral over time using the
 // trapezoid rule, yielding unit·seconds (for a mA series:
 // milliamp-seconds). It is the streaming summary's, folded as Live folds
-// it; it selects no quantile.
+// it; it reads no quantile.
 func (s *Series) IntegralSeconds() float64 {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
