@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 )
 
@@ -19,7 +20,7 @@ import (
 // returns the queued counts it derived. Callers hold s.mu.
 func (s *Server) censusOracleLocked() ([]nodeCensusEntry, map[string]int) {
 	queued := make(map[string]int)
-	for _, b := range s.queue {
+	for _, b := range s.queuedBuilds() {
 		queued[b.cons.Node]++
 	}
 	list := make([]nodeCensusEntry, 0, len(s.nodeRecs))
@@ -27,6 +28,20 @@ func (s *Server) censusOracleLocked() ([]nodeCensusEntry, map[string]int) {
 		list = append(list, *s.nodeEntryLocked(s.nodeRecs[n], queued[n]))
 	}
 	return list, queued
+}
+
+// queuedBuilds is the dispatch queue as the builds in it, in order.
+// Callers hold s.mu.
+func (s *Server) queuedBuilds() []*Build {
+	of := make(map[*sched.Entry]*Build, len(s.builds))
+	for _, b := range s.builds {
+		of[&b.Entry] = b
+	}
+	var queue []*Build
+	for _, e := range s.sched.Queue() {
+		queue = append(queue, of[e])
+	}
+	return queue
 }
 
 // PlacementDrift checks the placement classes against what they cache.
@@ -44,41 +59,43 @@ func (s *Server) PlacementDrift() error {
 	now := s.clock.Now()
 	queued := map[Constraints]int{}
 	inQueue := map[*Build]bool{}
-	for _, b := range s.queue {
+	classes := s.sched.Classes()
+	for _, b := range s.queuedBuilds() {
 		queued[b.cons]++
 		inQueue[b] = true
-		if b.class == nil || b.class != s.classes[b.cons] {
-			return fmt.Errorf("queued build %d (%+v) is counted in class %p, the table holds %p", b.ID, b.cons, b.class, s.classes[b.cons])
+		if b.Class() == nil || b.Class() != classes[b.cons] {
+			return fmt.Errorf("queued build %d (%+v) is counted in class %p, the table holds %p", b.ID, b.cons, b.Class(), classes[b.cons])
 		}
 	}
 	for id, b := range s.builds {
-		if !inQueue[b] && b.class != nil {
-			return fmt.Errorf("build %d is not queued and still counted in class %+v", id, b.class.cons)
+		if !inQueue[b] && b.Class() != nil {
+			return fmt.Errorf("build %d is not queued and still counted in class %+v", id, b.Class().Cons())
 		}
 	}
-	if len(s.classes) != len(queued) {
-		return fmt.Errorf("%d placement classes for %d distinct constraints in the queue", len(s.classes), len(queued))
+	if len(classes) != len(queued) {
+		return fmt.Errorf("%d placement classes for %d distinct constraints in the queue", len(classes), len(queued))
 	}
-	for cons, c := range s.classes {
-		if c.cons != cons || c.queued != queued[cons] {
-			return fmt.Errorf("class %+v (filed under %+v) counts %d queued builds, the queue holds %d", c.cons, cons, c.queued, queued[cons])
+	for cons, c := range classes {
+		if c.Cons() != cons || c.Queued() != queued[cons] {
+			return fmt.Errorf("class %+v (filed under %+v) counts %d queued builds, the queue holds %d", c.Cons(), cons, c.Queued(), queued[cons])
 		}
-		if c.rec == nil || !s.verdictValidLocked(c, now) {
+		if !s.sched.Standing(c, now) {
 			continue
 		}
+		v := c.Verdict()
 		pl, reason := s.placeLocked(cons, now)
-		if !reflect.DeepEqual(pl, c.pl) || reason != c.reason {
-			return fmt.Errorf("class %+v caches placement %+v (%q), placing it now gives %+v (%q)", cons, c.pl, c.reason, pl, reason)
+		if !reflect.DeepEqual(pl, v.Placement) || reason != v.Reason {
+			return fmt.Errorf("class %+v caches placement %+v (%q), placing it now gives %+v (%q)", cons, v.Placement, v.Reason, pl, reason)
 		}
-		if !pl.pinned || c.rec != s.nodeRecs[cons.Node] {
-			return fmt.Errorf("class %+v hangs its verdict on node %q, its placement %+v is not pinned there", cons, c.rec.Name, pl)
+		if !pl.Pinned || pl.Node != cons.Node || s.nodeRecs[cons.Node] == nil {
+			return fmt.Errorf("class %+v hangs its verdict on node %q, its placement %+v is not pinned there", cons, cons.Node, pl)
 		}
-		key := cons.lockKey(pl)
-		if held := s.lockHeldLocked(key); key != c.key || held != c.held || c.wait != "waiting for "+key.String() {
-			return fmt.Errorf("class %+v caches lock %q held=%v (%q), the lock table says %q held=%v", cons, c.key, c.held, c.wait, key, held)
+		key := cons.Key(pl)
+		if held := s.sched.Held(key); key != v.Key || held != v.Held || v.Wait != "waiting for "+key.String() {
+			return fmt.Errorf("class %+v caches lock %q held=%v (%q), the lock table says %q held=%v", cons, v.Key, v.Held, v.Wait, key, held)
 		}
-		if until := s.onlineUntilLocked(c.rec); !until.Equal(c.until) {
-			return fmt.Errorf("class %+v trusts node %q until %s, its record says %s", cons, c.rec.Name, c.until, until)
+		if until := s.onlineUntilLocked(s.nodeRecs[cons.Node]); !until.Equal(v.Until) {
+			return fmt.Errorf("class %+v trusts node %q until %s, its record says %s", cons, cons.Node, v.Until, until)
 		}
 	}
 	return nil
@@ -91,7 +108,8 @@ func (s *Server) PlacementDrift() error {
 func (s *Server) PlacementCost() (evals int64, classes int, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.m.placementEvals, len(s.classes), s.placeEpoch
+	_, evals, epoch = s.sched.Cost()
+	return evals, len(s.sched.Classes()), epoch
 }
 
 // CensusDrift compares what the server serves about its nodes with the
@@ -110,8 +128,14 @@ func (s *Server) CensusDrift() error {
 	}
 
 	delete(queued, "") // a build with no preferred node counts nowhere
-	if !reflect.DeepEqual(s.queuedOn, queued) {
-		return fmt.Errorf("queued counters %v, a queue scan counts %v", s.queuedOn, queued)
+	counted := map[string]int{}
+	for name := range s.sched.Nodes() {
+		if n := s.sched.Node(name).Queued; n != 0 {
+			counted[name] = n
+		}
+	}
+	if !reflect.DeepEqual(counted, queued) {
+		return fmt.Errorf("queued counters %v, a queue scan counts %v", counted, queued)
 	}
 	got := s.reads.nodeList()
 	if len(got) != len(want) {
@@ -144,37 +168,38 @@ func (s *Server) servedNodes() []NodeStatus {
 }
 
 // QueueDrift checks the bookkeeping the drain pass relies on instead of
-// rewalking the queue: builds sit in s.queue in queueSeq order, every
+// rewalking the queue: builds sit in the queue in sequence order, every
 // queued build's dispatch-side reason shadow equals the reason it
 // reports and the reason the read plane serves, the category stored with
 // it is the one the reason's text names (pendingCategoryOf), and behind
 // the first build labelled execWait every build up to the
 // labelled-through watermark carries that label too
-// (labelSaturatedLocked skips that run unread).
+// (sched's labelSaturated skips that run unread).
 func (s *Server) QueueDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var prev uint64
 	inRun := false
-	for i, b := range s.queue {
-		if b.queueSeq <= prev {
-			return fmt.Errorf("queue[%d] (build %d) has sequence %d after %d", i, b.ID, b.queueSeq, prev)
+	for i, b := range s.queuedBuilds() {
+		prio, reason := b.Label()
+		if b.Seq() <= prev {
+			return fmt.Errorf("queue[%d] (build %d) has sequence %d after %d", i, b.ID, b.Seq(), prev)
 		}
-		prev = b.queueSeq
-		if got := b.PendingReason(); got != b.schedReason {
-			return fmt.Errorf("build %d reports %q, the dispatch shadow holds %q", b.ID, got, b.schedReason)
+		prev = b.Seq()
+		if got := b.PendingReason(); got != reason {
+			return fmt.Errorf("build %d reports %q, the dispatch shadow holds %q", b.ID, got, reason)
 		}
-		if st, ok := s.reads.buildStatus(b.ID); !ok || st.PendingReason != b.schedReason {
-			return fmt.Errorf("build %d is served as %q (published %v), the scheduler holds %q", b.ID, st.PendingReason, ok, b.schedReason)
+		if st, ok := s.reads.buildStatus(b.ID); !ok || st.PendingReason != reason {
+			return fmt.Errorf("build %d is served as %q (published %v), the scheduler holds %q", b.ID, st.PendingReason, ok, reason)
 		}
-		if got, want := pendingCategories[b.schedPrio], pendingCategoryOf(b.schedReason); got != want {
-			return fmt.Errorf("build %d waits %q, counted as %s, which the reason's text names %s", b.ID, b.schedReason, got, want)
+		if got, want := pendingCategories[prio], pendingCategoryOf(reason); got != want {
+			return fmt.Errorf("build %d waits %q, counted as %s, which the reason's text names %s", b.ID, reason, got, want)
 		}
-		if b.schedReason == execWait {
+		if reason == sched.ExecWait {
 			inRun = true
-		} else if inRun && b.queueSeq <= s.execLabelled {
+		} else if inRun && b.Seq() <= s.sched.ExecLabelled() {
 			return fmt.Errorf("build %d (sequence %d, watermark %d) reads %q behind builds waiting for an executor",
-				b.ID, b.queueSeq, s.execLabelled, b.schedReason)
+				b.ID, b.Seq(), s.sched.ExecLabelled(), reason)
 		}
 	}
 	return nil
@@ -182,14 +207,14 @@ func (s *Server) QueueDrift() error {
 
 // pendingCategoryOf is how the pending-reason gauge once found a queued
 // build's category: by matching the free-text reason. It is kept as the
-// reference the stored category (Build.schedPrio) must agree with.
+// reference the stored category (Entry.Label) must agree with.
 func pendingCategoryOf(reason string) string {
 	switch {
 	case reason == "":
 		return "next_in_line"
 	// "waiting for a free executor" must fold before the generic
 	// "waiting for " lock_wait prefix below.
-	case reason == execWait:
+	case reason == sched.ExecWait:
 		return "executor_wait"
 	case strings.Contains(reason, "campaign concurrency"):
 		return "campaign_cap"
@@ -221,7 +246,7 @@ func (s *Server) LifecycleDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	inQueue := map[*Build]bool{}
-	for _, b := range s.queue {
+	for _, b := range s.queuedBuilds() {
 		if inQueue[b] {
 			return fmt.Errorf("build %d is in the queue twice", b.ID)
 		}
@@ -253,22 +278,22 @@ func (s *Server) LifecycleDrift() error {
 			if peer == "" {
 				nodeRunning[node]++
 			}
-			// The recount builds the table the way claimLocked does, and
-			// checks exclusivity against every key taken so far.
-			k := b.held
-			if k == (lockKey{}) {
+			// The recount builds the table the way a claim does, and checks
+			// exclusivity against every key taken so far.
+			k := b.Held()
+			if k == (sched.Key{}) {
 				return fmt.Errorf("running build %d holds no lock", id)
 			}
-			under := locks[k.name]
+			under := locks[k.Name]
 			_, whole := under[""]
-			_, same := under[k.device]
-			if whole || same || k.device == "" && len(under) > 0 {
-				return fmt.Errorf("build %d holds %q, which conflicts with what builds %v hold under %q", id, k, under, k.name)
+			_, same := under[k.Device]
+			if whole || same || k.Device == "" && len(under) > 0 {
+				return fmt.Errorf("build %d holds %q, which conflicts with what builds %v hold under %q", id, k, under, k.Name)
 			}
-			if locks[k.name] == nil {
-				locks[k.name] = map[string]int{}
+			if locks[k.Name] == nil {
+				locks[k.Name] = map[string]int{}
 			}
-			locks[k.name][k.device] = id
+			locks[k.Name][k.Device] = id
 			if inQueue[b] || watching != watchLease && watching != watchNone {
 				return fmt.Errorf("running build %d: in queue %v, watchdog armed for kind %d", id, inQueue[b], watching)
 			}
@@ -281,13 +306,13 @@ func (s *Server) LifecycleDrift() error {
 				waiting++
 				want = watchAging
 			}
-			if b.held != (lockKey{}) || watching != want {
-				return fmt.Errorf("queued build %d: holds %q, watchdog armed for kind %d, want %d (in queue %v)", id, b.held, watching, want, inQueue[b])
+			if b.Held() != (sched.Key{}) || watching != want {
+				return fmt.Errorf("queued build %d: holds %q, watchdog armed for kind %d, want %d (in queue %v)", id, b.Held(), watching, want, inQueue[b])
 			}
 		default:
-			if !b.feed.Closed() || watching != watchNone || b.held != (lockKey{}) || inQueue[b] {
+			if !b.feed.Closed() || watching != watchNone || b.Held() != (sched.Key{}) || inQueue[b] {
 				return fmt.Errorf("%s build %d: feed closed %v, watchdog armed for kind %d, holds %q, in queue %v",
-					state, id, b.feed.Closed(), watching, b.held, inQueue[b])
+					state, id, b.feed.Closed(), watching, b.Held(), inQueue[b])
 			}
 		}
 		if st, ok := s.reads.buildStatus(id); !ok || st.State != state.String() {
@@ -297,33 +322,35 @@ func (s *Server) LifecycleDrift() error {
 			return fmt.Errorf("build %d points at campaign record %p, campaign %d is %p", id, b.camp, b.Campaign, s.campaigns[b.Campaign])
 		}
 	}
-	if waiting != len(s.queue) {
-		return fmt.Errorf("the queue holds %d builds, %d of them known queued builds", len(s.queue), waiting)
+	if waiting != len(s.sched.Queue()) {
+		return fmt.Errorf("the queue holds %d builds, %d of them known queued builds", len(s.sched.Queue()), waiting)
 	}
-	if !reflect.DeepEqual(s.locks, locks) {
-		return fmt.Errorf("lock table %v, running builds hold %v", s.locks, locks)
+	if !reflect.DeepEqual(s.sched.Locks(), locks) {
+		return fmt.Errorf("lock table %v, running builds hold %v", s.sched.Locks(), locks)
 	}
-	if s.running != running || s.m.queued != int64(queued) {
+	if s.sched.Running() != running || s.m.queued != int64(queued) {
 		return fmt.Errorf("running %d, queued gauge %d; the builds count %d running, %d queued",
-			s.running, s.m.queued, running, queued)
+			s.sched.Running(), s.m.queued, running, queued)
 	}
-	if sum := s.m.queued + int64(s.running) + s.m.succeeded + s.m.failed + s.m.aborted; s.m.submitted != sum {
+	if sum := s.m.queued + int64(s.sched.Running()) + s.m.succeeded + s.m.failed + s.m.aborted; s.m.submitted != sum {
 		return fmt.Errorf("%d builds submitted, the live and finished counters sum to %d", s.m.submitted, sum)
 	}
-	if !reflect.DeepEqual(s.ownerRunning, ownerRunning) || !reflect.DeepEqual(s.ownerActive, ownerActive) {
+	if !reflect.DeepEqual(s.sched.OwnerRunning(), ownerRunning) || !reflect.DeepEqual(s.ownerActive, ownerActive) {
 		return fmt.Errorf("owner counts running %v active %v, the builds count %v and %v",
-			s.ownerRunning, s.ownerActive, ownerRunning, ownerActive)
+			s.sched.OwnerRunning(), s.ownerActive, ownerRunning, ownerActive)
 	}
 	for id, rec := range s.campaigns {
-		if rec.running != campRunning[id] {
-			return fmt.Errorf("campaign %d counts %d running, its builds %d", id, rec.running, campRunning[id])
+		if rec.Running() != campRunning[id] {
+			return fmt.Errorf("campaign %d counts %d running, its builds %d", id, rec.Running(), campRunning[id])
 		}
 	}
-	for name, rec := range s.nodeRecs {
-		if rec.running != nodeRunning[name] {
-			return fmt.Errorf("node %q counts %d running, the local builds on it %d", name, rec.running, nodeRunning[name])
+	for name := range s.sched.Nodes() {
+		if got := s.sched.Node(name).Running; got != nodeRunning[name] {
+			return fmt.Errorf("node %q counts %d running, the local builds on it %d", name, got, nodeRunning[name])
 		}
-		delete(nodeRunning, name)
+		if s.nodeRecs[name] != nil {
+			delete(nodeRunning, name)
+		}
 	}
 	if len(nodeRunning) > 0 {
 		return fmt.Errorf("builds run on nodes without a lifecycle record: %v", nodeRunning)

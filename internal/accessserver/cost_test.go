@@ -158,7 +158,7 @@ func TestPolledCountsUnderChurn(t *testing.T) {
 	pollers.Wait()
 
 	srv.mu.Lock()
-	running, queued := srv.running, int(srv.m.queued)
+	running, queued := srv.sched.Running(), int(srv.m.queued)
 	srv.mu.Unlock()
 	if srv.Running() != running || srv.QueueLength() != queued || running != 0 || queued != 0 {
 		t.Errorf("polled %d running / %d queued, the scheduler holds %d / %d, want 0 / 0",

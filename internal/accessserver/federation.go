@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/cluster"
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -284,11 +285,11 @@ func (s *Server) handlerCluster(mux *http.ServeMux) {
 // into the local one, and settle the build from the remote terminal
 // status. Relay breakage short of a terminal status goes through the
 // peer-loss failover path, exactly like a lost local node. Callers hold
-// s.mu (drainLocked's claim section).
-func (s *Server) relayRun(b *Build, pl placement) RunFunc {
+// s.mu (claimLocked).
+func (s *Server) relayRun(b *Build, pl sched.Placement) RunFunc {
 	relay := s.peerRelay
-	peer, peerURL := pl.peer, pl.peerURL
-	nodeName, device := pl.nodeName, pl.device
+	peer, peerURL := pl.Peer, pl.PeerURL
+	nodeName, device := pl.Node, pl.Device
 	token := s.cluster.Token()
 	return func(ctx *BuildContext, done func(error)) {
 		attempt := ctx.attempt
@@ -439,7 +440,7 @@ func (s *Server) reclaimPeer(peer string) {
 // point takes the build instead. The compiled "pipeline" is a poison
 // local body — if a local node of the same name ever materializes and
 // wins placement, the build fails typed rather than running the wrong
-// hardware — and the real execution path is drainLocked's relayRun.
+// hardware — and the real execution path is claimLocked's relayRun.
 func (s *Server) compileForPeer(spec api.ExperimentSpec, compileErr error) (Constraints, RunFunc, error) {
 	if !errors.Is(compileErr, ErrNotFound) {
 		return Constraints{}, nil, compileErr

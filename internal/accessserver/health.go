@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/simclock"
 )
@@ -119,16 +120,11 @@ type nodeRec struct {
 	store.NodeRec
 
 	lastBeat time.Time
-	// version counts the changes to anything a placement pinned to this
-	// node reads — the handle, the lifecycle flags, the last beat, the
-	// locks under its name: touchNodeLocked bumps it, and a pinned verdict
-	// stands only while it has not moved (see placeClass).
-	version uint64
 	// ticker probes the node every HeartbeatEvery: armed exactly while the
-	// node is registered and monitored (armLocked, unregisterLocked).
-	ticker  *simclock.Ticker
-	pinging bool // async liveness probe in flight
-	running int  // builds currently leased to this node
+	// node is registered and monitored (armLocked, unregisterLocked), and
+	// ping is the latch of its off-lock pings.
+	ticker *simclock.Ticker
+	ping   latch
 
 	// Reliability telemetry for score-based placement. beats counts
 	// recorded heartbeats; flaps counts beats that ended a
@@ -144,20 +140,51 @@ type nodeRec struct {
 
 	// CPU probe cache for RequireLowCPU dispatch: the scheduler never
 	// blocks on Exec("status") under s.mu; it reads this cache and
-	// launches at most one probe per node to refresh it. cpuProbeAt
-	// bounds the in-flight latch: a probe stuck on a half-open
-	// connection is written off after OfflineAfter and a fresh one may
-	// launch (the late result, if any, just refreshes the cache).
-	cpuPct     float64
-	cpuAt      time.Time
-	cpuOK      bool
-	cpuProbing bool
-	cpuProbeAt time.Time
+	// launches probes under cpuProbe to refresh it (fleet.CPUGate).
+	cpuPct   float64
+	cpuAt    time.Time
+	cpuOK    bool
+	cpuProbe latch
+}
+
+// latch bounds a node's off-lock probes of one kind to one in flight; the
+// answer, recorded under s.mu, lets it go. Guarded by s.mu.
+type latch struct {
+	on bool
+	at time.Time
+}
+
+// take latches l at now unless a probe launched within the last window is
+// in flight: past it, that one is presumed stuck on a half-open connection
+// (a late answer, if any, is just one more).
+func (l *latch) take(now time.Time, window time.Duration) bool {
+	if l.on && now.Sub(l.at) < window {
+		return false
+	}
+	l.on, l.at = true, now
+	return true
+}
+
+// offLock is the one off-lock probe path: it runs probe, which asks n and
+// records the answer under s.mu. A Pinger (in process: cheap, it cannot
+// hang, deterministic under the virtual clock) is probed in place, and
+// offLock reports true; any other node on a goroutine, then after, under
+// a latch its caller took, so a hung node stalls nobody.
+func offLock(n Node, probe, after func()) bool {
+	if _, ok := n.(Pinger); ok {
+		probe()
+		return true
+	}
+	go func() {
+		probe()
+		after()
+	}()
+	return false
 }
 
 // recLocked resolves (creating on first sight) a node's lifecycle
 // record. A new record is a new census row, built when the section ends.
-// Callers hold s.mu, and mark the node with touchNodeLocked when they
+// Callers hold s.mu, and mark the node with sched.Touch when they
 // change a field its row serves or a placement pinned to it reads.
 func (s *Server) recLocked(name string) *nodeRec {
 	rec, ok := s.nodeRecs[name]
@@ -253,7 +280,7 @@ func (s *Server) MonitorNode(name string) error {
 		return err // unregistered during the round trip
 	}
 	rec.lastBeat = s.clock.Now()
-	s.touchNodeLocked(name)
+	s.sched.Touch(name)
 	if !rec.Monitored || !slices.Equal(rec.Devices, devices) {
 		// Armed already: only the device list is new, and a drain stays. A
 		// fresh arm ends any previous drain: re-monitoring a serviced node
@@ -273,7 +300,7 @@ func (s *Server) MonitorNode(name string) error {
 // runs on the same record — and logs it. Callers hold s.mu.
 func (s *Server) applyNodeLocked(rec *nodeRec, change store.Record) {
 	applyNode(&rec.NodeRec, &change)
-	s.touchNodeLocked(rec.Name)
+	s.sched.Touch(rec.Name)
 	s.logStore(change)
 }
 
@@ -294,35 +321,35 @@ func (s *Server) SetNodeOwner(name, owner string) {
 }
 
 // probeNode is one heartbeat probe of a node's handle (the ticker that
-// calls it lives exactly as long as the registration). Pinger nodes
-// answer synchronously (deterministic under the virtual clock); others
-// are probed on a goroutine with at most one probe in flight, so a hung
-// node can never stall the ticker — its beats simply stop and it ages
-// into suspect and then offline.
+// calls it lives exactly as long as the registration), a ping through
+// the one off-lock probe path: a node that hangs can never stall the
+// ticker — its beats simply stop and it ages into suspect and then
+// offline, and a ping stuck past OfflineAfter no longer blocks the next.
 func (s *Server) probeNode(name string, n Node) {
-	if p, ok := n.(Pinger); ok {
-		if p.Ping() == nil {
-			s.Heartbeat(name)
-		}
-		return
-	}
-	s.mu.Lock()
-	rec := s.recLocked(name)
-	if rec.pinging {
-		s.mu.Unlock()
-		return
-	}
-	rec.pinging = true
-	s.mu.Unlock()
-	go func() {
-		_, err := n.Exec("ping")
+	p, inProcess := n.(Pinger)
+	if !inProcess {
 		s.mu.Lock()
-		rec.pinging = false
+		launch := s.recLocked(name).ping.take(s.clock.Now(), s.cfg.OfflineAfter)
 		s.mu.Unlock()
+		if !launch {
+			return
+		}
+	}
+	offLock(n, func() {
+		var err error
+		if inProcess {
+			err = p.Ping()
+		} else {
+			_, err = n.Exec("ping")
+		}
 		if err == nil {
 			s.Heartbeat(name)
 		}
-	}()
+	}, func() {
+		s.mu.Lock()
+		s.recLocked(name).ping.on = false
+		s.mu.Unlock()
+	})
 }
 
 // contributionFlushEvery is how much attested hosting time accumulates
@@ -381,8 +408,8 @@ func (s *Server) Heartbeat(name string) {
 		}
 	}
 	rec.lastBeat = now
-	s.touchNodeLocked(name)
-	if len(s.queue) > 0 && !wasOnline {
+	s.sched.Touch(name)
+	if len(s.sched.Queue()) > 0 && !wasOnline {
 		s.exit.redrain = true
 	}
 }
@@ -438,11 +465,12 @@ func (s *Server) RemoveNode(user *User, name string) error {
 	// threshold still belongs to the owner.
 	s.flushHostingLocked(rec)
 	s.applyNodeLocked(rec, store.Record{T: store.TNodeRemoved, Name: name})
-	s.failQueuedLocked(func(b *Build) error {
-		if b.cons.Node == name && !b.cons.Fallback {
-			return fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, b.ID)
+	s.sched.RemoveFunc(func(j sched.Job) bool {
+		if j.Cons.Node != name || j.Cons.Fallback {
+			return false
 		}
-		return nil
+		s.settleLocked(j.Build.(*Build), fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, j.ID))
+		return true
 	})
 	s.exit.redrain = true // fallback builds re-place onto survivors
 	return nil
@@ -457,7 +485,7 @@ func (s *Server) NodeHealth(name string) NodeStatus {
 	if rec == nil {
 		return NodeStatus{Name: name, Health: HealthOffline}
 	}
-	return s.nodeEntryLocked(rec, s.queuedOn[name]).NodeStatus
+	return s.nodeEntryLocked(rec, s.sched.Node(name).Queued).NodeStatus
 }
 
 // nodeEntryLocked builds one node's census row — its lifecycle snapshot
@@ -471,7 +499,7 @@ func (s *Server) nodeEntryLocked(rec *nodeRec, queued int) *nodeCensusEntry {
 		Draining:      rec.Draining,
 		Removed:       rec.Removed,
 		LastHeartbeat: rec.lastBeat,
-		Running:       rec.running,
+		Running:       s.sched.Node(rec.Name).Running,
 		Queued:        queued,
 		Devices:       append([]string(nil), rec.Devices...),
 		Beats:         rec.beats,

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -897,4 +898,68 @@ func (b *Build) CancelRequested() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.Canceled
+}
+
+// hungPingNode is a vantage point reached over the network (no Pinger)
+// whose first ping hangs, as on a half-open connection, until release
+// closes; every later one answers at once. started receives each ping's
+// ordinal as it begins.
+type hungPingNode struct {
+	release chan struct{}
+	started chan int32
+	pings   atomic.Int32
+}
+
+func (n *hungPingNode) Name() string { return "h" }
+func (n *hungPingNode) Exec(cmd string, args ...string) (string, error) {
+	if cmd != "ping" {
+		return "", nil
+	}
+	k := n.pings.Add(1)
+	n.started <- k
+	if k == 1 {
+		<-n.release
+	}
+	return "pong", nil
+}
+
+// TestHungPingDoesNotSilenceNode: one heartbeat ping stuck on a
+// half-open connection holds off the node's later probes only while it
+// could still answer. Past OfflineAfter it no longer counts as in
+// flight, the next tick pings again, and the node, answering, reads
+// online again.
+func TestHungPingDoesNotSilenceNode(t *testing.T) {
+	clk := simclock.NewVirtual()
+	cfg := faultCfg()
+	srv := New(clk, cfg)
+	n := &hungPingNode{release: make(chan struct{}), started: make(chan int32, 16)}
+	defer close(n.release)
+	if err := srv.RegisterNode(n); err != nil {
+		t.Fatal(err)
+	}
+	nextPing := func() int32 {
+		t.Helper()
+		select {
+		case k := <-n.started:
+			return k
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no ping launched by %s", clk.Now().Sub(simclock.Epoch))
+			return 0
+		}
+	}
+	clk.Advance(cfg.HeartbeatEvery)
+	if k := nextPing(); k != 1 {
+		t.Fatalf("the first tick sent ping %d", k)
+	}
+	// Within the window the hung ping is in flight: no tick pings again,
+	// and the node, silent, goes offline.
+	clk.Advance(cfg.OfflineAfter - cfg.HeartbeatEvery)
+	if len(n.started) != 0 || srv.NodeHealth("h").Health != HealthOffline {
+		t.Fatalf("%d pings sent while one hung, node %s; want none, offline", len(n.started), srv.NodeHealth("h").Health)
+	}
+	clk.Advance(cfg.HeartbeatEvery)
+	if k := nextPing(); k != 2 {
+		t.Fatalf("the tick past the window sent ping %d, want 2", k)
+	}
+	waitGauge(t, int64(HealthOnline), func() int64 { return int64(srv.NodeHealth("h").Health) })
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/feedhub"
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -20,29 +21,9 @@ import (
 // called exactly once.
 type RunFunc func(ctx *BuildContext, done func(error))
 
-// Constraints gate when a build may dispatch (§3.1: "based on
-// experimenter constraints, e.g. target device ... and BatteryLab
-// constraints, e.g. one job at a time per device").
-type Constraints struct {
-	// Node is the target vantage point (required).
-	Node string
-	// Device is the target device serial; if set, the build holds the
-	// node/device lock for its duration.
-	Device string
-	// RequireLowCPU defers dispatch until the controller's CPU is below
-	// 50 % (the optional condition of §4.2).
-	RequireLowCPU bool
-	// Fallback lets the scheduler substitute another online monitored
-	// node (and one of its devices) when the preferred node is
-	// unavailable — the failover policy behind campaign completion on
-	// surviving vantage points.
-	Fallback bool
-	// WholeNode makes the build hold its node's lock even though it
-	// names a device: the pipeline uses something the vantage point has
-	// one of — the power monitor, for every measurement — so builds on
-	// the node's other devices must wait for it.
-	WholeNode bool
-}
+// Constraints gate when a build may dispatch; the scheduler core owns
+// the type.
+type Constraints = sched.Constraints
 
 // Job is a stored pipeline (§3.1): a named, revisioned experiment spec.
 // New jobs and every revision require administrator approval before
@@ -128,37 +109,19 @@ type Build struct {
 	routedVia      string  // peer executing the current/last attempt ("" = local)
 	pendingReason  string  // why a queued build is not running yet
 	placementScore float64 // placer score of the current/last placement
-	// schedReason shadows pendingReason for the dispatch pass, guarded
-	// by s.mu rather than b.mu: the drain labels every skipped build
-	// every pass, and the shadow lets it skip the per-build lock when
-	// the reason has not changed (the overwhelmingly common case on a
-	// deep queue). Every writer of pendingReason that holds s.mu must
-	// keep the two in sync. schedPrio is the reason's category, recorded
-	// by whoever chose it (a prio constant; see pendingCategories).
-	schedReason string
-	schedPrio   int
 	// touched marks a build the current critical section changed, whose
 	// status its exit republishes (touchBuildLocked). Guarded by s.mu.
 	touched bool
-	// queuedOn is the node this build is counted against in the server's
-	// per-node queued counters while it sits in the dispatch queue (""
-	// otherwise). Guarded by s.mu.
-	queuedOn string
-	// class is the placement class the build is counted in while it sits
-	// in the dispatch queue, nil otherwise (see placeClass): the verdict
-	// the drain pass reads instead of placing the build. Guarded by s.mu.
-	class *placeClass
 	// camp is the build's campaign record, nil for a standalone build —
-	// s.campaigns[Campaign], resolved once instead of at every visit of
-	// the drain pass. Set at construction, immutable after.
+	// s.campaigns[Campaign], resolved once instead of at every push. Set
+	// at construction, immutable after.
 	camp *campaignRec
-	// queueSeq is the build's position in the order builds entered the
-	// dispatch queue (a requeue takes a new one). Guarded by s.mu.
-	queueSeq uint64
-	// held is the lock the running attempt holds, zero when the build
-	// holds nothing — the one record of what claimLocked took and
-	// releaseLocked must give back. Guarded by s.mu.
-	held lockKey
+	// Entry is the build's place in the scheduler core: in the queue, its
+	// class, sequence number and pending-reason shadow; running, the lock
+	// it holds. Guarded by s.mu. pendingReason follows the shadow: the
+	// drain reports the builds it relabels, and every other writer of the
+	// shadow that holds s.mu keeps the two in sync.
+	sched.Entry
 	// watch is the build's one watchdog timer and watching what it is
 	// armed for, which its state decides. Guarded by s.mu.
 	watch    simclock.Timer

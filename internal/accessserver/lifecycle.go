@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 )
@@ -12,11 +13,11 @@ import (
 // The build lifecycle. A build is queued, then running, then settled
 // (success, failure or aborted); a running build whose vantage point is
 // lost goes back to queued while its retry budget lasts. Each step has
-// one body here, and everything else in the package that moves a build
-// calls it:
+// one body here (what a build holds, the scheduler core takes at a claim
+// and gives back in sched.Release), and everything else in the package
+// that moves a build calls it:
 //
-//	claimLocked    queued → running: the drain pass, for every build it places
-//	releaseLocked  gives back exactly what claimLocked took
+//	claimLocked    queued → running: for every build a drain pass picked
 //	reclaimLocked  running → queued or settled: the lease watchdog, a broken
 //	               relay, a peer leaving the online set, crash recovery
 //	settleLocked   → terminal: finish, Abort, aging, RemoveNode, DeleteJob,
@@ -27,57 +28,38 @@ import (
 // build's BuildRec — the function replay runs on the same record — and
 // logs it; none assigns a durable field itself.
 //
-// All four run under s.mu and take b.mu themselves. They decide and mark:
+// All three run under s.mu and take b.mu themselves. They decide and mark:
 // the records they log, the builds and nodes they touch, the events they
 // queue, the feeds they end and the cancel hooks they detach all leave at
 // the one exit of the section they run in (leaveSection), the log first.
 
-// claimLocked starts queued build b on placement pl, whose lock key the
-// drain pass found free: it takes the lock, an executor slot and the
-// campaign, owner and node running counts, arms the lease and returns
-// the pipeline for dispatch to start outside the lock.
-func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time) *pick {
-	s.uncountQueuedLocked(b)
-	// A claim moves a lock and a running count, which every verdict not
-	// pinned to a node may have read; the node's own verdicts fall with
-	// the touch below.
-	s.placeEpoch++
-	under := s.locks[key.name]
-	if under == nil {
-		under = make(map[string]int, 1)
-		s.locks[key.name] = under
-	}
-	under[key.device] = b.ID
-	b.held = key
-	s.running++
+// claimLocked is the durable half of a claim: the scheduler core's drain
+// pass picked queued build b for placement p and took its lock, executor
+// slot and running counts. Here the build is started: its record, its
+// lease, and the pipeline for dispatch to start outside the lock.
+func (s *Server) claimLocked(b *Build, p sched.Pick, now time.Time) *pick {
 	s.m.queued--
 	s.m.dispatched++
 	s.m.dispatchLatency.Observe(time.Duration(now.UnixNano() - b.QueuedAtNS).Seconds())
-	if b.camp != nil {
-		b.camp.running++
-	}
-	s.ownerRunning[b.Owner]++
-	b.schedReason, b.schedPrio = "", prioNone
 	// A routed build's lease is its peer's heartbeat (the relay reports
 	// most failures itself; the lease catches the peer falling silent
 	// mid-run); a local one's is its node's, if the node is monitored.
-	run, leased := b.run, true
-	if pl.peer == "" {
-		// Only local placements count on a node record: nodeRecs describes
-		// nodes attached to this server, and a peer's node must never leak
-		// into the local census.
-		rec := s.nodeRecs[pl.nodeName]
-		if pl.pinned && rec.Monitored {
+	pl, run, leased := p.Placement, b.run, true
+	var node Node
+	if pl.Peer == "" {
+		rec := s.nodeRecs[pl.Node]
+		if pl.Pinned && rec.Monitored {
 			// The status surface's score of a pinned placement, where there
 			// is telemetry to score (an unmonitored node has none). It reads
-			// the running count this claim is about to move and how recently
-			// the node flapped, so it is computed here, once, for the build
-			// that starts — not at every visit of every build waiting.
-			pl.score = s.placer.Score(s.candidateLocked(rec, pl.device, pl.device, now))
+			// the running count the claim moved, as it was before, and how
+			// recently the node flapped, so it is computed here, once, for
+			// the build that starts — not at every visit of every build
+			// waiting.
+			c := s.candidateLocked(rec, pl.Device, pl.Device, now)
+			c.Running = p.Running
+			pl.Score = s.placer.Score(c)
 		}
-		rec.running++
-		s.touchNodeLocked(pl.nodeName)
-		leased = rec.Monitored
+		node, leased = rec.node, rec.Monitored
 	} else {
 		s.m.clusterRouted++
 		run = s.relayRun(b, pl)
@@ -86,11 +68,11 @@ func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time)
 	b.mu.Lock()
 	attempt := b.BuildRec.Attempts + 1
 	started := store.Record{T: store.TBuildStarted, BuildID: b.ID,
-		NodeName: pl.nodeName, Attempt: attempt, AtNS: now.UnixNano()}
+		NodeName: pl.Node, Attempt: attempt, AtNS: now.UnixNano()}
 	applyBuild(&b.BuildRec, &started)
-	b.routedVia = pl.peer
+	b.routedVia = pl.Peer
 	b.pendingReason = ""
-	b.placementScore = pl.score
+	b.placementScore = pl.Score
 	b.mu.Unlock()
 	if leased {
 		b.watchFor(watchLease, s.clock.AfterFunc(s.cfg.OfflineAfter, func() { s.checkLease(b, attempt) }))
@@ -99,38 +81,7 @@ func (s *Server) claimLocked(b *Build, pl placement, key lockKey, now time.Time)
 	}
 	s.logStore(started)
 	s.touchBuildLocked(b)
-	return &pick{b: b, run: run, node: pl.node, nodeName: pl.nodeName, device: pl.device}
-}
-
-// releaseLocked gives back what claimLocked took for b, and reports
-// whether b held anything: a build recovered from the WAL as running
-// holds nothing in this process — the crash released it.
-func (s *Server) releaseLocked(b *Build) bool {
-	k := b.held
-	if k == (lockKey{}) {
-		return false
-	}
-	under := s.locks[k.name]
-	if delete(under, k.device); len(under) == 0 {
-		delete(s.locks, k.name)
-	}
-	b.held = lockKey{}
-	s.running--
-	if b.camp != nil {
-		b.camp.running--
-	}
-	if s.ownerRunning[b.Owner]--; s.ownerRunning[b.Owner] <= 0 {
-		delete(s.ownerRunning, b.Owner)
-	}
-	b.watchFor(watchNone, nil)
-	b.mu.Lock()
-	node, local := b.Node, b.routedVia == ""
-	b.mu.Unlock()
-	if local {
-		s.nodeRecs[node].running--
-		s.touchNodeLocked(node)
-	}
-	return true
+	return &pick{b: b, run: run, node: node, nodeName: pl.Node, device: pl.Device}
 }
 
 // reclaimLocked takes running build b back from a lost vantage point:
@@ -143,7 +94,7 @@ func (s *Server) releaseLocked(b *Build) bool {
 // still be alive on a merely partitioned node.
 func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 	now := s.clock.Now()
-	held := s.releaseLocked(b)
+	held := s.sched.Release(&b.Entry) // false for a build recovered as running: the crash released it
 	b.mu.Lock()
 	r := &b.BuildRec
 	// The attempt is gone whatever comes next: the build is queued again,
@@ -159,7 +110,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 			// Reliability telemetry: the node lost a leased build. The
 			// placer penalizes it on every future fallback decision.
 			rec.failovers++
-			s.touchNodeLocked(r.Node)
+			s.sched.Touch(r.Node)
 		}
 	}
 	// Later done() calls from the abandoned pipeline are stale (finish
@@ -206,12 +157,12 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 		b.watchFor(watchRetry, s.clock.AfterFunc(delay, func() { s.requeue(b, attempt) }))
 	}
 	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, r.Retries, s.cfg.MaxRetries, wait)
-	b.schedReason, b.schedPrio = b.pendingReason, prioRetry
+	s.sched.SetLabel(&b.Entry, sched.Retry, b.pendingReason)
 	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, r.Retries, s.cfg.MaxRetries, wait)
 	s.logStore(lost)
 	b.mu.Unlock()
 	if !backoff {
-		s.queuePushLocked(b)
+		s.queueLocked(b)
 	}
 	s.touchBuildLocked(b)
 }
@@ -223,7 +174,7 @@ func (s *Server) requeue(b *Build, attempt int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b.State() == StateQueued && b.Attempts() == attempt {
-		s.queuePushLocked(b)
+		s.queueLocked(b)
 		s.exit.redrain = true
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/cluster"
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/metrics"
 	"batterylab/internal/simclock"
 )
@@ -33,7 +34,7 @@ type serverMetrics struct {
 
 	// Scheduler lifecycle counters — guarded by s.mu (not atomics; see
 	// the file comment). queued includes builds sitting in a failover
-	// backoff window, which are state-queued but not in s.queue.
+	// backoff window, which are state-queued but not in the dispatch queue.
 	submitted        int64
 	dispatched       int64
 	queued           int64
@@ -51,11 +52,6 @@ type serverMetrics struct {
 	// counts routed builds reclaimed from a lost peer.
 	clusterRouted   int64
 	clusterPeerLost int64
-	// What the drain pass spends, same discipline: drainVisits counts the
-	// queued builds it examined, placementEvals the placements it computed
-	// for them (judgeLocked) — every other visit reused a class's verdict.
-	drainVisits    int64
-	placementEvals int64
 
 	// dispatchLatency observes submit→running wait in seconds, on the
 	// server clock (virtual-clock deterministic).
@@ -162,9 +158,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 // percentages. Every label is emitted every snapshot (zeros included) so
 // scrapes see stable series.
 var pendingCategories = [...]string{
-	prioNone: "next_in_line", prioExecutor: "executor_wait", prioCampaignCap: "campaign_cap",
-	prioOwnerCap: "owner_cap", prioNodeUnavailable: "node_unavailable", prioLockWait: "lock_wait",
-	prioCPUProbe: "cpu_probe", prioCPUGate: "cpu_gate", prioRetry: "retry_backoff",
+	sched.None: "next_in_line", sched.Executor: "executor_wait", sched.CampaignCap: "campaign_cap",
+	sched.OwnerCap: "owner_cap", sched.NodeUnavailable: "node_unavailable", sched.LockWait: "lock_wait",
+	sched.CPUProbe: "cpu_probe", sched.CPUGate: "cpu_gate", sched.Retry: "retry_backoff",
 }
 
 // collectScheduler emits the scheduler's lifecycle counters and derived
@@ -193,16 +189,17 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 		float64(m.shedWatermark), metrics.Label{Name: "reason", Value: ShedQueueWatermark})
 
 	e.Gauge("blab_queue_depth", "builds in state queued (including failover backoff)", float64(m.queued))
-	e.Gauge("blab_queue_dispatchable", "builds in the dispatch scan queue", float64(len(s.queue)))
-	e.Gauge("blab_builds_running", "builds holding an executor", float64(s.running))
+	e.Gauge("blab_queue_dispatchable", "builds in the dispatch scan queue", float64(len(s.sched.Queue())))
+	e.Gauge("blab_builds_running", "builds holding an executor", float64(s.sched.Running()))
 	e.Gauge("blab_executors", "configured executor cap", float64(s.cfg.Executors))
 	e.Gauge("blab_builds_tracked", "build records held in memory (retention window)", float64(len(s.builds)))
 	e.Gauge("blab_jobs", "stored pipelines", float64(len(s.jobs)))
 
 	// Pending-reason breakdown of the dispatch queue.
 	var pending [len(pendingCategories)]int
-	for _, b := range s.queue {
-		pending[b.schedPrio]++
+	for _, queued := range s.sched.Queue() {
+		prio, _ := queued.Label()
+		pending[prio]++
 	}
 	for prio, cat := range pendingCategories {
 		e.Gauge("blab_queue_pending", "queued builds by wait reason",
@@ -248,8 +245,9 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 	// Drain cost as counts: evals/visits is the share of visits a class
 	// verdict did not cover, visits/dispatched the depth of the blocked
 	// prefix a finish walks.
-	e.Counter("blab_sched_drain_visits_total", "queued builds examined by drain passes", float64(m.drainVisits))
-	e.Counter("blab_sched_placement_evals_total", "placements computed by drain passes (other visits reused their class's verdict)", float64(m.placementEvals))
+	visits, evals, _ := s.sched.Cost()
+	e.Counter("blab_sched_drain_visits_total", "queued builds examined by drain passes", float64(visits))
+	e.Counter("blab_sched_placement_evals_total", "placements computed by drain passes (other visits reused their class's verdict)", float64(evals))
 }
 
 // collectStore emits durability metrics under storeMu, consistent with

@@ -113,7 +113,7 @@ func (r *Nodes) Register(n Node) error {
 		}})
 	}
 	s.armLocked(rec)
-	s.touchNodeLocked(name)
+	s.sched.Touch(name)
 	return nil
 }
 
@@ -167,7 +167,7 @@ func (s *Server) unregisterLocked(name string) (*nodeRec, error) {
 		rec.ticker.Stop()
 		rec.ticker = nil
 	}
-	s.touchNodeLocked(name)
+	s.sched.Touch(name)
 	return rec, nil
 }
 

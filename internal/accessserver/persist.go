@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"batterylab/internal/accessserver/feedhub"
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -121,7 +122,6 @@ type sectionExit struct {
 	camps   []int          // campaigns added or evicted
 	closing []int          // settled builds, whose feeds close
 	expired []int          // evicted builds, whose status and feed go
-	census  []string       // touchNodeLocked
 	cancels []func()       // cancel hooks: abandoned attempts', an aborted run's
 	redrain bool           // a drain pass follows the section
 }
@@ -199,7 +199,7 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 	}
 	x.expired = x.expired[:0]
 	s.publishCensusLocked()
-	s.runningNow.Store(int64(s.running))
+	s.runningNow.Store(int64(s.sched.Running()))
 	s.queuedNow.Store(s.m.queued)
 	cancels, redrain = x.cancels, x.redrain
 	x.cancels, x.redrain = nil, false
@@ -542,7 +542,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		rec := s.recLocked(name)
 		// Touched: the merge rewrites flags and the beat, which the node's
 		// census row serves and any verdict pinned to it has read.
-		s.touchNodeLocked(name)
+		s.sched.Touch(name)
 		// The record comes in whole. What this boot already established is
 		// on the record it merges into, and stands: a node registered and
 		// armed before the attach keeps its fresh device list and its
@@ -564,8 +564,8 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 	// Campaigns before builds, so member builds can find their rec.
 	for id, cr := range rs.campaigns {
 		s.campaigns[id] = &campaignRec{
-			builds:        append([]int(nil), cr.Builds...),
-			maxConcurrent: cr.MaxConcurrent,
+			builds:   append([]int(nil), cr.Builds...),
+			Campaign: sched.Campaign{Max: cr.MaxConcurrent},
 		}
 	}
 
@@ -660,7 +660,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 				stats.Failed++
 			}
 		default:
-			s.queuePushLocked(b)
+			s.queueLocked(b)
 			s.touchBuildLocked(b)
 			stats.Requeued++
 		}
@@ -863,7 +863,7 @@ func (s *Server) buildSnapshotLocked() *store.Snapshot {
 		rec := s.campaigns[id]
 		snap.Campaigns = append(snap.Campaigns, store.CampaignRec{
 			ID:            id,
-			MaxConcurrent: rec.maxConcurrent,
+			MaxConcurrent: rec.Max,
 			Builds:        append([]int(nil), rec.builds...),
 		})
 	}

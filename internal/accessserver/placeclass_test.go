@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/api"
 	"batterylab/internal/simclock"
@@ -53,8 +54,8 @@ func newVerdictRig(t *testing.T, fallback bool) *verdictRig {
 	before := r.evals()
 	r.srv.Kick()
 	r.srv.mu.Lock()
-	c := r.b.class
-	standing := c != nil && c.rec != nil && r.srv.verdictValidLocked(c, r.clk.Now())
+	c := r.b.Class()
+	standing := c != nil && r.srv.sched.Standing(c, r.clk.Now())
 	r.srv.mu.Unlock()
 	if spent := r.evals() - before; spent != 0 || !standing {
 		t.Fatalf("an idle pass computed %d placements (pinned verdict standing: %v), want none", spent, standing)
@@ -76,13 +77,14 @@ func (r *verdictRig) submit(t *testing.T, node, device string, fallback bool) *B
 func (r *verdictRig) evals() int64 {
 	r.srv.mu.Lock()
 	defer r.srv.mu.Unlock()
-	return r.srv.m.placementEvals
+	_, evals, _ := r.srv.sched.Cost()
+	return evals
 }
 
 func (r *verdictRig) version() uint64 {
 	r.srv.mu.Lock()
 	defer r.srv.mu.Unlock()
-	return r.srv.nodeRecs["x"].version
+	return r.srv.sched.Node("x").Version
 }
 
 // TestVerdictFallsWhenWhatItReadChanges: a cached verdict must not
@@ -208,6 +210,15 @@ func TestVerdictFallsWhenWhatItReadChanges(t *testing.T) {
 	}
 }
 
+// heldFleet places every build on its preferred node.
+type heldFleet struct{}
+
+func (heldFleet) Place(c Constraints, _ time.Time) (sched.Placement, string) {
+	return sched.Placement{Node: c.Node, Device: c.Device}, ""
+}
+
+func (heldFleet) CPUGate(string, time.Time) (sched.Prio, string, bool) { return sched.None, "", false }
+
 type constPlacer float64
 
 func (p constPlacer) Score(PlacementCandidate) float64 { return float64(p) }
@@ -217,8 +228,8 @@ func (p constPlacer) Score(PlacementCandidate) float64 { return float64(p) }
 // else — no walk over what is held elsewhere, however much that is. One
 // whole-node build and one device build hold their nodes while N device
 // builds run on N other nodes; every conflict the table knows must come
-// out right, and come out the same from a table stripped of every other
-// name.
+// out right, and come out the same from a scheduler that holds only the
+// two nodes' locks.
 func TestLockConflictIsOneLookup(t *testing.T) {
 	for _, others := range []int{1, 512} {
 		clk := simclock.NewVirtual()
@@ -260,21 +271,26 @@ func TestLockConflictIsOneLookup(t *testing.T) {
 		}
 
 		srv.mu.Lock()
-		keys := []lockKey{{"w", ""}, {"w", "dev1"}, {"d", ""}, {"d", "dev1"}, {"d", "dev2"}, {"d", "dev3"}, {"free", ""}, {"free", "dev1"}}
+		keys := []sched.Key{{Name: "w"}, {Name: "w", Device: "dev1"}, {Name: "d"}, {Name: "d", Device: "dev1"},
+			{Name: "d", Device: "dev2"}, {Name: "d", Device: "dev3"}, {Name: "free"}, {Name: "free", Device: "dev1"}}
 		want := []bool{true, true, true, true, true, false, false, false}
-		full := srv.locks
-		if len(full) != others+2 {
-			t.Errorf("the lock table has %d names, want one per busy node, %d", len(full), others+2)
+		if n := len(srv.sched.Locks()); n != others+2 {
+			t.Errorf("the lock table has %d names, want one per busy node, %d", n, others+2)
 		}
-		for pass, table := range []map[string]map[string]int{full, {"w": full["w"], "d": full["d"]}} {
-			srv.locks = table
+		// The stripped table: the holds on w and d, claimed by a scheduler
+		// that knows nothing else.
+		stripped := sched.New(heldFleet{}, 3, 0)
+		for _, b := range []*Build{builds[0], builds[1], tail[4]} {
+			stripped.Push(new(sched.Entry), sched.Job{ID: b.ID, Cons: b.cons})
+		}
+		stripped.Drain(clk.Now())
+		for pass, table := range []*sched.Sched{srv.sched, stripped} {
 			for i, k := range keys {
-				if got := srv.lockHeldLocked(k); got != want[i] {
+				if got := table.Held(k); got != want[i] {
 					t.Errorf("%d other nodes busy, table %d: %q held = %v, want %v", others, pass, k, got, want[i])
 				}
 			}
 		}
-		srv.locks = full
 		srv.mu.Unlock()
 		if err := srv.LifecycleDrift(); err != nil {
 			t.Fatal(err)

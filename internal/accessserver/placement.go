@@ -157,7 +157,7 @@ func (s *Server) candidateLocked(rec *nodeRec, device, wantDevice string, now ti
 		Node:    rec.Name,
 		Device:  device,
 		Health:  s.healthLocked(rec, now),
-		Running: rec.running,
+		Running: s.sched.Node(rec.Name).Running,
 		Flaps:   rec.flaps,
 	}
 	c.Failovers = rec.failovers
@@ -168,80 +168,4 @@ func (s *Server) candidateLocked(rec *nodeRec, device, wantDevice string, now ti
 		c.RecentFlap = true
 	}
 	return c
-}
-
-// placeClass is the placement verdict every queued build with the same
-// constraints shares. Between two claims of one drain pass nothing a
-// verdict reads can change, and between two passes almost nothing does,
-// so the pass computes a class's verdict once (judgeLocked) and every
-// other queued build of the class reuses it for a pointer compare. It is
-// a cache and nothing else: a verdict is reused only while everything it
-// read is known unchanged, so the pass picks, scores and labels exactly
-// what placing every build would.
-//
-// There are two kinds of verdict and one validity check, a stamp held
-// against where it came from:
-//
-//   - Pinned: the preferred node is registered and online, placeLocked's
-//     first case. It read that node's record and the locks under its name,
-//     nothing else, so it holds across passes while the node's version is
-//     the stamp and now is before until — health decays with time, and no
-//     event fires when it does. The rule its writers keep: whoever changes
-//     what the pinned path reads bumps the node's version
-//     (touchNodeLocked).
-//   - Anything else — the node unknown, suspect, offline, draining or
-//     removed; remote pinned; fallback — read the fleet, the lock table,
-//     running counts and peer censuses as of now. It holds while
-//     s.placeEpoch is the stamp: inside the pass that computed it, until
-//     that pass's next claim.
-//
-// A class exists while builds of it are queued (countQueuedLocked), so the
-// table is never larger than the queue. Guarded by s.mu.
-type placeClass struct {
-	cons   Constraints
-	queued int // builds of the class in s.queue
-
-	// The verdict: where a build of the class may run (nowhere when
-	// pl.nodeName is empty, for reason), the lock it would take there,
-	// whether that conflicts with a held one, and the pending reason of a
-	// build it keeps waiting.
-	pl     placement
-	reason string
-	key    lockKey
-	held   bool
-	wait   string
-
-	// rec is the node a pinned verdict hangs on, nil for any other.
-	rec   *nodeRec
-	stamp uint64
-	until time.Time
-}
-
-// verdictValidLocked reports whether c's verdict still stands at now.
-// Callers hold s.mu.
-func (s *Server) verdictValidLocked(c *placeClass, now time.Time) bool {
-	if c.rec != nil {
-		return c.stamp == c.rec.version && now.Before(c.until)
-	}
-	return c.stamp == s.placeEpoch
-}
-
-// judgeLocked computes c's verdict: the placement, the lock it needs,
-// whether that is free. Callers hold s.mu.
-func (s *Server) judgeLocked(c *placeClass, now time.Time) {
-	s.m.placementEvals++
-	c.pl, c.reason = s.placeLocked(c.cons, now)
-	c.rec, c.stamp = nil, s.placeEpoch
-	if c.pl.nodeName == "" {
-		return
-	}
-	// A class asks for the same lock nearly every time: keep its spelling.
-	if k := c.cons.lockKey(c.pl); k != c.key {
-		c.key, c.wait = k, "waiting for "+k.String()
-	}
-	c.held = s.lockHeldLocked(c.key)
-	if c.pl.pinned {
-		c.rec = s.nodeRecs[c.cons.Node]
-		c.stamp, c.until = c.rec.version, s.onlineUntilLocked(c.rec)
-	}
 }

@@ -1,11 +1,9 @@
 package accessserver
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +13,7 @@ import (
 
 	"batterylab/internal/accessserver/cluster"
 	"batterylab/internal/accessserver/feedhub"
+	"batterylab/internal/accessserver/sched"
 	"batterylab/internal/accessserver/store"
 	"batterylab/internal/analytics"
 	"batterylab/internal/api"
@@ -209,16 +208,14 @@ type Server struct {
 	// artifact readers resolve a build id without ever touching s.mu.
 	reads *readPlane
 
-	mu      schedMutex
-	jobs    map[string]*Job
-	builds  map[int]*Build
-	queue   []*Build
-	running int
-	nextID  int
-	// locks is the lock table: lock name -> device -> the running build
-	// holding it, the device "" standing for the whole name. A name with
-	// nothing held has no entry (see lockKey).
-	locks map[string]map[string]int
+	mu     schedMutex
+	jobs   map[string]*Job
+	builds map[int]*Build
+	nextID int
+	// sched is the dispatch decision: the queue, the lock table, the
+	// placement classes, the running counts and the drain pass (see
+	// internal/accessserver/sched). Called under s.mu.
+	sched *sched.Sched
 	crons []*cronEntry
 	// nodeRecs is the one table of local vantage points: per node, its
 	// handle while registered and its lifecycle state (see health.go).
@@ -226,27 +223,13 @@ type Server struct {
 	// nodeNames, their names in order, only ever grows (recLocked).
 	nodeRecs  map[string]*nodeRec
 	nodeNames []string
-	// classes holds one placement verdict per distinct Constraints value
-	// with builds in s.queue; placeEpoch is what a verdict that is not
-	// pinned to a node is valid for (see placeClass in placement.go).
-	classes    map[Constraints]*placeClass
-	placeEpoch uint64
-	// queuedOn counts the builds in s.queue per preferred node — the
-	// census's Queued figure, kept current at every queue mutation
-	// instead of recounted from the queue (see countQueuedLocked).
-	queuedOn map[string]int
 	// exit is what the current critical section marked for its one exit
 	// (see sectionExit): leaving the section delivers and empties it.
 	exit sectionExit
-	// runningNow and queuedNow are s.running and s.m.queued as the last
-	// critical section left them, stored at its exit: what Running and
-	// QueueLength load without the lock.
+	// runningNow and queuedNow are the running count and s.m.queued as
+	// the last critical section left them, stored at its exit: what
+	// Running and QueueLength load without the lock.
 	runningNow, queuedNow atomic.Int64
-	// queueSeq numbers builds in the order they enter s.queue, which is
-	// also the order they sit in it. execLabelled is the drain pass's
-	// labelled-through watermark (see labelSaturatedLocked).
-	queueSeq     uint64
-	execLabelled uint64
 	// placer scores fallback placements (see placement.go); swapped at
 	// runtime with SetPlacer.
 	placer Placer
@@ -258,13 +241,10 @@ type Server struct {
 	// growth on deep queues of synchronous builds — into iteration.
 	dispatching bool
 	redispatch  bool
-	// ownerActive counts each owner's builds in non-terminal states
-	// (the OwnerInFlightCap admission input); ownerRunning counts each
-	// owner's builds holding executors (the OwnerRunCap fair-share
-	// input). Both maintained under s.mu at the same transitions as
-	// the metrics counters.
-	ownerActive  map[string]int
-	ownerRunning map[string]int
+	// ownerActive counts each owner's builds in non-terminal states (the
+	// OwnerInFlightCap admission input), maintained under s.mu at the
+	// same transitions as the metrics counters.
+	ownerActive map[string]int
 
 	specs        SpecBackend
 	campaigns    map[int]*campaignRec
@@ -314,11 +294,20 @@ type Server struct {
 	expectDurable atomic.Bool
 }
 
-// campaignRec tracks one campaign's builds and its concurrency cap.
+// campaignRec tracks one campaign's builds, and its concurrency cap and
+// running count for the scheduler.
 type campaignRec struct {
-	builds        []int
-	maxConcurrent int
-	running       int
+	builds []int
+	sched.Campaign
+}
+
+// cap is the campaign's cap as the scheduler reads it, nil for no
+// campaign.
+func (r *campaignRec) cap() *sched.Campaign {
+	if r == nil {
+		return nil
+	}
+	return &r.Campaign
 }
 
 type cronEntry struct {
@@ -335,17 +324,14 @@ func New(clock simclock.Clock, cfg Config) *Server {
 		jobs:         make(map[string]*Job),
 		builds:       make(map[int]*Build),
 		nextID:       1,
-		locks:        make(map[string]map[string]int),
 		nodeRecs:     make(map[string]*nodeRec),
-		classes:      make(map[Constraints]*placeClass),
-		queuedOn:     make(map[string]int),
 		campaigns:    make(map[int]*campaignRec),
 		nextCampaign: 1,
 		ownerActive:  make(map[string]int),
-		ownerRunning: make(map[string]int),
 		placer:       WeightedPlacer{W: DefaultScoreWeights()},
 	}
 	s.mu.s = s
+	s.sched = sched.New(fleet{s}, s.cfg.Executors, s.cfg.OwnerRunCap)
 	s.Users = &Users{s: s, byToken: make(map[string]*User), byName: make(map[string]*User)}
 	s.Nodes = &Nodes{s: s, approved: make(map[string]bool)}
 	s.Ledger = &Ledger{s: s, balances: make(map[string]float64), history: make(map[string][]LedgerEntry)}
@@ -489,11 +475,13 @@ func (s *Server) DeleteJob(user *User, name string) error {
 	}
 	delete(s.jobs, name)
 	s.logStore(store.Record{T: store.TJobDeleted, Name: name})
-	s.failQueuedLocked(func(b *Build) error {
-		if b.Job == name {
-			return fmt.Errorf("%w: job %q deleted while build %d was queued", ErrJobDeleted, name, b.ID)
+	s.sched.RemoveFunc(func(j sched.Job) bool {
+		b := j.Build.(*Build)
+		if b.Job != name {
+			return false
 		}
-		return nil
+		s.settleLocked(b, fmt.Errorf("%w: job %q deleted while build %d was queued", ErrJobDeleted, name, b.ID))
+		return true
 	})
 	return nil
 }
@@ -572,7 +560,7 @@ func (s *Server) admitLocked(user *User, n int) error {
 			user.Name, s.ownerActive[user.Name], cap)
 	}
 	if wm := s.cfg.ShedWatermark; wm > 0 {
-		depth := len(s.queue)
+		depth := len(s.sched.Queue())
 		limit := wm
 		if s.creditsOn.Load() {
 			limit = 2 * wm
@@ -600,7 +588,7 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	applyBuild(&b.BuildRec, &queued)
 	s.nextID++
 	s.builds[b.ID] = b
-	s.queuePushLocked(b)
+	s.queueLocked(b)
 	s.m.submitted++
 	s.m.queued++
 	s.ownerActive[owner]++
@@ -609,95 +597,18 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	return b
 }
 
-// The helpers below are the only code that may change which builds are
-// in s.queue (drainLocked, which compacts the queue as it scans, calls
-// uncountQueuedLocked itself). Each moves the build's preferred node's
-// queued counter with it, which is what lets the census serve Queued
-// without ever rescanning the queue, and the build's placement class's,
-// which is what keeps a class alive exactly while builds of it are
-// queued. Callers hold s.mu.
-
-// queuePushLocked appends b to the dispatch queue and starts its aging
+// queueLocked appends b to the dispatch queue and starts its aging
 // watchdog: a build still queued after PendingTimeout whose node never
 // appeared (or has gone offline) fails with a reason instead of pending
 // forever.
-func (s *Server) queuePushLocked(b *Build) {
-	s.queueSeq++
-	b.queueSeq = s.queueSeq
-	s.queue = append(s.queue, b)
-	s.countQueuedLocked(b)
+func (s *Server) queueLocked(b *Build) {
+	s.sched.Push(&b.Entry, sched.Job{ID: b.ID, Owner: b.Owner, Cons: b.cons, Camp: b.camp.cap(), Build: b})
 	s.armAgingLocked(b)
 }
 
 // armAgingLocked arms b's next aging check, one PendingTimeout from now.
 func (s *Server) armAgingLocked(b *Build) {
 	b.watchFor(watchAging, s.clock.AfterFunc(s.cfg.PendingTimeout, func() { s.checkAging(b) }))
-}
-
-// queueIndexLocked finds b in the dispatch queue, which is ordered by
-// queueSeq.
-func (s *Server) queueIndexLocked(b *Build) (int, bool) {
-	i, ok := slices.BinarySearchFunc(s.queue, b.queueSeq, func(q *Build, seq uint64) int {
-		return cmp.Compare(q.queueSeq, seq)
-	})
-	return i, ok && s.queue[i] == b
-}
-
-// queueRemoveAtLocked takes s.queue[i] out of the dispatch queue.
-func (s *Server) queueRemoveAtLocked(i int) {
-	s.uncountQueuedLocked(s.queue[i])
-	s.queue = slices.Delete(s.queue, i, i+1)
-}
-
-// failQueuedLocked fails every queued build why returns an error for,
-// and keeps the rest in order.
-func (s *Server) failQueuedLocked(why func(*Build) error) {
-	kept := s.queue[:0]
-	for _, b := range s.queue {
-		if err := why(b); err != nil {
-			s.uncountQueuedLocked(b)
-			s.settleLocked(b, err)
-			continue
-		}
-		kept = append(kept, b)
-	}
-	clear(s.queue[len(kept):]) // do not pin the failed builds
-	s.queue = kept
-}
-
-// countQueuedLocked counts b, which is entering s.queue, in its placement
-// class (created with its first build) and against its preferred node (a
-// build without one counts on no node).
-func (s *Server) countQueuedLocked(b *Build) {
-	b.class = s.classes[b.cons]
-	if b.class == nil {
-		b.class = &placeClass{cons: b.cons}
-		s.classes[b.cons] = b.class
-	}
-	b.class.queued++
-	b.queuedOn = b.cons.Node
-	if b.queuedOn != "" {
-		s.queuedOn[b.queuedOn]++
-		s.touchNodeLocked(b.queuedOn)
-	}
-}
-
-// uncountQueuedLocked undoes countQueuedLocked for a build leaving
-// s.queue.
-func (s *Server) uncountQueuedLocked(b *Build) {
-	if b.class.queued--; b.class.queued == 0 {
-		delete(s.classes, b.cons)
-	}
-	b.class = nil
-	node := b.queuedOn
-	if node == "" {
-		return
-	}
-	b.queuedOn = ""
-	if s.queuedOn[node]--; s.queuedOn[node] <= 0 {
-		delete(s.queuedOn, node)
-	}
-	s.touchNodeLocked(node)
 }
 
 // SubmitSpec compiles a declarative v1 experiment spec through the
@@ -808,7 +719,7 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 	id := s.nextCampaign
 	s.nextCampaign++
 	s.m.campaigns++
-	rec := &campaignRec{maxConcurrent: cs.MaxConcurrent}
+	rec := &campaignRec{Campaign: sched.Campaign{Max: cs.MaxConcurrent}}
 	s.campaigns[id] = rec
 	builds := make([]*Build, len(pipelines))
 	for i, p := range pipelines {
@@ -817,7 +728,7 @@ func (s *Server) SubmitCampaign(user *User, cs api.CampaignSpec) (int, []*Build,
 		rec.builds = append(rec.builds, builds[i].ID)
 	}
 	s.logStore(store.Record{T: store.TCampaign, Campaign: &store.CampaignRec{
-		ID: id, MaxConcurrent: rec.maxConcurrent, Builds: append([]int(nil), rec.builds...),
+		ID: id, MaxConcurrent: rec.Max, Builds: append([]int(nil), rec.builds...),
 	}})
 	s.exit.camps = append(s.exit.camps, id)
 	s.exit.redrain = true
@@ -894,9 +805,7 @@ func (s *Server) Abort(user *User, id int) error {
 		// In the queue, or sitting out a failover backoff: nothing is
 		// running, so the build settles here and now, and its finished
 		// record carries the cancel.
-		if i, ok := s.queueIndexLocked(b); ok {
-			s.queueRemoveAtLocked(i)
-		}
+		s.sched.Remove(&b.Entry)
 		s.settleLocked(b, nil)
 		return nil
 	case StateRunning:
@@ -978,30 +887,21 @@ func (s *Server) dispatch() {
 	s.dispatching = true
 	for {
 		s.redispatch = false
-		picks, probes := s.drainLocked()
+		picks, probes := s.passLocked()
 		s.mu.Unlock()
 
 		// Launch every collected probe whether or not builds were also
-		// picked: drainLocked latched cpuProbing for each, and dropping
-		// one here would leave its node skipped ("probing controller
-		// CPU") on every future scan with no probe ever in flight.
+		// picked: the pass latched each, and dropping one here would leave
+		// its node skipped ("probing controller CPU") with no probe in
+		// flight until the latch lapses. One that ran in place brought a
+		// fresh reading to rescan with; any other redrains when it answers.
 		progressed := false
-		for _, pr := range probes {
-			if _, inProcess := pr.node.(Pinger); inProcess {
-				// In-process (the same marker the heartbeat prober
-				// uses): probe synchronously — cheap, cannot hang, and
-				// deterministic under the virtual clock — then rescan
-				// with the fresh reading.
-				pct, ok := parseCPU(pr.node.Exec("status"))
-				s.recordCPU(pr.name, pct, ok)
-				progressed = true
-				continue
-			}
-			go func(pr cpuProbe) {
-				pct, ok := parseCPU(pr.node.Exec("status"))
-				s.recordCPU(pr.name, pct, ok)
-				s.dispatch()
-			}(pr)
+		for _, n := range probes {
+			inPlace := offLock(n, func() {
+				pct, ok := parseCPU(n.Exec("status"))
+				s.recordCPU(n.Name(), pct, ok)
+			}, s.dispatch)
+			progressed = progressed || inPlace
 		}
 		for _, p := range picks {
 			s.startPicked(p)
@@ -1035,16 +935,9 @@ func (s *Server) holdClock() (release func()) {
 	return func() {}
 }
 
-// cpuProbe is one pending RequireLowCPU probe request, carried out of
-// the scheduler lock.
-type cpuProbe struct {
-	name string
-	node Node
-}
-
-// pick is one dispatchable build with its resolved placement. node is
-// nil for a remote placement (the pipeline is the synthesized relay
-// body and the vantage point lives on pl.peer's server).
+// pick is one claimed build's pipeline and where it starts. node is nil
+// for a remote placement (the pipeline is the synthesized relay body and
+// the vantage point lives on a peer's server).
 type pick struct {
 	b        *Build
 	run      RunFunc
@@ -1053,227 +946,55 @@ type pick struct {
 	device   string
 }
 
-// placement is placeLocked's resolution: where a build may run right
-// now. node is nil for remote placements — the build routes to a
-// vantage point peer advertised in its census, reachable at peerURL.
-// pinned marks the preferred node itself, local and online; such a
-// placement carries no score, claimLocked computes it.
-type placement struct {
-	node     Node
-	nodeName string
-	device   string
-	score    float64
-	pinned   bool
-	peer     string // "" = local
-	peerURL  string
-}
-
-// lockName is the mutual-exclusion namespace of the placement's node:
-// remote nodes are keyed per peer, so a peer's "pixel-1" never contends
-// with a local node of the same name.
-func (pl placement) lockName() string {
-	if pl.peer == "" {
-		return pl.nodeName
-	}
-	return pl.peer + "!" + pl.nodeName
-}
-
-// Pending-reason priorities, which are also the categories the
-// blab_queue_pending gauge counts. A build skipped for several reasons in
-// one pass reports the highest-priority one — stably, instead of
-// whichever check happened to run last. Executor saturation outranks
-// everything (nothing dispatches regardless of other conditions, and
-// it lets the pass stop evaluating the tail of a deep queue); below
-// it, the order runs from policy caps down to transient gates. None
-// (next in line) and a failover's retry are no drain verdict.
-const (
-	prioNone = iota
-	prioExecutor
-	prioCampaignCap
-	prioOwnerCap
-	prioNodeUnavailable
-	prioLockWait
-	prioCPUProbe
-	prioCPUGate
-	prioRetry
-)
-
-// drainLocked is the single placement pass: it scans the queue once,
-// claiming every build that can start now (locks, counters and leases
-// are taken immediately, so later candidates in the same pass see the
-// updated state) and recording a stable pending reason for every build
-// it skips. It also collects CPU probes to launch. Node probes (CPU
-// gating) never run under s.mu: fresh cache values decide
-// immediately; stale ones trigger a probe — in place for in-process
-// nodes, on a goroutine for remote ones — and the candidate is skipped
-// for this pass, so one hung node cannot delay dispatch (or Submit,
-// Abort, status) for everyone else. Callers hold s.mu.
-//
-// The pass places classes, not builds: a candidate reads where it may run
-// and whether its lock is free off its class's verdict, which is computed
-// (judgeLocked) only when the class has none that is still valid — see
-// placeClass for when that is. Everything specific to the build stays per
-// build: the campaign and owner caps before the verdict, the CPU gate —
-// which latches probes — after it.
-func (s *Server) drainLocked() ([]*pick, []cpuProbe) {
-	var picks []*pick
-	var probes []cpuProbe
+// passLocked runs one drain pass of the scheduler core (sched.Drain) and
+// makes what it decided happen, in its order: every build it relabelled
+// shows its new pending reason, and every build it picked is claimed
+// (claimLocked). It returns the pipelines to start and the nodes whose
+// CPU to probe once s.mu is released. Callers hold s.mu.
+func (s *Server) passLocked() ([]*pick, []Node) {
 	now := s.clock.Now()
-	s.placeEpoch++ // a verdict that is not pinned dies with the pass that computed it
-	// The queue is compacted in place: w is the write index, engaged at
-	// the first claim (-1 until then). A pass that claims nothing —
-	// every pass after saturation — leaves s.queue untouched and
-	// allocates nothing.
-	w := -1
-	for i := 0; i < len(s.queue); i++ {
-		cand := s.queue[i]
-		if s.running >= s.cfg.Executors {
-			// Saturated: nothing below can dispatch, and saturation is
-			// the one condition that applies to every remaining build
-			// identically — label the tail without evaluating
-			// (expensive) placement and stop scanning.
-			s.labelSaturatedLocked(s.queue[i:])
-			if w >= 0 {
-				w += copy(s.queue[w:], s.queue[i:])
-			}
-			break
-		}
-		s.m.drainVisits++
-		class := cand.class
-
-		// Evaluate the skip conditions in priority order; the first
-		// failing check is by construction the highest-priority reason,
-		// so the recorded pending reason cannot churn between checks
-		// evaluated later in the same pass.
-		prio, reason := prioNone, ""
-		if rec := cand.camp; rec != nil &&
-			rec.maxConcurrent > 0 && rec.running >= rec.maxConcurrent {
-			prio, reason = prioCampaignCap, "campaign concurrency cap reached"
-		}
-		if cap := s.cfg.OwnerRunCap; prio == prioNone && cap > 0 && s.ownerRunning[cand.Owner] >= cap {
-			prio, reason = prioOwnerCap, joinedReason(cand.schedReason,
-				"owner ", cand.Owner, " at the fair-share cap (", strconv.Itoa(cap), " running)")
-		}
-		if prio == prioNone {
-			if !s.verdictValidLocked(class, now) {
-				s.judgeLocked(class, now)
-			}
-			switch {
-			case class.pl.nodeName == "":
-				prio, reason = prioNodeUnavailable, class.reason
-			case class.held:
-				prio, reason = prioLockWait, class.wait
-			}
-		}
-		// The CPU gate only applies to local placements: a routed build's
-		// home peer enforces its own gate when it dispatches the relayed
-		// spec.
-		if pl := &class.pl; prio == prioNone && cand.cons.RequireLowCPU && pl.peer == "" {
-			rec := s.nodeRecs[pl.nodeName]
-			fresh := rec.cpuOK && rec.cpuAt.Add(cpuProbeTTL).After(now)
-			switch {
-			case !fresh:
-				// A probe counts as in flight only within the node-loss
-				// window; past it, the probe is presumed stuck on a
-				// half-open connection and a new one may launch.
-				inFlight := rec.cpuProbing && now.Sub(rec.cpuProbeAt) < s.cfg.OfflineAfter
-				if !inFlight {
-					rec.cpuProbing = true
-					rec.cpuProbeAt = now
-					probes = append(probes, cpuProbe{name: pl.nodeName, node: pl.node})
-				}
-				prio, reason = prioCPUProbe, "probing controller CPU"
-			case rec.cpuPct >= lowCPUThreshold:
-				prio, reason = prioCPUGate, fmt.Sprintf("controller CPU %.0f%% above the %.0f%% gate", rec.cpuPct, lowCPUThreshold)
-			}
-		}
-		if prio != prioNone {
-			s.skipLocked(cand, prio, reason)
-			if w >= 0 {
-				s.queue[w] = cand
-				w++
-			}
-			continue
-		}
-
-		// Claim. The build leaves the queue by not advancing the write
-		// index past it.
-		if w < 0 {
-			w = i
-		}
-		picks = append(picks, s.claimLocked(cand, class.pl, class.key, now))
+	pass := s.sched.Drain(now)
+	for _, relabelled := range pass.Relabels {
+		b := relabelled.(*Build)
+		_, reason := b.Label()
+		b.mu.Lock()
+		b.pendingReason = reason
+		b.mu.Unlock()
+		s.touchBuildLocked(b) // snapshot-served status polls surface it
 	}
-	if w >= 0 {
-		// Nil the vacated tail so the backing array does not pin
-		// removed builds past their retention window.
-		for j := w; j < len(s.queue); j++ {
-			s.queue[j] = nil
-		}
-		s.queue = s.queue[:w]
+	var picks []*pick
+	for _, p := range pass.Picks {
+		picks = append(picks, s.claimLocked(p.Build.(*Build), p, now))
+	}
+	var probes []Node
+	for _, name := range pass.Probes {
+		probes = append(probes, s.nodeRecs[name].node)
 	}
 	return picks, probes
 }
 
-// skipLocked records a skipped build's pending reason and its category
-// through the s.mu-guarded shadow, taking b.mu only when the reason
-// actually changed — the drain labels every skipped build every pass, and
-// on a deep queue almost all of those labels are repeats. A changed
-// reason is republished so snapshot-served status polls surface it.
-// Callers hold s.mu.
-func (s *Server) skipLocked(b *Build, prio int, reason string) {
-	b.schedPrio = prio
-	if b.schedReason != reason {
-		b.schedReason = reason
-		b.mu.Lock()
-		b.pendingReason = reason
-		b.mu.Unlock()
-		s.touchBuildLocked(b)
-	}
+// fleet is the server as the scheduler core reads it (sched.Fleet): its
+// node table and the peers' censuses, under s.mu.
+type fleet struct{ *Server }
+
+// Place is placeLocked.
+func (f fleet) Place(c Constraints, now time.Time) (sched.Placement, string) {
+	return f.placeLocked(c, now)
 }
 
-// joinedReason returns the concatenation of parts, and returns prev
-// itself when prev already reads exactly that: nearly every label the
-// drain computes repeats the previous pass's, so the common case formats
-// and allocates nothing.
-func joinedReason(prev string, parts ...string) string {
-	rest, same := prev, true
-	for _, p := range parts {
-		if same {
-			rest, same = strings.CutPrefix(rest, p)
-		}
+// CPUGate reads local node's CPU probe cache, which only probes run
+// outside s.mu refresh: a reading fresher than cpuProbeTTL decides at
+// once; a stale one keeps the build waiting and latches a probe, unless
+// one is in flight.
+func (f fleet) CPUGate(node string, now time.Time) (sched.Prio, string, bool) {
+	rec := f.nodeRecs[node]
+	switch {
+	case !rec.cpuOK || !rec.cpuAt.Add(cpuProbeTTL).After(now):
+		return sched.CPUProbe, "probing controller CPU", rec.cpuProbe.take(now, f.cfg.OfflineAfter)
+	case rec.cpuPct >= lowCPUThreshold:
+		return sched.CPUGate, fmt.Sprintf("controller CPU %.0f%% above the %.0f%% gate", rec.cpuPct, lowCPUThreshold), false
 	}
-	if same && rest == "" {
-		return prev
-	}
-	return strings.Join(parts, "")
-}
-
-// execWait is the pending reason of every build behind the point where
-// a drain pass ran out of executors.
-const execWait = "waiting for a free executor"
-
-// labelSaturatedLocked labels tail — the queue from the point where the
-// pass ran out of executors — with execWait, without walking the part
-// that already carries it. Labels in the queue always read, in order:
-// builds some pass evaluated (any other reason), builds a saturated
-// pass labelled execWait, builds that joined since. Only a pass's
-// evaluated prefix is ever relabelled with another reason, so the middle
-// run is contiguous: the walk labels from the front until it meets it,
-// then resumes behind s.execLabelled, the queue sequence number that run
-// is known to reach. Callers hold s.mu.
-func (s *Server) labelSaturatedLocked(tail []*Build) {
-	i := 0
-	for i < len(tail) && tail[i].schedReason != execWait {
-		s.skipLocked(tail[i], prioExecutor, execWait)
-		i++
-	}
-	// s.queue is ordered by queueSeq: everything from i up to the
-	// watermark is labelled already.
-	i += sort.Search(len(tail)-i, func(n int) bool { return tail[i+n].queueSeq > s.execLabelled })
-	for _, b := range tail[i:] {
-		s.skipLocked(b, prioExecutor, execWait)
-	}
-	s.execLabelled = tail[len(tail)-1].queueSeq
+	return sched.None, "", false
 }
 
 // placeLocked resolves where a build may run right now: its preferred
@@ -1286,13 +1007,13 @@ func (s *Server) labelSaturatedLocked(tail []*Build) {
 // waiting. Callers hold s.mu.
 //
 // This is the one body that computes a placement; the drain pass reaches
-// it through judgeLocked and keeps the answer per class (see placeClass).
+// it through fleet.Place and keeps the answer per class (see sched.Class).
 // That rests on what each case reads. The first reads the preferred
 // node's handle, lifecycle flags and last beat and nothing else: whoever
-// changes one of those bumps the node's version (touchNodeLocked). Every
-// other case reads the fleet, the lock table, running counts, peer
-// censuses and the clock.
-func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string) {
+// changes one of those touches the node (sched.Touch). Every other
+// case reads the fleet, the lock table, running counts, peer censuses and
+// the clock.
+func (s *Server) placeLocked(cons Constraints, now time.Time) (sched.Placement, string) {
 	rec := s.nodeRecs[cons.Node]
 	var reason string
 	switch {
@@ -1302,7 +1023,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			// Pinned placement: the preferred node is up, so it wins
 			// outright — scoring only arbitrates substitutes. The score
 			// the status surface shows for it is claimLocked's to compute.
-			return placement{node: rec.node, nodeName: cons.Node, device: cons.Device, pinned: true}, ""
+			return sched.Placement{Node: cons.Node, Device: cons.Device, Pinned: true, Until: s.onlineUntilLocked(rec)}, ""
 		}
 		reason = fmt.Sprintf("node %q is %s", cons.Node, h)
 	case rec != nil && rec.Removed:
@@ -1323,11 +1044,11 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			continue
 		}
 		pc := remoteCandidate(c, cons.Device, cons.Device)
-		return placement{nodeName: c.Node.Name, device: cons.Device,
-			score: s.placer.Score(pc), peer: c.Peer, peerURL: c.PeerURL}, ""
+		return sched.Placement{Node: c.Node.Name, Device: cons.Device,
+			Score: s.placer.Score(pc), Peer: c.Peer, PeerURL: c.PeerURL}, ""
 	}
 	if !cons.Fallback {
-		return placement{}, reason
+		return sched.Placement{}, reason
 	}
 	// Fallback placement: score every eligible (node, device) pair and
 	// take the best. Local nodes scan first in sorted order, then remote
@@ -1335,15 +1056,15 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 	// ties, so substitution stays deterministic run to run and local
 	// nodes win score ties against remote ones.
 	var (
-		best  placement
+		best  sched.Placement
 		found bool
 	)
-	consider := func(pl placement, score float64) {
-		if s.lockHeldLocked(cons.lockKey(pl)) {
+	consider := func(pl sched.Placement, score float64) {
+		if s.sched.Held(cons.Key(pl)) {
 			return
 		}
-		if !found || score > best.score {
-			pl.score = score
+		if !found || score > best.Score {
+			pl.Score = score
 			best, found = pl, true
 		}
 	}
@@ -1353,7 +1074,7 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			continue
 		}
 		local := func(device string) {
-			consider(placement{node: sub.node, nodeName: name, device: device},
+			consider(sched.Placement{Node: name, Device: device},
 				s.placer.Score(s.candidateLocked(sub, device, cons.Device, now)))
 		}
 		if cons.Device == "" {
@@ -1376,14 +1097,14 @@ func (s *Server) placeLocked(cons Constraints, now time.Time) (placement, string
 			devices = []string{""}
 		}
 		for _, d := range devices {
-			consider(placement{nodeName: c.Node.Name, device: d, peer: c.Peer, peerURL: c.PeerURL},
+			consider(sched.Placement{Node: c.Node.Name, Device: d, Peer: c.Peer, PeerURL: c.PeerURL},
 				s.placer.Score(remoteCandidate(c, d, cons.Device)))
 		}
 	}
 	if found {
 		return best, ""
 	}
-	return placement{}, reason + "; no fallback node available"
+	return sched.Placement{}, reason + "; no fallback node available"
 }
 
 // remoteCandidate assembles the scored view of a peer-advertised
@@ -1435,43 +1156,6 @@ func (s *Server) startPicked(p *pick) {
 	}()
 }
 
-// lockKey names what a running build holds for mutual exclusion: one
-// device under a lock name, or — no device — the whole name. The name is
-// the placement's node, "peer!node" for a routed build.
-type lockKey struct{ name, device string }
-
-// String is the key as pending reasons spell it: "node/device" or "node".
-func (k lockKey) String() string {
-	if k.device == "" {
-		return k.name
-	}
-	return k.name + "/" + k.device
-}
-
-// lockKey computes the lock a build under c holds on pl: the device's, or
-// the node's when the build names no device (it still serializes per
-// node) or needs the whole node.
-func (c Constraints) lockKey(pl placement) lockKey {
-	if c.WholeNode {
-		return lockKey{name: pl.lockName()}
-	}
-	return lockKey{name: pl.lockName(), device: pl.device}
-}
-
-// lockHeldLocked reports whether k conflicts with a held lock: a device
-// with itself and with the whole of its name, the whole name with
-// anything held under it. The name's entry decides, whatever is held
-// elsewhere. Callers hold s.mu.
-func (s *Server) lockHeldLocked(k lockKey) bool {
-	under := s.locks[k.name]
-	if len(under) == 0 {
-		return false
-	}
-	_, whole := under[""]
-	_, device := under[k.device]
-	return k.device == "" || whole || device
-}
-
 // parseCPU extracts the cpu=NN.N% field from a node's status output.
 func parseCPU(out string, err error) (float64, bool) {
 	if err != nil {
@@ -1494,7 +1178,7 @@ func parseCPU(out string, err error) (float64, bool) {
 func (s *Server) recordCPU(name string, pct float64, ok bool) {
 	s.mu.Lock()
 	rec := s.recLocked(name)
-	rec.cpuProbing = false
+	rec.cpuProbe.on = false
 	rec.cpuOK = true
 	rec.cpuAt = s.clock.Now()
 	if ok {
@@ -1511,9 +1195,8 @@ func (s *Server) recordCPU(name string, pct float64, ok bool) {
 func (s *Server) checkAging(b *Build) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx, queued := s.queueIndexLocked(b)
-	if !queued {
-		return // dispatched, finished, or in a failover backoff window
+	if b.Class() == nil {
+		return // not in the queue: dispatched, finished, or in a failover backoff window
 	}
 	cons := b.cons
 	now := s.clock.Now()
@@ -1526,7 +1209,7 @@ func (s *Server) checkAging(b *Build) {
 	// case the node dies later.
 	pl, _ := s.placeLocked(cons, now)
 	rec := s.nodeRecs[cons.Node]
-	alive := pl.nodeName != "" || rec != nil && s.healthLocked(rec, now) != HealthOffline
+	alive := pl.Node != "" || rec != nil && s.healthLocked(rec, now) != HealthOffline
 	if !alive && cons.Fallback {
 		for _, sub := range s.nodeRecs {
 			if s.substituteLocked(sub, cons.Node, now) {
@@ -1559,7 +1242,7 @@ func (s *Server) checkAging(b *Build) {
 		s.armAgingLocked(b)
 		return
 	}
-	s.queueRemoveAtLocked(idx)
+	s.sched.Remove(&b.Entry)
 	s.m.agedOut++
 	reason := b.PendingReason()
 	if reason == "" {
@@ -1585,7 +1268,7 @@ func (s *Server) finish(b *Build, attempt int, err error) {
 		b.mu.Unlock()
 		return
 	}
-	s.releaseLocked(b)
+	s.sched.Release(&b.Entry)
 	s.settleLocked(b, err)
 	s.chargeRunLocked(b)
 	s.exit.redrain = true

@@ -37,7 +37,7 @@ func (e *nodeCensusEntry) known() bool {
 // readPlane is the server's snapshot-served read side: published views
 // of build status, the node census and campaign membership. Its one
 // writer is leaveSection, which republishes what the critical section
-// marked (touchBuildLocked, touchNodeLocked, sectionExit.camps) after the
+// marked (touchBuildLocked, sched.Touch, sectionExit.camps) after the
 // section's WAL write and before s.mu drops. Every GET route loads these
 // views with atomic pointer reads and never acquires the scheduler lock,
 // so read floods are lock-free with respect to dispatch.
@@ -264,24 +264,6 @@ func (s *Server) touchBuildLocked(b *Build) {
 	}
 }
 
-// touchNodeLocked marks a node as changed, for its two caches. Leaving
-// the critical section rebuilds its census row: everything that moves a
-// field the row serves (heartbeat, monitor/drain/remove, running and
-// queued counts) calls it. And every placement verdict pinned to the node
-// falls: whoever changes what the pinned path of placeLocked reads — the
-// handle, the lifecycle flags, the last beat, the locks under the node's
-// name — bumps the node's version by calling it (see placeClass). Callers
-// hold s.mu.
-func (s *Server) touchNodeLocked(name string) {
-	if rec := s.nodeRecs[name]; rec != nil {
-		rec.version++ // before the early-out: a repeated name is a second change
-	}
-	if n := len(s.exit.census); n > 0 && s.exit.census[n-1] == name {
-		return
-	}
-	s.exit.census = append(s.exit.census, name)
-}
-
 // publishCensusLocked republishes the node census — the one node table,
 // s.nodeRecs, as its readers see it. Its one caller is leaveSection, as
 // s.mu drops: it rebuilds the rows the section marked and swaps in one
@@ -292,7 +274,8 @@ func (s *Server) touchNodeLocked(name string) {
 // builds the new ones.
 func (s *Server) publishCensusLocked() {
 	old := s.reads.nodeList()
-	if len(old) == len(s.nodeRecs) && len(s.exit.census) == 0 {
+	touched := s.sched.Touched()
+	if len(old) == len(s.nodeRecs) && len(touched) == 0 {
 		return // before rows, which escapes to the heap where it is declared
 	}
 	var rows []*nodeCensusEntry
@@ -304,17 +287,16 @@ func (s *Server) publishCensusLocked() {
 			if i, ok := censusFind(old, name); ok {
 				rows = append(rows, old[i])
 			} else {
-				rows = append(rows, s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name]))
+				rows = append(rows, s.nodeEntryLocked(s.nodeRecs[name], s.sched.Node(name).Queued))
 			}
 		}
 	}
-	for _, name := range s.exit.census {
+	for _, name := range touched {
 		// A marked name without a row is a node nobody has a record for
 		// yet (builds may queue for it); its row is built when it appears.
 		if i, ok := censusFind(rows, name); ok {
-			rows[i] = s.nodeEntryLocked(s.nodeRecs[name], s.queuedOn[name])
+			rows[i] = s.nodeEntryLocked(s.nodeRecs[name], s.sched.Node(name).Queued)
 		}
 	}
-	s.exit.census = s.exit.census[:0]
 	s.reads.nodes.Store(&rows)
 }

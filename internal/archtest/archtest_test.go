@@ -41,6 +41,7 @@ var rules = []struct {
 	{"p2-only-in-metrics", "internal/trace", p2OnlyInMetrics},
 	{"one-record-codec", "internal/accessserver/store", oneRecordCodec},
 	{"sections-have-one-exit", "internal/accessserver", sectionsHaveOneExit},
+	{"sched-is-pure", "internal/accessserver/sched", schedIsPure},
 	{"one-clock-driver", "internal/core", oneClockDriver},
 	{"frame-is-bytes", "internal/api", frameIsBytes},
 	{"one-run-handle", "internal/remote", oneRunHandle},
@@ -115,6 +116,7 @@ func TestOneFeedReader(t *testing.T)       { holds(t, "one-feed-reader") }
 func TestP2OnlyInMetrics(t *testing.T)     { holds(t, "p2-only-in-metrics") }
 func TestOneRecordCodec(t *testing.T)      { holds(t, "one-record-codec") }
 func TestSectionsHaveOneExit(t *testing.T) { holds(t, "sections-have-one-exit") }
+func TestSchedIsPure(t *testing.T)         { holds(t, "sched-is-pure") }
 func TestOneClockDriver(t *testing.T)      { holds(t, "one-clock-driver") }
 func TestFrameIsBytes(t *testing.T)        { holds(t, "frame-is-bytes") }
 func TestOneRunHandle(t *testing.T)        { holds(t, "one-run-handle") }

@@ -13,9 +13,9 @@
 //     but /api/v1/ on an http.ServeMux, read as a constant; no
 //     pipelineLocked, no Runnable.
 //   - one build lifecycle (the "one build lifecycle" step and its count):
-//     terminal states, Server.locks deletes, api.EventFailover and
-//     TBuildFailover/TBuildFinished records only in lifecycle.go; one
-//     statement writes a record's State into a BuildRec.
+//     terminal states, api.EventFailover and TBuildFailover/TBuildFinished
+//     records only in lifecycle.go; one statement writes a record's State
+//     into a BuildRec; Sched.locks deletes only in Sched.Release.
 //   - one apply (the "one apply" step): no write to a store.BuildRec or
 //     store.NodeRec, or a field of one, outside persist.go.
 //   - one node table (the "one node table" step): Server.Nodes read only
@@ -33,6 +33,10 @@
 //     non-test code of the module selects Feed.EventsSince or
 //     Feed.SamplesSince — a build's feed is followed through Feed.Follow
 //     alone, so a stream ends cleanly only when its feed closed.
+//   - sched is pure (new, no step replaced): the scheduler core's non-test
+//     files import none of net/http, os, log, log/slog, sync, simclock,
+//     store or feedhub, call no time.Now, Since, Sleep, AfterFunc,
+//     NewTimer or NewTicker, and start no goroutine.
 //   - p2 only in metrics (new, no step replaced): outside samples no
 //     non-test code but internal/metrics names samples.P2Quantile or
 //     samples.NewP2Quantile — a capture's quantiles are exact, and P² is

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -145,6 +146,7 @@ const (
 	accessserver = "internal/accessserver"
 	store        = "internal/accessserver/store"
 	feedhub      = "internal/accessserver/feedhub"
+	schedPkg     = "internal/accessserver/sched"
 	samples      = "internal/samples"
 )
 
@@ -190,17 +192,17 @@ func oneBuildModel(r *report) {
 
 // oneBuildLifecycle: each build transition is written once, in
 // lifecycle.go. Nowhere else in accessserver is a terminal BuildState
-// assigned (settleLocked names it in the finished record), a lock
-// released from Server.locks, a failover event made, or a
-// TBuildFailover or TBuildFinished record built; and one statement —
-// applyBuild's case for the finished record — writes a record's State
-// into a BuildRec.
+// assigned (settleLocked names it in the finished record), a failover
+// event made, or a TBuildFailover or TBuildFinished record built; one
+// statement — applyBuild's case for the finished record — writes a
+// record's State into a BuildRec; and in sched nothing but Sched.Release
+// releases a lock from the lock table, Sched.locks.
 func oneBuildLifecycle(r *report) {
 	p := r.pkg(accessserver)
 	state := r.object(accessserver, "BuildState")
 	stateString := r.object(accessserver, "BuildState.String")
 	terminal := []constant.Value{r.value(accessserver, "StateSuccess"), r.value(accessserver, "StateFailure"), r.value(accessserver, "StateAborted")}
-	locks := r.object(accessserver, "Server.locks")
+	locks, release := r.object(schedPkg, "Sched.locks"), r.object(schedPkg, "Sched.Release")
 	failover := r.object("internal/api", "EventFailover")
 	recType, recT := r.object(store, "Type"), r.object(store, "Record.T")
 	settled := []constant.Value{r.value(store, "TBuildFailover"), r.value(store, "TBuildFinished")}
@@ -260,10 +262,6 @@ func oneBuildLifecycle(r *report) {
 				}
 			case *ast.KeyValueExpr:
 				assigned(n.Key, n.Value)
-			case *ast.CallExpr:
-				if b, ok := p.info.Uses[ident(n.Fun)].(*types.Builtin); ok && b.Name() == "delete" && !lifecycle && selects(p.info, n.Args[0], locks) {
-					r.at(n.Pos(), "a lock released from Server.locks outside lifecycle.go")
-				}
 			case *ast.Ident:
 				if !lifecycle && p.info.Uses[n] == failover {
 					r.at(n.Pos(), "api.EventFailover outside lifecycle.go")
@@ -277,6 +275,54 @@ func oneBuildLifecycle(r *report) {
 			r.at(w.Pos(), "a record's State written into a BuildRec")
 		}
 		r.fail("%d statements write a record's State into a BuildRec, want applyBuild's one", len(writes))
+	}
+	sp := r.pkg(schedPkg)
+	for _, f := range sp.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && sp.info.Defs[fd.Name] != release {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 && selects(sp.info, call.Args[0], locks) {
+						if b, ok := sp.info.Uses[ident(call.Fun)].(*types.Builtin); ok && b.Name() == "delete" {
+							r.at(call.Pos(), "a lock released from Sched.locks outside Sched.Release")
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// schedIsPure: the scheduler core decides and holds no clock, timer,
+// goroutine, lock, WAL record, feed or HTTP. Its non-test files import
+// none of net/http, os, log, log/slog, sync, simclock, store or feedhub,
+// call no time.Now, time.Since, time.Sleep, time.AfterFunc, time.NewTimer
+// or time.NewTicker, and start no goroutine.
+func schedIsPure(r *report) {
+	clock := r.objects("time", "Now", "Since", "Sleep", "AfterFunc", "NewTimer", "NewTicker")
+	if len(r.found) > 0 {
+		return
+	}
+	banned := []string{"net/http", "os", "log", "log/slog", "sync",
+		r.m.path + "/internal/simclock", r.m.path + "/" + store, r.m.path + "/" + feedhub}
+	p := r.pkg(schedPkg)
+	for _, f := range p.files {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); slices.Contains(banned, path) {
+				r.at(imp.Pos(), "sched imports %s", path)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				r.at(n.Pos(), "sched starts a goroutine")
+			case *ast.CallExpr:
+				if fn := called(p.info, n); slices.Contains(clock, fn) {
+					r.at(n.Pos(), "sched calls time.%s", fn.Name())
+				}
+			}
+			return true
+		})
 	}
 }
 

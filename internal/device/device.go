@@ -119,8 +119,12 @@ type Device struct {
 	monitorSupply bool
 	apps          map[string]App
 	foreground    string
-	drain         *simclock.Ticker
-	bootCount     int
+	// drain is the battery-drain ticker, armed exactly while the device
+	// is booted on the battery path (armDrainLocked); bootAt is the boot its
+	// ticks keep the phase of.
+	drain     *simclock.Ticker
+	bootAt    time.Time
+	bootCount int
 }
 
 // supply is the device's published power state. A published one is never
@@ -256,7 +260,8 @@ func (d *Device) Boot() error {
 	d.wifi.SetState(RadioIdle)
 	d.bt.SetState(RadioIdle)
 	d.logcat.Append("boot", Info, fmt.Sprintf("Android %d booted (count %d)", d.cfg.APILevel, d.bootCount))
-	d.startDrainLocked()
+	d.bootAt = d.clock.Now()
+	d.armDrainLocked()
 	return nil
 }
 
@@ -282,10 +287,7 @@ func (d *Device) shutdownLocked(reason string) {
 	d.cell.SetState(RadioOff)
 	d.bt.SetState(RadioOff)
 	d.fb.SetActivity(0, 0)
-	if d.drain != nil {
-		d.drain.Stop()
-		d.drain = nil
-	}
+	d.armDrainLocked()
 	d.logcat.Append("power", Info, "shutdown: "+reason)
 }
 
@@ -357,14 +359,28 @@ func (d *Device) recomputePath(s supply) {
 	if prev != s.path {
 		d.logcat.Append("power", Info, fmt.Sprintf("supply path %v -> %v", prev, s.path))
 	}
+	d.armDrainLocked()
 }
 
-// startDrainLocked begins battery charge accounting: every second the
-// device integrates its draw and debits the battery when on the battery
-// path.
-func (d *Device) startDrainLocked() {
+// armDrainLocked runs battery charge accounting exactly while the device is
+// booted on the battery path: every second from boot the device
+// integrates its draw and debits the battery. The ticker is armed where
+// that starts and stopped where it ends, on the boot's phase (boot +
+// k·1 s), so the same ticks drain the same charge while a device running
+// off the monitor or USB costs its clock no callbacks at all. Callers
+// hold d.mu.
+func (d *Device) armDrainLocked() {
 	const period = time.Second
-	d.drain = simclock.NewTicker(d.clock, period, func(now time.Time) {
+	s := d.supply.Load()
+	if on := s.booted && s.path == PathBattery; on == (d.drain != nil) {
+		return
+	} else if !on {
+		d.drain.Stop()
+		d.drain = nil
+		return
+	}
+	next := d.bootAt.Add((d.clock.Now().Sub(d.bootAt)/period + 1) * period)
+	d.drain = simclock.NewTickerAt(d.clock, next, period, func(now time.Time) {
 		if s := d.supply.Load(); !s.booted || s.path != PathBattery {
 			return
 		}

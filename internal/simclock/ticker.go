@@ -49,7 +49,14 @@ type Ticker struct {
 // NewTicker starts a ticker that calls fn every period, with the first
 // call one period from now. fn receives the tick's nominal deadline.
 func NewTicker(clock Clock, period time.Duration, fn func(now time.Time)) *Ticker {
-	return start(clock, period, 1, func(first time.Time, _ int) { fn(first) })
+	return NewTickerAt(clock, clock.Now().Add(period), period, fn)
+}
+
+// NewTickerAt starts a ticker like NewTicker's whose first call is due at
+// first, not before now: one that keeps the phase of a schedule begun
+// earlier (first = start + k·period).
+func NewTickerAt(clock Clock, first time.Time, period time.Duration, fn func(now time.Time)) *Ticker {
+	return start(clock, first, period, 1, func(first time.Time, _ int) { fn(first) })
 }
 
 // NewSampler starts a ticker whose callback covers a run of ticks: fn
@@ -64,10 +71,10 @@ func NewTicker(clock Clock, period time.Duration, fn func(now time.Time)) *Ticke
 // Ticks reach fn in order and each exactly once, with the same deadlines
 // as a Ticker's; on the Real clock every run is one tick long.
 func NewSampler(clock Clock, period time.Duration, fn func(first time.Time, n int)) *Ticker {
-	return start(clock, period, math.MaxInt, fn)
+	return start(clock, clock.Now().Add(period), period, math.MaxInt, fn)
 }
 
-func start(clock Clock, period time.Duration, limit int, fn func(time.Time, int)) *Ticker {
+func start(clock Clock, first time.Time, period time.Duration, limit int, fn func(time.Time, int)) *Ticker {
 	if period <= 0 {
 		panic("simclock: non-positive ticker period")
 	}
@@ -76,8 +83,8 @@ func start(clock Clock, period time.Duration, limit int, fn func(time.Time, int)
 	// AfterFunc returns, and it must find t.timer set.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.next = clock.Now().Add(period)
-	t.timer = clock.AfterFunc(period, t.fire)
+	t.next = first
+	t.timer = clock.AfterFunc(first.Sub(clock.Now()), t.fire)
 	return t
 }
 
