@@ -96,9 +96,10 @@ func NormalizeFields(fields []string) ([]string, error) {
 }
 
 // Compute runs one query over a decoded trace, whose chunks feed the
-// folds as they are stored, uncopied, counted on the trace's grid if it
-// has one. WindowNS must be non-negative; Artifact is echoed, not
-// interpreted.
+// folds as they are stored, uncopied, or, for steady offsets or levels,
+// expanded into the ring's chunk buffers; the values are counted on the
+// trace's grid if it has one. WindowNS must be non-negative; Artifact is
+// echoed, not interpreted.
 func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, error) {
 	fields, err := checkQuery(q)
 	if err != nil {
@@ -115,8 +116,15 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 	scale, max := tr.Grid()
 	a := newAggs(q.WindowNS, nil, scale, max)
 	runFolds(a.folds(), func(p *pipeline) {
-		tr.Samples().Chunks(0, func(t []int64, v []float64) bool {
-			p.emit(batch{t: t, v: v})
+		tr.Samples().Stored(0, func(c samples.Chunk) bool {
+			if c.T != nil && c.V != nil {
+				p.emit(batch{t: c.T, v: c.V})
+				return true
+			}
+			// Steady offsets or levels: expanded into a ring slot, the
+			// levels handed on as they are stored.
+			buf := p.buffer()
+			p.emit(batch{t: c.Offsets(buf.t[:]), v: c.Values(buf.v[:]), k: c.K, buf: buf})
 			return true
 		})
 	})
@@ -127,8 +135,9 @@ func Compute(tr *trace.Series, q api.AnalyticsQuery) (*api.AnalyticsResult, erro
 // the Series in between, whose own streaming summary would fold every
 // sample a first time. The bytes are decoded once, a chunk per call
 // straight into the ring's chunk buffers, and nothing is sized from what
-// they claim; the values are counted on the header's grid, if it has
-// one. A decode error outranks a bad query, and the bucket bound
+// they claim; on the header's grid, if it has one, each value is decoded
+// beside its level, which the folds count as it is. A decode error
+// outranks a bad query, and the bucket bound
 // is checked against the whole span: once a chunk reaches past
 // MaxBuckets windows the folds stop and the decoding goes on. An error
 // that is not ErrBadQuery says data is no binary trace.
@@ -157,12 +166,19 @@ func ComputeBinary(data []byte, q api.AnalyticsQuery, total *api.RunSummary) (*a
 		buf := p.buffer()
 		for {
 			var k int
-			if k, err = d.Next(buf.t[:], buf.v[:]); err != nil || k == 0 {
+			var ks []uint32
+			if h.Scale > 0 { // the values with their levels, to count as they are
+				k, err = d.NextLevels(buf.t[:], buf.v[:], buf.k[:])
+				ks = buf.k[:k]
+			} else {
+				k, err = d.Next(buf.t[:], buf.v[:])
+			}
+			if err != nil || k == 0 {
 				return
 			}
 			span = buf.t[k-1]
 			if checkBuckets(q.WindowNS, span) == nil {
-				p.emit(batch{t: buf.t[:k], v: buf.v[:k], buf: buf})
+				p.emit(batch{t: buf.t[:k], v: buf.v[:k], k: ks, buf: buf})
 				buf = p.buffer()
 			}
 		}
@@ -241,13 +257,13 @@ func newAggs(windowNS int64, known *api.RunSummary, scale, max int) aggs {
 // folds returns one chunk fold per folding aggregator, each folding a
 // chunk as one run. They share no state, so each runs on a goroutine of
 // its own.
-func (a aggs) folds() []func(t []int64, v []float64) {
-	var folds []func(t []int64, v []float64)
+func (a aggs) folds() []fold {
+	var folds []fold
 	if a.total != nil {
-		folds = append(folds, a.total.AddRun)
+		folds = append(folds, a.total.AddLevelRun)
 	}
 	if a.wd != nil {
-		folds = append(folds, a.wd.AddRun)
+		folds = append(folds, a.wd.AddLevelRun)
 	}
 	return folds
 }

@@ -10,15 +10,16 @@ import (
 // ringLen is the number of chunk buffers one query decodes into: the
 // decoder runs up to ringLen chunks ahead of the slower fold, which
 // absorbs either side's scheduling jitter without copying the trace
-// (ringLen × 64 KiB).
+// (ringLen × 80 KiB).
 const ringLen = 4
 
-// chunkBuf is one slot of the ring: a decoded chunk's columns, and how
-// many holders, the folds and the producer handing it out, have yet to
-// finish with them.
+// chunkBuf is one slot of the ring: a decoded chunk's columns (its
+// levels too, on a grid), and how many holders, the folds and the
+// producer handing it out, have yet to finish with them.
 type chunkBuf struct {
 	t    [samples.ChunkLen]int64
 	v    [samples.ChunkLen]float64
+	k    [samples.ChunkLen]uint32
 	refs atomic.Int32
 }
 
@@ -26,19 +27,25 @@ type chunkBuf struct {
 // for its buckets, not for its ring.
 var rings = sync.Pool{New: func() any { return new([ringLen]chunkBuf) }}
 
-// batch is one chunk handed to the folds. buf is the ring slot holding
+// batch is one chunk handed to the folds: its offsets, values and, on a
+// grid, the values' levels (nil off one). buf is the ring slot holding
 // the columns, nil when they are a Series' own memory.
 type batch struct {
 	t   []int64
 	v   []float64
+	k   []uint32
 	buf *chunkBuf
 }
+
+// fold is one aggregator's run fold: t[i] paired with v[i], whose level
+// is k[i] when k is not nil.
+type fold func(t []int64, v []float64, k []uint32)
 
 // pipeline hands a stream of chunks to a fixed set of folds, every fold
 // seeing every chunk in order. Each fold runs on a goroutine of its own,
 // fed through a lane, while the caller produces the next chunks.
 type pipeline struct {
-	folds []func(t []int64, v []float64)
+	folds []fold
 	lanes []chan batch
 	wg    sync.WaitGroup
 	// panics[i] is what fold i panicked with; written before its
@@ -55,7 +62,7 @@ type pipeline struct {
 // every fold has seen every chunk. No goroutine it starts outlives it,
 // whether produce returns or panics, and a fold's panic is re-raised on
 // the caller. With no folds, produce runs alone on the ring.
-func runFolds(folds []func(t []int64, v []float64), produce func(p *pipeline)) {
+func runFolds(folds []fold, produce func(p *pipeline)) {
 	p := &pipeline{
 		folds:  folds,
 		lanes:  make([]chan batch, len(folds)),
@@ -75,7 +82,7 @@ func runFolds(folds []func(t []int64, v []float64), produce func(p *pipeline)) {
 // drive runs fold i over its lane until the lane is closed. After a
 // panic it keeps releasing what arrives, so the producer never waits on
 // a buffer the dead fold holds.
-func (p *pipeline) drive(i int, fold func(t []int64, v []float64)) {
+func (p *pipeline) drive(i int, fold fold) {
 	defer p.wg.Done()
 	var cur batch
 	defer func() {
@@ -88,7 +95,7 @@ func (p *pipeline) drive(i int, fold func(t []int64, v []float64)) {
 		}
 	}()
 	for cur = range p.lanes[i] {
-		fold(cur.t, cur.v)
+		fold(cur.t, cur.v, cur.k)
 		p.release(cur)
 	}
 }

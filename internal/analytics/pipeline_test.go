@@ -152,9 +152,9 @@ func TestFoldPanicReachesCaller(t *testing.T) {
 				}
 			}()
 			calls := 0
-			runFolds([]func(t []int64, v []float64){
-				func([]int64, []float64) { seen++ },
-				func([]int64, []float64) {
+			runFolds([]fold{
+				func([]int64, []float64, []uint32) { seen++ },
+				func([]int64, []float64, []uint32) {
 					if calls++; calls == 3 && !c.producer {
 						panic(boom)
 					}

@@ -64,13 +64,14 @@ type samplingRun struct {
 	rate   int
 	period time.Duration
 	// adc is re-seeded for every sample's noise draw, from the seed in
-	// seeds (rng.AtSeeds) of the tick's instant, and buf holds up to
-	// samples.ChunkLen readings between two appends. Only the run's
-	// sampler callback touches them, and a sampler never runs two
-	// callbacks at once.
-	adc   *rng.RNG
-	seeds []uint64
-	buf   []float64
+	// seeds (rng.AtSeeds) of the tick's instant; buf holds up to
+	// samples.ChunkLen draws and levels their ADC levels between two
+	// appends. Only the run's sampler callback touches them, and a
+	// sampler never runs two callbacks at once.
+	adc    *rng.RNG
+	seeds  []uint64
+	buf    []float64
+	levels []uint32
 }
 
 // New returns a monitor with mains off and Vout disabled.
@@ -171,6 +172,7 @@ func (m *Monsoon) StartSampling(rate int) error {
 		adc:    rng.New(0),
 		seeds:  make([]uint64, samples.ChunkLen),
 		buf:    make([]float64, 0, samples.ChunkLen),
+		levels: make([]uint32, samples.ChunkLen),
 	}
 	run.ticker = simclock.NewSampler(m.clock, period, func(first time.Time, n int) {
 		m.sampleRun(run, first, n)
@@ -181,19 +183,20 @@ func (m *Monsoon) StartSampling(rate int) error {
 
 // sampleRun records the ADC readings of the n ticks due every period
 // from first: for each, the wired source's draw plus ADC noise keyed by
-// the tick's instant, clamped to the 6 A envelope and quantised. The
-// readings are computed outside m.mu — the source read takes no lock
-// and touches no clock (see power.Source) — into the run's buffer, which
-// holds samples.ChunkLen readings at most: one source read fills it with
-// the draws of its ticks, one loop derives the noise seeds of their
-// instants, a loop adds the noise in place, and one lock section appends
-// it and counts its overcurrent samples.
+// the tick's instant, clamped to the 6 A envelope and quantised to its
+// 0.1 mA level, which is what the trace stores. The readings are
+// computed outside m.mu — the source read takes no lock and touches no
+// clock (see power.Source) — into the run's buffers, which hold
+// samples.ChunkLen readings at most: one source read fills one with the
+// draws of its ticks, one loop derives the noise seeds of their
+// instants, a loop adds the noise and writes the levels, and one lock
+// section appends them and counts their overcurrent samples.
 func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 	for n > 0 {
 		buf := run.buf[:min(n, cap(run.buf))]
 		run.src.ReadMA(first, run.period, buf)
 		// The ticks' instants, stepped as integers from the first.
-		seeds := run.seeds[:len(buf)]
+		seeds, levels := run.seeds[:len(buf)], run.levels[:len(buf)]
 		m.noise.AtSeeds(seeds, "adc", first.UnixNano(), int64(run.period))
 		over := 0
 		for j, i := range buf {
@@ -207,7 +210,7 @@ func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 				i = MaxCurrentMA
 				over++
 			}
-			buf[j] = float64(int64(i*10+0.5)) / 10
+			levels[j] = uint32(i*10 + 0.5)
 		}
 
 		m.mu.Lock()
@@ -215,7 +218,7 @@ func (m *Monsoon) sampleRun(run *samplingRun, first time.Time, n int) {
 			m.mu.Unlock()
 			return
 		}
-		if err := run.series.AppendRun(first, run.period, buf); err != nil {
+		if err := run.series.AppendLevels(first, run.period, levels); err != nil {
 			m.mu.Unlock()
 			panic(err)
 		}

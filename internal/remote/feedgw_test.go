@@ -154,6 +154,14 @@ func TestGatewayRoundTrip(t *testing.T) {
 	gwts2 := httptest.NewServer(gw2.Handler())
 	closeOnCleanup(t, gwts2)
 
+	// The clock is paced, not raced: held from the submit, so that the
+	// run cannot finish before the gateway has asked upstream for its
+	// sample stream, and then stepped by hand until the proxy has cut the
+	// live relay. A driver racing the whole run through before the
+	// relay's handler is scheduled would leave it one frame and nothing
+	// to cut.
+	release := l.clock.Hold()
+	defer release()
 	sess2, err := client.StartExperiment(nil, idleSpec(l), batterylab.ObserverFuncs{})
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +192,11 @@ func TestGatewayRoundTrip(t *testing.T) {
 		b, err := io.ReadAll(resp.Body)
 		done <- fetched{st: resp.StatusCode, body: b, err: err}
 	}()
+	for deadline := time.Now().Add(10 * time.Second); len(proxy.froms(samplesPath2)) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	l.stepUntil(func() bool { return proxy.wasCut(samplesPath2) })
+	release()
 	if _, err := sess2.Wait(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"batterylab"
 	"batterylab/internal/accessserver"
@@ -252,18 +251,23 @@ func TestRemoteCampaignCancelOrder(t *testing.T) {
 	}
 	firstSample := make(chan struct{})
 	var once sync.Once
+	// The clock is held from the submit until every cancel is
+	// acknowledged, and stepped by hand until member 0 streams: member 0
+	// cannot end, nor member 1 start, first.
+	release := server.clock.Hold()
+	defer release()
 	camp, err := client.StartCampaign(ctx, spec, core.ObserverFuncs{
 		Sample: func(core.Sample) { once.Do(func() { close(firstSample) }) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-firstSample: // member 0 is demonstrably measuring
-	case <-time.After(10 * time.Second):
+	if !server.stepUntil(func() bool { return closed(firstSample) }) {
 		t.Fatal("member 0 never streamed a sample")
 	}
+	// Member 0 is demonstrably measuring.
 	camp.Cancel()
+	release()
 	runs, err := camp.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -31,6 +31,34 @@ type lab struct {
 	devices []string
 }
 
+// stepUntil paces l's clock, which the caller holds so that
+// DriveBuilds stops racing it: it steps the clock by hand, 100 ms of
+// simulated time a step and a real millisecond between steps, until done
+// reports true, and reports whether it did within ten seconds. A driver
+// running the clock flat out can finish a 600 s run before a real-time
+// goroutine (a stream handler, an observer) gets a core, and on one core
+// it always does.
+func (l *lab) stepUntil(done func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !done(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		l.clock.Advance(100 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
 func newLab(t *testing.T) *lab {
 	t.Helper()
 	clock := batterylab.VirtualClock()
@@ -537,6 +565,10 @@ func TestRemoteCancelMidRun(t *testing.T) {
 
 	firstSample := make(chan struct{})
 	var once sync.Once
+	// The clock is held from the submit until the cancel is acknowledged,
+	// and stepped by hand until the run streams: it cannot end first.
+	release := server.clock.Hold()
+	defer release()
 	sess, err := client.StartExperiment(ctx, api.ExperimentSpec{
 		Node: server.nodes[0], Device: server.devices[0],
 		Monitor:  api.MonitorSpec{SampleRateHz: 500},
@@ -547,8 +579,12 @@ func TestRemoteCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-firstSample // the run is demonstrably mid-measurement
+	if !server.stepUntil(func() bool { return closed(firstSample) }) {
+		t.Fatal("the run never streamed a sample")
+	}
+	// The run is demonstrably mid-measurement.
 	sess.Cancel()
+	release()
 	if _, err := sess.Wait(ctx); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("Wait after mid-run Cancel = %v, want ErrCanceled", err)
 	}

@@ -324,6 +324,27 @@ func (ss *StreamSummary) AddRun(t []int64, v []float64) {
 	}
 }
 
+// AddSeries folds the samples of s from index from on, a stored chunk
+// per run, as AddRun of its columns would: the moments and the integral
+// read a level as its float, float64(k)/scale bit for bit, expanded into
+// scratch reused from chunk to chunk, and levels are counted as stored,
+// with no check. A series that stores levels stores them on the grid of
+// the summary's own.
+func (ss *StreamSummary) AddSeries(s *Series, from int) {
+	s.columns(from, func(c Chunk, t []int64, v []float64) bool {
+		ss.mom.ObserveRun(v)
+		ss.integ.AddRun(t, v)
+		switch {
+		case ss.levels == nil:
+		case c.K != nil:
+			ss.levels.ObserveLevels(c.K)
+		default:
+			ss.levels.ObserveRun(v)
+		}
+		return true
+	})
+}
+
 // Grid reports the grid its levels count values on, scale 0 with none,
 // and whether every value added so far lies on it: the levels are still
 // on and no value was NaN.
@@ -393,11 +414,21 @@ func NewExactSummary(levels *Levels) *ExactSummary {
 
 // AddRun folds a run of samples, t[i] paired with v[i], and counts or
 // keeps their values.
-func (es *ExactSummary) AddRun(t []int64, v []float64) {
+func (es *ExactSummary) AddRun(t []int64, v []float64) { es.AddLevelRun(t, v, nil) }
+
+// AddLevelRun is AddRun of values on the summary's grid given beside
+// their levels ks (a decoded grid trace's), which it counts as they are,
+// with no check (Levels.ObserveLevels). With ks nil it is AddRun.
+func (es *ExactSummary) AddLevelRun(t []int64, v []float64, ks []uint32) {
 	es.sum.mom.ObserveRun(v)
 	es.sum.integ.AddRun(t, v)
 	if l := es.sum.levels; l.On() {
-		n := l.ObserveRun(v)
+		var n int
+		if ks != nil {
+			n = l.ObserveLevels(ks)
+		} else {
+			n = l.ObserveRun(v)
+		}
 		if l.On() {
 			return
 		}

@@ -339,8 +339,13 @@ func checkGridSummaries(t *testing.T, cols [][]float64) {
 	t.Helper()
 	es := NewExactSummary(NewLevels(10, gridMax))
 	wd := NewWindowed(1, NewLevels(10, gridMax))
+	// esL and wdL are fed each column wholly on the grid with its levels
+	// too, as a decoded grid trace is, and must end where es and wd do.
+	esL := NewExactSummary(NewLevels(10, gridMax))
+	wdL := NewWindowed(1, NewLevels(10, gridMax))
 	for bucket := range int64(2) {
 		es.Reset()
+		esL.Reset()
 		for _, c := range cols {
 			ts := make([]int64, len(c))
 			for i := range ts {
@@ -348,6 +353,23 @@ func checkGridSummaries(t *testing.T, cols [][]float64) {
 			}
 			es.AddRun(ts, c)
 			wd.AddRun(ts, c)
+			ks := make([]uint32, len(c))
+			for i, v := range c {
+				k, ok := GridLevel(v, 10, gridMax)
+				if !ok {
+					ks = nil
+					break
+				}
+				ks[i] = uint32(k)
+			}
+			esL.AddLevelRun(ts, c, ks)
+			wdL.AddLevelRun(ts, c, ks)
+		}
+		if !same(esL.state(), es.state()) {
+			t.Fatalf("ExactSummary fed levels: %+v, fed values %+v", esL.state(), es.state())
+		}
+		if got, want := wdL.Buckets(), wd.Buckets(); !same(got, want) {
+			t.Fatalf("Windowed fed levels: %+v, fed values %+v", got, want)
 		}
 		checkP50P95(t, "ExactSummary on a grid", es.Snapshot(), cols)
 		if b := wd.Buckets(); int64(len(b)) > bucket { // no sample opens no bucket

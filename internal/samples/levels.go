@@ -81,6 +81,30 @@ func (l *Levels) ObserveRun(vs []float64) int {
 	return len(vs)
 }
 
+// ObserveLevels counts ks, levels of the grid as a grid Series stores
+// them, each at most max, with no check, and returns how many it took:
+// all of them while the counts stay on, none once they are off.
+func (l *Levels) ObserveLevels(ks []uint32) int {
+	if l.off {
+		return 0
+	}
+	if l.n+len(ks) > math.MaxInt32 { // a count might not hold
+		l.off = true
+		return 0
+	}
+	counts, lo := l.counts, l.lo
+	for _, k := range ks {
+		if int(k) >= len(counts) {
+			counts = append(counts, make([]int32, int(k)+1-len(counts))...)
+			l.counts = counts
+		}
+		counts[k]++
+		lo = min(lo, int(k))
+	}
+	l.lo, l.n = lo, l.n+len(ks)
+	return len(ks)
+}
+
 // values returns the values counted, in ascending order: the multiset the
 // counts hold, bit for bit.
 func (l *Levels) values() []float64 {

@@ -295,10 +295,9 @@ func tailOf(s *Series) []any {
 // chunk's room at a time, writing the columns in place as a decoder does.
 func fillInPlace(s *Series, t []int64, v []float64) {
 	for len(v) > 0 {
-		gt, gv := s.Grow()
-		n := copy(gt, t)
-		copy(gv, v[:n])
-		s.Commit(n)
+		gv, _ := s.Grow()
+		n := copy(gv, v)
+		s.Commit(n, t[:n])
 		t, v = t[n:], v[n:]
 	}
 }

@@ -153,7 +153,8 @@ func TestSeriesAppendNeverMovesChunksProperty(t *testing.T) {
 
 // V returns the i-th sample's value.
 func (s *Series) V(i int) float64 {
-	return s.chunks[i/ChunkLen].v[i%ChunkLen]
+	_, v := s.At(i)
+	return v
 }
 
 // Slice returns a zero-copy view of samples [i, j). It panics when the
@@ -189,12 +190,12 @@ func (v View) Iter(fn func(tNanos int64, val float64) bool) {
 		c := v.s.chunks[ci]
 		base := ci * ChunkLen
 		start := idx - base
-		end := len(c.t)
+		end := c.len()
 		if base+end > v.hi {
 			end = v.hi - base
 		}
 		for i := start; i < end; i++ {
-			if !fn(c.t[i], c.v[i]) {
+			if !fn(v.s.At(base + i)) {
 				return
 			}
 			idx++
@@ -215,8 +216,9 @@ func (v View) Values() []float64 {
 // Values copies the value column into a fresh flat slice.
 func (s *Series) Values() []float64 {
 	out := make([]float64, 0, s.n)
-	for _, c := range s.chunks {
-		out = append(out, c.v...)
-	}
+	s.Iter(func(_ int64, v float64) bool {
+		out = append(out, v)
+		return true
+	})
 	return out
 }

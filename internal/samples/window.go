@@ -68,7 +68,12 @@ func (wd *Windowed) Add(tNanos int64, v float64) {
 // into the open bucket rather than reopening a flushed one. The run is
 // cut where a sample opens a later bucket, and each piece goes to the
 // bucket's summary as one run.
-func (wd *Windowed) AddRun(t []int64, v []float64) {
+func (wd *Windowed) AddRun(t []int64, v []float64) { wd.AddLevelRun(t, v, nil) }
+
+// AddLevelRun is AddRun of values on the stream's grid given beside their
+// levels ks, which each bucket counts as they are (ExactSummary's
+// AddLevelRun). With ks nil it is AddRun.
+func (wd *Windowed) AddLevelRun(t []int64, v []float64, ks []uint32) {
 	t = t[:len(v)]
 	for len(v) > 0 {
 		if k := wd.bucketOf(t[0]); !wd.started || k > wd.curIdx {
@@ -82,7 +87,11 @@ func (wd *Windowed) AddRun(t []int64, v []float64) {
 			for n = 1; n < len(v) && t[n] < end; n++ {
 			}
 		}
-		wd.cur.AddRun(t[:n], v[:n])
+		var run []uint32
+		if ks != nil {
+			run, ks = ks[:n], ks[n:]
+		}
+		wd.cur.AddLevelRun(t[:n], v[:n], run)
 		t, v = t[n:], v[n:]
 	}
 }

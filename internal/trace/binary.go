@@ -42,17 +42,20 @@
 //	2's XOR column.
 //
 // All three versions decode with ReadBinary; WriteBinary emits version 3
-// (a series declares its grid with NewGridSeries, and it is written only
-// when the summary says every value lies on it). AppendBinary, the live
+// (a series declares its grid with NewGridSeries, and it is written while
+// the series stores its values as levels on it). AppendBinary, the live
 // sample frames of internal/api, emits version 2. The CSV text format
 // (WriteCSV) remains an export format.
 //
-// The layout is written down once, on plain columns: encoder.appendHeader
-// and encoder.appendChunk build it into a byte slice for versions 2 and
-// 3 alike, DecodeHeader and the run decoder (Header.Decoder, a chunk's
-// columns per call) take it apart from one. Series.WriteBinary,
-// EncodeBinary, ReadBinary and DecodeBinary move a Series' columns
-// through them; AppendBinary, DecodeHeader and the decoder serve callers
+// The layout is written down once, on columns: encoder.appendHeader and
+// encoder.appendChunk build it into a byte slice for versions 2 and 3
+// alike, DecodeHeader and the run decoder (Header.Decoder, a chunk's
+// columns per call) take it apart from one. The chunk bodies take a
+// steady chunk's offsets as its first two and a grid's values as levels,
+// as a Series stores them: Series.WriteBinary, EncodeBinary, ReadBinary
+// and DecodeBinary move a Series' chunks through them with no expansion,
+// and no grid check but the decoder's. AppendBinary, DecodeHeader and
+// the decoder's Next serve callers
 // that hold columns and bytes already (internal/analytics, internal/api's
 // sample frames) and have no use for a Series or its streaming summary.
 // A payload ends with its last stated sample: bytes after it are refused,
@@ -96,8 +99,8 @@ func (s *Series) WriteBinary(w io.Writer) error {
 // EncodeBinary encodes the series at an explicit format version —
 // version 1 and 2 for compatibility (fixtures, the benchmark's v2
 // figures), version 3 (the default) for everything else. Version 3 puts
-// the values on the grid the series declares when its summary, folded up
-// to now, says every one lies on it. Each storage chunk goes to w in one
+// the values on the grid the series declares while it stores them as
+// levels, and writes the levels stored. Each storage chunk goes to w in one
 // Write, the header with the first. A w that buffers in memory is grown
 // once, with the first chunk, to what that chunk's bytes a sample make
 // of the whole trace, and an eighth more.
@@ -112,20 +115,37 @@ func EncodeBinary(w io.Writer, s *Series, version int) error {
 	buf := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	var err error
 	first := true
-	s.data.Chunks(0, func(offs []int64, vals []float64) bool {
-		if version == BinaryV1 {
-			buf = appendRecordsV1(buf, offs, vals)
-		} else if buf, err = enc.appendChunk(buf, offs, vals); err != nil {
-			return false
-		}
+	flush := func(n int) bool {
 		if first {
-			growFor(w, len(buf)+len(buf)*(s.Len()-len(offs))/len(offs)*9/8)
+			growFor(w, len(buf)+len(buf)*(s.Len()-n)/n*9/8)
 			first = false
 		}
 		_, err = w.Write(buf)
 		buf = buf[:0]
 		return err == nil
-	})
+	}
+	if version == BinaryV3 {
+		// The chunks as stored: a steady one's first two offsets, and the
+		// levels of a series on its grid.
+		s.data.Stored(0, func(c samples.Chunk) bool {
+			offs := c.T
+			if offs == nil {
+				two := [2]int64{c.First, c.First + c.Step}
+				offs = two[:min(c.Len(), 2)]
+			}
+			buf = enc.appendChunk(buf, offs, c.V, c.K)
+			return flush(c.Len())
+		})
+	} else {
+		s.data.Chunks(0, func(offs []int64, vals []float64) bool {
+			if version == BinaryV1 {
+				buf = appendRecordsV1(buf, offs, vals)
+			} else {
+				buf = enc.appendChunk(buf, offs, vals, nil)
+			}
+			return flush(len(offs))
+		})
+	}
 	if err == nil && len(buf) > 0 { // an empty series: the header alone
 		_, err = w.Write(buf)
 	}
@@ -142,7 +162,7 @@ func AppendBinary(dst []byte, name, unit string, epoch time.Time, offs []int64, 
 	dst = enc.appendHeader(dst, name, unit, epoch, len(offs))
 	for start := 0; start < len(offs); start += samples.ChunkLen {
 		end := min(start+samples.ChunkLen, len(offs))
-		dst, _ = enc.appendChunk(dst, offs[start:end], vals[start:end]) // off a grid: no error
+		dst = enc.appendChunk(dst, offs[start:end], vals[start:end], nil)
 	}
 	return dst
 }
@@ -165,7 +185,7 @@ type encoder struct {
 
 	prevT, prevDelta int64
 	prevBits         uint64
-	prevK            int
+	prevK            int64
 }
 
 // appendHeader appends everything ahead of the payload. An empty trace
@@ -192,26 +212,30 @@ func (e *encoder) appendHeader(dst []byte, name, unit string, epoch time.Time, c
 	return dst
 }
 
-// appendChunk appends one version 2 or 3 chunk (at most samples.ChunkLen
-// samples): its length, the timestamp column as delta-of-delta (the
-// first two, for a steady version 3 chunk), then the value column, XORed
-// against the previous value or, on a grid, as level deltas. It refuses
-// a value off the grid. dst is grown once to hold the chunk's longest
+// appendChunk appends one version 2 or 3 chunk of n samples (at most
+// samples.ChunkLen): its length, the timestamp column as delta-of-delta
+// (the first two, for a steady version 3 chunk), then the value column,
+// XORed against the previous value or, on a grid, as level deltas. offs
+// holds the n offsets, or only the first two of a chunk its caller knows
+// to be steady (n > 2); vals holds the values, or, on the encoder's grid,
+// ks their levels. dst is grown once to hold the chunk's longest
 // encoding, and each varint is written into it in place: a one-byte
 // delta-of-delta or level delta as a byte, any other varint of up to 56
 // bits with one 8-byte store (uvarintWord), a longer one through
-// binary.PutUvarint. An 8-byte store
-// needs 8 bytes of room whatever the varint's length; the bytes past its
-// end are overwritten by the next one or cut off.
-func (e *encoder) appendChunk(dst []byte, offs []int64, vals []float64) ([]byte, error) {
-	n := len(offs)
+// binary.PutUvarint. An 8-byte store needs 8 bytes of room whatever the
+// varint's length; the bytes past its end are overwritten by the next one
+// or cut off.
+func (e *encoder) appendChunk(dst []byte, offs []int64, vals []float64, ks []uint32) []byte {
+	n := len(vals) + len(ks)
 	ts := offs
 	head := uint64(n)
 	if e.version == BinaryV3 {
 		// Steady: every sample after the second is as far from the one
 		// before as the second is from the first.
 		steady := uint64(0)
-		if n > 2 {
+		if len(offs) < n {
+			steady = 1
+		} else if n > 2 {
 			steady = 1
 			for i, step := 2, offs[1]-offs[0]; i < n; i++ {
 				if offs[i]-offs[i-1] != step {
@@ -245,25 +269,21 @@ func (e *encoder) appendChunk(dst []byte, offs []int64, vals []float64) ([]byte,
 			p = putUvarint(buf, p, x)
 		}
 	}
-	e.prevT, e.prevDelta = offs[n-1], prevDelta
+	e.prevT, e.prevDelta = prevT+int64(n-len(ts))*prevDelta, prevDelta
 
 	if e.scale > 0 {
-		scale, max, prevK := float64(e.scale), e.max, e.prevK
-		for _, v := range vals {
-			k, ok := samples.GridLevel(v, scale, max)
-			if !ok {
-				return dst, fmt.Errorf("trace: value %v is off the grid k/%d, 0 ≤ k ≤ %d", v, e.scale, e.max)
-			}
-			if x := zigzag(int64(k - prevK)); x < 0x80 { // a step of a few levels
+		prevK := e.prevK
+		for _, k := range ks {
+			if x := zigzag(int64(k) - prevK); x < 0x80 { // a step of a few levels
 				buf[p] = byte(x)
 				p++
 			} else {
 				p = putUvarint(buf, p, x)
 			}
-			prevK = k
+			prevK = int64(k)
 		}
 		e.prevK = prevK
-		return buf[:p], nil
+		return buf[:p]
 	}
 	prev := e.prevBits
 	for _, v := range vals {
@@ -278,7 +298,7 @@ func (e *encoder) appendChunk(dst []byte, offs []int64, vals []float64) ([]byte,
 		prev = bits
 	}
 	e.prevBits = prev
-	return buf[:p], nil
+	return buf[:p]
 }
 
 // zigzag maps a signed varint's value to the unsigned one
@@ -435,13 +455,15 @@ func varintError(what string, k int) error {
 // another), or with as many version 1 records as they hold. A steady
 // version 3 chunk's offsets after its second are filled by adding the
 // period, checked once for the chunk; a level is checked to lie within
-// the grid, and becomes float64(k)/Scale. Offsets come out
-// counted from the first sample, whose time Start reports. Every check
-// holds on every run — chunk bounds, EOF, varint overflow, offsets that
-// do not decrease and stay within an int64 of the first — and a trace
-// with bytes past its last stated sample is refused with a
-// *TrailingBytesError. What earlier runs returned is to be discarded
-// once an error is found.
+// the grid, and becomes float64(k)/Scale. DecodeBinary runs the same
+// chunk body straight into a Series' storage: a level stays a level, and
+// a steady chunk fills no offsets, its first two giving the rest.
+// Offsets come out counted from the first sample, whose time Start
+// reports. Every check holds on every run — chunk bounds, EOF, varint
+// overflow, offsets that do not decrease and stay within an int64 of the
+// first — and a trace with bytes past its last stated sample is refused
+// with a *TrailingBytesError. What earlier runs returned is to be
+// discarded once an error is found.
 type Decoder struct {
 	h       Header
 	payload []byte
@@ -482,11 +504,25 @@ func (d *Decoder) Start() time.Time {
 // min(Count − the samples read, samples.ChunkLen) samples, a version 2
 // or 3 chunk's most.
 func (d *Decoder) Next(offs []int64, vals []float64) (int, error) {
+	return d.NextLevels(offs, vals, nil)
+}
+
+// NextLevels is Next that, on a grid (Scale > 0) and with ks not nil,
+// also writes each value's level into ks, beside its value: for a caller
+// that counts levels (internal/analytics) and folds values.
+func (d *Decoder) NextLevels(offs []int64, vals []float64, ks []uint32) (int, error) {
 	switch {
 	case d.read < d.h.Count && d.h.Version == BinaryV1:
 		return d.nextV1(offs, vals)
 	case d.read < d.h.Count:
-		return d.nextChunk(offs, vals)
+		n, steady, err := d.chunkHead()
+		if err == nil {
+			err = d.chunk(n, steady, offs, vals, ks)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return n, nil
 	case d.p < len(d.payload):
 		return 0, &TrailingBytesError{Count: d.h.Count, Extra: len(d.payload) - d.p}
 	}
@@ -520,35 +556,46 @@ func (d *Decoder) nextV1(offs []int64, vals []float64) (int, error) {
 	return n, nil
 }
 
-// nextChunk decodes one version 2 or 3 chunk.
-func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
-	payload, p := d.payload, d.p
-	n64, k := binary.Uvarint(payload[p:])
+// chunkHead decodes the head of the next version 2 or 3 chunk: its
+// length, and whether it is steady (a version 3 chunk of 3 or more
+// samples marked so).
+func (d *Decoder) chunkHead() (n int, steady bool, err error) {
+	n64, k := binary.Uvarint(d.payload[d.p:])
 	if k <= 0 {
-		return 0, varintError("chunk header", k)
+		return 0, false, varintError("chunk header", k)
 	}
-	p += k
-	steady := false
 	if d.h.Version == BinaryV3 {
 		n64, steady = n64>>1, n64&1 == 1
 	}
 	if n64 == 0 || n64 > samples.ChunkLen || n64 > uint64(d.h.Count-d.read) {
-		return 0, fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, d.read, d.h.Count)
+		return 0, false, fmt.Errorf("trace: bad chunk length %d (%d of %d samples read)", n64, d.read, d.h.Count)
 	}
-	n := int(n64)
-	offs, vals = offs[:n], vals[:n]
+	d.p += k
+	return int(n64), steady && n64 > 2, nil
+}
+
+// chunk decodes the body of the chunk chunkHead stated, n samples,
+// steady or not: its offsets into offs, which holds n of them or, for a
+// steady chunk, only its first two when offs has room for no more; its
+// values into vals unless vals is nil, and on a grid their levels into ks
+// unless ks is nil.
+func (d *Decoder) chunk(n int, steady bool, offs []int64, vals []float64, ks []uint32) error {
+	payload, p := d.payload, d.p
+	var k int
 
 	// The timestamp column, of a steady chunk its first two samples'. A
 	// steady sampling period is a zero delta-of-delta, one byte; any
 	// one-byte value skips binary.Varint.
-	ts := offs
-	if steady && n > 2 {
+	var ts []int64
+	if steady {
 		ts = offs[:2]
+	} else {
+		ts = offs[:n]
 	}
 	first, prevT, prevDelta := d.first, d.prevT, d.prevDelta
 	for i := range ts {
 		if p == len(payload) {
-			return 0, fmt.Errorf("trace: timestamps of the chunk at sample %d: %w", d.read, io.ErrUnexpectedEOF)
+			return fmt.Errorf("trace: timestamps of the chunk at sample %d: %w", d.read, io.ErrUnexpectedEOF)
 		}
 		var dod int64
 		if b := payload[p]; b < 0x80 {
@@ -556,7 +603,7 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 			p++
 		} else {
 			if dod, k = binary.Varint(payload[p:]); k <= 0 {
-				return 0, varintError(fmt.Sprintf("timestamp %d", d.read+i), k)
+				return varintError(fmt.Sprintf("timestamp %d", d.read+i), k)
 			}
 			p += k
 		}
@@ -565,12 +612,12 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 		if d.read+i == 0 {
 			first = off
 		} else if prevDelta < 0 || off < prevT || off-first < 0 {
-			return 0, orderError(d.read+i, off, prevT, first)
+			return orderError(d.read+i, off, prevT, first)
 		}
 		prevT = off
 		offs[i] = off - first
 	}
-	if len(ts) < n {
+	if steady {
 		// The rest of a steady chunk, each sample prevDelta after the one
 		// before: a step the second sample's check found not negative.
 		// The checks each would make hold for all when the last offset,
@@ -580,11 +627,13 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 		room := math.MaxInt64 - max(prevT, o)
 		if prevDelta > 0 && int64(n-2) > room/prevDelta {
 			j := room/prevDelta + 1 // the first step past it
-			return 0, orderError(d.read+1+int(j), prevT+j*prevDelta, prevT+(j-1)*prevDelta, first)
+			return orderError(d.read+1+int(j), prevT+j*prevDelta, prevT+(j-1)*prevDelta, first)
 		}
-		for i := 2; i < n; i++ {
-			o += prevDelta
-			offs[i] = o
+		if len(offs) >= n {
+			for i := 2; i < n; i++ {
+				o += prevDelta
+				offs[i] = o
+			}
 		}
 		prevT += int64(n-2) * prevDelta
 	}
@@ -592,7 +641,13 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 	if d.h.Scale > 0 {
 		// Level deltas: a one-byte one skips binary.Varint.
 		scale, top, level := float64(d.h.Scale), uint64(d.h.Max), d.prevK
-		for i := range vals {
+		if ks != nil {
+			ks = ks[:n]
+		}
+		if vals != nil {
+			vals = vals[:n]
+		}
+		for i := range n {
 			var dk int64
 			if p < len(payload) && payload[p] < 0x80 {
 				b := payload[p]
@@ -600,15 +655,20 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 				p++
 			} else {
 				if dk, k = binary.Varint(payload[p:]); k <= 0 {
-					return 0, varintError(fmt.Sprintf("value %d", d.read+i), k)
+					return varintError(fmt.Sprintf("value %d", d.read+i), k)
 				}
 				p += k
 			}
 			level += dk
 			if uint64(level) > top {
-				return 0, fmt.Errorf("trace: value %d: level %d outside the grid's 0..%d", d.read+i, level, top)
+				return fmt.Errorf("trace: value %d: level %d outside the grid's 0..%d", d.read+i, level, top)
 			}
-			vals[i] = float64(level) / scale
+			if ks != nil {
+				ks[i] = uint32(level)
+			}
+			if vals != nil {
+				vals[i] = float64(level) / scale
+			}
 		}
 		d.prevK = level
 	} else {
@@ -616,6 +676,7 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 		// load; a longer one, or one in the payload's last 7 bytes, goes
 		// through binary.Uvarint.
 		prev := d.prevBits
+		vals = vals[:n]
 		for i := range vals {
 			x, k := uint64(0), 9
 			if len(payload)-p >= 8 {
@@ -623,7 +684,7 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 			}
 			if k > 8 {
 				if x, k = binary.Uvarint(payload[p:]); k <= 0 {
-					return 0, varintError(fmt.Sprintf("value %d", d.read+i), k)
+					return varintError(fmt.Sprintf("value %d", d.read+i), k)
 				}
 			}
 			p += k
@@ -634,7 +695,7 @@ func (d *Decoder) nextChunk(offs []int64, vals []float64) (int, error) {
 	}
 	d.p, d.read = p, d.read+n
 	d.first, d.prevT, d.prevDelta = first, prevT, prevDelta
-	return n, nil
+	return nil
 }
 
 // uvarint8 decodes the uvarint at the start of w, eight payload bytes
@@ -681,13 +742,15 @@ func ReadBinary(r io.Reader) (*Series, error) {
 
 // DecodeBinary is ReadBinary for a caller that holds the encoded bytes
 // already (a fetched artifact). It only reads data and keeps none of it.
-// The samples are decoded a chunk at a time straight into the free
-// columns of the series' tail chunk (samples.Series.Grow), and nothing
-// is folded until the summary is read. A chunk that does not fit the
-// room left — one cut across this package's chunk boundaries, which
-// neither encoder here writes — is decoded aside and appended a sample
-// at a time. A version 3 trace on a grid decodes to a NewGridSeries of
-// that grid, so that writing it again gives back data.
+// The samples are decoded a chunk at a time straight into the free room
+// of the series' tail chunk (samples.Series.Grow): on a grid as levels,
+// a steady chunk as its first offset and step, any other's offsets
+// through one column reused from chunk to chunk. Nothing is folded until
+// the summary is read. A chunk that does not fit the room left — one cut
+// across this package's chunk boundaries, which neither encoder here
+// writes — and a version 1 trace's records are decoded aside and
+// appended a sample at a time. A version 3 trace on a grid decodes to a
+// NewGridSeries of that grid, so that writing it again gives back data.
 func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
@@ -703,24 +766,49 @@ func DecodeBinary(data []byte) (*Series, error) {
 	var asideT []int64
 	var asideV []float64
 	for s.data.Len() < h.Count {
-		offs, vals := s.data.Grow()
-		if len(offs) >= min(samples.ChunkLen, h.Count-s.data.Len()) {
-			k, err := d.Next(offs, vals)
+		if asideT == nil {
+			asideT = make([]int64, samples.ChunkLen)
+		}
+		if h.Version == BinaryV1 {
+			if asideV == nil {
+				asideV = make([]float64, samples.ChunkLen)
+			}
+			k, err := d.Next(asideT, asideV)
 			if err != nil {
 				return nil, err
 			}
-			s.data.Commit(k)
+			for i := range k {
+				s.data.Append(asideT[i], asideV[i])
+			}
 			continue
 		}
-		if asideT == nil {
-			asideT, asideV = make([]int64, samples.ChunkLen), make([]float64, samples.ChunkLen)
-		}
-		k, err := d.Next(asideT, asideV)
+		n, steady, err := d.chunkHead()
 		if err != nil {
 			return nil, err
 		}
-		for i := range k {
-			s.data.Append(asideT[i], asideV[i])
+		vals, ks := s.data.Grow()
+		switch {
+		case n > len(vals)+len(ks):
+			if asideV == nil {
+				asideV = make([]float64, samples.ChunkLen)
+			}
+			if err := d.chunk(n, steady, asideT, asideV, nil); err != nil {
+				return nil, err
+			}
+			for i := range n {
+				s.data.Append(asideT[i], asideV[i])
+			}
+		case steady:
+			var two [2]int64
+			if err := d.chunk(n, true, two[:], vals, ks); err != nil {
+				return nil, err
+			}
+			s.data.CommitSteady(n, two[0], two[1]-two[0])
+		default:
+			if err := d.chunk(n, false, asideT, vals, ks); err != nil {
+				return nil, err
+			}
+			s.data.Commit(n, asideT)
 		}
 	}
 	if _, err := d.Next(nil, nil); err != nil { // bytes past the last sample

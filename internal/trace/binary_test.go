@@ -214,14 +214,28 @@ func TestV3GridChoice(t *testing.T) {
 	}
 }
 
-// TestV3EncoderRefusesOffGridValue: the encoder checks each value it
-// writes as a level; a value its grid does not hold is an error, never a
-// wrong value.
+// TestV3EncoderRefusesOffGridValue: a value its grid does not hold never
+// reaches the encoder as a level, so it is never a wrong value. The
+// encoder writes stored levels unchecked; a grid series stores a value
+// between levels as a float, and every value with it, and is written off
+// the grid.
 func TestV3EncoderRefusesOffGridValue(t *testing.T) {
-	enc := encoder{version: BinaryV3, scale: 10, max: 60000}
-	if _, err := enc.appendChunk(nil, []int64{0, 1, 2}, []float64{0.1, 0.15, 0.2}); err == nil {
-		t.Fatal("a value between levels was written as a level")
+	s := NewGridSeries("current", "mA", 10, 60000)
+	for i, v := range []float64{0.1, 0.15, 0.2} {
+		s.MustAppend(t0.Add(time.Duration(i)*time.Millisecond), v)
 	}
+	var buf bytes.Buffer
+	if err := s.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, err := DecodeHeader(buf.Bytes()); err != nil || h.Scale != 0 {
+		t.Fatalf("grid scale %d, %v: a value between levels was written as a level", h.Scale, err)
+	}
+	got, err := DecodeBinary(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, got, s)
 }
 
 func TestBinaryRoundTripV1(t *testing.T) {
@@ -497,8 +511,8 @@ func (e *encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byt
 	for _, v := range vals {
 		if e.scale > 0 {
 			k, _ := samples.GridLevel(v, float64(e.scale), e.max)
-			dst = binary.AppendVarint(dst, int64(k-e.prevK))
-			e.prevK = k
+			dst = binary.AppendVarint(dst, int64(k)-e.prevK)
+			e.prevK = int64(k)
 			continue
 		}
 		bits := math.Float64bits(v)

@@ -6,9 +6,13 @@
 //
 // Since the streaming sample pipeline landed, a Series is backed by the
 // chunked columnar store of internal/samples (appends never copy prior
-// samples) and keeps a streaming summary — Welford moments, trapezoid
-// integral and, for a series on a grid (NewGridSeries: the Monsoon's
-// 0.1 mA readings), level counts — that is folded when it is read: Live,
+// samples). A series on a grid (NewGridSeries: the Monsoon's 0.1 mA
+// readings) stores its values as their levels, 4 bytes a sample, and a
+// chunk sampled at a steady period stores its first offset and the
+// period, so a capture is what its ADC made (AppendLevels) until a value
+// off the grid turns it into floats. A Series keeps a streaming summary
+// — Welford moments, trapezoid integral and, on a grid, level counts,
+// which count the stored levels — that is folded when it is read: Live,
 // Summary, IntegralSeconds and EnergyMAH fold the samples appended since
 // the previous read, in order and a chunk's stretch per call, so each
 // sample is folded once and every figure is bit for bit that of folding
@@ -20,9 +24,9 @@
 // Series persist to disk in the binary trace format of binary.go, and
 // export as CSV (WriteCSV, the v1 text format). WriteBinary writes
 // version 3: a steady sampling period costs a chunk two timestamps, and a
-// grid series whose values all lie on its grid stores them as level
-// deltas, about a byte a sample of a Monsoon capture; DecodeBinary gives
-// such a trace back as a grid series of the same grid.
+// grid series that stores levels writes their deltas, about a byte a
+// sample of a Monsoon capture; DecodeBinary writes such a trace back into
+// a grid series of the same grid, level for level.
 //
 // The binary format has a single body, the column codec of binary.go:
 // an append-style encoder over plain offset/value columns and a run
@@ -77,30 +81,36 @@ type Series struct {
 	agg    *samples.StreamSummary
 	qmu    sync.Mutex
 	folded int
+	// cols holds the value columns a read off the grid sorts a copy of,
+	// kept so that such a read allocates nothing else.
+	cols [][]float64
 }
 
 // NewSeries returns an empty series.
-func NewSeries(name, unit string) *Series { return newSeries(name, unit, nil) }
+func NewSeries(name, unit string) *Series {
+	return newSeries(name, unit, samples.NewSeries(), nil)
+}
 
 // NewGridSeries returns an empty series of values on the grid k/scale,
-// 0 ≤ k ≤ max, as an instrument that rounds its readings makes them: its
-// summary counts them (samples.Levels), so Live's quantiles are a walk of
-// the counts, and WriteBinary stores them as levels. A value off the grid
-// only makes the quantiles come from a sorted copy of the values, and the
-// values written as they are. scale and max must lie within 1..2²⁰, the
-// grids the binary format holds; it panics on any other.
+// 0 ≤ k ≤ max, as an instrument that rounds its readings makes them: it
+// stores them as their levels, its summary counts those (samples.Levels),
+// so Live's quantiles are a walk of the counts, and WriteBinary writes
+// them as levels. A value off the grid turns the stored levels into
+// floats, once: the quantiles then come from a sorted copy of the values,
+// and the values are written as they are. scale and max must lie within
+// 1..2²⁰, the grids the binary format holds; it panics on any other.
 func NewGridSeries(name, unit string, scale, max int) *Series {
 	if scale < 1 || scale > maxGrid || max < 1 || max > maxGrid {
 		panic(fmt.Sprintf("trace: grid %d/%d outside 1..%d", scale, max, maxGrid))
 	}
-	return newSeries(name, unit, samples.NewLevels(float64(scale), max))
+	return newSeries(name, unit, samples.NewGridSeries(float64(scale), max), samples.NewLevels(float64(scale), max))
 }
 
-func newSeries(name, unit string, levels *samples.Levels) *Series {
+func newSeries(name, unit string, data *samples.Series, levels *samples.Levels) *Series {
 	return &Series{
 		name: name,
 		unit: unit,
-		data: samples.NewSeries(),
+		data: data,
 		agg:  samples.NewStreamSummary(levels),
 	}
 }
@@ -122,13 +132,44 @@ func (s *Series) Append(t time.Time, v float64) error {
 // first + i·step. It stores exactly what Append would for each sample in
 // turn, but checks the order once, for the run's first sample, and
 // derives the other offsets by integer addition. A negative step is out
-// of order.
+// of order. On the series' grid a value is stored as its level, until
+// one is off it: from then on every value is stored as a float.
 func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) error {
 	if len(vs) == 0 {
 		return nil
 	}
+	off, err := s.runOffset(first, step)
+	if err != nil {
+		return err
+	}
+	s.data.AppendRun(off, int64(step), vs)
+	s.lastOff = s.data.T(s.data.Len() - 1)
+	return nil
+}
+
+// AppendLevels is AppendRun of the values float64(ks[i])/scale on the
+// series' grid, for an instrument that makes its readings as levels (the
+// Monsoon's ADC): it stores them as they are, with no rounding and no
+// check but that each is at most the grid's max. It panics on a level
+// above it, and on a series declared on no grid (NewSeries).
+func (s *Series) AppendLevels(first time.Time, step time.Duration, ks []uint32) error {
+	if len(ks) == 0 {
+		return nil
+	}
+	off, err := s.runOffset(first, step)
+	if err != nil {
+		return err
+	}
+	s.data.AppendLevels(off, int64(step), ks)
+	s.lastOff = s.data.T(s.data.Len() - 1)
+	return nil
+}
+
+// runOffset checks a run taken every step from first against the samples
+// stored and returns its first offset.
+func (s *Series) runOffset(first time.Time, step time.Duration) (int64, error) {
 	if step < 0 {
-		return fmt.Errorf("trace: run of samples with negative step %v", step)
+		return 0, fmt.Errorf("trace: run of samples with negative step %v", step)
 	}
 	if !s.hasEpoch {
 		s.epoch = first
@@ -136,11 +177,9 @@ func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) er
 	}
 	off := first.Sub(s.epoch).Nanoseconds()
 	if s.data.Len() > 0 && off < s.lastOff {
-		return fmt.Errorf("trace: out-of-order sample at %v (last %v)", first, s.epoch.Add(time.Duration(s.lastOff)))
+		return 0, fmt.Errorf("trace: out-of-order sample at %v (last %v)", first, s.epoch.Add(time.Duration(s.lastOff)))
 	}
-	s.data.AppendRun(off, int64(step), vs)
-	s.lastOff = s.data.T(s.data.Len() - 1)
-	return nil
+	return off, nil
 }
 
 // MustAppend is Append for recorders that already guarantee ordering.
@@ -197,14 +236,20 @@ func (s *Series) Live() samples.LiveSummary {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	s.fold()
-	var cols [][]float64
+	s.cols = s.cols[:0]
 	if _, _, all := s.agg.Grid(); !all { // the counts may not answer: the values will
-		s.data.Chunks(0, func(_ []int64, v []float64) bool {
-			cols = append(cols, v)
+		s.data.Stored(0, func(c samples.Chunk) bool {
+			v := c.V
+			if v == nil {
+				// Levels whose counts turned off, which only a count past
+				// 2³¹ samples does: a column of their values, for this read.
+				v = c.Values(make([]float64, c.Len()))
+			}
+			s.cols = append(s.cols, v)
 			return true
 		})
 	}
-	return s.agg.Snapshot(cols...)
+	return s.agg.Snapshot(s.cols...)
 }
 
 // Grid reports the grid the series was declared on (NewGridSeries),
@@ -217,25 +262,17 @@ func (s *Series) Grid() (scale, max int) {
 }
 
 // storedGrid reports the grid a version 3 encoding puts the values on:
-// the one the series declares (NewGridSeries), when its summary, folded
-// up to now, says every value lies on it. 0 and 0 for none.
+// the one the series declares (NewGridSeries), while it stores every
+// value as a level on it. 0 and 0 for none.
 func (s *Series) storedGrid() (scale, max int) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	s.fold()
-	if sc, mx, all := s.agg.Grid(); all {
-		return int(sc), mx
-	}
-	return 0, 0
+	sc, mx := s.data.Grid()
+	return int(sc), mx
 }
 
 // fold folds the samples appended since the previous read into the
 // summary. The caller holds qmu.
 func (s *Series) fold() {
-	s.data.Chunks(s.folded, func(t []int64, v []float64) bool {
-		s.agg.AddRun(t, v)
-		return true
-	})
+	s.agg.AddSeries(s.data, s.folded)
 	s.folded = s.data.Len()
 }
 
