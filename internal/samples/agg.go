@@ -316,33 +316,18 @@ func NewStreamSummary(levels *Levels) *StreamSummary {
 // bundled aggregator. A caller may fold a stream later than it arrives
 // (trace.Series does, when its summary is read): the snapshot depends
 // only on the values and their order, not on how they were cut into runs.
-func (ss *StreamSummary) AddRun(t []int64, v []float64) {
+func (ss *StreamSummary) AddRun(t []int64, v []float64) { ss.AddLevelRun(t, v, nil) }
+
+// AddLevelRun is AddRun of values on the summary's grid given beside
+// their levels ks (a grid Series' stored chunk, Series.Columns), which it
+// counts as they are, with no check (Levels.ObserveLevels). With ks nil
+// it is AddRun.
+func (ss *StreamSummary) AddLevelRun(t []int64, v []float64, ks []uint32) {
 	ss.mom.ObserveRun(v)
 	ss.integ.AddRun(t, v)
 	if ss.levels != nil {
-		ss.levels.ObserveRun(v)
+		ss.levels.observe(v, ks)
 	}
-}
-
-// AddSeries folds the samples of s from index from on, a stored chunk
-// per run, as AddRun of its columns would: the moments and the integral
-// read a level as its float, float64(k)/scale bit for bit, expanded into
-// scratch reused from chunk to chunk, and levels are counted as stored,
-// with no check. A series that stores levels stores them on the grid of
-// the summary's own.
-func (ss *StreamSummary) AddSeries(s *Series, from int) {
-	s.columns(from, func(c Chunk, t []int64, v []float64) bool {
-		ss.mom.ObserveRun(v)
-		ss.integ.AddRun(t, v)
-		switch {
-		case ss.levels == nil:
-		case c.K != nil:
-			ss.levels.ObserveLevels(c.K)
-		default:
-			ss.levels.ObserveRun(v)
-		}
-		return true
-	})
 }
 
 // Grid reports the grid its levels count values on, scale 0 with none,
@@ -423,12 +408,7 @@ func (es *ExactSummary) AddLevelRun(t []int64, v []float64, ks []uint32) {
 	es.sum.mom.ObserveRun(v)
 	es.sum.integ.AddRun(t, v)
 	if l := es.sum.levels; l.On() {
-		var n int
-		if ks != nil {
-			n = l.ObserveLevels(ks)
-		} else {
-			n = l.ObserveRun(v)
-		}
+		n := l.observe(v, ks)
 		if l.On() {
 			return
 		}

@@ -105,6 +105,16 @@ func (l *Levels) ObserveLevels(ks []uint32) int {
 	return len(ks)
 }
 
+// observe counts a run of values v given beside their levels ks: ks as
+// they are, with no check (ObserveLevels), or, with ks nil, the values
+// (ObserveRun). It returns how many it took.
+func (l *Levels) observe(v []float64, ks []uint32) int {
+	if ks != nil {
+		return l.ObserveLevels(ks)
+	}
+	return l.ObserveRun(v)
+}
+
 // values returns the values counted, in ascending order: the multiset the
 // counts hold, bit for bit.
 func (l *Levels) values() []float64 {

@@ -39,7 +39,8 @@
 //
 // Stored hands a reader the chunks as they are stored; Chunks, for a
 // reader of floats, the same samples as two columns, a chunk's own or
-// expanded into scratch columns reused from chunk to chunk.
+// expanded into scratch columns reused from chunk to chunk; Columns, for
+// a fold that counts stored levels (StreamSummary.AddLevelRun), both.
 //
 // # Streaming aggregators
 //
@@ -238,18 +239,7 @@ func (s *Series) Len() int { return s.n }
 
 // Append adds one sample: a run of one.
 func (s *Series) Append(tNanos int64, v float64) {
-	c := s.tail()
-	if s.levels() || (c.t == nil && c.len() < 2) {
-		s.AppendRun(tNanos, 0, []float64{v})
-		return
-	}
-	// A float sample after two or more: it goes on stepping evenly, or
-	// it goes into the offset column.
-	if n := len(c.v); c.t != nil || tNanos != c.first+int64(n)*c.step {
-		c.appendOffsets(nil, tNanos, 0, 1)
-	}
-	c.v = append(c.v, v)
-	s.n++
+	s.AppendRun(tNanos, 0, []float64{v})
 }
 
 // AppendRun adds a run of samples taken every step from first: vs[i] at
@@ -507,11 +497,12 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 // or levels, their expansion into scratch that the next chunk reuses: fn
 // must not keep them.
 func (s *Series) Chunks(from int, fn func(t []int64, v []float64) bool) {
-	s.columns(from, func(_ Chunk, t []int64, v []float64) bool { return fn(t, v) })
+	s.Columns(from, func(_ Chunk, t []int64, v []float64) bool { return fn(t, v) })
 }
 
-// columns is Chunks handing fn the stored chunk beside its columns.
-func (s *Series) columns(from int, fn func(c Chunk, t []int64, v []float64) bool) {
+// Columns is Chunks handing fn the stored chunk beside its columns, for a
+// fold that counts the levels c.K as stored (StreamSummary.AddLevelRun).
+func (s *Series) Columns(from int, fn func(c Chunk, t []int64, v []float64) bool) {
 	var sc *scratch
 	s.Stored(from, func(c Chunk) bool {
 		t, v := c.T, c.V

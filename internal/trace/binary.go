@@ -252,7 +252,8 @@ func (e *encoder) appendChunk(dst []byte, offs []int64, vals []float64, ks []uin
 	dst = binary.AppendUvarint(dst, head)
 	room := binary.MaxVarintLen64 * (len(ts) + n) // a value of any width
 	if e.scale > 0 {
-		room = binary.MaxVarintLen64*len(ts) + 3*n + 8 // a level delta within ±2²⁰
+		// A level delta within ±2²⁰ zigzags below 2²², four bytes at most.
+		room = binary.MaxVarintLen64*len(ts) + 4*n + 8
 	}
 	p := len(dst)
 	dst = slices.Grow(dst, room)

@@ -550,12 +550,18 @@ func chunkedTrace(enc encoder, offs []int64, vals []float64, lens ...int) []byte
 }
 
 // v3Seeds are version 3 traces the reference writes: steady chunks and
-// unsteady ones, on a grid and off one, level deltas of one byte, two
-// and three, and chunks cut across the decoder's chunk boundaries.
+// unsteady ones, on a grid and off one, level deltas of one byte, two,
+// three and four (a full steady chunk alternating between the widest
+// grid's ends), and chunks cut across the decoder's chunk boundaries.
 func v3Seeds() [][]byte {
 	v2, v3, grid := encoder{version: BinaryV2}, encoder{version: BinaryV3}, encoder{version: BinaryV3, scale: 10, max: 60000}
 	steady := []int64{0, 200, 400, 600, 800, 1000}
+	wide, wideOffs, wideVals := encoder{version: BinaryV3, scale: 1, max: maxGrid}, make([]int64, samples.ChunkLen), make([]float64, samples.ChunkLen)
+	for i := range wideOffs {
+		wideOffs[i], wideVals[i] = int64(i)*200, float64(i%2*maxGrid)
+	}
 	return [][]byte{
+		chunkedTrace(wide, wideOffs, wideVals, samples.ChunkLen),
 		chunkedTrace(v3, steady, []float64{1.5, -2.25, math.Inf(1), 1.5, 1.5, 0}, 6),
 		chunkedTrace(v3, []int64{0, 5, 11, 11, 1 << 57}, []float64{1, 2, 3, 4, 5}, 2, 3),
 		chunkedTrace(grid, steady, []float64{0.1, 0.2, 6.5, 6000, 0, 1638.4}, 6),

@@ -272,7 +272,10 @@ func (s *Series) storedGrid() (scale, max int) {
 // fold folds the samples appended since the previous read into the
 // summary. The caller holds qmu.
 func (s *Series) fold() {
-	s.agg.AddSeries(s.data, s.folded)
+	s.data.Columns(s.folded, func(c samples.Chunk, t []int64, v []float64) bool {
+		s.agg.AddLevelRun(t, v, c.K)
+		return true
+	})
 	s.folded = s.data.Len()
 }
 
