@@ -53,14 +53,17 @@ func makeCapture(seed int64, seconds int) *trace.Series {
 	return tr
 }
 
-// gridOf is tr's samples on the Monsoon's 0.1 mA grid, its NaNs left
-// out: a capture as its ADC rounds it, which a build stores as version 3
-// level deltas.
+// gridOf is tr's samples as levels of the Monsoon's 0.1 mA grid, its
+// NaNs left out: a capture as its ADC rounds it, which a build stores as
+// version 3 level deltas.
 func gridOf(tr *trace.Series) *trace.Series {
 	g := trace.NewGridSeries(tr.Name(), tr.Unit(), 10, 60000)
 	tr.Iter(func(s trace.Sample) bool {
 		if s.V == s.V {
-			g.MustAppend(s.T, math.Max(0, math.Round(s.V*10)/10))
+			k := uint32(math.Max(0, math.Round(s.V*10)))
+			if err := g.AppendLevels(s.T, 0, []uint32{k}); err != nil {
+				panic(err)
+			}
 		}
 		return true
 	})

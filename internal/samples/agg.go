@@ -296,9 +296,9 @@ type LiveSummary struct {
 }
 
 // StreamSummary bundles the aggregators a capture is summarized by:
-// Welford moments, the trapezoidal integral and, for a stream whose
-// values lie on a grid, its Levels. Its snapshot's P50 and P95 are exact:
-// counted while the levels are on, read off a sorted copy of the values
+// Welford moments, the trapezoidal integral and, for a stream of levels
+// of a grid, its Levels. Its snapshot's P50 and P95 are exact: counted
+// while the levels are on, read off a sorted copy of the values
 // otherwise. The zero value counts no levels and is ready to use.
 type StreamSummary struct {
 	mom    Welford
@@ -306,38 +306,33 @@ type StreamSummary struct {
 	levels *Levels
 }
 
-// NewStreamSummary returns an empty stream summary that counts its values
-// on levels, an empty Levels of the grid they lie on, or nil for none.
+// NewStreamSummary returns an empty stream summary that counts its levels
+// on levels, an empty Levels of their grid, or nil for none.
 func NewStreamSummary(levels *Levels) *StreamSummary {
 	return &StreamSummary{levels: levels}
 }
 
 // AddRun folds a run of samples, t[i] paired with v[i], into every
-// bundled aggregator. A caller may fold a stream later than it arrives
-// (trace.Series does, when its summary is read): the snapshot depends
-// only on the values and their order, not on how they were cut into runs.
+// bundled aggregator of a summary on no grid. A caller may fold a stream
+// later than it arrives (trace.Series does, when its summary is read):
+// the snapshot depends only on the values and their order, not on how
+// they were cut into runs.
 func (ss *StreamSummary) AddRun(t []int64, v []float64) { ss.AddLevelRun(t, v, nil) }
 
-// AddLevelRun is AddRun of values on the summary's grid given beside
-// their levels ks (a grid Series' stored chunk, Series.Columns), which it
-// counts as they are, with no check (Levels.ObserveLevels). With ks nil
-// it is AddRun.
+// AddLevelRun is AddRun of a run of levels ks of the summary's grid (a
+// grid Series' stored chunk, Series.Columns), v[i] being ks[i]'s value:
+// it counts them as they are, with no check (Levels.ObserveLevels). With
+// no grid, ks is nil. It panics on a run on a grid without its levels,
+// folding nothing.
 func (ss *StreamSummary) AddLevelRun(t []int64, v []float64, ks []uint32) {
+	if ss.levels != nil && len(ks) != len(v) {
+		panic("samples: a run on a grid without its levels")
+	}
 	ss.mom.ObserveRun(v)
 	ss.integ.AddRun(t, v)
 	if ss.levels != nil {
-		ss.levels.observe(v, ks)
+		ss.levels.ObserveLevels(ks)
 	}
-}
-
-// Grid reports the grid its levels count values on, scale 0 with none,
-// and whether every value added so far lies on it: the levels are still
-// on and no value was NaN.
-func (ss *StreamSummary) Grid() (scale float64, max int, all bool) {
-	if ss.levels == nil {
-		return 0, 0, false
-	}
-	return ss.levels.scale, ss.levels.max, ss.levels.On() && ss.mom.NaNs() == 0
 }
 
 // IntegralSeconds reports the integral of everything added so far.
@@ -376,13 +371,13 @@ func (ss *StreamSummary) live(q [2]float64) LiveSummary {
 
 // ExactSummary is a StreamSummary that keeps what its snapshot's
 // quantiles need, for a sample held nowhere else (an analytics bucket or
-// rollup): on the grid it is given, the level counts alone; off it, every
-// value but NaN, in columns of ChunkLen as a Series keeps them, so that
-// holding more never copies what is held. Those columns are its sorted
-// rule's copy: a snapshot sorts them in place. The first value off the
-// grid turns the counts into kept values before it is kept itself, so
-// none is lost. The zero value has no grid, keeps every value but NaN
-// and is ready to use.
+// rollup): on the grid it is given, the level counts alone; with none,
+// every value but NaN, in columns of ChunkLen as a Series keeps them, so
+// that holding more never copies what is held. Those columns are its
+// sorted rule's copy: a snapshot sorts them in place. Counts that turn
+// off, which only a count past 2³¹ does, turn into kept values before the
+// run that turned them off is kept, so none is lost. The zero value has
+// no grid, keeps every value but NaN and is ready to use.
 type ExactSummary struct {
 	sum StreamSummary
 	// vals holds the non-NaN values in full columns and a last one
@@ -391,31 +386,29 @@ type ExactSummary struct {
 	vals, spare [][]float64
 }
 
-// NewExactSummary returns an empty exact summary that counts its values
-// on levels, an empty Levels of the grid they lie on, or nil for none.
+// NewExactSummary returns an empty exact summary that counts its levels
+// on levels, an empty Levels of their grid, or nil for none.
 func NewExactSummary(levels *Levels) *ExactSummary {
 	return &ExactSummary{sum: StreamSummary{levels: levels}}
 }
 
-// AddRun folds a run of samples, t[i] paired with v[i], and counts or
-// keeps their values.
+// AddRun folds a run of samples, t[i] paired with v[i], into a summary
+// on no grid, and keeps their values.
 func (es *ExactSummary) AddRun(t []int64, v []float64) { es.AddLevelRun(t, v, nil) }
 
-// AddLevelRun is AddRun of values on the summary's grid given beside
-// their levels ks (a decoded grid trace's), which it counts as they are,
-// with no check (Levels.ObserveLevels). With ks nil it is AddRun.
+// AddLevelRun is AddRun of a run of levels ks of the summary's grid (a
+// decoded grid trace's), v[i] being ks[i]'s value, as
+// StreamSummary.AddLevelRun folds it: it counts them, or keeps v once the
+// counts are off.
 func (es *ExactSummary) AddLevelRun(t []int64, v []float64, ks []uint32) {
-	es.sum.mom.ObserveRun(v)
-	es.sum.integ.AddRun(t, v)
-	if l := es.sum.levels; l.On() {
-		n := l.observe(v, ks)
-		if l.On() {
-			return
-		}
-		// v[n] left the grid: the values counted so far are kept instead,
-		// and so is every value from v[n] on.
+	l := es.sum.levels
+	on := l.On()
+	es.sum.AddLevelRun(t, v, ks)
+	if l.On() {
+		return
+	}
+	if on { // this run turned the counts off: what they hold is kept instead
 		es.keep(l.values())
-		v = v[n:]
 	}
 	es.keep(v)
 }

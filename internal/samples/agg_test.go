@@ -262,7 +262,7 @@ func TestStreamSummarySnapshot(t *testing.T) {
 	var vs []float64
 	for i := 0; i < 1000; i++ {
 		vs = append(vs, float64(i%100))
-		ss.Add(int64(i)*1e6, vs[i])
+		ss.AddLevelRun([]int64{int64(i) * 1e6}, vs[i:i+1], []uint32{uint32(i % 100)})
 	}
 	snap := ss.Snapshot()
 	if snap.N != 1000 {
@@ -290,11 +290,12 @@ func TestStreamSummarySnapshot(t *testing.T) {
 }
 
 func TestStreamSummaryNaNPolicy(t *testing.T) {
-	ss := NewStreamSummary(NewLevels(10, 1000))
-	ss.Add(0, 10)
-	ss.Add(1e9, math.NaN())
-	ss.Add(2e9, 20)
-	snap := ss.Snapshot()
+	ss := NewStreamSummary(nil) // NaN is no level of a grid
+	vs := []float64{10, math.NaN(), 20}
+	for i, v := range vs {
+		ss.Add(int64(i)*1e9, v)
+	}
+	snap := ss.Snapshot(vs)
 	if snap.N != 2 || snap.NaNs != 1 {
 		t.Fatalf("N=%d NaNs=%d", snap.N, snap.NaNs)
 	}

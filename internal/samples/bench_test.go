@@ -202,13 +202,13 @@ func BenchmarkP2Observe(b *testing.B) {
 }
 
 // BenchmarkLevels reports what a capture's exact P50 and P95 cost: the
-// fold, counting chunks of capture-shaped values on the ADC's 0.1 mA grid
-// into one Levels, in ns/sample; and the query, a walk of the counts of
-// 33 s of 5 kHz capture spread over 120–780 mA (6 600 levels) for both
-// quantiles, in ns/op and in ns/sample of the values it answers for (a
+// fold, counting chunks of the levels of capture-shaped values on the
+// ADC's 0.1 mA grid into one Levels, in ns/sample; and the query, a walk
+// of the counts of 33 s of 5 kHz capture spread over 120–780 mA (6 600
+// levels) for both quantiles, in ns/op and in ns/sample of the values it answers for (a
 // live view asks once a simulated second).
 func BenchmarkLevels(b *testing.B) {
-	vs := noisy(ChunkLen)
+	ks := tenths(noisy(ChunkLen))
 	b.Run("fold", func(b *testing.B) {
 		l := NewLevels(10, 60000)
 		b.ReportAllocs()
@@ -216,9 +216,9 @@ func BenchmarkLevels(b *testing.B) {
 			if l.n > 1<<30 {
 				l = NewLevels(10, 60000)
 			}
-			l.ObserveRun(vs)
+			l.ObserveLevels(ks)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/sample")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ks)), "ns/sample")
 	})
 	b.Run("query", func(b *testing.B) {
 		l := NewLevels(10, 60000)
@@ -226,7 +226,7 @@ func BenchmarkLevels(b *testing.B) {
 		for i, v := range col {
 			col[i] = math.Round((v+290+330*math.Sin(float64(i)/3000))*10) / 10
 		}
-		l.ObserveRun(col)
+		l.ObserveLevels(tenths(col))
 		q, ps := make([]float64, 2), []float64{0.5, 0.95}
 		b.ReportAllocs()
 		for b.Loop() {

@@ -2,6 +2,7 @@ package samples
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -185,11 +186,12 @@ func columns(vs []float64, cuts []byte) [][]float64 {
 // checks it leaves the columns alone. Its Levels arm snaps the values to
 // a grid of tenths, leaving the ones no snap should reach (NaN, −0,
 // negatives, subnormals, infinities and values above the grid's max) as
-// they are, counts the columns a run each, and holds the counts to the
-// sorted rule by bits while every value was on the grid, and to being off
-// once one was not. Its summary arm feeds a bucket and a rollup declared
-// on that grid the snapped values and then the values as they came, and
-// holds their P50 and P95 to the sorted rule's.
+// they are, counts the levels of the values on the grid, a column's a
+// run, and holds the counts to the sorted rule over those values by bits.
+// Its summary arm feeds a bucket and a rollup declared on that grid the
+// levels of the snapped values and then of the values as they came that
+// lie on it, and holds them to a bucket and rollup on no grid fed the
+// values, and their P50 and P95 to the sorted rule's.
 func FuzzExactQuantiles(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x4a, 0x00, 0x5b, 0x00}, []byte{2, 1}, uint16(0), uint16(0))  // NaN runs
 	f.Add([]byte{0x01, 0x81, 0x4a, 0x33, 0x01, 0x81}, []byte{}, uint16(0), uint16(1))      // ±Inf
@@ -248,75 +250,64 @@ func onGridRef(v float64) bool {
 	return k >= 0 && k <= gridMax && k/10 == v && !math.Signbit(v)
 }
 
-// TestGridLevel: GridLevel says a value is on the grid of tenths exactly
-// when onGridRef does, and a value on it comes back from its level bit
-// for bit. A StreamSummary's Grid says every value was on it until one
-// is not, or is NaN.
-func TestGridLevel(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	vals := []float64{0, math.Copysign(0, -1), 0.1, 0.15, -0.1, -0.04, gridMax / 10, gridMax/10 + 0.1,
-		1638.4, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, 1e300, -1e300}
-	for range 10000 {
-		vals = append(vals, float64(r.Intn(gridMax+100))/10, 160+math.Floor(r.Float64()*400)/10, r.Float64()*100)
-	}
-	for _, v := range vals {
-		k, ok := GridLevel(v, 10, gridMax)
-		if ok != onGridRef(v) {
-			t.Fatalf("%v (%#x): on the grid %v, reference %v", v, math.Float64bits(v), ok, onGridRef(v))
+// tenths returns the levels k of vs on the grid of tenths, float64(k)/10
+// giving back each value bit for bit. It panics on a value off the grid.
+func tenths(vs []float64) []uint32 {
+	ks := make([]uint32, len(vs))
+	for i, v := range vs {
+		k := math.Floor(v*10 + 0.5)
+		if !(k >= 0 && k <= math.MaxUint32 && k/10 == v && !math.Signbit(v)) {
+			panic(fmt.Sprintf("%v is off the grid of tenths", v))
 		}
-		if ok && math.Float64bits(float64(k)/10) != math.Float64bits(v) {
-			t.Fatalf("%v: level %d gives back %v", v, k, float64(k)/10)
-		}
+		ks[i] = uint32(k)
 	}
-	ss := NewStreamSummary(NewLevels(10, gridMax))
-	for _, c := range []struct {
-		v  float64
-		on bool
-	}{{0.5, true}, {123.4, true}, {math.NaN(), false}} {
-		ss.AddRun([]int64{0}, []float64{c.v})
-		if scale, max, all := ss.Grid(); scale != 10 || max != gridMax || all != c.on {
-			t.Fatalf("after %v: Grid %v, %d, %v; want 10, %d, %v", c.v, scale, max, all, gridMax, c.on)
-		}
-	}
-	if scale, _, all := NewStreamSummary(nil).Grid(); scale != 0 || all {
-		t.Fatalf("no levels: Grid scale %v, every value on it %v", scale, all)
-	}
+	return ks
 }
 
-// checkLevels counts cols, a column per run, and holds the counts to the
-// sorted rule over cols by bits while every non-NaN value is on the grid,
-// and to being off as soon as one is not. A StreamSummary on those levels
-// must snapshot the sorted rule's P50 and P95 either way.
+// onGrid keeps, of each column of cols, the values that lie on the grid
+// of tenths up to gridMax (onGridRef), and returns them with their levels.
+func onGrid(cols [][]float64) (vals [][]float64, ks [][]uint32) {
+	for _, c := range cols {
+		var on []float64
+		for _, v := range c {
+			if onGridRef(v) {
+				on = append(on, v)
+			}
+		}
+		vals, ks = append(vals, on), append(ks, tenths(on))
+	}
+	return vals, ks
+}
+
+// checkLevels counts the levels of the values of cols on the grid
+// (onGrid), a column's a run, and holds the counts to the sorted rule
+// over those values by bits; the counts stay on. A StreamSummary on those
+// levels must snapshot the sorted rule's P50 and P95.
 func checkLevels(t *testing.T, ps []float64, cols [][]float64) {
 	t.Helper()
+	cols, ks := onGrid(cols)
 	l := NewLevels(10, gridMax)
 	ss := NewStreamSummary(NewLevels(10, gridMax))
 	var w Welford
-	on := true
-	for _, c := range cols {
-		l.ObserveRun(c)
-		ss.AddRun(make([]int64, len(c)), c)
+	for i, c := range cols {
+		l.ObserveLevels(ks[i])
+		ss.AddLevelRun(make([]int64, len(c)), c, ks[i])
 		w.ObserveRun(c)
-		for _, v := range c {
-			on = on && (v != v || onGridRef(v))
-		}
-		if l.On() != on {
-			t.Fatalf("after %d values: counts on %v, every value on the grid %v", w.N()+w.NaNs(), l.On(), on)
+		if !l.On() {
+			t.Fatalf("after %d levels: counts off", w.N())
 		}
 	}
 	want := make([]float64, len(ps))
 	copiedQuantiles(want, ps, cols...)
-	if on {
-		got := make([]float64, len(ps))
-		l.Quantiles(got, ps)
-		for i := range ps {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%d values on the grid, p %v: counted %v (%#x), sorted %v (%#x)",
-					w.N(), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-			}
+	got := make([]float64, len(ps))
+	l.Quantiles(got, ps)
+	for i := range ps {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%d values on the grid, p %v: counted %v (%#x), sorted %v (%#x)",
+				w.N(), ps[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
-	checkP50P95(t, "StreamSummary", ss.Snapshot(cols...), cols)
+	checkP50P95(t, "StreamSummary", ss.Snapshot(), cols)
 }
 
 // checkP50P95 holds a snapshot's P50 and P95 to the sorted rule over cols.
@@ -329,46 +320,37 @@ func checkP50P95(t *testing.T, what string, snap LiveSummary, cols [][]float64) 
 	}
 }
 
-// checkGridSummaries feeds cols, a column per run, to an ExactSummary and
-// to one bucket of a Windowed, both declared on the grid of tenths, and
-// then once more after a Reset and in a second bucket: every time, they
-// answer as the sorted rule over cols does, whether the values stayed on
-// the grid, which keeps only counts, or left it, which turns the counts
-// into kept values.
+// checkGridSummaries feeds the levels of the values of cols on the grid
+// (onGrid), a column's a run, to an ExactSummary and to one bucket of a
+// Windowed, both declared on the grid of tenths, and the values to a
+// twin of each on no grid, and then once more after a Reset and in a
+// second bucket: every time, those on the grid, which keep only counts,
+// end as their twins, which keep the values, bit for bit, and answer as
+// the sorted rule over those values does.
 func checkGridSummaries(t *testing.T, cols [][]float64) {
 	t.Helper()
+	cols, ks := onGrid(cols)
 	es := NewExactSummary(NewLevels(10, gridMax))
 	wd := NewWindowed(1, NewLevels(10, gridMax))
-	// esL and wdL are fed each column wholly on the grid with its levels
-	// too, as a decoded grid trace is, and must end where es and wd do.
-	esL := NewExactSummary(NewLevels(10, gridMax))
-	wdL := NewWindowed(1, NewLevels(10, gridMax))
+	var esV ExactSummary
+	wdV := NewWindowed(1, nil)
 	for bucket := range int64(2) {
 		es.Reset()
-		esL.Reset()
-		for _, c := range cols {
+		esV.Reset()
+		for i, c := range cols {
 			ts := make([]int64, len(c))
-			for i := range ts {
-				ts[i] = bucket
+			for j := range ts {
+				ts[j] = bucket
 			}
-			es.AddRun(ts, c)
-			wd.AddRun(ts, c)
-			ks := make([]uint32, len(c))
-			for i, v := range c {
-				k, ok := GridLevel(v, 10, gridMax)
-				if !ok {
-					ks = nil
-					break
-				}
-				ks[i] = uint32(k)
-			}
-			esL.AddLevelRun(ts, c, ks)
-			wdL.AddLevelRun(ts, c, ks)
+			es.AddLevelRun(ts, c, ks[i])
+			wd.AddLevelRun(ts, c, ks[i])
+			esV.AddRun(ts, c)
+			wdV.AddRun(ts, c)
 		}
-		if !same(esL.state(), es.state()) {
-			t.Fatalf("ExactSummary fed levels: %+v, fed values %+v", esL.state(), es.state())
+		if got, want := es.Snapshot(), esV.Snapshot(); !same(got, want) {
+			t.Fatalf("ExactSummary fed levels: %+v, fed values %+v", got, want)
 		}
-		if got, want := wdL.Buckets(), wd.Buckets(); !same(got, want) {
+		if got, want := wd.Buckets(), wdV.Buckets(); !same(got, want) {
 			t.Fatalf("Windowed fed levels: %+v, fed values %+v", got, want)
 		}
 		checkP50P95(t, "ExactSummary on a grid", es.Snapshot(), cols)
@@ -383,7 +365,7 @@ func checkGridSummaries(t *testing.T, cols [][]float64) {
 // sorted as the total-order reference has it, for many quantiles at once
 // too, and counted on a grid of tenths as the sorted rule has them once
 // snapped to it, by a bare Levels and by a bucket and rollup on that grid
-// that then meet the values off it.
+// that then count the levels of the raw values that lie on it.
 func TestSelectQuantilesShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gen := func(n int, f func(i int) float64) []float64 {
@@ -423,9 +405,9 @@ func TestSelectQuantilesShapes(t *testing.T) {
 // BenchmarkExactQuantiles reports what an exact P50 and P95 of
 // capture-shaped values cost a sample by each rule, over a 2 s window at
 // 5 kHz (an analytics bucket) and 33 s in storage chunks (a finished
-// capture, or a rollup): "levels" counts the values on the 0.1 mA grid
-// into counts reset from the previous op, as a bucket on a grid does, and
-// walks them; "sorted" copies them into recycled memory, sorts the copy
+// capture, or a rollup): "levels" counts the values' levels on the
+// 0.1 mA grid into counts reset from the previous op, as a bucket on a
+// grid does, and walks them; "sorted" copies them into recycled memory, sorts the copy
 // and reads it, as a series off any grid does (a bucket or rollup off a
 // grid sorts the copy it keeps, in place).
 func BenchmarkExactQuantiles(b *testing.B) {
@@ -442,11 +424,15 @@ func BenchmarkExactQuantiles(b *testing.B) {
 		ps := []float64{0.5, 0.95}
 		b.Run("levels,"+c.name, func(b *testing.B) {
 			l := NewLevels(10, 60000)
+			var ks [][]uint32
+			for _, col := range cols {
+				ks = append(ks, tenths(col))
+			}
 			b.ReportAllocs()
 			for b.Loop() {
 				l.reset()
-				for _, col := range cols {
-					l.ObserveRun(col)
+				for _, k := range ks {
+					l.ObserveLevels(k)
 				}
 				l.Quantiles(q, ps)
 			}

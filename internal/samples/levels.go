@@ -2,17 +2,17 @@ package samples
 
 import "math"
 
-// Levels counts values that lie on the grid k/scale, 0 ≤ k ≤ max, one
-// count per level, so that their quantiles are exact order statistics for
-// the cost of one increment a value. A Monsoon reading is such a value:
-// its ADC rounds to 0.1 mA (scale 10) within the 6 A envelope.
+// Levels counts levels of the grid k/scale, 0 ≤ k ≤ max, one count per
+// level, so that the quantiles of their values float64(k)/scale are exact
+// order statistics for the cost of one increment a level. A Monsoon
+// reading is such a level: its ADC rounds to 0.1 mA (scale 10) within the
+// 6 A envelope.
 //
-// Whether a value lies on the grid is GridLevel's to say. NaN is skipped.
-// A value off the grid, −0 (which a count of level 0 would turn into +0)
-// or above max turns the counts off: On reports false until a reset, and
-// the caller takes its quantiles from a sorted copy of the values. What
-// was counted stays readable as values, so a caller that holds the values
-// nowhere else loses none of them.
+// A count is an int32: a run that could take one past 2³¹ turns the
+// counts off. On then reports false until a reset, and the caller takes
+// its quantiles from a sorted copy of the values. What was counted stays
+// readable as values, so a caller that holds the values nowhere else
+// loses none of them.
 type Levels struct {
 	scale float64
 	max   int
@@ -24,77 +24,32 @@ type Levels struct {
 	off    bool
 }
 
-// GridLevel is the one rule of the grid k/scale, 0 ≤ k ≤ max: it returns
-// v's level k = int(v*scale+0.5), the rounding that made it, and whether
-// v lies on it — float64(k)/scale == v, k within [0, max], and v is not
-// −0, which float64(0)/scale would give back as +0. So a value on the
-// grid is stored as its level and comes back bit for bit. NaN, ±Inf and
-// negative values are off it.
-func GridLevel(v, scale float64, max int) (k int, ok bool) {
-	k = int(v*scale + 0.5)
-	return k, uint(k) <= uint(max) && float64(k)/scale == v && !(k == 0 && math.Signbit(v))
-}
-
 // NewLevels returns empty counts of the grid k/scale, 0 ≤ k ≤ max.
 func NewLevels(scale float64, max int) *Levels {
 	return &Levels{scale: scale, max: max, lo: max}
 }
 
-// On reports whether every non-NaN value folded since the last reset was
-// on the grid: whether Quantiles answers. A nil Levels is off.
+// On reports whether the counts hold every level folded since the last
+// reset: whether Quantiles answers. A nil Levels is off.
 func (l *Levels) On() bool { return l != nil && !l.off }
 
-// ObserveRun counts vs, in order, until a value leaves the grid, and
-// returns how many of them it took: all of them while the counts stay on,
-// none once they are off. A run that could overflow a count turns them
-// off before it is counted.
-func (l *Levels) ObserveRun(vs []float64) int {
-	if l.off {
-		return 0
-	}
-	if l.n+len(vs) > math.MaxInt32 { // a count might not hold
-		l.off = true
-		return 0
-	}
-	counts, scale, max := l.counts, l.scale, l.max
-	lo, n := l.lo, l.n
-	for i, v := range vs {
-		if v != v {
-			continue
-		}
-		k, ok := GridLevel(v, scale, max)
-		if !ok {
-			l.lo, l.n, l.off = lo, n, true
-			return i
-		}
-		if k >= len(counts) {
-			// A level above the counts: they grow to it, amortized over
-			// doublings of their memory.
-			counts = append(counts, make([]int32, k+1-len(counts))...)
-			l.counts = counts
-		}
-		counts[k]++
-		lo = min(lo, k)
-		n++
-	}
-	l.lo, l.n = lo, n
-	return len(vs)
-}
-
 // ObserveLevels counts ks, levels of the grid as a grid Series stores
-// them, each at most max, with no check, and returns how many it took:
-// all of them while the counts stay on, none once they are off.
-func (l *Levels) ObserveLevels(ks []uint32) int {
+// them, each at most max, with no check: all of them while the counts
+// stay on, none once they are off. A run that could overflow a count
+// turns them off before it is counted.
+func (l *Levels) ObserveLevels(ks []uint32) {
 	if l.off {
-		return 0
+		return
 	}
 	if l.n+len(ks) > math.MaxInt32 { // a count might not hold
 		l.off = true
-		return 0
+		return
 	}
 	counts, lo := l.counts, l.lo
 	for _, k := range ks {
 		if int(k) >= len(counts) {
+			// A level above the counts: they grow to it, amortized over
+			// doublings of their memory.
 			counts = append(counts, make([]int32, int(k)+1-len(counts))...)
 			l.counts = counts
 		}
@@ -102,17 +57,6 @@ func (l *Levels) ObserveLevels(ks []uint32) int {
 		lo = min(lo, int(k))
 	}
 	l.lo, l.n = lo, l.n+len(ks)
-	return len(ks)
-}
-
-// observe counts a run of values v given beside their levels ks: ks as
-// they are, with no check (ObserveLevels), or, with ks nil, the values
-// (ObserveRun). It returns how many it took.
-func (l *Levels) observe(v []float64, ks []uint32) int {
-	if ks != nil {
-		return l.ObserveLevels(ks)
-	}
-	return l.ObserveRun(v)
 }
 
 // values returns the values counted, in ascending order: the multiset the

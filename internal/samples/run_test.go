@@ -112,12 +112,13 @@ func (tr *Trapezoid) addOne(tNanos int64, v float64) {
 	tr.n++
 }
 
-// Levels had no per-sample body: its reference is a run of one.
-func (ss *StreamSummary) addOne(tNanos int64, v float64) {
+// Levels had no per-sample body: its reference is a run of one, of ks,
+// v's level on a grid (nil with none).
+func (ss *StreamSummary) addOne(tNanos int64, v float64, ks []uint32) {
 	ss.mom.observeOne(v)
 	ss.integ.addOne(tNanos, v)
 	if ss.levels != nil {
-		ss.levels.ObserveRun([]float64{v})
+		ss.levels.ObserveLevels(ks)
 	}
 }
 
@@ -127,7 +128,7 @@ func (ss *StreamSummary) Add(tNanos int64, v float64) {
 }
 
 func (es *ExactSummary) addOne(tNanos int64, v float64) {
-	es.sum.addOne(tNanos, v)
+	es.sum.addOne(tNanos, v, nil)
 	if len(es.vals) == 0 {
 		es.vals = [][]float64{nil}
 	}
@@ -317,9 +318,16 @@ func FuzzRunMatchesSingles(f *testing.F) {
 		var wel, welRef Welford
 		p2, p2Ref := NewP2Quantile(0.3), NewP2Quantile(0.3)
 		var tr, trRef Trapezoid
-		// On the grid of tenths up to 3276.7 a fuzzed value's rounding
-		// lands on, until a negative, an infinite or a bulk value does not.
+		// On the grid of tenths up to 3276.7, fed the stream's levels:
+		// each finite value's magnitude rounded to a tenth, 0 for the rest.
 		ss, ssRef := NewStreamSummary(NewLevels(10, 32767)), NewStreamSummary(NewLevels(10, 32767))
+		gk, gv := make([]uint32, len(vs)), make([]float64, len(vs))
+		for i, v := range vs {
+			if math.Abs(v) <= 3276.7 {
+				gk[i] = uint32(math.Round(math.Abs(v) * 10))
+			}
+			gv[i] = float64(gk[i]) / 10
+		}
 		var es, esRef ExactSummary
 		wd, wdRef := NewWindowed(width, nil), NewWindowed(width, nil)
 		cols, colsRef := NewSeries(), NewSeries()
@@ -331,7 +339,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 			wel.ObserveRun(rv)
 			p2.ObserveRun(rv)
 			tr.AddRun(rt, rv)
-			ss.AddRun(rt, rv)
+			ss.AddLevelRun(rt, gv[at:at+n], gk[at:at+n])
 			es.AddRun(rt, rv)
 			wd.AddRun(rt, rv)
 			fillInPlace(cols, rt, rv)
@@ -345,7 +353,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				welRef.observeOne(v)
 				p2Ref.observeOne(v)
 				trRef.addOne(rt[j], v)
-				ssRef.addOne(rt[j], v)
+				ssRef.addOne(rt[j], gv[at+j], gk[at+j:at+j+1])
 				esRef.addOne(rt[j], v)
 				wdRef.addOne(rt[j], v)
 				colsRef.Append(rt[j], v)
@@ -362,7 +370,7 @@ func FuzzRunMatchesSingles(f *testing.F) {
 				{"P2Quantile.Value", p2.Value(), p2Ref.Value()},
 				{"Trapezoid", tr, trRef},
 				{"StreamSummary", ss, ssRef},
-				{"StreamSummary.Snapshot", ss.Snapshot(vs[:at]), ssRef.Snapshot(vs[:at])},
+				{"StreamSummary.Snapshot", ss.Snapshot(gv[:at]), ssRef.Snapshot(gv[:at])},
 				{"ExactSummary", es.state(), esRef.state()},
 				{"ExactSummary.Snapshot", es.Snapshot(), esRef.Snapshot()},
 				// Windowed's flushed buckets are compared once, at the end.
@@ -400,22 +408,23 @@ func TestRunBodiesDoNotAllocate(t *testing.T) {
 	ts, vs := synth(ChunkLen)
 	e := NewP2Quantile(0.5)
 	grid := noisy(ChunkLen)
+	ks := tenths(grid)
 	ss := NewStreamSummary(NewLevels(10, 60000))
-	ss.AddRun(ts, grid) // grows the counts to the highest level
+	ss.AddLevelRun(ts, grid, ks) // grows the counts to the highest level
 	var es ExactSummary
 	es.AddRun(ts, vs) // grows the memory each Reset keeps
 	esGrid := NewExactSummary(NewLevels(10, 60000))
-	esGrid.AddRun(ts, grid)
+	esGrid.AddLevelRun(ts, grid, ks)
 	for _, c := range []struct {
 		name string
 		fold func()
 	}{
 		{"P2Quantile.ObserveRun", func() { e.ObserveRun(vs) }},
-		{"StreamSummary.AddRun", func() { ss.AddRun(ts, grid) }},
+		{"StreamSummary.AddLevelRun", func() { ss.AddLevelRun(ts, grid, ks) }},
 		{"StreamSummary.Snapshot", func() { ss.Snapshot() }},
 		{"ExactSummary.AddRun", func() { es.Reset(); es.AddRun(ts, vs) }},
 		{"ExactSummary.Snapshot", func() { es.Snapshot() }},
-		{"ExactSummary.AddRun on a grid", func() { esGrid.Reset(); esGrid.AddRun(ts, grid) }},
+		{"ExactSummary.AddLevelRun on a grid", func() { esGrid.Reset(); esGrid.AddLevelRun(ts, grid, ks) }},
 		{"ExactSummary.Snapshot on a grid", func() { esGrid.Snapshot() }},
 	} {
 		if n := testing.AllocsPerRun(20, c.fold); n != 0 {

@@ -18,8 +18,8 @@
 //   - values: a float64 column, or, in a series on a grid
 //     (NewGridSeries: the Monsoon's 0.1 mA readings), a uint32 column of
 //     levels k, each value being float64(k)/scale bit for bit. One width
-//     serves every grid up to 2²⁰ levels. The first value off the grid
-//     turns the whole series into float columns, once;
+//     serves every grid up to 2²⁰ levels. Such a series holds levels
+//     only: a float appended to it panics;
 //   - offsets: an int64 column, or, while they step evenly (a sampler's
 //     ticks), only the first and the step.
 //
@@ -54,13 +54,10 @@
 //   - Welford: numerically stable running mean/variance plus min/max.
 //     Agrees with the two-pass batch computation to ~1e-12 relative
 //     error (the property tests in this package pin 1e-9).
-//   - Levels: counts of values on a grid k/scale (a Monsoon reading is
-//     on the 0.1 mA grid of its ADC), one increment a value, from which
-//     quantiles are exact order statistics. A value off the grid turns
-//     the counts off, and the quantiles come from a sorted copy of the
-//     values instead. GridLevel is the one rule of what lies on a grid,
-//     and a grid Series stores such values as their levels, which Levels
-//     counts with no check (ObserveLevels).
+//   - Levels: counts of levels k of a grid k/scale (a Monsoon reading is
+//     a level of the 0.1 mA grid of its ADC), one increment a level, from
+//     which quantiles are exact order statistics. It counts the levels a
+//     grid Series stores as they are, with no check (ObserveLevels).
 //   - P2Quantile: the P² algorithm of Jain & Chlamtac (1985). Five
 //     markers track the target quantile without storing samples. Exact
 //     for n ≤ 5; beyond that the estimate is approximate. The property
@@ -75,7 +72,8 @@
 //     accumulates the same terms in the same order.
 //
 // StreamSummary bundles Welford, Trapezoid and, for a stream on a grid,
-// Levels, so a capture loop feeds one aggregator and observers read a
+// Levels, fed each run's levels beside its values (AddLevelRun), so a
+// capture loop feeds one aggregator and observers read a
 // LiveSummary snapshot mid-run instead of waiting for teardown. Its P50
 // and P95 are exact at every read.
 //
@@ -84,8 +82,8 @@
 // Every exact quantile, the order statistics QuantileSorted interpolates
 // (stats.Quantile's answer), comes from one of two rules:
 //
-//   - Level counts: values on a declared grid are counted (Levels), and
-//     the quantiles are a walk of the counts. A capture, a decoded grid
+//   - Level counts: the levels of a declared grid are counted (Levels),
+//     and the quantiles are a walk of the counts. A capture, a decoded grid
 //     trace, and the analytics buckets and rollup of either are counted.
 //   - A sorted copy: any other values are copied, NaN left out, the
 //     copy is sorted a column at a time with −0 before +0, and the ranks
@@ -93,10 +91,10 @@
 //     columns. A Series' storage is copied into recycled memory and never
 //     reordered.
 //
-// ExactSummary is a StreamSummary for a sample held nowhere else: on its
-// grid it keeps only the counts, off it the values, which are its sorted
-// rule's copy, and a value that leaves the grid turns the counts into
-// kept values first. Windowed summarizes each fixed-width time bucket of
+// ExactSummary is a StreamSummary for a sample held nowhere else: on a
+// grid it keeps only the counts, with none the values, which are its
+// sorted rule's copy; counts that could pass 2³¹ turn into kept values
+// first. Windowed summarizes each fixed-width time bucket of
 // a stream with one, so a bucket's WindowSummary is a LiveSummary and its
 // start.
 //
@@ -204,35 +202,25 @@ type Series struct {
 	chunks []*chunk
 	n      int
 	// scale and max are the grid k/scale, 0 ≤ k ≤ max, the series was
-	// declared on (scale 0 for none); floats is set once a value off it
-	// turned the levels into floats.
-	scale  float64
-	max    int
-	floats bool
+	// declared on and stores levels of; scale 0 for none.
+	scale float64
+	max   int
 }
 
 // NewSeries returns an empty series.
 func NewSeries() *Series { return &Series{} }
 
-// NewGridSeries returns an empty series that stores values on the grid
-// k/scale, 0 ≤ k ≤ max (max below 2³²), as their levels: GridLevel's k,
-// from which float64(k)/scale gives back each value bit for bit. The
-// first value off the grid turns the series into floats.
+// NewGridSeries returns an empty series of the grid k/scale, 0 ≤ k ≤ max
+// (max below 2³²), which holds levels only: a level k is the value
+// float64(k)/scale, bit for bit. Levels enter by AppendLevels, or by Grow
+// and Commit; a float appended to it panics.
 func NewGridSeries(scale float64, max int) *Series {
 	return &Series{scale: scale, max: max}
 }
 
-// levels reports whether the series stores its values as levels.
-func (s *Series) levels() bool { return s.scale > 0 && !s.floats }
-
-// Grid reports the grid the series stores its values on as levels: scale
-// and max, or 0 and 0 once (or since) it stores floats.
-func (s *Series) Grid() (scale float64, max int) {
-	if !s.levels() {
-		return 0, 0
-	}
-	return s.scale, s.max
-}
+// Grid reports the grid the series was declared on: scale and max, or 0
+// and 0 for none.
+func (s *Series) Grid() (scale float64, max int) { return s.scale, s.max }
 
 // Len reports the number of samples.
 func (s *Series) Len() int { return s.n }
@@ -246,28 +234,11 @@ func (s *Series) Append(tNanos int64, v float64) {
 // first + i·step, the timestamp found by adding step to the previous
 // one. It stores what Append would for each in turn. Amortized O(1) a
 // sample: a full chunk is sealed and a fresh one allocated; prior samples
-// are never copied. On a grid a value is stored as its level, until one
-// is off it (GridLevel): the series then turns every level it holds into
-// its float, once, and stores floats from that value on.
+// are never copied. It panics on a series on a grid, which takes levels
+// (AppendLevels), storing nothing.
 func (s *Series) AppendRun(first, step int64, vs []float64) {
-	for len(vs) > 0 && s.levels() {
-		c := s.tail()
-		room := c.k[len(c.k):min(ChunkLen, len(c.k)+len(vs))]
-		n := 0
-		for ; n < len(room); n++ {
-			k, ok := GridLevel(vs[n], s.scale, s.max)
-			if !ok {
-				break
-			}
-			room[n] = uint32(k)
-		}
-		c.appendOffsets(nil, first, step, n)
-		c.k = c.k[:len(c.k)+n]
-		s.n += n
-		first += int64(n) * step
-		if vs = vs[n:]; n < len(room) {
-			s.toFloats()
-		}
+	if s.scale > 0 {
+		panic(fmt.Sprintf("samples: floats appended to a series of the grid k/%v, which takes levels", s.scale))
 	}
 	for len(vs) > 0 {
 		c := s.tail()
@@ -282,9 +253,8 @@ func (s *Series) AppendRun(first, step int64, vs []float64) {
 
 // AppendLevels adds a run of samples on the series' grid, taken every
 // step from first: level ks[i], the value float64(ks[i])/scale, at first
-// + i·step. It stores what AppendRun would for their values, with no
-// rounding and no check but that each level is at most max: it panics on
-// one above it, and on a series declared on no grid, storing nothing.
+// + i·step, stored as it is. It panics on a level above max, and on a
+// series declared on no grid, storing nothing.
 func (s *Series) AppendLevels(first, step int64, ks []uint32) {
 	var hi uint32
 	for _, k := range ks {
@@ -295,32 +265,13 @@ func (s *Series) AppendLevels(first, step int64, ks []uint32) {
 	}
 	for len(ks) > 0 {
 		c := s.tail()
-		n := min(ChunkLen-c.len(), len(ks))
+		n := min(ChunkLen-len(c.k), len(ks))
 		c.appendOffsets(nil, first, step, n)
-		if s.floats {
-			for _, k := range ks[:n] {
-				c.v = append(c.v, float64(k)/s.scale)
-			}
-		} else {
-			c.k = append(c.k, ks[:n]...)
-		}
+		c.k = append(c.k, ks[:n]...)
 		s.n += n
 		first += int64(n) * step
 		ks = ks[n:]
 	}
-}
-
-// toFloats turns every level stored into its float, once: the first
-// value off the grid has come.
-func (s *Series) toFloats() {
-	for _, c := range s.chunks {
-		c.v = make([]float64, len(c.k), ChunkLen)
-		for i, k := range c.k {
-			c.v[i] = float64(k) / s.scale
-		}
-		c.k = nil
-	}
-	s.floats = true
 }
 
 // Grow returns the free room of the tail chunk's values, sealing a full
@@ -368,7 +319,7 @@ func (s *Series) tail() *chunk {
 		return s.chunks[k-1]
 	}
 	c := new(chunk)
-	if s.levels() {
+	if s.scale > 0 {
 		c.k = make([]uint32, 0, ChunkLen)
 	} else {
 		c.v = make([]float64, 0, ChunkLen)
@@ -413,7 +364,7 @@ type Chunk struct {
 	// then First + i·Step.
 	T           []int64
 	First, Step int64
-	// V holds the values of a series stored as floats; K, on a grid, the
+	// V holds the values of a series off any grid; K, on a grid, the
 	// levels: value i is float64(K[i])/Scale. The other is nil.
 	V     []float64
 	K     []uint32
@@ -459,10 +410,7 @@ func (s *Series) Stored(from int, fn func(c Chunk) bool) {
 		return
 	}
 	for i, c := range s.chunks[from/ChunkLen:] {
-		v := Chunk{T: c.t, First: c.first, Step: c.step, V: c.v, K: c.k}
-		if v.K != nil {
-			v.Scale = s.scale
-		}
+		v := Chunk{T: c.t, First: c.first, Step: c.step, V: c.v, K: c.k, Scale: s.scale}
 		if cut := from % ChunkLen; i == 0 && cut > 0 {
 			v.First += int64(cut) * v.Step
 			if v.T != nil {

@@ -38,8 +38,8 @@ type Windowed struct {
 
 // NewWindowed returns a windowed aggregator with buckets of widthNS
 // nanoseconds: bucket k spans [k·width, (k+1)·width). widthNS must be
-// positive. levels, an empty Levels of the grid the stream's values lie
-// on, or nil for none, counts every bucket's values in turn.
+// positive. levels, an empty Levels of the grid of the stream's levels,
+// or nil for none, counts every bucket's levels in turn.
 func NewWindowed(widthNS int64, levels *Levels) *Windowed {
 	if widthNS <= 0 {
 		panic("samples: NewWindowed width must be positive")
@@ -62,17 +62,17 @@ func (wd *Windowed) Add(tNanos int64, v float64) {
 	wd.AddRun([]int64{tNanos}, []float64{v})
 }
 
-// AddRun folds a run of samples, t[i] paired with v[i]. Samples must
-// arrive in non-decreasing time order (the order every Series and trace
-// stores them); a sample whose bucket precedes the open one is folded
-// into the open bucket rather than reopening a flushed one. The run is
-// cut where a sample opens a later bucket, and each piece goes to the
-// bucket's summary as one run.
+// AddRun folds a run of samples of a stream on no grid, t[i] paired with
+// v[i]. Samples must arrive in non-decreasing time order (the order every
+// Series and trace stores them); a sample whose bucket precedes the open
+// one is folded into the open bucket rather than reopening a flushed one.
+// The run is cut where a sample opens a later bucket, and each piece goes
+// to the bucket's summary as one run.
 func (wd *Windowed) AddRun(t []int64, v []float64) { wd.AddLevelRun(t, v, nil) }
 
-// AddLevelRun is AddRun of values on the stream's grid given beside their
-// levels ks, which each bucket counts as they are (ExactSummary's
-// AddLevelRun). With ks nil it is AddRun.
+// AddLevelRun is AddRun of a run of levels ks of the stream's grid, v[i]
+// being ks[i]'s value, which each bucket counts as they are
+// (ExactSummary's AddLevelRun). With no grid, ks is nil.
 func (wd *Windowed) AddLevelRun(t []int64, v []float64, ks []uint32) {
 	t = t[:len(v)]
 	for len(v) > 0 {

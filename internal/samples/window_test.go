@@ -22,6 +22,7 @@ func TestWindowedAgainstBatch(t *testing.T) {
 	type sample struct {
 		t int64
 		v float64
+		k uint32 // v's level, once snapped to the grid
 	}
 	var all []sample
 	tcur := originNS
@@ -31,7 +32,7 @@ func TestWindowedAgainstBatch(t *testing.T) {
 		// arrive in an order uncorrelated with their rank (P² is
 		// order-sensitive; a strongly trending series is outside its
 		// envelope, as the package docs caveat).
-		all = append(all, sample{tcur, 120 + rng.NormFloat64()*15})
+		all = append(all, sample{t: tcur, v: 120 + rng.NormFloat64()*15})
 	}
 
 	// Off any grid, the buckets sort their values; snapped to the ADC's
@@ -41,14 +42,19 @@ func TestWindowedAgainstBatch(t *testing.T) {
 		if grid {
 			levels = NewLevels(10, 60000)
 			for i := range all {
-				all[i].v = math.Round(all[i].v*10) / 10
+				all[i].k = uint32(math.Round(all[i].v * 10))
+				all[i].v = float64(all[i].k) / 10
 			}
 		}
 		// Buckets start at 0: the windows see the times shifted so that
-		// originNS is 0.
+		// originNS is 0; on the grid they are fed the levels.
 		wd := NewWindowed(widthNS, levels)
 		for _, s := range all {
-			wd.Add(s.t-originNS, s.v)
+			if grid {
+				wd.AddLevelRun([]int64{s.t - originNS}, []float64{s.v}, []uint32{s.k})
+			} else {
+				wd.Add(s.t-originNS, s.v)
+			}
 		}
 		buckets := wd.Buckets()
 

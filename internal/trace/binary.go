@@ -42,8 +42,8 @@
 //	2's XOR column.
 //
 // All three versions decode with ReadBinary; WriteBinary emits version 3
-// (a series declares its grid with NewGridSeries, and it is written while
-// the series stores its values as levels on it). AppendBinary, the live
+// (on the grid a series declares with NewGridSeries, whose levels it
+// holds). AppendBinary, the live
 // sample frames of internal/api, emits version 2. The CSV text format
 // (WriteCSV) remains an export format.
 //
@@ -87,8 +87,9 @@ const binMagic = "BLTRC"
 // maxStringLen bounds the name and unit fields.
 const maxStringLen = 1 << 16
 
-// maxGrid bounds a version 3 grid's scale and max: a level delta then
-// takes at most 3 bytes, and a decoder never makes level counts larger.
+// maxGrid bounds a version 3 grid's scale and max: a level delta, at most
+// ±2²⁰, zigzags below 2²² and takes at most 4 bytes, and a decoder never
+// makes level counts larger.
 const maxGrid = 1 << 20
 
 // WriteBinary encodes the series in the current binary format (v3).
@@ -99,8 +100,8 @@ func (s *Series) WriteBinary(w io.Writer) error {
 // EncodeBinary encodes the series at an explicit format version —
 // version 1 and 2 for compatibility (fixtures, the benchmark's v2
 // figures), version 3 (the default) for everything else. Version 3 puts
-// the values on the grid the series declares while it stores them as
-// levels, and writes the levels stored. Each storage chunk goes to w in one
+// the values on the grid the series declares, and writes the levels it
+// holds. Each storage chunk goes to w in one
 // Write, the header with the first. A w that buffers in memory is grown
 // once, with the first chunk, to what that chunk's bytes a sample make
 // of the whole trace, and an eighth more.
@@ -110,7 +111,7 @@ func EncodeBinary(w io.Writer, s *Series, version int) error {
 	}
 	enc := encoder{version: version}
 	if version == BinaryV3 {
-		enc.scale, enc.max = s.storedGrid()
+		enc.scale, enc.max = s.Grid()
 	}
 	buf := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	var err error
@@ -747,11 +748,12 @@ func ReadBinary(r io.Reader) (*Series, error) {
 // of the series' tail chunk (samples.Series.Grow): on a grid as levels,
 // a steady chunk as its first offset and step, any other's offsets
 // through one column reused from chunk to chunk. Nothing is folded until
-// the summary is read. A chunk that does not fit the room left — one cut
-// across this package's chunk boundaries, which neither encoder here
-// writes — and a version 1 trace's records are decoded aside and
-// appended a sample at a time. A version 3 trace on a grid decodes to a
-// NewGridSeries of that grid, so that writing it again gives back data.
+// the summary is read. A version 1 trace's records, and a chunk that does
+// not fit the room left — one cut across this package's chunk boundaries,
+// which neither encoder here writes — are decoded aside, levels as
+// levels, and stored through the room of the tail chunk and the next. A
+// version 3 trace on a grid decodes to a NewGridSeries of that grid, so
+// that writing it again gives back data.
 func DecodeBinary(data []byte) (*Series, error) {
 	h, payload, err := DecodeHeader(data)
 	if err != nil {
@@ -764,40 +766,35 @@ func DecodeBinary(data []byte) (*Series, error) {
 		s = NewSeries(string(h.Name), string(h.Unit))
 	}
 	d := h.Decoder(payload)
-	var asideT []int64
+	offs := make([]int64, samples.ChunkLen)
 	var asideV []float64
+	var asideK []uint32
 	for s.data.Len() < h.Count {
-		if asideT == nil {
-			asideT = make([]int64, samples.ChunkLen)
-		}
-		if h.Version == BinaryV1 {
-			if asideV == nil {
-				asideV = make([]float64, samples.ChunkLen)
+		vals, ks := s.data.Grow()
+		n, steady := 0, false
+		if h.Version != BinaryV1 {
+			if n, steady, err = d.chunkHead(); err != nil {
+				return nil, err
 			}
-			k, err := d.Next(asideT, asideV)
+		}
+		switch {
+		case h.Version == BinaryV1 || n > len(vals)+len(ks):
+			if asideV == nil {
+				asideV, asideK = make([]float64, samples.ChunkLen), make([]uint32, samples.ChunkLen)
+			}
+			if h.Version == BinaryV1 {
+				n, err = d.Next(offs, asideV)
+			} else {
+				err = d.chunk(n, steady, offs, asideV, asideK)
+			}
 			if err != nil {
 				return nil, err
 			}
-			for i := range k {
-				s.data.Append(asideT[i], asideV[i])
-			}
-			continue
-		}
-		n, steady, err := d.chunkHead()
-		if err != nil {
-			return nil, err
-		}
-		vals, ks := s.data.Grow()
-		switch {
-		case n > len(vals)+len(ks):
-			if asideV == nil {
-				asideV = make([]float64, samples.ChunkLen)
-			}
-			if err := d.chunk(n, steady, asideT, asideV, nil); err != nil {
-				return nil, err
-			}
-			for i := range n {
-				s.data.Append(asideT[i], asideV[i])
+			for i := 0; i < n; { // the values, or on a grid the levels
+				vals, ks := s.data.Grow()
+				m := copy(vals, asideV[i:n]) + copy(ks, asideK[i:n])
+				s.data.Commit(m, offs[i:])
+				i += m
 			}
 		case steady:
 			var two [2]int64
@@ -806,10 +803,10 @@ func DecodeBinary(data []byte) (*Series, error) {
 			}
 			s.data.CommitSteady(n, two[0], two[1]-two[0])
 		default:
-			if err := d.chunk(n, false, asideT, vals, ks); err != nil {
+			if err := d.chunk(n, false, offs, vals, ks); err != nil {
 				return nil, err
 			}
-			s.data.Commit(n, asideT)
+			s.data.Commit(n, offs)
 		}
 	}
 	if _, err := d.Next(nil, nil); err != nil { // bytes past the last sample

@@ -47,12 +47,15 @@ func gridCapture(n int) *Series {
 	s := NewGridSeries("current", "mA", 10, 60000)
 	r := rand.New(rand.NewSource(2019))
 	base := 0
-	for i := 0; i < n; i++ {
+	ks := make([]uint32, n)
+	for i := range ks {
 		if i%1000 == 0 {
 			base = 800 + r.Intn(4000)
 		}
-		k := base + r.Intn(21) - 10
-		s.MustAppend(t0.Add(time.Duration(i)*200*time.Microsecond), float64(k)/10)
+		ks[i] = uint32(base + r.Intn(21) - 10)
+	}
+	if err := s.AppendLevels(t0, 200*time.Microsecond, ks); err != nil {
+		panic(err)
 	}
 	return s
 }
@@ -63,16 +66,18 @@ func gridCapture(n int) *Series {
 // and of two.
 func gridGolden() *Series {
 	s := gridCapture(2*samples.ChunkLen + 36)
-	s.MustAppend(s.At(s.Len()-1).T.Add(time.Millisecond), 432.1)
+	if err := s.AppendLevels(s.At(s.Len()-1).T.Add(time.Millisecond), 0, []uint32{4321}); err != nil {
+		panic(err)
+	}
 	return s
 }
 
-// gridSeries is a grid series of the Monsoon's grid holding vals, a
-// second apart.
+// gridSeries is a grid series of the Monsoon's grid holding the levels
+// of vals, a second apart.
 func gridSeries(vals ...float64) *Series {
 	s := NewGridSeries("current", "mA", 10, 60000)
-	for i, v := range vals {
-		s.MustAppend(t0.Add(time.Duration(i)*time.Second), v)
+	if err := s.AppendLevels(t0, time.Second, levelsOf(vals, 10, 60000)); err != nil {
+		panic(err)
 	}
 	return s
 }
@@ -140,8 +145,8 @@ func TestBinaryRoundTripV3(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, got, c.s)
-		if scale, max, _ := got.agg.Grid(); scale != float64(c.scale) || max != c.max {
-			t.Fatalf("decoded series counts levels of %v/%d, want %d/%d", scale, max, c.scale, c.max)
+		if scale, max := got.Grid(); scale != c.scale || max != c.max || got.levels.On() != (c.scale > 0) {
+			t.Fatalf("decoded series on the grid %d/%d, counting levels %v; want %d/%d", scale, max, got.levels.On(), c.scale, c.max)
 		}
 		if got.Summary() != c.s.Summary() || !sameBits(got.Live(), c.s.Live()) {
 			t.Fatalf("summary %+v != %+v", got.Live(), c.s.Live())
@@ -169,11 +174,11 @@ func TestBinaryRoundTripV3(t *testing.T) {
 	}
 }
 
-// TestV3GridChoice: a grid series is written on its grid only while its
-// summary says every value lies on it. NaN, −0, a value between levels,
-// below 0 or above max, or a series that declares none is written with
-// no grid, its values XORed, and decodes bit for bit all the same. A
-// grid the format cannot hold is refused when the series is made.
+// TestV3GridChoice: a grid series is written on its grid, a series that
+// declares none with no grid, its values XORed — NaN, −0, a value between
+// levels, below 0 or above the Monsoon's max among them — and either
+// decodes bit for bit. A grid the format cannot hold is refused when the
+// series is made.
 func TestV3GridChoice(t *testing.T) {
 	for _, g := range [][2]int{{0, 100}, {10, 0}, {maxGrid + 1, 100}, {10, maxGrid + 1}, {-1, 100}} {
 		func() {
@@ -191,12 +196,7 @@ func TestV3GridChoice(t *testing.T) {
 	}{
 		"empty grid series": {NewGridSeries("current", "mA", 10, 60000), 10},
 		"on the grid":       {gridSeries(0, 0.1, 6000, 123.4, 123.4), 10},
-		"NaN":               {gridSeries(1, math.NaN(), 2), 0},
-		"−0":                {gridSeries(1, math.Copysign(0, -1)), 0},
-		"between levels":    {gridSeries(1, 0.15), 0},
-		"below 0":           {gridSeries(1, -0.1), 0},
-		"above max":         {gridSeries(1, 6000.1), 0},
-		"no grid declared":  {mk(0, 0.1, 0.2), 0},
+		"no grid declared":  {mk(0, 0.1, 0.2, 1, math.NaN(), 2, math.Copysign(0, -1), 0.15, -0.1, 6000.1), 0},
 	} {
 		var buf bytes.Buffer
 		if err := c.s.WriteBinary(&buf); err != nil {
@@ -214,28 +214,47 @@ func TestV3GridChoice(t *testing.T) {
 	}
 }
 
-// TestV3EncoderRefusesOffGridValue: a value its grid does not hold never
-// reaches the encoder as a level, so it is never a wrong value. The
-// encoder writes stored levels unchecked; a grid series stores a value
-// between levels as a float, and every value with it, and is written off
-// the grid.
+// TestV3EncoderRefusesOffGridValue: a value its grid does not hold
+// never reaches the encoder, so it is never written as a level: a grid
+// series refuses every float, on every route a float takes in, wherever
+// it stands in a run, and stores none of it. Its length, Live and version
+// 3 bytes are as they were.
 func TestV3EncoderRefusesOffGridValue(t *testing.T) {
-	s := NewGridSeries("current", "mA", 10, 60000)
-	for i, v := range []float64{0.1, 0.15, 0.2} {
-		s.MustAppend(t0.Add(time.Duration(i)*time.Millisecond), v)
+	s := gridSeries(0.1, 0.2, 123.4)
+	before, live, raw := s.Len(), s.Live(), v3Bytes(t, s)
+	at := t0.Add(time.Hour)
+	refused := func(appendFloat func() error) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("%v", p)
+			}
+		}()
+		return appendFloat()
 	}
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
+	for _, v := range []float64{0.15, math.NaN(), math.Copysign(0, -1), 6000.1, math.Inf(1), -0.1, 0.2} {
+		for route, appendFloat := range map[string]func() error{
+			"Append":     func() error { return s.Append(at, v) },
+			"MustAppend": func() error { s.MustAppend(at, v); return nil },
+			"AppendRun, first": func() error {
+				return s.AppendRun(at, time.Second, []float64{v, 0.3, 0.4})
+			},
+			"AppendRun, middle": func() error {
+				return s.AppendRun(at, time.Second, []float64{0.3, v, 0.4})
+			},
+			"AppendRun, last": func() error {
+				return s.AppendRun(at, time.Second, []float64{0.3, 0.4, v})
+			},
+			"samples.Series.Append":    func() error { s.Samples().Append(0, v); return nil },
+			"samples.Series.AppendRun": func() error { s.Samples().AppendRun(0, 1, []float64{0.3, v}); return nil },
+		} {
+			if err := refused(appendFloat); err == nil {
+				t.Errorf("%s of %v: taken", route, v)
+			}
+			if s.Len() != before || !sameBits(s.Live(), live) || !bytes.Equal(v3Bytes(t, s), raw) {
+				t.Fatalf("%s of %v: %d samples, Live %+v; want %d, %+v, and the same bytes", route, v, s.Len(), s.Live(), before, live)
+			}
+		}
 	}
-	if h, _, err := DecodeHeader(buf.Bytes()); err != nil || h.Scale != 0 {
-		t.Fatalf("grid scale %d, %v: a value between levels was written as a level", h.Scale, err)
-	}
-	got, err := DecodeBinary(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got, s)
 }
 
 func TestBinaryRoundTripV1(t *testing.T) {
@@ -510,7 +529,7 @@ func (e *encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byt
 	}
 	for _, v := range vals {
 		if e.scale > 0 {
-			k, _ := samples.GridLevel(v, float64(e.scale), e.max)
+			k, _ := levelOf(v, e.scale, e.max)
 			dst = binary.AppendVarint(dst, int64(k)-e.prevK)
 			e.prevK = int64(k)
 			continue
@@ -527,7 +546,7 @@ func (e *encoder) appendChunkRef(dst []byte, offs []int64, vals []float64) []byt
 func encodeRef(s *Series, version int) []byte {
 	enc := encoder{version: version}
 	if version == BinaryV3 {
-		enc.scale, enc.max = s.storedGrid()
+		enc.scale, enc.max = s.Grid()
 	}
 	raw := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	s.data.Chunks(0, func(offs []int64, vals []float64) bool {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -11,17 +12,19 @@ import (
 	"batterylab/internal/samples"
 )
 
-// FuzzLevelStore holds a grid series, which stores its values as levels
-// and steady offsets as a step, to a plain series of floats fed the same
-// samples: level runs (AppendLevels) and float runs mixed, cut anywhere,
-// some of them with a value off the grid, which turns the grid series
-// into floats. Bit for bit, at every read and at the end:
+// FuzzLevelStore holds a grid series, which stores levels and steady
+// offsets as a step, to a plain series of floats fed the same samples:
+// level runs appended whole, cut in two or a level at a time, cut
+// anywhere, and float runs (some with a value off the grid in them),
+// which the grid series must refuse, storing none of the run, and which
+// the float store is not fed. Bit for bit, at every read and at the end:
 //   - the offsets and values that Chunks and Iter give;
 //   - Live;
 //   - the version 3 bytes, equal to what the float store wrote of the
-//     same samples (on the grid when every value lies on it, through
-//     appendChunkRef, the reference chunk body);
-//   - DecodeBinary of those bytes, and its bytes again.
+//     same samples (on the grid, through appendChunkRef, the reference
+//     chunk body);
+//   - DecodeBinary of those bytes, which stores levels as levels, and its
+//     bytes again.
 func FuzzLevelStore(f *testing.F) {
 	f.Add([]byte{0, 200, 1, 3, 4, 90, 0, 7}, uint16(1))
 	f.Add([]byte{0, 255, 16, 10, 0, 255, 48, 2, 2, 40, 3, 1, 0, 255}, uint16(1))
@@ -44,9 +47,15 @@ func FuzzLevelStore(f *testing.F) {
 			return r
 		}
 		offGrid := []float64{0.15, math.NaN(), math.Copysign(0, -1), float64(top+1) / 10, math.Inf(1), -0.1}
+		levels := func(at time.Time, ks []uint32) {
+			if err := grid.AppendLevels(at, step, ks); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := 0; i+1 < len(ops) && grid.Len() < maxLen; i += 2 {
 			op, arg := ops[i], ops[i+1]
 			n := min(1+int(arg)*21, maxLen-grid.Len())
+			was, wasStep := at, step
 			switch op >> 2 & 3 { // where the run starts: on the step, or off it
 			case 1:
 				at = at.Add(7)
@@ -66,25 +75,28 @@ func FuzzLevelStore(f *testing.F) {
 			}
 			switch op & 3 {
 			case 0:
-				if err := grid.AppendLevels(at, step, ks); err != nil {
-					t.Fatal(err)
+				levels(at, ks)
+			case 1: // refused, and not fed to the float store either
+				if arg&1 == 1 {
+					vs[int(arg)%n] = offGrid[int(arg)%len(offGrid)]
 				}
-			case 1:
-				vs[int(arg)%n] = offGrid[int(arg)%len(offGrid)]
-				fallthrough
-			case 2:
-				if err := grid.AppendRun(at, step, vs); err != nil {
-					t.Fatal(err)
+				if err := grid.AppendRun(at, step, vs); err == nil {
+					t.Fatalf("a grid series took a run of %d floats", n)
 				}
+				at, step, vs = was, wasStep, nil
+			case 2: // cut in two
+				cut := int(arg) % n
+				levels(at, ks[:cut])
+				levels(at.Add(time.Duration(cut)*step), ks[cut:])
 			case 3:
-				for j, v := range vs {
-					grid.MustAppend(at.Add(time.Duration(j)*step), v)
+				for j := range ks {
+					levels(at.Add(time.Duration(j)*step), ks[j:j+1])
 				}
 			}
 			if err := plain.AppendRun(at, step, vs); err != nil {
 				t.Fatal(err)
 			}
-			at = at.Add(time.Duration(n) * step)
+			at = at.Add(time.Duration(len(vs)) * step)
 			if op&0x80 != 0 {
 				checkLiveSame(t, grid, plain)
 			}
@@ -96,15 +108,20 @@ func FuzzLevelStore(f *testing.F) {
 		if want := floatStoreV3(plain, 10, top); !bytes.Equal(raw, want) {
 			t.Fatalf("version 3: %d bytes, the float store's %d, or they differ", len(raw), len(want))
 		}
-		if scale, _ := grid.Samples().Grid(); (scale > 0) != allOnGrid(plain, 10, top) {
-			t.Fatalf("levels stored: %v, every value on the grid: %v", scale > 0, allOnGrid(plain, 10, top))
-		}
 		d, err := DecodeBinary(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkColumnsSame(t, d, plain)
 		checkLiveSame(t, d, plain)
+		for _, s := range []*Series{grid, d} {
+			s.Samples().Stored(0, func(c samples.Chunk) bool {
+				if c.K == nil {
+					t.Fatalf("a chunk of %d floats in a grid series", c.Len())
+				}
+				return true
+			})
+		}
 		if again := v3Bytes(t, d); !bytes.Equal(again, raw) {
 			t.Fatalf("encode(decode(b)) differs from b: %d bytes, %d", len(again), len(raw))
 		}
@@ -160,12 +177,35 @@ func v3Bytes(t *testing.T, s *Series) []byte {
 	return buf.Bytes()
 }
 
+// levelOf returns v's level on the grid k/scale, 0 ≤ k ≤ max, and
+// whether v lies on it: float64(k)/scale == v, k within [0, max], and v
+// not −0, which float64(0)/scale would give back as +0. NaN, ±Inf and
+// negative values are off it.
+func levelOf(v float64, scale, max int) (uint32, bool) {
+	k := int(v*float64(scale) + 0.5)
+	return uint32(k), uint(k) <= uint(max) && float64(k)/float64(scale) == v && !(k == 0 && math.Signbit(v))
+}
+
+// levelsOf returns the levels of vs on the grid k/scale, 0 ≤ k ≤ max. It
+// panics on a value off the grid.
+func levelsOf(vs []float64, scale, max int) []uint32 {
+	ks := make([]uint32, len(vs))
+	for i, v := range vs {
+		k, ok := levelOf(v, scale, max)
+		if !ok {
+			panic(fmt.Sprintf("%v is off the grid k/%d, 0 ≤ k ≤ %d", v, scale, max))
+		}
+		ks[i] = k
+	}
+	return ks
+}
+
 // allOnGrid reports whether every value of s lies on the grid k/scale,
 // 0 ≤ k ≤ max.
 func allOnGrid(s *Series, scale, max int) bool {
 	all := true
 	s.data.Iter(func(_ int64, v float64) bool {
-		_, all = samples.GridLevel(v, float64(scale), max)
+		_, all = levelOf(v, scale, max)
 		return all
 	})
 	return all

@@ -7,12 +7,12 @@
 // Since the streaming sample pipeline landed, a Series is backed by the
 // chunked columnar store of internal/samples (appends never copy prior
 // samples). A series on a grid (NewGridSeries: the Monsoon's 0.1 mA
-// readings) stores its values as their levels, 4 bytes a sample, and a
-// chunk sampled at a steady period stores its first offset and the
-// period, so a capture is what its ADC made (AppendLevels) until a value
-// off the grid turns it into floats. A Series keeps a streaming summary
-// — Welford moments, trapezoid integral and, on a grid, level counts,
-// which count the stored levels — that is folded when it is read: Live,
+// readings) holds levels only, 4 bytes a sample, and a chunk sampled at a
+// steady period stores its first offset and the period, so a capture is
+// what its ADC made (AppendLevels); a float appended to it is refused. A
+// Series keeps a streaming summary — Welford moments, trapezoid integral
+// and, on a grid, level counts, which count the stored levels — that is
+// folded when it is read: Live,
 // Summary, IntegralSeconds and EnergyMAH fold the samples appended since
 // the previous read, in order and a chunk's stretch per call, so each
 // sample is folded once and every figure is bit for bit that of folding
@@ -24,8 +24,8 @@
 // Series persist to disk in the binary trace format of binary.go, and
 // export as CSV (WriteCSV, the v1 text format). WriteBinary writes
 // version 3: a steady sampling period costs a chunk two timestamps, and a
-// grid series that stores levels writes their deltas, about a byte a
-// sample of a Monsoon capture; DecodeBinary writes such a trace back into
+// grid series writes its levels' deltas, about a byte a sample of a
+// Monsoon capture; DecodeBinary writes such a trace back into
 // a grid series of the same grid, level for level.
 //
 // The binary format has a single body, the column codec of binary.go:
@@ -77,8 +77,10 @@ type Series struct {
 
 	data *samples.Series
 	// agg is the summary of the first folded samples; a read folds the
-	// rest into it under qmu.
+	// rest into it under qmu. levels are its level counts, nil off any
+	// grid.
 	agg    *samples.StreamSummary
+	levels *samples.Levels
 	qmu    sync.Mutex
 	folded int
 	// cols holds the value columns a read off the grid sorts a copy of,
@@ -91,14 +93,13 @@ func NewSeries(name, unit string) *Series {
 	return newSeries(name, unit, samples.NewSeries(), nil)
 }
 
-// NewGridSeries returns an empty series of values on the grid k/scale,
+// NewGridSeries returns an empty series of levels of the grid k/scale,
 // 0 ≤ k ≤ max, as an instrument that rounds its readings makes them: it
-// stores them as their levels, its summary counts those (samples.Levels),
-// so Live's quantiles are a walk of the counts, and WriteBinary writes
-// them as levels. A value off the grid turns the stored levels into
-// floats, once: the quantiles then come from a sorted copy of the values,
-// and the values are written as they are. scale and max must lie within
-// 1..2²⁰, the grids the binary format holds; it panics on any other.
+// holds levels only, which enter by AppendLevels, its summary counts them
+// (samples.Levels), so Live's quantiles are a walk of the counts, and
+// WriteBinary writes them as levels. A float appended to it is refused.
+// scale and max must lie within 1..2²⁰, the grids the binary format
+// holds; it panics on any other.
 func NewGridSeries(name, unit string, scale, max int) *Series {
 	if scale < 1 || scale > maxGrid || max < 1 || max > maxGrid {
 		panic(fmt.Sprintf("trace: grid %d/%d outside 1..%d", scale, max, maxGrid))
@@ -108,10 +109,11 @@ func NewGridSeries(name, unit string, scale, max int) *Series {
 
 func newSeries(name, unit string, data *samples.Series, levels *samples.Levels) *Series {
 	return &Series{
-		name: name,
-		unit: unit,
-		data: data,
-		agg:  samples.NewStreamSummary(levels),
+		name:   name,
+		unit:   unit,
+		data:   data,
+		agg:    samples.NewStreamSummary(levels),
+		levels: levels,
 	}
 }
 
@@ -132,9 +134,12 @@ func (s *Series) Append(t time.Time, v float64) error {
 // first + i·step. It stores exactly what Append would for each sample in
 // turn, but checks the order once, for the run's first sample, and
 // derives the other offsets by integer addition. A negative step is out
-// of order. On the series' grid a value is stored as its level, until
-// one is off it: from then on every value is stored as a float.
+// of order. A series on a grid takes levels (AppendLevels): it refuses
+// floats, storing none of the run.
 func (s *Series) AppendRun(first time.Time, step time.Duration, vs []float64) error {
+	if scale, _ := s.Grid(); scale > 0 {
+		return fmt.Errorf("trace: %s holds levels of the grid k/%d: a float is refused", s.name, scale)
+	}
 	if len(vs) == 0 {
 		return nil
 	}
@@ -237,7 +242,7 @@ func (s *Series) Live() samples.LiveSummary {
 	defer s.qmu.Unlock()
 	s.fold()
 	s.cols = s.cols[:0]
-	if _, _, all := s.agg.Grid(); !all { // the counts may not answer: the values will
+	if !s.levels.On() { // the counts may not answer: the values will
 		s.data.Stored(0, func(c samples.Chunk) bool {
 			v := c.V
 			if v == nil {
@@ -252,19 +257,9 @@ func (s *Series) Live() samples.LiveSummary {
 	return s.agg.Snapshot(s.cols...)
 }
 
-// Grid reports the grid the series was declared on (NewGridSeries),
-// whatever its values: scale and max, or 0 and 0 for none.
+// Grid reports the grid the series was declared on (NewGridSeries):
+// scale and max, or 0 and 0 for none.
 func (s *Series) Grid() (scale, max int) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	sc, mx, _ := s.agg.Grid()
-	return int(sc), mx
-}
-
-// storedGrid reports the grid a version 3 encoding puts the values on:
-// the one the series declares (NewGridSeries), while it stores every
-// value as a level on it. 0 and 0 for none.
-func (s *Series) storedGrid() (scale, max int) {
 	sc, mx := s.data.Grid()
 	return int(sc), mx
 }

@@ -380,10 +380,11 @@ func (s *Series) Decimate(k int) *Series {
 // integral of a samples.StreamSummary fed at every append, and P50 and
 // P95 stats.Quantile's (a zero's sign aside, which a sort leaves as it
 // met it) — and Summary what those give, which is, a zero median's sign
-// aside, stats.SummarizeSeries' batch summary too. Half the inputs start on a grid
-// series, whose counts a negative or an out-of-range value turns off, and
-// a decode carries on with a series on the same grid when every value
-// lay on it, on none otherwise. Each input byte is one step: a Live read,
+// aside, stats.SummarizeSeries' batch summary too. Half the inputs start
+// on a grid series, fed the levels of the values on its grid, which
+// refuses the others (NaN, negatives), as floats, storing nothing, and a
+// decode carries on with a series on the same grid. Each input byte is
+// one step: a Live read,
 // a Summary read, an IntegralSeconds and EnergyMAH read, a NaN, a burst
 // of bulk values that crosses chunks, values up to the next chunk
 // boundary (where a fold resumes in a new chunk), a round trip through
@@ -408,7 +409,17 @@ func FuzzSeriesSummary(f *testing.F) {
 				return
 			}
 			off := int64(s.Len()) * 200_000 // 5 kHz
-			s.MustAppend(t0.Add(time.Duration(off)), v)
+			at := t0.Add(time.Duration(off))
+			if scale, max := s.Grid(); scale == 0 {
+				s.MustAppend(at, v)
+			} else if k, ok := levelOf(v, scale, max); !ok {
+				if err := s.Append(at, v); err == nil || s.Len() != int(off/200_000) {
+					t.Fatalf("a grid series took %v (%v)", v, err)
+				}
+				return
+			} else if err := s.AppendLevels(at, 0, []uint32{k}); err != nil {
+				t.Fatal(err)
+			}
 			eager.AddRun([]int64{off}, []float64{v})
 			vals = append(vals, v)
 		}
