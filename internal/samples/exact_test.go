@@ -324,38 +324,57 @@ func checkP50P95(t *testing.T, what string, snap LiveSummary, cols [][]float64) 
 // (onGrid), a column's a run, to an ExactSummary and to one bucket of a
 // Windowed, both declared on the grid of tenths, and the values to a
 // twin of each on no grid, and then once more after a Reset and in a
-// second bucket: every time, those on the grid, which keep only counts,
-// end as their twins, which keep the values, bit for bit, and answer as
-// the sorted rule over those values does.
+// second bucket: every time, those on the grid end as their twins, which
+// keep the values, bit for bit, and answer as the sorted rule over those
+// values does. It does so three times, with the counts' ceiling
+// (maxCount) at its own, at the levels of the first half of the runs and
+// at 0: the counts stay on while the levels fit under it, and the run
+// that would take them past it turns them off, which turns what they
+// counted into kept values, that run's and every later one's kept too.
 func checkGridSummaries(t *testing.T, cols [][]float64) {
 	t.Helper()
 	cols, ks := onGrid(cols)
-	es := NewExactSummary(NewLevels(10, gridMax))
-	wd := NewWindowed(1, NewLevels(10, gridMax))
-	var esV ExactSummary
-	wdV := NewWindowed(1, nil)
-	for bucket := range int64(2) {
-		es.Reset()
-		esV.Reset()
-		for i, c := range cols {
-			ts := make([]int64, len(c))
-			for j := range ts {
-				ts[j] = bucket
+	half, total := 0, 0
+	for i, k := range ks {
+		if i < len(ks)/2 {
+			half += len(k)
+		}
+		total += len(k)
+	}
+	defer func(c int) { maxCount = c }(maxCount)
+	for _, ceiling := range []int{maxCount, half, 0} {
+		maxCount = ceiling
+		es := NewExactSummary(NewLevels(10, gridMax))
+		wd := NewWindowed(1, NewLevels(10, gridMax))
+		var esV ExactSummary
+		wdV := NewWindowed(1, nil)
+		for bucket := range int64(2) {
+			es.Reset()
+			esV.Reset()
+			for i, c := range cols {
+				ts := make([]int64, len(c))
+				for j := range ts {
+					ts[j] = bucket
+				}
+				es.AddLevelRun(ts, c, ks[i])
+				wd.AddLevelRun(ts, c, ks[i])
+				esV.AddRun(ts, c)
+				wdV.AddRun(ts, c)
 			}
-			es.AddLevelRun(ts, c, ks[i])
-			wd.AddLevelRun(ts, c, ks[i])
-			esV.AddRun(ts, c)
-			wdV.AddRun(ts, c)
-		}
-		if got, want := es.Snapshot(), esV.Snapshot(); !same(got, want) {
-			t.Fatalf("ExactSummary fed levels: %+v, fed values %+v", got, want)
-		}
-		if got, want := wd.Buckets(), wdV.Buckets(); !same(got, want) {
-			t.Fatalf("Windowed fed levels: %+v, fed values %+v", got, want)
-		}
-		checkP50P95(t, "ExactSummary on a grid", es.Snapshot(), cols)
-		if b := wd.Buckets(); int64(len(b)) > bucket { // no sample opens no bucket
-			checkP50P95(t, "Windowed bucket on a grid", b[bucket].LiveSummary, cols)
+			if on, want := es.sum.levels.On(), total <= ceiling; on != want || wd.cur.sum.levels.On() != want {
+				t.Fatalf("%d levels, ceiling %d: ExactSummary's counts on %v, Windowed's %v; want %v",
+					total, ceiling, on, wd.cur.sum.levels.On(), want)
+			}
+			if got, want := es.Snapshot(), esV.Snapshot(); !same(got, want) {
+				t.Fatalf("ceiling %d: ExactSummary fed levels: %+v, fed values %+v", ceiling, got, want)
+			}
+			if got, want := wd.Buckets(), wdV.Buckets(); !same(got, want) {
+				t.Fatalf("ceiling %d: Windowed fed levels: %+v, fed values %+v", ceiling, got, want)
+			}
+			checkP50P95(t, "ExactSummary on a grid", es.Snapshot(), cols)
+			if b := wd.Buckets(); int64(len(b)) > bucket { // no sample opens no bucket
+				checkP50P95(t, "Windowed bucket on a grid", b[bucket].LiveSummary, cols)
+			}
 		}
 	}
 }

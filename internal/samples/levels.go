@@ -24,6 +24,10 @@ type Levels struct {
 	off    bool
 }
 
+// maxCount is the most values Levels counts before it turns off: the
+// largest an int32 count holds.
+var maxCount = math.MaxInt32
+
 // NewLevels returns empty counts of the grid k/scale, 0 ≤ k ≤ max.
 func NewLevels(scale float64, max int) *Levels {
 	return &Levels{scale: scale, max: max, lo: max}
@@ -41,7 +45,7 @@ func (l *Levels) ObserveLevels(ks []uint32) {
 	if l.off {
 		return
 	}
-	if l.n+len(ks) > math.MaxInt32 { // a count might not hold
+	if l.n+len(ks) > maxCount { // a count might not hold
 		l.off = true
 		return
 	}

@@ -779,8 +779,10 @@ func DecodeBinary(data []byte) (*Series, error) {
 		}
 		switch {
 		case h.Version == BinaryV1 || n > len(vals)+len(ks):
-			if asideV == nil {
-				asideV, asideK = make([]float64, samples.ChunkLen), make([]uint32, samples.ChunkLen)
+			if h.Scale > 0 && asideK == nil {
+				asideK = make([]uint32, samples.ChunkLen)
+			} else if h.Scale == 0 && asideV == nil {
+				asideV = make([]float64, samples.ChunkLen)
 			}
 			if h.Version == BinaryV1 {
 				n, err = d.Next(offs, asideV)
@@ -792,7 +794,12 @@ func DecodeBinary(data []byte) (*Series, error) {
 			}
 			for i := 0; i < n; { // the values, or on a grid the levels
 				vals, ks := s.data.Grow()
-				m := copy(vals, asideV[i:n]) + copy(ks, asideK[i:n])
+				m := 0
+				if h.Scale > 0 {
+					m = copy(ks, asideK[i:n])
+				} else {
+					m = copy(vals, asideV[i:n])
+				}
 				s.data.Commit(m, offs[i:])
 				i += m
 			}

@@ -200,25 +200,11 @@ func levelsOf(vs []float64, scale, max int) []uint32 {
 	return ks
 }
 
-// allOnGrid reports whether every value of s lies on the grid k/scale,
-// 0 ≤ k ≤ max.
-func allOnGrid(s *Series, scale, max int) bool {
-	all := true
-	s.data.Iter(func(_ int64, v float64) bool {
-		_, all = levelOf(v, scale, max)
-		return all
-	})
-	return all
-}
-
-// floatStoreV3 is the version 3 encoding of s as a store of float
-// columns wrote it: on the grid k/scale when every value lies on it,
+// floatStoreV3 is the version 3 encoding of s, whose values all lie on
+// the grid k/scale, as a store of float columns wrote it: on that grid,
 // each chunk through appendChunkRef.
 func floatStoreV3(s *Series, scale, max int) []byte {
-	enc := encoder{version: BinaryV3}
-	if allOnGrid(s, scale, max) {
-		enc.scale, enc.max = scale, max
-	}
+	enc := encoder{version: BinaryV3, scale: scale, max: max}
 	raw := enc.appendHeader(nil, s.name, s.unit, s.epoch, s.Len())
 	s.data.Chunks(0, func(offs []int64, vals []float64) bool {
 		raw = enc.appendChunkRef(raw, offs, vals)
