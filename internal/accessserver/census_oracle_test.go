@@ -16,18 +16,18 @@ import (
 // censusOracleLocked is the full census rebuild the server ran on every
 // publish before publishes became incremental, kept as the test oracle:
 // one scan of the whole queue for the per-node queued counts, every
-// record of the node table in name order, every row rebuilt. It also
-// returns the queued counts it derived. Callers hold s.mu.
-func (s *Server) censusOracleLocked() ([]nodeCensusEntry, map[string]int) {
+// record of the node table in name order, every row rebuilt. Callers
+// hold s.mu.
+func (s *Server) censusOracleLocked() []nodeCensusEntry {
 	queued := make(map[string]int)
 	for _, b := range s.queuedBuilds() {
-		queued[b.cons.Node]++
+		queued[b.Class().Cons().Node]++
 	}
 	list := make([]nodeCensusEntry, 0, len(s.nodeRecs))
 	for _, n := range slices.Sorted(maps.Keys(s.nodeRecs)) {
 		list = append(list, *s.nodeEntryLocked(s.nodeRecs[n], queued[n]))
 	}
-	return list, queued
+	return list
 }
 
 // queuedBuilds is the dispatch queue as the builds in it, in order.
@@ -44,41 +44,18 @@ func (s *Server) queuedBuilds() []*Build {
 	return queue
 }
 
-// PlacementDrift checks the placement classes against what they cache.
-// Every queued build must be counted in the class of its constraints,
-// nothing else may be, and a class with no build queued must be gone. And
-// every verdict that claims to outlive the pass that computed it — a
-// pinned one whose stamp and horizon still hold at now — must be what an
-// uncached evaluation gives this instant: the same placement, lock, held
-// bit and horizon. (Any other verdict claims nothing between passes: the
-// next pass's first act is to void it.) It describes the first difference,
-// nil when there is none.
+// PlacementDrift checks every verdict that claims to outlive the pass
+// that computed it — a pinned one whose stamp and horizon still hold at
+// now — against what an uncached evaluation gives this instant: the same
+// placement, lock, held bit and horizon. (Any other verdict claims nothing
+// between passes: the next pass's first act is to void it. Which builds
+// a class counts is sched's own state, which its tests recount.) It
+// describes the first difference, nil when there is none.
 func (s *Server) PlacementDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clock.Now()
-	queued := map[Constraints]int{}
-	inQueue := map[*Build]bool{}
-	classes := s.sched.Classes()
-	for _, b := range s.queuedBuilds() {
-		queued[b.cons]++
-		inQueue[b] = true
-		if b.Class() == nil || b.Class() != classes[b.cons] {
-			return fmt.Errorf("queued build %d (%+v) is counted in class %p, the table holds %p", b.ID, b.cons, b.Class(), classes[b.cons])
-		}
-	}
-	for id, b := range s.builds {
-		if !inQueue[b] && b.Class() != nil {
-			return fmt.Errorf("build %d is not queued and still counted in class %+v", id, b.Class().Cons())
-		}
-	}
-	if len(classes) != len(queued) {
-		return fmt.Errorf("%d placement classes for %d distinct constraints in the queue", len(classes), len(queued))
-	}
-	for cons, c := range classes {
-		if c.Cons() != cons || c.Queued() != queued[cons] {
-			return fmt.Errorf("class %+v (filed under %+v) counts %d queued builds, the queue holds %d", c.Cons(), cons, c.Queued(), queued[cons])
-		}
+	for cons, c := range s.sched.Classes() {
 		if !s.sched.Standing(c, now) {
 			continue
 		}
@@ -116,26 +93,15 @@ func (s *Server) PlacementCost() (evals int64, classes int, epoch uint64) {
 // oracle's full rebuild of the same instant and describes the first
 // difference (nil when there is none). It checks the published census the
 // nodes routes serve row for row — Health as they derive it, since a
-// published row's own Health field ages — and the per-node queued
-// counters the rows are built from.
+// published row's own Health field ages — whose queued counts the oracle
+// takes from a queue scan.
 func (s *Server) CensusDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	want, queued := s.censusOracleLocked()
+	want := s.censusOracleLocked()
 	now := s.clock.Now()
 	if names := slices.Sorted(maps.Keys(s.nodeRecs)); !slices.Equal(s.nodeNames, names) {
 		return fmt.Errorf("the sorted name index lists %v, the node table holds %v", s.nodeNames, names)
-	}
-
-	delete(queued, "") // a build with no preferred node counts nowhere
-	counted := map[string]int{}
-	for name := range s.sched.Nodes() {
-		if n := s.sched.Node(name).Queued; n != 0 {
-			counted[name] = n
-		}
-	}
-	if !reflect.DeepEqual(counted, queued) {
-		return fmt.Errorf("queued counters %v, a queue scan counts %v", counted, queued)
 	}
 	got := s.reads.nodeList()
 	if len(got) != len(want) {
@@ -167,25 +133,17 @@ func (s *Server) servedNodes() []NodeStatus {
 	return out
 }
 
-// QueueDrift checks the bookkeeping the drain pass relies on instead of
-// rewalking the queue: builds sit in the queue in sequence order, every
-// queued build's dispatch-side reason shadow equals the reason it
-// reports and the reason the read plane serves, the category stored with
-// it is the one the reason's text names (pendingCategoryOf), and behind
-// the first build labelled execWait every build up to the
-// labelled-through watermark carries that label too
-// (sched's labelSaturated skips that run unread).
+// QueueDrift checks what the server shows of each queued build's label:
+// its dispatch-side reason shadow equals the reason it reports and the
+// reason the read plane serves, and the category stored with it is the
+// one the reason's text names (pendingCategoryOf). (The queue's order and
+// the labelled-through watermark are sched's own state, which its tests
+// recount.)
 func (s *Server) QueueDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var prev uint64
-	inRun := false
-	for i, b := range s.queuedBuilds() {
+	for _, b := range s.queuedBuilds() {
 		prio, reason := b.Label()
-		if b.Seq() <= prev {
-			return fmt.Errorf("queue[%d] (build %d) has sequence %d after %d", i, b.ID, b.Seq(), prev)
-		}
-		prev = b.Seq()
 		if got := b.PendingReason(); got != reason {
 			return fmt.Errorf("build %d reports %q, the dispatch shadow holds %q", b.ID, got, reason)
 		}
@@ -194,12 +152,6 @@ func (s *Server) QueueDrift() error {
 		}
 		if got, want := pendingCategories[prio], pendingCategoryOf(reason); got != want {
 			return fmt.Errorf("build %d waits %q, counted as %s, which the reason's text names %s", b.ID, reason, got, want)
-		}
-		if reason == sched.ExecWait {
-			inRun = true
-		} else if inRun && b.Seq() <= s.sched.ExecLabelled() {
-			return fmt.Errorf("build %d (sequence %d, watermark %d) reads %q behind builds waiting for an executor",
-				b.ID, b.Seq(), s.sched.ExecLabelled(), reason)
 		}
 	}
 	return nil
@@ -237,11 +189,14 @@ func pendingCategoryOf(reason string) string {
 	}
 }
 
-// LifecycleDrift recomputes from s.builds alone everything the four
-// lifecycle transitions maintain incrementally — the lock table, the
-// running counts, the queue's membership, the owner counts, the metrics
-// gauges — and checks each build's own bookkeeping against its state. It
-// describes the first difference (nil when there is none).
+// LifecycleDrift recomputes from s.builds alone what the lifecycle
+// transitions maintain beside the scheduler core — the queue's
+// membership, the totals and the owner counts of admission — and checks
+// each build's own bookkeeping against its state: in the queue, the lock
+// it holds, its watchdog's kind, the state the read plane serves. (The
+// lock table and the running counts are sched's own state, which its
+// tests recount.) It describes the first difference (nil when there is
+// none).
 func (s *Server) LifecycleDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -252,9 +207,7 @@ func (s *Server) LifecycleDrift() error {
 		}
 		inQueue[b] = true
 	}
-	locks := map[string]map[string]int{}
-	campRunning, nodeRunning := map[int]int{}, map[string]int{}
-	ownerRunning, ownerActive := map[string]int{}, map[string]int{}
+	ownerActive := map[string]int{}
 	var running, queued, waiting int
 	for id, b := range s.builds {
 		b.mu.Lock()
@@ -270,32 +223,12 @@ func (s *Server) LifecycleDrift() error {
 		switch state {
 		case StateRunning:
 			running++
-			ownerRunning[b.Owner]++
 			ownerActive[b.Owner]++
-			if s.campaigns[b.Campaign] != nil {
-				campRunning[b.Campaign]++
+			if peer == "" && s.nodeRecs[node] == nil {
+				return fmt.Errorf("build %d runs on node %q, which has no lifecycle record", id, node)
 			}
-			if peer == "" {
-				nodeRunning[node]++
-			}
-			// The recount builds the table the way a claim does, and checks
-			// exclusivity against every key taken so far.
-			k := b.Held()
-			if k == (sched.Key{}) {
-				return fmt.Errorf("running build %d holds no lock", id)
-			}
-			under := locks[k.Name]
-			_, whole := under[""]
-			_, same := under[k.Device]
-			if whole || same || k.Device == "" && len(under) > 0 {
-				return fmt.Errorf("build %d holds %q, which conflicts with what builds %v hold under %q", id, k, under, k.Name)
-			}
-			if locks[k.Name] == nil {
-				locks[k.Name] = map[string]int{}
-			}
-			locks[k.Name][k.Device] = id
-			if inQueue[b] || watching != watchLease && watching != watchNone {
-				return fmt.Errorf("running build %d: in queue %v, watchdog armed for kind %d", id, inQueue[b], watching)
+			if b.Held() == (sched.Key{}) || inQueue[b] || watching != watchLease && watching != watchNone {
+				return fmt.Errorf("running build %d: holds %q, in queue %v, watchdog armed for kind %d", id, b.Held(), inQueue[b], watching)
 			}
 		case StateQueued:
 			queued++
@@ -318,15 +251,9 @@ func (s *Server) LifecycleDrift() error {
 		if st, ok := s.reads.buildStatus(id); !ok || st.State != state.String() {
 			return fmt.Errorf("build %d is %s, the read plane serves %q (published %v)", id, state, st.State, ok)
 		}
-		if b.camp != s.campaigns[b.Campaign] {
-			return fmt.Errorf("build %d points at campaign record %p, campaign %d is %p", id, b.camp, b.Campaign, s.campaigns[b.Campaign])
-		}
 	}
 	if waiting != len(s.sched.Queue()) {
 		return fmt.Errorf("the queue holds %d builds, %d of them known queued builds", len(s.sched.Queue()), waiting)
-	}
-	if !reflect.DeepEqual(s.sched.Locks(), locks) {
-		return fmt.Errorf("lock table %v, running builds hold %v", s.sched.Locks(), locks)
 	}
 	if s.sched.Running() != running || s.m.queued != int64(queued) {
 		return fmt.Errorf("running %d, queued gauge %d; the builds count %d running, %d queued",
@@ -335,25 +262,8 @@ func (s *Server) LifecycleDrift() error {
 	if sum := s.m.queued + int64(s.sched.Running()) + s.m.succeeded + s.m.failed + s.m.aborted; s.m.submitted != sum {
 		return fmt.Errorf("%d builds submitted, the live and finished counters sum to %d", s.m.submitted, sum)
 	}
-	if !reflect.DeepEqual(s.sched.OwnerRunning(), ownerRunning) || !reflect.DeepEqual(s.ownerActive, ownerActive) {
-		return fmt.Errorf("owner counts running %v active %v, the builds count %v and %v",
-			s.sched.OwnerRunning(), s.ownerActive, ownerRunning, ownerActive)
-	}
-	for id, rec := range s.campaigns {
-		if rec.Running() != campRunning[id] {
-			return fmt.Errorf("campaign %d counts %d running, its builds %d", id, rec.Running(), campRunning[id])
-		}
-	}
-	for name := range s.sched.Nodes() {
-		if got := s.sched.Node(name).Running; got != nodeRunning[name] {
-			return fmt.Errorf("node %q counts %d running, the local builds on it %d", name, got, nodeRunning[name])
-		}
-		if s.nodeRecs[name] != nil {
-			delete(nodeRunning, name)
-		}
-	}
-	if len(nodeRunning) > 0 {
-		return fmt.Errorf("builds run on nodes without a lifecycle record: %v", nodeRunning)
+	if !reflect.DeepEqual(s.ownerActive, ownerActive) {
+		return fmt.Errorf("owner counts active %v, the builds count %v", s.ownerActive, ownerActive)
 	}
 	return nil
 }

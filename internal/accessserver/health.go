@@ -469,7 +469,8 @@ func (s *Server) RemoveNode(user *User, name string) error {
 		if j.Cons.Node != name || j.Cons.Fallback {
 			return false
 		}
-		s.settleLocked(j.Build.(*Build), fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, j.ID))
+		b := j.Build.(*Build)
+		s.settleLocked(b, fmt.Errorf("%w: node %q removed while build %d was queued", ErrNodeLost, name, b.ID))
 		return true
 	})
 	s.exit.redrain = true // fallback builds re-place onto survivors

@@ -68,13 +68,13 @@ type Build struct {
 	// snapshot stores: there is no second copy to keep in step. ID, Job,
 	// Owner (the submitting user; cancellation is restricted to the owner
 	// and admins), Campaign (builds submitted together via
-	// SubmitCampaign; 0 = standalone) and Spec (the wire spec cons/run
-	// were compiled from, which crash recovery recompiles and a relay
-	// resubmits to a peer) are fixed at submission. The rest is guarded by
-	// mu and changes only through applyBuild (persist.go), with the
-	// record that logs the change. Three fields share their name with an
-	// accessor and are reached as b.BuildRec.State, .Attempts and
-	// .Retries.
+	// SubmitCampaign; 0 = standalone) and Spec (the wire spec the build's
+	// constraints and pipeline were compiled from, which crash recovery
+	// recompiles and a relay resubmits to a peer) are fixed at
+	// submission. The rest is guarded by mu and changes only through
+	// applyBuild (persist.go), with the record that logs the change. Three
+	// fields share their name with an accessor and are reached as
+	// b.BuildRec.State, .Attempts and .Retries.
 	//
 	// Attempts is the dispatch token: each dispatch increments it, and
 	// completions carrying an older token (a pipeline the scheduler
@@ -84,10 +84,9 @@ type Build struct {
 	// clients can invalidate stale resume cursors.
 	store.BuildRec
 
-	// cons/run are the build's own pipeline, compiled at submit time
-	// from Spec.
-	cons Constraints
-	run  RunFunc
+	// run is the build's own pipeline, compiled from Spec with the
+	// constraints its Entry keeps (liveLocked).
+	run RunFunc
 	// recovered marks a build reconstructed from the store after a
 	// restart (the wire status carries it to clients).
 	recovered bool
@@ -112,15 +111,12 @@ type Build struct {
 	// touched marks a build the current critical section changed, whose
 	// status its exit republishes (touchBuildLocked). Guarded by s.mu.
 	touched bool
-	// camp is the build's campaign record, nil for a standalone build —
-	// s.campaigns[Campaign], resolved once instead of at every push. Set
-	// at construction, immutable after.
-	camp *campaignRec
-	// Entry is the build's place in the scheduler core: in the queue, its
-	// class, sequence number and pending-reason shadow; running, the lock
-	// it holds. Guarded by s.mu. pendingReason follows the shadow: the
-	// drain reports the builds it relabels, and every other writer of the
-	// shadow that holds s.mu keeps the two in sync.
+	// Entry is the build's place in the scheduler core: its scheduling
+	// facts (owner, constraints, campaign), written once by liveLocked; in
+	// the queue, its class, sequence number and pending-reason shadow;
+	// running, the lock it holds. Guarded by s.mu. pendingReason follows
+	// the shadow: the drain reports the builds it relabels, and every
+	// other writer of the shadow that holds s.mu keeps the two in sync.
 	sched.Entry
 	// watch is the build's one watchdog timer and watching what it is
 	// armed for, which its state decides. Guarded by s.mu.

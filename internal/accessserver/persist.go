@@ -588,7 +588,7 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// feed, so the epoch moves: clients' resume cursors (and
 		// feed-derived aggregates) from before the restart are void —
 		// including across a second restart, which bumps it again.
-		b := &Build{BuildRec: *br, recovered: true, reported: br.Summary, camp: s.campaigns[br.Campaign], workspace: NewWorkspace()}
+		b := &Build{BuildRec: *br, recovered: true, reported: br.Summary, workspace: NewWorkspace()}
 		b.BuildRec.FeedEpoch++
 		b.feed = s.hub.Create(b.ID, b.BuildRec.FeedEpoch)
 		if b.QueuedAtNS == 0 {
@@ -638,6 +638,8 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		// The build must run again, so recompile its spec through the
 		// backend. (A build of a closure job, logged before jobs stored
 		// their spec, has none to compile.)
+		var cons Constraints
+		var run RunFunc
 		var compileErr error
 		switch {
 		case b.Spec == nil:
@@ -645,12 +647,15 @@ func (s *Server) AttachStore(st *store.Store) (RecoveryStats, error) {
 		case backend == nil:
 			compileErr = fmt.Errorf("%w: no spec backend installed at recovery", ErrInvalid)
 		default:
-			b.cons, b.run, compileErr = backend.Compile(*b.Spec)
+			cons, run, compileErr = backend.Compile(*b.Spec)
 		}
-		switch {
-		case compileErr != nil:
+		if compileErr != nil {
 			s.settleLocked(b, fmt.Errorf("build %d unrecoverable after restart: %w", b.ID, compileErr))
 			stats.Failed++
+			continue
+		}
+		s.liveLocked(b, cons, run)
+		switch {
 		case state == StateRunning:
 			// The crash broke the lease: the attempt's work is gone.
 			s.reclaimLocked(b, fmt.Sprintf("access server restarted while attempt %d ran on %q", b.BuildRec.Attempts, b.Node), false)

@@ -210,26 +210,17 @@ func TestVerdictFallsWhenWhatItReadChanges(t *testing.T) {
 	}
 }
 
-// heldFleet places every build on its preferred node.
-type heldFleet struct{}
-
-func (heldFleet) Place(c Constraints, _ time.Time) (sched.Placement, string) {
-	return sched.Placement{Node: c.Node, Device: c.Device}, ""
-}
-
-func (heldFleet) CPUGate(string, time.Time) (sched.Prio, string, bool) { return sched.None, "", false }
-
 type constPlacer float64
 
 func (p constPlacer) Score(PlacementCandidate) float64 { return float64(p) }
 
-// TestLockConflictIsOneLookup: with the lock table keyed by lock name,
-// whether a key conflicts is decided by that name's entry and nothing
-// else — no walk over what is held elsewhere, however much that is. One
-// whole-node build and one device build hold their nodes while N device
-// builds run on N other nodes; every conflict the table knows must come
-// out right, and come out the same from a scheduler that holds only the
-// two nodes' locks.
+// TestLockConflictIsOneLookup: one whole-node build and one device build
+// hold their nodes while N device builds run on N other nodes; every
+// conflict the server's lock table knows must come out right, in the
+// builds queued behind them and when asked. (That the table is keyed by
+// lock name, one name per busy node, and answers the same as a table
+// holding only the two nodes' locks, sched's test of the same name
+// checks.)
 func TestLockConflictIsOneLookup(t *testing.T) {
 	for _, others := range []int{1, 512} {
 		clk := simclock.NewVirtual()
@@ -274,21 +265,9 @@ func TestLockConflictIsOneLookup(t *testing.T) {
 		keys := []sched.Key{{Name: "w"}, {Name: "w", Device: "dev1"}, {Name: "d"}, {Name: "d", Device: "dev1"},
 			{Name: "d", Device: "dev2"}, {Name: "d", Device: "dev3"}, {Name: "free"}, {Name: "free", Device: "dev1"}}
 		want := []bool{true, true, true, true, true, false, false, false}
-		if n := len(srv.sched.Locks()); n != others+2 {
-			t.Errorf("the lock table has %d names, want one per busy node, %d", n, others+2)
-		}
-		// The stripped table: the holds on w and d, claimed by a scheduler
-		// that knows nothing else.
-		stripped := sched.New(heldFleet{}, 3, 0)
-		for _, b := range []*Build{builds[0], builds[1], tail[4]} {
-			stripped.Push(new(sched.Entry), sched.Job{ID: b.ID, Cons: b.cons})
-		}
-		stripped.Drain(clk.Now())
-		for pass, table := range []*sched.Sched{srv.sched, stripped} {
-			for i, k := range keys {
-				if got := table.Held(k); got != want[i] {
-					t.Errorf("%d other nodes busy, table %d: %q held = %v, want %v", others, pass, k, got, want[i])
-				}
+		for i, k := range keys {
+			if got := srv.sched.Held(k); got != want[i] {
+				t.Errorf("%d other nodes busy: %q held = %v, want %v", others, k, got, want[i])
 			}
 		}
 		srv.mu.Unlock()

@@ -58,9 +58,6 @@ type Verdict struct {
 // Cons is the constraints the class's builds share.
 func (c *Class) Cons() Constraints { return c.cons }
 
-// Queued is the number of the class's builds in the queue.
-func (c *Class) Queued() int { return c.queued }
-
 // Verdict is the class's last verdict, standing or not.
 func (c *Class) Verdict() Verdict { return c.v }
 

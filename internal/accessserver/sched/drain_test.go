@@ -172,25 +172,44 @@ func newSide(now time.Time, reference bool) *side {
 
 // FuzzDrainMatchesReference drives the drain pass and drainReference
 // through the same random steps — builds pushed with constraints from a
-// small set, claimed and released, removed, nodes turned on and off and
-// their versions moved, the clock moved past the verdicts' horizons, CPU
-// readings changed — and after every pass requires the same picks in
-// order with the same placements and scores, the same probes, the same
-// relabelled builds, the same label on every queued build, and the same
-// lock table and counts.
+// small set, claimed and released, removed one at a time or by owner or
+// preferred node, failed over with a retry label and requeued, nodes
+// turned on and off and their versions moved, the clock moved past the
+// verdicts' horizons, CPU readings changed — and after every step
+// requires of each scheduler that its state recounts from the entries
+// (check), and of the pass the same picks in order with the same
+// placements and scores, the same probes, the same relabelled builds, the
+// same label on every queued build, and the same lock table and counts.
 func FuzzDrainMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 0, 0, 6, 0, 7})
 	f.Add([]byte{0, 8, 0, 8, 0, 8, 0, 8, 0, 9, 2, 0, 0, 8, 5, 3, 1, 1, 3, 0, 0, 10})
 	f.Add([]byte{0, 0x41, 0, 0x42, 0, 0x43, 0, 0x44, 6, 0x12, 0, 0x51, 5, 7, 4, 1, 1, 2, 7, 0})
 	f.Add([]byte{0, 0x81, 0, 0x81, 0, 0x82, 0, 0x90, 0, 0xa1, 2, 1, 5, 2, 3, 1, 1, 0, 1, 0, 0, 0x13})
+	// Removed by preferred node (as RemoveNode does), then by owner (as
+	// DeleteJob does), running builds left alone.
+	f.Add([]byte{0, 0, 0, 5, 0, 0x80, 0, 0x85, 0, 1, 0, 0x81, 0, 0x10, 8, 0, 0, 0x82, 8, 3, 0, 2, 8, 0x10})
+	// Running builds fail over with a retry label and rejoin the queue
+	// behind builds waiting for an executor.
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 5, 0, 6, 0, 7, 0, 0x0a, 9, 0, 9, 1, 0, 0x0b, 9, 2, 1, 3, 9, 4})
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		now := time.Unix(1000, 0)
 		core, ref := newSide(now, false), newSide(now, true)
 		sides := []*side{core, ref}
 		type build struct{ e [2]*Entry }
 		var builds []*build
+		checked := func(step int, when string) {
+			for k, s := range sides {
+				entries := make([]*Entry, len(builds))
+				for x, b := range builds {
+					entries[x] = b.e[k]
+				}
+				if err := s.q.check(entries); err != nil {
+					t.Fatalf("step %d, %s the pass: %v", step, when, err)
+				}
+			}
+		}
 		for i := 0; i+1 < len(steps) && len(builds) < 64; i += 2 {
-			op, arg := steps[i]%8, int(steps[i+1])
+			op, arg := steps[i]%10, int(steps[i+1])
 			for k, s := range sides {
 				n := s.f.nodes[arg%3]
 				switch op {
@@ -202,12 +221,13 @@ func FuzzDrainMatchesReference(f *testing.F) {
 						builds = append(builds, &build{})
 					}
 					b := builds[len(builds)-1]
-					b.e[k] = new(Entry)
-					j := Job{ID: len(builds), Owner: []string{"a", "b"}[arg>>7], Cons: cons, Build: len(builds)}
+					j := Job{Owner: []string{"a", "b"}[arg>>7], Cons: cons, Build: len(builds)}
 					if arg%7 == 0 {
 						j.Camp = s.camp
 					}
-					s.q.Push(b.e[k], j)
+					e := NewEntry(j)
+					b.e[k] = &e
+					s.q.Push(b.e[k])
 				case 1: // a running build finishes
 					if len(builds) > 0 {
 						s.q.Release(builds[arg%len(builds)].e[k])
@@ -231,8 +251,24 @@ func FuzzDrainMatchesReference(f *testing.F) {
 					if len(builds) > 0 {
 						s.q.Remove(builds[arg%len(builds)].e[k])
 					}
+				case 8: // a node is removed or a job deleted: its queued builds go
+					node, owner := []string{"n0", "n1", "n2", "ghost", "r0"}[arg%5], []string{"a", "b"}[arg/5%2]
+					s.q.RemoveFunc(func(j Job) bool {
+						if arg&0x10 != 0 {
+							return j.Owner == owner
+						}
+						return j.Cons.Node == node && !j.Cons.Fallback
+					})
+				case 9: // a running build's node is lost: it fails over and rejoins the queue
+					if len(builds) > 0 {
+						if e := builds[arg%len(builds)].e[k]; s.q.Release(e) {
+							s.q.SetLabel(e, Retry, "node lost; retry 1/3")
+							s.q.Push(e)
+						}
+					}
 				}
 			}
+			checked(i/2, "before")
 			var passes [2]Pass
 			for k, s := range sides {
 				passes[k] = *s.drain(now)
@@ -249,16 +285,29 @@ func FuzzDrainMatchesReference(f *testing.F) {
 			}
 			for x, e := range core.q.queue {
 				r := ref.q.queue[x]
-				if e.job.ID != r.job.ID || e.prio != r.prio || e.reason != r.reason {
-					t.Fatalf("step %d: queue[%d] is build %d waiting %d %q, the reference's build %d %d %q",
-						i/2, x, e.job.ID, e.prio, e.reason, r.job.ID, r.prio, r.reason)
+				if e.job.Build != r.job.Build || e.prio != r.prio || e.reason != r.reason {
+					t.Fatalf("step %d: queue[%d] is build %v waiting %d %q, the reference's build %v %d %q",
+						i/2, x, e.job.Build, e.prio, e.reason, r.job.Build, r.prio, r.reason)
 				}
 			}
-			if !reflect.DeepEqual(core.q.locks, ref.q.locks) || core.q.running != ref.q.running ||
+			if fmt.Sprint(holders(core.q)) != fmt.Sprint(holders(ref.q)) || core.q.running != ref.q.running ||
 				!reflect.DeepEqual(core.q.ownerRunning, ref.q.ownerRunning) || !reflect.DeepEqual(core.q.nodes, ref.q.nodes) {
 				t.Fatalf("step %d: locks %v, %d running, owners %v; the reference %v, %d, %v",
-					i/2, core.q.locks, core.q.running, core.q.ownerRunning, ref.q.locks, ref.q.running, ref.q.ownerRunning)
+					i/2, holders(core.q), core.q.running, core.q.ownerRunning, holders(ref.q), ref.q.running, ref.q.ownerRunning)
 			}
+			checked(i/2, "after")
 		}
 	})
+}
+
+// holders is the lock table with each holder named by its build.
+func holders(q *Sched) map[string]map[string]any {
+	out := map[string]map[string]any{}
+	for name, under := range q.locks {
+		out[name] = map[string]any{}
+		for device, e := range under {
+			out[name][device] = e.job.Build
+		}
+	}
+	return out
 }

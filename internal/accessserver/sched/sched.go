@@ -1,16 +1,18 @@
 // Package sched is the access server's dispatch decision (§3.1): which
 // queued build runs next, and where, under one job at a time per device.
-// It holds the dispatch queue, the lock table, the placement classes, the
-// running counts and the drain pass over them, and no clock, timer,
-// goroutine, WAL record, feed or HTTP: the access server calls it under
-// its scheduler lock, answers what the pass asks of nodes and peers
-// (Fleet), and makes what a pass decided happen.
+// It holds a build's scheduling facts (Job: owner, constraints, campaign,
+// written once per build in its Entry), the dispatch queue, the lock
+// table, the placement classes, the running counts and the drain pass
+// over them, and no clock, timer, goroutine, WAL record, feed or HTTP:
+// the access server calls it under its scheduler lock, answers what the
+// pass asks of nodes and peers (Fleet), and makes what a pass decided
+// happen. Its invariants are checked in its own tests: check recounts
+// the queue, classes, lock table and counts from the entries after every
+// step of FuzzDrainMatchesReference.
 package sched
 
 import (
 	"cmp"
-	"iter"
-	"maps"
 	"slices"
 	"time"
 )
@@ -127,12 +129,9 @@ type Campaign struct {
 	running int
 }
 
-// Running reports how many builds of the campaign hold an executor.
-func (c *Campaign) Running() int { return c.running }
-
-// Job is what the scheduler knows of a build: fixed from its submission.
+// Job is what the scheduler knows of a build: its scheduling facts,
+// fixed from its submission and kept once, in its Entry (NewEntry).
 type Job struct {
-	ID    int
 	Owner string
 	Cons  Constraints
 	Camp  *Campaign // nil for a build in no campaign
@@ -158,11 +157,12 @@ type Entry struct {
 	node string
 }
 
+// NewEntry is the entry of a build the scheduler knows as j: the one
+// place a build's scheduling facts are written.
+func NewEntry(j Job) Entry { return Entry{job: j} }
+
 // Label is the pending reason a queued build waits with and its category.
 func (e *Entry) Label() (Prio, string) { return e.prio, e.reason }
-
-// Seq is the build's place in the order builds entered the queue.
-func (e *Entry) Seq() uint64 { return e.seq }
 
 // Held is the lock the build's running attempt holds, zero for none.
 func (e *Entry) Held() Key { return e.held }
@@ -189,10 +189,10 @@ type Sched struct {
 	// as they enter it.
 	queue []*Entry
 	seq   uint64
-	// locks is the lock table: lock name -> device -> the running build
-	// holding it, the device "" standing for the whole name. A name with
-	// nothing held has no entry.
-	locks map[string]map[string]int
+	// locks is the lock table: lock name -> device -> the entry of the
+	// running build holding it, the device "" standing for the whole name.
+	// A name with nothing held has no entry.
+	locks map[string]map[string]*Entry
 	// classes holds one placement verdict per distinct Constraints value
 	// with builds in the queue; epoch is what a verdict that is not
 	// pinned to a node is valid for (see Class).
@@ -219,7 +219,7 @@ type Sched struct {
 func New(fleet Fleet, executors, ownerCap int) *Sched {
 	return &Sched{
 		fleet: fleet, executors: executors, ownerCap: ownerCap,
-		locks:        make(map[string]map[string]int),
+		locks:        make(map[string]map[string]*Entry),
 		classes:      make(map[Constraints]*Class),
 		ownerRunning: make(map[string]int),
 		nodes:        make(map[string]*NodeState),
@@ -232,17 +232,8 @@ func (q *Sched) Queue() []*Entry { return q.queue }
 // Running is the number of builds holding executors.
 func (q *Sched) Running() int { return q.running }
 
-// OwnerRunning is each owner's running count. The caller must not change it.
-func (q *Sched) OwnerRunning() map[string]int { return q.ownerRunning }
-
-// Locks is the lock table. The caller must not change it.
-func (q *Sched) Locks() map[string]map[string]int { return q.locks }
-
 // Classes is the placement class table. The caller must not change it.
 func (q *Sched) Classes() map[Constraints]*Class { return q.classes }
-
-// Nodes is the names of the nodes the scheduler has counted on.
-func (q *Sched) Nodes() iter.Seq[string] { return maps.Keys(q.nodes) }
 
 // Node reports what the scheduler counts on the named node.
 func (q *Sched) Node(name string) NodeState {
@@ -256,10 +247,6 @@ func (q *Sched) Node(name string) NodeState {
 // and placements computed, and the placement epoch, which moves once per
 // pass and once per claim. A class is placed at most once per epoch.
 func (q *Sched) Cost() (visits, evals int64, epoch uint64) { return q.visits, q.evals, q.epoch }
-
-// ExecLabelled is the labelled-through watermark: every build from the
-// first one labelled with ExecWait up to this sequence number carries it.
-func (q *Sched) ExecLabelled() uint64 { return q.execLabelled }
 
 // Touch marks node as changed, for its two caches: the node's census row
 // is rebuilt when the access server takes the touched names (Touched),
@@ -295,20 +282,21 @@ func (q *Sched) node(name string) *NodeState {
 	return n
 }
 
-// Push appends the build j to the dispatch queue through its entry e,
-// counting it in its placement class (created with its first build) and
-// against its preferred node (a build without one counts on no node).
-func (q *Sched) Push(e *Entry, j Job) {
+// Push appends the build of entry e to the dispatch queue, counting it in
+// its placement class (created with its first build) and against its
+// preferred node (a build without one counts on no node).
+func (q *Sched) Push(e *Entry) {
 	q.seq++
-	e.job, e.seq = j, q.seq
+	e.seq = q.seq
 	q.queue = append(q.queue, e)
-	e.class = q.classes[j.Cons]
+	cons := e.job.Cons
+	e.class = q.classes[cons]
 	if e.class == nil {
-		e.class = &Class{cons: j.Cons}
-		q.classes[j.Cons] = e.class
+		e.class = &Class{cons: cons}
+		q.classes[cons] = e.class
 	}
 	e.class.queued++
-	if n := j.Cons.Node; n != "" {
+	if n := cons.Node; n != "" {
 		q.node(n).Queued++
 		q.Touch(n)
 	}
@@ -392,10 +380,10 @@ func (q *Sched) claim(e *Entry, pl Placement, key Key) {
 	q.epoch++
 	under := q.locks[key.Name]
 	if under == nil {
-		under = make(map[string]int, 1)
+		under = make(map[string]*Entry, 1)
 		q.locks[key.Name] = under
 	}
-	under[key.Device] = e.job.ID
+	under[key.Device] = e
 	e.held = key
 	q.running++
 	if e.job.Camp != nil {

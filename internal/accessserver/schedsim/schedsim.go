@@ -310,10 +310,13 @@ func Run(script Script) (Result, error) {
 
 	// A build is outstanding while unsubmitted (its SubmitAt has not
 	// fired — builds[i] still nil and results[i] not shed) or
-	// non-terminal.
+	// non-terminal. A settled build, terminal or shed, stays settled, so
+	// the scan resumes behind the settled prefix instead of rescanning
+	// every build at every instant.
+	settled := 0
 	allDone := func() bool {
-		for i, b := range builds {
-			if b == nil && !results[i].Shed || b != nil && !b.State().Terminal() {
+		for ; settled < len(builds); settled++ {
+			if b := builds[settled]; b == nil && !results[settled].Shed || b != nil && !b.State().Terminal() {
 				return false
 			}
 		}

@@ -301,15 +301,6 @@ type campaignRec struct {
 	sched.Campaign
 }
 
-// cap is the campaign's cap as the scheduler reads it, nil for no
-// campaign.
-func (r *campaignRec) cap() *sched.Campaign {
-	if r == nil {
-		return nil
-	}
-	return &r.Campaign
-}
-
 type cronEntry struct {
 	name   string
 	ticker *simclock.Ticker
@@ -584,8 +575,9 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 		ID: s.nextID, Job: jobName, Owner: owner, Campaign: campaign,
 		Spec: spec, State: StateQueued.String(), QueuedAtNS: s.clock.Now().UnixNano(),
 	}}
-	b := &Build{cons: cons, run: run, camp: s.campaigns[campaign], workspace: NewWorkspace(), feed: s.hub.Create(s.nextID, 0)}
+	b := &Build{workspace: NewWorkspace(), feed: s.hub.Create(s.nextID, 0)}
 	applyBuild(&b.BuildRec, &queued)
+	s.liveLocked(b, cons, run)
 	s.nextID++
 	s.builds[b.ID] = b
 	s.queueLocked(b)
@@ -597,12 +589,25 @@ func (s *Server) enqueueLocked(owner, jobName string, campaign int, cons Constra
 	return b
 }
 
+// liveLocked makes b, whose record is in, a build that can run: its
+// pipeline, and the facts the scheduler decides it by (sched.Job), written
+// here once for the build's life. Submission and crash recovery both make
+// a live build here. Callers hold s.mu.
+func (s *Server) liveLocked(b *Build, cons Constraints, run RunFunc) {
+	var camp *sched.Campaign
+	if rec := s.campaigns[b.Campaign]; rec != nil {
+		camp = &rec.Campaign
+	}
+	b.run = run
+	b.Entry = sched.NewEntry(sched.Job{Owner: b.Owner, Cons: cons, Camp: camp, Build: b})
+}
+
 // queueLocked appends b to the dispatch queue and starts its aging
 // watchdog: a build still queued after PendingTimeout whose node never
 // appeared (or has gone offline) fails with a reason instead of pending
 // forever.
 func (s *Server) queueLocked(b *Build) {
-	s.sched.Push(&b.Entry, sched.Job{ID: b.ID, Owner: b.Owner, Cons: b.cons, Camp: b.camp.cap(), Build: b})
+	s.sched.Push(&b.Entry)
 	s.armAgingLocked(b)
 }
 
@@ -1198,7 +1203,7 @@ func (s *Server) checkAging(b *Build) {
 	if b.Class() == nil {
 		return // not in the queue: dispatched, finished, or in a failover backoff window
 	}
-	cons := b.cons
+	cons := b.Class().Cons()
 	now := s.clock.Now()
 	// Aging only fires when no viable node is alive. A placeable build
 	// waits on lock/executor pressure, not node loss; otherwise the

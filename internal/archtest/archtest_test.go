@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -64,10 +65,13 @@ func broken(m *module) map[string][]string {
 	return out
 }
 
-// holds checks the rule named name: the tree breaks it nowhere, and its
-// fixture, joined to the package it targets, breaks it and no other — a
-// rule the tree breaks already is broken by the fixture only where it
-// finds something new.
+// holds checks the rule named name: the tree breaks it nowhere, and each
+// of its fixtures, joined to the tree, breaks it and no other — a rule
+// the tree breaks already is broken by a fixture only where it finds
+// something new. A fixture is a file under testdata/<name>/, joined to
+// the package the rule targets, or a directory there whose files are
+// joined together, each to the package of the module its path under the
+// directory names (non-test files first, so tests can name what they add).
 func holds(t *testing.T, name string) {
 	m := loaded(t)
 	before := broken(m)
@@ -85,24 +89,48 @@ func holds(t *testing.T, name string) {
 	}
 	dir := filepath.Join("testdata", name)
 	fixtures, err := os.ReadDir(dir)
-	if err != nil || len(fixtures) != 1 {
-		t.Fatalf("%s holds %d fixtures, want 1 (%v)", dir, len(fixtures), err)
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("%s holds no fixture (%v)", dir, err)
 	}
-	bad, err := m.with(target, filepath.Join(dir, fixtures[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tripped := map[string][]string{}
-	for rule, found := range broken(bad) {
-		found = slices.DeleteFunc(found, func(f string) bool { return slices.Contains(before[rule], f) })
-		if len(found) > 0 {
-			tripped[rule] = found
+	for _, fixture := range fixtures {
+		path := filepath.Join(dir, fixture.Name())
+		bad := m
+		if !fixture.IsDir() {
+			bad, err = m.with(target, path)
+		} else {
+			var files []string
+			err = filepath.WalkDir(path, func(file string, d os.DirEntry, err error) error {
+				if err == nil && !d.IsDir() {
+					files = append(files, file)
+				}
+				return err
+			})
+			slices.SortStableFunc(files, func(a, b string) int {
+				return strings.Count(a, "_test.go") - strings.Count(b, "_test.go")
+			})
+			for _, file := range files {
+				if err != nil {
+					break
+				}
+				rel, _ := filepath.Rel(path, filepath.Dir(file))
+				bad, err = bad.with(m.path+"/"+filepath.ToSlash(rel), file)
+			}
 		}
-	}
-	if len(tripped[name]) == 0 || len(tripped) != 1 {
-		t.Errorf("the fixture breaks %d rules, want %s alone:", len(tripped), name)
-		for rule, found := range tripped {
-			t.Errorf("  %s: %q", rule, found)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tripped := map[string][]string{}
+		for rule, found := range broken(bad) {
+			found = slices.DeleteFunc(found, func(f string) bool { return slices.Contains(before[rule], f) })
+			if len(found) > 0 {
+				tripped[rule] = found
+			}
+		}
+		if len(tripped[name]) == 0 || len(tripped) != 1 {
+			t.Errorf("fixture %s breaks %d rules, want %s alone:", fixture.Name(), len(tripped), name)
+			for rule, found := range tripped {
+				t.Errorf("  %s: %q", rule, found)
+			}
 		}
 	}
 }

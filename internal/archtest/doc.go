@@ -5,8 +5,9 @@
 // benchmark/ (a module of its own, joined by replace) adds its packages;
 // a failed go list or type error fails every rule. A rule names objects
 // — a field, a method, a constant's value — and matches their uses, never
-// a spelling. Each rule has a fixture under testdata/<rule>/, joined to
-// the package it targets as one extra file, that breaks it and no other.
+// a spelling. Each rule has fixtures under testdata/<rule>/, each joined
+// to the package it targets as one extra file (or, a directory, as files
+// joined to the packages their paths name), that break it and no other.
 // Standard library only. The rules, with the CI step each replaced:
 //
 //   - one build model (was the "one build model" grep): no /api/ route
@@ -36,7 +37,10 @@
 //   - sched is pure (new, no step replaced): the scheduler core's non-test
 //     files import none of net/http, os, log, log/slog, sync, simclock,
 //     store or feedhub, call no time.Now, Since, Sleep, AfterFunc,
-//     NewTimer or NewTicker, and start no goroutine.
+//     NewTimer or NewTicker, and start no goroutine; and no function or
+//     method of it is reached by tests alone but the surface the rule
+//     lists, each entry with the reason a server oracle needs it, which
+//     non-test code must not reach.
 //   - p2 only in metrics (new, no step replaced): outside samples no
 //     non-test code but internal/metrics names samples.P2Quantile or
 //     samples.NewP2Quantile — a capture's quantiles are exact, and P² is

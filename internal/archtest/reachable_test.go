@@ -27,12 +27,48 @@ import (
 // file or deleted. Functions are keyed by where they are declared, so a
 // test variant's copy of a package names the functions the package does.
 func reachable(r *report) {
-	decls := map[token.Pos]funcDecl{}
-	for _, p := range r.m.pkgs {
+	g := graphOf(r.m)
+	reached := g.walk(nil, slices.Concat(g.roots, g.tests))
+	testedBy := map[token.Pos][]string{}
+	for p, from := range g.tested {
+		for at := range g.walk(reached, from) {
+			testedBy[at] = append(testedBy[at], strings.TrimPrefix(p.path, r.m.path+"/"))
+		}
+	}
+	for at, d := range g.decls {
+		if reached[at] {
+			continue
+		}
+		why := "reached by nothing"
+		if by := testedBy[at]; len(by) > 0 {
+			slices.Sort(by)
+			why = "reached only by tests of " + strings.Join(by, ", ")
+		}
+		pos := r.position(at)
+		r.fail("%s:%d %s — %s", pos.Filename, pos.Line, funcName(d.p.types.Name(), d.decl), why)
+	}
+}
+
+// graph is what references what among the functions and methods declared
+// in the module's non-test files (decls, keyed by where they are
+// declared), and where reaching starts: roots, every root but tests;
+// tests, what a test of a different package references; tested, what
+// each package's own tests reference.
+type graph struct {
+	decls        map[token.Pos]funcDecl
+	edges        map[token.Pos][]token.Pos
+	roots, tests []token.Pos
+	tested       map[*pkg][]token.Pos
+}
+
+// graphOf reads m's graph; see reachable for the roots.
+func graphOf(m *module) *graph {
+	g := &graph{decls: map[token.Pos]funcDecl{}, edges: map[token.Pos][]token.Pos{}, tested: map[*pkg][]token.Pos{}}
+	for _, p := range m.pkgs {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				if d, ok := d.(*ast.FuncDecl); ok {
-					decls[d.Name.Pos()] = funcDecl{p, d}
+					g.decls[d.Name.Pos()] = funcDecl{p, d}
 				}
 			}
 		}
@@ -42,7 +78,7 @@ func reachable(r *report) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if f, ok := info.Uses[id].(*types.Func); ok {
-					if _, ok := decls[f.Origin().Pos()]; ok {
+					if _, ok := g.decls[f.Origin().Pos()]; ok {
 						visit(f.Origin().Pos())
 					}
 				}
@@ -50,11 +86,8 @@ func reachable(r *report) {
 			return true
 		})
 	}
-	var roots []token.Pos
-	root := func(at token.Pos) { roots = append(roots, at) }
-	tested := map[*pkg][]token.Pos{} // what each package's own tests reference
-	edges := map[token.Pos][]token.Pos{}
-	for _, p := range r.m.pkgs {
+	root := func(at token.Pos) { g.roots = append(g.roots, at) }
+	for _, p := range m.pkgs {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -62,30 +95,30 @@ func reachable(r *report) {
 					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
 						root(d.Name.Pos())
 					}
-					refs(p.info, d, func(to token.Pos) { edges[d.Name.Pos()] = append(edges[d.Name.Pos()], to) })
+					refs(p.info, d, func(to token.Pos) { g.edges[d.Name.Pos()] = append(g.edges[d.Name.Pos()], to) })
 				case *ast.GenDecl:
 					refs(p.info, d, root)
 				}
 			}
 		}
-		for _, v := range r.m.variants(p) {
+		for _, v := range m.variants(p) {
 			for _, f := range v.tests {
 				refs(v.info, f, func(to token.Pos) {
-					if decls[to].p == p {
-						tested[p] = append(tested[p], to)
+					if g.decls[to].p == p {
+						g.tested[p] = append(g.tested[p], to)
 					} else {
-						root(to)
+						g.tests = append(g.tests, to)
 					}
 				})
 			}
 		}
 	}
-	for _, p := range r.m.bench {
+	for _, p := range m.bench {
 		for _, f := range p.files {
 			refs(p.info, f, root)
 		}
 	}
-	if api := r.m.byPath[r.m.path]; api != nil {
+	if api := m.byPath[m.path]; api != nil {
 		for _, name := range api.types.Scope().Names() {
 			obj := api.types.Scope().Lookup(name)
 			switch obj := obj.(type) {
@@ -105,47 +138,30 @@ func reachable(r *report) {
 			}
 		}
 	}
-	methods := interfaceMethods(r.m)
-	for at, d := range decls {
+	methods := interfaceMethods(m)
+	for at, d := range g.decls {
 		f := d.p.info.Defs[d.decl.Name].(*types.Func)
 		if dynamic(methods, f) {
 			root(at)
 		}
 	}
+	return g
+}
 
-	// walk marks what from reaches that reached does not hold yet.
-	reached := map[token.Pos]bool{}
-	walk := func(marked map[token.Pos]bool, from []token.Pos) {
-		for len(from) > 0 {
-			at := from[len(from)-1]
-			from = from[:len(from)-1]
-			if !marked[at] && !reached[at] {
-				marked[at] = true
-				from = append(from, edges[at]...)
-			}
+// walk returns what from reaches that reached (nil for nothing) does not
+// hold already.
+func (g *graph) walk(reached map[token.Pos]bool, from []token.Pos) map[token.Pos]bool {
+	marked := map[token.Pos]bool{}
+	from = slices.Clone(from)
+	for len(from) > 0 {
+		at := from[len(from)-1]
+		from = from[:len(from)-1]
+		if !marked[at] && !reached[at] {
+			marked[at] = true
+			from = append(from, g.edges[at]...)
 		}
 	}
-	walk(reached, roots)
-	testedBy := map[token.Pos][]string{}
-	for p, from := range tested {
-		marked := map[token.Pos]bool{}
-		walk(marked, from)
-		for at := range marked {
-			testedBy[at] = append(testedBy[at], strings.TrimPrefix(p.path, r.m.path+"/"))
-		}
-	}
-	for at, d := range decls {
-		if reached[at] {
-			continue
-		}
-		why := "reached by nothing"
-		if by := testedBy[at]; len(by) > 0 {
-			slices.Sort(by)
-			why = "reached only by tests of " + strings.Join(by, ", ")
-		}
-		pos := r.position(at)
-		r.fail("%s:%d %s — %s", pos.Filename, pos.Line, funcName(d.p.types.Name(), d.decl), why)
-	}
+	return marked
 }
 
 // funcName is pkg.Func or pkg.Type.Method.

@@ -297,9 +297,18 @@ func oneBuildLifecycle(r *report) {
 // goroutine, lock, WAL record, feed or HTTP. Its non-test files import
 // none of net/http, os, log, log/slog, sync, simclock, store or feedhub,
 // call no time.Now, time.Since, time.Sleep, time.AfterFunc, time.NewTimer
-// or time.NewTicker, and start no goroutine.
+// or time.NewTicker, and start no goroutine. And it checks its own
+// state: no function or method of it is reached by tests alone (see
+// reachable for the roots, tests of other packages left out) but the
+// surface schedTestOnly lists, which non-test code must not reach.
 func schedIsPure(r *report) {
 	clock := r.objects("time", "Now", "Since", "Sleep", "AfterFunc", "NewTimer", "NewTicker")
+	listed := map[token.Pos]string{}
+	for name := range schedTestOnly {
+		if obj := r.object(schedPkg, name); obj != nil {
+			listed[obj.Pos()] = name
+		}
+	}
 	if len(r.found) > 0 {
 		return
 	}
@@ -324,6 +333,29 @@ func schedIsPure(r *report) {
 			return true
 		})
 	}
+	g := graphOf(r.m)
+	product := g.walk(nil, g.roots)
+	tested := g.walk(product, g.tests)
+	for at, d := range g.decls {
+		name := strings.TrimPrefix(funcName("", d.decl), ".")
+		switch pos := r.position(at); {
+		case d.p.path != r.m.path+"/"+schedPkg:
+		case listed[at] != "" && product[at]:
+			r.fail("%s:%d sched.%s is listed as reached by tests alone (%s), and non-test code reaches it", pos.Filename, pos.Line, name, schedTestOnly[listed[at]])
+		case listed[at] == "" && tested[at]:
+			r.fail("%s:%d sched.%s is reached only by tests: the scheduler's invariants are checked in its own tests", pos.Filename, pos.Line, name)
+		}
+	}
+}
+
+// schedTestOnly is the scheduler surface only the access server's drift
+// oracles (census_oracle_test.go) read, each with why they still need it:
+// what they check needs the server too.
+var schedTestOnly = map[string]string{
+	"Sched.Classes":  "PlacementDrift walks the classes to re-place each standing verdict through placeLocked",
+	"Sched.Standing": "PlacementDrift re-places only a verdict the next pass would reuse",
+	"Class.Verdict":  "PlacementDrift compares the cached verdict with what placeLocked gives now",
+	"Entry.Held":     "LifecycleDrift holds each build's state against the lock it holds",
 }
 
 // ident is e as an identifier, nil if it is none.
