@@ -103,12 +103,16 @@ func Example_faultTolerance() {
 
 	fmt.Printf("campaign finished at t=%s\n", clock.Now().Sub(start))
 	for i, b := range builds {
+		st, err := srv.BuildStatus(b.ID)
+		if err != nil {
+			log.Fatal(err)
+		}
 		detail := ""
 		if b.Retries() > 0 {
 			detail = fmt.Sprintf(" after %d failover(s)", b.Retries())
 		}
 		fmt.Printf("  build %d: %-8s on %s (attempt %d)%s\n",
-			i+1, b.State(), b.NodeName(), b.Attempts(), detail)
+			i+1, st.State, st.Node, st.Attempts, detail)
 	}
 	for _, b := range builds {
 		evs, _, _ := b.Feed().EventsSince(0)

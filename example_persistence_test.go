@@ -61,10 +61,14 @@ func Example_persistence() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	// where names a build's node, when it has one.
-	where := func(b *accessserver.Build) string {
-		if node := b.NodeName(); node != "" {
-			return " on " + node
+	// where names a build's node, when its status has one.
+	where := func(srv *accessserver.Server, b *accessserver.Build) string {
+		st, err := srv.BuildStatus(b.ID)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if st.Node != "" {
+			return " on " + st.Node
 		}
 		return ""
 	}
@@ -94,7 +98,7 @@ func Example_persistence() {
 	clock1.Advance(30 * time.Second)
 	fmt.Printf("process 1: campaign %d, 30s in:\n", campID)
 	for i, b := range builds {
-		fmt.Printf("  build %d: %s%s\n", i+1, b.State(), where(b))
+		fmt.Printf("  build %d: %s%s\n", i+1, b.State(), where(srv1, b))
 	}
 	st1.Close()
 	fmt.Println("process 1: CRASH (store closed, everything in memory lost)")
@@ -136,7 +140,7 @@ func Example_persistence() {
 		if b.Retries() > 0 {
 			retried = fmt.Sprintf(" (failover retry %d)", b.Retries())
 		}
-		fmt.Printf("  build %d: %s%s%s\n", i+1, b.State(), where(b), retried)
+		fmt.Printf("  build %d: %s%s%s\n", i+1, b.State(), where(srv2, b), retried)
 	}
 	fmt.Printf("ledger: boss balance %.1f after charges\n", srv2.Ledger.Balance("boss"))
 

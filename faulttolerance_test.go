@@ -123,13 +123,17 @@ func runKillScenario(t *testing.T) ([]*accessserver.Build, *faultLab, killOutcom
 	for _, b := range builds {
 		out.states = append(out.states, b.State())
 		out.retries = append(out.retries, b.Retries())
-		out.nodes = append(out.nodes, b.NodeName())
+		st, err := l.srv.BuildStatus(b.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.nodes = append(out.nodes, st.Node)
 	}
 	return builds, l, out
 }
 
 func TestCampaignSurvivesNodeKill(t *testing.T) {
-	builds, l, _ := runKillScenario(t)
+	builds, l, out := runKillScenario(t)
 
 	for i, b := range builds {
 		if b.State() != accessserver.StateSuccess {
@@ -141,9 +145,9 @@ func TestCampaignSurvivesNodeKill(t *testing.T) {
 	if builds[1].Retries() < 1 {
 		t.Fatalf("node2's in-flight build recorded %d retries, want >= 1", builds[1].Retries())
 	}
-	for i, b := range builds {
-		if b.NodeName() != "node1" {
-			t.Fatalf("build %d finished on %q, want node1 (the survivor)", i, b.NodeName())
+	for i, node := range out.nodes {
+		if node != "node1" {
+			t.Fatalf("build %d finished on %q, want node1 (the survivor)", i, node)
 		}
 	}
 	if h := l.srv.NodeHealth("node2").Health; h != accessserver.HealthOffline {
@@ -164,8 +168,12 @@ func TestCampaignSurvivesNodeKill(t *testing.T) {
 	if !sawFailover {
 		t.Fatal("no failover event on the reclaimed build's feed")
 	}
-	if builds[1].Attempts() < 2 {
-		t.Fatalf("reclaimed build attempts = %d, want >= 2", builds[1].Attempts())
+	st, err := l.srv.BuildStatus(builds[1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Attempts < 2 {
+		t.Fatalf("reclaimed build attempts = %d, want >= 2", st.Attempts)
 	}
 }
 

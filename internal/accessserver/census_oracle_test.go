@@ -133,26 +133,36 @@ func (s *Server) servedNodes() []NodeStatus {
 	return out
 }
 
-// QueueDrift checks what the server shows of each queued build's label:
-// its dispatch-side reason shadow equals the reason it reports and the
-// reason the read plane serves, and the category stored with it is the
-// one the reason's text names (pendingCategoryOf). (The queue's order and
-// the labelled-through watermark are sched's own state, which its tests
-// recount.)
+// QueueDrift checks what the server shows of each queued build's label,
+// in the dispatch queue or sitting out a failover backoff: the read plane
+// serves the reason the scheduler holds, the category stored with it is
+// the one the reason's text names (pendingCategoryOf), and the
+// blab_queue_pending counts are those categories counted, which sum to
+// the queued total. (The queue's order and the labelled-through
+// watermark are sched's own state, which its tests recount.)
 func (s *Server) QueueDrift() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, b := range s.queuedBuilds() {
-		prio, reason := b.Label()
-		if got := b.PendingReason(); got != reason {
-			return fmt.Errorf("build %d reports %q, the dispatch shadow holds %q", b.ID, got, reason)
+	var want [len(pendingCategories)]int
+	for _, b := range s.builds {
+		if b.State() != StateQueued {
+			continue
 		}
+		prio, reason := b.Label()
+		want[prio]++
 		if st, ok := s.reads.buildStatus(b.ID); !ok || st.PendingReason != reason {
 			return fmt.Errorf("build %d is served as %q (published %v), the scheduler holds %q", b.ID, st.PendingReason, ok, reason)
 		}
 		if got, want := pendingCategories[prio], pendingCategoryOf(reason); got != want {
 			return fmt.Errorf("build %d waits %q, counted as %s, which the reason's text names %s", b.ID, reason, got, want)
 		}
+	}
+	got, sum := s.pendingLocked(), 0
+	for _, n := range got {
+		sum += n
+	}
+	if got != want || int64(sum) != s.m.queued {
+		return fmt.Errorf("blab_queue_pending counts %v (sum %d, %d queued), the queued builds' labels %v", got, sum, s.m.queued, want)
 	}
 	return nil
 }

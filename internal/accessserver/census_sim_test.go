@@ -1,6 +1,11 @@
 package accessserver_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +92,71 @@ func TestCensusMatchesOracleAdminScript(t *testing.T) {
 		t.Fatalf("only %d events observed", *events)
 	}
 	verify(res)
+}
+
+// TestInProcessStatusIsTheWireStatus replays the admin script with a
+// retention shorter than the run and, after every event, holds each
+// build's in-process status — json.Marshal(srv.BuildStatus(id)) and the
+// newline the route writes — to the body GET /api/v1/builds/{id} answers,
+// byte for byte, expired builds included; an id never issued is
+// ErrNotFound in process and 404 on the wire. The in-process reads take
+// the scheduler lock no times.
+func TestInProcessStatusIsTheWireStatus(t *testing.T) {
+	script, _ := adminScript(t)
+	script.Config.Retention = 40 * time.Second
+	var viewer *accessserver.User
+	expired := 0
+	get := func(srv *accessserver.Server, id int) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", "/api/v1/builds/"+strconv.Itoa(id), nil)
+		req.Header.Set("Authorization", "Bearer "+viewer.Token)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	script.AfterEvent = func(srv *accessserver.Server) {
+		if viewer == nil {
+			var err error
+			if viewer, err = srv.Users.Add("viewer", accessserver.RoleExperimenter); err != nil {
+				t.Fatal(err)
+			}
+		}
+		locks := srv.SchedLockAcquisitions()
+		var bodies [][]byte
+		for id := 1; ; id++ {
+			st, err := srv.BuildStatus(id)
+			if errors.Is(err, accessserver.ErrNotFound) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == api.StateExpired {
+				expired++
+			}
+			body, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, append(body, '\n'))
+		}
+		if n := srv.SchedLockAcquisitions() - locks; n != 0 {
+			t.Fatalf("%d in-process status reads took the scheduler lock %d times", len(bodies)+1, n)
+		}
+		for i, want := range bodies {
+			if rec := get(srv, i+1); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("build %d: the route answers %d %s, in process it is %s", i+1, rec.Code, rec.Body.Bytes(), want)
+			}
+		}
+		if rec := get(srv, len(bodies)+1); rec.Code != 404 {
+			t.Fatalf("build %d was never issued, the route answers %d %s", len(bodies)+1, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if _, err := schedsim.Run(*script); err != nil {
+		t.Fatal(err)
+	}
+	if expired == 0 {
+		t.Fatal("no build expired during the run: the expired marker was never compared")
+	}
 }
 
 // adminScript builds the scenario of TestCensusMatchesOracleAdminScript.
@@ -272,10 +342,12 @@ func TestLifecycleMatchesRecountChurnScript(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var server *accessserver.Server
 	var admin *accessserver.User
 	var canceledOnA, abortedInBackoff *accessserver.Build
 	script.Actions = []schedsim.Action{
 		{Do: func(srv *accessserver.Server, _ []*accessserver.Build) {
+			server = srv
 			var err error
 			admin, err = srv.Users.Add("root", accessserver.RoleAdmin)
 			must(err)
@@ -284,7 +356,7 @@ func TestLifecycleMatchesRecountChurnScript(t *testing.T) {
 			// The script's pipelines register no cancel hook: the build keeps
 			// running with the flag armed, and a dies under it at 12 s.
 			for _, b := range builds {
-				if b != nil && b.State() == accessserver.StateRunning && b.NodeName() == "a" {
+				if b != nil && b.State() == accessserver.StateRunning && publishedStatus(t, srv, b).Node == "a" {
 					must(srv.Abort(admin, b.ID))
 					canceledOnA = b
 				}
@@ -293,7 +365,7 @@ func TestLifecycleMatchesRecountChurnScript(t *testing.T) {
 		{At: 43 * time.Second, Do: func(srv *accessserver.Server, builds []*accessserver.Build) {
 			// b's lease broke at 41 s; its build waits out a 5 s backoff.
 			for _, b := range builds {
-				if b != nil && b.State() == accessserver.StateQueued && b.Retries() > 0 && b.NodeName() == "b" {
+				if b != nil && b.State() == accessserver.StateQueued && b.Retries() > 0 && publishedStatus(t, srv, b).Node == "b" {
 					must(srv.Abort(admin, b.ID))
 					if b.State() != accessserver.StateAborted {
 						t.Errorf("build %d aborted in its backoff reads %s", b.ID, b.State())
@@ -315,8 +387,11 @@ func TestLifecycleMatchesRecountChurnScript(t *testing.T) {
 	if *events < 50 {
 		t.Fatalf("only %d events observed", *events)
 	}
-	if canceledOnA == nil || canceledOnA.State() != accessserver.StateAborted || canceledOnA.Attempts() != 1 {
-		t.Fatalf("the build canceled on a before it died: %+v, want aborted on its only attempt", canceledOnA)
+	if canceledOnA == nil {
+		t.Fatal("no build was running on a at 10 s: the cancel-then-lose path was not exercised")
+	}
+	if st := publishedStatus(t, server, canceledOnA); st.State != "aborted" || st.Attempts != 1 {
+		t.Fatalf("the build canceled on a before it died: %+v, want aborted on its only attempt", st)
 	}
 	if abortedInBackoff == nil {
 		t.Fatal("no build was sitting out a backoff at 43 s: the abort-in-backoff path was not exercised")
@@ -332,6 +407,16 @@ func TestLifecycleMatchesRecountChurnScript(t *testing.T) {
 	if states["success"] == 0 || states["aborted"] < 2 || removed == 0 {
 		t.Fatalf("script outcome %v, %d failed by the removal: want successes, both aborts and removal failures", states, removed)
 	}
+}
+
+// publishedStatus is b's status as a v1 client reads it.
+func publishedStatus(t *testing.T, srv *accessserver.Server, b *accessserver.Build) api.BuildStatus {
+	t.Helper()
+	st, err := srv.BuildStatus(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // plainNode is a vantage point handle with no behaviour, for nodes that

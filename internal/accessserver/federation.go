@@ -418,7 +418,7 @@ func (s *Server) reclaimPeer(peer string) {
 	defer s.mu.Unlock()
 	var lost []*Build
 	for _, b := range s.builds {
-		if b.State() == StateRunning && b.RoutedVia() == peer {
+		if b.State() == StateRunning && b.routedVia == peer {
 			lost = append(lost, b)
 		}
 	}

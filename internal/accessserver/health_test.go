@@ -130,8 +130,8 @@ func TestLeaseFailoverToSurvivingNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.State() != StateRunning || b.NodeName() != "vp1" {
-		t.Fatalf("state=%v node=%q after submit", b.State(), b.NodeName())
+	if st := statusOf(t, srv, b); st.State != "running" || st.Node != "vp1" {
+		t.Fatalf("state=%v node=%q after submit", st.State, st.Node)
 	}
 
 	// The node dies 3 s in; its run will hang at t=10 s.
@@ -144,8 +144,8 @@ func TestLeaseFailoverToSurvivingNode(t *testing.T) {
 	if b.Retries() != 1 {
 		t.Fatalf("retries = %d, want 1", b.Retries())
 	}
-	if b.NodeName() != "vp2" || b.Attempts() != 2 {
-		t.Fatalf("final node=%q attempts=%d, want vp2 on attempt 2", b.NodeName(), b.Attempts())
+	if st := statusOf(t, srv, b); st.Node != "vp2" || st.Attempts != 2 {
+		t.Fatalf("final node=%q attempts=%d, want vp2 on attempt 2", st.Node, st.Attempts)
 	}
 	// The failover transition is on the event feed for streaming clients.
 	evs, _, _ := b.Feed().EventsSince(0)
@@ -198,8 +198,8 @@ func TestRetryBudgetSpentFailsTyped(t *testing.T) {
 	if !errors.Is(b.Err(), ErrNodeLost) {
 		t.Fatalf("err = %v, want ErrNodeLost", b.Err())
 	}
-	if b.Attempts() != 2 || b.Retries() != 1 {
-		t.Fatalf("attempts=%d retries=%d, want 2/1", b.Attempts(), b.Retries())
+	if st := statusOf(t, srv, b); st.Attempts != 2 || b.Retries() != 1 {
+		t.Fatalf("attempts=%d retries=%d, want 2/1", st.Attempts, b.Retries())
 	}
 }
 
@@ -236,8 +236,8 @@ func TestStaleAttemptCannotHijackCancelHook(t *testing.T) {
 	}
 	clk.AfterFunc(time.Second, flk.Kill)
 	clk.Advance(30 * time.Second) // lease breaks, retry lands on vp2
-	if b.State() != StateRunning || b.Attempts() != 2 {
-		t.Fatalf("state=%v attempts=%d, want attempt 2 running", b.State(), b.Attempts())
+	if st := statusOf(t, srv, b); st.State != "running" || st.Attempts != 2 {
+		t.Fatalf("state=%v attempts=%d, want attempt 2 running", st.State, st.Attempts)
 	}
 	mu.Lock()
 	first, second := ctxs[0], ctxs[1]
@@ -377,7 +377,7 @@ func TestProbeSurvivesBeingOutpaced(t *testing.T) {
 	}
 	if gated.State() != StateSuccess {
 		t.Fatalf("gated state = %v (reason %q): the latched probe was dropped",
-			gated.State(), gated.PendingReason())
+			gated.State(), statusOf(t, srv, gated).PendingReason)
 	}
 }
 
@@ -413,7 +413,7 @@ func TestQueueAgingFailsOrphanBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := orphan.PendingReason(); !strings.Contains(got, "ghost") {
+	if got := statusOf(t, srv, orphan).PendingReason; !strings.Contains(got, "ghost") {
 		t.Fatalf("pending reason = %q, want a waiting-for-node reason", got)
 	}
 	// A busy-node build must survive aging: first build holds the
@@ -479,8 +479,8 @@ func TestAgingSparesFallbackBehindBusySurvivor(t *testing.T) {
 	if tail.State() != StateSuccess {
 		t.Fatalf("tail state = %v (%v), want success on the busy survivor", tail.State(), tail.Err())
 	}
-	if tail.NodeName() != "vp2" {
-		t.Fatalf("tail ran on %q, want vp2", tail.NodeName())
+	if node := statusOf(t, srv, tail).Node; node != "vp2" {
+		t.Fatalf("tail ran on %q, want vp2", node)
 	}
 }
 
@@ -679,9 +679,9 @@ func TestDrainAndRemoveNode(t *testing.T) {
 	if pinned2.State() != StateFailure || !errors.Is(pinned2.Err(), ErrNodeLost) {
 		t.Fatalf("pinned build after remove: state=%v err=%v", pinned2.State(), pinned2.Err())
 	}
-	if movable.State() != StateRunning || movable.NodeName() != "vp1" {
+	if st := statusOf(t, srv, movable); st.State != "running" || st.Node != "vp1" {
 		t.Fatalf("fallback build after remove: state=%v node=%q, want running on vp1",
-			movable.State(), movable.NodeName())
+			st.State, st.Node)
 	}
 	// The running build on the removed node finishes: removal is not a
 	// lease break.
@@ -702,7 +702,7 @@ func TestDrainAndRemoveNode(t *testing.T) {
 		Node: "vp2", Device: "dev-vp2", Workload: api.WorkloadSpec{Name: "hang"}})
 	if revived.State() != StateRunning {
 		t.Fatalf("build on re-registered node = %v (%q), want running",
-			revived.State(), revived.PendingReason())
+			revived.State(), statusOf(t, srv, revived).PendingReason)
 	}
 }
 
@@ -736,9 +736,9 @@ func TestDrainedNodeDyingStillBreaksLeases(t *testing.T) {
 	if h := srv.NodeHealth("vp1").Health; h != HealthOffline {
 		t.Fatalf("dead draining node health = %v, want offline (drain must not mask death)", h)
 	}
-	if b.State() != StateSuccess || b.NodeName() != "vp2" || b.Retries() != 1 {
+	if st := statusOf(t, srv, b); st.State != "success" || st.Node != "vp2" || b.Retries() != 1 {
 		t.Fatalf("build state=%v node=%q retries=%d (%v), want failover to vp2",
-			b.State(), b.NodeName(), b.Retries(), b.Err())
+			st.State, st.Node, b.Retries(), b.Err())
 	}
 }
 

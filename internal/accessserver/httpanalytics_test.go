@@ -197,8 +197,8 @@ func TestAnalyticsStoredTotal(t *testing.T) {
 	old := submit("node1", "dev2", "premark")
 	estimated := submit("node1", "dev3", "p2")
 	routed := submit("node9", "dev9", "measure")
-	if routed.RoutedVia() != "west" {
-		t.Fatalf("routed build ran via %q, want west", routed.RoutedVia())
+	if via := statusOf(t, srv, routed).RoutedVia; via != "west" {
+		t.Fatalf("routed build ran via %q, want west", via)
 	}
 
 	for _, c := range []struct {

@@ -442,6 +442,24 @@ func (s *Server) buildFromPath(w http.ResponseWriter, r *http.Request, marker bo
 	return nil
 }
 
+// BuildStatus is what GET /api/v1/builds/{id} answers, read the same way,
+// from the read plane and never under s.mu: the published status with the
+// live drop counters, the expired marker (nil error) for an id that aged
+// out of retention, or ErrNotFound for one never issued. It is final once
+// the build's feed has closed.
+func (s *Server) BuildStatus(id int) (api.BuildStatus, error) {
+	ss, expired := s.reads.build(id)
+	switch {
+	case ss != nil:
+		st := ss.st
+		st.DroppedEvents, st.DroppedSamples = ss.dropped()
+		return st, nil
+	case expired:
+		return expiredStatus(id).st, nil
+	}
+	return api.BuildStatus{}, fmt.Errorf("%w: no build %d", ErrNotFound, id)
+}
+
 // writeJSON marshals v up front (so encoding failures can still produce
 // a 500 instead of a half-written 200), sets the status and writes the
 // body.

@@ -72,9 +72,9 @@ type Build struct {
 	// constraints and pipeline were compiled from, which crash recovery
 	// recompiles and a relay resubmits to a peer) are fixed at
 	// submission. The rest is guarded by mu and changes only through
-	// applyBuild (persist.go), with the record that logs the change. Three
+	// applyBuild (persist.go), with the record that logs the change. Two
 	// fields share their name with an accessor and are reached as
-	// b.BuildRec.State, .Attempts and .Retries.
+	// b.BuildRec.State and .Retries.
 	//
 	// Attempts is the dispatch token: each dispatch increments it, and
 	// completions carrying an older token (a pipeline the scheduler
@@ -106,17 +106,15 @@ type Build struct {
 	canceler func()
 
 	routedVia      string  // peer executing the current/last attempt ("" = local)
-	pendingReason  string  // why a queued build is not running yet
 	placementScore float64 // placer score of the current/last placement
 	// touched marks a build the current critical section changed, whose
 	// status its exit republishes (touchBuildLocked). Guarded by s.mu.
 	touched bool
 	// Entry is the build's place in the scheduler core: its scheduling
 	// facts (owner, constraints, campaign), written once by liveLocked; in
-	// the queue, its class, sequence number and pending-reason shadow;
-	// running, the lock it holds. Guarded by s.mu. pendingReason follows
-	// the shadow: the drain reports the builds it relabels, and every
-	// other writer of the shadow that holds s.mu keeps the two in sync.
+	// the queue, its class, sequence number and pending reason, kept
+	// nowhere else (status renders it when the build is published);
+	// running, the lock it holds. Guarded by s.mu.
 	sched.Entry
 	// watch is the build's one watchdog timer and watching what it is
 	// armed for, which its state decides. Guarded by s.mu.
@@ -159,56 +157,11 @@ func (b *Build) live(attempt int) bool {
 	return b.BuildRec.State == StateRunning.String() && b.BuildRec.Attempts == attempt
 }
 
-// Attempts reports how many times the build has been dispatched (0
-// while it has never left the queue).
-func (b *Build) Attempts() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.BuildRec.Attempts
-}
-
 // Retries reports how many failover requeues the build has consumed.
 func (b *Build) Retries() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.BuildRec.Retries
-}
-
-// Recovered reports whether this build's state was reconstructed from
-// the server's WAL+snapshot store after a restart.
-func (b *Build) Recovered() bool { return b.recovered }
-
-// NodeName reports the vantage point of the current (or last) attempt —
-// after a fallback placement this differs from the spec's node.
-func (b *Build) NodeName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.Node
-}
-
-// RoutedVia reports the federation peer executing the current (or
-// last) attempt, "" for a local placement. After a peer-loss failover
-// onto a local node it resets to "".
-func (b *Build) RoutedVia() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.routedVia
-}
-
-// PendingReason reports why a queued build is not running yet ("" when
-// running, finished, or simply next in line).
-func (b *Build) PendingReason() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.pendingReason
-}
-
-// PlacementScore reports the placer's score for the build's
-// current/last placement (0 for builds that never dispatched).
-func (b *Build) PlacementScore() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.placementScore
 }
 
 // Err reports the failure cause for failed builds.
@@ -218,11 +171,11 @@ func (b *Build) Err() error {
 	return b.err
 }
 
-// Status snapshots the build as its wire form: the durable record plus
-// the live placement, read once under the build's lock and never under
-// the server's. The server publishes a settled build's status before it
-// closes the build's feed, so once the feed has closed this is final.
-func (b *Build) Status() api.BuildStatus {
+// status renders the build as its wire form: the durable record, the
+// live placement and the pending reason its Entry holds. Its one caller
+// is leaveSection, under s.mu, which publishes it; everything else reads
+// the published status (Server.BuildStatus).
+func (b *Build) status() api.BuildStatus {
 	b.mu.Lock()
 	r := b.BuildRec
 	st := api.BuildStatus{
@@ -248,10 +201,10 @@ func (b *Build) Status() api.BuildStatus {
 		StartedAtNS:    r.StartedAtNS,
 		FinishedAtNS:   r.FinishedAtNS,
 	}
-	if r.State == StateQueued.String() {
-		st.PendingReason = b.pendingReason
-	}
 	b.mu.Unlock()
+	if r.State == StateQueued.String() {
+		_, st.PendingReason = b.Label()
+	}
 	if r.Spec != nil {
 		st.HomeServer = r.Spec.HomeServer
 	}

@@ -71,7 +71,6 @@ func (s *Server) claimLocked(b *Build, p sched.Pick, now time.Time) *pick {
 		NodeName: pl.Node, Attempt: attempt, AtNS: now.UnixNano()}
 	applyBuild(&b.BuildRec, &started)
 	b.routedVia = pl.Peer
-	b.pendingReason = ""
 	b.placementScore = pl.Score
 	b.mu.Unlock()
 	if leased {
@@ -156,8 +155,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 		attempt := r.Attempts
 		b.watchFor(watchRetry, s.clock.AfterFunc(delay, func() { s.requeue(b, attempt) }))
 	}
-	b.pendingReason = fmt.Sprintf("%s; retry %d/%d%s", reason, r.Retries, s.cfg.MaxRetries, wait)
-	s.sched.SetLabel(&b.Entry, sched.Retry, b.pendingReason)
+	s.sched.SetLabel(&b.Entry, sched.Retry, fmt.Sprintf("%s; retry %d/%d%s", reason, r.Retries, s.cfg.MaxRetries, wait))
 	fmt.Fprintf(&b.log, "build requeued: %s (retry %d/%d%s)\n", reason, r.Retries, s.cfg.MaxRetries, wait)
 	s.logStore(lost)
 	b.mu.Unlock()
@@ -173,7 +171,7 @@ func (s *Server) reclaimLocked(b *Build, reason string, backoff bool) {
 func (s *Server) requeue(b *Build, attempt int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b.State() == StateQueued && b.Attempts() == attempt {
+	if b.State() == StateQueued && b.Attempts == attempt {
 		s.queueLocked(b)
 		s.exit.redrain = true
 	}
@@ -194,7 +192,7 @@ func (s *Server) checkLease(b *Build, attempt int) {
 	if !b.live(attempt) {
 		return
 	}
-	node, peer := b.NodeName(), b.RoutedVia()
+	node, peer := b.Node, b.routedVia
 	now := s.clock.Now()
 	// beat is the latest heartbeat the lease hangs on (peers announce on
 	// the nodes' cadence); watched is false for a node with no heartbeat

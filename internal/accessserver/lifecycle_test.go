@@ -81,8 +81,8 @@ func TestRoutedBuildLeavesLocalCensusAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFeed(t, routed, func(_ []api.BuildEvent, closed bool) bool { return closed })
-	if routed.State() != StateSuccess || routed.RoutedVia() != "west" {
-		t.Fatalf("routed build: %s via %q (%v), want success via west", routed.State(), routed.RoutedVia(), routed.Err())
+	if st := statusOf(t, srv, routed); st.State != "success" || st.RoutedVia != "west" {
+		t.Fatalf("routed build: %s via %q (%v), want success via west", st.State, st.RoutedVia, routed.Err())
 	}
 	if st := srv.NodeHealth("node1"); local.State() != StateRunning || st.Running != 1 {
 		t.Fatalf("local build is %s, node1 counts %d running: want running and 1", local.State(), st.Running)
@@ -127,7 +127,7 @@ func lostBuild(t *testing.T, cfg Config, beforeLoss func(*Server, *User, *Build)
 	}
 	// Step to the lease break (one offline window after the last beat)
 	// and no further.
-	leased := func() bool { return b.Attempts() == 1 && b.State() == StateRunning }
+	leased := func() bool { return statusOf(t, srv, b).Attempts == 1 && b.State() == StateRunning }
 	if err := clk.RunWhile(leased, nil); err != nil {
 		t.Fatalf("before the lease broke: %v", err)
 	}
@@ -181,8 +181,8 @@ func TestAbortInBackoffSettlesNow(t *testing.T) {
 	}
 	checkLifecycle(t, srv, "after Abort")
 	clk.Advance(time.Minute) // past the backoff: nothing left to fire
-	if b.State() != StateAborted || b.Attempts() != 1 {
-		t.Fatalf("a minute later: %s after %d attempts, want still aborted after 1", b.State(), b.Attempts())
+	if st := statusOf(t, srv, b); st.State != "aborted" || st.Attempts != 1 {
+		t.Fatalf("a minute later: %s after %d attempts, want still aborted after 1", st.State, st.Attempts)
 	}
 	checkLifecycle(t, srv, "after the backoff would have elapsed")
 	if err := srv.Abort(admin, b.ID); !errors.Is(err, ErrConflict) {

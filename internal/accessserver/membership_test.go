@@ -312,7 +312,7 @@ func TestMembershipChurn(t *testing.T) {
 	for _, b := range builds {
 		switch b.State() {
 		case StateQueued, StateRunning:
-			t.Fatalf("build %d is still %s after the churn (%s)", b.ID, b.State(), b.PendingReason())
+			t.Fatalf("build %d is still %s after the churn (%s)", b.ID, b.State(), statusOf(t, srv, b).PendingReason)
 		case StateSuccess:
 			ran++
 		}

@@ -163,6 +163,18 @@ var pendingCategories = [...]string{
 	sched.CPUProbe: "cpu_probe", sched.CPUGate: "cpu_gate", sched.Retry: "retry_backoff",
 }
 
+// pendingLocked counts the queued builds by their pending reason's
+// category: those in the dispatch queue by their labels, and the rest,
+// every one sitting out a failover backoff, as Retry. Callers hold s.mu.
+func (s *Server) pendingLocked() (pending [len(pendingCategories)]int) {
+	for _, queued := range s.sched.Queue() {
+		prio, _ := queued.Label()
+		pending[prio]++
+	}
+	pending[sched.Retry] += int(s.m.queued) - len(s.sched.Queue())
+	return pending
+}
+
 // collectScheduler emits the scheduler's lifecycle counters and derived
 // gauges under s.mu — the one lock all of them mutate under — so each
 // snapshot is internally consistent.
@@ -195,15 +207,11 @@ func (s *Server) collectScheduler(e *metrics.Emitter) {
 	e.Gauge("blab_builds_tracked", "build records held in memory (retention window)", float64(len(s.builds)))
 	e.Gauge("blab_jobs", "stored pipelines", float64(len(s.jobs)))
 
-	// Pending-reason breakdown of the dispatch queue.
-	var pending [len(pendingCategories)]int
-	for _, queued := range s.sched.Queue() {
-		prio, _ := queued.Label()
-		pending[prio]++
-	}
-	for prio, cat := range pendingCategories {
+	// Pending-reason breakdown of the queued builds: it sums to
+	// blab_queue_depth.
+	for prio, n := range s.pendingLocked() {
 		e.Gauge("blab_queue_pending", "queued builds by wait reason",
-			float64(pending[prio]), metrics.Label{Name: "reason", Value: cat})
+			float64(n), metrics.Label{Name: "reason", Value: pendingCategories[prio]})
 	}
 
 	// Node health census.

@@ -441,3 +441,28 @@ func promLines(t *testing.T, v *v1rig) []string {
 	}
 	return lines
 }
+
+// TestPendingGaugeCountsBackoff: a build sitting out a failover backoff is
+// queued but outside the dispatch queue, and blab_queue_pending counts it
+// as retry_backoff, so the gauge's reasons sum to blab_queue_depth.
+func TestPendingGaugeCountsBackoff(t *testing.T) {
+	cfg := faultCfg()
+	cfg.RetryBackoff = time.Minute
+	_, srv, _, b := lostBuild(t, cfg, nil)
+	if st := statusOf(t, srv, b); st.State != "queued" || !strings.HasSuffix(st.PendingReason, "; retry 1/2 in 1m0s") {
+		t.Fatalf("after the lease break the build is %s, waiting with %q; want queued in a 1 min backoff", st.State, st.PendingReason)
+	}
+	snap := srv.MetricsSnapshot()
+	depth := snapGauge(t, snap, "blab_queue_depth")
+	if dispatchable := snapGauge(t, snap, "blab_queue_dispatchable"); depth != 1 || dispatchable != 0 {
+		t.Fatalf("queue depth %v, dispatchable %v; want 1 and 0", depth, dispatchable)
+	}
+	sum := 0.0
+	for _, cat := range pendingCategories {
+		sum += snapGauge(t, snap, "blab_queue_pending", metrics.Label{Name: "reason", Value: cat})
+	}
+	if retry := snapGauge(t, snap, "blab_queue_pending", metrics.Label{Name: "reason", Value: "retry_backoff"}); retry != 1 || sum != depth {
+		t.Fatalf("blab_queue_pending counts %v in retry_backoff and %v in all; want 1 and the queue depth %v", retry, sum, depth)
+	}
+	checkLifecycle(t, srv, "in backoff")
+}

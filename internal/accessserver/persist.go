@@ -166,7 +166,7 @@ func (s *Server) leaveSection() (cancels []func(), redrain bool) {
 	x.events = x.events[:0]
 	for _, b := range x.builds {
 		b.touched = false
-		s.reads.publishBuild(b.Status(), b.feed, b.workspace)
+		s.reads.publishBuild(b.status(), b.feed, b.workspace)
 	}
 	clear(x.builds)
 	x.builds = x.builds[:0]

@@ -333,7 +333,7 @@ func TestRecoverBuilds(t *testing.T) {
 	if fin.State() != StateSuccess {
 		t.Fatalf("pre-crash build state = %v", fin.State())
 	}
-	preStatus, err := json.Marshal(fin.Status())
+	preStatus, err := json.Marshal(statusOf(t, srv, fin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +382,7 @@ func TestRecoverBuilds(t *testing.T) {
 
 	// The finished build's status is byte-identical apart from the
 	// recovery marker and the (empty) feed counters.
-	rb, err := srv2.Build(fin.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stRec := rb.Status()
+	stRec := statusOf(t, srv2, fin)
 	if !stRec.Recovered {
 		t.Fatal("recovered build not marked recovered")
 	}
@@ -941,7 +937,7 @@ func TestDroppedCountersOnStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainServer(t, clk, []*Build{b})
-	st := b.Status()
+	st := statusOf(t, srv, b)
 	if st.DroppedEvents != 5 {
 		t.Fatalf("dropped_events = %d, want 5", st.DroppedEvents)
 	}

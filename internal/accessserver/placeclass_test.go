@@ -46,8 +46,8 @@ func newVerdictRig(t *testing.T, fallback bool) *verdictRig {
 		t.Fatal(err)
 	}
 	r.b = r.submit(t, "x", "dev", fallback)
-	if r.a.State() != StateRunning || r.b.PendingReason() != waitingForDev {
-		t.Fatalf("a is %s, b waits with %q; want a running and b %q", r.a.State(), r.b.PendingReason(), waitingForDev)
+	if got := statusOf(t, r.srv, r.b).PendingReason; r.a.State() != StateRunning || got != waitingForDev {
+		t.Fatalf("a is %s, b waits with %q; want a running and b %q", r.a.State(), got, waitingForDev)
 	}
 	// The verdict must be standing, or the cases knock over nothing: a
 	// pass over the unchanged queue computes no placement.
@@ -149,14 +149,14 @@ func TestVerdictFallsWhenWhatItReadChanges(t *testing.T) {
 			// pass, so it sees the new device at once.
 			{func(t *testing.T, r *verdictRig) {
 				c := r.submit(t, "ghost", "dev2", true)
-				if got, want := c.PendingReason(), `waiting for node "ghost" to register; no fallback node available`; got != want {
+				if got, want := statusOf(t, r.srv, c).PendingReason, `waiting for node "ghost" to register; no fallback node available`; got != want {
 					t.Fatalf("the fallback build waits with %q, want %q", got, want)
 				}
 				r.devices = "dev\ndev2"
 				must(t, r.srv.MonitorNode("x"))
 				r.srv.Kick()
-				if c.State() != StateRunning || c.NodeName() != "x" {
-					t.Fatalf("the fallback build is %s on %q (%s), want running on x's new device", c.State(), c.NodeName(), c.PendingReason())
+				if st := statusOf(t, r.srv, c); st.State != "running" || st.Node != "x" {
+					t.Fatalf("the fallback build is %s on %q (%s), want running on x's new device", st.State, st.Node, st.PendingReason)
 				}
 			}, waitingForDev},
 		}},
@@ -167,8 +167,8 @@ func TestVerdictFallsWhenWhatItReadChanges(t *testing.T) {
 			{func(t *testing.T, r *verdictRig) {
 				r.srv.SetPlacer(constPlacer(42))
 				r.clk.Advance(30 * time.Second) // a finishes, b starts
-				if r.b.State() != StateRunning || r.b.PlacementScore() != 42 {
-					t.Fatalf("b is %s with placement score %v, want running with the new placer's 42", r.b.State(), r.b.PlacementScore())
+				if st := statusOf(t, r.srv, r.b); st.State != "running" || st.PlacementScore != 42 {
+					t.Fatalf("b is %s with placement score %v, want running with the new placer's 42", st.State, st.PlacementScore)
 				}
 			}, ""},
 		}},
@@ -201,7 +201,7 @@ func TestVerdictFallsWhenWhatItReadChanges(t *testing.T) {
 			for i, st := range tc.steps {
 				st.do(t, r)
 				r.srv.Kick()
-				if got := r.b.PendingReason(); got != st.want {
+				if got := statusOf(t, r.srv, r.b).PendingReason; got != st.want {
 					t.Fatalf("step %d: b waits with %q, want %q", i+1, got, st.want)
 				}
 				checkLifecycle(t, r.srv, fmt.Sprintf("step %d", i+1))
@@ -253,7 +253,7 @@ func TestLockConflictIsOneLookup(t *testing.T) {
 		}
 		tail := builds[len(builds)-5:]
 		for i, want := range []string{"waiting for w", "waiting for w/dev1", "waiting for d", "waiting for d/dev1", ""} {
-			if got := tail[i].PendingReason(); got != want {
+			if got := statusOf(t, srv, tail[i]).PendingReason; got != want {
 				t.Errorf("%d other nodes busy: queued build %d waits with %q, want %q", others, i, got, want)
 			}
 		}

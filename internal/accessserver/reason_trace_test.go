@@ -64,18 +64,24 @@ func TestPendingReasonTrace(t *testing.T) {
 	}
 }
 
-// traceBuilds writes one line per build the server has ever admitted.
+// traceBuilds writes one line per build the server has ever admitted:
+// its published state, node and score, and its scheduler label
+// (Entry.Label), which a settled build keeps from its last moment in the
+// queue, as the hash was computed. The scripts run every event in the
+// calling goroutine, so the label is read between sections.
 func traceBuilds(t *testing.T, h hash.Hash, event int, srv *accessserver.Server) {
 	t.Helper()
 	for id := 1; ; id++ {
-		b, err := srv.Build(id)
+		st, err := srv.BuildStatus(id)
 		if errors.Is(err, accessserver.ErrNotFound) {
 			return
 		}
+		b, err := srv.Build(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%d %d %s %q %v %q\n", event, id, b.State(), b.NodeName(), b.PlacementScore(), b.PendingReason())
+		_, reason := b.Label()
+		fmt.Fprintf(h, "%d %d %s %q %v %q\n", event, id, st.State, st.Node, st.PlacementScore, reason)
 	}
 }
 

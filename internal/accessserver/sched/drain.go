@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -132,6 +131,10 @@ const ExecWait = "waiting for a free executor"
 // campaign and owner caps before the verdict, the CPU gate — which latches
 // probes — after it.
 //
+// An owner-cap label names only the owner and the cap, both fixed for the
+// entry, so a build the cap still holds keeps its text: it is formatted
+// when the build first meets the cap, and no label is parsed.
+//
 // A pass that claims nothing — every pass after saturation — leaves the
 // queue untouched, and one that relabels nothing allocates nothing.
 func (q *Sched) Drain(now time.Time) *Pass {
@@ -163,8 +166,10 @@ func (q *Sched) Drain(now time.Time) *Pass {
 			prio, reason = CampaignCap, "campaign concurrency cap reached"
 		}
 		if limit := q.ownerCap; prio == None && limit > 0 && q.ownerRunning[e.job.Owner] >= limit {
-			prio, reason = OwnerCap, joinedReason(e.reason,
-				"owner ", e.job.Owner, " at the fair-share cap (", strconv.Itoa(limit), " running)")
+			prio, reason = OwnerCap, e.reason
+			if e.prio != OwnerCap {
+				reason = "owner " + e.job.Owner + " at the fair-share cap (" + strconv.Itoa(limit) + " running)"
+			}
 		}
 		if prio == None {
 			if !q.valid(c, now) {
@@ -213,35 +218,18 @@ func (q *Sched) skip(e *Entry, prio Prio, reason string) {
 	}
 }
 
-// joinedReason returns the concatenation of parts, and returns prev
-// itself when prev already reads exactly that: nearly every label the
-// drain computes repeats the previous pass's, so the common case formats
-// and allocates nothing.
-func joinedReason(prev string, parts ...string) string {
-	rest, same := prev, true
-	for _, p := range parts {
-		if same {
-			rest, same = strings.CutPrefix(rest, p)
-		}
-	}
-	if same && rest == "" {
-		return prev
-	}
-	return strings.Join(parts, "")
-}
-
 // labelSaturated labels tail — the queue from the point where the pass
-// ran out of executors — with ExecWait, without walking the part that
-// already carries it. Labels in the queue always read, in order: builds
-// some pass evaluated (any other reason), builds a saturated pass
-// labelled ExecWait, builds that joined since. Only a pass's evaluated
-// prefix is ever relabelled with another reason, so the middle run is
-// contiguous: the walk labels from the front until it meets it, then
-// resumes behind execLabelled, the queue sequence number that run is
-// known to reach.
+// ran out of executors — with ExecWait, category Executor, without
+// walking the part that already carries it. Labels in the queue always
+// read, in order: builds some pass evaluated (any other category),
+// builds a saturated pass labelled Executor, builds that joined since.
+// Only a pass's evaluated prefix is ever relabelled with another
+// category, so the middle run is contiguous: the walk labels from the
+// front until it meets it, then resumes behind execLabelled, the queue
+// sequence number that run is known to reach.
 func (q *Sched) labelSaturated(tail []*Entry) {
 	i := 0
-	for i < len(tail) && tail[i].reason != ExecWait {
+	for i < len(tail) && tail[i].prio != Executor {
 		q.skip(tail[i], Executor, ExecWait)
 		i++
 	}

@@ -161,7 +161,10 @@ type Entry struct {
 // place a build's scheduling facts are written.
 func NewEntry(j Job) Entry { return Entry{job: j} }
 
-// Label is the pending reason a queued build waits with and its category.
+// Label is the pending reason a queued build waits with and its category,
+// kept nowhere else (the access server renders it into the published
+// status). An owner-cap label keeps its text while its category stays
+// OwnerCap: the text names only the owner and the cap, both fixed.
 func (e *Entry) Label() (Prio, string) { return e.prio, e.reason }
 
 // Held is the lock the build's running attempt holds, zero for none.

@@ -343,13 +343,17 @@ func Run(script Script) (Result, error) {
 		if b == nil {
 			continue // shed; result already recorded
 		}
+		st, err := srv.BuildStatus(b.ID)
+		if err != nil {
+			return Result{}, fmt.Errorf("schedsim: build %d: %w", b.ID, err)
+		}
 		r := BuildResult{
 			Index:     i,
 			Owner:     script.Builds[i].Owner,
-			State:     b.State().String(),
-			Node:      b.NodeName(),
-			Score:     b.PlacementScore(),
-			Attempts:  b.Attempts(),
+			State:     st.State,
+			Node:      st.Node,
+			Score:     st.PlacementScore,
+			Attempts:  st.Attempts,
 			Failovers: b.Retries(),
 			WaitNS:    b.QueueTime().Nanoseconds(),
 			RunNS:     b.Duration().Nanoseconds(),

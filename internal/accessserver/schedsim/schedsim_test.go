@@ -284,7 +284,7 @@ func TestPendingReasonStable(t *testing.T) {
 	}
 	const want = "campaign concurrency cap reached"
 	for scan := 0; scan < 5; scan++ {
-		if got := builds[1].PendingReason(); got != want {
+		if got := pendingReason(t, srv, builds[1]); got != want {
 			t.Fatalf("scan %d: pending reason %q, want %q", scan, got, want)
 		}
 		srv.Kick()
@@ -305,7 +305,7 @@ func TestPendingReasonStable(t *testing.T) {
 		}
 	}
 	srv.Kick()
-	if got := builds[1].PendingReason(); got != "waiting for a free executor" {
+	if got := pendingReason(t, srv, builds[1]); got != "waiting for a free executor" {
 		t.Fatalf("under saturation: pending reason %q, want executor wait", got)
 	}
 }
@@ -520,4 +520,14 @@ func BenchmarkFleet(b *testing.B) {
 			})
 		}
 	}
+}
+
+// pendingReason is b's pending reason as a v1 client reads it.
+func pendingReason(t *testing.T, srv *accessserver.Server, b *accessserver.Build) string {
+	t.Helper()
+	st, err := srv.BuildStatus(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.PendingReason
 }

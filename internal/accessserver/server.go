@@ -953,19 +953,14 @@ type pick struct {
 
 // passLocked runs one drain pass of the scheduler core (sched.Drain) and
 // makes what it decided happen, in its order: every build it relabelled
-// shows its new pending reason, and every build it picked is claimed
+// is marked for republishing, and every build it picked is claimed
 // (claimLocked). It returns the pipelines to start and the nodes whose
 // CPU to probe once s.mu is released. Callers hold s.mu.
 func (s *Server) passLocked() ([]*pick, []Node) {
 	now := s.clock.Now()
 	pass := s.sched.Drain(now)
 	for _, relabelled := range pass.Relabels {
-		b := relabelled.(*Build)
-		_, reason := b.Label()
-		b.mu.Lock()
-		b.pendingReason = reason
-		b.mu.Unlock()
-		s.touchBuildLocked(b) // snapshot-served status polls surface it
+		s.touchBuildLocked(relabelled.(*Build)) // snapshot-served status polls surface it
 	}
 	var picks []*pick
 	for _, p := range pass.Picks {
@@ -1249,7 +1244,7 @@ func (s *Server) checkAging(b *Build) {
 	}
 	s.sched.Remove(&b.Entry)
 	s.m.agedOut++
-	reason := b.PendingReason()
+	_, reason := b.Label()
 	if reason == "" {
 		reason = "its node never appeared"
 	}

@@ -217,11 +217,11 @@ func TestGoldenSnapshot(t *testing.T) {
 		Nodes  []NodeStatus
 	}{Stats: stats, Nodes: srv.servedNodes()}
 	for id := 1; id < snap.NextBuild; id++ {
-		b, err := srv.Build(id)
+		st, err := srv.BuildStatus(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		recovered.Builds = append(recovered.Builds, b.Status())
+		recovered.Builds = append(recovered.Builds, st)
 	}
 	checkGolden(t, "snapshot.recovered.golden.json", goldenJSON(t, recovered))
 	checkLifecycle(t, srv, "recovered from the golden snapshot")

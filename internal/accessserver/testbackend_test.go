@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"testing"
 
 	"batterylab/internal/api"
 )
@@ -73,6 +74,17 @@ func (tb *testBackend) started() []string {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	return append([]string(nil), tb.ran...)
+}
+
+// statusOf is b's published status: what Server.BuildStatus, and so a
+// v1 client, reads of it.
+func statusOf(t testing.TB, srv *Server, b *Build) api.BuildStatus {
+	t.Helper()
+	st, err := srv.BuildStatus(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // jobSpec is the spec of a job that runs workload under cons.

@@ -47,6 +47,7 @@ var rules = []struct {
 	{"frame-is-bytes", "internal/api", frameIsBytes},
 	{"one-run-handle", "internal/remote", oneRunHandle},
 	{"architecture-map", "README.md", architectureMap},
+	{"route-table", "internal/accessserver", routeTable},
 	{"reachable", "internal/stats", reachable},
 }
 
@@ -149,4 +150,5 @@ func TestOneClockDriver(t *testing.T)      { holds(t, "one-clock-driver") }
 func TestFrameIsBytes(t *testing.T)        { holds(t, "frame-is-bytes") }
 func TestOneRunHandle(t *testing.T)        { holds(t, "one-run-handle") }
 func TestArchitectureMap(t *testing.T)     { holds(t, "architecture-map") }
+func TestRouteTable(t *testing.T)          { holds(t, "route-table") }
 func TestReachable(t *testing.T)           { holds(t, "reachable") }

@@ -26,6 +26,9 @@
 //   - sections have one exit, one clock driver, a frame is bytes: the
 //     go/parser tests of accessserver, simclock and api they were.
 //   - architecture map: README's internal/ table has one row per package.
+//   - route table (new, no step replaced): README's route table has one
+//     row per /api/v1/ route the access server's handler functions
+//     register, read as a constant, and no row for a route they do not.
 //   - one run handle (new, no step replaced): outside internal/core no
 //     type declares Wait(ctx, …) and no non-test code starts a goroutine
 //     that acts when a context's Done fires — the run handle and its ctx

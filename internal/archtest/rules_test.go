@@ -972,3 +972,65 @@ func architectureMap(r *report) {
 		}
 	}
 }
+
+// routeHeading is the header row of README's v1 route table.
+const routeHeading = "| Endpoint | Method | Purpose |"
+
+// routeTable: README's route table has a row for every /api/v1/ route the
+// access server's handler functions (handlerV1, handlerCluster) register
+// on an http.ServeMux — the pattern read as the constant it is — and
+// every row, "| `path` | METHOD | purpose |", names a registered route.
+func routeTable(r *report) {
+	register := r.objects("net/http", "ServeMux.Handle", "ServeMux.HandleFunc")
+	p := r.pkg(accessserver)
+	at := strings.Index(r.m.readme, routeHeading)
+	if at < 0 {
+		r.fail("README.md has no %q table", routeHeading)
+	}
+	if len(r.found) > 0 {
+		return
+	}
+	rows := map[string]int{} // "METHOD /path" -> its README line
+	line := strings.Count(r.m.readme[:at], "\n") + 3
+	for _, row := range strings.Split(r.m.readme[at:], "\n")[2:] {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		if cells := strings.SplitN(row, "|", 4); len(cells) == 4 {
+			if path := backticked.FindStringSubmatch(cells[1]); path != nil {
+				rows[strings.TrimSpace(cells[2])+" "+path[1]] = line
+			}
+		}
+		line++
+	}
+	for _, f := range p.files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "handler") {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !slices.Contains(register, called(p.info, call)) || len(call.Args) == 0 {
+					return true
+				}
+				tv := p.info.Types[call.Args[0]]
+				if tv.Value == nil || tv.Value.Kind() != constant.String {
+					return true // one-build-model reports it
+				}
+				pattern := constant.StringVal(tv.Value)
+				if _, path, _ := strings.Cut(pattern, " "); !strings.HasPrefix(path, "/api/v1/") {
+					return true
+				}
+				if _, ok := rows[pattern]; !ok {
+					r.at(call.Pos(), "route %q has no row in README's route table", pattern)
+				}
+				delete(rows, pattern)
+				return true
+			})
+		}
+	}
+	for pattern, line := range rows {
+		r.fail("README.md:%d: the route table lists %q, which no handler registers", line, pattern)
+	}
+}

@@ -305,10 +305,13 @@ func TestTwoDevicesShareOneMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	first, waiting := builds[0], builds[1]
-	if first.State() != accessserver.StateRunning || waiting.State() != accessserver.StateQueued ||
-		waiting.PendingReason() != "waiting for node1" {
+	st, err := r.plat.Access.BuildStatus(waiting.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.State() != accessserver.StateRunning || st.State != "queued" || st.PendingReason != "waiting for node1" {
 		t.Fatalf("at submit: build 1 %s, build 2 %s (%q; %v): want running, and queued waiting for node1",
-			first.State(), waiting.State(), waiting.PendingReason(), waiting.Err())
+			first.State(), st.State, st.PendingReason, waiting.Err())
 	}
 	r.runWhile(t, func() bool { return !waiting.State().Terminal() }, 10*time.Minute)
 	for _, b := range builds {
@@ -423,7 +426,11 @@ func TestDecodedResultMatchesRun(t *testing.T) {
 			if b.State() != accessserver.StateSuccess || ran == nil {
 				t.Fatalf("state = %v err = %v log:\n%s", b.State(), b.Err(), b.Log())
 			}
-			got, err := decodeResult(b.Workspace().Load, b.Status())
+			st, err := r.plat.Access.BuildStatus(b.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeResult(b.Workspace().Load, st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -563,8 +570,8 @@ func TestStoredSummaryIsTheRollup(t *testing.T) {
 // for bit, and the whole stored summary, quantiles and both marks
 // included, to the capture's own live summary.
 func TestStoredQuantilesAreExact(t *testing.T) {
-	b, res := capture5kHz(t)
-	sum := b.Status().Summary
+	b, st, res := capture5kHz(t)
+	sum := st.Summary
 	data, err := b.Workspace().Load(ArtifactCurrentTrace)
 	if err != nil {
 		t.Fatal(err)
@@ -601,8 +608,9 @@ func TestStoredQuantilesAreExact(t *testing.T) {
 }
 
 // capture5kHz measures one 5 kHz browser run — Chrome, two pages, four
-// scrolls — on a fresh rig and returns its build and its result.
-func capture5kHz(tb testing.TB) (*accessserver.Build, *Result) {
+// scrolls — on a fresh rig and returns its build, its published status
+// and its result.
+func capture5kHz(tb testing.TB) (*accessserver.Build, api.BuildStatus, *Result) {
 	tb.Helper()
 	r := newRig(tb)
 	installStudyBrowsers(tb, r)
@@ -626,7 +634,11 @@ func capture5kHz(tb testing.TB) (*accessserver.Build, *Result) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return b, res
+	st, err := r.plat.Access.BuildStatus(b.ID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b, st, res
 }
 
 // saveRunAllocBound caps what saveRun allocates for a run, as a multiple
@@ -644,7 +656,7 @@ func TestSaveRunAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("buffer growth allocates twice under the race detector")
 	}
-	b, res := capture5kHz(t)
+	b, _, res := capture5kHz(t)
 	if n := res.Current.Len(); n != 167499 {
 		t.Fatalf("capture has %d samples, want 167499", n)
 	}
@@ -678,7 +690,7 @@ func TestSaveRunAllocBound(t *testing.T) {
 // sample run: encoding its three traces and storing them, the
 // current.csv view, and the summary.
 func BenchmarkSaveRun(b *testing.B) {
-	build, res := capture5kHz(b)
+	build, _, res := capture5kHz(b)
 	b.ReportAllocs()
 	for b.Loop() {
 		if err := saveRun(build, res); err != nil {

@@ -34,8 +34,9 @@ func (p *Platform) port() *localPort {
 
 // localPort is the in-process adapter of Port: the platform's own
 // access server, which it submits to as the platform's admin user. It
-// reads a build from the build itself — status, feed and workspace — so
-// it marshals nothing and never takes the scheduler lock to read.
+// reads a build's feed and workspace from the build itself, and its
+// status as a v1 client does, published (Server.BuildStatus): it
+// marshals nothing and never takes the scheduler lock to read.
 type localPort struct {
 	p *Platform
 	// builds holds what Submit or SubmitCampaign queued, written before
@@ -97,7 +98,7 @@ func (lp *localPort) Follow(ctx context.Context, build int, event func(api.Build
 }
 
 func (lp *localPort) BuildStatus(_ context.Context, build int) (api.BuildStatus, error) {
-	return lp.builds[build].Status(), nil
+	return lp.p.Access.BuildStatus(build)
 }
 
 func (lp *localPort) Artifact(_ context.Context, build int, name string) ([]byte, error) {

@@ -149,7 +149,11 @@ func TestResultAdoptsStoredRollup(t *testing.T) {
 					}
 				}
 			}
-			if st := b.Status(); st.Summary == nil || st.Summary.EnergyMAH != wrong || (st.RoutedVia != "") != (c.node == "node9") {
+			st, err := plat.Access.BuildStatus(b.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Summary == nil || st.Summary.EnergyMAH != wrong || (st.RoutedVia != "") != (c.node == "node9") {
 				t.Fatalf("%s, %s: stored summary %+v routed via %q", port.name, c.name, st.Summary, st.RoutedVia)
 			}
 			data, err := b.Workspace().Load(core.ArtifactCurrentTrace)

@@ -127,8 +127,8 @@ func TestCampaignSurvivesServerCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !b.Recovered() {
-			t.Fatalf("build %d not marked recovered", id)
+		if st, err := l2.srv.BuildStatus(id); err != nil || !st.Recovered {
+			t.Fatalf("build %d not marked recovered (%v)", id, err)
 		}
 		members = append(members, b)
 	}
